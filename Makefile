@@ -3,9 +3,14 @@
 
 .PHONY: test lint fmt
 
+# perf/ (the benchmark declared by BENCHMARK.json) is a module of its
+# own; its tests run every workload's correctness checks at smoke
+# scale, ~5 s.
 test:
 	go build ./...
 	go test ./...
+	go -C perf vet ./...
+	go -C perf test ./...
 
 fmt:
 	gofmt -l -w .

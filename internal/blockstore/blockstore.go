@@ -6,8 +6,8 @@
 // cannot drift from the blobs it describes.
 //
 // Two implementations share the contract. NewRAM is the default
-// zero-overhead path — a mutex around a slice, exactly the old block
-// table. NewTiered adds the out-of-core tier the paper's block
+// zero-overhead path — a bare slice plus an atomic footprint, no lock
+// at all. NewTiered adds the out-of-core tier the paper's block
 // decomposition makes possible: blobs past a resident-RAM budget are
 // evicted coldest-first to a per-store spill file, read back on
 // demand, and staged ahead of demand by an async prefetcher whenever
@@ -33,11 +33,17 @@ var ErrSpill = errors.New("blockstore: spill I/O failure")
 // anything. Peek, PrefetchHint, and Close belong to the owner
 // goroutine (the engine between gates).
 //
-// Ownership: Put takes ownership of blob — the caller must not
-// mutate it afterwards. Slices returned by Get and Peek are
-// read-only views that stay valid even if the block is later
-// evicted or overwritten (production code never mutates a blob in
-// place; it compresses a fresh one).
+// Ownership: blobs are immutable. Put takes a reference to blob and
+// nobody — caller or store — may write through it afterwards; slices
+// returned by Get and Peek are read-only views that stay valid even
+// if the block is later evicted or overwritten. The engine leans on
+// this: one blob may sit in many slots at once (Reset's zero block,
+// every §3.4 cache hit), in the block cache's lines, in a batch memo
+// and in the stores of cloned simulators, and none of them copies
+// it. A single in-place write would corrupt all of them, so code
+// that needs different bytes compresses a fresh blob. Footprint and
+// Resident stay logical — the sum of len(blob) over slots, shared
+// or not — which is the quantity the paper's memory story counts.
 type Store interface {
 	// Get returns block b's blob for the hot path, promoting it to
 	// most-recently-used. On a tiered store a spilled block is read

@@ -3,9 +3,11 @@ package blockstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -352,5 +354,37 @@ func TestTieredConcurrentDistinctBlocks(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRAMStoreGetPut times the default store's hot path — Get a
+// slot, Put a same-size blob back (what a cache hit does) — on one
+// goroutine and on two working distinct slot ranges, as the engine's
+// workers do.
+func BenchmarkRAMStoreGetPut(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("goroutines=%d", workers), func(b *testing.B) {
+			const slots = 64
+			s := NewRAM(workers * slots)
+			blob := make([]byte, 100)
+			for i := 0; i < s.Len(); i++ {
+				s.Put(i, blob)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < b.N/workers; i++ {
+						slot := w*slots + i%slots
+						cur, _ := s.Get(slot)
+						s.Put(slot, cur)
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
 	}
 }

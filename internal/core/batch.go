@@ -39,10 +39,11 @@ func VariantSeed(base int64, v int) int64 {
 }
 
 // Clone builds an independent simulator with the same configuration
-// (seeded with seed) holding a copy of the current state: compressed
-// blocks are copied blob-for-blob, the per-rank error levels, fidelity
-// ledger, gate count, and measurement log carry over, and the stats
-// start fresh from the cloned footprint. The clone owns its stores
+// (seeded with seed) holding the current state: the clone's slots share
+// the (immutable) compressed blobs with this simulator until either
+// side overwrites them, the per-rank error levels, fidelity ledger,
+// gate count, and measurement log carry over, and the stats start
+// fresh from the cloned footprint. The clone owns its stores
 // (and, under a spill configuration, its own spill files) and must be
 // Closed like any simulator.
 func (s *Simulator) Clone(seed int64) (*Simulator, error) {
@@ -66,7 +67,7 @@ func (s *Simulator) Clone(seed int64) (*Simulator, error) {
 				clone.Close()
 				return nil, err
 			}
-			if err := crs.store.Put(b, append([]byte(nil), blob...)); err != nil {
+			if err := crs.store.Put(b, blob); err != nil {
 				clone.Close()
 				return nil, err
 			}
@@ -348,13 +349,11 @@ func batchSweepRank(sims []*Simulator, cs []*quantum.Circuit, r int, sw quantum.
 	K := len(sims)
 	k := sw.Len()
 	ba := s0.blockAmps()
-	sigs := make([]string, K)
-	lvls := make([]int, K)
+	passes := make([]passKey, K)
 	appliers := make([]func([]float64), K)
 	for v, s := range sims {
 		gates := cs[v].Gates[sw.Start:sw.End]
-		sigs[v] = quantum.SweepSignature(gates)
-		lvls[v] = s.ranks[r].level
+		passes[v] = newPassKey(quantum.SweepSignature(gates), s.ranks[r].level)
 		lg := make([]localGate, k)
 		for i, g := range gates {
 			offCtrl, _, _ := s.splitControls(g.Controls)
@@ -373,14 +372,14 @@ func batchSweepRank(sims []*Simulator, cs []*quantum.Circuit, r int, sw quantum.
 			}
 		}
 	}
-	if err := batchBlockPass(sims, r, sigs, lvls, appliers, 0, int64(k-1)); err != nil {
+	if err := batchBlockPass(sims, r, passes, appliers, 0, int64(k-1)); err != nil {
 		return err
 	}
 	for v, s := range sims {
 		rs := s.ranks[r]
 		rs.stats.Sweeps++
 		rs.stats.SweepGates += k
-		s.noteLevel(rs, sw.End-1, lvls[v])
+		s.noteLevel(rs, sw.End-1, passes[v].level)
 		s.maybeEscalate(rs)
 	}
 	return nil
@@ -394,13 +393,11 @@ func batchLocalGate(sims []*Simulator, cs []*quantum.Circuit, r, gi int, offCtrl
 	K := len(sims)
 	ba := s0.blockAmps()
 	tMask := 1 << uint(cs[0].Gates[gi].Target)
-	sigs := make([]string, K)
-	lvls := make([]int, K)
+	passes := make([]passKey, K)
 	appliers := make([]func([]float64), K)
 	for v, s := range sims {
 		g := cs[v].Gates[gi]
-		sigs[v] = g.Signature()
-		lvls[v] = s.ranks[r].level
+		passes[v] = newPassKey(g.Signature(), s.ranks[r].level)
 		u := g.U
 		appliers[v] = func(x []float64) {
 			for base := 0; base < ba; base += tMask << 1 {
@@ -413,12 +410,12 @@ func batchLocalGate(sims []*Simulator, cs []*quantum.Circuit, r, gi int, offCtrl
 			}
 		}
 	}
-	if err := batchBlockPass(sims, r, sigs, lvls, appliers, blkCtrl, 0); err != nil {
+	if err := batchBlockPass(sims, r, passes, appliers, blkCtrl, 0); err != nil {
 		return err
 	}
 	for v, s := range sims {
 		rs := s.ranks[r]
-		s.noteLevel(rs, gi, lvls[v])
+		s.noteLevel(rs, gi, passes[v].level)
 		s.maybeEscalate(rs)
 	}
 	return nil
@@ -431,43 +428,45 @@ func batchLocalGate(sims []*Simulator, cs []*quantum.Circuit, r, gi int, offCtrl
 // lookup reuses the first's output instead of paying the codec. Workers
 // racing on the same key may both compute (benign: deterministic codecs
 // make the results identical); cross-VARIANT sharing never races, since
-// one worker owns all K variants of its block.
+// one worker owns all K variants of its block. Keys and lines are the
+// block cache's (cache.go): hashed, verified on a hit, blobs shared.
 type batchMemo struct {
-	mu sync.Mutex
-	m  map[string]memoEntry
+	mu    sync.RWMutex
+	lines map[uint64]*cacheLine
 }
 
-type memoEntry struct{ out1, out2 []byte }
-
-func (m *batchMemo) get(key string) (memoEntry, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.m[key]
-	return e, ok
+func newBatchMemo() *batchMemo {
+	return &batchMemo{lines: make(map[uint64]*cacheLine)}
 }
 
-func (m *batchMemo) put(key string, out1, out2 []byte) {
+func (m *batchMemo) get(k blockKey) *cacheLine {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return find(m.lines, &k)
+}
+
+func (m *batchMemo) put(k blockKey, out1, out2 []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.m[key] = memoEntry{out1: out1, out2: out2}
+	m.lines[k.hash] = &cacheLine{key: k, out1: out1, out2: out2}
 }
 
 // batchBlockPass fans one decompress → apply-K-variants → recompress
 // pass over rank r's blocks, block-index-first: each block is processed
 // for all K variants back to back by one worker, so the memo turns
-// undiverged variants into copies. Codec calls are charged to the
+// undiverged variants into shared blobs. Codec calls are charged to the
 // variant that actually issued them; a memo hit charges the saved
 // variant's CodecPassesShared instead. The per-rank §3.4 block cache is
 // not consulted — the memo subsumes it within a pass, and feeding K
 // variants' traffic through one LRU would thrash its probation logic.
-func batchBlockPass(sims []*Simulator, r int, sigs []string, lvls []int, appliers []func([]float64), blkCtrl int, passesSaved int64) error {
+func batchBlockPass(sims []*Simulator, r int, passes []passKey, appliers []func([]float64), blkCtrl int, passesSaved int64) error {
 	s0 := sims[0]
 	rs0 := s0.ranks[r]
 	K := len(sims)
 	for _, s := range sims {
 		s.hintBlocks(s.ranks[r], blkCtrl, 0)
 	}
-	memo := &batchMemo{m: make(map[string]memoEntry)}
+	memo := newBatchMemo()
 	nb := s0.blocksPerRank()
 	nw := len(rs0.workers)
 	if nw > nb {
@@ -489,9 +488,9 @@ func batchBlockPass(sims []*Simulator, r int, sigs []string, lvls []int, applier
 			if err != nil {
 				return err
 			}
-			key := cacheKey(sigs[v], lvls[v], cur, nil)
-			if e, ok := memo.get(key); ok {
-				if err := s.updateBlock(rs, b, append([]byte(nil), e.out1...)); err != nil {
+			key := passes[v].block(cur, nil)
+			if e := memo.get(key); e != nil {
+				if err := s.updateBlock(rs, b, e.out1); err != nil {
 					return err
 				}
 				shard[v].CodecPassesShared++
@@ -504,7 +503,7 @@ func batchBlockPass(sims []*Simulator, r int, sigs []string, lvls []int, applier
 			start := time.Now()
 			appliers[v](w.x)
 			st.ComputeTime += time.Since(start)
-			blob, err := s.compressBlock(lvls[v], w.x, st)
+			blob, err := s.compressBlock(passes[v].level, w.x, st)
 			if err != nil {
 				return err
 			}
@@ -578,18 +577,16 @@ func batchCrossBlock(sims []*Simulator, cs []*quantum.Circuit, r, gi int, offCtr
 	ba := s0.blockAmps()
 	g0 := cs[0].Gates[gi]
 	tb := 1 << uint(g0.Target-s0.offsetBits)
-	sigs := make([]string, K)
-	lvls := make([]int, K)
+	passes := make([]passKey, K)
 	us := make([]quantum.Matrix2, K)
 	for v, s := range sims {
-		sigs[v] = cs[v].Gates[gi].Signature()
-		lvls[v] = s.ranks[r].level
+		passes[v] = newPassKey(cs[v].Gates[gi].Signature(), s.ranks[r].level)
 		us[v] = cs[v].Gates[gi].U
 	}
 	for _, s := range sims {
 		s.hintBlocks(s.ranks[r], blkCtrl, tb)
 	}
-	memo := &batchMemo{m: make(map[string]memoEntry)}
+	memo := newBatchMemo()
 	rs0 := s0.ranks[r]
 	nb := s0.blocksPerRank()
 	nw := len(rs0.workers)
@@ -615,12 +612,12 @@ func batchCrossBlock(sims []*Simulator, cs []*quantum.Circuit, r, gi int, offCtr
 			if err != nil {
 				return err
 			}
-			key := cacheKey(sigs[v], lvls[v], curB, curP)
-			if e, ok := memo.get(key); ok {
-				if err := s.updateBlock(rs, b, append([]byte(nil), e.out1...)); err != nil {
+			key := passes[v].block(curB, curP)
+			if e := memo.get(key); e != nil {
+				if err := s.updateBlock(rs, b, e.out1); err != nil {
 					return err
 				}
-				if err := s.updateBlock(rs, pb, append([]byte(nil), e.out2...)); err != nil {
+				if err := s.updateBlock(rs, pb, e.out2); err != nil {
 					return err
 				}
 				shard[v].CodecPassesShared += 2
@@ -642,14 +639,14 @@ func batchCrossBlock(sims []*Simulator, cs []*quantum.Circuit, r, gi int, offCtr
 				applyPairSplit(us[v], x, y, o)
 			}
 			st.ComputeTime += time.Since(start)
-			blobX, err := s.compressBlock(lvls[v], w.x, st)
+			blobX, err := s.compressBlock(passes[v].level, w.x, st)
 			if err != nil {
 				return err
 			}
 			if err := s.updateBlock(rs, b, blobX); err != nil {
 				return err
 			}
-			blobY, err := s.compressBlock(lvls[v], w.y, st)
+			blobY, err := s.compressBlock(passes[v].level, w.y, st)
 			if err != nil {
 				return err
 			}
@@ -671,7 +668,7 @@ func batchCrossBlock(sims []*Simulator, cs []*quantum.Circuit, r, gi int, offCtr
 	}
 	for v, s := range sims {
 		rs := s.ranks[r]
-		s.noteLevel(rs, gi, lvls[v])
+		s.noteLevel(rs, gi, passes[v].level)
 		s.maybeEscalate(rs)
 	}
 	return nil

@@ -1,136 +1,198 @@
 package core
 
 import (
-	"container/list"
+	"bytes"
 	"encoding/binary"
+	"hash/maphash"
+	"maps"
 	"sync"
 	"sync/atomic"
 )
+
+// keySeed seeds every key hash of this process. Hashes never leave the
+// process and never decide a result (a hit is always verified), so a
+// per-process seed costs no determinism.
+var keySeed = maphash.MakeSeed()
+
+// passKey is the part of a cache key that is fixed for a whole block
+// pass: the gate (or sweep) signature — hashed once here, not once per
+// block — and the escalation level.
+type passKey struct {
+	sig     string
+	sigHash uint64
+	level   int
+}
+
+func newPassKey(sig string, level int) passKey {
+	return passKey{sig: sig, sigHash: maphash.String(keySeed, sig), level: level}
+}
+
+// blockKey identifies one cached operation: a pass applied to the
+// compressed input block(s) (in2 nil for single-block ops). Tables
+// index by hash alone; equal then confirms a candidate field by field,
+// so a hash collision costs a miss and can never swap in the wrong
+// output block. The inputs are held by reference — blobs are immutable
+// (see blockstore.Store).
+type blockKey struct {
+	passKey
+	in1, in2 []byte
+	hash     uint64
+}
+
+// block completes the pass key with one block's compressed input(s).
+func (p passKey) block(in1, in2 []byte) blockKey {
+	var h maphash.Hash
+	h.SetSeed(keySeed)
+	var hdr [24]byte
+	binary.LittleEndian.PutUint64(hdr[0:], p.sigHash)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(p.level))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(in1)))
+	h.Write(hdr[:])
+	h.Write(in1)
+	h.Write(in2)
+	return blockKey{passKey: p, in1: in1, in2: in2, hash: h.Sum64()}
+}
+
+// equal compares everything the hash was computed from. On a redundant
+// state the candidate's blobs are usually the very slices being looked
+// up, which bytes.Equal settles by pointer without reading them.
+func (k *blockKey) equal(o *blockKey) bool {
+	return k.hash == o.hash && k.level == o.level && k.sig == o.sig &&
+		bytes.Equal(k.in1, o.in1) && bytes.Equal(k.in2, o.in2)
+}
+
+// cacheLine is one key → output(s) entry, of the block cache or of a
+// batch memo; apart from tick it is never written once published. The
+// outputs are shared with every slot they were ever handed to, never
+// copied.
+type cacheLine struct {
+	key        blockKey
+	out1, out2 []byte // out2 nil for single-block operations
+	// tick is the number of the lookup that last touched the line;
+	// the smallest tick is the LRU victim. Only the block cache uses it.
+	tick atomic.Int64
+}
+
+// find returns the line stored for k, or nil.
+func find(lines map[uint64]*cacheLine, k *blockKey) *cacheLine {
+	if l := lines[k.hash]; l != nil && l.key.equal(k) {
+		return l
+	}
+	return nil
+}
 
 // blockCache is the compressed block cache of §3.4: an LRU map from
 // (gate signature, error level, compressed input block(s)) to the
 // compressed output block(s). When the quantum state carries
 // redundancy — many blocks sharing the same compressed form — a hit
-// replaces the decompress/compute/compress round trip with two copies.
-// If the state has no redundancy the cache never hits, so it disables
-// itself after a probation window, avoiding the paper's cache-miss
-// penalty.
+// replaces the decompress/compute/compress round trip with a hash of
+// the input, a verifying compare and a pointer store: the output blob
+// is shared, nothing is copied or allocated. If the state has no
+// redundancy the cache never hits, so it disables itself after a
+// probation window, avoiding the paper's cache-miss penalty.
 //
-// mu makes the cache safe for the rank's worker pool: workers hit it
-// concurrently during a fan-out, and even get mutates the LRU list.
-// disabled is atomic so the post-shutoff fast path — the common case on
-// redundancy-free states — never touches the lock (or even builds a
-// key: callers check enabled() first).
+// The rank's workers hit the cache concurrently during a fan-out, so a
+// hit takes no lock: it reads an immutable snapshot of the table and
+// records recency by stamping its line with the lookup counter — and
+// not even that while the line is still the most recently used one,
+// which on a redundant state is nearly always, so concurrent hits on
+// one line share it read-only. put, which has just paid a codec round
+// trip, serialises on mu, finds the LRU victim by scanning for the
+// oldest stamp and publishes a fresh snapshot; that is O(lines) per
+// miss, for a cache the paper sizes at 64 lines. With one worker the
+// stamps are unique and ordered (an unstamped hit on the MRU line
+// leaves it the newest), so the eviction order — and with it every
+// lookup, hit and codec-call count — is exactly a linked-list LRU's.
 type blockCache struct {
-	mu       sync.Mutex
-	cap      int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	lookups  int64
-	hits     int64
-	disabled atomic.Bool
+	cap int
 	// probation is the number of lookups after which a hitless cache
 	// shuts off.
 	probation int64
-}
-
-type cacheEntry struct {
-	key  string
-	out1 []byte
-	out2 []byte // nil for single-block operations
+	mu        sync.Mutex                            // serialises put and the shut-off
+	table     atomic.Pointer[map[uint64]*cacheLine] // by key hash; nil once shut off
+	lookups   atomic.Int64                          // doubles as the recency clock
+	hit       atomic.Bool                           // any hit so far
+	mru       atomic.Pointer[cacheLine]
 }
 
 func newBlockCache(lines int) *blockCache {
 	if lines <= 0 {
 		return nil
 	}
-	return &blockCache{
-		cap:       lines,
-		ll:        list.New(),
-		items:     make(map[string]*list.Element, lines),
-		probation: 4 * int64(lines),
-	}
+	c := &blockCache{cap: lines, probation: 4 * int64(lines)}
+	c.table.Store(&map[uint64]*cacheLine{})
+	return c
 }
 
 // enabled reports whether the cache is worth consulting; callers skip
 // key construction entirely when it is not.
 func (c *blockCache) enabled() bool {
-	return c != nil && !c.disabled.Load()
+	return c != nil && c.table.Load() != nil
 }
 
-// cacheKey builds the lookup key from the gate (or sweep) signature,
-// the escalation level, and the raw compressed input blocks (cb2 nil
-// for single-block ops). Every variable-length field is length-prefixed:
-// signatures and compressed blobs both legitimately contain zero bytes,
-// so joining them with separator bytes would let distinct
-// (sig, cb1, cb2) triples collide — and a colliding get would silently
-// swap in the wrong compressed output block. The level is encoded in
-// full, not truncated to one byte.
-func cacheKey(sig string, level int, cb1, cb2 []byte) string {
-	b := make([]byte, 0, len(sig)+len(cb1)+len(cb2)+4*binary.MaxVarintLen64)
-	b = binary.AppendUvarint(b, uint64(len(sig)))
-	b = append(b, sig...)
-	b = binary.AppendUvarint(b, uint64(level))
-	b = binary.AppendUvarint(b, uint64(len(cb1)))
-	b = append(b, cb1...)
-	b = binary.AppendUvarint(b, uint64(len(cb2)))
-	b = append(b, cb2...)
-	return string(b)
-}
-
-// get returns the cached outputs for key, if present.
-func (c *blockCache) get(key string) (out1, out2 []byte, ok bool) {
-	if !c.enabled() {
+// get returns the cached outputs for k, if present, counting the lookup
+// (and the hit) in st exactly when the cache counted it — a cache that
+// shut off since the caller's enabled() check counts nothing.
+func (c *blockCache) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool) {
+	if c == nil {
 		return nil, nil, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.disabled.Load() {
+	t := c.table.Load()
+	if t == nil {
 		return nil, nil, false
 	}
-	c.lookups++
-	if el, hit := c.items[key]; hit {
-		c.hits++
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		return e.out1, e.out2, true
+	n := c.lookups.Add(1)
+	st.CacheLookups++
+	if l := find(*t, &k); l != nil {
+		if c.mru.Load() != l {
+			l.tick.Store(n)
+			c.mru.Store(l)
+		}
+		if !c.hit.Load() {
+			c.hit.Store(true)
+		}
+		st.CacheHits++
+		return l.out1, l.out2, true
 	}
-	if c.hits == 0 && c.lookups >= c.probation {
+	if !c.hit.Load() && n >= c.probation {
 		// §3.4: no redundancy in the state — stop paying the miss
 		// penalty.
-		c.disabled.Store(true)
-		c.ll.Init()
-		c.items = nil
+		c.mu.Lock()
+		c.table.Store(nil)
+		c.mu.Unlock()
 	}
 	return nil, nil, false
 }
 
-// put stores the outputs; inputs are copied so later mutation of the
-// block store cannot corrupt the cache.
-func (c *blockCache) put(key string, out1, out2 []byte) {
-	if !c.enabled() {
+// put stores the outputs of the lookup that just missed on k, evicting
+// the least recently used line when the cache is full. Key and outputs
+// are kept by reference.
+func (c *blockCache) put(k blockKey, out1, out2 []byte) {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.disabled.Load() {
+	t := c.table.Load()
+	if t == nil {
 		return
 	}
-	if el, hit := c.items[key]; hit {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		e.out1 = append([]byte(nil), out1...)
-		e.out2 = append([]byte(nil), out2...)
-		return
+	old := *t
+	var victim *cacheLine
+	if old[k.hash] == nil && len(old) >= c.cap {
+		for _, o := range old {
+			if victim == nil || o.tick.Load() < victim.tick.Load() {
+				victim = o
+			}
+		}
 	}
-	for c.ll.Len() >= c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).key)
+	next := maps.Clone(old)
+	if victim != nil {
+		delete(next, victim.key.hash)
 	}
-	e := &cacheEntry{key: key, out1: append([]byte(nil), out1...)}
-	if out2 != nil {
-		e.out2 = append([]byte(nil), out2...)
-	}
-	c.items[key] = c.ll.PushFront(e)
+	l := &cacheLine{key: k, out1: out1, out2: out2}
+	l.tick.Store(c.lookups.Load())
+	next[k.hash] = l
+	c.table.Store(&next)
+	c.mru.Store(l)
 }

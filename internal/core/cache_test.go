@@ -1,8 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"container/list"
+	"fmt"
+	"hash/maphash"
+	"math/rand"
+	"sync"
 	"testing"
 
+	"qcsim/internal/blockstore"
 	"qcsim/internal/quantum"
 )
 
@@ -73,110 +80,491 @@ func TestCacheSelfDisables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rs := range s.ranks {
-		if rs.cache.enabled() && rs.cache.hits == 0 && rs.cache.lookups > rs.cache.probation {
-			t.Fatalf("hitless cache still enabled after %d lookups", rs.cache.lookups)
+		if rs.cache.enabled() && !rs.cache.hit.Load() && rs.cache.lookups.Load() > rs.cache.probation {
+			t.Fatalf("hitless cache still enabled after %d lookups", rs.cache.lookups.Load())
 		}
 	}
+}
+
+// testKey is the key of a single-block op named sig whose input is the
+// one byte in.
+func testKey(sig string, in byte) blockKey {
+	return newPassKey(sig, 0).block([]byte{in}, nil)
 }
 
 func TestCacheLRUEviction(t *testing.T) {
+	var st Stats
 	c := newBlockCache(2)
-	c.put(cacheKey("a", 0, []byte{1}, nil), []byte{10}, nil)
-	c.put(cacheKey("b", 0, []byte{2}, nil), []byte{20}, nil)
+	a, b, d := testKey("a", 1), testKey("b", 2), testKey("c", 3)
+	c.put(a, []byte{10}, nil)
+	c.put(b, []byte{20}, nil)
 	// Touch "a" so "b" is the LRU victim.
-	if _, _, ok := c.get(cacheKey("a", 0, []byte{1}, nil)); !ok {
+	if _, _, ok := c.get(a, &st); !ok {
 		t.Fatal("a missing")
 	}
-	c.put(cacheKey("c", 0, []byte{3}, nil), []byte{30}, nil)
-	if _, _, ok := c.get(cacheKey("b", 0, []byte{2}, nil)); ok {
+	c.put(d, []byte{30}, nil)
+	if _, _, ok := c.get(b, &st); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, _, ok := c.get(cacheKey("a", 0, []byte{1}, nil)); !ok {
+	if _, _, ok := c.get(a, &st); !ok {
 		t.Fatal("a evicted out of LRU order")
 	}
-	if out, _, ok := c.get(cacheKey("c", 0, []byte{3}, nil)); !ok || out[0] != 30 {
+	if out, _, ok := c.get(d, &st); !ok || out[0] != 30 {
 		t.Fatal("c missing or wrong")
 	}
-}
-
-func TestCacheKeyIncludesLevel(t *testing.T) {
-	k0 := cacheKey("sig", 0, []byte{1, 2}, nil)
-	k1 := cacheKey("sig", 1, []byte{1, 2}, nil)
-	if k0 == k1 {
-		t.Fatal("cache key ignores error level")
+	if st.CacheLookups != 4 || st.CacheHits != 3 {
+		t.Fatalf("counted %d lookups / %d hits, want 4 / 3", st.CacheLookups, st.CacheHits)
 	}
 }
 
-// TestCacheKeyNoCollisions is the regression test for the separator-byte
-// collision: the old key joined sig/level/cb1/cb2 with single 0x00
-// separators, but signatures and compressed blobs legitimately contain
-// zero bytes, so distinct inputs could produce the same key — and a
-// colliding get would silently return the wrong compressed output
-// block. Every pair below collided (or, for the level rows, truncated
-// to the same byte) under the old scheme; the length-prefixed key must
-// keep them distinct.
-func TestCacheKeyNoCollisions(t *testing.T) {
-	type in struct {
-		sig      string
-		level    int
-		cb1, cb2 []byte
+// TestCacheMatchesReferenceLRU drives the engine's protocol (get, and
+// put after a miss) with a bursty random key sequence and checks every
+// hit/miss against a textbook linked-list LRU: stamping lines with the
+// lookup counter — and skipping the stamp on the MRU line — must keep
+// the exact eviction order.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	const lines, universe = 4, 9
+	rng := rand.New(rand.NewSource(5))
+	c := newBlockCache(lines)
+	ref := list.New() // of key ids; front = most recently used
+	var st Stats
+	id := 0
+	for i := 0; i < 20000; i++ {
+		if rng.Intn(3) > 0 { // otherwise repeat the previous key
+			id = rng.Intn(universe)
+		}
+		k := testKey("op", byte(id))
+		var refEl *list.Element
+		for el := ref.Front(); el != nil; el = el.Next() {
+			if el.Value.(int) == id {
+				refEl = el
+			}
+		}
+		out, _, hit := c.get(k, &st)
+		if hit != (refEl != nil) {
+			t.Fatalf("lookup %d (key %d): hit=%v, reference LRU says %v", i, id, hit, refEl != nil)
+		}
+		if hit {
+			if out[0] != byte(id) {
+				t.Fatalf("lookup %d: key %d returned the output of key %d", i, id, out[0])
+			}
+			ref.MoveToFront(refEl)
+			continue
+		}
+		c.put(k, []byte{byte(id)}, nil)
+		if ref.Len() == lines {
+			ref.Remove(ref.Back())
+		}
+		ref.PushFront(id)
 	}
-	pairs := []struct {
-		name string
-		a, b in
-	}{
-		{
-			// Zero byte migrating across the cb1/cb2 separator.
-			"cb1-cb2 boundary",
-			in{"s", 0, []byte{'A'}, []byte{0, 'B'}},
-			in{"s", 0, []byte{'A', 0}, []byte{'B'}},
-		},
-		{
-			// Zero bytes migrating from cb1 into the signature (both
-			// sides serialize to 73 00 00 00 00 00 61 00 under the old
-			// scheme).
-			"sig-cb1 boundary",
-			in{"s", 0, []byte{0, 0, 'a'}, nil},
-			in{"s\x00\x00", 0, []byte{'a'}, nil},
-		},
-		{
-			// Level truncated to one byte: 256 ≡ 0 (mod 256).
-			"level truncation",
-			in{"s", 0, []byte{'A'}, nil},
-			in{"s", 256, []byte{'A'}, nil},
-		},
-		{
-			// Empty cb2 vs cb2 absorbed into cb1's zero tail.
-			"empty cb2",
-			in{"s", 0, []byte{'A', 0}, nil},
-			in{"s", 0, []byte{'A'}, []byte{}},
-		},
+	if st.CacheHits == 0 || st.CacheHits == st.CacheLookups {
+		t.Fatalf("degenerate sequence: %d hits of %d lookups", st.CacheHits, st.CacheLookups)
 	}
-	for _, p := range pairs {
-		ka := cacheKey(p.a.sig, p.a.level, p.a.cb1, p.a.cb2)
-		kb := cacheKey(p.b.sig, p.b.level, p.b.cb1, p.b.cb2)
-		if ka == kb {
-			t.Errorf("%s: distinct inputs collide: %+v vs %+v", p.name, p.a, p.b)
+}
+
+// TestCacheKeyVerifiedBehindHash ports the old string key's collision
+// regressions to the hashed key: the table indexes by hash alone, so
+// keys that differ in any one of (sig, level, in1, in2) — including the
+// boundary-shift and truncation pairs that collided under the
+// separator-byte scheme — are given EQUAL hashes here and must still
+// miss, in the block cache and in the batch memo alike.
+func TestCacheKeyVerifiedBehindHash(t *testing.T) {
+	mk := func(sig string, level int, in1, in2 []byte) blockKey {
+		return blockKey{passKey: passKey{sig: sig, level: level}, in1: in1, in2: in2, hash: 42}
+	}
+	base := mk("s", 0, []byte{'A'}, []byte{0, 'B'})
+	others := map[string]blockKey{
+		"cb1-cb2 boundary": mk("s", 0, []byte{'A', 0}, []byte{'B'}),
+		"sig-cb1 boundary": mk("s\x00", 0, []byte{'A'}, []byte{0, 'B'}),
+		"level":            mk("s", 1, []byte{'A'}, []byte{0, 'B'}),
+		"level truncation": mk("s", 256, []byte{'A'}, []byte{0, 'B'}),
+		"absent cb2":       mk("s", 0, []byte{'A'}, nil),
+		"signature":        mk("t", 0, []byte{'A'}, []byte{0, 'B'}),
+	}
+	var st Stats
+	c := newBlockCache(8)
+	memo := newBatchMemo()
+	c.put(base, []byte{1}, []byte{2})
+	memo.put(base, []byte{1}, []byte{2})
+	if _, _, ok := c.get(base, &st); !ok || memo.get(base) == nil {
+		t.Fatal("the stored key itself misses")
+	}
+	for name, k := range others {
+		if _, _, ok := c.get(k, &st); ok {
+			t.Errorf("%s: block cache returned another key's blocks on a hash collision", name)
+		}
+		if memo.get(k) != nil {
+			t.Errorf("%s: batch memo returned another key's blocks on a hash collision", name)
+		}
+	}
+	// A colliding put takes the slot over; the displaced key misses.
+	c.put(others["level"], []byte{3}, []byte{4})
+	if out, _, ok := c.get(others["level"], &st); !ok || out[0] != 3 {
+		t.Fatal("colliding put not stored")
+	}
+	if _, _, ok := c.get(base, &st); ok {
+		t.Fatal("displaced key still hits")
+	}
+	// The real hash covers every field too (so collisions stay rare).
+	in := []byte{1, 2}
+	if newPassKey("sig", 0).block(in, nil).hash == newPassKey("sig", 1).block(in, nil).hash {
+		t.Error("hash ignores the error level")
+	}
+	if newPassKey("s", 0).block([]byte{'A'}, []byte{0, 'B'}).hash == newPassKey("s", 0).block([]byte{'A', 0}, []byte{'B'}).hash {
+		t.Error("hash ignores the cb1/cb2 boundary")
+	}
+}
+
+// TestCacheSharesImmutableBlobs pins the ownership contract that
+// replaced copy-on-hit: the cache hands out the very slices it was
+// given (blobs are immutable, see blockstore.Store), and a hit in the
+// engine makes block slots share one blob.
+func TestCacheSharesImmutableBlobs(t *testing.T) {
+	var st Stats
+	c := newBlockCache(2)
+	o1, o2 := []byte{42}, []byte{43}
+	k := newPassKey("a", 0).block([]byte{1}, []byte{2})
+	c.put(k, o1, o2)
+	g1, g2, ok := c.get(k, &st)
+	if !ok || &g1[0] != &o1[0] || &g2[0] != &o2[0] {
+		t.Fatal("cache hit does not alias the stored outputs")
+	}
+
+	s := newSim(t, 10, 1, 16, func(c *Config) { c.CacheLines = 64 })
+	cir := quantum.NewCircuit(10)
+	cir.H(0).X(1)
+	if err := s.Run(cir); err != nil {
+		t.Fatal(err)
+	}
+	first := map[*byte]bool{}
+	store := s.ranks[0].store
+	var logical int64
+	for b := 0; b < store.Len(); b++ {
+		blob, _ := store.Peek(b)
+		first[&blob[0]] = true
+		logical += int64(len(blob))
+	}
+	if len(first) >= store.Len() {
+		t.Fatalf("%d slots hold %d distinct blobs: hits did not share", store.Len(), len(first))
+	}
+	if store.Footprint() != logical {
+		t.Fatalf("footprint %d is not the logical sum over slots, %d", store.Footprint(), logical)
+	}
+}
+
+// sealedStore wraps a block store and checksums every blob that passes
+// through it; verify then proves none of them was written to since.
+type sealedStore struct {
+	blockstore.Store
+	mu   sync.Mutex
+	seen map[*byte]uint64
+	all  [][]byte
+}
+
+func seal(s *Simulator) []*sealedStore {
+	var out []*sealedStore
+	for _, rs := range s.ranks {
+		ss := &sealedStore{Store: rs.store, seen: map[*byte]uint64{}}
+		rs.store = ss
+		out = append(out, ss)
+	}
+	return out
+}
+
+func (s *sealedStore) note(blob []byte) []byte {
+	if len(blob) > 0 {
+		s.mu.Lock()
+		if _, ok := s.seen[&blob[0]]; !ok {
+			s.seen[&blob[0]] = maphash.Bytes(keySeed, blob)
+			s.all = append(s.all, blob)
+		}
+		s.mu.Unlock()
+	}
+	return blob
+}
+
+func (s *sealedStore) Put(b int, blob []byte) error { return s.Store.Put(b, s.note(blob)) }
+
+func (s *sealedStore) Get(b int) ([]byte, error) {
+	blob, err := s.Store.Get(b)
+	return s.note(blob), err
+}
+
+func (s *sealedStore) Peek(b int) ([]byte, error) {
+	blob, err := s.Store.Peek(b)
+	return s.note(blob), err
+}
+
+func (s *sealedStore) verify(t *testing.T) {
+	t.Helper()
+	for _, blob := range s.all {
+		if maphash.Bytes(keySeed, blob) != s.seen[&blob[0]] {
+			t.Fatalf("a %d-byte blob was modified after the store saw it", len(blob))
 		}
 	}
 }
 
-func TestCacheCopiesValues(t *testing.T) {
-	c := newBlockCache(2)
-	val := []byte{42}
-	key := cacheKey("a", 0, []byte{1}, nil)
-	c.put(key, val, nil)
-	val[0] = 0 // mutate after insert
-	out, _, _ := c.get(key)
-	if out[0] != 42 {
-		t.Fatal("cache aliased caller's slice")
+// TestNoEnginePathWritesThroughBlobs is the property the shared blobs
+// rest on: whatever the engine does — cached and uncached passes on a
+// worker pool, sweeps, cross-rank exchange, measurement collapse,
+// noise, lossy escalation, spilling, clones and lockstep batches,
+// checkpoints, sampling, expectations — no blob the store ever took or
+// handed out changes afterwards. Under -race the same run also proves
+// no worker writes a blob another one is reading.
+func TestNoEnginePathWritesThroughBlobs(t *testing.T) {
+	for name, mut := range map[string]func(*Config){
+		"lossless":       func(c *Config) {},
+		"lossy":          func(c *Config) { c.MemoryBudget = 1024 },
+		"spill":          func(c *Config) { c.SpillDir, c.SpillRAMBudget = t.TempDir(), 700 },
+		"gate-at-a-time": func(c *Config) { c.DisableSweeps = true },
+	} {
+		mut := mut
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(1); seed <= 2; seed++ {
+				s := newSim(t, 8, 2, 16, func(c *Config) {
+					c.Workers, c.CacheLines, c.Seed = 4, 64, seed
+					mut(c)
+				})
+				stores := seal(s)
+				if err := s.SetBasisState(uint64(seed) * 37 % 256); err != nil {
+					t.Fatal(err)
+				}
+				cir := quantum.Grover(5, 11, 1) // 7 data qubits on an 8-qubit register
+				wide := quantum.NewCircuit(8)
+				wide.Gates = append(wide.Gates, cir.Gates...)
+				wide.Gates = append(wide.Gates, quantum.RandomCircuit(8, 40, seed).Gates...)
+				wide.Measure(7)
+				wide.Measure(1)
+				if err := s.Run(wide); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.SetNoise(&NoiseModel{Prob: 0.2}); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Run(quantum.RandomCircuit(8, 20, seed+10)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.SetNoise(nil); err != nil {
+					t.Fatal(err)
+				}
+
+				// Clones share the parent's blobs; a lockstep batch then
+				// diverges them through the memo.
+				par := quantum.NewCircuit(8)
+				for q := 0; q < 8; q++ {
+					par.PRY(q, quantum.P(0))
+				}
+				par.CNOT(0, 7).CNOT(3, 4)
+				var sims []*Simulator
+				var cs []*quantum.Circuit
+				for v := 0; v < 3; v++ {
+					cl, err := s.Clone(VariantSeed(seed, v))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cl.Close()
+					stores = append(stores, seal(cl)...)
+					bound, err := par.Bind([]float64{0.1 * float64(v/2)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sims, cs = append(sims, cl), append(cs, bound)
+				}
+				if err := RunBatch(sims, cs, RunControl{}); err != nil {
+					t.Fatal(err)
+				}
+
+				var ckpt bytes.Buffer
+				if err := s.Save(&ckpt); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Load(&ckpt); err != nil {
+					t.Fatal(err)
+				}
+				stores = append(stores, seal(s)...)
+				sp, err := s.NewSampler(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sp.Sample(rand.New(rand.NewSource(seed)), 64); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.ExpectationZZ(0, 7); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.FullState(); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Run(quantum.RandomCircuit(8, 20, seed+20)); err != nil {
+					t.Fatal(err)
+				}
+				for _, ss := range stores {
+					ss.verify(t)
+				}
+			}
+		})
+	}
+}
+
+// TestCacheHitZeroAlloc holds the hit path — read the slot(s), build
+// the key, look it up, store the shared output(s) — to zero
+// allocations, for a single- and a two-block operation.
+func TestCacheHitZeroAlloc(t *testing.T) {
+	var st Stats
+	c := newBlockCache(4)
+	store := blockstore.NewRAM(2)
+	in := bytes.Repeat([]byte{7}, 100)
+	store.Put(0, in)
+	store.Put(1, in)
+	pass := newPassKey("h 3", 0)
+	c.put(pass.block(in, nil), in, nil)
+	c.put(pass.block(in, in), in, in)
+	single := func() {
+		cur, _ := store.Get(0)
+		out, _, ok := c.get(pass.block(cur, nil), &st)
+		if !ok {
+			panic("miss")
+		}
+		store.Put(0, out)
+	}
+	pair := func() {
+		cur0, _ := store.Get(0)
+		cur1, _ := store.Get(1)
+		out0, out1, ok := c.get(pass.block(cur0, cur1), &st)
+		if !ok {
+			panic("miss")
+		}
+		store.Put(0, out0)
+		store.Put(1, out1)
+	}
+	if n := testing.AllocsPerRun(200, single); n != 0 {
+		t.Errorf("single-block hit allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(200, pair); n != 0 {
+		t.Errorf("two-block hit allocates %v times", n)
+	}
+}
+
+// groverBlobs runs a redundant Grover state through a 64-line cache at
+// the given worker count and returns every compressed block plus the
+// merged stats.
+func groverBlobs(t *testing.T, workers int) ([][]byte, Stats) {
+	t.Helper()
+	cir := quantum.Grover(7, 0x2b, 2)
+	s := newSim(t, cir.N, 1, 16, func(c *Config) { c.Workers, c.CacheLines = workers, 64 })
+	if err := s.Run(cir); err != nil {
+		t.Fatal(err)
+	}
+	var blobs [][]byte
+	for b := 0; b < s.blocksPerRank(); b++ {
+		blob, err := s.ranks[0].store.Peek(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	return blobs, s.Stats()
+}
+
+// TestCacheWorkersBitIdentical: a worker pool sharing one cache must
+// leave exactly the serial run's compressed blocks. One lookup is made
+// per block visit whatever the pool size; codec calls repeat exactly
+// from serial run to serial run, and a pool can only add to them the
+// passes of workers that missed one key at the same moment (each then
+// computes the same blob) — never more than one per worker and miss.
+func TestCacheWorkersBitIdentical(t *testing.T) {
+	const pool = 4
+	b1, st1 := groverBlobs(t, 1)
+	_, again := groverBlobs(t, 1)
+	if again.CompressCalls != st1.CompressCalls || again.CacheHits != st1.CacheHits {
+		t.Fatalf("serial runs differ: %d/%d codec calls, %d/%d hits", st1.CompressCalls, again.CompressCalls, st1.CacheHits, again.CacheHits)
+	}
+	if st1.CacheHits == 0 {
+		t.Fatal("workload has no redundancy")
+	}
+	bn, stn := groverBlobs(t, pool)
+	for i := range b1 {
+		if !bytes.Equal(b1[i], bn[i]) {
+			t.Fatalf("block %d differs between 1 and %d workers", i, pool)
+		}
+	}
+	if stn.CacheLookups != st1.CacheLookups || stn.MaxFootprint != st1.MaxFootprint {
+		t.Fatalf("lookups %d vs %d, peak footprint %d vs %d", stn.CacheLookups, st1.CacheLookups, stn.MaxFootprint, st1.MaxFootprint)
+	}
+	if stn.CompressCalls < st1.CompressCalls || stn.CompressCalls > pool*st1.CompressCalls {
+		t.Fatalf("%d codec calls on %d workers, %d on one", stn.CompressCalls, pool, st1.CompressCalls)
+	}
+}
+
+// TestCacheLookupsMatchStats: Stats counts a lookup exactly when the
+// cache did, also when the cache shuts itself off under a worker pool
+// mid-pass (workers that pass enabled() and then find the cache off
+// used to bump Stats anyway).
+func TestCacheLookupsMatchStats(t *testing.T) {
+	cir := quantum.Supremacy(3, 3, 4, 9)
+	s := newSim(t, cir.N, 1, 4, func(cfg *Config) { cfg.Workers, cfg.CacheLines = 4, 2 })
+	if err := s.Run(cir); err != nil {
+		t.Fatal(err)
+	}
+	var lookups int64
+	for _, rs := range s.ranks {
+		lookups += rs.cache.lookups.Load()
+	}
+	if st := s.Stats(); st.CacheLookups != lookups {
+		t.Fatalf("Stats.CacheLookups = %d, the cache counted %d", st.CacheLookups, lookups)
 	}
 }
 
 func TestNilCacheIsSafe(t *testing.T) {
 	var c *blockCache
-	if _, _, ok := c.get("x"); ok {
-		t.Fatal("nil cache hit")
+	var st Stats
+	k := testKey("x", 1)
+	if _, _, ok := c.get(k, &st); ok || st.CacheLookups != 0 {
+		t.Fatal("nil cache hit or counted a lookup")
 	}
-	c.put("x", []byte{1}, nil) // must not panic
+	c.put(k, []byte{1}, nil) // must not panic
+}
+
+// BenchmarkCacheHit times the §3.4 hit path as a worker runs it — read
+// the slot, hash and build the key, look it up, store the shared
+// output — on one goroutine and on two sharing the cache (each with
+// its own slots and stats shard, all hitting one line: the redundant
+// regime). It must report 0 allocs/op at every size.
+func BenchmarkCacheHit(b *testing.B) {
+	for _, size := range []int{100, 64 << 10} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("blob=%dB/goroutines=%d", size, workers), func(b *testing.B) {
+				const slots = 64
+				in := bytes.Repeat([]byte{7}, size)
+				store := blockstore.NewRAM(workers * slots)
+				for i := 0; i < store.Len(); i++ {
+					store.Put(i, in)
+				}
+				c := newBlockCache(64)
+				pass := newPassKey("h 3", 0)
+				c.put(pass.block(in, nil), in, nil)
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						var st Stats
+						for i := 0; i < b.N/workers; i++ {
+							slot := w*slots + i%slots
+							cur, _ := store.Get(slot)
+							out, _, ok := c.get(pass.block(cur, nil), &st)
+							if !ok {
+								panic("miss")
+							}
+							store.Put(slot, out)
+						}
+					}(w)
+				}
+				wg.Wait()
+			})
+		}
+	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"hash/maphash"
 	"io"
 	"math"
 
@@ -82,10 +84,13 @@ func (s *Simulator) Save(w io.Writer) error {
 //
 // Blocks stream into per-rank staging stores as they are read — under
 // a spill configuration they may go straight to disk, so restoring
-// never needs the whole table in RAM. Every blob is decode-validated
-// on the way in, and the live state is swapped only after the
-// trailing checksum verifies: any failure leaves the simulator
-// exactly as it was.
+// never needs the whole table in RAM. Every distinct blob is
+// decode-validated on the way in; a block byte-identical to an earlier
+// one shares that blob (same bytes, same verdict), so a redundant
+// state costs one decode per distinct block, not per slot, and the
+// restored simulator shares blobs the way the saved one did. The live
+// state is swapped only after the trailing checksum verifies: any
+// failure leaves the simulator exactly as it was.
 func (s *Simulator) Load(r io.Reader) error {
 	h := fnv.New64a()
 	tr := io.TeeReader(r, h)
@@ -129,6 +134,16 @@ func (s *Simulator) Load(r io.Reader) error {
 		}
 	}
 	scratch := make([]float64, 2*s.blockAmps())
+	// interned maps a blob's hash to the first copy read. The table
+	// pins blobs a spilling staging store would otherwise be free to
+	// evict, so under a spill configuration it may hold one more
+	// resident budget of them and no more; later distinct blobs are
+	// then validated and stored unshared.
+	interned := make(map[uint64][]byte)
+	room := int64(math.MaxInt64)
+	if s.cfg.spillEnabled() {
+		room = s.cfg.SpillRAMBudget
+	}
 	for ri := range s.ranks {
 		var level uint8
 		if err := binary.Read(tr, binary.LittleEndian, &level); err != nil {
@@ -170,11 +185,20 @@ func (s *Simulator) Load(r io.Reader) error {
 				closeStaging()
 				return fmt.Errorf("core: checkpoint block: %w", err)
 			}
-			// Validate on the way in — the blob may spill immediately,
-			// and a corrupt checkpoint must be rejected before commit.
-			if err := s.decodeBlob(blob, scratch); err != nil {
-				closeStaging()
-				return fmt.Errorf("core: checkpoint rank %d undecodable: %w", ri, err)
+			sum := maphash.Bytes(keySeed, blob)
+			if first, seen := interned[sum]; seen && bytes.Equal(first, blob) {
+				blob = first
+			} else {
+				// Validate on the way in — the blob may spill immediately,
+				// and a corrupt checkpoint must be rejected before commit.
+				if err := s.decodeBlob(blob, scratch); err != nil {
+					closeStaging()
+					return fmt.Errorf("core: checkpoint rank %d undecodable: %w", ri, err)
+				}
+				if !seen && int64(bl) <= room {
+					interned[sum] = blob
+					room -= int64(bl)
+				}
 			}
 			if err := st.Put(b, blob); err != nil {
 				closeStaging()

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"compress/flate"
 	"testing"
 
+	"qcsim/internal/compress"
+	"qcsim/internal/compress/lossless"
 	"qcsim/internal/quantum"
 )
 
@@ -207,5 +210,80 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	// A failed load must leave the simulator usable.
 	if err := s2.Run(quantum.GHZ(6)); err != nil {
 		t.Fatalf("simulator broken after failed load: %v", err)
+	}
+}
+
+// decodeCounter counts Decompress calls.
+type decodeCounter struct {
+	compress.Codec
+	calls *int
+}
+
+func (d decodeCounter) Decompress(dst []float64, data []byte) error {
+	*d.calls++
+	return d.Codec.Decompress(dst, data)
+}
+
+// TestLoadInternsIdenticalBlobs: restoring a redundant state validates
+// each distinct blob once — not once per slot — and the restored slots
+// share blobs exactly where the bytes are equal, so the restored
+// simulator holds what the saved one held. A spill configuration caps
+// what the intern table may pin but restores the same state.
+func TestLoadInternsIdenticalBlobs(t *testing.T) {
+	src := newSim(t, 10, 2, 16, func(c *Config) { c.CacheLines = 64 })
+	cir := quantum.NewCircuit(10)
+	cir.H(0).H(1).X(2).H(9) // block-local gates plus one cross-rank: few distinct blocks
+	if err := src.Run(cir); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := src.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := src.FullState()
+
+	for name, mut := range map[string]func(*Config){
+		"ram":   func(c *Config) {},
+		"spill": func(c *Config) { c.SpillDir, c.SpillRAMBudget = t.TempDir(), 100 },
+	} {
+		decodes := 0
+		dst := newSim(t, 10, 2, 16, func(c *Config) {
+			c.Lossless = decodeCounter{lossless.New(flate.BestSpeed, false), &decodes}
+			mut(c)
+		})
+		if err := dst.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		slots := len(dst.ranks) * dst.blocksPerRank()
+		byContent, byPointer := map[string]bool{}, map[*byte]bool{}
+		for _, rs := range dst.ranks {
+			for b := 0; b < rs.store.Len(); b++ {
+				blob, err := rs.store.Peek(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byContent[string(blob)], byPointer[&blob[0]] = true, true
+			}
+		}
+		if len(byContent) >= slots/4 {
+			t.Fatalf("state not redundant: %d distinct blobs in %d slots", len(byContent), slots)
+		}
+		if name == "ram" {
+			if decodes != len(byContent) {
+				t.Errorf("Load decoded %d blobs to validate %d distinct ones (%d slots)", decodes, len(byContent), slots)
+			}
+			if len(byPointer) != len(byContent) {
+				t.Errorf("restored slots hold %d blobs for %d distinct contents", len(byPointer), len(byContent))
+			}
+		}
+		got, err := dst.FullState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: restored amplitude %d differs", name, i)
+			}
+		}
 	}
 }

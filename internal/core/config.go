@@ -67,7 +67,9 @@ type Config struct {
 	// unlimited (the simulation stays lossless).
 	MemoryBudget int64
 	// CacheLines enables the compressed block cache with this many LRU
-	// lines when > 0 (the paper uses 64).
+	// lines when > 0 (the paper uses 64). A hit costs the same at any
+	// size; a miss additionally pays O(lines) to insert, so this is
+	// meant to stay a small working set, not a second block table.
 	CacheLines int
 	// Uncompressed disables compression entirely: blocks are stored
 	// raw. This is the Intel-QS-equivalent baseline used by the

@@ -66,10 +66,9 @@ type Simulator struct {
 
 // rankState is one rank's share: a block store holding nb compressed
 // blocks plus a pool of worker scratch pairs (the MCDRAM working set
-// of Eq. 8, one copy per worker). The store is internally
-// synchronized and owns the footprint accounting; block slots need no
-// further coordination — during one gate each block index is owned by
-// exactly one worker.
+// of Eq. 8, one copy per worker). The store owns the footprint
+// accounting; block slots need no coordination at all — during one
+// gate each block index is owned by exactly one worker.
 type rankState struct {
 	id      int
 	store   blockstore.Store
@@ -238,15 +237,16 @@ func (s *Simulator) Reset() error {
 			scratch[i] = 0
 		}
 		// Every block except (rank 0, block 0) holds the same all-zero
-		// content: compress it once and hand out copies, so a wide
-		// register (2^28 amplitudes and beyond) initializes with at most
-		// two codec calls per rank instead of one per block.
+		// content: compress it once and let every slot share the one
+		// immutable blob, so a wide register (2^28 amplitudes and
+		// beyond) initializes with at most two codec calls and two
+		// blobs per rank instead of one per block.
 		zeroBlob, err := s.compressBlock(rs.level, scratch, &rs.stats)
 		if err != nil {
 			return err
 		}
 		for b := 0; b < s.blocksPerRank(); b++ {
-			var blob []byte
+			blob := zeroBlob
 			if rs.id == 0 && b == 0 {
 				scratch[0] = 1 // amplitude of |0...0⟩
 				blob, err = s.compressBlock(rs.level, scratch, &rs.stats)
@@ -254,8 +254,6 @@ func (s *Simulator) Reset() error {
 					return err
 				}
 				scratch[0] = 0
-			} else {
-				blob = append([]byte(nil), zeroBlob...)
 			}
 			if err := rs.store.Put(b, blob); err != nil {
 				return err
@@ -494,8 +492,8 @@ func (s *Simulator) noteLevel(rs *rankState, gi, level int) {
 // forBlocks fans fn out over the rank's block indices on the worker
 // pool. fn receives a worker whose scratch buffers it owns exclusively;
 // shared rank state may only be touched through updateBlock and the
-// (mutex-guarded) block cache. Block assignment is dynamic (an atomic
-// counter), which is safe because no fan-out path depends on iteration
+// (concurrency-safe) block cache. Block assignment is dynamic (an atomic
+// counter handing out short runs), which is safe because no fan-out path depends on iteration
 // order: per-block results are bit-identical for every worker count.
 // After the fan-out the worker stats shards are merged into rs.stats.
 func (s *Simulator) forBlocks(rs *rankState, fn func(w *workerState, b int) error) error {
@@ -513,8 +511,14 @@ func (s *Simulator) forBlocks(rs *rankState, fn func(w *workerState, b int) erro
 			}
 		}
 	} else {
+		// Workers claim runs of consecutive blocks, not single ones:
+		// when a block costs a cache hit (~100 ns) a per-block claim
+		// would make this counter the hottest contended word of the
+		// pass. Runs stay short enough (at least 32 per worker) that
+		// the tail of a pass still balances when blocks are dear.
+		chunk := int64(max(1, min(64, nb/(32*nw))))
 		var (
-			next int64 = -1
+			next int64
 			fail int32
 			once sync.Once
 			wg   sync.WaitGroup
@@ -525,15 +529,21 @@ func (s *Simulator) forBlocks(rs *rankState, fn func(w *workerState, b int) erro
 			go func() {
 				defer wg.Done()
 				w.ensure(2 * s.blockAmps())
-				for atomic.LoadInt32(&fail) == 0 {
-					b := atomic.AddInt64(&next, 1)
-					if b >= int64(nb) {
+				for {
+					lo := atomic.AddInt64(&next, chunk) - chunk
+					hi := min(lo+chunk, int64(nb))
+					if lo >= hi {
 						return
 					}
-					if err := fn(w, int(b)); err != nil {
-						once.Do(func() { firstErr = err })
-						atomic.StoreInt32(&fail, 1)
-						return
+					for b := lo; b < hi; b++ {
+						if atomic.LoadInt32(&fail) != 0 {
+							return
+						}
+						if err := fn(w, int(b)); err != nil {
+							once.Do(func() { firstErr = err })
+							atomic.StoreInt32(&fail, 1)
+							return
+						}
 					}
 				}
 			}()
@@ -785,6 +795,7 @@ func (s *Simulator) applyGateRank(comm mpi.Comm, rs *rankState, g quantum.Gate, 
 // trips, 0 for single-gate passes.
 func (s *Simulator) runBlockPass(rs *rankState, sig string, lvl, blkCtrl int, passesSaved int64, apply func(x []float64)) error {
 	s.hintBlocks(rs, blkCtrl, 0)
+	pass := newPassKey(sig, lvl)
 	return s.forBlocks(rs, func(w *workerState, b int) error {
 		if b&blkCtrl != blkCtrl {
 			return nil
@@ -793,15 +804,13 @@ func (s *Simulator) runBlockPass(rs *rankState, sig string, lvl, blkCtrl int, pa
 		if err != nil {
 			return err
 		}
-		key := ""
-		if rs.cache.enabled() {
-			key = cacheKey(sig, lvl, cur, nil)
-			if out1, _, ok := rs.cache.get(key); ok {
-				w.stats.CacheHits++
-				w.stats.CacheLookups++
-				return s.updateBlock(rs, b, append([]byte(nil), out1...))
+		var key blockKey
+		cached := rs.cache.enabled()
+		if cached {
+			key = pass.block(cur, nil)
+			if out1, _, ok := rs.cache.get(key, &w.stats); ok {
+				return s.updateBlock(rs, b, out1)
 			}
-			w.stats.CacheLookups++
 		}
 		if err := s.decompressBlock(cur, w.x, &w.stats); err != nil {
 			return err
@@ -816,7 +825,7 @@ func (s *Simulator) runBlockPass(rs *rankState, sig string, lvl, blkCtrl int, pa
 		if err := s.updateBlock(rs, b, blob); err != nil {
 			return err
 		}
-		if key != "" {
+		if cached {
 			rs.cache.put(key, blob, nil)
 		}
 		w.stats.CodecPassesSaved += passesSaved
@@ -856,7 +865,7 @@ func (s *Simulator) applyLocal(rs *rankState, g quantum.Gate, gi int, offCtrl ui
 func (s *Simulator) applyCrossBlock(rs *rankState, g quantum.Gate, gi int, offCtrl uint64, blkCtrl int) error {
 	tb := 1 << uint(g.Target-s.offsetBits)
 	lvl := rs.level
-	sig := g.Signature()
+	pass := newPassKey(g.Signature(), lvl)
 	ba := s.blockAmps()
 	s.hintBlocks(rs, blkCtrl, tb)
 	err := s.forBlocks(rs, func(w *workerState, b int) error {
@@ -872,18 +881,16 @@ func (s *Simulator) applyCrossBlock(rs *rankState, g quantum.Gate, gi int, offCt
 		if err != nil {
 			return err
 		}
-		key := ""
-		if rs.cache.enabled() {
-			key = cacheKey(sig, lvl, curB, curP)
-			if out1, out2, ok := rs.cache.get(key); ok {
-				w.stats.CacheHits++
-				w.stats.CacheLookups++
-				if err := s.updateBlock(rs, b, append([]byte(nil), out1...)); err != nil {
+		var key blockKey
+		cached := rs.cache.enabled()
+		if cached {
+			key = pass.block(curB, curP)
+			if out1, out2, ok := rs.cache.get(key, &w.stats); ok {
+				if err := s.updateBlock(rs, b, out1); err != nil {
 					return err
 				}
-				return s.updateBlock(rs, pb, append([]byte(nil), out2...))
+				return s.updateBlock(rs, pb, out2)
 			}
-			w.stats.CacheLookups++
 		}
 		if err := s.decompressBlock(curB, w.x, &w.stats); err != nil {
 			return err
@@ -914,7 +921,7 @@ func (s *Simulator) applyCrossBlock(rs *rankState, g quantum.Gate, gi int, offCt
 		if err := s.updateBlock(rs, pb, blobY); err != nil {
 			return err
 		}
-		if key != "" {
+		if cached {
 			rs.cache.put(key, blobX, blobY)
 		}
 		return nil
