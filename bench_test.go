@@ -296,7 +296,7 @@ func BenchmarkFig16StrongScaling(b *testing.B) {
 
 // --- Fig. 16b: intra-rank worker-pool scaling ---
 
-// workerBenchCircuit is applyLocal-heavy: every target sits in the
+// workerBenchCircuit is block-pass-heavy: every target sits in the
 // offset segment, so each gate is a pure decompress/compute/recompress
 // sweep over all blocks — exactly the loop the worker pool fans out.
 func workerBenchCircuit(qubits, offsetQubits, layers int) *quantum.Circuit {

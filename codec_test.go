@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"qcsim/circuit"
+	"qcsim/internal/quantum"
 )
 
 // TestCodecRoundTripAndBound drives a built-in codec through the public
@@ -145,5 +146,56 @@ func TestRegisterCodecRejectsCollisionsAndNil(t *testing.T) {
 	}
 	if err := RegisterCodec("test-dup", func() Codec { return testRawCodec{} }); err == nil {
 		t.Fatal("duplicate registration accepted")
+	}
+}
+
+// TestFidelityBoundHoldsForEveryCodec is the paper's promise (Eq. 11)
+// against an oracle instead of the ledger against itself: for random
+// circuits under lossy budgets, with every registered codec, the
+// fidelity measured against the dense reference state is at least
+// FidelityLowerBound — including runs whose boundaries requantize,
+// each of which charges the ledger once more.
+func TestFidelityBoundHoldsForEveryCodec(t *testing.T) {
+	const n = 8
+	ctx := context.Background()
+	for _, name := range Codecs() {
+		requantized := false
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, budget := range []int64{256, 1024, 3072} {
+				sim, err := New(n, WithCodec(name), WithRanks(2), WithBlockAmps(16),
+					WithMemoryBudget(budget), WithWorkers(2), WithSeed(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := quantum.NewState(n)
+				// Two runs: the second starts from a lossy state at rest.
+				for run := int64(0); run < 2; run++ {
+					cir := circuit.RandomCircuit(n, 50, 10*seed+run)
+					res, err := sim.Run(ctx, cir)
+					if err != nil && !errors.Is(err, ErrBudgetExceeded) {
+						t.Fatal(err)
+					}
+					requantized = requantized || res.Stats.Escalations > 0
+					ref.ApplyCircuit(cir)
+					got, err := sim.FullState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					norm, err := sim.Norm()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fid := quantum.FidelityVec(ref.Amps, got) / math.Sqrt(norm)
+					if bound := sim.FidelityLowerBound(); fid < bound-1e-9 {
+						t.Fatalf("%s seed %d budget %d run %d: fidelity %.9f below the ledger's bound %.9f (level %d, %d escalations)",
+							name, seed, budget, run, fid, bound, res.Stats.FinalLevel, res.Stats.Escalations)
+					}
+				}
+				sim.Close()
+			}
+		}
+		if !requantized {
+			t.Errorf("%s: no budget ever forced a requantize; the property is vacuous", name)
+		}
 	}
 }

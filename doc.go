@@ -108,24 +108,40 @@
 // # Sweep scheduler
 //
 // The paper's cost model pays one decompress → apply → recompress pass
-// over every compressed block for every gate. The sweep scheduler (on
-// by default; WithSweeps(false) restores the paper's exact cost model)
-// batches each maximal run of consecutive block-local gates — gates
-// whose target AND controls all address offset bits, i.e. bits inside
-// one block — into a single codec pass per block: decompress once,
-// apply all k unitaries, recompress once. A sweep is broken by a
-// cross-block or cross-rank target, a control outside the offset bits,
-// a measurement, or (with WithNoise) any gate at all, since the
-// depolarizing channel must fire after each gate.
+// over every compressed block for every gate — yet its working set is
+// already two decompressed blocks per worker (§3.1, Eq. 8). The sweep
+// scheduler (on by default; WithSweeps(false) restores the paper's
+// exact cost model) spends one codec pass on everything that fits that
+// working set. A pair sweep is a maximal run of consecutive gates whose
+// targets are offset qubits (bits inside one block) or ONE shared
+// block-segment qubit t: the pass walks the block pairs that differ in
+// t, decompresses a pair once, applies all k gates in circuit order and
+// recompresses only the blocks some gate touched. Controls may sit
+// anywhere — they select amplitudes, blocks or ranks and are not
+// members of the working set. A sweep is broken by a second
+// block-segment target (it would need four decompressed blocks per
+// worker, twice Eq. 8's budget), a rank-segment target (a block
+// exchange), a measurement, or (with WithNoise) any gate at all, since
+// the depolarizing channel must fire after each gate. A one-gate sweep
+// is the paper's per-gate pass: both run through the same code.
 //
 // Under the lossless codec, sweeps are bit-identical to gate-at-a-time
-// execution for every rank and worker count. Under a lossy memory
-// budget the state sees fewer truncations, and the fidelity ledger
-// charges one (1-δ) factor per sweep — matching the single
-// recompression that actually happened — so the Eq. 11 lower bound only
-// tightens; escalation (§3.7) is likewise decided once per sweep.
-// Stats reports Sweeps, SweepGates, CodecPassesSaved, and the total
-// CompressCalls/DecompressCalls the run issued.
+// execution for every rank and worker count: every amplitude sees the
+// same float operations in the same order, and decompress ∘ compress
+// is exact. Under a lossy memory budget the state is truncated fewer
+// times, and the fidelity ledger charges one (1-δ) factor per sweep —
+// matching the single recompression that actually happened — so the
+// Eq. 11 lower bound only rises.
+//
+// The memory budget holds at every sweep boundary: a boundary that
+// finds a rank's resident bytes over it relaxes the error bound one
+// level (§3.7) and requantizes that rank's blocks in place — a
+// codec-only pass — and repeats until the state fits or the ladder is
+// exhausted (ErrBudgetExceeded). After every successful Run the state
+// rests within the budget; each requantize truncates the state once
+// more and charges the ledger its own (1-δ) factor.
+// Stats reports Sweeps, SweepGates, CodecPassesSaved, Escalations and
+// the total CompressCalls/DecompressCalls the run issued.
 //
 // # Variant batching
 //
@@ -146,11 +162,11 @@
 // parent simulator is never mutated, and the variant states stay
 // inspectable through BatchVariants until the next batch or Close.
 //
-// Internally the executor walks the sweep schedule block-index-first —
-// decompress each distinct blob once per pass, apply every variant's
-// gates, recompress each distinct result once — with a
-// content-addressed cache deduplicating codec work across undiverged
-// variants. Stats reports CodecPassesShared and VariantCount.
+// Internally the executor walks the same pair-sweep schedule
+// block-index-first — decompress each distinct blob once per pass,
+// apply every variant's gates, recompress each distinct result once —
+// with a content-addressed cache deduplicating codec work across
+// undiverged variants. Stats reports CodecPassesShared and VariantCount.
 //
 // What breaks lockstep: measurement gates and WithNoise interleave the
 // variants' random draws, so such batches fall back to sequential

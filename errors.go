@@ -25,10 +25,11 @@ var (
 	// outside the simulator's register.
 	ErrInvalidQubit = errors.New("qcsim: qubit index out of range")
 
-	// ErrBudgetExceeded reports that during a run some rank completed a
-	// whole gate at the adaptive pipeline's loosest error bound and the
-	// compressed footprint still exceeded the memory budget — the state
-	// could not be made to fit. The simulator remains fully
+	// ErrBudgetExceeded reports that during a run some rank reached a
+	// sweep boundary with its state recompressed at the adaptive
+	// pipeline's loosest error bound and the compressed footprint still
+	// above the memory budget — the state could not be made to fit. It
+	// surfaces from the first such run. The simulator remains fully
 	// inspectable; the state is the loosest-bound approximation.
 	ErrBudgetExceeded = errors.New("qcsim: memory budget exceeded at the loosest error bound")
 

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"qcsim/internal/blockstore"
 	"qcsim/internal/mpi"
@@ -14,14 +12,14 @@ import (
 
 // Variant-batched execution: one run drives K state variants — K
 // bindings of one circuit shape — in lockstep. The schedule is planned
-// once (shapes are identical, and PlanSweeps reads only shape), and
-// every pass walks the blocks index-first: for block b, all K variants
-// are processed back to back, with a content-addressed memo keyed on
-// (op signature, error level, compressed input) deduplicating codec
-// work across variants whose blocks have not diverged yet. A
-// parameter-shift batch — K-1 variants each differing from the base in
-// a single gate — shares the entire pre-divergence prefix, so it costs
-// ~1× codec traffic there instead of K×.
+// once (shapes are identical, and the pair-sweep planner reads only
+// shape), and every pass walks the block pairs index-first: for pair b,
+// all K variants are processed back to back through the same passBlock
+// as a solo run, with a content-addressed memo keyed like the block
+// cache deduplicating codec work across variants whose blocks have not
+// diverged yet. A parameter-shift batch — K-1 variants each differing
+// from the base in a single gate — shares the entire pre-divergence
+// prefix, so it costs ~1× codec traffic there instead of K×.
 //
 // The results are bit-identical to running each variant alone: a memo
 // hit hands back the exact blob the (deterministic) codec produced for
@@ -210,15 +208,17 @@ func runBatchLockstep(sims []*Simulator, circuits []*quantum.Circuit, ctl RunCon
 			s.version++
 		}
 	}
-	var plan []quantum.Sweep
-	if s0.sweepsEnabled() {
-		plan = quantum.PlanSweeps(cs[0].Gates, s0.offsetBits)
-	} else {
-		plan = quantum.SingletonSweeps(cs[0].Gates)
-	}
+	plan := s0.planSweeps(cs[0].Gates)
+	counted := s0.sweepsEnabled()
 	for _, s := range sims {
-		s.gateLevel = make([]uint32, nGates)
+		s.gateLevel = make([]uint32, nGates*s.ledgerRounds())
 	}
+	defer func() {
+		// Only a variant's requantize passes go through its block cache.
+		for _, s := range sims {
+			s.releaseCaches()
+		}
+	}()
 	rankErrs := make([]error, s0.cfg.Ranks)
 	var abortErr error
 	var executed int
@@ -238,15 +238,27 @@ func runBatchLockstep(sims []*Simulator, circuits []*quantum.Circuit, ctl RunCon
 					break
 				}
 			}
+			gi := sw.End - 1
 			var swErr error
-			if sw.Local {
-				swErr = batchSweepRank(sims, cs, r, sw)
+			if sw.Pass {
+				swErr = batchPass(sims, cs, r, sw)
 			} else {
-				// Non-local sweeps are singletons by construction.
-				for gi := sw.Start; gi < sw.End; gi++ {
-					if gerr := batchGateRank(comm, sims, cs, r, gi); gerr != nil && swErr == nil {
-						swErr = gerr
+				// A rank-segment target: the block exchange dominates and
+				// the SendRecv protocol is already sequential per variant;
+				// no codec sharing. Every variant's exchange must run even
+				// after an earlier variant failed — the peer rank cannot
+				// know, and skipping would strand it mid-protocol.
+				for v, s := range sims {
+					if err := s.applyCrossRank(comm, s.ranks[r], cs[v].Gates[gi], gi); err != nil && swErr == nil {
+						swErr = err
 					}
+				}
+			}
+			// The at-rest budget rule, per variant: each requantizes
+			// exactly where its solo run would.
+			for _, s := range sims {
+				if swErr == nil {
+					swErr = s.settleBudget(s.ranks[r], gi)
 				}
 			}
 			var flag float64
@@ -261,6 +273,12 @@ func runBatchLockstep(sims []*Simulator, circuits []*quantum.Circuit, ctl RunCon
 				break
 			}
 			ran += sw.Len()
+			if sw.Pass && counted {
+				for _, s := range sims {
+					s.ranks[r].stats.Sweeps++
+					s.ranks[r].stats.SweepGates += sw.Len()
+				}
+			}
 			if r == 0 && ctl.OnGate != nil {
 				for gi := sw.Start; gi < sw.End; gi++ {
 					ctl.OnGate(gi, nGates, cs[0].Gates[gi])
@@ -288,11 +306,7 @@ func runBatchLockstep(sims []*Simulator, circuits []*quantum.Circuit, ctl RunCon
 		s0.bytesMoved += comm.BytesMoved()
 	}
 	for _, s := range sims {
-		for _, lvl := range s.gateLevel {
-			if lvl > 0 {
-				s.ledger *= 1 - s.cfg.ErrorLevels[lvl-1]
-			}
-		}
+		s.foldLedger(s.gateLevel)
 		s.gatesRun += executed
 	}
 	var gateErr error
@@ -310,126 +324,16 @@ func runBatchLockstep(sims []*Simulator, circuits []*quantum.Circuit, ctl RunCon
 	return nil
 }
 
-// batchGateRank executes one non-block-local gate for all K variants on
-// rank r, dispatching on the (shared) target segment.
-func batchGateRank(comm mpi.Comm, sims []*Simulator, cs []*quantum.Circuit, r, gi int) error {
-	s0 := sims[0]
-	g0 := cs[0].Gates[gi]
-	offCtrl, blkCtrl, rankCtrl := s0.splitControls(g0.Controls)
-	if r&rankCtrl != rankCtrl {
-		return nil
-	}
-	q := g0.Target
-	switch {
-	case q < s0.offsetBits:
-		return batchLocalGate(sims, cs, r, gi, offCtrl, blkCtrl)
-	case q < s0.offsetBits+s0.blockBits:
-		return batchCrossBlock(sims, cs, r, gi, offCtrl, blkCtrl)
-	default:
-		// Cross-rank: the block exchange dominates and the SendRecv
-		// protocol is already sequential per variant; no codec sharing.
-		// Every variant's exchange must run even after an earlier
-		// variant failed — the peer rank cannot know, and skipping
-		// would strand it mid-protocol. applyCrossRank itself keeps the
-		// exchange alive internally on error.
-		var firstErr error
-		for v, s := range sims {
-			if err := s.applyCrossRank(comm, s.ranks[r], cs[v].Gates[gi], gi, offCtrl, blkCtrl); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-}
-
-// batchSweepRank executes one block-local sweep for all K variants in a
-// single block-index-first pass.
-func batchSweepRank(sims []*Simulator, cs []*quantum.Circuit, r int, sw quantum.Sweep) error {
-	s0 := sims[0]
-	K := len(sims)
-	k := sw.Len()
-	ba := s0.blockAmps()
-	passes := make([]passKey, K)
-	appliers := make([]func([]float64), K)
-	for v, s := range sims {
-		gates := cs[v].Gates[sw.Start:sw.End]
-		passes[v] = newPassKey(quantum.SweepSignature(gates), s.ranks[r].level)
-		lg := make([]localGate, k)
-		for i, g := range gates {
-			offCtrl, _, _ := s.splitControls(g.Controls)
-			lg[i] = localGate{tMask: 1 << uint(g.Target), offCtrl: offCtrl, u: g.U}
-		}
-		appliers[v] = func(x []float64) {
-			for _, g := range lg {
-				for base := 0; base < ba; base += g.tMask << 1 {
-					for o := base; o < base+g.tMask; o++ {
-						if uint64(o)&g.offCtrl != g.offCtrl {
-							continue
-						}
-						applyPair(g.u, x, o, o|g.tMask)
-					}
-				}
-			}
-		}
-	}
-	if err := batchBlockPass(sims, r, passes, appliers, 0, int64(k-1)); err != nil {
-		return err
-	}
-	for v, s := range sims {
-		rs := s.ranks[r]
-		rs.stats.Sweeps++
-		rs.stats.SweepGates += k
-		s.noteLevel(rs, sw.End-1, passes[v].level)
-		s.maybeEscalate(rs)
-	}
-	return nil
-}
-
-// batchLocalGate executes one offset-segment-target gate (a singleton
-// sweep with block/rank controls, or any gate with sweeps disabled) for
-// all K variants in one shared pass.
-func batchLocalGate(sims []*Simulator, cs []*quantum.Circuit, r, gi int, offCtrl uint64, blkCtrl int) error {
-	s0 := sims[0]
-	K := len(sims)
-	ba := s0.blockAmps()
-	tMask := 1 << uint(cs[0].Gates[gi].Target)
-	passes := make([]passKey, K)
-	appliers := make([]func([]float64), K)
-	for v, s := range sims {
-		g := cs[v].Gates[gi]
-		passes[v] = newPassKey(g.Signature(), s.ranks[r].level)
-		u := g.U
-		appliers[v] = func(x []float64) {
-			for base := 0; base < ba; base += tMask << 1 {
-				for o := base; o < base+tMask; o++ {
-					if uint64(o)&offCtrl != offCtrl {
-						continue
-					}
-					applyPair(u, x, o, o|tMask)
-				}
-			}
-		}
-	}
-	if err := batchBlockPass(sims, r, passes, appliers, blkCtrl, 0); err != nil {
-		return err
-	}
-	for v, s := range sims {
-		rs := s.ranks[r]
-		s.noteLevel(rs, gi, passes[v].level)
-		s.maybeEscalate(rs)
-	}
-	return nil
-}
-
 // batchMemo is the per-pass content-addressed dedup table: (signature,
-// level, compressed input blob(s)) → compressed output blob(s). Two
-// variants whose blocks have not diverged — or two byte-identical
-// blocks within one variant — resolve to the same key, and the second
-// lookup reuses the first's output instead of paying the codec. Workers
-// racing on the same key may both compute (benign: deterministic codecs
-// make the results identical); cross-VARIANT sharing never races, since
-// one worker owns all K variants of its block. Keys and lines are the
-// block cache's (cache.go): hashed, verified on a hit, blobs shared.
+// level, control variant, compressed input blob(s)) → compressed output
+// blob(s). Two variants whose blocks have not diverged — or two
+// byte-identical blocks within one variant — resolve to the same key,
+// and the second lookup reuses the first's output instead of paying the
+// codec. Workers racing on the same key may both compute (benign:
+// deterministic codecs make the results identical); cross-VARIANT
+// sharing never races, since one worker owns all K variants of its
+// block. Keys and lines are the block cache's (cache.go): hashed,
+// verified on a hit, blobs shared.
 type batchMemo struct {
 	mu    sync.RWMutex
 	lines map[uint64]*cacheLine
@@ -439,10 +343,23 @@ func newBatchMemo() *batchMemo {
 	return &batchMemo{lines: make(map[uint64]*cacheLine)}
 }
 
-func (m *batchMemo) get(k blockKey) *cacheLine {
+func (m *batchMemo) enabled() bool { return true }
+
+// get charges a hit to st as one shared codec pass per block reused.
+func (m *batchMemo) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool) {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return find(m.lines, &k)
+	l := find(m.lines, &k)
+	m.mu.RUnlock()
+	if l == nil {
+		return nil, nil, false
+	}
+	if l.out1 != nil {
+		st.CodecPassesShared++
+	}
+	if l.out2 != nil {
+		st.CodecPassesShared++
+	}
+	return l.out1, l.out2, true
 }
 
 func (m *batchMemo) put(k blockKey, out1, out2 []byte) {
@@ -451,225 +368,54 @@ func (m *batchMemo) put(k blockKey, out1, out2 []byte) {
 	m.lines[k.hash] = &cacheLine{key: k, out1: out1, out2: out2}
 }
 
-// batchBlockPass fans one decompress → apply-K-variants → recompress
-// pass over rank r's blocks, block-index-first: each block is processed
-// for all K variants back to back by one worker, so the memo turns
-// undiverged variants into shared blobs. Codec calls are charged to the
-// variant that actually issued them; a memo hit charges the saved
-// variant's CodecPassesShared instead. The per-rank §3.4 block cache is
-// not consulted — the memo subsumes it within a pass, and feeding K
-// variants' traffic through one LRU would thrash its probation logic.
-func batchBlockPass(sims []*Simulator, r int, passes []passKey, appliers []func([]float64), blkCtrl int, passesSaved int64) error {
+// batchPass is the batch executor's pass: one pair sweep for all K
+// variants on rank r, block-index-first — each block pair is processed
+// for all K variants back to back by one worker of variant 0's pool, so
+// the memo turns undiverged variants into shared blobs. Codec calls are
+// charged to the variant that actually issued them; a memo hit charges
+// the saved variant's CodecPassesShared instead. The per-rank §3.4
+// block cache is not consulted — the memo subsumes it within a pass,
+// and feeding K variants' traffic through one LRU would thrash its
+// probation logic.
+func batchPass(sims []*Simulator, cs []*quantum.Circuit, r int, sw quantum.PairSweep) error {
 	s0 := sims[0]
 	rs0 := s0.ranks[r]
 	K := len(sims)
-	for _, s := range sims {
-		s.hintBlocks(s.ranks[r], blkCtrl, 0)
+	passes := make([]*blockPass, K)
+	for v, s := range sims {
+		passes[v] = s.compilePass(s.ranks[r], cs[v].Gates[sw.Start:sw.End])
+	}
+	if passes[0] == nil {
+		return nil // rank controls are shape: silenced for one, silenced for all
+	}
+	for v, s := range sims {
+		s.hintPass(s.ranks[r], passes[v])
 	}
 	memo := newBatchMemo()
-	nb := s0.blocksPerRank()
-	nw := len(rs0.workers)
-	if nw > nb {
-		nw = nb
-	}
 	// Per-worker, per-variant stat shards (the rank's own worker shards
 	// would attribute every variant's codec work to variant 0).
-	shards := make([][]Stats, nw)
+	shards := make([][]Stats, len(rs0.workers))
 	for i := range shards {
 		shards[i] = make([]Stats, K)
 	}
-	process := func(w *workerState, shard []Stats, b int) error {
-		if b&blkCtrl != blkCtrl {
-			return nil
-		}
+	err := s0.forBlocks(rs0, func(w *workerState, b int) error {
 		for v, s := range sims {
-			rs := s.ranks[r]
-			cur, err := rs.store.Get(b)
-			if err != nil {
+			if err := s.passBlock(s.ranks[r], passes[v], memo, w, &shards[w.id][v], b); err != nil {
 				return err
 			}
-			key := passes[v].block(cur, nil)
-			if e := memo.get(key); e != nil {
-				if err := s.updateBlock(rs, b, e.out1); err != nil {
-					return err
-				}
-				shard[v].CodecPassesShared++
-				continue
-			}
-			st := &shard[v]
-			if err := s.decompressBlock(cur, w.x, st); err != nil {
-				return err
-			}
-			start := time.Now()
-			appliers[v](w.x)
-			st.ComputeTime += time.Since(start)
-			blob, err := s.compressBlock(passes[v].level, w.x, st)
-			if err != nil {
-				return err
-			}
-			if err := s.updateBlock(rs, b, blob); err != nil {
-				return err
-			}
-			memo.put(key, blob, nil)
-			st.CodecPassesSaved += passesSaved
 		}
 		return nil
-	}
-	firstErr := batchForBlocks(rs0, nw, nb, s0.blockAmps(), shards, process)
-	for i := 0; i < nw; i++ {
+	})
+	for _, shard := range shards {
 		for v, s := range sims {
-			s.ranks[r].stats.addShard(shards[i][v])
+			s.ranks[r].stats.addShard(shard[v])
 		}
 	}
-	return firstErr
-}
-
-// batchForBlocks is forBlocks with per-variant shards: dynamic block
-// assignment over variant 0's worker pool, bit-identical results for
-// every worker count (no path depends on iteration order).
-func batchForBlocks(rs0 *rankState, nw, nb, blockAmps int, shards [][]Stats, process func(w *workerState, shard []Stats, b int) error) error {
-	var firstErr error
-	if nw <= 1 {
-		w := rs0.w0()
-		for b := 0; b < nb; b++ {
-			if firstErr = process(w, shards[0], b); firstErr != nil {
-				break
-			}
-		}
-		return firstErr
-	}
-	var (
-		next int64 = -1
-		fail int32
-		once sync.Once
-		wg   sync.WaitGroup
-	)
-	for i := 0; i < nw; i++ {
-		w := rs0.workers[i]
-		shard := shards[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.ensure(2 * blockAmps)
-			for atomic.LoadInt32(&fail) == 0 {
-				b := atomic.AddInt64(&next, 1)
-				if b >= int64(nb) {
-					return
-				}
-				if err := process(w, shard, int(b)); err != nil {
-					once.Do(func() { firstErr = err })
-					atomic.StoreInt32(&fail, 1)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// batchCrossBlock executes one block-segment-target gate for all K
-// variants: each worker owns a block pair at a time (two blobs per memo
-// key), all K variants of the pair back to back.
-func batchCrossBlock(sims []*Simulator, cs []*quantum.Circuit, r, gi int, offCtrl uint64, blkCtrl int) error {
-	s0 := sims[0]
-	K := len(sims)
-	ba := s0.blockAmps()
-	g0 := cs[0].Gates[gi]
-	tb := 1 << uint(g0.Target-s0.offsetBits)
-	passes := make([]passKey, K)
-	us := make([]quantum.Matrix2, K)
-	for v, s := range sims {
-		passes[v] = newPassKey(cs[v].Gates[gi].Signature(), s.ranks[r].level)
-		us[v] = cs[v].Gates[gi].U
-	}
-	for _, s := range sims {
-		s.hintBlocks(s.ranks[r], blkCtrl, tb)
-	}
-	memo := newBatchMemo()
-	rs0 := s0.ranks[r]
-	nb := s0.blocksPerRank()
-	nw := len(rs0.workers)
-	if nw > nb {
-		nw = nb
-	}
-	shards := make([][]Stats, nw)
-	for i := range shards {
-		shards[i] = make([]Stats, K)
-	}
-	process := func(w *workerState, shard []Stats, b int) error {
-		if b&tb != 0 || b&blkCtrl != blkCtrl {
-			return nil
-		}
-		pb := b | tb
-		for v, s := range sims {
-			rs := s.ranks[r]
-			curB, err := rs.store.Get(b)
-			if err != nil {
-				return err
-			}
-			curP, err := rs.store.Get(pb)
-			if err != nil {
-				return err
-			}
-			key := passes[v].block(curB, curP)
-			if e := memo.get(key); e != nil {
-				if err := s.updateBlock(rs, b, e.out1); err != nil {
-					return err
-				}
-				if err := s.updateBlock(rs, pb, e.out2); err != nil {
-					return err
-				}
-				shard[v].CodecPassesShared += 2
-				continue
-			}
-			st := &shard[v]
-			if err := s.decompressBlock(curB, w.x, st); err != nil {
-				return err
-			}
-			if err := s.decompressBlock(curP, w.y, st); err != nil {
-				return err
-			}
-			start := time.Now()
-			x, y := w.x, w.y
-			for o := 0; o < ba; o++ {
-				if uint64(o)&offCtrl != offCtrl {
-					continue
-				}
-				applyPairSplit(us[v], x, y, o)
-			}
-			st.ComputeTime += time.Since(start)
-			blobX, err := s.compressBlock(passes[v].level, w.x, st)
-			if err != nil {
-				return err
-			}
-			if err := s.updateBlock(rs, b, blobX); err != nil {
-				return err
-			}
-			blobY, err := s.compressBlock(passes[v].level, w.y, st)
-			if err != nil {
-				return err
-			}
-			if err := s.updateBlock(rs, pb, blobY); err != nil {
-				return err
-			}
-			memo.put(key, blobX, blobY)
-		}
-		return nil
-	}
-	firstErr := batchForBlocks(rs0, nw, nb, ba, shards, process)
-	for i := 0; i < nw; i++ {
-		for v, s := range sims {
-			s.ranks[r].stats.addShard(shards[i][v])
-		}
-	}
-	if firstErr != nil {
-		return firstErr
+	if err != nil {
+		return err
 	}
 	for v, s := range sims {
-		rs := s.ranks[r]
-		s.noteLevel(rs, gi, passes[v].level)
-		s.maybeEscalate(rs)
+		s.noteLevel(s.ranks[r], sw.End-1, 0, passes[v].key.level)
 	}
 	return nil
 }

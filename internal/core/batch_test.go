@@ -133,16 +133,19 @@ func TestQuickRunBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunBatchSharesCodecWork is the tentpole's reason to exist: a
-// parameter-shift-style batch — variants identical except one gate —
-// must resolve most codec work through the batch memo, cutting codec
-// calls per variant well below a solo run's.
+// TestRunBatchSharesCodecWork is the batch executor's reason to exist:
+// a parameter-shift-style batch — variants identical except one gate —
+// must resolve its shared work through the batch memo. Both executors
+// iterate one plan, so the ideal is derived from it rather than from a
+// fixed ratio: a variant pays the codec only from the sweep that holds
+// its shifted gate onwards, everything before is the base's work.
 func TestRunBatchSharesCodecWork(t *testing.T) {
 	const qubits, p, k = 8, 1, 5
 	ansatz := quantum.QAOAAnsatz(qubits, p, 11)
 	base := quantum.QAOAAngles(p, 11)
 	occs := ansatz.ParamOccurrences()
 	circuits := make([]*quantum.Circuit, k)
+	shifted := make([]int, k) // gate index where variant v leaves the base
 	bound, err := ansatz.Bind(base)
 	if err != nil {
 		t.Fatal(err)
@@ -154,15 +157,15 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 	// share little — divergence is real state divergence.)
 	for v := 1; v < k; v++ {
 		occ := occs[len(occs)-1-(v-1)%len(occs)]
-		shifted, err := ansatz.BindShift(base, occ.Gate, 0.5)
-		if err != nil {
+		if circuits[v], err = ansatz.BindShift(base, occ.Gate, 0.5); err != nil {
 			t.Fatal(err)
 		}
-		circuits[v] = shifted
+		shifted[v] = occ.Gate
 	}
 	// Workers: 1 keeps the memo counters deterministic (racing workers
 	// may benignly double-compute an identical key).
-	sims := batchSims(t, qubits, 1, 32, k, func(c *Config) { c.Workers = 1 })
+	oneWorker := func(c *Config) { c.Workers = 1 }
+	sims := batchSims(t, qubits, 1, 32, k, oneWorker)
 	baseStats := sims[0].Stats()
 	if err := RunBatch(sims, circuits, RunControl{}); err != nil {
 		t.Fatal(err)
@@ -177,20 +180,41 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 	if shared == 0 {
 		t.Fatal("no codec passes shared across variants")
 	}
-	solo := newSim(t, qubits, 1, 32, func(c *Config) { c.Workers = 1 })
-	soloBase := solo.Stats()
-	if err := solo.Run(circuits[0]); err != nil {
-		t.Fatal(err)
+
+	// soloFrom runs cir alone and returns the codec calls it issues from
+	// the sweep holding gate `from` onwards.
+	soloFrom := func(cir *quantum.Circuit, from int) int64 {
+		solo := newSim(t, qubits, 1, 32, oneWorker)
+		calls := func() int64 { st := solo.ranks[0].stats; return st.CompressCalls + st.DecompressCalls }
+		var atSweep []int64 // calls issued before each sweep of the plan
+		if err := solo.RunControlled(cir, RunControl{PollAbort: func() error {
+			atSweep = append(atSweep, calls())
+			return nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		for i, sw := range solo.planSweeps(cir.Gates) {
+			if from < sw.End {
+				return calls() - atSweep[i]
+			}
+		}
+		t.Fatalf("gate %d beyond the plan", from)
+		return 0
 	}
-	soloCalls := solo.Stats().CompressCalls + solo.Stats().DecompressCalls -
-		(soloBase.CompressCalls + soloBase.DecompressCalls)
-	ratio := float64(int64(k)*soloCalls) / float64(batchCalls)
-	if ratio < 2 {
+	soloCalls := soloFrom(circuits[0], 0)
+	ideal := soloCalls
+	for v := 1; v < k; v++ {
+		ideal += soloFrom(circuits[v], shifted[v])
+	}
+	if batchCalls > ideal {
+		t.Fatalf("batch issued %d codec calls, the plan's shared-prefix ideal is %d", batchCalls, ideal)
+	}
+	if ratio := float64(k*soloCalls) / float64(batchCalls); ratio < 2 {
 		t.Fatalf("batch codec reduction only %.2fx (%d solo x%d vs %d batched), want >= 2x",
 			ratio, soloCalls, k, batchCalls)
 	}
-	t.Logf("codec calls: %d solo x %d variants = %d sequential vs %d batched (%.1fx), %d passes shared",
-		soloCalls, k, int64(k)*soloCalls, batchCalls, ratio, shared)
+	t.Logf("codec calls: %d solo x %d variants = %d sequential vs %d batched (plan ideal %d), %d passes shared",
+		soloCalls, k, k*soloCalls, batchCalls, ideal, shared)
 }
 
 // TestRunBatchMeasurementFallback: measurement gates break lockstep, so

@@ -15,8 +15,8 @@ import (
 var keySeed = maphash.MakeSeed()
 
 // passKey is the part of a cache key that is fixed for a whole block
-// pass: the gate (or sweep) signature — hashed once here, not once per
-// block — and the escalation level.
+// pass: the sweep signature — hashed once here, not once per block —
+// and the escalation level.
 type passKey struct {
 	sig     string
 	sigHash uint64
@@ -28,36 +28,44 @@ func newPassKey(sig string, level int) passKey {
 }
 
 // blockKey identifies one cached operation: a pass applied to the
-// compressed input block(s) (in2 nil for single-block ops). Tables
-// index by hash alone; equal then confirms a candidate field by field,
-// so a hash collision costs a miss and can never swap in the wrong
-// output block. The inputs are held by reference — blobs are immutable
-// (see blockstore.Store).
+// compressed input(s) of a block pair. A member the pass leaves
+// untouched contributes a nil input (stored blobs are never empty), so
+// the inputs also say which members the outputs belong to. variant is
+// the block-index bits the pass's block controls read: inside a sweep
+// they decide which gates fire on the block, so equal inputs under
+// equal signatures map to equal outputs only when it matches too.
+// Tables index by hash alone; equal then confirms a candidate field by
+// field, so a hash collision costs a miss and can never swap in the
+// wrong output block. The inputs are held by reference — blobs are
+// immutable (see blockstore.Store).
 type blockKey struct {
 	passKey
+	variant  int
 	in1, in2 []byte
 	hash     uint64
 }
 
-// block completes the pass key with one block's compressed input(s).
-func (p passKey) block(in1, in2 []byte) blockKey {
+// block completes the pass key with one block pair's control variant
+// and compressed input(s).
+func (p passKey) block(variant int, in1, in2 []byte) blockKey {
 	var h maphash.Hash
 	h.SetSeed(keySeed)
-	var hdr [24]byte
+	var hdr [32]byte
 	binary.LittleEndian.PutUint64(hdr[0:], p.sigHash)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(p.level))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(in1)))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(variant))
+	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(in1)))
 	h.Write(hdr[:])
 	h.Write(in1)
 	h.Write(in2)
-	return blockKey{passKey: p, in1: in1, in2: in2, hash: h.Sum64()}
+	return blockKey{passKey: p, variant: variant, in1: in1, in2: in2, hash: h.Sum64()}
 }
 
 // equal compares everything the hash was computed from. On a redundant
 // state the candidate's blobs are usually the very slices being looked
 // up, which bytes.Equal settles by pointer without reading them.
 func (k *blockKey) equal(o *blockKey) bool {
-	return k.hash == o.hash && k.level == o.level && k.sig == o.sig &&
+	return k.hash == o.hash && k.level == o.level && k.variant == o.variant && k.sig == o.sig &&
 		bytes.Equal(k.in1, o.in1) && bytes.Equal(k.in2, o.in2)
 }
 
@@ -67,7 +75,7 @@ func (k *blockKey) equal(o *blockKey) bool {
 // copied.
 type cacheLine struct {
 	key        blockKey
-	out1, out2 []byte // out2 nil for single-block operations
+	out1, out2 []byte // nil for a member the pass left untouched
 	// tick is the number of the lookup that last touched the line;
 	// the smallest tick is the LRU victim. Only the block cache uses it.
 	tick atomic.Int64
@@ -82,12 +90,12 @@ func find(lines map[uint64]*cacheLine, k *blockKey) *cacheLine {
 }
 
 // blockCache is the compressed block cache of §3.4: an LRU map from
-// (gate signature, error level, compressed input block(s)) to the
-// compressed output block(s). When the quantum state carries
-// redundancy — many blocks sharing the same compressed form — a hit
-// replaces the decompress/compute/compress round trip with a hash of
-// the input, a verifying compare and a pointer store: the output blob
-// is shared, nothing is copied or allocated. If the state has no
+// (sweep signature, error level, control variant, compressed input
+// block(s)) to the compressed output block(s). When the quantum state
+// carries redundancy — many blocks sharing the same compressed form — a
+// hit replaces the decompress/compute/compress round trip with a hash
+// of the input, a verifying compare and a pointer store: the output
+// blob is shared, nothing is copied or allocated. If the state has no
 // redundancy the cache never hits, so it disables itself after a
 // probation window, avoiding the paper's cache-miss penalty.
 //
@@ -195,4 +203,21 @@ func (c *blockCache) put(k blockKey, out1, out2 []byte) {
 	next[k.hash] = l
 	c.table.Store(&next)
 	c.mru.Store(l)
+}
+
+// release drops every line, keeping the enabled / shut-off state and
+// the lookup clock. Lines pin their input and output blobs outside
+// every footprint ledger, so a run releases them when it returns; the
+// redundancy they exploit lives within a pass and the next run refills
+// them within its first.
+func (c *blockCache) release() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.table.Load() != nil {
+		c.table.Store(&map[uint64]*cacheLine{})
+		c.mru.Store(nil)
+	}
 }

@@ -89,7 +89,7 @@ func TestCacheSelfDisables(t *testing.T) {
 // testKey is the key of a single-block op named sig whose input is the
 // one byte in.
 func testKey(sig string, in byte) blockKey {
-	return newPassKey(sig, 0).block([]byte{in}, nil)
+	return newPassKey(sig, 0).block(0, []byte{in}, nil)
 }
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -164,7 +164,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 
 // TestCacheKeyVerifiedBehindHash ports the old string key's collision
 // regressions to the hashed key: the table indexes by hash alone, so
-// keys that differ in any one of (sig, level, in1, in2) — including the
+// keys that differ in any one of (sig, level, variant, in1, in2) — including the
 // boundary-shift and truncation pairs that collided under the
 // separator-byte scheme — are given EQUAL hashes here and must still
 // miss, in the block cache and in the batch memo alike.
@@ -172,6 +172,8 @@ func TestCacheKeyVerifiedBehindHash(t *testing.T) {
 	mk := func(sig string, level int, in1, in2 []byte) blockKey {
 		return blockKey{passKey: passKey{sig: sig, level: level}, in1: in1, in2: in2, hash: 42}
 	}
+	variant := mk("s", 0, []byte{'A'}, []byte{0, 'B'})
+	variant.variant = 2
 	base := mk("s", 0, []byte{'A'}, []byte{0, 'B'})
 	others := map[string]blockKey{
 		"cb1-cb2 boundary": mk("s", 0, []byte{'A', 0}, []byte{'B'}),
@@ -180,20 +182,22 @@ func TestCacheKeyVerifiedBehindHash(t *testing.T) {
 		"level truncation": mk("s", 256, []byte{'A'}, []byte{0, 'B'}),
 		"absent cb2":       mk("s", 0, []byte{'A'}, nil),
 		"signature":        mk("t", 0, []byte{'A'}, []byte{0, 'B'}),
+		"control variant":  variant,
 	}
 	var st Stats
 	c := newBlockCache(8)
 	memo := newBatchMemo()
 	c.put(base, []byte{1}, []byte{2})
 	memo.put(base, []byte{1}, []byte{2})
-	if _, _, ok := c.get(base, &st); !ok || memo.get(base) == nil {
+	_, _, memoHit := memo.get(base, &st)
+	if _, _, ok := c.get(base, &st); !ok || !memoHit {
 		t.Fatal("the stored key itself misses")
 	}
 	for name, k := range others {
 		if _, _, ok := c.get(k, &st); ok {
 			t.Errorf("%s: block cache returned another key's blocks on a hash collision", name)
 		}
-		if memo.get(k) != nil {
+		if _, _, ok := memo.get(k, &st); ok {
 			t.Errorf("%s: batch memo returned another key's blocks on a hash collision", name)
 		}
 	}
@@ -207,11 +211,14 @@ func TestCacheKeyVerifiedBehindHash(t *testing.T) {
 	}
 	// The real hash covers every field too (so collisions stay rare).
 	in := []byte{1, 2}
-	if newPassKey("sig", 0).block(in, nil).hash == newPassKey("sig", 1).block(in, nil).hash {
+	if newPassKey("sig", 0).block(0, in, nil).hash == newPassKey("sig", 1).block(0, in, nil).hash {
 		t.Error("hash ignores the error level")
 	}
-	if newPassKey("s", 0).block([]byte{'A'}, []byte{0, 'B'}).hash == newPassKey("s", 0).block([]byte{'A', 0}, []byte{'B'}).hash {
+	if newPassKey("s", 0).block(0, []byte{'A'}, []byte{0, 'B'}).hash == newPassKey("s", 0).block(0, []byte{'A', 0}, []byte{'B'}).hash {
 		t.Error("hash ignores the cb1/cb2 boundary")
+	}
+	if newPassKey("sig", 0).block(0, in, nil).hash == newPassKey("sig", 0).block(4, in, nil).hash {
+		t.Error("hash ignores the control variant")
 	}
 }
 
@@ -223,7 +230,7 @@ func TestCacheSharesImmutableBlobs(t *testing.T) {
 	var st Stats
 	c := newBlockCache(2)
 	o1, o2 := []byte{42}, []byte{43}
-	k := newPassKey("a", 0).block([]byte{1}, []byte{2})
+	k := newPassKey("a", 0).block(0, []byte{1}, []byte{2})
 	c.put(k, o1, o2)
 	g1, g2, ok := c.get(k, &st)
 	if !ok || &g1[0] != &o1[0] || &g2[0] != &o2[0] {
@@ -417,11 +424,11 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	store.Put(0, in)
 	store.Put(1, in)
 	pass := newPassKey("h 3", 0)
-	c.put(pass.block(in, nil), in, nil)
-	c.put(pass.block(in, in), in, in)
+	c.put(pass.block(0, in, nil), in, nil)
+	c.put(pass.block(0, in, in), in, in)
 	single := func() {
 		cur, _ := store.Get(0)
-		out, _, ok := c.get(pass.block(cur, nil), &st)
+		out, _, ok := c.get(pass.block(0, cur, nil), &st)
 		if !ok {
 			panic("miss")
 		}
@@ -430,7 +437,7 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	pair := func() {
 		cur0, _ := store.Get(0)
 		cur1, _ := store.Get(1)
-		out0, out1, ok := c.get(pass.block(cur0, cur1), &st)
+		out0, out1, ok := c.get(pass.block(0, cur0, cur1), &st)
 		if !ok {
 			panic("miss")
 		}
@@ -542,7 +549,7 @@ func BenchmarkCacheHit(b *testing.B) {
 				}
 				c := newBlockCache(64)
 				pass := newPassKey("h 3", 0)
-				c.put(pass.block(in, nil), in, nil)
+				c.put(pass.block(0, in, nil), in, nil)
 				b.SetBytes(int64(size))
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -555,7 +562,7 @@ func BenchmarkCacheHit(b *testing.B) {
 						for i := 0; i < b.N/workers; i++ {
 							slot := w*slots + i%slots
 							cur, _ := store.Get(slot)
-							out, _, ok := c.get(pass.block(cur, nil), &st)
+							out, _, ok := c.get(pass.block(0, cur, nil), &st)
 							if !ok {
 								panic("miss")
 							}

@@ -102,10 +102,11 @@ type Config struct {
 	// out of band (see InstallRank / ExportDelta / ApplyDeltas).
 	Launcher mpi.Launcher
 	// DisableSweeps turns off the sweep scheduler, which by default
-	// batches maximal runs of consecutive block-local gates (target and
-	// controls all in the offset segment) into one decompress →
-	// apply-all → recompress pass per block. Sweeps are bit-identical to
-	// gate-at-a-time execution under the lossless codec and only tighten
+	// batches maximal runs of consecutive gates that fit the two-block
+	// working set (targets in the offset segment or on one shared
+	// block-segment qubit; see sweep.go) into one decompress →
+	// apply-all → recompress pass. Sweeps are bit-identical to
+	// gate-at-a-time execution under the lossless codec and only raise
 	// the Eq. 11 ledger under lossy codecs (one recompression — hence
 	// one (1-δ) charge — per sweep instead of per gate). The zero value
 	// leaves sweeps ON; set this only to reproduce the paper's exact

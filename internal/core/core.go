@@ -57,8 +57,11 @@ type Simulator struct {
 	// a Sampler can detect that its CDF no longer describes the state.
 	version uint64
 
-	// gateLevel[gi] is the max error level any rank used while
-	// executing gate gi of the current Run (atomic access).
+	// gateLevel is the current Run's ledger grid (atomic access): entry
+	// gi*ledgerRounds()+round is the max error level any rank used for
+	// truncation number round of the boundary after gate gi — round 0
+	// the sweep's own recompression, later rounds the requantize passes
+	// of the at-rest budget rule (one row unless a budget is set).
 	gateLevel []uint32
 
 	noise *NoiseModel
@@ -84,9 +87,9 @@ type rankState struct {
 	// folding the old one's tally into acc first.
 	storeBase blockstore.Stats
 	storeAcc  blockstore.Stats
-	// overBudget latches when a gate boundary finds the footprint above
-	// the memory budget with no escalation level left — a whole gate
-	// ran at the loosest bound and the state still did not fit.
+	// overBudget latches when a sweep boundary finds the footprint above
+	// the memory budget with no escalation level left — the state was
+	// recompressed at the loosest bound and still did not fit.
 	overBudget bool
 }
 
@@ -99,6 +102,7 @@ type rankState struct {
 // count keeps from ever filling) pays for exactly one Eq. 8 pair, the
 // same as the sequential engine.
 type workerState struct {
+	id    int // index in the rank's pool
 	x, y  []float64
 	stats Stats
 }
@@ -154,7 +158,7 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		rs.store = store
 		for w := range rs.workers {
-			rs.workers[w] = &workerState{}
+			rs.workers[w] = &workerState{id: w}
 		}
 		// Worker 0's pair is the one the sequential paths (Reset,
 		// cross-rank exchange) borrow; it always exists.
@@ -299,10 +303,8 @@ func (s *Simulator) SetBasisState(idx uint64) error {
 	if err := s.updateBlock(rs, b, blob); err != nil {
 		return err
 	}
-	s.maybeEscalate(s.ranks[0])
-	if rs != s.ranks[0] {
-		s.maybeEscalate(rs)
-	}
+	s.sampleFootprint(s.ranks[0])
+	s.sampleFootprint(rs)
 	return nil
 }
 
@@ -383,8 +385,8 @@ func (s *Simulator) decompressBlock(blob []byte, scratch []float64, st *Stats) e
 // racing on distinct block indices share the store's counters). The
 // high-water mark is NOT sampled here: a mid-gate running peak would
 // depend on block completion order and make MaxFootprint
-// irreproducible under a worker pool — maybeEscalate samples the
-// store at the gate boundary instead. The error is the spill tier's
+// irreproducible under a worker pool — sampleFootprint samples the
+// store at the sweep boundary instead. The error is the spill tier's
 // (always nil for the in-RAM store).
 func (s *Simulator) updateBlock(rs *rankState, b int, blob []byte) error {
 	return rs.store.Put(b, blob)
@@ -409,81 +411,64 @@ func (s *Simulator) syncStoreStats(rs *rankState) {
 	rs.stats.PrefetchHits = d.PrefetchHits
 }
 
-// hintBlocks announces an upcoming block visit order to a tiered
-// store so its prefetcher can stage spilled blobs ahead of the pass,
-// overlapping disk reads with codec work. Blocks failing the blkCtrl
-// mask are not visited and not hinted; pair > 0 interleaves each
-// block with its partner b|pair (the cross-block two-block working
-// set). The in-RAM store wants no hints and the order slice is never
-// built.
-func (s *Simulator) hintBlocks(rs *rankState, blkCtrl, pair int) {
+// hintBlocks announces an upcoming visit of every block passing the
+// blkCtrl mask, in index order, to a tiered store's prefetcher (see
+// hintPass for the pair-sweep order).
+func (s *Simulator) hintBlocks(rs *rankState, blkCtrl int) {
 	if !rs.store.WantHints() {
 		return
 	}
 	nb := s.blocksPerRank()
 	order := make([]int, 0, nb)
 	for b := 0; b < nb; b++ {
-		if b&blkCtrl != blkCtrl {
-			continue
-		}
-		if pair > 0 {
-			if b&pair != 0 {
-				continue
-			}
-			order = append(order, b, b|pair)
-		} else {
+		if b&blkCtrl == blkCtrl {
 			order = append(order, b)
 		}
 	}
 	rs.store.PrefetchHint(order)
 }
 
-// maybeEscalate is the gate-boundary footprint accounting: it samples
-// the MaxFootprint high-water mark and applies the §3.7 escalation
-// ladder. Deciding once per gate — rather than inside every block
-// update — makes escalation timing, every compressed bit, and the
-// Table 2 peak-footprint row independent of the worker interleaving:
-// the footprint sum after a gate does not depend on block completion
-// order.
-//
-// With the tiered store the ladder gains its spill rung: the memory
-// budget presses on the bytes RESIDENT in RAM, and the store has
-// already been evicting cold blobs to disk throughout the gate — so a
-// state whose compressed size exceeds the budget but fits on disk
-// never escalates at all. Only when the resident set itself cannot be
-// held under the budget (spill disabled, a spill RAM budget set above
-// the memory budget, or a single blob larger than it) does the old
-// ladder take over: relax the error bound one level per gate
-// boundary, then latch overBudget when the loosest bound still does
-// not fit.
-func (s *Simulator) maybeEscalate(rs *rankState) {
+// sampleFootprint refreshes the footprint gauges at a sweep boundary
+// and raises the MaxFootprint high-water mark.
+func (s *Simulator) sampleFootprint(rs *rankState) {
 	s.syncStoreStats(rs)
 	if rs.stats.CurrentFootprint > rs.stats.MaxFootprint {
 		rs.stats.MaxFootprint = rs.stats.CurrentFootprint
 	}
-	if s.cfg.MemoryBudget > 0 && rs.stats.ResidentFootprint > s.cfg.MemoryBudget && !s.cfg.Uncompressed {
-		if rs.level < len(s.cfg.ErrorLevels) {
-			rs.level++
-			rs.stats.Escalations++
-			if rs.level > rs.stats.FinalLevel {
-				rs.stats.FinalLevel = rs.level
-			}
-		} else {
-			rs.overBudget = true
+}
+
+// ledgerRounds is how many truncations one boundary can charge: the
+// sweep's own plus, under a budget, one requantize per level.
+func (s *Simulator) ledgerRounds() int {
+	if s.cfg.MemoryBudget <= 0 || s.cfg.Uncompressed {
+		return 1
+	}
+	return 1 + len(s.cfg.ErrorLevels)
+}
+
+// foldLedger multiplies the run's charges into the ledger (Eq. 11).
+// Gates past an abort boundary were never executed, so their entries
+// are still 0; a k-gate sweep recompresses once and charges one factor,
+// at its last gate's index.
+func (s *Simulator) foldLedger(levels []uint32) {
+	for _, lvl := range levels {
+		if lvl > 0 {
+			s.ledger *= 1 - s.cfg.ErrorLevels[lvl-1]
 		}
 	}
 }
 
-// noteLevel records the level a rank used while executing gate gi, for
-// the fidelity ledger.
-func (s *Simulator) noteLevel(rs *rankState, gi, level int) {
+// noteLevel records the level a rank used for truncation number round
+// of the boundary after gate gi, for the fidelity ledger.
+func (s *Simulator) noteLevel(rs *rankState, gi, round, level int) {
 	lvl := uint32(level)
 	if level > rs.stats.FinalLevel {
 		rs.stats.FinalLevel = level
 	}
+	slot := &s.gateLevel[gi*s.ledgerRounds()+round]
 	for {
-		cur := atomic.LoadUint32(&s.gateLevel[gi])
-		if cur >= lvl || atomic.CompareAndSwapUint32(&s.gateLevel[gi], cur, lvl) {
+		cur := atomic.LoadUint32(slot)
+		if cur >= lvl || atomic.CompareAndSwapUint32(slot, cur, lvl) {
 			return
 		}
 	}
@@ -558,22 +543,24 @@ func (s *Simulator) forBlocks(rs *rankState, fn func(w *workerState, b int) erro
 }
 
 // RunControl carries the optional per-gate hooks RunControlled consults
-// at gate boundaries. The zero value disables both hooks, making
+// at sweep boundaries. The zero value disables both hooks, making
 // RunControlled identical to Run.
 type RunControl struct {
 	// PollAbort, when non-nil, is consulted on rank 0 before every sweep
-	// (every gate when the sweep scheduler is off). A non-nil return
-	// stops execution at that sweep boundary on every rank (the decision
-	// is broadcast, so all ranks agree and no cross-rank exchange is
-	// left half-paired) and RunControlled returns an error wrapping it.
-	// Gates already executed are kept: state, stats, and the fidelity
-	// ledger reflect exactly the completed prefix and the simulator
-	// stays fully inspectable.
+	// (every gate when the sweep scheduler is off), so the cancel
+	// latency is one pair sweep: one codec pass over the state, however
+	// many gates it carries. A non-nil return stops execution at that
+	// sweep boundary on every rank (the decision is broadcast, so all
+	// ranks agree and no cross-rank exchange is left half-paired) and
+	// RunControlled returns an error wrapping it. Gates already executed
+	// are kept: state, stats, and the fidelity ledger reflect exactly
+	// the completed prefix and the simulator stays fully inspectable.
 	PollAbort func() error
-	// OnGate, when non-nil, is invoked on rank 0 after each gate
-	// completes, with the gate's index, the total gate count of this run
-	// (post-fusion), and the gate itself. It runs on the rank-0
-	// goroutine and must not call back into the Simulator.
+	// OnGate, when non-nil, is invoked on rank 0 once per gate, in
+	// order, after the gate's sweep completes, with the gate's index,
+	// the total gate count of this run (post-fusion), and the gate
+	// itself. It runs on the rank-0 goroutine and must not call back
+	// into the Simulator.
 	OnGate func(gi, total int, g quantum.Gate)
 }
 
@@ -593,14 +580,15 @@ var errPeerRankFailed = errors.New("core: gate failed on a peer rank")
 // execution path — every collective, every compressed bit — is
 // identical to Run.
 //
-// Execution iterates the sweep schedule: maximal runs of consecutive
-// block-local gates execute through applySweepRank (one codec pass per
-// block for the whole run), everything else gate-at-a-time. After every
-// sweep an error barrier (an allreduce of per-rank failure flags) makes
-// all ranks agree on whether any rank's codec failed, so a failure
-// stops every rank at the same sweep boundary and surfaces as an error
-// — never a panic and never a hung collective. On error the state
-// reflects the completed prefix, except that the failing gate itself
+// Execution iterates the pair-sweep schedule (sweep.go): every sweep of
+// unitaries below the rank segment is one codec pass, a rank-segment
+// target is a block exchange, a measurement a collective; after each
+// the budget is settled (settleBudget). After every sweep an error
+// barrier (an allreduce of per-rank failure flags) makes all ranks
+// agree on whether any rank's codec failed, so a failure stops every
+// rank at the same sweep boundary and surfaces as an error — never a
+// panic and never a hung collective. On error the state
+// reflects the completed prefix, except that the failing sweep itself
 // may be partially applied on some ranks; the simulator stays
 // inspectable either way.
 func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
@@ -618,13 +606,10 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 		// completed prefix), so samplers built earlier are now stale.
 		s.version++
 	}
-	var plan []quantum.Sweep
-	if s.sweepsEnabled() {
-		plan = quantum.PlanSweeps(c.Gates, s.offsetBits)
-	} else {
-		plan = quantum.SingletonSweeps(c.Gates)
-	}
-	s.gateLevel = make([]uint32, len(c.Gates))
+	plan := s.planSweeps(c.Gates)
+	counted := s.sweepsEnabled() // one-gate schedules report no sweeps
+	s.gateLevel = make([]uint32, len(c.Gates)*s.ledgerRounds())
+	defer s.releaseCaches()
 	measured := make([][]int, s.cfg.Ranks)
 	rankErrs := make([]error, s.cfg.Ranks)
 	// abortErr and executed are written only by the rank-0 goroutine and
@@ -650,41 +635,38 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 					break
 				}
 			}
+			gates, gi := c.Gates[sw.Start:sw.End], sw.End-1
 			var swErr error
 			var swMeasured []int // outcomes held back until the barrier clears
-			if sw.Local {
-				swErr = s.applySweepRank(rs, c.Gates[sw.Start:sw.End], sw.End-1)
+			if g := gates[0]; g.Kind == quantum.KindMeasure {
+				out, merr := s.measureRank(comm, rs, g.Target, gi)
+				if merr != nil {
+					swErr = merr
+				} else if comm.Rank() == 0 {
+					swMeasured = append(swMeasured, out)
+				}
 			} else {
-				for gi := sw.Start; gi < sw.End && swErr == nil; gi++ {
-					g := c.Gates[gi]
-					if g.Kind == quantum.KindMeasure {
-						out, merr := s.measureRank(comm, rs, g.Target, gi)
-						if merr != nil {
-							swErr = merr
-						} else if comm.Rank() == 0 {
-							swMeasured = append(swMeasured, out)
+				swErr = s.applyUnitaries(comm, rs, gates, gi)
+				if s.noiseActive() { // then the sweep is the one gate g
+					// The noise Pauli may be a cross-rank gate, so a
+					// rank that failed the unitary cannot just skip
+					// it: agree on failure first, then either all
+					// ranks apply noise or none do.
+					var flag float64
+					if swErr != nil {
+						flag = 1
+					}
+					if comm.AllreduceSum(flag) != 0 {
+						if swErr == nil {
+							swErr = errPeerRankFailed
 						}
 					} else {
-						swErr = s.applyGateRank(comm, rs, g, gi)
-						if s.noiseActive() {
-							// The noise Pauli may be a cross-rank gate, so a
-							// rank that failed the unitary cannot just skip
-							// it: agree on failure first, then either all
-							// ranks apply noise or none do.
-							var flag float64
-							if swErr != nil {
-								flag = 1
-							}
-							if comm.AllreduceSum(flag) != 0 {
-								if swErr == nil {
-									swErr = errPeerRankFailed
-								}
-							} else {
-								swErr = s.applyNoiseRank(comm, rs, g, gi)
-							}
-						}
+						swErr = s.applyNoiseRank(comm, rs, g, gi)
 					}
 				}
+			}
+			if swErr == nil {
+				swErr = s.settleBudget(rs, gi)
 			}
 			// Error barrier: every rank learns whether any rank failed
 			// this sweep, so all stop at the same boundary.
@@ -700,6 +682,10 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 				break
 			}
 			ran += sw.Len()
+			if sw.Pass && counted {
+				rs.stats.Sweeps++
+				rs.stats.SweepGates += sw.Len()
+			}
 			if comm.Rank() == 0 {
 				measured[0] = append(measured[0], swMeasured...)
 				if ctl.OnGate != nil {
@@ -725,15 +711,7 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 		s.bytesMoved += comm.BytesMoved()
 	}
 	s.measurements = append(s.measurements, measured[0]...)
-	// Fold per-gate max levels into the ledger (Eq. 11). Gates past an
-	// abort boundary were never executed, so their entries are still 0;
-	// a k-gate sweep recompresses once and charges one factor, at its
-	// last gate's index.
-	for _, lvl := range s.gateLevel {
-		if lvl > 0 {
-			s.ledger *= 1 - s.cfg.ErrorLevels[lvl-1]
-		}
-	}
+	s.foldLedger(s.gateLevel)
 	s.gatesRun += executed
 	var gateErr error
 	for _, e := range rankErrs {
@@ -766,172 +744,23 @@ func (s *Simulator) splitControls(controls []int) (offMask uint64, blkMask, rank
 	return offMask, blkMask, rankMask
 }
 
-// applyGateRank executes one unitary gate on this rank's blocks,
-// dispatching on the target qubit's index segment (§3.3).
-func (s *Simulator) applyGateRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi int) error {
-	offCtrl, blkCtrl, rankCtrl := s.splitControls(g.Controls)
-	if rs.id&rankCtrl != rankCtrl {
-		// §3.3: control in the rank segment is |0⟩ here — the whole
-		// rank is unmodified. Cross-rank partners share the control
-		// bit, so no peer is left waiting.
-		return nil
+// applyUnitaries executes one schedule unit of unitaries on this rank,
+// dispatching on the target segment (§3.3): below the rank segment the
+// run is a pair sweep, one codec pass; a rank-segment target is a
+// single gate and a block exchange.
+func (s *Simulator) applyUnitaries(comm mpi.Comm, rs *rankState, gates []quantum.Gate, gi int) error {
+	if gates[0].Target < s.offsetBits+s.blockBits {
+		return s.runPass(rs, s.compilePass(rs, gates), gi, 0)
 	}
-	q := g.Target
-	switch {
-	case q < s.offsetBits:
-		return s.applyLocal(rs, g, gi, offCtrl, blkCtrl)
-	case q < s.offsetBits+s.blockBits:
-		return s.applyCrossBlock(rs, g, gi, offCtrl, blkCtrl)
-	default:
-		return s.applyCrossRank(comm, rs, g, gi, offCtrl, blkCtrl)
-	}
+	return s.applyCrossRank(comm, rs, gates[0], gi)
 }
 
-// runBlockPass fans one decompress → apply → recompress pass over the
-// rank's blocks on the worker pool, with the §3.4 cache keyed on sig
-// (single-block entries). Blocks failing the blkCtrl mask are untouched
-// (§3.3: whole block unmodified); passesSaved is credited per block
-// actually run through the codec — the sweep path's k-1 elided round
-// trips, 0 for single-gate passes.
-func (s *Simulator) runBlockPass(rs *rankState, sig string, lvl, blkCtrl int, passesSaved int64, apply func(x []float64)) error {
-	s.hintBlocks(rs, blkCtrl, 0)
-	pass := newPassKey(sig, lvl)
-	return s.forBlocks(rs, func(w *workerState, b int) error {
-		if b&blkCtrl != blkCtrl {
-			return nil
-		}
-		cur, err := rs.store.Get(b)
-		if err != nil {
-			return err
-		}
-		var key blockKey
-		cached := rs.cache.enabled()
-		if cached {
-			key = pass.block(cur, nil)
-			if out1, _, ok := rs.cache.get(key, &w.stats); ok {
-				return s.updateBlock(rs, b, out1)
-			}
-		}
-		if err := s.decompressBlock(cur, w.x, &w.stats); err != nil {
-			return err
-		}
-		start := time.Now()
-		apply(w.x)
-		w.stats.ComputeTime += time.Since(start)
-		blob, err := s.compressBlock(lvl, w.x, &w.stats)
-		if err != nil {
-			return err
-		}
-		if err := s.updateBlock(rs, b, blob); err != nil {
-			return err
-		}
-		if cached {
-			rs.cache.put(key, blob, nil)
-		}
-		w.stats.CodecPassesSaved += passesSaved
-		return nil
-	})
-}
-
-// applyLocal handles targets inside the offset segment: both amplitudes
-// of every pair live in the same block, so the block loop fans out
-// across the worker pool with no cross-worker data dependencies.
-func (s *Simulator) applyLocal(rs *rankState, g quantum.Gate, gi int, offCtrl uint64, blkCtrl int) error {
-	tMask := 1 << uint(g.Target)
-	lvl := rs.level
-	ba := s.blockAmps()
-	err := s.runBlockPass(rs, g.Signature(), lvl, blkCtrl, 0, func(x []float64) {
-		for base := 0; base < ba; base += tMask << 1 {
-			for o := base; o < base+tMask; o++ {
-				if uint64(o)&offCtrl != offCtrl {
-					continue
-				}
-				applyPair(g.U, x, o, o|tMask)
-			}
-		}
-	})
-	if err != nil {
-		return err
+// releaseCaches drops the block caches' lines when a run returns (see
+// blockCache.release).
+func (s *Simulator) releaseCaches() {
+	for _, rs := range s.ranks {
+		rs.cache.release()
 	}
-	s.noteLevel(rs, gi, lvl)
-	s.maybeEscalate(rs)
-	return nil
-}
-
-// applyCrossBlock handles targets in the block segment: the pair spans
-// two blocks of the same rank. Each worker decompresses one block pair
-// at a time (the paper's two-block working set, §3.1, now per worker),
-// and pairs never overlap, so the pair loop fans out safely.
-func (s *Simulator) applyCrossBlock(rs *rankState, g quantum.Gate, gi int, offCtrl uint64, blkCtrl int) error {
-	tb := 1 << uint(g.Target-s.offsetBits)
-	lvl := rs.level
-	pass := newPassKey(g.Signature(), lvl)
-	ba := s.blockAmps()
-	s.hintBlocks(rs, blkCtrl, tb)
-	err := s.forBlocks(rs, func(w *workerState, b int) error {
-		if b&tb != 0 || b&blkCtrl != blkCtrl {
-			return nil
-		}
-		pb := b | tb
-		curB, err := rs.store.Get(b)
-		if err != nil {
-			return err
-		}
-		curP, err := rs.store.Get(pb)
-		if err != nil {
-			return err
-		}
-		var key blockKey
-		cached := rs.cache.enabled()
-		if cached {
-			key = pass.block(curB, curP)
-			if out1, out2, ok := rs.cache.get(key, &w.stats); ok {
-				if err := s.updateBlock(rs, b, out1); err != nil {
-					return err
-				}
-				return s.updateBlock(rs, pb, out2)
-			}
-		}
-		if err := s.decompressBlock(curB, w.x, &w.stats); err != nil {
-			return err
-		}
-		if err := s.decompressBlock(curP, w.y, &w.stats); err != nil {
-			return err
-		}
-		start := time.Now()
-		x, y := w.x, w.y
-		for o := 0; o < ba; o++ {
-			if uint64(o)&offCtrl != offCtrl {
-				continue
-			}
-			applyPairSplit(g.U, x, y, o)
-		}
-		w.stats.ComputeTime += time.Since(start)
-		blobX, err := s.compressBlock(lvl, w.x, &w.stats)
-		if err != nil {
-			return err
-		}
-		if err := s.updateBlock(rs, b, blobX); err != nil {
-			return err
-		}
-		blobY, err := s.compressBlock(lvl, w.y, &w.stats)
-		if err != nil {
-			return err
-		}
-		if err := s.updateBlock(rs, pb, blobY); err != nil {
-			return err
-		}
-		if cached {
-			rs.cache.put(key, blobX, blobY)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	s.noteLevel(rs, gi, lvl)
-	s.maybeEscalate(rs)
-	return nil
 }
 
 // applyCrossRank handles targets in the rank segment: block pairs span
@@ -943,15 +772,22 @@ func (s *Simulator) applyCrossBlock(rs *rankState, g quantum.Gate, gi int, offCt
 // sweep error barrier. Instead the rank keeps the exchange protocol
 // alive for the remaining blocks (sending whatever is in scratch),
 // skips the now-pointless codec and compute work, and reports the
-// first error at the gate boundary, where the barrier stops all ranks.
-func (s *Simulator) applyCrossRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi int, offCtrl uint64, blkCtrl int) error {
+// first error at the sweep boundary, where the barrier stops all ranks.
+func (s *Simulator) applyCrossRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi int) error {
+	offCtrl, blkCtrl, rankCtrl := s.splitControls(g.Controls)
+	if rs.id&rankCtrl != rankCtrl {
+		// §3.3: control in the rank segment is |0⟩ here — the whole
+		// rank is unmodified. Cross-rank partners share the control
+		// bit, so no peer is left waiting.
+		return nil
+	}
 	tr := 1 << uint(g.Target-s.offsetBits-s.blockBits)
 	peer := rs.id ^ tr
 	lowSide := rs.id&tr == 0 // this rank holds the target-bit-0 half
 	lvl := rs.level
 	nb := s.blocksPerRank()
 	w := rs.w0()
-	s.hintBlocks(rs, blkCtrl, 0)
+	s.hintBlocks(rs, blkCtrl)
 	var firstErr error
 	for b := 0; b < nb; b++ {
 		if b&blkCtrl != blkCtrl {
@@ -1004,8 +840,7 @@ func (s *Simulator) applyCrossRank(comm mpi.Comm, rs *rankState, g quantum.Gate,
 	if firstErr != nil {
 		return firstErr
 	}
-	s.noteLevel(rs, gi, lvl)
-	s.maybeEscalate(rs)
+	s.noteLevel(rs, gi, 0, lvl)
 	return nil
 }
 

@@ -42,9 +42,10 @@ type RankDelta struct {
 	// Stats is the run's accounting delta (the rank's stats were
 	// zeroed at InstallRank).
 	Stats Stats
-	// GateLevels is the per-gate max error level this rank used
-	// (s.gateLevel after the run); the coordinator maxes the arrays
-	// elementwise across ranks before folding the ledger.
+	// GateLevels is the error level this rank used per gate and
+	// truncation round (s.gateLevel after the run); the coordinator
+	// maxes the arrays elementwise across ranks before folding the
+	// ledger.
 	GateLevels []uint32
 	// Measurements are the outcomes recorded this run. Only rank 0
 	// records outcomes (it draws and broadcasts them), so the
@@ -221,11 +222,7 @@ func (s *Simulator) ApplyDeltas(deltas []*RankDelta) error {
 			rs.stats.MaxFootprint = rs.stats.CurrentFootprint
 		}
 	}
-	for _, lvl := range maxLevels {
-		if lvl > 0 {
-			s.ledger *= 1 - s.cfg.ErrorLevels[lvl-1]
-		}
-	}
+	s.foldLedger(maxLevels)
 	d0 := byRank[0]
 	s.measurements = append(s.measurements, d0.Measurements...)
 	s.gatesRun += d0.Executed

@@ -198,11 +198,11 @@ func (s *Simulator) GatesRun() int { return s.gatesRun }
 // BytesMoved returns the cumulative cross-rank communication volume.
 func (s *Simulator) BytesMoved() int64 { return s.bytesMoved }
 
-// OverBudget reports whether, on any rank, a gate boundary found the
+// OverBudget reports whether, on any rank, a sweep boundary found the
 // compressed footprint above the memory budget with the §3.7 escalation
-// ladder already exhausted — a whole gate ran at the loosest error
-// bound and the state still did not fit, so the adaptive pipeline can
-// no longer trade fidelity for space. The latch clears on Reset.
+// ladder already exhausted — the state was recompressed at the loosest
+// error bound and still did not fit, so the adaptive pipeline can no
+// longer trade fidelity for space. The latch clears on Reset.
 func (s *Simulator) OverBudget() bool {
 	for _, rs := range s.ranks {
 		if rs.overBudget {

@@ -46,7 +46,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 	if rankMask == 0 || rs.id&rankMask != 0 {
 		// blkMask is a single bit, so "any set" equals the all-set
 		// filter hintBlocks applies.
-		s.hintBlocks(rs, blkMask, 0)
+		s.hintBlocks(rs, blkMask)
 		phase1Err = s.forBlocks(rs, func(w *workerState, b int) error {
 			if blkMask != 0 && b&blkMask == 0 {
 				return nil // whole block has q=0
@@ -119,7 +119,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 	scale := 1 / math.Sqrt(keep)
 
 	// Phase 3: collapse and renormalize every block.
-	s.hintBlocks(rs, 0, 0)
+	s.hintBlocks(rs, 0)
 	err := s.forBlocks(rs, func(w *workerState, b int) error {
 		matchBlock := true
 		if blkMask != 0 {
@@ -172,8 +172,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 	if err != nil {
 		return 0, fmt.Errorf("core: collapse after measuring qubit %d: %w", q, err)
 	}
-	s.noteLevel(rs, gi, lvl)
-	s.maybeEscalate(rs)
+	s.noteLevel(rs, gi, 0, lvl)
 	return outcome, nil
 }
 

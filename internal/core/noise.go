@@ -61,5 +61,5 @@ func (s *Simulator) applyNoiseRank(comm mpi.Comm, rs *rankState, g quantum.Gate,
 	default:
 		pauli = quantum.Gate{Name: "noise-z", Target: g.Target, U: quantum.MatZ}
 	}
-	return s.applyGateRank(comm, rs, pauli, gi)
+	return s.applyUnitaries(comm, rs, []quantum.Gate{pauli}, gi)
 }

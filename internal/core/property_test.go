@@ -86,6 +86,14 @@ func TestQuickLossyRespectsLedger(t *testing.T) {
 			t.Logf("seed %d: fidelity %g below ledger %g", seed, fid, bound)
 			return false
 		}
+		// The budget holds at rest: unless the ladder ran out, every
+		// rank's resident bytes fit when Run returns.
+		for _, rs := range s.ranks {
+			if !rs.overBudget && rs.store.Resident() > s.cfg.MemoryBudget {
+				t.Logf("seed %d: rank %d rests at %d B over the %d B budget", seed, rs.id, rs.store.Resident(), s.cfg.MemoryBudget)
+				return false
+			}
+		}
 		// Truncation only shrinks magnitudes, so the norm cannot grow.
 		if n > 1+1e-9 {
 			t.Logf("seed %d: norm %g above 1", seed, n)

@@ -25,11 +25,12 @@ type Stats struct {
 	CompressCalls   int64
 	DecompressCalls int64
 
-	// Sweep scheduler behaviour. Sweeps counts block-local sweeps
-	// executed through the batched path and SweepGates the gates they
-	// covered; CodecPassesSaved is the number of per-block
-	// decompress+recompress round trips avoided versus gate-at-a-time
-	// execution (k-1 per block actually processed in a k-gate sweep).
+	// Sweep scheduler behaviour. Sweeps counts the pair sweeps executed
+	// (none when the scheduler is off or noise forces one-gate sweeps)
+	// and SweepGates the gates they covered; CodecPassesSaved is the
+	// number of per-block decompress+recompress round trips avoided
+	// versus gate-at-a-time execution: per block actually run through
+	// the codec, the gates that fired on it minus one.
 	Sweeps           int
 	SweepGates       int
 	CodecPassesSaved int64
@@ -48,7 +49,7 @@ type Stats struct {
 	// block) across both memory tiers; MaxFootprint is its high-water
 	// mark, from which the minimum compression ratio of Table 2
 	// derives. Both are maintained inside the block store and sampled
-	// at gate boundaries.
+	// at sweep boundaries.
 	CurrentFootprint int64
 	MaxFootprint     int64
 
@@ -75,7 +76,8 @@ type Stats struct {
 	// lossless).
 	FinalLevel int
 
-	// Escalations counts §3.7 bound relaxations.
+	// Escalations counts §3.7 bound relaxations; each is followed by one
+	// requantize pass over the rank's blocks at the new level.
 	Escalations int
 }
 

@@ -1,80 +1,374 @@
 package core
 
 import (
+	"time"
+
 	"qcsim/internal/quantum"
 )
 
-// The sweep scheduler: the paper's cost model (§3.1) pays a full
+// The pair-sweep executor. The paper's cost model (§3.1) pays a full
 // decompress → apply → recompress pass over every compressed block for
-// every gate, which is why its Table 2 time is dominated by codec work.
-// Gate fusion (FuseGates) only merges same-qubit runs; a layer of
-// single-qubit gates on different qubits — the common shape of
-// Grover/QAOA layers — still pays one codec round trip per gate. But any
-// gate whose target and controls all address offset bits acts
-// identically on every block, so a run of k such gates can share one
-// codec round trip per block: decompress once, apply all k unitaries to
-// the scratch buffer, recompress once. Under the lossless codec the
-// result is bit-identical to gate-at-a-time execution (decompress ∘
-// compress is exact, so eliding the intermediate round trips changes no
-// bits); under lossy codecs the state sees FEWER truncations, and the
-// fidelity ledger charges one (1-δ) factor per sweep instead of per
-// gate — the Eq. 11 bound only tightens.
+// every gate, which is why its Table 2 time is dominated by codec work —
+// yet its working set is already TWO decompressed blocks per worker
+// (Eq. 8). A pair sweep spends one codec pass on everything that fits
+// that working set:
+//
+//   - What joins a sweep: a maximal run of consecutive unitaries whose
+//     targets are offset-segment qubits or ONE shared block-segment
+//     qubit t (quantum.PlanPairSweeps). Controls may sit anywhere — an
+//     offset control masks amplitudes, a block control selects which
+//     blocks a gate fires on, a rank control which ranks; none of them
+//     is a member of the working set. Rank-segment targets (a block
+//     exchange) and measurements (a collective) stay singletons.
+//   - Why one block-segment target: the pass walks the block pairs
+//     (b, b|2^(t-offsetBits)) and decompresses a pair into the worker's
+//     x/y scratch. A second block-segment target would need groups of
+//     four blocks — twice the scratch Eq. 8 budgets per worker. A sweep
+//     with no block-segment target is the degenerate pair of one block.
+//   - One pass: decompress the members some gate acts on, apply all k
+//     gates in circuit order (an offset-target gate to each member
+//     whose block index satisfies the gate's block controls, the
+//     block-target gate across the pair), recompress those members. A
+//     one-gate sweep is the paper's gate-at-a-time pass, so the
+//     scheduler-off and noise-active runs use the same code.
+//
+// Under the lossless codec the result is bit-identical to
+// gate-at-a-time execution: every amplitude sees the same float
+// operations in the same order, and decompress ∘ compress is exact, so
+// eliding the round trips in between changes no bits. Under lossy
+// codecs the state is truncated FEWER times — once per sweep instead of
+// once per gate — and the fidelity ledger charges one (1-δ) factor per
+// sweep, so the Eq. 11 bound only rises.
+//
+// The memory budget holds at every sweep boundary, not "eventually":
+// with tens of boundaries instead of hundreds, relaxing the bound one
+// level and waiting for the next gate to recompress would leave the
+// state resting above the budget when Run returns. A boundary that
+// finds the resident footprint over budget escalates one level AND
+// requantizes in place — a codec-only pass, decompress → compress at
+// the new level, through the same pass and cache — and repeats until
+// the state fits or the ladder is exhausted (then overBudget latches).
+// Each requantize truncates the state once more, so it charges its own
+// (1-δ) factor on top of the sweep's.
 
-// sweepsEnabled reports whether RunControlled may batch block-local
-// runs. A live noise channel forces gate-at-a-time execution: the
-// depolarizing draw happens after every gate, and an injected Pauli must
-// observe the state with the preceding gate already applied. A
-// Prob == 0 channel can never fire, so it does not cost the batching.
+// sweepsEnabled reports whether runs are scheduled as maximal pair
+// sweeps. A live noise channel forces one-gate sweeps: the depolarizing
+// draw happens after every gate, and an injected Pauli must observe the
+// state with the preceding gate already applied. A Prob == 0 channel
+// can never fire, so it does not cost the batching.
 func (s *Simulator) sweepsEnabled() bool {
 	return !s.cfg.DisableSweeps && !s.noiseActive()
 }
 
-// localGate is one gate of a sweep, pre-split into the offset-segment
-// masks the inner loop needs (the planner guarantees no block- or
-// rank-segment bits are involved).
-type localGate struct {
+// planSweeps is the schedule both executors iterate.
+func (s *Simulator) planSweeps(gates []quantum.Gate) []quantum.PairSweep {
+	if s.sweepsEnabled() {
+		return quantum.PlanPairSweeps(gates, s.offsetBits, s.blockBits)
+	}
+	return quantum.SingletonPairSweeps(gates, s.offsetBits, s.blockBits)
+}
+
+// passGate is one gate of a compiled pass, pre-split into the masks the
+// kernel needs. tMask is the target's bit within a block, 0 for a gate
+// that targets the pass's block-segment qubit.
+type passGate struct {
 	tMask   int
 	offCtrl uint64
+	blkCtrl int // block-index bits that must be set for the gate to fire
 	u       quantum.Matrix2
 }
 
-// applySweepRank executes a block-local sweep of k gates on this rank's
-// blocks in a single codec pass per block: decompress once, apply all k
-// unitaries in circuit order, recompress once. The block loop fans out
-// across the worker pool exactly like applyLocal; the block cache is
-// keyed on the whole sweep (signature of the full gate run), so the
-// §3.4 redundancy shortcut still applies, now amortizing k gates per
-// hit. The fidelity ledger and the §3.7 escalation check are charged
-// once per sweep — matching the single recompression that actually
-// happened — against gate index giLedger (the sweep's last gate).
-func (s *Simulator) applySweepRank(rs *rankState, gates []quantum.Gate, giLedger int) error {
-	lvl := rs.level
-	sig := quantum.SweepSignature(gates)
-	ba := s.blockAmps()
-	k := len(gates)
-	lg := make([]localGate, k)
-	for i, g := range gates {
-		offCtrl, _, _ := s.splitControls(g.Controls)
-		lg[i] = localGate{tMask: 1 << uint(g.Target), offCtrl: offCtrl, u: g.U}
+// blockPass is one pair sweep compiled for one rank at one error level:
+// the gates that fire on this rank, the pair stride, and the cache key
+// prefix. It is immutable once built and shared by the rank's workers;
+// both executors drive it through passBlock.
+type blockPass struct {
+	key   passKey
+	gates []passGate
+	// tb is the partner stride 2^(t-offsetBits) of the block-segment
+	// target, 0 when every target is an offset qubit (single blocks).
+	tb int
+	// ctrlBits is the union of the gates' block controls: the bits of a
+	// block index that decide which gates fire there.
+	ctrlBits int
+}
+
+// compilePass builds the pass for a pair sweep on this rank at the
+// rank's current level, or nil when a rank-segment control silences
+// every gate here (§3.3: the whole rank is unmodified).
+func (s *Simulator) compilePass(rs *rankState, gates []quantum.Gate) *blockPass {
+	p := &blockPass{}
+	for _, g := range gates {
+		offCtrl, blkCtrl, rankCtrl := s.splitControls(g.Controls)
+		if rs.id&rankCtrl != rankCtrl {
+			continue
+		}
+		pg := passGate{offCtrl: offCtrl, blkCtrl: blkCtrl, u: g.U}
+		if g.Target < s.offsetBits {
+			pg.tMask = 1 << uint(g.Target)
+		} else {
+			p.tb = 1 << uint(g.Target-s.offsetBits)
+		}
+		p.ctrlBits |= blkCtrl
+		p.gates = append(p.gates, pg)
 	}
-	err := s.runBlockPass(rs, sig, lvl, 0, int64(k-1), func(x []float64) {
-		for _, g := range lg {
-			for base := 0; base < ba; base += g.tMask << 1 {
-				for o := base; o < base+g.tMask; o++ {
-					if uint64(o)&g.offCtrl != g.offCtrl {
-						continue
-					}
-					applyPair(g.u, x, o, o|g.tMask)
-				}
+	if len(p.gates) == 0 {
+		return nil
+	}
+	p.key = newPassKey(quantum.SweepSignature(gates), rs.level)
+	return p
+}
+
+// requantPass is the codec-only pass of the at-rest budget rule, at the
+// rank's (just escalated) level: the sweep of no gates, which decodes
+// and recompresses every block.
+func requantPass(rs *rankState) *blockPass {
+	return &blockPass{key: newPassKey(quantum.SweepSignature(nil), rs.level)}
+}
+
+// fired returns how many of the pass's gates act on block b (nx) and on
+// its partner b|tb (ny); b is the low member of its pair. A member no
+// gate acts on is not fetched, not decoded and not recompressed (§3.3:
+// whole block unmodified). Both counts are functions of b&ctrlBits.
+func (p *blockPass) fired(b int) (nx, ny int) {
+	switch {
+	case len(p.gates) == 0: // requantPass
+		return 1, 0
+	case p.ctrlBits == 0 && p.tb == 0:
+		return len(p.gates), 0
+	case p.ctrlBits == 0:
+		return len(p.gates), len(p.gates)
+	}
+	pb := b | p.tb
+	for i := range p.gates {
+		g := &p.gates[i]
+		if b&g.blkCtrl == g.blkCtrl {
+			nx++
+			if g.tMask == 0 {
+				ny++ // the pair gate: its controls never include tb
 			}
 		}
+		if g.tMask != 0 && p.tb != 0 && pb&g.blkCtrl == g.blkCtrl {
+			ny++
+		}
+	}
+	return nx, ny
+}
+
+// apply is the kernel: all of the pass's gates, in circuit order, on
+// the decompressed pair (x = block b, y = its partner; y is unused when
+// tb == 0). A member fired reports as untouched holds stale scratch and
+// is neither read nor written.
+func (p *blockPass) apply(x, y []float64, b int) {
+	ba := len(x) / 2
+	pb := b | p.tb
+	for i := range p.gates {
+		g := &p.gates[i]
+		if g.tMask == 0 {
+			if b&g.blkCtrl != g.blkCtrl {
+				continue
+			}
+			for o := 0; o < ba; o++ {
+				if uint64(o)&g.offCtrl != g.offCtrl {
+					continue
+				}
+				applyPairSplit(g.u, x, y, o)
+			}
+			continue
+		}
+		if b&g.blkCtrl == g.blkCtrl {
+			g.applyBlock(x, ba)
+		}
+		if p.tb != 0 && pb&g.blkCtrl == g.blkCtrl {
+			g.applyBlock(y, ba)
+		}
+	}
+}
+
+// applyBlock applies an offset-target gate to one decompressed block.
+func (g *passGate) applyBlock(x []float64, ba int) {
+	for base := 0; base < ba; base += g.tMask << 1 {
+		for o := base; o < base+g.tMask; o++ {
+			if uint64(o)&g.offCtrl != g.offCtrl {
+				continue
+			}
+			applyPair(g.u, x, o, o|g.tMask)
+		}
+	}
+}
+
+// passMemo is what a pass consults before paying the codec: the rank's
+// §3.4 block cache on the solo path, the per-pass cross-variant memo on
+// the batch path. get counts its own lookups and hits in st.
+type passMemo interface {
+	enabled() bool
+	get(k blockKey, st *Stats) (out1, out2 []byte, ok bool)
+	put(k blockKey, out1, out2 []byte)
+}
+
+// passBlock runs pass p on block b and its partner: fetch the members
+// some gate acts on, short-circuit through the memo, otherwise
+// decompress → apply → recompress in w's scratch pair. Codec and
+// compute time are charged to st — a worker's shard on the solo path, a
+// per-variant shard on the batch path.
+func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *workerState, st *Stats, b int) error {
+	if b&p.tb != 0 {
+		return nil // high member: visited with its partner
+	}
+	nx, ny := p.fired(b)
+	if nx == 0 && ny == 0 {
+		return nil
+	}
+	pb := b | p.tb
+	var inX, inY []byte
+	var err error
+	if nx > 0 {
+		if inX, err = rs.store.Get(b); err != nil {
+			return err
+		}
+	}
+	if ny > 0 {
+		if inY, err = rs.store.Get(pb); err != nil {
+			return err
+		}
+	}
+	store := func(outX, outY []byte) error {
+		if nx > 0 {
+			if err := s.updateBlock(rs, b, outX); err != nil {
+				return err
+			}
+		}
+		if ny > 0 {
+			return s.updateBlock(rs, pb, outY)
+		}
+		return nil
+	}
+	var key blockKey
+	cached := memo.enabled()
+	if cached {
+		key = p.key.block(b&p.ctrlBits, inX, inY)
+		if outX, outY, ok := memo.get(key, st); ok {
+			return store(outX, outY)
+		}
+	}
+	if nx > 0 {
+		if err := s.decompressBlock(inX, w.x, st); err != nil {
+			return err
+		}
+	}
+	if ny > 0 {
+		if err := s.decompressBlock(inY, w.y, st); err != nil {
+			return err
+		}
+	}
+	start := time.Now()
+	p.apply(w.x, w.y, b)
+	st.ComputeTime += time.Since(start)
+	var outX, outY []byte
+	if nx > 0 {
+		if outX, err = s.compressBlock(p.key.level, w.x, st); err != nil {
+			return err
+		}
+	}
+	if ny > 0 {
+		if outY, err = s.compressBlock(p.key.level, w.y, st); err != nil {
+			return err
+		}
+	}
+	if err := store(outX, outY); err != nil {
+		return err
+	}
+	if cached {
+		memo.put(key, outX, outY)
+	}
+	// Round trips elided versus gate-at-a-time: every gate after the
+	// first that fired on a member.
+	st.CodecPassesSaved += int64(max(nx-1, 0) + max(ny-1, 0))
+	return nil
+}
+
+// runPass is the solo executor's pass: it fans p over the rank's blocks
+// on the worker pool and records its level for the fidelity ledger, as
+// truncation number round of the boundary after gate gi. A nil pass
+// (every gate silenced on this rank) does nothing.
+func (s *Simulator) runPass(rs *rankState, p *blockPass, gi, round int) error {
+	if p == nil {
+		return nil
+	}
+	s.hintPass(rs, p)
+	err := s.forBlocks(rs, func(w *workerState, b int) error {
+		return s.passBlock(rs, p, rs.cache, w, &w.stats, b)
 	})
 	if err != nil {
 		return err
 	}
-	rs.stats.Sweeps++
-	rs.stats.SweepGates += k
-	s.noteLevel(rs, giLedger, lvl)
-	s.maybeEscalate(rs)
+	s.noteLevel(rs, gi, round, p.key.level)
+	return nil
+}
+
+// hintPass announces the pass's visit order — each low member followed
+// by its partner, untouched members left out — to a tiered store so its
+// prefetcher can stage spilled blobs ahead of the pass. The in-RAM
+// store wants no hints and the order is never built.
+func (s *Simulator) hintPass(rs *rankState, p *blockPass) {
+	if !rs.store.WantHints() {
+		return
+	}
+	nb := s.blocksPerRank()
+	order := make([]int, 0, nb)
+	for b := 0; b < nb; b++ {
+		if b&p.tb != 0 {
+			continue
+		}
+		nx, ny := p.fired(b)
+		if nx > 0 {
+			order = append(order, b)
+		}
+		if ny > 0 {
+			order = append(order, b|p.tb)
+		}
+	}
+	rs.store.PrefetchHint(order)
+}
+
+// escalate is the sweep-boundary footprint accounting: it samples the
+// MaxFootprint high-water mark and, when the bytes resident in RAM
+// exceed the memory budget, relaxes the error bound one level (§3.7)
+// and reports true — the caller then requantizes at the new level and
+// asks again. With the ladder exhausted it latches overBudget instead.
+// Deciding once per boundary — never inside a block update — keeps
+// escalation timing, every compressed bit and the Table 2 peak
+// independent of the worker interleaving.
+//
+// With the tiered store the ladder gains its spill rung: the store has
+// been evicting cold blobs to disk throughout the pass, so a state
+// whose compressed size exceeds the budget but fits on disk never
+// escalates at all. Only when the resident set itself cannot be held
+// under the budget (spill disabled, a spill RAM budget above the memory
+// budget, a single blob larger than it) does the ladder take over.
+func (s *Simulator) escalate(rs *rankState) bool {
+	s.sampleFootprint(rs)
+	if s.cfg.MemoryBudget <= 0 || s.cfg.Uncompressed || rs.stats.ResidentFootprint <= s.cfg.MemoryBudget {
+		return false
+	}
+	if rs.level == len(s.cfg.ErrorLevels) {
+		rs.overBudget = true
+		return false
+	}
+	rs.level++
+	rs.stats.Escalations++
+	return true
+}
+
+// settleBudget enforces the at-rest budget rule at the boundary after
+// gate gi: escalate and requantize until the state fits or no level is
+// left. Requantize number n is the boundary's truncation round n — the
+// sweep itself was round 0 — so each charges its own ledger factor.
+func (s *Simulator) settleBudget(rs *rankState, gi int) error {
+	for round := 1; s.escalate(rs); round++ {
+		if err := s.runPass(rs, requantPass(rs), gi, round); err != nil {
+			return err
+		}
+	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"compress/flate"
 	"errors"
 	"strings"
@@ -70,34 +71,209 @@ func assertBitIdentical(t *testing.T, a, b *Simulator, label string) {
 	}
 }
 
+// assertBlobsIdentical compares the stored compressed blocks of two
+// simulators byte for byte.
+func assertBlobsIdentical(t *testing.T, a, b *Simulator, label string) {
+	t.Helper()
+	for r := range a.ranks {
+		for blk := 0; blk < a.blocksPerRank(); blk++ {
+			ba, err := a.ranks[r].store.Peek(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bb, err := b.ranks[r].store.Peek(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ba, bb) {
+				t.Fatalf("%s: rank %d block %d blobs differ", label, r, blk)
+			}
+		}
+	}
+}
+
 // TestQuickSweepsBitIdentical is the sweep scheduler's master property:
-// for ANY circuit (including intermediate measurements and controlled
-// gates), ANY geometry, and ANY worker count, batched sweeps and
-// gate-at-a-time execution produce bit-identical amplitudes,
-// measurement outcomes, and ledgers under the lossless codec. Run under
-// -race in CI, this doubles as the data-race check on the sweep
-// executor's worker fan-out.
+// for ANY circuit (including intermediate measurements and gates
+// controlled from every segment), ANY geometry, worker count, block
+// store and cache setting, pair sweeps and gate-at-a-time execution
+// produce bit-identical amplitudes, compressed blocks, measurement
+// outcomes, and ledgers under the lossless codec. The sweep run samples
+// the footprint at a subset of the gate-at-a-time boundaries, so its
+// peak may only be lower. Run under -race in CI, this doubles as the
+// data-race check on the pass's worker fan-out.
 func TestQuickSweepsBitIdentical(t *testing.T) {
-	f := func(seed int64, geomSel, workerSel, gateCount uint8) bool {
+	f := func(seed int64, geomSel, workerSel, gateCount, storeSel, cacheSel uint8) bool {
 		qubits := 7
 		geoms := []struct{ ranks, block int }{
-			{1, 128}, {1, 16}, {2, 16}, {4, 8}, {2, 64},
+			{1, 128}, {1, 16}, {2, 16}, {4, 8}, {2, 64}, {1, 4}, {4, 2},
 		}
 		g := geoms[int(geomSel)%len(geoms)]
 		workers := 1 + int(workerSel)%4
 		gates := 20 + int(gateCount)%60
 		cir := quantum.RandomCircuit(qubits, gates, seed)
 		cir.Measure(int(uint64(seed) % uint64(qubits)))
-		on, off := runSweepPair(t, cir, g.ranks, g.block, workers, nil)
+		cir.H(0).CNOT(0, qubits-1).T(1)
+		spill := spillCfg(t, 256)
+		on, off := runSweepPair(t, cir, g.ranks, g.block, workers, func(c *Config) {
+			if storeSel%2 == 1 {
+				spill(c)
+			}
+			if cacheSel%2 == 1 {
+				c.CacheLines = 64
+			}
+		})
 		assertBitIdentical(t, on, off, "sweeps on/off")
+		assertBlobsIdentical(t, on, off, "sweeps on/off")
 		if on.FidelityLowerBound() != off.FidelityLowerBound() {
 			t.Logf("seed %d: lossless ledgers differ: %v vs %v", seed, on.FidelityLowerBound(), off.FidelityLowerBound())
 			return false
 		}
+		if mOn, mOff := on.Stats().MaxFootprint, off.Stats().MaxFootprint; mOn > mOff {
+			t.Logf("seed %d: sweep peak %d above gate-at-a-time peak %d", seed, mOn, mOff)
+			return false
+		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockControlInsideSweepWithCache: on a redundant state every block
+// holds the same bytes, so within one sweep the cache sees equal inputs
+// under one signature for blocks on which DIFFERENT gates fire (a block
+// control selects them). The key's control variant keeps those apart;
+// without it the first block's output would be handed to all.
+func TestBlockControlInsideSweepWithCache(t *testing.T) {
+	// 3 offset | 3 block bits, one rank: qubits 3..5 index the block.
+	cir := quantum.NewCircuit(6)
+	for q := 0; q < 6; q++ {
+		cir.H(q) // uniform: all 8 blocks byte-identical
+	}
+	// One pair sweep on block target 3: gates controlled from block
+	// qubits 4 and 5 and from the pair qubit itself.
+	cir.T(0).CPhase(4, 1, 0.3).ApplyControlled("ch", quantum.MatH, 3, 5).CPhase(3, 2, 0.7).T(1)
+	// And one with no block target at all.
+	cir.H(4).CPhase(5, 0, 1.1).CPhase(3, 1, 0.2).CCZ(4, 5, 2)
+	run := func(lines int) *Simulator {
+		s := newSim(t, 6, 1, 8, func(c *Config) { c.CacheLines = lines })
+		if err := s.Run(cir); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	cached, plain := run(64), run(0)
+	assertBitIdentical(t, cached, plain, "cache on/off")
+	assertBlobsIdentical(t, cached, plain, "cache on/off")
+	if cached.Stats().CacheHits == 0 {
+		t.Fatal("the redundant state never hit the cache; test is vacuous")
+	}
+	compareToReference(t, newSim(t, 6, 1, 8, func(c *Config) { c.CacheLines = 64 }), cir, 1e-12)
+}
+
+// TestSweepStats pins what the counters mean on a hand-checked plan:
+// 2 offset | 2 block bits, one rank, four blocks.
+func TestSweepStats(t *testing.T) {
+	cir := quantum.NewCircuit(4)
+	// Sweep 1 (block target 2): H(0) fires on all 4 blocks, H(2) on both
+	// pairs, CNOT(3→1) on the two blocks with bit 3 set.
+	cir.H(0).H(2).CNOT(3, 1)
+	// Sweep 2 (block target 3): a lone cross-block gate.
+	cir.H(3)
+	s := newSim(t, 4, 1, 4, nil)
+	base := s.Stats()
+	var progress []int
+	polls := 0
+	err := s.RunControlled(cir, RunControl{
+		PollAbort: func() error { polls++; return nil },
+		OnGate:    func(gi, total int, _ quantum.Gate) { progress = append(progress, gi) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Sweeps != 2 || st.SweepGates != 4 {
+		t.Fatalf("%d sweeps over %d gates, want 2 over 4", st.Sweeps, st.SweepGates)
+	}
+	// Blocks 0,1 see 2 gates (1 saved each), blocks 2,3 see 3 (2 saved
+	// each); sweep 2 is one gate per block, nothing saved.
+	if st.CodecPassesSaved != 6 {
+		t.Fatalf("CodecPassesSaved = %d, want 6", st.CodecPassesSaved)
+	}
+	if enc := st.CompressCalls - base.CompressCalls; enc != 8 {
+		t.Fatalf("%d encode calls, want 8 (two passes over four blocks)", enc)
+	}
+	if polls != 2 || len(progress) != 4 {
+		t.Fatalf("%d abort polls and %d progress events, want 2 and 4", polls, len(progress))
+	}
+	for i, gi := range progress {
+		if gi != i {
+			t.Fatalf("progress out of order: %v", progress)
+		}
+	}
+}
+
+// TestCacheReleasedWhenRunReturns: cache lines pin their blobs outside
+// every footprint ledger, so a run drops them on every way out —
+// success, abort, codec error — while the cache stays enabled and the
+// next run hits again within its own passes.
+func TestCacheReleasedWhenRunReturns(t *testing.T) {
+	lines := func(s *Simulator) int {
+		n := 0
+		for _, rs := range s.ranks {
+			if tab := rs.cache.table.Load(); tab != nil {
+				n += len(*tab)
+			}
+		}
+		return n
+	}
+	cir := quantum.Grover(5, 11, 2)
+	calls := int64(1 << 30)
+	s := newSim(t, cir.N, 2, 8, func(c *Config) {
+		c.CacheLines = 64
+		c.Lossless = compressFailAfterCodec{workingLossless(), &calls}
+	})
+	if err := s.Run(cir); err != nil {
+		t.Fatal(err)
+	}
+	first := s.Stats()
+	if first.CacheHits == 0 {
+		t.Fatal("Grover never hit the cache; test is vacuous")
+	}
+	if n := lines(s); n != 0 {
+		t.Fatalf("%d cache lines held after a successful run", n)
+	}
+	if err := s.Run(cir); err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats().CacheHits == first.CacheHits {
+		t.Fatal("the run after a release never hit the cache")
+	}
+	stop := errors.New("stop")
+	polls := 0
+	err := s.RunControlled(cir, RunControl{PollAbort: func() error {
+		if polls++; polls > 3 {
+			return stop
+		}
+		return nil
+	}})
+	if !errors.Is(err, stop) {
+		t.Fatalf("abort not reported: %v", err)
+	}
+	if n := lines(s); n != 0 {
+		t.Fatalf("%d cache lines held after an aborted run", n)
+	}
+	atomic.StoreInt64(&calls, 40) // fail partway into the next run
+	if err := s.Run(cir); !errors.Is(err, compress.ErrCorrupt) {
+		t.Fatalf("codec failure not reported: %v", err)
+	}
+	if n := lines(s); n != 0 {
+		t.Fatalf("%d cache lines held after a failed run", n)
+	}
+	for _, rs := range s.ranks {
+		if !rs.cache.enabled() {
+			t.Fatal("release shut the cache off")
+		}
 	}
 }
 
@@ -157,6 +333,87 @@ func TestSweepLedgerTightens(t *testing.T) {
 	}
 	if lOn < lOff {
 		t.Fatalf("sweeps loosened the fidelity bound: %v < %v", lOn, lOff)
+	}
+}
+
+// TestBudgetHoldsAtRest: a boundary that finds the state over budget
+// escalates AND requantizes until it fits, so every successful Run —
+// solo or batched, sweeps on or off — returns with each rank's resident
+// bytes within the budget, each escalation paired with exactly one
+// requantize pass and one extra ledger factor.
+func TestBudgetHoldsAtRest(t *testing.T) {
+	const qubits = 10
+	atRest := func(s *Simulator, label string) {
+		t.Helper()
+		if s.OverBudget() {
+			t.Fatalf("%s: ladder exhausted; budget too tight for the test", label)
+		}
+		for _, rs := range s.ranks {
+			s.syncStoreStats(rs)
+			if rs.stats.ResidentFootprint > s.cfg.MemoryBudget {
+				t.Fatalf("%s: rank %d rests at %d B over the %d B budget", label, rs.id, rs.stats.ResidentFootprint, s.cfg.MemoryBudget)
+			}
+		}
+	}
+	for _, disable := range []bool{false, true} {
+		s := newSim(t, qubits, 2, 64, func(c *Config) {
+			c.MemoryBudget = 2048 // a quarter of a rank's 8 KB share
+			c.DisableSweeps = disable
+			c.Workers = 2
+		})
+		for _, cir := range []*quantum.Circuit{quantum.QFT(qubits, 3), quantum.QAOA(qubits, 1, 5), quantum.RandomCircuit(qubits, 40, 9)} {
+			if err := s.Run(cir); err != nil {
+				t.Fatal(err)
+			}
+			atRest(s, "solo run")
+		}
+		if s.Stats().Escalations == 0 {
+			t.Fatal("the budget never forced an escalation; test is vacuous")
+		}
+	}
+
+	// Each escalation is paired with exactly one requantize pass, which
+	// charges the ledger in a round of its own on top of the sweep's.
+	s := newSim(t, qubits, 1, 64, func(c *Config) { c.MemoryBudget = 4096 })
+	if err := s.Run(quantum.QFT(qubits, 3)); err != nil {
+		t.Fatal(err)
+	}
+	atRest(s, "one rank")
+	want, requants, rounds := 1.0, 0, s.ledgerRounds()
+	for i, lvl := range s.gateLevel {
+		if lvl > 0 {
+			want *= 1 - s.cfg.ErrorLevels[lvl-1]
+			if i%rounds > 0 {
+				requants++
+			}
+		}
+	}
+	if esc := s.Stats().Escalations; esc == 0 || requants != esc {
+		t.Fatalf("%d requantize charges for %d escalations", requants, esc)
+	}
+	if got := s.FidelityLowerBound(); got != want {
+		t.Fatalf("ledger %v, the run's charges multiply to %v", got, want)
+	}
+
+	// Batched variants rest within the budget too.
+	sims := batchSims(t, qubits, 1, 64, 3, func(c *Config) { c.MemoryBudget = 4096 })
+	ansatz := quantum.QAOAAnsatz(qubits, 1, 4)
+	circuits := make([]*quantum.Circuit, len(sims))
+	for v := range circuits {
+		c, err := ansatz.Bind(quantum.QAOAAngles(1, int64(4+v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits[v] = c
+	}
+	if err := RunBatch(sims, circuits, RunControl{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range sims {
+		atRest(v, "batch variant")
+		if v.Stats().Escalations == 0 {
+			t.Fatal("the batch never escalated; test is vacuous")
+		}
 	}
 }
 

@@ -76,19 +76,6 @@ func TestQuickPlanSweepsIsAPartition(t *testing.T) {
 	}
 }
 
-func TestSingletonSweeps(t *testing.T) {
-	c := RandomCircuit(5, 17, 3)
-	plan := SingletonSweeps(c.Gates)
-	if len(plan) != 17 {
-		t.Fatalf("%d sweeps for 17 gates", len(plan))
-	}
-	for i, sw := range plan {
-		if sw.Start != i || sw.End != i+1 || sw.Local {
-			t.Fatalf("sweep %d = %+v", i, sw)
-		}
-	}
-}
-
 // TestSweepSignatureUnambiguous: length prefixes keep distinct gate
 // sequences from concatenating to identical signatures.
 func TestSweepSignatureUnambiguous(t *testing.T) {
@@ -122,5 +109,119 @@ func TestBlockLocal(t *testing.T) {
 		if got := BlockLocal(tc.g, tc.off); got != tc.want {
 			t.Errorf("BlockLocal(%v, %d) = %v, want %v", tc.g, tc.off, got, tc.want)
 		}
+	}
+}
+
+// TestPlanPairSweeps is the pair planner's table: 7 qubits split as
+// 3 offset | 2 block | 2 rank bits unless a case says otherwise.
+func TestPlanPairSweeps(t *testing.T) {
+	h := func(q int) Gate { return Gate{Name: "h", Target: q, U: MatH} }
+	cx := func(c, q int) Gate { return Gate{Name: "cx", Target: q, Controls: []int{c}, U: MatX} }
+	m := func(q int) Gate { return Gate{Kind: KindMeasure, Name: "measure", Target: q} }
+	for _, tc := range []struct {
+		name              string
+		offsetBits, blkBs int
+		gates             []Gate
+		want              []PairSweep
+	}{
+		{"local only", 3, 2,
+			[]Gate{h(0), h(1), cx(0, 2)},
+			[]PairSweep{{0, 3, true}}},
+		{"one block target with interleaved local gates", 3, 2,
+			[]Gate{h(0), h(3), h(1), h(3), cx(3, 2)},
+			[]PairSweep{{0, 5, true}}},
+		{"two alternating block targets", 3, 2,
+			[]Gate{h(3), h(0), h(4), h(1), h(3), h(4)},
+			[]PairSweep{{0, 2, true}, {2, 4, true}, {4, 5, true}, {5, 6, true}}},
+		{"block- and rank-segment controls join", 3, 2,
+			[]Gate{cx(4, 0), cx(6, 3), cx(3, 1), cx(5, 3)},
+			[]PairSweep{{0, 4, true}}},
+		{"cross-rank target splits a run", 3, 2,
+			[]Gate{h(0), h(3), h(5), h(3), h(1)},
+			[]PairSweep{{0, 2, true}, {2, 3, false}, {3, 5, true}}},
+		{"measurement splits a run", 3, 2,
+			[]Gate{h(0), m(0), m(4), h(4), h(1)},
+			[]PairSweep{{0, 1, true}, {1, 2, false}, {2, 3, false}, {3, 5, true}}},
+		{"no block segment", 5, 0,
+			[]Gate{h(0), h(4), h(5), cx(6, 3)},
+			[]PairSweep{{0, 2, true}, {2, 3, false}, {3, 4, true}}},
+	} {
+		plan := PlanPairSweeps(tc.gates, tc.offsetBits, tc.blkBs)
+		if len(plan) != len(tc.want) {
+			t.Errorf("%s: plan %v, want %v", tc.name, plan, tc.want)
+			continue
+		}
+		for i := range plan {
+			if plan[i] != tc.want[i] {
+				t.Errorf("%s: sweep %d = %+v, want %+v", tc.name, i, plan[i], tc.want[i])
+			}
+		}
+		single := SingletonPairSweeps(tc.gates, tc.offsetBits, tc.blkBs)
+		for i, sw := range single {
+			unitaryBelowRanks := tc.gates[i].Kind == KindUnitary && tc.gates[i].Target < tc.offsetBits+tc.blkBs
+			if sw.Start != i || sw.End != i+1 || sw.Pass != unitaryBelowRanks {
+				t.Errorf("%s: singleton %d = %+v", tc.name, i, sw)
+			}
+		}
+	}
+}
+
+// TestQuickPlanPairSweepsIsAPartition: for any circuit and geometry the
+// plan covers [0, len(gates)) contiguously in order, a pass holds only
+// unitaries below the rank segment with at most one distinct
+// block-segment target, everything else is a singleton, and passes are
+// maximal — the next gate could not have joined.
+func TestQuickPlanPairSweepsIsAPartition(t *testing.T) {
+	f := func(seed int64, offSel, blkSel, gateCount uint8) bool {
+		const n = 7
+		offsetBits := 1 + int(offSel)%n
+		blockBits := int(blkSel) % (n - offsetBits + 1)
+		cir := RandomCircuit(n, 1+int(gateCount)%60, seed)
+		cir.Measure(int(uint64(seed) % n))
+		cir.H(int(uint64(seed) % n))
+		plan := PlanPairSweeps(cir.Gates, offsetBits, blockBits)
+		blockTargets := func(sw PairSweep) map[int]bool {
+			ts := map[int]bool{}
+			for _, g := range cir.Gates[sw.Start:sw.End] {
+				if g.Target >= offsetBits {
+					ts[g.Target] = true
+				}
+			}
+			return ts
+		}
+		next := 0
+		for i, sw := range plan {
+			if sw.Start != next || sw.End <= sw.Start {
+				t.Logf("sweep %d = %+v not contiguous at %d", i, sw, next)
+				return false
+			}
+			next = sw.End
+			for _, g := range cir.Gates[sw.Start:sw.End] {
+				if (g.Kind == KindUnitary && g.Target < offsetBits+blockBits) != sw.Pass {
+					t.Logf("gate %v mismatches sweep %+v", g, sw)
+					return false
+				}
+			}
+			if !sw.Pass && sw.Len() != 1 {
+				t.Logf("non-pass sweep %+v not a singleton", sw)
+				return false
+			}
+			ts := blockTargets(sw)
+			if len(ts) > 1 {
+				t.Logf("sweep %+v has block-segment targets %v", sw, ts)
+				return false
+			}
+			if sw.Pass && i+1 < len(plan) && plan[i+1].Pass {
+				g := cir.Gates[sw.End]
+				if g.Target < offsetBits || len(ts) == 0 || ts[g.Target] {
+					t.Logf("gate %v could have joined sweep %+v", g, sw)
+					return false
+				}
+			}
+		}
+		return next == len(cir.Gates)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

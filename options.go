@@ -53,10 +53,12 @@ func WithBlockAmps(n int) Option {
 }
 
 // WithMemoryBudget caps the per-rank compressed footprint in bytes.
-// Exceeding it relaxes the error bound one level per gate boundary (the
-// paper's §3.7 adaptive pipeline). 0 (the default) means unlimited —
-// the simulation stays lossless. If a run ends with the footprint still
-// over budget at the loosest bound, Run reports ErrBudgetExceeded.
+// A sweep boundary that finds the state over it relaxes the error bound
+// (the paper's §3.7 adaptive pipeline) and recompresses the state in
+// place, level by level, until it fits — so after every successful Run
+// the state rests within the budget. 0 (the default) means unlimited —
+// the simulation stays lossless. If the loosest bound still does not
+// fit, Run reports ErrBudgetExceeded.
 func WithMemoryBudget(bytes int64) Option {
 	return func(s *settings) { s.cfg.MemoryBudget = bytes }
 }
@@ -172,16 +174,18 @@ func WithGateFusion(enabled bool) Option {
 }
 
 // WithSweeps toggles the sweep scheduler (default on): maximal runs of
-// consecutive block-local gates — target and controls all inside one
-// compressed block's offset bits — execute with a single decompress →
-// apply-all → recompress pass per block instead of one codec round trip
-// per gate. A sweep is broken by cross-block or cross-rank targets,
-// controls outside the offset bits, measurements, and (when WithNoise
-// is set) every gate, since the depolarizing channel fires per gate.
+// consecutive gates whose targets are offset qubits (inside one
+// compressed block) or one shared block-segment qubit execute as a
+// single decompress → apply-all → recompress pass over block pairs —
+// the paper's two-block working set — instead of one codec round trip
+// per gate; controls may sit anywhere. A sweep is broken by a second
+// block-segment target, a cross-rank target, a measurement, and (when
+// WithNoise is set) every gate, since the depolarizing channel fires
+// per gate.
 // Sweeps are bit-identical to gate-at-a-time execution under the
 // lossless codec; under a lossy budget the state sees fewer truncations
 // and the Eq. 11 fidelity ledger charges one (1-δ) factor per sweep —
-// the bound only tightens. Stats reports Sweeps, SweepGates, and
+// the bound only rises. Stats reports Sweeps, SweepGates, and
 // CodecPassesSaved. Disable only to reproduce the paper's exact
 // one-pass-per-gate cost model.
 func WithSweeps(enabled bool) Option {

@@ -202,11 +202,12 @@ type Result struct {
 // repeatedly; state, stats, and the fidelity ledger accumulate across
 // calls.
 //
-// Cancellation is checked at gate boundaries: if ctx is cancelled the
-// run stops between gates on every rank, the returned error wraps
+// Cancellation is checked at sweep boundaries (a sweep is one codec pass
+// over the state, however many gates it carries): if ctx is cancelled the
+// run stops between sweeps on every rank, the returned error wraps
 // ctx.Err() (so errors.Is(err, context.Canceled) holds), and the
 // returned Result covers the completed prefix — the simulator stays
-// fully inspectable. A run that ends with the footprint still over the
+// fully inspectable. A run that leaves a sweep boundary over the
 // memory budget at the loosest error bound reports ErrBudgetExceeded
 // alongside a valid Result.
 func (s *Simulator) Run(ctx context.Context, c *circuit.Circuit) (*Result, error) {
