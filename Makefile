@@ -1,7 +1,7 @@
 # Developer conveniences; CI runs the same commands
 # (.github/workflows/ci.yml).
 
-.PHONY: test lint fmt
+.PHONY: test bench lint fmt
 
 # perf/ (the benchmark declared by BENCHMARK.json) is a module of its
 # own; its tests run every workload's correctness checks at smoke
@@ -11,6 +11,12 @@ test:
 	go test ./...
 	go -C perf vet ./...
 	go -C perf test ./...
+
+# The benchmark BENCHMARK.json declares (its command, every workload,
+# its run length): the six gated end-to-end metrics per workload, the
+# numbers a PR's no-regression check compares against its parent.
+bench:
+	bash perf/run.sh --workload all --seed 1 --seconds 12 --trace 0
 
 fmt:
 	gofmt -l -w .

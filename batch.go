@@ -58,9 +58,10 @@ func MaxCutObservable(edges []circuit.Edge) Observable {
 // before bindings differ, and parameter-shift pairs that differ in one
 // late gate) share codec work through a content-addressed memo instead
 // of paying K× traffic; Stats reports CodecPassesShared and
-// VariantCount. Circuits with measurement gates, and simulators with a
-// live noise channel, fall back to variant-at-a-time execution — each
-// variant still consumes exactly its own random streams.
+// VariantCount. Measurement gates and a live noise channel run in the
+// same lockstep loop, variant by variant from each variant's own random
+// streams; ctx cancellation stops every variant at the same sweep
+// boundary.
 //
 // The variant simulators stay alive for inspection through
 // BatchVariants until the next RunBatch/Gradient call or Close.
@@ -68,14 +69,8 @@ func MaxCutObservable(edges []circuit.Edge) Observable {
 // on an undecided auto simulator a batch closes the decision on the
 // compressed engine.
 func (s *Simulator) RunBatch(ctx context.Context, c *circuit.Circuit, bindings [][]float64) ([]Result, error) {
-	if err := s.closedErr(); err != nil {
+	if err := s.runnable(c); err != nil {
 		return nil, err
-	}
-	if c == nil {
-		return nil, fmt.Errorf("%w: nil circuit", ErrBadConfig)
-	}
-	if c.N != s.qubits {
-		return nil, fmt.Errorf("%w: circuit has %d qubits, simulator %d", ErrCircuitMismatch, c.N, s.qubits)
 	}
 	if len(bindings) == 0 {
 		return nil, fmt.Errorf("%w: empty binding list", ErrBadConfig)
@@ -163,14 +158,8 @@ type GradientResult struct {
 // gradient's K can reach hundreds); use RunBatch directly to keep
 // variants for inspection.
 func (s *Simulator) Gradient(ctx context.Context, c *circuit.Circuit, values []float64, obs Observable) (*GradientResult, error) {
-	if err := s.closedErr(); err != nil {
+	if err := s.runnable(c); err != nil {
 		return nil, err
-	}
-	if c == nil {
-		return nil, fmt.Errorf("%w: nil circuit", ErrBadConfig)
-	}
-	if c.N != s.qubits {
-		return nil, fmt.Errorf("%w: circuit has %d qubits, simulator %d", ErrCircuitMismatch, c.N, s.qubits)
 	}
 	occs := c.ParamOccurrences()
 	if len(occs) == 0 {
@@ -237,12 +226,9 @@ func (s *Simulator) runBatchCircuits(ctx context.Context, circuits []*circuit.Ci
 		return nil, nil, fmt.Errorf("%w: batched execution requires the compressed backend", ErrUnsupportedOp)
 	}
 	eng := cb.Simulator
-	baseSeed := eng.Config().Seed
 	sims := make([]*core.Simulator, len(circuits))
-	gatesBefore := make([]int, len(circuits))
-	measBefore := make([]int, len(circuits))
 	for v := range circuits {
-		clone, err := eng.Clone(core.VariantSeed(baseSeed, v))
+		clone, err := eng.Clone(core.VariantSeed(eng.Config().Seed, v))
 		if err != nil {
 			for _, cs := range sims[:v] {
 				cs.Close()
@@ -250,18 +236,17 @@ func (s *Simulator) runBatchCircuits(ctx context.Context, circuits []*circuit.Ci
 			return nil, nil, fmt.Errorf("%w: cloning variant %d: %v", ErrBadConfig, v, err)
 		}
 		sims[v] = clone
-		gatesBefore[v] = clone.GatesRun()
-		measBefore[v] = clone.MeasurementCount()
 	}
-	var ctl core.RunControl
-	if ctx == nil {
-		//qclint:allow ctxflow nil ctx is the facade's documented "run uncancelled" default
-		ctx = context.Background()
-	}
-	if ctx.Done() != nil {
-		ctl.PollAbort = ctx.Err
-	}
-	runErr := core.RunBatch(sims, circuits, ctl)
+	// Every clone carries the parent's gate count and measurement log.
+	results, runErr := runVariants(ctx, sims, circuits, eng.GatesRun(), eng.MeasurementCount())
+	return sims, results, runErr
+}
+
+// runVariants executes circuits[v] on sims[v] as one lockstep batch and
+// reports one Result per variant, each covering the run since the
+// given cumulative gate and measurement counts.
+func runVariants(ctx context.Context, sims []*core.Simulator, circuits []*circuit.Circuit, gatesBefore, measBefore int) ([]Result, error) {
+	runErr := core.RunBatch(sims, circuits, runControl(ctx, nil))
 	if errors.Is(runErr, core.ErrBatchMismatch) {
 		// Batch validation failures are configuration errors at the
 		// public surface, same as their single-variant analogues.
@@ -269,15 +254,7 @@ func (s *Simulator) runBatchCircuits(ctx context.Context, circuits []*circuit.Ci
 	}
 	results := make([]Result, len(sims))
 	for v, cs := range sims {
-		all := cs.Measurements()
-		results[v] = Result{
-			Gates:              cs.GatesRun() - gatesBefore[v],
-			Measurements:       all[measBefore[v]:],
-			FidelityLowerBound: cs.FidelityLowerBound(),
-			Footprint:          cs.CompressedFootprint(),
-			CompressionRatio:   cs.CompressionRatio(),
-			Stats:              cs.Stats(),
-		}
+		results[v] = resultSince(compressedBackend{cs}, gatesBefore, measBefore)
 	}
-	return sims, results, runErr
+	return results, runErr
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qcsim/circuit"
+	"qcsim/internal/compress/szlike"
 	"qcsim/internal/core"
 )
 
@@ -34,6 +35,8 @@ func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 			WithMemoryBudget(512), WithCodec("sz-b")}},
 		{"lossy-xord", []Option{WithRanks(2), WithBlockAmps(8), WithWorkers(1),
 			WithMemoryBudget(512), WithCodec("xor-d")}},
+		// K noise trajectories in lockstep, each from its own stream.
+		{"noisy", []Option{WithRanks(2), WithBlockAmps(8), WithWorkers(2), WithNoise(0.1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -258,6 +261,37 @@ func TestRunBatchValidation(t *testing.T) {
 	if _, err := sim.Gradient(context.Background(), circuit.GHZ(4), nil,
 		MaxCutObservable(nil)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("gradient of parameterless circuit: %v", err)
+	}
+
+	// Engine-level batch mismatches — which RunBatch's own cloning can
+	// never produce — surface as configuration errors too.
+	bound, err := ansatz.Bind(make([]float64, ansatz.NumParams()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := func(cfg core.Config, noise float64) *core.Simulator {
+		cfg.Qubits, cfg.Seed = 4, 1
+		eng, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		if err := eng.SetNoise(&core.NoiseModel{Prob: noise}); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	base := engine(core.Config{}, 0)
+	for name, other := range map[string]*core.Simulator{
+		"lossy codec mismatch": engine(core.Config{Lossy: szlike.NewA()}, 0),
+		"noise mismatch":       engine(core.Config{}, 0.1),
+		"same engine twice":    base,
+	} {
+		_, err := runVariants(context.Background(), []*core.Simulator{base, other},
+			[]*circuit.Circuit{bound, bound}, 0, 0)
+		if !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%s: got %v, want ErrBadConfig", name, err)
+		}
 	}
 }
 

@@ -168,12 +168,15 @@
 // with a content-addressed cache deduplicating codec work across
 // undiverged variants. Stats reports CodecPassesShared and VariantCount.
 //
-// What breaks lockstep: measurement gates and WithNoise interleave the
-// variants' random draws, so such batches fall back to sequential
-// per-variant execution (identical results, no sharing); shape or
-// width mismatches are typed errors before anything runs; and the mps
-// backend reports ErrUnsupportedOp — lockstep batching is
-// compressed-only.
+// What breaks lockstep: nothing a valid batch can contain. Measurement
+// gates and WithNoise consume per-variant randomness mid-circuit, so
+// those steps run variant by variant inside the one run loop, each
+// variant drawing from its own seeded stream, and the sweeps around
+// them keep sharing codec work until the variants' states diverge; a
+// cancel or a codec failure stops all K variants at the same sweep
+// boundary. Shape or width mismatches are typed errors before anything
+// runs, and the mps backend reports ErrUnsupportedOp — lockstep
+// batching is compressed-only.
 //
 // Gradient evaluates a parameter-shift gradient of a diagonal
 // observable (MaxCutObservable) as one lockstep batch — the base

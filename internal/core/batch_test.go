@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"qcsim/internal/compress/szlike"
 	"qcsim/internal/quantum"
 )
 
@@ -25,6 +29,15 @@ func batchSims(t *testing.T, qubits, ranks, blockAmps, k int, extra func(*Config
 		sims[v] = clone
 	}
 	return sims
+}
+
+// repeatCircuit is the batch of k variants that all run cir.
+func repeatCircuit(cir *quantum.Circuit, k int) []*quantum.Circuit {
+	circuits := make([]*quantum.Circuit, k)
+	for v := range circuits {
+		circuits[v] = cir
+	}
+	return circuits
 }
 
 func TestVariantSeed(t *testing.T) {
@@ -110,22 +123,12 @@ func TestQuickRunBatchBitIdentical(t *testing.T) {
 		if err := RunBatch(sims, circuits, RunControl{}); err != nil {
 			t.Fatalf("RunBatch: %v", err)
 		}
-		for v := 0; v < k; v++ {
-			solo := newSim(t, qubits, g.ranks, g.block, func(c *Config) {
+		assertVariantsMatchSolo(t, sims, circuits, func(v int) *Simulator {
+			return newSim(t, qubits, g.ranks, g.block, func(c *Config) {
 				extra(c)
 				c.Seed = VariantSeed(1, v)
 			})
-			if err := solo.Run(circuits[v]); err != nil {
-				t.Fatalf("solo run %d: %v", v, err)
-			}
-			assertBitIdentical(t, sims[v], solo, "batch vs solo")
-			if sims[v].FidelityLowerBound() != solo.FidelityLowerBound() {
-				t.Fatalf("variant %d ledger differs: %v vs %v", v, sims[v].FidelityLowerBound(), solo.FidelityLowerBound())
-			}
-			if st := sims[v].Stats(); st.VariantCount != k {
-				t.Fatalf("variant %d VariantCount = %d, want %d", v, st.VariantCount, k)
-			}
-		}
+		})
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
@@ -217,32 +220,168 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 		soloCalls, k, k*soloCalls, batchCalls, ideal, shared)
 }
 
-// TestRunBatchMeasurementFallback: measurement gates break lockstep, so
-// the batch runs variant-at-a-time — still producing exactly the solo
-// outcomes per variant seed.
-func TestRunBatchMeasurementFallback(t *testing.T) {
-	const qubits, k = 5, 3
-	cir := quantum.NewCircuit(qubits)
-	for q := 0; q < qubits; q++ {
-		cir.H(q)
-	}
-	cir.Measure(0).Measure(2)
-	circuits := make([]*quantum.Circuit, k)
-	for v := range circuits {
-		circuits[v] = cir
-	}
-	sims := batchSims(t, qubits, 1, 8, k, nil)
-	if err := RunBatch(sims, circuits, RunControl{}); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < k; v++ {
-		solo := newSim(t, qubits, 1, 8, func(c *Config) { c.Seed = VariantSeed(1, v) })
-		if err := solo.Run(cir); err != nil {
+// assertVariantsMatchSolo checks every variant of a finished batch
+// against a solo run of its circuit on the fresh simulator solo(v)
+// builds (seeded VariantSeed(1, v)): amplitudes, measurement log and
+// ledger bit for bit. It returns the codec passes the batch shared
+// across variants.
+func assertVariantsMatchSolo(t *testing.T, sims []*Simulator, circuits []*quantum.Circuit, solo func(v int) *Simulator) (shared int64) {
+	t.Helper()
+	for v, s := range sims {
+		ref := solo(v)
+		if err := ref.Run(circuits[v]); err != nil {
 			t.Fatal(err)
 		}
-		assertBitIdentical(t, sims[v], solo, "measured batch vs solo")
-		if st := sims[v].Stats(); st.VariantCount != k {
-			t.Fatalf("fallback variant %d VariantCount = %d, want %d", v, st.VariantCount, k)
+		assertBitIdentical(t, s, ref, fmt.Sprintf("variant %d vs solo", v))
+		if s.FidelityLowerBound() != ref.FidelityLowerBound() {
+			t.Fatalf("variant %d ledger differs: %v vs %v", v, s.FidelityLowerBound(), ref.FidelityLowerBound())
+		}
+		st := s.Stats()
+		if st.VariantCount != len(sims) {
+			t.Fatalf("variant %d VariantCount = %d, want %d", v, st.VariantCount, len(sims))
+		}
+		shared += st.CodecPassesShared
+	}
+	return shared
+}
+
+// TestRunBatchMeasurementLockstep: measurement gates run inside the
+// lockstep loop — each variant draws from its own stream and ends
+// exactly where its solo run does (different seeds really do collapse
+// differently), while the pre-measurement prefix, identical across
+// variants, is still shared through the memo.
+func TestRunBatchMeasurementLockstep(t *testing.T) {
+	const qubits, k = 5, 3
+	for _, tc := range []struct{ ranks, measured int }{
+		{1, 0},
+		{2, 4}, // qubit 4 is the rank-segment qubit
+	} {
+		for _, workers := range []int{1, 4} {
+			cir := quantum.NewCircuit(qubits)
+			for q := 0; q < qubits; q++ {
+				cir.H(q)
+			}
+			cir.Measure(tc.measured).Measure(2).CNOT(0, 3).H(tc.measured)
+			circuits := repeatCircuit(cir, k)
+			cfg := func(c *Config) { c.Workers = workers }
+			sims := batchSims(t, qubits, tc.ranks, 4, k, cfg)
+			if err := RunBatch(sims, circuits, RunControl{}); err != nil {
+				t.Fatal(err)
+			}
+			shared := assertVariantsMatchSolo(t, sims, circuits, func(v int) *Simulator {
+				return newSim(t, qubits, tc.ranks, 4, func(c *Config) {
+					cfg(c)
+					c.Seed = VariantSeed(1, v)
+				})
+			})
+			if shared == 0 {
+				t.Fatalf("ranks=%d workers=%d: the pre-measurement prefix shared no codec passes", tc.ranks, workers)
+			}
+			logs := map[string]bool{}
+			for _, s := range sims {
+				logs[fmt.Sprint(s.Measurements())] = true
+			}
+			if len(logs) == 1 {
+				t.Fatalf("ranks=%d: all %d variants drew the same outcomes; the per-variant streams are not in use", tc.ranks, k)
+			}
+		}
+	}
+}
+
+// TestRunBatchNoiseLockstep is the noise twin: K trajectories of one
+// circuit under a live depolarizing channel run in one batch, each
+// bit-identical to its solo trajectory, sharing codec passes until the
+// first Pauli that fires in one variant and not the others. Run under
+// -race it also covers the per-variant Pauli passes interleaved with
+// the shared fan-out.
+func TestRunBatchNoiseLockstep(t *testing.T) {
+	const qubits, k = 6, 4
+	cir := quantum.QAOA(qubits, 1, 5)
+	circuits := repeatCircuit(cir, k)
+	for _, ranks := range []int{1, 2} {
+		cfg := func(c *Config) { c.Workers = 3 }
+		noisy := func(s *Simulator) *Simulator {
+			if err := s.SetNoise(&NoiseModel{Prob: 0.05}); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		sims := batchSims(t, qubits, ranks, 8, k, cfg)
+		for _, s := range sims {
+			noisy(s)
+		}
+		if err := RunBatch(sims, circuits, RunControl{}); err != nil {
+			t.Fatal(err)
+		}
+		shared := assertVariantsMatchSolo(t, sims, circuits, func(v int) *Simulator {
+			return noisy(newSim(t, qubits, ranks, 8, func(c *Config) {
+				cfg(c)
+				c.Seed = VariantSeed(1, v)
+			}))
+		})
+		if shared == 0 {
+			t.Fatalf("ranks=%d: the noisy trajectories shared no codec passes before diverging", ranks)
+		}
+		states := map[string]bool{}
+		for _, s := range sims {
+			amps, err := s.FullState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			states[fmt.Sprint(amps)] = true
+		}
+		if len(states) == 1 {
+			t.Fatalf("ranks=%d: all %d trajectories are identical; no Pauli ever fired", ranks, k)
+		}
+	}
+}
+
+// TestRunBatchHooksFireOncePerBatch: a measured batch used to run
+// variant-at-a-time, so OnGate fired K times per gate and a cancel left
+// variant 0 at a prefix and the others at zero gates. In the one loop
+// the hooks belong to the batch.
+func TestRunBatchHooksFireOncePerBatch(t *testing.T) {
+	const qubits, k = 5, 3
+	cir := quantum.NewCircuit(qubits).H(0).H(4).Measure(0).CNOT(0, 1).H(4).Measure(4).H(2)
+	circuits := repeatCircuit(cir, k)
+	sims := batchSims(t, qubits, 2, 4, k, nil)
+	var seen []int
+	err := RunBatch(sims, circuits, RunControl{OnGate: func(gi, total int, g quantum.Gate) {
+		if total != len(cir.Gates) {
+			t.Errorf("OnGate total = %d, want %d", total, len(cir.Gates))
+		}
+		seen = append(seen, gi)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(cir.Gates) {
+		t.Fatalf("OnGate fired %d times for %d gates: %v", len(seen), len(cir.Gates), seen)
+	}
+	for i, gi := range seen {
+		if gi != i {
+			t.Fatalf("OnGate order %v is not strictly increasing from 0", seen)
+		}
+	}
+
+	sims = batchSims(t, qubits, 2, 4, k, nil)
+	polls := 0
+	err = RunBatch(sims, circuits, RunControl{PollAbort: func() error {
+		if polls++; polls > 3 {
+			return context.Canceled
+		}
+		return nil
+	}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch returned %v, want a wrapped context.Canceled", err)
+	}
+	ran := sims[0].GatesRun()
+	if ran == 0 || ran == len(cir.Gates) {
+		t.Fatalf("cancel after 3 sweeps left %d of %d gates run; test is vacuous", ran, len(cir.Gates))
+	}
+	for v, s := range sims {
+		if s.GatesRun() != ran {
+			t.Fatalf("variant %d stopped after %d gates, variant 0 after %d", v, s.GatesRun(), ran)
 		}
 	}
 }
@@ -269,8 +408,22 @@ func TestRunBatchValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "shape") {
 		t.Fatalf("shape mismatch accepted: %v", err)
 	}
-	mismatched := newSim(t, 4, 2, 8, nil)
-	if err := RunBatch([]*Simulator{sims[0], mismatched}, []*quantum.Circuit{bound, bound}, RunControl{}); err == nil {
-		t.Fatal("geometry mismatch accepted")
+	pair := []*quantum.Circuit{bound, bound}
+	noisy := newSim(t, 4, 1, 8, nil)
+	if err := noisy.SetNoise(&NoiseModel{Prob: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	for name, other := range map[string]*Simulator{
+		"geometry mismatch": newSim(t, 4, 2, 8, nil),
+		// The memo keys on compressed bytes, not on who produced them.
+		"lossy codec mismatch": newSim(t, 4, 1, 8, func(c *Config) { c.Lossy = szlike.NewA() }),
+		// The noise probability decides the sweep plan.
+		"noise mismatch": noisy,
+		// Aliased slots would race on one block.
+		"same simulator twice": sims[0],
+	} {
+		if err := RunBatch([]*Simulator{sims[0], other}, pair, RunControl{}); !errors.Is(err, ErrBatchMismatch) {
+			t.Fatalf("%s: got %v, want ErrBatchMismatch", name, err)
+		}
 	}
 }

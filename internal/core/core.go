@@ -292,7 +292,7 @@ func (s *Simulator) SetBasisState(idx uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := s.updateBlock(s.ranks[0], 0, blob0); err != nil {
+	if err := s.ranks[0].store.Put(0, blob0); err != nil {
 		return err
 	}
 	zero[2*o] = 1
@@ -300,7 +300,7 @@ func (s *Simulator) SetBasisState(idx uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := s.updateBlock(rs, b, blob); err != nil {
+	if err := rs.store.Put(b, blob); err != nil {
 		return err
 	}
 	s.sampleFootprint(s.ranks[0])
@@ -380,18 +380,6 @@ func (s *Simulator) decompressBlock(blob []byte, scratch []float64, st *Stats) e
 	}
 }
 
-// updateBlock swaps in a freshly compressed block through the rank's
-// store, which maintains the footprint accounting internally (workers
-// racing on distinct block indices share the store's counters). The
-// high-water mark is NOT sampled here: a mid-gate running peak would
-// depend on block completion order and make MaxFootprint
-// irreproducible under a worker pool — sampleFootprint samples the
-// store at the sweep boundary instead. The error is the spill tier's
-// (always nil for the in-RAM store).
-func (s *Simulator) updateBlock(rs *rankState, b int, blob []byte) error {
-	return rs.store.Put(b, blob)
-}
-
 // syncStoreStats refreshes the rank Stats' footprint gauges and spill
 // counters from the block store (see rankState.storeBase for the
 // baselining). Called at gate boundaries and before Stats reads —
@@ -429,7 +417,11 @@ func (s *Simulator) hintBlocks(rs *rankState, blkCtrl int) {
 }
 
 // sampleFootprint refreshes the footprint gauges at a sweep boundary
-// and raises the MaxFootprint high-water mark.
+// and raises the MaxFootprint high-water mark. The mark is sampled
+// here and never per Put — the store keeps the footprint accounting
+// itself, workers racing on distinct block indices share its counters —
+// because a mid-gate running peak would depend on block completion
+// order and make MaxFootprint irreproducible under a worker pool.
 func (s *Simulator) sampleFootprint(rs *rankState) {
 	s.syncStoreStats(rs)
 	if rs.stats.CurrentFootprint > rs.stats.MaxFootprint {
@@ -476,7 +468,7 @@ func (s *Simulator) noteLevel(rs *rankState, gi, round, level int) {
 
 // forBlocks fans fn out over the rank's block indices on the worker
 // pool. fn receives a worker whose scratch buffers it owns exclusively;
-// shared rank state may only be touched through updateBlock and the
+// shared rank state may only be touched through the block store and the
 // (concurrency-safe) block cache. Block assignment is dynamic (an atomic
 // counter handing out short runs), which is safe because no fan-out path depends on iteration
 // order: per-block results are bit-identical for every worker count.
@@ -571,26 +563,15 @@ func (s *Simulator) Run(c *quantum.Circuit) error {
 }
 
 // errPeerRankFailed marks a rank that stopped because the sweep error
-// barrier reported a failure on ANOTHER rank; RunControlled prefers the
+// barrier reported a failure on ANOTHER rank; the run loop prefers the
 // failing rank's real error over this placeholder.
 var errPeerRankFailed = errors.New("core: gate failed on a peer rank")
 
 // RunControlled is Run with sweep-boundary hooks: cooperative abort
 // (PollAbort) and progress reporting (OnGate). With zero hooks the
 // execution path — every collective, every compressed bit — is
-// identical to Run.
-//
-// Execution iterates the pair-sweep schedule (sweep.go): every sweep of
-// unitaries below the rank segment is one codec pass, a rank-segment
-// target is a block exchange, a measurement a collective; after each
-// the budget is settled (settleBudget). After every sweep an error
-// barrier (an allreduce of per-rank failure flags) makes all ranks
-// agree on whether any rank's codec failed, so a failure stops every
-// rank at the same sweep boundary and surfaces as an error — never a
-// panic and never a hung collective. On error the state
-// reflects the completed prefix, except that the failing sweep itself
-// may be partially applied on some ranks; the simulator stays
-// inspectable either way.
+// identical to Run. It is the K = 1 case of the lockstep run loop
+// (runLockstep), which RunBatch drives with K ≥ 1.
 func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 	if c.N != s.cfg.Qubits {
 		return fmt.Errorf("core: circuit has %d qubits, simulator %d", c.N, s.cfg.Qubits)
@@ -598,26 +579,73 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 	if c.Parametric() {
 		return fmt.Errorf("core: circuit has unbound parameters; Bind it first")
 	}
-	if s.cfg.FuseGates {
-		c = quantum.FuseSingleQubitGates(c)
+	return runLockstep([]*Simulator{s}, []*quantum.Circuit{c}, ctl)
+}
+
+// runLockstep is the run loop: circuits[v] on sims[v] for K ≥ 1 state
+// variants of one shape and one configuration (the callers validate
+// both) — one sweep plan, one set of SPMD ranks, one error barrier per
+// sweep, and ctl's hooks firing once per run, not per variant.
+//
+// Execution iterates the pair-sweep schedule (sweep.go): every sweep of
+// unitaries below the rank segment is one codec pass over all K
+// variants, a rank-segment target is a block exchange, a measurement a
+// collective; after each the budget is settled (settleBudget). What
+// consumes per-variant randomness — a measurement's outcome draw, the
+// noise channel's Pauli — runs variant by variant from that variant's
+// own streams, every rank walking the variants in the same order so the
+// collectives stay aligned. After every sweep an error barrier (an
+// allreduce of per-rank failure flags) makes all ranks agree on whether
+// any rank's codec failed on any variant, so a failure stops every rank
+// and variant at the same sweep boundary and surfaces as an error —
+// never a panic and never a hung collective. On error the state
+// reflects the completed prefix, except that the failing sweep itself
+// may be partially applied on some ranks or variants; the simulators
+// stay inspectable either way.
+func runLockstep(sims []*Simulator, circuits []*quantum.Circuit, ctl RunControl) error {
+	s0, K := sims[0], len(sims)
+	// Fuse per variant. Fusion decisions read only gate structure
+	// (kind, target, controls), which is identical across bindings, so
+	// the shapes stay aligned; the check below is a tripwire.
+	cs := make([]*quantum.Circuit, K)
+	for v, c := range circuits {
+		if sims[v].cfg.FuseGates {
+			c = quantum.FuseSingleQubitGates(c)
+		}
+		cs[v] = c
+		if v > 0 && !quantum.SameShape(c, cs[0]) {
+			return fmt.Errorf("%w: variant %d shape diverged after fusion", ErrBatchMismatch, v)
+		}
 	}
-	if len(c.Gates) > 0 {
-		// Any gate may mutate the state (even a failed run leaves a
-		// completed prefix), so samplers built earlier are now stale.
-		s.version++
+	nGates := len(cs[0].Gates)
+	for _, s := range sims {
+		if nGates > 0 {
+			// Any gate may mutate the state (even a failed run leaves a
+			// completed prefix), so samplers built earlier are now stale.
+			s.version++
+		}
+		s.gateLevel = make([]uint32, nGates*s.ledgerRounds())
 	}
-	plan := s.planSweeps(c.Gates)
-	counted := s.sweepsEnabled() // one-gate schedules report no sweeps
-	s.gateLevel = make([]uint32, len(c.Gates)*s.ledgerRounds())
-	defer s.releaseCaches()
-	measured := make([][]int, s.cfg.Ranks)
-	rankErrs := make([]error, s.cfg.Ranks)
-	// abortErr and executed are written only by the rank-0 goroutine and
-	// read after the launcher's completion establishes happens-before.
+	defer func() {
+		// Cache lines must not outlive the run (see blockCache.release).
+		for _, s := range sims {
+			for _, rs := range s.ranks {
+				rs.cache.release()
+			}
+		}
+	}()
+	plan := s0.planSweeps(cs[0].Gates)
+	counted := s0.sweepsEnabled() // one-gate schedules report no sweeps
+	rankErrs := make([]error, s0.cfg.Ranks)
+	// abortErr, executed and the measurement logs are written only by
+	// the rank-0 goroutine and read after the launcher's completion
+	// establishes happens-before.
 	var abortErr error
 	var executed int
-	comms, err := s.launcher().Launch(s.cfg.Ranks, func(comm mpi.Comm) {
-		rs := s.ranks[comm.Rank()]
+	comms, err := s0.launcher().Launch(s0.cfg.Ranks, func(comm mpi.Comm) {
+		r := comm.Rank()
+		gates := make([][]quantum.Gate, K)
+		outcomes := make([]int, K) // held back until the barrier clears
 		ran := 0
 		for _, sw := range plan {
 			if ctl.PollAbort != nil {
@@ -625,9 +653,8 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 				// the same sweep boundary (a rank aborting unilaterally
 				// would strand its cross-rank partners mid-exchange).
 				var stop float64
-				if comm.Rank() == 0 {
-					if aerr := ctl.PollAbort(); aerr != nil {
-						abortErr = aerr
+				if r == 0 {
+					if abortErr = ctl.PollAbort(); abortErr != nil {
 						stop = 1
 					}
 				}
@@ -635,84 +662,88 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 					break
 				}
 			}
-			gates, gi := c.Gates[sw.Start:sw.End], sw.End-1
+			gi := sw.End - 1
+			for v, c := range cs {
+				gates[v] = c.Gates[sw.Start:sw.End]
+			}
 			var swErr error
-			var swMeasured []int // outcomes held back until the barrier clears
-			if g := gates[0]; g.Kind == quantum.KindMeasure {
-				out, merr := s.measureRank(comm, rs, g.Target, gi)
-				if merr != nil {
-					swErr = merr
-				} else if comm.Rank() == 0 {
-					swMeasured = append(swMeasured, out)
-				}
+			measure := gates[0][0].Kind == quantum.KindMeasure
+			if measure {
+				swErr = eachVariant(sims, func(v int, s *Simulator) (err error) {
+					outcomes[v], err = s.measureRank(comm, s.ranks[r], gates[v][0].Target, gi)
+					return err
+				})
 			} else {
-				swErr = s.applyUnitaries(comm, rs, gates, gi)
-				if s.noiseActive() { // then the sweep is the one gate g
-					// The noise Pauli may be a cross-rank gate, so a
-					// rank that failed the unitary cannot just skip
-					// it: agree on failure first, then either all
-					// ranks apply noise or none do.
-					var flag float64
-					if swErr != nil {
-						flag = 1
-					}
-					if comm.AllreduceSum(flag) != 0 {
-						if swErr == nil {
-							swErr = errPeerRankFailed
-						}
-					} else {
-						swErr = s.applyNoiseRank(comm, rs, g, gi)
-					}
+				swErr = applyUnitaries(comm, sims, gates, gi)
+				// The noise Pauli (the sweep is then the one gate) may be
+				// a cross-rank gate, so a rank that failed the unitary
+				// cannot just skip it: agree on failure first, then
+				// either all ranks apply noise or none do.
+				if s0.noiseActive() && !anyRankFailed(comm, &swErr) {
+					swErr = eachVariant(sims, func(v int, s *Simulator) error {
+						return s.applyNoiseRank(comm, s.ranks[r], gates[v][0], gi)
+					})
 				}
 			}
-			if swErr == nil {
-				swErr = s.settleBudget(rs, gi)
+			// The at-rest budget rule, per variant: each requantizes
+			// exactly where its solo run would.
+			for _, s := range sims {
+				if swErr == nil {
+					swErr = s.settleBudget(s.ranks[r], gi)
+				}
 			}
 			// Error barrier: every rank learns whether any rank failed
 			// this sweep, so all stop at the same boundary.
-			var flag float64
-			if swErr != nil {
-				flag = 1
-			}
-			if comm.AllreduceSum(flag) != 0 {
-				if swErr == nil {
-					swErr = errPeerRankFailed
-				}
-				rankErrs[comm.Rank()] = swErr
+			if anyRankFailed(comm, &swErr) {
+				rankErrs[r] = swErr
 				break
 			}
 			ran += sw.Len()
 			if sw.Pass && counted {
-				rs.stats.Sweeps++
-				rs.stats.SweepGates += sw.Len()
+				for _, s := range sims {
+					s.ranks[r].stats.Sweeps++
+					s.ranks[r].stats.SweepGates += sw.Len()
+				}
 			}
-			if comm.Rank() == 0 {
-				measured[0] = append(measured[0], swMeasured...)
+			if r == 0 {
+				if measure {
+					for v, s := range sims {
+						s.measurements = append(s.measurements, outcomes[v])
+					}
+				}
 				if ctl.OnGate != nil {
 					for gi := sw.Start; gi < sw.End; gi++ {
-						ctl.OnGate(gi, len(c.Gates), c.Gates[gi])
+						ctl.OnGate(gi, nGates, cs[0].Gates[gi])
 					}
 				}
 			}
 		}
-		rs.stats.Gates += ran
-		if comm.Rank() == 0 {
+		for _, s := range sims {
+			s.ranks[r].stats.Gates += ran
+			if K > 1 {
+				s.ranks[r].stats.VariantCount = K
+			}
+		}
+		if r == 0 {
 			executed = ran
 		}
 	})
 	if err != nil {
 		return err
 	}
+	// One set of comms served every variant; the communication time and
+	// traffic are charged to variant 0.
 	for i, comm := range comms {
 		if comm == nil {
 			continue // remote rank: its accounting arrives via ApplyDeltas
 		}
-		s.ranks[i].stats.CommTime += comm.CommTime()
-		s.bytesMoved += comm.BytesMoved()
+		s0.ranks[i].stats.CommTime += comm.CommTime()
+		s0.bytesMoved += comm.BytesMoved()
 	}
-	s.measurements = append(s.measurements, measured[0]...)
-	s.foldLedger(s.gateLevel)
-	s.gatesRun += executed
+	for _, s := range sims {
+		s.foldLedger(s.gateLevel)
+		s.gatesRun += executed
+	}
 	var gateErr error
 	for _, e := range rankErrs {
 		if e != nil && (gateErr == nil || errors.Is(gateErr, errPeerRankFailed)) {
@@ -720,12 +751,27 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 		}
 	}
 	if abortErr != nil {
-		return fmt.Errorf("core: run aborted after %d of %d gates: %w", executed, len(c.Gates), abortErr)
+		return fmt.Errorf("core: run aborted after %d of %d gates: %w", executed, nGates, abortErr)
 	}
 	if gateErr != nil {
-		return fmt.Errorf("core: run failed after %d of %d gates: %w", executed, len(c.Gates), gateErr)
+		return fmt.Errorf("core: run failed after %d of %d gates: %w", executed, nGates, gateErr)
 	}
 	return nil
+}
+
+// anyRankFailed is the failure agreement: an allreduce of per-rank
+// failure flags. It reports whether any rank holds an error, giving a
+// rank that does not the errPeerRankFailed placeholder.
+func anyRankFailed(comm mpi.Comm, err *error) bool {
+	var flag float64
+	if *err != nil {
+		flag = 1
+	}
+	failed := comm.AllreduceSum(flag) != 0
+	if failed && *err == nil {
+		*err = errPeerRankFailed
+	}
+	return failed
 }
 
 // splitControls partitions control qubits into offset-, block-, and
@@ -744,23 +790,40 @@ func (s *Simulator) splitControls(controls []int) (offMask uint64, blkMask, rank
 	return offMask, blkMask, rankMask
 }
 
-// applyUnitaries executes one schedule unit of unitaries on this rank,
-// dispatching on the target segment (§3.3): below the rank segment the
-// run is a pair sweep, one codec pass; a rank-segment target is a
-// single gate and a block exchange.
-func (s *Simulator) applyUnitaries(comm mpi.Comm, rs *rankState, gates []quantum.Gate, gi int) error {
-	if gates[0].Target < s.offsetBits+s.blockBits {
-		return s.runPass(rs, s.compilePass(rs, gates), gi, 0)
+// applyUnitaries executes one schedule unit of unitaries — gates[v] on
+// sims[v] — on this rank, dispatching on the target segment (§3.3):
+// below the rank segment the run is a pair sweep, one codec pass over
+// all variants; a rank-segment target is a single gate and a block
+// exchange, where the exchange dominates and the SendRecv protocol is
+// sequential, so the variants go one by one with no codec sharing.
+func applyUnitaries(comm mpi.Comm, sims []*Simulator, gates [][]quantum.Gate, gi int) error {
+	r := comm.Rank()
+	if s0 := sims[0]; gates[0][0].Target < s0.offsetBits+s0.blockBits {
+		passes := make([]*blockPass, len(sims))
+		for v, s := range sims {
+			passes[v] = s.compilePass(s.ranks[r], gates[v])
+		}
+		return runPass(sims, r, passes, gi, 0)
 	}
-	return s.applyCrossRank(comm, rs, gates[0], gi)
+	return eachVariant(sims, func(v int, s *Simulator) error {
+		return s.applyCrossRank(comm, s.ranks[r], gates[v][0], gi)
+	})
 }
 
-// releaseCaches drops the block caches' lines when a run returns (see
-// blockCache.release).
-func (s *Simulator) releaseCaches() {
-	for _, rs := range s.ranks {
-		rs.cache.release()
+// eachVariant runs fn on every variant, in the order every rank walks
+// them, and returns the first error. It never stops early: fn may hold
+// collectives (a block exchange, a measurement's reductions) whose
+// peer ranks cannot know that an earlier variant failed here, and
+// skipping the rest would strand them mid-protocol. The sweep error
+// barrier stops all ranks afterwards.
+func eachVariant(sims []*Simulator, fn func(v int, s *Simulator) error) error {
+	var firstErr error
+	for v, s := range sims {
+		if err := fn(v, s); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
+	return firstErr
 }
 
 // applyCrossRank handles targets in the rank segment: block pairs span
@@ -833,7 +896,7 @@ func (s *Simulator) applyCrossRank(comm mpi.Comm, rs *rankState, g quantum.Gate,
 			firstErr = err
 			continue
 		}
-		if err := s.updateBlock(rs, b, blob); err != nil {
+		if err := rs.store.Put(b, blob); err != nil {
 			firstErr = err
 		}
 	}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"qcsim/internal/compress"
 	"qcsim/internal/compress/szlike"
@@ -119,15 +122,108 @@ func TestCompressorFailurePropagates(t *testing.T) {
 	}
 }
 
+// faultCodec wraps a working codec and, once a switch is thrown, fails
+// that direction with compress.ErrCorrupt. Name() stays the wrapped
+// codec's, so a sabotaged variant still passes RunBatch's validation.
+type faultCodec struct {
+	compress.Codec
+	enc, dec *atomic.Bool
+}
+
+func (c faultCodec) Compress(dst []byte, data []float64, opt compress.Options) ([]byte, error) {
+	if c.enc.Load() {
+		return nil, compress.ErrCorrupt
+	}
+	return c.Codec.Compress(dst, data, opt)
+}
+
+func (c faultCodec) Decompress(dst []float64, blob []byte) error {
+	if c.dec.Load() {
+		return compress.ErrCorrupt
+	}
+	return c.Codec.Decompress(dst, blob)
+}
+
+// codecFault says which codec of ONE variant breaks, in which
+// direction, and before which sweep of the plan.
+type codecFault struct {
+	lossy    bool // the Lossy codec instead of the Lossless one
+	enc, dec bool
+	at       int
+}
+
+// runWithFault is the failure-path contract of the one run loop, for K
+// variants on 2 ranks (6 qubits, 4 blocks per rank): c runs healthy up
+// to sweep f.at, where the fault is armed on variant 0 only (the one
+// that reaches every undiverged block first — a later variant would be
+// served by the memo and never call its codec). The run must return —
+// a hung collective trips the test-level timeout — with the typed codec
+// error, and every variant and every rank must have stopped at that
+// same sweep boundary: GatesRun and the fidelity ledger report the
+// completed prefix (a healthy variant may have truncated once more
+// inside the failing sweep, which can only lower its bound).
+func runWithFault(t *testing.T, k int, cfg func(*Config), c *quantum.Circuit, f codecFault) ([]*Simulator, error) {
+	t.Helper()
+	sims := batchSims(t, 6, 2, 8, k, cfg)
+	var enc, dec atomic.Bool
+	if bc := &sims[0].cfg; f.lossy {
+		bc.Lossy = faultCodec{bc.Lossy, &enc, &dec}
+	} else {
+		bc.Lossless = faultCodec{bc.Lossless, &enc, &dec}
+	}
+	// PollAbort runs on rank 0 while every other rank waits for its
+	// broadcast, so the switch is thrown between sweeps.
+	polls := 0
+	ctl := RunControl{PollAbort: func() error {
+		if polls == f.at {
+			enc.Store(f.enc)
+			dec.Store(f.dec)
+		}
+		polls++
+		return nil
+	}}
+	done := make(chan error, 1)
+	go func() { done <- RunBatch(sims, repeatCircuit(c, k), ctl) }()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(time.Minute):
+		t.Fatalf("K=%d: run hung after a codec failure", k)
+	}
+	if !errors.Is(err, compress.ErrCorrupt) {
+		t.Fatalf("K=%d: error does not wrap the codec error: %v", k, err)
+	}
+	prefix := sims[0].planSweeps(c.Gates)[f.at].Start
+	ref := newSim(t, 6, 2, 8, cfg)
+	if err := ref.Run(&quantum.Circuit{N: c.N, Gates: c.Gates[:prefix]}); err != nil {
+		t.Fatal(err)
+	}
+	for v, s := range sims {
+		if s.GatesRun() != prefix {
+			t.Fatalf("K=%d: variant %d ran %d gates, the completed prefix is %d", k, v, s.GatesRun(), prefix)
+		}
+		for r, rs := range s.ranks {
+			if rs.stats.Gates != prefix {
+				t.Fatalf("K=%d: variant %d rank %d stopped after %d gates, want %d", k, v, r, rs.stats.Gates, prefix)
+			}
+		}
+		got, want := s.FidelityLowerBound(), ref.FidelityLowerBound()
+		if got > want || (v == 0 && got != want) {
+			t.Fatalf("K=%d: variant %d ledger %v, the completed prefix charges %v", k, v, got, want)
+		}
+	}
+	return sims, err
+}
+
+// TestRunFailurePropagatesFromRank: a lossy codec that breaks under
+// budget pressure, after the ladder has escalated, surfaces as an error
+// from every rank — not a hang.
 func TestRunFailurePropagatesFromRank(t *testing.T) {
-	// Build a healthy sim, then swap in a failing lossy codec and force
-	// escalation: the rank panic must surface as an error, not a hang.
-	s := newSim(t, 6, 2, 8, func(c *Config) {
-		c.MemoryBudget = 1
-		c.Lossy = failingCodec{}
-	})
-	err := s.Run(quantum.QFT(6, 2))
-	if err == nil {
-		t.Fatal("run succeeded with failing lossy codec under budget pressure")
+	for _, k := range []int{1, 3} {
+		sims, _ := runWithFault(t, k, func(c *Config) { c.MemoryBudget = 1 },
+			quantum.QFT(6, 2), codecFault{lossy: true, enc: true, at: 2})
+		if sims[0].Stats().Escalations == 0 {
+			t.Fatal("the budget never escalated; the lossy codec was not in use")
+		}
 	}
 }

@@ -22,21 +22,12 @@ import (
 // allreduce keeps every rank's collective sequence aligned) BEFORE the
 // outcome is drawn, so no rank collapses anything and the
 // pre-measurement state stays fully inspectable. A failure in the
-// collapse phase is returned to RunControlled, whose sweep error
+// collapse phase is returned to the run loop, whose sweep error
 // barrier stops all ranks at the gate boundary.
 func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, error) {
-	qInOffset := q < s.offsetBits
-	qInBlock := !qInOffset && q < s.offsetBits+s.blockBits
-	var offMask uint64
-	var blkMask, rankMask int
-	switch {
-	case qInOffset:
-		offMask = 1 << uint(q)
-	case qInBlock:
-		blkMask = 1 << uint(q-s.offsetBits)
-	default:
-		rankMask = 1 << uint(q-s.offsetBits-s.blockBits)
-	}
+	// The measured qubit's bit lives in one segment (Fig. 3), exactly
+	// like a single control: one of the three masks is set.
+	offMask, blkMask, rankMask := s.splitControls([]int{q})
 	lvl := rs.level
 	ba := s.blockAmps()
 
@@ -76,15 +67,8 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 	// before the outcome is drawn: every rank runs the same collective
 	// sequence whether or not its own blocks decoded, and on failure all
 	// ranks return together with the state untouched.
-	var errFlag float64
-	if phase1Err != nil {
-		errFlag = 1
-	}
-	if comm.AllreduceSum(errFlag) != 0 {
-		if phase1Err != nil {
-			return 0, fmt.Errorf("core: measure qubit %d: %w", q, phase1Err)
-		}
-		return 0, errPeerRankFailed
+	if anyRankFailed(comm, &phase1Err) {
+		return 0, fmt.Errorf("core: measure qubit %d: %w", q, phase1Err)
 	}
 	var p1 float64
 	for _, p := range partials {
@@ -167,7 +151,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 		if err != nil {
 			return err
 		}
-		return s.updateBlock(rs, b, out)
+		return rs.store.Put(b, out)
 	})
 	if err != nil {
 		return 0, fmt.Errorf("core: collapse after measuring qubit %d: %w", q, err)

@@ -44,7 +44,7 @@ func (s *Simulator) noiseActive() bool {
 // fan-out, and the Pauli application goes through the same worker-pool
 // gate path as ordinary gates — no randomness is ever consumed inside a
 // worker, which is what keeps the trajectory independent of Workers. A
-// codec failure propagates to RunControlled's sweep error barrier like
+// codec failure propagates to the run loop's sweep error barrier like
 // any other gate error.
 func (s *Simulator) applyNoiseRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi int) error {
 	u := rs.rng.Float64()
@@ -61,5 +61,5 @@ func (s *Simulator) applyNoiseRank(comm mpi.Comm, rs *rankState, g quantum.Gate,
 	default:
 		pauli = quantum.Gate{Name: "noise-z", Target: g.Target, U: quantum.MatZ}
 	}
-	return s.applyUnitaries(comm, rs, []quantum.Gate{pauli}, gi)
+	return applyUnitaries(comm, []*Simulator{s}, [][]quantum.Gate{{pauli}}, gi)
 }

@@ -60,7 +60,7 @@ func (s *Simulator) sweepsEnabled() bool {
 	return !s.cfg.DisableSweeps && !s.noiseActive()
 }
 
-// planSweeps is the schedule both executors iterate.
+// planSweeps is the schedule the run loop iterates.
 func (s *Simulator) planSweeps(gates []quantum.Gate) []quantum.PairSweep {
 	if s.sweepsEnabled() {
 		return quantum.PlanPairSweeps(gates, s.offsetBits, s.blockBits)
@@ -80,8 +80,8 @@ type passGate struct {
 
 // blockPass is one pair sweep compiled for one rank at one error level:
 // the gates that fire on this rank, the pair stride, and the cache key
-// prefix. It is immutable once built and shared by the rank's workers;
-// both executors drive it through passBlock.
+// prefix. It is immutable once built and shared by the rank's workers,
+// which drive it through passBlock.
 type blockPass struct {
 	key   passKey
 	gates []passGate
@@ -198,8 +198,8 @@ func (g *passGate) applyBlock(x []float64, ba int) {
 }
 
 // passMemo is what a pass consults before paying the codec: the rank's
-// §3.4 block cache on the solo path, the per-pass cross-variant memo on
-// the batch path. get counts its own lookups and hits in st.
+// §3.4 block cache for one variant, the per-pass cross-variant memo for
+// K > 1 (see runPass). get counts its own lookups and hits in st.
 type passMemo interface {
 	enabled() bool
 	get(k blockKey, st *Stats) (out1, out2 []byte, ok bool)
@@ -209,8 +209,7 @@ type passMemo interface {
 // passBlock runs pass p on block b and its partner: fetch the members
 // some gate acts on, short-circuit through the memo, otherwise
 // decompress → apply → recompress in w's scratch pair. Codec and
-// compute time are charged to st — a worker's shard on the solo path, a
-// per-variant shard on the batch path.
+// compute time are charged to st, the (worker, variant) shard.
 func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *workerState, st *Stats, b int) error {
 	if b&p.tb != 0 {
 		return nil // high member: visited with its partner
@@ -234,12 +233,12 @@ func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *wor
 	}
 	store := func(outX, outY []byte) error {
 		if nx > 0 {
-			if err := s.updateBlock(rs, b, outX); err != nil {
+			if err := rs.store.Put(b, outX); err != nil {
 				return err
 			}
 		}
 		if ny > 0 {
-			return s.updateBlock(rs, pb, outY)
+			return rs.store.Put(pb, outY)
 		}
 		return nil
 	}
@@ -287,22 +286,52 @@ func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *wor
 	return nil
 }
 
-// runPass is the solo executor's pass: it fans p over the rank's blocks
-// on the worker pool and records its level for the fidelity ledger, as
-// truncation number round of the boundary after gate gi. A nil pass
-// (every gate silenced on this rank) does nothing.
-func (s *Simulator) runPass(rs *rankState, p *blockPass, gi, round int) error {
-	if p == nil {
-		return nil
+// runPass fans one pair sweep — passes[v] on sims[v] — over rank r's
+// blocks on variant 0's worker pool and records each variant's level
+// for the fidelity ledger, as truncation number round of the boundary
+// after gate gi. The walk is block-index-first: for pair b, all K
+// variants are processed back to back by one worker through the same
+// passBlock, so a content-addressed memo deduplicates their codec work.
+// Codec calls are charged to the variant that actually issued them; a
+// memo hit charges the saved variant's CodecPassesShared instead.
+func runPass(sims []*Simulator, r int, passes []*blockPass, gi, round int) error {
+	if passes[0] == nil {
+		return nil // rank controls are shape: silenced for one, silenced for all
 	}
-	s.hintPass(rs, p)
-	err := s.forBlocks(rs, func(w *workerState, b int) error {
-		return s.passBlock(rs, p, rs.cache, w, &w.stats, b)
+	K := len(sims)
+	rs0 := sims[0].ranks[r]
+	for v, s := range sims {
+		s.hintPass(s.ranks[r], passes[v])
+	}
+	// Which memo is something the pass observes, not a knob: one variant
+	// consults its rank's §3.4 block cache, K > 1 a per-pass memo that
+	// turns undiverged variants into shared blobs — it subsumes the
+	// block cache within a pass, and feeding K variants' traffic through
+	// one LRU would thrash its probation logic.
+	var memo passMemo = rs0.cache
+	if K > 1 {
+		memo = newBatchMemo()
+	}
+	// Per-worker, per-variant stat shards (the pool's own worker shards
+	// would attribute every variant's codec work to variant 0).
+	shards := make([]Stats, len(rs0.workers)*K)
+	err := sims[0].forBlocks(rs0, func(w *workerState, b int) error {
+		for v, s := range sims {
+			if err := s.passBlock(s.ranks[r], passes[v], memo, w, &shards[w.id*K+v], b); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
+	for i := range shards {
+		sims[i%K].ranks[r].stats.addShard(shards[i])
+	}
 	if err != nil {
 		return err
 	}
-	s.noteLevel(rs, gi, round, p.key.level)
+	for v, s := range sims {
+		s.noteLevel(s.ranks[r], gi, round, passes[v].key.level)
+	}
 	return nil
 }
 
@@ -366,7 +395,7 @@ func (s *Simulator) escalate(rs *rankState) bool {
 // sweep itself was round 0 — so each charges its own ledger factor.
 func (s *Simulator) settleBudget(rs *rankState, gi int) error {
 	for round := 1; s.escalate(rs); round++ {
-		if err := s.runPass(rs, requantPass(rs), gi, round); err != nil {
+		if err := runPass([]*Simulator{s}, rs.id, []*blockPass{requantPass(rs)}, gi, round); err != nil {
 			return err
 		}
 	}

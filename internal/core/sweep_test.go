@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -434,15 +435,6 @@ func TestSweepsDisabledByNoise(t *testing.T) {
 
 // --- measurement error propagation (the second ISSUE bugfix) ---
 
-// decompressFailCodec wraps a working codec but fails every Decompress,
-// so construction (compress-only) succeeds and the first decode — e.g.
-// a measurement's probability sweep — fails.
-type decompressFailCodec struct{ compress.Codec }
-
-func (decompressFailCodec) Decompress([]float64, []byte) error {
-	return compress.ErrCorrupt
-}
-
 // compressFailAfterCodec works for the first n Compress calls (enough
 // to survive Reset) and then fails, reaching the collapse phase of a
 // measurement. The counter is atomic: compression runs on worker
@@ -459,52 +451,45 @@ func (c compressFailAfterCodec) Compress(dst []byte, data []float64, opt compres
 	return c.Codec.Compress(dst, data, opt)
 }
 
+// measureAfterH is H(1) then a measurement of q: sweep 0 is healthy,
+// sweep 1 the measurement. On the 2-rank test geometry qubit 5 is the
+// rank-segment qubit.
+func measureAfterH(q int) *quantum.Circuit { return quantum.NewCircuit(6).H(1).Measure(q) }
+
 func TestMeasurementDecompressFailureIsWrappedError(t *testing.T) {
-	for _, ranks := range []int{1, 2} {
-		s := newSim(t, 6, ranks, 8, func(c *Config) {
-			c.Lossless = decompressFailCodec{workingLossless()}
-			c.Workers = 2
-		})
-		// New succeeds (Reset only compresses); the measurement is the
-		// first gate, so its probability sweep hits the failing decode.
-		err := s.Run(quantum.NewCircuit(6).Measure(0))
-		if err == nil {
-			t.Fatalf("ranks=%d: measurement over failing codec succeeded", ranks)
-		}
-		if !errors.Is(err, compress.ErrCorrupt) {
-			t.Fatalf("ranks=%d: error does not wrap the codec error: %v", ranks, err)
-		}
-		if !strings.Contains(err.Error(), "measure qubit 0") {
-			t.Fatalf("ranks=%d: error lacks measurement context: %v", ranks, err)
-		}
-		// The failure was agreed before the outcome draw: nothing
-		// collapsed, nothing recorded, and the simulator still answers.
-		if got := s.Measurements(); len(got) != 0 {
-			t.Fatalf("ranks=%d: failed measurement recorded an outcome: %v", ranks, got)
-		}
-		if s.GatesRun() != 0 {
-			t.Fatalf("ranks=%d: failed gate counted as executed", ranks)
+	for _, k := range []int{1, 3} {
+		for _, q := range []int{0, 5} {
+			// The probability sweep hits the failing decode.
+			sims, err := runWithFault(t, k, func(c *Config) { c.Workers = 2 },
+				measureAfterH(q), codecFault{dec: true, at: 1})
+			if want := fmt.Sprintf("measure qubit %d", q); !strings.Contains(err.Error(), want) {
+				t.Fatalf("K=%d: error lacks measurement context %q: %v", k, want, err)
+			}
+			// The failure was agreed before the broken variant's outcome
+			// draw and the sweep barrier withheld the others': nothing
+			// is recorded, and the simulators still answer.
+			for v, s := range sims {
+				if got := s.Measurements(); len(got) != 0 {
+					t.Fatalf("K=%d: variant %d recorded an outcome of the failed sweep: %v", k, v, got)
+				}
+			}
 		}
 	}
 }
 
 func TestMeasurementCollapseFailureIsWrappedError(t *testing.T) {
-	// Budget the codec so Reset's initial block compressions succeed and
-	// the next compression — the collapse after the measurement — fails.
-	calls := int64(1 << 10) // plenty for New's Reset
-	sim := newSim(t, 5, 1, 8, func(c *Config) {
-		c.Lossless = compressFailAfterCodec{workingLossless(), &calls}
-	})
-	atomic.StoreInt64(&calls, 0) // exhausted: the very next compress fails
-	err := sim.Run(quantum.NewCircuit(5).Measure(1))
-	if err == nil {
-		t.Fatal("collapse over failing codec succeeded")
-	}
-	if !errors.Is(err, compress.ErrCorrupt) {
-		t.Fatalf("error does not wrap the codec error: %v", err)
-	}
-	if !strings.Contains(err.Error(), "collapse") {
-		t.Fatalf("error lacks collapse context: %v", err)
+	for _, k := range []int{1, 3} {
+		// Decoding still works, so the probability phase passes and the
+		// next compression — the collapse — fails.
+		sims, err := runWithFault(t, k, nil, measureAfterH(1), codecFault{enc: true, at: 1})
+		if !strings.Contains(err.Error(), "collapse") {
+			t.Fatalf("K=%d: error lacks collapse context: %v", k, err)
+		}
+		for v, s := range sims {
+			if got := s.Measurements(); len(got) != 0 {
+				t.Fatalf("K=%d: variant %d recorded an outcome of the failed sweep: %v", k, v, got)
+			}
+		}
 	}
 }
 
@@ -512,23 +497,12 @@ func TestMeasurementCollapseFailureIsWrappedError(t *testing.T) {
 // the unitary paths, including the cross-rank exchange, which must keep
 // its SendRecv protocol alive on error instead of deadlocking peers.
 func TestUnitaryCodecFailureReturnsError(t *testing.T) {
-	// 6 qubits, 4 ranks, blockAmps 4: qubit 5 lives in the rank segment,
-	// so H(5) is a cross-rank exchange over a failing decompressor.
-	s := newSim(t, 6, 4, 4, func(c *Config) {
-		c.Lossless = decompressFailCodec{workingLossless()}
-	})
-	err := s.Run(quantum.NewCircuit(6).H(5))
-	if err == nil {
-		t.Fatal("cross-rank gate over failing codec succeeded")
-	}
-	if !errors.Is(err, compress.ErrCorrupt) {
-		t.Fatalf("error does not wrap the codec error: %v", err)
-	}
-	// Local path too.
-	s2 := newSim(t, 6, 1, 8, func(c *Config) {
-		c.Lossless = decompressFailCodec{workingLossless()}
-	})
-	if err := s2.Run(quantum.NewCircuit(6).H(0)); err == nil || !errors.Is(err, compress.ErrCorrupt) {
-		t.Fatalf("local gate error not propagated: %v", err)
+	// Qubit 5 lives in the rank segment, so the plan is three sweeps: a
+	// local pass, a cross-rank exchange, a local pass.
+	cir := quantum.NewCircuit(6).H(1).H(5).H(0)
+	for _, k := range []int{1, 3} {
+		for at := 1; at <= 2; at++ {
+			runWithFault(t, k, nil, cir, codecFault{dec: true, at: at})
+		}
 	}
 }

@@ -232,15 +232,24 @@ func (s *Simulator) closedErr() error {
 	return nil
 }
 
-func (s *Simulator) run(ctx context.Context, c *circuit.Circuit, fn func(ProgressEvent)) (*Result, error) {
+// runnable is the guard every circuit-executing method (Run, RunBatch,
+// Gradient) calls first: an open simulator and a circuit of its width.
+func (s *Simulator) runnable(c *circuit.Circuit) error {
 	if err := s.closedErr(); err != nil {
-		return nil, err
+		return err
 	}
 	if c == nil {
-		return nil, fmt.Errorf("%w: nil circuit", ErrBadConfig)
+		return fmt.Errorf("%w: nil circuit", ErrBadConfig)
 	}
 	if c.N != s.qubits {
-		return nil, fmt.Errorf("%w: circuit has %d qubits, simulator %d", ErrCircuitMismatch, c.N, s.qubits)
+		return fmt.Errorf("%w: circuit has %d qubits, simulator %d", ErrCircuitMismatch, c.N, s.qubits)
+	}
+	return nil
+}
+
+func (s *Simulator) run(ctx context.Context, c *circuit.Circuit, fn func(ProgressEvent)) (*Result, error) {
+	if err := s.runnable(c); err != nil {
+		return nil, err
 	}
 	if s.pending != nil && len(c.Gates) > 0 {
 		// Auto backend: this circuit is the evidence the decision was
@@ -252,6 +261,23 @@ func (s *Simulator) run(ctx context.Context, c *circuit.Circuit, fn func(Progres
 		}
 	}
 	eng := s.b()
+	gatesBefore, measBefore := eng.GatesRun(), eng.MeasurementCount()
+	runErr := eng.RunControlled(c, runControl(ctx, fn))
+	res := resultSince(eng, gatesBefore, measBefore)
+	if runErr != nil {
+		return &res, runErr
+	}
+	if eng.OverBudget() {
+		return &res, fmt.Errorf("%w: footprint %s after %d escalations", ErrBudgetExceeded,
+			FormatBytes(float64(res.Footprint)), res.Stats.Escalations)
+	}
+	return &res, nil
+}
+
+// runControl translates a facade context and progress callback (either
+// may be nil) into the engine's sweep-boundary hooks, for solo and
+// batched runs alike.
+func runControl(ctx context.Context, fn func(ProgressEvent)) core.RunControl {
 	var ctl core.RunControl
 	if ctx == nil {
 		//qclint:allow ctxflow nil ctx is the facade's documented "run uncancelled" default
@@ -276,27 +302,20 @@ func (s *Simulator) run(ctx context.Context, c *circuit.Circuit, fn func(Progres
 			fn(ProgressEvent{Gate: gi, Total: total, Name: g.Name, Target: g.Target})
 		}
 	}
-	gatesBefore := eng.GatesRun()
-	measBefore := eng.MeasurementCount()
-	runErr := eng.RunControlled(c, ctl)
+	return ctl
+}
 
-	all := eng.Measurements()
-	res := &Result{
+// resultSince summarizes the run that took eng from the given
+// cumulative gate and measurement counts to its current state.
+func resultSince(eng backend, gatesBefore, measBefore int) Result {
+	return Result{
 		Gates:              eng.GatesRun() - gatesBefore,
-		Measurements:       all[measBefore:],
+		Measurements:       eng.Measurements()[measBefore:],
 		FidelityLowerBound: eng.FidelityLowerBound(),
 		Footprint:          eng.CompressedFootprint(),
 		CompressionRatio:   eng.CompressionRatio(),
 		Stats:              eng.Stats(),
 	}
-	if runErr != nil {
-		return res, runErr
-	}
-	if eng.OverBudget() {
-		return res, fmt.Errorf("%w: footprint %s after %d escalations", ErrBudgetExceeded,
-			FormatBytes(float64(res.Footprint)), res.Stats.Escalations)
-	}
-	return res, nil
 }
 
 // Snapshot is a point-in-time view of the simulator's cumulative
