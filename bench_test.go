@@ -6,7 +6,6 @@ package qcsim
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -424,84 +423,6 @@ func BenchmarkSweepScheduler(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// --- Sampling: streaming compressed-domain readout ---
-
-// BenchmarkSampler compares shot-based readout paths on a 20-qubit
-// uniform superposition × 1024 shots: "fullscan" reimplements the
-// engine's original path (decompress the whole 2^20-amplitude vector,
-// linear-scan it once per shot), "streaming" builds the block-level CDF
-// once and resolves each shot by binary search + one block decompress
-// through the sampler's LRU. The reported speedup is the tentpole
-// metric (target ≥10×); outcomes are bit-identical between the modes
-// for the same seed.
-func BenchmarkSampler(b *testing.B) {
-	const qubits, blockAmps, shots = 20, 4096, 1024
-	s, err := core.New(core.Config{Qubits: qubits, Ranks: 1, BlockAmps: blockAmps, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Run(quantum.HadamardAll(qubits)); err != nil {
-		b.Fatal(err)
-	}
-	fullscan := func(rng *rand.Rand) []uint64 {
-		amps, err := s.FullState()
-		if err != nil {
-			b.Fatal(err)
-		}
-		out := make([]uint64, shots)
-		for k := range out {
-			r := rng.Float64()
-			var acc float64
-			for i, a := range amps {
-				acc += real(a)*real(a) + imag(a)*imag(a)
-				if r < acc {
-					out[k] = uint64(i)
-					break
-				}
-			}
-		}
-		return out
-	}
-	streaming := func(rng *rand.Rand) []uint64 {
-		sp, err := s.NewSampler(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := sp.Sample(rng, shots)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return out
-	}
-	ref := fullscan(rand.New(rand.NewSource(9)))
-	got := streaming(rand.New(rand.NewSource(9)))
-	for i := range ref {
-		if ref[i] != got[i] {
-			b.Fatalf("shot %d diverges: fullscan %d, streaming %d", i, ref[i], got[i])
-		}
-	}
-	var baseline float64 // fullscan ns/op, set by the first sub-benchmark
-	for _, mode := range []struct {
-		name string
-		draw func(*rand.Rand) []uint64
-	}{{"fullscan", fullscan}, {"streaming", streaming}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				mode.draw(rand.New(rand.NewSource(int64(i))))
-			}
-			nsPerOp := float64(time.Since(start).Nanoseconds()) / float64(b.N)
-			b.ReportMetric(nsPerOp, "draw-ns/op")
-			if mode.name == "fullscan" {
-				baseline = nsPerOp
-			} else if baseline > 0 {
-				b.ReportMetric(baseline/nsPerOp, "speedup-vs-fullscan")
-			}
-		})
 	}
 }
 

@@ -43,11 +43,16 @@
 // full 2^n-amplitude vector is never materialized, so Sample (and the
 // reusable Sampler handle) work on registers far past the 26-qubit
 // FullState limit. A Sampler builds a two-level CDF in one pass over
-// the blocks (per-block probability masses plus their prefix sums);
-// each shot then binary-searches the block prefix, decompresses only
-// its hit block through a small LRU (WithSampleCache), and resolves the
-// offset by an intra-block scan — O(blocks + shots·(log blocks +
-// blockAmps)) total.
+// the blocks (per-block probability masses plus their prefix sums). A
+// Sample call binary-searches the block prefix for every shot, buckets
+// the shots by block, and visits each touched block once on the worker
+// pool — decompress, fold the probabilities into an intra-block prefix
+// array, binary-search it for each of the block's shots:
+// O(shots·log(blocks·blockAmps) + touched·blockAmps) per call, with
+// outcomes identical for every worker count. A small LRU
+// (WithSampleCache) keeps the blocks of narrow calls decoded between
+// calls; a call that touches more blocks than it has lines goes around
+// it.
 //
 // Normalization contract: every draw is scaled by the CDF's true total
 // mass Σ|aᵢ|² (Sampler.TotalMass). Lossy compression legitimately lets
@@ -193,8 +198,8 @@
 // ramBudget). The tiered store caps the resident compressed bytes per
 // rank at ramBudget and evicts the coldest blocks to a per-rank temp
 // file under dir; blocks hinted by the sweep planner's visit order or
-// the sampler's sorted draw order are staged back by a background
-// prefetcher before their turn. Eviction is Belady-style: among hinted
+// the sampler's ascending touched-block list are staged back by a
+// background prefetcher before their turn. Eviction is Belady-style: among hinted
 // blocks, the one whose next use lies farthest in the future goes
 // first. Results are bit-identical to the in-RAM store for every
 // codec, geometry, and worker count.

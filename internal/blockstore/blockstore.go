@@ -12,7 +12,7 @@
 // evicted coldest-first to a per-store spill file, read back on
 // demand, and staged ahead of demand by an async prefetcher whenever
 // the caller announces its visit order with PrefetchHint (the sweep
-// scheduler and the sorted-draw sampler both know theirs).
+// scheduler and the shot-bucketing sampler both know theirs).
 package blockstore
 
 import "errors"

@@ -466,34 +466,41 @@ func (s *Simulator) noteLevel(rs *rankState, gi, round, level int) {
 	}
 }
 
-// forBlocks fans fn out over the rank's block indices on the worker
-// pool. fn receives a worker whose scratch buffers it owns exclusively;
-// shared rank state may only be touched through the block store and the
-// (concurrency-safe) block cache. Block assignment is dynamic (an atomic
-// counter handing out short runs), which is safe because no fan-out path depends on iteration
-// order: per-block results are bit-identical for every worker count.
-// After the fan-out the worker stats shards are merged into rs.stats.
+// forBlocks fans fn out over all of the rank's block indices on the
+// worker pool; see forEach.
 func (s *Simulator) forBlocks(rs *rankState, fn func(w *workerState, b int) error) error {
-	nb := s.blocksPerRank()
+	return s.forEach(rs, s.blocksPerRank(), fn)
+}
+
+// forEach fans fn out over the indices 0..n-1 — every block of the rank
+// (forBlocks), or the entries of a block list the caller holds — on the
+// rank's worker pool. fn receives a worker whose scratch buffers it owns
+// exclusively; shared rank state may only be touched through the block
+// store and the (concurrency-safe) block cache. Index assignment is
+// dynamic (an atomic counter handing out short runs), which is safe
+// because no fan-out path depends on iteration order: per-index results
+// are bit-identical for every worker count. After the fan-out the worker
+// stats shards are merged into rs.stats.
+func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int) error) error {
 	nw := len(rs.workers)
-	if nw > nb {
-		nw = nb
+	if nw > n {
+		nw = n
 	}
 	var firstErr error
 	if nw <= 1 {
 		w := rs.w0()
-		for b := 0; b < nb; b++ {
-			if firstErr = fn(w, b); firstErr != nil {
+		for i := 0; i < n; i++ {
+			if firstErr = fn(w, i); firstErr != nil {
 				break
 			}
 		}
 	} else {
-		// Workers claim runs of consecutive blocks, not single ones:
+		// Workers claim runs of consecutive indices, not single ones:
 		// when a block costs a cache hit (~100 ns) a per-block claim
 		// would make this counter the hottest contended word of the
 		// pass. Runs stay short enough (at least 32 per worker) that
 		// the tail of a pass still balances when blocks are dear.
-		chunk := int64(max(1, min(64, nb/(32*nw))))
+		chunk := int64(max(1, min(64, n/(32*nw))))
 		var (
 			next int64
 			fail int32
@@ -508,15 +515,15 @@ func (s *Simulator) forBlocks(rs *rankState, fn func(w *workerState, b int) erro
 				w.ensure(2 * s.blockAmps())
 				for {
 					lo := atomic.AddInt64(&next, chunk) - chunk
-					hi := min(lo+chunk, int64(nb))
+					hi := min(lo+chunk, int64(n))
 					if lo >= hi {
 						return
 					}
-					for b := lo; b < hi; b++ {
+					for i := lo; i < hi; i++ {
 						if atomic.LoadInt32(&fail) != 0 {
 							return
 						}
-						if err := fn(w, int(b)); err != nil {
+						if err := fn(w, int(i)); err != nil {
 							once.Do(func() { firstErr = err })
 							atomic.StoreInt32(&fail, 1)
 							return

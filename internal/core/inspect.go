@@ -134,9 +134,9 @@ func (s *Simulator) ProbabilityOne(q int) (float64, error) {
 	return p, nil
 }
 
-// defaultSampleCacheBlocks sizes the decompressed-block LRU of the
-// one-shot Sample convenience path; Sampler callers pick their own.
-const defaultSampleCacheBlocks = 4
+// DefaultSampleCache is the number of lines a Sampler's decoded-block
+// LRU gets when the caller has no reason to pick another.
+const DefaultSampleCache = 8
 
 // Sample draws `shots` full-register outcomes from the compressed state
 // without collapsing it, via a throwaway streaming Sampler — the state
@@ -148,7 +148,7 @@ const defaultSampleCacheBlocks = 4
 // repeatedly from an unchanged state should hold a NewSampler instead
 // and amortize the CDF build.
 func (s *Simulator) Sample(rng *rand.Rand, shots int) ([]uint64, error) {
-	sp, err := s.NewSampler(defaultSampleCacheBlocks)
+	sp, err := s.NewSampler(DefaultSampleCache)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"container/list"
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -13,13 +14,15 @@ import (
 // materializes the 2^n-amplitude vector. A Sampler holds a two-level
 // CDF over the compressed state — per-block probability masses folded
 // into a global block prefix sum — built in one worker-pool pass over
-// each rank's blocks. A shot binary-searches the block prefix for its
-// containing block, decompresses only that block (through a small LRU
-// so clustered shots amortize codec work; draws are resolved in sorted
-// order, so each block decompresses at most once per call), and
-// resolves the offset by an intra-block prefix scan: O(blocks +
-// shots·(log shots + log blocks + blockAmps)) instead of the old
-// FullState path's O(shots·2^n), with no cap on the register width.
+// each rank's blocks. A Sample call binary-searches the block prefix
+// for each shot's containing block, buckets the shots by block, and
+// then visits every touched block ONCE on the worker pool: decompress
+// it, fold its amplitudes' probabilities into an intra-block prefix
+// array, and binary-search that array for each of the block's shots.
+// A call costs O(shots·log(blocks·blockAmps) + touched·blockAmps)
+// instead of the old FullState path's O(shots·2^n), with no cap on the
+// register width. A small LRU keeps the blocks of narrow calls hot
+// ACROSS calls on a held Sampler (see decodedLRU).
 //
 // Draws are normalized by the CDF's true total mass. Under lossy
 // codecs the state's norm drifts below 1; the old linear scan compared
@@ -53,14 +56,19 @@ type Sampler struct {
 	// content-addressed (identical bytes ⇒ identical amplitudes), both
 	// while building the CDF and in the shot-time decoded-block LRU.
 	memoMax int
+	// slot[g] is Sample's per-block bucket counter, all zero between
+	// calls. It lives here so a call never pays an O(blocks) term: it
+	// touches, and clears again, only the entries of the blocks its
+	// shots landed in.
+	slot []int
 }
 
 // NewSampler builds the two-level CDF in one worker-pool pass over each
 // rank's blocks and returns a Sampler holding it. cacheBlocks bounds
-// the LRU of decompressed blocks kept hot during Sample (minimum 1, so
-// repeated shots into one block always amortize; ~16·BlockAmps bytes
-// per line). The pass charges nothing to the rank stats — sampling is
-// an inspection path and must not skew the Table 2 time breakdown.
+// the LRU of decoded blocks kept hot across Sample calls (minimum 1;
+// 8·BlockAmps bytes per line, see decodedLRU). The pass charges nothing
+// to the rank stats — sampling is an inspection path and must not skew
+// the Table 2 time breakdown.
 func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 	nb := s.blocksPerRank()
 	ba := s.blockAmps()
@@ -136,8 +144,9 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 		cum:     masses,
 		total:   total,
 		ba:      ba,
-		cache:   newDecodedLRU(cacheBlocks),
+		cache:   &decodedLRU{cap: cacheBlocks, lines: make(map[decodedKey]*decodedLine, cacheBlocks)},
 		memoMax: memoMaxBlob,
+		slot:    make([]int, len(masses)),
 	}, nil
 }
 
@@ -162,118 +171,127 @@ func (sp *Sampler) Sample(rng *rand.Rand, shots int) ([]uint64, error) {
 	if rng == nil {
 		rng = sp.s.sampleRng
 	}
-	nb := sp.s.blocksPerRank()
-	// Draw every uniform first, in shot order (the stream contract),
-	// then resolve in ascending-u order: shots landing in one block
-	// become adjacent, so each block is decompressed at most once per
-	// call no matter how the shots scatter — without this, dense states
-	// with more blocks than LRU lines would pay one codec round trip
-	// per shot. Resolution is read-only and per-shot independent, so
-	// the reordering changes no outcome.
+	// Draw every uniform in shot order (the stream contract) and locate
+	// its block. Until a shot resolves, out[k] holds its block index.
 	us := make([]float64, shots)
+	out := make([]uint64, shots)
+	touched := make([]int, 0, min(shots, len(sp.cum)))
 	for k := range us {
-		us[k] = rng.Float64() * sp.total
-	}
-	order := make([]int, shots)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return us[order[i]] < us[order[j]] })
-	// Locate every sorted draw's containing block up front: the
-	// resulting ascending visit sequence doubles as the prefetch
-	// oracle for a tiered store (disk reads overlap the decode work of
-	// earlier blocks), and the shot loop reuses it instead of
-	// re-searching.
-	gbs := make([]int, shots)
-	for i, k := range order {
-		u := us[k]
-		gb := sort.Search(len(sp.cum), func(i int) bool { return u < sp.cum[i] })
+		u := rng.Float64() * sp.total
+		gb := upperBound(sp.cum, u)
 		if gb == len(sp.cum) {
 			// fl(r·total) can round up onto the final boundary; clamp to
 			// the last block carrying mass.
 			for gb = len(sp.cum) - 1; gb > 0 && blockMass(sp.cum, gb) == 0; gb-- {
 			}
 		}
-		gbs[i] = gb
+		us[k], out[k] = u, uint64(gb)
+		if sp.slot[gb] == 0 {
+			touched = append(touched, gb)
+		}
+		sp.slot[gb]++
 	}
-	sp.hintDrawOrder(gbs)
-	out := make([]uint64, shots)
-	// Sorted resolution makes consecutive shots hit the same block most
-	// of the time; the one-entry memo skips the LRU key construction
-	// (and its blob copy) for those.
-	lastGB := -1
-	var amps []float64
-	for i, k := range order {
-		u := us[k]
-		gb := gbs[i]
-		if gb != lastGB {
-			var err error
-			if amps, err = sp.block(gb); err != nil {
-				return nil, err
-			}
-			lastGB = gb
+	// Bucket the shots by block, by counting placement over the touched
+	// list: shots of block touched[i] are byBlock[start[i]:start[i+1]].
+	// Resolution is read-only and per-shot independent, so visiting the
+	// shots block by block changes no outcome. The ascending list is
+	// also the visit order a tiered store's prefetcher is told.
+	slices.Sort(touched)
+	start := make([]int, len(touched)+1)
+	for i, gb := range touched {
+		start[i+1] = start[i] + sp.slot[gb]
+		sp.slot[gb] = start[i]
+	}
+	byBlock := make([]int, shots)
+	for k, gb := range out {
+		byBlock[sp.slot[gb]] = k
+		sp.slot[gb]++
+	}
+	for _, gb := range touched {
+		sp.slot[gb] = 0
+	}
+
+	// A call touching more blocks than the LRU has lines would evict
+	// every line, its own included, and hit nothing: it bypasses the LRU.
+	cached := len(touched) <= sp.cache.cap
+	nb := sp.s.blocksPerRank()
+	for lo := 0; lo < len(touched); {
+		rs := sp.s.ranks[touched[lo]/nb]
+		hi := lo
+		for hi < len(touched) && touched[hi]/nb == rs.id {
+			hi++
 		}
-		acc := 0.0
-		if gb > 0 {
-			acc = sp.cum[gb-1]
-		}
-		idx, lastNZ := -1, -1
-		for o := 0; o < sp.ba; o++ {
-			re, im := amps[2*o], amps[2*o+1]
-			m := re*re + im*im
-			if m != 0 {
-				lastNZ = o
+		mine := touched[lo:hi]
+		if rs.store.WantHints() {
+			order := make([]int, len(mine))
+			for i, gb := range mine {
+				order[i] = gb % nb
 			}
-			acc += m
-			if u < acc {
-				idx = o
-				break
-			}
+			rs.store.PrefetchHint(order)
 		}
-		if idx < 0 {
-			// The intra-block fold re-accumulates from the block boundary,
-			// so its endpoint can land an ulp short of cum[gb]; resolve
-			// against the last amplitude that carries mass, never an
-			// arbitrary basis state.
-			idx = lastNZ
-			if idx < 0 {
-				idx = sp.ba - 1
+		// Each touched block is decoded and folded once, into the worker's
+		// own two-block working set (Eq. 8); out[k] writes are disjoint.
+		// held[w.id] is the compact blob whose amplitudes worker w's x
+		// holds, if any: a run of byte-identical blocks (a uniform
+		// superposition is one blob repeated everywhere) decodes once per
+		// worker even when the call is too wide for the LRU.
+		held := make([][]byte, len(rs.workers))
+		base := lo
+		err := sp.s.forEach(rs, len(mine), func(w *workerState, i int) error {
+			gb, b := mine[i], mine[i]%nb
+			probs, err := sp.probs(rs, w, gb, cached, &held[w.id])
+			if err != nil {
+				return fmt.Errorf("core: sampler: rank %d block %d: %w", rs.id, b, err)
 			}
+			// Fold the running mass from the block boundary in linear-scan
+			// order. The fold is monotone, so the first offset whose
+			// running mass exceeds u is a binary search away.
+			acc := 0.0
+			if gb > 0 {
+				acc = sp.cum[gb-1]
+			}
+			prefix := w.y[:sp.ba]
+			lastNZ := sp.ba - 1
+			for o, m := range probs {
+				if m != 0 {
+					lastNZ = o
+				}
+				acc += m
+				prefix[o] = acc
+			}
+			for _, k := range byBlock[start[base+i]:start[base+i+1]] {
+				o := upperBound(prefix, us[k])
+				if o == sp.ba {
+					// The intra-block fold re-accumulates from the block
+					// boundary, so its endpoint can land an ulp short of
+					// cum[gb]; resolve against the last amplitude that
+					// carries mass, never an arbitrary basis state.
+					o = lastNZ
+				}
+				out[k] = sp.s.compose(rs.id, b, o)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		out[k] = sp.s.compose(gb/nb, gb%nb, idx)
+		lo = hi
 	}
 	return out, nil
 }
 
-// hintDrawOrder announces each rank's block visit sequence for one
-// Sample call to tiered stores, deduplicating consecutive repeats
-// (draws are resolved in sorted order, so equal blocks are adjacent
-// and each rank's sequence is ascending).
-func (sp *Sampler) hintDrawOrder(gbs []int) {
-	anyWant := false
-	for _, rs := range sp.s.ranks {
-		if rs.store.WantHints() {
-			anyWant = true
-			break
+// upperBound returns the first index of the non-decreasing a whose
+// element exceeds u, len(a) if none does.
+func upperBound(a []float64, u float64) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); u < a[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	if !anyWant {
-		return
-	}
-	nb := sp.s.blocksPerRank()
-	orders := make([][]int, len(sp.s.ranks))
-	for _, gb := range gbs {
-		r, b := gb/nb, gb%nb
-		if n := len(orders[r]); n > 0 && orders[r][n-1] == b {
-			continue
-		}
-		orders[r] = append(orders[r], b)
-	}
-	for r, rs := range sp.s.ranks {
-		if rs.store.WantHints() && len(orders[r]) > 0 {
-			rs.store.PrefetchHint(orders[r])
-		}
-	}
+	return lo
 }
 
 func blockMass(cum []float64, g int) float64 {
@@ -283,73 +301,109 @@ func blockMass(cum []float64, g int) float64 {
 	return cum[g] - cum[g-1]
 }
 
-// block returns global block gb decompressed, through the LRU. Compact
-// blobs cache by content, so a redundant state (many byte-identical
-// compressed blocks) occupies one line no matter which blocks the shots
-// land in; dense blobs cache by block index, skipping the content hash.
-func (sp *Sampler) block(gb int) ([]float64, error) {
-	nb := sp.s.blocksPerRank()
-	rs := sp.s.ranks[gb/nb]
-	blob, err := rs.store.Get(gb % nb)
+// probs returns the probabilities |aₒ|² of global block gb's amplitudes:
+// an LRU line when the call is cached, the worker's y buffer otherwise.
+// *held is the compact blob w.x already holds decoded, kept up to date.
+func (sp *Sampler) probs(rs *rankState, w *workerState, gb int, cached bool, held *[]byte) ([]float64, error) {
+	blob, err := rs.store.Get(gb % sp.s.blocksPerRank())
 	if err != nil {
-		return nil, fmt.Errorf("core: sampler: rank %d block %d: %w", rs.id, gb%nb, err)
+		return nil, err
 	}
-	key := decodedKey(gb, blob, sp.memoMax)
-	if amps, ok := sp.cache.get(key); ok {
-		return amps, nil
+	compact := len(blob) <= sp.memoMax
+	dst := w.y[:sp.ba]
+	var key decodedKey
+	if cached {
+		// Compact blobs cache by content, so a redundant state (many
+		// byte-identical compressed blocks) occupies one line no matter
+		// which blocks the shots land in; dense blobs cache by block
+		// index, skipping the content hash.
+		key = decodedKey{gb: gb}
+		if compact {
+			key = decodedKey{gb: -1, hash: maphash.Bytes(keySeed, blob)}
+		}
+		if p := sp.cache.get(key, blob); p != nil {
+			return p, nil
+		}
+		dst = make([]float64, sp.ba)
 	}
-	amps := make([]float64, 2*sp.ba)
-	if err := sp.s.decodeBlob(blob, amps); err != nil {
-		return nil, fmt.Errorf("core: sampler: rank %d block %d: %w", rs.id, gb%nb, err)
+	if !compact || *held == nil || !bytes.Equal(blob, *held) {
+		*held = nil
+		if err := sp.s.decodeBlob(blob, w.x); err != nil {
+			return nil, err
+		}
+		if compact {
+			*held = blob
+		}
 	}
-	sp.cache.put(key, amps)
-	return amps, nil
+	for o := range dst {
+		re, im := w.x[2*o], w.x[2*o+1]
+		dst[o] = re*re + im*im
+	}
+	if cached {
+		sp.cache.put(key, blob, dst)
+	}
+	return dst, nil
 }
 
-// decodedKey builds the LRU key: a "c"-prefixed copy of the blob bytes
-// for compact (plausibly repeated) blobs, an "i"-prefixed block index
-// otherwise. The prefix byte keeps the two namespaces disjoint.
-func decodedKey(gb int, blob []byte, memoMax int) string {
-	if len(blob) <= memoMax {
-		return "c" + string(blob)
-	}
-	return fmt.Sprintf("i%d", gb)
+// decodedKey names an LRU line: a block index, or — gb -1 — the hash of
+// a compact blob's bytes, which the line then confirms against the blob
+// it holds by reference (blobs are immutable), as cache.go's keys do.
+type decodedKey struct {
+	gb   int
+	hash uint64
 }
 
-// decodedLRU is a tiny LRU of decompressed blocks. Single-goroutine by
-// contract (the Sampler is not safe for concurrent use), so no lock.
+type decodedLine struct {
+	blob  []byte // content-keyed lines only
+	probs []float64
+	tick  int64 // the clock reading of the last touch; smallest is the victim
+}
+
+// decodedLRU keeps decoded blocks hot ACROSS Sample calls on a held
+// Sampler: within a call every touched block is decoded once anyway. A
+// line holds one block's probabilities (8·BlockAmps bytes) — all that
+// resolution reads. Only calls that touch at most cap blocks go through
+// it, so no call can evict a line it is about to use, and the workers of
+// one call share it under mu. It stays apart from blockCache: that one
+// maps compressed inputs to compressed outputs of a pass and is read
+// lock-free by every block of every pass; this one holds decoded floats
+// for a handful of blocks per call.
 type decodedLRU struct {
+	mu    sync.Mutex
 	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	clock int64
+	lines map[decodedKey]*decodedLine
 }
 
-type decodedEntry struct {
-	key  string
-	amps []float64
-}
-
-func newDecodedLRU(capacity int) *decodedLRU {
-	return &decodedLRU{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
+func (c *decodedLRU) get(key decodedKey, blob []byte) []float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	l := c.lines[key]
+	if l == nil || (key.gb < 0 && !bytes.Equal(l.blob, blob)) {
+		return nil
 	}
+	c.clock++
+	l.tick = c.clock
+	return l.probs
 }
 
-func (c *decodedLRU) get(key string) ([]float64, bool) {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*decodedEntry).amps, true
+func (c *decodedLRU) put(key decodedKey, blob []byte, probs []float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.lines[key] == nil && len(c.lines) >= c.cap {
+		var victim decodedKey
+		oldest := c.clock + 1
+		for k, l := range c.lines {
+			if l.tick < oldest {
+				victim, oldest = k, l.tick
+			}
+		}
+		delete(c.lines, victim)
 	}
-	return nil, false
-}
-
-func (c *decodedLRU) put(key string, amps []float64) {
-	for c.ll.Len() >= c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*decodedEntry).key)
+	c.clock++
+	l := &decodedLine{probs: probs, tick: c.clock}
+	if key.gb < 0 {
+		l.blob = blob
 	}
-	c.items[key] = c.ll.PushFront(&decodedEntry{key: key, amps: amps})
+	c.lines[key] = l
 }

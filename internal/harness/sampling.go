@@ -14,9 +14,10 @@ import (
 // sampler against the readout path the engine originally shipped:
 // decompress the whole 2^n-amplitude vector and linearly scan it once
 // per shot. The streaming sampler pays one block pass to build a
-// two-level CDF, then O(log blocks + blockAmps) per shot — and, unlike
-// the scan, it normalizes draws by the true total mass, so lossy runs
-// sample the state's actual distribution.
+// two-level CDF; a call then costs two binary searches per shot —
+// O(log blocks + log blockAmps) — plus one decode-and-fold per block
+// the shots touched. Unlike the scan, it normalizes draws by the true
+// total mass, so lossy runs sample the state's actual distribution.
 
 // SamplingRow is one workload × shot-count measurement.
 type SamplingRow struct {
@@ -81,7 +82,7 @@ func SamplingResults(opt Options) ([]SamplingRow, error) {
 		}
 
 		start := time.Now()
-		sp, err := s.NewSampler(8)
+		sp, err := s.NewSampler(core.DefaultSampleCache)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", wl.name, err)
 		}

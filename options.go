@@ -85,15 +85,18 @@ func WithCache(lines int) Option {
 	return func(s *settings) { s.cfg.CacheLines = lines }
 }
 
-// DefaultSampleCache is the number of decompressed blocks a Sampler
-// keeps hot when WithSampleCache is not given.
-const DefaultSampleCache = 8
+// DefaultSampleCache is the number of decoded blocks a Sampler keeps
+// hot when WithSampleCache is not given.
+const DefaultSampleCache = core.DefaultSampleCache
 
-// WithSampleCache sets how many decompressed blocks the streaming
-// sampler (Sampler, Sample) keeps in its LRU, so shots clustered in the
-// same blocks skip repeated codec work. Each line holds one block
-// uncompressed (16·BlockAmps bytes). Values below 1 are clamped to 1 —
-// the current block always stays hot. Default DefaultSampleCache.
+// WithSampleCache sets how many decoded blocks a held Sampler keeps in
+// its LRU between Sample calls, so repeated calls whose shots cluster
+// in the same few blocks (a basis or GHZ-like state) skip the codec.
+// Each line holds one block's probabilities (8·BlockAmps bytes);
+// byte-identical compact blocks share a line. Within one call every
+// touched block is decoded once regardless, and a call that touches
+// more blocks than there are lines bypasses the LRU, leaving it as it
+// was. Values below 1 are clamped to 1. Default DefaultSampleCache.
 func WithSampleCache(lines int) Option {
 	// Clamp here, not in resolve: there a zero means "option not given"
 	// and selects DefaultSampleCache, so an explicit 0 must become 1

@@ -596,11 +596,14 @@ func (s *Simulator) Sample(shots int) ([]uint64, error) {
 // Sampler draws shots directly from the backend's probability tables,
 // built once at construction. On the compressed backend that is a
 // two-level CDF: one pass over the compressed blocks computes per-block
-// probability masses, and each shot binary-searches the block prefix
-// sums and decompresses only its hit block (through an LRU sized by
-// WithSampleCache); draws are normalized by the true total mass, so
-// lossy-codec norm loss never skews outcomes. On the mps backend it is
-// perfect sampling by qubit-by-qubit conditional contraction over
+// probability masses; a Sample call binary-searches the block prefix
+// sums per shot, then decompresses each block the shots touched once,
+// on the worker pool, and binary-searches its folded probabilities
+// (narrow calls keep their blocks decoded in an LRU sized by
+// WithSampleCache; wide ones bypass it); draws are normalized by the
+// true total mass, so lossy-codec norm loss never skews outcomes, and
+// outcomes are identical for every worker count. On the mps backend it
+// is perfect sampling by qubit-by-qubit conditional contraction over
 // precomputed right environments — O(n·χ²) per shot, no 2^n vector.
 // Either way, a Sampler reads the state it was built from; once the
 // simulator mutates (Run, Reset, SetBasisState, Load), Sample reports
