@@ -60,6 +60,10 @@ type CodecOptions struct {
 //     reconstructed value must respect the requested bound; the engine's
 //     fidelity ledger (the paper's Eq. 11) is only a valid lower bound
 //     if the codec honors it.
+//   - The bytes Compress appends must depend on src, opt and the
+//     codec's configuration only — the block cache and the batch memo
+//     key on them — and the returned slice should carry no spare
+//     capacity, since the engine retains it.
 //   - A Codec instance is used by one goroutine at a time, but the
 //     engine holds one instance per simulator: factories registered with
 //     RegisterCodec must return a fresh instance per call and must not

@@ -145,6 +145,17 @@
 // exhausted (ErrBudgetExceeded). After every successful Run the state
 // rests within the budget; each requantize truncates the state once
 // more and charges the ledger its own (1-δ) factor.
+//
+// Level 0 of that ladder — the lossless stage every run starts on — is
+// built to be cheap where it cannot help. The codec looks at a block
+// before paying for it: at most 256 distinct words (equal magnitudes
+// times a finite phase set — Hadamard, QAOA-cost and Grover states)
+// become a dictionary plus one-byte indices; a block that a 4 KiB probe
+// spread across it shows to be incompressible is stored as it is and
+// decodes at copy speed; only the rest goes through DEFLATE. The layout
+// is chosen from the data alone and recorded in the blob — there is
+// nothing to configure — results stay bit-exact, and blobs and
+// checkpoints written before the layouts existed still load.
 // Stats reports Sweeps, SweepGates, CodecPassesSaved, Escalations and
 // the total CompressCalls/DecompressCalls the run issued.
 //

@@ -6,9 +6,11 @@
 package codectest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"qcsim/internal/compress"
@@ -89,6 +91,78 @@ func Datasets(n int, seed int64) []Dataset {
 	}
 }
 
+// LosslessClasses returns inputs of length n aimed at what a lossless
+// stage can observe in a block: how many distinct words it holds (1, 2,
+// 40, 256 — and 257, one past a byte-sized index; 1 000, which repeat
+// only over distances longer than a small sample), whether it
+// compresses at all, whether it does so only in part — the half-zero
+// block a prefix probe would misread, and two blocks that are random
+// exactly where a probe of four windows spread evenly over the block
+// looks (sub-blocks 0, 21, 42 and 63 of 64) and zero elsewhere — and bit
+// patterns that compare equal or unequal as floats but not as words
+// (±0, NaN payloads).
+func LosslessClasses(n int, seed int64) []Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	mk := func(f func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		return xs
+	}
+	// valued draws every word from k distinct values, each used at
+	// least once when n ≥ k.
+	valued := func(k int) []float64 {
+		vals := make([]float64, k)
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+		}
+		return mk(func(i int) float64 {
+			if i < k {
+				return vals[i]
+			}
+			return vals[rng.Intn(k)]
+		})
+	}
+	// islands is random on the four windows (each n/64 words, with tail
+	// more words after it) and zero everywhere else.
+	islands := func(tail int) []float64 {
+		return mk(func(i int) float64 {
+			for j := 0; j < 4; j++ {
+				if off := j * (n - n/64) / 3; i >= off && i < off+n/64+tail {
+					return rng.NormFloat64()
+				}
+			}
+			return 0
+		})
+	}
+	oddBits := []uint64{
+		0, 1 << 63, // +0, −0
+		0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000001, // quiet NaNs, three payloads
+		0x7FF0000000000001,                     // a signalling NaN
+		0x7FF0000000000000, 0xFFF0000000000000, // ±Inf
+		1, 0x3FF0000000000000, // the smallest subnormal, 1
+	}
+	return []Dataset{
+		{"one-valued", mk(func(int) float64 { return -0.0078125 })},
+		{"two-valued-interleaved", mk(func(i int) float64 { return float64(1-i%2) * 0.0078125 })},
+		{"40-valued", valued(40)},
+		{"256-valued", valued(256)},
+		{"257-valued", valued(257)},
+		{"half-zero-half-random", mk(func(i int) float64 {
+			if i < n/2 {
+				return 0
+			}
+			return rng.NormFloat64()
+		})},
+		{"random-words", mk(func(int) float64 { return math.Float64frombits(rng.Uint64()>>2 | 1<<61) })},
+		{"signed-zero-nan-mix", mk(func(int) float64 { return math.Float64frombits(oddBits[rng.Intn(len(oddBits))]) })},
+		{"four-random-sub-blocks", islands(0)},
+		{"four-random-islands", islands(300 * n / 8192)},
+		{"1000-valued", valued(1000)},
+	}
+}
+
 // LossyOptions returns the paper's five error levels for the mode.
 func LossyOptions(mode compress.ErrorMode) []compress.Options {
 	var opts []compress.Options
@@ -120,7 +194,7 @@ func RoundTrip(t *testing.T, c compress.Codec, data []float64, opt compress.Opti
 // ConformanceLossless checks bit-exact reconstruction across datasets.
 func ConformanceLossless(t *testing.T, c compress.Codec) {
 	t.Helper()
-	for _, ds := range Datasets(2048, 7) {
+	for _, ds := range append(Datasets(2048, 7), LosslessClasses(2048, 7)...) {
 		ds := ds
 		t.Run("lossless/"+ds.Name, func(t *testing.T) {
 			RoundTrip(t, c, ds.Data, compress.Options{Mode: compress.Lossless})
@@ -198,6 +272,33 @@ func ConformanceCorrupt(t *testing.T, c compress.Codec) {
 		}()
 		_ = c.Decompress(out, garbage)
 	}()
+
+	// A DEFLATE stream that inflates to 64 MiB, behind this block's
+	// valid header (and behind the byte after it, where a codec keeps a
+	// flag there), costs no more memory than the header's count can
+	// need: a codec that inflates to an unknown size refuses the stream
+	// once it has outgrown that (ErrCorrupt), one that inflates into a
+	// buffer of the known size stops reading when the buffer is full and
+	// may accept what it read. Either way nothing is materialised.
+	var bomb compress.Flate
+	stream, err := bomb.Deflate(make([]byte, 64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for keep := compress.HeaderSize; keep <= compress.HeaderSize+1; keep++ {
+		hostile := append(append([]byte(nil), payload[:keep]...), stream...)
+		_ = c.Decompress(out, payload) // pooled buffers at their working size
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.Decompress(out, hostile)
+		runtime.ReadMemStats(&after)
+		if err != nil && !errors.Is(err, compress.ErrCorrupt) {
+			t.Errorf("%s: a 64 MiB stream behind a %d-value header: %v, want ErrCorrupt", c.Name(), len(data), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: a 64 MiB stream behind a %d-value header allocated %d bytes", c.Name(), len(data), grew)
+		}
+	}
 }
 
 // ConformanceNonFinite checks NaN/Inf survive (via exception paths) in

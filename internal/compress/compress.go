@@ -73,6 +73,21 @@ func (o Options) Validate() error {
 // returns the extended slice. Decompress writes exactly len(dst) values;
 // the caller must size dst from its own metadata (the simulator knows its
 // block size) — codecs validate the stored count against len(dst).
+//
+// Two contracts the engine leans on:
+//
+//   - Exact capacity. When dst has no room for the encoded form, the
+//     slice returned is allocated once, with cap == len (see Grow). The
+//     engine keeps blobs — in the block store, the §3.4 cache, the batch
+//     memo — so capacity a blob does not use is heap the simulator
+//     retains. (lossless and every codec that finishes through
+//     FlatePool.Deflate comply; zfplike and xortrunc's DisableLossless
+//     mode still end in a plain append.)
+//   - Pure bytes. What Compress appends is a function of src, opt and
+//     the codec's configuration alone: not of the goroutine, the rank,
+//     or what a pooled scratch encoded before. Cache keys, checkpoints
+//     compared byte for byte, the bit-identity suites and the
+//     benchmark's exact metrics all assume it.
 type Codec interface {
 	// Name identifies the codec in harness tables (e.g. "sz-a", "xor-c").
 	Name() string
@@ -95,8 +110,19 @@ type Header struct {
 	Count uint32 // number of float64 values
 }
 
-// headerSize is the encoded size of Header in bytes.
-const headerSize = 1 + 1 + 8 + 4
+// HeaderSize is the encoded size of Header in bytes.
+const HeaderSize = 1 + 1 + 8 + 4
+
+// Grow returns dst with room for n more bytes: dst itself when its
+// capacity allows, otherwise a copy whose capacity is exactly
+// len(dst)+n — unlike append, which rounds up, and whose spare bytes a
+// retained blob would pin.
+func Grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
+}
 
 // AppendHeader serializes h onto dst.
 func AppendHeader(dst []byte, h Header) []byte {
@@ -111,7 +137,7 @@ func AppendHeader(dst []byte, h Header) []byte {
 
 // ParseHeader reads a Header and returns the remaining payload.
 func ParseHeader(data []byte, wantMagic byte) (Header, []byte, error) {
-	if len(data) < headerSize {
+	if len(data) < HeaderSize {
 		return Header{}, nil, fmt.Errorf("%w: short header", ErrCorrupt)
 	}
 	h := Header{
@@ -123,7 +149,25 @@ func ParseHeader(data []byte, wantMagic byte) (Header, []byte, error) {
 	if h.Magic != wantMagic {
 		return Header{}, nil, fmt.Errorf("%w: magic %#x, want %#x", ErrCorrupt, h.Magic, wantMagic)
 	}
-	return h, data[headerSize:], nil
+	return h, data[HeaderSize:], nil
+}
+
+// PutFloats writes src to dst as little-endian IEEE 754 words — the raw
+// form every byte-level stage (stored blocks, DEFLATE input, the
+// engine's uncompressed store) works on. dst must hold 8·len(src) bytes.
+func PutFloats(dst []byte, src []float64) {
+	dst = dst[:len(src)*8]
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(dst[i*8:i*8+8], math.Float64bits(v))
+	}
+}
+
+// GetFloats reverses PutFloats: src must hold 8·len(dst) bytes.
+func GetFloats(dst []float64, src []byte) {
+	src = src[:len(dst)*8]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8 : i*8+8]))
+	}
 }
 
 // Shuffle de-interleaves src (re0, im0, re1, im1, ...) into

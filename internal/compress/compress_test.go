@@ -1,6 +1,9 @@
 package compress
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -157,5 +160,66 @@ func TestQuickShuffle(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestFloatsRoundTrip(t *testing.T) {
+	src := []float64{0, math.Copysign(0, -1), 1, -math.Pi, math.Inf(1), math.Float64frombits(0x7FF8000000000123), 5e-324}
+	raw := make([]byte, 8*len(src)+3) // room to spare is left alone
+	raw[len(raw)-1] = 0xAB
+	PutFloats(raw, src)
+	if got := binary.LittleEndian.Uint64(raw[8*3:]); got != math.Float64bits(-math.Pi) || raw[len(raw)-1] != 0xAB {
+		t.Fatalf("word 3 = %x, spare byte %x", got, raw[len(raw)-1])
+	}
+	back := make([]float64, len(src))
+	GetFloats(back, raw)
+	if i := CheckBound(src, back, Options{}); i >= 0 {
+		t.Fatalf("word %d: %x came back as %x", i, math.Float64bits(src[i]), math.Float64bits(back[i]))
+	}
+}
+
+// TestFlate: one working set, reused across calls and across failures,
+// gives bytes that depend on the input alone and refuses a stream that
+// outgrows the caller's ceiling.
+func TestFlate(t *testing.T) {
+	var f Flate
+	text := bytes.Repeat([]byte("amplitude "), 500)
+	first, err := f.Deflate(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = append([]byte(nil), first...)
+	if _, err := f.Deflate([]byte("something else in between")); err != nil {
+		t.Fatal(err)
+	}
+	again, err := f.Deflate(text)
+	if err != nil || !bytes.Equal(first, again) {
+		t.Fatalf("a reused writer gave %d bytes, a fresh one %d (%v)", len(again), len(first), err)
+	}
+	var fresh Flate
+	if other, _ := fresh.Deflate(text); !bytes.Equal(first, other) {
+		t.Fatal("two working sets encode one input differently")
+	}
+
+	if _, err := f.Inflate(first, len(text)-1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("one byte past the ceiling: %v, want ErrCorrupt", err)
+	}
+	if _, err := f.Inflate(first[:len(first)/2], len(text)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated stream: %v, want ErrCorrupt", err)
+	}
+	got, err := f.Inflate(first, len(text)) // the reader recovers from both failures
+	if err != nil || !bytes.Equal(got, text) {
+		t.Fatalf("at the ceiling: %d bytes, %v", len(got), err)
+	}
+	if got, err := f.Inflate(first, 1<<30); err != nil || !bytes.Equal(got, text) {
+		t.Fatalf("far below the ceiling: %d bytes, %v", len(got), err)
+	}
+
+	into := make([]byte, len(text))
+	if err := f.InflateInto(into, append(first, 1, 2, 3)); err != nil || !bytes.Equal(into, text) {
+		t.Fatalf("InflateInto with trailing bytes: %v", err)
+	}
+	if err := f.InflateInto(make([]byte, len(text)+1), first); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("stream one byte short of dst: %v, want ErrCorrupt", err)
 	}
 }

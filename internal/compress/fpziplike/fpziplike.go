@@ -148,6 +148,12 @@ func (c *Codec) Compress(dst []byte, src []float64, opt compress.Options) ([]byt
 	return c.flate.Deflate(dst, pre)
 }
 
+// maxPre bounds the pre-DEFLATE payload of an n-value block — precision
+// byte, exception count, one 12-byte exception and one 7+64-bit residual
+// per value — so that Decompress can refuse a stream that inflates past
+// it.
+func maxPre(n int) int { return 1 + 4 + 12*n + (9*n + 8) }
+
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(dst []float64, data []byte) error {
 	hdr, payload, err := compress.ParseHeader(data, magic)
@@ -157,7 +163,9 @@ func (c *Codec) Decompress(dst []float64, data []byte) error {
 	if int(hdr.Count) != len(dst) {
 		return fmt.Errorf("%w: count %d, dst %d", compress.ErrCorrupt, hdr.Count, len(dst))
 	}
-	pre, err := compress.Inflate(payload)
+	f := c.flate.Get()
+	defer c.flate.Put(f)
+	pre, err := f.Inflate(payload, maxPre(len(dst)))
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package registry
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 
 	"qcsim/internal/compress"
@@ -20,6 +21,22 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(3), make([]byte, 256))
 	f.Add(uint8(3), uint8(2), uint8(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
 	f.Add(uint8(4), uint8(0), uint8(0), []byte("hello world, compress me as floats"))
+	// Blocks that land in each layout of the lossless codecs (sorted
+	// names 6 and 7): one, 2, 256 and 257 distinct words, and random
+	// words over eight probe lengths (32 KiB), which are stored.
+	rng := rand.New(rand.NewSource(16))
+	for _, class := range []struct{ words, distinct int }{{512, 1}, {512, 2}, {4096, 256}, {4096, 257}, {4096, 4096}} {
+		vals := make([]float64, class.distinct)
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+		}
+		block := make([]byte, 0, 8*class.words)
+		for i := 0; i < class.words; i++ {
+			block = binary.LittleEndian.AppendUint64(block, math.Float64bits(vals[i%class.distinct]))
+		}
+		f.Add(uint8(6), uint8(0), uint8(0), block)
+		f.Add(uint8(7), uint8(0), uint8(0), block)
+	}
 	f.Fuzz(func(t *testing.T, codecSel, modeSel, boundSel uint8, data []byte) {
 		names := Names()
 		name := names[int(codecSel)%len(names)]

@@ -191,6 +191,13 @@ func (c *Codec) assemble(kind byte, bound float64, tokens []uint16, literals, si
 	return append(out, literals...), nil
 }
 
+// maxPre bounds assemble's output for an n-value block — the 18-byte
+// preamble, a Huffman stream of at most n table entries (22 bits) and n
+// codes of huffman.MaxCodeLen bits, 2 sign bits and one 8-byte literal
+// per value — so that Decompress can refuse a stream that inflates past
+// it.
+func maxPre(n int) int { return 18 + (8 + 3*n + 4*n) + 4 + (n/4 + 8) + 8*n }
+
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(dst []float64, data []byte) error {
 	hdr, payload, err := compress.ParseHeader(data, magic)
@@ -200,7 +207,9 @@ func (c *Codec) Decompress(dst []float64, data []byte) error {
 	if int(hdr.Count) != len(dst) {
 		return fmt.Errorf("%w: count %d, dst %d", compress.ErrCorrupt, hdr.Count, len(dst))
 	}
-	pre, err := compress.Inflate(payload)
+	f := c.flate.Get()
+	defer c.flate.Put(f)
+	pre, err := f.Inflate(payload, maxPre(len(dst)))
 	if err != nil {
 		return err
 	}

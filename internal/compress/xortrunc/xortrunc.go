@@ -189,14 +189,13 @@ func (c *Codec) Decompress(dst []float64, data []byte) error {
 	}
 	flated := payload[0] != 0
 	payload = payload[1:]
-	var pre []byte
+	pre := payload
 	if flated {
-		pre, err = compress.Inflate(payload)
-		if err != nil {
+		f := c.flate.Get()
+		defer c.flate.Put(f)
+		if pre, err = f.Inflate(payload, maxPre(len(dst))); err != nil {
 			return err
 		}
-	} else {
-		pre = payload
 	}
 
 	if len(pre) < 2+4 {
@@ -266,6 +265,11 @@ func (c *Codec) Decompress(dst []float64, data []byte) error {
 	}
 	return nil
 }
+
+// maxPre bounds the pre-DEFLATE payload of an n-value block — preamble,
+// one exception and 2 code bits per value, up to 8 body bytes each — so
+// that Decompress can refuse a stream that inflates past it.
+func maxPre(n int) int { return 2 + 4 + 12*n + 4 + (n/4 + 8) + 8*n }
 
 // violates reports whether reconstructing v as the truncated bits t would
 // break the error contract, requiring an exact exception entry.

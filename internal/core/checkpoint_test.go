@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"compress/flate"
+	"os"
 	"testing"
 
 	"qcsim/internal/compress"
@@ -44,6 +45,42 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := s2.FullState()
+	b, _ := sFull.FullState()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("resumed state differs at %d", i)
+		}
+	}
+}
+
+// TestCheckpointFromBeforeLayoutFlags loads a checkpoint written by the
+// commit before the lossless codec had its stored and dictionary
+// layouts (testdata/checkpoint_pr15_qft8_half.bin: TestCheckpointRoundTrip's
+// first half, every block a flag-0 DEFLATE blob) and finishes the
+// circuit on it: old checkpoints stay loadable, and what they resume to
+// is bit-identical to an uninterrupted run of today's engine.
+func TestCheckpointFromBeforeLayoutFlags(t *testing.T) {
+	ckpt, err := os.ReadFile("testdata/checkpoint_pr15_qft8_half.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := quantum.QFT(8, 21)
+	half := len(full.Gates) / 2
+	s := newSim(t, 8, 2, 16, nil)
+	if err := s.Load(bytes.NewReader(ckpt)); err != nil {
+		t.Fatal(err)
+	}
+	if s.GatesRun() != half {
+		t.Fatalf("restored GatesRun = %d, want %d", s.GatesRun(), half)
+	}
+	if err := s.Run(&quantum.Circuit{N: 8, Gates: full.Gates[half:]}); err != nil {
+		t.Fatal(err)
+	}
+	sFull := newSim(t, 8, 2, 16, nil)
+	if err := sFull.Run(full); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := s.FullState()
 	b, _ := sFull.FullState()
 	for i := range a {
 		if a[i] != b[i] {

@@ -2,39 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
-
-// decodeBlob decompresses a stored block without touching rank stats —
-// the inspection path, so reading the state never skews the Table 2
-// time breakdown.
-func (s *Simulator) decodeBlob(blob []byte, scratch []float64) error {
-	if len(blob) == 0 {
-		return fmt.Errorf("core: empty block")
-	}
-	switch blob[0] {
-	case tagRaw:
-		if len(blob) != 1+len(scratch)*8 {
-			return fmt.Errorf("core: raw block size %d", len(blob))
-		}
-		for i := range scratch {
-			scratch[i] = math.Float64frombits(leUint64(blob[1+i*8:]))
-		}
-		return nil
-	case tagLossless:
-		return s.cfg.Lossless.Decompress(scratch, blob[1:])
-	case tagLossy:
-		return s.cfg.Lossy.Decompress(scratch, blob[1:])
-	default:
-		return fmt.Errorf("core: unknown block tag %d", blob[0])
-	}
-}
-
-func leUint64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
 
 // Amplitude returns ⟨idx|ψ⟩, decompressing only the containing block.
 func (s *Simulator) Amplitude(idx uint64) (complex128, error) {

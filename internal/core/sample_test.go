@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"qcsim/internal/compress"
+	"qcsim/internal/compress/codectest"
 	"qcsim/internal/quantum"
 )
 
@@ -662,12 +663,19 @@ func TestSamplerRedundantBlocksDecodeOnce(t *testing.T) {
 
 // TestSamplerSteadyStateAllocs: a Sample call allocates its per-shot
 // arrays and a fixed handful of headers — nothing per touched block,
-// whether the call bypasses the LRU (raw blocks, so that no codec's own
-// allocations are counted) or hits in it.
+// whether the call bypasses the LRU and decodes every block or hits in
+// it. On raw blocks no codec's allocations are counted at all. On the
+// default lossless codec's blocks the count is the same: a dense random
+// state gives it stored blocks (and a few small-dictionary ones), a
+// uniform superposition two-valued dictionary ones, and neither kind
+// decodes with an allocation — as long as the codec's pooled scratch is
+// there, which the race detector's sync.Pool does not promise, so those
+// cases run without it only (CI has a step that does).
 func TestSamplerSteadyStateAllocs(t *testing.T) {
-	allocs := func(blockAmps, lines int) float64 {
-		s := newSim(t, 8, 1, blockAmps, func(c *Config) { c.Workers, c.Uncompressed = 1, lines == 1 })
-		if err := s.Run(quantum.RandomCircuit(8, 24, 7)); err != nil {
+	dense, uniform := quantum.RandomCircuit(8, 24, 7), quantum.HadamardAll(8)
+	allocs := func(c *quantum.Circuit, raw bool, blockAmps, lines int) float64 {
+		s := newSim(t, 8, 1, blockAmps, func(c *Config) { c.Workers, c.Uncompressed = 1, raw })
+		if err := s.Run(c); err != nil {
 			t.Fatal(err)
 		}
 		sp, err := s.NewSampler(lines)
@@ -681,9 +689,16 @@ func TestSamplerSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	few, many, hot := allocs(128, 1), allocs(8, 1), allocs(8, 32)
+	few, many, hot := allocs(dense, true, 128, 1), allocs(dense, true, 8, 1), allocs(dense, true, 8, 32)
 	if few != many || few != hot || few > 8 {
-		t.Fatalf("allocs per Sample: %v over 2 blocks, %v over 32, %v over 32 through the LRU; want one small constant", few, many, hot)
+		t.Fatalf("allocs per Sample on raw blocks: %v over 2 blocks, %v over 32, %v over 32 through the LRU; want one small constant", few, many, hot)
+	}
+	if codectest.RaceEnabled {
+		return
+	}
+	stored, storedHot, dict := allocs(dense, false, 8, 1), allocs(dense, false, 8, 32), allocs(uniform, false, 8, 1)
+	if stored != few || storedHot != few || dict != few {
+		t.Fatalf("allocs per Sample on lossless blocks: %v over 32 stored, %v through the LRU, %v over 32 dictionary blocks; want the %v of raw blocks", stored, storedHot, dict, few)
 	}
 }
 
