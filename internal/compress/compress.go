@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ErrorMode selects how Options.Bound is interpreted.
@@ -152,21 +153,63 @@ func ParseHeader(data []byte, wantMagic byte) (Header, []byte, error) {
 	return h, data[HeaderSize:], nil
 }
 
+// hostLittleEndian reports whether a float64 in memory already is its
+// little-endian wire form, so that a []float64 and its raw bytes are one
+// memmove apart. Elsewhere putWords/getWords are the (only) fallback.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes views f's memory as bytes, without copying: the wire form
+// when hostLittleEndian, and only then.
+func floatBytes(f []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), len(f)*8)
+}
+
 // PutFloats writes src to dst as little-endian IEEE 754 words — the raw
 // form every byte-level stage (stored blocks, DEFLATE input, the
 // engine's uncompressed store) works on. dst must hold 8·len(src) bytes.
 func PutFloats(dst []byte, src []float64) {
 	dst = dst[:len(src)*8]
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(dst[i*8:i*8+8], math.Float64bits(v))
+	if hostLittleEndian {
+		copy(dst, floatBytes(src))
+		return
 	}
+	putWords(dst, src)
+}
+
+// AppendFloats appends src's raw form (see PutFloats) to dst. Growing
+// through append, not make, spares the runtime zeroing bytes that are
+// about to be overwritten; the price is append's rounded-up capacity.
+func AppendFloats(dst []byte, src []float64) []byte {
+	if hostLittleEndian {
+		return append(dst, floatBytes(src)...)
+	}
+	n := len(dst)
+	dst = Grow(dst, len(src)*8)[:n+len(src)*8]
+	putWords(dst[n:], src)
+	return dst
 }
 
 // GetFloats reverses PutFloats: src must hold 8·len(dst) bytes.
 func GetFloats(dst []float64, src []byte) {
 	src = src[:len(dst)*8]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8 : i*8+8]))
+	if hostLittleEndian {
+		copy(floatBytes(dst), src)
+		return
+	}
+	getWords(dst, src)
+}
+
+// putWords and getWords are the portable form of the two above, a word
+// at a time; len(b) == 8·len(f).
+func putWords(b []byte, f []float64) {
+	for i, v := range f {
+		binary.LittleEndian.PutUint64(b[i*8:i*8+8], math.Float64bits(v))
+	}
+}
+
+func getWords(f []float64, b []byte) {
+	for i := range f {
+		f[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8 : i*8+8]))
 	}
 }
 

@@ -163,18 +163,40 @@ func TestQuickShuffle(t *testing.T) {
 	}
 }
 
+// TestFloatsRoundTrip: the raw form is little-endian IEEE 754 words
+// whatever the host, so the byte-view copy must give exactly the bytes
+// of the portable word loop, and back — for the values a float
+// conversion could mangle as well: NaN payloads (quiet, signalling,
+// negative), both zeros, both infinities, the smallest and largest
+// denormals. dst starts one byte in, as the engine's tagged raw blob does.
 func TestFloatsRoundTrip(t *testing.T) {
-	src := []float64{0, math.Copysign(0, -1), 1, -math.Pi, math.Inf(1), math.Float64frombits(0x7FF8000000000123), 5e-324}
-	raw := make([]byte, 8*len(src)+3) // room to spare is left alone
+	src := []float64{0, math.Copysign(0, -1), 1, -math.Pi, math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7FF8000000000123), math.Float64frombits(0x7FF0000000000001),
+		math.Float64frombits(0xFFF800000000BEEF), 5e-324, -5e-324, math.Float64frombits(0x000FFFFFFFFFFFFF)}
+	raw := make([]byte, 1+8*len(src)+3) // room to spare is left alone
 	raw[len(raw)-1] = 0xAB
-	PutFloats(raw, src)
-	if got := binary.LittleEndian.Uint64(raw[8*3:]); got != math.Float64bits(-math.Pi) || raw[len(raw)-1] != 0xAB {
+	PutFloats(raw[1:], src)
+	if got := binary.LittleEndian.Uint64(raw[1+8*3:]); got != math.Float64bits(-math.Pi) || raw[len(raw)-1] != 0xAB {
 		t.Fatalf("word 3 = %x, spare byte %x", got, raw[len(raw)-1])
 	}
-	back := make([]float64, len(src))
-	GetFloats(back, raw)
-	if i := CheckBound(src, back, Options{}); i >= 0 {
-		t.Fatalf("word %d: %x came back as %x", i, math.Float64bits(src[i]), math.Float64bits(back[i]))
+	words := make([]byte, 8*len(src))
+	putWords(words, src)
+	if !bytes.Equal(raw[1:1+len(words)], words) {
+		t.Fatalf("PutFloats wrote % x, the word loop % x", raw[1:1+len(words)], words)
+	}
+	if got := AppendFloats([]byte{7}, src); got[0] != 7 || !bytes.Equal(got[1:], words) {
+		t.Fatalf("AppendFloats gave % x, want 07 then % x", got, words)
+	}
+	if got := AppendFloats(nil, nil); len(got) != 0 {
+		t.Fatalf("AppendFloats of nothing gave %d bytes", len(got))
+	}
+	back, wordsBack := make([]float64, len(src)), make([]float64, len(src))
+	GetFloats(back, raw[1:])
+	getWords(wordsBack, words)
+	for i := range src {
+		if want := math.Float64bits(src[i]); math.Float64bits(back[i]) != want || math.Float64bits(wordsBack[i]) != want {
+			t.Fatalf("word %d: %x came back as %x (GetFloats), %x (word loop)", i, want, math.Float64bits(back[i]), math.Float64bits(wordsBack[i]))
+		}
 	}
 }
 

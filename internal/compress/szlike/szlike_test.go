@@ -1,10 +1,14 @@
 package szlike
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"qcsim/internal/bitio"
 	"qcsim/internal/compress"
 	"qcsim/internal/compress/codectest"
 )
@@ -129,4 +133,43 @@ func TestInvalidStride(t *testing.T) {
 func TestConcurrentUse(t *testing.T) {
 	codectest.ConformanceConcurrent(t, NewA())
 	codectest.ConformanceConcurrent(t, NewB())
+}
+
+// TestDecompressRefusesForgedTokenCount: the token stream's symbol count
+// comes off the wire, and a blob whose Huffman header claims 4 G tokens
+// — nine bytes: the count, a one-symbol table, no payload — must come
+// back as ErrCorrupt having allocated about what the input weighs, not
+// the 8 GB the count asks for.
+func TestDecompressRefusesForgedTokenCount(t *testing.T) {
+	w := bitio.NewWriter(16)
+	w.WriteBits(0xFFFFFFFF, 32) // symbols
+	w.WriteBits(1, 17)          // distinct symbols
+	w.WriteBits(0, 16)          // symbol 0 …
+	w.WriteBits(1, 6)           // … at code length 1
+	huff := w.Bytes()
+
+	c := NewA()
+	pre := []byte{0, byte(c.Stride)}
+	pre = binary.LittleEndian.AppendUint32(pre, uint32(c.Bins))
+	pre = binary.LittleEndian.AppendUint64(pre, 0)
+	pre = binary.LittleEndian.AppendUint32(pre, uint32(len(huff)))
+	pre = append(pre, huff...)
+	pre = binary.LittleEndian.AppendUint32(pre, 0) // no signs, no literals
+	blob, err := c.flate.Deflate(compress.AppendHeader(nil, compress.Header{Magic: magic, Count: 4}), pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dst := make([]float64, 4)
+	c.Decompress(dst, blob) // warm the pooled reader: its window is not this test's subject
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = c.Decompress(dst, blob)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, compress.ErrCorrupt) {
+		t.Fatalf("forged count gave %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("refusing a %d-byte blob allocated %d bytes", len(blob), got)
+	}
 }

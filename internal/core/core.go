@@ -23,6 +23,12 @@ const (
 	tagRaw      byte = 2
 )
 
+// rawPrefix is what a raw blob grows from. It is never written: its
+// capacity is its length, so appending to it always allocates, and a
+// shared read-only prefix saves the one-byte allocation a literal costs
+// per block.
+var rawPrefix = []byte{tagRaw}
+
 // Simulator is the compressed-state engine. Construct with New, run
 // circuits with Run (repeatable — state persists across calls), inspect
 // with Amplitude/FullState/Stats, persist with Save/Load.
@@ -329,10 +335,7 @@ func (s *Simulator) compressBlock(level int, scratch []float64, st *Stats) ([]by
 	st.CompressCalls++
 	defer func() { st.CompressTime += time.Since(start) }()
 	if s.cfg.Uncompressed {
-		blob := make([]byte, 1+len(scratch)*8)
-		blob[0] = tagRaw
-		compress.PutFloats(blob[1:], scratch)
-		return blob, nil
+		return compress.AppendFloats(rawPrefix, scratch), nil
 	}
 	if level == 0 {
 		blob, err := s.cfg.Lossless.Compress([]byte{tagLossless}, scratch, compress.Options{Mode: compress.Lossless})
@@ -859,6 +862,15 @@ func (s *Simulator) applyCrossRank(comm mpi.Comm, rs *rankState, g quantum.Gate,
 	lvl := rs.level
 	nb := s.blocksPerRank()
 	w := rs.w0()
+	// Each rank computes one output row of the 2×2 — the peer computes
+	// the other from the same pair — over the offsets the offset controls
+	// select (runLen). a0 is the target-bit-0 amplitude wherever it lives.
+	a0, a1, ua, ub := w.x, w.y, g.U[0][0], g.U[0][1]
+	if !lowSide {
+		a0, a1, ua, ub = w.y, w.x, g.U[1][0], g.U[1][1]
+	}
+	mask, ba := int(offCtrl), s.blockAmps()
+	n := runLen(mask, ba)
 	s.hintBlocks(rs, blkCtrl)
 	var firstErr error
 	for b := 0; b < nb; b++ {
@@ -879,24 +891,12 @@ func (s *Simulator) applyCrossRank(comm mpi.Comm, rs *rankState, g quantum.Gate,
 			continue
 		}
 		start := time.Now()
-		x, y := w.x, w.y
-		ba := s.blockAmps()
-		u := g.U
-		for o := 0; o < ba; o++ {
-			if uint64(o)&offCtrl != offCtrl {
-				continue
-			}
-			re, im := 2*o, 2*o+1
-			if lowSide {
-				a0 := complex(x[re], x[im])
-				a1 := complex(y[re], y[im])
-				n0 := u[0][0]*a0 + u[0][1]*a1
-				x[re], x[im] = real(n0), imag(n0)
-			} else {
-				a0 := complex(y[re], y[im])
-				a1 := complex(x[re], x[im])
-				n1 := u[1][0]*a0 + u[1][1]*a1
-				x[re], x[im] = real(n1), imag(n1)
+		for v := mask; v < ba; v = (v + n) | mask {
+			p0, p1 := a0[2*v:2*(v+n)], a1[2*v:2*(v+n)]
+			out := w.x[2*v : 2*(v+n)]
+			for i := 0; i+1 < len(out); i += 2 {
+				r := ua*complex(p0[i], p0[i+1]) + ub*complex(p1[i], p1[i+1])
+				out[i], out[i+1] = real(r), imag(r)
 			}
 		}
 		rs.stats.ComputeTime += time.Since(start)
@@ -914,29 +914,6 @@ func (s *Simulator) applyCrossRank(comm mpi.Comm, rs *rankState, g quantum.Gate,
 	}
 	s.noteLevel(rs, gi, 0, lvl)
 	return nil
-}
-
-// applyPair applies u to the amplitude pair at indices (i, j) of one
-// interleaved scratch buffer (paper Eq. 6).
-func applyPair(u quantum.Matrix2, x []float64, i, j int) {
-	a0 := complex(x[2*i], x[2*i+1])
-	a1 := complex(x[2*j], x[2*j+1])
-	n0 := u[0][0]*a0 + u[0][1]*a1
-	n1 := u[1][0]*a0 + u[1][1]*a1
-	x[2*i], x[2*i+1] = real(n0), imag(n0)
-	x[2*j], x[2*j+1] = real(n1), imag(n1)
-}
-
-// applyPairSplit applies u to amplitude o of the low block x and the
-// same offset of the high block y.
-func applyPairSplit(u quantum.Matrix2, x, y []float64, o int) {
-	re, im := 2*o, 2*o+1
-	a0 := complex(x[re], x[im])
-	a1 := complex(y[re], y[im])
-	n0 := u[0][0]*a0 + u[0][1]*a1
-	n1 := u[1][0]*a0 + u[1][1]*a1
-	x[re], x[im] = real(n0), imag(n0)
-	y[re], y[im] = real(n1), imag(n1)
 }
 
 // SampleStream derives the dedicated seeded sampling rng from a

@@ -68,14 +68,42 @@ func (s *Simulator) planSweeps(gates []quantum.Gate) []quantum.PairSweep {
 	return quantum.SingletonPairSweeps(gates, s.offsetBits, s.blockBits)
 }
 
+// gateClass is the arithmetic a gate's matrix needs, read off its
+// entries by exact equality — never off the gate's name, so a fused or
+// user-supplied matrix qualifies exactly when its entries are exact.
+type gateClass uint8
+
+const (
+	classGeneral  gateClass = iota // the full complex 2×2, 28 flops a pair
+	classDiagonal                  // u01 == u10 == 0: one complex multiply per amplitude, 12 flops a pair
+	classSwap                      // u00 == u11 == 0, u01 == u10 == 1: a copy
+)
+
+func classify(u quantum.Matrix2) gateClass {
+	switch {
+	case u[0][1] == 0 && u[1][0] == 0:
+		return classDiagonal
+	case u[0][0] == 0 && u[1][1] == 0 && u[0][1] == 1 && u[1][0] == 1:
+		return classSwap
+	}
+	return classGeneral
+}
+
 // passGate is one gate of a compiled pass, pre-split into the masks the
 // kernel needs. tMask is the target's bit within a block, 0 for a gate
-// that targets the pass's block-segment qubit.
+// that targets the pass's block-segment qubit; mask is the offset bits
+// that must be set in the index of the pair's high amplitude — the
+// offset controls, plus tMask itself.
 type passGate struct {
 	tMask   int
-	offCtrl uint64
+	mask    int
 	blkCtrl int // block-index bits that must be set for the gate to fire
+	class   gateClass
 	u       quantum.Matrix2
+}
+
+func newPassGate(u quantum.Matrix2, tMask int, offCtrl uint64, blkCtrl int) passGate {
+	return passGate{tMask: tMask, mask: int(offCtrl) | tMask, blkCtrl: blkCtrl, class: classify(u), u: u}
 }
 
 // blockPass is one pair sweep compiled for one rank at one error level:
@@ -103,14 +131,14 @@ func (s *Simulator) compilePass(rs *rankState, gates []quantum.Gate) *blockPass 
 		if rs.id&rankCtrl != rankCtrl {
 			continue
 		}
-		pg := passGate{offCtrl: offCtrl, blkCtrl: blkCtrl, u: g.U}
+		tMask := 0
 		if g.Target < s.offsetBits {
-			pg.tMask = 1 << uint(g.Target)
+			tMask = 1 << uint(g.Target)
 		} else {
 			p.tb = 1 << uint(g.Target-s.offsetBits)
 		}
 		p.ctrlBits |= blkCtrl
-		p.gates = append(p.gates, pg)
+		p.gates = append(p.gates, newPassGate(g.U, tMask, offCtrl, blkCtrl))
 	}
 	if len(p.gates) == 0 {
 		return nil
@@ -159,42 +187,114 @@ func (p *blockPass) fired(b int) (nx, ny int) {
 // the decompressed pair (x = block b, y = its partner; y is unused when
 // tb == 0). A member fired reports as untouched holds stale scratch and
 // is neither read nor written.
+//
+// Each gate runs the loop of its class: one complex multiply per
+// amplitude for a diagonal, a copy for a swap, else the full 2×2. The
+// terms a short form drops are exact zeros, and r + ±0 == r bit for bit
+// unless r is itself a zero, whose sign the dropped terms decide — so a
+// pair whose short result has a zero component is recomputed in full,
+// and the bytes are the general 2×2's for every finite amplitude
+// (0·Inf is NaN, not ±0): the class never enters passKey.
 func (p *blockPass) apply(x, y []float64, b int) {
-	ba := len(x) / 2
 	pb := b | p.tb
 	for i := range p.gates {
 		g := &p.gates[i]
 		if g.tMask == 0 {
-			if b&g.blkCtrl != g.blkCtrl {
-				continue
-			}
-			for o := 0; o < ba; o++ {
-				if uint64(o)&g.offCtrl != g.offCtrl {
-					continue
-				}
-				applyPairSplit(g.u, x, y, o)
+			if b&g.blkCtrl == g.blkCtrl {
+				g.kernel(x, y)
 			}
 			continue
 		}
 		if b&g.blkCtrl == g.blkCtrl {
-			g.applyBlock(x, ba)
+			g.kernel(x, x)
 		}
 		if p.tb != 0 && pb&g.blkCtrl == g.blkCtrl {
-			g.applyBlock(y, ba)
+			g.kernel(y, y)
 		}
 	}
 }
 
-// applyBlock applies an offset-target gate to one decompressed block.
-func (g *passGate) applyBlock(x []float64, ba int) {
-	for base := 0; base < ba; base += g.tMask << 1 {
-		for o := base; o < base+g.tMask; o++ {
-			if uint64(o)&g.offCtrl != g.offCtrl {
-				continue
+// runLen is the stride of the controlled-offset walk every kernel
+// shares: the offsets below n whose bits include mask, in increasing
+// order, are the runs [v, v+runLen) for v := mask; v < n; v =
+// (v+runLen)|mask — runLen the lowest set bit of mask, all of n for an
+// empty mask. No offset is tested and rejected.
+func runLen(mask, n int) int {
+	if mask == 0 {
+		return n
+	}
+	return mask & -mask
+}
+
+// kernel applies the gate to the amplitude pairs (lo[v-tMask], hi[v])
+// for every offset v that includes g.mask: lo and hi are one block for
+// an offset target, the block pair (tMask == 0) for the block-segment
+// target. Each run is a pair of equal-length windows: the control test
+// and the slice arithmetic are paid per run, not per pair.
+func (g *passGate) kernel(lo, hi []float64) {
+	ba, t, mask := len(hi)/2, g.tMask, g.mask
+	n := runLen(mask, ba)
+	switch g.class {
+	case classDiagonal:
+		u00, u11 := g.u[0][0], g.u[1][1]
+		for v := mask; v < ba; v = (v + n) | mask {
+			l, h := window(lo, hi, v, t, n)
+			for i := 1; i < len(l); i += 2 {
+				a0 := complex(l[i-1], l[i])
+				a1 := complex(h[i-1], h[i])
+				n0 := u00 * a0
+				n1 := u11 * a1
+				if real(n0)*imag(n0) == 0 || real(n1)*imag(n1) == 0 {
+					n0, n1 = g.full(a0, a1)
+				}
+				l[i-1], l[i] = real(n0), imag(n0)
+				h[i-1], h[i] = real(n1), imag(n1)
 			}
-			applyPair(g.u, x, o, o|g.tMask)
+		}
+	case classSwap:
+		for v := mask; v < ba; v = (v + n) | mask {
+			l, h := window(lo, hi, v, t, n)
+			for i := 1; i < len(l); i += 2 {
+				a0 := complex(l[i-1], l[i])
+				a1 := complex(h[i-1], h[i])
+				n0, n1 := a1, a0
+				if real(n0)*imag(n0) == 0 || real(n1)*imag(n1) == 0 {
+					n0, n1 = g.full(a0, a1)
+				}
+				l[i-1], l[i] = real(n0), imag(n0)
+				h[i-1], h[i] = real(n1), imag(n1)
+			}
+		}
+	default:
+		u00, u01, u10, u11 := g.u[0][0], g.u[0][1], g.u[1][0], g.u[1][1]
+		for v := mask; v < ba; v = (v + n) | mask {
+			l, h := window(lo, hi, v, t, n)
+			for i := 1; i < len(l); i += 2 {
+				a0 := complex(l[i-1], l[i])
+				a1 := complex(h[i-1], h[i])
+				n0 := u00*a0 + u01*a1
+				n1 := u10*a0 + u11*a1
+				l[i-1], l[i] = real(n0), imag(n0)
+				h[i-1], h[i] = real(n1), imag(n1)
+			}
 		}
 	}
+}
+
+// window cuts run v out of lo and hi: n pairs each, lo's t offsets lower.
+func window(lo, hi []float64, v, t, n int) (l, h []float64) {
+	l = lo[2*(v-t) : 2*(v-t+n)]
+	return l, hi[2*v : 2*(v+n)][:len(l)]
+}
+
+// full is the general 2×2 on one pair (paper Eq. 6): the definition of
+// every class's result, and the cold path the short forms fall back to.
+// Out of line, so the loops that call it keep only their own matrix
+// entries in registers.
+//
+//go:noinline
+func (g *passGate) full(a0, a1 complex128) (n0, n1 complex128) {
+	return g.u[0][0]*a0 + g.u[0][1]*a1, g.u[1][0]*a0 + g.u[1][1]*a1
 }
 
 // passMemo is what a pass consults before paying the codec: the rank's

@@ -142,6 +142,9 @@ type Fig15Point struct {
 	Qubits     int
 	Elapsed    time.Duration
 	Normalized float64
+	// CodecCalls is the run's block encodes + decodes: the deterministic
+	// measure of the work Elapsed times.
+	CodecCalls int64
 }
 
 // Fig15Results times a Hadamard layer per qubit count on one rank.
@@ -156,7 +159,8 @@ func Fig15Results(opt Options) ([]Fig15Point, error) {
 		if err := s.Run(quantum.HadamardAll(n)); err != nil {
 			return nil, err
 		}
-		out = append(out, Fig15Point{Qubits: n, Elapsed: time.Since(start)})
+		elapsed, st := time.Since(start), s.Stats()
+		out = append(out, Fig15Point{Qubits: n, Elapsed: elapsed, CodecCalls: st.CompressCalls + st.DecompressCalls})
 	}
 	base := out[0].Elapsed.Seconds()
 	for i := range out {
@@ -172,9 +176,9 @@ func runFig15(w io.Writer, opt Options) error {
 		return err
 	}
 	tw := newTable(w)
-	fmt.Fprintln(tw, "qubits\telapsed\tnormalized")
+	fmt.Fprintln(tw, "qubits\telapsed\tnormalized\tcodec calls")
 	for _, r := range rs {
-		fmt.Fprintf(tw, "%d\t%v\t%.1f%%\n", r.Qubits, r.Elapsed.Round(time.Millisecond), 100*r.Normalized)
+		fmt.Fprintf(tw, "%d\t%v\t%.1f%%\t%d\n", r.Qubits, r.Elapsed.Round(time.Millisecond), 100*r.Normalized, r.CodecCalls)
 	}
 	return tw.Flush()
 }

@@ -266,6 +266,11 @@ func Decode(data []byte) ([]uint16, error) {
 		lengths[s] = uint8(l64)
 		tableSyms[i] = s
 	}
+	// A symbol costs at least one payload bit, so a count the payload
+	// cannot hold is corrupt — checked before nsym sizes anything.
+	if nsym > r.Remaining() {
+		return nil, fmt.Errorf("%w: %d symbols in %d payload bits", ErrCorrupt, nsym, r.Remaining())
+	}
 	syms, codes := canonical(lengths)
 	// Build decode map: (length, code) -> symbol.
 	type lc struct {

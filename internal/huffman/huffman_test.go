@@ -1,10 +1,14 @@
 package huffman
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"qcsim/internal/bitio"
 )
 
 func roundTrip(t *testing.T, in []uint16) {
@@ -78,16 +82,43 @@ func TestCompressionBeatsRawOnSkewed(t *testing.T) {
 	}
 }
 
+// forgedCount is a well-formed header — nsym symbols, a table of the one
+// symbol 0 at code length 1 — followed by payload bytes: a dozen bytes
+// that used to make Decode allocate 2·nsym before reading a single code.
+func forgedCount(nsym uint32, payload ...byte) []byte {
+	w := bitio.NewWriter(16)
+	w.WriteBits(uint64(nsym), 32)
+	w.WriteBits(1, 17)
+	w.WriteBits(0, 16)
+	w.WriteBits(1, 6)
+	w.WriteBytes(payload)
+	return w.Bytes()
+}
+
 func TestDecodeCorrupt(t *testing.T) {
 	cases := [][]byte{
-		{},           // no header
-		{0, 0, 0, 1}, // symbol count 1 but no table
-		{0xFF, 0xFF}, // truncated header
+		{},                             // no header
+		{0, 0, 0, 1},                   // symbol count 1 but no table
+		{0xFF, 0xFF},                   // truncated header
+		forgedCount(0xFFFFFFFF),        // 4 G symbols, not one payload bit
+		forgedCount(1<<20, 0, 0, 0, 0), // 1 M symbols in 32 payload bits (+ padding)
 	}
 	for i, c := range cases {
-		if _, err := Decode(c); err == nil {
-			t.Fatalf("case %d: corrupt input decoded without error", i)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(c)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("case %d: corrupt input gave %v, want ErrCorrupt", i, err)
 		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Fatalf("case %d: refusing %d bytes allocated %d", i, len(c), got)
+		}
+	}
+	// The bound is the payload's bit count, not a byte more: the same
+	// header decodes when the payload holds its symbols.
+	if out, err := Decode(forgedCount(32, 0, 0, 0, 0)); err != nil || len(out) != 32 {
+		t.Fatalf("32 one-bit symbols in 4 payload bytes: %d symbols, %v", len(out), err)
 	}
 }
 

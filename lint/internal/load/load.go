@@ -180,6 +180,9 @@ type exportImporter struct {
 }
 
 func (e *exportImporter) Import(path string) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil // the compiler's own package: no export data exists
+	}
 	e.mu.Lock()
 	if p, ok := e.packages[path]; ok {
 		e.mu.Unlock()
