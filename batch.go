@@ -161,6 +161,24 @@ func (s *Simulator) Gradient(ctx context.Context, c *circuit.Circuit, values []f
 	if err := s.runnable(c); err != nil {
 		return nil, err
 	}
+	// Before the batch is cloned and run: a bad term costs nothing, and
+	// whatever the readout reports afterwards is a store or codec failure.
+	for _, t := range obs.Z {
+		if err := s.checkQubit(t.Q); err != nil {
+			return nil, err
+		}
+	}
+	for _, t := range obs.ZZ {
+		if err := s.checkQubit(t.A); err != nil {
+			return nil, err
+		}
+		if err := s.checkQubit(t.B); err != nil {
+			return nil, err
+		}
+		if t.A == t.B {
+			return nil, fmt.Errorf("%w: ZZ term on the single qubit %d", ErrInvalidQubit, t.A)
+		}
+	}
 	occs := c.ParamOccurrences()
 	if len(occs) == 0 {
 		return nil, fmt.Errorf("%w: circuit has no parameters to differentiate", ErrBadConfig)
@@ -193,13 +211,12 @@ func (s *Simulator) Gradient(ctx context.Context, c *circuit.Circuit, values []f
 	if runErr != nil {
 		return nil, runErr
 	}
-	energies := make([]float64, len(sims))
-	for v, cs := range sims {
-		e, err := cs.DiagonalExpectation(obs.Z, obs.ZZ)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidQubit, err)
-		}
-		energies[v] = e + obs.Const
+	energies, err := core.DiagonalExpectations(sims, obs.Z, obs.ZZ)
+	if err != nil {
+		return nil, fmt.Errorf("qcsim: gradient readout: %w", err)
+	}
+	for v := range energies {
+		energies[v] += obs.Const
 	}
 	grad := make([]float64, c.NumParams())
 	for i, occ := range occs {

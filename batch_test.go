@@ -223,6 +223,75 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestGradientMatchesVariantReadouts: Gradient reads all its variants
+// in one K-state pass; the energy and gradient must be, bit for bit,
+// what the same batch gives when each retained variant is read out on
+// its own and the shifts are combined by hand.
+func TestGradientMatchesVariantReadouts(t *testing.T) {
+	const qubits, p = 5, 1
+	edges := circuit.RandomRegularGraph(qubits, 2, 3)
+	ansatz := circuit.QAOAAnsatzGraph(qubits, p, edges)
+	values := circuit.QAOAAngles(p, 3)
+	obs := MaxCutObservable(edges)
+	obs.Z = []ZTerm{{Q: 4, W: 0.25}, {Q: 0, W: -1.5}}
+	ctx := context.Background()
+	for _, opts := range [][]Option{
+		{WithRanks(2), WithBlockAmps(4), WithWorkers(3)},
+		{WithBlockAmps(8), WithWorkers(1), WithMemoryBudget(128)},
+	} {
+		sim, err := New(qubits, append([]Option{WithSeed(1)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Close()
+		res, err := sim.Gradient(ctx, ansatz, values, obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		occs := ansatz.ParamOccurrences()
+		base, err := ansatz.Bind(values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits := []*circuit.Circuit{base}
+		for _, occ := range occs {
+			for _, shift := range []float64{math.Pi / 2, -math.Pi / 2} {
+				c, err := ansatz.BindShift(values, occ.Gate, shift)
+				if err != nil {
+					t.Fatal(err)
+				}
+				circuits = append(circuits, c)
+			}
+		}
+		engines, _, err := sim.runBatchCircuits(ctx, circuits)
+		sim.retainBatch(engines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		energies := make([]float64, len(circuits))
+		for v, variant := range sim.BatchVariants() {
+			e, err := variant.be.(compressedBackend).DiagonalExpectation(obs.Z, obs.ZZ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			energies[v] = e + obs.Const
+		}
+		grad := make([]float64, ansatz.NumParams())
+		for i, occ := range occs {
+			grad[occ.Index] += occ.Scale * (energies[1+2*i] - energies[2+2*i]) / 2
+		}
+		if math.Float64bits(res.Energy) != math.Float64bits(energies[0]) {
+			t.Fatalf("Energy = %v, variant 0 read alone gives %v", res.Energy, energies[0])
+		}
+		for i := range grad {
+			if math.Float64bits(res.Grad[i]) != math.Float64bits(grad[i]) {
+				t.Fatalf("Grad[%d] = %v, the variants read one at a time give %v", i, res.Grad[i], grad[i])
+			}
+		}
+	}
+}
+
 // TestRunBatchOnMPSUnsupported: lockstep batching is compressed-only.
 func TestRunBatchOnMPSUnsupported(t *testing.T) {
 	sim, err := New(4, WithBackend(BackendMPS))

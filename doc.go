@@ -178,11 +178,13 @@
 // parent simulator is never mutated, and the variant states stay
 // inspectable through BatchVariants until the next batch or Close.
 //
-// Internally the executor walks the same pair-sweep schedule
-// block-index-first — decompress each distinct blob once per pass,
-// apply every variant's gates, recompress each distinct result once —
-// with a content-addressed cache deduplicating codec work across
-// undiverged variants. Stats reports CodecPassesShared and VariantCount.
+// Internally the executor walks the same pair-sweep schedule and fans
+// each pass out over (block pair, variant) units on the worker pool —
+// decompress each distinct blob once per pass, apply the gates,
+// recompress each distinct result once — with a content-addressed,
+// claim-or-wait memo deduplicating codec work across undiverged
+// variants, exactly once per distinct input whatever the worker count.
+// Stats reports CodecPassesShared and VariantCount.
 //
 // What breaks lockstep: nothing a valid batch can contain. Measurement
 // gates and WithNoise consume per-variant randomness mid-circuit, so

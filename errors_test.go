@@ -2,12 +2,31 @@ package qcsim
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"qcsim/circuit"
+	"qcsim/internal/compress"
+	"qcsim/internal/compress/lossless"
+	"qcsim/internal/core"
 )
+
+// dyingCodec fails every Decompress after the first dieAfter (0: never).
+type dyingCodec struct {
+	compress.Codec
+	decodes  *atomic.Int64
+	dieAfter int64
+}
+
+func (c *dyingCodec) Decompress(dst []float64, blob []byte) error {
+	if n := c.decodes.Add(1); c.dieAfter > 0 && n > c.dieAfter {
+		return compress.ErrCorrupt
+	}
+	return c.Codec.Decompress(dst, blob)
+}
 
 // TestSentinelErrors exercises every sentinel through its public
 // trigger and checks errors.Is recognition.
@@ -76,6 +95,45 @@ func TestSentinelErrors(t *testing.T) {
 		mustBe(t, sim.AssertProduct(0, 9, 1e-9), ErrInvalidQubit)
 		_, err = sim.MaxCutEnergy([]circuit.Edge{{U: 0, V: 11}})
 		mustBe(t, err, ErrInvalidQubit)
+		// A bad observable term is refused up front, not after the
+		// batch has been cloned and run.
+		ansatz := circuit.VQEAnsatz(4, 1)
+		for _, obs := range []Observable{
+			{Z: []ZTerm{{Q: 4, W: 1}}},
+			{ZZ: []ZZTerm{{A: 0, B: -1, W: 1}}},
+			{ZZ: []ZZTerm{{A: 2, B: 2, W: 1}}},
+		} {
+			_, err = sim.Gradient(ctx, ansatz, make([]float64, ansatz.NumParams()), obs)
+			mustBe(t, err, ErrInvalidQubit)
+		}
+	})
+	t.Run("Gradient/readout-failure-keeps-its-sentinel", func(t *testing.T) {
+		// A codec that dies at the first decode of the readout — every
+		// decode before it belongs to the run — is a corrupt blob, not a
+		// bad qubit index.
+		var decodes atomic.Int64
+		codec := &dyingCodec{Codec: lossless.New(flate.BestSpeed, false), decodes: &decodes}
+		eng, err := core.New(core.Config{Qubits: 5, BlockAmps: 8, Seed: 1, Lossless: codec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &Simulator{qubits: 5, be: compressedBackend{eng}}
+		defer s.Close()
+		edges := circuit.RandomRegularGraph(5, 2, 1)
+		ansatz := circuit.QAOAAnsatzGraph(5, 1, edges)
+		values := circuit.QAOAAngles(1, 1)
+		res, err := s.Gradient(ctx, ansatz, values, MaxCutObservable(edges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readout := int64(res.Evaluations * 4) // every variant decodes its 4 blocks once
+		codec.dieAfter = decodes.Load() - readout
+		decodes.Store(0)
+		_, err = s.Gradient(ctx, ansatz, values, MaxCutObservable(edges))
+		mustBe(t, err, compress.ErrCorrupt)
+		if errors.Is(err, ErrInvalidQubit) {
+			t.Fatalf("a codec failure in the readout surfaced as ErrInvalidQubit: %v", err)
+		}
 	})
 	t.Run("ErrBadCheckpoint", func(t *testing.T) {
 		mustBe(t, sim.Load(bytes.NewReader([]byte("not a checkpoint"))), ErrBadCheckpoint)

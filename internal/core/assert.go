@@ -72,36 +72,52 @@ func (s *Simulator) AssertProduct(a, b int, tol float64) error {
 }
 
 // jointDistribution returns [P(00), P(01), P(10), P(11)] over qubits
-// (a, b), with a the high bit.
+// (a, b), with a the high bit: the one-pair case of jointDistributions.
 func (s *Simulator) jointDistribution(a, b int) ([4]float64, error) {
-	var joint [4]float64
-	if a == b || a < 0 || b < 0 || a >= s.cfg.Qubits || b >= s.cfg.Qubits {
-		return joint, fmt.Errorf("%w (%d, %d)", ErrInvalidPair, a, b)
+	joints, err := s.jointDistributions([][2]int{{a, b}})
+	if err != nil {
+		return [4]float64{}, err
 	}
-	scratch := make([]float64, 2*s.blockAmps())
+	return joints[0], nil
+}
+
+// jointDistributions returns jointDistribution for every pair, from one
+// decode pass over the state however many pairs there are. Each block is
+// decoded into its rank's w0 scratch and squared in place once; every
+// pair then folds those probabilities into its own four buckets, so a
+// pair's sums run in the rank → block → offset order a pass of its own
+// would take and come out the same floats.
+func (s *Simulator) jointDistributions(pairs [][2]int) ([][4]float64, error) {
+	for _, p := range pairs {
+		if a, b := p[0], p[1]; a == b || a < 0 || b < 0 || a >= s.cfg.Qubits || b >= s.cfg.Qubits {
+			return nil, fmt.Errorf("%w (%d, %d)", ErrInvalidPair, a, b)
+		}
+	}
+	joints := make([][4]float64, len(pairs))
 	for r, rs := range s.ranks {
+		scratch := rs.w0().x
+		probs := scratch[:s.blockAmps()]
 		for blk := 0; blk < s.blocksPerRank(); blk++ {
 			blob, err := rs.store.Peek(blk)
 			if err != nil {
-				return joint, err
+				return nil, err
 			}
 			if err := s.decodeBlob(blob, scratch); err != nil {
-				return joint, err
+				return nil, err
+			}
+			for o := range probs {
+				re, im := scratch[2*o], scratch[2*o+1]
+				probs[o] = re*re + im*im // slot o was read at offset o/2
 			}
 			base := s.compose(r, blk, 0)
-			for o := 0; o < s.blockAmps(); o++ {
-				idx := base + uint64(o)
-				k := 0
-				if idx&(1<<uint(a)) != 0 {
-					k |= 2
+			for i, p := range pairs {
+				a, b, joint := uint(p[0]), uint(p[1]), &joints[i]
+				for o, pr := range probs {
+					idx := base + uint64(o)
+					joint[(idx>>a&1)<<1|idx>>b&1] += pr
 				}
-				if idx&(1<<uint(b)) != 0 {
-					k |= 1
-				}
-				re, im := scratch[2*o], scratch[2*o+1]
-				joint[k] += re*re + im*im
 			}
 		}
 	}
-	return joint, nil
+	return joints, nil
 }

@@ -101,7 +101,7 @@ func RunBatch(sims []*Simulator, circuits []*quantum.Circuit, ctl RunControl) er
 			return fmt.Errorf("%w: nil simulator or circuit at variant %d", ErrBatchMismatch, v)
 		}
 		if seen[s] {
-			// Aliased slots would race: one worker runs both on one block.
+			// Aliased slots would race: two workers on one block store.
 			return fmt.Errorf("%w: variant %d is the same simulator as an earlier variant", ErrBatchMismatch, v)
 		}
 		seen[s] = true
@@ -152,31 +152,54 @@ func sameBatchConfig(a, b *Simulator) bool {
 // batchMemo is the per-pass content-addressed dedup table: (signature,
 // level, control variant, compressed input blob(s)) → compressed output
 // blob(s). Two variants whose blocks have not diverged — or two
-// byte-identical blocks within one variant — resolve to the same key,
-// and the second lookup reuses the first's output instead of paying the
-// codec. Workers racing on the same key may both compute (benign:
-// deterministic codecs make the results identical); cross-VARIANT
-// sharing never races, since one worker owns all K variants of its
-// block. Keys and lines are the block cache's (cache.go): hashed,
-// verified on a hit, blobs shared.
+// byte-identical blocks within one variant — resolve to the same key, and
+// exactly one of them pays the codec, whatever the worker count: a
+// pass's (block, variant) units run on different workers (runPass), so
+// get is claim-or-wait. The first arrival on a key inserts a pending
+// line and computes (its leader); later arrivals park on that line until
+// the leader's put publishes the blobs — or the error that stopped it,
+// which fails them too. A leader holds its claim only across its own
+// round trip and never calls get while holding it, so nothing waits in a
+// cycle; the compute, shared and codec-call totals of a batch are
+// functions of its keys, not of the schedule. Keys are the block
+// cache's (cache.go): hashed, verified on a hit, blobs shared.
 type batchMemo struct {
-	mu    sync.RWMutex
-	lines map[uint64]*cacheLine
+	mu    sync.Mutex
+	lines map[uint64]*memoLine
+}
+
+// memoLine is one key's entry. out1, out2 and err are written by the
+// leader before it closes done and read only after.
+type memoLine struct {
+	key        blockKey
+	out1, out2 []byte // nil for a member the pass left untouched
+	err        error
+	done       chan struct{}
 }
 
 func newBatchMemo() *batchMemo {
-	return &batchMemo{lines: make(map[uint64]*cacheLine)}
+	return &batchMemo{lines: make(map[uint64]*memoLine)}
 }
 
 func (m *batchMemo) enabled() bool { return true }
 
-// get charges a hit to st as one shared codec pass per block reused.
-func (m *batchMemo) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool) {
-	m.mu.RLock()
-	l := find(m.lines, &k)
-	m.mu.RUnlock()
+// get claims k for the caller (a miss: it owes the put) or waits for the
+// claimant and charges st one shared codec pass per block reused.
+func (m *batchMemo) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool, err error) {
+	m.mu.Lock()
+	l := m.lines[k.hash]
 	if l == nil {
-		return nil, nil, false
+		m.lines[k.hash] = &memoLine{key: k, done: make(chan struct{})}
+	}
+	m.mu.Unlock()
+	if l == nil || !l.key.equal(&k) {
+		// A different key under the same hash computes unshared; its put
+		// finds no claim of its own and publishes nothing.
+		return nil, nil, false, nil
+	}
+	<-l.done
+	if l.err != nil {
+		return nil, nil, false, l.err
 	}
 	if l.out1 != nil {
 		st.CodecPassesShared++
@@ -184,11 +207,16 @@ func (m *batchMemo) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool) {
 	if l.out2 != nil {
 		st.CodecPassesShared++
 	}
-	return l.out1, l.out2, true
+	return l.out1, l.out2, true, nil
 }
 
-func (m *batchMemo) put(k blockKey, out1, out2 []byte) {
+// put publishes the claimant's result for k and releases its waiters.
+func (m *batchMemo) put(k blockKey, out1, out2 []byte, err error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lines[k.hash] = &cacheLine{key: k, out1: out1, out2: out2}
+	l := m.lines[k.hash]
+	m.mu.Unlock()
+	if l.key.equal(&k) {
+		l.out1, l.out2, l.err = out1, out2, err
+		close(l.done)
+	}
 }

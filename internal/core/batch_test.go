@@ -95,7 +95,7 @@ func TestCloneCopiesStateAndLedger(t *testing.T) {
 // state K solo RunControlled calls with the same per-variant seeds
 // would, for ANY geometry, worker count, and sweep setting. Run under
 // -race in CI, it doubles as the data-race check on the
-// block-index-first fan-out.
+// (block, variant) fan-out.
 func TestQuickRunBatchBitIdentical(t *testing.T) {
 	f := func(seed int64, geomSel, workerSel, sweepSel uint8) bool {
 		const qubits, p, k = 6, 1, 3
@@ -165,10 +165,7 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 		}
 		shifted[v] = occ.Gate
 	}
-	// Workers: 1 keeps the memo counters deterministic (racing workers
-	// may benignly double-compute an identical key).
-	oneWorker := func(c *Config) { c.Workers = 1 }
-	sims := batchSims(t, qubits, 1, 32, k, oneWorker)
+	sims := batchSims(t, qubits, 1, 32, k, nil)
 	baseStats := sims[0].Stats()
 	if err := RunBatch(sims, circuits, RunControl{}); err != nil {
 		t.Fatal(err)
@@ -187,7 +184,7 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 	// soloFrom runs cir alone and returns the codec calls it issues from
 	// the sweep holding gate `from` onwards.
 	soloFrom := func(cir *quantum.Circuit, from int) int64 {
-		solo := newSim(t, qubits, 1, 32, oneWorker)
+		solo := newSim(t, qubits, 1, 32, nil)
 		calls := func() int64 { st := solo.ranks[0].stats; return st.CompressCalls + st.DecompressCalls }
 		var atSweep []int64 // calls issued before each sweep of the plan
 		if err := solo.RunControlled(cir, RunControl{PollAbort: func() error {
@@ -218,6 +215,118 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 	}
 	t.Logf("codec calls: %d solo x %d variants = %d sequential vs %d batched (plan ideal %d), %d passes shared",
 		soloCalls, k, k*soloCalls, batchCalls, ideal, shared)
+}
+
+// shiftBatch is a parameter-shift-style batch of k variants of a QAOA
+// ansatz: variant 0 the base binding, each later one shifted in a single
+// gate of the closing mixer layer — so all k share the H layer (which
+// from |0…0⟩ also leaves byte-identical blocks WITHIN a variant) and the
+// cost layer, and diverge only at the end.
+func shiftBatch(t *testing.T, qubits, k int) []*quantum.Circuit {
+	t.Helper()
+	ansatz := quantum.QAOAAnsatzGraph(qubits, 1, quantum.RandomRegularGraph(qubits, 2, 11))
+	base := quantum.QAOAAngles(1, 11)
+	occs := ansatz.ParamOccurrences()
+	circuits := make([]*quantum.Circuit, k)
+	var err error
+	if circuits[0], err = ansatz.Bind(base); err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v < k; v++ {
+		occ := occs[len(occs)-1-(v-1)%qubits]
+		if circuits[v], err = ansatz.BindShift(base, occ.Gate, 0.25*float64(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return circuits
+}
+
+// TestBatchCountersIndependentOfWorkers: a pass's (block, variant) units
+// run on different workers, so two of them can reach one memo key at the
+// same moment — and exactly one may pay for it. The codec-call and
+// shared-pass totals of a batch are functions of its keys: equal for
+// every worker count, and together they account for every block the
+// passes fired, no more (a double compute) and no less.
+//
+// And when the worker that claimed a key fails, the workers parked on it
+// must come back with its error: forEach joins every worker before the
+// run returns, so a parked one would hang it (runWithFault's timeout).
+func TestBatchCountersIndependentOfWorkers(t *testing.T) {
+	t.Run("failed leader releases its waiters", func(t *testing.T) {
+		// An H layer: every block of every variant is the same bytes, so
+		// a pass has one or two keys and every other unit waits on their
+		// leaders. The fault is armed on all variants — whichever leads.
+		cir := quantum.NewCircuit(6)
+		for q := 0; q < 6; q++ {
+			cir.H(q)
+		}
+		for _, f := range []codecFault{
+			{all: true, dec: true, at: 1},
+			{all: true, enc: true, at: 2},
+		} {
+			runWithFault(t, 8, func(c *Config) { c.Workers = 4 }, cir, f)
+		}
+	})
+
+	const qubits = 6
+	for _, tc := range []struct {
+		k, ranks, block int
+		noSweeps, raw   bool // raw: the memo keys on uncompressed blobs all the same
+	}{
+		{k: 3, ranks: 1, block: 4},                            // 16 blocks
+		{k: 8, ranks: 2, block: 4, raw: true},                 // 8 blocks a rank, a rank-segment qubit
+		{k: 3, ranks: 1, block: 8, raw: true, noSweeps: true}, // a pass per gate
+	} {
+		circuits := shiftBatch(t, qubits, tc.k)
+		// What the passes fire: a solo run without a block cache pays one
+		// compression per fired block, and a batch fires its variants' sum.
+		solos := make([]*Simulator, tc.k)
+		var fired int64
+		for v := range solos {
+			solos[v] = newSim(t, qubits, tc.ranks, tc.block, func(c *Config) {
+				c.DisableSweeps, c.Uncompressed = tc.noSweeps, tc.raw
+				c.Seed = VariantSeed(1, v)
+			})
+			before := solos[v].Stats().CompressCalls
+			if err := solos[v].Run(circuits[v]); err != nil {
+				t.Fatal(err)
+			}
+			fired += solos[v].Stats().CompressCalls - before
+		}
+		type totals struct{ enc, dec, shared int64 }
+		var want totals
+		for _, workers := range []int{1, 2, 4} {
+			sims := batchSims(t, qubits, tc.ranks, tc.block, tc.k, func(c *Config) {
+				c.DisableSweeps, c.Uncompressed = tc.noSweeps, tc.raw
+				c.Workers = workers
+			})
+			var got totals
+			for _, s := range sims {
+				got.enc -= s.Stats().CompressCalls // Reset's
+			}
+			if err := RunBatch(sims, circuits, RunControl{}); err != nil {
+				t.Fatal(err)
+			}
+			for v, s := range sims {
+				st := s.Stats()
+				got.enc += st.CompressCalls
+				got.dec += st.DecompressCalls
+				got.shared += st.CodecPassesShared
+				assertBitIdentical(t, s, solos[v], fmt.Sprintf("%+v workers=%d variant %d vs solo", tc, workers, v))
+			}
+			if got.enc+got.shared != fired {
+				t.Fatalf("%+v workers=%d: %d blocks computed + %d shared, the passes fired %d", tc, workers, got.enc, got.shared, fired)
+			}
+			if got.shared == 0 {
+				t.Fatalf("%+v workers=%d: nothing shared; the test is vacuous", tc, workers)
+			}
+			if workers == 1 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%+v: counters depend on the schedule: workers=%d %+v, workers=1 %+v", tc, workers, got, want)
+			}
+		}
+	}
 }
 
 // assertVariantsMatchSolo checks every variant of a finished batch

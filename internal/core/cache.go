@@ -69,15 +69,14 @@ func (k *blockKey) equal(o *blockKey) bool {
 		bytes.Equal(k.in1, o.in1) && bytes.Equal(k.in2, o.in2)
 }
 
-// cacheLine is one key → output(s) entry, of the block cache or of a
-// batch memo; apart from tick it is never written once published. The
-// outputs are shared with every slot they were ever handed to, never
-// copied.
+// cacheLine is one key → output(s) entry of the block cache; apart from
+// tick it is never written once published. The outputs are shared with
+// every slot they were ever handed to, never copied.
 type cacheLine struct {
 	key        blockKey
 	out1, out2 []byte // nil for a member the pass left untouched
 	// tick is the number of the lookup that last touched the line;
-	// the smallest tick is the LRU victim. Only the block cache uses it.
+	// the smallest tick is the LRU victim.
 	tick atomic.Int64
 }
 
@@ -141,13 +140,13 @@ func (c *blockCache) enabled() bool {
 // get returns the cached outputs for k, if present, counting the lookup
 // (and the hit) in st exactly when the cache counted it — a cache that
 // shut off since the caller's enabled() check counts nothing.
-func (c *blockCache) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool) {
+func (c *blockCache) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool, err error) {
 	if c == nil {
-		return nil, nil, false
+		return nil, nil, false, nil
 	}
 	t := c.table.Load()
 	if t == nil {
-		return nil, nil, false
+		return nil, nil, false, nil
 	}
 	n := c.lookups.Add(1)
 	st.CacheLookups++
@@ -160,7 +159,7 @@ func (c *blockCache) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool) {
 			c.hit.Store(true)
 		}
 		st.CacheHits++
-		return l.out1, l.out2, true
+		return l.out1, l.out2, true, nil
 	}
 	if !c.hit.Load() && n >= c.probation {
 		// §3.4: no redundancy in the state — stop paying the miss
@@ -169,14 +168,15 @@ func (c *blockCache) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool) {
 		c.table.Store(nil)
 		c.mu.Unlock()
 	}
-	return nil, nil, false
+	return nil, nil, false, nil
 }
 
 // put stores the outputs of the lookup that just missed on k, evicting
-// the least recently used line when the cache is full. Key and outputs
-// are kept by reference.
-func (c *blockCache) put(k blockKey, out1, out2 []byte) {
-	if c == nil {
+// the least recently used line when the cache is full; a round trip that
+// failed (err) has nothing to store. Key and outputs are kept by
+// reference.
+func (c *blockCache) put(k blockKey, out1, out2 []byte, err error) {
+	if c == nil || err != nil {
 		return
 	}
 	c.mu.Lock()

@@ -96,20 +96,20 @@ func TestCacheLRUEviction(t *testing.T) {
 	var st Stats
 	c := newBlockCache(2)
 	a, b, d := testKey("a", 1), testKey("b", 2), testKey("c", 3)
-	c.put(a, []byte{10}, nil)
-	c.put(b, []byte{20}, nil)
+	c.put(a, []byte{10}, nil, nil)
+	c.put(b, []byte{20}, nil, nil)
 	// Touch "a" so "b" is the LRU victim.
-	if _, _, ok := c.get(a, &st); !ok {
+	if _, _, ok, _ := c.get(a, &st); !ok {
 		t.Fatal("a missing")
 	}
-	c.put(d, []byte{30}, nil)
-	if _, _, ok := c.get(b, &st); ok {
+	c.put(d, []byte{30}, nil, nil)
+	if _, _, ok, _ := c.get(b, &st); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, _, ok := c.get(a, &st); !ok {
+	if _, _, ok, _ := c.get(a, &st); !ok {
 		t.Fatal("a evicted out of LRU order")
 	}
-	if out, _, ok := c.get(d, &st); !ok || out[0] != 30 {
+	if out, _, ok, _ := c.get(d, &st); !ok || out[0] != 30 {
 		t.Fatal("c missing or wrong")
 	}
 	if st.CacheLookups != 4 || st.CacheHits != 3 {
@@ -140,7 +140,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 				refEl = el
 			}
 		}
-		out, _, hit := c.get(k, &st)
+		out, _, hit, _ := c.get(k, &st)
 		if hit != (refEl != nil) {
 			t.Fatalf("lookup %d (key %d): hit=%v, reference LRU says %v", i, id, hit, refEl != nil)
 		}
@@ -151,7 +151,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 			ref.MoveToFront(refEl)
 			continue
 		}
-		c.put(k, []byte{byte(id)}, nil)
+		c.put(k, []byte{byte(id)}, nil, nil)
 		if ref.Len() == lines {
 			ref.Remove(ref.Back())
 		}
@@ -187,26 +187,29 @@ func TestCacheKeyVerifiedBehindHash(t *testing.T) {
 	var st Stats
 	c := newBlockCache(8)
 	memo := newBatchMemo()
-	c.put(base, []byte{1}, []byte{2})
-	memo.put(base, []byte{1}, []byte{2})
-	_, _, memoHit := memo.get(base, &st)
-	if _, _, ok := c.get(base, &st); !ok || !memoHit {
+	c.put(base, []byte{1}, []byte{2}, nil)
+	if _, _, ok, _ := memo.get(base, &st); ok { // the claim
+		t.Fatal("an empty memo hits")
+	}
+	memo.put(base, []byte{1}, []byte{2}, nil)
+	_, _, memoHit, _ := memo.get(base, &st)
+	if _, _, ok, _ := c.get(base, &st); !ok || !memoHit {
 		t.Fatal("the stored key itself misses")
 	}
 	for name, k := range others {
-		if _, _, ok := c.get(k, &st); ok {
+		if _, _, ok, _ := c.get(k, &st); ok {
 			t.Errorf("%s: block cache returned another key's blocks on a hash collision", name)
 		}
-		if _, _, ok := memo.get(k, &st); ok {
+		if _, _, ok, _ := memo.get(k, &st); ok {
 			t.Errorf("%s: batch memo returned another key's blocks on a hash collision", name)
 		}
 	}
 	// A colliding put takes the slot over; the displaced key misses.
-	c.put(others["level"], []byte{3}, []byte{4})
-	if out, _, ok := c.get(others["level"], &st); !ok || out[0] != 3 {
+	c.put(others["level"], []byte{3}, []byte{4}, nil)
+	if out, _, ok, _ := c.get(others["level"], &st); !ok || out[0] != 3 {
 		t.Fatal("colliding put not stored")
 	}
-	if _, _, ok := c.get(base, &st); ok {
+	if _, _, ok, _ := c.get(base, &st); ok {
 		t.Fatal("displaced key still hits")
 	}
 	// The real hash covers every field too (so collisions stay rare).
@@ -231,8 +234,8 @@ func TestCacheSharesImmutableBlobs(t *testing.T) {
 	c := newBlockCache(2)
 	o1, o2 := []byte{42}, []byte{43}
 	k := newPassKey("a", 0).block(0, []byte{1}, []byte{2})
-	c.put(k, o1, o2)
-	g1, g2, ok := c.get(k, &st)
+	c.put(k, o1, o2, nil)
+	g1, g2, ok, _ := c.get(k, &st)
 	if !ok || &g1[0] != &o1[0] || &g2[0] != &o2[0] {
 		t.Fatal("cache hit does not alias the stored outputs")
 	}
@@ -424,11 +427,11 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	store.Put(0, in)
 	store.Put(1, in)
 	pass := newPassKey("h 3", 0)
-	c.put(pass.block(0, in, nil), in, nil)
-	c.put(pass.block(0, in, in), in, in)
+	c.put(pass.block(0, in, nil), in, nil, nil)
+	c.put(pass.block(0, in, in), in, in, nil)
 	single := func() {
 		cur, _ := store.Get(0)
-		out, _, ok := c.get(pass.block(0, cur, nil), &st)
+		out, _, ok, _ := c.get(pass.block(0, cur, nil), &st)
 		if !ok {
 			panic("miss")
 		}
@@ -437,7 +440,7 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	pair := func() {
 		cur0, _ := store.Get(0)
 		cur1, _ := store.Get(1)
-		out0, out1, ok := c.get(pass.block(0, cur0, cur1), &st)
+		out0, out1, ok, _ := c.get(pass.block(0, cur0, cur1), &st)
 		if !ok {
 			panic("miss")
 		}
@@ -526,10 +529,10 @@ func TestNilCacheIsSafe(t *testing.T) {
 	var c *blockCache
 	var st Stats
 	k := testKey("x", 1)
-	if _, _, ok := c.get(k, &st); ok || st.CacheLookups != 0 {
+	if _, _, ok, _ := c.get(k, &st); ok || st.CacheLookups != 0 {
 		t.Fatal("nil cache hit or counted a lookup")
 	}
-	c.put(k, []byte{1}, nil) // must not panic
+	c.put(k, []byte{1}, nil, nil) // must not panic
 }
 
 // BenchmarkCacheHit times the §3.4 hit path as a worker runs it — read
@@ -549,7 +552,7 @@ func BenchmarkCacheHit(b *testing.B) {
 				}
 				c := newBlockCache(64)
 				pass := newPassKey("h 3", 0)
-				c.put(pass.block(0, in, nil), in, nil)
+				c.put(pass.block(0, in, nil), in, nil, nil)
 				b.SetBytes(int64(size))
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -562,7 +565,7 @@ func BenchmarkCacheHit(b *testing.B) {
 						for i := 0; i < b.N/workers; i++ {
 							slot := w*slots + i%slots
 							cur, _ := store.Get(slot)
-							out, _, ok := c.get(pass.block(0, cur, nil), &st)
+							out, _, ok, _ := c.get(pass.block(0, cur, nil), &st)
 							if !ok {
 								panic("miss")
 							}

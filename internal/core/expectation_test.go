@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"qcsim/internal/quantum"
@@ -93,5 +96,162 @@ func TestMaxCutEnergyMatchesReference(t *testing.T) {
 	}
 	if _, err := s.MaxCutEnergy([]CutEdge{{1, 1}}); err == nil {
 		t.Fatal("self loop accepted")
+	}
+}
+
+// perAmplitudeExpectation is DiagonalExpectation as it stood before the
+// block table: the weight Σ±W re-derived for every amplitude, a branch
+// per term. It defines the bits DiagonalExpectations must reproduce.
+func perAmplitudeExpectation(s *Simulator, zs []ZTerm, zzs []ZZTerm) (float64, error) {
+	var acc float64
+	scratch := make([]float64, 2*s.blockAmps())
+	for r, rs := range s.ranks {
+		for blk := 0; blk < s.blocksPerRank(); blk++ {
+			blob, err := rs.store.Peek(blk)
+			if err != nil {
+				return 0, err
+			}
+			if err := s.decodeBlob(blob, scratch); err != nil {
+				return 0, err
+			}
+			base := s.compose(r, blk, 0)
+			for o := 0; o < s.blockAmps(); o++ {
+				re, im := scratch[2*o], scratch[2*o+1]
+				p := re*re + im*im
+				if p == 0 {
+					continue
+				}
+				idx := base + uint64(o)
+				var w float64
+				for _, t := range zs {
+					if idx>>uint(t.Q)&1 == 0 {
+						w += t.W
+					} else {
+						w -= t.W
+					}
+				}
+				for _, t := range zzs {
+					if (idx>>uint(t.A)^idx>>uint(t.B))&1 == 0 {
+						w += t.W
+					} else {
+						w -= t.W
+					}
+				}
+				acc += p * w
+			}
+		}
+	}
+	return acc, nil
+}
+
+// TestDiagonalExpectationsMatchPerAmplitudeLoop pins the readout's bits:
+// tabulating Σ±W term-major per block, and running K variants' sums on a
+// worker pool, must give every variant the float64 the per-amplitude
+// loop gives it alone.
+func TestDiagonalExpectationsMatchPerAmplitudeLoop(t *testing.T) {
+	const qubits = 7
+	// Qubits 0–2 are offset bits in every geometry below, 4 a block bit,
+	// 6 the rank bit on two ranks.
+	zs := []ZTerm{{0, 0.75}, {4, -1.25}, {6, 0.3}, {0, 0.75}}
+	zzs := []ZZTerm{{0, 1, -0.5}, {1, 5, 0.7}, {4, 6, -0.5}, {6, 2, 1.0 / 3}, {0, 1, -0.5}, {3, 5, 1e-3}}
+	states := map[string]struct {
+		cfg     func(*Config)
+		circuit func(v int) *quantum.Circuit
+	}{
+		"dense":  {circuit: func(v int) *quantum.Circuit { return quantum.RandomCircuit(qubits, 20, int64(7+v)) }},
+		"lossy":  {cfg: func(c *Config) { c.MemoryBudget = 256 }, circuit: func(v int) *quantum.Circuit { return quantum.QFT(qubits, int64(5+v)) }},
+		"sparse": {circuit: func(int) *quantum.Circuit { return quantum.GHZ(qubits) }},
+	}
+	for name, st := range states {
+		for _, g := range []struct{ ranks, block, k, workers int }{
+			{1, 8, 1, 1}, {1, 8, 3, 3}, {2, 8, 3, 1}, {2, 16, 1, 3}, {2, 16, 3, 3},
+		} {
+			label := fmt.Sprintf("%s %+v", name, g)
+			sims := make([]*Simulator, g.k)
+			for v := range sims {
+				sims[v] = newSim(t, qubits, g.ranks, g.block, func(c *Config) {
+					c.Workers = g.workers
+					if st.cfg != nil {
+						st.cfg(c)
+					}
+				})
+				if err := sims[v].Run(st.circuit(v)); err != nil {
+					t.Fatal(err)
+				}
+				if name == "lossy" && sims[v].Stats().FinalLevel < 1 {
+					t.Fatalf("%s: the budget never escalated; the state is not lossy", label)
+				}
+			}
+			got, err := DiagonalExpectations(sims, zs, zzs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, s := range sims {
+				want, err := perAmplitudeExpectation(s, zs, zzs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got[v]) != math.Float64bits(want) {
+					t.Fatalf("%s: variant %d energy %v, the per-amplitude loop gives %v", label, v, got[v], want)
+				}
+				solo, err := s.DiagonalExpectation(zs, zzs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(solo) != math.Float64bits(want) {
+					t.Fatalf("%s: variant %d solo method %v, the per-amplitude loop gives %v", label, v, solo, want)
+				}
+			}
+		}
+	}
+	s := newSim(t, 4, 1, 4, nil)
+	if _, err := s.DiagonalExpectation([]ZTerm{{4, 1}}, nil); err == nil {
+		t.Fatal("out-of-range Z term accepted")
+	}
+	if _, err := s.DiagonalExpectation(nil, []ZZTerm{{2, 2, 1}}); err == nil {
+		t.Fatal("degenerate ZZ term accepted")
+	}
+	if _, err := DiagonalExpectations([]*Simulator{s, newSim(t, 4, 2, 4, nil)}, nil, nil); !errors.Is(err, ErrBatchMismatch) {
+		t.Fatalf("mixed geometries: got %v, want ErrBatchMismatch", err)
+	}
+}
+
+// TestMaxCutEnergyDecodesOnce: the cut energy of |E| edges is one decode
+// pass over the state, and each edge's correlator is the float its own
+// ExpectationZZ pass returns. The inspection paths charge no Stats, so
+// the decodes are counted at the codec seam.
+func TestMaxCutEnergyDecodesOnce(t *testing.T) {
+	const n = 8
+	graph := quantum.RandomRegularGraph(n, 4, 9)
+	s := newSim(t, n, 2, 16, nil)
+	if err := s.Run(quantum.QAOA(n, 2, 9)); err != nil {
+		t.Fatal(err)
+	}
+	var decodes atomic.Int64
+	s.cfg.Lossless = countingCodec{s.cfg.Lossless, &decodes}
+	edges := make([]CutEdge, len(graph))
+	var want float64
+	for i, e := range graph {
+		edges[i] = CutEdge{e.U, e.V}
+		zz, err := s.ExpectationZZ(e.U, e.V)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += (1 - zz) / 2
+	}
+	blocks := int64(len(s.ranks) * s.blocksPerRank())
+	if got := decodes.Load(); got != blocks*int64(len(edges)) {
+		t.Fatalf("%d edge-at-a-time correlators decoded %d blocks, want %d each", len(edges), got, blocks)
+	}
+	decodes.Store(0)
+	got, err := s.MaxCutEnergy(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := decodes.Load(); d != blocks {
+		t.Fatalf("MaxCutEnergy over %d edges decoded %d blocks, the state has %d", len(edges), d, blocks)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("MaxCutEnergy = %v, edge-at-a-time %v", got, want)
 	}
 }

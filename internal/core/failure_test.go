@@ -144,9 +144,10 @@ func (c faultCodec) Decompress(dst []float64, blob []byte) error {
 	return c.Codec.Decompress(dst, blob)
 }
 
-// codecFault says which codec of ONE variant breaks, in which
-// direction, and before which sweep of the plan.
+// codecFault says which codec breaks — of variant 0, or of every
+// variant — in which direction, and before which sweep of the plan.
 type codecFault struct {
+	all      bool // every variant, not just variant 0
 	lossy    bool // the Lossy codec instead of the Lossless one
 	enc, dec bool
 	at       int
@@ -154,9 +155,11 @@ type codecFault struct {
 
 // runWithFault is the failure-path contract of the one run loop, for K
 // variants on 2 ranks (6 qubits, 4 blocks per rank): c runs healthy up
-// to sweep f.at, where the fault is armed on variant 0 only (the one
-// that reaches every undiverged block first — a later variant would be
-// served by the memo and never call its codec). The run must return —
+// to sweep f.at, where the fault is armed — on variant 0 only unless
+// f.all: it is the one that leads every undiverged key (a pass's index
+// order is variant-major and each worker's first unit is one of variant
+// 0's; a later variant is served by the memo and never calls its codec).
+// The run must return —
 // a hung collective trips the test-level timeout — with the typed codec
 // error, and every variant and every rank must have stopped at that
 // same sweep boundary: GatesRun and the fidelity ledger report the
@@ -166,10 +169,16 @@ func runWithFault(t *testing.T, k int, cfg func(*Config), c *quantum.Circuit, f 
 	t.Helper()
 	sims := batchSims(t, 6, 2, 8, k, cfg)
 	var enc, dec atomic.Bool
-	if bc := &sims[0].cfg; f.lossy {
-		bc.Lossy = faultCodec{bc.Lossy, &enc, &dec}
-	} else {
-		bc.Lossless = faultCodec{bc.Lossless, &enc, &dec}
+	faulty := sims[:1]
+	if f.all {
+		faulty = sims
+	}
+	for _, s := range faulty {
+		if bc := &s.cfg; f.lossy {
+			bc.Lossy = faultCodec{bc.Lossy, &enc, &dec}
+		} else {
+			bc.Lossless = faultCodec{bc.Lossless, &enc, &dec}
+		}
 	}
 	// PollAbort runs on rank 0 while every other rank waits for its
 	// broadcast, so the switch is thrown between sweeps.

@@ -270,6 +270,75 @@ func BenchmarkKernel(b *testing.B) {
 	}
 }
 
+// benchVariants is a gradient's geometry — 13 qubits in two 4096-amplitude
+// blocks, one pair — holding K clones of a dense QAOA state.
+func benchVariants(b *testing.B, k, workers int) []*Simulator {
+	b.Helper()
+	base, err := New(Config{Qubits: 13, Seed: 1, Workers: workers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { base.Close() })
+	if err := base.Run(quantum.QAOA(13, 1, 1)); err != nil {
+		b.Fatal(err)
+	}
+	sims := []*Simulator{base}
+	for v := 1; v < k; v++ {
+		clone, err := base.Clone(VariantSeed(1, v))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { clone.Close() })
+		sims = append(sims, clone)
+	}
+	return sims
+}
+
+// BenchmarkLockstepPass is one pair sweep over K variants that share
+// nothing (each its own rotation angle): the (block, variant) fan-out,
+// codec round trip included.
+func BenchmarkLockstepPass(b *testing.B) {
+	for _, k := range []int{1, 8, 79} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("K=%d/workers=%d", k, workers), func(b *testing.B) {
+				sims := benchVariants(b, k, workers)
+				circuits := make([]*quantum.Circuit, k)
+				for v := range circuits {
+					circuits[v] = quantum.NewCircuit(13).RX(0, 0.1+0.01*float64(v)).H(12)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := RunBatch(sims, circuits, RunControl{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*k), "ns/variant-block")
+			})
+		}
+	}
+}
+
+// BenchmarkDiagonalExpectation is a gradient's readout: a 26-edge MAXCUT
+// observable on K 13-qubit states.
+func BenchmarkDiagonalExpectation(b *testing.B) {
+	var zzs []ZZTerm
+	for _, e := range quantum.RandomRegularGraph(13, 4, 1) {
+		zzs = append(zzs, ZZTerm{e.U, e.V, -0.5})
+	}
+	for _, k := range []int{1, 79} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			sims := benchVariants(b, k, 2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := DiagonalExpectations(sims, nil, zzs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k<<13*len(zzs)), "ns/amp-term")
+		})
+	}
+}
+
 // TestRawBlockCostsOneAllocation: with compression off a pass's codec
 // stage is two copies and one allocation — the blob — per block.
 func TestRawBlockCostsOneAllocation(t *testing.T) {

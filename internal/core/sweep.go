@@ -299,11 +299,15 @@ func (g *passGate) full(a0, a1 complex128) (n0, n1 complex128) {
 
 // passMemo is what a pass consults before paying the codec: the rank's
 // §3.4 block cache for one variant, the per-pass cross-variant memo for
-// K > 1 (see runPass). get counts its own lookups and hits in st.
+// K > 1 (see runPass). get counts its own lookups and hits in st. A get
+// that misses is answered by exactly one put for the same key, carrying
+// the outputs or the error that kept them from existing: the batch memo
+// parks later arrivals on that key until then, and err is what it hands
+// them (the block cache never waits and never fails).
 type passMemo interface {
 	enabled() bool
-	get(k blockKey, st *Stats) (out1, out2 []byte, ok bool)
-	put(k blockKey, out1, out2 []byte)
+	get(k blockKey, st *Stats) (out1, out2 []byte, ok bool, err error)
+	put(k blockKey, out1, out2 []byte, err error)
 }
 
 // passBlock runs pass p on block b and its partner: fetch the members
@@ -342,43 +346,54 @@ func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *wor
 		}
 		return nil
 	}
+	roundTrip := func() (outX, outY []byte, err error) {
+		if nx > 0 {
+			if err := s.decompressBlock(inX, w.x, st); err != nil {
+				return nil, nil, err
+			}
+		}
+		if ny > 0 {
+			if err := s.decompressBlock(inY, w.y, st); err != nil {
+				return nil, nil, err
+			}
+		}
+		start := time.Now()
+		p.apply(w.x, w.y, b)
+		st.ComputeTime += time.Since(start)
+		if nx > 0 {
+			if outX, err = s.compressBlock(p.key.level, w.x, st); err != nil {
+				return nil, nil, err
+			}
+		}
+		if ny > 0 {
+			if outY, err = s.compressBlock(p.key.level, w.y, st); err != nil {
+				return nil, nil, err
+			}
+		}
+		return outX, outY, nil
+	}
 	var key blockKey
 	cached := memo.enabled()
 	if cached {
 		key = p.key.block(b&p.ctrlBits, inX, inY)
-		if outX, outY, ok := memo.get(key, st); ok {
+		outX, outY, ok, err := memo.get(key, st)
+		if err != nil {
+			return err
+		}
+		if ok {
 			return store(outX, outY)
 		}
 	}
-	if nx > 0 {
-		if err := s.decompressBlock(inX, w.x, st); err != nil {
-			return err
-		}
+	outX, outY, err := roundTrip()
+	if cached {
+		// Before the store: a batch memo has workers parked on this key.
+		memo.put(key, outX, outY, err)
 	}
-	if ny > 0 {
-		if err := s.decompressBlock(inY, w.y, st); err != nil {
-			return err
-		}
-	}
-	start := time.Now()
-	p.apply(w.x, w.y, b)
-	st.ComputeTime += time.Since(start)
-	var outX, outY []byte
-	if nx > 0 {
-		if outX, err = s.compressBlock(p.key.level, w.x, st); err != nil {
-			return err
-		}
-	}
-	if ny > 0 {
-		if outY, err = s.compressBlock(p.key.level, w.y, st); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 	if err := store(outX, outY); err != nil {
 		return err
-	}
-	if cached {
-		memo.put(key, outX, outY)
 	}
 	// Round trips elided versus gate-at-a-time: every gate after the
 	// first that fired on a member.
@@ -389,17 +404,24 @@ func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *wor
 // runPass fans one pair sweep — passes[v] on sims[v] — over rank r's
 // blocks on variant 0's worker pool and records each variant's level
 // for the fidelity ledger, as truncation number round of the boundary
-// after gate gi. The walk is block-index-first: for pair b, all K
-// variants are processed back to back by one worker through the same
-// passBlock, so a content-addressed memo deduplicates their codec work.
-// Codec calls are charged to the variant that actually issued them; a
-// memo hit charges the saved variant's CodecPassesShared instead.
+// after gate gi. The work unit is (block, variant): K·nb indices go
+// through the one forEach, each decoding to the passBlock call a solo
+// run of that variant would make, in whichever worker's scratch pair
+// claims it — so a batch of many variants over few blocks (a gradient on
+// a small register is 79 variants of ONE pair) still fills the pool.
+// The order is variant-major: while the variants have not diverged, the
+// leaders of the batch memo's keys are variant 0's blocks, which come
+// first and spread across the workers. Codec calls are charged to the
+// variant that issued them; a memo hit charges the saved variant's
+// CodecPassesShared instead — which variant of an undiverged group pays
+// depends on the schedule, the totals over the batch do not.
 func runPass(sims []*Simulator, r int, passes []*blockPass, gi, round int) error {
 	if passes[0] == nil {
 		return nil // rank controls are shape: silenced for one, silenced for all
 	}
 	K := len(sims)
-	rs0 := sims[0].ranks[r]
+	s0 := sims[0]
+	rs0 := s0.ranks[r]
 	for v, s := range sims {
 		s.hintPass(s.ranks[r], passes[v])
 	}
@@ -415,13 +437,13 @@ func runPass(sims []*Simulator, r int, passes []*blockPass, gi, round int) error
 	// Per-worker, per-variant stat shards (the pool's own worker shards
 	// would attribute every variant's codec work to variant 0).
 	shards := make([]Stats, len(rs0.workers)*K)
-	err := sims[0].forBlocks(rs0, func(w *workerState, b int) error {
-		for v, s := range sims {
-			if err := s.passBlock(s.ranks[r], passes[v], memo, w, &shards[w.id*K+v], b); err != nil {
-				return err
-			}
-		}
-		return nil
+	// nb is a power of two, so index i is variant i>>blockBits, block
+	// i&(nb-1) — for K = 1, (0, i), with no division and no second loop.
+	shift, blockMask := uint(s0.blockBits), s0.blocksPerRank()-1
+	err := s0.forEach(rs0, K*s0.blocksPerRank(), func(w *workerState, i int) error {
+		v := i >> shift
+		s := sims[v]
+		return s.passBlock(s.ranks[r], passes[v], memo, w, &shards[w.id*K+v], i&blockMask)
 	})
 	for i := range shards {
 		sims[i%K].ranks[r].stats.addShard(shards[i])
