@@ -162,32 +162,140 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// Property: any sequence of (value, width) writes reads back identically.
+// refWriter is the bit-at-a-time writer this package shipped before the
+// accumulator: the definition of the byte layout. Writer must produce
+// its bytes exactly.
+type refWriter struct {
+	buf  []byte
+	bitN uint8 // bits already used in the last byte (0..7)
+}
+
+func (w *refWriter) writeBit(b uint) {
+	if w.bitN == 0 {
+		w.buf = append(w.buf, 0)
+	}
+	if b&1 != 0 {
+		w.buf[len(w.buf)-1] |= 1 << (7 - w.bitN)
+	}
+	w.bitN = (w.bitN + 1) & 7
+}
+
+func (w *refWriter) writeBits(v uint64, n uint) {
+	for i := int(n) - 1; i >= 0; i-- {
+		w.writeBit(uint(v >> uint(i)))
+	}
+}
+
+func (w *refWriter) align() { w.bitN = 0 }
+
+func (w *refWriter) bitLen() int {
+	n := len(w.buf) * 8
+	if w.bitN != 0 {
+		n -= 8 - int(w.bitN)
+	}
+	return n
+}
+
+// Property: any sequence of writes — bit fields of every width with
+// their high bits left dirty, single bits, byte runs, alignments, and
+// Bytes() peeked at mid-stream — produces the reference writer's bytes
+// and bit count, and reads back identically through the matching reads.
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(vals []uint64, widthSeed int64) bool {
-		rng := rand.New(rand.NewSource(widthSeed))
-		widths := make([]uint, len(vals))
-		masked := make([]uint64, len(vals))
-		w := NewWriter(len(vals) * 8)
+	type op struct {
+		kind  int // 0 bits, 1 bit, 2 bytes, 3 align
+		v     uint64
+		n     uint
+		bytes []byte
+	}
+	f := func(vals []uint64, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]op, len(vals))
+		w := NewWriter(len(vals))
+		var ref refWriter
 		for i, v := range vals {
-			n := uint(rng.Intn(64) + 1)
-			widths[i] = n
-			if n < 64 {
-				v &= (1 << n) - 1
+			o := op{kind: 0, v: v, n: uint(rng.Intn(65))}
+			switch rng.Intn(10) {
+			case 0:
+				o.kind, o.n = 1, 1
+			case 1:
+				o.kind, o.bytes = 2, make([]byte, rng.Intn(20))
+				rng.Read(o.bytes)
+			case 2:
+				o.kind = 3
 			}
-			masked[i] = v
-			w.WriteBits(v, n)
-		}
-		r := NewReader(w.Bytes())
-		for i := range vals {
-			got, err := r.ReadBits(widths[i])
-			if err != nil || got != masked[i] {
+			ops[i] = o
+			switch o.kind {
+			case 0:
+				w.WriteBits(o.v, o.n)
+				ref.writeBits(o.v, o.n)
+			case 1:
+				w.WriteBit(uint(o.v))
+				ref.writeBit(uint(o.v))
+			case 2:
+				w.WriteBytes(o.bytes)
+				for _, b := range o.bytes {
+					ref.writeBits(uint64(b), 8)
+				}
+			case 3:
+				w.Align()
+				ref.align()
+			}
+			if w.BitLen() != ref.bitLen() {
+				t.Logf("op %d: BitLen %d, reference %d", i, w.BitLen(), ref.bitLen())
+				return false
+			}
+			if rng.Intn(8) == 0 && !bytes.Equal(w.Bytes(), ref.buf) {
+				t.Logf("op %d: bytes %x, reference %x", i, w.Bytes(), ref.buf)
 				return false
 			}
 		}
+		if !bytes.Equal(w.Bytes(), ref.buf) {
+			t.Logf("bytes %x, reference %x", w.Bytes(), ref.buf)
+			return false
+		}
+		r := NewReader(w.Bytes())
+		for i, o := range ops {
+			switch o.kind {
+			case 0, 1:
+				want := o.v
+				if o.n < 64 {
+					want &= 1<<o.n - 1
+				}
+				var got uint64
+				var err error
+				if o.kind == 1 {
+					var b uint
+					b, err = r.ReadBit()
+					got = uint64(b)
+				} else {
+					got, err = r.ReadBits(o.n)
+				}
+				if err != nil || got != want {
+					t.Logf("op %d: read %d bits: %x, %v; want %x", i, o.n, got, err, want)
+					return false
+				}
+			case 2:
+				got := make([]byte, len(o.bytes))
+				if err := r.ReadBytes(got); err != nil || !bytes.Equal(got, o.bytes) {
+					t.Logf("op %d: read bytes %x, %v; want %x", i, got, err, o.bytes)
+					return false
+				}
+			case 3:
+				r.Align()
+			}
+		}
+		// What is left is the last byte's zero padding, and nothing after.
+		if rem := r.Remaining(); rem >= 8 {
+			t.Logf("%d bits left after the last read", rem)
+			return false
+		}
+		if _, err := r.ReadBits(8); err != ErrShortBuffer {
+			t.Logf("read past the end: %v", err)
+			return false
+		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

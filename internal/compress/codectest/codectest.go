@@ -6,11 +6,15 @@
 package codectest
 
 import (
+	"bytes"
+	"compress/flate"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"qcsim/internal/compress"
@@ -258,20 +262,32 @@ func ConformanceCorrupt(t *testing.T, c compress.Codec) {
 	if err := c.Decompress(make([]float64, len(data)+1), payload); err == nil {
 		t.Error("wrong dst length accepted")
 	}
-	garbage := append([]byte(nil), payload...)
-	for i := range garbage {
-		garbage[i] ^= 0xFF
+	honest := make([]float64, len(data))
+	if err := c.Decompress(honest, payload); err != nil {
+		t.Fatal(err)
 	}
-	// Full-corruption must not panic; error is expected but a garbage
-	// decode that happens to parse is tolerated for lossy coders.
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Errorf("panic on corrupt payload: %v", r)
+	for _, h := range hostileBlobs(t, payload) {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panic on %s: %v", c.Name(), h.name, r)
+				}
+			}()
+			err := c.Decompress(out, h.blob)
+			if err != nil && !errors.Is(err, compress.ErrCorrupt) {
+				t.Errorf("%s: %s: %v, want ErrCorrupt", c.Name(), h.name, err)
+			}
+			if err != nil || !h.ignorable {
+				return
+			}
+			for i := range out {
+				if math.Float64bits(out[i]) != math.Float64bits(honest[i]) {
+					t.Errorf("%s: %s decodes, and to different values (first at %d)", c.Name(), h.name, i)
+					return
+				}
 			}
 		}()
-		_ = c.Decompress(out, garbage)
-	}()
+	}
 
 	// A DEFLATE stream that inflates to 64 MiB, behind this block's
 	// valid header (and behind the byte after it, where a codec keeps a
@@ -299,6 +315,60 @@ func ConformanceCorrupt(t *testing.T, c compress.Codec) {
 			t.Errorf("%s: a 64 MiB stream behind a %d-value header allocated %d bytes", c.Name(), len(data), grew)
 		}
 	}
+}
+
+// hostile is one blob derived from a valid one, the same question put
+// to every codec. No answer may be a panic or an error other than
+// ErrCorrupt. Where the mutation only adds bytes an honest decoder has
+// no use for (ignorable), a codec may also accept — but then it must
+// decode exactly what the valid blob decodes to; a codec that checks
+// its stream lengths answers ErrCorrupt, and its own tests say so
+// (xortrunc's TestExactLengths). The other mutations may decode to
+// anything.
+type hostile struct {
+	name      string
+	blob      []byte
+	ignorable bool
+}
+
+func hostileBlobs(t *testing.T, payload []byte) []hostile {
+	t.Helper()
+	flipped := append([]byte(nil), payload...)
+	for i := range flipped {
+		flipped[i] ^= 0xFF
+	}
+	tail := []byte{0x5A, 0, 0xFF, 1, 2, 3, 4, 5, 6}
+	out := []hostile{
+		{name: "every bit flipped", blob: flipped},
+		{name: "bytes after the blob", blob: append(append([]byte(nil), payload...), tail...), ignorable: true},
+	}
+	// Where the blob ends in a DEFLATE stream (behind the header, or
+	// behind the flag byte after it), the same two questions one layer
+	// down: bytes left over after the last value of the inflated payload,
+	// and a payload that is one byte longer in its middle — which moves
+	// every later field, so a decoder that trusts its offsets reads a
+	// length from the wrong place.
+	for off := compress.HeaderSize; off <= compress.HeaderSize+1 && off < len(payload); off++ {
+		inner, err := io.ReadAll(flate.NewReader(bytes.NewReader(payload[off:])))
+		if err != nil || len(inner) == 0 {
+			continue
+		}
+		rewrap := func(inner []byte) []byte {
+			var buf bytes.Buffer
+			buf.Write(payload[:off])
+			w, _ := flate.NewWriter(&buf, flate.BestSpeed)
+			w.Write(inner)
+			w.Close()
+			return buf.Bytes()
+		}
+		mid := len(inner) / 2
+		out = append(out,
+			hostile{name: "bytes after the inflated payload", blob: rewrap(append(append([]byte(nil), inner...), tail...)), ignorable: true},
+			hostile{name: "a byte inserted into the inflated payload", blob: rewrap(append(append(append([]byte(nil), inner[:mid]...), 0), inner[mid:]...))},
+		)
+		break
+	}
+	return out
 }
 
 // ConformanceNonFinite checks NaN/Inf survive (via exception paths) in
@@ -374,4 +444,104 @@ func minMax(xs []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
+}
+
+// LossyBlocks returns the two 4096-amplitude blocks the lossy
+// benchmarks run on, shaped like the states that climb the §3.7 ladder
+// in an 18-qubit run: "random-phase" — every amplitude 2^-9·e^{iθ}, θ
+// uniform, what a scrambled state looks like — and "qft-like" — one
+// block of the QFT of a basis state, 2^-9·e^{2πi·jx/2^18}, periodic in j.
+func LossyBlocks(seed int64) []Dataset {
+	const amps, scale = 4096, 1.0 / 512
+	rng := rand.New(rand.NewSource(seed))
+	random, qft := make([]float64, 2*amps), make([]float64, 2*amps)
+	x, first := float64(rng.Intn(1<<18)|1), float64(rng.Intn(64)*amps)
+	for j := 0; j < amps; j++ {
+		s, c := math.Sincos(2 * math.Pi * rng.Float64())
+		random[2*j], random[2*j+1] = scale*c, scale*s
+		s, c = math.Sincos(2 * math.Pi * math.Mod((first+float64(j))*x, 1<<18) / (1 << 18))
+		qft[2*j], qft[2*j+1] = scale*c, scale*s
+	}
+	return []Dataset{{"random-phase", random}, {"qft-like", qft}}
+}
+
+// lossyCase is one LossyBlocks block at one level of the engine's
+// default ladder, l1 (the tightest bound) to l5.
+type lossyCase struct {
+	name string
+	data []float64
+	opt  compress.Options
+}
+
+func lossyCases(seed int64) []lossyCase {
+	ladder := LossyOptions(compress.PointwiseRelative)
+	slices.Reverse(ladder)
+	var out []lossyCase
+	for _, ds := range LossyBlocks(seed) {
+		for lvl, opt := range ladder {
+			out = append(out, lossyCase{fmt.Sprintf("%s/l%d", ds.Name, lvl+1), ds.Data, opt})
+		}
+	}
+	return out
+}
+
+// Payload is a named blob and the number of values it decodes to.
+type Payload struct {
+	Name  string
+	Blob  []byte
+	Count int
+}
+
+// LossyPayloads returns c's blobs for LossyBlocks at each level of the
+// ladder — what the decode side of a budgeted run is made of.
+func LossyPayloads(tb testing.TB, c compress.Codec, seed int64) []Payload {
+	tb.Helper()
+	var out []Payload
+	for _, lc := range lossyCases(seed) {
+		blob, err := c.Compress(nil, lc.data, lc.opt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, Payload{lc.name, blob, len(lc.data)})
+	}
+	return out
+}
+
+var benchSink int
+
+// BenchmarkLossyCodec times c on LossyBlocks at each level of the
+// ladder: MB/s of raw words and allocations per call for Compress and
+// Decompress, with the ratio as a metric. Run it from the codec's
+// package (go test -run '^$' -bench LossyCodec ./internal/compress/xortrunc).
+func BenchmarkLossyCodec(b *testing.B, c compress.Codec) {
+	for _, lc := range lossyCases(19) {
+		blob, err := c.Compress(nil, lc.data, lc.opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ratio := compress.Ratio(len(lc.data), len(blob))
+		b.Run(lc.name+"/enc", func(b *testing.B) {
+			b.SetBytes(int64(8 * len(lc.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := c.Compress(nil, lc.data, lc.opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(out)
+			}
+			b.ReportMetric(ratio, "ratio")
+		})
+		b.Run(lc.name+"/dec", func(b *testing.B) {
+			out := make([]float64, len(lc.data))
+			b.SetBytes(int64(8 * len(lc.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.Decompress(out, blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(ratio, "ratio")
+		})
+	}
 }

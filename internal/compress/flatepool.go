@@ -4,26 +4,23 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
-	"io"
-	"slices"
 	"sync"
 )
 
-// Flate is one reusable DEFLATE working set: a flate.Writer, a flate
-// reader re-armed through flate.Resetter, and the buffers they fill.
-// Building either coder costs more than running it on a block-sized
-// payload (a reader is ~40 KB, a level-1 writer ~1.2 MB), so codecs
-// keep Flates in a sync.Pool — never in state an idle simulator
-// retains — and reset them per call. A Flate is not safe for concurrent
-// use; the zero value is ready (Level 0 = flate.BestSpeed).
+// Flate is one reusable DEFLATE working set: a flate.Writer, the
+// repository's own one-shot decoder (inflate.go), and the buffers they
+// fill. Building either coder costs more than running it on a
+// block-sized payload (the decoder's tables are ~45 KB, a level-1 writer
+// ~1.2 MB), so codecs keep Flates in a sync.Pool — never in state an
+// idle simulator retains — and reuse them. A Flate is not safe for
+// concurrent use; the zero value is ready (Level 0 = flate.BestSpeed).
 type Flate struct {
 	Level int
 
 	w   *flate.Writer
 	out bytes.Buffer // Deflate's output
-	r   io.ReadCloser
-	in  bytes.Reader // the reader's source
-	buf []byte       // Inflate's output
+	inf *inflater
+	buf []byte // Inflate's output
 }
 
 // Deflate compresses src. The result aliases f's buffer and is valid
@@ -53,60 +50,49 @@ func (f *Flate) Deflate(src []byte) ([]byte, error) {
 	return f.out.Bytes(), nil
 }
 
-// reader arms f's flate reader on src.
-func (f *Flate) reader(src []byte) (io.Reader, error) {
-	f.in.Reset(src)
-	if f.r == nil {
-		f.r = flate.NewReader(&f.in)
-		return f.r, nil
+func (f *Flate) inflater() *inflater {
+	if f.inf == nil {
+		f.inf = new(inflater)
 	}
-	if err := f.r.(flate.Resetter).Reset(&f.in, nil); err != nil {
-		return nil, fmt.Errorf("compress: flate: %w", err)
-	}
-	return f.r, nil
+	return f.inf
 }
 
 // InflateInto decompresses src into dst, which must be exactly the
-// decoded size. Trailing bytes are tolerated (checkpoint containers
-// pad).
+// decoded size: a stream that ends or fails before dst is full is
+// ErrCorrupt. What follows once dst is full — more stream, or trailing
+// bytes (checkpoint containers pad) — is not looked at.
 func (f *Flate) InflateInto(dst, src []byte) error {
-	r, err := f.reader(src)
-	if err != nil {
-		return err
-	}
-	if _, err := io.ReadFull(r, dst); err != nil {
-		return fmt.Errorf("%w: flate: %v", ErrCorrupt, err)
+	if n, _ := f.inflater().inflate(dst, src); n != len(dst) {
+		return fmt.Errorf("%w: flate: stream ends or fails after %d of %d bytes", ErrCorrupt, n, len(dst))
 	}
 	return nil
 }
 
 // Inflate decompresses all of src, which comes from checkpoint or wire
 // bytes: a stream that decodes to more than limit bytes — the caller's
-// worst-case pre-DEFLATE size for its header's Count — is ErrCorrupt
-// before it can grow the buffer further. The result aliases f's buffer
-// and is valid until the next Inflate.
+// worst-case pre-DEFLATE size for its header's Count — is ErrCorrupt,
+// and no more than limit bytes are ever written. The result aliases f's
+// buffer and is valid until the next Inflate.
 func (f *Flate) Inflate(src []byte, limit int) ([]byte, error) {
-	r, err := f.reader(src)
-	if err != nil {
-		return nil, err
-	}
-	buf := f.buf[:0]
+	d := f.inflater()
+	// The decoder writes in place and does not suspend, so a buffer that
+	// turns out too small means starting over in one twice the size —
+	// which a pooled Flate does on its first streams only.
+	size := min(limit, max(cap(f.buf), 4*len(src), 512))
 	for {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, max(len(buf), 512))
+		if cap(f.buf) < size {
+			f.buf = make([]byte, size)
 		}
-		n, err := r.Read(buf[len(buf):min(cap(buf), limit+1)])
-		buf = buf[:len(buf)+n]
-		if len(buf) > limit {
+		n, st := d.inflate(f.buf[:size], src)
+		switch {
+		case st == inflateDone:
+			return f.buf[:n], nil
+		case st == inflateCorrupt:
+			return nil, fmt.Errorf("%w: flate: invalid or truncated stream after %d bytes", ErrCorrupt, n)
+		case size == limit:
 			return nil, fmt.Errorf("%w: flate: inflates past %d bytes", ErrCorrupt, limit)
 		}
-		if err == io.EOF {
-			f.buf = buf
-			return buf, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: flate: %v", ErrCorrupt, err)
-		}
+		size = min(limit, 2*size)
 	}
 }
 

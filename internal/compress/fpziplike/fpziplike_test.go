@@ -168,3 +168,5 @@ func TestQuickContract(t *testing.T) {
 func TestConcurrentUse(t *testing.T) {
 	codectest.ConformanceConcurrent(t, New())
 }
+
+func BenchmarkLossyCodec(b *testing.B) { codectest.BenchmarkLossyCodec(b, New()) }

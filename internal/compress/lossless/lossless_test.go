@@ -340,20 +340,16 @@ func TestOverlongStream(t *testing.T) {
 }
 
 // TestAllocations is the steady-state allocation contract. Compress
-// allocates the blob and nothing else, whatever the layout. Decompress
-// allocates nothing for a stored or a one-valued block, and nothing of
-// its own anywhere else: where it inflates, compress/flate builds the
-// overflow links of every dynamic Huffman table afresh — 0 to 3 `make`s
-// per stream on the dictionary classes here, 10 on "sparse", 58 on
-// "257-valued" — and the count must equal what a bare, equally reused
-// compress.Flate spends on the same stream. Every count but the two
-// zeros rests on the pooled scratch being there, which the race
-// detector's sync.Pool does not promise: under it only the stored and
-// one-valued decodes, which take no scratch, are counted (CI runs this
-// test without it as well).
+// allocates the blob and nothing else, whatever the layout; Decompress
+// allocates nothing, whatever the layout (while compress/flate did the
+// inflating it built the overflow links of every dynamic Huffman table
+// afresh, up to 58 `make`s a stream on these classes). Every count but
+// the stored and one-valued decodes, which take no scratch, rests on the
+// pooled scratch being there, which the race detector's sync.Pool does
+// not promise: under it only those two are counted (CI runs this test
+// without it as well).
 func TestAllocations(t *testing.T) {
 	c := New(0, false)
-	var bare compress.Flate
 	for _, ds := range append(codectest.Datasets(8192, 7), codectest.LosslessClasses(8192, 7)...) {
 		blob, err := c.Compress(nil, ds.Data, compress.Options{})
 		if err != nil {
@@ -373,26 +369,15 @@ func TestAllocations(t *testing.T) {
 		} else if pooled {
 			continue
 		}
-
-		var want float64
-		switch {
-		case flag == flagDict && pooled:
-			stream, idx := rest[1+8*(int(rest[0])+1):], make([]byte, len(ds.Data))
-			want = testing.AllocsPerRun(20, func() { _ = bare.InflateInto(idx, stream) })
-		case flag == flagDeflate:
-			raw := make([]byte, 8*len(ds.Data))
-			want = testing.AllocsPerRun(20, func() { _ = bare.InflateInto(raw, rest) })
-		}
 		out := make([]float64, len(ds.Data))
 		dec := testing.AllocsPerRun(20, func() {
 			if err := c.Decompress(out, blob); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if dec != want {
-			t.Errorf("%s (flag %d): Decompress allocates %v times, flate alone %v", ds.Name, flag, dec, want)
+		if dec != 0 {
+			t.Errorf("%s (flag %d): Decompress allocates %v times, want 0", ds.Name, flag, dec)
 		}
-		t.Logf("%-24s flag %d: %6d bytes, Decompress allocates %v", ds.Name, flag, len(blob), dec)
 	}
 }
 

@@ -173,3 +173,8 @@ func TestDecompressRefusesForgedTokenCount(t *testing.T) {
 		t.Fatalf("refusing a %d-byte blob allocated %d bytes", len(blob), got)
 	}
 }
+
+func BenchmarkLossyCodec(b *testing.B) {
+	b.Run("sz-a", func(b *testing.B) { codectest.BenchmarkLossyCodec(b, NewA()) })
+	b.Run("sz-b", func(b *testing.B) { codectest.BenchmarkLossyCodec(b, NewB()) })
+}

@@ -1,6 +1,8 @@
 package xortrunc
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -257,4 +259,137 @@ func TestQuickContract(t *testing.T) {
 func TestConcurrentUse(t *testing.T) {
 	codectest.ConformanceConcurrent(t, New())
 	codectest.ConformanceConcurrent(t, NewShuffled())
+}
+
+// TestExactLengths: both streams of the payload must be exactly as long
+// as the header's count makes them. A code stream longer than ⌈n/4⌉
+// bytes and body bytes left over after the last value used to decode
+// silently — room in every blob for bytes no decoder looked at.
+func TestExactLengths(t *testing.T) {
+	raw := &Codec{DisableLossless: true} // the pre-DEFLATE payload in the clear
+	for _, n := range []int{1, 4, 5, 64, 1023} {
+		data := codectest.Datasets(1024, 5)[8].Data[:n]
+		blob, err := raw.Compress(nil, data, compress.Options{Mode: compress.PointwiseRelative, Bound: 1e-3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, n)
+		if err := New().Decompress(out, blob); err != nil {
+			t.Fatalf("n=%d: honest blob: %v", n, err)
+		}
+		// Header, flag, then the payload: shuffle, keep, no exceptions, the
+		// code stream's length.
+		lenAt := compress.HeaderSize + 1 + 2 + 4
+		codeLen := (n + 3) / 4
+		codesEnd := lenAt + 4 + codeLen
+
+		longBody := append(append([]byte(nil), blob...), 0)
+		longCodes := append(append(append([]byte(nil), blob[:codesEnd]...), 0), blob[codesEnd:]...)
+		binary.LittleEndian.PutUint32(longCodes[lenAt:], uint32(codeLen+1))
+		shortCodes := append(append([]byte(nil), blob[:codesEnd-1]...), blob[codesEnd:]...)
+		binary.LittleEndian.PutUint32(shortCodes[lenAt:], uint32(codeLen-1))
+		for name, hostile := range map[string][]byte{
+			"a body byte after the last value":  longBody,
+			"a code stream one byte too long":   longCodes,
+			"a code stream one byte too short":  shortCodes,
+			"a body one byte short of its last": blob[:len(blob)-1],
+		} {
+			if err := New().Decompress(out, hostile); !errors.Is(err, compress.ErrCorrupt) {
+				t.Errorf("n=%d, %s: %v, want ErrCorrupt", n, name, err)
+			}
+		}
+	}
+}
+
+// TestBoundHoldsWhenLogRounds: Compress tests a normal value against
+// the bound only when keeping KeepBits' mantissa bits does not already
+// guarantee it. It does not when the logarithm behind KeepBits rounded
+// across an integer: 2^600·(1−2^-46) has floor(log2) 599, math.Log2
+// says 600.0, and one mantissa bit too few is kept. Then every value
+// must be tested, and the ones truncation moves too far stored exactly.
+func TestBoundHoldsWhenLogRounds(t *testing.T) {
+	bound := math.Ldexp(1-math.Ldexp(1, -46), 600)
+	if math.Floor(math.Log2(bound)) != 600 {
+		t.Skip("math.Log2 resolves this bound; the premise is gone")
+	}
+	opt := compress.Options{Mode: compress.Absolute, Bound: bound}
+	data := []float64{
+		math.Ldexp(2-math.Ldexp(1, -52), 600), // truncates to 2^600: off by 2^600·(1−2^-52) > bound
+		math.Ldexp(1.25, 600),                 // off by 2^598: fine
+		-math.Ldexp(2-math.Ldexp(1, -40), 600),
+		0,
+	}
+	for _, c := range []*Codec{New(), NewShuffled()} {
+		blob, err := c.Compress(nil, data, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, len(data))
+		if err := c.Decompress(out, blob); err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			if math.Abs(data[i]-out[i]) > bound {
+				t.Errorf("%s: value %d: %g -> %g, off by more than the bound", c.Name(), i, data[i], out[i])
+			}
+		}
+	}
+}
+
+// TestAllocations is the steady-state allocation contract the lossless
+// codec has had since it got its pooled scratch: Compress allocates the
+// blob — exactly, cap == len — and nothing else, Decompress nothing,
+// at every level of the ladder, for both solutions, with and without
+// the DEFLATE stage, and on a block whose exception table has to be
+// spliced in. Both counts rest on the pooled scratch being there, which
+// the race detector's sync.Pool does not promise; CI runs this test
+// without it.
+func TestAllocations(t *testing.T) {
+	if codectest.RaceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	blocks := codectest.LossyBlocks(3)
+	odd := append([]float64(nil), blocks[0].Data...)
+	for i := 0; i < len(odd); i += 97 {
+		odd[i] = 5e-324 * float64(1+i)
+	}
+	blocks = append(blocks, codectest.Dataset{Name: "with-denormals", Data: odd})
+	for _, c := range []*Codec{New(), NewShuffled(), {DisableLossless: true}} {
+		for _, ds := range blocks {
+			for _, opt := range append(codectest.LossyOptions(compress.PointwiseRelative), compress.Options{Mode: compress.Lossless}) {
+				blob, err := c.Compress(nil, ds.Data, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cap(blob) != len(blob) {
+					t.Errorf("%s %s %v: blob of %d bytes has capacity %d", c.Name(), ds.Name, opt, len(blob), cap(blob))
+				}
+				out := make([]float64, len(ds.Data))
+				enc := testing.AllocsPerRun(10, func() {
+					if _, err := c.Compress(nil, ds.Data, opt); err != nil {
+						t.Fatal(err)
+					}
+				})
+				dec := testing.AllocsPerRun(10, func() {
+					if err := c.Decompress(out, blob); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if enc != 1 || dec != 0 {
+					t.Errorf("%s (lossless stage %v) %s %v: Compress allocates %v times, Decompress %v; want 1 (the blob) and 0",
+						c.Name(), !c.DisableLossless, ds.Name, opt, enc, dec)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkLossyCodec: xor-c with its two stages apart — "stage=loops"
+// is the truncate-XOR-pack loop alone (DisableLossless), "stage=all" the
+// codec as the engine runs it, so their difference is what
+// compress/flate costs — and xor-d.
+func BenchmarkLossyCodec(b *testing.B) {
+	b.Run("xor-c/stage=all", func(b *testing.B) { codectest.BenchmarkLossyCodec(b, New()) })
+	b.Run("xor-c/stage=loops", func(b *testing.B) { codectest.BenchmarkLossyCodec(b, &Codec{DisableLossless: true}) })
+	b.Run("xor-d", func(b *testing.B) { codectest.BenchmarkLossyCodec(b, NewShuffled()) })
 }

@@ -155,3 +155,5 @@ func TestQuickAbsoluteContract(t *testing.T) {
 func TestConcurrentUse(t *testing.T) {
 	codectest.ConformanceConcurrent(t, New())
 }
+
+func BenchmarkLossyCodec(b *testing.B) { codectest.BenchmarkLossyCodec(b, New()) }

@@ -324,3 +324,73 @@ func TestLoadInternsIdenticalBlobs(t *testing.T) {
 		}
 	}
 }
+
+// lossyCheckpointSim and lossyCheckpointCircuit are the geometry of
+// testdata/checkpoint_pr18_qft_budget_lossy.bin: a 12-qubit QFT under
+// a budget of a tenth of the raw state (the benchmark's qft-budget at
+// test scale; a quarter does not bind this early), xor-c, cut at level 3
+// of the ladder. The file is what Run(first) then Save wrote at PR 18.
+func lossyCheckpointSim(t *testing.T) *Simulator {
+	return newSim(t, 12, 1, 256, func(c *Config) {
+		c.MemoryBudget = 1 << (12 + 4) / 10
+		c.CacheLines = 8
+		c.Workers = 2
+	})
+}
+
+func lossyCheckpointCircuit() (first, second *quantum.Circuit) {
+	full := quantum.QFT(12, 5)
+	cut := len(full.Gates) * 3 / 4
+	return &quantum.Circuit{N: 12, Gates: full.Gates[:cut]}, &quantum.Circuit{N: 12, Gates: full.Gates[cut:]}
+}
+
+// TestCheckpointWithLossyBlobs loads a checkpoint the commit before the
+// lossy codec's word-at-a-time rewrite (PR 18) wrote from a budgeted
+// QFT that had escalated to level ≥ 2 — every other fixture holds
+// level-0 blobs only — and finishes the circuit on it: xor-c blobs of
+// that commit decode, and what they resume to is bit-identical to the
+// same two Runs of today's engine with no checkpoint in between (so
+// today's encoder also wrote the same blobs up to the cut).
+func TestCheckpointWithLossyBlobs(t *testing.T) {
+	ckpt, err := os.ReadFile("testdata/checkpoint_pr18_qft_budget_lossy.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := lossyCheckpointCircuit()
+
+	through := lossyCheckpointSim(t)
+	if err := through.Run(first); err != nil {
+		t.Fatal(err)
+	}
+	if lvl := through.Stats().FinalLevel; lvl < 2 {
+		t.Fatalf("error level %d at the cut, the fixture needs ≥ 2", lvl)
+	}
+	var now bytes.Buffer
+	if err := through.Save(&now); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(now.Bytes(), ckpt) {
+		t.Error("today's engine writes a different checkpoint at the cut than PR 18 did")
+	}
+	if err := through.Run(second); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := lossyCheckpointSim(t)
+	if err := resumed.Load(bytes.NewReader(ckpt)); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Run(second); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resumed.FidelityLowerBound(), through.FidelityLowerBound(); got != want {
+		t.Errorf("resumed fidelity bound %v, uninterrupted %v", got, want)
+	}
+	a, _ := resumed.FullState()
+	b, _ := through.FullState()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("resumed state differs at %d", i)
+		}
+	}
+}
