@@ -2,7 +2,6 @@ package qcsim
 
 import (
 	"bytes"
-	"compress/flate"
 	"context"
 	"errors"
 	"sync/atomic"
@@ -112,7 +111,7 @@ func TestSentinelErrors(t *testing.T) {
 		// decode before it belongs to the run — is a corrupt blob, not a
 		// bad qubit index.
 		var decodes atomic.Int64
-		codec := &dyingCodec{Codec: lossless.New(flate.BestSpeed, false), decodes: &decodes}
+		codec := &dyingCodec{Codec: lossless.New(false), decodes: &decodes}
 		eng, err := core.New(core.Config{Qubits: 5, BlockAmps: 8, Seed: 1, Lossless: codec})
 		if err != nil {
 			t.Fatal(err)

@@ -246,6 +246,34 @@ func ConformanceEmptyAndSmall(t *testing.T, c compress.Codec) {
 	}
 }
 
+// ConformanceExactCapacity checks compress.Codec's exact-capacity
+// contract: a blob compressed onto nil, or onto a prefix with no room to
+// spare, comes back with cap == len — and the prefix in front of it.
+// Options the codec refuses are skipped.
+func ConformanceExactCapacity(t *testing.T, c compress.Codec) {
+	t.Helper()
+	opts := append(LossyOptions(compress.PointwiseRelative), LossyOptions(compress.Absolute)[2], compress.Options{})
+	blocks := append(LossyBlocks(5), Datasets(512, 5)...)
+	for _, ds := range blocks {
+		for _, opt := range opts {
+			blob, err := c.Compress(nil, ds.Data, opt)
+			if err != nil {
+				continue
+			}
+			if cap(blob) != len(blob) {
+				t.Errorf("%s %v %g %s: len %d, cap %d", c.Name(), opt.Mode, opt.Bound, ds.Name, len(blob), cap(blob))
+			}
+			pre, err := c.Compress([]byte{7}, ds.Data, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pre[0] != 7 || !bytes.Equal(pre[1:], blob) || cap(pre) != len(pre) {
+				t.Errorf("%s %v %g %s: onto a 1-byte prefix, first byte %d, len %d, cap %d", c.Name(), opt.Mode, opt.Bound, ds.Name, pre[0], len(pre), cap(pre))
+			}
+		}
+	}
+}
+
 // ConformanceCorrupt checks that mangled payloads return errors rather
 // than panicking or silently succeeding.
 func ConformanceCorrupt(t *testing.T, c compress.Codec) {
@@ -297,10 +325,7 @@ func ConformanceCorrupt(t *testing.T, c compress.Codec) {
 	// buffer of the known size stops reading when the buffer is full and
 	// may accept what it read. Either way nothing is materialised.
 	var bomb compress.Flate
-	stream, err := bomb.Deflate(make([]byte, 64<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream := bomb.Deflate(make([]byte, 64<<20))
 	for keep := compress.HeaderSize; keep <= compress.HeaderSize+1; keep++ {
 		hostile := append(append([]byte(nil), payload[:keep]...), stream...)
 		_ = c.Decompress(out, payload) // pooled buffers at their working size

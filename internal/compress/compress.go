@@ -81,9 +81,7 @@ func (o Options) Validate() error {
 //     slice returned is allocated once, with cap == len (see Grow). The
 //     engine keeps blobs — in the block store, the §3.4 cache, the batch
 //     memo — so capacity a blob does not use is heap the simulator
-//     retains. (lossless, xortrunc and every codec that finishes
-//     through FlatePool.Deflate comply; zfplike still ends in a plain
-//     append.)
+//     retains. codectest.ConformanceExactCapacity checks it.
 //   - Pure bytes. What Compress appends is a function of src, opt and
 //     the codec's configuration alone: not of the goroutine, the rank,
 //     or what a pooled scratch encoded before. Cache keys, checkpoints

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"qcsim/internal/bitio"
 	"qcsim/internal/compress"
@@ -29,7 +30,7 @@ type Codec struct {
 	// pointwise relative bound.
 	Precision int
 
-	flate compress.FlatePool
+	pool sync.Pool // *compress.Flate
 }
 
 // New returns a bound-driven FPZIP-model codec.
@@ -100,9 +101,6 @@ func (c *Codec) Compress(dst []byte, src []float64, opt compress.Options) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	hdr := compress.Header{Magic: magic, Mode: opt.Mode, Bound: opt.Bound, Count: uint32(len(src))}
-	dst = compress.AppendHeader(dst, hdr)
-
 	truncMask := ^uint64(0)
 	if prec < 64 {
 		truncMask <<= uint(64 - prec)
@@ -145,7 +143,21 @@ func (c *Codec) Compress(dst []byte, src []float64, opt compress.Options) ([]byt
 	pre = append(pre, exceptions...)
 	pre = append(pre, w.Bytes()...)
 
-	return c.flate.Deflate(dst, pre)
+	f := c.flate()
+	defer c.pool.Put(f)
+	body := f.Deflate(pre)
+	dst = compress.Grow(dst, compress.HeaderSize+len(body))
+	dst = compress.AppendHeader(dst, compress.Header{Magic: magic, Mode: opt.Mode, Bound: opt.Bound, Count: uint32(len(src))})
+	return append(dst, body...), nil
+}
+
+// flate takes a DEFLATE working set from c's pool; hand it back with
+// c.pool.Put once nothing refers to the slices it returned.
+func (c *Codec) flate() *compress.Flate {
+	if f, _ := c.pool.Get().(*compress.Flate); f != nil {
+		return f
+	}
+	return new(compress.Flate)
 }
 
 // maxPre bounds the pre-DEFLATE payload of an n-value block — precision
@@ -163,8 +175,8 @@ func (c *Codec) Decompress(dst []float64, data []byte) error {
 	if int(hdr.Count) != len(dst) {
 		return fmt.Errorf("%w: count %d, dst %d", compress.ErrCorrupt, hdr.Count, len(dst))
 	}
-	f := c.flate.Get()
-	defer c.flate.Put(f)
+	f := c.flate()
+	defer c.pool.Put(f)
 	pre, err := f.Inflate(payload, maxPre(len(dst)))
 	if err != nil {
 		return err

@@ -49,7 +49,7 @@
 // Both directions run on one pooled scratch per call (byte buffers, the
 // dictionary table, a compress.Flate); the scratch lives in a sync.Pool
 // and not with the caller's workers because an idle simulator must not
-// retain a 1.2 MB flate.Writer per worker.
+// retain a DEFLATE working set per worker.
 package lossless
 
 import (
@@ -106,14 +106,12 @@ type Codec struct {
 	// Shuffle enables the byte-transpose preprocessing pass.
 	Shuffle bool
 
-	level int
-	pool  sync.Pool // *scratch
+	pool sync.Pool // *scratch
 }
 
-// New returns a lossless codec at the given flate level (0 =
-// flate.BestSpeed) with optional byte shuffling.
-func New(level int, shuffle bool) *Codec {
-	return &Codec{Shuffle: shuffle, level: level}
+// New returns a lossless codec with optional byte shuffling.
+func New(shuffle bool) *Codec {
+	return &Codec{Shuffle: shuffle}
 }
 
 // Name implements compress.Codec.
@@ -142,7 +140,7 @@ func (c *Codec) get() *scratch {
 	if s, _ := c.pool.Get().(*scratch); s != nil {
 		return s
 	}
-	return &scratch{Flate: compress.Flate{Level: c.level}}
+	return new(scratch)
 }
 
 // sized returns b with length n, reallocating only when it is too small.
@@ -166,10 +164,7 @@ func (c *Codec) Compress(dst []byte, src []float64, opt compress.Options) ([]byt
 	if count := s.index(src); count > 0 {
 		var body []byte
 		if count > 1 {
-			var err error
-			if body, err = s.Deflate(s.aux[:n]); err != nil {
-				return nil, err
-			}
+			body = s.Deflate(s.aux[:n])
 		}
 		size := 1 + 8*count + len(body)
 		if size >= 8*n {
@@ -183,11 +178,7 @@ func (c *Codec) Compress(dst []byte, src []float64, opt compress.Options) ([]byt
 		return append(out, body...), nil
 	}
 
-	pays, err := s.probe(src, c.Shuffle)
-	if err != nil {
-		return nil, err
-	}
-	if !pays {
+	if !s.probe(src, c.Shuffle) {
 		return stored(dst, src), nil
 	}
 	s.raw = sized(s.raw, 8*n)
@@ -198,10 +189,7 @@ func (c *Codec) Compress(dst []byte, src []float64, opt compress.Options) ([]byt
 		compress.ByteShuffle(s.aux, raw)
 		flag, raw = flagShuffled, s.aux
 	}
-	body, err := s.Deflate(raw)
-	if err != nil {
-		return nil, err
-	}
+	body := s.Deflate(raw)
 	if len(body) >= 8*n {
 		return stored(dst, src), nil
 	}
@@ -266,10 +254,10 @@ func (s *scratch) index(src []float64) int {
 
 // probe reports whether deflating src is likely to pay (see the package
 // comment for what it samples and why).
-func (s *scratch) probe(src []float64, shuffle bool) (bool, error) {
+func (s *scratch) probe(src []float64, shuffle bool) bool {
 	n := len(src)
 	if n <= probeSlices*probeWords {
-		return true, nil
+		return true
 	}
 	s.raw = sized(s.raw, 8*probeSlices*probeWords)
 	p := s.raw
@@ -282,8 +270,7 @@ func (s *scratch) probe(src []float64, shuffle bool) (bool, error) {
 		compress.ByteShuffle(s.aux, p)
 		p = s.aux
 	}
-	body, err := s.Deflate(p)
-	return 16*len(body) <= 15*len(p), err
+	return 16*len(s.Deflate(p)) <= 15*len(p)
 }
 
 // Decompress implements compress.Codec.

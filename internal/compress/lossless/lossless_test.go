@@ -2,7 +2,6 @@ package lossless
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -15,11 +14,11 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	codectest.ConformanceLossless(t, New(flate.DefaultCompression, false))
-	codectest.ConformanceLossless(t, New(flate.BestSpeed, true))
-	codectest.ConformanceEmptyAndSmall(t, New(0, false))
-	codectest.ConformanceEmptyAndSmall(t, New(0, true))
-	codectest.ConformanceCorrupt(t, New(0, true))
+	codectest.ConformanceLossless(t, New(false))
+	codectest.ConformanceLossless(t, New(true))
+	codectest.ConformanceEmptyAndSmall(t, New(false))
+	codectest.ConformanceEmptyAndSmall(t, New(true))
+	codectest.ConformanceCorrupt(t, New(true))
 }
 
 // inputs is every generator the blob contracts are checked on, at the
@@ -37,8 +36,7 @@ func inputs() []codectest.Dataset {
 
 // deflateOnly is the size of the blob the codec produced when DEFLATE
 // was its only layout: header, flag, DEFLATE of the (shuffled) words.
-func deflateOnly(t *testing.T, src []float64, level int, shuffle bool) int {
-	t.Helper()
+func deflateOnly(src []float64, shuffle bool) int {
 	raw := make([]byte, 8*len(src))
 	compress.PutFloats(raw, src)
 	if shuffle {
@@ -46,18 +44,8 @@ func deflateOnly(t *testing.T, src []float64, level int, shuffle bool) int {
 		compress.ByteShuffle(sh, raw)
 		raw = sh
 	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, level)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return compress.HeaderSize + 1 + buf.Len()
+	var f compress.Flate
+	return compress.HeaderSize + 1 + len(f.Deflate(raw))
 }
 
 // probeMisses are the blocks the probe is known to misjudge: it samples
@@ -74,7 +62,7 @@ var probeMisses = map[string]bool{"zstd-like/1000-valued/8192": true}
 // beyond its length.
 func TestBlobContract(t *testing.T) {
 	for _, shuffle := range []bool{false, true} {
-		c := New(0, shuffle)
+		c := New(shuffle)
 		for _, ds := range inputs() {
 			name := c.Name() + "/" + ds.Name
 			t.Run(name, func(t *testing.T) {
@@ -92,7 +80,7 @@ func TestBlobContract(t *testing.T) {
 				if max := compress.HeaderSize + 1 + 8*len(ds.Data); len(blob) > max {
 					t.Errorf("blob is %d bytes, stored form is %d", len(blob), max)
 				}
-				ref := deflateOnly(t, ds.Data, flate.BestSpeed, shuffle)
+				ref := deflateOnly(ds.Data, shuffle)
 				if miss := len(blob) > ref+max(ref/100, 16); miss && !probeMisses[name] {
 					t.Errorf("blob is %d bytes (flag %d), DEFLATE alone gives %d", len(blob), blob[compress.HeaderSize], ref)
 				} else if !miss && probeMisses[name] {
@@ -125,7 +113,7 @@ func TestLayoutChosen(t *testing.T) {
 		"four-random-sub-blocks": flagDeflate, "four-random-islands": flagDeflate,
 		"random-words": flagStored, "gaussian": flagStored, "spiky": flagStored,
 	}
-	c := New(0, false)
+	c := New(false)
 	for _, ds := range append(codectest.Datasets(8192, 7), codectest.LosslessClasses(8192, 7)...) {
 		flag, ok := want[ds.Name]
 		if !ok {
@@ -168,11 +156,11 @@ func TestBytesArePure(t *testing.T) {
 		want := make([][]byte, len(all))
 		for i, ds := range all {
 			var err error
-			if want[i], err = New(0, shuffle).Compress(nil, ds.Data, compress.Options{}); err != nil {
+			if want[i], err = New(shuffle).Compress(nil, ds.Data, compress.Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		c := New(0, shuffle)
+		c := New(shuffle)
 		errs := make(chan error, 8)
 		for g := 0; g < 8; g++ {
 			g := g
@@ -234,7 +222,7 @@ func TestDecodesParentBlobs(t *testing.T) {
 		if int(blob[compress.HeaderSize]) != flag {
 			t.Fatalf("fixture %d carries flag %d", flag, blob[compress.HeaderSize])
 		}
-		for _, c := range []*Codec{New(0, false), New(0, true)} { // either codec decodes either flag
+		for _, c := range []*Codec{New(false), New(true)} { // either codec decodes either flag
 			got := make([]float64, len(want))
 			if err := c.Decompress(got, blob); err != nil {
 				t.Fatalf("flag %d: %v", flag, err)
@@ -253,7 +241,7 @@ func body(n int, flag byte, rest ...byte) []byte {
 }
 
 func TestCorruptBodies(t *testing.T) {
-	c := New(0, false)
+	c := New(false)
 	words := func(ws ...float64) []byte {
 		b := make([]byte, 8*len(ws))
 		compress.PutFloats(b, ws)
@@ -261,11 +249,7 @@ func TestCorruptBodies(t *testing.T) {
 	}
 	deflated := func(p []byte) []byte {
 		var f compress.Flate
-		out, err := f.Deflate(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append([]byte(nil), out...)
+		return append([]byte(nil), f.Deflate(p)...)
 	}
 	for name, blob := range map[string][]byte{
 		"no flag":                   body(4, 0)[:compress.HeaderSize],
@@ -306,13 +290,10 @@ func TestCorruptBodies(t *testing.T) {
 func TestOverlongStream(t *testing.T) {
 	const n = 512
 	var f compress.Flate
-	stream, err := f.Deflate(make([]byte, 64<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream := f.Deflate(make([]byte, 64<<20))
 	twoWords := make([]byte, 1+16)
 	twoWords[0] = 1 // count−1
-	c, out := New(0, false), make([]float64, n)
+	c, out := New(false), make([]float64, n)
 	for flag, blob := range map[byte][]byte{
 		flagDeflate:  body(n, flagDeflate, stream...),
 		flagShuffled: body(n, flagShuffled, stream...),
@@ -349,7 +330,7 @@ func TestOverlongStream(t *testing.T) {
 // not promise: under it only those two are counted (CI runs this test
 // without it as well).
 func TestAllocations(t *testing.T) {
-	c := New(0, false)
+	c := New(false)
 	for _, ds := range append(codectest.Datasets(8192, 7), codectest.LosslessClasses(8192, 7)...) {
 		blob, err := c.Compress(nil, ds.Data, compress.Options{})
 		if err != nil {
@@ -384,7 +365,7 @@ func TestAllocations(t *testing.T) {
 func TestLossyModeIsStillExact(t *testing.T) {
 	// A lossless codec asked for a lossy bound must still reconstruct
 	// exactly (the simulator's level-0 path).
-	c := New(0, false)
+	c := New(false)
 	data := codectest.Datasets(1024, 5)[8].Data // gaussian
 	out := codectest.RoundTrip(t, c, data, compress.Options{Mode: compress.PointwiseRelative, Bound: 1e-1})
 	for i := range data {
@@ -399,7 +380,7 @@ func TestZerosCompressWell(t *testing.T) {
 	// heavily under the lossless stage.
 	data := make([]float64, 1<<14)
 	data[3] = 1
-	c := New(0, false)
+	c := New(false)
 	payload, err := c.Compress(nil, data, compress.Options{Mode: compress.Lossless})
 	if err != nil {
 		t.Fatal(err)
@@ -414,8 +395,8 @@ func TestShuffleHelpsConstantData(t *testing.T) {
 	for i := range data {
 		data[i] = 0.0078125 + float64(i%2)*1e-9
 	}
-	plain := New(0, false)
-	shuf := New(0, true)
+	plain := New(false)
+	shuf := New(true)
 	p1, err := plain.Compress(nil, data, compress.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -432,13 +413,13 @@ func TestShuffleHelpsConstantData(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(0, false).Name() != "zstd-like" || New(0, true).Name() != "zstd-like+shuffle" {
+	if New(false).Name() != "zstd-like" || New(true).Name() != "zstd-like+shuffle" {
 		t.Fatal("names changed")
 	}
 }
 
 func TestConcurrentUseConformance(t *testing.T) {
-	codectest.ConformanceConcurrent(t, New(0, false))
+	codectest.ConformanceConcurrent(t, New(false))
 }
 
 // FuzzLosslessDecompress: whatever follows a valid header — bytes from
@@ -450,7 +431,7 @@ func FuzzLosslessDecompress(f *testing.F) {
 	for i := range src {
 		src[i] = float64(i%3) - 1
 	}
-	for _, c := range []*Codec{New(0, false), New(0, true)} {
+	for _, c := range []*Codec{New(false), New(true)} {
 		for _, in := range [][]float64{src, make([]float64, n), codectest.Datasets(n, 1)[8].Data} {
 			blob, err := c.Compress(nil, in, compress.Options{})
 			if err != nil {
@@ -466,7 +447,7 @@ func FuzzLosslessDecompress(f *testing.F) {
 	f.Add([]byte{flagStored})
 	f.Add([]byte{flagDict, 255})
 	f.Add([]byte{4, 1, 2, 3})
-	c := New(0, false)
+	c := New(false)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := make([]float64, n+1)
 		dst[n] = 42
@@ -497,7 +478,7 @@ func BenchmarkLosslessCodec(b *testing.B) {
 		b.Fatalf("no generator %q", name)
 		return nil
 	}
-	c := New(0, false)
+	c := New(false)
 	for _, bc := range []struct {
 		name string
 		data []float64

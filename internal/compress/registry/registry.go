@@ -21,8 +21,8 @@ import (
 // Every call returns a fresh instance so callers never share state
 // accidentally.
 var factories = map[string]func() compress.Codec{
-	"zstd-like":         func() compress.Codec { return lossless.New(0, false) },
-	"zstd-like+shuffle": func() compress.Codec { return lossless.New(0, true) },
+	"zstd-like":         func() compress.Codec { return lossless.New(false) },
+	"zstd-like+shuffle": func() compress.Codec { return lossless.New(true) },
 	"sz-a":              func() compress.Codec { return szlike.NewA() },
 	"sz-b":              func() compress.Codec { return szlike.NewB() },
 	"xor-c":             func() compress.Codec { return xortrunc.New() },

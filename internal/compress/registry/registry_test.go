@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qcsim/internal/compress"
+	"qcsim/internal/compress/codectest"
 )
 
 func TestAllNamesConstruct(t *testing.T) {
@@ -51,6 +52,13 @@ func TestFreshInstances(t *testing.T) {
 	b, _ := New("xor-c")
 	if a == b {
 		t.Fatal("registry returned shared instances")
+	}
+}
+
+func TestExactCapacity(t *testing.T) {
+	for _, name := range Names() {
+		c, _ := New(name)
+		codectest.ConformanceExactCapacity(t, c)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"qcsim/internal/bitio"
 	"qcsim/internal/compress"
@@ -34,7 +35,7 @@ type Codec struct {
 
 	name string
 
-	flate compress.FlatePool
+	pool sync.Pool // *compress.Flate
 }
 
 // NewA returns Solution A: flat 1D prediction, 65,536 bins.
@@ -67,9 +68,6 @@ func (c *Codec) Compress(dst []byte, src []float64, opt compress.Options) ([]byt
 	if c.Stride < 1 {
 		return nil, fmt.Errorf("szlike: stride %d", c.Stride)
 	}
-	hdr := compress.Header{Magic: magic, Mode: opt.Mode, Bound: opt.Bound, Count: uint32(len(src))}
-	dst = compress.AppendHeader(dst, hdr)
-
 	var pre []byte
 	switch opt.Mode {
 	case compress.Lossless, compress.Absolute:
@@ -90,7 +88,21 @@ func (c *Codec) Compress(dst []byte, src []float64, opt compress.Options) ([]byt
 		pre = body
 	}
 
-	return c.flate.Deflate(dst, pre)
+	f := c.flate()
+	defer c.pool.Put(f)
+	body := f.Deflate(pre)
+	dst = compress.Grow(dst, compress.HeaderSize+len(body))
+	dst = compress.AppendHeader(dst, compress.Header{Magic: magic, Mode: opt.Mode, Bound: opt.Bound, Count: uint32(len(src))})
+	return append(dst, body...), nil
+}
+
+// flate takes a DEFLATE working set from c's pool; hand it back with
+// c.pool.Put once nothing refers to the slices it returned.
+func (c *Codec) flate() *compress.Flate {
+	if f, _ := c.pool.Get().(*compress.Flate); f != nil {
+		return f
+	}
+	return new(compress.Flate)
 }
 
 // encodeAbs runs the prediction+quantization pipeline directly on the
@@ -207,8 +219,8 @@ func (c *Codec) Decompress(dst []float64, data []byte) error {
 	if int(hdr.Count) != len(dst) {
 		return fmt.Errorf("%w: count %d, dst %d", compress.ErrCorrupt, hdr.Count, len(dst))
 	}
-	f := c.flate.Get()
-	defer c.flate.Put(f)
+	f := c.flate()
+	defer c.pool.Put(f)
 	pre, err := f.Inflate(payload, maxPre(len(dst)))
 	if err != nil {
 		return err

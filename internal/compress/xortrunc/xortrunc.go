@@ -11,10 +11,10 @@
 // uniform on (0, ε] and uncorrelated (paper Fig. 14), which the tests and
 // the Fig. 14 harness verify.
 //
-// Outside compress/flate's writer every byte moves a word at a time. A
-// value is encoded by a mask, an XOR, a leading-zero count and one
-// 8-byte store, decoded by one 8-byte load and a shift; four 2-bit
-// codes make a byte; the float test for the error bound runs only on
+// Outside the Huffman stage every byte moves a word at a time. A value
+// is encoded by a mask, an XOR, a leading-zero count and one 8-byte
+// store, decoded by one 8-byte load and a shift; four 2-bit codes make a
+// byte; the float test for the error bound runs only on
 // words whose exponent field is all zeros or all ones, the only ones
 // truncation can fail on. Header, code stream and body are written
 // straight into one pooled scratch (a sync.Pool per codec, never state
@@ -105,7 +105,7 @@ func KeepBits(opt compress.Options, maxExp int) int {
 // scratch is everything one Compress or Decompress call needs besides
 // its arguments. Like the lossless codec's, it lives in a sync.Pool and
 // not with the engine's workers: an idle simulator must not retain a
-// flate.Writer and a block-sized buffer per worker.
+// DEFLATE encoder and a block-sized buffer per worker.
 type scratch struct {
 	compress.Flate
 	pre  []byte      // Compress: the pre-DEFLATE payload under construction
@@ -164,11 +164,7 @@ func (c *Codec) Compress(dst []byte, src []float64, opt compress.Options) ([]byt
 	body, flag := s.encode(vals, opt, c.Shuffle), byte(0)
 	if !c.DisableLossless {
 		// Stage 3: lossless dictionary pass (the paper's Zstd stage).
-		var err error
-		if body, err = s.Deflate(body); err != nil {
-			return nil, err
-		}
-		flag = 1
+		body, flag = s.Deflate(body), 1
 	}
 	dst = compress.Grow(dst, compress.HeaderSize+1+len(body))
 	dst = compress.AppendHeader(dst, compress.Header{Magic: magic, Mode: opt.Mode, Bound: opt.Bound, Count: uint32(len(src))})

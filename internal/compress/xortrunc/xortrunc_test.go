@@ -387,7 +387,7 @@ func TestAllocations(t *testing.T) {
 // BenchmarkLossyCodec: xor-c with its two stages apart — "stage=loops"
 // is the truncate-XOR-pack loop alone (DisableLossless), "stage=all" the
 // codec as the engine runs it, so their difference is what
-// compress/flate costs — and xor-d.
+// the DEFLATE stage costs — and xor-d.
 func BenchmarkLossyCodec(b *testing.B) {
 	b.Run("xor-c/stage=all", func(b *testing.B) { codectest.BenchmarkLossyCodec(b, New()) })
 	b.Run("xor-c/stage=loops", func(b *testing.B) { codectest.BenchmarkLossyCodec(b, &Codec{DisableLossless: true}) })

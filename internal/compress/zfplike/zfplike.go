@@ -52,20 +52,19 @@ func (c *Codec) Compress(dst []byte, src []float64, opt compress.Options) ([]byt
 		return nil, err
 	}
 	hdr := compress.Header{Magic: magic, Mode: opt.Mode, Bound: opt.Bound, Count: uint32(len(src))}
-	dst = compress.AppendHeader(dst, hdr)
 
 	switch opt.Mode {
 	case compress.Lossless:
 		// ZFP's fixed-point pipeline is not lossless on arbitrary
 		// doubles; store raw (the paper never runs ZFP lossless).
-		raw := make([]byte, 0, len(src)*8)
-		for _, v := range src {
-			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
-		}
-		return append(dst, raw...), nil
+		dst = compress.AppendHeader(compress.Grow(dst, compress.HeaderSize+8*len(src)), hdr)
+		k := len(dst)
+		dst = dst[:k+8*len(src)]
+		compress.PutFloats(dst[k:], src)
+		return dst, nil
 	case compress.Absolute:
 		body, exc := encodeAbs(src, opt.Bound)
-		return assemble(dst, 0, body, exc, nil), nil
+		return assemble(dst, hdr, 0, body, exc, nil), nil
 	case compress.PointwiseRelative:
 		// Log-transform preprocessing (paper §4.1). Zeros and signs go
 		// to a side stream exactly as in the SZ relative path.
@@ -92,7 +91,7 @@ func (c *Codec) Compress(dst []byte, src []float64, opt compress.Options) ([]byt
 		logBound := math.Log1p(opt.Bound) / 2
 		body, exc2 := encodeAbs(logs, logBound)
 		exc = append(exc, exc2...)
-		return assemble(dst, 1, body, exc, signs.Bytes()), nil
+		return assemble(dst, hdr, 1, body, exc, signs.Bytes()), nil
 	}
 	return nil, fmt.Errorf("zfplike: unsupported mode %v", opt.Mode)
 }
@@ -102,8 +101,11 @@ type exception struct {
 	bits uint64
 }
 
-// assemble lays out: kind(1) lenSigns(u32) signs nExc(u32) exc body.
-func assemble(dst []byte, kind byte, body []byte, exc []exception, signs []byte) []byte {
+// assemble appends the header and lays out: kind(1) lenSigns(u32) signs
+// nExc(u32) exc body — in a dst grown once, to exactly that size.
+func assemble(dst []byte, hdr compress.Header, kind byte, body []byte, exc []exception, signs []byte) []byte {
+	dst = compress.Grow(dst, compress.HeaderSize+1+4+len(signs)+4+12*len(exc)+len(body))
+	dst = compress.AppendHeader(dst, hdr)
 	dst = append(dst, kind)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(signs)))
 	dst = append(dst, signs...)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"compress/flate"
 	"os"
 	"testing"
 
@@ -285,7 +284,7 @@ func TestLoadInternsIdenticalBlobs(t *testing.T) {
 	} {
 		decodes := 0
 		dst := newSim(t, 10, 2, 16, func(c *Config) {
-			c.Lossless = decodeCounter{lossless.New(flate.BestSpeed, false), &decodes}
+			c.Lossless = decodeCounter{lossless.New(false), &decodes}
 			mut(c)
 		})
 		if err := dst.Load(bytes.NewReader(ckpt.Bytes())); err != nil {

@@ -15,7 +15,6 @@
 package core
 
 import (
-	"compress/flate"
 	"fmt"
 	"math/bits"
 	"os"
@@ -172,7 +171,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.Workers = nb
 	}
 	if c.Lossless == nil {
-		c.Lossless = lossless.New(flate.BestSpeed, false)
+		c.Lossless = lossless.New(false)
 	}
 	if c.Lossy == nil {
 		c.Lossy = xortrunc.New()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"compress/flate"
 	"errors"
 	"fmt"
 	"strings"
@@ -18,7 +17,7 @@ import (
 // workingLossless returns the default level-0 codec for tests that wrap
 // it in a failure-injecting shim (Config hooks run before withDefaults,
 // so Config.Lossless is still nil inside newSim's extra func).
-func workingLossless() compress.Codec { return lossless.New(flate.BestSpeed, false) }
+func workingLossless() compress.Codec { return lossless.New(false) }
 
 // runSweepPair executes the same circuit on two identically configured
 // simulators, one with the sweep scheduler and one without, and returns

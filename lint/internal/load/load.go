@@ -23,6 +23,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -88,6 +89,10 @@ func LoadModule(dir string, patterns []string) ([]*Package, error) {
 	}
 
 	exports := make(map[string]string)
+	// variants[T] maps an import path to the export data of the package
+	// as recompiled for T's tests ("P [T.test]"): T itself with its
+	// in-package test files, and every dependency that imports T.
+	variants := make(map[string]map[string]string)
 	var targets []listPkg
 	dec := json.NewDecoder(strings.NewReader(out))
 	for {
@@ -101,6 +106,12 @@ func LoadModule(dir string, patterns []string) ([]*Package, error) {
 			!strings.HasSuffix(p.ImportPath, ".test")
 		if plain && p.Export != "" {
 			exports[p.ImportPath] = p.Export
+		}
+		if path, _, ok := strings.Cut(p.ImportPath, " ["); ok && p.ForTest != "" && p.Export != "" {
+			if variants[p.ForTest] == nil {
+				variants[p.ForTest] = make(map[string]string)
+			}
+			variants[p.ForTest][path] = p.Export
 		}
 		inModule := p.ImportPath == modPath || strings.HasPrefix(p.ImportPath, modPath+"/")
 		if plain && !p.DepOnly && !p.Standard && inModule {
@@ -124,10 +135,14 @@ func LoadModule(dir string, patterns []string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, inPkg)
 		if len(t.XTestGoFiles) > 0 {
-			// The external test package compiles against the in-memory
-			// in-package result, so identifiers declared in export_test.go
-			// style files resolve.
-			ximp := &overrideImporter{base: exp, path: t.ImportPath, pkg: inPkg.Types}
+			// The external test package compiles as the go command
+			// compiles it: against the test variants, so identifiers
+			// declared in export_test.go style files resolve, and a
+			// dependency that imports the package under test (a codec
+			// the test hands to it) sees the same instance of it.
+			files := maps.Clone(exports)
+			maps.Copy(files, variants[t.ImportPath])
+			ximp := &exportImporter{fset: fset, files: files, packages: make(map[string]*types.Package)}
 			xPkg, err := checkFiles(fset, t.Dir, t.XTestGoFiles, t.ImportPath+"_test", ximp)
 			if err != nil {
 				return nil, err
@@ -234,21 +249,6 @@ func (e *exportImporter) lookup(path string) (io.ReadCloser, error) {
 		return nil, fmt.Errorf("no export data for %q", path)
 	}
 	return os.Open(f)
-}
-
-// overrideImporter serves one path from an in-memory package and
-// everything else from the base importer.
-type overrideImporter struct {
-	base types.Importer
-	path string
-	pkg  *types.Package
-}
-
-func (o *overrideImporter) Import(path string) (*types.Package, error) {
-	if path == o.path {
-		return o.pkg, nil
-	}
-	return o.base.Import(path)
 }
 
 // goOutput runs the go command in dir and returns stdout.
