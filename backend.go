@@ -3,7 +3,6 @@ package qcsim
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"qcsim/circuit"
 	"qcsim/internal/core"
@@ -31,16 +30,19 @@ const (
 	BackendAuto = "auto"
 )
 
-// backend is the engine contract the Simulator facade drives — the
-// previously implicit method set of the compressed core, made explicit
-// so engines are pluggable. Both implementations must agree on
-// semantics: state persists across RunControlled calls, inspection
-// never mutates, errors wrap the package sentinels, and RunControlled
-// honors core.RunControl's abort/progress hooks at gate boundaries.
+// backend is the engine contract the Simulator facade drives: the
+// operations both engines implement, each in its own way. Both must
+// agree on semantics: state persists across RunControlled calls,
+// inspection never mutates, errors wrap the package sentinels, and
+// RunControlled honors core.RunControl's abort/progress hooks at gate
+// boundaries. What only the compressed engine can do — checkpointing,
+// the statistical assertions, batched runs — is not in the contract:
+// the facade reaches the *core.Simulator for it through
+// Simulator.compressedOnly, the one place ErrUnsupportedOp is built for
+// an engine that lacks it. Quantities the facade can derive (geometry,
+// the compression ratio) are not in it either.
 type backend interface {
-	// Identity and geometry.
 	Name() string
-	Qubits() int
 
 	// Execution. RunControlled applies every gate of c in order,
 	// checking ctl.PollAbort at gate boundaries (a non-nil return stops
@@ -56,7 +58,6 @@ type backend interface {
 	MeasurementCount() int
 	FidelityLowerBound() float64
 	CompressedFootprint() int64
-	CompressionRatio() float64
 	BytesMoved() int64
 	OverBudget() bool
 	Stats() Stats
@@ -70,19 +71,9 @@ type backend interface {
 	ExpectationZZ(a, b int) (float64, error)
 	MaxCutEnergy(edges []core.CutEdge) (float64, error)
 
-	// Statistical assertions (ErrUnsupportedOp on backends without
-	// full-state access to joint distributions).
-	AssertClassical(q, value int, tol float64) error
-	AssertSuperposition(q int, tol float64) error
-	AssertProduct(a, b int, tol float64) error
-
 	// Shot-based readout: probability tables built once, draws from the
 	// backend's seeded sampling stream.
 	NewSampler(cacheLines int) (backendSampler, error)
-
-	// Checkpointing (ErrUnsupportedOp where not implemented).
-	Save(w io.Writer) error
-	Load(r io.Reader) error
 
 	// Close releases engine resources (the compressed backend's spill
 	// files when WithSpill is active; a no-op everywhere else).
@@ -137,21 +128,25 @@ type pendingAuto struct {
 	basis     uint64
 }
 
-// choose picks the backend for the decision circuit: MPS iff the
-// circuit is MPS-runnable, noiseless, not the uncompressed baseline,
-// and its estimated bond dimension fits the χ budget; compressed
-// otherwise.
+// choose picks the backend for the decision circuit (see autoRoute).
 func (p *pendingAuto) choose(c *circuit.Circuit) string {
-	if p.noiseProb > 0 || p.cfg.Uncompressed {
-		return BackendCompressed
+	name, _, _ := autoRoute(c, p.noiseProb, p.cfg.Uncompressed, p.bondDim)
+	return name
+}
+
+// autoRoute is the auto backend's one routing rule, shared by the first
+// Run of an auto simulator and EstimateCircuit: MPS iff every gate is
+// MPS-runnable, the run is noiseless and not the uncompressed baseline,
+// and the circuit's structural bond estimate fits χ; compressed
+// otherwise. It also returns the two facts it decided on.
+func autoRoute(c *circuit.Circuit, noiseProb float64, uncompressed bool, chi int) (name string, runnable bool, bond int) {
+	ok, _ := quantum.MPSCompatible(c)
+	runnable = ok && noiseProb == 0 && !uncompressed
+	bond = quantum.EstimateBondDim(c)
+	if runnable && bond <= chi {
+		return BackendMPS, runnable, bond
 	}
-	if ok, _ := quantum.MPSCompatible(c); !ok {
-		return BackendCompressed
-	}
-	if quantum.EstimateBondDim(c) > p.bondDim {
-		return BackendCompressed
-	}
-	return BackendMPS
+	return BackendCompressed, runnable, bond
 }
 
 // build constructs the chosen backend in the recorded basis state.

@@ -2,7 +2,6 @@ package qcsim
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -17,9 +16,10 @@ import (
 // so low-entanglement circuits run in polynomial memory at register
 // widths the full-state engine cannot touch; the truncated
 // singular-value weight feeds the same fidelity-ledger surface as the
-// compressed engine's Eq. 11 bound. What an MPS genuinely cannot do —
-// measurement collapse, multi-controlled gates, full-state assertions,
-// checkpointing — reports ErrUnsupportedOp.
+// compressed engine's Eq. 11 bound. A measurement or multi-controlled
+// gate stops a run with internal/mps's typed rejection; the
+// compressed-only operations (assertions, checkpointing, batches) never
+// reach this type — see Simulator.compressedOnly.
 type mpsBackend struct {
 	st   *mps.State
 	chi  int
@@ -53,7 +53,6 @@ func newMPSBackend(qubits, chi int, seed int64, fuse bool) (*mpsBackend, error) 
 }
 
 func (b *mpsBackend) Name() string { return BackendMPS }
-func (b *mpsBackend) Qubits() int  { return b.st.Qubits() }
 
 // RunControlled applies the circuit gate-at-a-time, honoring the same
 // control contract as the compressed engine: PollAbort checked before
@@ -123,14 +122,6 @@ func (b *mpsBackend) CompressedFootprint() int64  { return b.st.MemoryBytes() }
 func (b *mpsBackend) BytesMoved() int64           { return 0 }
 func (b *mpsBackend) OverBudget() bool            { return false }
 
-func (b *mpsBackend) CompressionRatio() float64 {
-	fp := b.st.MemoryBytes()
-	if fp == 0 {
-		return 0
-	}
-	return MemoryRequirement(b.st.Qubits()) / float64(fp)
-}
-
 func (b *mpsBackend) Stats() Stats {
 	return Stats{
 		ComputeTime:      b.computeTime,
@@ -162,34 +153,8 @@ func (b *mpsBackend) MaxCutEnergy(edges []core.CutEdge) (float64, error) {
 	return b.st.MaxCutEnergy(qe)
 }
 
-// Assertions need joint distributions over the full register; route
-// callers to the compressed backend.
-
-func (b *mpsBackend) AssertClassical(q, value int, tol float64) error {
-	return b.unsupported("assert")
-}
-func (b *mpsBackend) AssertSuperposition(q int, tol float64) error {
-	return b.unsupported("assert")
-}
-func (b *mpsBackend) AssertProduct(a, c int, tol float64) error {
-	return b.unsupported("assert")
-}
-
-// Checkpointing is compressed-engine territory.
-
-func (b *mpsBackend) Save(w io.Writer) error { return b.unsupported("checkpoint") }
-func (b *mpsBackend) Load(r io.Reader) error { return b.unsupported("checkpoint") }
-
 // Close: the MPS engine holds no resources beyond RAM.
 func (b *mpsBackend) Close() error { return nil }
-
-// unsupported reports op through the mps package's typed error so the
-// facade sentinel (ErrUnsupportedOp) and the structured
-// *mps.UnsupportedOpError both match.
-func (b *mpsBackend) unsupported(op string) error {
-	return &mps.UnsupportedOpError{Op: op,
-		Reason: "requires full-state access; use the compressed backend"}
-}
 
 // mpsSampler adapts mps.Sampler to the facade contract: drawn from the
 // backend's dedicated seeded stream and invalidated by any state

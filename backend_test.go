@@ -169,6 +169,33 @@ func TestMPSUnsupportedAtFacade(t *testing.T) {
 			t.Fatal("unsupported checkpointing must not masquerade as a corrupt checkpoint")
 		}
 	})
+
+	// Batches run in this process on the compressed engine: the mps
+	// backend refuses them, and so does the TCP transport — before any
+	// worker is spawned, which the nonexistent worker binary proves.
+	ansatz := circuit.VQEAnsatz(4, 1)
+	values := make([]float64, ansatz.NumParams())
+	obs := Observable{Z: []ZTerm{{Q: 0, W: 1}}}
+	newTCP := func(t *testing.T) *Simulator {
+		sim, err := New(4, WithTransport(TransportTCP), WithWorkerCommand("/nonexistent/qcrank"), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	for _, b := range []struct {
+		name  string
+		build func(*testing.T) *Simulator
+	}{{"mps", newMPS}, {"tcp", newTCP}} {
+		t.Run(b.name+"-run-batch", func(t *testing.T) {
+			_, err := b.build(t).RunBatch(ctx, ansatz, [][]float64{values})
+			check(t, err, "batch")
+		})
+		t.Run(b.name+"-gradient", func(t *testing.T) {
+			_, err := b.build(t).Gradient(ctx, ansatz, values, obs)
+			check(t, err, "batch")
+		})
+	}
 }
 
 // TestMPSStaleSampler pins the staleness contract on the mps backend:

@@ -230,19 +230,10 @@ func (s *Simulator) Gradient(ctx context.Context, c *circuit.Circuit, values []f
 // executes the batch. The returned engines are live (also on error —
 // the completed prefix stays inspectable); the caller owns them.
 func (s *Simulator) runBatchCircuits(ctx context.Context, circuits []*circuit.Circuit) ([]*core.Simulator, []Result, error) {
-	be, err := s.compressedOnly()
+	eng, err := s.compressedOnly("batch", true)
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, dist := be.(*distBackend); dist {
-		return nil, nil, fmt.Errorf("%w: batched execution (RunBatch, Gradient) is in-process only; the %s transport cannot run variant batches — build the simulator without WithTransport",
-			ErrUnsupportedOp, TransportTCP)
-	}
-	cb, ok := be.(compressedBackend)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: batched execution requires the compressed backend", ErrUnsupportedOp)
-	}
-	eng := cb.Simulator
 	sims := make([]*core.Simulator, len(circuits))
 	for v := range circuits {
 		clone, err := eng.Clone(core.VariantSeed(eng.Config().Seed, v))
@@ -271,7 +262,7 @@ func runVariants(ctx context.Context, sims []*core.Simulator, circuits []*circui
 	}
 	results := make([]Result, len(sims))
 	for v, cs := range sims {
-		results[v] = resultSince(compressedBackend{cs}, gatesBefore, measBefore)
+		results[v] = resultSince(compressedBackend{cs}, cs.Qubits(), gatesBefore, measBefore)
 	}
 	return results, runErr
 }

@@ -75,9 +75,10 @@ type Regression = harness.Regression
 
 // DiffSnapshots compares a fresh snapshot against a committed baseline
 // and returns every tracked-row regression beyond tol (0.20 = 20%).
-// Only machine-portable metrics are gated — deterministic counters and
-// within-run ratios — so a committed baseline from one machine holds
-// on another; see the CI bench-regression step.
+// Only deterministic counters are gated (codec-call reductions, batch
+// widths, bond estimates and routing picks, spill ladder levels), never
+// elapsed times, so a committed baseline from one machine holds on
+// another; see the CI bench-regression step.
 func DiffSnapshots(old, fresh *Snapshot, tol float64) ([]Regression, error) {
 	return harness.DiffSnapshots(old, fresh, tol)
 }

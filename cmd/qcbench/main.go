@@ -19,7 +19,7 @@ func main() {
 	small := flag.Bool("small", false, "run at the fast CI scale")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csvDir := flag.String("csv", "", "export figure data as CSV files into this directory")
-	jsonPath := flag.String("json", "", "write a machine-readable snapshot of the structured experiments (sweep, sampling, crossover, spill) to this file")
+	jsonPath := flag.String("json", "", "write a machine-readable snapshot of the structured experiments (sweep, batch, sampling, crossover, spill) to this file")
 	diffPath := flag.String("diff", "", "diff this run's snapshot against a committed baseline (e.g. BENCH_8.json) and exit 1 on tracked-row regressions")
 	diffTol := flag.Float64("diff-tol", 0.20, "regression tolerance for -diff: fail on a move past this fraction in the harmful direction")
 	workers := flag.Int("workers", 0, "worker goroutines per rank in simulator runs (0 = NumCPU/ranks)")

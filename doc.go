@@ -100,11 +100,17 @@
 // Everything the facade exposes works on the compressed backend. On the
 // mps backend, operations that need full-state access — measurement
 // gates, gates with more than one control, AssertClassical /
-// AssertSuperposition / AssertProduct, and Save/Load — fail with an
-// error wrapping ErrUnsupportedOp (errors.Is-able; the chain carries a
-// *mps.UnsupportedOpError naming the operation). A rejected gate stops
+// AssertSuperposition / AssertProduct, Save/Load, and RunBatch/Gradient
+// — fail with an error wrapping ErrUnsupportedOp (errors.Is-able; the
+// chain carries a *mps.UnsupportedOpError naming the operation:
+// "measure", "multi-control", "assert", "checkpoint", "batch"). The two
+// gate rejections come from the MPS engine itself: a rejected gate stops
 // the run at that gate boundary with the completed prefix intact, like
-// every other mid-run error. Everything else — Amplitude, FullState (to
+// every other mid-run error. The rest are built in one place, the
+// facade's gateway to the compressed engine, which also refuses
+// RunBatch/Gradient on the TCP transport (its workers run no batches)
+// and, on an undecided auto simulator, closes the decision on the
+// compressed engine instead. Everything else — Amplitude, FullState (to
 // 26 qubits), Norm, ProbabilityOne, ExpectationZ/ZZ, MaxCutEnergy,
 // Sample/Sampler, Reset, SetBasisState — is first-class on both
 // engines, answered on the MPS by tensor contraction instead of block

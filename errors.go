@@ -75,10 +75,12 @@ var (
 )
 
 // ErrUnsupportedOp reports an operation the selected backend genuinely
-// cannot perform. The compressed backend supports everything; the mps
-// backend rejects measurement gates, multi-controlled gates (more than
-// one control), the Assert* methods, and Save/Load — the paper's §1
-// case for full-state simulation, made checkable:
+// cannot perform. The compressed backend supports everything (batches
+// in-process only: RunBatch and Gradient refuse the TCP transport); the
+// mps backend rejects measurement gates, multi-controlled gates (more
+// than one control), the Assert* methods, Save/Load, and
+// RunBatch/Gradient — the paper's §1 case for full-state simulation,
+// made checkable:
 //
 //	if _, err := sim.Run(ctx, c); errors.Is(err, qcsim.ErrUnsupportedOp) {
 //		// rebuild with WithBackend(qcsim.BackendCompressed)

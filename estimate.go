@@ -5,7 +5,6 @@ import (
 
 	"qcsim/circuit"
 	"qcsim/internal/core"
-	"qcsim/internal/quantum"
 )
 
 // Estimate is the admission-planning view of a circuit: everything a
@@ -92,27 +91,21 @@ func EstimateCircuit(qubits int, c *circuit.Circuit, opts ...Option) (*Estimate,
 	if c.N != qubits {
 		return nil, fmt.Errorf("%w: circuit has %d qubits, estimate for %d", ErrCircuitMismatch, c.N, qubits)
 	}
-	chi := st.bondDim
-	if chi == 0 {
-		chi = DefaultBondDim
+	route, runnable, bond := autoRoute(c, noiseProb, vcfg.Uncompressed, st.bondDim)
+	if st.variants > 1 {
+		route = BackendCompressed // lockstep batching is compressed-only
 	}
-	est := &Estimate{
+	return &Estimate{
 		Qubits:            qubits,
 		Gates:             len(c.Gates),
-		BondDim:           quantum.EstimateBondDim(c),
+		BondDim:           bond,
+		MPSRunnable:       runnable && st.variants == 1,
+		Backend:           route,
 		Variants:          st.variants,
 		UncompressedBytes: float64(st.variants) * core.MemoryRequirement(qubits),
+		MPSBytes:          mpsBytesEstimate(qubits, bond, st.bondDim),
 		BlockBytes:        16 * int64(vcfg.BlockAmps),
-	}
-	ok, _ := quantum.MPSCompatible(c)
-	est.MPSRunnable = ok && noiseProb == 0 && !vcfg.Uncompressed && st.variants == 1
-	if est.MPSRunnable && est.BondDim <= chi {
-		est.Backend = BackendMPS
-	} else {
-		est.Backend = BackendCompressed
-	}
-	est.MPSBytes = mpsBytesEstimate(qubits, est.BondDim, chi)
-	return est, nil
+	}, nil
 }
 
 // mpsBytesEstimate sums the complex128 tensor storage of an n-site MPS

@@ -65,6 +65,25 @@ func TestEstimateCircuitRouting(t *testing.T) {
 // match what a WithBackend("auto") simulator actually picks — the
 // admission controller and the engine must not disagree.
 func TestEstimateAgreesWithAuto(t *testing.T) {
+	agree := func(name string, n int, c *circuit.Circuit, opts ...Option) string {
+		t.Helper()
+		est, err := EstimateCircuit(n, c, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sim, err := New(n, append([]Option{WithBackend(BackendAuto)}, opts...)...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer sim.Close()
+		if _, err := sim.Run(context.Background(), c); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := sim.Backend(); got != est.Backend {
+			t.Errorf("%s: estimate routes %q but auto picked %q", name, est.Backend, got)
+		}
+		return est.Backend
+	}
 	for _, tc := range []struct {
 		name string
 		c    *circuit.Circuit
@@ -75,21 +94,29 @@ func TestEstimateAgreesWithAuto(t *testing.T) {
 		{"brickwork-shallow", circuit.Brickwork(10, 2, 3), 10},
 		{"brickwork-deep", circuit.Brickwork(10, 30, 3), 10},
 	} {
-		est, err := EstimateCircuit(tc.n, tc.c)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		agree(tc.name, tc.n, tc.c)
+	}
+
+	// One row per arm of the routing rule that sends a circuit the MPS
+	// would otherwise take to the compressed engine.
+	shallow := circuit.Brickwork(10, 4, 3)
+	if est, err := EstimateCircuit(10, shallow); err != nil || est.BondDim <= 2 || est.Backend != BackendMPS {
+		t.Fatalf("the χ row needs an mps-routed circuit whose bond estimate exceeds 2: %+v, %v", est, err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *circuit.Circuit
+		opts []Option
+	}{
+		{"noise", circuit.GHZ(10), []Option{WithNoise(0.01)}},
+		{"uncompressed", circuit.GHZ(10), []Option{WithUncompressed(true)}},
+		{"measurement", circuit.New(10).H(0).Measure(0), nil},
+		{"toffoli", circuit.New(10).H(0).Toffoli(0, 1, 2), nil},
+		{"bond-dim-2", shallow, []Option{WithBondDim(2)}},
+	} {
+		if got := agree(tc.name, 10, tc.c, tc.opts...); got != BackendCompressed {
+			t.Errorf("%s: routed %q, want %q", tc.name, got, BackendCompressed)
 		}
-		sim, err := New(tc.n, WithBackend(BackendAuto))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if _, err := sim.Run(context.Background(), tc.c); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := sim.Backend(); got != est.Backend {
-			t.Errorf("%s: estimate routes %q but auto picked %q", tc.name, est.Backend, got)
-		}
-		sim.Close()
 	}
 }
 

@@ -435,12 +435,18 @@ func (s *Simulator) sampleFootprint(rs *rankState) {
 }
 
 // ledgerRounds is how many truncations one boundary can charge: the
-// sweep's own plus, under a budget, one requantize per level.
+// sweep's own, under a budget one requantize per level, and with the
+// noise channel live the Pauli's pass, in the last round (a noise-free
+// run has no such round).
 func (s *Simulator) ledgerRounds() int {
-	if s.cfg.MemoryBudget <= 0 || s.cfg.Uncompressed {
-		return 1
+	n := 1
+	if s.cfg.MemoryBudget > 0 && !s.cfg.Uncompressed {
+		n += len(s.cfg.ErrorLevels)
 	}
-	return 1 + len(s.cfg.ErrorLevels)
+	if s.noiseActive() {
+		n++
+	}
+	return n
 }
 
 // foldLedger multiplies the run's charges into the ledger (Eq. 11).
@@ -686,7 +692,7 @@ func runLockstep(sims []*Simulator, circuits []*quantum.Circuit, ctl RunControl)
 					return err
 				})
 			} else {
-				swErr = applyUnitaries(comm, sims, gates, gi)
+				swErr = applyUnitaries(comm, sims, gates, gi, 0)
 				// The noise Pauli (the sweep is then the one gate) may be
 				// a cross-rank gate, so a rank that failed the unitary
 				// cannot just skip it: agree on failure first, then
@@ -808,17 +814,19 @@ func (s *Simulator) splitControls(controls []int) (offMask uint64, blkMask, rank
 // all variants; a rank-segment target is a single gate and a block
 // exchange, where the exchange dominates and the SendRecv protocol is
 // sequential, so the variants go one by one with no codec sharing.
-func applyUnitaries(comm mpi.Comm, sims []*Simulator, gates [][]quantum.Gate, gi int) error {
+// Either way the recompression is truncation number round of the
+// boundary after gate gi.
+func applyUnitaries(comm mpi.Comm, sims []*Simulator, gates [][]quantum.Gate, gi, round int) error {
 	r := comm.Rank()
 	if s0 := sims[0]; gates[0][0].Target < s0.offsetBits+s0.blockBits {
 		passes := make([]*blockPass, len(sims))
 		for v, s := range sims {
 			passes[v] = s.compilePass(s.ranks[r], gates[v])
 		}
-		return runPass(sims, r, passes, gi, 0)
+		return runPass(sims, r, passes, gi, round)
 	}
 	return eachVariant(sims, func(v int, s *Simulator) error {
-		return s.applyCrossRank(comm, s.ranks[r], gates[v][0], gi)
+		return s.applyCrossRank(comm, s.ranks[r], gates[v][0], gi, round)
 	})
 }
 
@@ -848,7 +856,7 @@ func eachVariant(sims []*Simulator, fn func(v int, s *Simulator) error) error {
 // alive for the remaining blocks (sending whatever is in scratch),
 // skips the now-pointless codec and compute work, and reports the
 // first error at the sweep boundary, where the barrier stops all ranks.
-func (s *Simulator) applyCrossRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi int) error {
+func (s *Simulator) applyCrossRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi, round int) error {
 	offCtrl, blkCtrl, rankCtrl := s.splitControls(g.Controls)
 	if rs.id&rankCtrl != rankCtrl {
 		// §3.3: control in the rank segment is |0⟩ here — the whole
@@ -912,7 +920,7 @@ func (s *Simulator) applyCrossRank(comm mpi.Comm, rs *rankState, g quantum.Gate,
 	if firstErr != nil {
 		return firstErr
 	}
-	s.noteLevel(rs, gi, 0, lvl)
+	s.noteLevel(rs, gi, round, lvl)
 	return nil
 }
 

@@ -135,12 +135,6 @@ func (s *Simulator) Stats() Stats {
 	return agg
 }
 
-// RankStats returns one rank's accounting.
-func (s *Simulator) RankStats(r int) Stats {
-	s.syncStoreStats(s.ranks[r])
-	return s.ranks[r].stats
-}
-
 // CompressedFootprint returns the current total compressed bytes
 // across ranks and both memory tiers.
 func (s *Simulator) CompressedFootprint() int64 {

@@ -45,7 +45,9 @@ func (s *Simulator) noiseActive() bool {
 // gate path as ordinary gates — no randomness is ever consumed inside a
 // worker, which is what keeps the trajectory independent of Workers. A
 // codec failure propagates to the run loop's sweep error barrier like
-// any other gate error.
+// any other gate error. The Pauli's pass recompresses the state a second
+// time at the gate's boundary, so it charges the ledger in a round of its
+// own — the boundary's last — rather than sharing the gate's.
 func (s *Simulator) applyNoiseRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi int) error {
 	u := rs.rng.Float64()
 	pick := rs.rng.Intn(3)
@@ -61,5 +63,5 @@ func (s *Simulator) applyNoiseRank(comm mpi.Comm, rs *rankState, g quantum.Gate,
 	default:
 		pauli = quantum.Gate{Name: "noise-z", Target: g.Target, U: quantum.MatZ}
 	}
-	return applyUnitaries(comm, []*Simulator{s}, [][]quantum.Gate{{pauli}}, gi)
+	return applyUnitaries(comm, []*Simulator{s}, [][]quantum.Gate{{pauli}}, gi, s.ledgerRounds()-1)
 }

@@ -9,34 +9,27 @@ import (
 
 func baselineSnapshot() *BenchSnapshot {
 	return &BenchSnapshot{
-		Schema:  SnapshotSchema,
-		Options: Small(),
-		// Durations sit above minGateDuration so the timing-ratio gates
-		// are live in these tests, not floored out.
-		Sweep: []SweepRow{{
-			Benchmark: "Grover-7q", Reduction: 100,
-			ElapsedOff: 10 * time.Second, ElapsedOn: time.Second,
-		}},
+		Schema:   SnapshotSchema,
+		Options:  Small(),
+		Sweep:    []SweepRow{{Benchmark: "Grover-7q", Reduction: 100}},
 		Batch:    []BatchRow{{Benchmark: "QAOA-10q", Variants: 9, Reduction: 7}},
-		Sampling: []SamplingRow{{Benchmark: "GHZ-11q", Speedup: 50, ScanTime: 10 * time.Second}},
+		Sampling: []SamplingRow{{Benchmark: "GHZ-11q", Speedup: 50}},
 		Crossover: []CrossoverRow{{
 			Depth: 2, EstBond: 4, Auto: "mps",
 		}},
-		Spill: []SpillRow{{
-			Benchmark: "QFT-10", SpillOverBudget: false, SpillFinalLevel: 0,
-			ControlElapsed: time.Second, SpillElapsed: 1500 * time.Millisecond,
-		}},
+		Spill: []SpillRow{{Benchmark: "QFT-10", SpillOverBudget: false, SpillFinalLevel: 0}},
 	}
 }
 
 func TestDiffSnapshotsCleanWithinTolerance(t *testing.T) {
 	old := baselineSnapshot()
 	fresh := baselineSnapshot()
-	// Small moves inside 20%: not regressions.
+	// A small counter move inside 20%: not a regression. Timings are
+	// not gated, however far they move.
 	fresh.Sweep[0].Reduction = 90
-	fresh.Sweep[0].ElapsedOn = 1100 * time.Millisecond
-	fresh.Sampling[0].Speedup = 45
-	fresh.Spill[0].SpillElapsed = 1600 * time.Millisecond
+	fresh.Sweep[0].ElapsedOn = time.Hour
+	fresh.Sampling[0].Speedup = 1
+	fresh.Spill[0].SpillElapsed = time.Hour
 	regs, err := DiffSnapshots(old, fresh, 0.20)
 	if err != nil {
 		t.Fatal(err)
@@ -49,13 +42,11 @@ func TestDiffSnapshotsCleanWithinTolerance(t *testing.T) {
 func TestDiffSnapshotsCatchesRegressions(t *testing.T) {
 	old := baselineSnapshot()
 	fresh := baselineSnapshot()
-	fresh.Sweep[0].Reduction = 50                 // reduction halved
-	fresh.Batch[0].Reduction = 2                  // batch cache sharing collapsed
-	fresh.Batch[0].Variants = 5                   // batch width drifted
-	fresh.Sampling[0].Speedup = 10                // sampler speedup collapsed
-	fresh.Crossover[0].Auto = "compressed"        // routing flipped
-	fresh.Spill[0].SpillOverBudget = true         // spill tier broke
-	fresh.Spill[0].SpillElapsed = 4 * time.Second // spill cost blew up
+	fresh.Sweep[0].Reduction = 50          // reduction halved
+	fresh.Batch[0].Reduction = 2           // batch cache sharing collapsed
+	fresh.Batch[0].Variants = 5            // batch width drifted
+	fresh.Crossover[0].Auto = "compressed" // routing flipped
+	fresh.Spill[0].SpillOverBudget = true  // spill tier broke
 	regs, err := DiffSnapshots(old, fresh, 0.20)
 	if err != nil {
 		t.Fatal(err)
@@ -64,10 +55,8 @@ func TestDiffSnapshotsCatchesRegressions(t *testing.T) {
 		"sweep/Grover-7q|reduction":   false,
 		"batch/QAOA-10q|reduction":    false,
 		"batch/QAOA-10q|variants":     false,
-		"sampling/GHZ-11q|speedup":    false,
 		"crossover/depth-2|auto-pick": false,
 		"spill/QFT-10|over-budget":    false,
-		"spill/QFT-10|spill-cost":     false,
 	}
 	for _, r := range regs {
 		key := r.Row + "|" + r.Metric

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"io"
 	"os"
 )
 
@@ -61,18 +60,8 @@ func BuildSnapshot(opt Options) (*BenchSnapshot, error) {
 	}, nil
 }
 
-// WriteJSON builds a BenchSnapshot and writes it, indented, to w.
-func WriteJSON(w io.Writer, opt Options) error {
-	snap, err := BuildSnapshot(opt)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
-}
-
-// WriteJSONFile is WriteJSON to a named file.
+// WriteJSONFile builds a BenchSnapshot and writes it, indented, to a
+// named file.
 func WriteJSONFile(path string, opt Options) error {
 	snap, err := BuildSnapshot(opt)
 	if err != nil {

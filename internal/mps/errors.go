@@ -21,7 +21,7 @@ var ErrUnsupportedOp = errors.New("mps: operation unsupported by the MPS backend
 // ErrUnsupportedOp) and errors.As(err, *UnsupportedOpError) work.
 type UnsupportedOpError struct {
 	// Op names the rejected operation ("measure", "multi-control",
-	// "assert", "checkpoint", "noise").
+	// "assert", "checkpoint", "batch", "noise").
 	Op string
 	// Reason explains the structural limitation.
 	Reason string

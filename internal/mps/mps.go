@@ -69,9 +69,6 @@ func New(n, chi int) (*State, error) {
 // Qubits returns n.
 func (s *State) Qubits() int { return s.n }
 
-// BondDim returns the bond-dimension cap χ.
-func (s *State) BondDim() int { return s.chi }
-
 // Reset reinitializes the state to |0...0⟩ and the truncation ledger to
 // 1, keeping n and χ.
 func (s *State) Reset() {

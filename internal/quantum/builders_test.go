@@ -314,3 +314,29 @@ func mustPanic(t *testing.T, f func()) {
 	}()
 	f()
 }
+
+func TestParallelDepth(t *testing.T) {
+	c := NewCircuit(4).H(0).H(1).H(2).H(3) // one layer
+	if d := c.ParallelDepth(); d != 1 {
+		t.Fatalf("H layer depth = %d", d)
+	}
+	c2 := GHZ(5) // CNOT chain serializes: H + 4 CNOTs = depth 5
+	if d := c2.ParallelDepth(); d != 5 {
+		t.Fatalf("GHZ depth = %d", d)
+	}
+	c3 := NewCircuit(2)
+	if d := c3.ParallelDepth(); d != 0 {
+		t.Fatalf("empty depth = %d", d)
+	}
+}
+
+func TestTwoQubitGateCountAndHistogram(t *testing.T) {
+	c := NewCircuit(3).H(0).CNOT(0, 1).CZ(1, 2).Toffoli(0, 1, 2).T(2)
+	if n := c.TwoQubitGateCount(); n != 3 {
+		t.Fatalf("two-qubit count = %d", n)
+	}
+	h := c.GateHistogram()
+	if h["h"] != 1 || h["cx"] != 1 || h["ccx"] != 1 || h["t"] != 1 {
+		t.Fatalf("histogram = %v", h)
+	}
+}

@@ -146,3 +146,48 @@ func (c *Circuit) MaxTarget() int {
 	}
 	return m
 }
+
+// TwoQubitGateCount returns how many gates have at least one control.
+func (c *Circuit) TwoQubitGateCount() int {
+	n := 0
+	for _, g := range c.Gates {
+		if len(g.Controls) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// ParallelDepth returns the circuit depth counted in parallel layers:
+// gates touching disjoint qubits share a layer (the hardware notion of
+// depth, vs the paper's gate count).
+func (c *Circuit) ParallelDepth() int {
+	ready := make([]int, c.N) // earliest free layer per qubit
+	depth := 0
+	for _, g := range c.Gates {
+		layer := ready[g.Target]
+		for _, ctl := range g.Controls {
+			if ready[ctl] > layer {
+				layer = ready[ctl]
+			}
+		}
+		layer++
+		ready[g.Target] = layer
+		for _, ctl := range g.Controls {
+			ready[ctl] = layer
+		}
+		if layer > depth {
+			depth = layer
+		}
+	}
+	return depth
+}
+
+// GateHistogram returns gate counts by name.
+func (c *Circuit) GateHistogram() map[string]int {
+	h := make(map[string]int)
+	for _, g := range c.Gates {
+		h[g.Name]++
+	}
+	return h
+}

@@ -8,6 +8,7 @@ import (
 
 	"qcsim/circuit"
 	"qcsim/internal/core"
+	"qcsim/internal/mps"
 	"qcsim/internal/stats"
 )
 
@@ -149,18 +150,32 @@ func (s *Simulator) resolveTo(name string) error {
 	return nil
 }
 
-// compressedOnly returns the engine for operations only the compressed
-// backend supports (Save, Load, the Assert* methods). Needing one
-// while an auto decision is open is decisive evidence for the
-// compressed engine — exactly like a circuit at Run — so it closes the
-// decision in its favor instead of failing on the provisional MPS.
-func (s *Simulator) compressedOnly() (backend, error) {
+// compressedOnly returns the compressed engine for an operation only it
+// supports — Save, Load, the Assert* methods, RunBatch and Gradient —
+// and is the one place the facade builds an ErrUnsupportedOp, naming op.
+// Needing one while an auto decision is open is decisive evidence for
+// the compressed engine — exactly like a circuit at Run — so it closes
+// the decision in its favor instead of failing on the provisional MPS.
+// Over the TCP transport the engine is the coordinator's local copy,
+// which serves checkpoints and assertions; inProcess marks an operation
+// the worker processes cannot run, which that transport refuses.
+func (s *Simulator) compressedOnly(op string, inProcess bool) (*core.Simulator, error) {
 	if s.pending != nil {
 		if err := s.resolveTo(BackendCompressed); err != nil {
 			return nil, err
 		}
 	}
-	return s.b(), nil
+	reason := "requires full-state access; use the compressed backend"
+	switch be := s.b().(type) {
+	case compressedBackend:
+		return be.Simulator, nil
+	case *distBackend:
+		if !inProcess {
+			return be.Simulator, nil
+		}
+		reason = fmt.Sprintf("in-process only; the %s transport cannot run it — build the simulator without WithTransport", TransportTCP)
+	}
+	return nil, &mps.UnsupportedOpError{Op: op, Reason: reason}
 }
 
 // ProgressEvent describes one completed gate of a RunProgress call.
@@ -263,7 +278,7 @@ func (s *Simulator) run(ctx context.Context, c *circuit.Circuit, fn func(Progres
 	eng := s.b()
 	gatesBefore, measBefore := eng.GatesRun(), eng.MeasurementCount()
 	runErr := eng.RunControlled(c, runControl(ctx, fn))
-	res := resultSince(eng, gatesBefore, measBefore)
+	res := resultSince(eng, s.qubits, gatesBefore, measBefore)
 	if runErr != nil {
 		return &res, runErr
 	}
@@ -305,17 +320,28 @@ func runControl(ctx context.Context, fn func(ProgressEvent)) core.RunControl {
 	return ctl
 }
 
-// resultSince summarizes the run that took eng from the given
-// cumulative gate and measurement counts to its current state.
-func resultSince(eng backend, gatesBefore, measBefore int) Result {
+// resultSince summarizes the run that took eng, an n-qubit engine, from
+// the given cumulative gate and measurement counts to its current state.
+func resultSince(eng backend, n, gatesBefore, measBefore int) Result {
+	fp := eng.CompressedFootprint()
 	return Result{
 		Gates:              eng.GatesRun() - gatesBefore,
 		Measurements:       eng.Measurements()[measBefore:],
 		FidelityLowerBound: eng.FidelityLowerBound(),
-		Footprint:          eng.CompressedFootprint(),
-		CompressionRatio:   eng.CompressionRatio(),
+		Footprint:          fp,
+		CompressionRatio:   compressionRatio(n, fp),
 		Stats:              eng.Stats(),
 	}
+}
+
+// compressionRatio is an n-qubit state's uncompressed bytes over its
+// footprint (0 for an empty one): the facade's one definition, for
+// every engine.
+func compressionRatio(n int, footprint int64) float64 {
+	if footprint == 0 {
+		return 0
+	}
+	return MemoryRequirement(n) / float64(footprint)
 }
 
 // Snapshot is a point-in-time view of the simulator's cumulative
@@ -338,14 +364,15 @@ type Snapshot struct {
 func (s *Simulator) Snapshot() Snapshot {
 	be := s.b()
 	st := be.Stats()
+	fp := be.CompressedFootprint()
 	return Snapshot{
 		Qubits:             s.qubits,
 		GatesRun:           be.GatesRun(),
 		Measurements:       be.Measurements(),
 		FidelityLowerBound: be.FidelityLowerBound(),
-		Footprint:          be.CompressedFootprint(),
+		Footprint:          fp,
 		MaxFootprint:       st.MaxFootprint,
-		CompressionRatio:   be.CompressionRatio(),
+		CompressionRatio:   compressionRatio(s.qubits, fp),
 		BytesMoved:         be.BytesMoved(),
 		Stats:              st,
 	}
@@ -526,11 +553,11 @@ func (s *Simulator) AssertClassical(q, value int, tol float64) error {
 	if err := s.checkQubit(q); err != nil {
 		return err
 	}
-	be, err := s.compressedOnly()
+	eng, err := s.compressedOnly("assert", false)
 	if err != nil {
 		return err
 	}
-	return wrapAssert(be.AssertClassical(q, value, tol))
+	return wrapAssert(eng.AssertClassical(q, value, tol))
 }
 
 // AssertSuperposition checks that qubit q is in an approximately
@@ -542,11 +569,11 @@ func (s *Simulator) AssertSuperposition(q int, tol float64) error {
 	if err := s.checkQubit(q); err != nil {
 		return err
 	}
-	be, err := s.compressedOnly()
+	eng, err := s.compressedOnly("assert", false)
 	if err != nil {
 		return err
 	}
-	return wrapAssert(be.AssertSuperposition(q, tol))
+	return wrapAssert(eng.AssertSuperposition(q, tol))
 }
 
 // AssertProduct checks that qubits a and b are approximately
@@ -562,11 +589,11 @@ func (s *Simulator) AssertProduct(a, b int, tol float64) error {
 	if err := s.checkQubit(b); err != nil {
 		return err
 	}
-	be, err := s.compressedOnly()
+	eng, err := s.compressedOnly("assert", false)
 	if err != nil {
 		return err
 	}
-	return wrapAssert(be.AssertProduct(a, b, tol))
+	return wrapAssert(eng.AssertProduct(a, b, tol))
 }
 
 // Measurements returns the outcomes of every measurement gate executed
@@ -668,7 +695,9 @@ func (s *Simulator) CompressedFootprint() int64 { return s.b().CompressedFootpri
 
 // CompressionRatio returns uncompressed-state-bytes over the current
 // compressed footprint.
-func (s *Simulator) CompressionRatio() float64 { return s.b().CompressionRatio() }
+func (s *Simulator) CompressionRatio() float64 {
+	return compressionRatio(s.qubits, s.CompressedFootprint())
+}
 
 // GatesRun returns the number of gates executed so far across all
 // runs.
@@ -688,11 +717,11 @@ func (s *Simulator) Save(w io.Writer) error {
 	if err := s.closedErr(); err != nil {
 		return err
 	}
-	be, err := s.compressedOnly()
+	eng, err := s.compressedOnly("checkpoint", false)
 	if err != nil {
 		return err
 	}
-	return be.Save(w)
+	return eng.Save(w)
 }
 
 // Load restores a checkpoint written by Save. The simulator must have
@@ -706,12 +735,12 @@ func (s *Simulator) Load(r io.Reader) error {
 	if err := s.closedErr(); err != nil {
 		return err
 	}
-	be, err := s.compressedOnly()
+	eng, err := s.compressedOnly("checkpoint", false)
 	if err != nil {
 		return err
 	}
-	if err := be.Load(r); err != nil {
-		if errors.Is(err, ErrUnsupportedOp) || errors.Is(err, ErrSpill) {
+	if err := eng.Load(r); err != nil {
+		if errors.Is(err, ErrSpill) {
 			return err
 		}
 		return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
