@@ -104,9 +104,9 @@ var kernelMatrices = []struct {
 // turns it back into +0; a short form that drops the term keeps -0, and
 // a raw or lossless blob differs by that bit. Removing the zero
 // fallback from any class loop in kernel passes every other test in the
-// repository — conformance, the bit-identity suites, qcbench -diff —
-// because they compare the engine against itself or within a tolerance;
-// this test compares it against the old loop.
+// repository — conformance, the bit-identity suites, the harness's
+// pinned counters — because they compare the engine against itself or
+// within a tolerance; this test compares it against the old loop.
 func TestKernelMatchesGeneral2x2Bits(t *testing.T) {
 	const (
 		offsetBits = 5

@@ -77,15 +77,22 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 	// store many byte-identical blobs (a basis state is one distinct
 	// block plus copies of the zero block; a uniform superposition is
 	// one blob repeated everywhere). Mass is a pure function of blob
-	// content, so compact blobs are decoded once and memoized by their
-	// bytes, never by a hash that could collide. The size cutoff keeps
-	// the memo to blobs that compressed at least 4x below the 16·ba raw
-	// block size — redundancy strong enough to plausibly repeat; dense
-	// unique blobs skip the key copy and map probe entirely.
+	// content, so compact blobs are decoded once and memoized under a
+	// hash of their bytes; a hit is confirmed byte for byte, as Load's
+	// interning does, so a collision costs a decode, never a wrong mass.
+	// Store blobs are immutable, so the memo holds them without a copy.
+	// The size cutoff keeps the memo to blobs that compressed at least 4x
+	// below the 16·ba raw block size — redundancy strong enough to
+	// plausibly repeat; dense unique blobs skip the hash and map probe
+	// entirely.
+	type blobMass struct {
+		blob []byte
+		mass float64
+	}
 	memo := struct {
 		sync.Mutex
-		m map[string]float64
-	}{m: make(map[string]float64)}
+		m map[uint64]blobMass
+	}{m: make(map[uint64]blobMass)}
 	memoMaxBlob := 16 * ba / 4
 	for _, rs := range s.ranks {
 		base := rs.id * nb
@@ -98,12 +105,15 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 			if err != nil {
 				return err
 			}
-			if len(blob) <= memoMaxBlob {
+			compact := len(blob) <= memoMaxBlob
+			var sum uint64
+			if compact {
+				sum = maphash.Bytes(keySeed, blob)
 				memo.Lock()
-				m, ok := memo.m[string(blob)]
+				e, ok := memo.m[sum]
 				memo.Unlock()
-				if ok {
-					masses[base+b] = m
+				if ok && bytes.Equal(e.blob, blob) {
+					masses[base+b] = e.mass
 					return nil
 				}
 			}
@@ -116,9 +126,11 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 				m += re*re + im*im
 			}
 			masses[base+b] = m
-			if len(blob) <= memoMaxBlob {
+			if compact {
 				memo.Lock()
-				memo.m[string(blob)] = m
+				if _, seen := memo.m[sum]; !seen {
+					memo.m[sum] = blobMass{blob, m}
+				}
 				memo.Unlock()
 			}
 			return nil

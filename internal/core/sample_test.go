@@ -17,31 +17,19 @@ import (
 	"qcsim/internal/quantum"
 )
 
-// linearScanSample reimplements the pre-streaming Sample path as the
-// reference for the bit-identity property: materialize the full vector,
-// then compare each raw uniform draw against the un-normalized running
-// mass in global index order — including the fall-through-to-0 bug the
-// streaming sampler fixes, which is exactly what the bias regression
-// test below exercises.
+// linearScanSample is the pre-streaming Sample path, the reference for
+// the bit-identity property: materialize the full vector, then let
+// quantum.State.Sample compare each raw uniform draw against the
+// un-normalized running mass in global index order — including the
+// fall-through-to-0 bug the streaming sampler fixes, which is exactly
+// what the bias regression test below exercises.
 func linearScanSample(t testing.TB, s *Simulator, rng *rand.Rand, shots int) []uint64 {
 	t.Helper()
 	amps, err := s.FullState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]uint64, shots)
-	for k := range out {
-		r := rng.Float64()
-		var acc float64
-		for i, a := range amps {
-			acc += real(a)*real(a) + imag(a)*imag(a)
-			if r < acc {
-				out[k] = uint64(i)
-				break
-			}
-		}
-	}
-	return out
+	return (&quantum.State{N: s.Qubits(), Amps: amps}).Sample(rng, shots)
 }
 
 // scanResolve is the streaming sampler as it resolved shots before they

@@ -23,30 +23,31 @@ import (
 // BatchRow is one workload measurement of the variant-batching
 // experiment.
 type BatchRow struct {
-	Benchmark string
-	Qubits    int
+	Benchmark string `csv:"benchmark"`
+	Qubits    int    `csv:"qubits"`
 	// Gates is the per-variant gate count (all variants share a shape).
-	Gates int
+	Gates int `csv:"gates"`
 	// Variants is the batch width K = 1 base + 2·shifted occurrences.
-	Variants int
+	Variants int `csv:"variants"`
 
 	// CodecCallsSolo and CodecCallsBatch count run-phase
 	// compress+decompress invocations (initialization excluded): the K
 	// sequential runs summed, and the one lockstep batch.
-	CodecCallsSolo  int64
-	CodecCallsBatch int64
+	CodecCallsSolo  int64 `csv:"codec_calls_solo"`
+	CodecCallsBatch int64 `csv:"codec_calls_batch"`
 	// PerVariantSolo/Batch are the same counts divided by K.
-	PerVariantSolo  float64
-	PerVariantBatch float64
+	PerVariantSolo  float64 `csv:"per_variant_solo"`
+	PerVariantBatch float64 `csv:"per_variant_batch"`
 	// Reduction is CodecCallsSolo / CodecCallsBatch — deterministic at
-	// the single-worker configuration this experiment pins.
-	Reduction float64
+	// any worker count: the batch memo is claim-or-wait, so exactly one
+	// worker pays for each shared codec pass.
+	Reduction float64 `csv:"reduction"`
 	// PassesShared counts codec passes served from the batch cache
 	// instead of re-run (summed over variants).
-	PassesShared int64
+	PassesShared int64 `csv:"passes_shared"`
 
-	ElapsedSolo  time.Duration
-	ElapsedBatch time.Duration
+	ElapsedSolo  time.Duration `csv:"elapsed_solo_seconds"`
+	ElapsedBatch time.Duration `csv:"elapsed_batch_seconds"`
 }
 
 // batchWorkloads builds the parameterized ansatz workloads: the QAOA
@@ -113,10 +114,10 @@ func batchCircuits(ansatz *quantum.Circuit, values []float64, shifts int) ([]*qu
 
 // BatchResults runs each workload's parameter-shift schedule twice —
 // K sequential solo runs, then one lockstep RunBatch — and reports the
-// codec-call reduction. Both sides run single-worker so every counter
-// is deterministic (the batch cache's hit pattern is scheduling-free at
-// one worker), and variant v carries VariantSeed(seed, v) on both sides
-// so the amplitudes are bit-identical pair by pair.
+// codec-call reduction. Both sides run at opt.Workers; every counter is
+// independent of the worker count (the batch memo is claim-or-wait), and
+// variant v carries VariantSeed(seed, v) on both sides so the
+// amplitudes are bit-identical pair by pair.
 func BatchResults(opt Options) ([]BatchRow, error) {
 	const seed = 7
 	var rows []BatchRow
@@ -130,7 +131,7 @@ func BatchResults(opt Options) ([]BatchRow, error) {
 			Qubits:        wl.ansatz.N,
 			Ranks:         1,
 			BlockAmps:     opt.BlockAmps,
-			Workers:       1,
+			Workers:       opt.Workers,
 			Seed:          seed,
 			DisableSweeps: opt.DisableSweeps,
 		}

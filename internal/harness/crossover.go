@@ -23,28 +23,28 @@ import (
 // CrossoverRow is one entanglement depth of the sweep, with both
 // backends' costs side by side.
 type CrossoverRow struct {
-	Depth  int
-	Qubits int
-	Gates  int
+	Depth  int `csv:"depth"`
+	Qubits int `csv:"qubits"`
+	Gates  int `csv:"gates"`
 	// EstBond is the planner's structural bond-dimension estimate
 	// (quantum.EstimateBondDim); Auto is the backend an auto simulator
 	// with this χ budget would pick.
-	EstBond int
-	Auto    string
+	EstBond int    `csv:"est_bond"`
+	Auto    string `csv:"auto_picks"`
 	// MPS backend costs (zero values when the sweep is restricted to
 	// the compressed backend).
-	MPSTime     time.Duration
-	MPSMem      int64
-	MPSFidelity float64
-	MPSMaxBond  int
+	MPSTime     time.Duration `csv:"mps_seconds"`
+	MPSMem      int64         `csv:"mps_bytes"`
+	MPSFidelity float64       `csv:"mps_fidelity"`
+	MPSMaxBond  int           `csv:"mps_max_bond"`
 	// Compressed backend costs.
-	CompTime     time.Duration
-	CompMem      int64
-	CompFidelity float64
+	CompTime     time.Duration `csv:"compressed_seconds"`
+	CompMem      int64         `csv:"compressed_bytes"`
+	CompFidelity float64       `csv:"compressed_fidelity"`
 	// TimeWinner names the faster backend at full fidelity on both
 	// sides, or the only one run; "compressed (fidelity)" marks depths
 	// where the MPS was faster but truncating.
-	TimeWinner string
+	TimeWinner string `csv:"winner"`
 }
 
 // CrossoverResults sweeps opt.CrossoverDepths on a brickwork circuit of

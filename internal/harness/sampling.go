@@ -21,22 +21,22 @@ import (
 
 // SamplingRow is one workload × shot-count measurement.
 type SamplingRow struct {
-	Benchmark string
-	Qubits    int
-	Shots     int
+	Benchmark string `csv:"benchmark"`
+	Qubits    int    `csv:"qubits"`
+	Shots     int    `csv:"shots"`
 	// Distinct is the number of distinct outcomes the streaming draw
 	// produced (a cheap sanity signal that mass is spread, not a metric
 	// from the paper).
-	Distinct  int
-	TotalMass float64
+	Distinct  int     `csv:"distinct"`
+	TotalMass float64 `csv:"total_mass"`
 	// BuildTime is the one-off CDF construction (the block pass);
 	// DrawTime covers the shots themselves.
-	BuildTime time.Duration
-	DrawTime  time.Duration
+	BuildTime time.Duration `csv:"build_seconds"`
+	DrawTime  time.Duration `csv:"draw_seconds"`
 	// ScanTime is the old path: materialize the full vector, then one
 	// linear scan per shot.
-	ScanTime time.Duration
-	Speedup  float64 // ScanTime / (BuildTime + DrawTime)
+	ScanTime time.Duration `csv:"scan_seconds"`
+	Speedup  float64       `csv:"speedup"` // ScanTime / (BuildTime + DrawTime)
 }
 
 // samplingWorkloads are readout-heavy states: GHZ (two-point support,
@@ -94,11 +94,14 @@ func SamplingResults(opt Options) ([]SamplingRow, error) {
 		}
 		draw := time.Since(start)
 
+		// The engine's original readout path is the baseline: materialize
+		// the vector, then one O(2^n) scan per raw (un-normalized) draw.
 		start = time.Now()
-		ref, err := linearScanSample(s, rand.New(rand.NewSource(2019)), opt.SampleShots)
+		amps, err := s.FullState()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", wl.name, err)
 		}
+		ref := (&quantum.State{N: wl.cir.N, Amps: amps}).Sample(rand.New(rand.NewSource(2019)), opt.SampleShots)
 		scan := time.Since(start)
 		for i := range ref {
 			if shots[i] != ref[i] {
@@ -126,29 +129,6 @@ func SamplingResults(opt Options) ([]SamplingRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// linearScanSample is the engine's original readout path, kept here as
-// the experiment's baseline: O(shots · 2^n) with raw (un-normalized)
-// draws. It is only runnable at scales where the full vector fits.
-func linearScanSample(s *core.Simulator, rng *rand.Rand, shots int) ([]uint64, error) {
-	amps, err := s.FullState()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, shots)
-	for k := range out {
-		r := rng.Float64()
-		var acc float64
-		for i, a := range amps {
-			acc += real(a)*real(a) + imag(a)*imag(a)
-			if r < acc {
-				out[k] = uint64(i)
-				break
-			}
-		}
-	}
-	return out, nil
 }
 
 func runSampling(w io.Writer, opt Options) error {

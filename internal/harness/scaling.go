@@ -119,22 +119,22 @@ func runFig6(w io.Writer, _ Options) error {
 		fmt.Fprintf(tw, "\tPWR=%.0e", d)
 	}
 	fmt.Fprintln(tw)
+	curves := make([][]float64, len(core.DefaultErrorLevels))
+	for i, d := range core.DefaultErrorLevels {
+		curves[i] = core.FidelityCurve(d, gateCounts[len(gateCounts)-1])
+	}
 	for _, g := range gateCounts {
 		fmt.Fprintf(tw, "%d", g)
-		for _, d := range core.DefaultErrorLevels {
-			fmt.Fprintf(tw, "\t%.4f", core.FidelityBound(constBounds(d, g)))
+		for _, curve := range curves {
+			f := 1.0 // no gate, no loss
+			if g > 0 {
+				f = curve[g-1]
+			}
+			fmt.Fprintf(tw, "\t%.4f", f)
 		}
 		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
-}
-
-func constBounds(d float64, n int) []float64 {
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = d
-	}
-	return b
 }
 
 // Fig15Point is one qubit-count measurement of the single-node sweep.
@@ -185,9 +185,9 @@ func runFig15(w io.Writer, opt Options) error {
 
 // Fig16Point is one rank-count measurement of the strong-scaling run.
 type Fig16Point struct {
-	Ranks   int
-	Elapsed time.Duration
-	Speedup float64
+	Ranks   int           `csv:"ranks"`
+	Elapsed time.Duration `csv:"elapsed_seconds"`
+	Speedup float64       `csv:"speedup"`
 }
 
 // Fig16Results measures strong scaling of a Hadamard layer at fixed
@@ -231,9 +231,9 @@ func runFig16(w io.Writer, opt Options) error {
 // scaling run — the in-process analog of the paper's 64 OpenMP threads
 // per MPI rank.
 type WorkerScalingPoint struct {
-	Workers int
-	Elapsed time.Duration
-	Speedup float64
+	Workers int           `csv:"workers"`
+	Elapsed time.Duration `csv:"elapsed_seconds"`
+	Speedup float64       `csv:"speedup"`
 }
 
 // WorkerScalingResults measures the same fixed workload as Fig. 16 at

@@ -15,18 +15,18 @@ import (
 // gates on different qubits pay one codec round trip per gate under the
 // paper's cost model.
 type SweepRow struct {
-	Benchmark string
-	Qubits    int
-	Gates     int
+	Benchmark string `csv:"benchmark"`
+	Qubits    int    `csv:"qubits"`
+	Gates     int    `csv:"gates"`
 
-	CodecCallsOff int64 // compress+decompress invocations, gate-at-a-time
-	CodecCallsOn  int64 // same with the sweep scheduler
-	Reduction     float64
-	Sweeps        int
-	SweepGates    int
-	PassesSaved   int64
-	ElapsedOff    time.Duration
-	ElapsedOn     time.Duration
+	CodecCallsOff int64         `csv:"codec_calls_off"` // compress+decompress invocations, gate-at-a-time
+	CodecCallsOn  int64         `csv:"codec_calls_on"`  // same with the sweep scheduler
+	Reduction     float64       `csv:"reduction"`
+	Sweeps        int           `csv:"sweeps"`
+	SweepGates    int           `csv:"sweep_gates"`
+	PassesSaved   int64         `csv:"passes_saved"`
+	ElapsedOff    time.Duration `csv:"elapsed_off_seconds"`
+	ElapsedOn     time.Duration `csv:"elapsed_on_seconds"`
 }
 
 // sweepWorkloads scales the example circuits the experiment measures:

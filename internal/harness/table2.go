@@ -13,25 +13,25 @@ import (
 
 // Table2Row is one benchmark column of the paper's Table 2.
 type Table2Row struct {
-	Benchmark   string
-	Qubits      int
-	Gates       int
-	Ranks       int
-	MemRequired float64 // uncompressed state bytes
-	MemBudget   int64   // total budget across ranks (0 = unlimited)
+	Benchmark   string  `csv:"benchmark"`
+	Qubits      int     `csv:"qubits"`
+	Gates       int     `csv:"gates"`
+	Ranks       int     `csv:"ranks"`
+	MemRequired float64 `csv:"mem_required_bytes"` // uncompressed state bytes
+	MemBudget   int64   `csv:"mem_budget_bytes"`   // total budget across ranks (0 = unlimited)
 
-	TotalTime     time.Duration
-	CompressPct   float64
-	DecompressPct float64
-	CommPct       float64
-	ComputePct    float64
-	TimePerGate   time.Duration
+	TotalTime     time.Duration `csv:"total_seconds"`
+	CompressPct   float64       `csv:"compress_pct"`
+	DecompressPct float64       `csv:"decompress_pct"`
+	CommPct       float64       `csv:"comm_pct"`
+	ComputePct    float64       `csv:"compute_pct"`
+	TimePerGate   time.Duration `csv:"-"`
 
-	Fidelity    float64 // measured vs dense reference (test scales)
-	FidelityLow float64 // ledger lower bound (Eq. 11)
-	MinRatio    float64 // Table 2's last row
-	FinalLevel  int
-	Escalations int
+	Fidelity    float64 `csv:"fidelity"`             // measured vs dense reference (test scales)
+	FidelityLow float64 `csv:"fidelity_lower_bound"` // ledger lower bound (Eq. 11)
+	MinRatio    float64 `csv:"min_ratio"`            // Table 2's last row
+	FinalLevel  int     `csv:"-"`
+	Escalations int     `csv:"-"`
 }
 
 // table2Workloads builds the scaled Table 2 benchmark set.
@@ -183,11 +183,4 @@ func runTable2(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "\nShape targets (paper): Grover compresses orders of magnitude better than the")
 	fmt.Fprintln(w, "rest; supremacy circuits compress worst; QFT in between; fidelity stays high.")
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -244,28 +244,13 @@ func RandomRegularGraph(n, d int, seed int64) []Edge {
 }
 
 // QAOA builds a p-round QAOA MAXCUT circuit on a random 4-regular graph
-// over n qubits. Angles are drawn deterministically from seed (a real
-// run would optimize them classically; the simulation cost is
-// identical).
+// over n qubits: QAOAAnsatz(n, p, seed) bound at QAOAAngles(p, seed).
+// Angles are drawn deterministically from seed (a real run would
+// optimize them classically; the simulation cost is identical).
 func QAOA(n, p int, seed int64) *Circuit {
-	edges := RandomRegularGraph(n, 4, seed)
-	rng := rand.New(rand.NewSource(seed + 1))
-	c := NewCircuit(n)
-	for q := 0; q < n; q++ {
-		c.H(q)
-	}
-	for round := 0; round < p; round++ {
-		gamma := rng.Float64() * math.Pi
-		beta := rng.Float64() * math.Pi
-		for _, e := range edges {
-			// exp(-iγ Z_u Z_v) up to global phase.
-			c.CNOT(e.U, e.V)
-			c.RZ(e.V, 2*gamma)
-			c.CNOT(e.U, e.V)
-		}
-		for q := 0; q < n; q++ {
-			c.RX(q, 2*beta)
-		}
+	c, err := QAOAAnsatz(n, p, seed).Bind(QAOAAngles(p, seed))
+	if err != nil {
+		panic(err) // unreachable: QAOAAngles supplies all 2p parameters
 	}
 	return c
 }

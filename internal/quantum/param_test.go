@@ -2,39 +2,63 @@ package quantum
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-func TestBindReproducesQAOA(t *testing.T) {
-	const n, p, seed = 8, 2, 5
-	ansatz := QAOAAnsatz(n, p, seed)
-	if !ansatz.Parametric() {
-		t.Fatal("ansatz not parametric")
+// fixedAngleQAOA is the fixed-angle QAOA builder as it was written
+// before QAOA became a binding of QAOAAnsatz: angles drawn from the
+// seeded stream round by round, gates appended directly.
+func fixedAngleQAOA(n, p int, seed int64) *Circuit {
+	edges := RandomRegularGraph(n, 4, seed)
+	rng := rand.New(rand.NewSource(seed + 1))
+	c := NewCircuit(n)
+	for q := 0; q < n; q++ {
+		c.H(q)
 	}
-	if got := ansatz.NumParams(); got != 2*p {
-		t.Fatalf("NumParams = %d, want %d", got, 2*p)
-	}
-	bound, err := ansatz.Bind(QAOAAngles(p, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound.Parametric() {
-		t.Fatal("bound circuit still parametric")
-	}
-	fixed := QAOA(n, p, seed)
-	if len(bound.Gates) != len(fixed.Gates) {
-		t.Fatalf("gate counts differ: %d vs %d", len(bound.Gates), len(fixed.Gates))
-	}
-	for i, g := range bound.Gates {
-		f := fixed.Gates[i]
-		if g.Kind != f.Kind || g.Target != f.Target || len(g.Controls) != len(f.Controls) || g.U != f.U {
-			t.Fatalf("gate %d differs:\nbound %+v\nfixed %+v", i, g, f)
+	for round := 0; round < p; round++ {
+		gamma := rng.Float64() * math.Pi
+		beta := rng.Float64() * math.Pi
+		for _, e := range edges {
+			c.CNOT(e.U, e.V)
+			c.RZ(e.V, 2*gamma)
+			c.CNOT(e.U, e.V)
+		}
+		for q := 0; q < n; q++ {
+			c.RX(q, 2*beta)
 		}
 	}
-	// The source ansatz must be untouched by Bind.
-	if !ansatz.Parametric() {
-		t.Fatal("Bind mutated the ansatz")
+	return c
+}
+
+func TestBindReproducesQAOA(t *testing.T) {
+	for _, tc := range []struct {
+		n, p int
+		seed int64
+	}{{8, 2, 5}, {6, 1, 3}, {10, 2, 2020}, {12, 3, 7}, {5, 4, 0}} {
+		ansatz := QAOAAnsatz(tc.n, tc.p, tc.seed)
+		if !ansatz.Parametric() {
+			t.Fatal("ansatz not parametric")
+		}
+		if got := ansatz.NumParams(); got != 2*tc.p {
+			t.Fatalf("NumParams = %d, want %d", got, 2*tc.p)
+		}
+		bound, err := ansatz.Bind(QAOAAngles(tc.p, tc.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound.Parametric() {
+			t.Fatal("bound circuit still parametric")
+		}
+		if want := fixedAngleQAOA(tc.n, tc.p, tc.seed); !reflect.DeepEqual(bound, want) {
+			t.Fatalf("QAOAAnsatz(%d, %d, %d) bound at QAOAAngles differs from the fixed-angle builder", tc.n, tc.p, tc.seed)
+		}
+		// The source ansatz must be untouched by Bind.
+		if !ansatz.Parametric() {
+			t.Fatal("Bind mutated the ansatz")
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats supplies the small statistics toolkit used by the
-// evaluation harness: empirical CDFs (Figs. 12 and 14 of the paper),
-// lag-1 autocorrelation (the paper's uncorrelatedness check for
-// Solution C), histograms, and summary helpers.
+// evaluation harness: quantiles and a Kolmogorov–Smirnov uniformity
+// statistic (Figs. 12 and 14 of the paper), lag-1 autocorrelation (the
+// paper's uncorrelatedness check for Solution C), and summary helpers.
 package stats
 
 import (
@@ -9,45 +9,6 @@ import (
 	"math"
 	"sort"
 )
-
-// CDFPoint is one (value, cumulative probability) sample of an empirical
-// distribution function.
-type CDFPoint struct {
-	Value float64
-	P     float64
-}
-
-// CDF returns the empirical cumulative distribution of xs evaluated at
-// `points` evenly spaced quantiles (plus the extremes). xs is not
-// modified.
-func CDF(xs []float64, points int) []CDFPoint {
-	if len(xs) == 0 || points <= 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, 0, points+1)
-	for i := 0; i <= points; i++ {
-		q := float64(i) / float64(points)
-		idx := int(q * float64(len(s)-1))
-		out = append(out, CDFPoint{Value: s[idx], P: float64(idx+1) / float64(len(s))})
-	}
-	return out
-}
-
-// CDFAt returns the empirical P(X <= v) for sorted data. Data must be
-// ascending; use sort.Float64s first.
-func CDFAt(sorted []float64, v float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(sorted, v)
-	// Count elements <= v (SearchFloat64s finds first >= v).
-	for i < len(sorted) && sorted[i] == v {
-		i++
-	}
-	return float64(i) / float64(len(sorted))
-}
 
 // Lag1Autocorrelation computes the lag-1 autocorrelation coefficient of
 // xs. The paper uses this to argue Solution C's compression errors are
@@ -84,23 +45,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MinMax returns the extrema of xs. It panics on empty input.
 func MinMax(xs []float64) (lo, hi float64) {
 	if len(xs) == 0 {
@@ -133,27 +77,6 @@ func Quantile(xs []float64, q float64) float64 {
 		return s[len(s)-1]
 	}
 	return s[int(q*float64(len(s)-1)+0.5)]
-}
-
-// Histogram bins xs into `bins` equal-width buckets over [lo, hi] and
-// returns the counts. Values outside the range clamp to the edge bins.
-func Histogram(xs []float64, lo, hi float64, bins int) []int {
-	if bins <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, bins)
-	w := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		counts[i]++
-	}
-	return counts
 }
 
 // UniformityKS returns the Kolmogorov–Smirnov statistic of xs against the

@@ -3,9 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestMean(t *testing.T) {
@@ -14,16 +12,6 @@ func TestMean(t *testing.T) {
 	}
 	if m := Mean(nil); m != 0 {
 		t.Fatalf("Mean(nil) = %v", m)
-	}
-}
-
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if v := Variance(xs); math.Abs(v-4) > 1e-12 {
-		t.Fatalf("Variance = %v, want 4", v)
-	}
-	if s := StdDev(xs); math.Abs(s-2) > 1e-12 {
-		t.Fatalf("StdDev = %v, want 2", s)
 	}
 }
 
@@ -53,40 +41,6 @@ func TestQuantile(t *testing.T) {
 	}
 	if !math.IsNaN(Quantile(nil, 0.5)) {
 		t.Fatal("Quantile(nil) not NaN")
-	}
-}
-
-func TestCDFMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	pts := CDF(xs, 20)
-	if len(pts) != 21 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].P < pts[i-1].P || pts[i].Value < pts[i-1].Value {
-			t.Fatalf("CDF not monotone at %d: %+v %+v", i, pts[i-1], pts[i])
-		}
-	}
-	if pts[len(pts)-1].P != 1 {
-		t.Fatalf("final P = %v", pts[len(pts)-1].P)
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	s := []float64{1, 2, 2, 3}
-	sort.Float64s(s)
-	if p := CDFAt(s, 2); p != 0.75 {
-		t.Fatalf("CDFAt(2) = %v", p)
-	}
-	if p := CDFAt(s, 0); p != 0 {
-		t.Fatalf("CDFAt(0) = %v", p)
-	}
-	if p := CDFAt(s, 5); p != 1 {
-		t.Fatalf("CDFAt(5) = %v", p)
 	}
 }
 
@@ -135,17 +89,6 @@ func TestLag1Degenerate(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.6, 0.9, -5, 10}
-	h := Histogram(xs, 0, 1, 2)
-	if h[0] != 3 || h[1] != 3 {
-		t.Fatalf("hist = %v", h)
-	}
-	if Histogram(xs, 1, 0, 2) != nil {
-		t.Fatal("invalid range should return nil")
-	}
-}
-
 func TestUniformityKS(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 20000
@@ -178,29 +121,5 @@ func TestFormatBytes(t *testing.T) {
 		if got := FormatBytes(in); got != want {
 			t.Fatalf("FormatBytes(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// Property: CDFAt is a valid CDF — monotone, in [0,1].
-func TestQuickCDFAt(t *testing.T) {
-	f := func(xs []float64, a, b float64) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				return true
-			}
-		}
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		s := append([]float64(nil), xs...)
-		sort.Float64s(s)
-		pa, pb := CDFAt(s, math.Min(a, b)), CDFAt(s, math.Max(a, b))
-		return pa >= 0 && pb <= 1 && pa <= pb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -3,7 +3,7 @@
 // *rand.Rand derived from Config.Seed; the process-global math/rand
 // source (or a source seeded from the wall clock) makes runs
 // non-reproducible, which breaks checkpoint round-trips, the variant
-// batch lockstep contract, and the bench regression gate.
+// batch lockstep contract, and the harness tests' pinned counters.
 //
 // Two rules, both scoped to the engine prefixes and skipping _test
 // files (tests may use throwaway randomness):
