@@ -119,22 +119,25 @@
 // # Sweep scheduler
 //
 // The paper's cost model pays one decompress → apply → recompress pass
-// over every compressed block for every gate — yet its working set is
-// already two decompressed blocks per worker (§3.1, Eq. 8). The sweep
-// scheduler (on by default; WithSweeps(false) restores the paper's
-// exact cost model) spends one codec pass on everything that fits that
-// working set. A pair sweep is a maximal run of consecutive gates whose
-// targets are offset qubits (bits inside one block) or ONE shared
-// block-segment qubit t: the pass walks the block pairs that differ in
-// t, decompresses a pair once, applies all k gates in circuit order and
-// recompresses only the blocks some gate touched. Controls may sit
-// anywhere — they select amplitudes, blocks or ranks and are not
-// members of the working set. A sweep is broken by a second
-// block-segment target (it would need four decompressed blocks per
-// worker, twice Eq. 8's budget), a rank-segment target (a block
-// exchange), a measurement, or (with WithNoise) any gate at all, since
-// the depolarizing channel must fire after each gate. A one-gate sweep
-// is the paper's per-gate pass: both run through the same code.
+// over every compressed block for every gate, with a working set of two
+// decompressed blocks per worker (§3.1, Eq. 8). The sweep scheduler (on
+// by default; WithSweeps(false) restores the paper's exact cost model)
+// spends one codec pass on a whole run of gates. A group sweep is a
+// maximal run of consecutive gates whose targets are offset qubits
+// (bits inside one block) or at most two distinct block-segment qubits:
+// the pass walks the groups of blocks that differ only in those qubits'
+// bits — one block, a pair, or four — decompresses a group once,
+// applies all k gates in circuit order and recompresses only the blocks
+// some gate touched. The two blocks beyond Eq. 8's pair that a group of
+// four needs are scratch a worker holds only while a Run makes such
+// passes. Controls may sit anywhere — they select amplitudes, blocks or
+// ranks and are not members of a group. A sweep is broken by a third
+// block-segment target (a second under WithMemoryBudget, whose at-rest
+// rule settles the budget between pair sweeps), a rank-segment target
+// (a block exchange), a measurement, or (with WithNoise) any gate at
+// all, since the depolarizing channel must fire after each gate. A
+// one-gate sweep is the paper's per-gate pass: both run through the
+// same code.
 //
 // Under the lossless codec, sweeps are bit-identical to gate-at-a-time
 // execution for every rank and worker count: every amplitude sees the
@@ -184,8 +187,8 @@
 // parent simulator is never mutated, and the variant states stay
 // inspectable through BatchVariants until the next batch or Close.
 //
-// Internally the executor walks the same pair-sweep schedule and fans
-// each pass out over (block pair, variant) units on the worker pool —
+// Internally the executor walks the same group-sweep schedule and fans
+// each pass out over (block group, variant) units on the worker pool —
 // decompress each distinct blob once per pass, apply the gates,
 // recompress each distinct result once — with a content-addressed,
 // claim-or-wait memo deduplicating codec work across undiverged

@@ -70,7 +70,7 @@ func (s *Simulator) Clone(seed int64) (*Simulator, error) {
 // noise model and configuration (use Clone) and all circuits one shape
 // (use quantum.Circuit.Bind on one parametric circuit); nothing else is
 // rejected. The schedule is planned once — shapes are identical, and
-// the pair-sweep planner reads only shape — and every pass deduplicates
+// the group-sweep planner reads only shape — and every pass deduplicates
 // codec work across variants whose blocks have not diverged yet
 // (runPass): a parameter-shift batch — K-1 variants each differing from
 // the base in a single gate — shares the entire pre-divergence prefix,
@@ -168,13 +168,13 @@ type batchMemo struct {
 	lines map[uint64]*memoLine
 }
 
-// memoLine is one key's entry. out1, out2 and err are written by the
-// leader before it closes done and read only after.
+// memoLine is one key's entry. out and err are written by the leader
+// before it closes done and read only after.
 type memoLine struct {
-	key        blockKey
-	out1, out2 []byte // nil for a member the pass left untouched
-	err        error
-	done       chan struct{}
+	key  blockKey
+	out  [groupSize][]byte // nil for a member the pass left untouched
+	err  error
+	done chan struct{}
 }
 
 func newBatchMemo() *batchMemo {
@@ -185,7 +185,7 @@ func (m *batchMemo) enabled() bool { return true }
 
 // get claims k for the caller (a miss: it owes the put) or waits for the
 // claimant and charges st one shared codec pass per block reused.
-func (m *batchMemo) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool, err error) {
+func (m *batchMemo) get(k blockKey, st *Stats) (out [groupSize][]byte, ok bool, err error) {
 	m.mu.Lock()
 	l := m.lines[k.hash]
 	if l == nil {
@@ -195,28 +195,27 @@ func (m *batchMemo) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool, err 
 	if l == nil || !l.key.equal(&k) {
 		// A different key under the same hash computes unshared; its put
 		// finds no claim of its own and publishes nothing.
-		return nil, nil, false, nil
+		return out, false, nil
 	}
 	<-l.done
 	if l.err != nil {
-		return nil, nil, false, l.err
+		return out, false, l.err
 	}
-	if l.out1 != nil {
-		st.CodecPassesShared++
+	for _, blob := range l.out {
+		if blob != nil {
+			st.CodecPassesShared++
+		}
 	}
-	if l.out2 != nil {
-		st.CodecPassesShared++
-	}
-	return l.out1, l.out2, true, nil
+	return l.out, true, nil
 }
 
 // put publishes the claimant's result for k and releases its waiters.
-func (m *batchMemo) put(k blockKey, out1, out2 []byte, err error) {
+func (m *batchMemo) put(k blockKey, out [groupSize][]byte, err error) {
 	m.mu.Lock()
 	l := m.lines[k.hash]
 	m.mu.Unlock()
 	if l.key.equal(&k) {
-		l.out1, l.out2, l.err = out1, out2, err
+		l.out, l.err = out, err
 		close(l.done)
 	}
 }

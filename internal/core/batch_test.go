@@ -253,15 +253,22 @@ func shiftBatch(t *testing.T, qubits, k int) []*quantum.Circuit {
 // run returns, so a parked one would hang it (runWithFault's timeout).
 func TestBatchCountersIndependentOfWorkers(t *testing.T) {
 	t.Run("failed leader releases its waiters", func(t *testing.T) {
-		// An H layer: every block of every variant is the same bytes, so
-		// a pass has one or two keys and every other unit waits on their
-		// leaders. The fault is armed on all variants — whichever leads.
+		// Two H layers on the 2-rank geometry: a group sweep on qubits
+		// 0..4 (block targets 3 and 4, so each rank's four blocks are
+		// one group), the rank-segment H(5), and the group sweep again.
+		// Before each group sweep every variant holds the same bytes, so
+		// a rank's pass has one key per group base, and the other
+		// variants' units wait on its leader. The faults are armed at the
+		// two group sweeps, on all variants — whichever leads.
 		cir := quantum.NewCircuit(6)
 		for q := 0; q < 6; q++ {
 			cir.H(q)
 		}
+		for q := 0; q < 5; q++ {
+			cir.H(q)
+		}
 		for _, f := range []codecFault{
-			{all: true, dec: true, at: 1},
+			{all: true, dec: true, at: 0},
 			{all: true, enc: true, at: 2},
 		} {
 			runWithFault(t, 8, func(c *Config) { c.Workers = 4 }, cir, f)

@@ -28,53 +28,65 @@ func newPassKey(sig string, level int) passKey {
 }
 
 // blockKey identifies one cached operation: a pass applied to the
-// compressed input(s) of a block pair. A member the pass leaves
-// untouched contributes a nil input (stored blobs are never empty), so
-// the inputs also say which members the outputs belong to. variant is
-// the block-index bits the pass's block controls read: inside a sweep
-// they decide which gates fire on the block, so equal inputs under
-// equal signatures map to equal outputs only when it matches too.
-// Tables index by hash alone; equal then confirms a candidate field by
-// field, so a hash collision costs a miss and can never swap in the
-// wrong output block. The inputs are held by reference — blobs are
-// immutable (see blockstore.Store).
+// compressed inputs of one block group, in member order. A member the
+// pass leaves untouched contributes a nil input (stored blobs are never
+// empty), so the inputs also say which members the outputs belong to.
+// variant is the block-index bits the pass's block controls read:
+// inside a sweep they decide which gates fire on each member, so equal
+// inputs under equal signatures map to equal outputs only when it
+// matches too. The group base has the group's bits clear and a member's
+// position fixes the rest, so variant is the base's bits alone. Tables
+// index by hash alone; equal then confirms a candidate field by field,
+// so a hash collision costs a miss and can never swap in the wrong
+// output block. The inputs are held by reference — blobs are immutable
+// (see blockstore.Store).
 type blockKey struct {
 	passKey
-	variant  int
-	in1, in2 []byte
-	hash     uint64
+	variant int
+	in      [groupSize][]byte
+	hash    uint64
 }
 
-// block completes the pass key with one block pair's control variant
-// and compressed input(s).
-func (p passKey) block(variant int, in1, in2 []byte) blockKey {
+// block completes the pass key with one group's control variant and
+// compressed inputs.
+func (p passKey) block(variant int, in [groupSize][]byte) blockKey {
 	var h maphash.Hash
 	h.SetSeed(keySeed)
-	var hdr [32]byte
+	var hdr [8 * (3 + groupSize)]byte
 	binary.LittleEndian.PutUint64(hdr[0:], p.sigHash)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(p.level))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(variant))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(in1)))
+	for m, blob := range in {
+		binary.LittleEndian.PutUint64(hdr[24+8*m:], uint64(len(blob)))
+	}
 	h.Write(hdr[:])
-	h.Write(in1)
-	h.Write(in2)
-	return blockKey{passKey: p, variant: variant, in1: in1, in2: in2, hash: h.Sum64()}
+	for _, blob := range in {
+		h.Write(blob)
+	}
+	return blockKey{passKey: p, variant: variant, in: in, hash: h.Sum64()}
 }
 
 // equal compares everything the hash was computed from. On a redundant
 // state the candidate's blobs are usually the very slices being looked
 // up, which bytes.Equal settles by pointer without reading them.
 func (k *blockKey) equal(o *blockKey) bool {
-	return k.hash == o.hash && k.level == o.level && k.variant == o.variant && k.sig == o.sig &&
-		bytes.Equal(k.in1, o.in1) && bytes.Equal(k.in2, o.in2)
+	if k.hash != o.hash || k.level != o.level || k.variant != o.variant || k.sig != o.sig {
+		return false
+	}
+	for m := range k.in {
+		if !bytes.Equal(k.in[m], o.in[m]) {
+			return false
+		}
+	}
+	return true
 }
 
-// cacheLine is one key → output(s) entry of the block cache; apart from
+// cacheLine is one key → outputs entry of the block cache; apart from
 // tick it is never written once published. The outputs are shared with
 // every slot they were ever handed to, never copied.
 type cacheLine struct {
-	key        blockKey
-	out1, out2 []byte // nil for a member the pass left untouched
+	key blockKey
+	out [groupSize][]byte // nil for a member the pass left untouched
 	// tick is the number of the lookup that last touched the line;
 	// the smallest tick is the LRU victim.
 	tick atomic.Int64
@@ -140,13 +152,13 @@ func (c *blockCache) enabled() bool {
 // get returns the cached outputs for k, if present, counting the lookup
 // (and the hit) in st exactly when the cache counted it — a cache that
 // shut off since the caller's enabled() check counts nothing.
-func (c *blockCache) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool, err error) {
+func (c *blockCache) get(k blockKey, st *Stats) (out [groupSize][]byte, ok bool, err error) {
 	if c == nil {
-		return nil, nil, false, nil
+		return out, false, nil
 	}
 	t := c.table.Load()
 	if t == nil {
-		return nil, nil, false, nil
+		return out, false, nil
 	}
 	n := c.lookups.Add(1)
 	st.CacheLookups++
@@ -159,7 +171,7 @@ func (c *blockCache) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool, err
 			c.hit.Store(true)
 		}
 		st.CacheHits++
-		return l.out1, l.out2, true, nil
+		return l.out, true, nil
 	}
 	if !c.hit.Load() && n >= c.probation {
 		// §3.4: no redundancy in the state — stop paying the miss
@@ -168,14 +180,14 @@ func (c *blockCache) get(k blockKey, st *Stats) (out1, out2 []byte, ok bool, err
 		c.table.Store(nil)
 		c.mu.Unlock()
 	}
-	return nil, nil, false, nil
+	return out, false, nil
 }
 
 // put stores the outputs of the lookup that just missed on k, evicting
 // the least recently used line when the cache is full; a round trip that
 // failed (err) has nothing to store. Key and outputs are kept by
 // reference.
-func (c *blockCache) put(k blockKey, out1, out2 []byte, err error) {
+func (c *blockCache) put(k blockKey, out [groupSize][]byte, err error) {
 	if c == nil || err != nil {
 		return
 	}
@@ -198,7 +210,7 @@ func (c *blockCache) put(k blockKey, out1, out2 []byte, err error) {
 	if victim != nil {
 		delete(next, victim.key.hash)
 	}
-	l := &cacheLine{key: k, out1: out1, out2: out2}
+	l := &cacheLine{key: k, out: out}
 	l.tick.Store(c.lookups.Load())
 	next[k.hash] = l
 	c.table.Store(&next)

@@ -86,30 +86,36 @@ func TestCacheSelfDisables(t *testing.T) {
 	}
 }
 
+// members lays blobs out as a group's inputs or outputs, member 0 first.
+func members(blobs ...[]byte) (g [groupSize][]byte) {
+	copy(g[:], blobs)
+	return g
+}
+
 // testKey is the key of a single-block op named sig whose input is the
 // one byte in.
 func testKey(sig string, in byte) blockKey {
-	return newPassKey(sig, 0).block(0, []byte{in}, nil)
+	return newPassKey(sig, 0).block(0, members([]byte{in}))
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	var st Stats
 	c := newBlockCache(2)
 	a, b, d := testKey("a", 1), testKey("b", 2), testKey("c", 3)
-	c.put(a, []byte{10}, nil, nil)
-	c.put(b, []byte{20}, nil, nil)
+	c.put(a, members([]byte{10}), nil)
+	c.put(b, members([]byte{20}), nil)
 	// Touch "a" so "b" is the LRU victim.
-	if _, _, ok, _ := c.get(a, &st); !ok {
+	if _, ok, _ := c.get(a, &st); !ok {
 		t.Fatal("a missing")
 	}
-	c.put(d, []byte{30}, nil, nil)
-	if _, _, ok, _ := c.get(b, &st); ok {
+	c.put(d, members([]byte{30}), nil)
+	if _, ok, _ := c.get(b, &st); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, _, ok, _ := c.get(a, &st); !ok {
+	if _, ok, _ := c.get(a, &st); !ok {
 		t.Fatal("a evicted out of LRU order")
 	}
-	if out, _, ok, _ := c.get(d, &st); !ok || out[0] != 30 {
+	if out, ok, _ := c.get(d, &st); !ok || out[0][0] != 30 {
 		t.Fatal("c missing or wrong")
 	}
 	if st.CacheLookups != 4 || st.CacheHits != 3 {
@@ -140,18 +146,18 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 				refEl = el
 			}
 		}
-		out, _, hit, _ := c.get(k, &st)
+		out, hit, _ := c.get(k, &st)
 		if hit != (refEl != nil) {
 			t.Fatalf("lookup %d (key %d): hit=%v, reference LRU says %v", i, id, hit, refEl != nil)
 		}
 		if hit {
-			if out[0] != byte(id) {
-				t.Fatalf("lookup %d: key %d returned the output of key %d", i, id, out[0])
+			if out[0][0] != byte(id) {
+				t.Fatalf("lookup %d: key %d returned the output of key %d", i, id, out[0][0])
 			}
 			ref.MoveToFront(refEl)
 			continue
 		}
-		c.put(k, []byte{byte(id)}, nil, nil)
+		c.put(k, members([]byte{byte(id)}), nil)
 		if ref.Len() == lines {
 			ref.Remove(ref.Back())
 		}
@@ -164,64 +170,80 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 
 // TestCacheKeyVerifiedBehindHash ports the old string key's collision
 // regressions to the hashed key: the table indexes by hash alone, so
-// keys that differ in any one of (sig, level, variant, in1, in2) — including the
-// boundary-shift and truncation pairs that collided under the
-// separator-byte scheme — are given EQUAL hashes here and must still
-// miss, in the block cache and in the batch memo alike.
+// keys that differ in any one of (sig, level, variant, any member's
+// input) — including the boundary-shift and truncation pairs that
+// collided under the separator-byte scheme, between every two adjacent
+// members, and one blob at another member position — are given EQUAL
+// hashes here and must still miss, in the block cache and in the batch
+// memo alike.
 func TestCacheKeyVerifiedBehindHash(t *testing.T) {
-	mk := func(sig string, level int, in1, in2 []byte) blockKey {
-		return blockKey{passKey: passKey{sig: sig, level: level}, in1: in1, in2: in2, hash: 42}
+	a, b, c3, d := []byte{'A'}, []byte{0, 'B'}, []byte{'C'}, []byte{0, 'D'}
+	mk := func(sig string, level int, in ...[]byte) blockKey {
+		return blockKey{passKey: passKey{sig: sig, level: level}, in: members(in...), hash: 42}
 	}
-	variant := mk("s", 0, []byte{'A'}, []byte{0, 'B'})
+	variant := mk("s", 0, a, b, c3, d)
 	variant.variant = 2
-	base := mk("s", 0, []byte{'A'}, []byte{0, 'B'})
+	base := mk("s", 0, a, b, c3, d)
 	others := map[string]blockKey{
-		"cb1-cb2 boundary": mk("s", 0, []byte{'A', 0}, []byte{'B'}),
-		"sig-cb1 boundary": mk("s\x00", 0, []byte{'A'}, []byte{0, 'B'}),
-		"level":            mk("s", 1, []byte{'A'}, []byte{0, 'B'}),
-		"level truncation": mk("s", 256, []byte{'A'}, []byte{0, 'B'}),
-		"absent cb2":       mk("s", 0, []byte{'A'}, nil),
-		"signature":        mk("t", 0, []byte{'A'}, []byte{0, 'B'}),
-		"control variant":  variant,
+		"member 0-1 boundary":  mk("s", 0, []byte{'A', 0}, []byte{'B'}, c3, d),
+		"member 1-2 boundary":  mk("s", 0, a, []byte{0}, []byte{'B', 'C'}, d),
+		"member 2-3 boundary":  mk("s", 0, a, b, []byte{'C', 0}, []byte{'D'}),
+		"sig-member boundary":  mk("s\x00", 0, a, b, c3, d),
+		"level":                mk("s", 1, a, b, c3, d),
+		"level truncation":     mk("s", 256, a, b, c3, d),
+		"absent member 3":      mk("s", 0, a, b, c3, nil),
+		"absent member 1":      mk("s", 0, a, nil, c3, d),
+		"members 2, 3 swapped": mk("s", 0, a, b, d, c3),
+		"signature":            mk("t", 0, a, b, c3, d),
+		"control variant":      variant,
 	}
 	var st Stats
 	c := newBlockCache(8)
 	memo := newBatchMemo()
-	c.put(base, []byte{1}, []byte{2}, nil)
-	if _, _, ok, _ := memo.get(base, &st); ok { // the claim
+	outs := members([]byte{1}, []byte{2}, []byte{3}, []byte{4})
+	c.put(base, outs, nil)
+	if _, ok, _ := memo.get(base, &st); ok { // the claim
 		t.Fatal("an empty memo hits")
 	}
-	memo.put(base, []byte{1}, []byte{2}, nil)
-	_, _, memoHit, _ := memo.get(base, &st)
-	if _, _, ok, _ := c.get(base, &st); !ok || !memoHit {
+	memo.put(base, outs, nil)
+	_, memoHit, _ := memo.get(base, &st)
+	if _, ok, _ := c.get(base, &st); !ok || !memoHit {
 		t.Fatal("the stored key itself misses")
 	}
+	if st.CodecPassesShared != groupSize {
+		t.Fatalf("a memo hit on %d outputs counted %d shared passes", groupSize, st.CodecPassesShared)
+	}
 	for name, k := range others {
-		if _, _, ok, _ := c.get(k, &st); ok {
+		if _, ok, _ := c.get(k, &st); ok {
 			t.Errorf("%s: block cache returned another key's blocks on a hash collision", name)
 		}
-		if _, _, ok, _ := memo.get(k, &st); ok {
+		if _, ok, _ := memo.get(k, &st); ok {
 			t.Errorf("%s: batch memo returned another key's blocks on a hash collision", name)
 		}
 	}
 	// A colliding put takes the slot over; the displaced key misses.
-	c.put(others["level"], []byte{3}, []byte{4}, nil)
-	if out, _, ok, _ := c.get(others["level"], &st); !ok || out[0] != 3 {
+	c.put(others["level"], members([]byte{3}, []byte{4}), nil)
+	if out, ok, _ := c.get(others["level"], &st); !ok || out[0][0] != 3 {
 		t.Fatal("colliding put not stored")
 	}
-	if _, _, ok, _ := c.get(base, &st); ok {
+	if _, ok, _ := c.get(base, &st); ok {
 		t.Fatal("displaced key still hits")
 	}
 	// The real hash covers every field too (so collisions stay rare).
+	hash := func(sig string, level, variant int, in ...[]byte) uint64 {
+		return newPassKey(sig, level).block(variant, members(in...)).hash
+	}
 	in := []byte{1, 2}
-	if newPassKey("sig", 0).block(0, in, nil).hash == newPassKey("sig", 1).block(0, in, nil).hash {
+	if hash("sig", 0, 0, in) == hash("sig", 1, 0, in) {
 		t.Error("hash ignores the error level")
 	}
-	if newPassKey("s", 0).block(0, []byte{'A'}, []byte{0, 'B'}).hash == newPassKey("s", 0).block(0, []byte{'A', 0}, []byte{'B'}).hash {
-		t.Error("hash ignores the cb1/cb2 boundary")
-	}
-	if newPassKey("sig", 0).block(0, in, nil).hash == newPassKey("sig", 0).block(4, in, nil).hash {
+	if hash("sig", 0, 0, in) == hash("sig", 0, 4, in) {
 		t.Error("hash ignores the control variant")
+	}
+	for name, k := range others {
+		if k.variant == 0 && k.level == 0 && k.sig == "s" && hash("s", 0, 0, k.in[:]...) == hash("s", 0, 0, a, b, c3, d) {
+			t.Errorf("hash ignores the %s", name)
+		}
 	}
 }
 
@@ -232,11 +254,11 @@ func TestCacheKeyVerifiedBehindHash(t *testing.T) {
 func TestCacheSharesImmutableBlobs(t *testing.T) {
 	var st Stats
 	c := newBlockCache(2)
-	o1, o2 := []byte{42}, []byte{43}
-	k := newPassKey("a", 0).block(0, []byte{1}, []byte{2})
-	c.put(k, o1, o2, nil)
-	g1, g2, ok, _ := c.get(k, &st)
-	if !ok || &g1[0] != &o1[0] || &g2[0] != &o2[0] {
+	outs := members([]byte{42}, []byte{43}, nil, []byte{44})
+	k := newPassKey("a", 0).block(0, members([]byte{1}, []byte{2}, nil, []byte{3}))
+	c.put(k, outs, nil)
+	got, ok, _ := c.get(k, &st)
+	if !ok || &got[0][0] != &outs[0][0] || &got[1][0] != &outs[1][0] || got[2] != nil || &got[3][0] != &outs[3][0] {
 		t.Fatal("cache hit does not alias the stored outputs")
 	}
 
@@ -416,42 +438,38 @@ func TestNoEnginePathWritesThroughBlobs(t *testing.T) {
 	}
 }
 
-// TestCacheHitZeroAlloc holds the hit path — read the slot(s), build
-// the key, look it up, store the shared output(s) — to zero
-// allocations, for a single- and a two-block operation.
+// TestCacheHitZeroAlloc holds the hit path — read the members' slots,
+// build the key, look it up, store the shared outputs — to zero
+// allocations, for groups of one, two and four blocks.
 func TestCacheHitZeroAlloc(t *testing.T) {
 	var st Stats
 	c := newBlockCache(4)
-	store := blockstore.NewRAM(2)
+	store := blockstore.NewRAM(groupSize)
 	in := bytes.Repeat([]byte{7}, 100)
-	store.Put(0, in)
-	store.Put(1, in)
 	pass := newPassKey("h 3", 0)
-	c.put(pass.block(0, in, nil), in, nil, nil)
-	c.put(pass.block(0, in, in), in, in, nil)
-	single := func() {
-		cur, _ := store.Get(0)
-		out, _, ok, _ := c.get(pass.block(0, cur, nil), &st)
-		if !ok {
-			panic("miss")
+	for _, size := range []int{1, 2, groupSize} {
+		var blobs [groupSize][]byte
+		for m := 0; m < size; m++ {
+			store.Put(m, in)
+			blobs[m] = in
 		}
-		store.Put(0, out)
-	}
-	pair := func() {
-		cur0, _ := store.Get(0)
-		cur1, _ := store.Get(1)
-		out0, out1, ok, _ := c.get(pass.block(0, cur0, cur1), &st)
-		if !ok {
-			panic("miss")
+		c.put(pass.block(0, blobs), blobs, nil)
+		hit := func() {
+			var cur [groupSize][]byte
+			for m := 0; m < size; m++ {
+				cur[m], _ = store.Get(m)
+			}
+			out, ok, _ := c.get(pass.block(0, cur), &st)
+			if !ok {
+				panic("miss")
+			}
+			for m := 0; m < size; m++ {
+				store.Put(m, out[m])
+			}
 		}
-		store.Put(0, out0)
-		store.Put(1, out1)
-	}
-	if n := testing.AllocsPerRun(200, single); n != 0 {
-		t.Errorf("single-block hit allocates %v times", n)
-	}
-	if n := testing.AllocsPerRun(200, pair); n != 0 {
-		t.Errorf("two-block hit allocates %v times", n)
+		if n := testing.AllocsPerRun(200, hit); n != 0 {
+			t.Errorf("%d-block hit allocates %v times", size, n)
+		}
 	}
 }
 
@@ -529,10 +547,10 @@ func TestNilCacheIsSafe(t *testing.T) {
 	var c *blockCache
 	var st Stats
 	k := testKey("x", 1)
-	if _, _, ok, _ := c.get(k, &st); ok || st.CacheLookups != 0 {
+	if _, ok, _ := c.get(k, &st); ok || st.CacheLookups != 0 {
 		t.Fatal("nil cache hit or counted a lookup")
 	}
-	c.put(k, []byte{1}, nil, nil) // must not panic
+	c.put(k, members([]byte{1}), nil) // must not panic
 }
 
 // BenchmarkCacheHit times the §3.4 hit path as a worker runs it — read
@@ -552,7 +570,7 @@ func BenchmarkCacheHit(b *testing.B) {
 				}
 				c := newBlockCache(64)
 				pass := newPassKey("h 3", 0)
-				c.put(pass.block(0, in, nil), in, nil, nil)
+				c.put(pass.block(0, members(in)), members(in), nil)
 				b.SetBytes(int64(size))
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -565,11 +583,11 @@ func BenchmarkCacheHit(b *testing.B) {
 						for i := 0; i < b.N/workers; i++ {
 							slot := w*slots + i%slots
 							cur, _ := store.Get(slot)
-							out, _, ok, _ := c.get(pass.block(0, cur, nil), &st)
+							out, ok, _ := c.get(pass.block(0, members(cur)), &st)
 							if !ok {
 								panic("miss")
 							}
-							store.Put(slot, out)
+							store.Put(slot, out[0])
 						}
 					}(w)
 				}

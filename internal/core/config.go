@@ -4,14 +4,16 @@
 //
 // The 2^n amplitudes are partitioned across R = 2^ρ ranks; each rank's
 // slice is split into nb blocks of B amplitudes, every block stored in
-// compressed form. A gate decompresses at most two blocks per rank into
-// pre-allocated scratch buffers (the paper's MCDRAM working set, Eq. 8),
-// applies the 2×2 unitary to the amplitude pairs, and recompresses.
+// compressed form. A gate decompresses at most two blocks per worker
+// into scratch buffers (the paper's MCDRAM working set, Eq. 8), applies
+// the 2×2 unitary to the amplitude pairs, and recompresses; a sweep of
+// gates on two block-segment qubits decompresses a group of four once
+// for all of them (sweep.go).
 // A hybrid adaptive pipeline (§3.7) starts lossless and relaxes through
 // pointwise-relative bounds 1E-5 → 1E-1 whenever the compressed
 // footprint exceeds the memory budget, while the fidelity ledger tracks
 // the lower bound Π(1-δᵢ) (Eq. 11). A 64-line LRU compressed-block
-// cache (§3.4) short-circuits repeated (gate, block-pair) computations.
+// cache (§3.4) short-circuits repeated (sweep, block-group) computations.
 package core
 
 import (
@@ -43,9 +45,12 @@ type Config struct {
 	// OpenMP threads per MPI rank). Each worker owns a private scratch
 	// pair allocated on first schedule, so a rank that actually fans
 	// out holds up to Workers copies of the Eq. 8 working set
-	// (32·BlockAmps bytes each) — uncompressed scratch that, like the
-	// paper's MCDRAM buffers, is NOT charged against MemoryBudget.
-	// Results are bit-identical for every worker count. Defaults to
+	// (32·BlockAmps bytes each) between runs. During a Run, a worker
+	// that executes a 4-block group sweep holds up to 64·BlockAmps
+	// bytes, dropped again when the Run returns. None of it is charged
+	// against MemoryBudget: like the paper's MCDRAM buffers, it is
+	// uncompressed scratch. Results are bit-identical for every worker
+	// count. Defaults to
 	// runtime.NumCPU()/Ranks, min 1; clamped to the block count.
 	Workers int
 	// BlockAmps is the number of amplitudes per block (power of two;
@@ -101,13 +106,14 @@ type Config struct {
 	// out of band (see InstallRank / ExportDelta / ApplyDeltas).
 	Launcher mpi.Launcher
 	// DisableSweeps turns off the sweep scheduler, which by default
-	// batches maximal runs of consecutive gates that fit the two-block
-	// working set (targets in the offset segment or on one shared
-	// block-segment qubit; see sweep.go) into one decompress →
-	// apply-all → recompress pass. Sweeps are bit-identical to
-	// gate-at-a-time execution under the lossless codec and only raise
-	// the Eq. 11 ledger under lossy codecs (one recompression — hence
-	// one (1-δ) charge — per sweep instead of per gate). The zero value
+	// batches maximal runs of consecutive gates whose targets are in the
+	// offset segment or on at most two block-segment qubits (one under a
+	// MemoryBudget; see sweep.go) into one decompress → apply-all →
+	// recompress pass over groups of up to four blocks. Sweeps are
+	// bit-identical to gate-at-a-time execution under the lossless codec
+	// and only raise the Eq. 11 ledger under lossy codecs (one
+	// recompression — hence one (1-δ) charge — per sweep instead of per
+	// gate). The zero value
 	// leaves sweeps ON; set this only to reproduce the paper's exact
 	// one-pass-per-gate cost model.
 	DisableSweeps bool

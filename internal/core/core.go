@@ -106,8 +106,13 @@ type rankState struct {
 // count keeps from ever filling) pays for exactly one Eq. 8 pair, the
 // same as the sequential engine.
 type workerState struct {
-	id    int // index in the rank's pool
-	x, y  []float64
+	id   int // index in the rank's pool
+	x, y []float64
+	// wide is the scratch a 4-block group needs beyond the pair. It is
+	// allocated on the worker's first such pass of a Run and dropped when
+	// the Run returns (runLockstep), so between runs a worker holds its
+	// Eq. 8 pair alone.
+	wide  [groupSize - 2][]float64
 	stats Stats
 }
 
@@ -117,6 +122,20 @@ func (w *workerState) ensure(n int) {
 		w.x = make([]float64, n)
 		w.y = make([]float64, n)
 	}
+}
+
+// group returns the worker's scratch for a group of n blocks, member m
+// in entry m: the pair, then the wide buffers, allocated here on first
+// use.
+func (w *workerState) group(n int) (bufs [groupSize][]float64) {
+	for i := 2; i < n; i++ {
+		if w.wide[i-2] == nil {
+			w.wide[i-2] = make([]float64, len(w.x))
+		}
+	}
+	bufs[0], bufs[1] = w.x, w.y
+	copy(bufs[2:], w.wide[:])
+	return bufs
 }
 
 // w0 returns the worker whose buffers the sequential code paths
@@ -406,7 +425,7 @@ func (s *Simulator) syncStoreStats(rs *rankState) {
 
 // hintBlocks announces an upcoming visit of every block passing the
 // blkCtrl mask, in index order, to a tiered store's prefetcher (see
-// hintPass for the pair-sweep order).
+// hintPass for the group-sweep order).
 func (s *Simulator) hintBlocks(rs *rankState, blkCtrl int) {
 	if !rs.store.WantHints() {
 		return
@@ -558,7 +577,7 @@ func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int)
 type RunControl struct {
 	// PollAbort, when non-nil, is consulted on rank 0 before every sweep
 	// (every gate when the sweep scheduler is off), so the cancel
-	// latency is one pair sweep: one codec pass over the state, however
+	// latency is one group sweep: one codec pass over the state, however
 	// many gates it carries. A non-nil return stops execution at that
 	// sweep boundary on every rank (the decision is broadcast, so all
 	// ranks agree and no cross-rank exchange is left half-paired) and
@@ -605,7 +624,7 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 // both) — one sweep plan, one set of SPMD ranks, one error barrier per
 // sweep, and ctl's hooks firing once per run, not per variant.
 //
-// Execution iterates the pair-sweep schedule (sweep.go): every sweep of
+// Execution iterates the group-sweep schedule (sweep.go): every sweep of
 // unitaries below the rank segment is one codec pass over all K
 // variants, a rank-segment target is a block exchange, a measurement a
 // collective; after each the budget is settled (settleBudget). What
@@ -645,10 +664,14 @@ func runLockstep(sims []*Simulator, circuits []*quantum.Circuit, ctl RunControl)
 		s.gateLevel = make([]uint32, nGates*s.ledgerRounds())
 	}
 	defer func() {
-		// Cache lines must not outlive the run (see blockCache.release).
+		// Cache lines and the wide group scratch must not outlive the run
+		// (see blockCache.release and workerState.wide).
 		for _, s := range sims {
 			for _, rs := range s.ranks {
 				rs.cache.release()
+				for _, w := range rs.workers {
+					w.wide = [groupSize - 2][]float64{}
+				}
 			}
 		}
 	}()
@@ -810,7 +833,7 @@ func (s *Simulator) splitControls(controls []int) (offMask uint64, blkMask, rank
 
 // applyUnitaries executes one schedule unit of unitaries — gates[v] on
 // sims[v] — on this rank, dispatching on the target segment (§3.3):
-// below the rank segment the run is a pair sweep, one codec pass over
+// below the rank segment the run is a group sweep, one codec pass over
 // all variants; a rank-segment target is a single gate and a block
 // exchange, where the exchange dominates and the SendRecv protocol is
 // sequential, so the variants go one by one with no codec sharing.

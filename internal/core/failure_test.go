@@ -168,6 +168,10 @@ type codecFault struct {
 func runWithFault(t *testing.T, k int, cfg func(*Config), c *quantum.Circuit, f codecFault) ([]*Simulator, error) {
 	t.Helper()
 	sims := batchSims(t, 6, 2, 8, k, cfg)
+	plan := sims[0].planSweeps(c.Gates)
+	if f.at >= len(plan) {
+		t.Fatalf("K=%d: the fault is armed at sweep %d, but the plan has only %d sweeps %v", k, f.at, len(plan), plan)
+	}
 	var enc, dec atomic.Bool
 	faulty := sims[:1]
 	if f.all {
@@ -202,7 +206,7 @@ func runWithFault(t *testing.T, k int, cfg func(*Config), c *quantum.Circuit, f 
 	if !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("K=%d: error does not wrap the codec error: %v", k, err)
 	}
-	prefix := sims[0].planSweeps(c.Gates)[f.at].Start
+	prefix := plan[f.at].Start
 	ref := newSim(t, 6, 2, 8, cfg)
 	if err := ref.Run(&quantum.Circuit{N: c.N, Gates: c.Gates[:prefix]}); err != nil {
 		t.Fatal(err)

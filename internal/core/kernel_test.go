@@ -9,59 +9,44 @@ import (
 	"qcsim/internal/quantum"
 )
 
-// refGate and refApply are the kernel as it stood before gate classes:
-// every gate a general complex 2×2, every offset tested against the
-// controls. They are the definition of the bytes a pass must produce.
+// refGate and refApply are the kernel as it stood before gate classes
+// and groups: every gate a general complex 2×2 applied gate at a time,
+// every offset tested against the controls, blocks named by their
+// index. They are the definition of the bytes a pass must produce.
 type refGate struct {
-	tMask   int
+	tMask   int // the target's bit within a block, 0 for a block target
+	stride  int // the block target's block-index bit, 0 for an offset target
 	offCtrl uint64
 	blkCtrl int
 	u       quantum.Matrix2
 }
 
-func refApply(gates []refGate, tb int, x, y []float64, b int) {
-	ba := len(x) / 2
-	pb := b | tb
-	block := func(g refGate, x []float64) {
-		for base := 0; base < ba; base += g.tMask << 1 {
-			for o := base; o < base+g.tMask; o++ {
-				if uint64(o)&g.offCtrl != g.offCtrl {
-					continue
-				}
-				i, j := o, o|g.tMask
-				a0 := complex(x[2*i], x[2*i+1])
-				a1 := complex(x[2*j], x[2*j+1])
-				n0 := g.u[0][0]*a0 + g.u[0][1]*a1
-				n1 := g.u[1][0]*a0 + g.u[1][1]*a1
-				x[2*i], x[2*i+1] = real(n0), imag(n0)
-				x[2*j], x[2*j+1] = real(n1), imag(n1)
-			}
-		}
+// refApply runs gates in order on blocks, a group of blocks by index.
+func refApply(gates []refGate, blocks map[int][]float64) {
+	pair := func(g refGate, x, y []float64, i, j int) {
+		a0 := complex(x[2*i], x[2*i+1])
+		a1 := complex(y[2*j], y[2*j+1])
+		n0 := g.u[0][0]*a0 + g.u[0][1]*a1
+		n1 := g.u[1][0]*a0 + g.u[1][1]*a1
+		x[2*i], x[2*i+1] = real(n0), imag(n0)
+		y[2*j], y[2*j+1] = real(n1), imag(n1)
 	}
 	for _, g := range gates {
-		if g.tMask == 0 {
-			if b&g.blkCtrl != g.blkCtrl {
+		for idx, x := range blocks {
+			if idx&g.blkCtrl != g.blkCtrl || idx&g.stride != 0 {
 				continue
 			}
-			for o := 0; o < ba; o++ {
+			for o := 0; o < len(x)/2; o++ {
 				if uint64(o)&g.offCtrl != g.offCtrl {
 					continue
 				}
-				re, im := 2*o, 2*o+1
-				a0 := complex(x[re], x[im])
-				a1 := complex(y[re], y[im])
-				n0 := g.u[0][0]*a0 + g.u[0][1]*a1
-				n1 := g.u[1][0]*a0 + g.u[1][1]*a1
-				x[re], x[im] = real(n0), imag(n0)
-				y[re], y[im] = real(n1), imag(n1)
+				switch {
+				case g.stride != 0:
+					pair(g, x, blocks[idx|g.stride], o, o)
+				case o&g.tMask == 0:
+					pair(g, x, x, o, o|g.tMask)
+				}
 			}
-			continue
-		}
-		if b&g.blkCtrl == g.blkCtrl {
-			block(g, x)
-		}
-		if tb != 0 && pb&g.blkCtrl == g.blkCtrl {
-			block(g, y)
 		}
 	}
 }
@@ -107,12 +92,16 @@ var kernelMatrices = []struct {
 // repository — conformance, the bit-identity suites, the harness's
 // pinned counters — because they compare the engine against itself or
 // within a tolerance; this test compares it against the old loop.
+//
+// It does so on groups of one, two and four blocks: block-target gates
+// on either group stride, controlled on the other group qubit and on a
+// block qubit outside the group, so it also pins which members apply
+// pairs (and fired counts) for every group shape.
 func TestKernelMatchesGeneral2x2Bits(t *testing.T) {
 	const (
 		offsetBits = 5
 		ba         = 1 << offsetBits
-		tb         = 1 // the pass's block-segment pair stride
-		blkBit     = 2 // a block control outside the pair
+		blkBit     = 4 // a block control outside every group
 	)
 	rng := rand.New(rand.NewSource(17))
 	component := func() float64 {
@@ -124,66 +113,103 @@ func TestKernelMatchesGeneral2x2Bits(t *testing.T) {
 		}
 		return rng.NormFloat64()
 	}
-	// randGate draws a gate on the given target (offsetBits = the pair)
-	// with nctrl offset controls; blk picks its block control.
-	randGate := func(u quantum.Matrix2, target, nctrl, blk int) refGate {
-		g := refGate{u: u, blkCtrl: blk}
-		if target < offsetBits {
-			g.tMask = 1 << uint(target)
-		}
-		for g.offCtrl = 0; nctrl > 0; {
+	// randGate draws a gate with target tMask (an offset bit) or stride
+	// (a block bit) and nctrl offset controls.
+	randGate := func(u quantum.Matrix2, tMask, stride, nctrl, blk int) refGate {
+		g := refGate{u: u, tMask: tMask, stride: stride, blkCtrl: blk}
+		for nctrl > 0 {
 			c := uint64(1) << uint(rng.Intn(offsetBits))
-			if c != uint64(g.tMask) && g.offCtrl&c == 0 {
+			if c != uint64(tMask) && g.offCtrl&c == 0 {
 				g.offCtrl |= c
 				nctrl--
 			}
 		}
 		return g
 	}
-	randBlk := func(target int) int {
-		// A pair gate's controls never include its own target's bit; an
-		// offset-target gate may be controlled on the pair qubit.
-		opts := []int{0, blkBit}
-		if target < offsetBits {
-			opts = append(opts, tb, tb|blkBit)
+	// subsets lists every block control a gate may carry: any bits of
+	// the group and blkBit except its own stride.
+	subsets := func(span, stride int) []int {
+		free := (span | blkBit) &^ stride
+		var out []int
+		for c := free; ; c = (c - 1) & free {
+			out = append(out, c)
+			if c == 0 {
+				return out
+			}
 		}
-		return opts[rng.Intn(len(opts))]
 	}
+	type target struct{ tMask, stride int }
 	passes := 0
 	for _, m := range kernelMatrices {
 		if got := classify(m.u); got != m.class {
 			t.Errorf("%s: classified %d, want %d", m.name, got, m.class)
 		}
-		for target := 0; target <= offsetBits; target++ {
-			for nctrl := 0; nctrl <= 2; nctrl++ {
-				for _, blk := range []int{0, blkBit} {
-					for k := 1; k <= 4; k++ {
-						// The named gate first, then k-1 random ones, so every
-						// class also runs on another class's output.
-						ref := []refGate{randGate(m.u, target, nctrl, blk)}
-						for len(ref) < k {
-							mm := kernelMatrices[rng.Intn(len(kernelMatrices))]
-							tg := rng.Intn(offsetBits + 1)
-							ref = append(ref, randGate(mm.u, tg, rng.Intn(3), randBlk(tg)))
-						}
-						p := &blockPass{tb: tb}
-						for _, g := range ref {
-							p.gates = append(p.gates, newPassGate(g.u, g.tMask, g.offCtrl, g.blkCtrl))
-						}
-						for _, b := range []int{0, blkBit} {
-							x, y := make([]float64, 2*ba), make([]float64, 2*ba)
-							for i := range x {
-								x[i], y[i] = component(), component()
+		for _, span := range []int{0, 1, 2, 3} {
+			var targets []target
+			for q := 0; q < offsetBits; q++ {
+				targets = append(targets, target{tMask: 1 << q})
+			}
+			for st := 1; st <= span; st <<= 1 {
+				if span&st != 0 {
+					targets = append(targets, target{stride: st})
+				}
+			}
+			randTarget := func() target { return targets[rng.Intn(len(targets))] }
+			for _, tg := range targets {
+				for _, blk := range subsets(span, tg.stride) {
+					for nctrl := 0; nctrl <= 2; nctrl++ {
+						for k := 1; k <= 4; k++ {
+							// The named gate first, then k-1 random ones, so every
+							// class also runs on another class's output.
+							ref := []refGate{randGate(m.u, tg.tMask, tg.stride, nctrl, blk)}
+							for len(ref) < k {
+								mm := kernelMatrices[rng.Intn(len(kernelMatrices))]
+								rt := randTarget()
+								opts := subsets(span, rt.stride)
+								ref = append(ref, randGate(mm.u, rt.tMask, rt.stride, rng.Intn(3), opts[rng.Intn(len(opts))]))
 							}
-							wx, wy := append([]float64(nil), x...), append([]float64(nil), y...)
-							p.apply(x, y, b)
-							refApply(ref, tb, wx, wy, b)
-							passes++
-							for i := range x {
-								if math.Float64bits(x[i]) != math.Float64bits(wx[i]) || math.Float64bits(y[i]) != math.Float64bits(wy[i]) {
-									t.Fatalf("%s target %d, %d offset controls, block control %d, %d gates, block %d: component %d is (x %x, y %x), the general 2×2 gives (x %x, y %x)\ngates %+v",
-										m.name, target, nctrl, blk, k, b, i,
-										math.Float64bits(x[i]), math.Float64bits(y[i]), math.Float64bits(wx[i]), math.Float64bits(wy[i]), ref)
+							var pgs []passGate
+							ctrlBits := 0
+							for _, g := range ref {
+								pgs = append(pgs, newPassGate(g.u, g.tMask, g.stride, g.offCtrl, g.blkCtrl))
+								ctrlBits |= g.blkCtrl
+							}
+							p := newBlockPass(passKey{}, pgs, span, ctrlBits)
+							for _, b := range []int{0, blkBit} {
+								var bufs [groupSize][]float64
+								want := map[int][]float64{}
+								fired := p.fired(b)
+								for mb := 0; mb < p.size; mb++ {
+									bufs[mb] = make([]float64, 2*ba)
+									for i := range bufs[mb] {
+										bufs[mb][i] = component()
+									}
+									want[b|p.sub[mb]] = append([]float64(nil), bufs[mb]...)
+									n := 0
+									for _, g := range ref {
+										if (b|p.sub[mb])&g.blkCtrl == g.blkCtrl {
+											n++
+										}
+									}
+									if fired[mb] != n {
+										t.Fatalf("span %d block %d member %d: fired %d, %d gates' controls hold", span, b, mb, fired[mb], n)
+									}
+								}
+								if len(want) != p.size {
+									t.Fatalf("span %d: members %v name %d distinct blocks", span, p.sub, len(want))
+								}
+								p.apply(bufs[:], b)
+								refApply(ref, want)
+								passes++
+								for mb := 0; mb < p.size; mb++ {
+									w := want[b|p.sub[mb]]
+									for i := range w {
+										if math.Float64bits(bufs[mb][i]) != math.Float64bits(w[i]) {
+											t.Fatalf("%s (tMask %d, stride %d), %d offset controls, block control %d, %d gates, group span %d at block %d: member %d component %d is %x, the general 2×2 gives %x\ngates %+v",
+												m.name, tg.tMask, tg.stride, nctrl, blk, k, span, b, mb, i,
+												math.Float64bits(bufs[mb][i]), math.Float64bits(w[i]), ref)
+										}
+									}
 								}
 							}
 						}
@@ -220,12 +246,13 @@ func TestRunLenWalksSupersets(t *testing.T) {
 }
 
 // BenchmarkKernel times one gate over a block of the default size (2^12
-// amplitudes), or a block pair, per class and loop shape, in ns per
+// amplitudes), or a group of blocks, per class and loop shape, in ns per
 // amplitude updated: t=0 is the shortest run the stride walk makes (one
 // pair), t=mid the common case, ctrl=1 a controlled gate (half the pairs
-// fire), pair the block-segment target across two blocks. Dense random
-// input, so the zero fallback never fires — the regime of every workload
-// but Grover's.
+// fire), pair the block-segment target across two blocks, group the
+// same target across both pairs of a 4-block group. Dense random input,
+// so the zero fallback never fires — the regime of every workload but
+// Grover's.
 func BenchmarkKernel(b *testing.B) {
 	const offsetBits = 12 // the engine's default block
 	const ba = 1 << offsetBits
@@ -234,35 +261,38 @@ func BenchmarkKernel(b *testing.B) {
 		u    quantum.Matrix2
 	}{{"general", quantum.MatH}, {"diagonal", quantum.RZ(0.7)}, {"swap", quantum.MatX}}
 	shapes := []struct {
-		name    string
-		tMask   int
-		offCtrl uint64
+		name          string
+		tMask, stride int
+		offCtrl       uint64
+		span          int // the group's strides
 	}{
-		{"t=0", 1, 0},
-		{"t=mid", 1 << (offsetBits / 2), 0},
-		{"ctrl=1", 1 << (offsetBits / 2), 1 << 3},
-		{"pair", 0, 0},
+		{"t=0", 1, 0, 0, 0},
+		{"t=mid", 1 << (offsetBits / 2), 0, 0, 0},
+		{"ctrl=1", 1 << (offsetBits / 2), 0, 1 << 3, 0},
+		{"pair", 0, 1, 0, 1},
+		{"group", 0, 1, 0, 3},
 	}
 	rng := rand.New(rand.NewSource(1))
-	x, y := make([]float64, 2*ba), make([]float64, 2*ba)
+	var bufs [groupSize][]float64
+	for m := range bufs {
+		bufs[m] = make([]float64, 2*ba)
+	}
 	for _, c := range classes {
 		for _, sh := range shapes {
 			b.Run(c.name+"/"+sh.name, func(b *testing.B) {
-				p := &blockPass{gates: []passGate{newPassGate(c.u, sh.tMask, sh.offCtrl, 0)}}
-				amps := ba
-				if sh.tMask == 0 {
-					p.tb = 1
-					amps = 2 * ba
-				}
+				p := newBlockPass(passKey{}, []passGate{newPassGate(c.u, sh.tMask, sh.stride, sh.offCtrl, 0)}, sh.span, 0)
+				amps := p.size * ba
 				if sh.offCtrl != 0 {
 					amps /= 2
 				}
-				for i := range x {
-					x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
+				for _, buf := range bufs {
+					for i := range buf {
+						buf[i] = rng.NormFloat64()
+					}
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p.apply(x, y, 0)
+					p.apply(bufs[:], 0)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(amps), "ns/amp")
 			})
@@ -270,16 +300,17 @@ func BenchmarkKernel(b *testing.B) {
 	}
 }
 
-// benchVariants is a gradient's geometry — 13 qubits in two 4096-amplitude
-// blocks, one pair — holding K clones of a dense QAOA state.
-func benchVariants(b *testing.B, k, workers int) []*Simulator {
+// benchVariants holds K clones of a dense QAOA state on qubits qubits in
+// 4096-amplitude blocks: 13 is a gradient's geometry, two blocks, one
+// pair; 14 is one group of four.
+func benchVariants(b *testing.B, qubits, k, workers int) []*Simulator {
 	b.Helper()
-	base, err := New(Config{Qubits: 13, Seed: 1, Workers: workers})
+	base, err := New(Config{Qubits: qubits, Seed: 1, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { base.Close() })
-	if err := base.Run(quantum.QAOA(13, 1, 1)); err != nil {
+	if err := base.Run(quantum.QAOA(qubits, 1, 1)); err != nil {
 		b.Fatal(err)
 	}
 	sims := []*Simulator{base}
@@ -294,26 +325,33 @@ func benchVariants(b *testing.B, k, workers int) []*Simulator {
 	return sims
 }
 
-// BenchmarkLockstepPass is one pair sweep over K variants that share
+// BenchmarkLockstepPass is one group sweep over K variants that share
 // nothing (each its own rotation angle): the (block, variant) fan-out,
-// codec round trip included.
+// codec round trip included, on a pair (13 qubits, a target on the
+// block qubit) and on a group of four (14 qubits, targets on both).
 func BenchmarkLockstepPass(b *testing.B) {
-	for _, k := range []int{1, 8, 79} {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("K=%d/workers=%d", k, workers), func(b *testing.B) {
-				sims := benchVariants(b, k, workers)
-				circuits := make([]*quantum.Circuit, k)
-				for v := range circuits {
-					circuits[v] = quantum.NewCircuit(13).RX(0, 0.1+0.01*float64(v)).H(12)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := RunBatch(sims, circuits, RunControl{}); err != nil {
-						b.Fatal(err)
+	for _, qubits := range []int{13, 14} {
+		blocks := 1 << (qubits - 12)
+		for _, k := range []int{1, 8, 79} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("blocks=%d/K=%d/workers=%d", blocks, k, workers), func(b *testing.B) {
+					sims := benchVariants(b, qubits, k, workers)
+					circuits := make([]*quantum.Circuit, k)
+					for v := range circuits {
+						circuits[v] = quantum.NewCircuit(qubits).RX(0, 0.1+0.01*float64(v))
+						for q := 12; q < qubits; q++ {
+							circuits[v].H(q)
+						}
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*k), "ns/variant-block")
-			})
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := RunBatch(sims, circuits, RunControl{}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(blocks*k), "ns/variant-block")
+				})
+			}
 		}
 	}
 }
@@ -327,7 +365,7 @@ func BenchmarkDiagonalExpectation(b *testing.B) {
 	}
 	for _, k := range []int{1, 79} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			sims := benchVariants(b, k, 2)
+			sims := benchVariants(b, 13, k, 2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := DiagonalExpectations(sims, nil, zzs); err != nil {

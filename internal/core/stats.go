@@ -25,7 +25,7 @@ type Stats struct {
 	CompressCalls   int64
 	DecompressCalls int64
 
-	// Sweep scheduler behaviour. Sweeps counts the pair sweeps executed
+	// Sweep scheduler behaviour. Sweeps counts the group sweeps executed
 	// (none when the scheduler is off or noise forces one-gate sweeps)
 	// and SweepGates the gates they covered; CodecPassesSaved is the
 	// number of per-block decompress+recompress round trips avoided

@@ -1,36 +1,41 @@
 package core
 
 import (
+	"math/bits"
 	"time"
 
 	"qcsim/internal/quantum"
 )
 
-// The pair-sweep executor. The paper's cost model (§3.1) pays a full
+// The group-sweep executor. The paper's cost model (§3.1) pays a full
 // decompress → apply → recompress pass over every compressed block for
-// every gate, which is why its Table 2 time is dominated by codec work —
-// yet its working set is already TWO decompressed blocks per worker
-// (Eq. 8). A pair sweep spends one codec pass on everything that fits
-// that working set:
+// every gate, which is why its Table 2 time is dominated by codec work.
+// A group sweep spends one codec pass on a whole run of gates:
 //
 //   - What joins a sweep: a maximal run of consecutive unitaries whose
-//     targets are offset-segment qubits or ONE shared block-segment
-//     qubit t (quantum.PlanPairSweeps). Controls may sit anywhere — an
-//     offset control masks amplitudes, a block control selects which
-//     blocks a gate fires on, a rank control which ranks; none of them
-//     is a member of the working set. Rank-segment targets (a block
-//     exchange) and measurements (a collective) stay singletons.
-//   - Why one block-segment target: the pass walks the block pairs
-//     (b, b|2^(t-offsetBits)) and decompresses a pair into the worker's
-//     x/y scratch. A second block-segment target would need groups of
-//     four blocks — twice the scratch Eq. 8 budgets per worker. A sweep
-//     with no block-segment target is the degenerate pair of one block.
+//     targets are offset-segment qubits or at most two distinct
+//     block-segment qubits — one under a memory budget (sweepWidth) —
+//     (quantum.PlanGroupSweeps). Controls may sit
+//     anywhere — an offset control masks amplitudes, a block control
+//     selects which blocks a gate fires on, a rank control which ranks;
+//     none of them is a member of a group. Rank-segment targets (a
+//     block exchange) and measurements (a collective) stay singletons.
+//   - Why two block-segment targets: the pass walks groups of 2^t
+//     blocks, b|sub for every sub made of the sweep's t block strides,
+//     and decompresses a group into the worker's scratch. One target is
+//     the paper's Eq. 8 pair (w.x, w.y); a second doubles the group to
+//     four blocks, and the two extra buffers live only while a Run makes
+//     such passes (workerState.wide), so an idle Simulator still holds
+//     the pair alone. A third target would double the scratch again, to
+//     four times Eq. 8's. A sweep with no block-segment target is the
+//     group of one block.
 //   - One pass: decompress the members some gate acts on, apply all k
 //     gates in circuit order (an offset-target gate to each member
-//     whose block index satisfies the gate's block controls, the
-//     block-target gate across the pair), recompress those members. A
-//     one-gate sweep is the paper's gate-at-a-time pass, so the
-//     scheduler-off and noise-active runs use the same code.
+//     whose block index satisfies the gate's block controls, a
+//     block-target gate across each pair of members its stride
+//     separates), recompress those members. A one-gate sweep is the
+//     paper's gate-at-a-time pass, so the scheduler-off and
+//     noise-active runs use the same code.
 //
 // Under the lossless codec the result is bit-identical to
 // gate-at-a-time execution: every amplitude sees the same float
@@ -51,7 +56,7 @@ import (
 // Each requantize truncates the state once more, so it charges its own
 // (1-δ) factor on top of the sweep's.
 
-// sweepsEnabled reports whether runs are scheduled as maximal pair
+// sweepsEnabled reports whether runs are scheduled as maximal group
 // sweeps. A live noise channel forces one-gate sweeps: the depolarizing
 // draw happens after every gate, and an injected Pauli must observe the
 // state with the preceding gate already applied. A Prob == 0 channel
@@ -61,11 +66,35 @@ func (s *Simulator) sweepsEnabled() bool {
 }
 
 // planSweeps is the schedule the run loop iterates.
-func (s *Simulator) planSweeps(gates []quantum.Gate) []quantum.PairSweep {
+func (s *Simulator) planSweeps(gates []quantum.Gate) []quantum.GroupSweep {
 	if s.sweepsEnabled() {
-		return quantum.PlanPairSweeps(gates, s.offsetBits, s.blockBits)
+		return quantum.PlanGroupSweeps(gates, s.offsetBits, s.blockBits, s.sweepWidth())
 	}
-	return quantum.SingletonPairSweeps(gates, s.offsetBits, s.blockBits)
+	return quantum.SingletonSweeps(gates, s.offsetBits, s.blockBits)
+}
+
+// groupTargets is the most distinct block-segment targets a sweep
+// carries, and groupSize the most blocks its pass holds decompressed.
+const (
+	groupTargets = 2
+	groupSize    = 1 << groupTargets
+)
+
+// sweepWidth is how many block-segment targets this simulator's sweeps
+// may carry: groupTargets, but one — pair sweeps — when a memory budget
+// can escalate the ladder. The at-rest rule settles the budget at sweep
+// boundaries, and a group merges two pair sweeps and the boundary
+// between them, where a state that had just grown past the budget would
+// have been requantized before growing again. Without it the state
+// overshoots further: an 18-qubit QFT from a basis state under a
+// quarter-size budget (perf's qft-budget) peaked 48 % higher with groups
+// on 7 of its first 20 seeds. The width is read off the configuration,
+// so every rank and every variant of a batch plans the same sweeps.
+func (s *Simulator) sweepWidth() int {
+	if s.cfg.MemoryBudget > 0 && !s.cfg.Uncompressed {
+		return 1
+	}
+	return groupTargets
 }
 
 // gateClass is the arithmetic a gate's matrix needs, read off its
@@ -91,102 +120,133 @@ func classify(u quantum.Matrix2) gateClass {
 
 // passGate is one gate of a compiled pass, pre-split into the masks the
 // kernel needs. tMask is the target's bit within a block, 0 for a gate
-// that targets the pass's block-segment qubit; mask is the offset bits
-// that must be set in the index of the pair's high amplitude — the
-// offset controls, plus tMask itself.
+// that targets a block-segment qubit; mask is the offset bits that must
+// be set in the index of the pair's high amplitude — the offset
+// controls, plus tMask itself. flip is the member-index bit that
+// separates the two blocks of each pair a block-segment target acts on,
+// 0 for an offset target (its pair lies inside one member).
 type passGate struct {
 	tMask   int
 	mask    int
+	flip    int
 	blkCtrl int // block-index bits that must be set for the gate to fire
 	class   gateClass
 	u       quantum.Matrix2
 }
 
-func newPassGate(u quantum.Matrix2, tMask int, offCtrl uint64, blkCtrl int) passGate {
-	return passGate{tMask: tMask, mask: int(offCtrl) | tMask, blkCtrl: blkCtrl, class: classify(u), u: u}
+// newPassGate builds a gate whose block-segment target, if any, has
+// block stride stride; flip holds the stride until newBlockPass knows
+// the group and maps it to a member bit.
+func newPassGate(u quantum.Matrix2, tMask, stride int, offCtrl uint64, blkCtrl int) passGate {
+	return passGate{tMask: tMask, mask: int(offCtrl) | tMask, flip: stride, blkCtrl: blkCtrl, class: classify(u), u: u}
 }
 
-// blockPass is one pair sweep compiled for one rank at one error level:
-// the gates that fire on this rank, the pair stride, and the cache key
-// prefix. It is immutable once built and shared by the rank's workers,
-// which drive it through passBlock.
+// blockPass is one group sweep compiled for one rank at one error
+// level: the gates that fire on this rank, the group's members, and the
+// cache key prefix. It is immutable once built and shared by the rank's
+// workers, which drive it through passBlock.
 type blockPass struct {
 	key   passKey
 	gates []passGate
-	// tb is the partner stride 2^(t-offsetBits) of the block-segment
-	// target, 0 when every target is an offset qubit (single blocks).
-	tb int
+	// span is the union of the block strides 2^(t-offsetBits) of the
+	// gates' block-segment targets: a block whose index has none of them
+	// set is a group base. size is the member count, 2^popcount(span),
+	// and member m of the group based at b is block b|sub[m] — bit k of
+	// m selects the k-th lowest stride, so members go in index order.
+	span int
+	size int
+	sub  [groupSize]int
 	// ctrlBits is the union of the gates' block controls: the bits of a
 	// block index that decide which gates fire there.
 	ctrlBits int
 }
 
-// compilePass builds the pass for a pair sweep on this rank at the
+// newBlockPass lays out the members of the groups span's strides make
+// and turns each block-target gate's stride into its member bit.
+func newBlockPass(key passKey, gates []passGate, span, ctrlBits int) *blockPass {
+	p := &blockPass{key: key, gates: gates, span: span, size: 1, ctrlBits: ctrlBits}
+	for rest := span; rest != 0; rest &= rest - 1 {
+		for m := 0; m < p.size; m++ {
+			p.sub[p.size+m] = p.sub[m] | rest&-rest
+		}
+		p.size *= 2
+	}
+	for i := range p.gates {
+		if stride := p.gates[i].flip; stride != 0 {
+			p.gates[i].flip = 1 << bits.OnesCount(uint(span&(stride-1)))
+		}
+	}
+	return p
+}
+
+// compilePass builds the pass for a group sweep on this rank at the
 // rank's current level, or nil when a rank-segment control silences
 // every gate here (§3.3: the whole rank is unmodified).
 func (s *Simulator) compilePass(rs *rankState, gates []quantum.Gate) *blockPass {
-	p := &blockPass{}
+	pgs := make([]passGate, 0, len(gates))
+	span, ctrlBits := 0, 0
 	for _, g := range gates {
 		offCtrl, blkCtrl, rankCtrl := s.splitControls(g.Controls)
 		if rs.id&rankCtrl != rankCtrl {
 			continue
 		}
-		tMask := 0
+		tMask, stride := 0, 0
 		if g.Target < s.offsetBits {
 			tMask = 1 << uint(g.Target)
 		} else {
-			p.tb = 1 << uint(g.Target-s.offsetBits)
+			stride = 1 << uint(g.Target-s.offsetBits)
 		}
-		p.ctrlBits |= blkCtrl
-		p.gates = append(p.gates, newPassGate(g.U, tMask, offCtrl, blkCtrl))
+		span |= stride
+		ctrlBits |= blkCtrl
+		pgs = append(pgs, newPassGate(g.U, tMask, stride, offCtrl, blkCtrl))
 	}
-	if len(p.gates) == 0 {
+	if len(pgs) == 0 {
 		return nil
 	}
-	p.key = newPassKey(quantum.SweepSignature(gates), rs.level)
-	return p
+	return newBlockPass(newPassKey(quantum.SweepSignature(gates), rs.level), pgs, span, ctrlBits)
 }
 
 // requantPass is the codec-only pass of the at-rest budget rule, at the
 // rank's (just escalated) level: the sweep of no gates, which decodes
 // and recompresses every block.
 func requantPass(rs *rankState) *blockPass {
-	return &blockPass{key: newPassKey(quantum.SweepSignature(nil), rs.level)}
+	return newBlockPass(newPassKey(quantum.SweepSignature(nil), rs.level), nil, 0, 0)
 }
 
-// fired returns how many of the pass's gates act on block b (nx) and on
-// its partner b|tb (ny); b is the low member of its pair. A member no
+// fired returns, per member of the group based at b, how many of the
+// pass's gates act on it: those whose block controls are all set in the
+// member's index. A block-target gate's controls never include its own
+// stride, so both members of each pair it acts on count it. A member no
 // gate acts on is not fetched, not decoded and not recompressed (§3.3:
-// whole block unmodified). Both counts are functions of b&ctrlBits.
-func (p *blockPass) fired(b int) (nx, ny int) {
+// whole block unmodified). The counts are functions of b&ctrlBits.
+func (p *blockPass) fired(b int) (n [groupSize]int) {
 	switch {
 	case len(p.gates) == 0: // requantPass
-		return 1, 0
-	case p.ctrlBits == 0 && p.tb == 0:
-		return len(p.gates), 0
+		n[0] = 1
 	case p.ctrlBits == 0:
-		return len(p.gates), len(p.gates)
-	}
-	pb := b | p.tb
-	for i := range p.gates {
-		g := &p.gates[i]
-		if b&g.blkCtrl == g.blkCtrl {
-			nx++
-			if g.tMask == 0 {
-				ny++ // the pair gate: its controls never include tb
+		for m := 0; m < p.size; m++ {
+			n[m] = len(p.gates)
+		}
+	default:
+		for i := range p.gates {
+			c := p.gates[i].blkCtrl
+			for m, sub := range p.sub[:p.size] {
+				if (b|sub)&c == c {
+					n[m]++
+				}
 			}
 		}
-		if g.tMask != 0 && p.tb != 0 && pb&g.blkCtrl == g.blkCtrl {
-			ny++
-		}
 	}
-	return nx, ny
+	return n
 }
 
 // apply is the kernel: all of the pass's gates, in circuit order, on
-// the decompressed pair (x = block b, y = its partner; y is unused when
-// tb == 0). A member fired reports as untouched holds stale scratch and
-// is neither read nor written.
+// the decompressed group based at b (bufs[m] holds member m). An
+// offset-target gate runs on each member it fires on; a block-target
+// gate runs once per pair, from the member with its flip bit clear, on
+// (member, member|flip) — and may be controlled on the group's other
+// stride. A member fired reports as untouched holds stale scratch and is
+// neither read nor written.
 //
 // Each gate runs the loop of its class: one complex multiply per
 // amplitude for a diagonal, a copy for a swap, else the full 2×2. The
@@ -195,21 +255,13 @@ func (p *blockPass) fired(b int) (nx, ny int) {
 // pair whose short result has a zero component is recomputed in full,
 // and the bytes are the general 2×2's for every finite amplitude
 // (0·Inf is NaN, not ±0): the class never enters passKey.
-func (p *blockPass) apply(x, y []float64, b int) {
-	pb := b | p.tb
+func (p *blockPass) apply(bufs [][]float64, b int) {
 	for i := range p.gates {
 		g := &p.gates[i]
-		if g.tMask == 0 {
-			if b&g.blkCtrl == g.blkCtrl {
-				g.kernel(x, y)
+		for m, sub := range p.sub[:p.size] {
+			if m&g.flip == 0 && (b|sub)&g.blkCtrl == g.blkCtrl {
+				g.kernel(bufs[m], bufs[m|g.flip])
 			}
-			continue
-		}
-		if b&g.blkCtrl == g.blkCtrl {
-			g.kernel(x, x)
-		}
-		if p.tb != 0 && pb&g.blkCtrl == g.blkCtrl {
-			g.kernel(y, y)
 		}
 	}
 }
@@ -306,109 +358,102 @@ func (g *passGate) full(a0, a1 complex128) (n0, n1 complex128) {
 // them (the block cache never waits and never fails).
 type passMemo interface {
 	enabled() bool
-	get(k blockKey, st *Stats) (out1, out2 []byte, ok bool, err error)
-	put(k blockKey, out1, out2 []byte, err error)
+	get(k blockKey, st *Stats) (out [groupSize][]byte, ok bool, err error)
+	put(k blockKey, out [groupSize][]byte, err error)
 }
 
-// passBlock runs pass p on block b and its partner: fetch the members
-// some gate acts on, short-circuit through the memo, otherwise
-// decompress → apply → recompress in w's scratch pair. Codec and
-// compute time are charged to st, the (worker, variant) shard.
+// passBlock runs pass p on the group based at block b: fetch the
+// members some gate acts on, short-circuit through the memo, otherwise
+// decompress → apply → recompress in w's scratch. Codec and compute
+// time are charged to st, the (worker, variant) shard.
 func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *workerState, st *Stats, b int) error {
-	if b&p.tb != 0 {
-		return nil // high member: visited with its partner
+	if b&p.span != 0 {
+		return nil // not a group base: visited with its base
 	}
-	nx, ny := p.fired(b)
-	if nx == 0 && ny == 0 {
+	fired := p.fired(b)
+	if fired == ([groupSize]int{}) {
 		return nil
 	}
-	pb := b | p.tb
-	var inX, inY []byte
-	var err error
-	if nx > 0 {
-		if inX, err = rs.store.Get(b); err != nil {
-			return err
-		}
-	}
-	if ny > 0 {
-		if inY, err = rs.store.Get(pb); err != nil {
-			return err
-		}
-	}
-	store := func(outX, outY []byte) error {
-		if nx > 0 {
-			if err := rs.store.Put(b, outX); err != nil {
+	var in [groupSize][]byte // nil for a member no gate acts on
+	for m, n := range fired {
+		if n > 0 {
+			blob, err := rs.store.Get(b | p.sub[m])
+			if err != nil {
 				return err
 			}
+			in[m] = blob
 		}
-		if ny > 0 {
-			return rs.store.Put(pb, outY)
+	}
+	store := func(out [groupSize][]byte) error {
+		for m, blob := range in {
+			if blob != nil {
+				if err := rs.store.Put(b|p.sub[m], out[m]); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	}
-	roundTrip := func() (outX, outY []byte, err error) {
-		if nx > 0 {
-			if err := s.decompressBlock(inX, w.x, st); err != nil {
-				return nil, nil, err
-			}
-		}
-		if ny > 0 {
-			if err := s.decompressBlock(inY, w.y, st); err != nil {
-				return nil, nil, err
+	roundTrip := func() (out [groupSize][]byte, err error) {
+		bufs := w.group(p.size)
+		for m, blob := range in {
+			if blob != nil {
+				if err := s.decompressBlock(blob, bufs[m], st); err != nil {
+					return out, err
+				}
 			}
 		}
 		start := time.Now()
-		p.apply(w.x, w.y, b)
+		p.apply(bufs[:], b)
 		st.ComputeTime += time.Since(start)
-		if nx > 0 {
-			if outX, err = s.compressBlock(p.key.level, w.x, st); err != nil {
-				return nil, nil, err
+		for m, blob := range in {
+			if blob != nil {
+				if out[m], err = s.compressBlock(p.key.level, bufs[m], st); err != nil {
+					return out, err
+				}
 			}
 		}
-		if ny > 0 {
-			if outY, err = s.compressBlock(p.key.level, w.y, st); err != nil {
-				return nil, nil, err
-			}
-		}
-		return outX, outY, nil
+		return out, nil
 	}
 	var key blockKey
 	cached := memo.enabled()
 	if cached {
-		key = p.key.block(b&p.ctrlBits, inX, inY)
-		outX, outY, ok, err := memo.get(key, st)
+		key = p.key.block(b&p.ctrlBits, in)
+		out, ok, err := memo.get(key, st)
 		if err != nil {
 			return err
 		}
 		if ok {
-			return store(outX, outY)
+			return store(out)
 		}
 	}
-	outX, outY, err := roundTrip()
+	out, err := roundTrip()
 	if cached {
 		// Before the store: a batch memo has workers parked on this key.
-		memo.put(key, outX, outY, err)
+		memo.put(key, out, err)
 	}
 	if err != nil {
 		return err
 	}
-	if err := store(outX, outY); err != nil {
+	if err := store(out); err != nil {
 		return err
 	}
 	// Round trips elided versus gate-at-a-time: every gate after the
 	// first that fired on a member.
-	st.CodecPassesSaved += int64(max(nx-1, 0) + max(ny-1, 0))
+	for _, n := range fired {
+		st.CodecPassesSaved += int64(max(n-1, 0))
+	}
 	return nil
 }
 
-// runPass fans one pair sweep — passes[v] on sims[v] — over rank r's
+// runPass fans one group sweep — passes[v] on sims[v] — over rank r's
 // blocks on variant 0's worker pool and records each variant's level
 // for the fidelity ledger, as truncation number round of the boundary
 // after gate gi. The work unit is (block, variant): K·nb indices go
 // through the one forEach, each decoding to the passBlock call a solo
-// run of that variant would make, in whichever worker's scratch pair
-// claims it — so a batch of many variants over few blocks (a gradient on
-// a small register is 79 variants of ONE pair) still fills the pool.
+// run of that variant would make, in whichever worker's scratch claims
+// it — so a batch of many variants over few blocks (a gradient on a
+// small register is 79 variants of ONE pair) still fills the pool.
 // The order is variant-major: while the variants have not diverged, the
 // leaders of the batch memo's keys are variant 0's blocks, which come
 // first and spread across the workers. Codec calls are charged to the
@@ -457,10 +502,10 @@ func runPass(sims []*Simulator, r int, passes []*blockPass, gi, round int) error
 	return nil
 }
 
-// hintPass announces the pass's visit order — each low member followed
-// by its partner, untouched members left out — to a tiered store so its
-// prefetcher can stage spilled blobs ahead of the pass. The in-RAM
-// store wants no hints and the order is never built.
+// hintPass announces the pass's visit order — each group base, then the
+// group's members in order, untouched members left out — to a tiered
+// store so its prefetcher can stage spilled blobs ahead of the pass. The
+// in-RAM store wants no hints and the order is never built.
 func (s *Simulator) hintPass(rs *rankState, p *blockPass) {
 	if !rs.store.WantHints() {
 		return
@@ -468,15 +513,13 @@ func (s *Simulator) hintPass(rs *rankState, p *blockPass) {
 	nb := s.blocksPerRank()
 	order := make([]int, 0, nb)
 	for b := 0; b < nb; b++ {
-		if b&p.tb != 0 {
+		if b&p.span != 0 {
 			continue
 		}
-		nx, ny := p.fired(b)
-		if nx > 0 {
-			order = append(order, b)
-		}
-		if ny > 0 {
-			order = append(order, b|p.tb)
+		for m, n := range p.fired(b) {
+			if n > 0 {
+				order = append(order, b|p.sub[m])
+			}
 		}
 	}
 	rs.store.PrefetchHint(order)

@@ -95,7 +95,7 @@ func assertBlobsIdentical(t *testing.T, a, b *Simulator, label string) {
 // TestQuickSweepsBitIdentical is the sweep scheduler's master property:
 // for ANY circuit (including intermediate measurements and gates
 // controlled from every segment), ANY geometry, worker count, block
-// store and cache setting, pair sweeps and gate-at-a-time execution
+// store and cache setting, group sweeps and gate-at-a-time execution
 // produce bit-identical amplitudes, compressed blocks, measurement
 // outcomes, and ledgers under the lossless codec. The sweep run samples
 // the footprint at a subset of the gate-at-a-time boundaries, so its
@@ -139,48 +139,140 @@ func TestQuickSweepsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestGroupSweepsBitIdentical holds 4-block group sweeps to
+// gate-at-a-time execution where they differ most from a pair: two
+// block-segment targets in one sweep, each controlled on the other, on a
+// block qubit outside the group and on the rank qubit, with offset
+// targets controlled on group qubits in between — solo and as a
+// 3-variant batch, with the block cache on and off, through the spill
+// tier, on 1, 2 and 4 workers. Amplitudes, compressed blocks and
+// ledgers must be equal bit for bit.
+func TestGroupSweepsBitIdentical(t *testing.T) {
+	// 2 ranks of 8-amplitude blocks: qubits 0..2 offset, 3..5 block, 6 rank.
+	const qubits = 7
+	par := quantum.NewCircuit(qubits)
+	for q := 0; q < qubits; q++ {
+		par.H(q)
+	}
+	par.PRY(3, quantum.P(0)).ApplyControlled("ch", quantum.MatH, 3, 4).CNOT(3, 4).CPhase(4, 0, 0.3).
+		CPhase(5, 3, 0.7).CNOT(6, 4).PRX(4, quantum.P(0)).CCZ(3, 4, 1)
+	par.H(5).CNOT(5, 3).CCZ(3, 5, 2).PRZ(5, quantum.P(0)).ApplyControlled("ch", quantum.MatH, 3, 4, 5)
+	par.Gates = append(par.Gates, quantum.RandomCircuit(qubits, 30, 3).Gates...)
+	twoTargets := 0
+	for _, sw := range quantum.PlanGroupSweeps(par.Gates, 3, 3, groupTargets) {
+		ts := map[int]bool{}
+		for _, g := range par.Gates[sw.Start:sw.End] {
+			if sw.Pass && g.Target >= 3 {
+				ts[g.Target] = true
+			}
+		}
+		if len(ts) == 2 {
+			twoTargets++
+		}
+	}
+	if twoTargets < 2 {
+		t.Fatalf("only %d sweeps carry two block targets; the test is vacuous", twoTargets)
+	}
+	for _, k := range []int{1, 3} {
+		circuits := make([]*quantum.Circuit, k)
+		for v := range circuits {
+			c, err := par.Bind([]float64{0.3 + 0.4*float64(v)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			circuits[v] = c
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for _, lines := range []int{0, 64} {
+				cfg := func(c *Config) {
+					c.Workers, c.CacheLines = workers, lines
+					spillCfg(t, 256)(c)
+				}
+				sims := batchSims(t, qubits, 2, 8, k, cfg)
+				if err := RunBatch(sims, circuits, RunControl{}); err != nil {
+					t.Fatal(err)
+				}
+				for v, s := range sims {
+					off := newSim(t, qubits, 2, 8, func(c *Config) {
+						cfg(c)
+						c.DisableSweeps, c.Seed = true, VariantSeed(1, v)
+					})
+					if err := off.Run(circuits[v]); err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("K=%d workers=%d lines=%d variant %d", k, workers, lines, v)
+					assertBitIdentical(t, s, off, label)
+					assertBlobsIdentical(t, s, off, label)
+					if s.FidelityLowerBound() != off.FidelityLowerBound() {
+						t.Fatalf("%s: ledgers differ: %v vs %v", label, s.FidelityLowerBound(), off.FidelityLowerBound())
+					}
+				}
+				if st := sims[0].Stats(); st.SpillWrites == 0 {
+					t.Fatalf("K=%d workers=%d lines=%d: nothing spilled", k, workers, lines)
+				}
+			}
+		}
+	}
+}
+
 // TestBlockControlInsideSweepWithCache: on a redundant state every block
 // holds the same bytes, so within one sweep the cache sees equal inputs
-// under one signature for blocks on which DIFFERENT gates fire (a block
+// under one signature for groups on which DIFFERENT gates fire (a block
 // control selects them). The key's control variant keeps those apart;
-// without it the first block's output would be handed to all.
+// without it the first group's outputs would be handed to all.
 func TestBlockControlInsideSweepWithCache(t *testing.T) {
-	// 3 offset | 3 block bits, one rank: qubits 3..5 index the block.
-	cir := quantum.NewCircuit(6)
-	for q := 0; q < 6; q++ {
-		cir.H(q) // uniform: all 8 blocks byte-identical
+	// 3 offset | 4 block bits, one rank: qubits 3..6 index the block.
+	cir := quantum.NewCircuit(7)
+	for q := 0; q < 7; q++ {
+		cir.H(q) // two sweeps (targets 3, 4 | 5, 6); after them all 16 blocks are byte-identical
 	}
-	// One pair sweep on block target 3: gates controlled from block
-	// qubits 4 and 5 and from the pair qubit itself.
-	cir.T(0).CPhase(4, 1, 0.3).ApplyControlled("ch", quantum.MatH, 3, 5).CPhase(3, 2, 0.7).T(1)
-	// And one with no block target at all.
-	cir.H(4).CPhase(5, 0, 1.1).CPhase(3, 1, 0.2).CCZ(4, 5, 2)
-	run := func(lines int) *Simulator {
-		s := newSim(t, 6, 1, 8, func(c *Config) { c.CacheLines = lines })
-		if err := s.Run(cir); err != nil {
+	// Sweep 2, on group targets 3 and 4: each controlled on the other, a
+	// target controlled from block qubit 5 outside the group, an offset
+	// target controlled from a group qubit. Its groups are based at
+	// blocks 0, 4, 8 and 12 and its block controls read bits 1|2|4, so
+	// bases 0 and 8 share a key, 4 and 12 another — and 0 and 4 hold the
+	// same inputs under different variants.
+	cir.ApplyControlled("ch", quantum.MatH, 3, 4).T(0).CPhase(5, 1, 0.3).CPhase(3, 2, 0.7).
+		ApplyControlled("ch", quantum.MatH, 4, 3).ApplyControlled("ch", quantum.MatH, 4, 5).T(1)
+	// Sweep 3, on one block target with controls inside and outside
+	// its pair.
+	cir.H(6).CPhase(5, 0, 1.1).CPhase(3, 1, 0.2).CCZ(4, 6, 2)
+	run := func(lines int) (*Simulator, []int64) {
+		s := newSim(t, 7, 1, 8, func(c *Config) { c.CacheLines, c.Workers = lines, 1 })
+		var hitsAt []int64 // cache hits before each sweep
+		if err := s.RunControlled(cir, RunControl{PollAbort: func() error {
+			hitsAt = append(hitsAt, s.ranks[0].stats.CacheHits)
+			return nil
+		}}); err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return s, append(hitsAt, s.ranks[0].stats.CacheHits)
 	}
-	cached, plain := run(64), run(0)
+	cached, hitsAt := run(64)
+	plain, _ := run(0)
 	assertBitIdentical(t, cached, plain, "cache on/off")
 	assertBlobsIdentical(t, cached, plain, "cache on/off")
-	if cached.Stats().CacheHits == 0 {
-		t.Fatal("the redundant state never hit the cache; test is vacuous")
+	if len(hitsAt) != 5 {
+		t.Fatalf("the circuit ran as %d sweeps, want 4", len(hitsAt)-1)
 	}
-	compareToReference(t, newSim(t, 6, 1, 8, func(c *Config) { c.CacheLines = 64 }), cir, 1e-12)
+	if hits := hitsAt[3] - hitsAt[2]; hits != 2 {
+		t.Fatalf("the block-controlled sweep hit the cache %d times, want 2 (bases 8 and 12)", hits)
+	}
+	compareToReference(t, newSim(t, 7, 1, 8, func(c *Config) { c.CacheLines = 64 }), cir, 1e-12)
 }
 
 // TestSweepStats pins what the counters mean on a hand-checked plan:
-// 2 offset | 2 block bits, one rank, four blocks.
+// 2 offset | 3 block bits, one rank, eight blocks; qubits 2, 3, 4 are
+// block strides 1, 2, 4.
 func TestSweepStats(t *testing.T) {
-	cir := quantum.NewCircuit(4)
-	// Sweep 1 (block target 2): H(0) fires on all 4 blocks, H(2) on both
-	// pairs, CNOT(3→1) on the two blocks with bit 3 set.
-	cir.H(0).H(2).CNOT(3, 1)
-	// Sweep 2 (block target 3): a lone cross-block gate.
-	cir.H(3)
-	s := newSim(t, 4, 1, 4, nil)
+	cir := quantum.NewCircuit(5)
+	// Sweep 1 (group targets 2 and 3, groups {0..3} and {4..7}): H(0),
+	// H(2) and H(3) fire on all 8 blocks, CNOT(4→1) on blocks 4..7,
+	// CNOT(3→2) on the pairs (2,3) and (6,7).
+	cir.H(0).H(2).CNOT(4, 1).CNOT(3, 2).H(3)
+	// Sweep 2: block target 4 would be the third, so it starts a sweep.
+	cir.H(4)
+	s := newSim(t, 5, 1, 4, nil)
 	base := s.Stats()
 	var progress []int
 	polls := 0
@@ -192,19 +284,20 @@ func TestSweepStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Sweeps != 2 || st.SweepGates != 4 {
-		t.Fatalf("%d sweeps over %d gates, want 2 over 4", st.Sweeps, st.SweepGates)
+	if st.Sweeps != 2 || st.SweepGates != 6 {
+		t.Fatalf("%d sweeps over %d gates, want 2 over 6", st.Sweeps, st.SweepGates)
 	}
-	// Blocks 0,1 see 2 gates (1 saved each), blocks 2,3 see 3 (2 saved
-	// each); sweep 2 is one gate per block, nothing saved.
-	if st.CodecPassesSaved != 6 {
-		t.Fatalf("CodecPassesSaved = %d, want 6", st.CodecPassesSaved)
+	// Sweep 1 fires 3 gates on blocks 0, 1 (2 saved each), 4 on blocks
+	// 2, 3, 4, 5 (3 each) and 5 on blocks 6, 7 (4 each); sweep 2 is one
+	// gate per block, nothing saved.
+	if st.CodecPassesSaved != 24 {
+		t.Fatalf("CodecPassesSaved = %d, want 24", st.CodecPassesSaved)
 	}
-	if enc := st.CompressCalls - base.CompressCalls; enc != 8 {
-		t.Fatalf("%d encode calls, want 8 (two passes over four blocks)", enc)
+	if enc := st.CompressCalls - base.CompressCalls; enc != 16 {
+		t.Fatalf("%d encode calls, want 16 (two passes over eight blocks)", enc)
 	}
-	if polls != 2 || len(progress) != 4 {
-		t.Fatalf("%d abort polls and %d progress events, want 2 and 4", polls, len(progress))
+	if polls != 2 || len(progress) != 6 {
+		t.Fatalf("%d abort polls and %d progress events, want 2 and 6", polls, len(progress))
 	}
 	for i, gi := range progress {
 		if gi != i {
@@ -215,8 +308,10 @@ func TestSweepStats(t *testing.T) {
 
 // TestCacheReleasedWhenRunReturns: cache lines pin their blobs outside
 // every footprint ledger, so a run drops them on every way out —
-// success, abort, codec error — while the cache stays enabled and the
-// next run hits again within its own passes.
+// success, abort, codec error, a batch — while the cache stays enabled
+// and the next run hits again within its own passes. The scratch a
+// 4-block group needs beyond a worker's Eq. 8 pair goes with them:
+// between runs no worker holds more than its pair.
 func TestCacheReleasedWhenRunReturns(t *testing.T) {
 	lines := func(s *Simulator) int {
 		n := 0
@@ -227,22 +322,55 @@ func TestCacheReleasedWhenRunReturns(t *testing.T) {
 		}
 		return n
 	}
+	wide := func(rs *rankState) int {
+		n := 0
+		for _, w := range rs.workers {
+			for _, buf := range w.wide {
+				if buf != nil {
+					n++
+					break
+				}
+			}
+		}
+		return n
+	}
+	released := func(s *Simulator, after string) {
+		t.Helper()
+		if n := lines(s); n != 0 {
+			t.Fatalf("%d cache lines held after %s", n, after)
+		}
+		for _, rs := range s.ranks {
+			if n := wide(rs); n != 0 {
+				t.Fatalf("rank %d: %d workers hold group scratch beyond their pair after %s", rs.id, n, after)
+			}
+		}
+	}
+	// Grover's register is qubits 0..4 and qubits 3, 4 index blocks, so
+	// its H layers are 4-block group sweeps. held is the most workers of
+	// rank 0 seen holding their wide scratch at a sweep boundary (rank 0
+	// polls while the other ranks wait at the broadcast).
 	cir := quantum.Grover(5, 11, 2)
 	calls := int64(1 << 30)
 	s := newSim(t, cir.N, 2, 8, func(c *Config) {
 		c.CacheLines = 64
 		c.Lossless = compressFailAfterCodec{workingLossless(), &calls}
 	})
-	if err := s.Run(cir); err != nil {
+	held := 0
+	watch := func() error {
+		held = max(held, wide(s.ranks[0]))
+		return nil
+	}
+	if err := s.RunControlled(cir, RunControl{PollAbort: watch}); err != nil {
 		t.Fatal(err)
+	}
+	if held == 0 {
+		t.Fatal("no worker ever held group scratch; the test is vacuous")
 	}
 	first := s.Stats()
 	if first.CacheHits == 0 {
 		t.Fatal("Grover never hit the cache; test is vacuous")
 	}
-	if n := lines(s); n != 0 {
-		t.Fatalf("%d cache lines held after a successful run", n)
-	}
+	released(s, "a successful run")
 	if err := s.Run(cir); err != nil {
 		t.Fatal(err)
 	}
@@ -260,16 +388,26 @@ func TestCacheReleasedWhenRunReturns(t *testing.T) {
 	if !errors.Is(err, stop) {
 		t.Fatalf("abort not reported: %v", err)
 	}
-	if n := lines(s); n != 0 {
-		t.Fatalf("%d cache lines held after an aborted run", n)
+	released(s, "an aborted run")
+	clone, err := s.Clone(VariantSeed(1, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer clone.Close()
+	if err := RunBatch([]*Simulator{s, clone}, repeatCircuit(cir, 2), RunControl{}); err != nil {
+		t.Fatal(err)
+	}
+	released(s, "a batch")
+	released(clone, "a batch")
 	atomic.StoreInt64(&calls, 40) // fail partway into the next run
-	if err := s.Run(cir); !errors.Is(err, compress.ErrCorrupt) {
+	held = 0
+	if err := s.RunControlled(cir, RunControl{PollAbort: watch}); !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("codec failure not reported: %v", err)
 	}
-	if n := lines(s); n != 0 {
-		t.Fatalf("%d cache lines held after a failed run", n)
+	if held == 0 {
+		t.Fatal("the failing run stopped before any group sweep; the test is vacuous")
 	}
+	released(s, "a failed run")
 	for _, rs := range s.ranks {
 		if !rs.cache.enabled() {
 			t.Fatal("release shut the cache off")
@@ -333,6 +471,46 @@ func TestSweepLedgerTightens(t *testing.T) {
 	}
 	if lOn < lOff {
 		t.Fatalf("sweeps loosened the fidelity bound: %v < %v", lOn, lOff)
+	}
+}
+
+// TestBudgetKeepsPairSweeps: under a memory budget a sweep carries one
+// block-segment target, so the at-rest rule still settles between the
+// two pair sweeps a group would merge. Here — a 12-qubit QFT from a
+// basis state under a quarter-size budget, 16-amplitude blocks — pair
+// sweeps peak at 2.5 budgets and 4-block groups at 3.7, because every
+// block target of the QFT doubles the blocks that hold amplitude and a
+// group doubles them twice before the budget is looked at.
+func TestBudgetKeepsPairSweeps(t *testing.T) {
+	const qubits, blockAmps = 12, 16
+	cir := quantum.NewCircuit(qubits).X(0).X(2).X(6)
+	cir.Gates = append(cir.Gates, quantum.QFT(qubits, -1).Gates...)
+	budget := int64(1) << (qubits + 4) / 4
+	maxTargets := func(s *Simulator) int {
+		most := 0
+		for _, sw := range s.planSweeps(cir.Gates) {
+			ts := map[int]bool{}
+			for _, g := range cir.Gates[sw.Start:sw.End] {
+				if sw.Pass && g.Target >= s.offsetBits {
+					ts[g.Target] = true
+				}
+			}
+			most = max(most, len(ts))
+		}
+		return most
+	}
+	if n := maxTargets(newSim(t, qubits, 1, blockAmps, nil)); n != groupTargets {
+		t.Fatalf("without a budget the QFT's sweeps carry at most %d block targets, want %d", n, groupTargets)
+	}
+	s := newSim(t, qubits, 1, blockAmps, func(c *Config) { c.MemoryBudget = budget })
+	if n := maxTargets(s); n != 1 {
+		t.Fatalf("under a budget a sweep carries %d block targets, want 1", n)
+	}
+	if err := s.Run(cir); err != nil {
+		t.Fatal(err)
+	}
+	if peak := s.Stats().MaxFootprint; peak > 3*budget {
+		t.Fatalf("peak footprint %d is %.2f budgets; pair sweeps stay near 2.5", peak, float64(peak)/float64(budget))
 	}
 }
 

@@ -147,7 +147,7 @@ func Experiments() []Experiment {
 		{"fig15", "Fig. 15: single-node execution time vs qubit count", runFig15},
 		{"fig16", "Fig. 16: strong scaling of a Hadamard layer", runFig16},
 		{"fig16w", "Fig. 16b: intra-rank worker-pool scaling (paper: OpenMP threads per rank)", runFig16Workers},
-		{"sweep", "Sweep scheduler: codec passes per pair sweep (Grover, QAOA)", runSweep},
+		{"sweep", "Sweep scheduler: codec passes per group sweep (Grover, QAOA)", runSweep},
 		{"batch", "Variant batching: lockstep parameter-shift batch vs K sequential runs (QAOA, VQE)", runBatchExp},
 		{"sampling", "Sampling: streaming compressed-domain sampler vs full-vector scan (GHZ, QAOA)", runSampling},
 		{"spill", "Spill tier: out-of-core completion under a resident-memory budget (QFT, random)", runSpill},

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -225,8 +226,12 @@ func TestFig14Shape_UncorrelatedAndOverPreserved(t *testing.T) {
 
 // TestFig15Shape_WorkGrowsWithQubits: Fig. 15's curve rises because
 // every added qubit doubles the blocks a Hadamard layer passes through
-// the codec. The rows' codec-call counts pin that; their millisecond
-// wall clocks, which the test used to compare, do not repeat.
+// the codec. A sweep carries two block-segment targets, so the layer is
+// ⌈blockQubits/2⌉ group sweeps (at least one), each decoding and
+// encoding every block once, on top of Reset's two encodes — and every
+// second added qubit adds a sweep. The rows' codec-call counts pin
+// exactly that; their millisecond wall clocks, which the test used to
+// compare, do not repeat.
 func TestFig15Shape_WorkGrowsWithQubits(t *testing.T) {
 	opt := Small()
 	rs, err := Fig15Results(opt)
@@ -236,9 +241,11 @@ func TestFig15Shape_WorkGrowsWithQubits(t *testing.T) {
 	if len(rs) < 2 {
 		t.Fatal("too few points")
 	}
-	for i := 1; i < len(rs); i++ {
-		if rs[i].CodecCalls < 2*rs[i-1].CodecCalls {
-			t.Fatalf("%d → %d qubits: codec calls %d → %d, want at least doubled", rs[i-1].Qubits, rs[i].Qubits, rs[i-1].CodecCalls, rs[i].CodecCalls)
+	for _, r := range rs {
+		blockQubits := max(0, r.Qubits-bits.TrailingZeros(uint(opt.BlockAmps)))
+		sweeps := max(1, (blockQubits+1)/2)
+		if want := 2 + int64(2*sweeps)<<blockQubits; r.CodecCalls != want {
+			t.Errorf("%d qubits: %d codec calls, want %d (%d sweeps over %d blocks)", r.Qubits, r.CodecCalls, want, sweeps, 1<<blockQubits)
 		}
 	}
 }
@@ -269,7 +276,13 @@ func TestWorkerScalingShape(t *testing.T) {
 // atLeastPinned fails when a codec-call reduction falls more than 20 %
 // below the value recorded at Small(). The reductions are deterministic
 // counters, so a drop means the engine shares or batches less work; a
-// rise is an improvement and passes.
+// rise is an improvement and passes. The slack is there because a
+// reduction is a ratio of two runs the scheduler changes together: a
+// change can make both sides cheaper and still lower the ratio (4-block
+// group sweeps took QAOA-10q's batch reduction from 4.07 to 2.73 — the
+// solo runs lost 64 % of their calls, the batch 47 %), so a floor that
+// moved with every such change would say nothing. Where the counts
+// themselves are pinned exactly, those catch every change.
 func atLeastPinned(t *testing.T, row string, got, pinned float64) {
 	t.Helper()
 	if got < 0.8*pinned {
@@ -289,7 +302,7 @@ func TestSweepShape(t *testing.T) {
 	pins := []struct {
 		name      string
 		reduction float64
-	}{{"Grover-7q", 282.0 / 2}, {"QAOA-10q", 2368.0 / 400}}
+	}{{"Grover-7q", 282.0 / 2}, {"QAOA-10q", 2368.0 / 144}}
 	if len(rows) != len(pins) {
 		t.Fatalf("expected Grover and QAOA rows, got %v", rows)
 	}
@@ -308,17 +321,16 @@ func TestSweepShape(t *testing.T) {
 }
 
 // TestBatchShape: the K-variant parameter-shift batch must issue fewer
-// run-phase codec calls per variant than K sequential runs, at least
-// 80 % of the reduction recorded for each row at Small(), with the
-// recorded batch width. The counters do not depend on the worker count,
-// so one and two workers must agree on every one of them.
+// run-phase codec calls per variant than K sequential runs, with the
+// recorded batch width. Its codec-call and shared-pass counts do not
+// depend on the worker count, so they are pinned exactly at one and two
+// workers; the reduction they make is held to atLeastPinned's floor.
 func TestBatchShape(t *testing.T) {
 	pins := []struct {
-		name      string
-		variants  int
-		reduction float64
-	}{{"QAOA-10q", 9, 2016.0 / 496}, {"VQE-10q", 9, 1224.0 / 444}}
-	var byWorkers [][]BatchRow
+		name                string
+		variants            int
+		solo, batch, shared int64
+	}{{"QAOA-10q", 9, 720, 264, 228}, {"VQE-10q", 9, 720, 336, 192}}
 	for _, workers := range []int{1, 2} {
 		opt := Small()
 		opt.Workers = workers
@@ -330,33 +342,16 @@ func TestBatchShape(t *testing.T) {
 			t.Fatalf("expected QAOA and VQE rows, got %v", rows)
 		}
 		for i, r := range rows {
-			if r.Benchmark != pins[i].name || r.Variants != pins[i].variants {
+			p := pins[i]
+			if r.Benchmark != p.name || r.Variants != p.variants {
 				t.Fatalf("workers=%d row %d is %s with %d variants, want %s with %d",
-					workers, i, r.Benchmark, r.Variants, pins[i].name, pins[i].variants)
+					workers, i, r.Benchmark, r.Variants, p.name, p.variants)
 			}
-			atLeastPinned(t, fmt.Sprintf("%s workers=%d", r.Benchmark, workers), r.Reduction, pins[i].reduction)
-		}
-		byWorkers = append(byWorkers, rows)
-	}
-	for i, one := range byWorkers[0] {
-		two := byWorkers[1][i]
-		if one.CodecCallsSolo != two.CodecCallsSolo || one.CodecCallsBatch != two.CodecCallsBatch ||
-			one.PassesShared != two.PassesShared {
-			t.Errorf("%s: counters depend on the worker count: solo/batch/shared %d/%d/%d at 1, %d/%d/%d at 2",
-				one.Benchmark, one.CodecCallsSolo, one.CodecCallsBatch, one.PassesShared,
-				two.CodecCallsSolo, two.CodecCallsBatch, two.PassesShared)
-		}
-	}
-	for _, r := range byWorkers[0] {
-		if r.CodecCallsBatch >= r.CodecCallsSolo {
-			t.Errorf("%s: batching did not reduce codec calls (%d -> %d)",
-				r.Benchmark, r.CodecCallsSolo, r.CodecCallsBatch)
-		}
-		if r.PassesShared == 0 {
-			t.Errorf("%s: no codec passes shared: %+v", r.Benchmark, r)
-		}
-		if r.PerVariantBatch >= r.PerVariantSolo {
-			t.Errorf("%s: per-variant codec cost did not drop: %+v", r.Benchmark, r)
+			if r.CodecCallsSolo != p.solo || r.CodecCallsBatch != p.batch || r.PassesShared != p.shared {
+				t.Errorf("%s workers=%d: solo/batch/shared %d/%d/%d, pinned %d/%d/%d", r.Benchmark, workers,
+					r.CodecCallsSolo, r.CodecCallsBatch, r.PassesShared, p.solo, p.batch, p.shared)
+			}
+			atLeastPinned(t, fmt.Sprintf("%s workers=%d", r.Benchmark, workers), r.Reduction, float64(p.solo)/float64(p.batch))
 		}
 	}
 }

@@ -117,7 +117,7 @@ func SweepResults(opt Options) ([]SweepRow, error) {
 }
 
 func runSweep(w io.Writer, opt Options) error {
-	header(w, "Sweep scheduler: one codec pass per pair sweep")
+	header(w, "Sweep scheduler: one codec pass per group sweep")
 	rows, err := SweepResults(opt)
 	if err != nil {
 		return err

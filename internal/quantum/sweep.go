@@ -1,6 +1,9 @@
 package quantum
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // Sweep is one unit of the block-local partition of a circuit: a
 // half-open gate range [Start, End). When Local is true, every gate in
@@ -9,7 +12,7 @@ import "encoding/binary"
 // offset bits — so it acts identically on every block of every rank.
 // Non-local gates (cross-block or cross-rank targets, controls outside
 // the offset segment, measurements) are singletons with Local false.
-// The engine schedules by the coarser PlanPairSweeps; this partition
+// The engine schedules by the coarser PlanGroupSweeps; this partition
 // labels traces and counts block-local runs.
 type Sweep struct {
 	Start, End int
@@ -60,28 +63,30 @@ func PlanSweeps(gates []Gate, offsetBits int) []Sweep {
 	return plan
 }
 
-// PairSweep is one schedule unit of the pair-sweep scheduler: a
+// GroupSweep is one schedule unit of the group-sweep scheduler: a
 // half-open gate range [Start, End). When Pass is true the range is a
-// run of unitaries whose targets are offset-segment qubits or ONE
-// shared block-segment qubit t, so the whole run fits the paper's
-// two-block working set (§3.1, Eq. 8) and executes as a single codec
-// pass over the block pairs (b, b|2^(t-offsetBits)) — over single
-// blocks when no gate targets the block segment. Controls may sit in
-// any segment: they select amplitudes, blocks or ranks and are never
-// members of the working set. Measurements and gates that target the
-// rank segment are singletons with Pass false.
-type PairSweep struct {
+// run of unitaries whose targets are offset-segment qubits or a few
+// distinct block-segment qubits (see PlanGroupSweeps), and it executes
+// as a single codec pass over the block groups those qubits span — b
+// together with b flipped in every combination of their block bits: a
+// single block when no gate targets the block segment, a pair for one
+// such qubit, four blocks for two. Controls may sit in any segment:
+// they select amplitudes, blocks or ranks and are never members of a
+// group.
+// Measurements and gates that target the rank segment are singletons
+// with Pass false.
+type GroupSweep struct {
 	Start, End int
 	Pass       bool
 }
 
 // Len returns the number of gates the sweep covers.
-func (s PairSweep) Len() int { return s.End - s.Start }
+func (s GroupSweep) Len() int { return s.End - s.Start }
 
-// pairTarget reports whether g can join a pair sweep — a unitary whose
-// target lies below the rank segment — and the block-segment qubit it
-// targets, or -1 when its target is an offset qubit.
-func pairTarget(g Gate, offsetBits, blockBits int) (t int, ok bool) {
+// sweepTarget reports whether g can join a group sweep — a unitary
+// whose target lies below the rank segment — and the block-segment
+// qubit it targets, or -1 when its target is an offset qubit.
+func sweepTarget(g Gate, offsetBits, blockBits int) (t int, ok bool) {
 	switch {
 	case g.Kind != KindUnitary || g.Target >= offsetBits+blockBits:
 		return -1, false
@@ -91,44 +96,52 @@ func pairTarget(g Gate, offsetBits, blockBits int) (t int, ok bool) {
 	return -1, true
 }
 
-// PlanPairSweeps partitions gates into maximal pair sweeps (see
-// PairSweep) interleaved with the singletons that cannot join one. A
-// run ends where the next gate would bring a second block-segment
-// target into it: two such targets need four decompressed blocks per
-// worker, twice the working set Eq. 8 budgets. Like PlanSweeps the plan
-// never reorders gates and depends only on the gate list and the
-// geometry, so every rank computes the same schedule.
-func PlanPairSweeps(gates []Gate, offsetBits, blockBits int) []PairSweep {
-	var plan []PairSweep
+// PlanGroupSweeps partitions gates into maximal group sweeps (see
+// GroupSweep) interleaved with the singletons that cannot join one. A
+// run ends only where the next gate cannot join a pass, or would bring
+// one distinct block-segment target more than width into it; width 1
+// gives pair sweeps, 2 groups of up to four blocks. Like PlanSweeps the
+// plan never reorders gates and depends only on the gate list, the
+// geometry and the width, so every rank computes the same schedule.
+func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int) []GroupSweep {
+	var plan []GroupSweep
+	targets := make([]int, 0, width) // the run's distinct block-segment targets
 	for i := 0; i < len(gates); {
-		t, ok := pairTarget(gates[i], offsetBits, blockBits)
-		j := i + 1
-		for ok && j < len(gates) {
-			tj, join := pairTarget(gates[j], offsetBits, blockBits)
-			if !join || (tj >= 0 && t >= 0 && tj != t) {
+		targets = targets[:0]
+		j := i
+		for ; j < len(gates); j++ {
+			t, ok := sweepTarget(gates[j], offsetBits, blockBits)
+			if !ok {
 				break
 			}
-			if tj >= 0 {
-				t = tj
+			if t >= 0 && !slices.Contains(targets, t) {
+				if len(targets) == width {
+					break
+				}
+				targets = append(targets, t)
 			}
-			j++
 		}
-		plan = append(plan, PairSweep{Start: i, End: j, Pass: ok})
+		if j == i {
+			plan = append(plan, GroupSweep{Start: i, End: i + 1})
+			i++
+			continue
+		}
+		plan = append(plan, GroupSweep{Start: i, End: j, Pass: true})
 		i = j
 	}
 	return plan
 }
 
-// SingletonPairSweeps returns the degenerate plan with one sweep per
-// gate — the schedule that reproduces the paper's gate-at-a-time cost
-// model exactly (used when the sweep scheduler is disabled or a noise
-// channel must fire after every gate). A one-gate pair sweep runs
-// through the same pass as a long one.
-func SingletonPairSweeps(gates []Gate, offsetBits, blockBits int) []PairSweep {
-	plan := make([]PairSweep, len(gates))
+// SingletonSweeps returns the degenerate plan with one sweep per gate —
+// the schedule that reproduces the paper's gate-at-a-time cost model
+// exactly (used when the sweep scheduler is disabled or a noise channel
+// must fire after every gate). A one-gate sweep runs through the same
+// pass as a long one.
+func SingletonSweeps(gates []Gate, offsetBits, blockBits int) []GroupSweep {
+	plan := make([]GroupSweep, len(gates))
 	for i, g := range gates {
-		_, ok := pairTarget(g, offsetBits, blockBits)
-		plan[i] = PairSweep{Start: i, End: i + 1, Pass: ok}
+		_, ok := sweepTarget(g, offsetBits, blockBits)
+		plan[i] = GroupSweep{Start: i, End: i + 1, Pass: ok}
 	}
 	return plan
 }

@@ -112,41 +112,55 @@ func TestBlockLocal(t *testing.T) {
 	}
 }
 
-// TestPlanPairSweeps is the pair planner's table: 7 qubits split as
+// TestPlanGroupSweeps is the group planner's table: 7 qubits split as
 // 3 offset | 2 block | 2 rank bits unless a case says otherwise.
-func TestPlanPairSweeps(t *testing.T) {
+func TestPlanGroupSweeps(t *testing.T) {
 	h := func(q int) Gate { return Gate{Name: "h", Target: q, U: MatH} }
 	cx := func(c, q int) Gate { return Gate{Name: "cx", Target: q, Controls: []int{c}, U: MatX} }
 	m := func(q int) Gate { return Gate{Kind: KindMeasure, Name: "measure", Target: q} }
 	for _, tc := range []struct {
 		name              string
 		offsetBits, blkBs int
+		width             int
 		gates             []Gate
-		want              []PairSweep
+		want              []GroupSweep
 	}{
-		{"local only", 3, 2,
+		{"local only", 3, 2, 2,
 			[]Gate{h(0), h(1), cx(0, 2)},
-			[]PairSweep{{0, 3, true}}},
-		{"one block target with interleaved local gates", 3, 2,
+			[]GroupSweep{{0, 3, true}}},
+		{"one block target with interleaved local gates", 3, 2, 2,
 			[]Gate{h(0), h(3), h(1), h(3), cx(3, 2)},
-			[]PairSweep{{0, 5, true}}},
-		{"two alternating block targets", 3, 2,
+			[]GroupSweep{{0, 5, true}}},
+		{"two alternating block targets share a group", 3, 2, 2,
 			[]Gate{h(3), h(0), h(4), h(1), h(3), h(4)},
-			[]PairSweep{{0, 2, true}, {2, 4, true}, {4, 5, true}, {5, 6, true}}},
-		{"block- and rank-segment controls join", 3, 2,
+			[]GroupSweep{{0, 6, true}}},
+		{"width 1: each switch of block target splits", 3, 2, 1,
+			[]Gate{h(3), h(0), h(4), h(1), h(3), h(4)},
+			[]GroupSweep{{0, 2, true}, {2, 4, true}, {4, 5, true}, {5, 6, true}}},
+		{"each group target controlled on the other", 3, 2, 2,
+			[]Gate{cx(4, 3), h(1), cx(3, 4), cx(3, 0)},
+			[]GroupSweep{{0, 4, true}}},
+		// 3 offset | 3 block | 1 rank: qubit 5 is a third block target.
+		{"a third block target splits a run", 3, 3, 2,
+			[]Gate{h(3), h(0), h(4), h(1), h(5), h(3), h(4), h(5), h(2)},
+			[]GroupSweep{{0, 4, true}, {4, 6, true}, {6, 9, true}}},
+		{"a control on a third block qubit does not", 3, 3, 2,
+			[]Gate{h(3), cx(5, 4), cx(5, 0), h(3)},
+			[]GroupSweep{{0, 4, true}}},
+		{"block- and rank-segment controls join", 3, 2, 2,
 			[]Gate{cx(4, 0), cx(6, 3), cx(3, 1), cx(5, 3)},
-			[]PairSweep{{0, 4, true}}},
-		{"cross-rank target splits a run", 3, 2,
+			[]GroupSweep{{0, 4, true}}},
+		{"cross-rank target splits a run", 3, 2, 2,
 			[]Gate{h(0), h(3), h(5), h(3), h(1)},
-			[]PairSweep{{0, 2, true}, {2, 3, false}, {3, 5, true}}},
-		{"measurement splits a run", 3, 2,
+			[]GroupSweep{{0, 2, true}, {2, 3, false}, {3, 5, true}}},
+		{"measurement splits a run", 3, 2, 2,
 			[]Gate{h(0), m(0), m(4), h(4), h(1)},
-			[]PairSweep{{0, 1, true}, {1, 2, false}, {2, 3, false}, {3, 5, true}}},
-		{"no block segment", 5, 0,
+			[]GroupSweep{{0, 1, true}, {1, 2, false}, {2, 3, false}, {3, 5, true}}},
+		{"no block segment", 5, 0, 2,
 			[]Gate{h(0), h(4), h(5), cx(6, 3)},
-			[]PairSweep{{0, 2, true}, {2, 3, false}, {3, 4, true}}},
+			[]GroupSweep{{0, 2, true}, {2, 3, false}, {3, 4, true}}},
 	} {
-		plan := PlanPairSweeps(tc.gates, tc.offsetBits, tc.blkBs)
+		plan := PlanGroupSweeps(tc.gates, tc.offsetBits, tc.blkBs, tc.width)
 		if len(plan) != len(tc.want) {
 			t.Errorf("%s: plan %v, want %v", tc.name, plan, tc.want)
 			continue
@@ -156,7 +170,7 @@ func TestPlanPairSweeps(t *testing.T) {
 				t.Errorf("%s: sweep %d = %+v, want %+v", tc.name, i, plan[i], tc.want[i])
 			}
 		}
-		single := SingletonPairSweeps(tc.gates, tc.offsetBits, tc.blkBs)
+		single := SingletonSweeps(tc.gates, tc.offsetBits, tc.blkBs)
 		for i, sw := range single {
 			unitaryBelowRanks := tc.gates[i].Kind == KindUnitary && tc.gates[i].Target < tc.offsetBits+tc.blkBs
 			if sw.Start != i || sw.End != i+1 || sw.Pass != unitaryBelowRanks {
@@ -166,21 +180,23 @@ func TestPlanPairSweeps(t *testing.T) {
 	}
 }
 
-// TestQuickPlanPairSweepsIsAPartition: for any circuit and geometry the
-// plan covers [0, len(gates)) contiguously in order, a pass holds only
-// unitaries below the rank segment with at most one distinct
-// block-segment target, everything else is a singleton, and passes are
-// maximal — the next gate could not have joined.
-func TestQuickPlanPairSweepsIsAPartition(t *testing.T) {
-	f := func(seed int64, offSel, blkSel, gateCount uint8) bool {
+// TestQuickPlanGroupSweepsIsAPartition: for any circuit, geometry and
+// width (1 or 2) the plan covers [0, len(gates)) contiguously in order,
+// a pass holds only unitaries below the rank segment with at most width
+// distinct block-segment targets, everything else is a singleton, and
+// passes are maximal — the next gate could not have joined, or would
+// have been one block-segment target too many.
+func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
+	f := func(seed int64, offSel, blkSel, gateCount, widthSel uint8) bool {
 		const n = 7
 		offsetBits := 1 + int(offSel)%n
 		blockBits := int(blkSel) % (n - offsetBits + 1)
+		width := 1 + int(widthSel)%2
 		cir := RandomCircuit(n, 1+int(gateCount)%60, seed)
 		cir.Measure(int(uint64(seed) % n))
 		cir.H(int(uint64(seed) % n))
-		plan := PlanPairSweeps(cir.Gates, offsetBits, blockBits)
-		blockTargets := func(sw PairSweep) map[int]bool {
+		plan := PlanGroupSweeps(cir.Gates, offsetBits, blockBits, width)
+		blockTargets := func(sw GroupSweep) map[int]bool {
 			ts := map[int]bool{}
 			for _, g := range cir.Gates[sw.Start:sw.End] {
 				if g.Target >= offsetBits {
@@ -207,14 +223,14 @@ func TestQuickPlanPairSweepsIsAPartition(t *testing.T) {
 				return false
 			}
 			ts := blockTargets(sw)
-			if len(ts) > 1 {
+			if len(ts) > width {
 				t.Logf("sweep %+v has block-segment targets %v", sw, ts)
 				return false
 			}
 			if sw.Pass && i+1 < len(plan) && plan[i+1].Pass {
 				g := cir.Gates[sw.End]
-				if g.Target < offsetBits || len(ts) == 0 || ts[g.Target] {
-					t.Logf("gate %v could have joined sweep %+v", g, sw)
+				if g.Target < offsetBits || len(ts) < width || ts[g.Target] {
+					t.Logf("gate %v could have joined sweep %+v (block targets %v)", g, sw, ts)
 					return false
 				}
 			}

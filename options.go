@@ -178,13 +178,13 @@ func WithGateFusion(enabled bool) Option {
 
 // WithSweeps toggles the sweep scheduler (default on): maximal runs of
 // consecutive gates whose targets are offset qubits (inside one
-// compressed block) or one shared block-segment qubit execute as a
-// single decompress → apply-all → recompress pass over block pairs —
-// the paper's two-block working set — instead of one codec round trip
-// per gate; controls may sit anywhere. A sweep is broken by a second
-// block-segment target, a cross-rank target, a measurement, and (when
-// WithNoise is set) every gate, since the depolarizing channel fires
-// per gate.
+// compressed block) or at most two distinct block-segment qubits
+// execute as a single decompress → apply-all → recompress pass over
+// groups of one, two or four blocks instead of one codec round trip per
+// gate; controls may sit anywhere. A sweep is broken by a third
+// block-segment target (a second under WithMemoryBudget), a cross-rank
+// target, a measurement, and (when WithNoise is set) every gate, since
+// the depolarizing channel fires per gate.
 // Sweeps are bit-identical to gate-at-a-time execution under the
 // lossless codec; under a lossy budget the state sees fewer truncations
 // and the Eq. 11 fidelity ledger charges one (1-δ) factor per sweep —
