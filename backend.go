@@ -121,27 +121,26 @@ func (s compressedSampler) TotalMass() float64                 { return s.sp.Tot
 // has executed yet, so swapping engines at decision time loses
 // nothing.
 type pendingAuto struct {
-	qubits    int
-	cfg       core.Config
-	noiseProb float64
-	bondDim   int
-	basis     uint64
+	qubits  int
+	cfg     core.Config
+	bondDim int
+	basis   uint64
 }
 
 // choose picks the backend for the decision circuit (see autoRoute).
 func (p *pendingAuto) choose(c *circuit.Circuit) string {
-	name, _, _ := autoRoute(c, p.noiseProb, p.cfg.Uncompressed, p.bondDim)
+	name, _, _ := autoRoute(c, p.cfg, p.bondDim)
 	return name
 }
 
 // autoRoute is the auto backend's one routing rule, shared by the first
 // Run of an auto simulator and EstimateCircuit: MPS iff every gate is
-// MPS-runnable, the run is noiseless and not the uncompressed baseline,
-// and the circuit's structural bond estimate fits χ; compressed
-// otherwise. It also returns the two facts it decided on.
-func autoRoute(c *circuit.Circuit, noiseProb float64, uncompressed bool, chi int) (name string, runnable bool, bond int) {
+// MPS-runnable, the configuration is noiseless and not the uncompressed
+// baseline, and the circuit's structural bond estimate fits χ;
+// compressed otherwise. It also returns the two facts it decided on.
+func autoRoute(c *circuit.Circuit, cfg core.Config, chi int) (name string, runnable bool, bond int) {
 	ok, _ := quantum.MPSCompatible(c)
-	runnable = ok && noiseProb == 0 && !uncompressed
+	runnable = ok && cfg.Noise == 0 && !cfg.Uncompressed
 	bond = quantum.EstimateBondDim(c)
 	if runnable && bond <= chi {
 		return BackendMPS, runnable, bond
@@ -154,7 +153,7 @@ func autoRoute(c *circuit.Circuit, noiseProb float64, uncompressed bool, chi int
 func (p *pendingAuto) build(name string) (backend, error) {
 	var be backend
 	if name == BackendMPS {
-		mb, err := newMPSBackend(p.qubits, p.bondDim, p.cfg.Seed, p.cfg.FuseGates)
+		mb, err := newMPSBackend(p.qubits, p.bondDim, p.cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -169,12 +168,6 @@ func (p *pendingAuto) build(name string) (backend, error) {
 				return nil, err
 			}
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
-		if p.noiseProb > 0 {
-			if err := eng.SetNoise(&core.NoiseModel{Prob: p.noiseProb}); err != nil {
-				eng.Close()
-				return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-			}
 		}
 		be = compressedBackend{eng}
 	}

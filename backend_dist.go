@@ -21,25 +21,22 @@ import (
 // state rather than the completed gate prefix.
 type distBackend struct {
 	compressedBackend
-	cfg       core.Config
-	noiseProb float64
-	opt       distrib.Options
+	opt distrib.Options
 }
 
-func newDistBackend(cb compressedBackend, cfg core.Config, noiseProb float64, workerCmd []string) *distBackend {
+func newDistBackend(cb compressedBackend, workerCmd []string) *distBackend {
 	if len(workerCmd) == 0 {
 		workerCmd = []string{"qcrank"}
 	}
 	return &distBackend{
 		compressedBackend: cb,
-		cfg:               cfg,
-		noiseProb:         noiseProb,
 		opt:               distrib.Options{WorkerCommand: workerCmd},
 	}
 }
 
+// RunControlled ships the engine's own configuration to the workers.
 func (b *distBackend) RunControlled(c *circuit.Circuit, ctl core.RunControl) error {
-	return distrib.Run(b.Simulator, b.cfg, b.noiseProb, c, b.opt, ctl.PollAbort)
+	return distrib.Run(b.Simulator, c, b.opt, ctl.PollAbort)
 }
 
 // RankWorker runs the calling process as one rank of a distributed

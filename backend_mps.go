@@ -21,9 +21,8 @@ import (
 // compressed-only operations (assertions, checkpointing, batches) never
 // reach this type — see Simulator.compressedOnly.
 type mpsBackend struct {
-	st   *mps.State
-	chi  int
-	fuse bool
+	st  *mps.State
+	chi int
 
 	gatesRun     int
 	maxFootprint int64
@@ -36,7 +35,7 @@ type mpsBackend struct {
 	sampleRng *rand.Rand
 }
 
-func newMPSBackend(qubits, chi int, seed int64, fuse bool) (*mpsBackend, error) {
+func newMPSBackend(qubits, chi int, seed int64) (*mpsBackend, error) {
 	if qubits > 62 {
 		// Amplitude indices and sample outcomes are uint64s, so the
 		// facade's register cap is 62 qubits on every backend — the
@@ -47,7 +46,7 @@ func newMPSBackend(qubits, chi int, seed int64, fuse bool) (*mpsBackend, error) 
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	b := &mpsBackend{st: st, chi: chi, fuse: fuse, sampleRng: core.SampleStream(seed)}
+	b := &mpsBackend{st: st, chi: chi, sampleRng: core.SampleStream(seed)}
 	b.maxFootprint = st.MemoryBytes()
 	return b, nil
 }
@@ -61,9 +60,6 @@ func (b *mpsBackend) Name() string { return BackendMPS }
 func (b *mpsBackend) RunControlled(c *circuit.Circuit, ctl core.RunControl) error {
 	if c.N != b.st.Qubits() {
 		return fmt.Errorf("%w: mps backend: circuit has %d qubits, simulator %d", ErrCircuitMismatch, c.N, b.st.Qubits())
-	}
-	if b.fuse {
-		c = quantum.FuseSingleQubitGates(c)
 	}
 	if len(c.Gates) > 0 {
 		b.version++

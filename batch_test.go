@@ -338,22 +338,19 @@ func TestRunBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := func(cfg core.Config, noise float64) *core.Simulator {
+	engine := func(cfg core.Config) *core.Simulator {
 		cfg.Qubits, cfg.Seed = 4, 1
 		eng, err := core.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { eng.Close() })
-		if err := eng.SetNoise(&core.NoiseModel{Prob: noise}); err != nil {
-			t.Fatal(err)
-		}
 		return eng
 	}
-	base := engine(core.Config{}, 0)
+	base := engine(core.Config{})
 	for name, other := range map[string]*core.Simulator{
-		"lossy codec mismatch": engine(core.Config{Lossy: szlike.NewA()}, 0),
-		"noise mismatch":       engine(core.Config{}, 0.1),
+		"lossy codec mismatch": engine(core.Config{Lossy: szlike.NewA()}),
+		"noise mismatch":       engine(core.Config{Noise: 0.1}),
 		"same engine twice":    base,
 	} {
 		_, err := runVariants(context.Background(), []*core.Simulator{base, other},

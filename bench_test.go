@@ -537,12 +537,14 @@ func BenchmarkAblationLosslessStage(b *testing.B) {
 // same circuit with and without folding adjacent single-qubit gates
 // before execution.
 func BenchmarkAblationGateFusion(b *testing.B) {
-	cir := quantum.RandomCircuit(14, 120, 9)
 	for _, fuse := range []bool{false, true} {
-		fuse := fuse
+		cir := quantum.RandomCircuit(14, 120, 9)
+		if fuse {
+			cir = quantum.FuseSingleQubitGates(cir)
+		}
 		b.Run(fmt.Sprintf("fuse=%v", fuse), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s, err := core.New(core.Config{Qubits: 14, Ranks: 2, BlockAmps: 1024, FuseGates: fuse})
+				s, err := core.New(core.Config{Qubits: 14, Ranks: 2, BlockAmps: 1024})
 				if err != nil {
 					b.Fatal(err)
 				}

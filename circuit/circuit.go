@@ -209,8 +209,9 @@ func DeutschJozsa(n int, constant bool) *Circuit { return quantum.DeutschJozsa(n
 // Transformations.
 
 // FuseSingleQubitGates folds runs of adjacent single-qubit gates on the
-// same target into one unitary — the preprocessing qcsim.WithGateFusion
-// applies before execution.
+// same target into one unitary. Run the result to cut the per-gate codec
+// passes (and, under a lossy budget, the Eq. 11 ledger charges) in
+// proportion.
 func FuseSingleQubitGates(c *Circuit) *Circuit { return quantum.FuseSingleQubitGates(c) }
 
 // Serialization: a line-oriented text format (one gate per line).

@@ -115,9 +115,9 @@ func main() {
 		fmt.Printf("wrote %d-qubit, %d-gate circuit to %s\n", cir.N, len(cir.Gates), *dump)
 		return
 	}
-	// Fuse here rather than via WithGateFusion so every gate count the
-	// CLI prints (total, completed-on-interrupt, ms/gate) lives in the
-	// same post-fusion domain.
+	// Fusion is a circuit transformation: every gate count the CLI
+	// prints (total, completed-on-interrupt, ms/gate) counts the fused
+	// gates the engine runs.
 	if *fuse {
 		cir = circuit.FuseSingleQubitGates(cir)
 	}

@@ -41,6 +41,9 @@ type conformanceCase struct {
 	geoms [][2]int
 	// bondDim is the MPS χ — chosen ≥ 2^(n/2) so the MPS run is exact.
 	bondDim int
+	// noise is the WithNoise probability. Only the transport suite sets
+	// it; the others compare against the noiseless dense reference.
+	noise float64
 }
 
 func conformanceTable() []conformanceCase {
@@ -220,6 +223,9 @@ func tcpWorkerArgv(t *testing.T) []string {
 // and 4 ranks) and requires byte-identical results: amplitudes and the
 // fidelity ledger compared at the float64-bit level, the deterministic
 // stats counters exactly, and the seeded sample stream draw for draw.
+// A noisy case checks that the depolarizing channel reaches the workers
+// with the rest of the configuration; it is a single Run, because the
+// workers' noise streams restart at the seed on every distributed Run.
 func TestConformanceTransports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -230,7 +236,12 @@ func TestConformanceTransports(t *testing.T) {
 		shots     = 128
 	)
 	argv := tcpWorkerArgv(t)
-	for _, tc := range conformanceTable() {
+	cases := append(conformanceTable(), conformanceCase{
+		name: "qft8-noisy", qubits: 8,
+		build: func() *circuit.Circuit { return circuit.QFT(8, 3) },
+		noise: 0.2,
+	})
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, ranks := range []int{2, 4} {
 				t.Run(fmt.Sprintf("r%d", ranks), func(t *testing.T) {
@@ -240,7 +251,7 @@ func TestConformanceTransports(t *testing.T) {
 					// compares exactly are not.
 					geom := []Option{
 						WithRanks(ranks), WithBlockAmps(blockAmps),
-						WithWorkers(1), WithCache(8), WithSeed(seed),
+						WithWorkers(1), WithCache(8), WithSeed(seed), WithNoise(tc.noise),
 					}
 					ref, err := New(tc.qubits, geom...)
 					if err != nil {
@@ -278,6 +289,15 @@ func TestConformanceTransports(t *testing.T) {
 						if math.Float64bits(real(refAmps[i])) != math.Float64bits(real(tcpAmps[i])) ||
 							math.Float64bits(imag(refAmps[i])) != math.Float64bits(imag(tcpAmps[i])) {
 							t.Fatalf("amplitude %d: in-process %v, tcp %v", i, refAmps[i], tcpAmps[i])
+						}
+					}
+					if tc.noise > 0 {
+						fired := false
+						for i, a := range denseReference(t, cir) {
+							fired = fired || cAbs(a-refAmps[i]) > 1e-6
+						}
+						if !fired {
+							t.Fatal("no Pauli fired: the noisy case is vacuous")
 						}
 					}
 					if math.Float64bits(refRes.FidelityLowerBound) != math.Float64bits(tcpRes.FidelityLowerBound) {

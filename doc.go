@@ -27,7 +27,11 @@
 // simulator remains fully inspectable over the completed prefix. Codec
 // failures mid-run surface the same way — a wrapped error, never a
 // panic. Errors are typed sentinels (ErrBadConfig, ErrInvalidQubit,
-// ErrBudgetExceeded, ...) usable with errors.Is.
+// ErrBudgetExceeded, ...) usable with errors.Is. Options are checked by
+// New, not mid-run, and a circuit assembled by hand rather than through
+// the builders is checked before any of its gates runs: an operand
+// outside the register or a qubit used twice in one gate is
+// ErrInvalidQubit, an unknown gate kind ErrBadConfig.
 //
 // The Result of a run — and Snapshot at any time — expose the paper's
 // Table 2 accounting: the compress/decompress/compute/communication
@@ -137,7 +141,9 @@
 // (a block exchange), a measurement, or (with WithNoise) any gate at
 // all, since the depolarizing channel must fire after each gate. A
 // one-gate sweep is the paper's per-gate pass: both run through the
-// same code.
+// same code. Gate fusion (circuit.FuseSingleQubitGates, applied to the
+// circuit before Run) is the complementary lever: it merges adjacent
+// gates on the same qubit into one.
 //
 // Under the lossless codec, sweeps are bit-identical to gate-at-a-time
 // execution for every rank and worker count: every amplitude sees the
@@ -324,8 +330,10 @@
 //
 // Each Run then spawns one worker process per rank (the qcrank
 // command by default; WithWorkerCommand overrides the argv, and
-// cmd/qcsim re-executes itself), ships each worker the job spec plus
-// that rank's compressed blocks, lets the workers execute the circuit
+// cmd/qcsim re-executes itself), ships each worker the job spec — the
+// engine's whole configuration, noise channel and both codecs (by
+// registry name) included, and the circuit — plus that rank's
+// compressed blocks, lets the workers execute the circuit
 // in lockstep over their TCP mesh, and merges the per-rank deltas
 // back into this simulator. For a single Run on a fresh state the
 // result is bit-identical to the in-process transport — amplitudes,

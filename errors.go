@@ -17,12 +17,14 @@ import (
 var (
 	// ErrBadConfig reports an invalid or inconsistent option set passed
 	// to New (qubit count out of range, non-power-of-two ranks or block
-	// size, non-increasing error levels, out-of-range noise
-	// probability, ...).
+	// size, error levels outside (0,1) or not increasing, out-of-range
+	// noise probability, ...), and a run request the engines cannot
+	// take (a nil circuit, a gate of unknown kind).
 	ErrBadConfig = errors.New("qcsim: invalid configuration")
 
 	// ErrInvalidQubit reports a qubit index (or basis-state index)
-	// outside the simulator's register.
+	// outside the simulator's register, or a gate that names one qubit
+	// twice.
 	ErrInvalidQubit = errors.New("qcsim: qubit index out of range")
 
 	// ErrBudgetExceeded reports that during a run some rank reached a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -61,6 +62,28 @@ func TestSentinelErrors(t *testing.T) {
 		_, err := New(4, WithNoise(1.5))
 		mustBe(t, err, ErrBadConfig)
 	})
+	// Settings the engine would only have tripped over mid-run (or never)
+	// are refused at construction, by New on every backend and by
+	// EstimateCircuit alike.
+	for name, opt := range map[string]Option{
+		"noise-nan":            WithNoise(math.NaN()),
+		"noise-negative":       WithNoise(-0.1),
+		"levels-above-one":     WithErrorLevels(0.5, 2),
+		"levels-zero":          WithErrorLevels(0, 1e-3),
+		"levels-negative":      WithErrorLevels(-1e-3, 1e-2),
+		"levels-nan":           WithErrorLevels(math.NaN()),
+		"levels-infinite":      WithErrorLevels(1e-3, math.Inf(1)),
+		"levels-not-ascending": WithErrorLevels(1e-2, 1e-3),
+	} {
+		t.Run("ErrBadConfig/"+name, func(t *testing.T) {
+			for _, backend := range []string{BackendCompressed, BackendMPS, BackendAuto} {
+				_, err := New(4, WithMemoryBudget(1), WithBackend(backend), opt)
+				mustBe(t, err, ErrBadConfig)
+			}
+			_, err := EstimateCircuit(4, circuit.GHZ(4), opt)
+			mustBe(t, err, ErrBadConfig)
+		})
+	}
 	t.Run("ErrBadConfig/nil-circuit", func(t *testing.T) {
 		_, err := sim.Run(ctx, nil)
 		mustBe(t, err, ErrBadConfig)
@@ -193,6 +216,43 @@ func TestSentinelErrors(t *testing.T) {
 		_, err := sim.Run(cctx, circuit.GHZ(4))
 		mustBe(t, err, context.Canceled)
 	})
+}
+
+// TestMalformedCircuitSentinels: a hand-assembled circuit with a bad
+// operand reports ErrInvalidQubit, and one with a gate kind no engine
+// knows ErrBadConfig, on every backend and before any gate runs.
+func TestMalformedCircuitSentinels(t *testing.T) {
+	h := func(target int, controls ...int) circuit.Gate {
+		return circuit.Gate{Name: "h", Target: target, Controls: controls, U: circuit.MatH}
+	}
+	cases := []struct {
+		name string
+		gate circuit.Gate
+		want error
+	}{
+		{"target-negative", h(-1), ErrInvalidQubit},
+		{"target-past-register", h(4), ErrInvalidQubit},
+		{"control-is-target", h(2, 2), ErrInvalidQubit},
+		{"unknown-kind", circuit.Gate{Kind: 7, Name: "h", Target: 1, U: circuit.MatH}, ErrBadConfig},
+	}
+	for _, tc := range cases {
+		for _, backend := range []string{BackendCompressed, BackendMPS, BackendAuto} {
+			t.Run(tc.name+"/"+backend, func(t *testing.T) {
+				sim, err := New(4, WithBackend(backend), WithSeed(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sim.Close()
+				bad := &circuit.Circuit{N: 4, Gates: []circuit.Gate{h(0), tc.gate}}
+				if _, err := sim.Run(context.Background(), bad); !errors.Is(err, tc.want) {
+					t.Fatalf("Run: %v does not wrap %v", err, tc.want)
+				}
+				if n := sim.GatesRun(); n != 0 {
+					t.Fatalf("GatesRun = %d after a refused run", n)
+				}
+			})
+		}
+	}
 }
 
 // TestAssertionSentinels: the statistical assertions report typed

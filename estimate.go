@@ -75,12 +75,12 @@ func EstimateCircuit(qubits int, c *circuit.Circuit, opts ...Option) (*Estimate,
 			o(&st)
 		}
 	}
-	cfg, noiseProb, err := st.resolve(qubits)
+	cfg, err := st.resolve(qubits)
 	if err != nil {
 		return nil, err
 	}
-	// Validate applies defaults (block clamping, worker clamping)
-	// without touching state; re-resolve them for the block arithmetic.
+	// ValidatedDefaults applies defaults (block clamping, worker
+	// clamping) without touching state, for the block arithmetic.
 	vcfg, err := cfg.ValidatedDefaults()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
@@ -91,7 +91,7 @@ func EstimateCircuit(qubits int, c *circuit.Circuit, opts ...Option) (*Estimate,
 	if c.N != qubits {
 		return nil, fmt.Errorf("%w: circuit has %d qubits, estimate for %d", ErrCircuitMismatch, c.N, qubits)
 	}
-	route, runnable, bond := autoRoute(c, noiseProb, vcfg.Uncompressed, st.bondDim)
+	route, runnable, bond := autoRoute(c, vcfg, st.bondDim)
 	if st.variants > 1 {
 		route = BackendCompressed // lockstep batching is compressed-only
 	}

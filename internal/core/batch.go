@@ -35,7 +35,6 @@ func (s *Simulator) Clone(seed int64) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	clone.noise = s.noise
 	for ri, rs := range s.ranks {
 		crs := clone.ranks[ri]
 		crs.level = rs.level
@@ -66,8 +65,8 @@ func (s *Simulator) Clone(seed int64) (*Simulator, error) {
 
 // RunBatch executes circuits[v] on sims[v] for every v in one lockstep
 // run of K state variants — the loop RunControlled enters with K = 1.
-// All simulators must be distinct and share one geometry, codec pair,
-// noise model and configuration (use Clone) and all circuits one shape
+// All simulators must be distinct and share one configuration (use
+// Clone), and all circuits must be well formed and of one shape
 // (use quantum.Circuit.Bind on one parametric circuit); nothing else is
 // rejected. The schedule is planned once — shapes are identical, and
 // the group-sweep planner reads only shape — and every pass deduplicates
@@ -108,6 +107,9 @@ func RunBatch(sims []*Simulator, circuits []*quantum.Circuit, ctl RunControl) er
 		if circuits[v].N != s.cfg.Qubits {
 			return fmt.Errorf("%w: variant %d circuit has %d qubits, simulator %d", ErrBatchMismatch, v, circuits[v].N, s.cfg.Qubits)
 		}
+		if err := circuits[v].Validate(); err != nil {
+			return fmt.Errorf("%w: variant %d: %w", ErrInvalidGate, v, err)
+		}
 		if circuits[v].Parametric() {
 			return fmt.Errorf("%w: variant %d circuit has unbound parameters; Bind it first", ErrBatchMismatch, v)
 		}
@@ -130,22 +132,15 @@ func RunBatch(sims []*Simulator, circuits []*quantum.Circuit, ctl RunControl) er
 // produced them; the noise probability because it decides the sweep
 // plan (sweepsEnabled) all variants share.
 func sameBatchConfig(a, b *Simulator) bool {
-	noiseProb := func(s *Simulator) float64 {
-		if s.noise == nil {
-			return 0
-		}
-		return s.noise.Prob
-	}
 	return a.cfg.Qubits == b.cfg.Qubits &&
 		a.cfg.Ranks == b.cfg.Ranks &&
 		a.offsetBits == b.offsetBits &&
 		a.cfg.Uncompressed == b.cfg.Uncompressed &&
 		a.cfg.DisableSweeps == b.cfg.DisableSweeps &&
-		a.cfg.FuseGates == b.cfg.FuseGates &&
 		a.cfg.MemoryBudget == b.cfg.MemoryBudget &&
 		a.cfg.Lossless.Name() == b.cfg.Lossless.Name() &&
 		a.cfg.Lossy.Name() == b.cfg.Lossy.Name() &&
-		noiseProb(a) == noiseProb(b) &&
+		a.cfg.Noise == b.cfg.Noise &&
 		slices.Equal(a.cfg.ErrorLevels, b.cfg.ErrorLevels)
 }
 

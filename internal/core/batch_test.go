@@ -415,25 +415,16 @@ func TestRunBatchNoiseLockstep(t *testing.T) {
 	cir := quantum.QAOA(qubits, 1, 5)
 	circuits := repeatCircuit(cir, k)
 	for _, ranks := range []int{1, 2} {
-		cfg := func(c *Config) { c.Workers = 3 }
-		noisy := func(s *Simulator) *Simulator {
-			if err := s.SetNoise(&NoiseModel{Prob: 0.05}); err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}
+		cfg := func(c *Config) { c.Workers, c.Noise = 3, 0.05 }
 		sims := batchSims(t, qubits, ranks, 8, k, cfg)
-		for _, s := range sims {
-			noisy(s)
-		}
 		if err := RunBatch(sims, circuits, RunControl{}); err != nil {
 			t.Fatal(err)
 		}
 		shared := assertVariantsMatchSolo(t, sims, circuits, func(v int) *Simulator {
-			return noisy(newSim(t, qubits, ranks, 8, func(c *Config) {
+			return newSim(t, qubits, ranks, 8, func(c *Config) {
 				cfg(c)
 				c.Seed = VariantSeed(1, v)
-			}))
+			})
 		})
 		if shared == 0 {
 			t.Fatalf("ranks=%d: the noisy trajectories shared no codec passes before diverging", ranks)
@@ -525,16 +516,12 @@ func TestRunBatchValidation(t *testing.T) {
 		t.Fatalf("shape mismatch accepted: %v", err)
 	}
 	pair := []*quantum.Circuit{bound, bound}
-	noisy := newSim(t, 4, 1, 8, nil)
-	if err := noisy.SetNoise(&NoiseModel{Prob: 0.1}); err != nil {
-		t.Fatal(err)
-	}
 	for name, other := range map[string]*Simulator{
 		"geometry mismatch": newSim(t, 4, 2, 8, nil),
 		// The memo keys on compressed bytes, not on who produced them.
 		"lossy codec mismatch": newSim(t, 4, 1, 8, func(c *Config) { c.Lossy = szlike.NewA() }),
 		// The noise probability decides the sweep plan.
-		"noise mismatch": noisy,
+		"noise mismatch": newSim(t, 4, 1, 8, func(c *Config) { c.Noise = 0.1 }),
 		// Aliased slots would race on one block.
 		"same simulator twice": sims[0],
 	} {

@@ -353,11 +353,26 @@ func TestNoEnginePathWritesThroughBlobs(t *testing.T) {
 		mut := mut
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
-				s := newSim(t, 8, 2, 16, func(c *Config) {
-					c.Workers, c.CacheLines, c.Seed = 4, 64, seed
-					mut(c)
-				})
+				mk := func(noise float64) *Simulator {
+					return newSim(t, 8, 2, 16, func(c *Config) {
+						c.Workers, c.CacheLines, c.Seed, c.Noise = 4, 64, seed, noise
+						mut(c)
+					})
+				}
+				s := mk(0)
 				stores := seal(s)
+				// move hands the state to another simulator through a
+				// checkpoint and seals the stores the load installed.
+				move := func(from, to *Simulator) {
+					var ckpt bytes.Buffer
+					if err := from.Save(&ckpt); err != nil {
+						t.Fatal(err)
+					}
+					if err := to.Load(&ckpt); err != nil {
+						t.Fatal(err)
+					}
+					stores = append(stores, seal(to)...)
+				}
 				if err := s.SetBasisState(uint64(seed) * 37 % 256); err != nil {
 					t.Fatal(err)
 				}
@@ -370,15 +385,14 @@ func TestNoEnginePathWritesThroughBlobs(t *testing.T) {
 				if err := s.Run(wide); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.SetNoise(&NoiseModel{Prob: 0.2}); err != nil {
+				// The noisy middle run happens on a noisy simulator, and
+				// the state comes back for the rest.
+				noisy := mk(0.2)
+				move(s, noisy)
+				if err := noisy.Run(quantum.RandomCircuit(8, 20, seed+10)); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Run(quantum.RandomCircuit(8, 20, seed+10)); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.SetNoise(nil); err != nil {
-					t.Fatal(err)
-				}
+				move(noisy, s)
 
 				// Clones share the parent's blobs; a lockstep batch then
 				// diverges them through the memo.
@@ -406,14 +420,7 @@ func TestNoEnginePathWritesThroughBlobs(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				var ckpt bytes.Buffer
-				if err := s.Save(&ckpt); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Load(&ckpt); err != nil {
-					t.Fatal(err)
-				}
-				stores = append(stores, seal(s)...)
+				move(s, s)
 				sp, err := s.NewSampler(2)
 				if err != nil {
 					t.Fatal(err)

@@ -244,8 +244,8 @@ func (s *Simulator) Load(r io.Reader) error {
 		// The budget presses on the resident bytes, so a restore into
 		// a spill-enabled simulator can clear a latch the saving
 		// (unspilled) simulator tripped.
-		rs.overBudget = s.cfg.MemoryBudget > 0 && !s.cfg.Uncompressed &&
-			rs.level == len(s.cfg.ErrorLevels) && rs.store.Resident() > s.cfg.MemoryBudget
+		rs.overBudget = s.cfg.budgeted() && rs.level == len(s.cfg.ErrorLevels) &&
+			rs.store.Resident() > s.cfg.MemoryBudget
 		s.syncStoreStats(rs)
 		if rs.stats.CurrentFootprint > rs.stats.MaxFootprint {
 			rs.stats.MaxFootprint = rs.stats.CurrentFootprint

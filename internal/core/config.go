@@ -32,7 +32,10 @@ import (
 // bounds, tightest first (§3.7). Level 0 is always the lossless stage.
 var DefaultErrorLevels = []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
 
-// Config parameterizes a Simulator.
+// Config parameterizes a Simulator. It is the whole of an engine's
+// settings: New validates it (withDefaults), Clone copies it, and the
+// TCP transport ships it to the worker processes as it is, so a setting
+// added here reaches every one of those paths with no further code.
 type Config struct {
 	// Qubits is the register width n; the simulator stores 2^n
 	// amplitudes (2^(n+4) bytes uncompressed, the paper's Table 1
@@ -63,8 +66,9 @@ type Config struct {
 	// Lossy is the error-bounded codec for levels ≥ 1. Defaults to
 	// Solution C (xortrunc).
 	Lossy compress.Codec
-	// ErrorLevels are the lossy bounds in escalation order. Defaults
-	// to DefaultErrorLevels.
+	// ErrorLevels are the lossy bounds in escalation order: finite,
+	// each in (0, 1), strictly increasing. Defaults to
+	// DefaultErrorLevels.
 	ErrorLevels []float64
 	// MemoryBudget caps the per-rank compressed footprint in bytes;
 	// exceeding it escalates the error level (§3.7). 0 means
@@ -79,11 +83,6 @@ type Config struct {
 	// raw. This is the Intel-QS-equivalent baseline used by the
 	// overhead and scaling experiments.
 	Uncompressed bool
-	// FuseGates folds runs of adjacent single-qubit gates on the same
-	// target into one unitary before execution, cutting the per-gate
-	// decompress/recompress sweeps (and the Eq. 11 ledger charges)
-	// proportionally.
-	FuseGates bool
 	// SpillDir enables the tiered RAM→disk block store: cold compressed
 	// blocks evict to a per-rank spill file in this directory once the
 	// resident bytes exceed SpillRAMBudget, and the sweep scheduler's
@@ -117,22 +116,26 @@ type Config struct {
 	// leaves sweeps ON; set this only to reproduce the paper's exact
 	// one-pass-per-gate cost model.
 	DisableSweeps bool
-	// Seed drives measurement collapse randomness.
+	// Noise is the per-gate depolarizing probability, in [0, 1): the
+	// paper's future-work direction (§6) of folding stochastic device
+	// noise into the simulation alongside the (already uncorrelated)
+	// compression error. It is a quantum-trajectories channel: after
+	// each gate, with this probability, a uniformly random Pauli hits the
+	// gate's target qubit. Every rank draws the same insertions from its
+	// deterministic noise stream, so the trajectory is consistent across
+	// the distributed state. 0, the default, is noiseless and costs
+	// nothing; any other value forces one-gate sweeps.
+	Noise float64
+	// Seed drives measurement collapse and the noise channel.
 	Seed int64
-}
-
-// Validate checks the configuration without allocating any state — the
-// facade's auto backend uses it to fail fast at construction while
-// deferring the (possibly enormous) state allocation to the first Run.
-func (c Config) Validate() error {
-	_, err := c.withDefaults()
-	return err
 }
 
 // ValidatedDefaults returns a validated copy with every default
 // applied (codec selection, block and worker clamping, spill
-// normalization) without allocating any state — the planning view of
-// a configuration behind the facade's EstimateCircuit admission hook.
+// normalization) without allocating any state. It is the one validation
+// entry point outside New: the facade fails fast with it at
+// construction while deferring (or never making) the state allocation,
+// and it is the planning view behind the EstimateCircuit admission hook.
 func (c Config) ValidatedDefaults() (Config, error) {
 	return c.withDefaults()
 }
@@ -185,10 +188,17 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ErrorLevels == nil {
 		c.ErrorLevels = DefaultErrorLevels
 	}
-	for i := 1; i < len(c.ErrorLevels); i++ {
-		if c.ErrorLevels[i] <= c.ErrorLevels[i-1] {
+	for i, bound := range c.ErrorLevels {
+		// Written so NaN fails: every comparison with it is false.
+		if !(bound > 0 && bound < 1) {
+			return c, fmt.Errorf("core: error level %v out of (0,1)", bound)
+		}
+		if i > 0 && bound <= c.ErrorLevels[i-1] {
 			return c, fmt.Errorf("core: error levels must be strictly increasing")
 		}
+	}
+	if !(c.Noise >= 0 && c.Noise < 1) {
+		return c, fmt.Errorf("core: depolarizing probability %v out of [0,1)", c.Noise)
 	}
 	if c.CacheLines < 0 {
 		return c, fmt.Errorf("core: negative cache lines")
@@ -211,6 +221,10 @@ func (c Config) withDefaults() (Config, error) {
 // spillEnabled reports whether the tiered RAM→disk store is active
 // (withDefaults normalizes the two spill fields together).
 func (c Config) spillEnabled() bool { return c.SpillRAMBudget > 0 }
+
+// budgeted reports whether the memory budget can escalate the §3.7
+// ladder: a budget is set and there is compression to relax.
+func (c Config) budgeted() bool { return c.MemoryBudget > 0 && !c.Uncompressed }
 
 // MemoryRequirement returns the uncompressed state size in bytes for n
 // qubits: 2^(n+4) (double-precision complex amplitudes), the arithmetic

@@ -67,8 +67,6 @@ type Simulator struct {
 	// the sweep's own recompression, later rounds the requantize passes
 	// of the at-rest budget rule (one row unless a budget is set).
 	gateLevel []uint32
-
-	noise *NoiseModel
 }
 
 // rankState is one rank's share: a block store holding nb compressed
@@ -459,7 +457,7 @@ func (s *Simulator) sampleFootprint(rs *rankState) {
 // run has no such round).
 func (s *Simulator) ledgerRounds() int {
 	n := 1
-	if s.cfg.MemoryBudget > 0 && !s.cfg.Uncompressed {
+	if s.cfg.budgeted() {
 		n += len(s.cfg.ErrorLevels)
 	}
 	if s.noiseActive() {
@@ -587,9 +585,8 @@ type RunControl struct {
 	PollAbort func() error
 	// OnGate, when non-nil, is invoked on rank 0 once per gate, in
 	// order, after the gate's sweep completes, with the gate's index,
-	// the total gate count of this run (post-fusion), and the gate
-	// itself. It runs on the rank-0 goroutine and must not call back
-	// into the Simulator.
+	// the total gate count of this run, and the gate itself. It runs on
+	// the rank-0 goroutine and must not call back into the Simulator.
 	OnGate func(gi, total int, g quantum.Gate)
 }
 
@@ -613,15 +610,18 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 	if c.N != s.cfg.Qubits {
 		return fmt.Errorf("core: circuit has %d qubits, simulator %d", c.N, s.cfg.Qubits)
 	}
+	if err := c.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidGate, err)
+	}
 	if c.Parametric() {
 		return fmt.Errorf("core: circuit has unbound parameters; Bind it first")
 	}
 	return runLockstep([]*Simulator{s}, []*quantum.Circuit{c}, ctl)
 }
 
-// runLockstep is the run loop: circuits[v] on sims[v] for K ≥ 1 state
-// variants of one shape and one configuration (the callers validate
-// both) — one sweep plan, one set of SPMD ranks, one error barrier per
+// runLockstep is the run loop: cs[v] on sims[v] for K ≥ 1 state
+// variants of one shape and one configuration, every gate well formed
+// (the callers validate all three) — one sweep plan, one set of SPMD ranks, one error barrier per
 // sweep, and ctl's hooks firing once per run, not per variant.
 //
 // Execution iterates the group-sweep schedule (sweep.go): every sweep of
@@ -639,21 +639,8 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 // reflects the completed prefix, except that the failing sweep itself
 // may be partially applied on some ranks or variants; the simulators
 // stay inspectable either way.
-func runLockstep(sims []*Simulator, circuits []*quantum.Circuit, ctl RunControl) error {
+func runLockstep(sims []*Simulator, cs []*quantum.Circuit, ctl RunControl) error {
 	s0, K := sims[0], len(sims)
-	// Fuse per variant. Fusion decisions read only gate structure
-	// (kind, target, controls), which is identical across bindings, so
-	// the shapes stay aligned; the check below is a tripwire.
-	cs := make([]*quantum.Circuit, K)
-	for v, c := range circuits {
-		if sims[v].cfg.FuseGates {
-			c = quantum.FuseSingleQubitGates(c)
-		}
-		cs[v] = c
-		if v > 0 && !quantum.SameShape(c, cs[0]) {
-			return fmt.Errorf("%w: variant %d shape diverged after fusion", ErrBatchMismatch, v)
-		}
-	}
 	nGates := len(cs[0].Gates)
 	for _, s := range sims {
 		if nGates > 0 {

@@ -329,6 +329,19 @@ func TestConfigValidation(t *testing.T) {
 		{Qubits: 4, BlockAmps: 3},   // not a power of two
 		{Qubits: 4, CacheLines: -1}, // negative cache
 		{Qubits: 4, ErrorLevels: []float64{1e-2, 1e-3}}, // not increasing
+		// Bounds outside (0,1) used to construct and then fail at the
+		// first escalation (or, at 2, drive the ledger negative).
+		{Qubits: 4, ErrorLevels: []float64{0, 1e-3}},
+		{Qubits: 4, ErrorLevels: []float64{-1e-3, 1e-2}},
+		{Qubits: 4, ErrorLevels: []float64{math.NaN()}},
+		{Qubits: 4, ErrorLevels: []float64{1e-3, math.Inf(1)}},
+		{Qubits: 4, ErrorLevels: []float64{0.5, 2}},
+		// The depolarizing probability lies in [0,1); NaN used to pass
+		// the range check and leave the channel silently inert.
+		{Qubits: 4, Noise: -0.1},
+		{Qubits: 4, Noise: 1},
+		{Qubits: 4, Noise: 1.5},
+		{Qubits: 4, Noise: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -51,8 +51,8 @@ type RankDelta struct {
 	// records outcomes (it draws and broadcasts them), so the
 	// coordinator appends rank 0's list.
 	Measurements []int
-	// Executed is the number of gates rank 0 completed (the run's
-	// post-fusion prefix length); meaningful on rank 0's delta.
+	// Executed is the number of gates rank 0 completed (the length of
+	// the run's completed prefix); meaningful on rank 0's delta.
 	Executed int
 	// BytesMoved is the cross-rank traffic this rank's comm sent.
 	BytesMoved int64

@@ -27,4 +27,10 @@ var (
 	// or ragged batches, nil variants, width or shape divergence, and
 	// configuration drift between variants.
 	ErrBatchMismatch = errors.New("core: variant batch mismatch")
+
+	// ErrInvalidGate reports a circuit that fails quantum.Circuit.Validate
+	// — an unknown gate kind, an operand outside the register, or a qubit
+	// used twice in one gate — refused by Run and RunBatch before any
+	// gate executes.
+	ErrInvalidGate = errors.New("core: invalid gate")
 )

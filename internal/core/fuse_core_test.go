@@ -7,14 +7,17 @@ import (
 	"qcsim/internal/quantum"
 )
 
+// Gate fusion is a circuit transformation, applied before Run; these
+// tests hold the engine to what it buys.
+
 func TestFuseGatesEquivalentState(t *testing.T) {
 	cir := quantum.RandomCircuit(8, 200, 19)
 	plain := newSim(t, 8, 2, 16, nil)
-	fused := newSim(t, 8, 2, 16, func(c *Config) { c.FuseGates = true })
+	fused := newSim(t, 8, 2, 16, nil)
 	if err := plain.Run(cir); err != nil {
 		t.Fatal(err)
 	}
-	if err := fused.Run(cir); err != nil {
+	if err := fused.Run(quantum.FuseSingleQubitGates(cir)); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := plain.FullState()
@@ -32,17 +35,16 @@ func TestFuseGatesEquivalentState(t *testing.T) {
 func TestFuseGatesImprovesLedger(t *testing.T) {
 	// Fewer executed gates ⇒ fewer (1-δ) factors under a tight budget.
 	cir := quantum.RandomCircuit(8, 150, 23)
-	mk := func(fuse bool) *Simulator {
+	mk := func() *Simulator {
 		return newSim(t, 8, 1, 32, func(c *Config) {
 			c.MemoryBudget = 1 // force max escalation immediately
-			c.FuseGates = fuse
 		})
 	}
-	plain, fused := mk(false), mk(true)
+	plain, fused := mk(), mk()
 	if err := plain.Run(cir); err != nil {
 		t.Fatal(err)
 	}
-	if err := fused.Run(cir); err != nil {
+	if err := fused.Run(quantum.FuseSingleQubitGates(cir)); err != nil {
 		t.Fatal(err)
 	}
 	if fused.FidelityLowerBound() <= plain.FidelityLowerBound() {

@@ -154,10 +154,7 @@ func TestNoiseModelTrajectoriesConsistent(t *testing.T) {
 	// With noise on, the state must remain a valid pure state (norm 1)
 	// and be deterministic for a fixed seed even across ranks.
 	run := func(ranks int) []complex128 {
-		s := newSim(t, 6, ranks, 8, func(c *Config) { c.Seed = 31 })
-		if err := s.SetNoise(&NoiseModel{Prob: 0.3}); err != nil {
-			t.Fatal(err)
-		}
+		s := newSim(t, 6, ranks, 8, func(c *Config) { c.Seed, c.Noise = 31, 0.3 })
 		if err := s.Run(quantum.GHZ(6)); err != nil {
 			t.Fatal(err)
 		}
@@ -182,10 +179,7 @@ func TestNoiseChangesState(t *testing.T) {
 	if err := clean.Run(quantum.GHZ(6)); err != nil {
 		t.Fatal(err)
 	}
-	noisy := newSim(t, 6, 1, 8, func(c *Config) { c.Seed = 32 })
-	if err := noisy.SetNoise(&NoiseModel{Prob: 0.5}); err != nil {
-		t.Fatal(err)
-	}
+	noisy := newSim(t, 6, 1, 8, func(c *Config) { c.Seed, c.Noise = 32, 0.5 })
 	if err := noisy.Run(quantum.GHZ(6)); err != nil {
 		t.Fatal(err)
 	}
@@ -203,73 +197,15 @@ func TestNoiseChangesState(t *testing.T) {
 	}
 }
 
-// TestNoiseProbZeroMatchesNilModel: a Prob == 0 channel can never fire,
-// so installing it must be indistinguishable from no model at all —
-// same amplitudes, same measurement outcomes, same codec traffic, and
-// (the part the old code got wrong on the gate-at-a-time path) zero
-// draws from the per-rank noise stream. Phase 2 proves the streams
-// stayed aligned: after upgrading both sims to a live channel, the
-// injected Pauli trajectories must still be bit-identical — had the
-// Prob == 0 phase consumed variates, they would diverge.
-func TestNoiseProbZeroMatchesNilModel(t *testing.T) {
-	mk := func(m *NoiseModel) *Simulator {
-		// DisableSweeps forces every gate down the gate-at-a-time path
-		// where the per-gate noise allreduce and draws used to happen.
-		s := newSim(t, 6, 2, 8, func(c *Config) { c.Seed = 33; c.DisableSweeps = true })
-		if err := s.SetNoise(m); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	nilSim, zeroSim := mk(nil), mk(&NoiseModel{Prob: 0})
-	cir := quantum.QFT(6, 9)
-	cir.Measure(0).Measure(3)
-	for _, s := range []*Simulator{nilSim, zeroSim} {
-		if err := s.Run(cir); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a, b := nilSim.Measurements(), zeroSim.Measurements(); len(a) != 2 || a[0] != b[0] || a[1] != b[1] {
-		t.Fatalf("measurements diverge: %v vs %v", a, b)
-	}
-	a, _ := nilSim.FullState()
-	b, _ := zeroSim.FullState()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("Prob=0 noise changed the state at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	sa, sb := nilSim.Stats(), zeroSim.Stats()
-	if sa.CompressCalls != sb.CompressCalls || sa.DecompressCalls != sb.DecompressCalls || sa.Gates != sb.Gates {
-		t.Fatalf("Prob=0 noise changed codec traffic: %+v vs %+v", sa, sb)
-	}
-
-	// Phase 2: live noise must pick up from identical stream positions.
-	for _, s := range []*Simulator{nilSim, zeroSim} {
-		if err := s.SetNoise(&NoiseModel{Prob: 0.7}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Run(quantum.GHZ(6)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, _ = nilSim.FullState()
-	b, _ = zeroSim.FullState()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("noise streams desynced at %d: the Prob=0 phase consumed rng draws", i)
-		}
-	}
-}
-
 func TestNoiseValidation(t *testing.T) {
-	s := newSim(t, 4, 1, 4, nil)
-	if err := s.SetNoise(&NoiseModel{Prob: 1.5}); err == nil {
+	if _, err := New(Config{Qubits: 4, Ranks: 1, BlockAmps: 4, Noise: 1.5}); err == nil {
 		t.Fatal("probability > 1 accepted")
 	}
-	if err := s.SetNoise(nil); err != nil {
+	s, err := New(Config{Qubits: 4, Ranks: 1, BlockAmps: 4, Noise: 0})
+	if err != nil {
 		t.Fatal(err)
 	}
+	s.Close()
 }
 
 // TestNoisePauliChargesItsOwnRound: the Pauli the noise channel inserts
@@ -277,7 +213,8 @@ func TestNoiseValidation(t *testing.T) {
 // boundary, so a lossy boundary charges two (1−δ) factors, not one — for
 // a target in each index segment (offset, block, rank).
 func TestNoisePauliChargesItsOwnRound(t *testing.T) {
-	s := newSim(t, 8, 2, 8, func(c *Config) { c.MemoryBudget = 1 })
+	// Noise one ulp below 1: every Pauli fires.
+	s := newSim(t, 8, 2, 8, func(c *Config) { c.MemoryBudget, c.Noise = 1, math.Nextafter(1, 0) })
 	// A budget nothing fits exhausts the ladder: every later boundary
 	// runs at the loosest level and settles no requantize round.
 	if err := s.Run(quantum.QFT(8, 1)); err != nil {
@@ -285,10 +222,6 @@ func TestNoisePauliChargesItsOwnRound(t *testing.T) {
 	}
 	if !s.OverBudget() {
 		t.Fatal("the ladder is not exhausted; test is vacuous")
-	}
-	// Prob one ulp below 1: every Pauli fires.
-	if err := s.SetNoise(&NoiseModel{Prob: math.Nextafter(1, 0)}); err != nil {
-		t.Fatal(err)
 	}
 	cir := quantum.NewCircuit(8).H(0).H(4).H(7)
 	want := s.FidelityLowerBound()

@@ -1,40 +1,16 @@
 package core
 
 import (
-	"fmt"
-
 	"qcsim/internal/mpi"
 	"qcsim/internal/quantum"
 )
 
-// NoiseModel implements the paper's future-work direction (§6): folding
-// stochastic device noise into the simulation alongside the (already
-// uncorrelated) compression error. It is a quantum-trajectories
-// depolarizing channel: after each gate, with probability Prob, a
-// uniformly random Pauli is applied to the gate's target qubit.
-type NoiseModel struct {
-	// Prob is the per-gate depolarizing probability in [0, 1).
-	Prob float64
-}
-
-// SetNoise installs (or, with nil, removes) the noise model. Every rank
-// derives the same Pauli insertions from its deterministic noise stream,
-// so the trajectory is consistent across the distributed state.
-func (s *Simulator) SetNoise(m *NoiseModel) error {
-	if m != nil && (m.Prob < 0 || m.Prob >= 1) {
-		return fmt.Errorf("core: depolarizing probability %v out of [0,1)", m.Prob)
-	}
-	s.noise = m
-	return nil
-}
-
-// noiseActive reports whether the depolarizing channel can ever fire.
-// A Prob == 0 model is equivalent to no model at all, so the per-gate
-// error-flag allreduce and the two rng draws the channel would cost are
-// skipped entirely — the execution path (collectives, noise stream,
-// stats) is identical to a nil model.
+// noiseActive reports whether the depolarizing channel (Config.Noise)
+// can ever fire. A noiseless configuration skips the per-gate
+// error-flag allreduce and the two rng draws the channel would cost
+// entirely.
 func (s *Simulator) noiseActive() bool {
-	return s.noise != nil && s.noise.Prob > 0
+	return s.cfg.Noise > 0
 }
 
 // applyNoiseRank draws from the rank's noise stream — identical on every
@@ -51,7 +27,7 @@ func (s *Simulator) noiseActive() bool {
 func (s *Simulator) applyNoiseRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi int) error {
 	u := rs.rng.Float64()
 	pick := rs.rng.Intn(3)
-	if u >= s.noise.Prob {
+	if u >= s.cfg.Noise {
 		return nil
 	}
 	var pauli quantum.Gate

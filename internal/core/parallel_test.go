@@ -20,13 +20,11 @@ func runWorkload(t *testing.T, workers int, budget int64, cache int) *Simulator 
 		c.Workers = workers
 		c.MemoryBudget = budget
 		c.CacheLines = cache
+		c.Noise = 0.05
 	})
 	c := quantum.RandomCircuit(8, 80, 21)
 	c.Measure(2)
 	c.Measure(6)
-	if err := s.SetNoise(&NoiseModel{Prob: 0.05}); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Run(c); err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,7 @@ import (
 // sweepsEnabled reports whether runs are scheduled as maximal group
 // sweeps. A live noise channel forces one-gate sweeps: the depolarizing
 // draw happens after every gate, and an injected Pauli must observe the
-// state with the preceding gate already applied. A Prob == 0 channel
-// can never fire, so it does not cost the batching.
+// state with the preceding gate already applied.
 func (s *Simulator) sweepsEnabled() bool {
 	return !s.cfg.DisableSweeps && !s.noiseActive()
 }
@@ -91,7 +90,7 @@ const (
 // on 7 of its first 20 seeds. The width is read off the configuration,
 // so every rank and every variant of a batch plans the same sweeps.
 func (s *Simulator) sweepWidth() int {
-	if s.cfg.MemoryBudget > 0 && !s.cfg.Uncompressed {
+	if s.cfg.budgeted() {
 		return 1
 	}
 	return groupTargets
@@ -542,7 +541,7 @@ func (s *Simulator) hintPass(rs *rankState, p *blockPass) {
 // budget, a single blob larger than it) does the ladder take over.
 func (s *Simulator) escalate(rs *rankState) bool {
 	s.sampleFootprint(rs)
-	if s.cfg.MemoryBudget <= 0 || s.cfg.Uncompressed || rs.stats.ResidentFootprint <= s.cfg.MemoryBudget {
+	if !s.cfg.budgeted() || rs.stats.ResidentFootprint <= s.cfg.MemoryBudget {
 		return false
 	}
 	if rs.level == len(s.cfg.ErrorLevels) {

@@ -598,10 +598,7 @@ func TestBudgetHoldsAtRest(t *testing.T) {
 // TestSweepsDisabledByNoise: a noise channel must force gate-at-a-time
 // execution (the depolarizing draw fires after every gate).
 func TestSweepsDisabledByNoise(t *testing.T) {
-	s := newSim(t, 6, 1, 16, nil)
-	if err := s.SetNoise(&NoiseModel{Prob: 0.1}); err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, 6, 1, 16, func(c *Config) { c.Noise = 0.1 })
 	if err := s.Run(quantum.NewCircuit(6).H(0).H(1).H(2)); err != nil {
 		t.Fatal(err)
 	}

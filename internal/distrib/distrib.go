@@ -43,6 +43,7 @@ import (
 	"os/exec"
 	"time"
 
+	"qcsim/internal/compress/registry"
 	"qcsim/internal/core"
 	"qcsim/internal/mpi"
 	"qcsim/internal/quantum"
@@ -53,21 +54,31 @@ import (
 const EnvCoordAddr = "QCSIM_COORD_ADDR"
 
 // JobSpec is everything a worker needs to rebuild the coordinator's
-// simulator configuration. Codecs travel by registry name, so custom
-// codecs must be registered (under the same name) in the worker binary
-// too.
+// simulator: its effective configuration, whole, and the circuit.
+// Config's interface fields do not travel. The codecs go by registry
+// name instead, so custom codecs must be registered (under the same
+// name) in the worker binary too, and the worker installs its own
+// launcher.
 type JobSpec struct {
-	Qubits, Ranks, Workers, BlockAmps, CacheLines int
-	MemoryBudget, SpillRAMBudget                  int64
-	SpillDir                                      string
-	ErrorLevels                                   []float64
-	CodecName                                     string // lossy codec registry name; "" → default
-	Uncompressed, FuseGates, DisableSweeps        bool
-	Seed                                          int64
-	NoiseProb                                     float64
-	Circuit                                       []byte // exact binary wire form (see wire.go)
-	MeshTimeout                                   time.Duration
-	GateDelay                                     time.Duration // per-gate pacing (tests/CI)
+	Config                  core.Config // Lossless, Lossy and Launcher nil
+	LosslessName, LossyName string
+	Circuit                 []byte // exact binary wire form (see wire.go)
+	MeshTimeout             time.Duration
+	GateDelay               time.Duration // per-gate pacing (tests/CI)
+}
+
+// config rebuilds the coordinator's configuration on a worker,
+// resolving both codecs through the registry.
+func (j JobSpec) config() (core.Config, error) {
+	cfg := j.Config
+	var err error
+	if cfg.Lossless, err = registry.New(j.LosslessName); err != nil {
+		return cfg, err
+	}
+	if cfg.Lossy, err = registry.New(j.LossyName); err != nil {
+		return cfg, err
+	}
+	return cfg, nil
 }
 
 // helloMsg is the worker's first control message: where its data-plane
@@ -121,57 +132,41 @@ type Options struct {
 	onSpawn func(idx int, cmd *exec.Cmd)
 }
 
-// buildSpec lowers a facade-resolved core.Config to the wire spec.
-func buildSpec(cfg core.Config, noiseProb float64, c *quantum.Circuit, opt Options) (JobSpec, error) {
-	dcfg, err := cfg.ValidatedDefaults()
-	if err != nil {
-		return JobSpec{}, err
-	}
+// buildSpec lowers a simulator's effective configuration (what
+// Simulator.Config returns: validated, every default applied) and one
+// circuit to the wire spec.
+func buildSpec(cfg core.Config, c *quantum.Circuit, opt Options) (JobSpec, error) {
 	wire, err := encodeCircuit(c)
 	if err != nil {
 		return JobSpec{}, err
-	}
-	codecName := ""
-	if dcfg.Lossy != nil {
-		codecName = dcfg.Lossy.Name()
 	}
 	ht := opt.HandshakeTimeout
 	if ht <= 0 {
 		ht = 30 * time.Second
 	}
-	return JobSpec{
-		Qubits:         dcfg.Qubits,
-		Ranks:          dcfg.Ranks,
-		Workers:        dcfg.Workers,
-		BlockAmps:      dcfg.BlockAmps,
-		CacheLines:     dcfg.CacheLines,
-		MemoryBudget:   dcfg.MemoryBudget,
-		SpillRAMBudget: dcfg.SpillRAMBudget,
-		SpillDir:       dcfg.SpillDir,
-		ErrorLevels:    append([]float64(nil), dcfg.ErrorLevels...),
-		CodecName:      codecName,
-		Uncompressed:   dcfg.Uncompressed,
-		FuseGates:      dcfg.FuseGates,
-		DisableSweeps:  dcfg.DisableSweeps,
-		Seed:           dcfg.Seed,
-		NoiseProb:      noiseProb,
-		Circuit:        wire,
-		MeshTimeout:    ht,
-		GateDelay:      opt.GateDelay,
-	}, nil
+	spec := JobSpec{
+		LosslessName: cfg.Lossless.Name(),
+		LossyName:    cfg.Lossy.Name(),
+		Circuit:      wire,
+		MeshTimeout:  ht,
+		GateDelay:    opt.GateDelay,
+	}
+	cfg.Lossless, cfg.Lossy, cfg.Launcher = nil, nil, nil
+	spec.Config = cfg
+	return spec, nil
 }
 
-// Run executes one circuit on sim over real worker processes. cfg and
-// noiseProb are the facade-resolved construction inputs of sim (the
-// workers rebuild their simulators from them), and poll is consulted
-// periodically while the job is in flight — a non-nil return aborts
-// the run (workers are killed, the coordinator state stays pre-run).
-func Run(sim *core.Simulator, cfg core.Config, noiseProb float64, c *quantum.Circuit, opt Options, poll func() error) error {
-	spec, err := buildSpec(cfg, noiseProb, c, opt)
+// Run executes one circuit on sim over real worker processes, which
+// rebuild same-configuration simulators from sim.Config(). poll is
+// consulted periodically while the job is in flight — a non-nil return
+// aborts the run (workers are killed, the coordinator state stays
+// pre-run).
+func Run(sim *core.Simulator, c *quantum.Circuit, opt Options, poll func() error) error {
+	spec, err := buildSpec(sim.Config(), c, opt)
 	if err != nil {
 		return err
 	}
-	size := spec.Ranks
+	size := spec.Config.Ranks
 
 	addr := opt.ListenAddr
 	if addr == "" {

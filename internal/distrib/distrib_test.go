@@ -1,16 +1,22 @@
 package distrib
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"qcsim/internal/compress"
+	"qcsim/internal/compress/lossless"
+	"qcsim/internal/compress/szlike"
 	"qcsim/internal/core"
 	"qcsim/internal/mpi"
 	"qcsim/internal/quantum"
@@ -105,7 +111,7 @@ func TestRunMatchesInProcess(t *testing.T) {
 			}
 			defer sim.Close()
 			opt := Options{WorkerCommand: selfWorker(t), JobTimeout: 2 * time.Minute}
-			if err := Run(sim, tc.cfg, 0, circ, opt, nil); err != nil {
+			if err := Run(sim, circ, opt, nil); err != nil {
 				t.Fatalf("distributed run: %v", err)
 			}
 
@@ -154,6 +160,72 @@ func TestRunMatchesInProcess(t *testing.T) {
 				if d.w != d.g {
 					t.Errorf("Stats.%s differs: in-process %d, distributed %d", d.name, d.w, d.g)
 				}
+			}
+		})
+	}
+}
+
+// TestJobSpecCarriesConfig: a worker rebuilds the coordinator's
+// configuration exactly. Reflection sets every exported non-interface
+// Config field to a non-zero value — so a field added later is covered
+// without editing this test — both codecs carry non-default registry
+// names, and the spec crosses gob as it does on the wire.
+func TestJobSpecCarriesConfig(t *testing.T) {
+	var cfg core.Config
+	v := reflect.ValueOf(&cfg).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, sf := v.Field(i), v.Type().Field(i)
+		switch {
+		case !sf.IsExported() || f.Kind() == reflect.Interface:
+		case f.CanInt():
+			f.SetInt(int64(i + 2))
+		case f.CanFloat():
+			f.SetFloat(0.25)
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.Kind() == reflect.String:
+			f.SetString(sf.Name)
+		case f.Type() == reflect.TypeOf([]float64(nil)):
+			f.Set(reflect.ValueOf([]float64{1e-3, 1e-1}))
+		default:
+			t.Fatalf("Config.%s is a %s, which this test cannot fill", sf.Name, f.Type())
+		}
+	}
+	cfg.Lossless = lossless.New(true) // "zstd-like+shuffle"
+	cfg.Lossy = szlike.NewB()         // "sz-b"
+
+	spec, err := buildSpec(cfg, quantum.GHZ(3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if err := gob.NewEncoder(&wire).Encode(spec); err != nil {
+		t.Fatal(err)
+	}
+	var shipped JobSpec
+	if err := gob.NewDecoder(&wire).Decode(&shipped); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := shipped.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want, got := reflect.ValueOf(cfg), reflect.ValueOf(rebuilt)
+	for i := 0; i < want.NumField(); i++ {
+		if !want.Type().Field(i).IsExported() {
+			continue
+		}
+		t.Run(want.Type().Field(i).Name, func(t *testing.T) {
+			w, g := want.Field(i).Interface(), got.Field(i).Interface()
+			if wc, ok := w.(compress.Codec); ok {
+				if gc, _ := g.(compress.Codec); gc == nil || gc.Name() != wc.Name() {
+					t.Fatalf("codec %q arrived as %v", wc.Name(), g)
+				}
+				return
+			}
+			if !reflect.DeepEqual(w, g) {
+				t.Fatalf("sent %v, worker built %v", w, g)
 			}
 		})
 	}
@@ -208,7 +280,7 @@ func TestWorkerKilledMidRun(t *testing.T) {
 	defer killer.Stop()
 
 	start := time.Now()
-	err = Run(sim, cfg, 0, circ, opt, nil)
+	err = Run(sim, circ, opt, nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("run succeeded despite a killed worker")
@@ -249,7 +321,7 @@ func TestAbortKeepsPreRunState(t *testing.T) {
 		aborting = true
 		pollMu.Unlock()
 	}()
-	err = Run(sim, cfg, 0, circ, Options{
+	err = Run(sim, circ, Options{
 		WorkerCommand: selfWorker(t),
 		JobTimeout:    time.Minute,
 		GateDelay:     20 * time.Millisecond,

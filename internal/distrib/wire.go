@@ -46,7 +46,10 @@ func encodeCircuit(c *quantum.Circuit) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeCircuit parses the exact wire form.
+// decodeCircuit parses the exact wire form. It accepts only what
+// encodeCircuit can produce from a well-formed circuit — no trailing
+// bytes, every gate passing quantum.Circuit.Validate — so whatever it
+// returns re-encodes to the same bytes and is safe to run.
 func decodeCircuit(b []byte) (*quantum.Circuit, error) {
 	bad := func(what string) error { return fmt.Errorf("distrib: truncated circuit wire form (%s)", what) }
 	next := func() (uint64, bool) {
@@ -105,6 +108,12 @@ func decodeCircuit(b []byte) (*quantum.Circuit, error) {
 			}
 		}
 		c.Gates = append(c.Gates, g)
+	}
+	if len(b) > 0 {
+		return nil, fmt.Errorf("distrib: %d trailing bytes after the circuit wire form", len(b))
+	}
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("distrib: circuit wire form: %w", err)
 	}
 	return c, nil
 }

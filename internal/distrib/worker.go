@@ -7,7 +7,6 @@ import (
 	"net"
 	"time"
 
-	"qcsim/internal/compress/registry"
 	"qcsim/internal/core"
 	"qcsim/internal/mpi"
 	"qcsim/internal/mpi/tcpnet"
@@ -75,27 +74,9 @@ func runAssignment(ln net.Listener, as assignMsg) resultMsg {
 		return resultMsg{Err: err.Error(), RankDied: errors.Is(err, mpi.ErrRankDied)}
 	}
 	spec := as.Spec
-	cfg := core.Config{
-		Qubits:         spec.Qubits,
-		Ranks:          spec.Ranks,
-		Workers:        spec.Workers,
-		BlockAmps:      spec.BlockAmps,
-		CacheLines:     spec.CacheLines,
-		MemoryBudget:   spec.MemoryBudget,
-		SpillRAMBudget: spec.SpillRAMBudget,
-		SpillDir:       spec.SpillDir,
-		ErrorLevels:    spec.ErrorLevels,
-		Uncompressed:   spec.Uncompressed,
-		FuseGates:      spec.FuseGates,
-		DisableSweeps:  spec.DisableSweeps,
-		Seed:           spec.Seed,
-	}
-	if spec.CodecName != "" {
-		codec, err := registry.New(spec.CodecName)
-		if err != nil {
-			return fail(fmt.Errorf("distrib: rank %d: %w (custom codecs must be registered in the worker binary)", as.Rank, err))
-		}
-		cfg.Lossy = codec
+	cfg, err := spec.config()
+	if err != nil {
+		return fail(fmt.Errorf("distrib: rank %d: %w (custom codecs must be registered in the worker binary)", as.Rank, err))
 	}
 	circ, err := decodeCircuit(spec.Circuit)
 	if err != nil {
@@ -114,11 +95,6 @@ func runAssignment(ln net.Listener, as assignMsg) resultMsg {
 		return fail(err)
 	}
 	defer sim.Close()
-	if spec.NoiseProb > 0 {
-		if err := sim.SetNoise(&core.NoiseModel{Prob: spec.NoiseProb}); err != nil {
-			return fail(err)
-		}
-	}
 	if err := sim.InstallRank(as.Rank, as.Blocks, as.Level); err != nil {
 		return fail(err)
 	}

@@ -1,6 +1,10 @@
 package quantum
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"slices"
+)
 
 // Circuit is an ordered gate list over N qubits. Builder methods append
 // gates and return the circuit for chaining.
@@ -21,20 +25,51 @@ func NewCircuit(n int) *Circuit {
 // gates for the simulation cost model, §5.5).
 func (c *Circuit) Depth() int { return len(c.Gates) }
 
-// check validates gate operands. Gates touch at most a few qubits, so a
-// quadratic scan over the argument slice beats allocating a set on every
-// append — this sits on the circuit-builder hot path.
-func (c *Circuit) check(qs ...int) {
-	for i, q := range qs {
-		if q < 0 || q >= c.N {
-			panic(fmt.Sprintf("quantum: qubit %d out of range [0,%d)", q, c.N))
+// operandsErr is the one operand rule, shared by the builders (which
+// panic on it) and Validate: the target and every control lie in [0, n)
+// and no qubit appears twice in one gate. Gates touch at most a few
+// qubits, so a quadratic scan beats allocating a set — this sits on the
+// circuit-builder hot path.
+func operandsErr(n, target int, controls []int) error {
+	if target < 0 || target >= n {
+		return fmt.Errorf("quantum: qubit %d out of range [0,%d)", target, n)
+	}
+	for i, q := range controls {
+		if q < 0 || q >= n {
+			return fmt.Errorf("quantum: qubit %d out of range [0,%d)", q, n)
 		}
-		for _, p := range qs[:i] {
-			if p == q {
-				panic(fmt.Sprintf("quantum: duplicate qubit %d in one gate", q))
-			}
+		if q == target || slices.Contains(controls[:i], q) {
+			return fmt.Errorf("quantum: duplicate qubit %d in one gate", q)
 		}
 	}
+	return nil
+}
+
+// check panics on operands the builders must never append.
+func (c *Circuit) check(target int, controls ...int) {
+	if err := operandsErr(c.N, target, controls); err != nil {
+		panic(err.Error())
+	}
+}
+
+// Validate reports the first malformed gate of a circuit that was not
+// built through the checked builders — decoded off a wire, or assembled
+// by hand: a register narrower than one qubit, a gate kind other than
+// KindUnitary and KindMeasure (that error wraps errors.ErrUnsupported),
+// or an operand the builders would have refused.
+func (c *Circuit) Validate() error {
+	if c.N < 1 {
+		return fmt.Errorf("quantum: circuit needs ≥1 qubit, got %d", c.N)
+	}
+	for i, g := range c.Gates {
+		if g.Kind != KindUnitary && g.Kind != KindMeasure {
+			return fmt.Errorf("quantum: gate %d has unknown kind %d: %w", i, g.Kind, errors.ErrUnsupported)
+		}
+		if err := operandsErr(c.N, g.Target, g.Controls); err != nil {
+			return fmt.Errorf("%w (gate %d)", err, i)
+		}
+	}
+	return nil
 }
 
 // Apply appends a named single-qubit unitary on target.
@@ -47,8 +82,7 @@ func (c *Circuit) Apply(name string, u Matrix2, target int) *Circuit {
 // ApplyControlled appends a controlled unitary: u fires on target iff all
 // controls are |1⟩.
 func (c *Circuit) ApplyControlled(name string, u Matrix2, target int, controls ...int) *Circuit {
-	qs := append([]int{target}, controls...)
-	c.check(qs...)
+	c.check(target, controls...)
 	cs := append([]int(nil), controls...)
 	c.Gates = append(c.Gates, Gate{Name: name, Target: target, Controls: cs, U: u})
 	return c

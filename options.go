@@ -20,7 +20,6 @@ var DefaultErrorLevels = core.DefaultErrorLevels
 type settings struct {
 	cfg         core.Config
 	codecName   string
-	noiseProb   float64
 	sampleCache int
 	backend     string
 	bondDim     int
@@ -64,8 +63,8 @@ func WithMemoryBudget(bytes int64) Option {
 }
 
 // WithErrorLevels replaces the escalation ladder of pointwise relative
-// error bounds (strictly increasing, tightest first). Default
-// DefaultErrorLevels.
+// error bounds (each in (0,1), strictly increasing, tightest first;
+// anything else is ErrBadConfig from New). Default DefaultErrorLevels.
 func WithErrorLevels(bounds ...float64) Option {
 	return func(s *settings) { s.cfg.ErrorLevels = append([]float64(nil), bounds...) }
 }
@@ -156,10 +155,14 @@ func WithVariants(k int) Option {
 }
 
 // WithNoise installs a quantum-trajectories depolarizing channel: after
-// each gate, with probability prob (in [0,1)), a uniformly random Pauli
-// hits the gate's target qubit. Default 0 (noiseless).
+// each gate, with probability prob, a uniformly random Pauli hits the
+// gate's target qubit. prob must lie in [0,1) (anything else, NaN
+// included, is ErrBadConfig from New). Default 0 (noiseless). The mps
+// backend has no noise channel (ErrBadConfig) and auto routes a noisy
+// circuit to the compressed engine, whose TCP transport ships the
+// channel to its workers with the rest of the configuration.
 func WithNoise(prob float64) Option {
-	return func(s *settings) { s.noiseProb = prob }
+	return func(s *settings) { s.cfg.Noise = prob }
 }
 
 // WithSeed seeds every random stream the simulator owns — measurement
@@ -167,13 +170,6 @@ func WithNoise(prob float64) Option {
 // deterministic. Default 0.
 func WithSeed(seed int64) Option {
 	return func(s *settings) { s.cfg.Seed = seed }
-}
-
-// WithGateFusion folds runs of adjacent single-qubit gates on the same
-// target into one unitary before execution, cutting the per-gate
-// decompress/recompress sweeps proportionally.
-func WithGateFusion(enabled bool) Option {
-	return func(s *settings) { s.cfg.FuseGates = enabled }
 }
 
 // WithSweeps toggles the sweep scheduler (default on): maximal runs of
@@ -264,8 +260,10 @@ func WithWorkerCommand(argv ...string) Option {
 }
 
 // resolve turns the accumulated settings into a core configuration,
-// resolving the codec name through the registry.
-func (s *settings) resolve(qubits int) (core.Config, float64, error) {
+// resolving the codec name through the registry. The configuration's
+// own ranges are core's to check (core.Config.ValidatedDefaults); resolve
+// checks what only the facade knows about.
+func (s *settings) resolve(qubits int) (core.Config, error) {
 	cfg := s.cfg
 	cfg.Qubits = qubits
 	if s.sampleCache == 0 {
@@ -274,49 +272,46 @@ func (s *settings) resolve(qubits int) (core.Config, float64, error) {
 	if s.codecName != "" {
 		codec, err := registry.New(s.codecName)
 		if err != nil {
-			return cfg, 0, fmt.Errorf("%w: %q (have %v)", ErrUnknownCodec, s.codecName, Codecs())
+			return cfg, fmt.Errorf("%w: %q (have %v)", ErrUnknownCodec, s.codecName, Codecs())
 		}
 		cfg.Lossy = codec
-	}
-	if s.noiseProb < 0 || s.noiseProb >= 1 {
-		return cfg, 0, fmt.Errorf("%w: depolarizing probability %v out of [0,1)", ErrBadConfig, s.noiseProb)
 	}
 	if s.variants == 0 {
 		s.variants = 1
 	}
 	if s.variants < 1 {
-		return cfg, 0, fmt.Errorf("%w: variant count %d (need ≥ 1)", ErrBadConfig, s.variants)
+		return cfg, fmt.Errorf("%w: variant count %d (need ≥ 1)", ErrBadConfig, s.variants)
 	}
 	if s.bondDim == 0 {
 		s.bondDim = DefaultBondDim
 	}
 	if s.bondDim < 2 {
-		return cfg, 0, fmt.Errorf("%w: bond dimension %d too small (need ≥ 2)", ErrBadConfig, s.bondDim)
+		return cfg, fmt.Errorf("%w: bond dimension %d too small (need ≥ 2)", ErrBadConfig, s.bondDim)
 	}
 	switch s.backend {
 	case "", BackendCompressed, BackendMPS, BackendAuto:
 	default:
-		return cfg, 0, fmt.Errorf("%w: unknown backend %q (have %q, %q, %q)",
+		return cfg, fmt.Errorf("%w: unknown backend %q (have %q, %q, %q)",
 			ErrBadConfig, s.backend, BackendCompressed, BackendMPS, BackendAuto)
 	}
-	if s.backend == BackendMPS && s.noiseProb > 0 {
-		return cfg, 0, fmt.Errorf("%w: the mps backend has no noise channel (use the compressed backend)", ErrBadConfig)
+	if s.backend == BackendMPS && cfg.Noise > 0 {
+		return cfg, fmt.Errorf("%w: the mps backend has no noise channel (use the compressed backend)", ErrBadConfig)
 	}
 	switch s.transport {
 	case "", TransportInProcess, TransportTCP:
 	default:
-		return cfg, 0, fmt.Errorf("%w: unknown transport %q (have %q, %q)",
+		return cfg, fmt.Errorf("%w: unknown transport %q (have %q, %q)",
 			ErrBadConfig, s.transport, TransportInProcess, TransportTCP)
 	}
 	if s.transport == TransportTCP && (s.backend == BackendMPS || s.backend == BackendAuto) {
-		return cfg, 0, fmt.Errorf("%w: the %s transport distributes the compressed engine only (drop WithBackend(%q))",
+		return cfg, fmt.Errorf("%w: the %s transport distributes the compressed engine only (drop WithBackend(%q))",
 			ErrBadConfig, TransportTCP, s.backend)
 	}
 	if len(s.workerCmd) > 0 && s.transport != TransportTCP {
-		return cfg, 0, fmt.Errorf("%w: WithWorkerCommand requires WithTransport(%q)", ErrBadConfig, TransportTCP)
+		return cfg, fmt.Errorf("%w: WithWorkerCommand requires WithTransport(%q)", ErrBadConfig, TransportTCP)
 	}
 	if s.workerCmd != nil && (len(s.workerCmd) == 0 || s.workerCmd[0] == "") {
-		return cfg, 0, fmt.Errorf("%w: empty worker command", ErrBadConfig)
+		return cfg, fmt.Errorf("%w: empty worker command", ErrBadConfig)
 	}
-	return cfg, s.noiseProb, nil
+	return cfg, nil
 }

@@ -61,28 +61,26 @@ func New(qubits int, opts ...Option) (*Simulator, error) {
 			o(&st)
 		}
 	}
-	cfg, noiseProb, err := st.resolve(qubits)
+	cfg, err := st.resolve(qubits)
 	if err != nil {
 		return nil, err
 	}
-	p := &pendingAuto{qubits: qubits, cfg: cfg, noiseProb: noiseProb, bondDim: st.bondDim}
+	p := &pendingAuto{qubits: qubits, cfg: cfg, bondDim: st.bondDim}
 	sim := &Simulator{qubits: qubits, sampleCache: st.sampleCache}
+	if st.backend == BackendAuto || st.backend == BackendMPS {
+		// The compressed engine validates its configuration in core.New.
+		// Auto defers that engine (and its state allocation) to the first
+		// Run and mps never builds it, but its knobs (ranks, block size,
+		// levels, ...) must still be coherent: a config typo should not
+		// pass or fail depending on which backend name it rides in with.
+		if _, err := cfg.ValidatedDefaults(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+		}
+	}
 	switch st.backend {
 	case BackendAuto:
-		// Defer the engine (and its state allocation) to the first Run,
-		// but fail fast on configurations neither candidate could use.
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
 		sim.pending = p
 	case BackendMPS:
-		// The compressed-engine knobs (ranks, block size, levels, ...)
-		// are inert on this backend, but they must still be coherent —
-		// a config typo should not pass or fail depending on which
-		// backend name it rides in with.
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
 		sim.be, err = p.build(BackendMPS)
 		if err != nil {
 			return nil, err
@@ -93,7 +91,7 @@ func New(qubits int, opts ...Option) (*Simulator, error) {
 			return nil, err
 		}
 		if st.transport == TransportTCP {
-			sim.be = newDistBackend(sim.be.(compressedBackend), cfg, noiseProb, st.workerCmd)
+			sim.be = newDistBackend(sim.be.(compressedBackend), st.workerCmd)
 		}
 	}
 	return sim, nil
@@ -182,8 +180,7 @@ func (s *Simulator) compressedOnly(op string, inProcess bool) (*core.Simulator, 
 type ProgressEvent struct {
 	// Gate is the 0-based index of the gate that just completed.
 	Gate int
-	// Total is the number of gates in this run (after gate fusion, if
-	// enabled).
+	// Total is the number of gates in this run.
 	Total int
 	// Name is the gate's name (e.g. "h", "cx", "measure").
 	Name string
@@ -195,8 +192,8 @@ type ProgressEvent struct {
 // calls (Stats, FidelityLowerBound, footprint) reflect the simulator's
 // cumulative totals; Gates and Measurements cover this call only.
 type Result struct {
-	// Gates is the number of gates this call executed (after fusion; on
-	// a cancelled run, the completed prefix).
+	// Gates is the number of gates this call executed (on a cancelled
+	// run, the completed prefix).
 	Gates int
 	// Measurements holds the outcomes of measurement gates executed by
 	// this call, in order.
@@ -248,7 +245,11 @@ func (s *Simulator) closedErr() error {
 }
 
 // runnable is the guard every circuit-executing method (Run, RunBatch,
-// Gradient) calls first: an open simulator and a circuit of its width.
+// Gradient) calls first, on every backend: an open simulator and a
+// well-formed circuit of its width. A circuit assembled by hand rather
+// than through the checked builders may carry an operand outside the
+// register or a qubit twice in one gate (ErrInvalidQubit) or a gate kind
+// no engine knows (ErrBadConfig).
 func (s *Simulator) runnable(c *circuit.Circuit) error {
 	if err := s.closedErr(); err != nil {
 		return err
@@ -258,6 +259,12 @@ func (s *Simulator) runnable(c *circuit.Circuit) error {
 	}
 	if c.N != s.qubits {
 		return fmt.Errorf("%w: circuit has %d qubits, simulator %d", ErrCircuitMismatch, c.N, s.qubits)
+	}
+	if err := c.Validate(); err != nil {
+		if errors.Is(err, errors.ErrUnsupported) {
+			return fmt.Errorf("%w: %v", ErrBadConfig, err)
+		}
+		return fmt.Errorf("%w: %v", ErrInvalidQubit, err)
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ func TestOptionRoundTrip(t *testing.T) {
 		{"WithCodecAlias", []Option{WithCodec("solution-d")}, func(c core.Config) bool { return c.Lossy != nil && c.Lossy.Name() == "xor-d" }},
 		{"WithCache", []Option{WithCache(8)}, func(c core.Config) bool { return c.CacheLines == 8 }},
 		{"WithSeed", []Option{WithSeed(99)}, func(c core.Config) bool { return c.Seed == 99 }},
-		{"WithGateFusion", []Option{WithGateFusion(true)}, func(c core.Config) bool { return c.FuseGates }},
+		{"WithNoise", []Option{WithNoise(0.2)}, func(c core.Config) bool { return c.Noise == 0.2 }},
 		{"WithSweepsDefaultOn", nil, func(c core.Config) bool { return !c.DisableSweeps }},
 		{"WithSweepsOff", []Option{WithSweeps(false)}, func(c core.Config) bool { return c.DisableSweeps }},
 		{"WithSweepsOn", []Option{WithSweeps(false), WithSweeps(true)}, func(c core.Config) bool { return !c.DisableSweeps }},
@@ -48,15 +48,6 @@ func TestOptionRoundTrip(t *testing.T) {
 				t.Fatalf("option did not round-trip into core.Config: %+v", cfg)
 			}
 		})
-	}
-	// WithNoise has no core.Config field (it installs a NoiseModel);
-	// verify the valid range constructs and determinism holds.
-	sim, err := New(6, WithNoise(0.2), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(context.Background(), circuit.GHZ(6)); err != nil {
-		t.Fatal(err)
 	}
 }
 
