@@ -52,7 +52,7 @@ func main() {
 		spillRAM    = flag.Int64("spill-ram", 0, "per-rank resident budget in bytes for -spill (0 = adopt the -budget-frac budget)")
 		noise       = flag.Float64("noise", 0, "per-gate depolarizing probability")
 		fuse        = flag.Bool("fuse", false, "fuse adjacent single-qubit gates before execution")
-		sweeps      = flag.Bool("sweeps", true, "batch runs of gates on offset qubits and up to two block qubits into one codec pass over groups of up to four blocks (off reproduces the paper's one-pass-per-gate cost model)")
+		sweeps      = flag.Bool("sweeps", true, "batch runs of gates on offset qubits and up to three block qubits into one codec pass over groups of up to eight blocks (off reproduces the paper's one-pass-per-gate cost model)")
 		batchK      = flag.Int("batch", 0, "run a K-variant lockstep batch of the parameterized ansatz (-circuit qaoa or vqe), one seeded binding per variant")
 		grad        = flag.Bool("grad", false, "compute the parameter-shift MAXCUT gradient of the QAOA ansatz (-circuit qaoa) in one lockstep batch")
 		transport   = flag.String("transport", "inprocess", "rank runtime: inprocess (goroutine ranks) or tcp (one worker process per rank)")

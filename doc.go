@@ -128,14 +128,14 @@
 // by default; WithSweeps(false) restores the paper's exact cost model)
 // spends one codec pass on a whole run of gates. A group sweep is a
 // maximal run of consecutive gates whose targets are offset qubits
-// (bits inside one block) or at most two distinct block-segment qubits:
-// the pass walks the groups of blocks that differ only in those qubits'
-// bits — one block, a pair, or four — decompresses a group once,
-// applies all k gates in circuit order and recompresses only the blocks
-// some gate touched. The two blocks beyond Eq. 8's pair that a group of
-// four needs are scratch a worker holds only while a Run makes such
+// (bits inside one block) or at most three distinct block-segment
+// qubits: the pass walks the groups of blocks that differ only in those
+// qubits' bits — one block, a pair, four or eight — decompresses a group
+// once, applies all k gates in circuit order and recompresses only the
+// blocks some gate touched. The blocks beyond Eq. 8's pair that a larger
+// group needs are scratch a worker holds only while a Run makes such
 // passes. Controls may sit anywhere — they select amplitudes, blocks or
-// ranks and are not members of a group. A sweep is broken by a third
+// ranks and are not members of a group. A sweep is broken by a fourth
 // block-segment target (a second under WithMemoryBudget, whose at-rest
 // rule settles the budget between pair sweeps), a rank-segment target
 // (a block exchange), a measurement, or (with WithNoise) any gate at

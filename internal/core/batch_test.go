@@ -141,7 +141,10 @@ func TestQuickRunBatchBitIdentical(t *testing.T) {
 // must resolve its shared work through the batch memo. Both executors
 // iterate one plan, so the ideal is derived from it rather than from a
 // fixed ratio: a variant pays the codec only from the sweep that holds
-// its shifted gate onwards, everything before is the base's work.
+// its shifted gate onwards, everything before is the base's work. The
+// blocks hold 8 amplitudes, leaving five block qubits: at 32 the three
+// left would fit one 8-block sweep, a plan of one sweep with no prefix
+// to share.
 func TestRunBatchSharesCodecWork(t *testing.T) {
 	const qubits, p, k = 8, 1, 5
 	ansatz := quantum.QAOAAnsatz(qubits, p, 11)
@@ -165,7 +168,7 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 		}
 		shifted[v] = occ.Gate
 	}
-	sims := batchSims(t, qubits, 1, 32, k, nil)
+	sims := batchSims(t, qubits, 1, 8, k, nil)
 	baseStats := sims[0].Stats()
 	if err := RunBatch(sims, circuits, RunControl{}); err != nil {
 		t.Fatal(err)
@@ -184,7 +187,7 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 	// soloFrom runs cir alone and returns the codec calls it issues from
 	// the sweep holding gate `from` onwards.
 	soloFrom := func(cir *quantum.Circuit, from int) int64 {
-		solo := newSim(t, qubits, 1, 32, nil)
+		solo := newSim(t, qubits, 1, 8, nil)
 		calls := func() int64 { st := solo.ranks[0].stats; return st.CompressCalls + st.DecompressCalls }
 		var atSweep []int64 // calls issued before each sweep of the plan
 		if err := solo.RunControlled(cir, RunControl{PollAbort: func() error {

@@ -177,30 +177,57 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 // hashes here and must still miss, in the block cache and in the batch
 // memo alike.
 func TestCacheKeyVerifiedBehindHash(t *testing.T) {
-	a, b, c3, d := []byte{'A'}, []byte{0, 'B'}, []byte{'C'}, []byte{0, 'D'}
-	mk := func(sig string, level int, in ...[]byte) blockKey {
+	// group is a full group's inputs, members alternately one byte and
+	// two bytes with a leading zero, so that moving one byte across any
+	// boundary between adjacent members keeps their concatenation.
+	group := func() [][]byte {
+		in := make([][]byte, groupSize)
+		for m := range in {
+			if in[m] = []byte{'A' + byte(m)}; m%2 == 1 {
+				in[m] = []byte{0, 'A' + byte(m)}
+			}
+		}
+		return in
+	}
+	with := func(edit func(in [][]byte)) [][]byte {
+		in := group()
+		edit(in)
+		return in
+	}
+	mk := func(sig string, level int, in [][]byte) blockKey {
 		return blockKey{passKey: passKey{sig: sig, level: level}, in: members(in...), hash: 42}
 	}
-	variant := mk("s", 0, a, b, c3, d)
+	variant := mk("s", 0, group())
 	variant.variant = 2
-	base := mk("s", 0, a, b, c3, d)
+	base := mk("s", 0, group())
 	others := map[string]blockKey{
-		"member 0-1 boundary":  mk("s", 0, []byte{'A', 0}, []byte{'B'}, c3, d),
-		"member 1-2 boundary":  mk("s", 0, a, []byte{0}, []byte{'B', 'C'}, d),
-		"member 2-3 boundary":  mk("s", 0, a, b, []byte{'C', 0}, []byte{'D'}),
-		"sig-member boundary":  mk("s\x00", 0, a, b, c3, d),
-		"level":                mk("s", 1, a, b, c3, d),
-		"level truncation":     mk("s", 256, a, b, c3, d),
-		"absent member 3":      mk("s", 0, a, b, c3, nil),
-		"absent member 1":      mk("s", 0, a, nil, c3, d),
-		"members 2, 3 swapped": mk("s", 0, a, b, d, c3),
-		"signature":            mk("t", 0, a, b, c3, d),
+		"sig-member boundary":  mk("s\x00", 0, group()),
+		"level":                mk("s", 1, group()),
+		"level truncation":     mk("s", 256, group()),
+		"absent member 7":      mk("s", 0, with(func(in [][]byte) { in[7] = nil })),
+		"absent member 1":      mk("s", 0, with(func(in [][]byte) { in[1] = nil })),
+		"members 2, 3 swapped": mk("s", 0, with(func(in [][]byte) { in[2], in[3] = in[3], in[2] })),
+		"members 6, 7 swapped": mk("s", 0, with(func(in [][]byte) { in[6], in[7] = in[7], in[6] })),
+		"signature":            mk("t", 0, group()),
 		"control variant":      variant,
+	}
+	for m := 0; m+1 < groupSize; m++ {
+		others[fmt.Sprintf("member %d-%d boundary", m, m+1)] = mk("s", 0, with(func(in [][]byte) {
+			cat := append(append([]byte(nil), in[m]...), in[m+1]...)
+			cut := 2 // {X}{0 Y} → {X 0}{Y}
+			if m%2 == 1 {
+				cut = 1 // {0 X}{Y} → {0}{X Y}
+			}
+			in[m], in[m+1] = cat[:cut], cat[cut:]
+		}))
 	}
 	var st Stats
 	c := newBlockCache(8)
 	memo := newBatchMemo()
-	outs := members([]byte{1}, []byte{2}, []byte{3}, []byte{4})
+	var outs [groupSize][]byte
+	for m := range outs {
+		outs[m] = []byte{byte(m + 1)}
+	}
 	c.put(base, outs, nil)
 	if _, ok, _ := memo.get(base, &st); ok { // the claim
 		t.Fatal("an empty memo hits")
@@ -241,7 +268,7 @@ func TestCacheKeyVerifiedBehindHash(t *testing.T) {
 		t.Error("hash ignores the control variant")
 	}
 	for name, k := range others {
-		if k.variant == 0 && k.level == 0 && k.sig == "s" && hash("s", 0, 0, k.in[:]...) == hash("s", 0, 0, a, b, c3, d) {
+		if k.variant == 0 && k.level == 0 && k.sig == "s" && hash("s", 0, 0, k.in[:]...) == hash("s", 0, 0, base.in[:]...) {
 			t.Errorf("hash ignores the %s", name)
 		}
 	}
@@ -447,14 +474,14 @@ func TestNoEnginePathWritesThroughBlobs(t *testing.T) {
 
 // TestCacheHitZeroAlloc holds the hit path — read the members' slots,
 // build the key, look it up, store the shared outputs — to zero
-// allocations, for groups of one, two and four blocks.
+// allocations, for groups of one, two, four and eight blocks.
 func TestCacheHitZeroAlloc(t *testing.T) {
 	var st Stats
 	c := newBlockCache(4)
 	store := blockstore.NewRAM(groupSize)
 	in := bytes.Repeat([]byte{7}, 100)
 	pass := newPassKey("h 3", 0)
-	for _, size := range []int{1, 2, groupSize} {
+	for _, size := range []int{1, 2, 4, groupSize} {
 		var blobs [groupSize][]byte
 		for m := 0; m < size; m++ {
 			store.Put(m, in)

@@ -23,6 +23,33 @@ import (
 
 var checkpointMagic = [8]byte{'Q', 'C', 'S', 'I', 'M', 'C', 'K', '1'}
 
+// maxCheckpointGates is the largest gate count Load accepts: 2^53, which
+// no run reaches (at a microsecond a gate it takes 285 years) and up to
+// which the count is exact as a float64.
+const maxCheckpointGates = 1 << 53
+
+// readChunk is the most readArrived allocates ahead of the bytes read.
+const readChunk = 1 << 20
+
+// readArrived reads exactly n bytes from r. Its buffer starts at
+// readChunk and then doubles, each time only once the bytes before have
+// arrived, ending at exactly n: a length field that promises more than
+// the stream holds costs a chunk, not the promise.
+func readArrived(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*cap(buf))), buf...)
+		}
+		k, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 // Save writes the full simulator state (geometry, ledger, measurement
 // log, per-rank levels and compressed blocks) to w.
 func (s *Simulator) Save(w io.Writer) error {
@@ -91,38 +118,52 @@ func (s *Simulator) Save(w io.Writer) error {
 // restored simulator shares blobs the way the saved one did. The live
 // state is swapped only after the trailing checksum verifies: any
 // failure leaves the simulator exactly as it was.
+//
+// The header is held to what Save writes before anything is read on
+// its word: a ledger in [0, 1], at most maxCheckpointGates gates, no
+// more measurements than gates, outcomes 0 or 1. The measurement log
+// and every blob grow only as their bytes arrive (readArrived), so no
+// length field can make Load allocate memory the stream does not back.
+// Every refusal wraps ErrBadCheckpoint; a spill failure while staging
+// wraps blockstore.ErrSpill.
 func (s *Simulator) Load(r io.Reader) error {
 	h := fnv.New64a()
 	tr := io.TeeReader(r, h)
 	var magic [8]byte
 	if _, err := io.ReadFull(tr, magic[:]); err != nil {
-		return fmt.Errorf("core: checkpoint header: %w", err)
+		return fmt.Errorf("%w: header: %w", ErrBadCheckpoint, err)
 	}
 	if magic != checkpointMagic {
-		return fmt.Errorf("core: not a checkpoint (magic %q)", magic[:])
+		return fmt.Errorf("%w: not a checkpoint (magic %q)", ErrBadCheckpoint, magic[:])
 	}
 	var hdr [7]uint64
-	for i := range hdr {
-		if err := binary.Read(tr, binary.LittleEndian, &hdr[i]); err != nil {
-			return fmt.Errorf("core: checkpoint header: %w", err)
-		}
+	if err := binary.Read(tr, binary.LittleEndian, &hdr); err != nil {
+		return fmt.Errorf("%w: header: %w", ErrBadCheckpoint, err)
 	}
 	if int(hdr[0]) != s.cfg.Qubits || int(hdr[1]) != s.rankBits ||
 		int(hdr[2]) != s.blockBits || int(hdr[3]) != s.offsetBits {
-		return fmt.Errorf("core: checkpoint geometry (q=%d ρ=%d β=%d ω=%d) does not match simulator (q=%d ρ=%d β=%d ω=%d)",
-			hdr[0], hdr[1], hdr[2], hdr[3], s.cfg.Qubits, s.rankBits, s.blockBits, s.offsetBits)
+		return fmt.Errorf("%w: geometry (q=%d ρ=%d β=%d ω=%d) does not match simulator (q=%d ρ=%d β=%d ω=%d)",
+			ErrBadCheckpoint, hdr[0], hdr[1], hdr[2], hdr[3], s.cfg.Qubits, s.rankBits, s.blockBits, s.offsetBits)
 	}
 	ledger := math.Float64frombits(hdr[4])
-	gatesRun := int(hdr[5])
-	nMeas := int(hdr[6])
-	if nMeas < 0 || nMeas > gatesRun {
-		return fmt.Errorf("core: checkpoint measurement count %d invalid", nMeas)
+	if !(ledger >= 0 && ledger <= 1) { // NaN fails too
+		return fmt.Errorf("%w: fidelity ledger %v outside [0, 1]", ErrBadCheckpoint, ledger)
+	}
+	if hdr[5] > maxCheckpointGates {
+		return fmt.Errorf("%w: gate count %d above %d", ErrBadCheckpoint, hdr[5], uint64(maxCheckpointGates))
+	}
+	if hdr[6] > hdr[5] {
+		return fmt.Errorf("%w: %d measurements in %d gates", ErrBadCheckpoint, hdr[6], hdr[5])
+	}
+	gatesRun, nMeas := int(hdr[5]), int(hdr[6])
+	outcomes, err := readArrived(tr, nMeas)
+	if err != nil {
+		return fmt.Errorf("%w: measurements: %w", ErrBadCheckpoint, err)
 	}
 	meas := make([]int, nMeas)
-	for i := range meas {
-		var m uint8
-		if err := binary.Read(tr, binary.LittleEndian, &m); err != nil {
-			return fmt.Errorf("core: checkpoint measurements: %w", err)
+	for i, m := range outcomes {
+		if m > 1 {
+			return fmt.Errorf("%w: measurement %d has outcome %d", ErrBadCheckpoint, i, m)
 		}
 		meas[i] = int(m)
 	}
@@ -148,20 +189,20 @@ func (s *Simulator) Load(r io.Reader) error {
 		var level uint8
 		if err := binary.Read(tr, binary.LittleEndian, &level); err != nil {
 			closeStaging()
-			return fmt.Errorf("core: checkpoint rank %d: %w", ri, err)
+			return fmt.Errorf("%w: rank %d: %w", ErrBadCheckpoint, ri, err)
 		}
 		if int(level) > len(s.cfg.ErrorLevels) {
 			closeStaging()
-			return fmt.Errorf("core: checkpoint level %d out of range", level)
+			return fmt.Errorf("%w: level %d out of range", ErrBadCheckpoint, level)
 		}
 		var nb uint32
 		if err := binary.Read(tr, binary.LittleEndian, &nb); err != nil {
 			closeStaging()
-			return fmt.Errorf("core: checkpoint rank %d: %w", ri, err)
+			return fmt.Errorf("%w: rank %d: %w", ErrBadCheckpoint, ri, err)
 		}
 		if int(nb) != s.blocksPerRank() {
 			closeStaging()
-			return fmt.Errorf("core: checkpoint rank %d has %d blocks, want %d", ri, nb, s.blocksPerRank())
+			return fmt.Errorf("%w: rank %d has %d blocks, want %d", ErrBadCheckpoint, ri, nb, s.blocksPerRank())
 		}
 		levels[ri] = int(level)
 		st, err := s.newStore(ri)
@@ -174,16 +215,16 @@ func (s *Simulator) Load(r io.Reader) error {
 			var bl uint32
 			if err := binary.Read(tr, binary.LittleEndian, &bl); err != nil {
 				closeStaging()
-				return fmt.Errorf("core: checkpoint block length: %w", err)
+				return fmt.Errorf("%w: block length: %w", ErrBadCheckpoint, err)
 			}
 			if bl > 1<<30 {
 				closeStaging()
-				return fmt.Errorf("core: checkpoint block of %d bytes implausible", bl)
+				return fmt.Errorf("%w: block of %d bytes implausible", ErrBadCheckpoint, bl)
 			}
-			blob := make([]byte, bl)
-			if _, err := io.ReadFull(tr, blob); err != nil {
+			blob, err := readArrived(tr, int(bl))
+			if err != nil {
 				closeStaging()
-				return fmt.Errorf("core: checkpoint block: %w", err)
+				return fmt.Errorf("%w: block: %w", ErrBadCheckpoint, err)
 			}
 			sum := maphash.Bytes(keySeed, blob)
 			if first, seen := interned[sum]; seen && bytes.Equal(first, blob) {
@@ -193,7 +234,7 @@ func (s *Simulator) Load(r io.Reader) error {
 				// and a corrupt checkpoint must be rejected before commit.
 				if err := s.decodeBlob(blob, scratch); err != nil {
 					closeStaging()
-					return fmt.Errorf("core: checkpoint rank %d undecodable: %w", ri, err)
+					return fmt.Errorf("%w: rank %d undecodable: %w", ErrBadCheckpoint, ri, err)
 				}
 				if !seen && int64(bl) <= room {
 					interned[sum] = blob
@@ -210,11 +251,11 @@ func (s *Simulator) Load(r io.Reader) error {
 	var got uint64
 	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
 		closeStaging()
-		return fmt.Errorf("core: checkpoint checksum: %w", err)
+		return fmt.Errorf("%w: checksum: %w", ErrBadCheckpoint, err)
 	}
 	if got != want {
 		closeStaging()
-		return fmt.Errorf("core: checkpoint checksum mismatch (file %#x, computed %#x)", got, want)
+		return fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrBadCheckpoint, got, want)
 	}
 	// Commit: swap each rank onto its staged store.
 	s.version++

@@ -2,9 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"math"
 	"os"
+	"runtime"
 	"testing"
 
+	"qcsim/internal/blockstore"
 	"qcsim/internal/compress"
 	"qcsim/internal/compress/lossless"
 	"qcsim/internal/quantum"
@@ -249,6 +255,143 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	}
 }
 
+// saved is s's checkpoint bytes.
+func saved(t testing.TB, s *Simulator) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Offsets into a checkpoint: the header words after the magic, then the
+// measurement outcomes.
+const (
+	ckptLedgerAt = 8 + 8*4
+	ckptGatesAt  = 8 + 8*5
+	ckptNMeasAt  = 8 + 8*6
+	ckptMeasAt   = 8 + 8*7
+)
+
+// TestLoadRefusesHostileHeaders: a checkpoint whose header no Save
+// writes is refused with ErrBadCheckpoint, even when its checksum holds,
+// and the refused Load leaves the simulator as it was. Length fields
+// that promise more bytes than the stream holds cost no allocation of
+// that size: the 2^50-measurement header used to panic in makeslice
+// before the checksum was read, and a 2^36 one asked for 512 GiB.
+func TestLoadRefusesHostileHeaders(t *testing.T) {
+	src := newSim(t, 6, 1, 8, nil)
+	if err := src.Run(quantum.NewCircuit(6).H(0).H(4).Measure(0).H(1)); err != nil {
+		t.Fatal(err)
+	}
+	good := saved(t, src)
+	// edit rewrites a copy of good and recomputes its trailing checksum.
+	edit := func(f func(b []byte)) []byte {
+		b := bytes.Clone(good)
+		f(b)
+		h := fnv.New64a()
+		h.Write(b[:len(b)-8])
+		binary.LittleEndian.PutUint64(b[len(b)-8:], h.Sum64())
+		return b
+	}
+	word := func(at int, v uint64) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[at:], v) }
+	}
+	// cut is good's first end bytes with the words at the given offsets
+	// replaced: a header whose promised bytes never arrive.
+	cut := func(end int, words map[int]uint64) []byte {
+		b := bytes.Clone(good[:end])
+		for at, v := range words {
+			binary.LittleEndian.PutUint64(b[at:], v)
+		}
+		return b
+	}
+	// One measurement, then rank 0's level byte and block count.
+	blockLenAt := ckptMeasAt + 1 + 1 + 4
+	cases := []struct {
+		name string
+		ckpt []byte
+	}{
+		{"ledger NaN", edit(word(ckptLedgerAt, math.Float64bits(math.NaN())))},
+		{"ledger 2", edit(word(ckptLedgerAt, math.Float64bits(2)))},
+		{"ledger -0.5", edit(word(ckptLedgerAt, math.Float64bits(-0.5)))},
+		{"outcome 7", edit(func(b []byte) { b[ckptMeasAt] = 7 })},
+		{"2^62 gates", edit(word(ckptGatesAt, 1<<62))},
+		{"more measurements than gates", edit(word(ckptNMeasAt, 1<<20))},
+		{"2^50 measurements", cut(ckptMeasAt, map[int]uint64{ckptGatesAt: 1 << 50, ckptNMeasAt: 1 << 50})},
+		{"2^36 measurements", cut(ckptMeasAt, map[int]uint64{ckptGatesAt: 1 << 36, ckptNMeasAt: 1 << 36})},
+		{"1 GiB block", append(cut(blockLenAt+4, nil), 1, 2, 3)},
+	}
+	binary.LittleEndian.PutUint32(cases[len(cases)-1].ckpt[blockLenAt:], 1<<30)
+	s := newSim(t, 6, 1, 8, nil)
+	if err := s.Load(bytes.NewReader(edit(func([]byte) {}))); err != nil {
+		t.Fatalf("the unedited checkpoint with its checksum recomputed: %v", err)
+	}
+	if err := s.Run(quantum.NewCircuit(6).H(2).Measure(2)); err != nil {
+		t.Fatal(err)
+	}
+	before := saved(t, s)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			err := s.Load(bytes.NewReader(tc.ckpt))
+			runtime.ReadMemStats(&m1)
+			if !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("Load returned %v, want ErrBadCheckpoint", err)
+			}
+			if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 16<<20 {
+				t.Errorf("the refused Load allocated %d MiB", grew>>20)
+			}
+			if !bytes.Equal(saved(t, s), before) {
+				t.Error("the refused Load changed the simulator")
+			}
+		})
+	}
+}
+
+// FuzzCheckpointLoad: Load never panics on arbitrary bytes. A refusal
+// wraps ErrBadCheckpoint (or blockstore.ErrSpill) and leaves the
+// simulator as it was; an accepted input is a checkpoint, so Save
+// writes back exactly the bytes Load consumed. The seeds are both
+// fixtures and a fresh 6-qubit Save, each loaded into a simulator of
+// its own geometry; every input is tried on all three.
+func FuzzCheckpointLoad(f *testing.F) {
+	fresh := newSim(f, 6, 2, 8, nil)
+	if err := fresh.Run(quantum.NewCircuit(6).H(0).H(3).Measure(3).CNOT(0, 5)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved(f, fresh))
+	for _, name := range []string{"checkpoint_pr15_qft8_half.bin", "checkpoint_pr18_qft_budget_lossy.bin"} {
+		ckpt, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(ckpt)
+	}
+	sims := []*Simulator{newSim(f, 6, 2, 8, nil), newSim(f, 8, 2, 16, nil), lossyCheckpointSim(f)}
+	f.Fuzz(func(t *testing.T, ckpt []byte) {
+		for _, s := range sims {
+			before := saved(t, s)
+			r := bytes.NewReader(ckpt)
+			err := s.Load(r)
+			if err != nil {
+				if !errors.Is(err, ErrBadCheckpoint) && !errors.Is(err, blockstore.ErrSpill) {
+					t.Fatalf("Load refused with an untyped error: %v", err)
+				}
+				if !bytes.Equal(saved(t, s), before) {
+					t.Fatalf("the refused Load (%v) changed the simulator", err)
+				}
+				continue
+			}
+			if read := ckpt[:len(ckpt)-r.Len()]; !bytes.Equal(saved(t, s), read) {
+				t.Fatalf("accepted %d bytes that Save does not write back", len(read))
+			}
+		}
+	})
+}
+
 // decodeCounter counts Decompress calls.
 type decodeCounter struct {
 	compress.Codec
@@ -329,7 +472,7 @@ func TestLoadInternsIdenticalBlobs(t *testing.T) {
 // a budget of a tenth of the raw state (the benchmark's qft-budget at
 // test scale; a quarter does not bind this early), xor-c, cut at level 3
 // of the ladder. The file is what Run(first) then Save wrote at PR 18.
-func lossyCheckpointSim(t *testing.T) *Simulator {
+func lossyCheckpointSim(t testing.TB) *Simulator {
 	return newSim(t, 12, 1, 256, func(c *Config) {
 		c.MemoryBudget = 1 << (12 + 4) / 10
 		c.CacheLines = 8

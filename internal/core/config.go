@@ -7,9 +7,8 @@
 // compressed form. A gate decompresses at most two blocks per worker
 // into scratch buffers (the paper's MCDRAM working set, Eq. 8), applies
 // the 2×2 unitary to the amplitude pairs, and recompresses; a sweep of
-// gates on two block-segment qubits decompresses a group of four once
-// for all of them (sweep.go).
-// A hybrid adaptive pipeline (§3.7) starts lossless and relaxes through
+// gates on up to three block-segment qubits decompresses a group of up
+// to eight blocks once for all of them (sweep.go). A hybrid adaptive pipeline (§3.7) starts lossless and relaxes through
 // pointwise-relative bounds 1E-5 → 1E-1 whenever the compressed
 // footprint exceeds the memory budget, while the fidelity ledger tracks
 // the lower bound Π(1-δᵢ) (Eq. 11). A 64-line LRU compressed-block
@@ -49,7 +48,7 @@ type Config struct {
 	// pair allocated on first schedule, so a rank that actually fans
 	// out holds up to Workers copies of the Eq. 8 working set
 	// (32·BlockAmps bytes each) between runs. During a Run, a worker
-	// that executes a 4-block group sweep holds up to 64·BlockAmps
+	// that executes an 8-block group sweep holds up to 128·BlockAmps
 	// bytes, dropped again when the Run returns. None of it is charged
 	// against MemoryBudget: like the paper's MCDRAM buffers, it is
 	// uncompressed scratch. Results are bit-identical for every worker
@@ -106,9 +105,9 @@ type Config struct {
 	Launcher mpi.Launcher
 	// DisableSweeps turns off the sweep scheduler, which by default
 	// batches maximal runs of consecutive gates whose targets are in the
-	// offset segment or on at most two block-segment qubits (one under a
-	// MemoryBudget; see sweep.go) into one decompress → apply-all →
-	// recompress pass over groups of up to four blocks. Sweeps are
+	// offset segment or on at most three block-segment qubits (one under
+	// a MemoryBudget; see sweep.go) into one decompress → apply-all → recompress pass over
+	// groups of up to eight blocks. Sweeps are
 	// bit-identical to gate-at-a-time execution under the lossless codec
 	// and only raise the Eq. 11 ledger under lossy codecs (one
 	// recompression — hence one (1-δ) charge — per sweep instead of per

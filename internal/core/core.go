@@ -106,10 +106,10 @@ type rankState struct {
 type workerState struct {
 	id   int // index in the rank's pool
 	x, y []float64
-	// wide is the scratch a 4-block group needs beyond the pair. It is
-	// allocated on the worker's first such pass of a Run and dropped when
-	// the Run returns (runLockstep), so between runs a worker holds its
-	// Eq. 8 pair alone.
+	// wide is the scratch a 4- or 8-block group needs beyond the pair.
+	// Each buffer is allocated on the worker's first pass of a Run that
+	// needs it and dropped when the Run returns (runLockstep), so between
+	// runs a worker holds its Eq. 8 pair alone.
 	wide  [groupSize - 2][]float64
 	stats Stats
 }

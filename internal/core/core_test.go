@@ -23,7 +23,7 @@ var geometries = []struct {
 	{"16ranks-2blocks", 16, 8},
 }
 
-func newSim(t *testing.T, qubits, ranks, blockAmps int, extra func(*Config)) *Simulator {
+func newSim(t testing.TB, qubits, ranks, blockAmps int, extra func(*Config)) *Simulator {
 	t.Helper()
 	cfg := Config{Qubits: qubits, Ranks: ranks, BlockAmps: blockAmps, Seed: 1}
 	if extra != nil {

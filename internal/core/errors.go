@@ -33,4 +33,11 @@ var (
 	// used twice in one gate — refused by Run and RunBatch before any
 	// gate executes.
 	ErrInvalidGate = errors.New("core: invalid gate")
+
+	// ErrBadCheckpoint roots every checkpoint Load refuses: bad magic,
+	// a geometry other than the simulator's, a header value no Save
+	// writes, a truncated or corrupt stream, an undecodable block. A
+	// refused Load leaves the simulator as it was. Spill I/O failures
+	// while staging the blocks wrap blockstore.ErrSpill instead.
+	ErrBadCheckpoint = errors.New("core: bad checkpoint")
 )

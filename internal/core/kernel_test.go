@@ -83,25 +83,26 @@ var kernelMatrices = []struct {
 }
 
 // TestKernelMatchesGeneral2x2Bits pins the one property of the class
-// kernels nothing else in the repository sees: that a diagonal or swap
-// short form produces the general 2×2's float64 BITS, signed zeros
-// included. (-1+0i)·(0+0i) is (-0, +0), and the 2×2's "+ 0·a1" term
-// turns it back into +0; a short form that drops the term keeps -0, and
-// a raw or lossless blob differs by that bit. Removing the zero
-// fallback from any class loop in kernel passes every other test in the
-// repository — conformance, the bit-identity suites, the harness's
-// pinned counters — because they compare the engine against itself or
-// within a tolerance; this test compares it against the old loop.
+// kernels nothing else in the repository sees (with
+// TestKernelNegZeroRule): that a diagonal or swap short form produces
+// the general 2×2's float64 BITS, signed zeros included. (-1+0i)·(0+0i)
+// is (-0, +0), and the 2×2's "+ 0·a1" term turns it back into +0; a
+// short form that drops the term keeps -0, and a raw or lossless blob
+// differs by that bit. Removing the -0 fallback from any class loop in
+// kernel passes every other test in the repository — conformance, the
+// bit-identity suites, the harness's pinned counters — because they
+// compare the engine against itself or within a tolerance; this test
+// compares it against the old loop.
 //
-// It does so on groups of one, two and four blocks: block-target gates
-// on either group stride, controlled on the other group qubit and on a
-// block qubit outside the group, so it also pins which members apply
-// pairs (and fired counts) for every group shape.
+// It does so on groups of one, two, four and eight blocks: block-target
+// gates on each group stride, controlled on the other group qubits and
+// on a block qubit outside the group, so it also pins which members
+// apply pairs (and fired counts) for every group shape.
 func TestKernelMatchesGeneral2x2Bits(t *testing.T) {
 	const (
 		offsetBits = 5
 		ba         = 1 << offsetBits
-		blkBit     = 4 // a block control outside every group
+		blkBit     = 8 // a block control outside every group
 	)
 	rng := rand.New(rand.NewSource(17))
 	component := func() float64 {
@@ -144,7 +145,7 @@ func TestKernelMatchesGeneral2x2Bits(t *testing.T) {
 		if got := classify(m.u); got != m.class {
 			t.Errorf("%s: classified %d, want %d", m.name, got, m.class)
 		}
-		for _, span := range []int{0, 1, 2, 3} {
+		for _, span := range []int{0, 1, 2, 3, 7} {
 			var targets []target
 			for q := 0; q < offsetBits; q++ {
 				targets = append(targets, target{tMask: 1 << q})
@@ -221,6 +222,39 @@ func TestKernelMatchesGeneral2x2Bits(t *testing.T) {
 	t.Logf("%d passes compared bit for bit", passes)
 }
 
+// TestKernelNegZeroRule holds every kernelMatrices entry's class loop to
+// full on every pair whose four components come from {+0, -0, ±1, ±the
+// smallest subnormal, ±huge}, bit for bit: the exhaustive side of the
+// -0 rule. The subnormals make products that underflow to a signed
+// zero, so a short result can be -0 where neither input is; huge is
+// large enough to matter and small enough that no entry's products
+// overflow (the rule is for finite results).
+func TestKernelNegZeroRule(t *testing.T) {
+	tiny, huge := math.SmallestNonzeroFloat64, math.MaxFloat64/4
+	values := []float64{0, negZero, 1, -1, tiny, -tiny, huge, -huge}
+	buf := make([]float64, 4) // one block of two amplitudes: the pair (0, 1)
+	for _, m := range kernelMatrices {
+		g := newPassGate(m.u, 1, 0, 0, 0)
+		for _, ar0 := range values {
+			for _, ai0 := range values {
+				for _, ar1 := range values {
+					for _, ai1 := range values {
+						copy(buf, []float64{ar0, ai0, ar1, ai1})
+						g.kernel(buf, buf)
+						n0, n1 := g.full(complex(ar0, ai0), complex(ar1, ai1))
+						for i, want := range []float64{real(n0), imag(n0), real(n1), imag(n1)} {
+							if math.Float64bits(buf[i]) != math.Float64bits(want) {
+								t.Fatalf("%s on (%v, %v), (%v, %v): component %d is %v (%#x), full gives %v (%#x)",
+									m.name, ar0, ai0, ar1, ai1, i, buf[i], math.Float64bits(buf[i]), want, math.Float64bits(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRunLenWalksSupersets: the stride walk visits exactly the offsets
 // the old per-amplitude test accepted, in increasing order.
 func TestRunLenWalksSupersets(t *testing.T) {
@@ -250,9 +284,11 @@ func TestRunLenWalksSupersets(t *testing.T) {
 // amplitude updated: t=0 is the shortest run the stride walk makes (one
 // pair), t=mid the common case, ctrl=1 a controlled gate (half the pairs
 // fire), pair the block-segment target across two blocks, group the
-// same target across both pairs of a 4-block group. Dense random input,
-// so the zero fallback never fires — the regime of every workload but
-// Grover's.
+// same target across both pairs of a 4-block group, group8 across the
+// four pairs of an 8-block group. Dense random input never passes the
+// zero pre-filter — the regime of every workload but Grover's; the
+// /sparse variants draw half the components as ±0, so the pre-filter
+// passes on most pairs and the -0 test decides, as on Grover's ancillas.
 func BenchmarkKernel(b *testing.B) {
 	const offsetBits = 12 // the engine's default block
 	const ba = 1 << offsetBits
@@ -271,6 +307,22 @@ func BenchmarkKernel(b *testing.B) {
 		{"ctrl=1", 1 << (offsetBits / 2), 0, 1 << 3, 0},
 		{"pair", 0, 1, 0, 1},
 		{"group", 0, 1, 0, 3},
+		{"group8", 0, 1, 0, 7},
+	}
+	inputs := []struct {
+		suffix string
+		draw   func(rng *rand.Rand) float64
+	}{
+		{"", func(rng *rand.Rand) float64 { return rng.NormFloat64() }},
+		{"/sparse", func(rng *rand.Rand) float64 {
+			switch rng.Intn(4) {
+			case 0:
+				return 0
+			case 1:
+				return negZero
+			}
+			return rng.NormFloat64()
+		}},
 	}
 	rng := rand.New(rand.NewSource(1))
 	var bufs [groupSize][]float64
@@ -279,30 +331,32 @@ func BenchmarkKernel(b *testing.B) {
 	}
 	for _, c := range classes {
 		for _, sh := range shapes {
-			b.Run(c.name+"/"+sh.name, func(b *testing.B) {
-				p := newBlockPass(passKey{}, []passGate{newPassGate(c.u, sh.tMask, sh.stride, sh.offCtrl, 0)}, sh.span, 0)
-				amps := p.size * ba
-				if sh.offCtrl != 0 {
-					amps /= 2
-				}
-				for _, buf := range bufs {
-					for i := range buf {
-						buf[i] = rng.NormFloat64()
+			for _, in := range inputs {
+				b.Run(c.name+"/"+sh.name+in.suffix, func(b *testing.B) {
+					p := newBlockPass(passKey{}, []passGate{newPassGate(c.u, sh.tMask, sh.stride, sh.offCtrl, 0)}, sh.span, 0)
+					amps := p.size * ba
+					if sh.offCtrl != 0 {
+						amps /= 2
 					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.apply(bufs[:], 0)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(amps), "ns/amp")
-			})
+					for _, buf := range bufs {
+						for i := range buf {
+							buf[i] = in.draw(rng)
+						}
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						p.apply(bufs[:], 0)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(amps), "ns/amp")
+				})
+			}
 		}
 	}
 }
 
 // benchVariants holds K clones of a dense QAOA state on qubits qubits in
 // 4096-amplitude blocks: 13 is a gradient's geometry, two blocks, one
-// pair; 14 is one group of four.
+// pair; 14 is one group of four, 15 one group of eight.
 func benchVariants(b *testing.B, qubits, k, workers int) []*Simulator {
 	b.Helper()
 	base, err := New(Config{Qubits: qubits, Seed: 1, Workers: workers})
@@ -328,9 +382,10 @@ func benchVariants(b *testing.B, qubits, k, workers int) []*Simulator {
 // BenchmarkLockstepPass is one group sweep over K variants that share
 // nothing (each its own rotation angle): the (block, variant) fan-out,
 // codec round trip included, on a pair (13 qubits, a target on the
-// block qubit) and on a group of four (14 qubits, targets on both).
+// block qubit), a group of four (14 qubits, targets on both) and a group
+// of eight (15 qubits, targets on all three).
 func BenchmarkLockstepPass(b *testing.B) {
-	for _, qubits := range []int{13, 14} {
+	for _, qubits := range []int{13, 14, 15} {
 		blocks := 1 << (qubits - 12)
 		for _, k := range []int{1, 8, 79} {
 			for _, workers := range []int{1, 2} {

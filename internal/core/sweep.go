@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"time"
 
@@ -13,22 +14,25 @@ import (
 // A group sweep spends one codec pass on a whole run of gates:
 //
 //   - What joins a sweep: a maximal run of consecutive unitaries whose
-//     targets are offset-segment qubits or at most two distinct
-//     block-segment qubits — one under a memory budget (sweepWidth) —
-//     (quantum.PlanGroupSweeps). Controls may sit
-//     anywhere — an offset control masks amplitudes, a block control
-//     selects which blocks a gate fires on, a rank control which ranks;
-//     none of them is a member of a group. Rank-segment targets (a
-//     block exchange) and measurements (a collective) stay singletons.
-//   - Why two block-segment targets: the pass walks groups of 2^t
-//     blocks, b|sub for every sub made of the sweep's t block strides,
-//     and decompresses a group into the worker's scratch. One target is
-//     the paper's Eq. 8 pair (w.x, w.y); a second doubles the group to
-//     four blocks, and the two extra buffers live only while a Run makes
-//     such passes (workerState.wide), so an idle Simulator still holds
-//     the pair alone. A third target would double the scratch again, to
-//     four times Eq. 8's. A sweep with no block-segment target is the
-//     group of one block.
+//     targets are offset-segment qubits or at most sweepWidth distinct
+//     block-segment qubits — three, or one under a memory budget —
+//     (quantum.PlanGroupSweeps).
+//     Controls may sit anywhere — an offset control masks amplitudes, a
+//     block control selects which blocks a gate fires on, a rank control
+//     which ranks; none of them is a member of a group. Rank-segment
+//     targets (a block exchange) and measurements (a collective) stay
+//     singletons.
+//   - Why up to three block-segment targets: the pass walks groups of
+//     2^t blocks, b|sub for every sub made of the sweep's t block
+//     strides, and decompresses a group into the worker's scratch. One
+//     target is the paper's Eq. 8 pair (w.x, w.y); each further one
+//     doubles the group, and the six extra buffers an 8-block group needs
+//     live only while a Run makes such passes (workerState.wide), so an
+//     idle Simulator still holds the pair alone. A target more lets one
+//     pass carry gates that would otherwise start another — a
+//     decompress → apply → recompress round trip per block (§3.1) — and
+//     lets a cache hit (§3.4) stand for more work. A sweep with no
+//     block-segment target is the group of one block.
 //   - One pass: decompress the members some gate acts on, apply all k
 //     gates in circuit order (an offset-target gate to each member
 //     whose block index satisfies the gate's block controls, a
@@ -72,28 +76,27 @@ func (s *Simulator) planSweeps(gates []quantum.Gate) []quantum.GroupSweep {
 	return quantum.SingletonSweeps(gates, s.offsetBits, s.blockBits)
 }
 
-// groupTargets is the most distinct block-segment targets a sweep
-// carries, and groupSize the most blocks its pass holds decompressed.
-const (
-	groupTargets = 2
-	groupSize    = 1 << groupTargets
-)
+// groupSize is the most blocks a pass holds decompressed: a group of
+// three block-segment targets.
+const groupSize = 8
 
 // sweepWidth is how many block-segment targets this simulator's sweeps
-// may carry: groupTargets, but one — pair sweeps — when a memory budget
-// can escalate the ladder. The at-rest rule settles the budget at sweep
-// boundaries, and a group merges two pair sweeps and the boundary
-// between them, where a state that had just grown past the budget would
-// have been requantized before growing again. Without it the state
-// overshoots further: an 18-qubit QFT from a basis state under a
-// quarter-size budget (perf's qft-budget) peaked 48 % higher with groups
-// on 7 of its first 20 seeds. The width is read off the configuration,
-// so every rank and every variant of a batch plans the same sweeps.
+// may carry: three — groups of eight blocks. One — pair sweeps — when a
+// memory budget can escalate
+// the ladder: the at-rest rule settles the budget at sweep boundaries,
+// and a group merges pair sweeps and the boundaries between them, where
+// a state that had just grown past the budget would have been
+// requantized before growing again. Without it the state overshoots
+// further: an 18-qubit QFT from a basis state under a quarter-size
+// budget (perf's qft-budget) peaked 48 % higher with 4-block groups on 7
+// of its first 20 seeds. The width reads the budget alone — never
+// Workers — so every rank, every variant of a batch and every worker
+// count plans the same sweeps.
 func (s *Simulator) sweepWidth() int {
 	if s.cfg.budgeted() {
 		return 1
 	}
-	return groupTargets
+	return 3
 }
 
 // gateClass is the arithmetic a gate's matrix needs, read off its
@@ -249,11 +252,17 @@ func (p *blockPass) fired(b int) (n [groupSize]int) {
 //
 // Each gate runs the loop of its class: one complex multiply per
 // amplitude for a diagonal, a copy for a swap, else the full 2×2. The
-// terms a short form drops are exact zeros, and r + ±0 == r bit for bit
-// unless r is itself a zero, whose sign the dropped terms decide — so a
-// pair whose short result has a zero component is recomputed in full,
-// and the bytes are the general 2×2's for every finite amplitude
-// (0·Inf is NaN, not ±0): the class never enters passKey.
+// bytes are the general 2×2's — the class never enters passKey — by the
+// −0 rule: a dropped term is u·a with u an exact (±0, ±0) entry and a
+// finite, so each of its components is a signed zero (0·Inf would be
+// NaN). Adding a signed zero changes no nonzero r, and +0 + ±0 == +0;
+// only −0 + +0 == +0 moves a bit. The swap's kept term is 1·x, whose
+// components are x's plus signed zeros the same way, so the same holds.
+// A pair whose short result has a component equal to −0 is therefore
+// recomputed in full, and no other pair needs to be. The real·imag == 0
+// test in front is a pre-filter: any zero component passes it (for
+// finite results), a dense pair never does, so a dense state pays for
+// one multiply and compare per amplitude and never for the sign test.
 func (p *blockPass) apply(bufs [][]float64, b int) {
 	for i := range p.gates {
 		g := &p.gates[i]
@@ -295,7 +304,7 @@ func (g *passGate) kernel(lo, hi []float64) {
 				a1 := complex(h[i-1], h[i])
 				n0 := u00 * a0
 				n1 := u11 * a1
-				if real(n0)*imag(n0) == 0 || real(n1)*imag(n1) == 0 {
+				if (real(n0)*imag(n0) == 0 || real(n1)*imag(n1) == 0) && hasNegZero(n0, n1) {
 					n0, n1 = g.full(a0, a1)
 				}
 				l[i-1], l[i] = real(n0), imag(n0)
@@ -309,7 +318,7 @@ func (g *passGate) kernel(lo, hi []float64) {
 				a0 := complex(l[i-1], l[i])
 				a1 := complex(h[i-1], h[i])
 				n0, n1 := a1, a0
-				if real(n0)*imag(n0) == 0 || real(n1)*imag(n1) == 0 {
+				if (real(n0)*imag(n0) == 0 || real(n1)*imag(n1) == 0) && hasNegZero(n0, n1) {
 					n0, n1 = g.full(a0, a1)
 				}
 				l[i-1], l[i] = real(n0), imag(n0)
@@ -336,6 +345,16 @@ func (g *passGate) kernel(lo, hi []float64) {
 func window(lo, hi []float64, v, t, n int) (l, h []float64) {
 	l = lo[2*(v-t) : 2*(v-t+n)]
 	return l, hi[2*v : 2*(v+n)][:len(l)]
+}
+
+// negZeroBits is the bit pattern of −0.
+const negZeroBits = 1 << 63
+
+// hasNegZero reports whether some component of n0 or n1 is −0: the one
+// case where a class loop's short result may differ from full's.
+func hasNegZero(n0, n1 complex128) bool {
+	return math.Float64bits(real(n0)) == negZeroBits || math.Float64bits(imag(n0)) == negZeroBits ||
+		math.Float64bits(real(n1)) == negZeroBits || math.Float64bits(imag(n1)) == negZeroBits
 }
 
 // full is the general 2×2 on one pair (paper Eq. 6): the definition of

@@ -139,10 +139,10 @@ func TestQuickSweepsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGroupSweepsBitIdentical holds 4-block group sweeps to
-// gate-at-a-time execution where they differ most from a pair: two
-// block-segment targets in one sweep, each controlled on the other, on a
-// block qubit outside the group and on the rank qubit, with offset
+// TestGroupSweepsBitIdentical holds 4- and 8-block group sweeps to
+// gate-at-a-time execution where they differ most from a pair: two or
+// three block-segment targets in one sweep, each controlled on another,
+// on a block qubit outside the group and on the rank qubit, with offset
 // targets controlled on group qubits in between — solo and as a
 // 3-variant batch, with the block cache on and off, through the spill
 // tier, on 1, 2 and 4 workers. Amplitudes, compressed blocks and
@@ -158,20 +158,18 @@ func TestGroupSweepsBitIdentical(t *testing.T) {
 		CPhase(5, 3, 0.7).CNOT(6, 4).PRX(4, quantum.P(0)).CCZ(3, 4, 1)
 	par.H(5).CNOT(5, 3).CCZ(3, 5, 2).PRZ(5, quantum.P(0)).ApplyControlled("ch", quantum.MatH, 3, 4, 5)
 	par.Gates = append(par.Gates, quantum.RandomCircuit(qubits, 30, 3).Gates...)
-	twoTargets := 0
-	for _, sw := range quantum.PlanGroupSweeps(par.Gates, 3, 3, groupTargets) {
+	byTargets := map[int]int{} // sweeps by distinct block targets
+	for _, sw := range quantum.PlanGroupSweeps(par.Gates, 3, 3, 3) {
 		ts := map[int]bool{}
 		for _, g := range par.Gates[sw.Start:sw.End] {
 			if sw.Pass && g.Target >= 3 {
 				ts[g.Target] = true
 			}
 		}
-		if len(ts) == 2 {
-			twoTargets++
-		}
+		byTargets[len(ts)]++
 	}
-	if twoTargets < 2 {
-		t.Fatalf("only %d sweeps carry two block targets; the test is vacuous", twoTargets)
+	if byTargets[2] < 2 || byTargets[3] < 2 {
+		t.Fatalf("sweeps by block targets %v: want at least two 4-block and two 8-block groups; the test is vacuous", byTargets)
 	}
 	for _, k := range []int{1, 3} {
 		circuits := make([]*quantum.Circuit, k)
@@ -221,24 +219,27 @@ func TestGroupSweepsBitIdentical(t *testing.T) {
 // control selects them). The key's control variant keeps those apart;
 // without it the first group's outputs would be handed to all.
 func TestBlockControlInsideSweepWithCache(t *testing.T) {
-	// 3 offset | 4 block bits, one rank: qubits 3..6 index the block.
-	cir := quantum.NewCircuit(7)
-	for q := 0; q < 7; q++ {
-		cir.H(q) // two sweeps (targets 3, 4 | 5, 6); after them all 16 blocks are byte-identical
+	// 3 offset | 6 block bits, one rank: qubits 3..8 index the block —
+	// two sweeps' worth of block targets, so the H layer ends on a sweep
+	// boundary and the sweep under test starts its own.
+	cir := quantum.NewCircuit(9)
+	for q := 0; q < 9; q++ {
+		cir.H(q) // two sweeps (targets 3, 4, 5 | 6, 7, 8); after them all 64 blocks are byte-identical
 	}
-	// Sweep 2, on group targets 3 and 4: each controlled on the other, a
-	// target controlled from block qubit 5 outside the group, an offset
+	// Sweep 3, on group targets 3, 4 and 5: each controlled on another,
+	// a target controlled from block qubit 6 outside the group, an offset
 	// target controlled from a group qubit. Its groups are based at
-	// blocks 0, 4, 8 and 12 and its block controls read bits 1|2|4, so
-	// bases 0 and 8 share a key, 4 and 12 another — and 0 and 4 hold the
-	// same inputs under different variants.
-	cir.ApplyControlled("ch", quantum.MatH, 3, 4).T(0).CPhase(5, 1, 0.3).CPhase(3, 2, 0.7).
-		ApplyControlled("ch", quantum.MatH, 4, 3).ApplyControlled("ch", quantum.MatH, 4, 5).T(1)
-	// Sweep 3, on one block target with controls inside and outside
+	// blocks 0, 8, …, 56 and its block controls read bits 1|2|8, so bases
+	// 0, 16, 32 and 48 share a key, 8, 24, 40 and 56 another — and 0 and
+	// 8 hold the same inputs under different variants.
+	cir.ApplyControlled("ch", quantum.MatH, 3, 4).T(0).CPhase(6, 1, 0.3).CPhase(3, 2, 0.7).
+		ApplyControlled("ch", quantum.MatH, 4, 3).ApplyControlled("ch", quantum.MatH, 5, 3).
+		ApplyControlled("ch", quantum.MatH, 4, 6).T(1)
+	// Sweep 4, on one block target with controls inside and outside
 	// its pair.
-	cir.H(6).CPhase(5, 0, 1.1).CPhase(3, 1, 0.2).CCZ(4, 6, 2)
+	cir.H(7).CPhase(6, 0, 1.1).CPhase(3, 1, 0.2).CCZ(4, 7, 2)
 	run := func(lines int) (*Simulator, []int64) {
-		s := newSim(t, 7, 1, 8, func(c *Config) { c.CacheLines, c.Workers = lines, 1 })
+		s := newSim(t, 9, 1, 8, func(c *Config) { c.CacheLines, c.Workers = lines, 1 })
 		var hitsAt []int64 // cache hits before each sweep
 		if err := s.RunControlled(cir, RunControl{PollAbort: func() error {
 			hitsAt = append(hitsAt, s.ranks[0].stats.CacheHits)
@@ -255,24 +256,25 @@ func TestBlockControlInsideSweepWithCache(t *testing.T) {
 	if len(hitsAt) != 5 {
 		t.Fatalf("the circuit ran as %d sweeps, want 4", len(hitsAt)-1)
 	}
-	if hits := hitsAt[3] - hitsAt[2]; hits != 2 {
-		t.Fatalf("the block-controlled sweep hit the cache %d times, want 2 (bases 8 and 12)", hits)
+	if hits := hitsAt[3] - hitsAt[2]; hits != 6 {
+		t.Fatalf("the block-controlled sweep hit the cache %d times, want 6 (bases 16 to 56)", hits)
 	}
-	compareToReference(t, newSim(t, 7, 1, 8, func(c *Config) { c.CacheLines = 64 }), cir, 1e-12)
+	compareToReference(t, newSim(t, 9, 1, 8, func(c *Config) { c.CacheLines = 64 }), cir, 1e-12)
 }
 
 // TestSweepStats pins what the counters mean on a hand-checked plan:
-// 2 offset | 3 block bits, one rank, eight blocks; qubits 2, 3, 4 are
-// block strides 1, 2, 4.
+// 2 offset | 4 block bits, one rank, sixteen blocks; qubits 2, 3, 4, 5
+// are block strides 1, 2, 4, 8. Four block bits, so that a sweep's
+// three targets leave one over to start the second sweep.
 func TestSweepStats(t *testing.T) {
-	cir := quantum.NewCircuit(5)
-	// Sweep 1 (group targets 2 and 3, groups {0..3} and {4..7}): H(0),
-	// H(2) and H(3) fire on all 8 blocks, CNOT(4→1) on blocks 4..7,
-	// CNOT(3→2) on the pairs (2,3) and (6,7).
-	cir.H(0).H(2).CNOT(4, 1).CNOT(3, 2).H(3)
-	// Sweep 2: block target 4 would be the third, so it starts a sweep.
-	cir.H(4)
-	s := newSim(t, 5, 1, 4, nil)
+	cir := quantum.NewCircuit(6)
+	// Sweep 1 (group targets 2, 3 and 4, groups {0..7} and {8..15}):
+	// H(0), H(2), H(3) and H(4) fire on all 16 blocks, CNOT(5→1) on
+	// blocks 8..15, CNOT(3→2) on the pairs (2,3), (6,7), (10,11), (14,15).
+	cir.H(0).H(2).CNOT(5, 1).CNOT(3, 2).H(3).H(4)
+	// Sweep 2: block target 5 would be the fourth, so it starts a sweep.
+	cir.H(5)
+	s := newSim(t, 6, 1, 4, nil)
 	base := s.Stats()
 	var progress []int
 	polls := 0
@@ -284,20 +286,20 @@ func TestSweepStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Sweeps != 2 || st.SweepGates != 6 {
-		t.Fatalf("%d sweeps over %d gates, want 2 over 6", st.Sweeps, st.SweepGates)
+	if st.Sweeps != 2 || st.SweepGates != 7 {
+		t.Fatalf("%d sweeps over %d gates, want 2 over 7", st.Sweeps, st.SweepGates)
 	}
-	// Sweep 1 fires 3 gates on blocks 0, 1 (2 saved each), 4 on blocks
-	// 2, 3, 4, 5 (3 each) and 5 on blocks 6, 7 (4 each); sweep 2 is one
-	// gate per block, nothing saved.
-	if st.CodecPassesSaved != 24 {
-		t.Fatalf("CodecPassesSaved = %d, want 24", st.CodecPassesSaved)
+	// Sweep 1 fires 4 gates on blocks 0, 1, 4, 5 (3 saved each), 5 on
+	// blocks 2, 3, 6, 7 and 8, 9, 12, 13 (4 each) and 6 on blocks 10,
+	// 11, 14, 15 (5 each); sweep 2 is one gate per block, nothing saved.
+	if st.CodecPassesSaved != 64 {
+		t.Fatalf("CodecPassesSaved = %d, want 64", st.CodecPassesSaved)
 	}
-	if enc := st.CompressCalls - base.CompressCalls; enc != 16 {
-		t.Fatalf("%d encode calls, want 16 (two passes over eight blocks)", enc)
+	if enc := st.CompressCalls - base.CompressCalls; enc != 32 {
+		t.Fatalf("%d encode calls, want 32 (two passes over sixteen blocks)", enc)
 	}
-	if polls != 2 || len(progress) != 6 {
-		t.Fatalf("%d abort polls and %d progress events, want 2 and 6", polls, len(progress))
+	if polls != 2 || len(progress) != 7 {
+		t.Fatalf("%d abort polls and %d progress events, want 2 and 7", polls, len(progress))
 	}
 	for i, gi := range progress {
 		if gi != i {
@@ -309,8 +311,8 @@ func TestSweepStats(t *testing.T) {
 // TestCacheReleasedWhenRunReturns: cache lines pin their blobs outside
 // every footprint ledger, so a run drops them on every way out —
 // success, abort, codec error, a batch — while the cache stays enabled
-// and the next run hits again within its own passes. The scratch a
-// 4-block group needs beyond a worker's Eq. 8 pair goes with them:
+// and the next run hits again within its own passes. The six buffers an
+// 8-block group needs beyond a worker's Eq. 8 pair go with them:
 // between runs no worker holds more than its pair.
 func TestCacheReleasedWhenRunReturns(t *testing.T) {
 	lines := func(s *Simulator) int {
@@ -322,17 +324,19 @@ func TestCacheReleasedWhenRunReturns(t *testing.T) {
 		}
 		return n
 	}
+	// wide is the most buffers beyond its pair any worker of rs holds.
 	wide := func(rs *rankState) int {
-		n := 0
+		most := 0
 		for _, w := range rs.workers {
+			n := 0
 			for _, buf := range w.wide {
 				if buf != nil {
 					n++
-					break
 				}
 			}
+			most = max(most, n)
 		}
-		return n
+		return most
 	}
 	released := func(s *Simulator, after string) {
 		t.Helper()
@@ -341,14 +345,16 @@ func TestCacheReleasedWhenRunReturns(t *testing.T) {
 		}
 		for _, rs := range s.ranks {
 			if n := wide(rs); n != 0 {
-				t.Fatalf("rank %d: %d workers hold group scratch beyond their pair after %s", rs.id, n, after)
+				t.Fatalf("rank %d: a worker holds %d group buffers beyond its pair after %s", rs.id, n, after)
 			}
 		}
 	}
-	// Grover's register is qubits 0..4 and qubits 3, 4 index blocks, so
-	// its H layers are 4-block group sweeps. held is the most workers of
-	// rank 0 seen holding their wide scratch at a sweep boundary (rank 0
-	// polls while the other ranks wait at the broadcast).
+	// Grover's register is qubits 0..4 and its ancillas 5 and 6; qubits
+	// 3..5 index blocks and 6 the rank, so a sweep whose ladder targets
+	// ancilla 5 beside qubits 3 and 4 is an 8-block group. held
+	// is the most wide buffers a worker of rank 0 was seen holding at a
+	// sweep boundary (rank 0 polls while the other ranks wait at the
+	// broadcast): all six of an 8-block group's.
 	cir := quantum.Grover(5, 11, 2)
 	calls := int64(1 << 30)
 	s := newSim(t, cir.N, 2, 8, func(c *Config) {
@@ -363,8 +369,8 @@ func TestCacheReleasedWhenRunReturns(t *testing.T) {
 	if err := s.RunControlled(cir, RunControl{PollAbort: watch}); err != nil {
 		t.Fatal(err)
 	}
-	if held == 0 {
-		t.Fatal("no worker ever held group scratch; the test is vacuous")
+	if held != groupSize-2 {
+		t.Fatalf("a worker held at most %d of the %d wide buffers; the test is vacuous", held, groupSize-2)
 	}
 	first := s.Stats()
 	if first.CacheHits == 0 {
@@ -499,8 +505,8 @@ func TestBudgetKeepsPairSweeps(t *testing.T) {
 		}
 		return most
 	}
-	if n := maxTargets(newSim(t, qubits, 1, blockAmps, nil)); n != groupTargets {
-		t.Fatalf("without a budget the QFT's sweeps carry at most %d block targets, want %d", n, groupTargets)
+	if n := maxTargets(newSim(t, qubits, 1, blockAmps, nil)); n != 3 {
+		t.Fatalf("without a budget the QFT's sweeps carry at most %d block targets, want 3", n)
 	}
 	s := newSim(t, qubits, 1, blockAmps, func(c *Config) { c.MemoryBudget = budget })
 	if n := maxTargets(s); n != 1 {

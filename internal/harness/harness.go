@@ -97,7 +97,11 @@ func Default() Options {
 	}
 }
 
-// Small returns a fast scale for tests.
+// Small returns a fast scale for tests. Its 64-amplitude blocks leave
+// the 10-qubit workloads four block qubits, one more than a sweep
+// carries, so the batch experiment's circuits span several passes and
+// its variants have a common prefix to share; at 128 amplitudes every
+// such circuit is one sweep and shares nothing.
 func Small() Options {
 	return Options{
 		SnapshotQubits:  11,
@@ -113,7 +117,7 @@ func Small() Options {
 		QFTQubits:       10,
 		SupremacyDepth:  8,
 		Table2Ranks:     2,
-		BlockAmps:       128,
+		BlockAmps:       64,
 		MaxWorkers:      4,
 		SampleShots:     256,
 		CrossoverQubits: 10,

@@ -226,12 +226,13 @@ func TestFig14Shape_UncorrelatedAndOverPreserved(t *testing.T) {
 
 // TestFig15Shape_WorkGrowsWithQubits: Fig. 15's curve rises because
 // every added qubit doubles the blocks a Hadamard layer passes through
-// the codec. A sweep carries two block-segment targets, so the layer is
-// ⌈blockQubits/2⌉ group sweeps (at least one), each decoding and
-// encoding every block once, on top of Reset's two encodes — and every
-// second added qubit adds a sweep. The rows' codec-call counts pin
-// exactly that; their millisecond wall clocks, which the test used to
-// compare, do not repeat.
+// the codec. At Small()'s 64-amplitude blocks a sweep carries three
+// block-segment targets, so the layer is ⌈blockQubits/3⌉ group sweeps
+// (at least one), each decoding and encoding every block once, on top
+// of Reset's two encodes — and every third added qubit adds a sweep
+// (8..11 qubits: 2..5 block qubits, one sweep then two). The rows'
+// codec-call counts pin exactly that; their millisecond wall clocks,
+// which the test used to compare, do not repeat.
 func TestFig15Shape_WorkGrowsWithQubits(t *testing.T) {
 	opt := Small()
 	rs, err := Fig15Results(opt)
@@ -243,7 +244,7 @@ func TestFig15Shape_WorkGrowsWithQubits(t *testing.T) {
 	}
 	for _, r := range rs {
 		blockQubits := max(0, r.Qubits-bits.TrailingZeros(uint(opt.BlockAmps)))
-		sweeps := max(1, (blockQubits+1)/2)
+		sweeps := max(1, (blockQubits+2)/3)
 		if want := 2 + int64(2*sweeps)<<blockQubits; r.CodecCalls != want {
 			t.Errorf("%d qubits: %d codec calls, want %d (%d sweeps over %d blocks)", r.Qubits, r.CodecCalls, want, sweeps, 1<<blockQubits)
 		}
@@ -302,7 +303,7 @@ func TestSweepShape(t *testing.T) {
 	pins := []struct {
 		name      string
 		reduction float64
-	}{{"Grover-7q", 282.0 / 2}, {"QAOA-10q", 2368.0 / 144}}
+	}{{"Grover-7q", 548.0 / 4}, {"QAOA-10q", 4608.0 / 256}}
 	if len(rows) != len(pins) {
 		t.Fatalf("expected Grover and QAOA rows, got %v", rows)
 	}
@@ -325,12 +326,17 @@ func TestSweepShape(t *testing.T) {
 // recorded batch width. Its codec-call and shared-pass counts do not
 // depend on the worker count, so they are pinned exactly at one and two
 // workers; the reduction they make is held to atLeastPinned's floor.
+// The sharing needs a plan of several sweeps — a variant shares the
+// sweeps before its shifted gate — so the register must have more
+// block qubits than a sweep carries targets: Small()'s 64-amplitude
+// blocks leave four, where 8-block groups take three (at 128 amplitudes
+// both circuits were one sweep, 144/144/0).
 func TestBatchShape(t *testing.T) {
 	pins := []struct {
 		name                string
 		variants            int
 		solo, batch, shared int64
-	}{{"QAOA-10q", 9, 720, 264, 228}, {"VQE-10q", 9, 720, 336, 192}}
+	}{{"QAOA-10q", 9, 1440, 528, 456}, {"VQE-10q", 9, 1152, 448, 352}}
 	for _, workers := range []int{1, 2} {
 		opt := Small()
 		opt.Workers = workers

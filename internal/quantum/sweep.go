@@ -70,7 +70,8 @@ func PlanSweeps(gates []Gate, offsetBits int) []Sweep {
 // as a single codec pass over the block groups those qubits span — b
 // together with b flipped in every combination of their block bits: a
 // single block when no gate targets the block segment, a pair for one
-// such qubit, four blocks for two. Controls may sit in any segment:
+// such qubit, four blocks for two, eight for three. Controls may sit in
+// any segment:
 // they select amplitudes, blocks or ranks and are never members of a
 // group.
 // Measurements and gates that target the rank segment are singletons
@@ -100,7 +101,9 @@ func sweepTarget(g Gate, offsetBits, blockBits int) (t int, ok bool) {
 // GroupSweep) interleaved with the singletons that cannot join one. A
 // run ends only where the next gate cannot join a pass, or would bring
 // one distinct block-segment target more than width into it; width 1
-// gives pair sweeps, 2 groups of up to four blocks. Like PlanSweeps the
+// gives pair sweeps, 2 groups of up to four blocks, 3 groups of up to
+// eight (the engine picks the width from its block size and budget).
+// Like PlanSweeps the
 // plan never reorders gates and depends only on the gate list, the
 // geometry and the width, so every rank computes the same schedule.
 func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int) []GroupSweep {

@@ -181,7 +181,7 @@ func TestPlanGroupSweeps(t *testing.T) {
 }
 
 // TestQuickPlanGroupSweepsIsAPartition: for any circuit, geometry and
-// width (1 or 2) the plan covers [0, len(gates)) contiguously in order,
+// width (1, 2 or 3) the plan covers [0, len(gates)) contiguously in order,
 // a pass holds only unitaries below the rank segment with at most width
 // distinct block-segment targets, everything else is a singleton, and
 // passes are maximal — the next gate could not have joined, or would
@@ -191,7 +191,7 @@ func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
 		const n = 7
 		offsetBits := 1 + int(offSel)%n
 		blockBits := int(blkSel) % (n - offsetBits + 1)
-		width := 1 + int(widthSel)%2
+		width := 1 + int(widthSel)%3
 		cir := RandomCircuit(n, 1+int(gateCount)%60, seed)
 		cir.Measure(int(uint64(seed) % n))
 		cir.H(int(uint64(seed) % n))

@@ -174,11 +174,11 @@ func WithSeed(seed int64) Option {
 
 // WithSweeps toggles the sweep scheduler (default on): maximal runs of
 // consecutive gates whose targets are offset qubits (inside one
-// compressed block) or at most two distinct block-segment qubits
+// compressed block) or at most three distinct block-segment qubits
 // execute as a single decompress → apply-all → recompress pass over
-// groups of one, two or four blocks instead of one codec round trip per
-// gate; controls may sit anywhere. A sweep is broken by a third
-// block-segment target (a second under WithMemoryBudget), a cross-rank
+// groups of one, two, four or eight blocks instead of one codec round
+// trip per gate; controls may sit anywhere. A sweep is broken by a
+// fourth block-segment target (a second under WithMemoryBudget), a cross-rank
 // target, a measurement, and (when WithNoise is set) every gate, since
 // the depolarizing channel fires per gate.
 // Sweeps are bit-identical to gate-at-a-time execution under the
