@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"qcsim/circuit"
+	"qcsim/internal/compress/codectest"
 	"qcsim/internal/quantum"
 )
 
@@ -108,12 +110,13 @@ func TestRegisterCodec(t *testing.T) {
 	if math.Abs(real(a)-want) > 1e-12 {
 		t.Fatalf("amplitude %v through external codec, want %v", a, want)
 	}
-	// Round-trip it through NewCodec as well (covers the double
-	// adapter).
+	// NewCodec hands back the registered codec itself, which must hold
+	// up when every worker of every rank calls one instance at once.
 	c, err := NewCodec("test-raw")
 	if err != nil {
 		t.Fatal(err)
 	}
+	codectest.ConformanceConcurrent(t, c)
 	in := []float64{1, -2, 0.5}
 	payload, err := c.Compress(nil, in, CodecOptions{Mode: CodecLossless})
 	if err != nil {
@@ -126,6 +129,34 @@ func TestRegisterCodec(t *testing.T) {
 	for i := range in {
 		if in[i] != out[i] {
 			t.Fatal("round-trip through registered codec diverged")
+		}
+	}
+}
+
+// TestCodecRefusesBadOptions: options no codec can honor are an error
+// from every built-in codec, never a silent fallback to another mode.
+func TestCodecRefusesBadOptions(t *testing.T) {
+	rows := []struct {
+		name string
+		opt  CodecOptions
+	}{
+		{"mode 7", CodecOptions{Mode: 7, Bound: 1e-3}},
+		{"pwr bound 0", CodecOptions{Mode: CodecPointwiseRelative}},
+		{"abs bound NaN", CodecOptions{Mode: CodecAbsolute, Bound: math.NaN()}},
+	}
+	data := []float64{0.5, -0.25, 0, 1}
+	for _, name := range Codecs() {
+		if strings.HasPrefix(name, "test-") || strings.HasPrefix(name, "example-") {
+			continue // registered by tests, not built in
+		}
+		c, err := NewCodec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			if _, err := c.Compress(nil, data, row.opt); err == nil {
+				t.Errorf("%s: %s compressed without error", name, row.name)
+			}
 		}
 	}
 }

@@ -252,9 +252,13 @@
 // Compressors are selected by name: WithCodec("sz-a") on a simulator,
 // NewCodec for direct use, Codecs for the list. RegisterCodec plugs
 // third-party codecs into the same namespace so CLIs and RPC frontends
-// can select them by string; see the Codec interface for the contract
-// registered factories must honor (self-describing payloads, exact
-// output counts, error bounds respected, fresh instance per call).
+// can select them by string. Codec, CodecOptions and CodecMode are the
+// engine's own codec interface and options, so a registered codec runs
+// in the engine unwrapped; see the Codec interface for the contract
+// every codec honors (self-describing payloads, exact output counts,
+// error bounds respected and unknown modes refused, pure bytes, safe for
+// concurrent use by every worker of every rank, fresh instance per
+// factory call).
 //
 // # Serving
 //
@@ -340,7 +344,12 @@
 // the fidelity ledger, measurement outcomes, the deterministic Stats
 // counters, and the Table 2 communication volume (BytesMoved) all
 // match exactly, which is what the cross-transport conformance suite
-// pins.
+// pins. The blocks cross by reference under the block store's
+// immutability rule, a worker installs its rank the way Reset and a
+// batch clone do (one install, which restarts the rank's accounting),
+// and the coordinator checks every returned delta before it changes
+// anything: a delta no worker of this configuration could send is
+// refused and the state is kept.
 //
 // Failure semantics: a worker that dies mid-run tears its mesh links
 // down, the failure cascades, every surviving rank unblocks from

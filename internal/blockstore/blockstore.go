@@ -38,9 +38,9 @@ var ErrSpill = errors.New("blockstore: spill I/O failure")
 // returned by Get and Peek are read-only views that stay valid even
 // if the block is later evicted or overwritten. The engine leans on
 // this: one blob may sit in many slots at once (Reset's zero block,
-// every §3.4 cache hit), in the block cache's lines, in a batch memo
-// and in the stores of cloned simulators, and none of them copies
-// it. A single in-place write would corrupt all of them, so code
+// every §3.4 cache hit), in the block cache's lines, in a batch memo,
+// in the stores of cloned simulators and in a distributed run's
+// exported blocks and rank deltas, and none of them copies it. A single in-place write would corrupt all of them, so code
 // that needs different bytes compresses a fresh blob. Footprint and
 // Resident stay logical — the sum of len(blob) over slots, shared
 // or not — which is the quantity the paper's memory story counts.
@@ -93,25 +93,4 @@ type Stats struct {
 	SpillReads    int64 // synchronous read-backs on Get (prefetch misses)
 	PrefetchReads int64 // blocks the async prefetcher staged into RAM
 	PrefetchHits  int64 // Gets served from RAM by a prior prefetch
-}
-
-// Minus subtracts base's counters from s (for baselining a reused
-// store across Reset/Load); the SpilledBytes gauge is carried
-// through unchanged.
-func (s Stats) Minus(base Stats) Stats {
-	s.SpillWrites -= base.SpillWrites
-	s.SpillReads -= base.SpillReads
-	s.PrefetchReads -= base.PrefetchReads
-	s.PrefetchHits -= base.PrefetchHits
-	return s
-}
-
-// Plus adds o's counters to s; the SpilledBytes gauge keeps s's
-// value (callers pass the current store's gauge in s).
-func (s Stats) Plus(o Stats) Stats {
-	s.SpillWrites += o.SpillWrites
-	s.SpillReads += o.SpillReads
-	s.PrefetchReads += o.PrefetchReads
-	s.PrefetchHits += o.PrefetchHits
-	return s
 }

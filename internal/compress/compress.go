@@ -68,15 +68,23 @@ func (o Options) Validate() error {
 	}
 }
 
-// Codec compresses and decompresses blocks of float64 values.
+// Codec compresses and decompresses blocks of float64 values. It is the
+// one codec contract: the built-in codecs implement it, and the public
+// facade's qcsim.Codec is this interface, so codecs registered there
+// must honor every point below.
 //
-// Compress appends the encoded form of src to dst (which may be nil) and
-// returns the extended slice. Decompress writes exactly len(dst) values;
-// the caller must size dst from its own metadata (the simulator knows its
-// block size) — codecs validate the stored count against len(dst).
-//
-// Two contracts the engine leans on:
-//
+//   - Self-describing. Compress appends the encoded form of src to dst
+//     (which may be nil) and returns the extended slice; Decompress
+//     receives only the bytes Compress produced.
+//   - Exact count. Decompress writes exactly len(dst) values; the caller
+//     sizes dst from its own metadata (the simulator knows its block
+//     size), and a codec validates any stored count against len(dst)
+//     and fails on a mismatch rather than writing short.
+//   - Bounds and modes. In Absolute and PointwiseRelative modes every
+//     reconstructed value respects the requested bound: the engine's
+//     fidelity ledger (the paper's Eq. 11) is a lower bound only if it
+//     does. Options a codec cannot honor — an unknown Mode above all —
+//     are an error (Options.Validate), never a silent fallback.
 //   - Exact capacity. When dst has no room for the encoded form, the
 //     slice returned is allocated once, with cap == len (see Grow). The
 //     engine keeps blobs — in the block store, the §3.4 cache, the batch
@@ -87,6 +95,11 @@ func (o Options) Validate() error {
 //     or what a pooled scratch encoded before. Cache keys, checkpoints
 //     compared byte for byte, the bit-identity suites and the
 //     benchmark's exact metrics all assume it.
+//   - Concurrency. A simulator holds one instance per codec role, and
+//     every worker of every rank calls it at once: Compress and
+//     Decompress must be safe for concurrent use
+//     (codectest.ConformanceConcurrent). A registry factory returns a
+//     fresh instance per call, sharing no mutable state with the others.
 type Codec interface {
 	// Name identifies the codec in harness tables (e.g. "sz-a", "xor-c").
 	Name() string

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"qcsim/internal/blockstore"
 	"qcsim/internal/quantum"
 )
 
@@ -21,41 +20,26 @@ func VariantSeed(base int64, v int) int64 {
 }
 
 // Clone builds an independent simulator with the same configuration
-// (seeded with seed) holding the current state: the clone's slots share
-// the (immutable) compressed blobs with this simulator until either
-// side overwrites them, the per-rank error levels, fidelity ledger,
-// gate count, and measurement log carry over, and the stats start
-// fresh from the cloned footprint. The clone owns its stores
-// (and, under a spill configuration, its own spill files) and must be
-// Closed like any simulator.
+// (seeded with seed) holding the current state: each rank is installed
+// from this one's blobs, which both sides share (immutable) until
+// either overwrites them, so a clone costs no codec call. The per-rank
+// error levels and budget latches, fidelity ledger, gate count, and
+// measurement log carry over, and the stats start fresh from the cloned
+// footprint. The clone owns its stores (and, under a spill
+// configuration, its own spill files) and must be Closed like any
+// simulator.
 func (s *Simulator) Clone(seed int64) (*Simulator, error) {
 	cfg := s.cfg
 	cfg.Seed = seed
-	clone, err := New(cfg)
+	clone, err := alloc(cfg)
 	if err != nil {
 		return nil, err
 	}
 	for ri, rs := range s.ranks {
-		crs := clone.ranks[ri]
-		crs.level = rs.level
-		crs.overBudget = rs.overBudget
-		crs.stats = Stats{FinalLevel: rs.level}
-		crs.storeAcc = blockstore.Stats{}
-		crs.storeBase = crs.store.Stats()
-		for b := 0; b < s.blocksPerRank(); b++ {
-			blob, err := rs.store.Peek(b)
-			if err != nil {
-				clone.Close()
-				return nil, err
-			}
-			if err := crs.store.Put(b, blob); err != nil {
-				clone.Close()
-				return nil, err
-			}
+		if err := clone.install(clone.ranks[ri], rs.walk, rs.level, rs.overBudget); err != nil {
+			clone.Close()
+			return nil, err
 		}
-		clone.syncStoreStats(crs)
-		crs.stats.MaxFootprint = crs.stats.CurrentFootprint
-		crs.stats.MaxResident = crs.stats.ResidentFootprint
 	}
 	clone.ledger = s.ledger
 	clone.gatesRun = s.gatesRun

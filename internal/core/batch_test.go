@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -532,4 +533,28 @@ func TestRunBatchValidation(t *testing.T) {
 			t.Fatalf("%s: got %v, want ErrBatchMismatch", name, err)
 		}
 	}
+}
+
+// TestCloneIssuesNoCodecCall: a clone installs the parent's blobs as
+// they are, so it encodes nothing — not even a |0…0⟩ state to throw
+// away — and starts with no codec calls on its books.
+func TestCloneIssuesNoCodecCall(t *testing.T) {
+	s := newSim(t, 8, 2, 16, nil)
+	if err := s.Run(quantum.RandomCircuit(8, 20, 4)); err != nil {
+		t.Fatal(err)
+	}
+	var enc atomic.Int64
+	s.cfg.Lossless = countingCodec{Codec: s.cfg.Lossless, enc: &enc}
+	clone, err := s.Clone(VariantSeed(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clone.Close()
+	if n := enc.Load(); n != 0 {
+		t.Fatalf("Clone issued %d encode calls, want 0", n)
+	}
+	if st := clone.Stats(); st.CompressCalls != 0 || st.DecompressCalls != 0 {
+		t.Fatalf("clone starts with %d compress and %d decompress calls, want none", st.CompressCalls, st.DecompressCalls)
+	}
+	assertBitIdentical(t, s, clone, "clone")
 }

@@ -85,19 +85,15 @@ func (s *Simulator) Save(w io.Writer) error {
 		if err := binary.Write(mw, binary.LittleEndian, uint32(nb)); err != nil {
 			return err
 		}
-		for b := 0; b < nb; b++ {
-			// Peek, not Get: a checkpoint of a partially spilled state
-			// must not thrash the resident set the next gates rely on.
-			blob, err := rs.store.Peek(b)
-			if err != nil {
-				return err
-			}
+		err := rs.walk(func(_ int, blob []byte) error {
 			if err := binary.Write(mw, binary.LittleEndian, uint32(len(blob))); err != nil {
 				return err
 			}
-			if _, err := mw.Write(blob); err != nil {
-				return err
-			}
+			_, err := mw.Write(blob)
+			return err
+		})
+		if err != nil {
+			return err
 		}
 	}
 	// Trailing checksum (not itself checksummed).
@@ -272,13 +268,12 @@ func (s *Simulator) Load(r io.Reader) error {
 		// (levels only escalate, so the level at save time is the highest
 		// the checkpointed timeline ever used).
 		rs.stats.FinalLevel = levels[ri]
-		// Fold the outgoing store's spill tally into the baseline so
-		// the rank's cumulative counters survive the swap, then close
-		// it (removing its spill file).
-		rs.storeAcc = rs.storeAcc.Plus(rs.store.Stats().Minus(rs.storeBase))
-		rs.storeBase = blockstore.Stats{}
+		// Fold the outgoing store's spill counters in before closing it
+		// (removing its spill file), then count the staging store's from
+		// zero: the rank's counters run on across the swap.
+		s.syncStoreStats(rs)
 		rs.store.Close()
-		rs.store = staging[ri]
+		rs.store, rs.seen = staging[ri], blockstore.Stats{}
 		// Re-derive the latch from the restored state itself: clear it
 		// for a healthy checkpoint, but a state saved over budget at
 		// the loosest bound is still over budget after the restore.
@@ -287,10 +282,7 @@ func (s *Simulator) Load(r io.Reader) error {
 		// (unspilled) simulator tripped.
 		rs.overBudget = s.cfg.budgeted() && rs.level == len(s.cfg.ErrorLevels) &&
 			rs.store.Resident() > s.cfg.MemoryBudget
-		s.syncStoreStats(rs)
-		if rs.stats.CurrentFootprint > rs.stats.MaxFootprint {
-			rs.stats.MaxFootprint = rs.stats.CurrentFootprint
-		}
+		s.sampleFootprint(rs)
 	}
 	return nil
 }

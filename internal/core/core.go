@@ -82,13 +82,9 @@ type rankState struct {
 	cache   *blockCache
 	stats   Stats
 	rng     *rand.Rand // per-rank noise stream (deterministic)
-	// storeBase/storeAcc baseline the store's cumulative spill
-	// counters against the rank Stats lifecycle: Reset zeroes
-	// rs.stats but keeps the store, so counters report
-	// acc + (store now − base); a checkpoint Load swaps the store,
-	// folding the old one's tally into acc first.
-	storeBase blockstore.Stats
-	storeAcc  blockstore.Stats
+	// seen is the store's spill counters at the last syncStoreStats,
+	// which adds their growth since to the rank's Stats.
+	seen blockstore.Stats
 	// overBudget latches when a sweep boundary finds the footprint above
 	// the memory budget with no escalation level left — the state was
 	// recompressed at the loosest bound and still did not fit.
@@ -142,6 +138,20 @@ func (rs *rankState) w0() *workerState { return rs.workers[0] }
 
 // New builds a Simulator initialized to |0...0⟩.
 func New(cfg Config) (*Simulator, error) {
+	s, err := alloc(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Reset(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// alloc builds a Simulator whose block tables are still empty: the
+// caller installs every rank (Reset, Clone).
+func alloc(cfg Config) (*Simulator, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -185,10 +195,6 @@ func New(cfg Config) (*Simulator, error) {
 		// cross-rank exchange) borrow; it always exists.
 		rs.workers[0].ensure(2 * s.blockAmps())
 		s.ranks[r] = rs
-	}
-	if err := s.Reset(); err != nil {
-		s.Close()
-		return nil, err
 	}
 	return s, nil
 }
@@ -242,55 +248,113 @@ func (s *Simulator) Qubits() int { return s.cfg.Qubits }
 // Config returns the effective (defaulted) configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// Reset reinitializes the state to |0...0⟩, keeping stats at zero and
-// the ledger at 1.
+// Reset reinitializes the state to |0...0⟩: ledger 1, no gates, no
+// measurements, every rank at level 0 with its accounting restarted
+// (install). The reset's own codec work is then charged: one compress
+// call per rank for the all-zero block and one for the block holding
+// the |0...0⟩ amplitude, R+1 in all.
 func (s *Simulator) Reset() error {
-	s.version++
 	for _, rs := range s.ranks {
-		rs.level = 0
-		rs.overBudget = false
-		rs.stats = Stats{}
-		// The store survives a Reset; re-baseline its cumulative spill
-		// counters so the zeroed rank Stats start counting from here.
-		rs.storeAcc = blockstore.Stats{}
-		rs.storeBase = rs.store.Stats()
-		for _, w := range rs.workers {
-			w.stats = Stats{}
-		}
+		var st Stats
 		scratch := rs.w0().x
-		for i := range scratch {
-			scratch[i] = 0
-		}
+		clear(scratch)
 		// Every block except (rank 0, block 0) holds the same all-zero
 		// content: compress it once and let every slot share the one
 		// immutable blob, so a wide register (2^28 amplitudes and
 		// beyond) initializes with at most two codec calls and two
 		// blobs per rank instead of one per block.
-		zeroBlob, err := s.compressBlock(rs.level, scratch, &rs.stats)
+		zero, err := s.compressBlock(0, scratch, &st)
 		if err != nil {
 			return err
 		}
-		for b := 0; b < s.blocksPerRank(); b++ {
-			blob := zeroBlob
-			if rs.id == 0 && b == 0 {
-				scratch[0] = 1 // amplitude of |0...0⟩
-				blob, err = s.compressBlock(rs.level, scratch, &rs.stats)
-				if err != nil {
-					return err
-				}
-				scratch[0] = 0
-			}
-			if err := rs.store.Put(b, blob); err != nil {
+		first := zero
+		if rs.id == 0 {
+			scratch[0] = 1 // amplitude of |0...0⟩
+			first, err = s.compressBlock(0, scratch, &st)
+			scratch[0] = 0
+			if err != nil {
 				return err
 			}
 		}
-		s.syncStoreStats(rs)
-		rs.stats.MaxFootprint = rs.stats.CurrentFootprint
-		rs.stats.MaxResident = rs.stats.ResidentFootprint
+		err = s.install(rs, func(put func(b int, blob []byte) error) error {
+			if err := put(0, first); err != nil {
+				return err
+			}
+			for b := 1; b < s.blocksPerRank(); b++ {
+				if err := put(b, zero); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, 0, false)
+		if err != nil {
+			return err
+		}
+		rs.stats.merge(st)
 	}
 	s.ledger = 1
 	s.gatesRun = 0
 	s.measurements = nil
+	return nil
+}
+
+// blobWalk hands every block of a rank image to fn in block order: a
+// rank's store (rankState.walk) or a shipped list (blobsOf).
+type blobWalk func(fn func(b int, blob []byte) error) error
+
+// walk is the one bulk read of a rank's blocks (Clone, Save,
+// ExportRankBlocks, ExportDelta). It Peeks, so the resident set the hot
+// path relies on is not disturbed, and fn receives the stored blobs
+// themselves: read-only, under blockstore.Store's immutability rule.
+func (rs *rankState) walk(fn func(b int, blob []byte) error) error {
+	for b := range rs.store.Len() {
+		blob, err := rs.store.Peek(b)
+		if err != nil {
+			return err
+		}
+		if err := fn(b, blob); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// blobs collects walk: the rank's stored blobs, in block order.
+func (rs *rankState) blobs() ([][]byte, error) {
+	out := make([][]byte, rs.store.Len())
+	return out, rs.walk(func(b int, blob []byte) error {
+		out[b] = blob
+		return nil
+	})
+}
+
+// blobsOf walks a block list the way rankState.walk walks a store.
+func blobsOf(blocks [][]byte) blobWalk {
+	return func(fn func(b int, blob []byte) error) error {
+		for b, blob := range blocks {
+			if err := fn(b, blob); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// install is the one way a rank's block table is replaced whole (Reset,
+// Clone, InstallRank). Every blob src walks is Put by reference, the
+// §3.7 level and the budget latch are set, and the rank's accounting
+// restarts: Stats zero except FinalLevel = level, the spill counters
+// baselined at the store's counters after the Puts (evictions the
+// install itself causes belong to no run), and the footprint gauges
+// resampled, with their high-water marks starting at them.
+func (s *Simulator) install(rs *rankState, src blobWalk, level int, overBudget bool) error {
+	if err := src(rs.store.Put); err != nil {
+		return err
+	}
+	s.version++
+	rs.level, rs.overBudget = level, overBudget
+	rs.stats, rs.seen = Stats{FinalLevel: level}, rs.store.Stats()
+	s.sampleFootprint(rs)
 	return nil
 }
 
@@ -402,23 +466,22 @@ func (s *Simulator) decodeBlob(blob []byte, scratch []float64) error {
 	}
 }
 
-// syncStoreStats refreshes the rank Stats' footprint gauges and spill
-// counters from the block store (see rankState.storeBase for the
-// baselining). Called at gate boundaries and before Stats reads —
-// never mid-fan-out, so the numbers are worker-schedule independent.
+// syncStoreStats resamples the rank Stats' footprint and spill gauges
+// from the block store and adds the growth of its spill counters since
+// the last call (rankState.seen). Called at gate boundaries and before
+// Stats reads — never mid-fan-out, so the numbers are worker-schedule
+// independent.
 func (s *Simulator) syncStoreStats(rs *rankState) {
 	cur := rs.store.Stats()
-	d := rs.storeAcc.Plus(cur.Minus(rs.storeBase))
+	rs.stats.SpillWrites += cur.SpillWrites - rs.seen.SpillWrites
+	rs.stats.SpillReads += cur.SpillReads - rs.seen.SpillReads
+	rs.stats.PrefetchReads += cur.PrefetchReads - rs.seen.PrefetchReads
+	rs.stats.PrefetchHits += cur.PrefetchHits - rs.seen.PrefetchHits
+	rs.seen = cur
+	rs.stats.SpilledBytes = cur.SpilledBytes
 	rs.stats.CurrentFootprint = rs.store.Footprint()
 	rs.stats.ResidentFootprint = rs.store.Resident()
-	if rs.stats.ResidentFootprint > rs.stats.MaxResident {
-		rs.stats.MaxResident = rs.stats.ResidentFootprint
-	}
-	rs.stats.SpilledBytes = cur.SpilledBytes
-	rs.stats.SpillWrites = d.SpillWrites
-	rs.stats.SpillReads = d.SpillReads
-	rs.stats.PrefetchReads = d.PrefetchReads
-	rs.stats.PrefetchHits = d.PrefetchHits
+	rs.stats.MaxResident = max(rs.stats.MaxResident, rs.stats.ResidentFootprint)
 }
 
 // hintBlocks announces an upcoming visit of every block passing the
@@ -563,7 +626,7 @@ func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int)
 		wg.Wait()
 	}
 	for _, w := range rs.workers {
-		rs.stats.addShard(w.stats)
+		rs.stats.merge(w.stats)
 		w.stats = Stats{}
 	}
 	return firstErr

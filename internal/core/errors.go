@@ -40,4 +40,9 @@ var (
 	// refused Load leaves the simulator as it was. Spill I/O failures
 	// while staging the blocks wrap blockstore.ErrSpill instead.
 	ErrBadCheckpoint = errors.New("core: bad checkpoint")
+
+	// ErrBadDelta roots every shipped rank image InstallRank refuses
+	// and every worker delta ApplyDeltas refuses (see checkDeltas). A
+	// refusal changes nothing.
+	ErrBadDelta = errors.New("core: bad rank delta")
 )

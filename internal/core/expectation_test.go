@@ -228,7 +228,7 @@ func TestMaxCutEnergyDecodesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var decodes atomic.Int64
-	s.cfg.Lossless = countingCodec{s.cfg.Lossless, &decodes}
+	s.cfg.Lossless = countingCodec{Codec: s.cfg.Lossless, dec: &decodes}
 	edges := make([]CutEdge, len(graph))
 	var want float64
 	for i, e := range graph {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+
+	"qcsim/internal/stats"
 )
 
 // Amplitude returns ⟨idx|ψ⟩, decompressing only the containing block.
@@ -27,7 +29,7 @@ func (s *Simulator) Amplitude(idx uint64) (complex128, error) {
 // FullState decompresses the whole state vector (test scales only).
 func (s *Simulator) FullState() ([]complex128, error) {
 	if s.cfg.Qubits > 26 {
-		return nil, fmt.Errorf("core: FullState on %d qubits would allocate %s", s.cfg.Qubits, fmtBytes(MemoryRequirement(s.cfg.Qubits)))
+		return nil, fmt.Errorf("core: FullState on %d qubits would allocate %s", s.cfg.Qubits, stats.FormatBytes(MemoryRequirement(s.cfg.Qubits)))
 	}
 	out := make([]complex128, 1<<uint(s.cfg.Qubits))
 	scratch := make([]float64, 2*s.blockAmps())
@@ -173,14 +175,4 @@ func (s *Simulator) OverBudget() bool {
 		}
 	}
 	return false
-}
-
-func fmtBytes(b float64) string {
-	units := []string{"B", "KB", "MB", "GB", "TB", "PB", "EB"}
-	i := 0
-	for b >= 1024 && i < len(units)-1 {
-		b /= 1024
-		i++
-	}
-	return fmt.Sprintf("%.1f %s", b, units[i])
 }

@@ -539,14 +539,24 @@ func TestSamplerLargeRegister(t *testing.T) {
 	}
 }
 
-// countingCodec counts Decompress calls of the codec it wraps.
+// countingCodec counts the Compress (enc) and Decompress (dec) calls of
+// the codec it wraps, into whichever counters are set.
 type countingCodec struct {
 	compress.Codec
-	dec *atomic.Int64
+	enc, dec *atomic.Int64
+}
+
+func (c countingCodec) Compress(dst []byte, src []float64, opt compress.Options) ([]byte, error) {
+	if c.enc != nil {
+		c.enc.Add(1)
+	}
+	return c.Codec.Compress(dst, src, opt)
 }
 
 func (c countingCodec) Decompress(dst []float64, blob []byte) error {
-	c.dec.Add(1)
+	if c.dec != nil {
+		c.dec.Add(1)
+	}
 	return c.Codec.Decompress(dst, blob)
 }
 
@@ -571,7 +581,7 @@ func TestSamplerDecodeCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		var dec atomic.Int64
-		s.cfg.Lossless = countingCodec{s.cfg.Lossless, &dec}
+		s.cfg.Lossless = countingCodec{Codec: s.cfg.Lossless, dec: &dec}
 		sp, err := s.NewSampler(8)
 		if err != nil {
 			t.Fatal(err)
@@ -629,7 +639,7 @@ func TestSamplerRedundantBlocksDecodeOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dec atomic.Int64
-	s.cfg.Lossless = countingCodec{s.cfg.Lossless, &dec}
+	s.cfg.Lossless = countingCodec{Codec: s.cfg.Lossless, dec: &dec}
 	sp, err := s.NewSampler(8)
 	if err != nil {
 		t.Fatal(err)

@@ -81,10 +81,70 @@ func TestSpillSweepsBitIdentical(t *testing.T) {
 	}
 }
 
+// spillCounters are the Stats counters only a restart may lower.
+func spillCounters(st Stats) [4]int64 {
+	return [4]int64{st.SpillWrites, st.SpillReads, st.PrefetchReads, st.PrefetchHits}
+}
+
+// accounting checks each rank's Stats against its store after a step
+// and remembers the spill counters, which may only grow except at a
+// restart (Reset, Clone, InstallRank), where they are zero.
+type accounting struct {
+	prev    map[*rankState][4]int64
+	spilled bool // some step saw a spill write
+}
+
+func (a *accounting) check(t *testing.T, step string, s *Simulator, restart bool) {
+	t.Helper()
+	var total int64
+	for ri, rs := range s.ranks {
+		var sum int64
+		for b := 0; b < s.blocksPerRank(); b++ {
+			blob, err := rs.store.Peek(b)
+			if err != nil {
+				t.Fatalf("%s: rank %d block %d: %v", step, ri, b, err)
+			}
+			sum += int64(len(blob))
+		}
+		if fp := rs.store.Footprint(); fp != sum {
+			t.Fatalf("%s: rank %d store footprint %d, Σ len(blob) %d", step, ri, fp, sum)
+		}
+		// The step itself must leave the gauges and their marks sampled.
+		st := rs.stats
+		if st.CurrentFootprint != sum {
+			t.Fatalf("%s: rank %d stats footprint %d, Σ len(blob) %d", step, ri, st.CurrentFootprint, sum)
+		}
+		if st.MaxFootprint < st.CurrentFootprint || st.MaxResident < st.ResidentFootprint {
+			t.Fatalf("%s: rank %d marks below their gauges: footprint %d of max %d, resident %d of max %d",
+				step, ri, st.CurrentFootprint, st.MaxFootprint, st.ResidentFootprint, st.MaxResident)
+		}
+		s.syncStoreStats(rs)
+		if got, want := rs.stats.SpilledBytes, rs.store.Stats().SpilledBytes; got != want {
+			t.Fatalf("%s: rank %d SpilledBytes %d, store gauge %d", step, ri, got, want)
+		}
+		now, prev := spillCounters(rs.stats), a.prev[rs]
+		for i := range now {
+			if restart && now[i] != 0 || !restart && now[i] < prev[i] {
+				t.Fatalf("%s: rank %d spill counters %v after %v (restart %v)", step, ri, now, prev, restart)
+			}
+		}
+		a.prev[rs] = now
+		a.spilled = a.spilled || now[0] > 0
+		total += sum
+	}
+	if got := s.Stats().CurrentFootprint; got != total {
+		t.Fatalf("%s: aggregate footprint %d, Σ ranks %d", step, got, total)
+	}
+}
+
 // TestSpillFootprintAccounting is the store-accounting property: after
-// every step of an arbitrary gate / measure / save+load / reset
-// sequence, each rank's Stats.CurrentFootprint must equal the store's
-// Footprint() must equal Σ len(blob) over its blocks — for both store
+// every step of an arbitrary sequence of runs, measurements, save+load,
+// resets, basis states, clones and in-process worker round trips
+// (ExportRankBlocks → InstallRank → Run → ExportDelta → ApplyDeltas),
+// each rank's Stats.CurrentFootprint equals the store's Footprint()
+// equals Σ len(blob) over its blocks, the high-water marks sit at or
+// above their gauges, SpilledBytes is the store's gauge, and the spill
+// counters only grow, but for the restarts — for both store
 // implementations.
 func TestSpillFootprintAccounting(t *testing.T) {
 	stores := []struct {
@@ -107,55 +167,61 @@ func TestSpillFootprintAccounting(t *testing.T) {
 			if err := s.Save(&ckpt); err != nil {
 				t.Fatal(err)
 			}
-			check := func(step string) {
-				t.Helper()
-				var total int64
-				for ri, rs := range s.ranks {
-					var sum int64
-					for b := 0; b < s.blocksPerRank(); b++ {
-						blob, err := rs.store.Peek(b)
-						if err != nil {
-							t.Fatalf("%s: rank %d block %d: %v", step, ri, b, err)
-						}
-						sum += int64(len(blob))
-					}
-					if fp := rs.store.Footprint(); fp != sum {
-						t.Fatalf("%s: rank %d store footprint %d, Σ len(blob) %d", step, ri, fp, sum)
-					}
-					s.syncStoreStats(rs)
-					if rs.stats.CurrentFootprint != sum {
-						t.Fatalf("%s: rank %d stats footprint %d, Σ len(blob) %d", step, ri, rs.stats.CurrentFootprint, sum)
-					}
-					total += sum
+			acct := accounting{prev: map[*rankState][4]int64{}}
+			acct.check(t, "init", s, true)
+			for i := 0; i < 28; i++ {
+				op := rng.Intn(7)
+				if i < 7 {
+					op = i // every step at least once
 				}
-				if got := s.Stats().CurrentFootprint; got != total {
-					t.Fatalf("%s: aggregate footprint %d, Σ ranks %d", step, got, total)
-				}
-			}
-			check("init")
-			for i := 0; i < 12; i++ {
-				switch rng.Intn(4) {
+				switch op {
 				case 0:
 					if err := s.Run(quantum.RandomCircuit(8, 6, rng.Int63())); err != nil {
 						t.Fatal(err)
 					}
-					check("run")
+					acct.check(t, "run", s, false)
 				case 1:
 					if err := s.Run(quantum.NewCircuit(8).H(rng.Intn(8)).Measure(rng.Intn(8))); err != nil {
 						t.Fatal(err)
 					}
-					check("measure")
+					acct.check(t, "measure", s, false)
 				case 2:
 					if err := s.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
 						t.Fatal(err)
 					}
-					check("load")
+					acct.check(t, "load", s, false)
 				case 3:
 					if err := s.Reset(); err != nil {
 						t.Fatal(err)
 					}
-					check("reset")
+					acct.check(t, "reset", s, true)
+				case 4:
+					// A Reset, then two blocks rewritten: counters restart
+					// at the Reset and grow from there.
+					if err := s.SetBasisState(uint64(rng.Intn(256))); err != nil {
+						t.Fatal(err)
+					}
+					clear(acct.prev)
+					acct.check(t, "basis", s, false)
+				case 5:
+					clone, err := s.Clone(rng.Int63())
+					if err != nil {
+						t.Fatal(err)
+					}
+					acct.check(t, "clone", clone, true)
+					clone.Close()
+				case 6:
+					deltas := workerDeltas(t, s, quantum.RandomCircuit(8, 6, rng.Int63()), func(step string, w *Simulator) {
+						acct.check(t, step, w, step == "install")
+					})
+					if err := s.ApplyDeltas(deltas); err != nil {
+						t.Fatal(err)
+					}
+					acct.check(t, "apply", s, false)
 				}
+			}
+			if st.extra != nil && !acct.spilled {
+				t.Fatal("the tiered store never spilled; the counter checks are void")
 			}
 		})
 	}

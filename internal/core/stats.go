@@ -86,62 +86,51 @@ func (s Stats) TotalTime() time.Duration {
 	return s.CompressTime + s.DecompressTime + s.ComputeTime + s.CommTime
 }
 
-// Add accumulates o into s (for aggregating rank stats).
+// Add accumulates o into s (for aggregating rank stats): merge, except
+// that every rank executes the same gates and sweep schedule, so the
+// aggregate reports the schedule once (max), not ranks × schedule, and
+// each rank holds its own share of the state, so the footprints and
+// their high-water marks sum.
 func (s Stats) Add(o Stats) Stats {
+	gates, sweeps, sweepGates := max(s.Gates, o.Gates), max(s.Sweeps, o.Sweeps), max(s.SweepGates, o.SweepGates)
+	maxFootprint, maxResident := s.MaxFootprint+o.MaxFootprint, s.MaxResident+o.MaxResident
+	s.merge(o)
+	s.Gates, s.Sweeps, s.SweepGates = gates, sweeps, sweepGates
+	s.MaxFootprint, s.MaxResident = maxFootprint, maxResident
+	s.CurrentFootprint += o.CurrentFootprint
+	s.ResidentFootprint += o.ResidentFootprint
+	s.SpilledBytes += o.SpilledBytes
+	return s
+}
+
+// merge folds accounting one rank accumulated elsewhere into its totals
+// — a worker's shard after a fan-out, a worker process's run delta in
+// ApplyDeltas: times and counters add, high-water marks, FinalLevel and
+// VariantCount max. The footprint and spill gauges are left to the
+// next syncStoreStats, which resamples them from the rank's own store.
+func (s *Stats) merge(o Stats) {
 	s.CompressTime += o.CompressTime
 	s.DecompressTime += o.DecompressTime
 	s.ComputeTime += o.ComputeTime
 	s.CommTime += o.CommTime
-	if o.Gates > s.Gates {
-		s.Gates = o.Gates
-	}
+	s.Gates += o.Gates
 	s.CacheLookups += o.CacheLookups
 	s.CacheHits += o.CacheHits
 	s.CompressCalls += o.CompressCalls
 	s.DecompressCalls += o.DecompressCalls
-	// Like Gates: every rank executes the same sweep schedule, so the
-	// aggregate reports the schedule, not ranks × schedule.
-	if o.Sweeps > s.Sweeps {
-		s.Sweeps = o.Sweeps
-	}
-	if o.SweepGates > s.SweepGates {
-		s.SweepGates = o.SweepGates
-	}
+	s.Sweeps += o.Sweeps
+	s.SweepGates += o.SweepGates
 	s.CodecPassesSaved += o.CodecPassesSaved
 	s.CodecPassesShared += o.CodecPassesShared
-	if o.VariantCount > s.VariantCount {
-		s.VariantCount = o.VariantCount
-	}
-	s.CurrentFootprint += o.CurrentFootprint
-	s.MaxFootprint += o.MaxFootprint
-	s.ResidentFootprint += o.ResidentFootprint
-	s.MaxResident += o.MaxResident
-	s.SpilledBytes += o.SpilledBytes
+	s.VariantCount = max(s.VariantCount, o.VariantCount)
+	s.MaxFootprint = max(s.MaxFootprint, o.MaxFootprint)
+	s.MaxResident = max(s.MaxResident, o.MaxResident)
 	s.SpillWrites += o.SpillWrites
 	s.SpillReads += o.SpillReads
 	s.PrefetchReads += o.PrefetchReads
 	s.PrefetchHits += o.PrefetchHits
-	if o.FinalLevel > s.FinalLevel {
-		s.FinalLevel = o.FinalLevel
-	}
+	s.FinalLevel = max(s.FinalLevel, o.FinalLevel)
 	s.Escalations += o.Escalations
-	return s
-}
-
-// addShard folds one worker's stats shard into the rank totals after a
-// fan-out: only the counters workers accumulate privately (time spent
-// and cache traffic) — footprint, levels, and gate counts are tracked
-// on the rank itself.
-func (s *Stats) addShard(o Stats) {
-	s.CompressTime += o.CompressTime
-	s.DecompressTime += o.DecompressTime
-	s.ComputeTime += o.ComputeTime
-	s.CacheLookups += o.CacheLookups
-	s.CacheHits += o.CacheHits
-	s.CompressCalls += o.CompressCalls
-	s.DecompressCalls += o.DecompressCalls
-	s.CodecPassesSaved += o.CodecPassesSaved
-	s.CodecPassesShared += o.CodecPassesShared
 }
 
 // MinCompressionRatio returns uncompressed-state-bytes / peak-footprint,

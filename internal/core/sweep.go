@@ -509,7 +509,7 @@ func runPass(sims []*Simulator, r int, passes []*blockPass, gi, round int) error
 		return s.passBlock(s.ranks[r], passes[v], memo, w, &shards[w.id*K+v], i&blockMask)
 	})
 	for i := range shards {
-		sims[i%K].ranks[r].stats.addShard(shards[i])
+		sims[i%K].ranks[r].stats.merge(shards[i])
 	}
 	if err != nil {
 		return err
