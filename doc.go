@@ -122,28 +122,33 @@
 //
 // # Sweep scheduler
 //
-// The paper's cost model pays one decompress → apply → recompress pass
-// over every compressed block for every gate, with a working set of two
-// decompressed blocks per worker (§3.1, Eq. 8). The sweep scheduler (on
-// by default; WithSweeps(false) restores the paper's exact cost model)
-// spends one codec pass on a whole run of gates. A group sweep is a
-// maximal run of consecutive gates whose targets are offset qubits
-// (bits inside one block) or at most three distinct block-segment
-// qubits: the pass walks the groups of blocks that differ only in those
-// qubits' bits — one block, a pair, four or eight — decompresses a group
-// once, applies all k gates in circuit order and recompresses only the
-// blocks some gate touched. The blocks beyond Eq. 8's pair that a larger
+// The paper's cost model pays one decompress → apply → recompress
+// pass over every compressed block for every gate, with a working set
+// of two decompressed blocks per worker (§3.1, Eq. 8). The sweep
+// scheduler (on by default; WithSweeps(false) restores the paper's
+// exact cost model) spends one codec pass on a whole run of gates. A
+// group sweep is a maximal run of consecutive gates whose targets are
+// offset qubits (bits inside one block) or at most three distinct
+// qubits above them, at most one of those a rank-segment qubit: the
+// pass walks the groups of blocks that differ only in those qubits'
+// bits — one block, a pair, four or eight — decompresses a group
+// once, applies all k gates in circuit order and recompresses only
+// the blocks some gate touched. A rank-segment target's half of the
+// group lives on the peer rank: the pass exchanges each group with it
+// once, however many gates target that qubit, and both ranks compute
+// the pairs it splits. The blocks beyond Eq. 8's pair that a larger
 // group needs are scratch a worker holds only while a Run makes such
-// passes. Controls may sit anywhere — they select amplitudes, blocks or
-// ranks and are not members of a group. A sweep is broken by a fourth
-// block-segment target (a second under WithMemoryBudget, whose at-rest
-// rule settles the budget between pair sweeps), a rank-segment target
-// (a block exchange), a measurement, or (with WithNoise) any gate at
-// all, since the depolarizing channel must fire after each gate. A
-// one-gate sweep is the paper's per-gate pass: both run through the
-// same code. Gate fusion (circuit.FuseSingleQubitGates, applied to the
-// circuit before Run) is the complementary lever: it merges adjacent
-// gates on the same qubit into one.
+// passes. Controls may sit anywhere — they select amplitudes, blocks
+// or ranks and are not members of a group. A sweep is broken by a
+// fourth target above the offset qubits (a second under
+// WithMemoryBudget, whose at-rest rule settles the budget between
+// pair sweeps), a second distinct rank-segment target, a measurement,
+// or (with WithNoise) any gate at all, since the depolarizing channel
+// must fire after each gate. A one-gate sweep is the paper's per-gate
+// pass: both run through the same code. Gate fusion
+// (circuit.FuseSingleQubitGates, applied to the circuit before Run)
+// is the complementary lever: it merges adjacent gates on the same
+// qubit into one.
 //
 // Under the lossless codec, sweeps are bit-identical to gate-at-a-time
 // execution for every rank and worker count: every amplitude sees the

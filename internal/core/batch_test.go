@@ -259,15 +259,17 @@ func TestBatchCountersIndependentOfWorkers(t *testing.T) {
 	t.Run("failed leader releases its waiters", func(t *testing.T) {
 		// Two H layers on the 2-rank geometry: a group sweep on qubits
 		// 0..4 (block targets 3 and 4, so each rank's four blocks are
-		// one group), the rank-segment H(5), and the group sweep again.
+		// one group), a measurement of the rank-segment qubit 5 — still
+		// |0⟩, so every variant draws 0 — and the group sweep again.
 		// Before each group sweep every variant holds the same bytes, so
 		// a rank's pass has one key per group base, and the other
 		// variants' units wait on its leader. The faults are armed at the
 		// two group sweeps, on all variants — whichever leads.
 		cir := quantum.NewCircuit(6)
-		for q := 0; q < 6; q++ {
+		for q := 0; q < 5; q++ {
 			cir.H(q)
 		}
+		cir.Measure(5)
 		for q := 0; q < 5; q++ {
 			cir.H(q)
 		}
@@ -377,11 +379,14 @@ func TestRunBatchMeasurementLockstep(t *testing.T) {
 		{2, 4}, // qubit 4 is the rank-segment qubit
 	} {
 		for _, workers := range []int{1, 4} {
+			// The H layer skips qubit 4 until after the first measurement:
+			// on 2 ranks a sweep with the rank target consults no memo, so
+			// the prefix must stay below the rank segment to share.
 			cir := quantum.NewCircuit(qubits)
-			for q := 0; q < qubits; q++ {
+			for q := 0; q < qubits-1; q++ {
 				cir.H(q)
 			}
-			cir.Measure(tc.measured).Measure(2).CNOT(0, 3).H(tc.measured)
+			cir.Measure(2).H(qubits-1).Measure(tc.measured).CNOT(0, 3).H(tc.measured)
 			circuits := repeatCircuit(cir, k)
 			cfg := func(c *Config) { c.Workers = workers }
 			sims := batchSims(t, qubits, tc.ranks, 4, k, cfg)

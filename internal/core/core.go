@@ -484,23 +484,6 @@ func (s *Simulator) syncStoreStats(rs *rankState) {
 	rs.stats.MaxResident = max(rs.stats.MaxResident, rs.stats.ResidentFootprint)
 }
 
-// hintBlocks announces an upcoming visit of every block passing the
-// blkCtrl mask, in index order, to a tiered store's prefetcher (see
-// hintPass for the group-sweep order).
-func (s *Simulator) hintBlocks(rs *rankState, blkCtrl int) {
-	if !rs.store.WantHints() {
-		return
-	}
-	nb := s.blocksPerRank()
-	order := make([]int, 0, nb)
-	for b := 0; b < nb; b++ {
-		if b&blkCtrl == blkCtrl {
-			order = append(order, b)
-		}
-	}
-	rs.store.PrefetchHint(order)
-}
-
 // sampleFootprint refreshes the footprint gauges at a sweep boundary
 // and raises the MaxFootprint high-water mark. The mark is sampled
 // here and never per Put — the store keeps the footprint accounting
@@ -688,12 +671,12 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 // sweep, and ctl's hooks firing once per run, not per variant.
 //
 // Execution iterates the group-sweep schedule (sweep.go): every sweep of
-// unitaries below the rank segment is one codec pass over all K
-// variants, a rank-segment target is a block exchange, a measurement a
-// collective; after each the budget is settled (settleBudget). What
-// consumes per-variant randomness — a measurement's outcome draw, the
-// noise channel's Pauli — runs variant by variant from that variant's
-// own streams, every rank walking the variants in the same order so the
+// unitaries is one codec pass over all K variants — one that carries a
+// rank-segment target exchanges its groups with the peer rank inside the
+// pass — and a measurement a collective; after each the budget is
+// settled (settleBudget). What consumes per-variant randomness — a
+// measurement's outcome draw, the noise channel's Pauli — runs variant
+// by variant from that variant's own streams, every rank walking the variants in the same order so the
 // collectives stay aligned. After every sweep an error barrier (an
 // allreduce of per-rank failure flags) makes all ranks agree on whether
 // any rank's codec failed on any variant, so a failure stops every rank
@@ -881,26 +864,18 @@ func (s *Simulator) splitControls(controls []int) (offMask uint64, blkMask, rank
 	return offMask, blkMask, rankMask
 }
 
-// applyUnitaries executes one schedule unit of unitaries — gates[v] on
-// sims[v] — on this rank, dispatching on the target segment (§3.3):
-// below the rank segment the run is a group sweep, one codec pass over
-// all variants; a rank-segment target is a single gate and a block
-// exchange, where the exchange dominates and the SendRecv protocol is
-// sequential, so the variants go one by one with no codec sharing.
-// Either way the recompression is truncation number round of the
-// boundary after gate gi.
+// applyUnitaries executes one group sweep of unitaries — gates[v] on
+// sims[v] — on this rank: one codec pass over all variants (runPass),
+// whose recompression is truncation number round of the boundary after
+// gate gi. A sweep with a rank-segment target exchanges its groups with
+// the peer rank inside that pass (exchangePass).
 func applyUnitaries(comm mpi.Comm, sims []*Simulator, gates [][]quantum.Gate, gi, round int) error {
 	r := comm.Rank()
-	if s0 := sims[0]; gates[0][0].Target < s0.offsetBits+s0.blockBits {
-		passes := make([]*blockPass, len(sims))
-		for v, s := range sims {
-			passes[v] = s.compilePass(s.ranks[r], gates[v])
-		}
-		return runPass(sims, r, passes, gi, round)
+	passes := make([]*blockPass, len(sims))
+	for v, s := range sims {
+		passes[v] = s.compilePass(comm, s.ranks[r], gates[v])
 	}
-	return eachVariant(sims, func(v int, s *Simulator) error {
-		return s.applyCrossRank(comm, s.ranks[r], gates[v][0], gi, round)
-	})
+	return runPass(sims, r, passes, gi, round)
 }
 
 // eachVariant runs fn on every variant, in the order every rank walks
@@ -917,84 +892,6 @@ func eachVariant(sims []*Simulator, fn func(v int, s *Simulator) error) error {
 		}
 	}
 	return firstErr
-}
-
-// applyCrossRank handles targets in the rank segment: block pairs span
-// two ranks and are exchanged (§3.3 third case). The loop stays
-// sequential — the pairwise SendRecv protocol requires both ranks to
-// walk their blocks in the same order, and the exchange, not the
-// compute, dominates here. A codec failure must NOT bail out mid-loop:
-// the peer would block forever in SendRecv while this rank sat at the
-// sweep error barrier. Instead the rank keeps the exchange protocol
-// alive for the remaining blocks (sending whatever is in scratch),
-// skips the now-pointless codec and compute work, and reports the
-// first error at the sweep boundary, where the barrier stops all ranks.
-func (s *Simulator) applyCrossRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi, round int) error {
-	offCtrl, blkCtrl, rankCtrl := s.splitControls(g.Controls)
-	if rs.id&rankCtrl != rankCtrl {
-		// §3.3: control in the rank segment is |0⟩ here — the whole
-		// rank is unmodified. Cross-rank partners share the control
-		// bit, so no peer is left waiting.
-		return nil
-	}
-	tr := 1 << uint(g.Target-s.offsetBits-s.blockBits)
-	peer := rs.id ^ tr
-	lowSide := rs.id&tr == 0 // this rank holds the target-bit-0 half
-	lvl := rs.level
-	nb := s.blocksPerRank()
-	w := rs.w0()
-	// Each rank computes one output row of the 2×2 — the peer computes
-	// the other from the same pair — over the offsets the offset controls
-	// select (runLen). a0 is the target-bit-0 amplitude wherever it lives.
-	a0, a1, ua, ub := w.x, w.y, g.U[0][0], g.U[0][1]
-	if !lowSide {
-		a0, a1, ua, ub = w.y, w.x, g.U[1][0], g.U[1][1]
-	}
-	mask, ba := int(offCtrl), s.blockAmps()
-	n := runLen(mask, ba)
-	s.hintBlocks(rs, blkCtrl)
-	var firstErr error
-	for b := 0; b < nb; b++ {
-		if b&blkCtrl != blkCtrl {
-			continue
-		}
-		if firstErr == nil {
-			blob, err := rs.store.Get(b)
-			if err == nil {
-				err = s.decompressBlock(blob, w.x, &rs.stats)
-			}
-			if err != nil {
-				firstErr = err
-			}
-		}
-		comm.SendRecv(peer, w.x, w.y)
-		if firstErr != nil {
-			continue
-		}
-		start := time.Now()
-		for v := mask; v < ba; v = (v + n) | mask {
-			p0, p1 := a0[2*v:2*(v+n)], a1[2*v:2*(v+n)]
-			out := w.x[2*v : 2*(v+n)]
-			for i := 0; i+1 < len(out); i += 2 {
-				r := ua*complex(p0[i], p0[i+1]) + ub*complex(p1[i], p1[i+1])
-				out[i], out[i+1] = real(r), imag(r)
-			}
-		}
-		rs.stats.ComputeTime += time.Since(start)
-		blob, err := s.compressBlock(lvl, w.x, &rs.stats)
-		if err != nil {
-			firstErr = err
-			continue
-		}
-		if err := rs.store.Put(b, blob); err != nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	s.noteLevel(rs, gi, round, lvl)
-	return nil
 }
 
 // SampleStream derives the dedicated seeded sampling rng from a

@@ -413,4 +413,31 @@ func TestCommTimeOnlyWithCrossRankGates(t *testing.T) {
 	if moved := s2.BytesMoved(); moved == 0 {
 		t.Fatal("cross-rank gate moved no bytes")
 	}
+
+	// H(7) and a CPhase ladder onto it: one sweep, one exchange of every
+	// block. Gate at a time, each gate exchanges the blocks it fires on:
+	// all of them, except that CPhase(4) and CPhase(5) fire on the blocks
+	// whose block bit is set and CPhase(6) on the ranks whose bit 6 is.
+	const qubits, ranks, blockAmps = 8, 4, 16
+	ladder := quantum.NewCircuit(qubits).H(7)
+	for j := 0; j < 7; j++ {
+		ladder.CPhase(j, 7, 0.1*float64(j+1))
+	}
+	blocks := int64(1) << qubits / blockAmps // over all ranks
+	every := blocks * blockAmps * 16         // one complex128 per amplitude
+	for _, tc := range []struct {
+		disable bool
+		want    int64
+	}{
+		{false, every},
+		{true, 5*every + 3*every/2},
+	} {
+		s := newSim(t, qubits, ranks, blockAmps, func(c *Config) { c.DisableSweeps = tc.disable })
+		if err := s.Run(ladder); err != nil {
+			t.Fatal(err)
+		}
+		if moved := s.BytesMoved(); moved != tc.want {
+			t.Fatalf("sweeps off=%v: the ladder moved %d bytes, want %d (%d a full exchange)", tc.disable, moved, tc.want, every)
+		}
+	}
 }

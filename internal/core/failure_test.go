@@ -123,33 +123,45 @@ func TestCompressorFailurePropagates(t *testing.T) {
 }
 
 // faultCodec wraps a working codec and, once a switch is thrown, fails
-// that direction with compress.ErrCorrupt. Name() stays the wrapped
-// codec's, so a sabotaged variant still passes RunBatch's validation.
+// that direction with compress.ErrCorrupt — every later call, or with
+// once only the first, which throws the switch back. Name() stays the
+// wrapped codec's, so a sabotaged variant still passes RunBatch's
+// validation.
 type faultCodec struct {
 	compress.Codec
 	enc, dec *atomic.Bool
+	once     bool
+}
+
+func (c faultCodec) fails(sw *atomic.Bool) bool {
+	if c.once {
+		return sw.CompareAndSwap(true, false)
+	}
+	return sw.Load()
 }
 
 func (c faultCodec) Compress(dst []byte, data []float64, opt compress.Options) ([]byte, error) {
-	if c.enc.Load() {
+	if c.fails(c.enc) {
 		return nil, compress.ErrCorrupt
 	}
 	return c.Codec.Compress(dst, data, opt)
 }
 
 func (c faultCodec) Decompress(dst []float64, blob []byte) error {
-	if c.dec.Load() {
+	if c.fails(c.dec) {
 		return compress.ErrCorrupt
 	}
 	return c.Codec.Decompress(dst, blob)
 }
 
 // codecFault says which codec breaks — of variant 0, or of every
-// variant — in which direction, and before which sweep of the plan.
+// variant — in which direction, whether once or for good, and before
+// which sweep of the plan.
 type codecFault struct {
 	all      bool // every variant, not just variant 0
 	lossy    bool // the Lossy codec instead of the Lossless one
 	enc, dec bool
+	once     bool // only the first call after arming fails
 	at       int
 }
 
@@ -179,9 +191,9 @@ func runWithFault(t *testing.T, k int, cfg func(*Config), c *quantum.Circuit, f 
 	}
 	for _, s := range faulty {
 		if bc := &s.cfg; f.lossy {
-			bc.Lossy = faultCodec{bc.Lossy, &enc, &dec}
+			bc.Lossy = faultCodec{bc.Lossy, &enc, &dec, f.once}
 		} else {
-			bc.Lossless = faultCodec{bc.Lossless, &enc, &dec}
+			bc.Lossless = faultCodec{bc.Lossless, &enc, &dec, f.once}
 		}
 	}
 	// PollAbort runs on rank 0 while every other rank waits for its

@@ -36,8 +36,8 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 	var phase1Err error
 	if rankMask == 0 || rs.id&rankMask != 0 {
 		// blkMask is a single bit, so "any set" equals the all-set
-		// filter hintBlocks applies.
-		s.hintBlocks(rs, blkMask)
+		// filter a scan pass applies.
+		s.hintPass(rs, scanPass(lvl, blkMask))
 		phase1Err = s.forBlocks(rs, func(w *workerState, b int) error {
 			if blkMask != 0 && b&blkMask == 0 {
 				return nil // whole block has q=0
@@ -103,7 +103,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 	scale := 1 / math.Sqrt(keep)
 
 	// Phase 3: collapse and renormalize every block.
-	s.hintBlocks(rs, 0)
+	s.hintPass(rs, scanPass(lvl, 0))
 	err := s.forBlocks(rs, func(w *workerState, b int) error {
 		matchBlock := true
 		if blkMask != 0 {

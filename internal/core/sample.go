@@ -99,7 +99,7 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 		// The CDF pass walks every block in ascending order — announce
 		// it so a tiered store can stage spilled blobs ahead of the
 		// workers.
-		s.hintBlocks(rs, 0)
+		s.hintPass(rs, scanPass(0, 0))
 		err := s.forBlocks(rs, func(w *workerState, b int) error {
 			blob, err := rs.store.Get(b)
 			if err != nil {

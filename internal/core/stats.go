@@ -25,9 +25,10 @@ type Stats struct {
 	CompressCalls   int64
 	DecompressCalls int64
 
-	// Sweep scheduler behaviour. Sweeps counts the group sweeps executed
-	// (none when the scheduler is off or noise forces one-gate sweeps)
-	// and SweepGates the gates they covered; CodecPassesSaved is the
+	// Sweep scheduler behaviour. Sweeps counts the group sweeps executed,
+	// those that exchange groups with a peer rank included (none when the
+	// scheduler is off or noise forces one-gate sweeps), and SweepGates
+	// the gates they covered; CodecPassesSaved is the
 	// number of per-block decompress+recompress round trips avoided
 	// versus gate-at-a-time execution: per block actually run through
 	// the codec, the gates that fired on it minus one.

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"time"
 
+	"qcsim/internal/mpi"
 	"qcsim/internal/quantum"
 )
 
@@ -15,13 +16,12 @@ import (
 //
 //   - What joins a sweep: a maximal run of consecutive unitaries whose
 //     targets are offset-segment qubits or at most sweepWidth distinct
-//     block-segment qubits — three, or one under a memory budget —
-//     (quantum.PlanGroupSweeps).
-//     Controls may sit anywhere — an offset control masks amplitudes, a
-//     block control selects which blocks a gate fires on, a rank control
-//     which ranks; none of them is a member of a group. Rank-segment
-//     targets (a block exchange) and measurements (a collective) stay
-//     singletons.
+//     qubits above the offset segment — three, or one under a memory
+//     budget — of which at most one is a rank-segment qubit
+//     (quantum.PlanGroupSweeps). Controls may sit anywhere — an offset
+//     control masks amplitudes, a block control selects which blocks a
+//     gate fires on, a rank control which ranks; none of them is a member
+//     of a group. Measurements (a collective) stay singletons.
 //   - Why up to three block-segment targets: the pass walks groups of
 //     2^t blocks, b|sub for every sub made of the sweep's t block
 //     strides, and decompresses a group into the worker's scratch. One
@@ -33,6 +33,12 @@ import (
 //     decompress → apply → recompress round trip per block (§3.1) — and
 //     lets a cache hit (§3.4) stand for more work. A sweep with no
 //     block-segment target is the group of one block.
+//   - A rank-segment target (§3.3's third case) is one more stride whose
+//     partner lives on the peer rank: it is the group's top member bit,
+//     the rank's own blocks are one half of the group and the peer's
+//     same-index blocks the other. Such a pass exchanges each group once
+//     (exchangePass), not once per gate, and both ranks compute the
+//     pairs the rank-target gates split.
 //   - One pass: decompress the members some gate acts on, apply all k
 //     gates in circuit order (an offset-target gate to each member
 //     whose block index satisfies the gate's block controls, a
@@ -73,16 +79,17 @@ func (s *Simulator) planSweeps(gates []quantum.Gate) []quantum.GroupSweep {
 	if s.sweepsEnabled() {
 		return quantum.PlanGroupSweeps(gates, s.offsetBits, s.blockBits, s.sweepWidth())
 	}
-	return quantum.SingletonSweeps(gates, s.offsetBits, s.blockBits)
+	return quantum.SingletonSweeps(gates)
 }
 
 // groupSize is the most blocks a pass holds decompressed: a group of
-// three block-segment targets.
+// three block-segment targets, or of two and the rank-segment target
+// (half of it the peer's).
 const groupSize = 8
 
-// sweepWidth is how many block-segment targets this simulator's sweeps
-// may carry: three — groups of eight blocks. One — pair sweeps — when a
-// memory budget can escalate
+// sweepWidth is how many targets above the offset segment this
+// simulator's sweeps may carry: three — groups of eight blocks. One —
+// pair sweeps — when a memory budget can escalate
 // the ladder: the at-rest rule settles the budget at sweep boundaries,
 // and a group merges pair sweeps and the boundaries between them, where
 // a state that had just grown past the budget would have been
@@ -122,23 +129,27 @@ func classify(u quantum.Matrix2) gateClass {
 
 // passGate is one gate of a compiled pass, pre-split into the masks the
 // kernel needs. tMask is the target's bit within a block, 0 for a gate
-// that targets a block-segment qubit; mask is the offset bits that must
-// be set in the index of the pair's high amplitude — the offset
-// controls, plus tMask itself. flip is the member-index bit that
-// separates the two blocks of each pair a block-segment target acts on,
-// 0 for an offset target (its pair lies inside one member).
+// that targets a block- or rank-segment qubit; mask is the offset bits
+// that must be set in the index of the pair's high amplitude — the
+// offset controls, plus tMask itself. flip is the member-index bit that
+// separates the two blocks of each pair a block- or rank-segment target
+// acts on, 0 for an offset target (its pair lies inside one member).
 type passGate struct {
-	tMask   int
-	mask    int
-	flip    int
-	blkCtrl int // block-index bits that must be set for the gate to fire
+	tMask int
+	mask  int
+	flip  int
+	// blkCtrl is the block-index bits that must be set for the gate to
+	// fire; in a pass with a rank-segment target, bit nb (one above the
+	// block bits) is a control on that rank bit, set in the index of the
+	// group's members that live on the rank whose bit is 1.
+	blkCtrl int
 	class   gateClass
 	u       quantum.Matrix2
 }
 
-// newPassGate builds a gate whose block-segment target, if any, has
-// block stride stride; flip holds the stride until newBlockPass knows
-// the group and maps it to a member bit.
+// newPassGate builds a gate whose block- or rank-segment target, if
+// any, has block stride stride (nb for the rank target); flip holds the
+// stride until newBlockPass knows the group and maps it to a member bit.
 func newPassGate(u quantum.Matrix2, tMask, stride int, offCtrl uint64, blkCtrl int) passGate {
 	return passGate{tMask: tMask, mask: int(offCtrl) | tMask, flip: stride, blkCtrl: blkCtrl, class: classify(u), u: u}
 }
@@ -146,25 +157,37 @@ func newPassGate(u quantum.Matrix2, tMask, stride int, offCtrl uint64, blkCtrl i
 // blockPass is one group sweep compiled for one rank at one error
 // level: the gates that fire on this rank, the group's members, and the
 // cache key prefix. It is immutable once built and shared by the rank's
-// workers, which drive it through passBlock.
+// workers, which drive it through passBlock — or, with a rank-segment
+// target, walked by one worker through exchangePass.
 type blockPass struct {
 	key   passKey
 	gates []passGate
 	// span is the union of the block strides 2^(t-offsetBits) of the
-	// gates' block-segment targets: a block whose index has none of them
+	// gates' block-segment targets — and nb, one above every block bit,
+	// for a rank-segment target: a block whose index has none of them
 	// set is a group base. size is the member count, 2^popcount(span),
 	// and member m of the group based at b is block b|sub[m] — bit k of
-	// m selects the k-th lowest stride, so members go in index order.
+	// m selects the k-th lowest stride, so members go in index order and
+	// a rank target's stride is the top member bit, size/2.
 	span int
 	size int
 	sub  [groupSize]int
 	// ctrlBits is the union of the gates' block controls: the bits of a
 	// block index that decide which gates fire there.
 	ctrlBits int
+	// With a rank-segment target, comm reaches the peer rank that holds
+	// the other half of every group. own is the first member of this
+	// rank's half: 0 where the target bit is 0, size/2 where it is 1 (a
+	// member m of the half is block b|sub[m-own]). gates[first..last], the
+	// first to the last rank-target gate, run on both halves.
+	comm        mpi.Comm
+	peer, own   int
+	first, last int
 }
 
 // newBlockPass lays out the members of the groups span's strides make
-// and turns each block-target gate's stride into its member bit.
+// and turns each block- or rank-target gate's stride into its member
+// bit.
 func newBlockPass(key passKey, gates []passGate, span, ctrlBits int) *blockPass {
 	p := &blockPass{key: key, gates: gates, span: span, size: 1, ctrlBits: ctrlBits}
 	for rest := span; rest != 0; rest &= rest - 1 {
@@ -183,20 +206,43 @@ func newBlockPass(key passKey, gates []passGate, span, ctrlBits int) *blockPass 
 
 // compilePass builds the pass for a group sweep on this rank at the
 // rank's current level, or nil when a rank-segment control silences
-// every gate here (§3.3: the whole rank is unmodified).
-func (s *Simulator) compilePass(rs *rankState, gates []quantum.Gate) *blockPass {
+// every gate here (§3.3: the whole rank is unmodified). A control on the
+// rank bit the sweep's rank-segment target exchanges selects a half of
+// each group, so it becomes block-control bit nb; any other rank control
+// is decided here, and it is the same on both ranks of an exchanging
+// pair, which differ in the target bit alone.
+func (s *Simulator) compilePass(comm mpi.Comm, rs *rankState, gates []quantum.Gate) *blockPass {
+	rankBase, nb := s.offsetBits+s.blockBits, s.blocksPerRank()
+	tr := 0 // the rank bit a gate firing here exchanges (the planner allows one)
+	for _, g := range gates {
+		if _, _, rankCtrl := s.splitControls(g.Controls); g.Target >= rankBase && rs.id&rankCtrl == rankCtrl {
+			tr = 1 << uint(g.Target-rankBase)
+			break
+		}
+	}
 	pgs := make([]passGate, 0, len(gates))
-	span, ctrlBits := 0, 0
+	span, ctrlBits, first, last := 0, 0, -1, -1
 	for _, g := range gates {
 		offCtrl, blkCtrl, rankCtrl := s.splitControls(g.Controls)
+		if rankCtrl&tr != 0 {
+			rankCtrl &^= tr
+			blkCtrl |= nb
+		}
 		if rs.id&rankCtrl != rankCtrl {
 			continue
 		}
 		tMask, stride := 0, 0
-		if g.Target < s.offsetBits {
+		switch {
+		case g.Target < s.offsetBits:
 			tMask = 1 << uint(g.Target)
-		} else {
+		case g.Target < rankBase:
 			stride = 1 << uint(g.Target-s.offsetBits)
+		default:
+			stride = nb
+			if first < 0 {
+				first = len(pgs)
+			}
+			last = len(pgs)
 		}
 		span |= stride
 		ctrlBits |= blkCtrl
@@ -205,15 +251,28 @@ func (s *Simulator) compilePass(rs *rankState, gates []quantum.Gate) *blockPass 
 	if len(pgs) == 0 {
 		return nil
 	}
-	return newBlockPass(newPassKey(quantum.SweepSignature(gates), rs.level), pgs, span, ctrlBits)
+	p := newBlockPass(newPassKey(quantum.SweepSignature(gates), rs.level), pgs, span, ctrlBits)
+	if tr != 0 {
+		p.comm, p.peer, p.first, p.last = comm, rs.id^tr, first, last
+		if rs.id&tr != 0 {
+			p.own = p.size / 2
+		}
+	}
+	return p
+}
+
+// scanPass is the pass of no gates over the blocks whose index has
+// every bit of blkMask set, at error level lvl. With blkMask 0 it is the
+// codec-only pass of the at-rest budget rule (requantPass); measurement
+// and sampling announce its visit order to a tiered store (hintPass).
+func scanPass(lvl, blkMask int) *blockPass {
+	return newBlockPass(newPassKey(quantum.SweepSignature(nil), lvl), nil, 0, blkMask)
 }
 
 // requantPass is the codec-only pass of the at-rest budget rule, at the
 // rank's (just escalated) level: the sweep of no gates, which decodes
 // and recompresses every block.
-func requantPass(rs *rankState) *blockPass {
-	return newBlockPass(newPassKey(quantum.SweepSignature(nil), rs.level), nil, 0, 0)
-}
+func requantPass(rs *rankState) *blockPass { return scanPass(rs.level, 0) }
 
 // fired returns, per member of the group based at b, how many of the
 // pass's gates act on it: those whose block controls are all set in the
@@ -223,8 +282,10 @@ func requantPass(rs *rankState) *blockPass {
 // whole block unmodified). The counts are functions of b&ctrlBits.
 func (p *blockPass) fired(b int) (n [groupSize]int) {
 	switch {
-	case len(p.gates) == 0: // requantPass
-		n[0] = 1
+	case len(p.gates) == 0: // scanPass
+		if b&p.ctrlBits == p.ctrlBits {
+			n[0] = 1
+		}
 	case p.ctrlBits == 0:
 		for m := 0; m < p.size; m++ {
 			n[m] = len(p.gates)
@@ -263,11 +324,16 @@ func (p *blockPass) fired(b int) (n [groupSize]int) {
 // test in front is a pre-filter: any zero component passes it (for
 // finite results), a dense pair never does, so a dense state pays for
 // one multiply and compare per amplitude and never for the sign test.
-func (p *blockPass) apply(bufs [][]float64, b int) {
-	for i := range p.gates {
-		g := &p.gates[i]
-		for m, sub := range p.sub[:p.size] {
-			if m&g.flip == 0 && (b|sub)&g.blkCtrl == g.blkCtrl {
+func (p *blockPass) apply(bufs [][]float64, b int) { p.applyTo(bufs, b, p.gates, 0, p.size) }
+
+// applyTo is apply restricted to gates, a range of the pass's, and to
+// the members [m0, m1): the whole group, or in a pass with a rank-segment
+// target one rank's half of it.
+func (p *blockPass) applyTo(bufs [][]float64, b int, gates []passGate, m0, m1 int) {
+	for i := range gates {
+		g := &gates[i]
+		for m := m0; m < m1; m++ {
+			if m&g.flip == 0 && (b|p.sub[m])&g.blkCtrl == g.blkCtrl {
 				g.kernel(bufs[m], bufs[m|g.flip])
 			}
 		}
@@ -478,16 +544,38 @@ func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *wor
 // variant that issued them; a memo hit charges the saved variant's
 // CodecPassesShared instead — which variant of an undiverged group pays
 // depends on the schedule, the totals over the batch do not.
+//
+// A pass with a rank-segment target goes variant by variant instead,
+// each through exchangePass on the rank's first worker: its SendRecvs
+// must pair with the peer's in order, so the walk is sequential, and it
+// consults no memo.
 func runPass(sims []*Simulator, r int, passes []*blockPass, gi, round int) error {
 	if passes[0] == nil {
 		return nil // rank controls are shape: silenced for one, silenced for all
 	}
-	K := len(sims)
-	s0 := sims[0]
-	rs0 := s0.ranks[r]
 	for v, s := range sims {
 		s.hintPass(s.ranks[r], passes[v])
 	}
+	var err error
+	if passes[0].comm != nil {
+		err = eachVariant(sims, func(v int, s *Simulator) error { return s.exchangePass(s.ranks[r], passes[v]) })
+	} else {
+		err = fanOutPass(sims, r, passes)
+	}
+	if err != nil {
+		return err
+	}
+	for v, s := range sims {
+		s.noteLevel(s.ranks[r], gi, round, passes[v].key.level)
+	}
+	return nil
+}
+
+// fanOutPass is runPass for a pass without a rank-segment target.
+func fanOutPass(sims []*Simulator, r int, passes []*blockPass) error {
+	K := len(sims)
+	s0 := sims[0]
+	rs0 := s0.ranks[r]
 	// Which memo is something the pass observes, not a knob: one variant
 	// consults its rank's §3.4 block cache, K > 1 a per-pass memo that
 	// turns undiverged variants into shared blobs — it subsumes the
@@ -511,19 +599,105 @@ func runPass(sims []*Simulator, r int, passes []*blockPass, gi, round int) error
 	for i := range shards {
 		sims[i%K].ranks[r].stats.merge(shards[i])
 	}
-	if err != nil {
-		return err
+	return err
+}
+
+// crossing returns, one bit per member of this rank's half of the group
+// based at b (bit m for member own+m), the pairs a rank-segment pass
+// exchanges: those on which a gate from the first to the last
+// rank-target gate acts on either half. Only those gates run on the
+// peer's half, and each pair they touch must hold the peer's values
+// there — a block-target gate between two rank-target gates can join a
+// pair no rank-target gate fires on to one it does. Controls are all
+// "bit set", so a gate that acts on a member acts on its twin in the
+// half whose index has bit nb set, and that half alone is tested. Both
+// ranks of the pair compute the same bits, so every SendRecv is paired.
+func (p *blockPass) crossing(b int) (cross int) {
+	top := p.size / 2
+	for i := p.first; i <= p.last; i++ {
+		c := p.gates[i].blkCtrl
+		for m := 0; m < top; m++ {
+			if (b|p.sub[top+m])&c == c {
+				cross |= 1 << m
+			}
+		}
 	}
-	for v, s := range sims {
-		s.noteLevel(s.ranks[r], gi, round, passes[v].key.level)
+	return cross
+}
+
+// exchangePass runs a pass with a rank-segment target on rank rs (§3.3's
+// third case): per group, in block order, on the rank's first worker,
+//
+//  1. decode the own half's members some gate acts on or that cross;
+//  2. apply the gates before the first rank-target gate to the own half;
+//  3. SendRecv each crossing member with its twin on the peer — the
+//     same-index member of the peer's half — dense, as decoded;
+//  4. apply the gates from the first to the last rank-target gate to
+//     both halves, which both ranks compute alike, and the rest to the
+//     own half;
+//  5. recompress the own members some gate acted on.
+//
+// The kernels and their order are passBlock's, so under the lossless
+// codec each amplitude sees gate-at-a-time's float operations. A codec
+// or store failure must not end the walk: the peer would block forever
+// in SendRecv while this rank sat at the sweep error barrier. The rank
+// keeps the exchange alive for the remaining groups (sending whatever
+// is in scratch), skips the codec and kernel work, and reports the
+// first error at the sweep boundary, where the barrier stops all ranks.
+func (s *Simulator) exchangePass(rs *rankState, p *blockPass) error {
+	bufs, st := rs.w0().group(p.size), &rs.stats
+	top, own, twin := p.size/2, p.own, p.own^(p.size/2)
+	var firstErr error
+	for b := 0; b < s.blocksPerRank(); b++ {
+		if b&p.span != 0 {
+			continue // not a group base: visited with its base
+		}
+		fired, cross := p.fired(b), p.crossing(b)
+		for m := 0; m < top && firstErr == nil; m++ {
+			if fired[own+m] > 0 || cross>>m&1 != 0 {
+				blob, err := rs.store.Get(b | p.sub[m])
+				if err == nil {
+					err = s.decompressBlock(blob, bufs[own+m], st)
+				}
+				firstErr = err
+			}
+		}
+		if firstErr == nil {
+			start := time.Now()
+			p.applyTo(bufs[:], b, p.gates[:p.first], own, own+top)
+			st.ComputeTime += time.Since(start)
+		}
+		for m := 0; m < top; m++ {
+			if cross>>m&1 != 0 {
+				p.comm.SendRecv(p.peer, bufs[own+m], bufs[twin+m])
+			}
+		}
+		if firstErr != nil {
+			continue
+		}
+		start := time.Now()
+		p.applyTo(bufs[:], b, p.gates[p.first:p.last+1], 0, p.size)
+		p.applyTo(bufs[:], b, p.gates[p.last+1:], own, own+top)
+		st.ComputeTime += time.Since(start)
+		for m := 0; m < top && firstErr == nil; m++ {
+			if n := fired[own+m]; n > 0 {
+				blob, err := s.compressBlock(p.key.level, bufs[own+m], st)
+				if err == nil {
+					err = rs.store.Put(b|p.sub[m], blob)
+				}
+				if firstErr = err; err == nil {
+					st.CodecPassesSaved += int64(n - 1)
+				}
+			}
+		}
 	}
-	return nil
+	return firstErr
 }
 
 // hintPass announces the pass's visit order — each group base, then the
-// group's members in order, untouched members left out — to a tiered
-// store so its prefetcher can stage spilled blobs ahead of the pass. The
-// in-RAM store wants no hints and the order is never built.
+// members of the group it reads, in order — to a tiered store so its
+// prefetcher can stage spilled blobs ahead of the pass. The in-RAM store
+// wants no hints and the order is never built.
 func (s *Simulator) hintPass(rs *rankState, p *blockPass) {
 	if !rs.store.WantHints() {
 		return
@@ -534,8 +708,18 @@ func (s *Simulator) hintPass(rs *rankState, p *blockPass) {
 		if b&p.span != 0 {
 			continue
 		}
-		for m, n := range p.fired(b) {
-			if n > 0 {
+		fired := p.fired(b)
+		if p.comm == nil {
+			for m, n := range fired {
+				if n > 0 {
+					order = append(order, b|p.sub[m])
+				}
+			}
+			continue
+		}
+		cross := p.crossing(b)
+		for m := 0; m < p.size/2; m++ {
+			if fired[p.own+m] > 0 || cross>>m&1 != 0 {
 				order = append(order, b|p.sub[m])
 			}
 		}

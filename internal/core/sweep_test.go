@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -43,8 +45,9 @@ func runSweepPair(t *testing.T, cir *quantum.Circuit, ranks, blockAmps, workers 
 	return on, off
 }
 
-// assertBitIdentical compares full states, measurement logs, and (when
-// checkLedger) the fidelity ledgers of two simulators bit-for-bit.
+// assertBitIdentical compares the full states and measurement logs of
+// two simulators bit for bit: the bits of every component, so −0 and +0
+// differ.
 func assertBitIdentical(t *testing.T, a, b *Simulator, label string) {
 	t.Helper()
 	sa, err := a.FullState()
@@ -56,7 +59,7 @@ func assertBitIdentical(t *testing.T, a, b *Simulator, label string) {
 		t.Fatal(err)
 	}
 	for i := range sa {
-		if sa[i] != sb[i] {
+		if !sameBits(sa[i], sb[i]) {
 			t.Fatalf("%s: amplitude %d differs: %v vs %v", label, i, sa[i], sb[i])
 		}
 	}
@@ -69,6 +72,13 @@ func assertBitIdentical(t *testing.T, a, b *Simulator, label string) {
 			t.Fatalf("%s: measurement %d differs: %v vs %v", label, i, ma, mb)
 		}
 	}
+}
+
+// sameBits reports whether x and y have the same bits in both
+// components; x == y would call −0 and +0 equal.
+func sameBits(x, y complex128) bool {
+	return math.Float64bits(real(x)) == math.Float64bits(real(y)) &&
+		math.Float64bits(imag(x)) == math.Float64bits(imag(y))
 }
 
 // assertBlobsIdentical compares the stored compressed blocks of two
@@ -143,10 +153,8 @@ func TestQuickSweepsBitIdentical(t *testing.T) {
 // gate-at-a-time execution where they differ most from a pair: two or
 // three block-segment targets in one sweep, each controlled on another,
 // on a block qubit outside the group and on the rank qubit, with offset
-// targets controlled on group qubits in between — solo and as a
-// 3-variant batch, with the block cache on and off, through the spill
-// tier, on 1, 2 and 4 workers. Amplitudes, compressed blocks and
-// ledgers must be equal bit for bit.
+// targets controlled on group qubits in between
+// (assertBatchesMatchGateAtATime).
 func TestGroupSweepsBitIdentical(t *testing.T) {
 	// 2 ranks of 8-amplitude blocks: qubits 0..2 offset, 3..5 block, 6 rank.
 	const qubits = 7
@@ -162,7 +170,7 @@ func TestGroupSweepsBitIdentical(t *testing.T) {
 	for _, sw := range quantum.PlanGroupSweeps(par.Gates, 3, 3, 3) {
 		ts := map[int]bool{}
 		for _, g := range par.Gates[sw.Start:sw.End] {
-			if sw.Pass && g.Target >= 3 {
+			if sw.Pass && g.Target >= 3 && g.Target < 6 {
 				ts[g.Target] = true
 			}
 		}
@@ -171,6 +179,16 @@ func TestGroupSweepsBitIdentical(t *testing.T) {
 	if byTargets[2] < 2 || byTargets[3] < 2 {
 		t.Fatalf("sweeps by block targets %v: want at least two 4-block and two 8-block groups; the test is vacuous", byTargets)
 	}
+	assertBatchesMatchGateAtATime(t, par, 2)
+}
+
+// assertBatchesMatchGateAtATime runs par, a one-parameter circuit on 7
+// qubits of 8-amplitude blocks over ranks ranks, solo and as a 3-variant
+// batch, with the block cache on and off, through the spill tier, on 1,
+// 2 and 4 workers, against gate-at-a-time runs of each variant:
+// amplitudes, compressed blocks and ledgers must be equal bit for bit.
+func assertBatchesMatchGateAtATime(t *testing.T, par *quantum.Circuit, ranks int) {
+	t.Helper()
 	for _, k := range []int{1, 3} {
 		circuits := make([]*quantum.Circuit, k)
 		for v := range circuits {
@@ -186,19 +204,19 @@ func TestGroupSweepsBitIdentical(t *testing.T) {
 					c.Workers, c.CacheLines = workers, lines
 					spillCfg(t, 256)(c)
 				}
-				sims := batchSims(t, qubits, 2, 8, k, cfg)
+				sims := batchSims(t, par.N, ranks, 8, k, cfg)
 				if err := RunBatch(sims, circuits, RunControl{}); err != nil {
 					t.Fatal(err)
 				}
 				for v, s := range sims {
-					off := newSim(t, qubits, 2, 8, func(c *Config) {
+					off := newSim(t, par.N, ranks, 8, func(c *Config) {
 						cfg(c)
 						c.DisableSweeps, c.Seed = true, VariantSeed(1, v)
 					})
 					if err := off.Run(circuits[v]); err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("K=%d workers=%d lines=%d variant %d", k, workers, lines, v)
+					label := fmt.Sprintf("ranks=%d K=%d workers=%d lines=%d variant %d", ranks, k, workers, lines, v)
 					assertBitIdentical(t, s, off, label)
 					assertBlobsIdentical(t, s, off, label)
 					if s.FidelityLowerBound() != off.FidelityLowerBound() {
@@ -206,10 +224,135 @@ func TestGroupSweepsBitIdentical(t *testing.T) {
 					}
 				}
 				if st := sims[0].Stats(); st.SpillWrites == 0 {
-					t.Fatalf("K=%d workers=%d lines=%d: nothing spilled", k, workers, lines)
+					t.Fatalf("ranks=%d K=%d workers=%d lines=%d: nothing spilled", ranks, k, workers, lines)
 				}
 			}
 		}
+	}
+}
+
+// rankSweepCircuit is TestRankSweepsBitIdentical's circuit, one
+// parameter wide. On 2 ranks of 8-amplitude blocks qubits 0..2 are
+// offset, 3..5 block and 6 the rank qubit; the measurements end sweeps.
+func rankSweepCircuit() *quantum.Circuit {
+	const qubits = 7
+	c := quantum.NewCircuit(qubits)
+	for q := 0; q < qubits; q++ {
+		c.H(q) // the block targets 3, 4, 5 fill a sweep; H(6) opens the next
+	}
+	// The rank target beside offset gates only, with SWAP(0, 6)'s middle
+	// CNOT controlled on the rank bit and an offset gate after the last
+	// rank-target gate.
+	c.PRY(6, quantum.P(0)).SWAP(0, 6).CPhase(1, 6, 0.3).S(2).Measure(2)
+	// One block target: offset and block gates before the first
+	// rank-target gate; the rank-target gates fire only on the members
+	// whose block bit 3 is set, and the H(3) between them joins those
+	// pairs to the ones no rank-target gate fires on; SWAP(3, 6)'s middle
+	// CNOT, a rank-bit control on a block target; a rank-controlled
+	// offset gate and an offset gate after the last rank-target gate.
+	c.T(1).H(3).CNOT(3, 6).H(3).SWAP(3, 6).CPhase(6, 1, 0.5).T(0).Measure(1)
+	// Two block targets beside the rank target, every rank-target gate
+	// controlled on block bit 3 outside the group: on the groups based
+	// where it is clear no pair crosses.
+	c.T(2).H(4).Toffoli(3, 4, 6).Toffoli(3, 6, 5).ApplyControlled("ch", quantum.MatH, 6, 3).
+		CPhase(5, 1, 0.3).H(5).PRZ(5, quantum.P(0)).Measure(0)
+	// On 4 ranks qubits 5 and 6 are both rank qubits: a rank target
+	// controlled on the other rank bit, then the other rank target.
+	c.H(6).CPhase(5, 6, 0.9).PRX(6, quantum.P(0)).ApplyControlled("ch", quantum.MatH, 5, 6).CNOT(0, 5)
+	c.Gates = append(c.Gates, quantum.RandomCircuit(qubits, 30, 5).Gates...)
+	return c
+}
+
+// TestRankSweepsBitIdentical holds sweeps that carry a rank-segment
+// target to gate-at-a-time execution: the rank target beside 0, 1 and 2
+// block targets, rank-bit controls on offset and block targets, block
+// controls that silence some groups, offset gates before the first and
+// after the last rank-target gate, and on 4 ranks a control on the other
+// rank bit (assertBatchesMatchGateAtATime).
+func TestRankSweepsBitIdentical(t *testing.T) {
+	par := rankSweepCircuit()
+	// rankSweeps counts the plan's sweeps with a rank target, those of
+	// them with two block targets too, and those with a control on a rank
+	// qubit other than the target.
+	rankSweeps := func(offsetBits, blockBits int) (n, twoBlock, otherRank int) {
+		rankBase := offsetBits + blockBits
+		for _, sw := range quantum.PlanGroupSweeps(par.Gates, offsetBits, blockBits, 3) {
+			blocks, rank := map[int]bool{}, -1
+			for _, g := range par.Gates[sw.Start:sw.End] {
+				switch {
+				case g.Kind != quantum.KindUnitary || g.Target < offsetBits:
+				case g.Target < rankBase:
+					blocks[g.Target] = true
+				default:
+					rank = g.Target
+				}
+			}
+			if rank < 0 {
+				continue
+			}
+			n++
+			if len(blocks) == 2 {
+				twoBlock++
+			}
+			for _, g := range par.Gates[sw.Start:sw.End] {
+				for _, c := range g.Controls {
+					if c >= rankBase && c != rank {
+						otherRank++
+					}
+				}
+			}
+		}
+		return n, twoBlock, otherRank
+	}
+	if n, two, _ := rankSweeps(3, 3); n < 2 || two < 1 {
+		t.Fatalf("2 ranks: %d sweeps carry the rank target, %d of them two block targets; the test is vacuous", n, two)
+	}
+	if _, _, other := rankSweeps(3, 2); other == 0 {
+		t.Fatal("4 ranks: no rank-target sweep has a control on the other rank bit; the test is vacuous")
+	}
+	for _, ranks := range []int{2, 4} {
+		assertBatchesMatchGateAtATime(t, par, ranks)
+	}
+}
+
+// TestQuickRankCountBitIdentical is an oracle outside the exchange code:
+// the rank count decides only where the two amplitudes of a pair live,
+// never the arithmetic on them, so 1, 2 and 4 ranks — sweeps on and
+// off — give the same bits, and one rank exchanges nothing at all.
+// Unitary circuits only: a measurement's probability sum is added in an
+// order that depends on the rank count.
+func TestQuickRankCountBitIdentical(t *testing.T) {
+	const qubits = 7
+	f := func(seed int64) bool {
+		cir := quantum.RandomCircuit(qubits, 60, seed)
+		cir.Gates = append(cir.Gates, quantum.QFT(qubits, seed).Gates...)
+		var ref []complex128
+		for _, ranks := range []int{1, 2, 4} {
+			for _, disable := range []bool{true, false} {
+				s := newSim(t, qubits, ranks, 8, func(c *Config) { c.DisableSweeps = disable })
+				if err := s.Run(cir); err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.FullState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = got
+					continue
+				}
+				for i := range got {
+					if !sameBits(got[i], ref[i]) {
+						t.Logf("seed %d: ranks=%d sweeps off=%v: amplitude %d is %v, one rank gate at a time %v", seed, ranks, disable, i, got[i], ref[i])
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -674,15 +817,28 @@ func TestMeasurementCollapseFailureIsWrappedError(t *testing.T) {
 }
 
 // TestUnitaryCodecFailureReturnsError: the same no-panic contract on
-// the unitary paths, including the cross-rank exchange, which must keep
-// its SendRecv protocol alive on error instead of deadlocking peers.
+// the unitary paths, including a sweep that exchanges groups with the
+// peer rank, which must keep its SendRecv protocol alive on error
+// instead of deadlocking peers — also when the fault fires once, so one
+// rank fails while its peer exchanges on healthy.
 func TestUnitaryCodecFailureReturnsError(t *testing.T) {
-	// Qubit 5 lives in the rank segment, so the plan is three sweeps: a
-	// local pass, a cross-rank exchange, a local pass.
-	cir := quantum.NewCircuit(6).H(1).H(5).H(0)
+	// Qubit 5 lives in the rank segment. The plan is a group sweep, the
+	// measurement, and a sweep that carries the rank target, where the
+	// fault is armed.
+	cir := quantum.NewCircuit(6).H(3).H(4).H(1).Measure(2).T(0).H(5).CNOT(5, 1).H(0)
+	const at = 2
+	plan := newSim(t, 6, 2, 8, nil).planSweeps(cir.Gates)
+	if sw := plan[at]; !sw.Pass || !slices.ContainsFunc(cir.Gates[sw.Start:sw.End], func(g quantum.Gate) bool { return g.Target == 5 }) {
+		t.Fatalf("sweep %d of %v does not carry the rank target", at, plan)
+	}
 	for _, k := range []int{1, 3} {
-		for at := 1; at <= 2; at++ {
-			runWithFault(t, k, nil, cir, codecFault{dec: true, at: at})
+		for _, f := range []codecFault{
+			{dec: true, at: at},
+			{enc: true, at: at},
+			{dec: true, once: true, at: at},
+			{enc: true, once: true, at: at},
+		} {
+			runWithFault(t, k, nil, cir, f)
 		}
 	}
 }

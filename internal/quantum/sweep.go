@@ -66,16 +66,16 @@ func PlanSweeps(gates []Gate, offsetBits int) []Sweep {
 // GroupSweep is one schedule unit of the group-sweep scheduler: a
 // half-open gate range [Start, End). When Pass is true the range is a
 // run of unitaries whose targets are offset-segment qubits or a few
-// distinct block-segment qubits (see PlanGroupSweeps), and it executes
-// as a single codec pass over the block groups those qubits span — b
-// together with b flipped in every combination of their block bits: a
-// single block when no gate targets the block segment, a pair for one
-// such qubit, four blocks for two, eight for three. Controls may sit in
-// any segment:
-// they select amplitudes, blocks or ranks and are never members of a
-// group.
-// Measurements and gates that target the rank segment are singletons
-// with Pass false.
+// distinct qubits above the offset segment (see PlanGroupSweeps), and
+// it executes as a single codec pass over the block groups those qubits
+// span — b together with b flipped in every combination of their index
+// bits: a single block when no gate targets outside the offset segment,
+// a pair for one such qubit, four blocks for two, eight for three. A
+// block-segment target pairs blocks of one rank; a rank-segment target
+// pairs each block with the same-index block on the peer rank, so its
+// groups are exchanged (§3.3's third case). Controls may sit in any
+// segment: they select amplitudes, blocks or ranks and are never
+// members of a group. Measurements are singletons with Pass false.
 type GroupSweep struct {
 	Start, End int
 	Pass       bool
@@ -84,45 +84,39 @@ type GroupSweep struct {
 // Len returns the number of gates the sweep covers.
 func (s GroupSweep) Len() int { return s.End - s.Start }
 
-// sweepTarget reports whether g can join a group sweep — a unitary
-// whose target lies below the rank segment — and the block-segment
-// qubit it targets, or -1 when its target is an offset qubit.
-func sweepTarget(g Gate, offsetBits, blockBits int) (t int, ok bool) {
-	switch {
-	case g.Kind != KindUnitary || g.Target >= offsetBits+blockBits:
-		return -1, false
-	case g.Target >= offsetBits:
-		return g.Target, true
-	}
-	return -1, true
-}
-
 // PlanGroupSweeps partitions gates into maximal group sweeps (see
-// GroupSweep) interleaved with the singletons that cannot join one. A
-// run ends only where the next gate cannot join a pass, or would bring
-// one distinct block-segment target more than width into it; width 1
-// gives pair sweeps, 2 groups of up to four blocks, 3 groups of up to
-// eight (the engine picks the width from its block size and budget).
-// Like PlanSweeps the
-// plan never reorders gates and depends only on the gate list, the
-// geometry and the width, so every rank computes the same schedule.
+// GroupSweep) interleaved with the measurements, which are singletons.
+// A run ends only at a measurement, or where the next gate would bring
+// one distinct non-offset target more than width into it, or a second
+// distinct rank-segment target: a block-segment and a rank-segment
+// target each double the group, so width 1 gives pair sweeps (a rank
+// target's pair is split across two ranks), 2 groups of up to four
+// blocks, 3 groups of up to eight (the engine picks the width from its
+// budget). Like PlanSweeps the plan never reorders gates and depends
+// only on the gate list, the geometry and the width, so every rank
+// computes the same schedule.
 func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int) []GroupSweep {
 	var plan []GroupSweep
-	targets := make([]int, 0, width) // the run's distinct block-segment targets
+	targets := make([]int, 0, width) // the run's distinct non-offset targets
 	for i := 0; i < len(gates); {
 		targets = targets[:0]
+		rank := false // a target in targets is a rank-segment qubit
 		j := i
 		for ; j < len(gates); j++ {
-			t, ok := sweepTarget(gates[j], offsetBits, blockBits)
-			if !ok {
+			g := gates[j]
+			if g.Kind != KindUnitary {
 				break
 			}
-			if t >= 0 && !slices.Contains(targets, t) {
-				if len(targets) == width {
-					break
-				}
-				targets = append(targets, t)
+			t := g.Target
+			if t < offsetBits || slices.Contains(targets, t) {
+				continue
 			}
+			isRank := t >= offsetBits+blockBits
+			if len(targets) == width || isRank && rank {
+				break
+			}
+			rank = rank || isRank
+			targets = append(targets, t)
 		}
 		if j == i {
 			plan = append(plan, GroupSweep{Start: i, End: i + 1})
@@ -139,12 +133,11 @@ func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int) []GroupSwee
 // the schedule that reproduces the paper's gate-at-a-time cost model
 // exactly (used when the sweep scheduler is disabled or a noise channel
 // must fire after every gate). A one-gate sweep runs through the same
-// pass as a long one.
-func SingletonSweeps(gates []Gate, offsetBits, blockBits int) []GroupSweep {
+// pass as a long one; only a measurement is not a pass.
+func SingletonSweeps(gates []Gate) []GroupSweep {
 	plan := make([]GroupSweep, len(gates))
 	for i, g := range gates {
-		_, ok := sweepTarget(g, offsetBits, blockBits)
-		plan[i] = GroupSweep{Start: i, End: i + 1, Pass: ok}
+		plan[i] = GroupSweep{Start: i, End: i + 1, Pass: g.Kind == KindUnitary}
 	}
 	return plan
 }

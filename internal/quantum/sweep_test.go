@@ -150,15 +150,24 @@ func TestPlanGroupSweeps(t *testing.T) {
 		{"block- and rank-segment controls join", 3, 2, 2,
 			[]Gate{cx(4, 0), cx(6, 3), cx(3, 1), cx(5, 3)},
 			[]GroupSweep{{0, 4, true}}},
-		{"cross-rank target splits a run", 3, 2, 2,
+		{"a cross-rank target joins a run", 3, 2, 2,
 			[]Gate{h(0), h(3), h(5), h(3), h(1)},
-			[]GroupSweep{{0, 2, true}, {2, 3, false}, {3, 5, true}}},
+			[]GroupSweep{{0, 5, true}}},
+		{"a second distinct rank target splits a run", 3, 2, 3,
+			[]Gate{h(5), h(0), cx(6, 3), h(6), h(5)},
+			[]GroupSweep{{0, 3, true}, {3, 4, true}, {4, 5, true}}},
+		{"a rank target counts toward the width", 3, 2, 2,
+			[]Gate{h(3), h(5), h(1), h(4), h(5)},
+			[]GroupSweep{{0, 3, true}, {3, 5, true}}},
+		{"width 1: a rank target with offset gates is a pair sweep", 3, 2, 1,
+			[]Gate{h(0), h(5), cx(5, 1), h(3)},
+			[]GroupSweep{{0, 3, true}, {3, 4, true}}},
 		{"measurement splits a run", 3, 2, 2,
 			[]Gate{h(0), m(0), m(4), h(4), h(1)},
 			[]GroupSweep{{0, 1, true}, {1, 2, false}, {2, 3, false}, {3, 5, true}}},
-		{"no block segment", 5, 0, 2,
+		{"no block segment: a rank target joins", 5, 0, 2,
 			[]Gate{h(0), h(4), h(5), cx(6, 3)},
-			[]GroupSweep{{0, 2, true}, {2, 3, false}, {3, 4, true}}},
+			[]GroupSweep{{0, 4, true}}},
 	} {
 		plan := PlanGroupSweeps(tc.gates, tc.offsetBits, tc.blkBs, tc.width)
 		if len(plan) != len(tc.want) {
@@ -170,10 +179,9 @@ func TestPlanGroupSweeps(t *testing.T) {
 				t.Errorf("%s: sweep %d = %+v, want %+v", tc.name, i, plan[i], tc.want[i])
 			}
 		}
-		single := SingletonSweeps(tc.gates, tc.offsetBits, tc.blkBs)
+		single := SingletonSweeps(tc.gates)
 		for i, sw := range single {
-			unitaryBelowRanks := tc.gates[i].Kind == KindUnitary && tc.gates[i].Target < tc.offsetBits+tc.blkBs
-			if sw.Start != i || sw.End != i+1 || sw.Pass != unitaryBelowRanks {
+			if sw.Start != i || sw.End != i+1 || sw.Pass != (tc.gates[i].Kind == KindUnitary) {
 				t.Errorf("%s: singleton %d = %+v", tc.name, i, sw)
 			}
 		}
@@ -182,10 +190,11 @@ func TestPlanGroupSweeps(t *testing.T) {
 
 // TestQuickPlanGroupSweepsIsAPartition: for any circuit, geometry and
 // width (1, 2 or 3) the plan covers [0, len(gates)) contiguously in order,
-// a pass holds only unitaries below the rank segment with at most width
-// distinct block-segment targets, everything else is a singleton, and
-// passes are maximal — the next gate could not have joined, or would
-// have been one block-segment target too many.
+// a pass holds only unitaries with at most width distinct non-offset
+// targets, of which at most one is a rank-segment qubit, measurements
+// are singletons, and passes are maximal — the next gate could not have
+// joined: it would have been one non-offset target too many, or a second
+// rank-segment target.
 func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
 	f := func(seed int64, offSel, blkSel, gateCount, widthSel uint8) bool {
 		const n = 7
@@ -196,14 +205,20 @@ func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
 		cir.Measure(int(uint64(seed) % n))
 		cir.H(int(uint64(seed) % n))
 		plan := PlanGroupSweeps(cir.Gates, offsetBits, blockBits, width)
-		blockTargets := func(sw GroupSweep) map[int]bool {
-			ts := map[int]bool{}
+		rankBase := offsetBits + blockBits
+		// targets returns the sweep's distinct non-offset targets and how
+		// many of them are rank-segment qubits.
+		targets := func(sw GroupSweep) (ts map[int]bool, ranks int) {
+			ts = map[int]bool{}
 			for _, g := range cir.Gates[sw.Start:sw.End] {
-				if g.Target >= offsetBits {
+				if g.Target >= offsetBits && !ts[g.Target] {
 					ts[g.Target] = true
+					if g.Target >= rankBase {
+						ranks++
+					}
 				}
 			}
-			return ts
+			return ts, ranks
 		}
 		next := 0
 		for i, sw := range plan {
@@ -213,7 +228,7 @@ func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
 			}
 			next = sw.End
 			for _, g := range cir.Gates[sw.Start:sw.End] {
-				if (g.Kind == KindUnitary && g.Target < offsetBits+blockBits) != sw.Pass {
+				if (g.Kind == KindUnitary) != sw.Pass {
 					t.Logf("gate %v mismatches sweep %+v", g, sw)
 					return false
 				}
@@ -222,15 +237,16 @@ func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
 				t.Logf("non-pass sweep %+v not a singleton", sw)
 				return false
 			}
-			ts := blockTargets(sw)
-			if len(ts) > width {
-				t.Logf("sweep %+v has block-segment targets %v", sw, ts)
+			ts, ranks := targets(sw)
+			if len(ts) > width || ranks > 1 {
+				t.Logf("sweep %+v has non-offset targets %v, %d of them rank-segment", sw, ts, ranks)
 				return false
 			}
 			if sw.Pass && i+1 < len(plan) && plan[i+1].Pass {
 				g := cir.Gates[sw.End]
-				if g.Target < offsetBits || len(ts) < width || ts[g.Target] {
-					t.Logf("gate %v could have joined sweep %+v (block targets %v)", g, sw, ts)
+				secondRank := g.Target >= rankBase && ranks == 1
+				if g.Target < offsetBits || ts[g.Target] || len(ts) < width && !secondRank {
+					t.Logf("gate %v could have joined sweep %+v (targets %v)", g, sw, ts)
 					return false
 				}
 			}
