@@ -199,12 +199,18 @@
 // inspectable through BatchVariants until the next batch or Close.
 //
 // Internally the executor walks the same group-sweep schedule and fans
-// each pass out over (block group, variant) units on the worker pool —
-// decompress each distinct blob once per pass, apply the gates,
-// recompress each distinct result once — with a content-addressed,
-// claim-or-wait memo deduplicating codec work across undiverged
-// variants, exactly once per distinct input whatever the worker count.
-// Stats reports CodecPassesShared and VariantCount.
+// each pass out over (block group, variant) units on the worker pool.
+// Variants whose pass and blocks equal variant 0's share its outputs
+// through a content-addressed, claim-or-wait memo, computed once per
+// distinct input whatever the worker count (Stats.CodecPassesShared). A
+// variant whose gates part from variant 0's inside the pass — a
+// parameter-shift variant — is forked off variant 0's walk: a chunk of
+// such variants decodes variant 0's blocks once and applies the gates
+// before each variant's divergence point once, and each variant applies
+// only its own remaining gates and recompresses its own blocks. A
+// 13-qubit, 79-variant QAOA gradient is one pass: it decodes 18 blocks
+// instead of 158 and applies 3 460 gates to its block pair instead of
+// 8 216. Stats reports VariantCount.
 //
 // What breaks lockstep: nothing a valid batch can contain. Measurement
 // gates and WithNoise consume per-variant randomness mid-circuit, so

@@ -53,12 +53,18 @@ func (s *Simulator) Clone(seed int64) (*Simulator, error) {
 // Clone), and all circuits must be well formed and of one shape
 // (use quantum.Circuit.Bind on one parametric circuit); nothing else is
 // rejected. The schedule is planned once — shapes are identical, and
-// the group-sweep planner reads only shape — and every pass deduplicates
-// codec work across variants whose blocks have not diverged yet
-// (runPass): a parameter-shift batch — K-1 variants each differing from
-// the base in a single gate — shares the entire pre-divergence prefix,
-// so it costs ~1× codec traffic there instead of K×. Stats gains
-// CodecPassesShared and VariantCount.
+// the group-sweep planner reads only shape — and every pass shares what
+// the variants have in common (runPass). A variant whose pass equals
+// variant 0's and whose blocks have not diverged takes the output blobs
+// from the batch memo (CodecPassesShared). A variant whose pass parts
+// from variant 0's at gate d runs as a fork (forkPlan): variant 0's
+// blocks are decoded and gates [0, d) applied once for a chunk of such
+// variants, and the variant's own gates from d and its recompression
+// are all it pays. A parameter-shift batch — K−1 variants each differing
+// from the base in one gate — shares whole passes before that gate's
+// and forks inside it: perf's qaoa-grad (13 qubits, one pass, K = 79)
+// decodes 18 blocks instead of 158 and applies 3 460 gates to its block
+// pair instead of 8 216. Stats gains CodecPassesShared and VariantCount.
 //
 // Measurement gates and a live noise channel consume per-variant
 // randomness mid-circuit: they run inside the same loop, variant by

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -562,4 +563,198 @@ func TestCloneIssuesNoCodecCall(t *testing.T) {
 		t.Fatalf("clone starts with %d compress and %d decompress calls, want none", st.CompressCalls, st.DecompressCalls)
 	}
 	assertBitIdentical(t, s, clone, "clone")
+}
+
+// TestCloneHoldsNoScratch: a batch variant's passes run on variant 0's
+// worker pool, so a clone allocates no scratch of its own — not even the
+// Eq. 8 pair — until something runs on its own pool.
+func TestCloneHoldsNoScratch(t *testing.T) {
+	s := newSim(t, 8, 2, 16, func(c *Config) { c.Workers = 2 })
+	if err := s.Run(quantum.RandomCircuit(8, 20, 4)); err != nil {
+		t.Fatal(err)
+	}
+	clone, err := s.Clone(VariantSeed(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clone.Close()
+	for _, rs := range clone.ranks {
+		for _, w := range rs.workers {
+			if w.x != nil || w.y != nil {
+				t.Fatalf("rank %d worker %d of a fresh clone holds a scratch pair", rs.id, w.id)
+			}
+		}
+	}
+	assertBitIdentical(t, s, clone, "clone")
+}
+
+// forkBody is one sweep on 7 qubits at 16-amplitude blocks: qubits 0..3
+// index offsets and 4..6 the eight blocks of one group. Its first two
+// gates and its last are rotations, so a variant that differs in one
+// gate can part from variant 0 anywhere, on an offset or a block target.
+func forkBody() *quantum.Circuit {
+	c := quantum.NewCircuit(7).RY(0, 0.3).RX(4, 0.4)
+	for _, q := range []int{1, 2, 3, 5, 6} {
+		c.H(q)
+	}
+	for _, e := range [][2]int{{0, 4}, {4, 5}, {1, 6}, {5, 6}, {2, 3}} {
+		c.CNOT(e[0], e[1]).RZ(e[1], 0.2+0.1*float64(e[1])).CNOT(e[0], e[1])
+	}
+	for q := range 7 {
+		c.RX(q, 0.1*float64(q+1))
+	}
+	return c
+}
+
+// partAt is c with gate gi's matrix replaced by a rotation of variant v's
+// own: the same shape, parting from c at gate gi.
+func partAt(c *quantum.Circuit, gi, v int) *quantum.Circuit {
+	out := *c
+	out.Gates = slices.Clone(c.Gates)
+	out.Gates[gi].U = quantum.RY(1 + 0.01*float64(v))
+	return &out
+}
+
+// applied is the gates the kernels of s's workers have run, one per gate
+// per group.
+func applied(s *Simulator) (n int64) {
+	for _, rs := range s.ranks {
+		for _, w := range rs.workers {
+			n += w.applied
+		}
+	}
+	return n
+}
+
+// TestRunBatchForksAtDivergence: a variant whose gates part from variant
+// 0's inside a pass runs as a fork of variant 0's walk — its shared
+// prefix decoded and applied once per chunk of forks — and must still
+// end bit for bit where its solo run does, with codec totals that do not
+// depend on the worker count. The parameter-shift batches must run fewer
+// gate applications than their solo runs (a count, not a clock); a fork
+// copied from the lead one gate late would carry variant 0's gate at its
+// divergence point and fail the bits.
+func TestRunBatchForksAtDivergence(t *testing.T) {
+	const qubits, block = 7, 16
+	body := forkBody()
+	last, mid := len(body.Gates)-1, len(body.Gates)/2
+	shift := func(k int) []*quantum.Circuit {
+		cs := make([]*quantum.Circuit, k)
+		cs[0] = body
+		for v := 1; v < k; v++ {
+			switch v {
+			case 1:
+				cs[v] = partAt(body, 1, v)
+			case 2:
+				cs[v] = partAt(body, last, v)
+			case 3:
+				cs[v] = body // equal to variant 0: the memo's
+			case 4:
+				cs[v] = partAt(body, 0, v) // parts at gate 0: its own units
+			default:
+				cs[v] = partAt(body, 1+v%last, v)
+			}
+		}
+		return cs
+	}
+	// prefixed runs a sweep and a measurement of the still-|0⟩ qubit 6
+	// before body: a variant whose prefix angle differs reaches the body
+	// pass with inputs of its own, and the measurement re-encodes every
+	// block, so the others' inputs are variant 0's bytes in fresh blobs.
+	prefixed := func(angle float64, body *quantum.Circuit) *quantum.Circuit {
+		c := quantum.NewCircuit(qubits).RY(0, angle).H(5).CNOT(0, 4).Measure(6)
+		c.Gates = append(c.Gates, body.Gates...)
+		return c
+	}
+	lossy := func(c *Config) { c.ErrorLevels = []float64{1e-3} }
+	for _, tc := range []struct {
+		name     string
+		circuits []*quantum.Circuit
+		extra    func(*Config)
+		level    int  // the level every variant starts at
+		fewer    bool // a parameter-shift batch: fewer gate applications than solo
+	}{
+		{name: "K=3", circuits: shift(3), fewer: true},
+		{name: "K=79", circuits: shift(79), fewer: true},
+		{name: "earlier divergence", circuits: []*quantum.Circuit{
+			prefixed(0.3, body),
+			prefixed(0.9, partAt(body, mid, 1)), // a fork candidate with inputs of its own
+			prefixed(0.3, partAt(body, mid, 2)),
+			prefixed(0.3, partAt(body, mid+1, 3)),
+			prefixed(0.9, body),
+		}},
+		{name: "lossy", circuits: shift(11), extra: lossy, level: 1, fewer: true},
+		{name: "spill", circuits: shift(11), extra: spillCfg(t, 1024), fewer: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := len(tc.circuits)
+			cfg := func(workers, v int) func(*Config) {
+				return func(c *Config) {
+					if tc.extra != nil {
+						tc.extra(c)
+					}
+					c.Workers, c.Seed = workers, VariantSeed(1, v)
+				}
+			}
+			atLevel := func(s *Simulator) *Simulator {
+				for _, rs := range s.ranks {
+					rs.level = tc.level
+				}
+				return s
+			}
+			solos := make([]*Simulator, k)
+			var soloApplied int64
+			for v := range solos {
+				solos[v] = atLevel(newSim(t, qubits, 1, block, cfg(1, v)))
+				if err := solos[v].Run(tc.circuits[v]); err != nil {
+					t.Fatal(err)
+				}
+				soloApplied += applied(solos[v])
+			}
+			if tc.level > 0 && solos[0].FidelityLowerBound() == 1 {
+				t.Fatal("the lossy runs charged no ledger factor; the case is vacuous")
+			}
+			if tc.extra != nil && sumSpillWrites(solos[0]) == 0 && tc.level == 0 {
+				t.Fatal("the spill runs never spilled; the case is vacuous")
+			}
+			type totals struct{ enc, dec, shared, applied int64 }
+			var want totals
+			for _, workers := range []int{1, 2, 4} {
+				base := atLevel(newSim(t, qubits, 1, block, cfg(workers, 0)))
+				sims := []*Simulator{base}
+				for v := 1; v < k; v++ {
+					clone, err := base.Clone(VariantSeed(1, v))
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { clone.Close() })
+					sims = append(sims, clone)
+				}
+				got := totals{enc: -base.Stats().CompressCalls} // Reset's
+				if err := RunBatch(sims, tc.circuits, RunControl{}); err != nil {
+					t.Fatal(err)
+				}
+				for v, s := range sims {
+					assertBitIdentical(t, s, solos[v], fmt.Sprintf("workers=%d variant %d vs solo", workers, v))
+					if s.FidelityLowerBound() != solos[v].FidelityLowerBound() {
+						t.Fatalf("workers=%d variant %d ledger %v, solo %v", workers, v, s.FidelityLowerBound(), solos[v].FidelityLowerBound())
+					}
+					st := s.Stats()
+					got.enc += st.CompressCalls
+					got.dec += st.DecompressCalls
+					got.shared += st.CodecPassesShared
+					got.applied += applied(s)
+				}
+				if tc.fewer && got.applied >= soloApplied {
+					t.Fatalf("workers=%d: the batch ran %d gate applications, its solo runs %d; nothing forked", workers, got.applied, soloApplied)
+				}
+				if workers == 1 {
+					want = got
+				} else if got != want {
+					t.Fatalf("counters depend on the schedule: workers=%d %+v, workers=1 %+v", workers, got, want)
+				}
+			}
+			t.Logf("gate applications: %d batched, %d solo; codec %+v", want.applied, soloApplied, want)
+		})
+	}
 }

@@ -46,11 +46,13 @@ type Simulator struct {
 	gatesRun     int
 	measurements []int
 	bytesMoved   int64
-	rng          *rand.Rand
-	// sampleRng is the dedicated stream Sample falls back to when the
-	// caller passes no rng. Keeping it separate from rng (which drives
-	// measurement collapse) makes sampling side-effect-free: drawing
-	// samples never perturbs later measurement outcomes.
+	// rng drives measurement collapse. sampleRng is the dedicated stream
+	// Sample falls back to when the caller passes no rng; keeping it
+	// separate makes sampling side-effect-free: drawing samples never
+	// perturbs later measurement outcomes. Both are seeded from the
+	// configured seed on first use, so a batch's clones — which mostly
+	// never measure or sample — skip seeding two generators each.
+	rng       *rand.Rand
 	sampleRng *rand.Rand
 
 	// ledger is the fidelity lower bound Π(1-δᵢ) over executed gates
@@ -81,7 +83,7 @@ type rankState struct {
 	level   int
 	cache   *blockCache
 	stats   Stats
-	rng     *rand.Rand // per-rank noise stream (deterministic)
+	rng     *rand.Rand // per-rank noise stream (deterministic), seeded on first use
 	// seen is the store's spill counters at the last syncStoreStats,
 	// which adds their growth since to the rank's Stats.
 	seen blockstore.Stats
@@ -94,27 +96,36 @@ type rankState struct {
 // workerState is one worker's private slice of the rank working set: a
 // scratch buffer pair plus a stats shard that is merged into the rank
 // totals after every fan-out (so the Table 2 accounting matches the
-// sequential engine without any per-block locking). Buffers beyond
-// worker 0's are allocated on first schedule, not in New — a simulator
-// that never fans out (or a machine-wide default pool that the block
-// count keeps from ever filling) pays for exactly one Eq. 8 pair, the
-// same as the sequential engine.
+// sequential engine without any per-block locking). Every buffer is
+// allocated on first use, never in New: a simulator that never fans out
+// (or a machine-wide default pool that the block count keeps from ever
+// filling) pays for exactly one Eq. 8 pair, the same as the sequential
+// engine, and a batch variant — whose passes run on variant 0's pool —
+// for none.
 type workerState struct {
 	id   int // index in the rank's pool
+	size int // floats in one block's scratch: two per amplitude
 	x, y []float64
-	// wide is the scratch a 4- or 8-block group needs beyond the pair.
-	// Each buffer is allocated on the worker's first pass of a Run that
-	// needs it and dropped when the Run returns (runLockstep), so between
-	// runs a worker holds its Eq. 8 pair alone.
-	wide  [groupSize - 2][]float64
-	stats Stats
+	// wide is the scratch a 4- or 8-block group needs beyond the pair,
+	// and fork the second group a batch pass copies variant 0's group
+	// into where a variant parts from it (forkPlan). Each buffer is
+	// allocated on the worker's first pass of a Run that needs it and
+	// dropped when the Run returns (runLockstep), so between runs a
+	// worker holds its Eq. 8 pair alone.
+	wide [groupSize - 2][]float64
+	fork [groupSize][]float64
+	// applied counts the gates this worker's kernels have run, one per
+	// gate per group: what a fork's shared prefix saves, as a number no
+	// clock enters.
+	applied int64
+	stats   Stats
 }
 
 // ensure allocates the worker's scratch pair on first use.
-func (w *workerState) ensure(n int) {
+func (w *workerState) ensure() {
 	if w.x == nil {
-		w.x = make([]float64, n)
-		w.y = make([]float64, n)
+		w.x = make([]float64, w.size)
+		w.y = make([]float64, w.size)
 	}
 }
 
@@ -124,7 +135,7 @@ func (w *workerState) ensure(n int) {
 func (w *workerState) group(n int) (bufs [groupSize][]float64) {
 	for i := 2; i < n; i++ {
 		if w.wide[i-2] == nil {
-			w.wide[i-2] = make([]float64, len(w.x))
+			w.wide[i-2] = make([]float64, w.size)
 		}
 	}
 	bufs[0], bufs[1] = w.x, w.y
@@ -132,9 +143,33 @@ func (w *workerState) group(n int) (bufs [groupSize][]float64) {
 	return bufs
 }
 
-// w0 returns the worker whose buffers the sequential code paths
-// (Reset, cross-rank exchange, checkpointing) borrow.
-func (rs *rankState) w0() *workerState { return rs.workers[0] }
+// forkGroup returns the worker's second group scratch for n blocks,
+// allocated here on first use.
+func (w *workerState) forkGroup(n int) [groupSize][]float64 {
+	for i := range n {
+		if w.fork[i] == nil {
+			w.fork[i] = make([]float64, w.size)
+		}
+	}
+	return w.fork
+}
+
+// kernel applies gates, a range of p's, to the members [m0, m1) of the
+// group in bufs based at b, and charges the time to st.
+func (w *workerState) kernel(p *blockPass, bufs [][]float64, b int, gates []passGate, m0, m1 int, st *Stats) {
+	start := time.Now()
+	p.applyTo(bufs, b, gates, m0, m1)
+	st.ComputeTime += time.Since(start)
+	w.applied += int64(len(gates))
+}
+
+// w0 returns the worker whose buffers the sequential code paths (Reset,
+// cross-rank exchange, checkpointing) borrow, its pair allocated.
+func (rs *rankState) w0() *workerState {
+	w := rs.workers[0]
+	w.ensure()
+	return w
+}
 
 // New builds a Simulator initialized to |0...0⟩.
 func New(cfg Config) (*Simulator, error) {
@@ -157,11 +192,9 @@ func alloc(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	s := &Simulator{
-		cfg:       cfg,
-		rankBits:  bits.TrailingZeros(uint(cfg.Ranks)),
-		ledger:    1,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		sampleRng: SampleStream(cfg.Seed),
+		cfg:      cfg,
+		rankBits: bits.TrailingZeros(uint(cfg.Ranks)),
+		ledger:   1,
 	}
 	perRank := cfg.Qubits - s.rankBits
 	s.offsetBits = bits.TrailingZeros(uint(cfg.BlockAmps))
@@ -176,11 +209,6 @@ func alloc(cfg Config) (*Simulator, error) {
 			id:      r,
 			workers: make([]*workerState, cfg.Workers),
 			cache:   newBlockCache(cfg.CacheLines),
-			// The noise stream must be IDENTICAL on every rank: each
-			// rank draws the same variates per gate, so all ranks
-			// agree on whether (and which) Pauli fires — otherwise a
-			// cross-rank noise gate deadlocks half the pairs.
-			rng: rand.New(rand.NewSource(cfg.Seed ^ 0x9E3779B9)),
 		}
 		store, err := s.newStore(r)
 		if err != nil {
@@ -189,11 +217,8 @@ func alloc(cfg Config) (*Simulator, error) {
 		}
 		rs.store = store
 		for w := range rs.workers {
-			rs.workers[w] = &workerState{id: w}
+			rs.workers[w] = &workerState{id: w, size: 2 * s.blockAmps()}
 		}
-		// Worker 0's pair is the one the sequential paths (Reset,
-		// cross-rank exchange) borrow; it always exists.
-		rs.workers[0].ensure(2 * s.blockAmps())
 		s.ranks[r] = rs
 	}
 	return s, nil
@@ -586,7 +611,7 @@ func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w.ensure(2 * s.blockAmps())
+				w.ensure()
 				for {
 					lo := atomic.AddInt64(&next, chunk) - chunk
 					hi := min(lo+chunk, int64(n))
@@ -697,13 +722,13 @@ func runLockstep(sims []*Simulator, cs []*quantum.Circuit, ctl RunControl) error
 		s.gateLevel = make([]uint32, nGates*s.ledgerRounds())
 	}
 	defer func() {
-		// Cache lines and the wide group scratch must not outlive the run
-		// (see blockCache.release and workerState.wide).
+		// Cache lines and the group scratch beyond the pair must not
+		// outlive the run (see blockCache.release and workerState.wide).
 		for _, s := range sims {
 			for _, rs := range s.ranks {
 				rs.cache.release()
 				for _, w := range rs.workers {
-					w.wide = [groupSize - 2][]float64{}
+					w.wide, w.fork = [groupSize - 2][]float64{}, [groupSize][]float64{}
 				}
 			}
 		}
@@ -868,13 +893,16 @@ func (s *Simulator) splitControls(controls []int) (offMask uint64, blkMask, rank
 // sims[v] — on this rank: one codec pass over all variants (runPass),
 // whose recompression is truncation number round of the boundary after
 // gate gi. A sweep with a rank-segment target exchanges its groups with
-// the peer rank inside that pass (exchangePass).
+// the peer rank inside that pass (exchangePass). The K passes are
+// compiled on variant 0's worker pool: a gradient's batch compiles 79.
 func applyUnitaries(comm mpi.Comm, sims []*Simulator, gates [][]quantum.Gate, gi, round int) error {
 	r := comm.Rank()
 	passes := make([]*blockPass, len(sims))
-	for v, s := range sims {
-		passes[v] = s.compilePass(comm, s.ranks[r], gates[v])
-	}
+	// compilePass cannot fail, so neither can this fan-out.
+	_ = sims[0].forEach(sims[0].ranks[r], len(sims), func(_ *workerState, v int) error {
+		passes[v] = sims[v].compilePass(comm, sims[v].ranks[r], gates[v])
+		return nil
+	})
 	return runPass(sims, r, passes, gi, round)
 }
 

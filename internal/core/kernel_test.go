@@ -383,8 +383,55 @@ func benchVariants(b *testing.B, qubits, k, workers int) []*Simulator {
 // nothing (each its own rotation angle): the (block, variant) fan-out,
 // codec round trip included, on a pair (13 qubits, a target on the
 // block qubit), a group of four (14 qubits, targets on both) and a group
-// of eight (15 qubits, targets on all three).
+// of eight (15 qubits, targets on all three). The shift rows are a
+// parameter-shift gradient's batch on the pair: a 104-gate QAOA pass and
+// 78 variants that each part from it at one gate, spread over the pass,
+// so all but variant 0 run as forks of its walk.
 func BenchmarkLockstepPass(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shift/blocks=2/K=79/workers=%d", workers), func(b *testing.B) {
+			ansatz := quantum.QAOAAnsatzGraph(13, 1, quantum.RandomRegularGraph(13, 4, 13))
+			values := quantum.QAOAAngles(1, 1)
+			base, err := ansatz.Bind(values)
+			if err != nil {
+				b.Fatal(err)
+			}
+			circuits := []*quantum.Circuit{base}
+			for _, occ := range ansatz.ParamOccurrences() {
+				for _, delta := range []float64{math.Pi / 2, -math.Pi / 2} {
+					c, err := ansatz.BindShift(values, occ.Gate, delta)
+					if err != nil {
+						b.Fatal(err)
+					}
+					circuits = append(circuits, c)
+				}
+			}
+			if len(circuits) != 79 {
+				b.Fatalf("%d variants, want 79", len(circuits))
+			}
+			sims := benchVariants(b, 13, len(circuits)+1, workers)
+			start, sims := sims[0], sims[1:]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Every variant starts from the same blobs, as a gradient's
+				// clones do; a second run on the states the first left
+				// would part at gate 0.
+				b.StopTimer()
+				for _, s := range sims {
+					for r, rs := range s.ranks {
+						if err := s.install(rs, start.ranks[r].walk, 0, false); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StartTimer()
+				if err := RunBatch(sims, circuits, RunControl{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*len(circuits)), "ns/variant-block")
+		})
+	}
 	for _, qubits := range []int{13, 14, 15} {
 		blocks := 1 << (qubits - 12)
 		for _, k := range []int{1, 8, 79} {

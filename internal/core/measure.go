@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"time"
 
 	"qcsim/internal/mpi"
@@ -85,6 +86,9 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 	// Phase 2: rank 0 draws the outcome; everyone learns it.
 	var pick float64
 	if comm.Rank() == 0 {
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(s.cfg.Seed))
+		}
 		if s.rng.Float64() < total {
 			pick = 1
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+
 	"qcsim/internal/mpi"
 	"qcsim/internal/quantum"
 )
@@ -25,6 +27,13 @@ func (s *Simulator) noiseActive() bool {
 // time at the gate's boundary, so it charges the ledger in a round of its
 // own — the boundary's last — rather than sharing the gate's.
 func (s *Simulator) applyNoiseRank(comm mpi.Comm, rs *rankState, g quantum.Gate, gi int) error {
+	if rs.rng == nil {
+		// The noise stream must be IDENTICAL on every rank: each rank
+		// draws the same variates per gate, so all ranks agree on
+		// whether (and which) Pauli fires — otherwise a cross-rank noise
+		// gate deadlocks half the pairs.
+		rs.rng = rand.New(rand.NewSource(s.cfg.Seed ^ 0x9E3779B9))
+	}
 	u := rs.rng.Float64()
 	pick := rs.rng.Intn(3)
 	if u >= s.cfg.Noise {

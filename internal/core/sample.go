@@ -181,6 +181,9 @@ func (sp *Sampler) Sample(rng *rand.Rand, shots int) ([]uint64, error) {
 		return nil, fmt.Errorf("%w: %d", ErrNegativeShots, shots)
 	}
 	if rng == nil {
+		if sp.s.sampleRng == nil {
+			sp.s.sampleRng = SampleStream(sp.s.cfg.Seed)
+		}
 		rng = sp.s.sampleRng
 	}
 	// Draw every uniform in shot order (the stream contract) and locate

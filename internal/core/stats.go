@@ -21,7 +21,11 @@ type Stats struct {
 
 	// Codec traffic: how many block encode/decode calls the engine
 	// issued (cache hits and control-skipped blocks issue none). The
-	// sweep scheduler exists to shrink these.
+	// sweep scheduler exists to shrink these. A batch variant forked off
+	// variant 0's walk inside a pass decodes nothing of its own: its
+	// chunk decodes variant 0's inputs once, charged to the chunk's first
+	// fork, so a batch's DecompressCalls count each chunk's decode once
+	// (qaoa-grad: 18 for 79 variants, not 158).
 	CompressCalls   int64
 	DecompressCalls int64
 
@@ -39,10 +43,14 @@ type Stats struct {
 	// Variant batching behaviour (RunBatch). CodecPassesShared counts
 	// per-block codec round trips a variant avoided because the batch
 	// memo had already produced the output for the same (op, level,
-	// compressed input) — sharing across variants whose blocks have not
-	// diverged, and across byte-identical blocks within one pass.
-	// VariantCount is the batch width K of the most recent batched run
-	// (0 when the state has only ever run solo).
+	// compressed input) — sharing across variants whose passes and blocks
+	// have not diverged, and across byte-identical blocks within one
+	// pass. A fork — a variant that parts from variant 0 inside a pass —
+	// shares variant 0's decode and gate prefix but recompresses its own
+	// blocks, so it counts here not at all (qaoa-grad: 0); its saving
+	// shows in DecompressCalls and the compute time. VariantCount is the
+	// batch width K of the most recent batched run (0 when the state has
+	// only ever run solo).
 	CodecPassesShared int64
 	VariantCount      int
 

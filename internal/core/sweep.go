@@ -1,9 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/bits"
-	"time"
+	"slices"
 
 	"qcsim/internal/mpi"
 	"qcsim/internal/quantum"
@@ -458,26 +459,28 @@ func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *wor
 	if fired == ([groupSize]int{}) {
 		return nil
 	}
-	var in [groupSize][]byte // nil for a member no gate acts on
+	in, err := fetch(rs, p, b, fired)
+	if err != nil {
+		return err
+	}
+	return s.passGroup(rs, p, memo, w, st, b, fired, in)
+}
+
+// fetch reads the input blobs of the group based at b: member m's blob
+// where fired[m] > 0, nil for a member no gate acts on.
+func fetch(rs *rankState, p *blockPass, b int, fired [groupSize]int) (in [groupSize][]byte, err error) {
 	for m, n := range fired {
 		if n > 0 {
-			blob, err := rs.store.Get(b | p.sub[m])
-			if err != nil {
-				return err
-			}
-			in[m] = blob
-		}
-	}
-	store := func(out [groupSize][]byte) error {
-		for m, blob := range in {
-			if blob != nil {
-				if err := rs.store.Put(b|p.sub[m], out[m]); err != nil {
-					return err
-				}
+			if in[m], err = rs.store.Get(b | p.sub[m]); err != nil {
+				return in, err
 			}
 		}
-		return nil
 	}
+	return in, nil
+}
+
+// passGroup is passBlock once the group's inputs are fetched.
+func (s *Simulator) passGroup(rs *rankState, p *blockPass, memo passMemo, w *workerState, st *Stats, b int, fired [groupSize]int, in [groupSize][]byte) error {
 	roundTrip := func() (out [groupSize][]byte, err error) {
 		bufs := w.group(p.size)
 		for m, blob := range in {
@@ -487,17 +490,8 @@ func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *wor
 				}
 			}
 		}
-		start := time.Now()
-		p.apply(bufs[:], b)
-		st.ComputeTime += time.Since(start)
-		for m, blob := range in {
-			if blob != nil {
-				if out[m], err = s.compressBlock(p.key.level, bufs[m], st); err != nil {
-					return out, err
-				}
-			}
-		}
-		return out, nil
+		w.kernel(p, bufs[:], b, p.gates, 0, p.size, st)
+		return s.encodeGroup(p, bufs, fired, st)
 	}
 	var key blockKey
 	cached := memo.enabled()
@@ -508,7 +502,7 @@ func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *wor
 			return err
 		}
 		if ok {
-			return store(out)
+			return storeGroup(rs, p, b, out)
 		}
 	}
 	out, err := roundTrip()
@@ -519,15 +513,44 @@ func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *wor
 	if err != nil {
 		return err
 	}
-	if err := store(out); err != nil {
+	if err := storeGroup(rs, p, b, out); err != nil {
 		return err
 	}
-	// Round trips elided versus gate-at-a-time: every gate after the
-	// first that fired on a member.
+	noteSaved(fired, st)
+	return nil
+}
+
+// encodeGroup recompresses the members of a decoded group that some gate
+// of p acted on, at p's level.
+func (s *Simulator) encodeGroup(p *blockPass, bufs [groupSize][]float64, fired [groupSize]int, st *Stats) (out [groupSize][]byte, err error) {
+	for m, n := range fired {
+		if n > 0 {
+			if out[m], err = s.compressBlock(p.key.level, bufs[m], st); err != nil {
+				return out, err
+			}
+		}
+	}
+	return out, nil
+}
+
+// storeGroup puts a group's output blobs, nil for a member left alone.
+func storeGroup(rs *rankState, p *blockPass, b int, out [groupSize][]byte) error {
+	for m, blob := range out {
+		if blob != nil {
+			if err := rs.store.Put(b|p.sub[m], blob); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// noteSaved charges st the round trips a computed group elided versus
+// gate-at-a-time: every gate after the first that fired on a member.
+func noteSaved(fired [groupSize]int, st *Stats) {
 	for _, n := range fired {
 		st.CodecPassesSaved += int64(max(n-1, 0))
 	}
-	return nil
 }
 
 // runPass fans one group sweep — passes[v] on sims[v] — over rank r's
@@ -543,7 +566,9 @@ func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *wor
 // first and spread across the workers. Codec calls are charged to the
 // variant that issued them; a memo hit charges the saved variant's
 // CodecPassesShared instead — which variant of an undiverged group pays
-// depends on the schedule, the totals over the batch do not.
+// depends on the schedule, the totals over the batch do not. A variant
+// whose gates part from variant 0's inside the pass runs as a fork of
+// variant 0's walk instead (forkPlan), in units of its own placed first.
 //
 // A pass with a rank-segment target goes variant by variant instead,
 // each through exchangePass on the rank's first worker: its SendRecvs
@@ -582,24 +607,240 @@ func fanOutPass(sims []*Simulator, r int, passes []*blockPass) error {
 	// block cache within a pass, and feeding K variants' traffic through
 	// one LRU would thrash its probation logic.
 	var memo passMemo = rs0.cache
+	var forks *forkPlan
 	if K > 1 {
 		memo = newBatchMemo()
+		var err error
+		if forks, err = planForks(rs0, passes); err != nil {
+			return err
+		}
 	}
 	// Per-worker, per-variant stat shards (the pool's own worker shards
 	// would attribute every variant's codec work to variant 0).
 	shards := make([]Stats, len(rs0.workers)*K)
-	// nb is a power of two, so index i is variant i>>blockBits, block
-	// i&(nb-1) — for K = 1, (0, i), with no division and no second loop.
+	// nb is a power of two, so index i is unit i>>blockBits, block
+	// i&(nb-1): the fork chunks' units first, then variant v's — for
+	// K = 1, (0, i), with no division and no second loop.
 	shift, blockMask := uint(s0.blockBits), s0.blocksPerRank()-1
-	err := s0.forEach(rs0, K*s0.blocksPerRank(), func(w *workerState, i int) error {
-		v := i >> shift
+	chunks := forks.len()
+	err := s0.forEach(rs0, (chunks+K)*s0.blocksPerRank(), func(w *workerState, i int) error {
+		u, b := i>>shift, i&blockMask
+		if u < chunks {
+			return forks.run(sims, r, passes, memo, w, shards, u, b)
+		}
+		v := u - chunks
+		if forks.owns(v) {
+			return nil // run by its chunk
+		}
 		s := sims[v]
-		return s.passBlock(s.ranks[r], passes[v], memo, w, &shards[w.id*K+v], i&blockMask)
+		return s.passBlock(s.ranks[r], passes[v], memo, w, &shards[w.id*K+v], b)
 	})
 	for i := range shards {
 		sims[i%K].ranks[r].stats.merge(shards[i])
 	}
 	return err
+}
+
+// forkPlan is how a batch pass runs the variants whose gates part from
+// variant 0's inside it — a parameter-shift batch is K−1 of them, each
+// with its own angle on one gate. Variant v's divergence point at[v] is
+// the first gate where its compiled pass differs from variant 0's
+// (divergence); up to there the two apply the same float operations, so
+// where v's input blobs at a group are variant 0's, v's outputs are
+// variant 0's group decoded, walked through gates [0, at[v]), copied,
+// and walked through v's own remaining gates. A chunk of forks, taken in
+// divergence order, shares one decode of variant 0's inputs and one walk
+// of its prefix, so the shared gates run once per chunk, not once per
+// variant; every amplitude still sees the float operations of its solo
+// run, bit for bit.
+//
+// Variants equal to variant 0 on every gate keep the batch memo, which
+// shares their whole pass; a variant that differs at gate 0 shares
+// nothing and runs its own units.
+type forkPlan struct {
+	at     []int   // per variant: its divergence point, 0 for a variant the plan does not own
+	chunks [][]int // the forks in divergence order, split into work units
+	// in0 is variant 0's input blobs per block, read before the fan-out:
+	// variant 0's own units overwrite its slots while the chunks still
+	// need what they held.
+	in0 [][]byte
+}
+
+// A pass's forks are split into at most forkChunks work units per
+// group, and into no more than one per forksPerChunk forks. The split
+// reads the batch alone — never Workers — so every codec counter is a
+// function of the batch. Each chunk repeats the decode of variant 0's inputs and the
+// walk of its prefix up to the chunk's last fork: more chunks buy
+// parallelism with repeated work, and a chunk of one fork saves nothing
+// over a solo run. Eight chunks fill a small pool while repeating 341
+// gates, against the 4 756 a parameter-shift batch of 79 variants on a
+// 104-gate pass saves.
+const (
+	forkChunks    = 8
+	forksPerChunk = 4
+)
+
+// planForks finds the variants of a batch pass that run as forks of
+// variant 0, or returns nil when none does.
+func planForks(rs0 *rankState, passes []*blockPass) (*forkPlan, error) {
+	p0 := passes[0]
+	n := len(p0.gates)
+	f := &forkPlan{at: make([]int, len(passes))}
+	var order []int
+	for v, p := range passes[1:] {
+		if d := divergence(p0, p); 0 < d && d < n {
+			f.at[v+1] = d
+			order = append(order, v+1)
+		}
+	}
+	if len(order) == 0 {
+		return nil, nil
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return f.at[a] - f.at[b] })
+	// Chunks of about equal work: a fork costs the gates it runs alone.
+	total := 0
+	for _, v := range order {
+		total += n - f.at[v]
+	}
+	chunks := min(forkChunks, (len(order)+forksPerChunk-1)/forksPerChunk)
+	target := (total + chunks - 1) / chunks
+	for start, sum, i := 0, 0, 0; i < len(order); i++ {
+		if sum += n - f.at[order[i]]; sum >= target || i == len(order)-1 {
+			f.chunks = append(f.chunks, order[start:i+1])
+			start, sum = i+1, 0
+		}
+	}
+	f.in0 = make([][]byte, rs0.store.Len())
+	for b := range f.in0 {
+		if b&p0.span != 0 {
+			continue
+		}
+		for m, k := range p0.fired(b) {
+			if k > 0 {
+				blob, err := rs0.store.Peek(b | p0.sub[m])
+				if err != nil {
+					return nil, err
+				}
+				f.in0[b|p0.sub[m]] = blob
+			}
+		}
+	}
+	return f, nil
+}
+
+// divergence is the first gate at which pass p leaves pass lead: where
+// its matrix bits differ (the class is read off them). Passes whose gates
+// act on different members or offsets anywhere share no group walk and
+// diverge at 0.
+func divergence(lead, p *blockPass) int {
+	if lead.span != p.span || lead.ctrlBits != p.ctrlBits || len(lead.gates) != len(p.gates) {
+		return 0
+	}
+	d := len(p.gates)
+	for i := range p.gates {
+		a, b := &lead.gates[i], &p.gates[i]
+		if a.tMask != b.tMask || a.mask != b.mask || a.flip != b.flip || a.blkCtrl != b.blkCtrl {
+			return 0
+		}
+		if d == len(p.gates) && !sameMatrix(a.u, b.u) {
+			d = i
+		}
+	}
+	return d
+}
+
+// sameMatrix compares two matrices bit for bit (−0 is not +0).
+func sameMatrix(a, b quantum.Matrix2) bool {
+	for i := range 2 {
+		for j := range 2 {
+			if math.Float64bits(real(a[i][j])) != math.Float64bits(real(b[i][j])) ||
+				math.Float64bits(imag(a[i][j])) != math.Float64bits(imag(b[i][j])) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// len is the number of fork chunks, 0 for no plan.
+func (f *forkPlan) len() int {
+	if f == nil {
+		return 0
+	}
+	return len(f.chunks)
+}
+
+// owns reports whether variant v runs in a fork chunk.
+func (f *forkPlan) owns(v int) bool { return f != nil && f.at[v] > 0 }
+
+// run is fork chunk c's unit at the group based at b. A variant whose
+// inputs there are not variant 0's bytes runs its own pass through
+// passGroup first — a byte compare, which a blob shared with variant 0
+// passes at its pointer and a blob read back from a spill file by its
+// contents, so the choice reads the state alone, never the schedule.
+// The rest fork off one walk of variant 0's group, in divergence order:
+// decode variant 0's inputs once (charged to the first fork), then per
+// fork apply variant 0's gates up to its divergence point, copy the
+// group into the fork scratch, apply the fork's own gates from there,
+// and recompress its members at its level.
+func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passMemo, w *workerState, shards []Stats, c, b int) error {
+	p0, K := passes[0], len(sims)
+	if b&p0.span != 0 {
+		return nil // not a group base: visited with its base
+	}
+	fired := p0.fired(b)
+	if fired == ([groupSize]int{}) {
+		return nil
+	}
+	forks := make([]int, 0, len(f.chunks[c]))
+	for _, v := range f.chunks[c] {
+		s, rs := sims[v], sims[v].ranks[r]
+		in, err := fetch(rs, passes[v], b, fired)
+		if err != nil {
+			return err
+		}
+		same := true
+		for m, n := range fired {
+			same = same && (n == 0 || bytes.Equal(in[m], f.in0[b|p0.sub[m]]))
+		}
+		if same {
+			forks = append(forks, v)
+		} else if err := s.passGroup(rs, passes[v], memo, w, &shards[w.id*K+v], b, fired, in); err != nil {
+			return err
+		}
+	}
+	if len(forks) == 0 {
+		return nil
+	}
+	lead, fork := w.group(p0.size), w.forkGroup(p0.size)
+	for m, n := range fired {
+		if n > 0 {
+			if err := sims[0].decompressBlock(f.in0[b|p0.sub[m]], lead[m], &shards[w.id*K+forks[0]]); err != nil {
+				return err
+			}
+		}
+	}
+	walked := 0
+	for _, v := range forks {
+		s, p, st, d := sims[v], passes[v], &shards[w.id*K+v], f.at[v]
+		w.kernel(p0, lead[:], b, p0.gates[walked:d], 0, p0.size, st)
+		walked = d
+		for m, n := range fired {
+			if n > 0 {
+				copy(fork[m], lead[m])
+			}
+		}
+		w.kernel(p, fork[:], b, p.gates[d:], 0, p.size, st)
+		out, err := s.encodeGroup(p, fork, fired, st)
+		if err != nil {
+			return err
+		}
+		if err := storeGroup(s.ranks[r], p, b, out); err != nil {
+			return err
+		}
+		noteSaved(fired, st)
+	}
+	return nil
 }
 
 // crossing returns, one bit per member of this rank's half of the group
@@ -645,7 +886,8 @@ func (p *blockPass) crossing(b int) (cross int) {
 // is in scratch), skips the codec and kernel work, and reports the
 // first error at the sweep boundary, where the barrier stops all ranks.
 func (s *Simulator) exchangePass(rs *rankState, p *blockPass) error {
-	bufs, st := rs.w0().group(p.size), &rs.stats
+	w, st := rs.w0(), &rs.stats
+	bufs := w.group(p.size)
 	top, own, twin := p.size/2, p.own, p.own^(p.size/2)
 	var firstErr error
 	for b := 0; b < s.blocksPerRank(); b++ {
@@ -663,9 +905,7 @@ func (s *Simulator) exchangePass(rs *rankState, p *blockPass) error {
 			}
 		}
 		if firstErr == nil {
-			start := time.Now()
-			p.applyTo(bufs[:], b, p.gates[:p.first], own, own+top)
-			st.ComputeTime += time.Since(start)
+			w.kernel(p, bufs[:], b, p.gates[:p.first], own, own+top, st)
 		}
 		for m := 0; m < top; m++ {
 			if cross>>m&1 != 0 {
@@ -675,10 +915,8 @@ func (s *Simulator) exchangePass(rs *rankState, p *blockPass) error {
 		if firstErr != nil {
 			continue
 		}
-		start := time.Now()
-		p.applyTo(bufs[:], b, p.gates[p.first:p.last+1], 0, p.size)
-		p.applyTo(bufs[:], b, p.gates[p.last+1:], own, own+top)
-		st.ComputeTime += time.Since(start)
+		w.kernel(p, bufs[:], b, p.gates[p.first:p.last+1], 0, p.size, st)
+		w.kernel(p, bufs[:], b, p.gates[p.last+1:], own, own+top, st)
 		for m := 0; m < top && firstErr == nil; m++ {
 			if n := fired[own+m]; n > 0 {
 				blob, err := s.compressBlock(p.key.level, bufs[own+m], st)

@@ -455,8 +455,9 @@ func TestSweepStats(t *testing.T) {
 // every footprint ledger, so a run drops them on every way out —
 // success, abort, codec error, a batch — while the cache stays enabled
 // and the next run hits again within its own passes. The six buffers an
-// 8-block group needs beyond a worker's Eq. 8 pair go with them:
-// between runs no worker holds more than its pair.
+// 8-block group needs beyond a worker's Eq. 8 pair go with them, and so
+// does the second group a batch pass forks a variant into: between runs
+// no worker holds more than its pair.
 func TestCacheReleasedWhenRunReturns(t *testing.T) {
 	lines := func(s *Simulator) int {
 		n := 0
@@ -467,12 +468,13 @@ func TestCacheReleasedWhenRunReturns(t *testing.T) {
 		}
 		return n
 	}
-	// wide is the most buffers beyond its pair any worker of rs holds.
+	// wide is the most buffers beyond its pair any worker of rs holds:
+	// group members and fork scratch.
 	wide := func(rs *rankState) int {
 		most := 0
 		for _, w := range rs.workers {
 			n := 0
-			for _, buf := range w.wide {
+			for _, buf := range append(w.wide[:], w.fork[:]...) {
 				if buf != nil {
 					n++
 				}
@@ -548,6 +550,24 @@ func TestCacheReleasedWhenRunReturns(t *testing.T) {
 	}
 	released(s, "a batch")
 	released(clone, "a batch")
+	// A variant that parts from variant 0 inside the 8-block body sweep
+	// is forked off its walk; the measurement after it is a boundary at
+	// which the fork group is still held.
+	fork := forkBody().Measure(6)
+	forks := batchSims(t, fork.N, 1, 16, 2, func(c *Config) { c.CacheLines = 64 })
+	forkHeld := 0
+	err = RunBatch(forks, []*quantum.Circuit{fork, partAt(fork, 5, 1)}, RunControl{PollAbort: func() error {
+		forkHeld = max(forkHeld, wide(forks[0].ranks[0]))
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forkHeld != groupSize-2+groupSize {
+		t.Fatalf("a worker held at most %d buffers beyond its pair in a forking batch, want %d; the test is vacuous", forkHeld, groupSize-2+groupSize)
+	}
+	released(forks[0], "a forking batch")
+	released(forks[1], "a forking batch")
 	atomic.StoreInt64(&calls, 40) // fail partway into the next run
 	held = 0
 	if err := s.RunControlled(cir, RunControl{PollAbort: watch}); !errors.Is(err, compress.ErrCorrupt) {

@@ -336,7 +336,7 @@ func TestBatchShape(t *testing.T) {
 		name                string
 		variants            int
 		solo, batch, shared int64
-	}{{"QAOA-10q", 9, 1440, 528, 456}, {"VQE-10q", 9, 1152, 448, 352}}
+	}{{"QAOA-10q", 9, 1440, 464, 456}, {"VQE-10q", 9, 1152, 384, 352}}
 	for _, workers := range []int{1, 2} {
 		opt := Small()
 		opt.Workers = workers

@@ -137,7 +137,15 @@ func (g Gate) String() string {
 // controls, matrix bits) for the compressed block cache key (paper §3.4,
 // the OP field of a cache line).
 func (g Gate) Signature() string {
-	b := make([]byte, 0, 64)
+	return string(g.appendSignature(make([]byte, 0, g.signatureLen())))
+}
+
+// signatureLen is len(g.Signature()): the kind byte, the target and each
+// control in four bytes, the separator, and eight matrix words.
+func (g Gate) signatureLen() int { return 1 + 4 + 4*len(g.Controls) + 1 + 64 }
+
+// appendSignature appends g.Signature() to b.
+func (g Gate) appendSignature(b []byte) []byte {
 	b = append(b, byte(g.Kind))
 	b = appendInt(b, g.Target)
 	for _, c := range g.Controls {
@@ -150,7 +158,7 @@ func (g Gate) Signature() string {
 			b = appendFloat(b, imag(g.U[i][j]))
 		}
 	}
-	return string(b)
+	return b
 }
 
 func appendInt(b []byte, v int) []byte {

@@ -147,11 +147,14 @@ func SingletonSweeps(gates []Gate) []GroupSweep {
 // length-prefixed so distinct gate sequences can never concatenate to
 // the same key bytes.
 func SweepSignature(gates []Gate) string {
-	b := make([]byte, 0, 72*len(gates))
-	for _, g := range gates {
-		sig := g.Signature()
-		b = binary.AppendUvarint(b, uint64(len(sig)))
-		b = append(b, sig...)
+	size := 0
+	for i := range gates {
+		size += binary.MaxVarintLen64 + gates[i].signatureLen()
+	}
+	b := make([]byte, 0, size)
+	for i := range gates {
+		b = binary.AppendUvarint(b, uint64(gates[i].signatureLen()))
+		b = gates[i].appendSignature(b)
 	}
 	return string(b)
 }
