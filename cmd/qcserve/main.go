@@ -149,7 +149,11 @@ func main() {
 		log.Fatalf("qcserve: %v", err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// A client gets ReadHeaderTimeout to send its request headers, so an
+	// idle or trickling connection cannot hold a goroutine forever; the
+	// handlers cap the body (server.MaxRequestBytes). No read or write
+	// timeout: a job's SSE stream lasts as long as its run.
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("qcserve: listening on %s (%d tenants, data dir %s)", *addr, len(tenants), srv.DataDir())

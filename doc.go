@@ -139,7 +139,14 @@
 // the pairs it splits. The blocks beyond Eq. 8's pair that a larger
 // group needs are scratch a worker holds only while a Run makes such
 // passes. Controls may sit anywhere — they select amplitudes, blocks
-// or ranks and are not members of a group. A sweep is broken by a
+// or ranks and are not members of a group. A ZZ unit — CNOT(u,v), an
+// uncontrolled gate on v with exact-zero off-diagonal entries, the
+// same CNOT(u,v), v above the offset qubits — is no target at all: it
+// multiplies each amplitude by the middle gate's entry indexed by
+// z_u ⊕ z_v, so the pass applies it in place to every member, with no
+// exchange even on rank qubits. QAOA's cost layer is one unit per edge.
+// In a batch a triple is a unit only where its middle gate is diagonal
+// in every variant. A sweep is broken by a
 // fourth target above the offset qubits (a second under
 // WithMemoryBudget, whose at-rest rule settles the budget between
 // pair sweeps), a second distinct rank-segment target, a measurement,
@@ -153,7 +160,11 @@
 // Under the lossless codec, sweeps are bit-identical to gate-at-a-time
 // execution for every rank and worker count: every amplitude sees the
 // same float operations in the same order, and decompress ∘ compress
-// is exact. Under a lossy memory budget the state is truncated fewer
+// is exact. A ZZ unit keeps the weaker ±0 rule: gate at a time, the
+// middle gate's 2×2 adds a signed-zero term from the partner amplitude,
+// which a unit never reads, so the two agree in every nonzero component
+// and may differ only in the sign of a zero one. A state with no zero
+// component keeps its bits. Under a lossy memory budget the state is truncated fewer
 // times, and the fidelity ledger charges one (1-δ) factor per sweep —
 // matching the single recompression that actually happened — so the
 // Eq. 11 lower bound only rises.

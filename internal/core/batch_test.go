@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -756,5 +757,113 @@ func TestRunBatchForksAtDivergence(t *testing.T) {
 			}
 			t.Logf("gate applications: %d batched, %d solo; codec %+v", want.applied, soloApplied, want)
 		})
+	}
+}
+
+// TestRunBatchPlanReadsEveryVariant: a batch plans once from its shape,
+// so a triple is a ZZ unit only where its middle gate is diagonal in
+// every variant. Variant 0's RY(0) is diagonal, variant 1's RY(0.3) is
+// not; a plan read off variant 0 alone would multiply variant 1 by
+// RY(0.3)'s diagonal. Each variant must end where its solo run does, bit
+// for bit — variant 0's solo run makes the unit, which on a dense state
+// changes no bit.
+func TestRunBatchPlanReadsEveryVariant(t *testing.T) {
+	const qubits = 7 // 8-amplitude blocks: qubit 4 is a block qubit
+	circuit := func(theta float64) *quantum.Circuit {
+		c := quantum.NewCircuit(qubits)
+		for q := range qubits {
+			c.H(q).RX(q, 0.3+0.1*float64(q))
+		}
+		c.CNOT(0, 4).RY(4, theta).CNOT(0, 4)
+		for q := range qubits {
+			c.RX(q, 0.2)
+		}
+		return c
+	}
+	cs := []*quantum.Circuit{circuit(0), circuit(0.3)}
+	units := func(s *Simulator, gates []quantum.Gate, others ...[]quantum.Gate) (n int) {
+		for _, sw := range s.planSweeps(gates, others...) {
+			n += len(sw.Units)
+		}
+		return n
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := func(c *Config) { c.Workers = workers }
+		sims := batchSims(t, qubits, 1, 8, 2, cfg)
+		if n := units(sims[0], cs[0].Gates); n != 1 {
+			t.Fatalf("variant 0 alone plans %d units, want 1; the test is vacuous", n)
+		}
+		if n := units(sims[0], cs[0].Gates, cs[1].Gates); n != 0 {
+			t.Fatalf("the batch plans %d units, want 0", n)
+		}
+		if err := RunBatch(sims, cs, RunControl{}); err != nil {
+			t.Fatal(err)
+		}
+		for v, s := range sims {
+			solo := newSim(t, qubits, 1, 8, func(c *Config) { cfg(c); c.Seed = VariantSeed(1, v) })
+			if err := solo.Run(cs[v]); err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("workers=%d variant %d vs solo", workers, v)
+			assertBitIdentical(t, s, solo, label)
+			assertBlobsIdentical(t, s, solo, label)
+		}
+	}
+}
+
+// TestRunBatchForksSeeZZUnits: a parameter-shift batch over a QAOA
+// ansatz whose cost-layer units have v on block qubits shifts every
+// unit's angle in turn; the shifted variants run as forks of variant
+// 0's walk, parting at a unit, and each must end where its solo run
+// does, bit for bit, on 1, 2 and 4 workers.
+func TestRunBatchForksSeeZZUnits(t *testing.T) {
+	const qubits, block = 8, 8 // qubits 3..7 index the blocks
+	ansatz := quantum.QAOAAnsatzGraph(qubits, 1, quantum.RandomRegularGraph(qubits, 4, 3))
+	values := quantum.QAOAAngles(1, 3)
+	base, err := ansatz.Bind(values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := []*quantum.Circuit{base}
+	for _, occ := range ansatz.ParamOccurrences() {
+		c, err := ansatz.BindShift(values, occ.Gate, math.Pi/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
+	}
+	blockUnits := 0
+	for _, sw := range newSim(t, qubits, 1, block, nil).planSweeps(base.Gates) {
+		for _, u := range sw.Units {
+			if base.Gates[sw.Start+u].Target >= 3 {
+				blockUnits++
+			}
+		}
+	}
+	if blockUnits == 0 {
+		t.Fatal("no unit has v on a block qubit; the test is vacuous")
+	}
+	solos := make([]*Simulator, len(cs))
+	var soloApplied int64
+	for v, c := range cs {
+		solos[v] = newSim(t, qubits, 1, block, func(cfg *Config) { cfg.Seed = VariantSeed(1, v) })
+		if err := solos[v].Run(c); err != nil {
+			t.Fatal(err)
+		}
+		soloApplied += applied(solos[v])
+	}
+	for _, workers := range []int{1, 2, 4} {
+		sims := batchSims(t, qubits, 1, block, len(cs), func(c *Config) { c.Workers = workers })
+		if err := RunBatch(sims, cs, RunControl{}); err != nil {
+			t.Fatal(err)
+		}
+		var batchApplied int64
+		for v, s := range sims {
+			assertBitIdentical(t, s, solos[v], fmt.Sprintf("workers=%d variant %d vs solo", workers, v))
+			batchApplied += applied(s)
+		}
+		if batchApplied >= soloApplied {
+			t.Fatalf("workers=%d: the batch ran %d gate applications, its solo runs %d; nothing forked", workers, batchApplied, soloApplied)
+		}
 	}
 }

@@ -692,7 +692,8 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 
 // runLockstep is the run loop: cs[v] on sims[v] for K ≥ 1 state
 // variants of one shape and one configuration, every gate well formed
-// (the callers validate all three) — one sweep plan, one set of SPMD ranks, one error barrier per
+// (the callers validate all three) — one sweep plan, read off every
+// variant's gates (a ZZ unit must be one in each), one set of SPMD ranks, one error barrier per
 // sweep, and ctl's hooks firing once per run, not per variant.
 //
 // Execution iterates the group-sweep schedule (sweep.go): every sweep of
@@ -733,7 +734,11 @@ func runLockstep(sims []*Simulator, cs []*quantum.Circuit, ctl RunControl) error
 			}
 		}
 	}()
-	plan := s0.planSweeps(cs[0].Gates)
+	others := make([][]quantum.Gate, 0, K-1)
+	for _, c := range cs[1:] {
+		others = append(others, c.Gates)
+	}
+	plan := s0.planSweeps(cs[0].Gates, others...)
 	counted := s0.sweepsEnabled() // one-gate schedules report no sweeps
 	rankErrs := make([]error, s0.cfg.Ranks)
 	// abortErr, executed and the measurement logs are written only by
@@ -773,7 +778,7 @@ func runLockstep(sims []*Simulator, cs []*quantum.Circuit, ctl RunControl) error
 					return err
 				})
 			} else {
-				swErr = applyUnitaries(comm, sims, gates, gi, 0)
+				swErr = applyUnitaries(comm, sims, gates, sw.Units, gi, 0)
 				// The noise Pauli (the sweep is then the one gate) may be
 				// a cross-rank gate, so a rank that failed the unitary
 				// cannot just skip it: agree on failure first, then
@@ -890,17 +895,18 @@ func (s *Simulator) splitControls(controls []int) (offMask uint64, blkMask, rank
 }
 
 // applyUnitaries executes one group sweep of unitaries — gates[v] on
-// sims[v] — on this rank: one codec pass over all variants (runPass),
+// sims[v], with the ZZ units the plan named — on this rank: one codec
+// pass over all variants (runPass),
 // whose recompression is truncation number round of the boundary after
 // gate gi. A sweep with a rank-segment target exchanges its groups with
 // the peer rank inside that pass (exchangePass). The K passes are
 // compiled on variant 0's worker pool: a gradient's batch compiles 79.
-func applyUnitaries(comm mpi.Comm, sims []*Simulator, gates [][]quantum.Gate, gi, round int) error {
+func applyUnitaries(comm mpi.Comm, sims []*Simulator, gates [][]quantum.Gate, units []int, gi, round int) error {
 	r := comm.Rank()
 	passes := make([]*blockPass, len(sims))
 	// compilePass cannot fail, so neither can this fan-out.
 	_ = sims[0].forEach(sims[0].ranks[r], len(sims), func(_ *workerState, v int) error {
-		passes[v] = sims[v].compilePass(comm, sims[v].ranks[r], gates[v])
+		passes[v] = sims[v].compilePass(comm, sims[v].ranks[r], gates[v], units)
 		return nil
 	})
 	return runPass(sims, r, passes, gi, round)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"qcsim/internal/quantum"
@@ -13,7 +15,7 @@ import (
 // every rank from s's exports, runs c, and returns one delta per rank
 // for s.ApplyDeltas. step, when non-nil, sees the worker after the
 // install and after the run.
-func workerDeltas(t *testing.T, s *Simulator, c *quantum.Circuit, step func(name string, w *Simulator)) []*RankDelta {
+func workerDeltas(t testing.TB, s *Simulator, c *quantum.Circuit, step func(name string, w *Simulator)) []*RankDelta {
 	t.Helper()
 	w, err := New(s.cfg)
 	if err != nil {
@@ -121,4 +123,88 @@ func TestApplyDeltasRefusesBadDeltas(t *testing.T) {
 	if !bytes.Equal(saved(t, s), saved(t, ref)) {
 		t.Fatal("the honest deltas merged into a state other than the direct run's")
 	}
+}
+
+// FuzzApplyDeltas holds ApplyDeltas to its contract on arbitrary input.
+// The fuzz arguments make one rank's delta — rank, level, Executed, the
+// blobs (each a uvarint length and its bytes), the gate levels (four
+// bytes each) and the measurement outcomes (a byte each) — which goes
+// beside the other rank's honest delta into a clone of a 2-rank
+// simulator. ApplyDeltas must never panic; a refusal wraps ErrBadDelta
+// and leaves the state's bits, Stats, the ledger and the measurement log
+// exactly as they were. The seeds are both ranks' real ExportDelta.
+func FuzzApplyDeltas(f *testing.F) {
+	base := newSim(f, 6, 2, 8, nil)
+	cir := quantum.RandomCircuit(6, 12, 3)
+	cir.Measure(1)
+	good := workerDeltas(f, base, cir, nil)
+	for _, d := range good {
+		var blobs, levels, meas []byte
+		for _, b := range d.Blocks {
+			blobs = append(binary.AppendUvarint(blobs, uint64(len(b))), b...)
+		}
+		for _, l := range d.GateLevels {
+			levels = binary.LittleEndian.AppendUint32(levels, l)
+		}
+		for _, m := range d.Measurements {
+			meas = append(meas, byte(m))
+		}
+		f.Add(d.Rank, d.Level, d.Executed, blobs, levels, meas)
+	}
+	type snapshot struct {
+		state  []complex128
+		stats  Stats
+		ledger float64
+		meas   []int
+	}
+	snap := func(t *testing.T, s *Simulator) snapshot {
+		state, err := s.FullState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snapshot{state, s.Stats(), s.FidelityLowerBound(), s.Measurements()}
+	}
+	f.Fuzz(func(t *testing.T, rank, level, executed int, blobs, levels, meas []byte) {
+		d := &RankDelta{Rank: rank, Level: level, Executed: executed}
+		for len(blobs) > 0 && len(d.Blocks) < 64 {
+			n, k := binary.Uvarint(blobs)
+			if k <= 0 || n > uint64(len(blobs)-k) {
+				break
+			}
+			d.Blocks = append(d.Blocks, blobs[k:k+int(n)])
+			blobs = blobs[k+int(n):]
+		}
+		for ; len(levels) >= 4; levels = levels[4:] {
+			d.GateLevels = append(d.GateLevels, binary.LittleEndian.Uint32(levels))
+		}
+		for _, m := range meas {
+			d.Measurements = append(d.Measurements, int(m))
+		}
+		other := good[1]
+		if rank == 1 {
+			other = good[0]
+		}
+		if rank == 0 || rank == 1 {
+			d.Stats = good[rank].Stats
+		}
+		s, err := base.Clone(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		before := snap(t, s)
+		err = s.ApplyDeltas([]*RankDelta{d, other})
+		if err == nil {
+			s.FullState() // an accepted blob may not decode; it must not panic either
+			return
+		}
+		if !errors.Is(err, ErrBadDelta) {
+			t.Fatalf("ApplyDeltas refused with an untyped error: %v", err)
+		}
+		after := snap(t, s)
+		if !slices.EqualFunc(before.state, after.state, sameBits) || before.stats != after.stats ||
+			before.ledger != after.ledger || !slices.Equal(before.meas, after.meas) {
+			t.Fatalf("the refusal (%v) changed the simulator", err)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"qcsim/internal/quantum"
@@ -253,6 +254,64 @@ func TestKernelNegZeroRule(t *testing.T) {
 			}
 		}
 	}
+	t.Run("zz-unit", zzUnitNegZeroRule)
+}
+
+// zzUnitNegZeroRule is TestKernelNegZeroRule's ZZ unit: it holds the
+// unit's kernel to the ±0 rule against the three gates it stands for,
+// run gate at a time as general 2×2s: CNOT(u,v)·D(v)·CNOT(u,v) with u offset bit 0 and v block
+// stride 1, on every diagonal D and both swaps of kernelMatrices and
+// every pair of components from TestKernelNegZeroRule's value set. The
+// pair sits at z_u = 0 (the CNOTs idle) and at z_u = 1. Where the
+// unit's component is nonzero the bits must be equal; where it is zero
+// the reference's must be zero too, of either sign.
+func zzUnitNegZeroRule(t *testing.T) {
+	tiny, huge := math.SmallestNonzeroFloat64, math.MaxFloat64/4
+	values := []float64{0, negZero, 1, -1, tiny, -tiny, huge, -huge}
+	var flips int
+	for _, d := range kernelMatrices {
+		if d.class != classDiagonal {
+			continue
+		}
+		for _, x := range kernelMatrices {
+			if x.class != classSwap {
+				continue
+			}
+			cx := refGate{stride: 1, offCtrl: 1, u: x.u}
+			ref := []refGate{cx, {stride: 1, u: d.u}, cx}
+			p := newBlockPass(passKey{}, []passGate{{class: classUnit, u: d.u, tMask: 1, par: 1}}, 0, 1)
+			for _, ar0 := range values {
+				for _, ai0 := range values {
+					for _, ar1 := range values {
+						for _, ai1 := range values {
+							// Block v holds the pair's amplitude z_v at both offsets.
+							blocks := map[int][]float64{0: {ar0, ai0, ar0, ai0}, 1: {ar1, ai1, ar1, ai1}}
+							got := [][]float64{slices.Clone(blocks[0]), slices.Clone(blocks[1])}
+							refApply(ref, blocks)
+							p.apply(got[:1], 0)
+							p.apply(got[1:], 1)
+							for v, want := range [][]float64{blocks[0], blocks[1]} {
+								for i, w := range want {
+									g := got[v][i]
+									switch {
+									case math.Float64bits(g) == math.Float64bits(w):
+									case g == 0 && w == 0:
+										flips++
+									default:
+										t.Fatalf("%s between %s on (%v, %v), (%v, %v): block %d component %d is %v (%#x), gate at a time %v (%#x)",
+											d.name, x.name, ar0, ai0, ar1, ai1, v, i, g, math.Float64bits(g), w, math.Float64bits(w))
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if flips == 0 {
+		t.Fatal("no zero changed sign: the value set no longer reaches the ±0 rule")
+	}
 }
 
 // TestRunLenWalksSupersets: the stride walk visits exactly the offsets
@@ -289,6 +348,9 @@ func TestRunLenWalksSupersets(t *testing.T) {
 // zero pre-filter — the regime of every workload but Grover's; the
 // /sparse variants draw half the components as ±0, so the pre-filter
 // passes on most pairs and the -0 test decides, as on Grover's ancillas.
+// The zz rows are a ZZ unit on one block, in place and with no -0 test:
+// zz/offset with its parity on an offset bit (u offset, v a block bit),
+// zz/block on block bits alone.
 func BenchmarkKernel(b *testing.B) {
 	const offsetBits = 12 // the engine's default block
 	const ba = 1 << offsetBits
@@ -329,6 +391,20 @@ func BenchmarkKernel(b *testing.B) {
 	for m := range bufs {
 		bufs[m] = make([]float64, 2*ba)
 	}
+	// run times p at the group based at block 0, amps amplitudes updated
+	// a pass.
+	run := func(b *testing.B, p *blockPass, amps int, draw func(*rand.Rand) float64) {
+		for _, buf := range bufs {
+			for i := range buf {
+				buf[i] = draw(rng)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.apply(bufs[:], 0)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(amps), "ns/amp")
+	}
 	for _, c := range classes {
 		for _, sh := range shapes {
 			for _, in := range inputs {
@@ -338,18 +414,20 @@ func BenchmarkKernel(b *testing.B) {
 					if sh.offCtrl != 0 {
 						amps /= 2
 					}
-					for _, buf := range bufs {
-						for i := range buf {
-							buf[i] = in.draw(rng)
-						}
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						p.apply(bufs[:], 0)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(amps), "ns/amp")
+					run(b, p, amps, in.draw)
 				})
 			}
+		}
+	}
+	for _, sh := range []struct {
+		name       string
+		tMask, par int
+	}{{"offset", 1 << (offsetBits / 2), 1}, {"block", 0, 3}} {
+		for _, in := range inputs {
+			b.Run("zz/"+sh.name+in.suffix, func(b *testing.B) {
+				g := passGate{class: classUnit, u: quantum.RZ(0.7), tMask: sh.tMask, par: sh.par}
+				run(b, newBlockPass(passKey{}, []passGate{g}, 0, sh.par), ba, in.draw)
+			})
 		}
 	}
 }

@@ -48,5 +48,5 @@ func (s *Simulator) applyNoiseRank(comm mpi.Comm, rs *rankState, g quantum.Gate,
 	default:
 		pauli = quantum.Gate{Name: "noise-z", Target: g.Target, U: quantum.MatZ}
 	}
-	return applyUnitaries(comm, []*Simulator{s}, [][]quantum.Gate{{pauli}}, gi, s.ledgerRounds()-1)
+	return applyUnitaries(comm, []*Simulator{s}, [][]quantum.Gate{{pauli}}, nil, gi, s.ledgerRounds()-1)
 }

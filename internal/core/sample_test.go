@@ -577,7 +577,7 @@ func touchedBlocks(s *Simulator, out []uint64) int {
 func TestSamplerDecodeCounts(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		s := newSim(t, 8, 1, 8, func(c *Config) { c.Workers = workers })
-		if err := s.Run(quantum.RandomCircuit(8, 24, 7)); err != nil {
+		if err := s.Run(quantum.QAOA(8, 1, 7)); err != nil {
 			t.Fatal(err)
 		}
 		var dec atomic.Int64

@@ -40,18 +40,28 @@ import (
 //     same-index blocks the other. Such a pass exchanges each group once
 //     (exchangePass), not once per gate, and both ranks compute the
 //     pairs the rank-target gates split.
+//   - A ZZ unit needs no target: CNOT(u,v)·D(v)·CNOT(u,v), D diagonal
+//     and uncontrolled, v above the offset segment (quantum.ZZUnit),
+//     multiplies each amplitude by D's entry indexed by z_u ⊕ z_v and
+//     mixes nothing, so it runs in place on every member whatever
+//     segments u and v lie in — one gate of the pass (unitGate), no
+//     exchange. QAOA's cost layer is one unit per edge.
 //   - One pass: decompress the members some gate acts on, apply all k
 //     gates in circuit order (an offset-target gate to each member
 //     whose block index satisfies the gate's block controls, a
 //     block-target gate across each pair of members its stride
-//     separates), recompress those members. A one-gate sweep is the
-//     paper's gate-at-a-time pass, so the scheduler-off and
-//     noise-active runs use the same code.
+//     separates, a unit to every member), recompress those members. A
+//     one-gate sweep is the paper's gate-at-a-time pass, so the
+//     scheduler-off and noise-active runs use the same code.
 //
 // Under the lossless codec the result is bit-identical to
 // gate-at-a-time execution: every amplitude sees the same float
 // operations in the same order, and decompress ∘ compress is exact, so
-// eliding the round trips in between changes no bits. Under lossy
+// eliding the round trips in between changes no bits. The class kernels
+// keep this by the −0 rule, a ZZ unit by the weaker ±0 rule (both at
+// apply): it equals the three gates in every nonzero component, and
+// where its component is zero so is theirs, the sign aside — so a
+// dense state keeps its bits. Under lossy
 // codecs the state is truncated FEWER times — once per sweep instead of
 // once per gate — and the fidelity ledger charges one (1-δ) factor per
 // sweep, so the Eq. 11 bound only rises.
@@ -75,10 +85,11 @@ func (s *Simulator) sweepsEnabled() bool {
 	return !s.cfg.DisableSweeps && !s.noiseActive()
 }
 
-// planSweeps is the schedule the run loop iterates.
-func (s *Simulator) planSweeps(gates []quantum.Gate) []quantum.GroupSweep {
+// planSweeps is the schedule the run loop iterates; others are a
+// batch's other variants (a ZZ unit must be one in each).
+func (s *Simulator) planSweeps(gates []quantum.Gate, others ...[]quantum.Gate) []quantum.GroupSweep {
 	if s.sweepsEnabled() {
-		return quantum.PlanGroupSweeps(gates, s.offsetBits, s.blockBits, s.sweepWidth())
+		return quantum.PlanGroupSweeps(gates, s.offsetBits, s.blockBits, s.sweepWidth(), others...)
 	}
 	return quantum.SingletonSweeps(gates)
 }
@@ -116,6 +127,7 @@ const (
 	classGeneral  gateClass = iota // the full complex 2×2, 28 flops a pair
 	classDiagonal                  // u01 == u10 == 0: one complex multiply per amplitude, 12 flops a pair
 	classSwap                      // u00 == u11 == 0, u01 == u10 == 1: a copy
+	classUnit                      // a ZZ unit: one complex multiply per amplitude, by the entry its parity picks
 )
 
 func classify(u quantum.Matrix2) gateClass {
@@ -146,6 +158,13 @@ type passGate struct {
 	blkCtrl int
 	class   gateClass
 	u       quantum.Matrix2
+	// par is a ZZ unit's (classUnit, see unitGate): it has no target, no
+	// flip and no block controls, and multiplies every amplitude of a
+	// member by u00 or u11, the middle gate's entries, as the parity
+	// z_u ⊕ z_v is 0 or 1. The parity reads tMask in the offset (u's bit,
+	// 0 when u is no offset qubit) and par in the member's block index; a
+	// rank bit decided on this rank has swapped the entries already.
+	par int
 }
 
 // newPassGate builds a gate whose block- or rank-segment target, if
@@ -173,9 +192,15 @@ type blockPass struct {
 	span int
 	size int
 	sub  [groupSize]int
-	// ctrlBits is the union of the gates' block controls: the bits of a
-	// block index that decide which gates fire there.
+	// ctrlBits is the union of the gates' block controls and the ZZ
+	// units' parity bits: the bits of a block index that decide which
+	// gates fire there and what a unit multiplies by.
 	ctrlBits int
+	// cnots holds, per ZZ unit whose CNOTs fire on this rank, the
+	// block-index bits that must be set for them to: the two gates of its
+	// triple besides the middle one, which a unit counts where they fire
+	// (fired). Its bits are parity bits, so they are in ctrlBits.
+	cnots []int
 	// With a rank-segment target, comm reaches the peer rank that holds
 	// the other half of every group. own is the first member of this
 	// rank's half: 0 where the target bit is 0, size/2 where it is 1 (a
@@ -207,23 +232,42 @@ func newBlockPass(key passKey, gates []passGate, span, ctrlBits int) *blockPass 
 
 // compilePass builds the pass for a group sweep on this rank at the
 // rank's current level, or nil when a rank-segment control silences
-// every gate here (§3.3: the whole rank is unmodified). A control on the
-// rank bit the sweep's rank-segment target exchanges selects a half of
-// each group, so it becomes block-control bit nb; any other rank control
-// is decided here, and it is the same on both ranks of an exchanging
-// pair, which differ in the target bit alone.
-func (s *Simulator) compilePass(comm mpi.Comm, rs *rankState, gates []quantum.Gate) *blockPass {
+// every gate here (§3.3: the whole rank is unmodified). units are the
+// sweep's ZZ units as the plan names them, each compiled to one gate
+// (unitGate). A control on the rank bit the sweep's rank-segment target
+// exchanges selects a half of each group, so it becomes block-control
+// bit nb; any other rank control is decided here, and it is the same on
+// both ranks of an exchanging pair, which differ in the target bit
+// alone.
+func (s *Simulator) compilePass(comm mpi.Comm, rs *rankState, gates []quantum.Gate, units []int) *blockPass {
 	rankBase, nb := s.offsetBits+s.blockBits, s.blocksPerRank()
+	isUnit := func(i int) bool { _, ok := slices.BinarySearch(units, i); return ok }
 	tr := 0 // the rank bit a gate firing here exchanges (the planner allows one)
-	for _, g := range gates {
-		if _, _, rankCtrl := s.splitControls(g.Controls); g.Target >= rankBase && rs.id&rankCtrl == rankCtrl {
-			tr = 1 << uint(g.Target-rankBase)
+	for i := 0; i < len(gates); i++ {
+		if isUnit(i) {
+			i += 2
+			continue
+		}
+		if _, _, rankCtrl := s.splitControls(gates[i].Controls); gates[i].Target >= rankBase && rs.id&rankCtrl == rankCtrl {
+			tr = 1 << uint(gates[i].Target-rankBase)
 			break
 		}
 	}
 	pgs := make([]passGate, 0, len(gates))
 	span, ctrlBits, first, last := 0, 0, -1, -1
-	for _, g := range gates {
+	var cnots []int
+	for i := 0; i < len(gates); i++ {
+		if isUnit(i) {
+			g, cx, fire := s.unitGate(rs, gates[i:i+3], tr)
+			pgs = append(pgs, g)
+			ctrlBits |= g.par
+			if fire {
+				cnots = append(cnots, cx)
+			}
+			i += 2
+			continue
+		}
+		g := gates[i]
 		offCtrl, blkCtrl, rankCtrl := s.splitControls(g.Controls)
 		if rankCtrl&tr != 0 {
 			rankCtrl &^= tr
@@ -253,6 +297,7 @@ func (s *Simulator) compilePass(comm mpi.Comm, rs *rankState, gates []quantum.Ga
 		return nil
 	}
 	p := newBlockPass(newPassKey(quantum.SweepSignature(gates), rs.level), pgs, span, ctrlBits)
+	p.cnots = cnots
 	if tr != 0 {
 		p.comm, p.peer, p.first, p.last = comm, rs.id^tr, first, last
 		if rs.id&tr != 0 {
@@ -260,6 +305,38 @@ func (s *Simulator) compilePass(comm mpi.Comm, rs *rankState, gates []quantum.Ga
 		}
 	}
 	return p
+}
+
+// unitGate compiles the ZZ unit CNOT(u,v)·D(v)·CNOT(u,v) on this rank
+// (see passGate), tr the rank bit the pass exchanges, if any. A qubit of
+// the parity is u's offset bit, a block bit, bit nb for tr — a member
+// bit, as a control on it is — or a rank bit decided here, whose value
+// swaps the entries or, for u, decides whether the CNOTs fire on this
+// rank (fire) at all; cx is the block-index bits they fire on. Like a
+// rank target needs none, the unit needs no exchange.
+func (s *Simulator) unitGate(rs *rankState, unit []quantum.Gate, tr int) (g passGate, cx int, fire bool) {
+	rankBase := s.offsetBits + s.blockBits
+	u, v := unit[0].Controls[0], unit[0].Target
+	g = passGate{class: classUnit, u: unit[1].U}
+	fire = true
+	for _, q := range [2]int{v, u} {
+		bit := 0 // q's bit in a member's block index
+		switch r := q - rankBase; {
+		case q < s.offsetBits:
+			g.tMask = 1 << uint(q)
+		case r < 0:
+			bit = 1 << uint(q-s.offsetBits)
+		case 1<<uint(r) == tr:
+			bit = s.blocksPerRank()
+		case rs.id>>uint(r)&1 != 0:
+			g.u[0][0], g.u[1][1] = g.u[1][1], g.u[0][0]
+		case q == u:
+			fire = false
+		}
+		g.par |= bit
+		cx = bit // u's, the loop's last
+	}
+	return g, cx, fire
 }
 
 // scanPass is the pass of no gates over the blocks whose index has
@@ -276,11 +353,13 @@ func scanPass(lvl, blkMask int) *blockPass {
 func requantPass(rs *rankState) *blockPass { return scanPass(rs.level, 0) }
 
 // fired returns, per member of the group based at b, how many of the
-// pass's gates act on it: those whose block controls are all set in the
-// member's index. A block-target gate's controls never include its own
-// stride, so both members of each pair it acts on count it. A member no
-// gate acts on is not fetched, not decoded and not recompressed (§3.3:
-// whole block unmodified). The counts are functions of b&ctrlBits.
+// circuit's gates the pass applies to it: those whose block controls are
+// all set in the member's index, a ZZ unit counting each gate of its
+// triple that fires on the member (its CNOTs by cnots). A block-target
+// gate's controls never include its own stride, so both members of each
+// pair it acts on count it. A member no gate acts on is not fetched, not
+// decoded and not recompressed (§3.3: whole block unmodified). The
+// counts are functions of b&ctrlBits.
 func (p *blockPass) fired(b int) (n [groupSize]int) {
 	switch {
 	case len(p.gates) == 0: // scanPass
@@ -289,7 +368,7 @@ func (p *blockPass) fired(b int) (n [groupSize]int) {
 		}
 	case p.ctrlBits == 0:
 		for m := 0; m < p.size; m++ {
-			n[m] = len(p.gates)
+			n[m] = len(p.gates) + 2*len(p.cnots)
 		}
 	default:
 		for i := range p.gates {
@@ -297,6 +376,13 @@ func (p *blockPass) fired(b int) (n [groupSize]int) {
 			for m, sub := range p.sub[:p.size] {
 				if (b|sub)&c == c {
 					n[m]++
+				}
+			}
+		}
+		for _, c := range p.cnots {
+			for m, sub := range p.sub[:p.size] {
+				if (b|sub)&c == c {
+					n[m] += 2
 				}
 			}
 		}
@@ -309,8 +395,8 @@ func (p *blockPass) fired(b int) (n [groupSize]int) {
 // offset-target gate runs on each member it fires on; a block-target
 // gate runs once per pair, from the member with its flip bit clear, on
 // (member, member|flip) — and may be controlled on the group's other
-// stride. A member fired reports as untouched holds stale scratch and is
-// neither read nor written.
+// stride; a ZZ unit runs on every member. A member fired reports as
+// untouched holds stale scratch and is neither read nor written.
 //
 // Each gate runs the loop of its class: one complex multiply per
 // amplitude for a diagonal, a copy for a swap, else the full 2×2. The
@@ -325,6 +411,19 @@ func (p *blockPass) fired(b int) (n [groupSize]int) {
 // test in front is a pre-filter: any zero component passes it (for
 // finite results), a dense pair never does, so a dense state pays for
 // one multiply and compare per amplitude and never for the sign test.
+//
+// A ZZ unit keeps the ±0 rule instead: each of its components equals
+// the three-gate reference's wherever either is nonzero, and where one
+// is zero so is the other, perhaps of the other sign. Gate at a time,
+// an amplitude x becomes d·x′ + 0·a, x′ being x after the CNOT's swap
+// and a the partner the middle gate's 2×2 reads, then swaps back. The
+// swaps and the dropped 0·a term change only the signs of zeros (the
+// −0 rule's argument), and d·x′ differs from the unit's d·x only where
+// a product term is a signed zero, which moves no nonzero sum. The
+// partner lives in a block the group no longer holds, so a −0 cannot
+// be recomputed in full: a unit may differ from gate-at-a-time in the
+// sign of a zero component, never elsewhere. No dense state has a zero
+// component, so its bits and blobs are gate-at-a-time's.
 func (p *blockPass) apply(bufs [][]float64, b int) { p.applyTo(bufs, b, p.gates, 0, p.size) }
 
 // applyTo is apply restricted to gates, a range of the pass's, and to
@@ -333,6 +432,12 @@ func (p *blockPass) apply(bufs [][]float64, b int) { p.applyTo(bufs, b, p.gates,
 func (p *blockPass) applyTo(bufs [][]float64, b int, gates []passGate, m0, m1 int) {
 	for i := range gates {
 		g := &gates[i]
+		if g.class == classUnit {
+			for m := m0; m < m1; m++ {
+				g.unit(bufs[m], b|p.sub[m])
+			}
+			continue
+		}
 		for m := m0; m < m1; m++ {
 			if m&g.flip == 0 && (b|p.sub[m])&g.blkCtrl == g.blkCtrl {
 				g.kernel(bufs[m], bufs[m|g.flip])
@@ -405,6 +510,36 @@ func (g *passGate) kernel(lo, hi []float64) {
 				h[i-1], h[i] = real(n1), imag(n1)
 			}
 		}
+	}
+}
+
+// unit is a ZZ unit's kernel on the member whose block index is blk:
+// each amplitude times u00 where z_u ⊕ z_v is 0 and u11 where it is 1,
+// in runs of tMask amplitudes, or the whole block when u is no offset
+// qubit. It is the multiply gate-at-a-time's middle gate applies after
+// the CNOT's exact swap, with no −0 fallback: the partner the general
+// 2×2 reads is not in the group, which is the ±0 rule (see apply).
+func (g *passGate) unit(x []float64, blk int) {
+	d0, d1 := g.u[0][0], g.u[1][1]
+	if bits.OnesCount(uint(blk&g.par))&1 != 0 {
+		d0, d1 = d1, d0
+	}
+	if g.tMask == 0 {
+		scale(x, d0)
+		return
+	}
+	n := 2 * g.tMask // floats in a run
+	for v := 0; v < len(x); v += 2 * n {
+		scale(x[v:v+n], d0)
+		scale(x[v+n:v+2*n], d1)
+	}
+}
+
+// scale multiplies the amplitudes of x by d.
+func scale(x []float64, d complex128) {
+	for i := 1; i < len(x); i += 2 {
+		a := d * complex(x[i-1], x[i])
+		x[i-1], x[i] = real(a), imag(a)
 	}
 }
 
@@ -733,13 +868,13 @@ func planForks(rs0 *rankState, passes []*blockPass) (*forkPlan, error) {
 // act on different members or offsets anywhere share no group walk and
 // diverge at 0.
 func divergence(lead, p *blockPass) int {
-	if lead.span != p.span || lead.ctrlBits != p.ctrlBits || len(lead.gates) != len(p.gates) {
+	if lead.span != p.span || lead.ctrlBits != p.ctrlBits || len(lead.gates) != len(p.gates) || !slices.Equal(lead.cnots, p.cnots) {
 		return 0
 	}
 	d := len(p.gates)
 	for i := range p.gates {
 		a, b := &lead.gates[i], &p.gates[i]
-		if a.tMask != b.tMask || a.mask != b.mask || a.flip != b.flip || a.blkCtrl != b.blkCtrl {
+		if a.tMask != b.tMask || a.mask != b.mask || a.flip != b.flip || a.blkCtrl != b.blkCtrl || a.par != b.par {
 			return 0
 		}
 		if d == len(p.gates) && !sameMatrix(a.u, b.u) {

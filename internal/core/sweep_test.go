@@ -74,6 +74,41 @@ func assertBitIdentical(t *testing.T, a, b *Simulator, label string) {
 	}
 }
 
+// zeroSignFlips compares the full states of two simulators under a ZZ
+// unit's ±0 rule (sweep.go): each component equal bit for bit, or both
+// zero. It returns how many zero components differ in sign, or an error
+// naming the first component that breaks the rule.
+func zeroSignFlips(a, b *Simulator) (flips int, err error) {
+	sa, err := a.FullState()
+	if err != nil {
+		return 0, err
+	}
+	sb, err := b.FullState()
+	if err != nil {
+		return 0, err
+	}
+	for i := range sa {
+		for _, c := range [][2]float64{{real(sa[i]), real(sb[i])}, {imag(sa[i]), imag(sb[i])}} {
+			switch {
+			case math.Float64bits(c[0]) == math.Float64bits(c[1]):
+			case c[0] == 0 && c[1] == 0:
+				flips++
+			default:
+				return flips, fmt.Errorf("amplitude %d differs: %v vs %v", i, sa[i], sb[i])
+			}
+		}
+	}
+	return flips, nil
+}
+
+// plannedUnits counts the ZZ units s's plan for gates names.
+func plannedUnits(s *Simulator, gates []quantum.Gate) (n int) {
+	for _, sw := range s.planSweeps(gates) {
+		n += len(sw.Units)
+	}
+	return n
+}
+
 // sameBits reports whether x and y have the same bits in both
 // components; x == y would call −0 and +0 equal.
 func sameBits(x, y complex128) bool {
@@ -109,9 +144,13 @@ func assertBlobsIdentical(t *testing.T, a, b *Simulator, label string) {
 // produce bit-identical amplitudes, compressed blocks, measurement
 // outcomes, and ledgers under the lossless codec. The sweep run samples
 // the footprint at a subset of the gate-at-a-time boundaries, so its
-// peak may only be lower. Run under -race in CI, this doubles as the
-// data-race check on the pass's worker fan-out.
+// peak may only be lower. RandomCircuit draws ZZ units, which keep the
+// weaker ±0 rule: the amplitudes are compared under it, and the blobs
+// and the peak (which a zero's sign can move by a byte) only when no
+// zero changed sign; without a unit none may. Run under -race in CI,
+// this doubles as the data-race check on the pass's worker fan-out.
 func TestQuickSweepsBitIdentical(t *testing.T) {
+	var withUnits, flipped int
 	f := func(seed int64, geomSel, workerSel, gateCount, storeSel, cacheSel uint8) bool {
 		qubits := 7
 		geoms := []struct{ ranks, block int }{
@@ -132,12 +171,29 @@ func TestQuickSweepsBitIdentical(t *testing.T) {
 				c.CacheLines = 64
 			}
 		})
-		assertBitIdentical(t, on, off, "sweeps on/off")
-		assertBlobsIdentical(t, on, off, "sweeps on/off")
+		flips, err := zeroSignFlips(on, off)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		units := plannedUnits(on, cir.Gates)
+		if flips > 0 && units == 0 {
+			t.Logf("seed %d: %d zeros changed sign with no ZZ unit planned", seed, flips)
+			return false
+		}
+		withUnits, flipped = withUnits+min(units, 1), flipped+min(flips, 1)
+		if !slices.Equal(on.Measurements(), off.Measurements()) {
+			t.Logf("seed %d: measurements differ: %v vs %v", seed, on.Measurements(), off.Measurements())
+			return false
+		}
 		if on.FidelityLowerBound() != off.FidelityLowerBound() {
 			t.Logf("seed %d: lossless ledgers differ: %v vs %v", seed, on.FidelityLowerBound(), off.FidelityLowerBound())
 			return false
 		}
+		if flips > 0 {
+			return true
+		}
+		assertBlobsIdentical(t, on, off, "sweeps on/off")
 		if mOn, mOff := on.Stats().MaxFootprint, off.Stats().MaxFootprint; mOn > mOff {
 			t.Logf("seed %d: sweep peak %d above gate-at-a-time peak %d", seed, mOn, mOff)
 			return false
@@ -147,6 +203,7 @@ func TestQuickSweepsBitIdentical(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%d circuits planned ZZ units, %d of them changed a zero's sign", withUnits, flipped)
 }
 
 // TestGroupSweepsBitIdentical holds 4- and 8-block group sweeps to
@@ -184,9 +241,10 @@ func TestGroupSweepsBitIdentical(t *testing.T) {
 
 // assertBatchesMatchGateAtATime runs par, a one-parameter circuit on 7
 // qubits of 8-amplitude blocks over ranks ranks, solo and as a 3-variant
-// batch, with the block cache on and off, through the spill tier, on 1,
-// 2 and 4 workers, against gate-at-a-time runs of each variant:
-// amplitudes, compressed blocks and ledgers must be equal bit for bit.
+// batch, with the block cache on and off, through the spill tier and on
+// the in-RAM store, on 1, 2 and 4 workers, against gate-at-a-time runs
+// of each variant: amplitudes, compressed blocks and ledgers must be
+// equal bit for bit.
 func assertBatchesMatchGateAtATime(t *testing.T, par *quantum.Circuit, ranks int) {
 	t.Helper()
 	for _, k := range []int{1, 3} {
@@ -200,31 +258,35 @@ func assertBatchesMatchGateAtATime(t *testing.T, par *quantum.Circuit, ranks int
 		}
 		for _, workers := range []int{1, 2, 4} {
 			for _, lines := range []int{0, 64} {
-				cfg := func(c *Config) {
-					c.Workers, c.CacheLines = workers, lines
-					spillCfg(t, 256)(c)
-				}
-				sims := batchSims(t, par.N, ranks, 8, k, cfg)
-				if err := RunBatch(sims, circuits, RunControl{}); err != nil {
-					t.Fatal(err)
-				}
-				for v, s := range sims {
-					off := newSim(t, par.N, ranks, 8, func(c *Config) {
-						cfg(c)
-						c.DisableSweeps, c.Seed = true, VariantSeed(1, v)
-					})
-					if err := off.Run(circuits[v]); err != nil {
+				for _, spill := range []bool{true, false} {
+					cfg := func(c *Config) {
+						c.Workers, c.CacheLines = workers, lines
+						if spill {
+							spillCfg(t, 256)(c)
+						}
+					}
+					sims := batchSims(t, par.N, ranks, 8, k, cfg)
+					if err := RunBatch(sims, circuits, RunControl{}); err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("ranks=%d K=%d workers=%d lines=%d variant %d", ranks, k, workers, lines, v)
-					assertBitIdentical(t, s, off, label)
-					assertBlobsIdentical(t, s, off, label)
-					if s.FidelityLowerBound() != off.FidelityLowerBound() {
-						t.Fatalf("%s: ledgers differ: %v vs %v", label, s.FidelityLowerBound(), off.FidelityLowerBound())
+					for v, s := range sims {
+						off := newSim(t, par.N, ranks, 8, func(c *Config) {
+							cfg(c)
+							c.DisableSweeps, c.Seed = true, VariantSeed(1, v)
+						})
+						if err := off.Run(circuits[v]); err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("ranks=%d K=%d workers=%d lines=%d spill=%v variant %d", ranks, k, workers, lines, spill, v)
+						assertBitIdentical(t, s, off, label)
+						assertBlobsIdentical(t, s, off, label)
+						if s.FidelityLowerBound() != off.FidelityLowerBound() {
+							t.Fatalf("%s: ledgers differ: %v vs %v", label, s.FidelityLowerBound(), off.FidelityLowerBound())
+						}
 					}
-				}
-				if st := sims[0].Stats(); st.SpillWrites == 0 {
-					t.Fatalf("ranks=%d K=%d workers=%d lines=%d: nothing spilled", ranks, k, workers, lines)
+					if st := sims[0].Stats(); spill && st.SpillWrites == 0 {
+						t.Fatalf("ranks=%d K=%d workers=%d lines=%d: nothing spilled", ranks, k, workers, lines)
+					}
 				}
 			}
 		}
@@ -315,37 +377,171 @@ func TestRankSweepsBitIdentical(t *testing.T) {
 	}
 }
 
+// zzUnitCircuit is TestSweepZZUnitBitIdentical's circuit, one parameter
+// wide: a dense QAOA-style state — H and a rotation on every qubit —
+// and ZZ units on every pair of segments. On 2 ranks of 8-amplitude
+// blocks qubits 0..2 are offset, 3..5 block and 6 the rank qubit; on 4
+// ranks 5 is a rank qubit too.
+func zzUnitCircuit() *quantum.Circuit {
+	const qubits = 7
+	c := quantum.NewCircuit(qubits)
+	for q := range qubits {
+		c.H(q).PRX(q, quantum.P(0))
+	}
+	zz := func(u, v int) { c.CNOT(u, v).PRZ(v, quantum.P(0).Times(2)).CNOT(u, v) }
+	// u offset, block and rank; v block and rank; at 4 ranks (5, 6) is
+	// two rank qubits.
+	for _, e := range [][2]int{{0, 3}, {4, 5}, {6, 4}, {1, 6}, {3, 6}, {5, 6}, {2, 4}} {
+		zz(e[0], e[1])
+	}
+	for q := range qubits {
+		c.PRX(q, quantum.P(0))
+	}
+	// An exchange sweep: the rank target 6, then units on the exchanged
+	// rank bit as v and as u, then the rank target again.
+	c.RY(6, 0.7)
+	zz(2, 6)
+	zz(6, 3)
+	c.RX(6, 0.4).T(6).Measure(0)
+	for _, e := range [][2]int{{1, 5}, {5, 3}, {0, 4}} {
+		zz(e[0], e[1])
+	}
+	for q := range qubits {
+		c.PRX(q, quantum.P(0))
+	}
+	return c
+}
+
+// TestSweepZZUnitBitIdentical holds ZZ units to gate-at-a-time
+// execution on a dense state, where the ±0 rule leaves no sign to
+// differ: bits, blobs and ledgers, with u and v on offset, block and
+// rank bits, at 2 and 4 ranks, a unit on the exchanged rank bit inside
+// an exchange sweep (2 ranks), K = 1 and 3, 1, 2 and 4 workers, the
+// block cache on and off, spill on and off. The codec passes saved
+// still count against gate-at-a-time: a unit counts the gates of its
+// triple that fire on a member.
+func TestSweepZZUnitBitIdentical(t *testing.T) {
+	par := zzUnitCircuit()
+	// segments names each planned unit by the segments of u and v, and
+	// marks one whose u or v is the exchanged rank bit of its sweep.
+	segments := func(offsetBits, blockBits int) map[string]bool {
+		rankBase := offsetBits + blockBits
+		seg := func(q int) string {
+			switch {
+			case q < offsetBits:
+				return "offset"
+			case q < rankBase:
+				return "block"
+			}
+			return "rank"
+		}
+		s := newSim(t, par.N, 1<<(par.N-rankBase), 1<<offsetBits, nil)
+		found := map[string]bool{}
+		for _, sw := range s.planSweeps(par.Gates) {
+			gates := par.Gates[sw.Start:sw.End]
+			for _, u := range sw.Units {
+				cx := gates[u]
+				found[seg(cx.Controls[0])+"/"+seg(cx.Target)] = true
+				for i, g := range gates {
+					if (i < u || i > u+2) && g.Target >= rankBase && (g.Target == cx.Target || g.Target == cx.Controls[0]) {
+						found["exchanged"] = true
+					}
+				}
+			}
+		}
+		return found
+	}
+	for _, want := range []string{"offset/block", "block/block", "rank/block", "offset/rank", "block/rank", "exchanged"} {
+		if !segments(3, 3)[want] {
+			t.Fatalf("2 ranks: no %s unit; the test is vacuous (%v)", want, segments(3, 3))
+		}
+	}
+	if !segments(3, 2)["rank/rank"] {
+		t.Fatalf("4 ranks: no rank/rank unit; the test is vacuous (%v)", segments(3, 2))
+	}
+	for _, ranks := range []int{2, 4} {
+		assertBatchesMatchGateAtATime(t, par, ranks)
+		bound, err := par.Bind([]float64{0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		on, off := runSweepPair(t, bound, ranks, 8, 1, nil)
+		st, gateAtATime := on.Stats(), off.Stats()
+		if st.CompressCalls+st.CodecPassesSaved != gateAtATime.CompressCalls {
+			t.Fatalf("ranks=%d: %d encodes + %d saved, gate at a time %d encodes", ranks, st.CompressCalls, st.CodecPassesSaved, gateAtATime.CompressCalls)
+		}
+	}
+}
+
+// TestSweepZZUnitCacheKey: on a redundant state every block holds the
+// same bytes, and a ZZ unit whose parity reads block bits multiplies
+// blocks of either parity by different entries, so the §3.4 key must
+// read those bits (they join ctrlBits) or the first group's outputs are
+// handed to groups of the other parity. Cache on, cache off and gate at
+// a time must give the same bits.
+func TestSweepZZUnitCacheKey(t *testing.T) {
+	// 3 offset | 6 block bits, one rank.
+	cir := quantum.NewCircuit(9)
+	for q := range 9 {
+		cir.H(q) // two sweeps; after them all 64 blocks are byte-identical
+	}
+	cir.Measure(1)                       // ends the sweep, and every block collapses alike
+	cir.CNOT(4, 3).RZ(3, 0.9).CNOT(4, 3) // parity on block bits 1|2
+	cir.CNOT(0, 7).T(7).CNOT(0, 7)       // an offset bit and block bit 16
+	run := func(lines int, disable bool) (*Simulator, int64) {
+		s := newSim(t, 9, 1, 8, func(c *Config) { c.CacheLines, c.Workers, c.DisableSweeps = lines, 1, disable })
+		var before int64 // cache hits before the last sweep
+		if err := s.RunControlled(cir, RunControl{PollAbort: func() error {
+			before = s.ranks[0].stats.CacheHits
+			return nil
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		return s, s.ranks[0].stats.CacheHits - before
+	}
+	cached, hits := run(64, false)
+	plain, _ := run(0, false)
+	ref, _ := run(0, true)
+	// Groups of one block; the key tells apart 8 of the 64 (bits 1|2|16).
+	if st := cached.Stats(); st.Sweeps != 3 || hits != 56 {
+		t.Fatalf("%d sweeps, the units' one hit the cache %d times; want 3 and 56", st.Sweeps, hits)
+	}
+	assertBitIdentical(t, cached, ref, "cache on vs gate at a time")
+	assertBitIdentical(t, plain, ref, "cache off vs gate at a time")
+	assertBlobsIdentical(t, cached, ref, "cache on vs gate at a time")
+}
+
 // TestQuickRankCountBitIdentical is an oracle outside the exchange code:
 // the rank count decides only where the two amplitudes of a pair live,
 // never the arithmetic on them, so 1, 2 and 4 ranks — sweeps on and
 // off — give the same bits, and one rank exchanges nothing at all.
 // Unitary circuits only: a measurement's probability sum is added in an
-// order that depends on the rank count.
+// order that depends on the rank count. A run whose plan has a ZZ unit
+// (RandomCircuit draws them) is held to the ±0 rule instead; one
+// without may change no zero's sign.
 func TestQuickRankCountBitIdentical(t *testing.T) {
 	const qubits = 7
 	f := func(seed int64) bool {
 		cir := quantum.RandomCircuit(qubits, 60, seed)
 		cir.Gates = append(cir.Gates, quantum.QFT(qubits, seed).Gates...)
-		var ref []complex128
+		var ref *Simulator
 		for _, ranks := range []int{1, 2, 4} {
 			for _, disable := range []bool{true, false} {
 				s := newSim(t, qubits, ranks, 8, func(c *Config) { c.DisableSweeps = disable })
 				if err := s.Run(cir); err != nil {
 					t.Fatal(err)
 				}
-				got, err := s.FullState()
-				if err != nil {
-					t.Fatal(err)
-				}
 				if ref == nil {
-					ref = got
+					ref = s
 					continue
 				}
-				for i := range got {
-					if !sameBits(got[i], ref[i]) {
-						t.Logf("seed %d: ranks=%d sweeps off=%v: amplitude %d is %v, one rank gate at a time %v", seed, ranks, disable, i, got[i], ref[i])
-						return false
-					}
+				flips, err := zeroSignFlips(s, ref)
+				if err == nil && flips > 0 && plannedUnits(s, cir.Gates) == 0 {
+					err = fmt.Errorf("%d zeros changed sign with no ZZ unit planned", flips)
+				}
+				if err != nil {
+					t.Logf("seed %d: ranks=%d sweeps off=%v against one rank gate at a time: %v", seed, ranks, disable, err)
+					return false
 				}
 			}
 		}

@@ -303,7 +303,7 @@ func TestSweepShape(t *testing.T) {
 	pins := []struct {
 		name      string
 		reduction float64
-	}{{"Grover-7q", 548.0 / 4}, {"QAOA-10q", 4608.0 / 256}}
+	}{{"Grover-7q", 548.0 / 4}, {"QAOA-10q", 4608.0 / 128}}
 	if len(rows) != len(pins) {
 		t.Fatalf("expected Grover and QAOA rows, got %v", rows)
 	}
@@ -336,7 +336,7 @@ func TestBatchShape(t *testing.T) {
 		name                string
 		variants            int
 		solo, batch, shared int64
-	}{{"QAOA-10q", 9, 1440, 464, 456}, {"VQE-10q", 9, 1152, 384, 352}}
+	}{{"QAOA-10q", 9, 864, 416, 192}, {"VQE-10q", 9, 1152, 384, 352}}
 	for _, workers := range []int{1, 2} {
 		opt := Small()
 		opt.Workers = workers

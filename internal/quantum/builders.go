@@ -296,7 +296,8 @@ func HadamardAll(n int) *Circuit {
 
 // RandomCircuit builds an unstructured random circuit of `gates` gates
 // (the Fig. 5 workload): uniform mix of H/T/X/SqrtX/SqrtY and
-// CZ/CNOT on random qubits.
+// CZ/CNOT/CNOT(q,p)·T(p)·CNOT(q,p) on random qubits — the last a ZZ
+// unit (see ZZUnit), drawn only where its three gates fit the count.
 func RandomCircuit(n, gates int, seed int64) *Circuit {
 	rng := rand.New(rand.NewSource(seed))
 	c := NewCircuit(n)
@@ -321,10 +322,13 @@ func RandomCircuit(n, gates int, seed int64) *Circuit {
 			if p == q {
 				p = (p + 1) % n
 			}
-			if rng.Intn(2) == 0 {
+			switch k := rng.Intn(3); {
+			case k == 0:
 				c.CZ(q, p)
-			} else {
+			case k == 1 || len(c.Gates)+3 > gates:
 				c.CNOT(q, p)
+			default:
+				c.CNOT(q, p).T(p).CNOT(q, p)
 			}
 		}
 	}

@@ -75,14 +75,56 @@ func PlanSweeps(gates []Gate, offsetBits int) []Sweep {
 // pairs each block with the same-index block on the peer rank, so its
 // groups are exchanged (§3.3's third case). Controls may sit in any
 // segment: they select amplitudes, blocks or ranks and are never
-// members of a group. Measurements are singletons with Pass false.
+// members of a group. A ZZ unit (see ZZUnit) is no target at all.
+// Measurements are singletons with Pass false.
 type GroupSweep struct {
 	Start, End int
 	Pass       bool
+	// Units holds the first gate of each ZZ unit the pass applies as one,
+	// relative to Start, in increasing order; nil when there is none.
+	Units []int
 }
 
 // Len returns the number of gates the sweep covers.
 func (s GroupSweep) Len() int { return s.End - s.Start }
+
+// ZZUnit reports whether gates[i:i+3] is a ZZ unit: CNOT(u,v), then a
+// gate on v with no controls and exact-zero off-diagonal entries, then
+// the same CNOT(u,v), with v above the offset segment. The triple
+// multiplies each amplitude by the middle gate's diagonal entry indexed
+// by z_u ⊕ z_v, so it mixes no amplitudes, and a pass applies it in
+// place, as no target (QAOA's cost layer is one unit per edge; an
+// offset-v triple needs no target already and stays three gates). The
+// entries are read by exact equality, never the gates' names; −0
+// counts as 0. In a batch a unit must be one in every variant: others
+// are the other variants' gates, of the same shape.
+func ZZUnit(gates []Gate, i, offsetBits int, others ...[]Gate) bool {
+	if !zzUnit(gates, i, offsetBits) {
+		return false
+	}
+	for _, gs := range others {
+		if !zzUnit(gs, i, offsetBits) {
+			return false
+		}
+	}
+	return true
+}
+
+// zzUnit is ZZUnit for one gate list.
+func zzUnit(gates []Gate, i, offsetBits int) bool {
+	if i+3 > len(gates) {
+		return false
+	}
+	cx, d, cx2 := &gates[i], &gates[i+1], &gates[i+2]
+	return isCNOT(cx) && cx.Target >= offsetBits && isCNOT(cx2) && cx2.Target == cx.Target && cx2.Controls[0] == cx.Controls[0] &&
+		d.Kind == KindUnitary && d.Target == cx.Target && len(d.Controls) == 0 && d.U[0][1] == 0 && d.U[1][0] == 0
+}
+
+// isCNOT reports whether g is an X (exact entries) with one control.
+func isCNOT(g *Gate) bool {
+	return g.Kind == KindUnitary && len(g.Controls) == 1 &&
+		g.U[0][0] == 0 && g.U[1][1] == 0 && g.U[0][1] == 1 && g.U[1][0] == 1
+}
 
 // PlanGroupSweeps partitions gates into maximal group sweeps (see
 // GroupSweep) interleaved with the measurements, which are singletons.
@@ -92,20 +134,27 @@ func (s GroupSweep) Len() int { return s.End - s.Start }
 // target each double the group, so width 1 gives pair sweeps (a rank
 // target's pair is split across two ranks), 2 groups of up to four
 // blocks, 3 groups of up to eight (the engine picks the width from its
-// budget). Like PlanSweeps the plan never reorders gates and depends
-// only on the gate list, the geometry and the width, so every rank
-// computes the same schedule.
-func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int) []GroupSweep {
+// budget). A ZZ unit counts no target, whatever segments u and v lie
+// in; others are a batch's other variants (see ZZUnit). Like PlanSweeps
+// the plan never reorders gates and depends only on the gate lists, the
+// geometry and the width, so every rank computes the same schedule.
+func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int, others ...[]Gate) []GroupSweep {
 	var plan []GroupSweep
 	targets := make([]int, 0, width) // the run's distinct non-offset targets
 	for i := 0; i < len(gates); {
 		targets = targets[:0]
 		rank := false // a target in targets is a rank-segment qubit
+		var units []int
 		j := i
 		for ; j < len(gates); j++ {
 			g := gates[j]
 			if g.Kind != KindUnitary {
 				break
+			}
+			if ZZUnit(gates, j, offsetBits, others...) {
+				units = append(units, j-i)
+				j += 2
+				continue
 			}
 			t := g.Target
 			if t < offsetBits || slices.Contains(targets, t) {
@@ -123,7 +172,7 @@ func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int) []GroupSwee
 			i++
 			continue
 		}
-		plan = append(plan, GroupSweep{Start: i, End: j, Pass: true})
+		plan = append(plan, GroupSweep{Start: i, End: j, Pass: true, Units: units})
 		i = j
 	}
 	return plan

@@ -1,6 +1,7 @@
 package quantum
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +119,8 @@ func TestPlanGroupSweeps(t *testing.T) {
 	h := func(q int) Gate { return Gate{Name: "h", Target: q, U: MatH} }
 	cx := func(c, q int) Gate { return Gate{Name: "cx", Target: q, Controls: []int{c}, U: MatX} }
 	m := func(q int) Gate { return Gate{Kind: KindMeasure, Name: "measure", Target: q} }
+	rz := func(q int) Gate { return Gate{Name: "rz", Target: q, U: RZ(0.4)} }
+	crz := func(c, q int) Gate { return Gate{Name: "crz", Target: q, Controls: []int{c}, U: RZ(0.4)} }
 	for _, tc := range []struct {
 		name              string
 		offsetBits, blkBs int
@@ -127,47 +130,68 @@ func TestPlanGroupSweeps(t *testing.T) {
 	}{
 		{"local only", 3, 2, 2,
 			[]Gate{h(0), h(1), cx(0, 2)},
-			[]GroupSweep{{0, 3, true}}},
+			[]GroupSweep{{0, 3, true, nil}}},
 		{"one block target with interleaved local gates", 3, 2, 2,
 			[]Gate{h(0), h(3), h(1), h(3), cx(3, 2)},
-			[]GroupSweep{{0, 5, true}}},
+			[]GroupSweep{{0, 5, true, nil}}},
 		{"two alternating block targets share a group", 3, 2, 2,
 			[]Gate{h(3), h(0), h(4), h(1), h(3), h(4)},
-			[]GroupSweep{{0, 6, true}}},
+			[]GroupSweep{{0, 6, true, nil}}},
 		{"width 1: each switch of block target splits", 3, 2, 1,
 			[]Gate{h(3), h(0), h(4), h(1), h(3), h(4)},
-			[]GroupSweep{{0, 2, true}, {2, 4, true}, {4, 5, true}, {5, 6, true}}},
+			[]GroupSweep{{0, 2, true, nil}, {2, 4, true, nil}, {4, 5, true, nil}, {5, 6, true, nil}}},
 		{"each group target controlled on the other", 3, 2, 2,
 			[]Gate{cx(4, 3), h(1), cx(3, 4), cx(3, 0)},
-			[]GroupSweep{{0, 4, true}}},
+			[]GroupSweep{{0, 4, true, nil}}},
 		// 3 offset | 3 block | 1 rank: qubit 5 is a third block target.
 		{"a third block target splits a run", 3, 3, 2,
 			[]Gate{h(3), h(0), h(4), h(1), h(5), h(3), h(4), h(5), h(2)},
-			[]GroupSweep{{0, 4, true}, {4, 6, true}, {6, 9, true}}},
+			[]GroupSweep{{0, 4, true, nil}, {4, 6, true, nil}, {6, 9, true, nil}}},
 		{"a control on a third block qubit does not", 3, 3, 2,
 			[]Gate{h(3), cx(5, 4), cx(5, 0), h(3)},
-			[]GroupSweep{{0, 4, true}}},
+			[]GroupSweep{{0, 4, true, nil}}},
 		{"block- and rank-segment controls join", 3, 2, 2,
 			[]Gate{cx(4, 0), cx(6, 3), cx(3, 1), cx(5, 3)},
-			[]GroupSweep{{0, 4, true}}},
+			[]GroupSweep{{0, 4, true, nil}}},
 		{"a cross-rank target joins a run", 3, 2, 2,
 			[]Gate{h(0), h(3), h(5), h(3), h(1)},
-			[]GroupSweep{{0, 5, true}}},
+			[]GroupSweep{{0, 5, true, nil}}},
 		{"a second distinct rank target splits a run", 3, 2, 3,
 			[]Gate{h(5), h(0), cx(6, 3), h(6), h(5)},
-			[]GroupSweep{{0, 3, true}, {3, 4, true}, {4, 5, true}}},
+			[]GroupSweep{{0, 3, true, nil}, {3, 4, true, nil}, {4, 5, true, nil}}},
 		{"a rank target counts toward the width", 3, 2, 2,
 			[]Gate{h(3), h(5), h(1), h(4), h(5)},
-			[]GroupSweep{{0, 3, true}, {3, 5, true}}},
+			[]GroupSweep{{0, 3, true, nil}, {3, 5, true, nil}}},
 		{"width 1: a rank target with offset gates is a pair sweep", 3, 2, 1,
 			[]Gate{h(0), h(5), cx(5, 1), h(3)},
-			[]GroupSweep{{0, 3, true}, {3, 4, true}}},
+			[]GroupSweep{{0, 3, true, nil}, {3, 4, true, nil}}},
 		{"measurement splits a run", 3, 2, 2,
 			[]Gate{h(0), m(0), m(4), h(4), h(1)},
-			[]GroupSweep{{0, 1, true}, {1, 2, false}, {2, 3, false}, {3, 5, true}}},
+			[]GroupSweep{{0, 1, true, nil}, {1, 2, false, nil}, {2, 3, false, nil}, {3, 5, true, nil}}},
 		{"no block segment: a rank target joins", 5, 0, 2,
 			[]Gate{h(0), h(4), h(5), cx(6, 3)},
-			[]GroupSweep{{0, 4, true}}},
+			[]GroupSweep{{0, 4, true, nil}}},
+		{"width 1: a ZZ unit on a block qubit needs no target", 3, 2, 1,
+			[]Gate{h(3), cx(0, 4), rz(4), cx(0, 4), cx(3, 4), rz(4), cx(3, 4), h(3)},
+			[]GroupSweep{{0, 8, true, []int{1, 4}}}},
+		{"width 1: ZZ units on rank qubits need no target or exchange", 3, 2, 1,
+			[]Gate{h(3), cx(4, 5), rz(5), cx(4, 5), cx(6, 5), rz(5), cx(6, 5), cx(5, 4), rz(4), cx(5, 4), h(1)},
+			[]GroupSweep{{0, 11, true, []int{1, 4, 7}}}},
+		{"width 1: an offset-v triple stays three gates", 3, 2, 1,
+			[]Gate{h(3), cx(4, 1), rz(1), cx(4, 1), h(3)},
+			[]GroupSweep{{0, 5, true, nil}}},
+		{"width 1: a measurement breaks a triple", 3, 2, 1,
+			[]Gate{h(3), cx(0, 4), rz(4), m(0), cx(0, 4)},
+			[]GroupSweep{{0, 1, true, nil}, {1, 3, true, nil}, {3, 4, false, nil}, {4, 5, true, nil}}},
+		{"width 1: a controlled middle gate makes no unit", 3, 2, 1,
+			[]Gate{h(3), cx(0, 4), crz(1, 4), cx(0, 4)},
+			[]GroupSweep{{0, 1, true, nil}, {1, 4, true, nil}}},
+		{"width 1: a general middle gate makes no unit", 3, 2, 1,
+			[]Gate{h(3), cx(0, 4), h(4), cx(0, 4)},
+			[]GroupSweep{{0, 1, true, nil}, {1, 4, true, nil}}},
+		{"width 1: CNOTs on different controls make no unit", 3, 2, 1,
+			[]Gate{h(3), cx(0, 4), rz(4), cx(1, 4)},
+			[]GroupSweep{{0, 1, true, nil}, {1, 4, true, nil}}},
 	} {
 		plan := PlanGroupSweeps(tc.gates, tc.offsetBits, tc.blkBs, tc.width)
 		if len(plan) != len(tc.want) {
@@ -175,7 +199,7 @@ func TestPlanGroupSweeps(t *testing.T) {
 			continue
 		}
 		for i := range plan {
-			if plan[i] != tc.want[i] {
+			if !sameSweep(plan[i], tc.want[i]) {
 				t.Errorf("%s: sweep %d = %+v, want %+v", tc.name, i, plan[i], tc.want[i])
 			}
 		}
@@ -188,14 +212,22 @@ func TestPlanGroupSweeps(t *testing.T) {
 	}
 }
 
+// sameSweep compares two group sweeps field by field.
+func sameSweep(a, b GroupSweep) bool {
+	return a.Start == b.Start && a.End == b.End && a.Pass == b.Pass && slices.Equal(a.Units, b.Units)
+}
+
 // TestQuickPlanGroupSweepsIsAPartition: for any circuit, geometry and
 // width (1, 2 or 3) the plan covers [0, len(gates)) contiguously in order,
 // a pass holds only unitaries with at most width distinct non-offset
-// targets, of which at most one is a rank-segment qubit, measurements
-// are singletons, and passes are maximal — the next gate could not have
-// joined: it would have been one non-offset target too many, or a second
-// rank-segment target.
+// targets outside its ZZ units, of which at most one is a rank-segment
+// qubit, measurements are singletons, and passes are maximal — the next
+// gate could not have joined: it would have been one non-offset target
+// too many, or a second rank-segment target. The units are ZZ units,
+// inside their pass, and no gate outside them starts one. RandomCircuit
+// draws units.
 func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
+	unitsSeen := 0
 	f := func(seed int64, offSel, blkSel, gateCount, widthSel uint8) bool {
 		const n = 7
 		offsetBits := 1 + int(offSel)%n
@@ -206,11 +238,25 @@ func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
 		cir.H(int(uint64(seed) % n))
 		plan := PlanGroupSweeps(cir.Gates, offsetBits, blockBits, width)
 		rankBase := offsetBits + blockBits
-		// targets returns the sweep's distinct non-offset targets and how
-		// many of them are rank-segment qubits.
+		units := 0
+		// inUnit reports whether gate i of sw lies in one of its units.
+		inUnit := func(sw GroupSweep, i int) bool {
+			for _, u := range sw.Units {
+				if u <= i && i < u+3 {
+					return true
+				}
+			}
+			return false
+		}
+		// targets returns the distinct non-offset targets of the sweep's
+		// gates outside its units and how many of them are rank-segment
+		// qubits.
 		targets := func(sw GroupSweep) (ts map[int]bool, ranks int) {
 			ts = map[int]bool{}
-			for _, g := range cir.Gates[sw.Start:sw.End] {
+			for i, g := range cir.Gates[sw.Start:sw.End] {
+				if inUnit(sw, i) {
+					continue
+				}
 				if g.Target >= offsetBits && !ts[g.Target] {
 					ts[g.Target] = true
 					if g.Target >= rankBase {
@@ -227,6 +273,19 @@ func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
 				return false
 			}
 			next = sw.End
+			for k, u := range sw.Units {
+				if k > 0 && u < sw.Units[k-1]+3 || u+3 > sw.Len() || !ZZUnit(cir.Gates, sw.Start+u, offsetBits) {
+					t.Logf("sweep %+v: unit %d is no ZZ unit inside it", sw, u)
+					return false
+				}
+				units++
+			}
+			for i := range sw.Len() {
+				if !inUnit(sw, i) && ZZUnit(cir.Gates, sw.Start+i, offsetBits) {
+					t.Logf("sweep %+v: gate %d starts a ZZ unit the plan did not name", sw, sw.Start+i)
+					return false
+				}
+			}
 			for _, g := range cir.Gates[sw.Start:sw.End] {
 				if (g.Kind == KindUnitary) != sw.Pass {
 					t.Logf("gate %v mismatches sweep %+v", g, sw)
@@ -251,9 +310,13 @@ func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
 				}
 			}
 		}
+		unitsSeen += units
 		return next == len(cir.Gates)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	if unitsSeen == 0 {
+		t.Fatal("no plan named a ZZ unit; the test is vacuous")
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -191,6 +192,31 @@ func writeStatus(w http.ResponseWriter, code Code, err string) {
 	writeJSON(w, code, StatusResponse{Code: code, Error: err})
 }
 
+// MaxRequestBytes caps a request body. The largest legitimate request
+// is a submitted circuit's text: 2^20 gates at up to 16 bytes a line
+// ("cp 61 60 0.7854" and its JSON-escaped newline) is 16 MiB.
+const MaxRequestBytes = 16 << 20
+
+// decodeBody decodes r's JSON body into v, reading no more than
+// MaxRequestBytes of it (and the one byte that shows it is longer), or
+// answers CodeErrBadRequest and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err == nil {
+		return true
+	}
+	var tooLong *http.MaxBytesError
+	if errors.As(err, &tooLong) {
+		writeStatus(w, CodeErrBadRequest, fmt.Sprintf("request body exceeds %d bytes", MaxRequestBytes))
+	} else {
+		writeStatus(w, CodeErrBadRequest, "bad JSON: "+err.Error())
+	}
+	return false
+}
+
 func (srv *Server) isDraining() bool {
 	srv.drainMu.RLock()
 	defer srv.drainMu.RUnlock()
@@ -209,8 +235,7 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeStatus(w, CodeErrBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if _, ok := srv.tenants[req.Tenant]; !ok {
@@ -277,8 +302,7 @@ func (srv *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SampleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeStatus(w, CodeErrBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Shots < 1 || req.Shots > 1<<20 {
@@ -334,8 +358,7 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeStatus(w, CodeErrBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	circ, err := circuit.Parse(strings.NewReader(req.Circuit))

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -475,6 +476,65 @@ func TestBadRequests(t *testing.T) {
 	shutdownOK(t, srv)
 }
 
+// countingReader counts the bytes a handler reads from a request body.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestRequestBodyCap: a body of exactly MaxRequestBytes is read and
+// served; one byte more is refused with ERR_BAD_REQUEST, and a far
+// longer one is refused having read no more than the cap and the byte
+// that shows it is longer.
+func TestRequestBodyCap(t *testing.T) {
+	srv, err := New(Config{Tenants: []TenantConfig{{Name: "a"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownOK(t, srv)
+	h := srv.Handler()
+	// post sends a create request padded with spaces to size bytes.
+	post := func(size int64) (StatusResponse, int64) {
+		t.Helper()
+		req := `{"tenant":"a","qubits":3}`
+		body := &countingReader{r: io.MultiReader(strings.NewReader(req), io.LimitReader(spaces{}, size-int64(len(req))))}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", body))
+		var st StatusResponse
+		if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != st.Code.HTTPStatus() {
+			t.Fatalf("%d-byte body: HTTP %d for code %s", size, rec.Code, st.Code)
+		}
+		return st, body.n
+	}
+	if st, n := post(MaxRequestBytes); st.Code != CodeOK || n != MaxRequestBytes {
+		t.Fatalf("a body at the cap: %+v after reading %d bytes, want OK after %d", st, n, MaxRequestBytes)
+	}
+	for _, size := range []int64{MaxRequestBytes + 1, 4 * MaxRequestBytes} {
+		if st, n := post(size); st.Code != CodeErrBadRequest || n > MaxRequestBytes+1 {
+			t.Fatalf("a %d-byte body: %+v after reading %d bytes, want %s after at most %d", size, st, n, CodeErrBadRequest, MaxRequestBytes+1)
+		}
+	}
+}
+
+// spaces is an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
 // TestResumeKeepsCheckpointUntilNextSuspend pins the resume-safety
 // contract: the suspended checkpoint is NOT deleted when a resume's
 // Load succeeds — it stays the last-known-good state until the next
@@ -725,25 +785,28 @@ func TestTokenBucket(t *testing.T) {
 	}
 }
 
+// codeStatus is the server's code table: every Code a response may
+// carry, with the HTTP status it rides on.
+var codeStatus = map[Code]int{
+	CodeOK:               200,
+	CodeAdmitCompressed:  200,
+	CodeAdmitMPS:         200,
+	CodeAdmitSpill:       200,
+	CodeRejectBudget:     403,
+	CodeRejectRate:       429,
+	CodeRejectQueueFull:  429,
+	CodeErrUnknownTenant: 404,
+	CodeErrNoSession:     404,
+	CodeErrBadRequest:    400,
+	CodeErrBadCircuit:    400,
+	CodeErrUnsupported:   422,
+	CodeErrCancelled:     409,
+	CodeErrShuttingDown:  503,
+	CodeErrInternal:      500,
+}
+
 func TestCodeHTTPStatus(t *testing.T) {
-	cases := map[Code]int{
-		CodeOK:               200,
-		CodeAdmitCompressed:  200,
-		CodeAdmitMPS:         200,
-		CodeAdmitSpill:       200,
-		CodeRejectBudget:     403,
-		CodeRejectRate:       429,
-		CodeRejectQueueFull:  429,
-		CodeErrUnknownTenant: 404,
-		CodeErrNoSession:     404,
-		CodeErrBadRequest:    400,
-		CodeErrBadCircuit:    400,
-		CodeErrUnsupported:   422,
-		CodeErrCancelled:     409,
-		CodeErrShuttingDown:  503,
-		CodeErrInternal:      500,
-	}
-	for code, want := range cases {
+	for code, want := range codeStatus {
 		if got := code.HTTPStatus(); got != want {
 			t.Errorf("%s: want %d, got %d", code, want, got)
 		}
