@@ -134,9 +134,11 @@
 // bits — one block, a pair, four or eight — decompresses a group
 // once, applies all k gates in circuit order and recompresses only
 // the blocks some gate touched. A rank-segment target's half of the
-// group lives on the peer rank: the pass exchanges each group with it
-// once, however many gates target that qubit, and both ranks compute
-// the pairs it splits. The blocks beyond Eq. 8's pair that a larger
+// group lives on the peer rank: the same walk exchanges each group with
+// it once, between the gates before the first rank-target gate and the
+// window up to the last, however many gates target that qubit, and both
+// ranks compute the pairs the window splits; without such a target the
+// window is empty and nothing is exchanged. The blocks beyond Eq. 8's pair that a larger
 // group needs are scratch a worker holds only while a Run makes such
 // passes. Controls may sit anywhere — they select amplitudes, blocks
 // or ranks and are not members of a group. A ZZ unit — CNOT(u,v), an

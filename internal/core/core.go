@@ -155,8 +155,12 @@ func (w *workerState) forkGroup(n int) [groupSize][]float64 {
 }
 
 // kernel applies gates, a range of p's, to the members [m0, m1) of the
-// group in bufs based at b, and charges the time to st.
+// group in bufs based at b, and charges the time to st. An empty range —
+// the window of a pass with no rank-segment target — reads no clock.
 func (w *workerState) kernel(p *blockPass, bufs [][]float64, b int, gates []passGate, m0, m1 int, st *Stats) {
+	if len(gates) == 0 {
+		return
+	}
 	start := time.Now()
 	p.applyTo(bufs, b, gates, m0, m1)
 	st.ComputeTime += time.Since(start)
@@ -164,7 +168,8 @@ func (w *workerState) kernel(p *blockPass, bufs [][]float64, b int, gates []pass
 }
 
 // w0 returns the worker whose buffers the sequential code paths (Reset,
-// cross-rank exchange, checkpointing) borrow, its pair allocated.
+// a pass with a rank-segment target, checkpointing) borrow, its pair
+// allocated.
 func (rs *rankState) w0() *workerState {
 	w := rs.workers[0]
 	w.ensure()
@@ -899,7 +904,7 @@ func (s *Simulator) splitControls(controls []int) (offMask uint64, blkMask, rank
 // pass over all variants (runPass),
 // whose recompression is truncation number round of the boundary after
 // gate gi. A sweep with a rank-segment target exchanges its groups with
-// the peer rank inside that pass (exchangePass). The K passes are
+// the peer rank inside that pass's walk. The K passes are
 // compiled on variant 0's worker pool: a gradient's batch compiles 79.
 func applyUnitaries(comm mpi.Comm, sims []*Simulator, gates [][]quantum.Gate, units []int, gi, round int) error {
 	r := comm.Rank()

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"qcsim/internal/blockstore"
 	"qcsim/internal/compress"
 	"qcsim/internal/compress/szlike"
 	"qcsim/internal/compress/xortrunc"
@@ -133,34 +135,60 @@ type faultCodec struct {
 	once     bool
 }
 
-func (c faultCodec) fails(sw *atomic.Bool) bool {
-	if c.once {
+// trips reports whether a call guarded by switch sw fails: while it is
+// thrown, or with once only the first call, which throws it back.
+func trips(sw *atomic.Bool, once bool) bool {
+	if once {
 		return sw.CompareAndSwap(true, false)
 	}
 	return sw.Load()
 }
 
 func (c faultCodec) Compress(dst []byte, data []float64, opt compress.Options) ([]byte, error) {
-	if c.fails(c.enc) {
+	if trips(c.enc, c.once) {
 		return nil, compress.ErrCorrupt
 	}
 	return c.Codec.Compress(dst, data, opt)
 }
 
 func (c faultCodec) Decompress(dst []float64, blob []byte) error {
-	if c.fails(c.dec) {
+	if trips(c.dec, c.once) {
 		return compress.ErrCorrupt
 	}
 	return c.Codec.Decompress(dst, blob)
 }
 
-// codecFault says which codec breaks — of variant 0, or of every
-// variant — in which direction, whether once or for good, and before
-// which sweep of the plan.
+// faultStore wraps a rank's block store and, once a switch is thrown,
+// fails Get or Put with an error wrapping blockstore.ErrSpill, by
+// faultCodec's rule. Peek, the fork capture's read, never fails.
+type faultStore struct {
+	blockstore.Store
+	get, put *atomic.Bool
+	once     bool
+}
+
+func (s faultStore) Get(b int) ([]byte, error) {
+	if trips(s.get, s.once) {
+		return nil, fmt.Errorf("%w: injected read failure of block %d", blockstore.ErrSpill, b)
+	}
+	return s.Store.Get(b)
+}
+
+func (s faultStore) Put(b int, blob []byte) error {
+	if trips(s.put, s.once) {
+		return fmt.Errorf("%w: injected write failure of block %d", blockstore.ErrSpill, b)
+	}
+	return s.Store.Put(b, blob)
+}
+
+// codecFault says what breaks — a codec in one direction, or the block
+// store on reads or writes; of variant 0, or of every variant — whether
+// once or for good, and before which sweep of the plan.
 type codecFault struct {
 	all      bool // every variant, not just variant 0
 	lossy    bool // the Lossy codec instead of the Lossless one
 	enc, dec bool
+	get, put bool // the store instead of a codec
 	once     bool // only the first call after arming fails
 	at       int
 }
@@ -184,7 +212,7 @@ func runWithFault(t *testing.T, k int, cfg func(*Config), c *quantum.Circuit, f 
 	if f.at >= len(plan) {
 		t.Fatalf("K=%d: the fault is armed at sweep %d, but the plan has only %d sweeps %v", k, f.at, len(plan), plan)
 	}
-	var enc, dec atomic.Bool
+	var enc, dec, get, put atomic.Bool
 	faulty := sims[:1]
 	if f.all {
 		faulty = sims
@@ -195,6 +223,9 @@ func runWithFault(t *testing.T, k int, cfg func(*Config), c *quantum.Circuit, f 
 		} else {
 			bc.Lossless = faultCodec{bc.Lossless, &enc, &dec, f.once}
 		}
+		for _, rs := range s.ranks {
+			rs.store = faultStore{rs.store, &get, &put, f.once}
+		}
 	}
 	// PollAbort runs on rank 0 while every other rank waits for its
 	// broadcast, so the switch is thrown between sweeps.
@@ -203,6 +234,8 @@ func runWithFault(t *testing.T, k int, cfg func(*Config), c *quantum.Circuit, f 
 		if polls == f.at {
 			enc.Store(f.enc)
 			dec.Store(f.dec)
+			get.Store(f.get)
+			put.Store(f.put)
 		}
 		polls++
 		return nil
@@ -213,10 +246,14 @@ func runWithFault(t *testing.T, k int, cfg func(*Config), c *quantum.Circuit, f 
 	select {
 	case err = <-done:
 	case <-time.After(time.Minute):
-		t.Fatalf("K=%d: run hung after a codec failure", k)
+		t.Fatalf("K=%d: run hung after a %+v failure", k, f)
 	}
-	if !errors.Is(err, compress.ErrCorrupt) {
-		t.Fatalf("K=%d: error does not wrap the codec error: %v", k, err)
+	want := compress.ErrCorrupt
+	if f.get || f.put {
+		want = blockstore.ErrSpill
+	}
+	if !errors.Is(err, want) {
+		t.Fatalf("K=%d: error does not wrap %v: %v", k, want, err)
 	}
 	prefix := plan[f.at].Start
 	ref := newSim(t, 6, 2, 8, cfg)

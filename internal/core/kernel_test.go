@@ -180,7 +180,7 @@ func TestKernelMatchesGeneral2x2Bits(t *testing.T) {
 							for _, b := range []int{0, blkBit} {
 								var bufs [groupSize][]float64
 								want := map[int][]float64{}
-								fired := p.fired(b)
+								fired, _ := p.reads(b)
 								for mb := 0; mb < p.size; mb++ {
 									bufs[mb] = make([]float64, 2*ba)
 									for i := range bufs[mb] {

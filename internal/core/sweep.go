@@ -37,22 +37,25 @@ import (
 //   - A rank-segment target (§3.3's third case) is one more stride whose
 //     partner lives on the peer rank: it is the group's top member bit,
 //     the rank's own blocks are one half of the group and the peer's
-//     same-index blocks the other. Such a pass exchanges each group once
-//     (exchangePass), not once per gate, and both ranks compute the
-//     pairs the rank-target gates split.
+//     same-index blocks the other. Such a pass exchanges each group once,
+//     not once per gate, and both ranks compute the pairs the rank-target
+//     gates split.
 //   - A ZZ unit needs no target: CNOT(u,v)·D(v)·CNOT(u,v), D diagonal
 //     and uncontrolled, v above the offset segment (quantum.ZZUnit),
 //     multiplies each amplitude by D's entry indexed by z_u ⊕ z_v and
 //     mixes nothing, so it runs in place on every member whatever
 //     segments u and v lie in — one gate of the pass (unitGate), no
 //     exchange. QAOA's cost layer is one unit per edge.
-//   - One pass: decompress the members some gate acts on, apply all k
-//     gates in circuit order (an offset-target gate to each member
-//     whose block index satisfies the gate's block controls, a
+//   - One walk per group (walk): decompress the members the pass reads,
+//     apply all k gates in circuit order (an offset-target gate to each
+//     member whose block index satisfies its block controls, a
 //     block-target gate across each pair of members its stride
-//     separates, a unit to every member), recompress those members. A
-//     one-gate sweep is the paper's gate-at-a-time pass, so the
-//     scheduler-off and noise-active runs use the same code.
+//     separates, a unit to every member), recompress the members some
+//     gate acted on. A rank-segment pass swaps the crossing members with
+//     the peer before its window, the first to the last rank-target
+//     gate; without one the window is empty. A one-gate sweep is the
+//     paper's gate-at-a-time pass, so the scheduler-off and noise-active
+//     runs use the same code.
 //
 // Under the lossless codec the result is bit-identical to
 // gate-at-a-time execution: every amplitude sees the same float
@@ -177,8 +180,7 @@ func newPassGate(u quantum.Matrix2, tMask, stride int, offCtrl uint64, blkCtrl i
 // blockPass is one group sweep compiled for one rank at one error
 // level: the gates that fire on this rank, the group's members, and the
 // cache key prefix. It is immutable once built and shared by the rank's
-// workers, which drive it through passBlock — or, with a rank-segment
-// target, walked by one worker through exchangePass.
+// workers, which walk its groups through passBlock.
 type blockPass struct {
 	key   passKey
 	gates []passGate
@@ -199,21 +201,24 @@ type blockPass struct {
 	// cnots holds, per ZZ unit whose CNOTs fire on this rank, the
 	// block-index bits that must be set for them to: the two gates of its
 	// triple besides the middle one, which a unit counts where they fire
-	// (fired). Its bits are parity bits, so they are in ctrlBits.
+	// (reads). Its bits are parity bits, so they are in ctrlBits.
 	cnots []int
-	// With a rank-segment target, comm reaches the peer rank that holds
-	// the other half of every group. own is the first member of this
-	// rank's half: 0 where the target bit is 0, size/2 where it is 1 (a
-	// member m of the half is block b|sub[m-own]). gates[first..last], the
-	// first to the last rank-target gate, run on both halves.
+	// This rank holds local of the group's members, from own on: local
+	// member m is buffer own+m and block b|sub[m]. The window
+	// gates[first..last] runs on the whole group. Without a rank-segment
+	// target every member is local and the window is empty. With one, comm
+	// reaches the peer rank holding the other half, own is 0 or size/2 as
+	// the target bit is 0 or 1, and the window is the first to the last
+	// rank-target gate.
 	comm        mpi.Comm
-	peer, own   int
+	peer        int
+	own, local  int
 	first, last int
 }
 
-// newBlockPass lays out the members of the groups span's strides make
-// and turns each block- or rank-target gate's stride into its member
-// bit.
+// newBlockPass lays out the members of the groups span's strides make,
+// all of them local and the window empty, and turns each block- or
+// rank-target gate's stride into its member bit.
 func newBlockPass(key passKey, gates []passGate, span, ctrlBits int) *blockPass {
 	p := &blockPass{key: key, gates: gates, span: span, size: 1, ctrlBits: ctrlBits}
 	for rest := span; rest != 0; rest &= rest - 1 {
@@ -222,6 +227,7 @@ func newBlockPass(key passKey, gates []passGate, span, ctrlBits int) *blockPass 
 		}
 		p.size *= 2
 	}
+	p.local, p.first, p.last = p.size, len(gates), len(gates)-1
 	for i := range p.gates {
 		if stride := p.gates[i].flip; stride != 0 {
 			p.gates[i].flip = 1 << bits.OnesCount(uint(span&(stride-1)))
@@ -299,9 +305,9 @@ func (s *Simulator) compilePass(comm mpi.Comm, rs *rankState, gates []quantum.Ga
 	p := newBlockPass(newPassKey(quantum.SweepSignature(gates), rs.level), pgs, span, ctrlBits)
 	p.cnots = cnots
 	if tr != 0 {
-		p.comm, p.peer, p.first, p.last = comm, rs.id^tr, first, last
+		p.comm, p.peer, p.local, p.first, p.last = comm, rs.id^tr, p.size/2, first, last
 		if rs.id&tr != 0 {
-			p.own = p.size / 2
+			p.own = p.local
 		}
 	}
 	return p
@@ -341,53 +347,56 @@ func (s *Simulator) unitGate(rs *rankState, unit []quantum.Gate, tr int) (g pass
 
 // scanPass is the pass of no gates over the blocks whose index has
 // every bit of blkMask set, at error level lvl. With blkMask 0 it is the
-// codec-only pass of the at-rest budget rule (requantPass); measurement
+// codec-only pass of the at-rest budget rule (settleBudget); measurement
 // and sampling announce its visit order to a tiered store (hintPass).
 func scanPass(lvl, blkMask int) *blockPass {
 	return newBlockPass(newPassKey(quantum.SweepSignature(nil), lvl), nil, 0, blkMask)
 }
 
-// requantPass is the codec-only pass of the at-rest budget rule, at the
-// rank's (just escalated) level: the sweep of no gates, which decodes
-// and recompresses every block.
-func requantPass(rs *rankState) *blockPass { return scanPass(rs.level, 0) }
-
-// fired returns, per member of the group based at b, how many of the
-// circuit's gates the pass applies to it: those whose block controls are
-// all set in the member's index, a ZZ unit counting each gate of its
-// triple that fires on the member (its CNOTs by cnots). A block-target
-// gate's controls never include its own stride, so both members of each
-// pair it acts on count it. A member no gate acts on is not fetched, not
-// decoded and not recompressed (§3.3: whole block unmodified). The
-// counts are functions of b&ctrlBits.
-func (p *blockPass) fired(b int) (n [groupSize]int) {
+// reads is what the pass reads at the group based at b. fired[m] is how
+// many of the circuit's gates it applies to local member m: those whose
+// block controls are all set in the member's index, a ZZ unit counting
+// each gate of its triple that fires there (its CNOTs by cnots). A
+// block-target gate's controls never include its own stride, so both
+// members of each pair it acts on count it. read has bit m set where
+// fired[m] > 0 or member m crosses to the peer (crossing); a member it
+// does not read is not fetched, decoded or recompressed (§3.3: whole
+// block unmodified). Both are functions of b&ctrlBits.
+func (p *blockPass) reads(b int) (fired [groupSize]int, read int) {
+	local := p.sub[p.own : p.own+p.local]
 	switch {
 	case len(p.gates) == 0: // scanPass
 		if b&p.ctrlBits == p.ctrlBits {
-			n[0] = 1
+			fired[0] = 1
 		}
 	case p.ctrlBits == 0:
-		for m := 0; m < p.size; m++ {
-			n[m] = len(p.gates) + 2*len(p.cnots)
+		for m := range local {
+			fired[m] = len(p.gates) + 2*len(p.cnots)
 		}
 	default:
 		for i := range p.gates {
 			c := p.gates[i].blkCtrl
-			for m, sub := range p.sub[:p.size] {
+			for m, sub := range local {
 				if (b|sub)&c == c {
-					n[m]++
+					fired[m]++
 				}
 			}
 		}
 		for _, c := range p.cnots {
-			for m, sub := range p.sub[:p.size] {
+			for m, sub := range local {
 				if (b|sub)&c == c {
-					n[m] += 2
+					fired[m] += 2
 				}
 			}
 		}
 	}
-	return n
+	read = p.crossing(b)
+	for m, n := range fired {
+		if n > 0 {
+			read |= 1 << m
+		}
+	}
+	return fired, read
 }
 
 // apply is the kernel: all of the pass's gates, in circuit order, on
@@ -395,8 +404,8 @@ func (p *blockPass) fired(b int) (n [groupSize]int) {
 // offset-target gate runs on each member it fires on; a block-target
 // gate runs once per pair, from the member with its flip bit clear, on
 // (member, member|flip) — and may be controlled on the group's other
-// stride; a ZZ unit runs on every member. A member fired reports as
-// untouched holds stale scratch and is neither read nor written.
+// stride; a ZZ unit runs on every member. A member the pass does not
+// read (reads) holds stale scratch and is neither read nor written.
 //
 // Each gate runs the loop of its class: one complex multiply per
 // amplitude for a diagonal, a copy for a swap, else the full 2×2. The
@@ -582,31 +591,33 @@ type passMemo interface {
 	put(k blockKey, out [groupSize][]byte, err error)
 }
 
-// passBlock runs pass p on the group based at block b: fetch the
-// members some gate acts on, short-circuit through the memo, otherwise
-// decompress → apply → recompress in w's scratch. Codec and compute
-// time are charged to st, the (worker, variant) shard.
+// passBlock runs pass p on the group based at block b: fetch the local
+// members it reads, short-circuit through the memo, otherwise walk the
+// group in w's scratch. Codec and compute time are charged to st, the
+// (worker, variant) shard. A failed fetch still exchanges, as walk does.
 func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *workerState, st *Stats, b int) error {
 	if b&p.span != 0 {
 		return nil // not a group base: visited with its base
 	}
-	fired := p.fired(b)
-	if fired == ([groupSize]int{}) {
+	fired, read := p.reads(b)
+	if read == 0 {
 		return nil
 	}
-	in, err := fetch(rs, p, b, fired)
+	in, err := fetch(rs.store.Get, p, b, read)
 	if err != nil {
+		p.exchange(w.group(p.size), b)
 		return err
 	}
-	return s.passGroup(rs, p, memo, w, st, b, fired, in)
+	return s.passGroup(rs, p, memo, w, st, b, fired, read, in)
 }
 
-// fetch reads the input blobs of the group based at b: member m's blob
-// where fired[m] > 0, nil for a member no gate acts on.
-func fetch(rs *rankState, p *blockPass, b int, fired [groupSize]int) (in [groupSize][]byte, err error) {
-	for m, n := range fired {
-		if n > 0 {
-			if in[m], err = rs.store.Get(b | p.sub[m]); err != nil {
+// fetch reads through get (the store's Get; Peek for a fork capture;
+// hintPass's recorder) local member m's blob into in[m] for each m that
+// read names, nil for the others.
+func fetch(get func(int) ([]byte, error), p *blockPass, b, read int) (in [groupSize][]byte, err error) {
+	for m := range p.local {
+		if read>>m&1 != 0 {
+			if in[m], err = get(b | p.sub[m]); err != nil {
 				return in, err
 			}
 		}
@@ -615,19 +626,7 @@ func fetch(rs *rankState, p *blockPass, b int, fired [groupSize]int) (in [groupS
 }
 
 // passGroup is passBlock once the group's inputs are fetched.
-func (s *Simulator) passGroup(rs *rankState, p *blockPass, memo passMemo, w *workerState, st *Stats, b int, fired [groupSize]int, in [groupSize][]byte) error {
-	roundTrip := func() (out [groupSize][]byte, err error) {
-		bufs := w.group(p.size)
-		for m, blob := range in {
-			if blob != nil {
-				if err := s.decompressBlock(blob, bufs[m], st); err != nil {
-					return out, err
-				}
-			}
-		}
-		w.kernel(p, bufs[:], b, p.gates, 0, p.size, st)
-		return s.encodeGroup(p, bufs, fired, st)
-	}
+func (s *Simulator) passGroup(rs *rankState, p *blockPass, memo passMemo, w *workerState, st *Stats, b int, fired [groupSize]int, read int, in [groupSize][]byte) error {
 	var key blockKey
 	cached := memo.enabled()
 	if cached {
@@ -640,7 +639,7 @@ func (s *Simulator) passGroup(rs *rankState, p *blockPass, memo passMemo, w *wor
 			return storeGroup(rs, p, b, out)
 		}
 	}
-	out, err := roundTrip()
+	out, err := s.walk(p, w, st, b, fired, read, in)
 	if cached {
 		// Before the store: a batch memo has workers parked on this key.
 		memo.put(key, out, err)
@@ -655,12 +654,43 @@ func (s *Simulator) passGroup(rs *rankState, p *blockPass, memo passMemo, w *wor
 	return nil
 }
 
-// encodeGroup recompresses the members of a decoded group that some gate
-// of p acted on, at p's level.
+// walk is the pass on the group based at b, in w's scratch: decode the
+// inputs, apply the gates before the window to the local members,
+// exchange, apply the window to the whole group and the rest to the
+// local members, recompress what fired. A failed decode still
+// exchanges, so the peer's SendRecvs stay paired.
+func (s *Simulator) walk(p *blockPass, w *workerState, st *Stats, b int, fired [groupSize]int, read int, in [groupSize][]byte) (out [groupSize][]byte, err error) {
+	bufs := w.group(p.size)
+	if err := s.decodeGroup(p, bufs, read, in, st); err != nil {
+		p.exchange(bufs, b)
+		return out, err
+	}
+	m0, m1 := p.own, p.own+p.local
+	w.kernel(p, bufs[:], b, p.gates[:p.first], m0, m1, st)
+	p.exchange(bufs, b)
+	w.kernel(p, bufs[:], b, p.gates[p.first:p.last+1], 0, p.size, st)
+	w.kernel(p, bufs[:], b, p.gates[p.last+1:], m0, m1, st)
+	return s.encodeGroup(p, bufs, fired, st)
+}
+
+// decodeGroup decodes in[m] into buffer own+m for each m read names.
+func (s *Simulator) decodeGroup(p *blockPass, bufs [groupSize][]float64, read int, in [groupSize][]byte, st *Stats) error {
+	for m := range p.local {
+		if read>>m&1 != 0 {
+			if err := s.decompressBlock(in[m], bufs[p.own+m], st); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// encodeGroup recompresses the local members of a decoded group that
+// some gate of p acted on, at p's level.
 func (s *Simulator) encodeGroup(p *blockPass, bufs [groupSize][]float64, fired [groupSize]int, st *Stats) (out [groupSize][]byte, err error) {
 	for m, n := range fired {
 		if n > 0 {
-			if out[m], err = s.compressBlock(p.key.level, bufs[m], st); err != nil {
+			if out[m], err = s.compressBlock(p.key.level, bufs[p.own+m], st); err != nil {
 				return out, err
 			}
 		}
@@ -706,9 +736,9 @@ func noteSaved(fired [groupSize]int, st *Stats) {
 // variant 0's walk instead (forkPlan), in units of its own placed first.
 //
 // A pass with a rank-segment target goes variant by variant instead,
-// each through exchangePass on the rank's first worker: its SendRecvs
-// must pair with the peer's in order, so the walk is sequential, and it
-// consults no memo.
+// each through exchangePass: the same passBlock per group, but its
+// SendRecvs must pair with the peer's in order, so it runs in block
+// order on one worker and consults no memo.
 func runPass(sims []*Simulator, r int, passes []*blockPass, gi, round int) error {
 	if passes[0] == nil {
 		return nil // rank controls are shape: silenced for one, silenced for all
@@ -795,10 +825,10 @@ func fanOutPass(sims []*Simulator, r int, passes []*blockPass) error {
 type forkPlan struct {
 	at     []int   // per variant: its divergence point, 0 for a variant the plan does not own
 	chunks [][]int // the forks in divergence order, split into work units
-	// in0 is variant 0's input blobs per block, read before the fan-out:
-	// variant 0's own units overwrite its slots while the chunks still
-	// need what they held.
-	in0 [][]byte
+	// in0 is variant 0's input blobs per group base, read before the
+	// fan-out: variant 0's own units overwrite its slots while the chunks
+	// still need what they held.
+	in0 [][groupSize][]byte
 }
 
 // A pass's forks are split into at most forkChunks work units per
@@ -845,19 +875,15 @@ func planForks(rs0 *rankState, passes []*blockPass) (*forkPlan, error) {
 			start, sum = i+1, 0
 		}
 	}
-	f.in0 = make([][]byte, rs0.store.Len())
+	f.in0 = make([][groupSize][]byte, rs0.store.Len())
 	for b := range f.in0 {
 		if b&p0.span != 0 {
 			continue
 		}
-		for m, k := range p0.fired(b) {
-			if k > 0 {
-				blob, err := rs0.store.Peek(b | p0.sub[m])
-				if err != nil {
-					return nil, err
-				}
-				f.in0[b|p0.sub[m]] = blob
-			}
+		_, read := p0.reads(b)
+		var err error
+		if f.in0[b], err = fetch(rs0.store.Peek, p0, b, read); err != nil {
+			return nil, err
 		}
 	}
 	return f, nil
@@ -917,30 +943,31 @@ func (f *forkPlan) owns(v int) bool { return f != nil && f.at[v] > 0 }
 // decode variant 0's inputs once (charged to the first fork), then per
 // fork apply variant 0's gates up to its divergence point, copy the
 // group into the fork scratch, apply the fork's own gates from there,
-// and recompress its members at its level.
+// and recompress its members at its level. A batch pass has no rank
+// target: every member is local.
 func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passMemo, w *workerState, shards []Stats, c, b int) error {
 	p0, K := passes[0], len(sims)
 	if b&p0.span != 0 {
 		return nil // not a group base: visited with its base
 	}
-	fired := p0.fired(b)
-	if fired == ([groupSize]int{}) {
+	fired, read := p0.reads(b)
+	if read == 0 {
 		return nil
 	}
 	forks := make([]int, 0, len(f.chunks[c]))
 	for _, v := range f.chunks[c] {
 		s, rs := sims[v], sims[v].ranks[r]
-		in, err := fetch(rs, passes[v], b, fired)
+		in, err := fetch(rs.store.Get, passes[v], b, read)
 		if err != nil {
 			return err
 		}
 		same := true
-		for m, n := range fired {
-			same = same && (n == 0 || bytes.Equal(in[m], f.in0[b|p0.sub[m]]))
+		for m := range in {
+			same = same && bytes.Equal(in[m], f.in0[b][m])
 		}
 		if same {
 			forks = append(forks, v)
-		} else if err := s.passGroup(rs, passes[v], memo, w, &shards[w.id*K+v], b, fired, in); err != nil {
+		} else if err := s.passGroup(rs, passes[v], memo, w, &shards[w.id*K+v], b, fired, read, in); err != nil {
 			return err
 		}
 	}
@@ -948,20 +975,16 @@ func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passM
 		return nil
 	}
 	lead, fork := w.group(p0.size), w.forkGroup(p0.size)
-	for m, n := range fired {
-		if n > 0 {
-			if err := sims[0].decompressBlock(f.in0[b|p0.sub[m]], lead[m], &shards[w.id*K+forks[0]]); err != nil {
-				return err
-			}
-		}
+	if err := sims[0].decodeGroup(p0, lead, read, f.in0[b], &shards[w.id*K+forks[0]]); err != nil {
+		return err
 	}
 	walked := 0
 	for _, v := range forks {
 		s, p, st, d := sims[v], passes[v], &shards[w.id*K+v], f.at[v]
 		w.kernel(p0, lead[:], b, p0.gates[walked:d], 0, p0.size, st)
 		walked = d
-		for m, n := range fired {
-			if n > 0 {
+		for m := range p0.size {
+			if read>>m&1 != 0 {
 				copy(fork[m], lead[m])
 			}
 		}
@@ -978,16 +1001,16 @@ func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passM
 	return nil
 }
 
-// crossing returns, one bit per member of this rank's half of the group
-// based at b (bit m for member own+m), the pairs a rank-segment pass
-// exchanges: those on which a gate from the first to the last
-// rank-target gate acts on either half. Only those gates run on the
-// peer's half, and each pair they touch must hold the peer's values
+// crossing returns, one bit per local member of the group based at b,
+// the pairs a pass exchanges: those on which a gate of the window acts
+// on either half, none for an empty window. Only the window runs on the
+// peer's half, and each pair it touches must hold the peer's values
 // there — a block-target gate between two rank-target gates can join a
-// pair no rank-target gate fires on to one it does. Controls are all
-// "bit set", so a gate that acts on a member acts on its twin in the
-// half whose index has bit nb set, and that half alone is tested. Both
-// ranks of the pair compute the same bits, so every SendRecv is paired.
+// pair no rank-target gate fires on to one it does.
+// Controls are all "bit set", so a gate that acts on a member acts on
+// its twin in the half whose index has bit nb set, and that half alone
+// is tested. Both ranks of the pair compute the same bits, so every
+// SendRecv is paired.
 func (p *blockPass) crossing(b int) (cross int) {
 	top := p.size / 2
 	for i := p.first; i <= p.last; i++ {
@@ -1001,100 +1024,55 @@ func (p *blockPass) crossing(b int) (cross int) {
 	return cross
 }
 
-// exchangePass runs a pass with a rank-segment target on rank rs (§3.3's
-// third case): per group, in block order, on the rank's first worker,
-//
-//  1. decode the own half's members some gate acts on or that cross;
-//  2. apply the gates before the first rank-target gate to the own half;
-//  3. SendRecv each crossing member with its twin on the peer — the
-//     same-index member of the peer's half — dense, as decoded;
-//  4. apply the gates from the first to the last rank-target gate to
-//     both halves, which both ranks compute alike, and the rest to the
-//     own half;
-//  5. recompress the own members some gate acted on.
-//
-// The kernels and their order are passBlock's, so under the lossless
-// codec each amplitude sees gate-at-a-time's float operations. A codec
-// or store failure must not end the walk: the peer would block forever
-// in SendRecv while this rank sat at the sweep error barrier. The rank
-// keeps the exchange alive for the remaining groups (sending whatever
-// is in scratch), skips the codec and kernel work, and reports the
-// first error at the sweep boundary, where the barrier stops all ranks.
-func (s *Simulator) exchangePass(rs *rankState, p *blockPass) error {
-	w, st := rs.w0(), &rs.stats
-	bufs := w.group(p.size)
-	top, own, twin := p.size/2, p.own, p.own^(p.size/2)
-	var firstErr error
-	for b := 0; b < s.blocksPerRank(); b++ {
-		if b&p.span != 0 {
-			continue // not a group base: visited with its base
-		}
-		fired, cross := p.fired(b), p.crossing(b)
-		for m := 0; m < top && firstErr == nil; m++ {
-			if fired[own+m] > 0 || cross>>m&1 != 0 {
-				blob, err := rs.store.Get(b | p.sub[m])
-				if err == nil {
-					err = s.decompressBlock(blob, bufs[own+m], st)
-				}
-				firstErr = err
-			}
-		}
-		if firstErr == nil {
-			w.kernel(p, bufs[:], b, p.gates[:p.first], own, own+top, st)
-		}
-		for m := 0; m < top; m++ {
-			if cross>>m&1 != 0 {
-				p.comm.SendRecv(p.peer, bufs[own+m], bufs[twin+m])
-			}
-		}
-		if firstErr != nil {
-			continue
-		}
-		w.kernel(p, bufs[:], b, p.gates[p.first:p.last+1], 0, p.size, st)
-		w.kernel(p, bufs[:], b, p.gates[p.last+1:], own, own+top, st)
-		for m := 0; m < top && firstErr == nil; m++ {
-			if n := fired[own+m]; n > 0 {
-				blob, err := s.compressBlock(p.key.level, bufs[own+m], st)
-				if err == nil {
-					err = rs.store.Put(b|p.sub[m], blob)
-				}
-				if firstErr = err; err == nil {
-					st.CodecPassesSaved += int64(n - 1)
-				}
-			}
+// exchange swaps each crossing member of the group based at b, dense,
+// with its twin: the same-index member of the peer's half.
+func (p *blockPass) exchange(bufs [groupSize][]float64, b int) {
+	cross := p.crossing(b)
+	for m := range p.local {
+		if cross>>m&1 != 0 {
+			p.comm.SendRecv(p.peer, bufs[p.own+m], bufs[p.own^p.local+m])
 		}
 	}
-	return firstErr
 }
 
-// hintPass announces the pass's visit order — each group base, then the
-// members of the group it reads, in order — to a tiered store so its
-// prefetcher can stage spilled blobs ahead of the pass. The in-RAM store
-// wants no hints and the order is never built.
+// exchangePass runs a pass with a rank-segment target on rank rs (§3.3's
+// third case): passBlock per group, in block order, on the rank's first
+// worker, with no memo, so every SendRecv pairs with the peer's. A
+// failure must not end the walk: the peer would block forever in
+// SendRecv while this rank sat at the sweep error barrier. After the
+// first error the rank only exchanges the remaining groups (sending
+// whatever is in scratch), and the barrier stops all ranks.
+func (s *Simulator) exchangePass(rs *rankState, p *blockPass) error {
+	w := rs.w0()
+	var err error
+	for b := 0; b < s.blocksPerRank(); b++ {
+		if err == nil {
+			err = s.passBlock(rs, p, (*blockCache)(nil), w, &rs.stats, b)
+		} else if b&p.span == 0 {
+			p.exchange(w.group(p.size), b)
+		}
+	}
+	return err
+}
+
+// hintPass announces the pass's visit order — the blocks fetch asks for,
+// group by group — to a tiered store so its prefetcher can stage
+// spilled blobs ahead of the pass. The in-RAM store wants no hints and
+// the order is never built.
 func (s *Simulator) hintPass(rs *rankState, p *blockPass) {
 	if !rs.store.WantHints() {
 		return
 	}
 	nb := s.blocksPerRank()
 	order := make([]int, 0, nb)
+	visit := func(blk int) ([]byte, error) {
+		order = append(order, blk)
+		return nil, nil
+	}
 	for b := 0; b < nb; b++ {
-		if b&p.span != 0 {
-			continue
-		}
-		fired := p.fired(b)
-		if p.comm == nil {
-			for m, n := range fired {
-				if n > 0 {
-					order = append(order, b|p.sub[m])
-				}
-			}
-			continue
-		}
-		cross := p.crossing(b)
-		for m := 0; m < p.size/2; m++ {
-			if fired[p.own+m] > 0 || cross>>m&1 != 0 {
-				order = append(order, b|p.sub[m])
-			}
+		if b&p.span == 0 {
+			_, read := p.reads(b)
+			fetch(visit, p, b, read)
 		}
 	}
 	rs.store.PrefetchHint(order)
@@ -1135,7 +1113,7 @@ func (s *Simulator) escalate(rs *rankState) bool {
 // sweep itself was round 0 — so each charges its own ledger factor.
 func (s *Simulator) settleBudget(rs *rankState, gi int) error {
 	for round := 1; s.escalate(rs); round++ {
-		if err := runPass([]*Simulator{s}, rs.id, []*blockPass{requantPass(rs)}, gi, round); err != nil {
+		if err := runPass([]*Simulator{s}, rs.id, []*blockPass{scanPass(rs.level, 0)}, gi, round); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"qcsim/internal/blockstore"
 	"qcsim/internal/compress"
 	"qcsim/internal/compress/lossless"
 	"qcsim/internal/quantum"
@@ -1036,25 +1037,127 @@ func TestMeasurementCollapseFailureIsWrappedError(t *testing.T) {
 // the unitary paths, including a sweep that exchanges groups with the
 // peer rank, which must keep its SendRecv protocol alive on error
 // instead of deadlocking peers — also when the fault fires once, so one
-// rank fails while its peer exchanges on healthy.
+// rank fails while its peer exchanges on healthy. A block store that
+// fails to read or write a blob inside a pass is held to the same
+// contract, on the exchange sweep and on a fan-out sweep.
 func TestUnitaryCodecFailureReturnsError(t *testing.T) {
-	// Qubit 5 lives in the rank segment. The plan is a group sweep, the
-	// measurement, and a sweep that carries the rank target, where the
-	// fault is armed.
+	// Qubit 5 lives in the rank segment. The plan is a group sweep (the
+	// fan-out), the measurement, and a sweep that carries the rank
+	// target, where the codec faults are armed.
 	cir := quantum.NewCircuit(6).H(3).H(4).H(1).Measure(2).T(0).H(5).CNOT(5, 1).H(0)
-	const at = 2
+	const fanOut, at = 0, 2
 	plan := newSim(t, 6, 2, 8, nil).planSweeps(cir.Gates)
 	if sw := plan[at]; !sw.Pass || !slices.ContainsFunc(cir.Gates[sw.Start:sw.End], func(g quantum.Gate) bool { return g.Target == 5 }) {
 		t.Fatalf("sweep %d of %v does not carry the rank target", at, plan)
 	}
+	faults := []codecFault{
+		{dec: true, at: at},
+		{enc: true, at: at},
+		{dec: true, once: true, at: at},
+		{enc: true, once: true, at: at},
+	}
+	for _, sweep := range []int{fanOut, at} {
+		faults = append(faults,
+			codecFault{get: true, at: sweep},
+			codecFault{put: true, at: sweep},
+			codecFault{get: true, once: true, at: sweep})
+	}
 	for _, k := range []int{1, 3} {
-		for _, f := range []codecFault{
-			{dec: true, at: at},
-			{enc: true, at: at},
-			{dec: true, once: true, at: at},
-			{enc: true, once: true, at: at},
-		} {
+		for _, f := range faults {
 			runWithFault(t, k, nil, cir, f)
 		}
+	}
+}
+
+// hintStore wraps a rank's block store, asks for prefetch hints, and
+// logs per hint the order it named and the Gets that followed it.
+type hintStore struct {
+	blockstore.Store
+	passes []hintedPass
+}
+
+type hintedPass struct{ hint, gets []int }
+
+func (h *hintStore) WantHints() bool { return true }
+
+func (h *hintStore) PrefetchHint(order []int) {
+	h.passes = append(h.passes, hintedPass{hint: slices.Clone(order)})
+	h.Store.PrefetchHint(order)
+}
+
+func (h *hintStore) Get(b int) ([]byte, error) {
+	p := &h.passes[len(h.passes)-1] // a Get before any hint is a pass that gave none
+	p.gets = append(p.gets, b)
+	return h.Store.Get(b)
+}
+
+// TestHintsNameWhatPassesRead: on one worker, the blocks a pass reads
+// from a rank's store come in exactly the order its prefetch hint named —
+// the group fan-out with the block cache on and off, the exchange at two
+// ranks (whose crossing members a rank reads although no gate of its own
+// half acts on them), a fork batch, the requantize passes of a budget,
+// and a measurement's two scans.
+func TestHintsNameWhatPassesRead(t *testing.T) {
+	// On 7 qubits at 8-amplitude blocks, qubits 3..6 index the blocks;
+	// after the measurement, block controls leave blocks no gate acts on.
+	local := quantum.NewCircuit(7).X(3).H(4).CNOT(4, 5).CCZ(3, 4, 6).H(6).Measure(2).CNOT(3, 0).Toffoli(4, 5, 1)
+	// On 6 qubits at 2 ranks, qubit 5 is the rank qubit: a sweep whose
+	// rank-target gates are controlled on block qubit 4 and hold a
+	// block-target gate controlled on the rank qubit, which acts on the
+	// peer's half alone.
+	exchange := quantum.NewCircuit(6).H(0).H(3).H(4).Measure(2).
+		ApplyControlled("cry", quantum.RY(0.7), 5, 4).CNOT(5, 3).ApplyControlled("cry", quantum.RY(0.4), 5, 4)
+	measured := quantum.NewCircuit(7).H(0).H(4).CNOT(4, 6).Measure(4).Measure(1)
+	body := forkBody()
+	forks := []*quantum.Circuit{body, partAt(body, 1, 1), partAt(body, len(body.Gates)-1, 2), body, partAt(body, 0, 4)}
+	one := func(c *quantum.Circuit) []*quantum.Circuit { return []*quantum.Circuit{c} }
+	for _, tc := range []struct {
+		name                 string
+		qubits, ranks, block int
+		circuits             []*quantum.Circuit
+		cfg                  func(*Config)
+		ran                  func(Stats) bool // what the case exists for happened
+	}{
+		{"fan-out", 7, 1, 8, one(local), nil, nil},
+		{"fan-out cached", 7, 1, 8, one(local), func(c *Config) { c.CacheLines = 4 },
+			func(st Stats) bool { return st.CacheLookups > 0 }},
+		{"exchange", 6, 2, 8, one(exchange), nil, nil},
+		{"fork batch", 7, 1, 16, forks, nil, nil},
+		{"requantize", 7, 1, 8, one(quantum.QFT(7, 2)), func(c *Config) { c.MemoryBudget = 1 },
+			func(st Stats) bool { return st.Escalations > 0 }},
+		{"measurement", 7, 1, 8, one(measured), nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sims := batchSims(t, tc.qubits, tc.ranks, tc.block, len(tc.circuits), func(c *Config) {
+				c.Workers = 1
+				if tc.cfg != nil {
+					tc.cfg(c)
+				}
+			})
+			var stores []*hintStore
+			for _, s := range sims {
+				for _, rs := range s.ranks {
+					h := &hintStore{Store: rs.store}
+					rs.store = h
+					stores = append(stores, h)
+				}
+			}
+			if err := RunBatch(sims, tc.circuits, RunControl{}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.ran != nil && !tc.ran(sims[0].Stats()) {
+				t.Fatalf("the case is vacuous: %+v", sims[0].Stats())
+			}
+			for i, h := range stores {
+				if len(h.passes) == 0 {
+					t.Fatalf("store %d was never hinted", i)
+				}
+				for n, p := range h.passes {
+					if !slices.Equal(p.gets, p.hint) {
+						t.Fatalf("store %d, pass %d: read %v, the hint named %v", i, n, p.gets, p.hint)
+					}
+				}
+			}
+		})
 	}
 }

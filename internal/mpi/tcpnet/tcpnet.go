@@ -109,14 +109,8 @@ func grow(buf []byte, n int) []byte {
 	return buf[:n]
 }
 
-// exchangeWords performs one full-duplex exchange with a peer: it
-// frames and writes out while concurrently reading the peer's frame
-// into in. Both sides of an XOR-scheduled pair run this
-// simultaneously, so neither write can block on a full kernel buffer
-// while the other side waits — the concurrent reader always drains.
-// Any I/O failure kills the mesh via die; a frame whose word count
-// differs from len(in) is a contract violation and panics with the
-// transport-standard length message after tearing the mesh down.
+// exchangeWords performs one full-duplex exchange of words with a peer
+// (swap).
 func (c *Comm) exchangeWords(peerRank int, out, in []uint64) {
 	p := c.peers[peerRank]
 	p.wbuf = grow(p.wbuf, 4+8*len(out))
@@ -124,12 +118,27 @@ func (c *Comm) exchangeWords(peerRank int, out, in []uint64) {
 	for i, w := range out {
 		binary.LittleEndian.PutUint64(p.wbuf[4+8*i:], w)
 	}
+	rbuf := c.swap(peerRank, len(in))
+	for i := range in {
+		in[i] = binary.LittleEndian.Uint64(rbuf[8*i:])
+	}
+}
+
+// swap writes the frame the caller put in peerRank's wbuf while
+// concurrently reading the peer's frame, and returns its payload, which
+// must be want words. Both sides of an XOR-scheduled pair run this
+// simultaneously, so neither write can block on a full kernel buffer
+// while the other side waits — the concurrent reader always drains.
+// Any I/O failure kills the mesh via die; a frame of another length is
+// a contract violation and panics with the transport-standard length
+// message after tearing the mesh down.
+func (c *Comm) swap(peerRank, want int) []byte {
+	p := c.peers[peerRank]
 	wdone := make(chan error, 1)
 	go func() {
 		_, err := p.conn.Write(p.wbuf)
 		wdone <- err
 	}()
-
 	var hdr [4]byte
 	if _, err := io.ReadFull(p.conn, hdr[:]); err != nil {
 		p.conn.Close() // unblock our writer goroutine too
@@ -137,10 +146,10 @@ func (c *Comm) exchangeWords(peerRank int, out, in []uint64) {
 		c.die(fmt.Sprintf("recv header from rank %d", peerRank), err)
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n != len(in) {
+	if n != want {
 		c.Close()
 		<-wdone
-		panic(fmt.Sprintf("tcpnet: rank %d expected %d values from %d, got %d", c.rank, len(in), peerRank, n))
+		panic(fmt.Sprintf("tcpnet: rank %d expected %d values from %d, got %d", c.rank, want, peerRank, n))
 	}
 	p.rbuf = grow(p.rbuf, 8*n)
 	if _, err := io.ReadFull(p.conn, p.rbuf); err != nil {
@@ -148,12 +157,10 @@ func (c *Comm) exchangeWords(peerRank int, out, in []uint64) {
 		<-wdone
 		c.die(fmt.Sprintf("recv payload from rank %d", peerRank), err)
 	}
-	for i := range in {
-		in[i] = binary.LittleEndian.Uint64(p.rbuf[8*i:])
-	}
 	if err := <-wdone; err != nil {
 		c.die(fmt.Sprintf("send to rank %d", peerRank), err)
 	}
+	return p.rbuf
 }
 
 // SendRecv exchanges payloads with a peer rank. The arriving message
@@ -178,34 +185,9 @@ func (c *Comm) SendRecv(peerRank int, send, recv []float64) {
 	for i, f := range send {
 		binary.LittleEndian.PutUint64(p.wbuf[4+8*i:], math.Float64bits(f))
 	}
-	wdone := make(chan error, 1)
-	go func() {
-		_, err := p.conn.Write(p.wbuf)
-		wdone <- err
-	}()
-	var hdr [4]byte
-	if _, err := io.ReadFull(p.conn, hdr[:]); err != nil {
-		p.conn.Close()
-		<-wdone
-		c.die(fmt.Sprintf("recv header from rank %d", peerRank), err)
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n != len(recv) {
-		c.Close()
-		<-wdone
-		panic(fmt.Sprintf("tcpnet: rank %d expected %d values from %d, got %d", c.rank, len(recv), peerRank, n))
-	}
-	p.rbuf = grow(p.rbuf, 8*n)
-	if _, err := io.ReadFull(p.conn, p.rbuf); err != nil {
-		p.conn.Close()
-		<-wdone
-		c.die(fmt.Sprintf("recv payload from rank %d", peerRank), err)
-	}
+	rbuf := c.swap(peerRank, len(recv))
 	for i := range recv {
-		recv[i] = math.Float64frombits(binary.LittleEndian.Uint64(p.rbuf[8*i:]))
-	}
-	if err := <-wdone; err != nil {
-		c.die(fmt.Sprintf("send to rank %d", peerRank), err)
+		recv[i] = math.Float64frombits(binary.LittleEndian.Uint64(rbuf[8*i:]))
 	}
 	c.sends++
 	c.bytes += int64(len(send) * 8)
