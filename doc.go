@@ -154,7 +154,9 @@
 // pair sweeps), a second distinct rank-segment target, a measurement,
 // or (with WithNoise) any gate at all, since the depolarizing channel
 // must fire after each gate. A one-gate sweep is the paper's per-gate
-// pass: both run through the same code. Gate fusion
+// pass: both run through the same code, and so does a measurement's
+// collapse, a pass of one gate — the projector on the drawn outcome
+// times 1/√keep, whose dropped half is written as exact +0. Gate fusion
 // (circuit.FuseSingleQubitGates, applied to the circuit before Run)
 // is the complementary lever: it merges adjacent gates on the same
 // qubit into one.

@@ -309,3 +309,52 @@ func TestAssertionSentinels(t *testing.T) {
 		}
 	})
 }
+
+// TestAssertionArgumentsRefused: a NaN tolerance fails every comparison,
+// so the assertion would pass vacuously, a negative one can never pass,
+// and a value other than 0 or 1 would read as 1, so the facade refuses
+// all three with ErrBadConfig. The state is a Bell pair on qubits 0 and 1 with qubit 2
+// in |1⟩; each method keeps one valid pass and one valid failure.
+func TestAssertionArgumentsRefused(t *testing.T) {
+	sim, err := New(3, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	if _, err := sim.Run(context.Background(), circuit.New(3).H(0).CNOT(0, 1).X(2)); err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		err  error
+		want error // nil: the assertion holds
+	}{
+		{"classical/pass", sim.AssertClassical(2, 1, 0.01), nil},
+		{"classical/fail", sim.AssertClassical(2, 0, 0.01), ErrAssertionFailed},
+		{"classical/nan-tol", sim.AssertClassical(0, 0, nan), ErrBadConfig},
+		{"classical/negative-tol", sim.AssertClassical(2, 1, -0.1), ErrBadConfig},
+		{"classical/value-7", sim.AssertClassical(2, 7, 0.01), ErrBadConfig},
+		{"classical/value-minus-1", sim.AssertClassical(2, -1, 0.01), ErrBadConfig},
+		{"superposition/pass", sim.AssertSuperposition(0, 0.01), nil},
+		{"superposition/fail", sim.AssertSuperposition(2, 0.01), ErrAssertionFailed},
+		{"superposition/nan-tol", sim.AssertSuperposition(2, nan), ErrBadConfig},
+		{"superposition/negative-tol", sim.AssertSuperposition(0, -0.1), ErrBadConfig},
+		{"product/pass", sim.AssertProduct(0, 2, 0.01), nil},
+		{"product/fail", sim.AssertProduct(0, 1, 0.01), ErrAssertionFailed},
+		{"product/nan-tol", sim.AssertProduct(0, 1, nan), ErrBadConfig},
+		{"product/negative-tol", sim.AssertProduct(0, 2, -0.1), ErrBadConfig},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.want == nil {
+				if tc.err != nil {
+					t.Fatalf("valid assertion failed: %v", tc.err)
+				}
+				return
+			}
+			if !errors.Is(tc.err, tc.want) {
+				t.Fatalf("error %v, want %v", tc.err, tc.want)
+			}
+		})
+	}
+}

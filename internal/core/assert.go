@@ -82,11 +82,11 @@ func (s *Simulator) jointDistribution(a, b int) ([4]float64, error) {
 }
 
 // jointDistributions returns jointDistribution for every pair, from one
-// decode pass over the state however many pairs there are. Each block is
-// decoded into its rank's w0 scratch and squared in place once; every
-// pair then folds those probabilities into its own four buckets, so a
-// pair's sums run in the rank → block → offset order a pass of its own
-// would take and come out the same floats.
+// read of the state (readBlocks) however many pairs there are. Each
+// block's probabilities are squared into its scratch in place once;
+// every pair then folds them into its own four buckets, so a pair's sums
+// run in the rank → block → offset order a pass of its own would take
+// and come out the same floats.
 func (s *Simulator) jointDistributions(pairs [][2]int) ([][4]float64, error) {
 	for _, p := range pairs {
 		if a, b := p[0], p[1]; a == b || a < 0 || b < 0 || a >= s.cfg.Qubits || b >= s.cfg.Qubits {
@@ -94,30 +94,22 @@ func (s *Simulator) jointDistributions(pairs [][2]int) ([][4]float64, error) {
 		}
 	}
 	joints := make([][4]float64, len(pairs))
-	for r, rs := range s.ranks {
-		scratch := rs.w0().x
-		probs := scratch[:s.blockAmps()]
-		for blk := 0; blk < s.blocksPerRank(); blk++ {
-			blob, err := rs.store.Peek(blk)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.decodeBlob(blob, scratch); err != nil {
-				return nil, err
-			}
-			for o := range probs {
-				re, im := scratch[2*o], scratch[2*o+1]
-				probs[o] = re*re + im*im // slot o was read at offset o/2
-			}
-			base := s.compose(r, blk, 0)
-			for i, p := range pairs {
-				a, b, joint := uint(p[0]), uint(p[1]), &joints[i]
-				for o, pr := range probs {
-					idx := base + uint64(o)
-					joint[(idx>>a&1)<<1|idx>>b&1] += pr
-				}
+	err := s.readBlocks(0, func(base uint64, x []float64) {
+		probs := x[:s.blockAmps()]
+		for o := range probs {
+			re, im := x[2*o], x[2*o+1]
+			probs[o] = re*re + im*im // slot o was read at offset o/2
+		}
+		for i, p := range pairs {
+			a, b, joint := uint(p[0]), uint(p[1]), &joints[i]
+			for o, pr := range probs {
+				idx := base + uint64(o)
+				joint[(idx>>a&1)<<1|idx>>b&1] += pr
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return joints, nil
 }

@@ -568,7 +568,9 @@ func TestCloneIssuesNoCodecCall(t *testing.T) {
 
 // TestCloneHoldsNoScratch: a batch variant's passes run on variant 0's
 // worker pool, so a clone allocates no scratch of its own — not even the
-// Eq. 8 pair — until something runs on its own pool.
+// Eq. 8 pair — until something runs on its own pool. Inspecting it
+// (readBlocks) decodes into a scratch of the call's own, so a clone that
+// has only been read holds none either.
 func TestCloneHoldsNoScratch(t *testing.T) {
 	s := newSim(t, 8, 2, 16, func(c *Config) { c.Workers = 2 })
 	if err := s.Run(quantum.RandomCircuit(8, 20, 4)); err != nil {
@@ -579,14 +581,25 @@ func TestCloneHoldsNoScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clone.Close()
-	for _, rs := range clone.ranks {
-		for _, w := range rs.workers {
-			if w.x != nil || w.y != nil {
-				t.Fatalf("rank %d worker %d of a fresh clone holds a scratch pair", rs.id, w.id)
+	noScratch := func(when string) {
+		t.Helper()
+		for _, rs := range clone.ranks {
+			for _, w := range rs.workers {
+				if w.x != nil || w.y != nil {
+					t.Fatalf("rank %d worker %d of a clone holds a scratch pair %s", rs.id, w.id, when)
+				}
 			}
 		}
 	}
+	noScratch("when fresh")
 	assertBitIdentical(t, s, clone, "clone")
+	if _, err := clone.MaxCutEnergy([]CutEdge{{0, 7}, {3, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clone.ExpectationZZ(1, 6); err != nil {
+		t.Fatal(err)
+	}
+	noScratch("after MaxCutEnergy and ExpectationZZ")
 }
 
 // forkBody is one sweep on 7 qubits at 16-amplitude blocks: qubits 0..3

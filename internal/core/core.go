@@ -278,40 +278,44 @@ func (s *Simulator) Qubits() int { return s.cfg.Qubits }
 // Config returns the effective (defaulted) configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// Reset reinitializes the state to |0...0⟩: ledger 1, no gates, no
+// Reset reinitializes the state to |0...0⟩: basis at index 0.
+func (s *Simulator) Reset() error { return s.basis(0) }
+
+// basis reinitializes the state to |idx⟩: ledger 1, no gates, no
 // measurements, every rank at level 0 with its accounting restarted
-// (install). The reset's own codec work is then charged: one compress
+// (install). The install's own codec work is then charged: one compress
 // call per rank for the all-zero block and one for the block holding
-// the |0...0⟩ amplitude, R+1 in all.
-func (s *Simulator) Reset() error {
+// the |idx⟩ amplitude, R+1 in all.
+func (s *Simulator) basis(idx uint64) error {
+	r, b, o := s.locate(idx)
 	for _, rs := range s.ranks {
 		var st Stats
 		scratch := rs.w0().x
 		clear(scratch)
-		// Every block except (rank 0, block 0) holds the same all-zero
-		// content: compress it once and let every slot share the one
-		// immutable blob, so a wide register (2^28 amplitudes and
-		// beyond) initializes with at most two codec calls and two
-		// blobs per rank instead of one per block.
+		// Every block but the one holding |idx⟩ is all zero: compress it
+		// once and let every slot share the one immutable blob, so a wide
+		// register (2^28 amplitudes and beyond) initializes with at most
+		// two codec calls and two blobs per rank instead of one per block.
 		zero, err := s.compressBlock(0, scratch, &st)
 		if err != nil {
 			return err
 		}
-		first := zero
-		if rs.id == 0 {
-			scratch[0] = 1 // amplitude of |0...0⟩
-			first, err = s.compressBlock(0, scratch, &st)
-			scratch[0] = 0
+		one := zero
+		if rs.id == r {
+			scratch[2*o] = 1
+			one, err = s.compressBlock(0, scratch, &st)
+			scratch[2*o] = 0
 			if err != nil {
 				return err
 			}
 		}
 		err = s.install(rs, func(put func(b int, blob []byte) error) error {
-			if err := put(0, first); err != nil {
-				return err
-			}
-			for b := 1; b < s.blocksPerRank(); b++ {
-				if err := put(b, zero); err != nil {
+			for blk := range s.blocksPerRank() {
+				blob := zero
+				if blk == b {
+					blob = one
+				}
+				if err := put(blk, blob); err != nil {
 					return err
 				}
 			}
@@ -388,39 +392,12 @@ func (s *Simulator) install(rs *rankState, src blobWalk, level int, overBudget b
 	return nil
 }
 
-// SetBasisState re-initializes to |idx⟩.
+// SetBasisState re-initializes to |idx⟩ (basis).
 func (s *Simulator) SetBasisState(idx uint64) error {
 	if idx >= 1<<uint(s.cfg.Qubits) {
 		return fmt.Errorf("core: basis state %d out of range", idx)
 	}
-	if err := s.Reset(); err != nil {
-		return err
-	}
-	if idx == 0 {
-		return nil
-	}
-	r, b, o := s.locate(idx)
-	rs := s.ranks[r]
-	// Clear block (rank0,block0) then set the target block.
-	zero := make([]float64, 2*s.blockAmps())
-	blob0, err := s.compressBlock(s.ranks[0].level, zero, &s.ranks[0].stats)
-	if err != nil {
-		return err
-	}
-	if err := s.ranks[0].store.Put(0, blob0); err != nil {
-		return err
-	}
-	zero[2*o] = 1
-	blob, err := s.compressBlock(rs.level, zero, &rs.stats)
-	if err != nil {
-		return err
-	}
-	if err := rs.store.Put(b, blob); err != nil {
-		return err
-	}
-	s.sampleFootprint(s.ranks[0])
-	s.sampleFootprint(rs)
-	return nil
+	return s.basis(idx)
 }
 
 // locate splits a global amplitude index into (rank, block, offset) per

@@ -292,6 +292,41 @@ func TestSetBasisState(t *testing.T) {
 	}
 }
 
+// TestSetBasisStateIsResetsInstall: SetBasisState is Reset at an index,
+// one install that compresses the all-zero block once per rank and the
+// block holding |idx⟩ once, R+1 calls wherever idx lies — here on rank 1,
+// block 2 — and leaves the footprint of a fresh Reset.
+func TestSetBasisStateIsResetsInstall(t *testing.T) {
+	s := newSim(t, 6, 2, 8, nil) // offset bits 0-2, block bits 3-4, rank bit 5
+	const idx = 1<<5 | 2<<3 | 5
+	if r, b, _ := s.locate(idx); r != 1 || b != 2 {
+		t.Fatalf("index %d is at rank %d block %d", idx, r, b)
+	}
+	if err := s.SetBasisState(idx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Stats().CompressCalls, int64(s.cfg.Ranks+1); got != want {
+		t.Fatalf("SetBasisState made %d compress calls, want %d", got, want)
+	}
+	state, err := s.FullState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range state {
+		want := complex128(0)
+		if i == idx {
+			want = 1
+		}
+		if !sameBits(a, want) {
+			t.Fatalf("amplitude %d = %v, want %v", i, a, want)
+		}
+	}
+	fresh := newSim(t, 6, 2, 8, nil)
+	if got, want := s.Stats().CurrentFootprint, fresh.Stats().CurrentFootprint; got != want {
+		t.Fatalf("footprint %d, a fresh Reset's %d", got, want)
+	}
+}
+
 func TestRunAccumulatesAcrossCalls(t *testing.T) {
 	s := newSim(t, 4, 2, 4, nil)
 	if err := s.Run(quantum.NewCircuit(4).H(0)); err != nil {

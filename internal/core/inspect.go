@@ -32,21 +32,13 @@ func (s *Simulator) FullState() ([]complex128, error) {
 		return nil, fmt.Errorf("core: FullState on %d qubits would allocate %s", s.cfg.Qubits, stats.FormatBytes(MemoryRequirement(s.cfg.Qubits)))
 	}
 	out := make([]complex128, 1<<uint(s.cfg.Qubits))
-	scratch := make([]float64, 2*s.blockAmps())
-	for r, rs := range s.ranks {
-		for b := 0; b < s.blocksPerRank(); b++ {
-			blob, err := rs.store.Peek(b)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.decodeBlob(blob, scratch); err != nil {
-				return nil, err
-			}
-			base := s.compose(r, b, 0)
-			for o := 0; o < s.blockAmps(); o++ {
-				out[base+uint64(o)] = complex(scratch[2*o], scratch[2*o+1])
-			}
+	err := s.readBlocks(0, func(base uint64, x []float64) {
+		for o := range s.blockAmps() {
+			out[base+uint64(o)] = complex(x[2*o], x[2*o+1])
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -54,22 +46,12 @@ func (s *Simulator) FullState() ([]complex128, error) {
 // Norm returns Σ|aᵢ|² across the full compressed state.
 func (s *Simulator) Norm() (float64, error) {
 	var n float64
-	scratch := make([]float64, 2*s.blockAmps())
-	for _, rs := range s.ranks {
-		for b := 0; b < s.blocksPerRank(); b++ {
-			blob, err := rs.store.Peek(b)
-			if err != nil {
-				return 0, err
-			}
-			if err := s.decodeBlob(blob, scratch); err != nil {
-				return 0, err
-			}
-			for _, v := range scratch {
-				n += v * v
-			}
+	err := s.readBlocks(0, func(_ uint64, x []float64) {
+		for _, v := range x {
+			n += v * v
 		}
-	}
-	return n, nil
+	})
+	return n, err
 }
 
 // ProbabilityOne returns P(qubit q = 1) without collapsing.
@@ -77,32 +59,49 @@ func (s *Simulator) ProbabilityOne(q int) (float64, error) {
 	if q < 0 || q >= s.cfg.Qubits {
 		return 0, fmt.Errorf("core: qubit %d out of range", q)
 	}
+	bit := uint64(1) << uint(q)
+	var want uint64 // a block whose index has q clear holds q=0 alone
+	if q >= s.offsetBits {
+		want = bit
+	}
 	var p float64
-	scratch := make([]float64, 2*s.blockAmps())
-	for r, rs := range s.ranks {
-		for b := 0; b < s.blocksPerRank(); b++ {
-			base := s.compose(r, b, 0)
-			if base&(1<<uint(q)) == 0 && q >= s.offsetBits {
-				continue // whole block has q=0
-			}
-			blob, err := rs.store.Peek(b)
-			if err != nil {
-				return 0, err
-			}
-			if err := s.decodeBlob(blob, scratch); err != nil {
-				return 0, err
-			}
-			for o := 0; o < s.blockAmps(); o++ {
-				idx := base + uint64(o)
-				if idx&(1<<uint(q)) == 0 {
-					continue
-				}
-				re, im := scratch[2*o], scratch[2*o+1]
+	err := s.readBlocks(want, func(base uint64, x []float64) {
+		for o := range s.blockAmps() {
+			if (base+uint64(o))&bit != 0 {
+				re, im := x[2*o], x[2*o+1]
 				p += re*re + im*im
 			}
 		}
+	})
+	return p, err
+}
+
+// readBlocks is the inspectors' one read of the state: every block whose
+// global index has the bits of want (above the offset segment) set, in
+// rank → block order, decoded into one scratch of the call's own and
+// handed to fn with the global index of its first amplitude. It Peeks,
+// so inspection never disturbs the resident set a tiered store keeps for
+// the hot path, and decodes without touching Stats, so reading the state
+// never skews the Table 2 time breakdown.
+func (s *Simulator) readBlocks(want uint64, fn func(base uint64, x []float64)) error {
+	x := make([]float64, 2*s.blockAmps())
+	for r, rs := range s.ranks {
+		for b := range s.blocksPerRank() {
+			base := s.compose(r, b, 0)
+			if base&want != want {
+				continue
+			}
+			blob, err := rs.store.Peek(b)
+			if err != nil {
+				return err
+			}
+			if err := s.decodeBlob(blob, x); err != nil {
+				return err
+			}
+			fn(base, x)
+		}
 	}
-	return p, nil
+	return nil
 }
 
 // DefaultSampleCache is the number of lines a Sampler's decoded-block

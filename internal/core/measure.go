@@ -7,16 +7,19 @@ import (
 	"time"
 
 	"qcsim/internal/mpi"
+	"qcsim/internal/quantum"
 )
 
 // measureRank implements intermediate measurement (the capability the
 // paper highlights over tensor-network simulators, §1): every rank
 // accumulates its partial P(q=1) over decompressed blocks, the total is
 // allreduced, rank 0 draws the outcome, and all ranks collapse and
-// recompress their blocks. Both block sweeps fan out across the worker
-// pool; the probability reduction keeps per-block partials and sums
-// them in block order, so the drawn outcome is bit-identical for every
-// worker count.
+// renormalize their blocks. The probability reduction fans out across
+// the worker pool, keeps per-block partials and sums them in block
+// order, so the drawn outcome is bit-identical for every worker count.
+// The collapse is a pass of one gate through the group walk
+// (collapsePass, runPass): the code a unitary runs, §3.4 cache
+// included, so equal blocks collapse once.
 //
 // Codec failures are returned, not panicked: a decompression error in
 // the probability phase is agreed on collectively (an error-flag
@@ -29,7 +32,6 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 	// The measured qubit's bit lives in one segment (Fig. 3), exactly
 	// like a single control: one of the three masks is set.
 	offMask, blkMask, rankMask := s.splitControls([]int{q})
-	lvl := rs.level
 	ba := s.blockAmps()
 
 	// Phase 1: partial probability of reading |1⟩, one slot per block.
@@ -38,7 +40,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 	if rankMask == 0 || rs.id&rankMask != 0 {
 		// blkMask is a single bit, so "any set" equals the all-set
 		// filter a scan pass applies.
-		s.hintPass(rs, scanPass(lvl, blkMask))
+		s.hintPass(rs, scanPass(rs.level, blkMask))
 		phase1Err = s.forBlocks(rs, func(w *workerState, b int) error {
 			if blkMask != 0 && b&blkMask == 0 {
 				return nil // whole block has q=0
@@ -104,63 +106,14 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 		outcome = 1 - outcome
 		keep = 1 - keep
 	}
-	scale := 1 / math.Sqrt(keep)
 
-	// Phase 3: collapse and renormalize every block.
-	s.hintPass(rs, scanPass(lvl, 0))
-	err := s.forBlocks(rs, func(w *workerState, b int) error {
-		matchBlock := true
-		if blkMask != 0 {
-			bit := 0
-			if b&blkMask != 0 {
-				bit = 1
-			}
-			matchBlock = bit == outcome
-		}
-		matchRank := true
-		if rankMask != 0 {
-			bit := 0
-			if rs.id&rankMask != 0 {
-				bit = 1
-			}
-			matchRank = bit == outcome
-		}
-		blob, err := rs.store.Get(b)
-		if err != nil {
-			return err
-		}
-		if err := s.decompressBlock(blob, w.x, &w.stats); err != nil {
-			return err
-		}
-		start := time.Now()
-		for o := 0; o < ba; o++ {
-			match := matchBlock && matchRank
-			if match && offMask != 0 {
-				bit := 0
-				if uint64(o)&offMask != 0 {
-					bit = 1
-				}
-				match = bit == outcome
-			}
-			if match {
-				w.x[2*o] *= scale
-				w.x[2*o+1] *= scale
-			} else {
-				w.x[2*o] = 0
-				w.x[2*o+1] = 0
-			}
-		}
-		w.stats.ComputeTime += time.Since(start)
-		out, err := s.compressBlock(lvl, w.x, &w.stats)
-		if err != nil {
-			return err
-		}
-		return rs.store.Put(b, out)
-	})
-	if err != nil {
+	// Phase 3: collapse and renormalize, a pass of one gate: the
+	// projector on the outcome times 1/√keep.
+	var u quantum.Matrix2
+	u[outcome][outcome] = complex(1/math.Sqrt(keep), 0)
+	if err := runPass([]*Simulator{s}, rs.id, []*blockPass{s.collapsePass(rs, q, u)}, gi, 0); err != nil {
 		return 0, fmt.Errorf("core: collapse after measuring qubit %d: %w", q, err)
 	}
-	s.noteLevel(rs, gi, 0, lvl)
 	return outcome, nil
 }
 

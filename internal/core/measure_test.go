@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -289,3 +290,87 @@ func TestSampleFromCompressedState(t *testing.T) {
 
 // newTestRand returns a deterministic rand source for sampling tests.
 func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// TestCollapseIsACachedPass: a measurement's collapse is a pass of the
+// group walk, so on a state whose blocks repeat the §3.4 cache answers
+// every repeat. A uniform 10-qubit state on 2 ranks of 64 8-amplitude
+// blocks, measured on an offset (1), a block (5) or a rank (9) qubit at
+// one worker, recompresses at most four blocks — one per rank and side
+// of the outcome — of the 128 it rewrites. The outcome, the state bits
+// and every blob equal the cache-off and gate-at-a-time runs'.
+func TestCollapseIsACachedPass(t *testing.T) {
+	uniform := quantum.NewCircuit(10)
+	for q := range 10 {
+		uniform.H(q)
+	}
+	for _, q := range []int{1, 5, 9} {
+		t.Run(map[int]string{1: "offset", 5: "block", 9: "rank"}[q], func(t *testing.T) {
+			run := func(mut func(*Config)) (*Simulator, int64) {
+				s := newSim(t, 10, 2, 8, func(c *Config) {
+					c.Workers, c.Seed = 1, int64(q)
+					mut(c)
+				})
+				if err := s.Run(uniform); err != nil {
+					t.Fatal(err)
+				}
+				before := s.Stats().CompressCalls
+				if err := s.Run(quantum.NewCircuit(10).Measure(q)); err != nil {
+					t.Fatal(err)
+				}
+				return s, s.Stats().CompressCalls - before
+			}
+			cached, calls := run(func(c *Config) { c.CacheLines = 64 })
+			if calls > 4 {
+				t.Fatalf("the collapse made %d compress calls, want at most 4", calls)
+			}
+			for name, mut := range map[string]func(*Config){
+				"cache-off":      func(c *Config) {},
+				"gate-at-a-time": func(c *Config) { c.CacheLines, c.DisableSweeps = 64, true },
+			} {
+				other, _ := run(mut)
+				assertBitIdentical(t, cached, other, name)
+				assertBlobsIdentical(t, cached, other, name)
+			}
+		})
+	}
+}
+
+// TestCollapsedBlocksAreResetsZero: the half a collapse drops is written
+// exact +0, not 0·x, so after a block-qubit measurement every block on
+// the other side of the outcome is byte for byte the zero blob Reset
+// installs — as compressible as a block that never held amplitude.
+func TestCollapsedBlocksAreResetsZero(t *testing.T) {
+	const q = 5 // 8 qubits, 2 ranks, 16-amplitude blocks: block bits 4-6
+	s := newSim(t, 8, 2, 16, func(c *Config) { c.CacheLines = 64 })
+	zero, err := s.ranks[1].store.Peek(0) // Reset's all-zero block
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := quantum.RandomCircuit(8, 30, 3)
+	for q := range 8 {
+		c.RY(q, 0.3+0.1*float64(q)) // negative amplitudes, so 0·x would carry −0
+	}
+	c.Measure(q)
+	if err := s.Run(c); err != nil {
+		t.Fatal(err)
+	}
+	outcome, dropped := s.Measurements()[0], 0
+	for _, rs := range s.ranks {
+		for b := range s.blocksPerRank() {
+			if b>>(q-s.offsetBits)&1 == outcome {
+				continue
+			}
+			blob, err := rs.store.Peek(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, zero) {
+				t.Fatalf("rank %d block %d: collapsed away, but its blob is not Reset's zero blob", rs.id, b)
+			}
+			dropped++
+		}
+	}
+	if dropped != s.cfg.Ranks*s.blocksPerRank()/2 {
+		t.Fatalf("checked %d dropped blocks, want half of them", dropped)
+	}
+}

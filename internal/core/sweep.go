@@ -55,7 +55,8 @@ import (
 //     the peer before its window, the first to the last rank-target
 //     gate; without one the window is empty. A one-gate sweep is the
 //     paper's gate-at-a-time pass, so the scheduler-off and noise-active
-//     runs use the same code.
+//     runs use the same code, and so does a measurement's collapse
+//     (collapsePass).
 //
 // Under the lossless codec the result is bit-identical to
 // gate-at-a-time execution: every amplitude sees the same float
@@ -314,35 +315,51 @@ func (s *Simulator) compilePass(comm mpi.Comm, rs *rankState, gates []quantum.Ga
 }
 
 // unitGate compiles the ZZ unit CNOT(u,v)·D(v)·CNOT(u,v) on this rank
-// (see passGate), tr the rank bit the pass exchanges, if any. A qubit of
-// the parity is u's offset bit, a block bit, bit nb for tr — a member
-// bit, as a control on it is — or a rank bit decided here, whose value
-// swaps the entries or, for u, decides whether the CNOTs fire on this
-// rank (fire) at all; cx is the block-index bits they fire on. Like a
-// rank target needs none, the unit needs no exchange.
+// (see passGate), tr the rank bit the pass exchanges, if any: its parity
+// is on v and u (parity), and the CNOTs fire on this rank (fire) unless
+// u is a rank bit that is 0 here; cx is the block-index bits they fire
+// on. Like a rank target needs none, the unit needs no exchange.
 func (s *Simulator) unitGate(rs *rankState, unit []quantum.Gate, tr int) (g passGate, cx int, fire bool) {
-	rankBase := s.offsetBits + s.blockBits
 	u, v := unit[0].Controls[0], unit[0].Target
 	g = passGate{class: classUnit, u: unit[1].U}
-	fire = true
-	for _, q := range [2]int{v, u} {
-		bit := 0 // q's bit in a member's block index
-		switch r := q - rankBase; {
-		case q < s.offsetBits:
-			g.tMask = 1 << uint(q)
-		case r < 0:
-			bit = 1 << uint(q-s.offsetBits)
-		case 1<<uint(r) == tr:
-			bit = s.blocksPerRank()
-		case rs.id>>uint(r)&1 != 0:
-			g.u[0][0], g.u[1][1] = g.u[1][1], g.u[0][0]
-		case q == u:
-			fire = false
-		}
-		g.par |= bit
-		cx = bit // u's, the loop's last
+	s.parity(rs, &g, v, tr)
+	cx, zero := s.parity(rs, &g, u, tr)
+	return g, cx, !zero
+}
+
+// parity adds qubit q to the parity of unit g on this rank, tr the rank
+// bit the pass exchanges, if any. An offset qubit is g's tMask; a block
+// bit, or bit nb for tr — a member bit, as a control on it is — is
+// returned as q's bit in a member's block index and joins g.par; any
+// other rank bit is decided here: 1 swaps g's entries, 0 (zero) leaves
+// them.
+func (s *Simulator) parity(rs *rankState, g *passGate, q, tr int) (bit int, zero bool) {
+	switch r := q - s.offsetBits - s.blockBits; {
+	case q < s.offsetBits:
+		g.tMask = 1 << uint(q)
+	case r < 0:
+		bit = 1 << uint(q-s.offsetBits)
+	case 1<<uint(r) == tr:
+		bit = s.blocksPerRank()
+	case rs.id>>uint(r)&1 != 0:
+		g.u[0][0], g.u[1][1] = g.u[1][1], g.u[0][0]
+	default:
+		zero = true
 	}
-	return g, cx, fire
+	g.par |= bit
+	return bit, zero
+}
+
+// collapsePass is a measurement's phase 3 on this rank: one unit whose
+// entries u are the projector on the drawn outcome times 1/√keep and
+// whose parity is on q alone. A rank qubit is decided here, so the pass
+// has no exchange. Its key is the signature of the measurement gate
+// carrying u, whose kind no unitary's key shares.
+func (s *Simulator) collapsePass(rs *rankState, q int, u quantum.Matrix2) *blockPass {
+	g := passGate{class: classUnit, u: u}
+	s.parity(rs, &g, q, 0)
+	sig := quantum.SweepSignature([]quantum.Gate{{Kind: quantum.KindMeasure, Target: q, U: u}})
+	return newBlockPass(newPassKey(sig, rs.level), []passGate{g}, 0, g.par)
 }
 
 // scanPass is the pass of no gates over the blocks whose index has
@@ -527,11 +544,16 @@ func (g *passGate) kernel(lo, hi []float64) {
 // in runs of tMask amplitudes, or the whole block when u is no offset
 // qubit. It is the multiply gate-at-a-time's middle gate applies after
 // the CNOT's exact swap, with no −0 fallback: the partner the general
-// 2×2 reads is not in the group, which is the ±0 rule (see apply).
+// 2×2 reads is not in the group, which is the ±0 rule (see apply). An
+// entry of 0 is a collapse's (collapsePass), decided once per member.
 func (g *passGate) unit(x []float64, blk int) {
 	d0, d1 := g.u[0][0], g.u[1][1]
 	if bits.OnesCount(uint(blk&g.par))&1 != 0 {
 		d0, d1 = d1, d0
+	}
+	if d0 == 0 || d1 == 0 {
+		g.project(x, d0, d1)
+		return
 	}
 	if g.tMask == 0 {
 		scale(x, d0)
@@ -541,6 +563,24 @@ func (g *passGate) unit(x []float64, blk int) {
 	for v := 0; v < len(x); v += 2 * n {
 		scale(x[v:v+n], d0)
 		scale(x[v+n:v+2*n], d1)
+	}
+}
+
+// project is unit with a zero entry: its runs are written exact +0, not
+// 0·x, whose zeros carry signs, so an amplitude a collapse drops is the
+// zero Reset installs and a dropped block compresses to its blob; the
+// other entry's runs are scaled.
+func (g *passGate) project(x []float64, d0, d1 complex128) {
+	n := 2 * g.tMask // floats in a run
+	if n == 0 {
+		n = len(x) // the member is one run, d0's
+	}
+	for v := 0; v < len(x); v += n {
+		if d := [2]complex128{d0, d1}[v/n&1]; d != 0 {
+			scale(x[v:v+n], d)
+		} else {
+			clear(x[v : v+n])
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"qcsim/circuit"
 	"qcsim/internal/core"
@@ -441,6 +442,15 @@ func (s *Simulator) checkQubit(q int) error {
 	return nil
 }
 
+// checkTol refuses an assertion tolerance that is NaN, which every
+// comparison would pass, or negative.
+func checkTol(tol float64) error {
+	if math.IsNaN(tol) || tol < 0 {
+		return fmt.Errorf("%w: assertion tolerance %v", ErrBadConfig, tol)
+	}
+	return nil
+}
+
 // Amplitude returns ⟨idx|ψ⟩, decompressing only the containing block.
 func (s *Simulator) Amplitude(idx uint64) (complex128, error) {
 	if err := s.closedErr(); err != nil {
@@ -552,12 +562,19 @@ func wrapAssert(err error) error {
 
 // AssertClassical checks that qubit q reads `value` with probability at
 // least 1-tol — the statistical-assertion debugging workflow the paper
-// motivates.
+// motivates. A value other than 0 or 1, or a NaN or negative tol, is
+// ErrBadConfig.
 func (s *Simulator) AssertClassical(q, value int, tol float64) error {
 	if err := s.closedErr(); err != nil {
 		return err
 	}
 	if err := s.checkQubit(q); err != nil {
+		return err
+	}
+	if value != 0 && value != 1 {
+		return fmt.Errorf("%w: a qubit reads 0 or 1, not %d", ErrBadConfig, value)
+	}
+	if err := checkTol(tol); err != nil {
 		return err
 	}
 	eng, err := s.compressedOnly("assert", false)
@@ -568,12 +585,16 @@ func (s *Simulator) AssertClassical(q, value int, tol float64) error {
 }
 
 // AssertSuperposition checks that qubit q is in an approximately
-// uniform superposition: P(1) within tol of 1/2.
+// uniform superposition: P(1) within tol of 1/2. A NaN or negative tol
+// is ErrBadConfig.
 func (s *Simulator) AssertSuperposition(q int, tol float64) error {
 	if err := s.closedErr(); err != nil {
 		return err
 	}
 	if err := s.checkQubit(q); err != nil {
+		return err
+	}
+	if err := checkTol(tol); err != nil {
 		return err
 	}
 	eng, err := s.compressedOnly("assert", false)
@@ -585,7 +606,8 @@ func (s *Simulator) AssertSuperposition(q int, tol float64) error {
 
 // AssertProduct checks that qubits a and b are approximately
 // unentangled in the computational basis (total-variation distance of
-// the joint distribution from the product of marginals ≤ tol).
+// the joint distribution from the product of marginals ≤ tol). A NaN or
+// negative tol is ErrBadConfig.
 func (s *Simulator) AssertProduct(a, b int, tol float64) error {
 	if err := s.closedErr(); err != nil {
 		return err
@@ -594,6 +616,9 @@ func (s *Simulator) AssertProduct(a, b int, tol float64) error {
 		return err
 	}
 	if err := s.checkQubit(b); err != nil {
+		return err
+	}
+	if err := checkTol(tol); err != nil {
 		return err
 	}
 	eng, err := s.compressedOnly("assert", false)
