@@ -63,8 +63,8 @@ func (s *Simulator) Clone(seed int64) (*Simulator, error) {
 // are all it pays. A parameter-shift batch — K−1 variants each differing
 // from the base in one gate — shares whole passes before that gate's
 // and forks inside it: perf's qaoa-grad (13 qubits, one pass, K = 79)
-// decodes 18 blocks instead of 158 and applies 3 460 gates to its block
-// pair instead of 8 216. Stats gains CodecPassesShared and VariantCount.
+// decodes 18 blocks instead of 158 and applies 1 847 gates to its block
+// pair instead of 4 108. Stats gains CodecPassesShared and VariantCount.
 //
 // Measurement gates and a live noise channel consume per-variant
 // randomness mid-circuit: they run inside the same loop, variant by

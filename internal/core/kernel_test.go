@@ -55,22 +55,24 @@ func refApply(gates []refGate, blocks map[int][]float64) {
 var negZero = math.Copysign(0, -1)
 
 // kernelMatrices covers every class and the edges of classify: named
-// diagonals, swaps and generals, fused products whose zeros come out of
-// arithmetic, and -0 entries (which compare equal to 0 and so qualify).
+// diagonals, swaps, real-imaginaries and generals (a real matrix is
+// general), fused products whose zeros come out of arithmetic, and -0
+// entries (which compare equal to 0 and so qualify).
 var kernelMatrices = []struct {
 	name  string
 	u     quantum.Matrix2
 	class gateClass
 }{
 	{"x", quantum.MatX, classSwap},
-	{"y", quantum.MatY, classGeneral},
+	{"y", quantum.MatY, classRealImag},
 	{"z", quantum.MatZ, classDiagonal},
 	{"h", quantum.MatH, classGeneral},
 	{"s", quantum.MatS, classDiagonal},
 	{"sdg", quantum.MatSdg, classDiagonal},
 	{"t", quantum.MatT, classDiagonal},
 	{"rz", quantum.RZ(0.7), classDiagonal},
-	{"rx", quantum.RX(1.3), classGeneral},
+	{"rx", quantum.RX(1.3), classRealImag},
+	{"ry", quantum.RY(-0.9), classGeneral},
 	{"phase", quantum.Phase(-2.1), classDiagonal},
 	{"fused s·t", quantum.MatS.Mul(quantum.MatT), classDiagonal},
 	{"fused h·t", quantum.MatH.Mul(quantum.MatT), classGeneral},
@@ -81,16 +83,22 @@ var kernelMatrices = []struct {
 	{"swap, -0 in it", quantum.Matrix2{
 		{complex(negZero, 0), complex(1, negZero)},
 		{complex(1, 0), complex(negZero, negZero)}}, classSwap},
+	{"real, -0 imaginary parts", quantum.Matrix2{
+		{complex(0.6, negZero), complex(-0.8, 0)},
+		{complex(0.8, negZero), complex(0.6, negZero)}}, classGeneral},
+	{"rx-shaped, -0 real parts off the diagonal", quantum.Matrix2{
+		{complex(0.6, negZero), complex(negZero, -0.8)},
+		{complex(0, 0.8), complex(-0.6, 0)}}, classRealImag},
 }
 
 // TestKernelMatchesGeneral2x2Bits pins the one property of the class
 // kernels nothing else in the repository sees (with
-// TestKernelNegZeroRule): that a diagonal or swap short form produces
-// the general 2×2's float64 BITS, signed zeros included. (-1+0i)·(0+0i)
-// is (-0, +0), and the 2×2's "+ 0·a1" term turns it back into +0; a
-// short form that drops the term keeps -0, and a raw or lossless blob
-// differs by that bit. Removing the -0 fallback from any class loop in
-// kernel passes every other test in the repository — conformance, the
+// TestKernelNegZeroRule): that a diagonal, swap or real-imaginary short
+// form produces the general 2×2's float64 BITS, signed zeros
+// included. (-1+0i)·(0+0i) is (-0, +0), and the 2×2's "+ 0·a1" term
+// turns it back into +0; a short form that drops the term keeps -0, and
+// a raw or lossless blob differs by that bit. Removing the -0 fallback
+// from any class loop in kernel passes every other test in the repository — conformance, the
 // bit-identity suites, the harness's pinned counters — because they
 // compare the engine against itself or within a tolerance; this test
 // compares it against the old loop.
@@ -259,47 +267,74 @@ func TestKernelNegZeroRule(t *testing.T) {
 
 // zzUnitNegZeroRule is TestKernelNegZeroRule's ZZ unit: it holds the
 // unit's kernel to the ±0 rule against the three gates it stands for,
-// run gate at a time as general 2×2s: CNOT(u,v)·D(v)·CNOT(u,v) with u offset bit 0 and v block
-// stride 1, on every diagonal D and both swaps of kernelMatrices and
-// every pair of components from TestKernelNegZeroRule's value set. The
-// pair sits at z_u = 0 (the CNOTs idle) and at z_u = 1. Where the
-// unit's component is nonzero the bits must be equal; where it is zero
-// the reference's must be zero too, of either sign.
+// run gate at a time as general 2×2s: CNOT(u,v)·D(v)·CNOT(u,v) on every
+// diagonal D and both swaps of kernelMatrices and every pair of
+// components from TestKernelNegZeroRule's value set, with u and v placed
+// as each case says — v a block bit, or an offset bit with u an offset
+// or a block bit, in runs shorter than unitRun and as long. Every
+// amplitude whose z_v is 0 holds the pair's first component, every
+// other the second, so the pair sits at z_u = 0 (the CNOTs idle) and
+// at z_u = 1. Where the unit's component is nonzero the bits must be
+// equal; where it is zero the reference's must be zero too, of either
+// sign.
 func zzUnitNegZeroRule(t *testing.T) {
 	tiny, huge := math.SmallestNonzeroFloat64, math.MaxFloat64/4
 	values := []float64{0, negZero, 1, -1, tiny, -tiny, huge, -huge}
-	var flips int
-	for _, d := range kernelMatrices {
-		if d.class != classDiagonal {
-			continue
-		}
-		for _, x := range kernelMatrices {
-			if x.class != classSwap {
+	for _, tc := range []struct {
+		name       string
+		uOff, uBlk int // u's bit in the offset or in the block index
+		vOff, vBlk int // v's
+		amps       int // a block's amplitudes
+	}{
+		{"u offset, v block", 1, 0, 0, 1, 2},
+		{"u and v offset", 1, 0, 2, 0, 4},
+		{"u block, v offset", 0, 1, 1, 0, 2},
+		{"u and v offset, long runs", unitRun, 0, 2 * unitRun, 0, 4 * unitRun},
+	} {
+		nblocks := 1 + (tc.uBlk|tc.vBlk)&1
+		var flips int
+		for _, d := range kernelMatrices {
+			if d.class != classDiagonal {
 				continue
 			}
-			cx := refGate{stride: 1, offCtrl: 1, u: x.u}
-			ref := []refGate{cx, {stride: 1, u: d.u}, cx}
-			p := newBlockPass(passKey{}, []passGate{{class: classUnit, u: d.u, tMask: 1, par: 1}}, 0, 1)
-			for _, ar0 := range values {
-				for _, ai0 := range values {
-					for _, ar1 := range values {
-						for _, ai1 := range values {
-							// Block v holds the pair's amplitude z_v at both offsets.
-							blocks := map[int][]float64{0: {ar0, ai0, ar0, ai0}, 1: {ar1, ai1, ar1, ai1}}
-							got := [][]float64{slices.Clone(blocks[0]), slices.Clone(blocks[1])}
-							refApply(ref, blocks)
-							p.apply(got[:1], 0)
-							p.apply(got[1:], 1)
-							for v, want := range [][]float64{blocks[0], blocks[1]} {
-								for i, w := range want {
-									g := got[v][i]
-									switch {
-									case math.Float64bits(g) == math.Float64bits(w):
-									case g == 0 && w == 0:
-										flips++
-									default:
-										t.Fatalf("%s between %s on (%v, %v), (%v, %v): block %d component %d is %v (%#x), gate at a time %v (%#x)",
-											d.name, x.name, ar0, ai0, ar1, ai1, v, i, g, math.Float64bits(g), w, math.Float64bits(w))
+			for _, x := range kernelMatrices {
+				if x.class != classSwap {
+					continue
+				}
+				cx := refGate{tMask: tc.vOff, stride: tc.vBlk, offCtrl: uint64(tc.uOff), blkCtrl: tc.uBlk, u: x.u}
+				ref := []refGate{cx, {tMask: tc.vOff, stride: tc.vBlk, u: d.u}, cx}
+				unit := passGate{class: classUnit, u: d.u, tMask: tc.uOff | tc.vOff, par: tc.uBlk | tc.vBlk}
+				p := newBlockPass(passKey{}, []passGate{unit}, 0, unit.par)
+				for _, ar0 := range values {
+					for _, ai0 := range values {
+						for _, ar1 := range values {
+							for _, ai1 := range values {
+								blocks := map[int][]float64{}
+								got := make([][]float64, nblocks)
+								for b := range nblocks {
+									x := make([]float64, 2*tc.amps)
+									for o := range tc.amps {
+										x[2*o], x[2*o+1] = ar0, ai0
+										if o&tc.vOff != 0 || b&tc.vBlk != 0 {
+											x[2*o], x[2*o+1] = ar1, ai1
+										}
+									}
+									blocks[b], got[b] = x, slices.Clone(x)
+								}
+								refApply(ref, blocks)
+								for b := range got {
+									p.apply(got[b:b+1], b)
+								}
+								for b, g := range got {
+									for i, w := range blocks[b] {
+										switch {
+										case math.Float64bits(g[i]) == math.Float64bits(w):
+										case g[i] == 0 && w == 0:
+											flips++
+										default:
+											t.Fatalf("%s: %s between %s on (%v, %v), (%v, %v): block %d component %d is %v (%#x), gate at a time %v (%#x)",
+												tc.name, d.name, x.name, ar0, ai0, ar1, ai1, b, i, g[i], math.Float64bits(g[i]), w, math.Float64bits(w))
+										}
 									}
 								}
 							}
@@ -308,9 +343,65 @@ func zzUnitNegZeroRule(t *testing.T) {
 				}
 			}
 		}
+		if flips == 0 {
+			t.Fatalf("%s: no zero changed sign: the value set no longer reaches the ±0 rule", tc.name)
+		}
 	}
-	if flips == 0 {
-		t.Fatal("no zero changed sign: the value set no longer reaches the ±0 rule")
+}
+
+// TestUnitProjectsOnItsParity holds a ZZ unit with a zero entry —
+// Circuit.Validate checks no unitarity, so CNOT·diag(0, c)·CNOT is a
+// legal unit, and a collapse is one — to the projector gate at a time,
+// with its parity on two offset bits, on u and v both offset bits, in
+// runs shorter than unitRun and as long, and on one offset bit and a
+// block bit. On a dense block an amplitude the projector keeps must
+// carry the reference's bits, and one it drops must be exact +0 where
+// the reference is a zero of either sign.
+func TestUnitProjectsOnItsParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		name       string
+		uOff, uBlk int
+		vOff       int
+		amps       int
+	}{
+		{"u and v offset", 1, 0, 4, 8},
+		{"u and v offset, long runs", unitRun, 0, 2 * unitRun, 4 * unitRun},
+		{"u block, v offset", 0, 1, 2, 4},
+	} {
+		for _, d := range []quantum.Matrix2{{{0, 0}, {0, complex(0.6, -0.8)}}, {{1i, 0}, {0, 0}}} {
+			cx := refGate{tMask: tc.vOff, offCtrl: uint64(tc.uOff), blkCtrl: tc.uBlk, u: quantum.MatX}
+			ref := []refGate{cx, {tMask: tc.vOff, u: d}, cx}
+			unit := passGate{class: classUnit, u: d, tMask: tc.uOff | tc.vOff, par: tc.uBlk}
+			p := newBlockPass(passKey{}, []passGate{unit}, 0, unit.par)
+			blocks := map[int][]float64{}
+			got := make([][]float64, 1+tc.uBlk)
+			for b := range got {
+				x := make([]float64, 2*tc.amps)
+				for i := range x {
+					x[i] = rng.NormFloat64()
+				}
+				blocks[b], got[b] = x, slices.Clone(x)
+			}
+			refApply(ref, blocks)
+			kept := 0
+			for b := range got {
+				p.apply(got[b:b+1], b)
+				for i, w := range blocks[b] {
+					g := got[b][i]
+					switch {
+					case w != 0 && math.Float64bits(g) == math.Float64bits(w):
+						kept++
+					case w == 0 && math.Float64bits(g) == 0:
+					default:
+						t.Fatalf("%s, d %v: block %d component %d is %v (%#x), gate at a time %v (%#x)", tc.name, d, b, i, g, math.Float64bits(g), w, math.Float64bits(w))
+					}
+				}
+			}
+			if total := len(got) * 2 * tc.amps; kept != total/2 {
+				t.Fatalf("%s, d %v: kept %d of %d components, want half", tc.name, d, kept, total)
+			}
+		}
 	}
 }
 
@@ -344,20 +435,29 @@ func TestRunLenWalksSupersets(t *testing.T) {
 // pair), t=mid the common case, ctrl=1 a controlled gate (half the pairs
 // fire), pair the block-segment target across two blocks, group the
 // same target across both pairs of a 4-block group, group8 across the
-// four pairs of an 8-block group. Dense random input never passes the
-// zero pre-filter — the regime of every workload but Grover's; the
-// /sparse variants draw half the components as ±0, so the pre-filter
-// passes on most pairs and the -0 test decides, as on Grover's ancillas.
-// The zz rows are a ZZ unit on one block, in place and with no -0 test:
-// zz/offset with its parity on an offset bit (u offset, v a block bit),
-// zz/block on block bits alone.
+// four pairs of an 8-block group. The classes are a fused H·T (general),
+// RX (real-imag), RZ (diagonal) and X (swap). Dense random
+// input never passes the zero pre-filter — the regime of every workload
+// but Grover's; the /sparse variants draw half the components as ±0, so
+// the pre-filter passes on most pairs and the -0 test decides, as on
+// Grover's ancillas. The zz rows are a ZZ unit on every member of an
+// 8-block group, in place and with no -0 test, by how many of u and v
+// are offset bits: par=0 on block bits alone, par=1 with u an offset
+// bit and v a block bit, par=2 with both offset bits, u on bit 0, 1, 2
+// or 6: runs of one and two amplitudes take the per-amplitude table,
+// runs of four (t=2, as long as unitRun) and 64 the run loop.
 func BenchmarkKernel(b *testing.B) {
 	const offsetBits = 12 // the engine's default block
 	const ba = 1 << offsetBits
 	classes := []struct {
 		name string
 		u    quantum.Matrix2
-	}{{"general", quantum.MatH}, {"diagonal", quantum.RZ(0.7)}, {"swap", quantum.MatX}}
+	}{
+		{"general", quantum.MatH.Mul(quantum.MatT)},
+		{"real-imag", quantum.RX(1.3)},
+		{"diagonal", quantum.RZ(0.7)},
+		{"swap", quantum.MatX},
+	}
 	shapes := []struct {
 		name          string
 		tMask, stride int
@@ -419,14 +519,22 @@ func BenchmarkKernel(b *testing.B) {
 			}
 		}
 	}
+	const mid = 1 << (offsetBits / 2)
 	for _, sh := range []struct {
 		name       string
 		tMask, par int
-	}{{"offset", 1 << (offsetBits / 2), 1}, {"block", 0, 3}} {
+	}{
+		{"par=0", 0, 3},
+		{"par=1", mid, 1},
+		{"par=2/t=0", 1 | mid<<3, 0},
+		{"par=2/t=1", 2 | mid<<3, 0},
+		{"par=2/t=2", 4 | mid<<3, 0},
+		{"par=2/t=mid", mid | mid<<3, 0},
+	} {
 		for _, in := range inputs {
 			b.Run("zz/"+sh.name+in.suffix, func(b *testing.B) {
 				g := passGate{class: classUnit, u: quantum.RZ(0.7), tMask: sh.tMask, par: sh.par}
-				run(b, newBlockPass(passKey{}, []passGate{g}, 0, sh.par), ba, in.draw)
+				run(b, newBlockPass(passKey{}, []passGate{g}, 7, sh.par), groupSize*ba, in.draw)
 			})
 		}
 	}
@@ -462,8 +570,9 @@ func benchVariants(b *testing.B, qubits, k, workers int) []*Simulator {
 // codec round trip included, on a pair (13 qubits, a target on the
 // block qubit), a group of four (14 qubits, targets on both) and a group
 // of eight (15 qubits, targets on all three). The shift rows are a
-// parameter-shift gradient's batch on the pair: a 104-gate QAOA pass and
-// 78 variants that each part from it at one gate, spread over the pass,
+// parameter-shift gradient's batch on the pair: a 104-gate QAOA layer,
+// one pass of 52 gates with its ZZ triples as units, and 78 variants
+// that each part from it at one gate, spread over the pass,
 // so all but variant 0 run as forks of its walk.
 func BenchmarkLockstepPass(b *testing.B) {
 	for _, workers := range []int{1, 2} {

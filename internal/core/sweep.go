@@ -41,11 +41,12 @@ import (
 //     not once per gate, and both ranks compute the pairs the rank-target
 //     gates split.
 //   - A ZZ unit needs no target: CNOT(u,v)·D(v)·CNOT(u,v), D diagonal
-//     and uncontrolled, v above the offset segment (quantum.ZZUnit),
-//     multiplies each amplitude by D's entry indexed by z_u ⊕ z_v and
-//     mixes nothing, so it runs in place on every member whatever
-//     segments u and v lie in — one gate of the pass (unitGate), no
-//     exchange. QAOA's cost layer is one unit per edge.
+//     and uncontrolled (quantum.ZZUnit), multiplies each amplitude by
+//     D's entry indexed by z_u ⊕ z_v and mixes nothing, so it runs in
+//     place on every member whatever segments u and v lie in — one gate
+//     of the pass (unitGate), one complex multiply per amplitude where
+//     the triple made three passes over it, and no exchange. QAOA's cost
+//     layer is one unit per edge.
 //   - One walk per group (walk): decompress the members the pass reads,
 //     apply all k gates in circuit order (an offset-target gate to each
 //     member whose block index satisfies its block controls, a
@@ -62,7 +63,8 @@ import (
 // gate-at-a-time execution: every amplitude sees the same float
 // operations in the same order, and decompress ∘ compress is exact, so
 // eliding the round trips in between changes no bits. The class kernels
-// keep this by the −0 rule, a ZZ unit by the weaker ±0 rule (both at
+// (general, diagonal, swap, real-imaginary; gateClass) keep this
+// by the −0 rule, a ZZ unit by the weaker ±0 rule (both at
 // apply): it equals the three gates in every nonzero component, and
 // where its component is zero so is theirs, the sign aside — so a
 // dense state keeps its bits. Under lossy
@@ -131,6 +133,7 @@ const (
 	classGeneral  gateClass = iota // the full complex 2×2, 28 flops a pair
 	classDiagonal                  // u01 == u10 == 0: one complex multiply per amplitude, 12 flops a pair
 	classSwap                      // u00 == u11 == 0, u01 == u10 == 1: a copy
+	classRealImag                  // a real diagonal, an imaginary off-diagonal (RX, Y): 12 flops a pair
 	classUnit                      // a ZZ unit: one complex multiply per amplitude, by the entry its parity picks
 )
 
@@ -140,6 +143,8 @@ func classify(u quantum.Matrix2) gateClass {
 		return classDiagonal
 	case u[0][0] == 0 && u[1][1] == 0 && u[0][1] == 1 && u[1][0] == 1:
 		return classSwap
+	case imag(u[0][0]) == 0 && real(u[0][1]) == 0 && real(u[1][0]) == 0 && imag(u[1][1]) == 0:
+		return classRealImag
 	}
 	return classGeneral
 }
@@ -165,9 +170,10 @@ type passGate struct {
 	// par is a ZZ unit's (classUnit, see unitGate): it has no target, no
 	// flip and no block controls, and multiplies every amplitude of a
 	// member by u00 or u11, the middle gate's entries, as the parity
-	// z_u ⊕ z_v is 0 or 1. The parity reads tMask in the offset (u's bit,
-	// 0 when u is no offset qubit) and par in the member's block index; a
-	// rank bit decided on this rank has swapped the entries already.
+	// z_u ⊕ z_v is 0 or 1. The parity reads tMask in the offset (u's and
+	// v's bits there, none, one or two) and par in the member's block
+	// index; a rank bit decided on this rank has swapped the entries
+	// already.
 	par int
 }
 
@@ -328,7 +334,7 @@ func (s *Simulator) unitGate(rs *rankState, unit []quantum.Gate, tr int) (g pass
 }
 
 // parity adds qubit q to the parity of unit g on this rank, tr the rank
-// bit the pass exchanges, if any. An offset qubit is g's tMask; a block
+// bit the pass exchanges, if any. An offset qubit joins g's tMask; a block
 // bit, or bit nb for tr — a member bit, as a control on it is — is
 // returned as q's bit in a member's block index and joins g.par; any
 // other rank bit is decided here: 1 swaps g's entries, 0 (zero) leaves
@@ -336,7 +342,7 @@ func (s *Simulator) unitGate(rs *rankState, unit []quantum.Gate, tr int) (g pass
 func (s *Simulator) parity(rs *rankState, g *passGate, q, tr int) (bit int, zero bool) {
 	switch r := q - s.offsetBits - s.blockBits; {
 	case q < s.offsetBits:
-		g.tMask = 1 << uint(q)
+		g.tMask |= 1 << uint(q)
 	case r < 0:
 		bit = 1 << uint(q-s.offsetBits)
 	case 1<<uint(r) == tr:
@@ -425,18 +431,20 @@ func (p *blockPass) reads(b int) (fired [groupSize]int, read int) {
 // read (reads) holds stale scratch and is neither read nor written.
 //
 // Each gate runs the loop of its class: one complex multiply per
-// amplitude for a diagonal, a copy for a swap, else the full 2×2. The
-// bytes are the general 2×2's — the class never enters passKey — by the
-// −0 rule: a dropped term is u·a with u an exact (±0, ±0) entry and a
-// finite, so each of its components is a signed zero (0·Inf would be
-// NaN). Adding a signed zero changes no nonzero r, and +0 + ±0 == +0;
-// only −0 + +0 == +0 moves a bit. The swap's kept term is 1·x, whose
-// components are x's plus signed zeros the same way, so the same holds.
-// A pair whose short result has a component equal to −0 is therefore
-// recomputed in full, and no other pair needs to be. The real·imag == 0
-// test in front is a pre-filter: any zero component passes it (for
-// finite results), a dense pair never does, so a dense state pays for
-// one multiply and compare per amplitude and never for the sign test.
+// amplitude for a diagonal, a copy for a swap, the 2×2 over its real
+// products alone for a real-imaginary matrix, else the full 2×2. The
+// bytes are the general 2×2's — the class never enters passKey — by
+// the −0 rule: a dropped product is an exact ±0 matrix component times
+// a finite amplitude component, a signed zero (0·Inf would be NaN).
+// Adding or subtracting a signed zero changes no nonzero r, and
+// +0 + ±0 == +0; only −0 + +0 == +0 moves a bit. The swap's kept term
+// is 1·x, whose components are x's plus signed zeros the same way, so
+// the same holds. A pair whose short result has a component equal to
+// −0 is therefore recomputed in full, and no other pair needs to be.
+// The real·imag == 0 test in front is a pre-filter: any zero component
+// passes it (for finite results), a dense pair never does, so a dense
+// state pays for one multiply and compare per amplitude and never for
+// the sign test.
 //
 // A ZZ unit keeps the ±0 rule instead: each of its components equals
 // the three-gate reference's wherever either is nonzero, and where one
@@ -446,10 +454,11 @@ func (p *blockPass) reads(b int) (fired [groupSize]int, read int) {
 // swaps and the dropped 0·a term change only the signs of zeros (the
 // −0 rule's argument), and d·x′ differs from the unit's d·x only where
 // a product term is a signed zero, which moves no nonzero sum. The
-// partner lives in a block the group no longer holds, so a −0 cannot
-// be recomputed in full: a unit may differ from gate-at-a-time in the
-// sign of a zero component, never elsewhere. No dense state has a zero
-// component, so its bits and blobs are gate-at-a-time's.
+// unit reads no partner — for a block v it lives in a block the group
+// no longer holds — so a −0 is not recomputed in full: a unit may
+// differ from gate-at-a-time in the sign of a zero component, never
+// elsewhere. No dense state has a zero component, so its bits and blobs
+// are gate-at-a-time's.
 func (p *blockPass) apply(bufs [][]float64, b int) { p.applyTo(bufs, b, p.gates, 0, p.size) }
 
 // applyTo is apply restricted to gates, a range of the pass's, and to
@@ -523,6 +532,24 @@ func (g *passGate) kernel(lo, hi []float64) {
 				h[i-1], h[i] = real(n1), imag(n1)
 			}
 		}
+	case classRealImag:
+		r00, s01, s10, r11 := real(g.u[0][0]), imag(g.u[0][1]), imag(g.u[1][0]), real(g.u[1][1])
+		for v := mask; v < ba; v = (v + n) | mask {
+			l, h := window(lo, hi, v, t, n)
+			for i := 1; i < len(l); i += 2 {
+				x0, y0, x1, y1 := l[i-1], l[i], h[i-1], h[i]
+				// Each product is converted, so rounded on its own: the
+				// 2×2's complex products round each real product before
+				// the sum, and a fused multiply-add here would not.
+				n0 := complex(float64(r00*x0)-float64(s01*y1), float64(r00*y0)+float64(s01*x1))
+				n1 := complex(float64(r11*x1)-float64(s10*y0), float64(r11*y1)+float64(s10*x0))
+				if (real(n0)*imag(n0) == 0 || real(n1)*imag(n1) == 0) && hasNegZero(n0, n1) {
+					n0, n1 = g.full(complex(x0, y0), complex(x1, y1))
+				}
+				l[i-1], l[i] = real(n0), imag(n0)
+				h[i-1], h[i] = real(n1), imag(n1)
+			}
+		}
 	default:
 		u00, u01, u10, u11 := g.u[0][0], g.u[0][1], g.u[1][0], g.u[1][1]
 		for v := mask; v < ba; v = (v + n) | mask {
@@ -539,47 +566,47 @@ func (g *passGate) kernel(lo, hi []float64) {
 	}
 }
 
-// unit is a ZZ unit's kernel on the member whose block index is blk:
-// each amplitude times u00 where z_u ⊕ z_v is 0 and u11 where it is 1,
-// in runs of tMask amplitudes, or the whole block when u is no offset
-// qubit. It is the multiply gate-at-a-time's middle gate applies after
-// the CNOT's exact swap, with no −0 fallback: the partner the general
-// 2×2 reads is not in the group, which is the ±0 rule (see apply). An
-// entry of 0 is a collapse's (collapsePass), decided once per member.
-func (g *passGate) unit(x []float64, blk int) {
-	d0, d1 := g.u[0][0], g.u[1][1]
-	if bits.OnesCount(uint(blk&g.par))&1 != 0 {
-		d0, d1 = d1, d0
-	}
-	if d0 == 0 || d1 == 0 {
-		g.project(x, d0, d1)
-		return
-	}
-	if g.tMask == 0 {
-		scale(x, d0)
-		return
-	}
-	n := 2 * g.tMask // floats in a run
-	for v := 0; v < len(x); v += 2 * n {
-		scale(x[v:v+n], d0)
-		scale(x[v+n:v+2*n], d1)
-	}
-}
+// unitRun is the shortest run of one parity a unit scales as a slice:
+// below it the per-run slicing costs more than the multiplies, and
+// unit picks each amplitude's entry from a two-entry table instead,
+// two amplitudes at a time.
+const unitRun = 4
 
-// project is unit with a zero entry: its runs are written exact +0, not
-// 0·x, whose zeros carry signs, so an amplitude a collapse drops is the
-// zero Reset installs and a dropped block compresses to its blob; the
-// other entry's runs are scaled.
-func (g *passGate) project(x []float64, d0, d1 complex128) {
-	n := 2 * g.tMask // floats in a run
-	if n == 0 {
-		n = len(x) // the member is one run, d0's
+// unit is a ZZ unit's kernel on the member whose block index is blk:
+// amplitude o times d[p], p the parity of o's bits in tMask and blk's in
+// par — u00 where z_u ⊕ z_v is 0, u11 where it is 1. The amplitudes of
+// one parity come in runs of tMask's lowest bit, the whole block when
+// neither u nor v is an offset qubit. It is the multiply gate-at-a-time's
+// middle gate applies after the CNOT's exact swap, with no −0 fallback,
+// which is the ±0 rule (see apply). An entry of 0 — a collapse's
+// (collapsePass), or any zero-entry unit — writes its runs exact +0,
+// not 0·x, whose zeros carry signs, so an amplitude a collapse drops is
+// the zero Reset installs and a dropped block compresses to its blob.
+func (g *passGate) unit(x []float64, blk int) {
+	d := [2]complex128{g.u[0][0], g.u[1][1]}
+	if bits.OnesCount(uint(blk&g.par))&1 != 0 {
+		d[0], d[1] = d[1], d[0]
 	}
-	for v := 0; v < len(x); v += n {
-		if d := [2]complex128{d0, d1}[v/n&1]; d != 0 {
-			scale(x[v:v+n], d)
+	t := g.tMask
+	n := runLen(t, len(x)/2) // amplitudes in a run
+	if n < unitRun && t != 0 && d[0] != 0 && d[1] != 0 {
+		// Amplitudes 2j and 2j+1 a step, x[i] the latter's last float: the
+		// two differ in parity when n is 1.
+		f := t & 1
+		for i := 3; i < len(x); i += 4 {
+			p := bits.OnesCount(uint(i>>1&^1&t)) & 1 // amplitude 2j's
+			a0 := d[p] * complex(x[i-3], x[i-2])
+			a1 := d[p^f] * complex(x[i-1], x[i])
+			x[i-3], x[i-2], x[i-1], x[i] = real(a0), imag(a0), real(a1), imag(a1)
+		}
+		return
+	}
+	for o := 0; 2*o < len(x); o += n {
+		run := x[2*o : 2*(o+n)]
+		if dd := d[bits.OnesCount(uint(o&t))&1]; dd != 0 {
+			scale(run, dd)
 		} else {
-			clear(x[v : v+n])
+			clear(run)
 		}
 	}
 }
@@ -877,9 +904,10 @@ type forkPlan struct {
 // function of the batch. Each chunk repeats the decode of variant 0's inputs and the
 // walk of its prefix up to the chunk's last fork: more chunks buy
 // parallelism with repeated work, and a chunk of one fork saves nothing
-// over a solo run. Eight chunks fill a small pool while repeating 341
-// gates, against the 4 756 a parameter-shift batch of 79 variants on a
-// 104-gate pass saves.
+// over a solo run. Eight chunks fill a small pool while repeating 184
+// gates, against the 2 261 a parameter-shift batch of 79 variants on a
+// 52-gate pass (a 104-gate QAOA layer, its 26 ZZ triples one gate each)
+// saves.
 const (
 	forkChunks    = 8
 	forksPerChunk = 4

@@ -390,19 +390,21 @@ func zzUnitCircuit() *quantum.Circuit {
 		c.H(q).PRX(q, quantum.P(0))
 	}
 	zz := func(u, v int) { c.CNOT(u, v).PRZ(v, quantum.P(0).Times(2)).CNOT(u, v) }
-	// u offset, block and rank; v block and rank; at 4 ranks (5, 6) is
-	// two rank qubits.
-	for _, e := range [][2]int{{0, 3}, {4, 5}, {6, 4}, {1, 6}, {3, 6}, {5, 6}, {2, 4}} {
+	// u offset, block and rank; v offset, block and rank; at 4 ranks
+	// (5, 6) is two rank qubits.
+	for _, e := range [][2]int{{0, 3}, {4, 5}, {6, 4}, {1, 6}, {3, 6}, {5, 6}, {2, 4}, {1, 2}, {4, 0}, {6, 1}} {
 		zz(e[0], e[1])
 	}
 	for q := range qubits {
 		c.PRX(q, quantum.P(0))
 	}
 	// An exchange sweep: the rank target 6, then units on the exchanged
-	// rank bit as v and as u, then the rank target again.
+	// rank bit as v and as u (v a block and an offset qubit), then the
+	// rank target again.
 	c.RY(6, 0.7)
 	zz(2, 6)
 	zz(6, 3)
+	zz(6, 0)
 	c.RX(6, 0.4).T(6).Measure(0)
 	for _, e := range [][2]int{{1, 5}, {5, 3}, {0, 4}} {
 		zz(e[0], e[1])
@@ -416,7 +418,7 @@ func zzUnitCircuit() *quantum.Circuit {
 // TestSweepZZUnitBitIdentical holds ZZ units to gate-at-a-time
 // execution on a dense state, where the ±0 rule leaves no sign to
 // differ: bits, blobs and ledgers, with u and v on offset, block and
-// rank bits, at 2 and 4 ranks, a unit on the exchanged rank bit inside
+// rank bits (v an offset bit with u in each segment), at 2 and 4 ranks, a unit on the exchanged rank bit inside
 // an exchange sweep (2 ranks), K = 1 and 3, 1, 2 and 4 workers, the
 // block cache on and off, spill on and off. The codec passes saved
 // still count against gate-at-a-time: a unit counts the gates of its
@@ -452,7 +454,7 @@ func TestSweepZZUnitBitIdentical(t *testing.T) {
 		}
 		return found
 	}
-	for _, want := range []string{"offset/block", "block/block", "rank/block", "offset/rank", "block/rank", "exchanged"} {
+	for _, want := range []string{"offset/offset", "block/offset", "rank/offset", "offset/block", "block/block", "rank/block", "offset/rank", "block/rank", "exchanged"} {
 		if !segments(3, 3)[want] {
 			t.Fatalf("2 ranks: no %s unit; the test is vacuous (%v)", want, segments(3, 3))
 		}

@@ -90,20 +90,19 @@ func (s GroupSweep) Len() int { return s.End - s.Start }
 
 // ZZUnit reports whether gates[i:i+3] is a ZZ unit: CNOT(u,v), then a
 // gate on v with no controls and exact-zero off-diagonal entries, then
-// the same CNOT(u,v), with v above the offset segment. The triple
-// multiplies each amplitude by the middle gate's diagonal entry indexed
-// by z_u ⊕ z_v, so it mixes no amplitudes, and a pass applies it in
-// place, as no target (QAOA's cost layer is one unit per edge; an
-// offset-v triple needs no target already and stays three gates). The
-// entries are read by exact equality, never the gates' names; −0
-// counts as 0. In a batch a unit must be one in every variant: others
-// are the other variants' gates, of the same shape.
-func ZZUnit(gates []Gate, i, offsetBits int, others ...[]Gate) bool {
-	if !zzUnit(gates, i, offsetBits) {
+// the same CNOT(u,v), u and v in any segment. The triple multiplies
+// each amplitude by the middle gate's diagonal entry indexed by
+// z_u ⊕ z_v, so it mixes no amplitudes, and a pass applies it in place,
+// as no target and one multiply per amplitude (QAOA's cost layer is one
+// unit per edge). The entries are read by exact equality, never the
+// gates' names; −0 counts as 0. In a batch a unit must be one in every
+// variant: others are the other variants' gates, of the same shape.
+func ZZUnit(gates []Gate, i int, others ...[]Gate) bool {
+	if !zzUnit(gates, i) {
 		return false
 	}
 	for _, gs := range others {
-		if !zzUnit(gs, i, offsetBits) {
+		if !zzUnit(gs, i) {
 			return false
 		}
 	}
@@ -111,12 +110,12 @@ func ZZUnit(gates []Gate, i, offsetBits int, others ...[]Gate) bool {
 }
 
 // zzUnit is ZZUnit for one gate list.
-func zzUnit(gates []Gate, i, offsetBits int) bool {
+func zzUnit(gates []Gate, i int) bool {
 	if i+3 > len(gates) {
 		return false
 	}
 	cx, d, cx2 := &gates[i], &gates[i+1], &gates[i+2]
-	return isCNOT(cx) && cx.Target >= offsetBits && isCNOT(cx2) && cx2.Target == cx.Target && cx2.Controls[0] == cx.Controls[0] &&
+	return isCNOT(cx) && isCNOT(cx2) && cx2.Target == cx.Target && cx2.Controls[0] == cx.Controls[0] &&
 		d.Kind == KindUnitary && d.Target == cx.Target && len(d.Controls) == 0 && d.U[0][1] == 0 && d.U[1][0] == 0
 }
 
@@ -151,7 +150,7 @@ func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int, others ...[
 			if g.Kind != KindUnitary {
 				break
 			}
-			if ZZUnit(gates, j, offsetBits, others...) {
+			if ZZUnit(gates, j, others...) {
 				units = append(units, j-i)
 				j += 2
 				continue

@@ -177,9 +177,9 @@ func TestPlanGroupSweeps(t *testing.T) {
 		{"width 1: ZZ units on rank qubits need no target or exchange", 3, 2, 1,
 			[]Gate{h(3), cx(4, 5), rz(5), cx(4, 5), cx(6, 5), rz(5), cx(6, 5), cx(5, 4), rz(4), cx(5, 4), h(1)},
 			[]GroupSweep{{0, 11, true, []int{1, 4, 7}}}},
-		{"width 1: an offset-v triple stays three gates", 3, 2, 1,
-			[]Gate{h(3), cx(4, 1), rz(1), cx(4, 1), h(3)},
-			[]GroupSweep{{0, 5, true, nil}}},
+		{"width 1: an offset-v triple is a unit", 3, 2, 1,
+			[]Gate{h(3), cx(4, 1), rz(1), cx(4, 1), cx(0, 1), rz(1), cx(0, 1), h(3)},
+			[]GroupSweep{{0, 8, true, []int{1, 4}}}},
 		{"width 1: a measurement breaks a triple", 3, 2, 1,
 			[]Gate{h(3), cx(0, 4), rz(4), m(0), cx(0, 4)},
 			[]GroupSweep{{0, 1, true, nil}, {1, 3, true, nil}, {3, 4, false, nil}, {4, 5, true, nil}}},
@@ -274,14 +274,14 @@ func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
 			}
 			next = sw.End
 			for k, u := range sw.Units {
-				if k > 0 && u < sw.Units[k-1]+3 || u+3 > sw.Len() || !ZZUnit(cir.Gates, sw.Start+u, offsetBits) {
+				if k > 0 && u < sw.Units[k-1]+3 || u+3 > sw.Len() || !ZZUnit(cir.Gates, sw.Start+u) {
 					t.Logf("sweep %+v: unit %d is no ZZ unit inside it", sw, u)
 					return false
 				}
 				units++
 			}
 			for i := range sw.Len() {
-				if !inUnit(sw, i) && ZZUnit(cir.Gates, sw.Start+i, offsetBits) {
+				if !inUnit(sw, i) && ZZUnit(cir.Gates, sw.Start+i) {
 					t.Logf("sweep %+v: gate %d starts a ZZ unit the plan did not name", sw, sw.Start+i)
 					return false
 				}
