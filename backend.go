@@ -40,7 +40,8 @@ const (
 // the facade reaches the *core.Simulator for it through
 // Simulator.compressedOnly, the one place ErrUnsupportedOp is built for
 // an engine that lacks it. Quantities the facade can derive (geometry,
-// the compression ratio) are not in it either.
+// the compression ratio, ExpectationZ/ZZ and MaxCutEnergy, which are
+// Observables read through DiagonalExpectation) are not in it either.
 type backend interface {
 	Name() string
 
@@ -67,13 +68,15 @@ type backend interface {
 	FullState() ([]complex128, error)
 	Norm() (float64, error)
 	ProbabilityOne(q int) (float64, error)
-	ExpectationZ(q int) (float64, error)
-	ExpectationZZ(a, b int) (float64, error)
-	MaxCutEnergy(edges []core.CutEdge) (float64, error)
+	// DiagonalExpectation is every diagonal observable's one read,
+	// Σ W·⟨Z_Q⟩ + Σ W·⟨Z_A Z_B⟩ over terms the facade has checked. The
+	// compressed engine reads the stored state as-is, Σ w(idx)·|a|² with
+	// no renormalization of lossy norm drift; mps normalizes by ⟨ψ|ψ⟩.
+	DiagonalExpectation(zs []quantum.ZTerm, zzs []quantum.ZZTerm) (float64, error)
 
 	// Shot-based readout: probability tables built once, draws from the
 	// backend's seeded sampling stream.
-	NewSampler(cacheLines int) (backendSampler, error)
+	NewSampler() (backendSampler, error)
 
 	// Close releases engine resources (the compressed backend's spill
 	// files when WithSpill is active; a no-op everywhere else).
@@ -89,15 +92,16 @@ type backendSampler interface {
 
 // compressedBackend adapts *core.Simulator to the backend interface.
 // Everything is a direct delegation except NewSampler, whose concrete
-// return type must be lifted to the interface.
+// return type must be lifted to the interface and whose decoded-block
+// LRU is DefaultSampleCache lines.
 type compressedBackend struct {
 	*core.Simulator
 }
 
 func (b compressedBackend) Name() string { return BackendCompressed }
 
-func (b compressedBackend) NewSampler(cacheLines int) (backendSampler, error) {
-	sp, err := b.Simulator.NewSampler(cacheLines)
+func (b compressedBackend) NewSampler() (backendSampler, error) {
+	sp, err := b.Simulator.NewSampler(DefaultSampleCache)
 	if err != nil {
 		return nil, err
 	}

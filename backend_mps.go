@@ -136,17 +136,9 @@ func (b *mpsBackend) Norm() (float64, error)                   { return b.st.Nor
 func (b *mpsBackend) FullState() ([]complex128, error) { return b.st.Dense() }
 
 func (b *mpsBackend) ProbabilityOne(q int) (float64, error) { return b.st.ProbabilityOne(q) }
-func (b *mpsBackend) ExpectationZ(q int) (float64, error)   { return b.st.ExpectationZ(q) }
-func (b *mpsBackend) ExpectationZZ(a, c int) (float64, error) {
-	return b.st.ExpectationZZ(a, c)
-}
 
-func (b *mpsBackend) MaxCutEnergy(edges []core.CutEdge) (float64, error) {
-	qe := make([]quantum.Edge, len(edges))
-	for i, e := range edges {
-		qe[i] = quantum.Edge{U: e.U, V: e.V}
-	}
-	return b.st.MaxCutEnergy(qe)
+func (b *mpsBackend) DiagonalExpectation(zs []quantum.ZTerm, zzs []quantum.ZZTerm) (float64, error) {
+	return b.st.DiagonalExpectation(zs, zzs)
 }
 
 // Close: the MPS engine holds no resources beyond RAM.
@@ -162,9 +154,7 @@ type mpsSampler struct {
 }
 
 // NewSampler builds the right-environment tables in one O(n·χ³) sweep.
-// cacheLines is the compressed engine's decompressed-block LRU size; an
-// MPS has no blocks to cache, so it is ignored.
-func (b *mpsBackend) NewSampler(cacheLines int) (backendSampler, error) {
+func (b *mpsBackend) NewSampler() (backendSampler, error) {
 	sp, err := b.st.NewSampler()
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 
 	"qcsim/circuit"
 	"qcsim/internal/core"
+	"qcsim/internal/quantum"
 )
 
 // Variational workloads: one parametric circuit shape, executed at K
@@ -19,14 +20,15 @@ import (
 
 // ZTerm is one weighted single-qubit Pauli-Z term W·Z_Q of a diagonal
 // observable.
-type ZTerm = core.ZTerm
+type ZTerm = quantum.ZTerm
 
 // ZZTerm is one weighted two-qubit correlator term W·Z_A·Z_B.
-type ZZTerm = core.ZZTerm
+type ZZTerm = quantum.ZZTerm
 
 // Observable is a diagonal (computational-basis) observable
 // Const + Σ W·Z_Q + Σ W·Z_A·Z_B — the energy functional variational
-// workloads optimize. Evaluation is a single pass over the compressed
+// workloads optimize, and what ExpectationZ, ExpectationZZ and
+// MaxCutEnergy read. Evaluation is a single pass over the compressed
 // state regardless of the number of terms.
 type Observable struct {
 	Const float64
@@ -119,11 +121,7 @@ func (s *Simulator) retainBatch(sims []*core.Simulator) {
 	}
 	s.batch = make([]*Simulator, len(sims))
 	for v, cs := range sims {
-		s.batch[v] = &Simulator{
-			qubits:      s.qubits,
-			be:          compressedBackend{cs},
-			sampleCache: s.sampleCache,
-		}
+		s.batch[v] = &Simulator{qubits: s.qubits, be: compressedBackend{cs}}
 	}
 }
 
@@ -171,21 +169,8 @@ func (s *Simulator) Gradient(ctx context.Context, c *circuit.Circuit, values []f
 	}
 	// Before the batch is cloned and run: a bad term costs nothing, and
 	// whatever the readout reports afterwards is a store or codec failure.
-	for _, t := range obs.Z {
-		if err := s.checkQubit(t.Q); err != nil {
-			return nil, err
-		}
-	}
-	for _, t := range obs.ZZ {
-		if err := s.checkQubit(t.A); err != nil {
-			return nil, err
-		}
-		if err := s.checkQubit(t.B); err != nil {
-			return nil, err
-		}
-		if t.A == t.B {
-			return nil, fmt.Errorf("%w: ZZ term on the single qubit %d", ErrInvalidQubit, t.A)
-		}
+	if err := s.checkObservable(obs); err != nil {
+		return nil, err
 	}
 	occs := c.ParamOccurrences()
 	if len(occs) == 0 {

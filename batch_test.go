@@ -396,3 +396,44 @@ func TestWithVariantsEstimate(t *testing.T) {
 		t.Fatalf("WithVariants(0) as default rejected by New: %v", err)
 	}
 }
+
+// TestMaxCutEnergyIsGradientEnergy: MaxCutEnergy is the diagonal read
+// Gradient's readout makes, and Run(c.Bind(values)) leaves the state of
+// the gradient batch's unshifted variant, so the two energies agree to
+// the last bit.
+func TestMaxCutEnergyIsGradientEnergy(t *testing.T) {
+	const n, rounds = 8, 1
+	ctx := context.Background()
+	for seed := int64(3); seed <= 6; seed++ {
+		ansatz := circuit.QAOAAnsatz(n, rounds, seed)
+		edges := circuit.RandomRegularGraph(n, 4, seed)
+		values := circuit.QAOAAngles(rounds, seed)
+		mk := func() *Simulator {
+			s, err := New(n, WithSeed(seed), WithBlockAmps(16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		}
+		res, err := mk().Gradient(ctx, ansatz, values, MaxCutObservable(edges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := ansatz.Bind(values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := mk()
+		if _, err := s.Run(ctx, bound); err != nil {
+			t.Fatal(err)
+		}
+		e, err := s.MaxCutEnergy(edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(e) != math.Float64bits(res.Energy) {
+			t.Errorf("seed %d: MaxCutEnergy %v, Gradient's Energy %v", seed, e, res.Energy)
+		}
+	}
+}

@@ -44,7 +44,6 @@ func main() {
 		codec       = flag.String("codec", "", "lossy codec name or alias (default: the paper's Solution C; see qccompress -list)")
 		seed        = flag.Int64("seed", 1, "randomness seed")
 		shots       = flag.Int("shots", 0, "sample this many outcomes at the end (streams from the compressed state; works at any register width)")
-		sampleCache = flag.Int("sample-cache", qcsim.DefaultSampleCache, "decompressed blocks the sampler keeps hot")
 		checkpoint  = flag.String("checkpoint", "", "write a checkpoint file after the run")
 		resume      = flag.String("resume", "", "load a checkpoint file before the run")
 		uncomp      = flag.Bool("uncompressed", false, "run the uncompressed baseline")
@@ -138,7 +137,6 @@ func main() {
 		qcsim.WithNoise(*noise),
 		qcsim.WithSeed(*seed),
 		qcsim.WithSweeps(*sweeps),
-		qcsim.WithSampleCache(*sampleCache),
 	}
 	if *codec != "" {
 		opts = append(opts, qcsim.WithCodec(*codec))

@@ -41,6 +41,17 @@
 // read the compressed state directly; Save and Load checkpoint the
 // compressed blocks as-is (§3.5).
 //
+// ExpectationZ, ExpectationZZ and MaxCutEnergy are Observables — {Z: q},
+// {ZZ: a,b} and MaxCutObservable(edges) — read through the one diagonal
+// read Gradient's energies come from: one decode pass over every block
+// however many terms there are, so ⟨Z_q⟩ of a block-segment qubit
+// decodes every block, not only those holding q=1. The compressed
+// engine reads the stored state as-is: under lossy compression ⟨Z_q⟩ is
+// Σ ±|a|² over the stored amplitudes, not 1 − 2·P(q=1), which would be
+// off by 1 − Σ|a|² on every qubit. The mps backend normalizes by ⟨ψ|ψ⟩.
+// A term on a qubit outside the register, or a ZZ term on one qubit, is
+// ErrInvalidQubit on every backend.
+//
 // # Sampling
 //
 // Shot-based readout streams directly from the compressed blocks — the
@@ -54,9 +65,9 @@
 // array, binary-search it for each of the block's shots:
 // O(shots·log(blocks·blockAmps) + touched·blockAmps) per call, with
 // outcomes identical for every worker count. A small LRU
-// (WithSampleCache) keeps the blocks of narrow calls decoded between
-// calls; a call that touches more blocks than it has lines goes around
-// it.
+// (DefaultSampleCache lines) keeps the blocks of narrow calls decoded
+// between calls; a call that touches more blocks than it has lines goes
+// around it.
 //
 // Normalization contract: every draw is scaled by the CDF's true total
 // mass Σ|aᵢ|² (Sampler.TotalMass). Lossy compression legitimately lets

@@ -255,6 +255,38 @@ func TestMalformedCircuitSentinels(t *testing.T) {
 	}
 }
 
+// TestObservableRefusalsAcrossBackends: a term on a qubit outside the
+// register or a ZZ term on one qubit — ExpectationZZ(q, q), a self-loop
+// edge — is ErrInvalidQubit on every backend: the facade checks the
+// terms once for all of them.
+func TestObservableRefusalsAcrossBackends(t *testing.T) {
+	for _, backend := range []string{BackendCompressed, BackendMPS, BackendAuto} {
+		t.Run(backend, func(t *testing.T) {
+			sim, err := New(4, WithBackend(backend), WithSeed(1), WithBlockAmps(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			if _, err := sim.Run(context.Background(), circuit.GHZ(4)); err != nil {
+				t.Fatal(err)
+			}
+			calls := map[string]func() (float64, error){
+				"ExpectationZ(4)":     func() (float64, error) { return sim.ExpectationZ(4) },
+				"ExpectationZZ(2, 2)": func() (float64, error) { return sim.ExpectationZZ(2, 2) },
+				"ExpectationZZ(0, 4)": func() (float64, error) { return sim.ExpectationZZ(0, 4) },
+				"MaxCutEnergy self-loop": func() (float64, error) {
+					return sim.MaxCutEnergy([]circuit.Edge{{U: 0, V: 1}, {U: 3, V: 3}})
+				},
+			}
+			for name, call := range calls {
+				if _, err := call(); !errors.Is(err, ErrInvalidQubit) {
+					t.Errorf("%s: %v, want ErrInvalidQubit", name, err)
+				}
+			}
+		})
+	}
+}
+
 // TestAssertionSentinels: the statistical assertions report typed
 // errors at the facade — the engine's untyped messages used to pass
 // through errors.Is unrecognized.

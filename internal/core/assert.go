@@ -72,44 +72,20 @@ func (s *Simulator) AssertProduct(a, b int, tol float64) error {
 }
 
 // jointDistribution returns [P(00), P(01), P(10), P(11)] over qubits
-// (a, b), with a the high bit: the one-pair case of jointDistributions.
+// (a, b), with a the high bit, from one read of the state (readBlocks)
+// in rank → block → offset order.
 func (s *Simulator) jointDistribution(a, b int) ([4]float64, error) {
-	joints, err := s.jointDistributions([][2]int{{a, b}})
-	if err != nil {
-		return [4]float64{}, err
+	var joint [4]float64
+	if a == b || a < 0 || b < 0 || a >= s.cfg.Qubits || b >= s.cfg.Qubits {
+		return joint, fmt.Errorf("%w (%d, %d)", ErrInvalidPair, a, b)
 	}
-	return joints[0], nil
-}
-
-// jointDistributions returns jointDistribution for every pair, from one
-// read of the state (readBlocks) however many pairs there are. Each
-// block's probabilities are squared into its scratch in place once;
-// every pair then folds them into its own four buckets, so a pair's sums
-// run in the rank → block → offset order a pass of its own would take
-// and come out the same floats.
-func (s *Simulator) jointDistributions(pairs [][2]int) ([][4]float64, error) {
-	for _, p := range pairs {
-		if a, b := p[0], p[1]; a == b || a < 0 || b < 0 || a >= s.cfg.Qubits || b >= s.cfg.Qubits {
-			return nil, fmt.Errorf("%w (%d, %d)", ErrInvalidPair, a, b)
-		}
-	}
-	joints := make([][4]float64, len(pairs))
+	ua, ub := uint(a), uint(b)
 	err := s.readBlocks(0, func(base uint64, x []float64) {
-		probs := x[:s.blockAmps()]
-		for o := range probs {
+		for o := range s.blockAmps() {
 			re, im := x[2*o], x[2*o+1]
-			probs[o] = re*re + im*im // slot o was read at offset o/2
-		}
-		for i, p := range pairs {
-			a, b, joint := uint(p[0]), uint(p[1]), &joints[i]
-			for o, pr := range probs {
-				idx := base + uint64(o)
-				joint[(idx>>a&1)<<1|idx>>b&1] += pr
-			}
+			idx := base + uint64(o)
+			joint[(idx>>ua&1)<<1|idx>>ub&1] += re*re + im*im
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return joints, nil
+	return joint, err
 }

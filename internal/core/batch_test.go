@@ -569,8 +569,9 @@ func TestCloneIssuesNoCodecCall(t *testing.T) {
 // TestCloneHoldsNoScratch: a batch variant's passes run on variant 0's
 // worker pool, so a clone allocates no scratch of its own — not even the
 // Eq. 8 pair — until something runs on its own pool. Inspecting it
-// (readBlocks) decodes into a scratch of the call's own, so a clone that
-// has only been read holds none either.
+// (DiagonalExpectation fans out on the clone's own pool, readBlocks does
+// not) decodes into buffers of the call's own, so a clone that has only
+// been read holds none either.
 func TestCloneHoldsNoScratch(t *testing.T) {
 	s := newSim(t, 8, 2, 16, func(c *Config) { c.Workers = 2 })
 	if err := s.Run(quantum.RandomCircuit(8, 20, 4)); err != nil {
@@ -593,13 +594,13 @@ func TestCloneHoldsNoScratch(t *testing.T) {
 	}
 	noScratch("when fresh")
 	assertBitIdentical(t, s, clone, "clone")
-	if _, err := clone.MaxCutEnergy([]CutEdge{{0, 7}, {3, 5}}); err != nil {
+	if _, err := clone.DiagonalExpectation([]quantum.ZTerm{{Q: 2, W: 1}}, []quantum.ZZTerm{{A: 0, B: 7, W: -0.5}, {A: 3, B: 5, W: -0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clone.ExpectationZZ(1, 6); err != nil {
+	if _, err := clone.jointDistribution(1, 6); err != nil {
 		t.Fatal(err)
 	}
-	noScratch("after MaxCutEnergy and ExpectationZZ")
+	noScratch("after DiagonalExpectation and jointDistribution")
 }
 
 // forkBody is one sweep on 7 qubits at 16-amplitude blocks: qubits 0..3

@@ -455,7 +455,7 @@ func TestNoEnginePathWritesThroughBlobs(t *testing.T) {
 				if _, err := sp.Sample(rand.New(rand.NewSource(seed)), 64); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := s.ExpectationZZ(0, 7); err != nil {
+				if _, err := s.DiagonalExpectation(nil, []quantum.ZZTerm{{A: 0, B: 7, W: 1}}); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := s.FullState(); err != nil {

@@ -164,12 +164,17 @@ func (s *Simulator) Load(r io.Reader) error {
 		meas[i] = int(m)
 	}
 	levels := make([]int, len(s.ranks))
+	// Until the commit swaps them in, the staging stores are this call's
+	// to close, whichever refusal returns.
 	staging := make([]blockstore.Store, 0, len(s.ranks))
-	closeStaging := func() {
-		for _, st := range staging {
-			st.Close()
+	committed := false
+	defer func() {
+		if !committed {
+			for _, st := range staging {
+				st.Close()
+			}
 		}
-	}
+	}()
 	scratch := make([]float64, 2*s.blockAmps())
 	// interned maps a blob's hash to the first copy read. The table
 	// pins blobs a spilling staging store would otherwise be free to
@@ -184,42 +189,34 @@ func (s *Simulator) Load(r io.Reader) error {
 	for ri := range s.ranks {
 		var level uint8
 		if err := binary.Read(tr, binary.LittleEndian, &level); err != nil {
-			closeStaging()
 			return fmt.Errorf("%w: rank %d: %w", ErrBadCheckpoint, ri, err)
 		}
 		if int(level) > len(s.cfg.ErrorLevels) {
-			closeStaging()
 			return fmt.Errorf("%w: level %d out of range", ErrBadCheckpoint, level)
 		}
 		var nb uint32
 		if err := binary.Read(tr, binary.LittleEndian, &nb); err != nil {
-			closeStaging()
 			return fmt.Errorf("%w: rank %d: %w", ErrBadCheckpoint, ri, err)
 		}
 		if int(nb) != s.blocksPerRank() {
-			closeStaging()
 			return fmt.Errorf("%w: rank %d has %d blocks, want %d", ErrBadCheckpoint, ri, nb, s.blocksPerRank())
 		}
 		levels[ri] = int(level)
 		st, err := s.newStore(ri)
 		if err != nil {
-			closeStaging()
 			return err
 		}
 		staging = append(staging, st)
 		for b := 0; b < int(nb); b++ {
 			var bl uint32
 			if err := binary.Read(tr, binary.LittleEndian, &bl); err != nil {
-				closeStaging()
 				return fmt.Errorf("%w: block length: %w", ErrBadCheckpoint, err)
 			}
 			if bl > 1<<30 {
-				closeStaging()
 				return fmt.Errorf("%w: block of %d bytes implausible", ErrBadCheckpoint, bl)
 			}
 			blob, err := readArrived(tr, int(bl))
 			if err != nil {
-				closeStaging()
 				return fmt.Errorf("%w: block: %w", ErrBadCheckpoint, err)
 			}
 			sum := maphash.Bytes(keySeed, blob)
@@ -229,7 +226,6 @@ func (s *Simulator) Load(r io.Reader) error {
 				// Validate on the way in — the blob may spill immediately,
 				// and a corrupt checkpoint must be rejected before commit.
 				if err := s.decodeBlob(blob, scratch); err != nil {
-					closeStaging()
 					return fmt.Errorf("%w: rank %d undecodable: %w", ErrBadCheckpoint, ri, err)
 				}
 				if !seen && int64(bl) <= room {
@@ -238,7 +234,6 @@ func (s *Simulator) Load(r io.Reader) error {
 				}
 			}
 			if err := st.Put(b, blob); err != nil {
-				closeStaging()
 				return err
 			}
 		}
@@ -246,14 +241,13 @@ func (s *Simulator) Load(r io.Reader) error {
 	want := h.Sum64()
 	var got uint64
 	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
-		closeStaging()
 		return fmt.Errorf("%w: checksum: %w", ErrBadCheckpoint, err)
 	}
 	if got != want {
-		closeStaging()
 		return fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrBadCheckpoint, got, want)
 	}
 	// Commit: swap each rank onto its staged store.
+	committed = true
 	s.version++
 	s.ledger = ledger
 	s.gatesRun = gatesRun

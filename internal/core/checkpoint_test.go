@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"qcsim/internal/blockstore"
@@ -348,6 +349,56 @@ func TestLoadRefusesHostileHeaders(t *testing.T) {
 				t.Error("the refused Load changed the simulator")
 			}
 		})
+	}
+}
+
+// TestLoadRefusalLeavesNoSpillFiles: a refused Load closes every staging
+// store it opened, so under a spill configuration the spill directory
+// holds the simulator's own files and nothing else afterwards, and none
+// once the simulator is closed.
+func TestLoadRefusalLeavesNoSpillFiles(t *testing.T) {
+	src := newSim(t, 6, 2, 8, nil)
+	if err := src.Run(quantum.RandomCircuit(6, 20, 3)); err != nil {
+		t.Fatal(err)
+	}
+	good := saved(t, src)
+	dir := t.TempDir()
+	s := newSim(t, 6, 2, 8, func(c *Config) { c.SpillDir, c.SpillRAMBudget = dir, 64 })
+	files := func() []string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	own := files()
+	if len(own) != 2 {
+		t.Fatalf("spill dir holds %v, want one file per rank", own)
+	}
+	checksumFlipped := bytes.Clone(good)
+	checksumFlipped[len(checksumFlipped)-1] ^= 0xFF
+	for name, ckpt := range map[string][]byte{
+		"inside rank 1":    good[:len(good)*3/4],
+		"before checksum":  good[:len(good)-8],
+		"checksum flipped": checksumFlipped,
+	} {
+		if err := s.Load(bytes.NewReader(ckpt)); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("%s: Load returned %v, want ErrBadCheckpoint", name, err)
+		}
+		if got := files(); !slices.Equal(got, own) {
+			t.Fatalf("%s: spill dir holds %v after the refused Load, want %v", name, got, own)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left := files(); len(left) != 0 {
+		t.Fatalf("spill dir holds %v after Close", left)
 	}
 }
 

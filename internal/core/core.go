@@ -133,6 +133,7 @@ func (w *workerState) ensure() {
 // in entry m: the pair, then the wide buffers, allocated here on first
 // use.
 func (w *workerState) group(n int) (bufs [groupSize][]float64) {
+	w.ensure()
 	for i := 2; i < n; i++ {
 		if w.wide[i-2] == nil {
 			w.wide[i-2] = make([]float64, w.size)
@@ -556,12 +557,14 @@ func (s *Simulator) forBlocks(rs *rankState, fn func(w *workerState, b int) erro
 // forEach fans fn out over the indices 0..n-1 — every block of the rank
 // (forBlocks), or the entries of a block list the caller holds — on the
 // rank's worker pool. fn receives a worker whose scratch buffers it owns
-// exclusively; shared rank state may only be touched through the block
-// store and the (concurrency-safe) block cache. Index assignment is
-// dynamic (an atomic counter handing out short runs), which is safe
-// because no fan-out path depends on iteration order: per-index results
-// are bit-identical for every worker count. After the fan-out the worker
-// stats shards are merged into rs.stats.
+// exclusively; forEach allocates none of them — what decodes into the
+// pair allocates it (ensure, group). Shared rank state may only be
+// touched through the block store and the (concurrency-safe) block
+// cache. Index assignment is dynamic (an atomic counter handing out
+// short runs), which is safe because no fan-out path depends on
+// iteration order: per-index results are bit-identical for every worker
+// count. After the fan-out the worker stats shards are merged into
+// rs.stats.
 func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int) error) error {
 	nw := len(rs.workers)
 	if nw > n {
@@ -569,7 +572,7 @@ func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int)
 	}
 	var firstErr error
 	if nw <= 1 {
-		w := rs.w0()
+		w := rs.workers[0]
 		for i := 0; i < n; i++ {
 			if firstErr = fn(w, i); firstErr != nil {
 				break
@@ -593,7 +596,6 @@ func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w.ensure()
 				for {
 					lo := atomic.AddInt64(&next, chunk) - chunk
 					hi := min(lo+chunk, int64(n))

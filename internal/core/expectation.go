@@ -3,58 +3,23 @@ package core
 import (
 	"fmt"
 	"math/bits"
+
+	"qcsim/internal/quantum"
 )
 
-// Pauli-Z expectation values over the compressed state. These are the
-// observables variational workloads (QAOA, VQE) read out: ⟨Z_q⟩ and
-// two-point correlators ⟨Z_a Z_b⟩, from which MAXCUT energies follow
+// Pauli-Z expectation values over the compressed state: the diagonal
+// observables variational workloads (QAOA, VQE) read out — ⟨Z_q⟩,
+// two-point correlators ⟨Z_a Z_b⟩ and the MAXCUT energies they sum to —
 // without sampling.
 
-// ExpectationZ returns ⟨Z_q⟩ = P(q=0) - P(q=1).
-func (s *Simulator) ExpectationZ(q int) (float64, error) {
-	p1, err := s.ProbabilityOne(q)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - 2*p1, nil
-}
-
-// ExpectationZZ returns ⟨Z_a Z_b⟩: +1 weight where the bits agree, -1
-// where they differ.
-func (s *Simulator) ExpectationZZ(a, b int) (float64, error) {
-	joint, err := s.jointDistribution(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return correlator(joint), nil
-}
-
-// correlator is ⟨Z_a Z_b⟩ of a joint distribution [P(00), P(01), P(10), P(11)].
-func correlator(joint [4]float64) float64 {
-	return joint[0] + joint[3] - joint[1] - joint[2]
-}
-
-// ZTerm is one weighted single-qubit Pauli-Z term W·Z_Q of a diagonal
-// observable.
-type ZTerm struct {
-	Q int
-	W float64
-}
-
-// ZZTerm is one weighted two-qubit correlator W·Z_A·Z_B.
-type ZZTerm struct {
-	A, B int
-	W    float64
-}
-
 // DiagonalExpectation evaluates Σ W·⟨Z_Q⟩ + Σ W·⟨Z_A Z_B⟩ in a single
-// decode pass over the compressed blocks, instead of one pass per term
-// the way chained ExpectationZ/ExpectationZZ calls would. It is the
-// K = 1 case of DiagonalExpectations.
+// decode pass over the compressed blocks, however many terms there are.
+// It is the K = 1 case of DiagonalExpectations.
 //
-// Like ExpectationZZ, the value is computed against the stored state
-// as-is (no renormalization of lossy norm drift).
-func (s *Simulator) DiagonalExpectation(zs []ZTerm, zzs []ZZTerm) (float64, error) {
+// The value is computed against the stored state as-is: Σ w(idx)·|a|²
+// with no renormalization of lossy norm drift, so ⟨Z_q⟩ is P(q=0) −
+// P(q=1) of the stored amplitudes, not 1 − 2·P(q=1).
+func (s *Simulator) DiagonalExpectation(zs []quantum.ZTerm, zzs []quantum.ZZTerm) (float64, error) {
 	es, err := DiagonalExpectations([]*Simulator{s}, zs, zzs)
 	if err != nil {
 		return 0, err
@@ -75,10 +40,12 @@ func (s *Simulator) DiagonalExpectation(zs []ZTerm, zzs []ZZTerm) (float64, erro
 // caller's order, each one loop over the offsets — which performs, per
 // offset, the additions the amplitude-major loop would, in its order.
 // Then the K variants fan out over variant 0's worker pool, each
-// decoding its block into its worker's scratch and continuing its own
-// running sum in offset order: the parallelism is across variants, each
-// variant's chain stays the sequential rank → block → offset one.
-func DiagonalExpectations(sims []*Simulator, zs []ZTerm, zzs []ZZTerm) ([]float64, error) {
+// decoding its block into a buffer of the call's own, one per worker id,
+// and continuing its own running sum in offset order: the parallelism is
+// across variants, each variant's chain stays the sequential rank →
+// block → offset one. Like readBlocks, the read borrows no worker's
+// scratch pair, so inspecting a clone allocates none.
+func DiagonalExpectations(sims []*Simulator, zs []quantum.ZTerm, zzs []quantum.ZZTerm) ([]float64, error) {
 	if len(sims) == 0 {
 		return nil, nil
 	}
@@ -100,6 +67,7 @@ func DiagonalExpectations(sims []*Simulator, zs []ZTerm, zzs []ZZTerm) ([]float6
 	}
 	acc := make([]float64, len(sims))
 	w := make([]float64, s0.blockAmps())
+	xs := make([][]float64, s0.cfg.Workers)
 	for r, rs0 := range s0.ranks {
 		for blk := 0; blk < s0.blocksPerRank(); blk++ {
 			base := s0.compose(r, blk, 0)
@@ -116,12 +84,17 @@ func DiagonalExpectations(sims []*Simulator, zs []ZTerm, zzs []ZZTerm) ([]float6
 				if err != nil {
 					return err
 				}
-				if err := s.decodeBlob(blob, ws.x); err != nil {
+				x := xs[ws.id]
+				if x == nil {
+					x = make([]float64, 2*len(w))
+					xs[ws.id] = x
+				}
+				if err := s.decodeBlob(blob, x); err != nil {
 					return err
 				}
 				a := acc[v]
 				for o, wo := range w {
-					re, im := ws.x[2*o], ws.x[2*o+1]
+					re, im := x[2*o], x[2*o+1]
 					if p := re*re + im*im; p != 0 {
 						a += p * wo
 					}
@@ -150,29 +123,4 @@ func addParityTerm(w []float64, base, mask uint64, W float64) {
 	for o := range w {
 		w[o] += sign[bits.OnesCount(uint(o)&m)&1]
 	}
-}
-
-// CutEdge is an undirected graph edge for MaxCutEnergy.
-type CutEdge struct{ U, V int }
-
-// MaxCutEnergy returns the expected cut value Σ_edges (1 - ⟨Z_u Z_v⟩)/2
-// of the current state — the QAOA objective — from one decode pass over
-// the state, not one per edge.
-func (s *Simulator) MaxCutEnergy(edges []CutEdge) (float64, error) {
-	pairs := make([][2]int, len(edges))
-	for i, e := range edges {
-		if e.U == e.V {
-			return 0, fmt.Errorf("core: self-loop edge (%d,%d)", e.U, e.V)
-		}
-		pairs[i] = [2]int{e.U, e.V}
-	}
-	joints, err := s.jointDistributions(pairs)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, joint := range joints {
-		sum += (1 - correlator(joint)) / 2
-	}
-	return sum, nil
 }

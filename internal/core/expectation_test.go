@@ -10,17 +10,37 @@ import (
 	"qcsim/internal/quantum"
 )
 
+// expectZ is ⟨Z_q⟩ read as a one-term DiagonalExpectation.
+func expectZ(s *Simulator, q int) (float64, error) {
+	return s.DiagonalExpectation([]quantum.ZTerm{{Q: q, W: 1}}, nil)
+}
+
+// expectZZ is ⟨Z_a Z_b⟩ read as a one-term DiagonalExpectation.
+func expectZZ(s *Simulator, a, b int) (float64, error) {
+	return s.DiagonalExpectation(nil, []quantum.ZZTerm{{A: a, B: b, W: 1}})
+}
+
+// maxCutTerms is the MAXCUT objective Σ_edges (1 − Z_u Z_v)/2 as ZZ
+// terms; the energy is their expectation plus len(edges)/2.
+func maxCutTerms(edges []quantum.Edge) []quantum.ZZTerm {
+	zzs := make([]quantum.ZZTerm, len(edges))
+	for i, e := range edges {
+		zzs[i] = quantum.ZZTerm{A: e.U, B: e.V, W: -0.5}
+	}
+	return zzs
+}
+
 func TestExpectationZBasis(t *testing.T) {
 	s := newSim(t, 4, 2, 4, nil)
 	if err := s.Run(quantum.NewCircuit(4).X(1)); err != nil {
 		t.Fatal(err)
 	}
-	z0, _ := s.ExpectationZ(0)
-	z1, _ := s.ExpectationZ(1)
+	z0, _ := expectZ(s, 0)
+	z1, _ := expectZ(s, 1)
 	if math.Abs(z0-1) > 1e-12 || math.Abs(z1+1) > 1e-12 {
 		t.Fatalf("⟨Z0⟩=%v ⟨Z1⟩=%v", z0, z1)
 	}
-	if _, err := s.ExpectationZ(9); err == nil {
+	if _, err := expectZ(s, 9); err == nil {
 		t.Fatal("out-of-range qubit accepted")
 	}
 }
@@ -30,7 +50,7 @@ func TestExpectationZSuperposition(t *testing.T) {
 	if err := s.Run(quantum.NewCircuit(3).H(0)); err != nil {
 		t.Fatal(err)
 	}
-	z, _ := s.ExpectationZ(0)
+	z, _ := expectZ(s, 0)
 	if math.Abs(z) > 1e-12 {
 		t.Fatalf("⟨Z⟩ of H|0⟩ = %v", z)
 	}
@@ -41,7 +61,7 @@ func TestExpectationZZBellState(t *testing.T) {
 	if err := s.Run(quantum.NewCircuit(4).H(0).CNOT(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	zz, err := s.ExpectationZZ(0, 1)
+	zz, err := expectZZ(s, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +73,7 @@ func TestExpectationZZBellState(t *testing.T) {
 	if err := s2.Run(quantum.NewCircuit(4).H(0).CNOT(0, 1).X(1)); err != nil {
 		t.Fatal(err)
 	}
-	zz2, _ := s2.ExpectationZZ(0, 1)
+	zz2, _ := expectZZ(s2, 0, 1)
 	if math.Abs(zz2+1) > 1e-12 {
 		t.Fatalf("anti-correlated ⟨ZZ⟩ = %v", zz2)
 	}
@@ -69,14 +89,11 @@ func TestMaxCutEnergyMatchesReference(t *testing.T) {
 	if err := s.Run(cir); err != nil {
 		t.Fatal(err)
 	}
-	cutEdges := make([]CutEdge, len(edges))
-	for i, e := range edges {
-		cutEdges[i] = CutEdge{e.U, e.V}
-	}
-	got, err := s.MaxCutEnergy(cutEdges)
+	e, err := s.DiagonalExpectation(nil, maxCutTerms(edges))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := e + float64(len(edges))/2
 	// Direct: Σ_z P(z)·cut(z).
 	ref := quantum.NewState(n)
 	ref.ApplyCircuit(cir)
@@ -92,9 +109,9 @@ func TestMaxCutEnergyMatchesReference(t *testing.T) {
 		want += p * float64(cut)
 	}
 	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("MaxCutEnergy = %v, reference %v", got, want)
+		t.Fatalf("MAXCUT energy = %v, reference %v", got, want)
 	}
-	if _, err := s.MaxCutEnergy([]CutEdge{{1, 1}}); err == nil {
+	if _, err := s.DiagonalExpectation(nil, maxCutTerms([]quantum.Edge{{U: 1, V: 1}})); err == nil {
 		t.Fatal("self loop accepted")
 	}
 }
@@ -102,7 +119,7 @@ func TestMaxCutEnergyMatchesReference(t *testing.T) {
 // perAmplitudeExpectation is DiagonalExpectation as it stood before the
 // block table: the weight Σ±W re-derived for every amplitude, a branch
 // per term. It defines the bits DiagonalExpectations must reproduce.
-func perAmplitudeExpectation(s *Simulator, zs []ZTerm, zzs []ZZTerm) (float64, error) {
+func perAmplitudeExpectation(s *Simulator, zs []quantum.ZTerm, zzs []quantum.ZZTerm) (float64, error) {
 	var acc float64
 	scratch := make([]float64, 2*s.blockAmps())
 	for r, rs := range s.ranks {
@@ -152,8 +169,8 @@ func TestDiagonalExpectationsMatchPerAmplitudeLoop(t *testing.T) {
 	const qubits = 7
 	// Qubits 0–2 are offset bits in every geometry below, 4 a block bit,
 	// 6 the rank bit on two ranks.
-	zs := []ZTerm{{0, 0.75}, {4, -1.25}, {6, 0.3}, {0, 0.75}}
-	zzs := []ZZTerm{{0, 1, -0.5}, {1, 5, 0.7}, {4, 6, -0.5}, {6, 2, 1.0 / 3}, {0, 1, -0.5}, {3, 5, 1e-3}}
+	zs := []quantum.ZTerm{{Q: 0, W: 0.75}, {Q: 4, W: -1.25}, {Q: 6, W: 0.3}, {Q: 0, W: 0.75}}
+	zzs := []quantum.ZZTerm{{A: 0, B: 1, W: -0.5}, {A: 1, B: 5, W: 0.7}, {A: 4, B: 6, W: -0.5}, {A: 6, B: 2, W: 1.0 / 3}, {A: 0, B: 1, W: -0.5}, {A: 3, B: 5, W: 1e-3}}
 	states := map[string]struct {
 		cfg     func(*Config)
 		circuit func(v int) *quantum.Circuit
@@ -205,10 +222,10 @@ func TestDiagonalExpectationsMatchPerAmplitudeLoop(t *testing.T) {
 		}
 	}
 	s := newSim(t, 4, 1, 4, nil)
-	if _, err := s.DiagonalExpectation([]ZTerm{{4, 1}}, nil); err == nil {
+	if _, err := expectZ(s, 4); err == nil {
 		t.Fatal("out-of-range Z term accepted")
 	}
-	if _, err := s.DiagonalExpectation(nil, []ZZTerm{{2, 2, 1}}); err == nil {
+	if _, err := expectZZ(s, 2, 2); err == nil {
 		t.Fatal("degenerate ZZ term accepted")
 	}
 	if _, err := DiagonalExpectations([]*Simulator{s, newSim(t, 4, 2, 4, nil)}, nil, nil); !errors.Is(err, ErrBatchMismatch) {
@@ -216,10 +233,11 @@ func TestDiagonalExpectationsMatchPerAmplitudeLoop(t *testing.T) {
 	}
 }
 
-// TestMaxCutEnergyDecodesOnce: the cut energy of |E| edges is one decode
-// pass over the state, and each edge's correlator is the float its own
-// ExpectationZZ pass returns. The inspection paths charge no Stats, so
-// the decodes are counted at the codec seam.
+// TestMaxCutEnergyDecodesOnce: the MAXCUT energy of |E| edges is one
+// decode pass over the state, where reading the edges one at a time is
+// |E|, and it equals the sum of those one-edge reads up to rounding. The
+// inspection paths charge no Stats, so the decodes are counted at the
+// codec seam.
 func TestMaxCutEnergyDecodesOnce(t *testing.T) {
 	const n = 8
 	graph := quantum.RandomRegularGraph(n, 4, 9)
@@ -229,29 +247,27 @@ func TestMaxCutEnergyDecodesOnce(t *testing.T) {
 	}
 	var decodes atomic.Int64
 	s.cfg.Lossless = countingCodec{Codec: s.cfg.Lossless, dec: &decodes}
-	edges := make([]CutEdge, len(graph))
-	var want float64
-	for i, e := range graph {
-		edges[i] = CutEdge{e.U, e.V}
-		zz, err := s.ExpectationZZ(e.U, e.V)
+	want := float64(len(graph)) / 2
+	for _, e := range graph {
+		zz, err := expectZZ(s, e.U, e.V)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += (1 - zz) / 2
+		want -= zz / 2
 	}
 	blocks := int64(len(s.ranks) * s.blocksPerRank())
-	if got := decodes.Load(); got != blocks*int64(len(edges)) {
-		t.Fatalf("%d edge-at-a-time correlators decoded %d blocks, want %d each", len(edges), got, blocks)
+	if got := decodes.Load(); got != blocks*int64(len(graph)) {
+		t.Fatalf("%d edge-at-a-time correlators decoded %d blocks, want %d each", len(graph), got, blocks)
 	}
 	decodes.Store(0)
-	got, err := s.MaxCutEnergy(edges)
+	e, err := s.DiagonalExpectation(nil, maxCutTerms(graph))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := decodes.Load(); d != blocks {
-		t.Fatalf("MaxCutEnergy over %d edges decoded %d blocks, the state has %d", len(edges), d, blocks)
+		t.Fatalf("the MAXCUT energy over %d edges decoded %d blocks, the state has %d", len(graph), d, blocks)
 	}
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("MaxCutEnergy = %v, edge-at-a-time %v", got, want)
+	if got := e + float64(len(graph))/2; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("MAXCUT energy = %v, edge-at-a-time %v", got, want)
 	}
 }

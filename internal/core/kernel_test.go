@@ -648,9 +648,9 @@ func BenchmarkLockstepPass(b *testing.B) {
 // BenchmarkDiagonalExpectation is a gradient's readout: a 26-edge MAXCUT
 // observable on K 13-qubit states.
 func BenchmarkDiagonalExpectation(b *testing.B) {
-	var zzs []ZZTerm
+	var zzs []quantum.ZZTerm
 	for _, e := range quantum.RandomRegularGraph(13, 4, 1) {
-		zzs = append(zzs, ZZTerm{e.U, e.V, -0.5})
+		zzs = append(zzs, quantum.ZZTerm{A: e.U, B: e.V, W: -0.5})
 	}
 	for _, k := range []int{1, 79} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {

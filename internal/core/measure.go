@@ -49,6 +49,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 			if err != nil {
 				return err
 			}
+			w.ensure()
 			if err := s.decompressBlock(blob, w.x, &w.stats); err != nil {
 				return err
 			}

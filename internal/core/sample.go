@@ -117,6 +117,7 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 					return nil
 				}
 			}
+			w.ensure()
 			if err := s.decodeBlob(blob, w.x); err != nil {
 				return err
 			}
@@ -325,6 +326,7 @@ func (sp *Sampler) probs(rs *rankState, w *workerState, gb int, cached bool, hel
 		return nil, err
 	}
 	compact := len(blob) <= sp.memoMax
+	w.ensure()
 	dst := w.y[:sp.ba]
 	var key decodedKey
 	if cached {

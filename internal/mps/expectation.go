@@ -8,10 +8,10 @@ import (
 )
 
 // Diagonal observables by transfer-matrix contraction — the surface the
-// compressed engine exposes (ExpectationZ, ExpectationZZ, MaxCutEnergy,
-// ProbabilityOne) implemented without ever materializing 2^n
-// amplitudes. Each contraction sweeps the chain once, carrying a χ×χ
-// environment: O(n·χ⁴) time, O(χ²) memory.
+// compressed engine exposes (DiagonalExpectation, ProbabilityOne)
+// implemented without ever materializing 2^n amplitudes. Each
+// contraction sweeps the chain once, carrying a χ×χ environment:
+// O(n·χ⁴) time, O(χ²) memory.
 
 // contractDiag contracts ⟨ψ| D |ψ⟩ for the diagonal operator
 // D = ⊗_q diag(weight(q,0), weight(q,1)). A nil weight means the
@@ -71,46 +71,43 @@ func (s *State) checkQubit(q int) error {
 	return nil
 }
 
-// ExpectationZ returns ⟨Z_q⟩, normalized by ⟨ψ|ψ⟩ (1 up to truncation
-// renormalization rounding).
-func (s *State) ExpectationZ(q int) (float64, error) {
-	if err := s.checkQubit(q); err != nil {
-		return 0, err
+// DiagonalExpectation returns Σ W·⟨Z_Q⟩ + Σ W·⟨Z_A Z_B⟩, each term
+// normalized by ⟨ψ|ψ⟩ (1 up to truncation renormalization rounding),
+// which is contracted once for all of them.
+func (s *State) DiagonalExpectation(zs []quantum.ZTerm, zzs []quantum.ZZTerm) (float64, error) {
+	for _, t := range zs {
+		if err := s.checkQubit(t.Q); err != nil {
+			return 0, err
+		}
+	}
+	for _, t := range zzs {
+		if err := s.checkQubit(t.A); err != nil {
+			return 0, err
+		}
+		if err := s.checkQubit(t.B); err != nil {
+			return 0, err
+		}
+		if t.A == t.B {
+			return 0, fmt.Errorf("mps: ZZ term on the single qubit %d", t.A)
+		}
 	}
 	norm := s.contractDiag(nil)
 	if norm <= 0 {
 		return 0, fmt.Errorf("mps: state has zero norm")
 	}
-	return s.contractDiag(zWeight(q, -1)) / norm, nil
-}
-
-// ExpectationZZ returns the two-point correlator ⟨Z_a Z_b⟩.
-func (s *State) ExpectationZZ(a, b int) (float64, error) {
-	norm := s.contractDiag(nil)
-	if norm <= 0 {
-		return 0, fmt.Errorf("mps: state has zero norm")
+	var e float64
+	for _, t := range zs {
+		e += t.W * (s.contractDiag(zWeight(t.Q, -1)) / norm)
 	}
-	return s.expectationZZNormed(a, b, norm)
-}
-
-// expectationZZNormed is ExpectationZZ against a precomputed norm, so
-// sweeps over many pairs (MaxCutEnergy) pay the norm contraction once.
-func (s *State) expectationZZNormed(a, b int, norm float64) (float64, error) {
-	if err := s.checkQubit(a); err != nil {
-		return 0, err
+	for _, t := range zzs {
+		e += t.W * (s.contractDiag(zWeight(t.A, t.B)) / norm)
 	}
-	if err := s.checkQubit(b); err != nil {
-		return 0, err
-	}
-	if a == b {
-		return 1, nil // Z² = I on a normalized state
-	}
-	return s.contractDiag(zWeight(a, b)) / norm, nil
+	return e, nil
 }
 
 // ProbabilityOne returns P(qubit q = 1) = (1 - ⟨Z_q⟩)/2.
 func (s *State) ProbabilityOne(q int) (float64, error) {
-	z, err := s.ExpectationZ(q)
+	z, err := s.DiagonalExpectation([]quantum.ZTerm{{Q: q, W: 1}}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -124,25 +121,4 @@ func (s *State) ProbabilityOne(q int) (float64, error) {
 		p = 1
 	}
 	return p, nil
-}
-
-// MaxCutEnergy returns the expected cut value Σ_edges (1 - ⟨Z_u Z_v⟩)/2
-// of the current state — the QAOA objective over the given graph.
-func (s *State) MaxCutEnergy(edges []quantum.Edge) (float64, error) {
-	if len(edges) == 0 {
-		return 0, nil
-	}
-	norm := s.contractDiag(nil)
-	if norm <= 0 {
-		return 0, fmt.Errorf("mps: state has zero norm")
-	}
-	var cut float64
-	for _, e := range edges {
-		zz, err := s.expectationZZNormed(e.U, e.V, norm)
-		if err != nil {
-			return 0, err
-		}
-		cut += (1 - zz) / 2
-	}
-	return cut, nil
 }

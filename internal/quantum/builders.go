@@ -199,6 +199,19 @@ func Supremacy(rows, cols, cycles int, seed int64) *Circuit {
 // Edge is an undirected graph edge.
 type Edge struct{ U, V int }
 
+// ZTerm is one weighted single-qubit Pauli-Z term W·Z_Q of a diagonal
+// observable.
+type ZTerm struct {
+	Q int
+	W float64
+}
+
+// ZZTerm is one weighted two-qubit correlator term W·Z_A·Z_B.
+type ZZTerm struct {
+	A, B int
+	W    float64
+}
+
 // RandomRegularGraph returns a random d-regular simple graph on n
 // vertices via the pairing model with restarts; n·d must be even and
 // d < n.

@@ -18,14 +18,13 @@ var DefaultErrorLevels = core.DefaultErrorLevels
 // is reported by New, wrapped in ErrBadConfig (or ErrUnknownCodec for
 // codec-name lookups).
 type settings struct {
-	cfg         core.Config
-	codecName   string
-	sampleCache int
-	backend     string
-	bondDim     int
-	variants    int
-	transport   string
-	workerCmd   []string
+	cfg       core.Config
+	codecName string
+	backend   string
+	bondDim   int
+	variants  int
+	transport string
+	workerCmd []string
 }
 
 // Option configures a Simulator at construction. Options are applied in
@@ -84,27 +83,15 @@ func WithCache(lines int) Option {
 	return func(s *settings) { s.cfg.CacheLines = lines }
 }
 
-// DefaultSampleCache is the number of decoded blocks a Sampler keeps
-// hot when WithSampleCache is not given.
+// DefaultSampleCache is the number of decoded blocks a held Sampler
+// keeps in its LRU between Sample calls, so repeated calls whose shots
+// cluster in the same few blocks (a basis or GHZ-like state) skip the
+// codec. Each line holds one block's probabilities (8·BlockAmps
+// bytes); byte-identical compact blocks share a line. Within one call
+// every touched block is decoded once regardless, and a call that
+// touches more blocks than there are lines bypasses the LRU, leaving it
+// as it was.
 const DefaultSampleCache = core.DefaultSampleCache
-
-// WithSampleCache sets how many decoded blocks a held Sampler keeps in
-// its LRU between Sample calls, so repeated calls whose shots cluster
-// in the same few blocks (a basis or GHZ-like state) skip the codec.
-// Each line holds one block's probabilities (8·BlockAmps bytes);
-// byte-identical compact blocks share a line. Within one call every
-// touched block is decoded once regardless, and a call that touches
-// more blocks than there are lines bypasses the LRU, leaving it as it
-// was. Values below 1 are clamped to 1. Default DefaultSampleCache.
-func WithSampleCache(lines int) Option {
-	// Clamp here, not in resolve: there a zero means "option not given"
-	// and selects DefaultSampleCache, so an explicit 0 must become 1
-	// before it reaches the settings.
-	if lines < 1 {
-		lines = 1
-	}
-	return func(s *settings) { s.sampleCache = lines }
-}
 
 // DefaultBondDim is the MPS bond-dimension cap χ when WithBondDim is
 // not given: large enough for GHZ-like and shallow-entangling circuits
@@ -266,9 +253,6 @@ func WithWorkerCommand(argv ...string) Option {
 func (s *settings) resolve(qubits int) (core.Config, error) {
 	cfg := s.cfg
 	cfg.Qubits = qubits
-	if s.sampleCache == 0 {
-		s.sampleCache = DefaultSampleCache
-	}
 	if s.codecName != "" {
 		codec, err := registry.New(s.codecName)
 		if err != nil {

@@ -40,9 +40,6 @@ type Simulator struct {
 	// pending defers backend construction for WithBackend("auto") until
 	// a circuit is available to analyze.
 	pending *pendingAuto
-	// sampleCache is the decompressed-block LRU size samplers built from
-	// this simulator use (WithSampleCache).
-	sampleCache int
 	// closed latches after Close: every error-returning method reports
 	// ErrClosed instead of touching the torn-down engine.
 	closed bool
@@ -67,7 +64,7 @@ func New(qubits int, opts ...Option) (*Simulator, error) {
 		return nil, err
 	}
 	p := &pendingAuto{qubits: qubits, cfg: cfg, bondDim: st.bondDim}
-	sim := &Simulator{qubits: qubits, sampleCache: st.sampleCache}
+	sim := &Simulator{qubits: qubits}
 	if st.backend == BackendAuto || st.backend == BackendMPS {
 		// The compressed engine validates its configuration in core.New.
 		// Auto defers that engine (and its state allocation) to the first
@@ -501,48 +498,61 @@ func (s *Simulator) ProbabilityOne(q int) (float64, error) {
 	return s.b().ProbabilityOne(q)
 }
 
-// ExpectationZ returns ⟨Z_q⟩ = P(q=0) - P(q=1).
+// ExpectationZ returns ⟨Z_q⟩ = P(q=0) − P(q=1): the Observable {Z: q}.
 func (s *Simulator) ExpectationZ(q int) (float64, error) {
-	if err := s.closedErr(); err != nil {
-		return 0, err
-	}
-	if err := s.checkQubit(q); err != nil {
-		return 0, err
-	}
-	return s.b().ExpectationZ(q)
+	return s.expectation(Observable{Z: []ZTerm{{Q: q, W: 1}}})
 }
 
-// ExpectationZZ returns the two-point correlator ⟨Z_a Z_b⟩.
+// ExpectationZZ returns the two-point correlator ⟨Z_a Z_b⟩: the
+// Observable {ZZ: a,b}. a == b is ErrInvalidQubit.
 func (s *Simulator) ExpectationZZ(a, b int) (float64, error) {
-	if err := s.closedErr(); err != nil {
-		return 0, err
-	}
-	if err := s.checkQubit(a); err != nil {
-		return 0, err
-	}
-	if err := s.checkQubit(b); err != nil {
-		return 0, err
-	}
-	return s.b().ExpectationZZ(a, b)
+	return s.expectation(Observable{ZZ: []ZZTerm{{A: a, B: b, W: 1}}})
 }
 
 // MaxCutEnergy returns the expected cut value Σ_edges (1 - ⟨Z_u Z_v⟩)/2
-// of the current state — the QAOA objective over the given graph.
+// of the current state — the QAOA objective over the given graph, the
+// value Gradient(…, MaxCutObservable(edges)).Energy reports for the
+// same state. A self-loop is ErrInvalidQubit.
 func (s *Simulator) MaxCutEnergy(edges []circuit.Edge) (float64, error) {
+	return s.expectation(MaxCutObservable(edges))
+}
+
+// expectation is every diagonal observable's one read: check the terms,
+// read the backend's DiagonalExpectation, add Const.
+func (s *Simulator) expectation(obs Observable) (float64, error) {
 	if err := s.closedErr(); err != nil {
 		return 0, err
 	}
-	cut := make([]core.CutEdge, len(edges))
-	for i, e := range edges {
-		if err := s.checkQubit(e.U); err != nil {
-			return 0, err
-		}
-		if err := s.checkQubit(e.V); err != nil {
-			return 0, err
-		}
-		cut[i] = core.CutEdge{U: e.U, V: e.V}
+	if err := s.checkObservable(obs); err != nil {
+		return 0, err
 	}
-	return s.b().MaxCutEnergy(cut)
+	e, err := s.b().DiagonalExpectation(obs.Z, obs.ZZ)
+	if err != nil {
+		return 0, err
+	}
+	return e + obs.Const, nil
+}
+
+// checkObservable refuses a term on a qubit outside the register and a
+// ZZ term on a single qubit, with ErrInvalidQubit on every backend.
+func (s *Simulator) checkObservable(obs Observable) error {
+	for _, t := range obs.Z {
+		if err := s.checkQubit(t.Q); err != nil {
+			return err
+		}
+	}
+	for _, t := range obs.ZZ {
+		if err := s.checkQubit(t.A); err != nil {
+			return err
+		}
+		if err := s.checkQubit(t.B); err != nil {
+			return err
+		}
+		if t.A == t.B {
+			return fmt.Errorf("%w: ZZ term on the single qubit %d", ErrInvalidQubit, t.A)
+		}
+	}
+	return nil
 }
 
 // wrapAssert maps the engine's assertion errors onto the public
@@ -658,10 +668,11 @@ func (s *Simulator) Sample(shots int) ([]uint64, error) {
 // probability masses; a Sample call binary-searches the block prefix
 // sums per shot, then decompresses each block the shots touched once,
 // on the worker pool, and binary-searches its folded probabilities
-// (narrow calls keep their blocks decoded in an LRU sized by
-// WithSampleCache; wide ones bypass it); draws are normalized by the
-// true total mass, so lossy-codec norm loss never skews outcomes, and
-// outcomes are identical for every worker count. On the mps backend it
+// (narrow calls keep their blocks decoded in an LRU of
+// DefaultSampleCache lines; wide ones bypass it); draws are normalized
+// by the true total mass, so lossy-codec norm loss never skews
+// outcomes, and outcomes are identical for every worker count. On the
+// mps backend it
 // is perfect sampling by qubit-by-qubit conditional contraction over
 // precomputed right environments — O(n·χ²) per shot, no 2^n vector.
 // Either way, a Sampler reads the state it was built from; once the
@@ -681,7 +692,7 @@ func (s *Simulator) Sampler() (*Sampler, error) {
 	if err := s.closedErr(); err != nil {
 		return nil, err
 	}
-	sp, err := s.b().NewSampler(s.sampleCache)
+	sp, err := s.b().NewSampler()
 	if err != nil {
 		return nil, err
 	}

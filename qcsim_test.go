@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"qcsim/circuit"
@@ -453,10 +454,11 @@ func TestSweepSchedulerFacade(t *testing.T) {
 
 // TestSamplerHandle: the Sampler builds its tables once and then draws
 // repeatedly from the simulator's sampling stream — split calls match
-// one big Sample call, and the WithSampleCache option round-trips.
+// one big Sample call, and the sampler a Simulator builds is the
+// engine's own at DefaultSampleCache lines.
 func TestSamplerHandle(t *testing.T) {
 	mk := func() *Simulator {
-		sim, err := New(8, WithSeed(21), WithBlockAmps(16), WithSampleCache(2))
+		sim, err := New(8, WithSeed(21), WithBlockAmps(16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,15 +467,9 @@ func TestSamplerHandle(t *testing.T) {
 		}
 		return sim
 	}
-	a, b := mk(), mk()
-	if a.sampleCache != 2 {
-		t.Fatalf("WithSampleCache(2) did not round-trip: %d", a.sampleCache)
-	}
-	if z, err := New(4, WithSampleCache(0)); err != nil || z.sampleCache != 1 {
-		t.Fatalf("WithSampleCache(0) should clamp to 1, got %d (%v)", z.sampleCache, err)
-	}
-	if d, err := New(4); err != nil || d.sampleCache != DefaultSampleCache {
-		t.Fatalf("default sample cache = %d, want %d (%v)", d.sampleCache, DefaultSampleCache, err)
+	a, b, c := mk(), mk(), mk()
+	if DefaultSampleCache != core.DefaultSampleCache {
+		t.Fatalf("DefaultSampleCache = %d, the engine's default is %d", DefaultSampleCache, core.DefaultSampleCache)
 	}
 	sp, err := a.Sampler()
 	if err != nil {
@@ -504,6 +500,17 @@ func TestSamplerHandle(t *testing.T) {
 		if got != want {
 			t.Fatalf("shot %d: sampler handle drew %d, Sample drew %d", i, got, want)
 		}
+	}
+	engine, err := c.be.(compressedBackend).Simulator.NewSampler(DefaultSampleCache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := engine.Sample(nil, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(direct, whole) {
+		t.Fatalf("the engine's sampler at DefaultSampleCache drew %v, Sample drew %v", direct, whole)
 	}
 	if _, err := sp.Sample(-1); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("negative shots: %v", err)
@@ -560,5 +567,45 @@ func TestLoadClearsBudgetLatchFacade(t *testing.T) {
 	}
 	if _, err := sim.Run(ctx, circuit.New(8).H(0).H(0)); err != nil {
 		t.Fatalf("run after restoring a healthy checkpoint: %v", err)
+	}
+}
+
+// TestExpectationZReadsTheStoredState: on a lossy state, whose norm N
+// has drifted below 1, ⟨Z_q⟩ is Σ ±|a|² over the stored amplitudes —
+// what every diagonal observable reads — not 1 − 2·P(q=1), which is off
+// by 1 − N on every qubit.
+func TestExpectationZReadsTheStoredState(t *testing.T) {
+	const n = 10
+	sim, err := New(n, WithSeed(1), WithBlockAmps(64), WithMemoryBudget(int64(MemoryRequirement(n)/4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	if _, err := sim.Run(context.Background(), circuit.QFT(n, 1)); err != nil {
+		t.Fatal(err)
+	}
+	amps, err := sim.FullState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm, err := sim.Norm(); err != nil || 1-norm < 1e-3 {
+		t.Fatalf("norm %v (%v): the budget left the state lossless", norm, err)
+	}
+	for q := range n {
+		var want float64
+		for i, a := range amps {
+			if p := real(a)*real(a) + imag(a)*imag(a); i>>q&1 == 0 {
+				want += p
+			} else {
+				want -= p
+			}
+		}
+		got, err := sim.ExpectationZ(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("⟨Z_%d⟩ = %v, the stored amplitudes give %v", q, got, want)
+		}
 	}
 }
