@@ -64,10 +64,13 @@ func MaxCutObservable(edges []circuit.Edge) Observable {
 // decode and the gates before the one that differs run once for a chunk
 // of such variants, and only the variant's remaining gates and its
 // recompression are its own. Stats reports VariantCount, and
-// DecompressCalls shows the shared decodes. Measurement gates and a live
-// noise channel run in the same lockstep loop, variant by variant from
-// each variant's own random streams; ctx cancellation stops every
-// variant at the same sweep boundary.
+// DecompressCalls shows the shared decodes. Measurement gates run in the
+// same lockstep loop, variant by variant from each variant's own random
+// stream. A live noise channel draws each variant's Paulis from its own
+// stream before the run plans, and each variant runs the sweeps its solo
+// Run would, so every variant — not only variant 0 — ends bit-identical
+// to its solo Run under every codec and budget. ctx cancellation stops
+// every variant at the same sweep boundary.
 //
 // The variant simulators stay alive for inspection through
 // BatchVariants until the next RunBatch/Gradient call or Close.

@@ -37,6 +37,10 @@ func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 			WithMemoryBudget(512), WithCodec("xor-d")}},
 		// K noise trajectories in lockstep, each from its own stream.
 		{"noisy", []Option{WithRanks(2), WithBlockAmps(8), WithWorkers(2), WithNoise(0.1)}},
+		// Each variant's Paulis land elsewhere in the ZZ units and move
+		// its sweep boundaries, hence its truncations.
+		{"noisy-lossy", []Option{WithRanks(2), WithBlockAmps(8), WithWorkers(2), WithNoise(0.3),
+			WithMemoryBudget(512), WithCodec("sz-b")}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,7 +88,8 @@ func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := range bs {
-					if bs[i] != ss[i] {
+					// Bits, not ==, which cannot see the sign of a zero.
+					if !sameBits(bs[i], ss[i]) {
 						t.Fatalf("variant %d amplitude %d: batch %v vs solo %v", v, i, bs[i], ss[i])
 					}
 				}
@@ -100,6 +105,11 @@ func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sameBits reports whether two amplitudes are equal bit for bit.
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) && math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
 // TestRunBatchLeavesParentUntouched: the batch runs on clones; the

@@ -162,9 +162,11 @@
 // in every variant. A sweep is broken by a
 // fourth target above the offset qubits (a second under
 // WithMemoryBudget, whose at-rest rule settles the budget between
-// pair sweeps), a second distinct rank-segment target, a measurement,
-// or (with WithNoise) any gate at all, since the depolarizing channel
-// must fire after each gate. A one-gate sweep is the paper's per-gate
+// pair sweeps), a second distinct rank-segment target or a measurement.
+// WithNoise breaks none: the depolarizing draw reads no amplitude, so a
+// run draws every gate's Pauli before planning and splices each one that
+// fires in after its gate, where it rides the gate's sweep on the gate's
+// own target. A one-gate sweep is the paper's per-gate
 // pass: both run through the same code, and so does a measurement's
 // collapse, a pass of one gate — the projector on the drawn outcome
 // times 1/√keep, whose dropped half is written as exact +0. Gate fusion
@@ -239,12 +241,16 @@
 // 4 108. Stats reports VariantCount.
 //
 // What breaks lockstep: nothing a valid batch can contain. Measurement
-// gates and WithNoise consume per-variant randomness mid-circuit, so
-// those steps run variant by variant inside the one run loop, each
-// variant drawing from its own seeded stream, and the sweeps around
-// them keep sharing codec work until the variants' states diverge; a
-// cancel or a codec failure stops all K variants at the same sweep
-// boundary. Shape or width mismatches are typed errors before anything
+// gates consume per-variant randomness mid-circuit, so they run variant
+// by variant inside the one run loop, each variant drawing from its own
+// seeded stream, and the sweeps around them keep sharing codec work
+// until the variants' states diverge. WithNoise draws each variant's
+// Paulis from its own stream before the run plans; each variant then
+// runs its solo plan, the variants whose sweeps end together share one
+// pass, and a variant can fork off variant 0's walk at its first Pauli,
+// so every variant stays bit-identical to its solo run. A cancel stops
+// all K variants at the same sweep boundary, a codec failure after the
+// same step. Shape or width mismatches are typed errors before anything
 // runs, and the mps backend reports ErrUnsupportedOp — lockstep
 // batching is compressed-only.
 //

@@ -66,17 +66,23 @@ func (s *Simulator) Clone(seed int64) (*Simulator, error) {
 // decodes 18 blocks instead of 158 and applies 1 847 gates to its block
 // pair instead of 4 108. Stats gains CodecPassesShared and VariantCount.
 //
-// Measurement gates and a live noise channel consume per-variant
-// randomness mid-circuit: they run inside the same loop, variant by
-// variant from each variant's own seeded streams, and the sweeps around
-// them keep sharing codec work until the states actually diverge. Every
-// variant ends bit-identical to its solo run: a memo hit hands back the
-// exact blob the (deterministic) codec produced for the same signature,
-// level, and input bytes.
+// Measurement gates consume per-variant randomness mid-circuit: they run
+// inside the same loop, variant by variant from each variant's own seeded
+// stream, and the sweeps around them keep sharing codec work until the
+// states actually diverge. A live noise channel draws each variant's
+// Paulis from its own stream before planning (splice); once one fires,
+// each variant runs the plan its solo run would, and the variants whose
+// sweeps end at the same place run them as one pass (runLockstep), so a
+// variant whose Pauli falls inside a pass forks off variant 0's walk
+// there. Every variant ends bit-identical to its solo run, under every
+// codec and budget: it runs its solo run's sweeps, and a memo hit hands
+// back the exact blob the (deterministic) codec produced for the same
+// signature, level, and input bytes.
 //
-// ctl hooks fire once per batch, not per variant: PollAbort stops all
-// K variants at the same sweep boundary, OnGate reports batch progress
-// against variant 0's gates.
+// ctl hooks fire once per batch, not per variant: PollAbort, consulted
+// where every variant stands at the same circuit gate, stops all K
+// variants at the same sweep boundary; OnGate reports a gate once every
+// variant has completed it.
 func RunBatch(sims []*Simulator, circuits []*quantum.Circuit, ctl RunControl) error {
 	if len(sims) == 0 {
 		return fmt.Errorf("%w: empty batch", ErrBatchMismatch)
@@ -119,8 +125,8 @@ func RunBatch(sims []*Simulator, circuits []*quantum.Circuit, ctl RunControl) er
 // the block geometry, codecs, ladder, noise channel and scheduling
 // switches must agree — Clone guarantees all of it. The codecs matter
 // because the per-pass memo keys on compressed bytes, not on who
-// produced them; the noise probability because it decides the sweep
-// plan (sweepsEnabled) all variants share.
+// produced them; the noise probability because a batch is K
+// trajectories of one channel.
 func sameBatchConfig(a, b *Simulator) bool {
 	return a.cfg.Qubits == b.cfg.Qubits &&
 		a.cfg.Ranks == b.cfg.Ranks &&

@@ -348,8 +348,10 @@ func TestBatchCountersIndependentOfWorkers(t *testing.T) {
 // against a solo run of its circuit on the fresh simulator solo(v)
 // builds (seeded VariantSeed(1, v)): amplitudes, measurement log and
 // ledger bit for bit. It returns the codec passes the batch shared
-// across variants.
-func assertVariantsMatchSolo(t *testing.T, sims []*Simulator, circuits []*quantum.Circuit, solo func(v int) *Simulator) (shared int64) {
+// across variants, and the block decodes it saved against the solo runs
+// (a memo hit decodes nothing, a fork decodes variant 0's group once per
+// chunk).
+func assertVariantsMatchSolo(t *testing.T, sims []*Simulator, circuits []*quantum.Circuit, solo func(v int) *Simulator) (shared, decodesSaved int64) {
 	t.Helper()
 	for v, s := range sims {
 		ref := solo(v)
@@ -365,8 +367,9 @@ func assertVariantsMatchSolo(t *testing.T, sims []*Simulator, circuits []*quantu
 			t.Fatalf("variant %d VariantCount = %d, want %d", v, st.VariantCount, len(sims))
 		}
 		shared += st.CodecPassesShared
+		decodesSaved += ref.Stats().DecompressCalls - st.DecompressCalls
 	}
-	return shared
+	return shared, decodesSaved
 }
 
 // TestRunBatchMeasurementLockstep: measurement gates run inside the
@@ -395,7 +398,7 @@ func TestRunBatchMeasurementLockstep(t *testing.T) {
 			if err := RunBatch(sims, circuits, RunControl{}); err != nil {
 				t.Fatal(err)
 			}
-			shared := assertVariantsMatchSolo(t, sims, circuits, func(v int) *Simulator {
+			shared, _ := assertVariantsMatchSolo(t, sims, circuits, func(v int) *Simulator {
 				return newSim(t, qubits, tc.ranks, 4, func(c *Config) {
 					cfg(c)
 					c.Seed = VariantSeed(1, v)
@@ -417,13 +420,19 @@ func TestRunBatchMeasurementLockstep(t *testing.T) {
 
 // TestRunBatchNoiseLockstep is the noise twin: K trajectories of one
 // circuit under a live depolarizing channel run in one batch, each
-// bit-identical to its solo trajectory, sharing codec passes until the
-// first Pauli that fires in one variant and not the others. Run under
-// -race it also covers the per-variant Pauli passes interleaved with
-// the shared fan-out.
+// bit-identical to its solo trajectory. Each variant runs its own plan,
+// its Paulis riding their gates' sweeps, and variants whose sweeps end
+// together share one pass: a variant equal to variant 0 there takes the
+// memo's blobs, and one whose first own Pauli comes after the pass's
+// first gate forks off variant 0's walk and shares its decode. The QAOA
+// prefix stays below the rank segment, as a sweep with a rank target
+// exchanges variant by variant and shares nothing. Run under -race it
+// also covers the forks interleaved with the shared fan-out.
 func TestRunBatchNoiseLockstep(t *testing.T) {
 	const qubits, k = 6, 4
-	cir := quantum.QAOA(qubits, 1, 5)
+	cir := quantum.NewCircuit(qubits)
+	cir.Gates = append(cir.Gates, quantum.QAOA(qubits-1, 1, 5).Gates...)
+	cir.Measure(2).H(qubits-1).CNOT(qubits-1, 0)
 	circuits := repeatCircuit(cir, k)
 	for _, ranks := range []int{1, 2} {
 		cfg := func(c *Config) { c.Workers, c.Noise = 3, 0.05 }
@@ -431,14 +440,14 @@ func TestRunBatchNoiseLockstep(t *testing.T) {
 		if err := RunBatch(sims, circuits, RunControl{}); err != nil {
 			t.Fatal(err)
 		}
-		shared := assertVariantsMatchSolo(t, sims, circuits, func(v int) *Simulator {
+		shared, saved := assertVariantsMatchSolo(t, sims, circuits, func(v int) *Simulator {
 			return newSim(t, qubits, ranks, 8, func(c *Config) {
 				cfg(c)
 				c.Seed = VariantSeed(1, v)
 			})
 		})
-		if shared == 0 {
-			t.Fatalf("ranks=%d: the noisy trajectories shared no codec passes before diverging", ranks)
+		if shared == 0 && saved == 0 {
+			t.Fatalf("ranks=%d: the noisy trajectories shared no codec pass and no decode", ranks)
 		}
 		states := map[string]bool{}
 		for _, s := range sims {
@@ -639,6 +648,93 @@ func applied(s *Simulator) (n int64) {
 		}
 	}
 	return n
+}
+
+// TestRunBatchForkReadsWhatItsPassReads: a variant may fork off variant
+// 0's walk only where it reads the members variant 0 reads. Variant 0
+// runs a block-controlled CNOT alone, variant 1 that CNOT and a noise
+// Pauli on its target: the Pauli reads the blocks the control leaves
+// alone, which variant 0's walk never decodes, so variant 1 runs its own
+// units and ends where its solo run does.
+func TestRunBatchForkReadsWhatItsPassReads(t *testing.T) {
+	const qubits = 7              // on 8-amplitude blocks, qubits 3..6 index the blocks
+	const basis = 1<<6 | 1<<3 | 1 // control qubit 4 clear
+	cir := quantum.NewCircuit(qubits).CNOT(4, 6)
+	circuits := repeatCircuit(cir, 2)
+	seed := noiseSeed(t, qubits, circuits, 0.5, func(traj trajectory) bool {
+		return len(traj.gates[0]) == 1 && len(traj.gates[1]) == 2
+	})
+	for _, workers := range []int{1, 2} {
+		cfg := func(c *Config) { c.Seed, c.Noise, c.Workers = seed, 0.5, workers }
+		sims := batchSims(t, qubits, 1, 8, 2, cfg)
+		for _, s := range sims {
+			if err := s.SetBasisState(basis); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := RunBatch(sims, circuits, RunControl{}); err != nil {
+			t.Fatal(err)
+		}
+		assertVariantsMatchSolo(t, sims, circuits, func(v int) *Simulator {
+			s := newSim(t, qubits, 1, 8, func(c *Config) {
+				cfg(c)
+				c.Seed = VariantSeed(seed, v)
+			})
+			if err := s.SetBasisState(basis); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		})
+	}
+}
+
+// noiseSeed is the first seed in 1..100 at which the Paulis a batch of
+// circuits on 8-amplitude blocks of one rank would draw at noise p,
+// drawn on twins, satisfy want.
+func noiseSeed(t *testing.T, qubits int, circuits []*quantum.Circuit, p float64, want func(trajectory) bool) int64 {
+	t.Helper()
+	for seed := int64(1); seed <= 100; seed++ {
+		sims := batchSims(t, qubits, 1, 8, len(circuits), func(c *Config) { c.Seed, c.Noise = seed, p })
+		if want(splice(sims, circuits)) {
+			return seed
+		}
+	}
+	t.Fatal("no seed in 1..100 draws the Paulis the test needs")
+	return 0
+}
+
+// TestRunBatchForkCountsItsOwnGates: a variant that forks off variant
+// 0's walk with a noise Pauli variant 0 lacks charges the round trips
+// its own gates saved (CodecPassesSaved), as its solo run does — not
+// variant 0's count.
+func TestRunBatchForkCountsItsOwnGates(t *testing.T) {
+	const qubits = 6
+	cir := quantum.NewCircuit(qubits).H(0).H(3)
+	circuits := repeatCircuit(cir, 2)
+	seed := noiseSeed(t, qubits, circuits, 0.5, func(traj trajectory) bool {
+		return len(traj.gates[0]) == 2 && slices.Equal(traj.at[1], []int{0, 1, 1, 2})
+	})
+	cfg := func(c *Config) { c.Seed, c.Noise = seed, 0.5 }
+	sims := batchSims(t, qubits, 1, 8, 2, cfg)
+	if err := RunBatch(sims, circuits, RunControl{}); err != nil {
+		t.Fatal(err)
+	}
+	_, saved := assertVariantsMatchSolo(t, sims, circuits, func(v int) *Simulator {
+		return newSim(t, qubits, 1, 8, func(c *Config) {
+			cfg(c)
+			c.Seed = VariantSeed(seed, v)
+		})
+	})
+	if saved == 0 {
+		t.Fatal("variant 1 did not fork off variant 0's walk; test is vacuous")
+	}
+	solo := newSim(t, qubits, 1, 8, func(c *Config) { cfg(c); c.Seed = VariantSeed(seed, 1) })
+	if err := solo.Run(cir); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sims[1].Stats().CodecPassesSaved, solo.Stats().CodecPassesSaved; got != want {
+		t.Fatalf("the fork saved %d round trips, its solo run %d", got, want)
+	}
 }
 
 // TestRunBatchForksAtDivergence: a variant whose gates part from variant

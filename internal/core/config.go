@@ -120,10 +120,11 @@ type Config struct {
 	// noise into the simulation alongside the (already uncorrelated)
 	// compression error. It is a quantum-trajectories channel: after
 	// each gate, with this probability, a uniformly random Pauli hits the
-	// gate's target qubit. Every rank draws the same insertions from its
-	// deterministic noise stream, so the trajectory is consistent across
-	// the distributed state. 0, the default, is noiseless and costs
-	// nothing; any other value forces one-gate sweeps.
+	// gate's target qubit. A run draws the Paulis from the simulator's
+	// deterministic noise stream before it plans and splices them in
+	// after their gates (noise.go), so every rank executes the one
+	// trajectory and a Pauli rides its gate's sweep. 0, the default, is
+	// noiseless and draws nothing.
 	Noise float64
 	// Seed drives measurement collapse and the noise channel.
 	Seed int64

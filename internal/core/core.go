@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,6 +55,12 @@ type Simulator struct {
 	// never measure or sample — skip seeding two generators each.
 	rng       *rand.Rand
 	sampleRng *rand.Rand
+	// noise is the depolarizing channel's stream (drawPauli), seeded on
+	// first use like the two above, and noiseDraws the gates it has drawn
+	// for: where rewindNoise puts it back to after a run that stopped
+	// early.
+	noise      *rand.Rand
+	noiseDraws int
 
 	// ledger is the fidelity lower bound Π(1-δᵢ) over executed gates
 	// (Eq. 11).
@@ -83,7 +90,6 @@ type rankState struct {
 	level   int
 	cache   *blockCache
 	stats   Stats
-	rng     *rand.Rand // per-rank noise stream (deterministic), seeded on first use
 	// seen is the store's spill counters at the last syncStoreStats,
 	// which adds their growth since to the rank's Stats.
 	seen blockstore.Stats
@@ -506,18 +512,13 @@ func (s *Simulator) sampleFootprint(rs *rankState) {
 }
 
 // ledgerRounds is how many truncations one boundary can charge: the
-// sweep's own, under a budget one requantize per level, and with the
-// noise channel live the Pauli's pass, in the last round (a noise-free
-// run has no such round).
+// sweep's own and, under a budget, one requantize per level. A noise
+// Pauli is a gate of the trajectory with its own slot, never a round.
 func (s *Simulator) ledgerRounds() int {
-	n := 1
 	if s.cfg.budgeted() {
-		n += len(s.cfg.ErrorLevels)
+		return 1 + len(s.cfg.ErrorLevels)
 	}
-	if s.noiseActive() {
-		n++
-	}
-	return n
+	return 1
 }
 
 // foldLedger multiplies the run's charges into the ledger (Eq. 11).
@@ -629,18 +630,20 @@ func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int)
 // RunControlled identical to Run.
 type RunControl struct {
 	// PollAbort, when non-nil, is consulted on rank 0 before every sweep
-	// (every gate when the sweep scheduler is off), so the cancel
-	// latency is one group sweep: one codec pass over the state, however
-	// many gates it carries. A non-nil return stops execution at that
+	// (every gate when the sweep scheduler is off) that starts at a
+	// circuit gate — never between a gate and its noise Pauli — so the
+	// cancel latency is one group sweep: one codec pass over the state,
+	// however many gates it carries. A non-nil return stops execution at that
 	// sweep boundary on every rank (the decision is broadcast, so all
 	// ranks agree and no cross-rank exchange is left half-paired) and
 	// RunControlled returns an error wrapping it. Gates already executed
 	// are kept: state, stats, and the fidelity ledger reflect exactly
 	// the completed prefix and the simulator stays fully inspectable.
 	PollAbort func() error
-	// OnGate, when non-nil, is invoked on rank 0 once per gate, in
-	// order, after the gate's sweep completes, with the gate's index,
-	// the total gate count of this run, and the gate itself. It runs on
+	// OnGate, when non-nil, is invoked on rank 0 once per circuit gate,
+	// in order, after the sweep completing the gate and its noise Pauli,
+	// with the gate's index, the circuit's gate count, and the gate
+	// itself; never for a Pauli. It runs on
 	// the rank-0 goroutine and must not call back into the Simulator.
 	OnGate func(gi, total int, g quantum.Gate)
 }
@@ -676,35 +679,44 @@ func (s *Simulator) RunControlled(c *quantum.Circuit, ctl RunControl) error {
 
 // runLockstep is the run loop: cs[v] on sims[v] for K ≥ 1 state
 // variants of one shape and one configuration, every gate well formed
-// (the callers validate all three) — one sweep plan, read off every
-// variant's gates (a ZZ unit must be one in each), one set of SPMD ranks, one error barrier per
-// sweep, and ctl's hooks firing once per run, not per variant.
+// (the callers validate all three) — one trajectory (splice: the noise
+// channel's Paulis drawn up front and spliced in after their gates), the
+// sweep plans (trajectory.plans: one read off every variant's gates, a
+// ZZ unit one in each, until a Pauli fires; then each variant's solo
+// plan), one set of SPMD ranks, one error barrier per step, and ctl's
+// hooks firing once per run, not per variant, and only for the circuit's
+// own gates.
 //
-// Execution iterates the group-sweep schedule (sweep.go): every sweep of
-// unitaries is one codec pass over all K variants — one that carries a
-// rank-segment target exchanges its groups with the peer rank inside the
-// pass — and a measurement a collective; after each the budget is
-// settled (settleBudget). What consumes per-variant randomness — a
-// measurement's outcome draw, the noise channel's Pauli — runs variant
-// by variant from that variant's own streams, every rank walking the variants in the same order so the
-// collectives stay aligned. After every sweep an error barrier (an
+// Execution walks the plans in steps (trajectory.step): a step runs
+// every variant whose next sweep ends at the same place in the circuit
+// — all K of them while the plans agree — and each sweep of unitaries,
+// Paulis included, is one codec pass over the step's variants — one
+// that carries a rank-segment target exchanges its groups with the peer
+// rank inside the pass — and a measurement a collective; after each the
+// budget is settled (settleBudget). A measurement's outcome draw consumes
+// per-variant randomness: it runs variant by variant from that variant's
+// own stream, every rank walking the variants in the same order so the
+// collectives stay aligned. After every step an error barrier (an
 // allreduce of per-rank failure flags) makes all ranks agree on whether
 // any rank's codec failed on any variant, so a failure stops every rank
-// and variant at the same sweep boundary and surfaces as an error —
-// never a panic and never a hung collective. On error the state
-// reflects the completed prefix, except that the failing sweep itself
-// may be partially applied on some ranks or variants; the simulators
-// stay inspectable either way.
+// after the same step and surfaces as an error — never a panic and never
+// a hung collective. On error each variant's state reflects its
+// completed prefix, except that the failing sweep itself may be
+// partially applied on some ranks or variants; the prefixes are one
+// unless the variants' plans part there. The simulators stay inspectable
+// either way, and each noise stream is rewound to the circuit gates its
+// variant completed (rewindNoise).
 func runLockstep(sims []*Simulator, cs []*quantum.Circuit, ctl RunControl) error {
 	s0, K := sims[0], len(sims)
 	nGates := len(cs[0].Gates)
-	for _, s := range sims {
+	traj := splice(sims, cs)
+	for v, s := range sims {
 		if nGates > 0 {
 			// Any gate may mutate the state (even a failed run leaves a
 			// completed prefix), so samplers built earlier are now stale.
 			s.version++
 		}
-		s.gateLevel = make([]uint32, nGates*s.ledgerRounds())
+		s.gateLevel = make([]uint32, len(traj.gates[v])*s.ledgerRounds())
 	}
 	defer func() {
 		// Cache lines and the group scratch beyond the pair must not
@@ -718,25 +730,28 @@ func runLockstep(sims []*Simulator, cs []*quantum.Circuit, ctl RunControl) error
 			}
 		}
 	}()
-	others := make([][]quantum.Gate, 0, K-1)
-	for _, c := range cs[1:] {
-		others = append(others, c.Gates)
-	}
-	plan := s0.planSweeps(cs[0].Gates, others...)
-	counted := s0.sweepsEnabled() // one-gate schedules report no sweeps
+	plans := traj.plans(sims)
+	counted := !s0.cfg.DisableSweeps // one-gate schedules report no sweeps
 	rankErrs := make([]error, s0.cfg.Ranks)
 	// abortErr, executed and the measurement logs are written only by
 	// the rank-0 goroutine and read after the launcher's completion
 	// establishes happens-before.
 	var abortErr error
-	var executed int
+	executed := make([]int, K) // per variant: circuit gates complete
 	comms, err := s0.launcher().Launch(s0.cfg.Ranks, func(comm mpi.Comm) {
 		r := comm.Rank()
-		gates := make([][]quantum.Gate, K)
+		next := make([]int, K)     // per variant: its next sweep in plans[v]
+		bound := make([]int, K)    // per variant: the gates of its list run
 		outcomes := make([]int, K) // held back until the barrier clears
-		ran := 0
-		for _, sw := range plan {
-			if ctl.PollAbort != nil {
+		// A step's variants, their sweeps' gates, ZZ units and last gates.
+		step, sub := make([]int, 0, K), make([]*Simulator, 0, K)
+		gates, units, gis := make([][]quantum.Gate, 0, K), make([][]int, 0, K), make([]int, 0, K)
+		ran := 0 // circuit gates complete in every variant
+		for {
+			if step = traj.step(plans, next, step[:0]); len(step) == 0 {
+				break
+			}
+			if ctl.PollAbort != nil && traj.aligned(bound) {
 				// Rank 0 decides; the broadcast makes every rank stop at
 				// the same sweep boundary (a rank aborting unilaterally
 				// would strand its cross-rank partners mid-exchange).
@@ -750,72 +765,77 @@ func runLockstep(sims []*Simulator, cs []*quantum.Circuit, ctl RunControl) error
 					break
 				}
 			}
-			gi := sw.End - 1
-			for v, c := range cs {
-				gates[v] = c.Gates[sw.Start:sw.End]
+			sub, gates, units, gis = sub[:0], gates[:0], units[:0], gis[:0]
+			for _, v := range step {
+				sw := plans[v][next[v]]
+				sub, gis = append(sub, sims[v]), append(gis, sw.End-1)
+				gates, units = append(gates, traj.gates[v][sw.Start:sw.End]), append(units, sw.Units)
 			}
 			var swErr error
+			// A measurement ends every variant's sweep at one place, so
+			// a step is all measurements or none.
 			measure := gates[0][0].Kind == quantum.KindMeasure
 			if measure {
-				swErr = eachVariant(sims, func(v int, s *Simulator) (err error) {
-					outcomes[v], err = s.measureRank(comm, s.ranks[r], gates[v][0].Target, gi)
+				swErr = eachVariant(sub, func(i int, s *Simulator) (err error) {
+					outcomes[step[i]], err = s.measureRank(comm, s.ranks[r], gates[i][0].Target, gis[i])
 					return err
 				})
 			} else {
-				swErr = applyUnitaries(comm, sims, gates, sw.Units, gi, 0)
-				// The noise Pauli (the sweep is then the one gate) may be
-				// a cross-rank gate, so a rank that failed the unitary
-				// cannot just skip it: agree on failure first, then
-				// either all ranks apply noise or none do.
-				if s0.noiseActive() && !anyRankFailed(comm, &swErr) {
-					swErr = eachVariant(sims, func(v int, s *Simulator) error {
-						return s.applyNoiseRank(comm, s.ranks[r], gates[v][0], gi)
-					})
-				}
+				swErr = applyUnitaries(comm, sub, gates, units, gis)
 			}
 			// The at-rest budget rule, per variant: each requantizes
 			// exactly where its solo run would.
-			for _, s := range sims {
+			for i, s := range sub {
 				if swErr == nil {
-					swErr = s.settleBudget(s.ranks[r], gi)
+					swErr = s.settleBudget(s.ranks[r], gis[i])
 				}
 			}
 			// Error barrier: every rank learns whether any rank failed
-			// this sweep, so all stop at the same boundary.
+			// this step, so all stop after it.
 			if anyRankFailed(comm, &swErr) {
 				rankErrs[r] = swErr
 				break
 			}
-			ran += sw.Len()
-			if sw.Pass && counted {
-				for _, s := range sims {
-					s.ranks[r].stats.Sweeps++
-					s.ranks[r].stats.SweepGates += sw.Len()
+			for _, v := range step {
+				sw := plans[v][next[v]]
+				if sw.Pass && counted {
+					sims[v].ranks[r].stats.Sweeps++
+					sims[v].ranks[r].stats.SweepGates += sw.Len()
 				}
+				next[v], bound[v] = next[v]+1, sw.End
+			}
+			done := nGates
+			for v, j := range bound {
+				done = min(done, traj.at[v][j])
 			}
 			if r == 0 {
 				if measure {
-					for v, s := range sims {
-						s.measurements = append(s.measurements, outcomes[v])
+					for _, v := range step {
+						sims[v].measurements = append(sims[v].measurements, outcomes[v])
 					}
 				}
 				if ctl.OnGate != nil {
-					for gi := sw.Start; gi < sw.End; gi++ {
+					for gi := ran; gi < done; gi++ {
 						ctl.OnGate(gi, nGates, cs[0].Gates[gi])
 					}
 				}
 			}
+			ran = done
 		}
-		for _, s := range sims {
-			s.ranks[r].stats.Gates += ran
+		for v, s := range sims {
+			at := traj.at[v][bound[v]]
+			s.ranks[r].stats.Gates += at
 			if K > 1 {
 				s.ranks[r].stats.VariantCount = K
 			}
-		}
-		if r == 0 {
-			executed = ran
+			if r == 0 {
+				executed[v] = at
+			}
 		}
 	})
+	for v, s := range sims {
+		s.rewindNoise(cs[v].Gates[executed[v]:])
+	}
 	if err != nil {
 		return err
 	}
@@ -828,9 +848,9 @@ func runLockstep(sims []*Simulator, cs []*quantum.Circuit, ctl RunControl) error
 		s0.ranks[i].stats.CommTime += comm.CommTime()
 		s0.bytesMoved += comm.BytesMoved()
 	}
-	for _, s := range sims {
+	for v, s := range sims {
 		s.foldLedger(s.gateLevel)
-		s.gatesRun += executed
+		s.gatesRun += executed[v]
 	}
 	var gateErr error
 	for _, e := range rankErrs {
@@ -839,10 +859,10 @@ func runLockstep(sims []*Simulator, cs []*quantum.Circuit, ctl RunControl) error
 		}
 	}
 	if abortErr != nil {
-		return fmt.Errorf("core: run aborted after %d of %d gates: %w", executed, nGates, abortErr)
+		return fmt.Errorf("core: run aborted after %d of %d gates: %w", executed[0], nGates, abortErr)
 	}
 	if gateErr != nil {
-		return fmt.Errorf("core: run failed after %d of %d gates: %w", executed, nGates, gateErr)
+		return fmt.Errorf("core: run failed after %d of %d gates: %w", slices.Min(executed), nGates, gateErr)
 	}
 	return nil
 }
@@ -879,21 +899,21 @@ func (s *Simulator) splitControls(controls []int) (offMask uint64, blkMask, rank
 }
 
 // applyUnitaries executes one group sweep of unitaries — gates[v] on
-// sims[v], with the ZZ units the plan named — on this rank: one codec
-// pass over all variants (runPass),
-// whose recompression is truncation number round of the boundary after
-// gate gi. A sweep with a rank-segment target exchanges its groups with
-// the peer rank inside that pass's walk. The K passes are
-// compiled on variant 0's worker pool: a gradient's batch compiles 79.
-func applyUnitaries(comm mpi.Comm, sims []*Simulator, gates [][]quantum.Gate, units []int, gi, round int) error {
+// sims[v], with the ZZ units units[v] its plan named — on this rank: one
+// codec pass over all variants (runPass), whose recompression is the
+// first truncation round of the boundary after variant v's gate gi[v]. A sweep with a
+// rank-segment target exchanges its groups with the peer rank inside
+// that pass's walk. The K passes are compiled on variant 0's worker
+// pool: a gradient's batch compiles 79.
+func applyUnitaries(comm mpi.Comm, sims []*Simulator, gates [][]quantum.Gate, units [][]int, gi []int) error {
 	r := comm.Rank()
 	passes := make([]*blockPass, len(sims))
 	// compilePass cannot fail, so neither can this fan-out.
 	_ = sims[0].forEach(sims[0].ranks[r], len(sims), func(_ *workerState, v int) error {
-		passes[v] = sims[v].compilePass(comm, sims[v].ranks[r], gates[v], units)
+		passes[v] = sims[v].compilePass(comm, sims[v].ranks[r], gates[v], units[v])
 		return nil
 	})
-	return runPass(sims, r, passes, gi, round)
+	return runPass(sims, r, passes, gi, 0)
 }
 
 // eachVariant runs fn on every variant, in the order every rank walks

@@ -195,7 +195,9 @@ type codecFault struct {
 
 // runWithFault is the failure-path contract of the one run loop, for K
 // variants on 2 ranks (6 qubits, 4 blocks per rank): c runs healthy up
-// to sweep f.at, where the fault is armed — on variant 0 only unless
+// to PollAbort's call f.at — it is consulted before every sweep that
+// starts at a circuit gate, not at a noise Pauli — where the fault is
+// armed — on variant 0 only unless
 // f.all: it is the one that leads every undiverged key (a pass's index
 // order is variant-major and each worker's first unit is one of variant
 // 0's; a later variant is served by the memo and never calls its codec).
@@ -208,9 +210,34 @@ type codecFault struct {
 func runWithFault(t *testing.T, k int, cfg func(*Config), c *quantum.Circuit, f codecFault) ([]*Simulator, error) {
 	t.Helper()
 	sims := batchSims(t, 6, 2, 8, k, cfg)
-	plan := sims[0].planSweeps(c.Gates)
-	if f.at >= len(plan) {
-		t.Fatalf("K=%d: the fault is armed at sweep %d, but the plan has only %d sweeps %v", k, f.at, len(plan), plan)
+	// Drawn on twins, so sims keep their noise streams. The run loop's
+	// steps, replayed: the fault fires in the first step after poll f.at
+	// that runs a faulty variant, and the completed prefix is where the
+	// steps before it leave every variant.
+	traj := splice(batchSims(t, 6, 2, 8, k, cfg), repeatCircuit(c, k))
+	plans := traj.plans(sims)
+	next, bound := make([]int, k), make([]int, k)
+	for polls, armed := 0, false; ; {
+		step := traj.step(plans, next, nil)
+		if len(step) == 0 {
+			t.Fatalf("K=%d: the fault is armed at poll %d, but the run polls only %d times", k, f.at, polls)
+		}
+		if traj.aligned(bound) {
+			armed = armed || polls == f.at
+			polls++
+		}
+		if armed && (f.all || step[0] == 0) {
+			break
+		}
+		for _, v := range step {
+			next[v], bound[v] = next[v]+1, plans[v][next[v]].End
+		}
+	}
+	prefix := traj.at[0][bound[0]]
+	for v, j := range bound {
+		if traj.at[v][j] != prefix {
+			t.Fatalf("K=%d: the variants' plans part before the fault (%v); the contract below needs a circuit where they agree", k, bound)
+		}
 	}
 	var enc, dec, get, put atomic.Bool
 	faulty := sims[:1]
@@ -255,7 +282,6 @@ func runWithFault(t *testing.T, k int, cfg func(*Config), c *quantum.Circuit, f 
 	if !errors.Is(err, want) {
 		t.Fatalf("K=%d: error does not wrap %v: %v", k, want, err)
 	}
-	prefix := plan[f.at].Start
 	ref := newSim(t, 6, 2, 8, cfg)
 	if err := ref.Run(&quantum.Circuit{N: c.N, Gates: c.Gates[:prefix]}); err != nil {
 		t.Fatal(err)

@@ -112,7 +112,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 	// projector on the outcome times 1/√keep.
 	var u quantum.Matrix2
 	u[outcome][outcome] = complex(1/math.Sqrt(keep), 0)
-	if err := runPass([]*Simulator{s}, rs.id, []*blockPass{s.collapsePass(rs, q, u)}, gi, 0); err != nil {
+	if err := runPass([]*Simulator{s}, rs.id, []*blockPass{s.collapsePass(rs, q, u)}, []int{gi}, 0); err != nil {
 		return 0, fmt.Errorf("core: collapse after measuring qubit %d: %w", q, err)
 	}
 	return outcome, nil

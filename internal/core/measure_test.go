@@ -209,36 +209,6 @@ func TestNoiseValidation(t *testing.T) {
 	s.Close()
 }
 
-// TestNoisePauliChargesItsOwnRound: the Pauli the noise channel inserts
-// after a gate recompresses the state a second time at that gate's
-// boundary, so a lossy boundary charges two (1−δ) factors, not one — for
-// a target in each index segment (offset, block, rank).
-func TestNoisePauliChargesItsOwnRound(t *testing.T) {
-	// Noise one ulp below 1: every Pauli fires.
-	s := newSim(t, 8, 2, 8, func(c *Config) { c.MemoryBudget, c.Noise = 1, math.Nextafter(1, 0) })
-	// A budget nothing fits exhausts the ladder: every later boundary
-	// runs at the loosest level and settles no requantize round.
-	if err := s.Run(quantum.QFT(8, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if !s.OverBudget() {
-		t.Fatal("the ladder is not exhausted; test is vacuous")
-	}
-	cir := quantum.NewCircuit(8).H(0).H(4).H(7)
-	want := s.FidelityLowerBound()
-	if err := s.Run(cir); err != nil {
-		t.Fatal(err)
-	}
-	keep := 1 - s.cfg.ErrorLevels[len(s.cfg.ErrorLevels)-1]
-	for range 2 * len(cir.Gates) {
-		want *= keep
-	}
-	if got := s.FidelityLowerBound(); got != want {
-		t.Fatalf("ledger %v after %d noisy gates at the loosest level, want %v (two charges a boundary)",
-			got, len(cir.Gates), want)
-	}
-}
-
 func TestAssertions(t *testing.T) {
 	s := newSim(t, 4, 2, 4, nil)
 	c := quantum.NewCircuit(4)

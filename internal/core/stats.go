@@ -31,8 +31,8 @@ type Stats struct {
 
 	// Sweep scheduler behaviour. Sweeps counts the group sweeps executed,
 	// those that exchange groups with a peer rank included (none when the
-	// scheduler is off or noise forces one-gate sweeps), and SweepGates
-	// the gates they covered; CodecPassesSaved is the
+	// scheduler is off), and SweepGates the gates they covered, the noise
+	// channel's Paulis included; CodecPassesSaved is the
 	// number of per-block decompress+recompress round trips avoided
 	// versus gate-at-a-time execution: per block actually run through
 	// the codec, the gates that fired on it minus one.

@@ -55,9 +55,12 @@ import (
 //     gate acted on. A rank-segment pass swaps the crossing members with
 //     the peer before its window, the first to the last rank-target
 //     gate; without one the window is empty. A one-gate sweep is the
-//     paper's gate-at-a-time pass, so the scheduler-off and noise-active
-//     runs use the same code, and so does a measurement's collapse
-//     (collapsePass).
+//     paper's gate-at-a-time pass, so the scheduler-off run uses the same
+//     code, and so does a measurement's collapse (collapsePass).
+//   - A noise channel's Pauli is a gate of the circuit the run executes
+//     (noise.go): drawn before planning and spliced in after its gate, it
+//     joins that gate's sweep on the gate's own target — X a swap, Y
+//     real-imaginary, Z diagonal — and costs no pass of its own.
 //
 // Under the lossless codec the result is bit-identical to
 // gate-at-a-time execution: every amplitude sees the same float
@@ -83,18 +86,11 @@ import (
 // Each requantize truncates the state once more, so it charges its own
 // (1-δ) factor on top of the sweep's.
 
-// sweepsEnabled reports whether runs are scheduled as maximal group
-// sweeps. A live noise channel forces one-gate sweeps: the depolarizing
-// draw happens after every gate, and an injected Pauli must observe the
-// state with the preceding gate already applied.
-func (s *Simulator) sweepsEnabled() bool {
-	return !s.cfg.DisableSweeps && !s.noiseActive()
-}
-
-// planSweeps is the schedule the run loop iterates; others are a
-// batch's other variants (a ZZ unit must be one in each).
+// planSweeps is the schedule the run loop iterates: maximal group sweeps
+// unless DisableSweeps asks for the paper's one-gate schedule. others are
+// a batch's other variants (a ZZ unit must be one in each).
 func (s *Simulator) planSweeps(gates []quantum.Gate, others ...[]quantum.Gate) []quantum.GroupSweep {
-	if s.sweepsEnabled() {
+	if !s.cfg.DisableSweeps {
 		return quantum.PlanGroupSweeps(gates, s.offsetBits, s.blockBits, s.sweepWidth(), others...)
 	}
 	return quantum.SingletonSweeps(gates)
@@ -786,47 +782,70 @@ func noteSaved(fired [groupSize]int, st *Stats) {
 }
 
 // runPass fans one group sweep — passes[v] on sims[v] — over rank r's
-// blocks on variant 0's worker pool and records each variant's level
-// for the fidelity ledger, as truncation number round of the boundary
-// after gate gi. The work unit is (block, variant): K·nb indices go
+// blocks on the lead's worker pool and records each variant's level for
+// the fidelity ledger, as truncation number round of the boundary after
+// its gate gi[v]. The lead is the first variant with a pass: a variant
+// whose pass is nil (compilePass) runs nothing and charges nothing. The
+// work unit is (block, variant): K·nb indices go
 // through the one forEach, each decoding to the passBlock call a solo
 // run of that variant would make, in whichever worker's scratch claims
 // it — so a batch of many variants over few blocks (a gradient on a
 // small register is 79 variants of ONE pair) still fills the pool.
 // The order is variant-major: while the variants have not diverged, the
-// leaders of the batch memo's keys are variant 0's blocks, which come
+// leaders of the batch memo's keys are the lead's blocks, which come
 // first and spread across the workers. Codec calls are charged to the
 // variant that issued them; a memo hit charges the saved variant's
 // CodecPassesShared instead — which variant of an undiverged group pays
 // depends on the schedule, the totals over the batch do not. A variant
-// whose gates part from variant 0's inside the pass runs as a fork of
-// variant 0's walk instead (forkPlan), in units of its own placed first.
+// whose gates part from the lead's inside the pass runs as a fork of
+// the lead's walk instead (forkPlan), in units of its own placed first.
 //
 // A pass with a rank-segment target goes variant by variant instead,
 // each through exchangePass: the same passBlock per group, but its
 // SendRecvs must pair with the peer's in order, so it runs in block
-// order on one worker and consults no memo.
-func runPass(sims []*Simulator, r int, passes []*blockPass, gi, round int) error {
-	if passes[0] == nil {
-		return nil // rank controls are shape: silenced for one, silenced for all
-	}
+// order on one worker and consults no memo. Which variants exchange is
+// the same on both ranks of a pair; they go first, in variant order, and
+// the others then fan out together.
+func runPass(sims []*Simulator, r int, passes []*blockPass, gi []int, round int) error {
 	for v, s := range sims {
-		s.hintPass(s.ranks[r], passes[v])
+		if p := passes[v]; p != nil {
+			s.hintPass(s.ranks[r], p)
+		}
 	}
 	var err error
-	if passes[0].comm != nil {
-		err = eachVariant(sims, func(v int, s *Simulator) error { return s.exchangePass(s.ranks[r], passes[v]) })
-	} else {
+	if !slices.ContainsFunc(passes, runsAlone) {
 		err = fanOutPass(sims, r, passes)
+	} else {
+		var fan []*Simulator
+		var fanPasses []*blockPass
+		err = eachVariant(sims, func(v int, s *Simulator) error {
+			switch p := passes[v]; {
+			case p == nil:
+			case p.comm != nil:
+				return s.exchangePass(s.ranks[r], p)
+			default:
+				fan, fanPasses = append(fan, s), append(fanPasses, p)
+			}
+			return nil
+		})
+		if err == nil && len(fan) > 0 {
+			err = fanOutPass(fan, r, fanPasses)
+		}
 	}
 	if err != nil {
 		return err
 	}
 	for v, s := range sims {
-		s.noteLevel(s.ranks[r], gi, round, passes[v].key.level)
+		if p := passes[v]; p != nil {
+			s.noteLevel(s.ranks[r], gi[v], round, p.key.level)
+		}
 	}
 	return nil
 }
+
+// runsAlone reports whether a variant's pass stays out of runPass's
+// shared fan-out: it exchanges, or there is none.
+func runsAlone(p *blockPass) bool { return p == nil || p.comm != nil }
 
 // fanOutPass is runPass for a pass without a rank-segment target.
 func fanOutPass(sims []*Simulator, r int, passes []*blockPass) error {
@@ -874,9 +893,11 @@ func fanOutPass(sims []*Simulator, r int, passes []*blockPass) error {
 }
 
 // forkPlan is how a batch pass runs the variants whose gates part from
-// variant 0's inside it — a parameter-shift batch is K−1 of them, each
-// with its own angle on one gate. Variant v's divergence point at[v] is
-// the first gate where its compiled pass differs from variant 0's
+// variant 0's — the pass's lead (runPass) — inside it: a parameter-shift
+// batch is K−1 of them, each with its own angle on one gate; a noisy
+// batch those with a Pauli where variant 0 has none, or another one.
+// Variant v's divergence point at[v]
+// is the first gate where its compiled pass differs from variant 0's
 // (divergence); up to there the two apply the same float operations, so
 // where v's input blobs at a group are variant 0's, v's outputs are
 // variant 0's group decoded, walked through gates [0, at[v]), copied,
@@ -887,10 +908,12 @@ func fanOutPass(sims []*Simulator, r int, passes []*blockPass) error {
 // run, bit for bit.
 //
 // Variants equal to variant 0 on every gate keep the batch memo, which
-// shares their whole pass; a variant that differs at gate 0 shares
-// nothing and runs its own units.
+// shares their whole pass; a variant that differs at gate 0, or reads
+// other members than variant 0 at some group, shares nothing and runs
+// its own units.
 type forkPlan struct {
 	at     []int   // per variant: its divergence point, 0 for a variant the plan does not own
+	own    []bool  // per variant: it fires otherwise than variant 0 (sameFired)
 	chunks [][]int // the forks in divergence order, split into work units
 	// in0 is variant 0's input blobs per group base, read before the
 	// fan-out: variant 0's own units overwrite its slots while the chunks
@@ -917,12 +940,11 @@ const (
 // variant 0, or returns nil when none does.
 func planForks(rs0 *rankState, passes []*blockPass) (*forkPlan, error) {
 	p0 := passes[0]
-	n := len(p0.gates)
-	f := &forkPlan{at: make([]int, len(passes))}
+	f := &forkPlan{at: make([]int, len(passes)), own: make([]bool, len(passes))}
 	var order []int
 	for v, p := range passes[1:] {
-		if d := divergence(p0, p); 0 < d && d < n {
-			f.at[v+1] = d
+		if d := divergence(p0, p, rs0.store.Len()); d > 0 {
+			f.at[v+1], f.own[v+1] = d, !sameFired(p0, p, d)
 			order = append(order, v+1)
 		}
 	}
@@ -931,14 +953,15 @@ func planForks(rs0 *rankState, passes []*blockPass) (*forkPlan, error) {
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return f.at[a] - f.at[b] })
 	// Chunks of about equal work: a fork costs the gates it runs alone.
+	alone := func(v int) int { return len(passes[v].gates) - f.at[v] }
 	total := 0
 	for _, v := range order {
-		total += n - f.at[v]
+		total += alone(v)
 	}
 	chunks := min(forkChunks, (len(order)+forksPerChunk-1)/forksPerChunk)
-	target := (total + chunks - 1) / chunks
+	target := max(1, (total+chunks-1)/chunks)
 	for start, sum, i := 0, 0, 0; i < len(order); i++ {
-		if sum += n - f.at[order[i]]; sum >= target || i == len(order)-1 {
+		if sum += alone(order[i]); sum >= target || i == len(order)-1 {
 			f.chunks = append(f.chunks, order[start:i+1])
 			start, sum = i+1, 0
 		}
@@ -957,25 +980,69 @@ func planForks(rs0 *rankState, passes []*blockPass) (*forkPlan, error) {
 	return f, nil
 }
 
-// divergence is the first gate at which pass p leaves pass lead: where
-// its matrix bits differ (the class is read off them). Passes whose gates
-// act on different members or offsets anywhere share no group walk and
-// diverge at 0.
-func divergence(lead, p *blockPass) int {
-	if lead.span != p.span || lead.ctrlBits != p.ctrlBits || len(lead.gates) != len(p.gates) || !slices.Equal(lead.cnots, p.cnots) {
+// divergence is the gate at which pass p leaves pass lead, on a rank of
+// nb blocks: the length of their common prefix, gates equal in what they
+// act on and in their matrix bits (the class is read off them). It is 0
+// where p cannot fork off lead's walk — the prefix is empty, the passes
+// walk other groups, or p reads other members than lead somewhere, which
+// a fork's copy of lead's group would not hold — and where p equals lead
+// outright, which the batch memo shares whole.
+func divergence(lead, p *blockPass, nb int) int {
+	if lead.span != p.span {
 		return 0
 	}
-	d := len(p.gates)
-	for i := range p.gates {
-		a, b := &lead.gates[i], &p.gates[i]
-		if a.tMask != b.tMask || a.mask != b.mask || a.flip != b.flip || a.blkCtrl != b.blkCtrl || a.par != b.par {
-			return 0
-		}
-		if d == len(p.gates) && !sameMatrix(a.u, b.u) {
-			d = i
-		}
+	d := 0
+	for d < min(len(lead.gates), len(p.gates)) && sameGate(&lead.gates[d], &p.gates[d]) {
+		d++
+	}
+	if d == 0 || d == len(lead.gates) && d == len(p.gates) || !sameReads(lead, p, d, nb) {
+		return 0
 	}
 	return d
+}
+
+// sameReads reports whether passes lead and p, equal on gates [0, d),
+// read the same members at every group base of a rank of nb blocks. A
+// pass without block controls reads every member, and passes that fire
+// alike (sameFired) read alike — a parameter-shift batch's, which part
+// in angles alone; only a pass that gained or lost a block-controlled
+// gate (a noise Pauli after one) is compared group by group.
+func sameReads(lead, p *blockPass, d, nb int) bool {
+	if lead.ctrlBits == 0 && p.ctrlBits == 0 || sameFired(lead, p, d) {
+		return true
+	}
+	for b := range nb {
+		if b&lead.span == 0 {
+			_, rl := lead.reads(b)
+			_, rp := p.reads(b)
+			if rl != rp {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameFired reports whether passes lead and p, equal on gates [0, d),
+// fire alike (reads): as many gates, the same block controls on those
+// from d on, and ZZ units firing on the same bits.
+func sameFired(lead, p *blockPass, d int) bool {
+	if len(lead.gates) != len(p.gates) || !slices.Equal(lead.cnots, p.cnots) {
+		return false
+	}
+	for i := d; i < len(p.gates); i++ {
+		if lead.gates[i].blkCtrl != p.gates[i].blkCtrl {
+			return false
+		}
+	}
+	return true
+}
+
+// sameGate reports whether two compiled gates act on the same amplitudes
+// with the same matrix bits.
+func sameGate(a, b *passGate) bool {
+	return a.class == b.class && a.tMask == b.tMask && a.mask == b.mask && a.flip == b.flip &&
+		a.blkCtrl == b.blkCtrl && a.par == b.par && sameMatrix(a.u, b.u)
 }
 
 // sameMatrix compares two matrices bit for bit (−0 is not +0).
@@ -1018,9 +1085,16 @@ func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passM
 	if b&p0.span != 0 {
 		return nil // not a group base: visited with its base
 	}
-	fired, read := p0.reads(b)
+	fired0, read := p0.reads(b) // every fork's read too (divergence)
 	if read == 0 {
 		return nil
+	}
+	firedOf := func(v int) [groupSize]int {
+		if f.own[v] {
+			n, _ := passes[v].reads(b)
+			return n
+		}
+		return fired0
 	}
 	forks := make([]int, 0, len(f.chunks[c]))
 	for _, v := range f.chunks[c] {
@@ -1035,7 +1109,9 @@ func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passM
 		}
 		if same {
 			forks = append(forks, v)
-		} else if err := s.passGroup(rs, passes[v], memo, w, &shards[w.id*K+v], b, fired, read, in); err != nil {
+			continue
+		}
+		if err := s.passGroup(rs, passes[v], memo, w, &shards[w.id*K+v], b, firedOf(v), read, in); err != nil {
 			return err
 		}
 	}
@@ -1057,6 +1133,7 @@ func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passM
 			}
 		}
 		w.kernel(p, fork[:], b, p.gates[d:], 0, p.size, st)
+		fired := firedOf(v)
 		out, err := s.encodeGroup(p, fork, fired, st)
 		if err != nil {
 			return err
@@ -1181,7 +1258,7 @@ func (s *Simulator) escalate(rs *rankState) bool {
 // sweep itself was round 0 — so each charges its own ledger factor.
 func (s *Simulator) settleBudget(rs *rankState, gi int) error {
 	for round := 1; s.escalate(rs); round++ {
-		if err := runPass([]*Simulator{s}, rs.id, []*blockPass{scanPass(rs.level, 0)}, gi, round); err != nil {
+		if err := runPass([]*Simulator{s}, rs.id, []*blockPass{scanPass(rs.level, 0)}, []int{gi}, round); err != nil {
 			return err
 		}
 	}

@@ -963,18 +963,6 @@ func TestBudgetHoldsAtRest(t *testing.T) {
 	}
 }
 
-// TestSweepsDisabledByNoise: a noise channel must force gate-at-a-time
-// execution (the depolarizing draw fires after every gate).
-func TestSweepsDisabledByNoise(t *testing.T) {
-	s := newSim(t, 6, 1, 16, func(c *Config) { c.Noise = 0.1 })
-	if err := s.Run(quantum.NewCircuit(6).H(0).H(1).H(2)); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Sweeps != 0 {
-		t.Fatalf("noisy run still used the sweep path: %+v", st)
-	}
-}
-
 // --- measurement error propagation (the second ISSUE bugfix) ---
 
 // compressFailAfterCodec works for the first n Compress calls (enough
@@ -1068,6 +1056,16 @@ func TestUnitaryCodecFailureReturnsError(t *testing.T) {
 		for _, f := range faults {
 			runWithFault(t, k, nil, cir, f)
 		}
+	}
+	// The noisy row: the fault is armed where the trajectory's plan puts
+	// sweep at, and the completed prefix is held to a noisy reference run
+	// of that prefix.
+	noisy := func(c *Config) { c.Noise = 0.5 }
+	for _, k := range []int{1, 3} {
+		if firedPaulis(t, 2, k, noisy, &quantum.Circuit{N: cir.N, Gates: cir.Gates[:4]}) == 0 {
+			t.Fatalf("K=%d: no Pauli fired before the fault; the noisy row is vacuous", k)
+		}
+		runWithFault(t, k, noisy, cir, codecFault{enc: true, at: at})
 	}
 }
 

@@ -179,9 +179,9 @@ func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int, others ...[
 
 // SingletonSweeps returns the degenerate plan with one sweep per gate —
 // the schedule that reproduces the paper's gate-at-a-time cost model
-// exactly (used when the sweep scheduler is disabled or a noise channel
-// must fire after every gate). A one-gate sweep runs through the same
-// pass as a long one; only a measurement is not a pass.
+// exactly (used when the sweep scheduler is disabled). A one-gate sweep
+// runs through the same pass as a long one; only a measurement is not a
+// pass.
 func SingletonSweeps(gates []Gate) []GroupSweep {
 	plan := make([]GroupSweep, len(gates))
 	for i, g := range gates {

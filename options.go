@@ -143,8 +143,12 @@ func WithVariants(k int) Option {
 
 // WithNoise installs a quantum-trajectories depolarizing channel: after
 // each gate, with probability prob, a uniformly random Pauli hits the
-// gate's target qubit. prob must lie in [0,1) (anything else, NaN
-// included, is ErrBadConfig from New). Default 0 (noiseless). The mps
+// gate's target qubit. A run draws its Paulis before it plans and
+// splices each one that fires in after its gate, so a Pauli rides its
+// gate's sweep (WithSweeps) and costs no codec pass of its own; hooks,
+// GatesRun and Result.Gates count the circuit's gates alone. prob must
+// lie in [0,1) (anything else, NaN included, is ErrBadConfig from New).
+// Default 0 (noiseless). The mps
 // backend has no noise channel (ErrBadConfig) and auto routes a noisy
 // circuit to the compressed engine, whose TCP transport ships the
 // channel to its workers with the rest of the configuration.
@@ -166,8 +170,7 @@ func WithSeed(seed int64) Option {
 // groups of one, two, four or eight blocks instead of one codec round
 // trip per gate; controls may sit anywhere. A sweep is broken by a
 // fourth block-segment target (a second under WithMemoryBudget), a cross-rank
-// target, a measurement, and (when WithNoise is set) every gate, since
-// the depolarizing channel fires per gate.
+// target, or a measurement; WithNoise's Paulis ride their gates' sweeps.
 // Sweeps are bit-identical to gate-at-a-time execution under the
 // lossless codec; under a lossy budget the state sees fewer truncations
 // and the Eq. 11 fidelity ledger charges one (1-δ) factor per sweep —
