@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"qcsim/internal/quantum"
@@ -54,6 +56,28 @@ func refApply(gates []refGate, blocks map[int][]float64) {
 
 var negZero = math.Copysign(0, -1)
 
+// cpuVector is whether this CPU and build have the vector kernels:
+// vectorKernels as the package set it, before any test changed it.
+var cpuVector = vectorKernels
+
+// eachKernel runs f twice, as subtests: impl=go with the vector kernels
+// off, impl=vec with them on, which skips where cpuVector is false.
+func eachKernel[T interface {
+	Run(string, func(T)) bool
+	Skip(...any)
+}](tb T, f func(T)) {
+	defer func(on bool) { vectorKernels = on }(vectorKernels)
+	for _, impl := range []string{"go", "vec"} {
+		tb.Run("impl="+impl, func(tb T) {
+			if impl == "vec" && !cpuVector {
+				tb.Skip("no vector kernels: the CPU lacks AVX2, or the build is not amd64 or has the purego tag")
+			}
+			vectorKernels = impl == "vec"
+			f(tb)
+		})
+	}
+}
+
 // kernelMatrices covers every class and the edges of classify: named
 // diagonals, swaps, real-imaginaries and generals (a real matrix is
 // general), fused products whose zeros come out of arithmetic, and -0
@@ -77,6 +101,7 @@ var kernelMatrices = []struct {
 	{"fused s·t", quantum.MatS.Mul(quantum.MatT), classDiagonal},
 	{"fused h·t", quantum.MatH.Mul(quantum.MatT), classGeneral},
 	{"fused x·z", quantum.MatX.Mul(quantum.MatZ), classGeneral},
+	{"fused rx·rz, every entry complex", quantum.RX(1.1).Mul(quantum.RZ(0.4)), classGeneral},
 	{"diagonal, -0 off it", quantum.Matrix2{
 		{complex(0.6, -0.8), complex(negZero, negZero)},
 		{complex(0, negZero), complex(negZero, 1)}}, classDiagonal},
@@ -107,7 +132,9 @@ var kernelMatrices = []struct {
 // gates on each group stride, controlled on the other group qubits and
 // on a block qubit outside the group, so it also pins which members
 // apply pairs (and fired counts) for every group shape.
-func TestKernelMatchesGeneral2x2Bits(t *testing.T) {
+func TestKernelMatchesGeneral2x2Bits(t *testing.T) { eachKernel(t, kernelMatchesGeneral2x2Bits) }
+
+func kernelMatchesGeneral2x2Bits(t *testing.T) {
 	const (
 		offsetBits = 5
 		ba         = 1 << offsetBits
@@ -237,32 +264,59 @@ func TestKernelMatchesGeneral2x2Bits(t *testing.T) {
 // -0 rule. The subnormals make products that underflow to a signed
 // zero, so a short result can be -0 where neither input is; huge is
 // large enough to matter and small enough that no entry's products
-// overflow (the rule is for finite results).
+// overflow (the rule is for finite results). Each pair runs as the pair
+// (0, 1) of a two-amplitude block, and as either pair of a four-amplitude
+// block under a target on bit 1 — (0, 2) and (1, 3), the two pairs of one
+// vector — with the other pair dense, so a vector loop decides the −0
+// fallback per pair.
 func TestKernelNegZeroRule(t *testing.T) {
+	eachKernel(t, classLoopsNegZeroRule)
+	t.Run("zz-unit", func(t *testing.T) { eachKernel(t, zzUnitNegZeroRule) })
+}
+
+func classLoopsNegZeroRule(t *testing.T) {
 	tiny, huge := math.SmallestNonzeroFloat64, math.MaxFloat64/4
 	values := []float64{0, negZero, 1, -1, tiny, -tiny, huge, -huge}
-	buf := make([]float64, 4) // one block of two amplitudes: the pair (0, 1)
+	dense := [4]float64{0.3, -1.7, 2.9, 0.45} // the other pair: x0, y0, x1, y1
 	for _, m := range kernelMatrices {
 		g := newPassGate(m.u, 1, 0, 0, 0)
+		g2 := newPassGate(m.u, 2, 0, 0, 0)
+		// check runs g on block x, whose amplitudes lo and lo+t form the
+		// pair under test, and holds every component to full's.
+		check := func(g *passGate, x []float64, lo int) {
+			want := slices.Clone(x)
+			for o := 0; o < g.tMask; o++ {
+				n0, n1 := g.full(complex(x[2*o], x[2*o+1]), complex(x[2*(o+g.tMask)], x[2*(o+g.tMask)+1]))
+				want[2*o], want[2*o+1] = real(n0), imag(n0)
+				want[2*(o+g.tMask)], want[2*(o+g.tMask)+1] = real(n1), imag(n1)
+			}
+			in := slices.Clone(x)
+			g.kernel(x, x)
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s, target bit %d, pair at %d, on block %v: component %d is %v (%#x), full gives %v (%#x)",
+						m.name, g.tMask, lo, in, i, x[i], math.Float64bits(x[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
 		for _, ar0 := range values {
 			for _, ai0 := range values {
 				for _, ar1 := range values {
 					for _, ai1 := range values {
-						copy(buf, []float64{ar0, ai0, ar1, ai1})
-						g.kernel(buf, buf)
-						n0, n1 := g.full(complex(ar0, ai0), complex(ar1, ai1))
-						for i, want := range []float64{real(n0), imag(n0), real(n1), imag(n1)} {
-							if math.Float64bits(buf[i]) != math.Float64bits(want) {
-								t.Fatalf("%s on (%v, %v), (%v, %v): component %d is %v (%#x), full gives %v (%#x)",
-									m.name, ar0, ai0, ar1, ai1, i, buf[i], math.Float64bits(buf[i]), want, math.Float64bits(want))
-							}
+						check(&g, []float64{ar0, ai0, ar1, ai1}, 0)
+						for lo := range 2 {
+							x := make([]float64, 8)
+							copy(x[2*lo:], []float64{ar0, ai0})
+							copy(x[2*(lo+2):], []float64{ar1, ai1})
+							copy(x[2*(1-lo):], dense[:2])
+							copy(x[2*(3-lo):], dense[2:])
+							check(&g2, x, lo)
 						}
 					}
 				}
 			}
 		}
 	}
-	t.Run("zz-unit", zzUnitNegZeroRule)
 }
 
 // zzUnitNegZeroRule is TestKernelNegZeroRule's ZZ unit: it holds the
@@ -357,7 +411,9 @@ func zzUnitNegZeroRule(t *testing.T) {
 // block bit. On a dense block an amplitude the projector keeps must
 // carry the reference's bits, and one it drops must be exact +0 where
 // the reference is a zero of either sign.
-func TestUnitProjectsOnItsParity(t *testing.T) {
+func TestUnitProjectsOnItsParity(t *testing.T) { eachKernel(t, unitProjectsOnItsParity) }
+
+func unitProjectsOnItsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, tc := range []struct {
 		name       string
@@ -429,6 +485,132 @@ func TestRunLenWalksSupersets(t *testing.T) {
 	}
 }
 
+// fuzzValue maps a byte to a matrix or amplitude component: the first
+// eleven are ±0, ±the smallest subnormal, ±huge (products overflow),
+// ±Inf, NaN and ±1, the rest normals.
+func fuzzValue(b byte) float64 {
+	special := []float64{0, negZero, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64 / 3, -math.MaxFloat64 / 3, math.Inf(1), math.Inf(-1), math.NaN(), 1, -1}
+	if int(b) < len(special) {
+		return special[b]
+	}
+	return float64(int8(b)) / 7
+}
+
+// FuzzKernelVectorMatchesGo holds the vector loops to the Go loops bit
+// for bit on one gate of each vectorised class — general, real-imaginary
+// (class 1) and a ZZ unit (class 2) — over a pair of 32-amplitude
+// blocks. target picks the target bit (0 for a block target, then bits
+// 0 to 4: the interleaved pair, runs of one, two and more pairs; for a
+// unit, u's and v's bits), ctrl adds offset controls, bit 0 included,
+// and data's bytes are the matrix entries, then the amplitudes
+// (fuzzValue, repeating). Where both results are NaN the payload may
+// differ.
+func FuzzKernelVectorMatchesGo(f *testing.F) {
+	if !cpuVector {
+		f.Skip("no vector kernels: the CPU lacks AVX2, or the build is not amd64 or has the purego tag")
+	}
+	f.Add(uint8(0), uint8(1), uint8(0), []byte{20, 30, 40, 50, 60, 70, 80, 90, 100, 200, 13, 14})
+	f.Add(uint8(0), uint8(0), uint8(1), []byte{20, 0, 40, 1, 60, 6, 80, 8, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add(uint8(0), uint8(3), uint8(0), []byte{20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150})
+	f.Add(uint8(1), uint8(1), uint8(0), []byte{20, 1, 0, 30, 1, 40, 50, 0, 0, 1, 2, 3, 9, 10, 0, 1, 6})
+	f.Add(uint8(1), uint8(3), uint8(9), []byte{20, 1, 0, 30, 1, 40, 50, 0, 0, 0, 1, 1, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(1), uint8(4), uint8(0), []byte{9, 0, 1, 9, 0, 9, 9, 1, 0, 1, 0, 1, 0, 1, 200, 2, 3})
+	f.Add(uint8(2), uint8(0x21), uint8(1), []byte{20, 30, 40, 50, 60, 70, 80, 90, 7, 6, 8})
+	f.Add(uint8(2), uint8(0x53), uint8(0), []byte{20, 30, 0, 0, 0, 0, 80, 90, 0, 1, 2, 3})
+	f.Add(uint8(2), uint8(0x22), uint8(0), []byte{20, 30, 40, 50, 60, 70, 80, 90, 7, 6, 8})
+	f.Fuzz(func(t *testing.T, class, target, ctrl uint8, data []byte) {
+		const ba = 32
+		if len(data) == 0 {
+			return
+		}
+		at := func(i int) float64 { return fuzzValue(data[i%len(data)]) }
+		var c [8]float64
+		for i := range c {
+			c[i] = at(i)
+		}
+		blocks := [2][]float64{make([]float64, 2*ba), make([]float64, 2*ba)}
+		for i := range 2 * 2 * ba {
+			blocks[i/(2*ba)][i%(2*ba)] = at(8 + i)
+		}
+		var run func(x [2][]float64)
+		switch class % 3 {
+		case 0, 1:
+			u := quantum.Matrix2{{complex(c[0], c[1]), complex(c[2], c[3])}, {complex(c[4], c[5]), complex(c[6], c[7])}}
+			want := classGeneral
+			if class%3 == 1 {
+				// Zeros where the class needs them, signed as c's.
+				z := func(x float64) float64 { return math.Copysign(0, x) }
+				u = quantum.Matrix2{{complex(c[0], z(c[1])), complex(z(c[2]), c[3])}, {complex(z(c[4]), c[5]), complex(c[6], z(c[7]))}}
+				want = classRealImag
+			}
+			if classify(u) != want {
+				t.Skip("the entries make another class")
+			}
+			tMask := 0
+			if k := int(target % 6); k > 0 {
+				tMask = 1 << (k - 1)
+			}
+			g := newPassGate(u, tMask, 0, uint64(ctrl)%ba&^uint64(tMask), 0)
+			run = func(x [2][]float64) {
+				if tMask == 0 {
+					g.kernel(x[0], x[1])
+				} else {
+					g.kernel(x[0], x[0])
+				}
+			}
+		default:
+			// u's and v's bits: each an offset bit or, at 5, block bit 0.
+			g := passGate{class: classUnit, u: quantum.Matrix2{{complex(c[0], c[1]), 0}, {0, complex(c[2], c[3])}}}
+			for _, k := range []int{int(target&7) % 6, int(target>>4&7) % 6} {
+				if k == 5 {
+					g.par ^= 1
+				} else {
+					g.tMask ^= 1 << k
+				}
+			}
+			run = func(x [2][]float64) {
+				g.unit(x[0], 0)
+				g.unit(x[1], 1)
+			}
+		}
+		got := [2][]float64{slices.Clone(blocks[0]), slices.Clone(blocks[1])}
+		defer func(on bool) { vectorKernels = on }(vectorKernels)
+		vectorKernels = false
+		run(blocks)
+		vectorKernels = true
+		run(got)
+		for b := range blocks {
+			for i, w := range blocks[b] {
+				if g := got[b][i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("block %d component %d: vector %v (%#x), Go %v (%#x)", b, i, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+		}
+	})
+}
+
+// TestKernelAsmHasNoFMA: the vector file contains no fused multiply-add.
+// A fused form rounds a product and a sum once where the Go loops round
+// twice; on some inputs it happens to round the same, and there no bit
+// test can see it.
+func TestKernelAsmHasNoFMA(t *testing.T) {
+	src, err := os.ReadFile("kernel_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(src), "VMULPD") {
+		t.Fatal("kernel_amd64.s has no VMULPD: not the vector kernel file")
+	}
+	for i, line := range strings.Split(string(src), "\n") {
+		for _, op := range []string{"VFMADD", "VFMSUB", "VFNMADD", "VFNMSUB"} {
+			if strings.Contains(strings.ToUpper(line), op) {
+				t.Errorf("kernel_amd64.s:%d: %s is a fused multiply-add: %s", i+1, op, strings.TrimSpace(line))
+			}
+		}
+	}
+}
+
 // BenchmarkKernel times one gate over a block of the default size (2^12
 // amplitudes), or a group of blocks, per class and loop shape, in ns per
 // amplitude updated: t=0 is the shortest run the stride walk makes (one
@@ -444,9 +626,25 @@ func TestRunLenWalksSupersets(t *testing.T) {
 // 8-block group, in place and with no -0 test, by how many of u and v
 // are offset bits: par=0 on block bits alone, par=1 with u an offset
 // bit and v a block bit, par=2 with both offset bits, u on bit 0, 1, 2
-// or 6: runs of one and two amplitudes take the per-amplitude table,
-// runs of four (t=2, as long as unitRun) and 64 the run loop.
+// or 6: in Go, runs of one and two amplitudes take the per-amplitude
+// table, runs of four (t=2, as long as unitRun) and 64 the run loop.
+// The rows of vecRows time both kernels, as impl=go and impl=vec
+// (eachKernel); the others run whichever the CPU selects.
 func BenchmarkKernel(b *testing.B) {
+	vecRows := map[string]bool{
+		"general/t=0": true, "general/t=mid": true, "general/group8": true,
+		"real-imag/t=0": true, "real-imag/t=mid": true, "real-imag/group8": true,
+		"zz/par=0": true, "zz/par=1": true, "zz/par=2/t=0": true,
+	}
+	// row runs f as the benchmark name, or as its impl=go and impl=vec
+	// pair for a vecRows name.
+	row := func(b *testing.B, name, suffix string, f func(b *testing.B)) {
+		if vecRows[name] {
+			b.Run(name+suffix, func(b *testing.B) { eachKernel(b, f) })
+		} else {
+			b.Run(name+suffix, f)
+		}
+	}
 	const offsetBits = 12 // the engine's default block
 	const ba = 1 << offsetBits
 	classes := []struct {
@@ -508,7 +706,7 @@ func BenchmarkKernel(b *testing.B) {
 	for _, c := range classes {
 		for _, sh := range shapes {
 			for _, in := range inputs {
-				b.Run(c.name+"/"+sh.name+in.suffix, func(b *testing.B) {
+				row(b, c.name+"/"+sh.name, in.suffix, func(b *testing.B) {
 					p := newBlockPass(passKey{}, []passGate{newPassGate(c.u, sh.tMask, sh.stride, sh.offCtrl, 0)}, sh.span, 0)
 					amps := p.size * ba
 					if sh.offCtrl != 0 {
@@ -532,7 +730,7 @@ func BenchmarkKernel(b *testing.B) {
 		{"par=2/t=mid", mid | mid<<3, 0},
 	} {
 		for _, in := range inputs {
-			b.Run("zz/"+sh.name+in.suffix, func(b *testing.B) {
+			row(b, "zz/"+sh.name, in.suffix, func(b *testing.B) {
 				g := passGate{class: classUnit, u: quantum.RZ(0.7), tMask: sh.tMask, par: sh.par}
 				run(b, newBlockPass(passKey{}, []passGate{g}, 7, sh.par), groupSize*ba, in.draw)
 			})

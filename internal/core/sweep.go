@@ -75,6 +75,13 @@ import (
 // once per gate — and the fidelity ledger charges one (1-δ) factor per
 // sweep, so the Eq. 11 bound only rises.
 //
+// On amd64 with AVX2 (vectorKernels) the general, real-imaginary and
+// unit loops run as assembly (kernel_amd64.s), two amplitudes a vector:
+// the Go loops' multiplies, adds and subtracts in the Go loops' order,
+// no fused multiply-add, so their bits are the Go kernel's. Diagonal and
+// swap stay Go. Every other GOARCH, and the purego build tag, runs the
+// Go loops alone.
+//
 // The memory budget holds at every sweep boundary, not "eventually":
 // with tens of boundaries instead of hundreds, relaxing the bound one
 // level and waiting for the next gate to recompress would leave the
@@ -494,13 +501,42 @@ func runLen(mask, n int) int {
 // an offset target, the block pair (tMask == 0) for the block-segment
 // target. Each run is a pair of equal-length windows: the control test
 // and the slice arithmetic are paid per run, not per pair.
+//
+// With vectorKernels the general and real-imaginary classes run as one
+// assembly call per gate and member, two pairs a vector, which walks the
+// runs itself; runs of one pair stay in Go unless the target is qubit 0,
+// where the pair is one vector. A real-imaginary vector that the −0 rule
+// sends to full comes back unwritten, and its pairs run the Go loop.
+// Diagonal and swap are Go loops alone.
 func (g *passGate) kernel(lo, hi []float64) {
 	ba, t, mask := len(hi)/2, g.tMask, g.mask
 	n := runLen(mask, ba)
+	if vectorKernels && (n > 1 || t == 1) {
+		switch g.class {
+		case classGeneral:
+			generalVec(lo, hi, mask, t, &g.u)
+			return
+		case classRealImag:
+			step := min(n, 2) // pairs a vector
+			for v := mask; ; v = (v + step) | mask {
+				if v = realImagVec(lo, hi, v, mask, t, &g.u); v >= ba {
+					return
+				}
+				g.kernelGo(lo, hi, v, v+1, step)
+			}
+		}
+	}
+	g.kernelGo(lo, hi, mask, ba, n)
+}
+
+// kernelGo is kernel's Go loops on the runs of n pairs from offset v0
+// up to end: the specification of every class's bits.
+func (g *passGate) kernelGo(lo, hi []float64, v0, end, n int) {
+	t, mask := g.tMask, g.mask
 	switch g.class {
 	case classDiagonal:
 		u00, u11 := g.u[0][0], g.u[1][1]
-		for v := mask; v < ba; v = (v + n) | mask {
+		for v := v0; v < end; v = (v + n) | mask {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
 				a0 := complex(l[i-1], l[i])
@@ -515,7 +551,7 @@ func (g *passGate) kernel(lo, hi []float64) {
 			}
 		}
 	case classSwap:
-		for v := mask; v < ba; v = (v + n) | mask {
+		for v := v0; v < end; v = (v + n) | mask {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
 				a0 := complex(l[i-1], l[i])
@@ -530,7 +566,7 @@ func (g *passGate) kernel(lo, hi []float64) {
 		}
 	case classRealImag:
 		r00, s01, s10, r11 := real(g.u[0][0]), imag(g.u[0][1]), imag(g.u[1][0]), real(g.u[1][1])
-		for v := mask; v < ba; v = (v + n) | mask {
+		for v := v0; v < end; v = (v + n) | mask {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
 				x0, y0, x1, y1 := l[i-1], l[i], h[i-1], h[i]
@@ -548,7 +584,7 @@ func (g *passGate) kernel(lo, hi []float64) {
 		}
 	default:
 		u00, u01, u10, u11 := g.u[0][0], g.u[0][1], g.u[1][0], g.u[1][1]
-		for v := mask; v < ba; v = (v + n) | mask {
+		for v := v0; v < end; v = (v + n) | mask {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
 				a0 := complex(l[i-1], l[i])
@@ -578,6 +614,8 @@ const unitRun = 4
 // (collapsePass), or any zero-entry unit — writes its runs exact +0,
 // not 0·x, whose zeros carry signs, so an amplitude a collapse drops is
 // the zero Reset installs and a dropped block compresses to its blob.
+// With vectorKernels a unit with no zero entry is one assembly call
+// (unitVec) whatever its run length; a zero-entry unit stays Go.
 func (g *passGate) unit(x []float64, blk int) {
 	d := [2]complex128{g.u[0][0], g.u[1][1]}
 	if bits.OnesCount(uint(blk&g.par))&1 != 0 {
@@ -585,6 +623,14 @@ func (g *passGate) unit(x []float64, blk int) {
 	}
 	t := g.tMask
 	n := runLen(t, len(x)/2) // amplitudes in a run
+	if vectorKernels && len(x) >= 8 && d[0] != 0 && d[1] != 0 {
+		// One assembly call whatever the run length: runs of one
+		// amplitude take the table's pair [d[p], d[p^1]] two at a time,
+		// longer runs d[p] throughout, and t == 0 is one run of d[0].
+		f := t & 1
+		unitVec(x, t, max(n, 2), &[2][2]complex128{{d[0], d[f]}, {d[1], d[1^f]}})
+		return
+	}
 	if n < unitRun && t != 0 && d[0] != 0 && d[1] != 0 {
 		// Amplitudes 2j and 2j+1 a step, x[i] the latter's last float: the
 		// two differ in parity when n is 1.
