@@ -58,8 +58,10 @@ import (
 // input itself; matches extend eight bytes at a time; a code's lengths
 // come from one sort of packed (frequency, symbol) keys — a total order,
 // the one flate's byFreq sorts into — and its codes are assigned
-// canonically in symbol order; and the bit writer keeps its state in
-// locals and stores eight bytes at a time into the output slice.
+// canonically in symbol order; a Huffman-only window whose Shannon
+// floor already rules its code out is stored without building the code;
+// and the bit writer keeps its state in locals and stores eight bytes at
+// a time into the output slice.
 //
 // A deflater is ~140 KB, mostly the match table, allocates only to grow
 // its token and output buffers, and is not safe for concurrent use.
@@ -149,14 +151,10 @@ func (d *deflater) deflate(src []byte) []byte {
 		// Only the last window can be this short.
 		case len(win) <= 16:
 			w.stored(win)
-		case len(win) < 128:
+		case d.huffOnlyWindow(src, start, end):
 			d.huffOnly(&w, win)
 		default:
-			if n := d.encode(src, start, end); n > len(win)-len(win)>>4 {
-				d.huffOnly(&w, win)
-			} else {
-				d.dynamic(&w, win)
-			}
+			d.dynamic(&w, win)
 		}
 	}
 	// The empty final stored block Close writes.
@@ -166,6 +164,15 @@ func (d *deflater) deflate(src []byte) []byte {
 	w.pos += copy(w.out[w.pos:], []byte{0, 0, 0xFF, 0xFF})
 	d.out = w.out
 	return w.out[:w.pos]
+}
+
+// huffOnlyWindow reports whether flate writes the window src[start:end],
+// of more than 16 bytes, Huffman-only: when it is shorter than 128 bytes,
+// or when the matcher, which otherwise tokenizes it into d.tokens,
+// removes less than 1/16 of its tokens.
+func (d *deflater) huffOnlyWindow(src []byte, start, end int) bool {
+	n := end - start
+	return n < 128 || d.encode(src, start, end) > n-n>>4
 }
 
 func load32(b []byte, i int32) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
@@ -328,16 +335,20 @@ func (d *deflater) shiftOffsets(history bool) {
 
 // huffOnly is writeBlockHuff: win's bytes as literals under a dynamic
 // code of their own, or stored when that saves less than 1/16.
+//
+// flate decides after building the code. huffOnly first asks
+// huffFloor, a size no code beats, and stores the block at once when
+// even that saves too little. The verdict is flate's, since floor ≤
+// size and x + x>>4 is monotone; what it skips is generate, most of the
+// cost of a window that does not compress (the lossless codec's probe
+// of an incompressible block).
 func (d *deflater) huffOnly(w *bitWriter, win []byte) {
-	clear(d.litFreq[:])
-	histogram(win, &d.litFreq)
-	d.litFreq[endOfBlock] = 1
-	d.generate(d.lit[:], d.litFreq[:], 15)
-	// The distance code is the single one-bit code flate declares for
-	// blocks without matches; its one use is counted, as flate counts it.
-	oneDist := [1]hcode{{0, 1}}
-	hdr, ncg := d.headerSize(d.lit[:endOfBlock+1], oneDist[:])
-	size := hdr + bitLength(d.lit[:], d.litFreq[:]) + 1
+	d.huffHistogram(win)
+	if floor := d.huffFloor(len(win) + 1); storedSize(win) < floor+floor>>4 {
+		w.stored(win)
+		return
+	}
+	size, ncg := d.huffSize()
 	if storedSize(win) < size+size>>4 {
 		w.stored(win)
 		return
@@ -346,6 +357,65 @@ func (d *deflater) huffOnly(w *bitWriter, win []byte) {
 	w.literals(win, &d.lit)
 	w.code(d.lit[endOfBlock])
 }
+
+// huffHistogram counts win's bytes and the end of block into d.litFreq.
+func (d *deflater) huffHistogram(win []byte) {
+	clear(d.litFreq[:])
+	histogram(win, &d.litFreq)
+	d.litFreq[endOfBlock] = 1
+}
+
+// huffSize builds the code of d.litFreq's Huffman-only block into d.lit
+// and its header into d.codegen and d.cg, and returns the block's size
+// in bits as flate counts it and how many code-length code lengths the
+// header lists.
+func (d *deflater) huffSize() (size, ncg int) {
+	d.generate(d.lit[:], d.litFreq[:], 15)
+	// The distance code is the single one-bit code flate declares for
+	// blocks without matches; its one use is counted, as flate counts it.
+	oneDist := [1]hcode{{0, 1}}
+	hdr, ncg := d.headerSize(d.lit[:endOfBlock+1], oneDist[:])
+	return hdr + bitLength(d.lit[:], d.litFreq[:]) + 1, ncg
+}
+
+// huffFloor is a lower bound on huffSize's result for d.litFreq, whose
+// counts sum to n: the smallest header (3 bits of block type, 5+5+4 of
+// code counts, four 3-bit code-length code lengths), the one distance
+// bit, and the histogram's Shannon bound Σ f·log2(n/f) = n·log2 n −
+// Σ f·log2 f, below which, by Kraft's inequality, no prefix code —
+// length-limited or not — codes the symbols. Each term is within a few
+// ulps and the sum is at most 2^20 (n ≤ 65 536), so the float error is
+// below 2^-20 bits; truncating and taking one more bit off can only
+// lower the floor.
+func (d *deflater) huffFloor(n int) int {
+	// Four sums, so that the adds do not wait on each other; the end of
+	// block counts 1, and 1·log2 1 = 0.
+	var s0, s1, s2, s3 float64
+	for f := d.litFreq[:endOfBlock]; len(f) >= 4; f = f[4:] {
+		s0 += fLog2f(f[0])
+		s1 += fLog2f(f[1])
+		s2 += fLog2f(f[2])
+		s3 += fLog2f(f[3])
+	}
+	bits := float64(n)*math.Log2(float64(n)) - (s0 + s1 + s2 + s3)
+	return 3 + 5 + 5 + 4 + 3*4 + 1 + int(bits) - 1
+}
+
+// fLog2f is f·log2 f, read from a table for the counts a 4 KiB probe
+// can have.
+func fLog2f(f int32) float64 {
+	if uint32(f) < uint32(len(fLog2fTable)) {
+		return fLog2fTable[f]
+	}
+	return float64(f) * math.Log2(float64(f))
+}
+
+var fLog2fTable = func() (t [4097]float64) {
+	for f := 2; f < len(t); f++ {
+		t[f] = float64(f) * math.Log2(float64(f))
+	}
+	return t
+}()
 
 // dynamic is writeBlockDynamic: d.tokens over win under a dynamic code,
 // or stored when that saves less than 1/16.

@@ -70,29 +70,51 @@ func lossyStreams(tb testing.TB) []deflateCase {
 }
 
 // losslessStreams are what the lossless codec deflates, on 8 192-word
-// blocks of every conformance class: the raw words, their byte shuffle,
-// the 4 KiB probe (sixteen 32-word runs spread over the block), and —
-// for blocks of ≤ 256 distinct words — the 1-byte dictionary indices.
+// blocks of every conformance class and on a QFT-state block: the raw
+// words, their byte shuffle, the 4 KiB probe (sixteen 32-word runs
+// spread over the block), and — for blocks of ≤ 256 distinct words —
+// the 1-byte dictionary indices.
 func losslessStreams() []deflateCase {
 	var out []deflateCase
-	for _, ds := range append(codectest.Datasets(8192, 7), codectest.LosslessClasses(8192, 7)...) {
-		n := len(ds.Data)
-		raw := make([]byte, 8*n)
+	sets := append(codectest.Datasets(8192, 7), codectest.LosslessClasses(8192, 7)...)
+	for _, ds := range append(sets, codectest.Dataset{Name: "qft-state", Data: qftState(8192)}) {
+		raw := make([]byte, 8*len(ds.Data))
 		compress.PutFloats(raw, ds.Data)
 		shuffled := make([]byte, len(raw))
 		compress.ByteShuffle(shuffled, raw)
-		probe := make([]byte, 0, 4096)
-		for j := 0; j < 16; j++ {
-			off := j * (n - 32) / 15
-			probe = append(probe, raw[8*off:8*(off+32)]...)
-		}
 		out = append(out,
 			deflateCase{"lossless/raw/" + ds.Name, raw},
 			deflateCase{"lossless/shuffled/" + ds.Name, shuffled},
-			deflateCase{"lossless/probe/" + ds.Name, probe})
+			deflateCase{"lossless/probe/" + ds.Name, probeBytes(raw)})
 		if idx := dictIndices(ds.Data); idx != nil {
 			out = append(out, deflateCase{"lossless/index/" + ds.Name, idx})
 		}
+	}
+	return out
+}
+
+// probeBytes is the lossless codec's probe of the words raw holds:
+// sixteen 32-word runs spread evenly over them.
+func probeBytes(raw []byte) []byte {
+	n := len(raw) / 8
+	probe := make([]byte, 0, 4096)
+	for j := 0; j < 16; j++ {
+		off := j * (n - 32) / 15
+		probe = append(probe, raw[8*off:8*(off+32)]...)
+	}
+	return probe
+}
+
+// qftState is the first n/2 amplitudes, interleaved real and imaginary,
+// of a 17-qubit QFT of a basis state: every word of one magnitude under
+// a phase that turns evenly, the block a QFT run's probe deflates.
+func qftState(n int) []float64 {
+	const qubits, x = 17, 0b1101_0000_1011_0101
+	out := make([]float64, n)
+	for k := range n / 2 {
+		phase := 2 * math.Pi * float64(x*k%(1<<qubits)) / (1 << qubits)
+		out[2*k] = math.Cos(phase) / math.Sqrt(1<<qubits)
+		out[2*k+1] = math.Sin(phase) / math.Sqrt(1<<qubits)
 	}
 	return out
 }
@@ -150,6 +172,45 @@ func tenthRepeated() []byte {
 	return append(out, out[:500]...)
 }
 
+// huffOnlyCase is a window the writer codes Huffman-only, and how
+// huffOnly settles it.
+type huffOnlyCase struct {
+	deflateCase
+	verdict string
+}
+
+// Verdicts of huffOnly: stored on the Shannon floor alone; stored once
+// the code is built; Huffman-coded.
+const (
+	floorStored  = "floor-stored"
+	sizeStored   = "size-stored"
+	huffmanCoded = "huffman-coded"
+)
+
+// huffOnlyCases are one 4 KiB window for each way huffOnly ends: random
+// bytes, whose entropy alone rules Huffman out; the probe of a
+// 1 024-amplitude QFT-state block, whose entropy is within 2 % of its
+// code and whose code, with its header, still saves less than 1/16;
+// and random bytes of 160 values, whose code saves just over 1/16 —
+// close enough to the line that a floor compared with any looser rule
+// would store it.
+func huffOnlyCases() []huffOnlyCase {
+	rng := rand.New(rand.NewSource(11))
+	random := make([]byte, 4096)
+	rng.Read(random)
+	valued := make([]byte, 4096)
+	for i := range valued {
+		valued[i] = byte(rng.Intn(160))
+	}
+	raw := make([]byte, 8*2048)
+	compress.PutFloats(raw, qftState(2048))
+	return []huffOnlyCase{
+		{deflateCase{"huff-only/random/4096", random}, floorStored},
+		{deflateCase{"huff-only/qft-state-probe/4096", probeBytes(raw)}, sizeStored},
+		{deflateCase{"huff-only/160-valued/4096", valued}, huffmanCoded},
+	}
+}
+
 // edgeCases are the inputs whose shape, not content, is the question:
 // lengths around the stored (≤ 16), Huffman-only (< 128) and window
 // (65 535) boundaries; 200 KB whose matches reach back across window
@@ -202,6 +263,9 @@ func checkDeflate(t *testing.T, f *compress.Flate, name string, data []byte) {
 // at the start of the call, or at any of its first windows.
 func TestDeflateMatchesStdlib(t *testing.T) {
 	cases := append(append(lossyStreams(t), losslessStreams()...), edgeCases()...)
+	for _, c := range huffOnlyCases() {
+		cases = append(cases, c.deflateCase)
+	}
 	var pooled compress.Flate
 	for _, c := range cases {
 		var fresh compress.Flate
@@ -231,6 +295,89 @@ func TestDeflateMatchesStdlib(t *testing.T) {
 				}
 				checkDeflate(t, &f, c.name+" (after the wrap)", c.data)
 			}
+		}
+	}
+}
+
+// TestHuffOnlyVerdicts: each of huffOnlyCases takes the Huffman-only
+// path and ends the way it is named for — so that TestDeflateMatchesStdlib
+// and the fuzz seeds see the floor fire, the floor miss with the block
+// stored all the same, and a Huffman-coded block.
+func TestHuffOnlyVerdicts(t *testing.T) {
+	for _, c := range huffOnlyCases() {
+		huffOnly, floor, size, stored := compress.HuffOnlyBlock(c.data)
+		verdict := huffmanCoded
+		switch {
+		case stored < floor+floor>>4:
+			verdict = floorStored
+		case stored < size+size>>4:
+			verdict = sizeStored
+		}
+		if !huffOnly || verdict != c.verdict {
+			t.Errorf("%s: Huffman-only %v, %s (floor %d, size %d, stored %d bits), want Huffman-only, %s",
+				c.name, huffOnly, verdict, floor, size, stored, c.verdict)
+		}
+	}
+}
+
+// TestHuffOnlyFloorIsALowerBound: the Shannon floor huffOnly stores on
+// is never above the size it would otherwise compute, on histograms
+// that are flat, geometric and Fibonacci (a code the 15-bit limit
+// bends), on windows of one and two byte values, and on windows of 17
+// to 65 535 bytes.
+func TestHuffOnlyFloorIsALowerBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	fromCounts := func(counts []int) []byte {
+		var win []byte
+		for b, k := range counts {
+			win = append(win, bytes.Repeat([]byte{byte(b)}, k)...)
+		}
+		rng.Shuffle(len(win), func(i, j int) { win[i], win[j] = win[j], win[i] })
+		return win
+	}
+	wins := map[string][]byte{}
+	for _, k := range []int{1, 3, 16, 255} {
+		flat := make([]int, 256)
+		for b := range flat {
+			flat[b] = k
+		}
+		wins[fmt.Sprintf("flat/%d", k)] = fromCounts(flat)
+	}
+	for _, r := range []float64{0.5, 0.7, 0.9, 0.97} {
+		geo := make([]int, 256)
+		for b, f := 0, 30000.0; b < len(geo) && f >= 1; b, f = b+1, f*r {
+			geo[b] = int(f)
+		}
+		wins[fmt.Sprintf("geometric/%g", r)] = fromCounts(geo)
+	}
+	fib := []int{1, 1}
+	for sum := 2; ; {
+		next := fib[len(fib)-1] + fib[len(fib)-2]
+		if sum+next > 65535 {
+			break
+		}
+		fib = append(fib, next)
+		sum += next
+	}
+	wins[fmt.Sprintf("fibonacci/%d", len(fib))] = fromCounts(fib)
+	for _, n := range []int{17, 18, 127, 4096, 65535} {
+		wins[fmt.Sprintf("one-value/%d", n)] = bytes.Repeat([]byte{'q'}, n)
+		wins[fmt.Sprintf("two-values/%d", n)] = fromCounts([]int{'a': n - 1, 'b': 1})
+		wins[fmt.Sprintf("two-values-even/%d", n)] = fromCounts([]int{'a': n / 2, 'b': n - n/2})
+	}
+	mixed := mixedBytes(65535, 17)
+	random := make([]byte, 65535)
+	rng.Read(random)
+	for _, n := range []int{17, 18, 19, 31, 64, 127, 128, 200, 1000, 4095, 4096, 4097, 4098, 10000, 32768, 65534, 65535} {
+		wins[fmt.Sprintf("random/%d", n)] = random[:n]
+		wins[fmt.Sprintf("mixed/%d", n)] = mixed[:n]
+	}
+	for _, c := range huffOnlyCases() {
+		wins[c.name] = c.data
+	}
+	for name, win := range wins {
+		if _, floor, size, _ := compress.HuffOnlyBlock(win); floor > size {
+			t.Errorf("%s (%d bytes): floor %d bits, above the Huffman-only size %d", name, len(win), floor, size)
 		}
 	}
 }
@@ -265,6 +412,9 @@ func FuzzDeflateMatchesStdlib(f *testing.F) {
 	f.Add(bytes.Repeat(mixed[:300], 5))
 	f.Add(make([]byte, 1000))
 	f.Add(tenthRepeated())
+	for _, c := range huffOnlyCases() {
+		f.Add(c.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		own := deflatePool.Get().(*compress.Flate)
 		defer deflatePool.Put(own)
@@ -284,8 +434,10 @@ func FuzzDeflateMatchesStdlib(f *testing.F) {
 // (reset and reused, as compress.Flate reused it) on the inputs the
 // codecs deflate: xor-c's pre-DEFLATE payloads of a random-phase and a
 // QFT-like block at each level of the ladder, a 64 KiB block of lossless
-// words, the lossless probe's 4 KiB, and an 8 KiB dictionary index
-// stream. MB/s count input bytes.
+// words, the lossless probe's 4 KiB of random words (which huffOnly
+// stores on its Shannon floor) and of a QFT state (which it stores only
+// once the code is built), and an 8 KiB dictionary index stream. MB/s
+// count input bytes.
 func BenchmarkDeflate(b *testing.B) {
 	var classes []deflateCase
 	for _, c := range lossyStreams(b) {
@@ -295,7 +447,7 @@ func BenchmarkDeflate(b *testing.B) {
 	}
 	for _, c := range losslessStreams() {
 		switch c.name {
-		case "lossless/raw/half-zero-half-random", "lossless/probe/random-words", "lossless/index/40-valued":
+		case "lossless/raw/half-zero-half-random", "lossless/probe/random-words", "lossless/probe/qft-state", "lossless/index/40-valued":
 			classes = append(classes, c)
 		}
 	}

@@ -15,3 +15,17 @@ func SetDeflateCur(f *Flate, cur int32) {
 
 // DeflateCur reports f's matcher offset.
 func DeflateCur(f *Flate) int32 { return f.def.cur }
+
+// HuffOnlyBlock reports, for a one-window input win of more than 16
+// bytes, whether the writer takes its Huffman-only path, and the
+// Huffman-only block's Shannon floor and size in bits as that path
+// computes them, with the stored block's size beside them.
+func HuffOnlyBlock(win []byte) (huffOnly bool, floor, size, stored int) {
+	d := newDeflater()
+	d.cur += maxMatchOffset // as deflate starts a call
+	huffOnly = d.huffOnlyWindow(win, 0, len(win))
+	d.huffHistogram(win)
+	floor = d.huffFloor(len(win) + 1)
+	size, _ = d.huffSize()
+	return huffOnly, floor, size, storedSize(win)
+}

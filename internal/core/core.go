@@ -24,11 +24,15 @@ const (
 	tagRaw      byte = 2
 )
 
-// rawPrefix is what a raw blob grows from. It is never written: its
-// capacity is its length, so appending to it always allocates, and a
-// shared read-only prefix saves the one-byte allocation a literal costs
-// per block.
-var rawPrefix = []byte{tagRaw}
+// rawPrefix, losslessPrefix and lossyPrefix are what the blobs of each
+// tag grow from. None is ever written: each one's capacity is its
+// length, so appending to it always allocates, and a shared read-only
+// prefix saves the one-byte allocation a literal costs per block.
+var (
+	rawPrefix      = []byte{tagRaw}
+	losslessPrefix = []byte{tagLossless}
+	lossyPrefix    = []byte{tagLossy}
+)
 
 // Simulator is the compressed-state engine. Construct with New, run
 // circuits with Run (repeatable — state persists across calls), inspect
@@ -433,14 +437,14 @@ func (s *Simulator) compressBlock(level int, scratch []float64, st *Stats) ([]by
 		return compress.AppendFloats(rawPrefix, scratch), nil
 	}
 	if level == 0 {
-		blob, err := s.cfg.Lossless.Compress([]byte{tagLossless}, scratch, compress.Options{Mode: compress.Lossless})
+		blob, err := s.cfg.Lossless.Compress(losslessPrefix, scratch, compress.Options{Mode: compress.Lossless})
 		if err != nil {
 			return nil, fmt.Errorf("core: lossless compress: %w", err)
 		}
 		return blob, nil
 	}
 	bound := s.cfg.ErrorLevels[level-1]
-	blob, err := s.cfg.Lossy.Compress([]byte{tagLossy}, scratch, compress.Options{Mode: compress.PointwiseRelative, Bound: bound})
+	blob, err := s.cfg.Lossy.Compress(lossyPrefix, scratch, compress.Options{Mode: compress.PointwiseRelative, Bound: bound})
 	if err != nil {
 		return nil, fmt.Errorf("core: lossy compress: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"qcsim/internal/compress/codectest"
 	"qcsim/internal/quantum"
 )
 
@@ -879,5 +880,43 @@ func TestRawBlockCostsOneAllocation(t *testing.T) {
 	}
 	if len(rawPrefix) != 1 || cap(rawPrefix) != 1 || rawPrefix[0] != tagRaw {
 		t.Fatalf("rawPrefix is %v with room for %d: appending to it must always reallocate", rawPrefix, cap(rawPrefix))
+	}
+}
+
+// TestCodecBlobPrefixesStayUnwritten: compressBlock hands the codecs
+// shared one-byte tag prefixes; every blob starts with its tag, the
+// prefixes are as they were after a compress at each level, and a
+// lossless compress allocates its blob and nothing else.
+func TestCodecBlobPrefixesStayUnwritten(t *testing.T) {
+	s := newSim(t, 8, 1, 64, nil)
+	rng := rand.New(rand.NewSource(3))
+	x := make([]float64, 2*64)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	var st Stats
+	for level := 0; level <= len(s.cfg.ErrorLevels); level++ {
+		blob, err := s.compressBlock(level, x, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(byte(level), tagLossy); blob[0] != want {
+			t.Errorf("level %d: blob tag %d, want %d", level, blob[0], want)
+		}
+	}
+	for _, p := range []struct {
+		name   string
+		prefix []byte
+		tag    byte
+	}{{"raw", rawPrefix, tagRaw}, {"lossless", losslessPrefix, tagLossless}, {"lossy", lossyPrefix, tagLossy}} {
+		if len(p.prefix) != 1 || cap(p.prefix) != 1 || p.prefix[0] != p.tag {
+			t.Errorf("%sPrefix is %v with room for %d after compressing, want [%d] with room for 1", p.name, p.prefix, cap(p.prefix), p.tag)
+		}
+	}
+	if codectest.RaceEnabled {
+		return // the codec's pooled scratch is dropped under -race
+	}
+	if n := testing.AllocsPerRun(100, func() { s.compressBlock(0, x, &st) }); n != 1 {
+		t.Errorf("lossless compressBlock: %v allocations, want 1 (the blob)", n)
 	}
 }
