@@ -4,13 +4,14 @@ package core
 
 import "qcsim/internal/quantum"
 
-// vectorKernels routes the gate kernel's general 2×2 loop, its
-// real-imaginary loop and a ZZ unit's multiply to the
-// AVX2 loops of kernel_amd64.s: set once, from the CPU, and otherwise
+// vectorKernels routes the gate kernel's four 2×2 class loops — general,
+// diagonal, swap, real-imaginary — and a ZZ unit's multiply to the AVX2
+// loops of kernel_amd64.s: set once, from the CPU, and otherwise
 // changed only by tests, which run both paths. The pure-Go loops are
 // the specification, and the vector loops produce their bits: the same
 // IEEE multiplies, adds and subtracts in the same order, no fused
-// multiply-add. NaN payloads may differ.
+// multiply-add, the same −0 decisions pair by pair. NaN payloads may
+// differ.
 var vectorKernels = hasAVX2()
 
 // hasAVX2 reports whether the CPU has AVX2 and POPCNT and the operating
@@ -35,19 +36,22 @@ func hasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
-// generalVec is the general 2×2 loop of kernel on the runs from offset
-// mask on: runs of at least two pairs, or pairs of one block (t == 1).
+// generalVec, diagonalVec, swapVec and realImagVec are kernelGo's loop
+// of their class on every run from offset mask on: the runs of mask's
+// lowest bit (the whole block for an empty mask), t the target's bit in
+// a block, 0 for a block target. Each keeps the −0 rule pair by pair.
 //
 //go:noescape
 func generalVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
 
-// realImagVec is the real-imaginary loop of kernel from offset v on,
-// under generalVec's run rule. It returns the offset of the first
-// vector whose pairs the −0 rule sends to full, unwritten, or an offset
-// ≥ len(hi)/2 once the walk is done.
-//
 //go:noescape
-func realImagVec(lo, hi []float64, v, mask, t int, u *quantum.Matrix2) int
+func diagonalVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
+
+//go:noescape
+func swapVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
+
+//go:noescape
+func realImagVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
 
 // unitVec multiplies x's amplitudes, step of them (even) at a time, by
 // tab[p], p the parity of the step's first offset's bits in t:

@@ -7,244 +7,386 @@
 // VADDSUBPD(dr·a, di·swap(a)): the even lane subtracts, the odd lane
 // adds, so it is (dr·x − di·y, dr·y + di·x), Go's complex multiply with
 // each product rounded on its own. Sums go in the Go code's order, and
-// no instruction fuses a multiply into an add. generalVec and
-// realImagVec walk the controlled-offset runs themselves, v =
-// (v+2)|mask, two pairs a step, or (v+1)|mask on the interleaved path,
-// where the target is qubit 0 and one 256-bit load holds the whole pair.
-// The surrounding Go code is SSE, so each RET after AVX code follows a
-// VZEROUPPER.
+// no instruction fuses a multiply into an add. The surrounding Go code
+// is SSE, so each RET after AVX code follows a VZEROUPPER.
+//
+// The four 2×2 classes are one loop body, KERNEL, with the class's
+// arithmetic and its −0 rule plugged in: generalVec, diagonalVec,
+// swapVec and realImagVec. Each walks the controlled-offset runs itself,
+// one of three ways:
+//   - runs of two pairs or more: v = (v+2)|mask, the two pairs' lo
+//     amplitudes one 256-bit load, their hi amplitudes another;
+//   - runs of one pair with the target off qubit 0 (a control on qubit
+//     0, or a block of one amplitude): two runs a step, each vector
+//     packed from two 128-bit loads; an odd last run fills both halves
+//     and is stored twice;
+//   - the target on qubit 0: (v+1)|mask, one load holding the pair.
+// The short forms keep the Go loops' −0 rule pair by pair: a pair whose
+// result has a component with real·imag == 0 (the pre-filter, false on
+// NaN) and a component equal to −0 takes the general 2×2's result,
+// computed and blended in inside the vector; every other pair keeps its
+// short result. A dense state never passes the pre-filter.
+
+// negZeros is four −0s.
+DATA negZeros<>+0(SB)/8, $0x8000000000000000
+DATA negZeros<>+8(SB)/8, $0x8000000000000000
+DATA negZeros<>+16(SB)/8, $0x8000000000000000
+DATA negZeros<>+24(SB)/8, $0x8000000000000000
+GLOBL negZeros<>(SB), RODATA|NOPTR, $32
+
+// blendMasks holds, at 32·h, the lanes of the pairs whose bits are set
+// in h: bit 0 the first pair (lanes 0–1), bit 2 the second (lanes 2–3).
+DATA blendMasks<>+32(SB)/8, $-1
+DATA blendMasks<>+40(SB)/8, $-1
+DATA blendMasks<>+144(SB)/8, $-1
+DATA blendMasks<>+152(SB)/8, $-1
+DATA blendMasks<>+160(SB)/8, $-1
+DATA blendMasks<>+168(SB)/8, $-1
+DATA blendMasks<>+176(SB)/8, $-1
+DATA blendMasks<>+184(SB)/8, $-1
+GLOBL blendMasks<>(SB), RODATA|NOPTR, $192
+
+// The two-pair layout. BROADCAST_U puts the matrix at R8 in Y0–Y7, each
+// entry part in all four lanes: re u00, im u00, re u01, im u01, re u10,
+// im u10, re u11, im u11. Y8 holds two pairs' lo amplitudes a0, Y9 their
+// hi amplitudes a1. A class macro leaves n0 in Y12 and n1 in Y13 and may
+// overwrite Y10, Y11, Y14 and Y15.
+#define BROADCAST_U \
+	VBROADCASTSD 0(R8), Y0; \
+	VBROADCASTSD 8(R8), Y1; \
+	VBROADCASTSD 16(R8), Y2; \
+	VBROADCASTSD 24(R8), Y3; \
+	VBROADCASTSD 32(R8), Y4; \
+	VBROADCASTSD 40(R8), Y5; \
+	VBROADCASTSD 48(R8), Y6; \
+	VBROADCASTSD 56(R8), Y7
+
+// GENERAL2: n0 = u00·a0 + u01·a1, n1 = u10·a0 + u11·a1.
+#define GENERAL2 \
+	VPERMILPD $5, Y8, Y10; \
+	VPERMILPD $5, Y9, Y11; \
+	VMULPD    Y8, Y0, Y12; \
+	VMULPD    Y10, Y1, Y13; \
+	VADDSUBPD Y13, Y12, Y12; \
+	VMULPD    Y9, Y2, Y13; \
+	VMULPD    Y11, Y3, Y14; \
+	VADDSUBPD Y14, Y13, Y13; \
+	VADDPD    Y13, Y12, Y12; \
+	VMULPD    Y8, Y4, Y13; \
+	VMULPD    Y10, Y5, Y14; \
+	VADDSUBPD Y14, Y13, Y13; \
+	VMULPD    Y9, Y6, Y14; \
+	VMULPD    Y11, Y7, Y15; \
+	VADDSUBPD Y15, Y14, Y14; \
+	VADDPD    Y14, Y13, Y13
+
+// DIAGONAL2: n0 = u00·a0, n1 = u11·a1.
+#define DIAGONAL2 \
+	VPERMILPD $5, Y8, Y10; \
+	VPERMILPD $5, Y9, Y11; \
+	VMULPD    Y8, Y0, Y12; \
+	VMULPD    Y10, Y1, Y14; \
+	VADDSUBPD Y14, Y12, Y12; \
+	VMULPD    Y9, Y6, Y13; \
+	VMULPD    Y11, Y7, Y15; \
+	VADDSUBPD Y15, Y13, Y13
+
+// SWAP2: n0 = a1, n1 = a0.
+#define SWAP2 \
+	VMOVAPD Y9, Y12; \
+	VMOVAPD Y8, Y13
+
+// REALIMAG2: with r the diagonal's real parts (Y0, Y6) and s the
+// off-diagonal's imaginary parts (Y3, Y5), n0 = (r00·x0 − s01·y1,
+// r00·y0 + s01·x1) and n1 = (r11·x1 − s10·y0, r11·y1 + s10·x0).
+#define REALIMAG2 \
+	VPERMILPD $5, Y8, Y10; \
+	VPERMILPD $5, Y9, Y11; \
+	VMULPD    Y8, Y0, Y12; \
+	VMULPD    Y11, Y3, Y14; \
+	VADDSUBPD Y14, Y12, Y12; \
+	VMULPD    Y9, Y6, Y13; \
+	VMULPD    Y10, Y5, Y15; \
+	VADDSUBPD Y15, Y13, Y13
+
+// NEGZERO2 is the −0 rule's pre-filter on n0 and n1: real·imag of each,
+// lanes n0, n1 of the first pair then of the second, whose == 0 bits go
+// to R12. A vector where it holds for no lane goes on to be stored; one
+// where it holds jumps to settle, which runs SETTLE2.
+#define NEGZERO2(settle) \
+	VUNPCKLPD Y13, Y12, Y14; \
+	VUNPCKHPD Y13, Y12, Y15; \
+	VMULPD    Y15, Y14, Y14; \
+	VXORPD    Y15, Y15, Y15; \
+	VCMPPD    $0, Y15, Y14, Y14; \
+	VMOVMSKPD Y14, R12; \
+	TESTQ     R12, R12; \
+	JNZ       settle
+
+// SETTLE2(store): a pair hits when the pre-filter holds on its n0 or n1
+// (R12's bits, two a pair) and a component of its n0 or n1 is −0. A
+// vector with no hit pair goes to store as it is. Otherwise the general
+// 2×2's n0 and n1, GENERAL2's arithmetic, are blended into the hit pairs
+// (blendMasks, indexed by the hit bits); the others keep their short
+// results.
+#define SETTLE2(store) \
+	VPCMPEQQ  negZeros<>(SB), Y12, Y15; \
+	VPCMPEQQ  negZeros<>(SB), Y13, Y14; \
+	VPOR      Y14, Y15, Y15; \
+	VMOVMSKPD Y15, R8; \
+	MOVQ      R12, R11; \
+	SHRQ      $1, R11; \
+	ORQ       R11, R12; \
+	MOVQ      R8, R11; \
+	SHRQ      $1, R11; \
+	ORQ       R11, R8; \
+	ANDQ      R8, R12; \
+	ANDQ      $5, R12; \
+	JZ        store; \
+	VPERMILPD $5, Y8, Y11; \
+	VMULPD    Y8, Y0, Y15; \
+	VMULPD    Y11, Y1, Y11; \
+	VADDSUBPD Y11, Y15, Y15; \
+	VPERMILPD $5, Y9, Y11; \
+	VMULPD    Y9, Y2, Y10; \
+	VMULPD    Y11, Y3, Y11; \
+	VADDSUBPD Y11, Y10, Y10; \
+	VADDPD    Y10, Y15, Y15; \
+	VPERMILPD $5, Y8, Y11; \
+	VMULPD    Y8, Y4, Y14; \
+	VMULPD    Y11, Y5, Y11; \
+	VADDSUBPD Y11, Y14, Y14; \
+	VPERMILPD $5, Y9, Y11; \
+	VMULPD    Y9, Y6, Y10; \
+	VMULPD    Y11, Y7, Y11; \
+	VADDSUBPD Y11, Y10, Y10; \
+	VADDPD    Y10, Y14, Y14; \
+	SHLQ      $5, R12; \
+	LEAQ      blendMasks<>(SB), R8; \
+	VMOVUPD   (R8)(R12*1), Y10; \
+	VBLENDVPD Y10, Y15, Y12, Y12; \
+	VBLENDVPD Y10, Y14, Y13, Y13
+
+// The one-pair layout, the target on qubit 0: Y8 is [a0, a1]. PAIRS_U
+// puts the matrix at R8 in Y0–Y3: re u00, re u00, re u11, re u11 (Y0),
+// their imaginary parts (Y1), re u01, re u01, re u10, re u10 (Y2) and
+// theirs (Y3), and +0 in Y4. A class macro leaves [n0, n1] in Y12 and
+// may overwrite Y9–Y11, Y13 and Y14.
+#define PAIRS_U \
+	VBROADCASTSD 0(R8), Y0; \
+	VBROADCASTSD 48(R8), Y8; \
+	VBLENDPD     $0x0c, Y8, Y0, Y0; \
+	VBROADCASTSD 8(R8), Y1; \
+	VBROADCASTSD 56(R8), Y8; \
+	VBLENDPD     $0x0c, Y8, Y1, Y1; \
+	VBROADCASTSD 16(R8), Y2; \
+	VBROADCASTSD 32(R8), Y8; \
+	VBLENDPD     $0x0c, Y8, Y2, Y2; \
+	VBROADCASTSD 24(R8), Y3; \
+	VBROADCASTSD 40(R8), Y8; \
+	VBLENDPD     $0x0c, Y8, Y3, Y3; \
+	VXORPD       Y4, Y4, Y4
+
+// GENERAL1: [u00·a0, u11·a1] + [u01·a1, u10·a0], n0, n1 with the
+// second sum's operands swapped, which changes no bit.
+#define GENERAL1 \
+	VPERMILPD $5, Y8, Y9; \
+	VPERMPD   $0x4e, Y8, Y10; \
+	VPERMPD   $0x1b, Y8, Y11; \
+	VMULPD    Y8, Y0, Y12; \
+	VMULPD    Y9, Y1, Y13; \
+	VADDSUBPD Y13, Y12, Y12; \
+	VMULPD    Y10, Y2, Y13; \
+	VMULPD    Y11, Y3, Y14; \
+	VADDSUBPD Y14, Y13, Y13; \
+	VADDPD    Y13, Y12, Y12
+
+// DIAGONAL1: [u00·a0, u11·a1].
+#define DIAGONAL1 \
+	VPERMILPD $5, Y8, Y9; \
+	VMULPD    Y8, Y0, Y12; \
+	VMULPD    Y9, Y1, Y13; \
+	VADDSUBPD Y13, Y12, Y12
+
+// SWAP1: [a1, a0].
+#define SWAP1 \
+	VPERMPD $0x4e, Y8, Y12
+
+// REALIMAG1: [r00, r00, r11, r11]·[x0, y0, x1, y1] ∓ [s01, s01, s10,
+// s10]·[y1, x1, y0, x0].
+#define REALIMAG1 \
+	VPERMPD   $0x1b, Y8, Y9; \
+	VMULPD    Y8, Y0, Y12; \
+	VMULPD    Y9, Y3, Y13; \
+	VADDSUBPD Y13, Y12, Y12
+
+// NEGZERO1 is NEGZERO2 for one pair: real·imag of n0 twice, of n1 twice.
+#define NEGZERO1(settle) \
+	VPERMILPD $5, Y12, Y13; \
+	VMULPD    Y13, Y12, Y13; \
+	VCMPPD    $0, Y4, Y13, Y13; \
+	VMOVMSKPD Y13, R12; \
+	TESTQ     R12, R12; \
+	JNZ       settle
+
+// SETTLE1: the vector is one pair, so a −0 component anywhere sends it
+// all to the general 2×2.
+#define SETTLE1(store) \
+	VPCMPEQQ  negZeros<>(SB), Y12, Y13; \
+	VMOVMSKPD Y13, R12; \
+	TESTQ     R12, R12; \
+	JZ        store; \
+	GENERAL1
+
+// The general class has no −0 rule.
+#define NOFILTER(settle)
+#define NOSETTLE2(store)
+#define NOSETTLE1(store)
+
+// KERNEL is the loop of one class, short2 and short1 its arithmetic in
+// the two layouts, filter2, settle2, filter1 and settle1 its −0 rule.
+// It takes lo's and hi's bases in SI and DI, the block's amplitude
+// count in CX, mask in BX and t in DX, and the matrix's address in R8.
+// AX is v, the hi offset of the step's first pair; R9 and R10 are its
+// hi and lo byte offsets, R13 and R14 those of the second run in the
+// packed path. R8, once the matrix is loaded, R11 and R12 are the −0
+// rule's scratch.
+#define KERNEL(short2, filter2, settle2, short1, filter1, settle1) \
+	MOVQ    BX, AX; \
+	CMPQ    DX, $1; \
+	JEQ     pairs; \
+	SHLQ    $4, DX; \
+	BROADCAST_U; \
+	MOVQ    BX, R11; \
+	NEGQ    R11; \
+	ANDQ    BX, R11; \
+	CMOVQEQ CX, R11; \
+	CMPQ    R11, $1; \
+	JEQ     packedTest; \
+	JMP     runsTest; \
+runsLoop: \
+	MOVQ    AX, R9; \
+	SHLQ    $4, R9; \
+	MOVQ    R9, R10; \
+	SUBQ    DX, R10; \
+	VMOVUPD (SI)(R10*1), Y8; \
+	VMOVUPD (DI)(R9*1), Y9; \
+	short2; \
+	filter2(runsSettle); \
+runsStore: \
+	VMOVUPD Y12, (SI)(R10*1); \
+	VMOVUPD Y13, (DI)(R9*1); \
+	ADDQ    $2, AX; \
+	ORQ     BX, AX; \
+runsTest: \
+	CMPQ AX, CX; \
+	JLT  runsLoop; \
+	VZEROUPPER; \
+	RET; \
+runsSettle: \
+	settle2(runsStore); \
+	JMP runsStore; \
+packedLoop: \
+	LEAQ        1(AX), R11; \
+	ORQ         BX, R11; \
+	CMPQ        R11, CX; \
+	CMOVQGE     AX, R11; \
+	MOVQ        AX, R9; \
+	SHLQ        $4, R9; \
+	MOVQ        R9, R10; \
+	SUBQ        DX, R10; \
+	MOVQ        R11, R13; \
+	SHLQ        $4, R13; \
+	MOVQ        R13, R14; \
+	SUBQ        DX, R14; \
+	VMOVUPD     (SI)(R10*1), X8; \
+	VINSERTF128 $1, (SI)(R14*1), Y8, Y8; \
+	VMOVUPD     (DI)(R9*1), X9; \
+	VINSERTF128 $1, (DI)(R13*1), Y9, Y9; \
+	short2; \
+	filter2(packedSettle); \
+packedStore: \
+	VMOVUPD      X12, (SI)(R10*1); \
+	VEXTRACTF128 $1, Y12, (SI)(R14*1); \
+	VMOVUPD      X13, (DI)(R9*1); \
+	VEXTRACTF128 $1, Y13, (DI)(R13*1); \
+	MOVQ         R13, AX; \
+	SHRQ         $4, AX; \
+	INCQ         AX; \
+	ORQ          BX, AX; \
+packedTest: \
+	CMPQ AX, CX; \
+	JLT  packedLoop; \
+	VZEROUPPER; \
+	RET; \
+packedSettle: \
+	settle2(packedStore); \
+	JMP packedStore; \
+pairs: \
+	PAIRS_U; \
+	JMP pairsTest; \
+pairsLoop: \
+	MOVQ    AX, R9; \
+	SHLQ    $4, R9; \
+	VMOVUPD -16(DI)(R9*1), Y8; \
+	short1; \
+	filter1(pairsSettle); \
+pairsStore: \
+	VMOVUPD Y12, -16(DI)(R9*1); \
+	INCQ    AX; \
+	ORQ     BX, AX; \
+pairsTest: \
+	CMPQ AX, CX; \
+	JLT  pairsLoop; \
+	VZEROUPPER; \
+	RET; \
+pairsSettle: \
+	settle1(pairsStore); \
+	JMP pairsStore
 
 // func generalVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
 TEXT ·generalVec(SB), NOSPLIT, $0-72
 	MOVQ lo_base+0(FP), SI
 	MOVQ hi_base+24(FP), DI
 	MOVQ hi_len+32(FP), CX
-	SHRQ $1, CX            // ba: amplitudes in a block
+	SHRQ $1, CX
 	MOVQ mask+48(FP), BX
-	MOVQ BX, AX            // v
 	MOVQ t+56(FP), DX
 	MOVQ u+64(FP), R8
-	CMPQ DX, $1
-	JEQ  generalPairs
-	SHLQ $4, DX            // t in bytes: lo's window sits t amplitudes below hi's
-	VBROADCASTSD 0(R8), Y0  // re u00
-	VBROADCASTSD 8(R8), Y1  // im u00
-	VBROADCASTSD 16(R8), Y2 // re u01
-	VBROADCASTSD 24(R8), Y3 // im u01
-	VBROADCASTSD 32(R8), Y4 // re u10
-	VBROADCASTSD 40(R8), Y5 // im u10
-	VBROADCASTSD 48(R8), Y6 // re u11
-	VBROADCASTSD 56(R8), Y7 // im u11
-	JMP  generalTest
+	KERNEL(GENERAL2, NOFILTER, NOSETTLE2, GENERAL1, NOFILTER, NOSETTLE1)
 
-generalLoop:
-	MOVQ AX, R9
-	SHLQ $4, R9
-	MOVQ R9, R10
-	SUBQ DX, R10
-	VMOVUPD (SI)(R10*1), Y8 // a0, two pairs
-	VMOVUPD (DI)(R9*1), Y9  // a1
-	VPERMILPD $5, Y8, Y10
-	VPERMILPD $5, Y9, Y11
-
-	// n0 = u00·a0 + u01·a1
-	VMULPD    Y8, Y0, Y12
-	VMULPD    Y10, Y1, Y13
-	VADDSUBPD Y13, Y12, Y12
-	VMULPD    Y9, Y2, Y13
-	VMULPD    Y11, Y3, Y14
-	VADDSUBPD Y14, Y13, Y13
-	VADDPD    Y13, Y12, Y12
-
-	// n1 = u10·a0 + u11·a1
-	VMULPD    Y8, Y4, Y13
-	VMULPD    Y10, Y5, Y14
-	VADDSUBPD Y14, Y13, Y13
-	VMULPD    Y9, Y6, Y14
-	VMULPD    Y11, Y7, Y15
-	VADDSUBPD Y15, Y14, Y14
-	VADDPD    Y14, Y13, Y13
-
-	VMOVUPD Y12, (SI)(R10*1)
-	VMOVUPD Y13, (DI)(R9*1)
-	ADDQ $2, AX
-	ORQ  BX, AX
-
-generalTest:
-	CMPQ AX, CX
-	JLT  generalLoop
-	VZEROUPPER
-	RET
-
-	// t is qubit 0: lo and hi are one block, and amplitudes v−1, v are
-	// one vector [a0, a1]. [u00·a0, u11·a1] + [u01·a1, u10·a0] is n0, n1,
-	// the second sum's operands swapped, which changes no bit.
-generalPairs:
-	VBROADCASTSD 0(R8), Y0
-	VBROADCASTSD 48(R8), Y8
-	VBLENDPD     $0x0c, Y8, Y0, Y0 // re u00, re u00, re u11, re u11
-	VBROADCASTSD 8(R8), Y1
-	VBROADCASTSD 56(R8), Y8
-	VBLENDPD     $0x0c, Y8, Y1, Y1 // im u00, im u00, im u11, im u11
-	VBROADCASTSD 16(R8), Y2
-	VBROADCASTSD 32(R8), Y8
-	VBLENDPD     $0x0c, Y8, Y2, Y2 // re u01, re u01, re u10, re u10
-	VBROADCASTSD 24(R8), Y3
-	VBROADCASTSD 40(R8), Y8
-	VBLENDPD     $0x0c, Y8, Y3, Y3 // im u01, im u01, im u10, im u10
-	JMP          generalPairsTest
-
-generalPairsLoop:
-	MOVQ      AX, R9
-	SHLQ      $4, R9
-	VMOVUPD   -16(DI)(R9*1), Y8 // a0, a1
-	VPERMILPD $5, Y8, Y9        // swap(a0), swap(a1)
-	VPERMPD   $0x4e, Y8, Y10    // a1, a0
-	VPERMPD   $0x1b, Y8, Y11    // swap(a1), swap(a0)
-	VMULPD    Y8, Y0, Y12
-	VMULPD    Y9, Y1, Y13
-	VADDSUBPD Y13, Y12, Y12
-	VMULPD    Y10, Y2, Y13
-	VMULPD    Y11, Y3, Y14
-	VADDSUBPD Y14, Y13, Y13
-	VADDPD    Y13, Y12, Y12
-	VMOVUPD   Y12, -16(DI)(R9*1)
-	INCQ      AX
-	ORQ       BX, AX
-
-generalPairsTest:
-	CMPQ AX, CX
-	JLT  generalPairsLoop
-	VZEROUPPER
-	RET
-
-// func realImagVec(lo, hi []float64, v, mask, t int, u *quantum.Matrix2) int
-//
-// The real-imaginary short form from offset v on. It stops before
-// storing a vector where some pair's result has a component whose
-// real·imag is 0 and a component that is −0, and returns that vector's
-// offset; Go recomputes its pairs. Otherwise it returns an offset ≥ ba.
-TEXT ·realImagVec(SB), NOSPLIT, $0-88
+// func diagonalVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
+TEXT ·diagonalVec(SB), NOSPLIT, $0-72
 	MOVQ lo_base+0(FP), SI
 	MOVQ hi_base+24(FP), DI
 	MOVQ hi_len+32(FP), CX
 	SHRQ $1, CX
-	MOVQ v+48(FP), AX
-	MOVQ mask+56(FP), BX
-	MOVQ t+64(FP), DX
-	MOVQ u+72(FP), R8
-	VBROADCASTSD 0(R8), Y0  // re u00
-	VBROADCASTSD 24(R8), Y1 // im u01
-	VBROADCASTSD 40(R8), Y2 // im u10
-	VBROADCASTSD 48(R8), Y3 // re u11
-	VXORPD       Y4, Y4, Y4 // +0
-	VPCMPEQQ     Y5, Y5, Y5
-	VPSLLQ       $63, Y5, Y5 // −0
-	CMPQ         DX, $1
-	JEQ          realImagPairs
-	SHLQ         $4, DX
-	JMP          realImagTest
+	MOVQ mask+48(FP), BX
+	MOVQ t+56(FP), DX
+	MOVQ u+64(FP), R8
+	KERNEL(DIAGONAL2, NEGZERO2, SETTLE2, DIAGONAL1, NEGZERO1, SETTLE1)
 
-realImagLoop:
-	MOVQ      AX, R9
-	SHLQ      $4, R9
-	MOVQ      R9, R10
-	SUBQ      DX, R10
-	VMOVUPD   (SI)(R10*1), Y8 // x0, y0
-	VMOVUPD   (DI)(R9*1), Y9  // x1, y1
-	VPERMILPD $5, Y8, Y10     // y0, x0
-	VPERMILPD $5, Y9, Y11     // y1, x1
-	VMULPD    Y8, Y0, Y12
-	VMULPD    Y11, Y1, Y13
-	VADDSUBPD Y13, Y12, Y12   // n0 = (r00·x0 − s01·y1, r00·y0 + s01·x1)
-	VMULPD    Y9, Y3, Y13
-	VMULPD    Y10, Y2, Y14
-	VADDSUBPD Y14, Y13, Y13   // n1 = (r11·x1 − s10·y0, r11·y1 + s10·x0)
+// func swapVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
+TEXT ·swapVec(SB), NOSPLIT, $0-72
+	MOVQ lo_base+0(FP), SI
+	MOVQ hi_base+24(FP), DI
+	MOVQ hi_len+32(FP), CX
+	SHRQ $1, CX
+	MOVQ mask+48(FP), BX
+	MOVQ t+56(FP), DX
+	MOVQ u+64(FP), R8
+	KERNEL(SWAP2, NEGZERO2, SETTLE2, SWAP1, NEGZERO1, SETTLE1)
 
-	// The pre-filter: real·imag of n0 and n1, lanes n0, n1 of the
-	// first pair then of the second.
-	VUNPCKLPD Y13, Y12, Y14
-	VUNPCKHPD Y13, Y12, Y15
-	VMULPD    Y15, Y14, Y14
-	VCMPPD    $0, Y4, Y14, Y14 // == 0, false on NaN
-	VMOVMSKPD Y14, R12
-	TESTQ     R12, R12
-	JNZ       realImagSign
-
-realImagStore:
-	VMOVUPD Y12, (SI)(R10*1)
-	VMOVUPD Y13, (DI)(R9*1)
-	ADDQ    $2, AX
-	ORQ     BX, AX
-
-realImagTest:
-	CMPQ AX, CX
-	JLT  realImagLoop
-	MOVQ AX, ret+80(FP)
-	VZEROUPPER
-	RET
-
-	// Lanes 0–1 of both masks are the first pair, 2–3 the second: a pair
-	// hits when it has a bit in each.
-realImagSign:
-	VPCMPEQQ  Y5, Y12, Y14
-	VPCMPEQQ  Y5, Y13, Y15
-	VORPD     Y15, Y14, Y14
-	VMOVMSKPD Y14, R13
-	MOVQ      R12, R14
-	SHRQ      $1, R14
-	ORQ       R14, R12
-	MOVQ      R13, R14
-	SHRQ      $1, R14
-	ORQ       R14, R13
-	ANDQ      R13, R12
-	ANDQ      $5, R12
-	JZ        realImagStore
-	MOVQ      AX, ret+80(FP)
-	VZEROUPPER
-	RET
-
-	// t is qubit 0: one vector [a0, a1] is the pair.
-realImagPairs:
-	VBLENDPD $0x0c, Y3, Y0, Y0 // re u00, re u00, re u11, re u11
-	VBLENDPD $0x0c, Y2, Y1, Y1 // im u01, im u01, im u10, im u10
-	JMP      realImagPairsTest
-
-realImagPairsLoop:
-	MOVQ      AX, R9
-	SHLQ      $4, R9
-	VMOVUPD   -16(DI)(R9*1), Y8 // x0, y0, x1, y1
-	VPERMPD   $0x1b, Y8, Y9     // y1, x1, y0, x0
-	VMULPD    Y8, Y0, Y12
-	VMULPD    Y9, Y1, Y13
-	VADDSUBPD Y13, Y12, Y12     // n0, n1
-	VPERMILPD $5, Y12, Y13
-	VMULPD    Y13, Y12, Y13     // real·imag of n0 (twice), of n1 (twice)
-	VCMPPD    $0, Y4, Y13, Y13
-	VMOVMSKPD Y13, R12
-	TESTQ     R12, R12
-	JNZ       realImagPairsSign
-
-realImagPairsStore:
-	VMOVUPD Y12, -16(DI)(R9*1)
-	INCQ    AX
-	ORQ     BX, AX
-
-realImagPairsTest:
-	CMPQ AX, CX
-	JLT  realImagPairsLoop
-	MOVQ AX, ret+80(FP)
-	VZEROUPPER
-	RET
-
-realImagPairsSign:
-	VPCMPEQQ  Y5, Y12, Y13
-	VMOVMSKPD Y13, R12
-	TESTQ     R12, R12
-	JZ        realImagPairsStore
-	MOVQ      AX, ret+80(FP)
-	VZEROUPPER
-	RET
+// func realImagVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
+TEXT ·realImagVec(SB), NOSPLIT, $0-72
+	MOVQ lo_base+0(FP), SI
+	MOVQ hi_base+24(FP), DI
+	MOVQ hi_len+32(FP), CX
+	SHRQ $1, CX
+	MOVQ mask+48(FP), BX
+	MOVQ t+56(FP), DX
+	MOVQ u+64(FP), R8
+	KERNEL(REALIMAG2, NEGZERO2, SETTLE2, REALIMAG1, NEGZERO1, SETTLE1)
 
 // func unitVec(x []float64, t, step int, tab *[2][2]complex128)
 //

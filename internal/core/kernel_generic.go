@@ -13,7 +13,15 @@ func generalVec(lo, hi []float64, mask, t int, u *quantum.Matrix2) {
 	panic("core: no vector kernels in this build")
 }
 
-func realImagVec(lo, hi []float64, v, mask, t int, u *quantum.Matrix2) int {
+func diagonalVec(lo, hi []float64, mask, t int, u *quantum.Matrix2) {
+	panic("core: no vector kernels in this build")
+}
+
+func swapVec(lo, hi []float64, mask, t int, u *quantum.Matrix2) {
+	panic("core: no vector kernels in this build")
+}
+
+func realImagVec(lo, hi []float64, mask, t int, u *quantum.Matrix2) {
 	panic("core: no vector kernels in this build")
 }
 

@@ -282,11 +282,15 @@ func classLoopsNegZeroRule(t *testing.T) {
 	for _, m := range kernelMatrices {
 		g := newPassGate(m.u, 1, 0, 0, 0)
 		g2 := newPassGate(m.u, 2, 0, 0, 0)
+		g4 := newPassGate(m.u, 4, 0, 1, 0)
 		// check runs g on block x, whose amplitudes lo and lo+t form the
 		// pair under test, and holds every component to full's.
 		check := func(g *passGate, x []float64, lo int) {
 			want := slices.Clone(x)
 			for o := 0; o < g.tMask; o++ {
+				if (o|g.tMask)&g.mask != g.mask {
+					continue
+				}
 				n0, n1 := g.full(complex(x[2*o], x[2*o+1]), complex(x[2*(o+g.tMask)], x[2*(o+g.tMask)+1]))
 				want[2*o], want[2*o+1] = real(n0), imag(n0)
 				want[2*(o+g.tMask)], want[2*(o+g.tMask)+1] = real(n1), imag(n1)
@@ -312,6 +316,14 @@ func classLoopsNegZeroRule(t *testing.T) {
 							copy(x[2*(1-lo):], dense[:2])
 							copy(x[2*(3-lo):], dense[2:])
 							check(&g2, x, lo)
+						}
+						for lo := 1; lo < 4; lo += 2 {
+							x := make([]float64, 16)
+							copy(x[2*lo:], []float64{ar0, ai0})
+							copy(x[2*(lo+4):], []float64{ar1, ai1})
+							copy(x[2*(4-lo):], dense[:2])
+							copy(x[2*(8-lo):], dense[2:])
+							check(&g4, x, lo)
 						}
 					}
 				}
@@ -499,11 +511,12 @@ func fuzzValue(b byte) float64 {
 }
 
 // FuzzKernelVectorMatchesGo holds the vector loops to the Go loops bit
-// for bit on one gate of each vectorised class — general, real-imaginary
-// (class 1) and a ZZ unit (class 2) — over a pair of 32-amplitude
-// blocks. target picks the target bit (0 for a block target, then bits
-// 0 to 4: the interleaved pair, runs of one, two and more pairs; for a
-// unit, u's and v's bits), ctrl adds offset controls, bit 0 included,
+// for bit on one gate of each vectorised class — general (class 0),
+// real-imaginary (1), a ZZ unit (2), diagonal (3) and swap (4) — over a
+// pair of 32-amplitude blocks. target picks the target bit (0 for a
+// block target, then bits 0 to 4: the interleaved pair, runs of one, two
+// and more pairs; for a unit, u's and v's bits), ctrl adds offset
+// controls, bit 0 included (runs of one pair, packed two to a vector),
 // and data's bytes are the matrix entries, then the amplitudes
 // (fuzzValue, repeating). Where both results are NaN the payload may
 // differ.
@@ -520,6 +533,15 @@ func FuzzKernelVectorMatchesGo(f *testing.F) {
 	f.Add(uint8(2), uint8(0x21), uint8(1), []byte{20, 30, 40, 50, 60, 70, 80, 90, 7, 6, 8})
 	f.Add(uint8(2), uint8(0x53), uint8(0), []byte{20, 30, 0, 0, 0, 0, 80, 90, 0, 1, 2, 3})
 	f.Add(uint8(2), uint8(0x22), uint8(0), []byte{20, 30, 40, 50, 60, 70, 80, 90, 7, 6, 8})
+	f.Add(uint8(3), uint8(3), uint8(0), []byte{20, 1, 0, 0, 1, 0, 50, 1, 0, 1, 2, 3, 0, 9, 1, 0, 4, 5, 6})
+	f.Add(uint8(3), uint8(1), uint8(8), []byte{9, 0, 1, 1, 0, 1, 30, 1, 1, 0, 2, 1, 0, 0, 3, 1, 4})
+	f.Add(uint8(3), uint8(4), uint8(1), []byte{10, 1, 0, 0, 1, 1, 10, 0, 0, 1, 0, 1, 2, 3, 9, 1, 0})
+	f.Add(uint8(3), uint8(0), uint8(5), []byte{20, 30, 0, 0, 0, 0, 40, 1, 1, 0, 1, 0, 7, 2, 3, 1})
+	f.Add(uint8(4), uint8(2), uint8(0), []byte{0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 20, 0, 3, 1, 0, 9})
+	f.Add(uint8(4), uint8(1), uint8(4), []byte{1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 5, 1, 0, 6, 7})
+	f.Add(uint8(4), uint8(5), uint8(15), []byte{0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 8, 0, 1, 0, 2})
+	f.Add(uint8(0), uint8(4), uint8(1), []byte{20, 30, 40, 50, 60, 70, 80, 90, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(uint8(1), uint8(2), uint8(1), []byte{20, 1, 0, 30, 1, 40, 50, 0, 1, 0, 1, 0, 9, 2, 0, 1})
 	f.Fuzz(func(t *testing.T, class, target, ctrl uint8, data []byte) {
 		const ba = 32
 		if len(data) == 0 {
@@ -535,15 +557,22 @@ func FuzzKernelVectorMatchesGo(f *testing.F) {
 			blocks[i/(2*ba)][i%(2*ba)] = at(8 + i)
 		}
 		var run func(x [2][]float64)
-		switch class % 3 {
-		case 0, 1:
+		switch class % 5 {
+		case 0, 1, 3, 4:
 			u := quantum.Matrix2{{complex(c[0], c[1]), complex(c[2], c[3])}, {complex(c[4], c[5]), complex(c[6], c[7])}}
+			// Zeros and ones where the class needs them, zeros signed as c's.
+			z := func(x float64) float64 { return math.Copysign(0, x) }
 			want := classGeneral
-			if class%3 == 1 {
-				// Zeros where the class needs them, signed as c's.
-				z := func(x float64) float64 { return math.Copysign(0, x) }
+			switch class % 5 {
+			case 1:
 				u = quantum.Matrix2{{complex(c[0], z(c[1])), complex(z(c[2]), c[3])}, {complex(z(c[4]), c[5]), complex(c[6], z(c[7]))}}
 				want = classRealImag
+			case 3:
+				u = quantum.Matrix2{{complex(c[0], c[1]), complex(z(c[2]), z(c[3]))}, {complex(z(c[4]), z(c[5])), complex(c[6], c[7])}}
+				want = classDiagonal
+			case 4:
+				u = quantum.Matrix2{{complex(z(c[0]), z(c[1])), complex(1, z(c[3]))}, {complex(1, z(c[5])), complex(z(c[6]), z(c[7]))}}
+				want = classSwap
 			}
 			if classify(u) != want {
 				t.Skip("the entries make another class")
@@ -616,7 +645,9 @@ func TestKernelAsmHasNoFMA(t *testing.T) {
 // amplitudes), or a group of blocks, per class and loop shape, in ns per
 // amplitude updated: t=0 is the shortest run the stride walk makes (one
 // pair), t=mid the common case, ctrl=1 a controlled gate (half the pairs
-// fire), pair the block-segment target across two blocks, group the
+// fire), ctrl=0 the same on a qubit-0 control (runs of one pair, as in
+// QFT's CPhase(0, i) and SWAP's CNOT(0, i)), pair the block-segment
+// target across two blocks, group the
 // same target across both pairs of a 4-block group, group8 across the
 // four pairs of an 8-block group. The classes are a fused H·T (general),
 // RX (real-imag), RZ (diagonal) and X (swap). Dense random
@@ -635,6 +666,9 @@ func BenchmarkKernel(b *testing.B) {
 	vecRows := map[string]bool{
 		"general/t=0": true, "general/t=mid": true, "general/group8": true,
 		"real-imag/t=0": true, "real-imag/t=mid": true, "real-imag/group8": true,
+		"diagonal/t=0": true, "diagonal/t=mid": true, "diagonal/group8": true,
+		"swap/t=0": true, "swap/t=mid": true, "swap/group8": true,
+		"general/ctrl=0": true, "real-imag/ctrl=0": true, "diagonal/ctrl=0": true, "swap/ctrl=0": true,
 		"zz/par=0": true, "zz/par=1": true, "zz/par=2/t=0": true,
 	}
 	// row runs f as the benchmark name, or as its impl=go and impl=vec
@@ -666,6 +700,7 @@ func BenchmarkKernel(b *testing.B) {
 		{"t=0", 1, 0, 0, 0},
 		{"t=mid", 1 << (offsetBits / 2), 0, 0, 0},
 		{"ctrl=1", 1 << (offsetBits / 2), 0, 1 << 3, 0},
+		{"ctrl=0", 1 << (offsetBits / 2), 0, 1, 0},
 		{"pair", 0, 1, 0, 1},
 		{"group", 0, 1, 0, 3},
 		{"group8", 0, 1, 0, 7},

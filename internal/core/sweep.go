@@ -75,12 +75,13 @@ import (
 // once per gate — and the fidelity ledger charges one (1-δ) factor per
 // sweep, so the Eq. 11 bound only rises.
 //
-// On amd64 with AVX2 (vectorKernels) the general, real-imaginary and
-// unit loops run as assembly (kernel_amd64.s), two amplitudes a vector:
-// the Go loops' multiplies, adds and subtracts in the Go loops' order,
-// no fused multiply-add, so their bits are the Go kernel's. Diagonal and
-// swap stay Go. Every other GOARCH, and the purego build tag, runs the
-// Go loops alone.
+// On amd64 with AVX2 (vectorKernels) the four class loops and a unit's
+// multiply (zero-entry units aside) run as assembly (kernel_amd64.s),
+// two amplitudes a vector: the Go loops' multiplies, adds and subtracts
+// in the Go loops' order, no fused multiply-add, and the −0 rule
+// decided pair by pair as the Go loops decide it, so their bits are the
+// Go kernel's. Every other GOARCH, and the purego build tag, runs the Go
+// loops alone.
 //
 // The memory budget holds at every sweep boundary, not "eventually":
 // with tens of boundaries instead of hundreds, relaxing the bound one
@@ -502,41 +503,36 @@ func runLen(mask, n int) int {
 // target. Each run is a pair of equal-length windows: the control test
 // and the slice arithmetic are paid per run, not per pair.
 //
-// With vectorKernels the general and real-imaginary classes run as one
-// assembly call per gate and member, two pairs a vector, which walks the
-// runs itself; runs of one pair stay in Go unless the target is qubit 0,
-// where the pair is one vector. A real-imaginary vector that the −0 rule
-// sends to full comes back unwritten, and its pairs run the Go loop.
-// Diagonal and swap are Go loops alone.
+// With vectorKernels every class runs as one assembly call per gate and
+// member, two pairs a vector, which walks the runs itself — runs of one
+// pair two at a time, or, with the target on qubit 0, the pair one
+// vector — and settles the −0 rule inside the vector.
 func (g *passGate) kernel(lo, hi []float64) {
-	ba, t, mask := len(hi)/2, g.tMask, g.mask
-	n := runLen(mask, ba)
-	if vectorKernels && (n > 1 || t == 1) {
-		switch g.class {
-		case classGeneral:
-			generalVec(lo, hi, mask, t, &g.u)
-			return
-		case classRealImag:
-			step := min(n, 2) // pairs a vector
-			for v := mask; ; v = (v + step) | mask {
-				if v = realImagVec(lo, hi, v, mask, t, &g.u); v >= ba {
-					return
-				}
-				g.kernelGo(lo, hi, v, v+1, step)
-			}
-		}
+	if !vectorKernels {
+		g.kernelGo(lo, hi)
+		return
 	}
-	g.kernelGo(lo, hi, mask, ba, n)
+	switch g.class {
+	case classGeneral:
+		generalVec(lo, hi, g.mask, g.tMask, &g.u)
+	case classDiagonal:
+		diagonalVec(lo, hi, g.mask, g.tMask, &g.u)
+	case classSwap:
+		swapVec(lo, hi, g.mask, g.tMask, &g.u)
+	case classRealImag:
+		realImagVec(lo, hi, g.mask, g.tMask, &g.u)
+	}
 }
 
-// kernelGo is kernel's Go loops on the runs of n pairs from offset v0
-// up to end: the specification of every class's bits.
-func (g *passGate) kernelGo(lo, hi []float64, v0, end, n int) {
-	t, mask := g.tMask, g.mask
+// kernelGo is kernel's Go loops: the specification of every class's
+// bits.
+func (g *passGate) kernelGo(lo, hi []float64) {
+	t, mask, end := g.tMask, g.mask, len(hi)/2
+	n := runLen(mask, end)
 	switch g.class {
 	case classDiagonal:
 		u00, u11 := g.u[0][0], g.u[1][1]
-		for v := v0; v < end; v = (v + n) | mask {
+		for v := mask; v < end; v = (v + n) | mask {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
 				a0 := complex(l[i-1], l[i])
@@ -551,7 +547,7 @@ func (g *passGate) kernelGo(lo, hi []float64, v0, end, n int) {
 			}
 		}
 	case classSwap:
-		for v := v0; v < end; v = (v + n) | mask {
+		for v := mask; v < end; v = (v + n) | mask {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
 				a0 := complex(l[i-1], l[i])
@@ -566,7 +562,7 @@ func (g *passGate) kernelGo(lo, hi []float64, v0, end, n int) {
 		}
 	case classRealImag:
 		r00, s01, s10, r11 := real(g.u[0][0]), imag(g.u[0][1]), imag(g.u[1][0]), real(g.u[1][1])
-		for v := v0; v < end; v = (v + n) | mask {
+		for v := mask; v < end; v = (v + n) | mask {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
 				x0, y0, x1, y1 := l[i-1], l[i], h[i-1], h[i]
@@ -584,7 +580,7 @@ func (g *passGate) kernelGo(lo, hi []float64, v0, end, n int) {
 		}
 	default:
 		u00, u01, u10, u11 := g.u[0][0], g.u[0][1], g.u[1][0], g.u[1][1]
-		for v := v0; v < end; v = (v + n) | mask {
+		for v := mask; v < end; v = (v + n) | mask {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
 				a0 := complex(l[i-1], l[i])

@@ -6,6 +6,7 @@
 package quantum
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -161,14 +162,8 @@ func (g Gate) appendSignature(b []byte) []byte {
 	return b
 }
 
-func appendInt(b []byte, v int) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
+func appendInt(b []byte, v int) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
 
 func appendFloat(b []byte, f float64) []byte {
-	u := math.Float64bits(f)
-	for s := 0; s < 64; s += 8 {
-		b = append(b, byte(u>>uint(s)))
-	}
-	return b
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }

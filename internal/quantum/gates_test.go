@@ -1,8 +1,10 @@
 package quantum
 
 import (
+	"encoding/hex"
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 )
 
@@ -89,6 +91,32 @@ func TestGateString(t *testing.T) {
 	m := Gate{Kind: KindMeasure, Target: 2}
 	if m.String() != "measure(2)" {
 		t.Fatalf("String = %q", m.String())
+	}
+}
+
+// TestGateSignatureBytes pins Signature's bytes: the kind, the target
+// and each control as four little-endian bytes, ';', then the matrix
+// entries' real and imaginary float64 bits, little-endian. The cache keys
+// a pass by these bytes, so a change to them changes every key.
+func TestGateSignatureBytes(t *testing.T) {
+	for _, tc := range []struct {
+		g    Gate
+		want string
+	}{
+		{Gate{Name: "ccx", Target: 5, Controls: []int{0, 300}, U: MatX},
+			"00" + "05000000" + "00000000" + "2c010000" + "3b" +
+				"0000000000000000" + "0000000000000000" + "000000000000f03f" + "0000000000000000" +
+				"000000000000f03f" + "0000000000000000" + "0000000000000000" + "0000000000000000"},
+		{Gate{Name: "rz", Target: 2, U: RZ(0.7)},
+			"00" + "02000000" + "3b" +
+				"b7e50d5d570fee3f" + "8b0a39a509f2d5bf" + "0000000000000000" + "0000000000000000" +
+				"0000000000000000" + "0000000000000000" + "b7e50d5d570fee3f" + "8b0a39a509f2d53f"},
+		{Gate{Kind: KindMeasure, Target: 3},
+			"01" + "03000000" + "3b" + strings.Repeat("00", 64)},
+	} {
+		if got := hex.EncodeToString([]byte(tc.g.Signature())); got != tc.want {
+			t.Errorf("%v: signature %s, want %s", tc.g, got, tc.want)
+		}
 	}
 }
 
