@@ -50,6 +50,31 @@ func TestCacheHitsOnRedundantState(t *testing.T) {
 	}
 }
 
+// TestGroverCacheKeepsItsHits pins the codec calls, cache hits and peak
+// footprint of a 13-qubit Grover run: a redundant state whose ancilla
+// blocks stay byte-equal, and so cacheable and small, only while their
+// zeros are +0. A diagonal, swap or real-imaginary loop that keeps the
+// −0s its products make (drops its + 0, the +0 rule at apply) passes
+// every bit-identity suite, which compares the engine with itself, and
+// fails here: 128 compress calls, 4 hits of 24 and a 2 066-byte peak.
+func TestGroverCacheKeepsItsHits(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		c := quantum.Grover(8, 0b1011, 1)
+		s := newSim(t, c.N, 1, 256, func(cfg *Config) {
+			cfg.CacheLines = 64
+			cfg.Workers = 1
+		})
+		if err := s.Run(c); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if st.CompressCalls != 73 || st.CacheHits != 14 || st.CacheLookups != 24 || st.MaxFootprint != 1024 {
+			t.Fatalf("%d compress calls, %d cache hits of %d lookups, peak footprint %d B; want 73, 14 of 24, 1 024 B",
+				st.CompressCalls, st.CacheHits, st.CacheLookups, st.MaxFootprint)
+		}
+	})
+}
+
 func TestCacheCorrectnessOnFullWorkload(t *testing.T) {
 	// Same circuit with and without cache must agree bit-for-bit.
 	c := quantum.Grover(5, 11, 2)

@@ -10,8 +10,8 @@ import "qcsim/internal/quantum"
 // changed only by tests, which run both paths. The pure-Go loops are
 // the specification, and the vector loops produce their bits: the same
 // IEEE multiplies, adds and subtracts in the same order, no fused
-// multiply-add, the same −0 decisions pair by pair. NaN payloads may
-// differ.
+// multiply-add, and a short form's + 0 on every component. NaN payloads
+// may differ.
 var vectorKernels = hasAVX2()
 
 // hasAVX2 reports whether the CPU has AVX2 and POPCNT and the operating
@@ -39,7 +39,7 @@ func hasAVX2() bool {
 // generalVec, diagonalVec, swapVec and realImagVec are kernelGo's loop
 // of their class on every run from offset mask on: the runs of mask's
 // lowest bit (the whole block for an empty mask), t the target's bit in
-// a block, 0 for a block target. Each keeps the −0 rule pair by pair.
+// a block, 0 for a block target. The short forms keep the +0 rule.
 //
 //go:noescape
 func generalVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)

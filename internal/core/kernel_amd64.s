@@ -11,9 +11,9 @@
 // is SSE, so each RET after AVX code follows a VZEROUPPER.
 //
 // The four 2×2 classes are one loop body, KERNEL, with the class's
-// arithmetic and its −0 rule plugged in: generalVec, diagonalVec,
-// swapVec and realImagVec. Each walks the controlled-offset runs itself,
-// one of three ways:
+// arithmetic plugged in: generalVec, diagonalVec, swapVec and
+// realImagVec. Each walks the controlled-offset runs itself, one of
+// three ways:
 //   - runs of two pairs or more: v = (v+2)|mask, the two pairs' lo
 //     amplitudes one 256-bit load, their hi amplitudes another;
 //   - runs of one pair with the target off qubit 0 (a control on qubit
@@ -21,30 +21,10 @@
 //     packed from two 128-bit loads; an odd last run fills both halves
 //     and is stored twice;
 //   - the target on qubit 0: (v+1)|mask, one load holding the pair.
-// The short forms keep the Go loops' −0 rule pair by pair: a pair whose
-// result has a component with real·imag == 0 (the pre-filter, false on
-// NaN) and a component equal to −0 takes the general 2×2's result,
-// computed and blended in inside the vector; every other pair keeps its
-// short result. A dense state never passes the pre-filter.
-
-// negZeros is four −0s.
-DATA negZeros<>+0(SB)/8, $0x8000000000000000
-DATA negZeros<>+8(SB)/8, $0x8000000000000000
-DATA negZeros<>+16(SB)/8, $0x8000000000000000
-DATA negZeros<>+24(SB)/8, $0x8000000000000000
-GLOBL negZeros<>(SB), RODATA|NOPTR, $32
-
-// blendMasks holds, at 32·h, the lanes of the pairs whose bits are set
-// in h: bit 0 the first pair (lanes 0–1), bit 2 the second (lanes 2–3).
-DATA blendMasks<>+32(SB)/8, $-1
-DATA blendMasks<>+40(SB)/8, $-1
-DATA blendMasks<>+144(SB)/8, $-1
-DATA blendMasks<>+152(SB)/8, $-1
-DATA blendMasks<>+160(SB)/8, $-1
-DATA blendMasks<>+168(SB)/8, $-1
-DATA blendMasks<>+176(SB)/8, $-1
-DATA blendMasks<>+184(SB)/8, $-1
-GLOBL blendMasks<>(SB), RODATA|NOPTR, $192
+// The short forms keep the Go loops' +0 rule: each result vector gets
+// one VADDPD of a zero register, which keeps a nonzero component and
+// makes −0 +0, as the Go loops' r + 0 does. The general class adds
+// nothing.
 
 // The two-pair layout. BROADCAST_U puts the matrix at R8 in Y0–Y7, each
 // entry part in all four lanes: re u00, im u00, re u01, im u01, re u10,
@@ -80,7 +60,7 @@ GLOBL blendMasks<>(SB), RODATA|NOPTR, $192
 	VADDSUBPD Y15, Y14, Y14; \
 	VADDPD    Y14, Y13, Y13
 
-// DIAGONAL2: n0 = u00·a0, n1 = u11·a1.
+// DIAGONAL2: n0 = u00·a0 + 0, n1 = u11·a1 + 0.
 #define DIAGONAL2 \
 	VPERMILPD $5, Y8, Y10; \
 	VPERMILPD $5, Y9, Y11; \
@@ -89,16 +69,20 @@ GLOBL blendMasks<>(SB), RODATA|NOPTR, $192
 	VADDSUBPD Y14, Y12, Y12; \
 	VMULPD    Y9, Y6, Y13; \
 	VMULPD    Y11, Y7, Y15; \
-	VADDSUBPD Y15, Y13, Y13
+	VADDSUBPD Y15, Y13, Y13; \
+	VXORPD    Y14, Y14, Y14; \
+	VADDPD    Y14, Y12, Y12; \
+	VADDPD    Y14, Y13, Y13
 
-// SWAP2: n0 = a1, n1 = a0.
+// SWAP2: n0 = a1 + 0, n1 = a0 + 0.
 #define SWAP2 \
-	VMOVAPD Y9, Y12; \
-	VMOVAPD Y8, Y13
+	VXORPD Y14, Y14, Y14; \
+	VADDPD Y14, Y9, Y12; \
+	VADDPD Y14, Y8, Y13
 
 // REALIMAG2: with r the diagonal's real parts (Y0, Y6) and s the
 // off-diagonal's imaginary parts (Y3, Y5), n0 = (r00·x0 − s01·y1,
-// r00·y0 + s01·x1) and n1 = (r11·x1 − s10·y0, r11·y1 + s10·x0).
+// r00·y0 + s01·x1) + 0 and n1 = (r11·x1 − s10·y0, r11·y1 + s10·x0) + 0.
 #define REALIMAG2 \
 	VPERMILPD $5, Y8, Y10; \
 	VPERMILPD $5, Y9, Y11; \
@@ -107,65 +91,10 @@ GLOBL blendMasks<>(SB), RODATA|NOPTR, $192
 	VADDSUBPD Y14, Y12, Y12; \
 	VMULPD    Y9, Y6, Y13; \
 	VMULPD    Y10, Y5, Y15; \
-	VADDSUBPD Y15, Y13, Y13
-
-// NEGZERO2 is the −0 rule's pre-filter on n0 and n1: real·imag of each,
-// lanes n0, n1 of the first pair then of the second, whose == 0 bits go
-// to R12. A vector where it holds for no lane goes on to be stored; one
-// where it holds jumps to settle, which runs SETTLE2.
-#define NEGZERO2(settle) \
-	VUNPCKLPD Y13, Y12, Y14; \
-	VUNPCKHPD Y13, Y12, Y15; \
-	VMULPD    Y15, Y14, Y14; \
-	VXORPD    Y15, Y15, Y15; \
-	VCMPPD    $0, Y15, Y14, Y14; \
-	VMOVMSKPD Y14, R12; \
-	TESTQ     R12, R12; \
-	JNZ       settle
-
-// SETTLE2(store): a pair hits when the pre-filter holds on its n0 or n1
-// (R12's bits, two a pair) and a component of its n0 or n1 is −0. A
-// vector with no hit pair goes to store as it is. Otherwise the general
-// 2×2's n0 and n1, GENERAL2's arithmetic, are blended into the hit pairs
-// (blendMasks, indexed by the hit bits); the others keep their short
-// results.
-#define SETTLE2(store) \
-	VPCMPEQQ  negZeros<>(SB), Y12, Y15; \
-	VPCMPEQQ  negZeros<>(SB), Y13, Y14; \
-	VPOR      Y14, Y15, Y15; \
-	VMOVMSKPD Y15, R8; \
-	MOVQ      R12, R11; \
-	SHRQ      $1, R11; \
-	ORQ       R11, R12; \
-	MOVQ      R8, R11; \
-	SHRQ      $1, R11; \
-	ORQ       R11, R8; \
-	ANDQ      R8, R12; \
-	ANDQ      $5, R12; \
-	JZ        store; \
-	VPERMILPD $5, Y8, Y11; \
-	VMULPD    Y8, Y0, Y15; \
-	VMULPD    Y11, Y1, Y11; \
-	VADDSUBPD Y11, Y15, Y15; \
-	VPERMILPD $5, Y9, Y11; \
-	VMULPD    Y9, Y2, Y10; \
-	VMULPD    Y11, Y3, Y11; \
-	VADDSUBPD Y11, Y10, Y10; \
-	VADDPD    Y10, Y15, Y15; \
-	VPERMILPD $5, Y8, Y11; \
-	VMULPD    Y8, Y4, Y14; \
-	VMULPD    Y11, Y5, Y11; \
-	VADDSUBPD Y11, Y14, Y14; \
-	VPERMILPD $5, Y9, Y11; \
-	VMULPD    Y9, Y6, Y10; \
-	VMULPD    Y11, Y7, Y11; \
-	VADDSUBPD Y11, Y10, Y10; \
-	VADDPD    Y10, Y14, Y14; \
-	SHLQ      $5, R12; \
-	LEAQ      blendMasks<>(SB), R8; \
-	VMOVUPD   (R8)(R12*1), Y10; \
-	VBLENDVPD Y10, Y15, Y12, Y12; \
-	VBLENDVPD Y10, Y14, Y13, Y13
+	VADDSUBPD Y15, Y13, Y13; \
+	VXORPD    Y14, Y14, Y14; \
+	VADDPD    Y14, Y12, Y12; \
+	VADDPD    Y14, Y13, Y13
 
 // The one-pair layout, the target on qubit 0: Y8 is [a0, a1]. PAIRS_U
 // puts the matrix at R8 in Y0–Y3: re u00, re u00, re u11, re u11 (Y0),
@@ -201,57 +130,35 @@ GLOBL blendMasks<>(SB), RODATA|NOPTR, $192
 	VADDSUBPD Y14, Y13, Y13; \
 	VADDPD    Y13, Y12, Y12
 
-// DIAGONAL1: [u00·a0, u11·a1].
+// DIAGONAL1: [u00·a0, u11·a1] + 0.
 #define DIAGONAL1 \
 	VPERMILPD $5, Y8, Y9; \
 	VMULPD    Y8, Y0, Y12; \
 	VMULPD    Y9, Y1, Y13; \
-	VADDSUBPD Y13, Y12, Y12
+	VADDSUBPD Y13, Y12, Y12; \
+	VADDPD    Y4, Y12, Y12
 
-// SWAP1: [a1, a0].
+// SWAP1: [a1, a0] + 0.
 #define SWAP1 \
-	VPERMPD $0x4e, Y8, Y12
+	VPERMPD $0x4e, Y8, Y12; \
+	VADDPD  Y4, Y12, Y12
 
 // REALIMAG1: [r00, r00, r11, r11]·[x0, y0, x1, y1] ∓ [s01, s01, s10,
-// s10]·[y1, x1, y0, x0].
+// s10]·[y1, x1, y0, x0], + 0.
 #define REALIMAG1 \
 	VPERMPD   $0x1b, Y8, Y9; \
 	VMULPD    Y8, Y0, Y12; \
 	VMULPD    Y9, Y3, Y13; \
-	VADDSUBPD Y13, Y12, Y12
-
-// NEGZERO1 is NEGZERO2 for one pair: real·imag of n0 twice, of n1 twice.
-#define NEGZERO1(settle) \
-	VPERMILPD $5, Y12, Y13; \
-	VMULPD    Y13, Y12, Y13; \
-	VCMPPD    $0, Y4, Y13, Y13; \
-	VMOVMSKPD Y13, R12; \
-	TESTQ     R12, R12; \
-	JNZ       settle
-
-// SETTLE1: the vector is one pair, so a −0 component anywhere sends it
-// all to the general 2×2.
-#define SETTLE1(store) \
-	VPCMPEQQ  negZeros<>(SB), Y12, Y13; \
-	VMOVMSKPD Y13, R12; \
-	TESTQ     R12, R12; \
-	JZ        store; \
-	GENERAL1
-
-// The general class has no −0 rule.
-#define NOFILTER(settle)
-#define NOSETTLE2(store)
-#define NOSETTLE1(store)
+	VADDSUBPD Y13, Y12, Y12; \
+	VADDPD    Y4, Y12, Y12
 
 // KERNEL is the loop of one class, short2 and short1 its arithmetic in
-// the two layouts, filter2, settle2, filter1 and settle1 its −0 rule.
-// It takes lo's and hi's bases in SI and DI, the block's amplitude
-// count in CX, mask in BX and t in DX, and the matrix's address in R8.
-// AX is v, the hi offset of the step's first pair; R9 and R10 are its
-// hi and lo byte offsets, R13 and R14 those of the second run in the
-// packed path. R8, once the matrix is loaded, R11 and R12 are the −0
-// rule's scratch.
-#define KERNEL(short2, filter2, settle2, short1, filter1, settle1) \
+// the two layouts. It takes lo's and hi's bases in SI and DI, the
+// block's amplitude count in CX, mask in BX and t in DX, and the
+// matrix's address in R8. AX is v, the hi offset of the step's first
+// pair; R9 and R10 are its hi and lo byte offsets, R13 and R14 those of
+// the second run in the packed path, and R11 is scratch.
+#define KERNEL(short2, short1) \
 	MOVQ    BX, AX; \
 	CMPQ    DX, $1; \
 	JEQ     pairs; \
@@ -272,8 +179,6 @@ runsLoop: \
 	VMOVUPD (SI)(R10*1), Y8; \
 	VMOVUPD (DI)(R9*1), Y9; \
 	short2; \
-	filter2(runsSettle); \
-runsStore: \
 	VMOVUPD Y12, (SI)(R10*1); \
 	VMOVUPD Y13, (DI)(R9*1); \
 	ADDQ    $2, AX; \
@@ -283,29 +188,24 @@ runsTest: \
 	JLT  runsLoop; \
 	VZEROUPPER; \
 	RET; \
-runsSettle: \
-	settle2(runsStore); \
-	JMP runsStore; \
 packedLoop: \
-	LEAQ        1(AX), R11; \
-	ORQ         BX, R11; \
-	CMPQ        R11, CX; \
-	CMOVQGE     AX, R11; \
-	MOVQ        AX, R9; \
-	SHLQ        $4, R9; \
-	MOVQ        R9, R10; \
-	SUBQ        DX, R10; \
-	MOVQ        R11, R13; \
-	SHLQ        $4, R13; \
-	MOVQ        R13, R14; \
-	SUBQ        DX, R14; \
-	VMOVUPD     (SI)(R10*1), X8; \
-	VINSERTF128 $1, (SI)(R14*1), Y8, Y8; \
-	VMOVUPD     (DI)(R9*1), X9; \
-	VINSERTF128 $1, (DI)(R13*1), Y9, Y9; \
+	LEAQ         1(AX), R11; \
+	ORQ          BX, R11; \
+	CMPQ         R11, CX; \
+	CMOVQGE      AX, R11; \
+	MOVQ         AX, R9; \
+	SHLQ         $4, R9; \
+	MOVQ         R9, R10; \
+	SUBQ         DX, R10; \
+	MOVQ         R11, R13; \
+	SHLQ         $4, R13; \
+	MOVQ         R13, R14; \
+	SUBQ         DX, R14; \
+	VMOVUPD      (SI)(R10*1), X8; \
+	VINSERTF128  $1, (SI)(R14*1), Y8, Y8; \
+	VMOVUPD      (DI)(R9*1), X9; \
+	VINSERTF128  $1, (DI)(R13*1), Y9, Y9; \
 	short2; \
-	filter2(packedSettle); \
-packedStore: \
 	VMOVUPD      X12, (SI)(R10*1); \
 	VEXTRACTF128 $1, Y12, (SI)(R14*1); \
 	VMOVUPD      X13, (DI)(R9*1); \
@@ -319,9 +219,6 @@ packedTest: \
 	JLT  packedLoop; \
 	VZEROUPPER; \
 	RET; \
-packedSettle: \
-	settle2(packedStore); \
-	JMP packedStore; \
 pairs: \
 	PAIRS_U; \
 	JMP pairsTest; \
@@ -330,8 +227,6 @@ pairsLoop: \
 	SHLQ    $4, R9; \
 	VMOVUPD -16(DI)(R9*1), Y8; \
 	short1; \
-	filter1(pairsSettle); \
-pairsStore: \
 	VMOVUPD Y12, -16(DI)(R9*1); \
 	INCQ    AX; \
 	ORQ     BX, AX; \
@@ -339,10 +234,7 @@ pairsTest: \
 	CMPQ AX, CX; \
 	JLT  pairsLoop; \
 	VZEROUPPER; \
-	RET; \
-pairsSettle: \
-	settle1(pairsStore); \
-	JMP pairsStore
+	RET
 
 // func generalVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
 TEXT ·generalVec(SB), NOSPLIT, $0-72
@@ -353,7 +245,7 @@ TEXT ·generalVec(SB), NOSPLIT, $0-72
 	MOVQ mask+48(FP), BX
 	MOVQ t+56(FP), DX
 	MOVQ u+64(FP), R8
-	KERNEL(GENERAL2, NOFILTER, NOSETTLE2, GENERAL1, NOFILTER, NOSETTLE1)
+	KERNEL(GENERAL2, GENERAL1)
 
 // func diagonalVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
 TEXT ·diagonalVec(SB), NOSPLIT, $0-72
@@ -364,7 +256,7 @@ TEXT ·diagonalVec(SB), NOSPLIT, $0-72
 	MOVQ mask+48(FP), BX
 	MOVQ t+56(FP), DX
 	MOVQ u+64(FP), R8
-	KERNEL(DIAGONAL2, NEGZERO2, SETTLE2, DIAGONAL1, NEGZERO1, SETTLE1)
+	KERNEL(DIAGONAL2, DIAGONAL1)
 
 // func swapVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
 TEXT ·swapVec(SB), NOSPLIT, $0-72
@@ -375,7 +267,7 @@ TEXT ·swapVec(SB), NOSPLIT, $0-72
 	MOVQ mask+48(FP), BX
 	MOVQ t+56(FP), DX
 	MOVQ u+64(FP), R8
-	KERNEL(SWAP2, NEGZERO2, SETTLE2, SWAP1, NEGZERO1, SETTLE1)
+	KERNEL(SWAP2, SWAP1)
 
 // func realImagVec(lo, hi []float64, mask, t int, u *quantum.Matrix2)
 TEXT ·realImagVec(SB), NOSPLIT, $0-72
@@ -386,7 +278,7 @@ TEXT ·realImagVec(SB), NOSPLIT, $0-72
 	MOVQ mask+48(FP), BX
 	MOVQ t+56(FP), DX
 	MOVQ u+64(FP), R8
-	KERNEL(REALIMAG2, NEGZERO2, SETTLE2, REALIMAG1, NEGZERO1, SETTLE1)
+	KERNEL(REALIMAG2, REALIMAG1)
 
 // func unitVec(x []float64, t, step int, tab *[2][2]complex128)
 //

@@ -16,24 +16,43 @@ import (
 // refGate and refApply are the kernel as it stood before gate classes
 // and groups: every gate a general complex 2×2 applied gate at a time,
 // every offset tested against the controls, blocks named by their
-// index. They are the definition of the bytes a pass must produce.
+// index. With plusZero set every zero a gate writes is +0 (canon): the
+// +0 rule a diagonal, swap or real-imaginary gate's loop keeps. They
+// are the definition of the bytes a pass must produce.
 type refGate struct {
-	tMask   int // the target's bit within a block, 0 for a block target
-	stride  int // the block target's block-index bit, 0 for an offset target
-	offCtrl uint64
-	blkCtrl int
-	u       quantum.Matrix2
+	tMask    int // the target's bit within a block, 0 for a block target
+	stride   int // the block target's block-index bit, 0 for an offset target
+	offCtrl  uint64
+	blkCtrl  int
+	u        quantum.Matrix2
+	plusZero bool
+}
+
+// full is the general 2×2 on one pair (paper Eq. 6): the definition of
+// every class's result, up to the signs of zeros.
+func full(u quantum.Matrix2, a0, a1 complex128) (n0, n1 complex128) {
+	return u[0][0]*a0 + u[0][1]*a1, u[1][0]*a0 + u[1][1]*a1
+}
+
+// canon is x with a zero of either sign made +0, written without the
+// arithmetic the kernels use for it.
+func canon(x float64) float64 {
+	if x == 0 {
+		return 0
+	}
+	return x
 }
 
 // refApply runs gates in order on blocks, a group of blocks by index.
 func refApply(gates []refGate, blocks map[int][]float64) {
 	pair := func(g refGate, x, y []float64, i, j int) {
-		a0 := complex(x[2*i], x[2*i+1])
-		a1 := complex(y[2*j], y[2*j+1])
-		n0 := g.u[0][0]*a0 + g.u[0][1]*a1
-		n1 := g.u[1][0]*a0 + g.u[1][1]*a1
+		n0, n1 := full(g.u, complex(x[2*i], x[2*i+1]), complex(y[2*j], y[2*j+1]))
 		x[2*i], x[2*i+1] = real(n0), imag(n0)
 		y[2*j], y[2*j+1] = real(n1), imag(n1)
+		if g.plusZero {
+			x[2*i], x[2*i+1] = canon(x[2*i]), canon(x[2*i+1])
+			y[2*j], y[2*j+1] = canon(y[2*j]), canon(y[2*j+1])
+		}
 	}
 	for _, g := range gates {
 		for idx, x := range blocks {
@@ -117,17 +136,16 @@ var kernelMatrices = []struct {
 		{complex(0, 0.8), complex(-0.6, 0)}}, classRealImag},
 }
 
-// TestKernelMatchesGeneral2x2Bits pins the one property of the class
-// kernels nothing else in the repository sees (with
-// TestKernelNegZeroRule): that a diagonal, swap or real-imaginary short
-// form produces the general 2×2's float64 BITS, signed zeros
-// included. (-1+0i)·(0+0i) is (-0, +0), and the 2×2's "+ 0·a1" term
-// turns it back into +0; a short form that drops the term keeps -0, and
-// a raw or lossless blob differs by that bit. Removing the -0 fallback
-// from any class loop in kernel passes every other test in the repository — conformance, the
-// bit-identity suites, the harness's pinned counters — because they
-// compare the engine against itself or within a tolerance; this test
-// compares it against the old loop.
+// TestKernelMatchesGeneral2x2Bits pins the class kernels' bits (with
+// TestKernelNegZeroRule): a general gate produces the general 2×2's
+// float64 BITS, and a diagonal, swap or real-imaginary short form the
+// 2×2's bits with every zero +0 — canon(full), the +0 rule. (-1+0i)·
+// (0+0i) is (-0, +0); a short form that drops its "+ 0" keeps the -0,
+// and a raw or lossless blob differs by that bit. The bit-identity
+// suites compare the engine against itself or within a tolerance and
+// cannot see it; of the rest only TestGroverCacheKeepsItsHits does, by
+// the cache hits and codec calls the -0s cost. This test compares the
+// kernel against the old loop.
 //
 // It does so on groups of one, two, four and eight blocks: block-target
 // gates on each group stride, controlled on the other group qubits and
@@ -153,8 +171,8 @@ func kernelMatchesGeneral2x2Bits(t *testing.T) {
 	}
 	// randGate draws a gate with target tMask (an offset bit) or stride
 	// (a block bit) and nctrl offset controls.
-	randGate := func(u quantum.Matrix2, tMask, stride, nctrl, blk int) refGate {
-		g := refGate{u: u, tMask: tMask, stride: stride, blkCtrl: blk}
+	randGate := func(u quantum.Matrix2, class gateClass, tMask, stride, nctrl, blk int) refGate {
+		g := refGate{u: u, tMask: tMask, stride: stride, blkCtrl: blk, plusZero: class != classGeneral}
 		for nctrl > 0 {
 			c := uint64(1) << uint(rng.Intn(offsetBits))
 			if c != uint64(tMask) && g.offCtrl&c == 0 {
@@ -199,12 +217,12 @@ func kernelMatchesGeneral2x2Bits(t *testing.T) {
 						for k := 1; k <= 4; k++ {
 							// The named gate first, then k-1 random ones, so every
 							// class also runs on another class's output.
-							ref := []refGate{randGate(m.u, tg.tMask, tg.stride, nctrl, blk)}
+							ref := []refGate{randGate(m.u, m.class, tg.tMask, tg.stride, nctrl, blk)}
 							for len(ref) < k {
 								mm := kernelMatrices[rng.Intn(len(kernelMatrices))]
 								rt := randTarget()
 								opts := subsets(span, rt.stride)
-								ref = append(ref, randGate(mm.u, rt.tMask, rt.stride, rng.Intn(3), opts[rng.Intn(len(opts))]))
+								ref = append(ref, randGate(mm.u, mm.class, rt.tMask, rt.stride, rng.Intn(3), opts[rng.Intn(len(opts))]))
 							}
 							var pgs []passGate
 							ctrlBits := 0
@@ -243,7 +261,7 @@ func kernelMatchesGeneral2x2Bits(t *testing.T) {
 									w := want[b|p.sub[mb]]
 									for i := range w {
 										if math.Float64bits(bufs[mb][i]) != math.Float64bits(w[i]) {
-											t.Fatalf("%s (tMask %d, stride %d), %d offset controls, block control %d, %d gates, group span %d at block %d: member %d component %d is %x, the general 2×2 gives %x\ngates %+v",
+											t.Fatalf("%s (tMask %d, stride %d), %d offset controls, block control %d, %d gates, group span %d at block %d: member %d component %d is %x, the reference gives %x\ngates %+v",
 												m.name, tg.tMask, tg.stride, nctrl, blk, k, span, b, mb, i,
 												math.Float64bits(bufs[mb][i]), math.Float64bits(w[i]), ref)
 										}
@@ -259,17 +277,19 @@ func kernelMatchesGeneral2x2Bits(t *testing.T) {
 	t.Logf("%d passes compared bit for bit", passes)
 }
 
-// TestKernelNegZeroRule holds every kernelMatrices entry's class loop to
-// full on every pair whose four components come from {+0, -0, ±1, ±the
-// smallest subnormal, ±huge}, bit for bit: the exhaustive side of the
-// -0 rule. The subnormals make products that underflow to a signed
-// zero, so a short result can be -0 where neither input is; huge is
-// large enough to matter and small enough that no entry's products
-// overflow (the rule is for finite results). Each pair runs as the pair
-// (0, 1) of a two-amplitude block, and as either pair of a four-amplitude
-// block under a target on bit 1 — (0, 2) and (1, 3), the two pairs of one
-// vector — with the other pair dense, so a vector loop decides the −0
-// fallback per pair.
+// TestKernelNegZeroRule holds every kernelMatrices entry's class loop,
+// bit for bit, to full — a general gate — or to canon(full) — a
+// diagonal, swap or real-imaginary short form, the +0 rule — on every
+// pair whose four components come from {+0, -0, ±1, ±the smallest
+// subnormal, ±huge}: the exhaustive side of the rule. The subnormals
+// make products that underflow to a signed zero, so a short result can
+// be -0 where neither input is; huge is large enough to matter and
+// small enough that no entry's products overflow (the rule is for
+// finite results). Each pair runs as the pair (0, 1) of a two-amplitude
+// block, and as either pair of a four-amplitude block under a target on
+// bit 1 — (0, 2) and (1, 3), the two pairs of one vector — with the
+// other pair dense, and under a qubit-0 control, so each of a vector
+// loop's three layouts adds its + 0 to every lane.
 func TestKernelNegZeroRule(t *testing.T) {
 	eachKernel(t, classLoopsNegZeroRule)
 	t.Run("zz-unit", func(t *testing.T) { eachKernel(t, zzUnitNegZeroRule) })
@@ -284,22 +304,16 @@ func classLoopsNegZeroRule(t *testing.T) {
 		g2 := newPassGate(m.u, 2, 0, 0, 0)
 		g4 := newPassGate(m.u, 4, 0, 1, 0)
 		// check runs g on block x, whose amplitudes lo and lo+t form the
-		// pair under test, and holds every component to full's.
+		// pair under test, and holds every component to the reference's.
 		check := func(g *passGate, x []float64, lo int) {
 			want := slices.Clone(x)
-			for o := 0; o < g.tMask; o++ {
-				if (o|g.tMask)&g.mask != g.mask {
-					continue
-				}
-				n0, n1 := g.full(complex(x[2*o], x[2*o+1]), complex(x[2*(o+g.tMask)], x[2*(o+g.tMask)+1]))
-				want[2*o], want[2*o+1] = real(n0), imag(n0)
-				want[2*(o+g.tMask)], want[2*(o+g.tMask)+1] = real(n1), imag(n1)
-			}
+			refApply([]refGate{{tMask: g.tMask, offCtrl: uint64(g.mask &^ g.tMask), u: m.u, plusZero: m.class != classGeneral}},
+				map[int][]float64{0: want})
 			in := slices.Clone(x)
 			g.kernel(x, x)
 			for i := range x {
 				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s, target bit %d, pair at %d, on block %v: component %d is %v (%#x), full gives %v (%#x)",
+					t.Fatalf("%s, target bit %d, pair at %d, on block %v: component %d is %v (%#x), the reference gives %v (%#x)",
 						m.name, g.tMask, lo, in, i, x[i], math.Float64bits(x[i]), want[i], math.Float64bits(want[i]))
 				}
 			}
@@ -542,6 +556,22 @@ func FuzzKernelVectorMatchesGo(f *testing.F) {
 	f.Add(uint8(4), uint8(5), uint8(15), []byte{0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 8, 0, 1, 0, 2})
 	f.Add(uint8(0), uint8(4), uint8(1), []byte{20, 30, 40, 50, 60, 70, 80, 90, 0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(uint8(1), uint8(2), uint8(1), []byte{20, 1, 0, 30, 1, 40, 50, 0, 1, 0, 1, 0, 9, 2, 0, 1})
+	// Blocks of mostly ±0 for each short class, in each of the three
+	// vector layouts (a block target's runs, the target on qubit 0, runs
+	// of one pair under a qubit-0 control): the products are signed
+	// zeros, and every lane's + 0 decides their sign.
+	for _, c := range []struct {
+		class uint8
+		u     []byte
+	}{
+		{1, []byte{200, 1, 0, 20, 1, 150, 30, 0}},
+		{3, []byte{200, 20, 0, 1, 1, 0, 30, 150}},
+		{4, []byte{1, 0, 0, 1, 0, 1, 1, 0}},
+	} {
+		for _, tc := range [][2]uint8{{0, 0}, {1, 0}, {3, 1}} {
+			f.Add(c.class, tc[0], tc[1], append(slices.Clone(c.u), 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 200, 1, 0, 0, 1, 1))
+		}
+	}
 	f.Fuzz(func(t *testing.T, class, target, ctrl uint8, data []byte) {
 		const ba = 32
 		if len(data) == 0 {
@@ -651,15 +681,15 @@ func TestKernelAsmHasNoFMA(t *testing.T) {
 // same target across both pairs of a 4-block group, group8 across the
 // four pairs of an 8-block group. The classes are a fused H·T (general),
 // RX (real-imag), RZ (diagonal) and X (swap). Dense random
-// input never passes the zero pre-filter — the regime of every workload
-// but Grover's; the /sparse variants draw half the components as ±0, so
-// the pre-filter passes on most pairs and the -0 test decides, as on
-// Grover's ancillas. The zz rows are a ZZ unit on every member of an
-// 8-block group, in place and with no -0 test, by how many of u and v
-// are offset bits: par=0 on block bits alone, par=1 with u an offset
-// bit and v a block bit, par=2 with both offset bits, u on bit 0, 1, 2
-// or 6: in Go, runs of one and two amplitudes take the per-amplitude
-// table, runs of four (t=2, as long as unitRun) and 64 the run loop.
+// input has no zero component — the regime of every workload but
+// Grover's; the /sparse variants draw half the components as ±0, as on
+// Grover's ancillas, whose zeros the short forms' + 0 makes +0. The zz
+// rows are a ZZ unit on every member of an 8-block group, in place, by
+// how many of u and v are offset bits: par=0 on block bits alone, par=1
+// with u an offset bit and v a block bit, par=2 with both offset bits,
+// u on bit 0, 1, 2 or 6: in Go, runs of one and two amplitudes take the
+// per-amplitude table, runs of four (t=2, as long as unitRun) and 64 the
+// run loop.
 // The rows of vecRows time both kernels, as impl=go and impl=vec
 // (eachKernel); the others run whichever the CPU selects.
 func BenchmarkKernel(b *testing.B) {

@@ -66,11 +66,12 @@ import (
 // gate-at-a-time execution: every amplitude sees the same float
 // operations in the same order, and decompress ∘ compress is exact, so
 // eliding the round trips in between changes no bits. The class kernels
-// (general, diagonal, swap, real-imaginary; gateClass) keep this
-// by the −0 rule, a ZZ unit by the weaker ±0 rule (both at
-// apply): it equals the three gates in every nonzero component, and
-// where its component is zero so is theirs, the sign aside — so a
-// dense state keeps its bits. Under lossy
+// (general, diagonal, swap, real-imaginary; gateClass) keep this, as a
+// gate's class is its matrix's wherever it runs: a short form writes
+// the general 2×2 with its zeros made +0 (the +0 rule). A ZZ unit keeps
+// the weaker ±0 rule (both at apply): it equals the three gates in every
+// nonzero component, and where its component is zero so is theirs, the
+// sign aside — so a dense state keeps its bits. Under lossy
 // codecs the state is truncated FEWER times — once per sweep instead of
 // once per gate — and the fidelity ledger charges one (1-δ) factor per
 // sweep, so the Eq. 11 bound only rises.
@@ -78,10 +79,9 @@ import (
 // On amd64 with AVX2 (vectorKernels) the four class loops and a unit's
 // multiply (zero-entry units aside) run as assembly (kernel_amd64.s),
 // two amplitudes a vector: the Go loops' multiplies, adds and subtracts
-// in the Go loops' order, no fused multiply-add, and the −0 rule
-// decided pair by pair as the Go loops decide it, so their bits are the
-// Go kernel's. Every other GOARCH, and the purego build tag, runs the Go
-// loops alone.
+// in the Go loops' order, no fused multiply-add, and a short form's
+// + 0 added as the Go loops add it, so their bits are the Go kernel's.
+// Every other GOARCH, and the purego build tag, runs the Go loops alone.
 //
 // The memory budget holds at every sweep boundary, not "eventually":
 // with tens of boundaries instead of hundreds, relaxing the bound one
@@ -437,32 +437,35 @@ func (p *blockPass) reads(b int) (fired [groupSize]int, read int) {
 // Each gate runs the loop of its class: one complex multiply per
 // amplitude for a diagonal, a copy for a swap, the 2×2 over its real
 // products alone for a real-imaginary matrix, else the full 2×2. The
-// bytes are the general 2×2's — the class never enters passKey — by
-// the −0 rule: a dropped product is an exact ±0 matrix component times
-// a finite amplitude component, a signed zero (0·Inf would be NaN).
-// Adding or subtracting a signed zero changes no nonzero r, and
-// +0 + ±0 == +0; only −0 + +0 == +0 moves a bit. The swap's kept term
-// is 1·x, whose components are x's plus signed zeros the same way, so
-// the same holds. A pair whose short result has a component equal to
-// −0 is therefore recomputed in full, and no other pair needs to be.
-// The real·imag == 0 test in front is a pre-filter: any zero component
-// passes it (for finite results), a dense pair never does, so a dense
-// state pays for one multiply and compare per amplitude and never for
-// the sign test.
+// class never enters passKey, so its bytes are fixed by the +0 rule: a
+// short form writes each component as r + 0, r its short result. A
+// product the short form drops is an exact ±0 matrix component times a
+// finite amplitude component, a signed zero (0·Inf would be NaN), and
+// adding a signed zero changes no nonzero r; the swap's kept term is
+// 1·x, whose components are x's plus signed zeros the same way. So r is
+// the general 2×2's component wherever that is nonzero, and a zero,
+// perhaps of the other sign, where it is zero; r + 0 keeps a nonzero r
+// and makes every zero +0 (−0 + +0 == +0). A short form thus equals the
+// general 2×2 with its zeros made +0, and needs no sign test and no
+// fallback. The zeros matter: a block's blob, and with it the §3.4 cache
+// line it keys and the lossless stage's dictionary, sees the sign bit,
+// and a redundant state (Grover's ancillas) keeps its repeated blocks
+// byte-equal only while its zeros have one sign. The general class
+// writes the 2×2's own bits, whose "+ u·a" terms already turn most −0s
+// back into +0.
 //
 // A ZZ unit keeps the ±0 rule instead: each of its components equals
-// the three-gate reference's wherever either is nonzero, and where one
-// is zero so is the other, perhaps of the other sign. Gate at a time,
-// an amplitude x becomes d·x′ + 0·a, x′ being x after the CNOT's swap
-// and a the partner the middle gate's 2×2 reads, then swaps back. The
-// swaps and the dropped 0·a term change only the signs of zeros (the
-// −0 rule's argument), and d·x′ differs from the unit's d·x only where
-// a product term is a signed zero, which moves no nonzero sum. The
-// unit reads no partner — for a block v it lives in a block the group
-// no longer holds — so a −0 is not recomputed in full: a unit may
-// differ from gate-at-a-time in the sign of a zero component, never
-// elsewhere. No dense state has a zero component, so its bits and blobs
-// are gate-at-a-time's.
+// the three-gate reference's, CNOT·D·CNOT as general 2×2s, wherever
+// either is nonzero, and where one is zero so is the other, perhaps of
+// the other sign. Gate at a time, an amplitude x becomes d·x′ + 0·a, x′
+// being x after the CNOT's swap and a the partner the middle gate's 2×2
+// reads, then swaps back. The swaps and the dropped 0·a term change
+// only the signs of zeros (the argument above), and d·x′ differs from
+// the unit's d·x only where a product term is a signed zero, which
+// moves no nonzero sum. The unit writes d·x as it is, with no + 0, so
+// it may differ from gate-at-a-time in the sign of a zero component,
+// never elsewhere. No dense state has a zero component, so its bits and
+// blobs are gate-at-a-time's.
 func (p *blockPass) apply(bufs [][]float64, b int) { p.applyTo(bufs, b, p.gates, 0, p.size) }
 
 // applyTo is apply restricted to gates, a range of the pass's, and to
@@ -506,7 +509,7 @@ func runLen(mask, n int) int {
 // With vectorKernels every class runs as one assembly call per gate and
 // member, two pairs a vector, which walks the runs itself — runs of one
 // pair two at a time, or, with the target on qubit 0, the pair one
-// vector — and settles the −0 rule inside the vector.
+// vector — and adds a short form's + 0 inside the vector.
 func (g *passGate) kernel(lo, hi []float64) {
 	if !vectorKernels {
 		g.kernelGo(lo, hi)
@@ -535,29 +538,19 @@ func (g *passGate) kernelGo(lo, hi []float64) {
 		for v := mask; v < end; v = (v + n) | mask {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
-				a0 := complex(l[i-1], l[i])
-				a1 := complex(h[i-1], h[i])
-				n0 := u00 * a0
-				n1 := u11 * a1
-				if (real(n0)*imag(n0) == 0 || real(n1)*imag(n1) == 0) && hasNegZero(n0, n1) {
-					n0, n1 = g.full(a0, a1)
-				}
-				l[i-1], l[i] = real(n0), imag(n0)
-				h[i-1], h[i] = real(n1), imag(n1)
+				n0 := u00 * complex(l[i-1], l[i])
+				n1 := u11 * complex(h[i-1], h[i])
+				l[i-1], l[i] = real(n0)+0, imag(n0)+0
+				h[i-1], h[i] = real(n1)+0, imag(n1)+0
 			}
 		}
 	case classSwap:
 		for v := mask; v < end; v = (v + n) | mask {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
-				a0 := complex(l[i-1], l[i])
-				a1 := complex(h[i-1], h[i])
-				n0, n1 := a1, a0
-				if (real(n0)*imag(n0) == 0 || real(n1)*imag(n1) == 0) && hasNegZero(n0, n1) {
-					n0, n1 = g.full(a0, a1)
-				}
-				l[i-1], l[i] = real(n0), imag(n0)
-				h[i-1], h[i] = real(n1), imag(n1)
+				x0, y0, x1, y1 := l[i-1], l[i], h[i-1], h[i]
+				l[i-1], l[i] = x1+0, y1+0
+				h[i-1], h[i] = x0+0, y0+0
 			}
 		}
 	case classRealImag:
@@ -569,13 +562,8 @@ func (g *passGate) kernelGo(lo, hi []float64) {
 				// Each product is converted, so rounded on its own: the
 				// 2×2's complex products round each real product before
 				// the sum, and a fused multiply-add here would not.
-				n0 := complex(float64(r00*x0)-float64(s01*y1), float64(r00*y0)+float64(s01*x1))
-				n1 := complex(float64(r11*x1)-float64(s10*y0), float64(r11*y1)+float64(s10*x0))
-				if (real(n0)*imag(n0) == 0 || real(n1)*imag(n1) == 0) && hasNegZero(n0, n1) {
-					n0, n1 = g.full(complex(x0, y0), complex(x1, y1))
-				}
-				l[i-1], l[i] = real(n0), imag(n0)
-				h[i-1], h[i] = real(n1), imag(n1)
+				l[i-1], l[i] = float64(r00*x0)-float64(s01*y1)+0, float64(r00*y0)+float64(s01*x1)+0
+				h[i-1], h[i] = float64(r11*x1)-float64(s10*y0)+0, float64(r11*y1)+float64(s10*x0)+0
 			}
 		}
 	default:
@@ -605,8 +593,8 @@ const unitRun = 4
 // par — u00 where z_u ⊕ z_v is 0, u11 where it is 1. The amplitudes of
 // one parity come in runs of tMask's lowest bit, the whole block when
 // neither u nor v is an offset qubit. It is the multiply gate-at-a-time's
-// middle gate applies after the CNOT's exact swap, with no −0 fallback,
-// which is the ±0 rule (see apply). An entry of 0 — a collapse's
+// middle gate applies after the CNOT's exact swap, with no + 0, which
+// is the ±0 rule (see apply). An entry of 0 — a collapse's
 // (collapsePass), or any zero-entry unit — writes its runs exact +0,
 // not 0·x, whose zeros carry signs, so an amplitude a collapse drops is
 // the zero Reset installs and a dropped block compresses to its blob.
@@ -661,26 +649,6 @@ func scale(x []float64, d complex128) {
 func window(lo, hi []float64, v, t, n int) (l, h []float64) {
 	l = lo[2*(v-t) : 2*(v-t+n)]
 	return l, hi[2*v : 2*(v+n)][:len(l)]
-}
-
-// negZeroBits is the bit pattern of −0.
-const negZeroBits = 1 << 63
-
-// hasNegZero reports whether some component of n0 or n1 is −0: the one
-// case where a class loop's short result may differ from full's.
-func hasNegZero(n0, n1 complex128) bool {
-	return math.Float64bits(real(n0)) == negZeroBits || math.Float64bits(imag(n0)) == negZeroBits ||
-		math.Float64bits(real(n1)) == negZeroBits || math.Float64bits(imag(n1)) == negZeroBits
-}
-
-// full is the general 2×2 on one pair (paper Eq. 6): the definition of
-// every class's result, and the cold path the short forms fall back to.
-// Out of line, so the loops that call it keep only their own matrix
-// entries in registers.
-//
-//go:noinline
-func (g *passGate) full(a0, a1 complex128) (n0, n1 complex128) {
-	return g.u[0][0]*a0 + g.u[0][1]*a1, g.u[1][0]*a0 + g.u[1][1]*a1
 }
 
 // passMemo is what a pass consults before paying the codec: the rank's
