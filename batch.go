@@ -216,7 +216,7 @@ func (s *Simulator) Gradient(ctx context.Context, c *circuit.Circuit, values []f
 	}
 	grad := make([]float64, c.NumParams())
 	for i, occ := range occs {
-		grad[occ.Index] += occ.Scale * (energies[1+2*i] - energies[2+2*i]) / 2
+		grad[occ.Index] += float64(occ.Scale * (energies[1+2*i] - energies[2+2*i]) / 2)
 	}
 	return &GradientResult{Energy: energies[0], Grad: grad, Evaluations: len(circuits)}, nil
 }

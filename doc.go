@@ -158,8 +158,8 @@
 // multiplies each amplitude by the middle gate's entry indexed by
 // z_u ⊕ z_v, so the pass applies it in place to every member, with no
 // exchange even on rank qubits. QAOA's cost layer is one unit per edge.
-// In a batch a triple is a unit only where its middle gate is diagonal
-// in every variant. A sweep is broken by a
+// A batch plans each variant on its own, so a triple is a unit in the
+// variants whose middle gate is diagonal. A sweep is broken by a
 // fourth target above the offset qubits (a second under
 // WithMemoryBudget, whose at-rest rule settles the budget between
 // pair sweeps), a second distinct rank-segment target or a measurement.

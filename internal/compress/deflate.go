@@ -397,7 +397,7 @@ func (d *deflater) huffFloor(n int) int {
 		s2 += fLog2f(f[2])
 		s3 += fLog2f(f[3])
 	}
-	bits := float64(n)*math.Log2(float64(n)) - (s0 + s1 + s2 + s3)
+	bits := float64(float64(n)*math.Log2(float64(n))) - (s0 + s1 + s2 + s3)
 	return 3 + 5 + 5 + 4 + 3*4 + 1 + int(bits) - 1
 }
 

@@ -118,7 +118,7 @@ func (c *Codec) encodeAbs(src []float64, bound float64) ([]byte, error) {
 		if bound > 0 && !math.IsNaN(v) && !math.IsInf(v, 0) {
 			m := math.Round((v - p) / (2 * bound))
 			if math.Abs(m) < float64(half-1) {
-				q := p + 2*bound*m
+				q := p + float64(2*bound*m)
 				if math.Abs(q-v) <= bound {
 					tokens[i] = uint16(int(m) + half)
 					pred[i%c.Stride] = q
@@ -137,7 +137,7 @@ func (c *Codec) encodeAbs(src []float64, bound float64) ([]byte, error) {
 // absolute bound, keeping a 2-bit sign stream (§4.1; the SZ 2.1
 // pointwise-relative scheme).
 func (c *Codec) encodeRel(src []float64, eps float64) ([]byte, error) {
-	logBound := math.Log1p(eps) / 2 // |L-L'| ≤ a ⇒ rel err ≤ e^a-1; halve for margin
+	logBound := float64(math.Log1p(eps) / 2) // |L-L'| ≤ a ⇒ rel err ≤ e^a-1; halve for margin
 	tokens := make([]uint16, len(src))
 	signs := bitio.NewWriter(len(src)/4 + 8)
 	var literals []byte
@@ -170,7 +170,7 @@ func (c *Codec) encodeRel(src []float64, eps float64) ([]byte, error) {
 		p := pred[i%c.Stride]
 		m := math.Round((l - p) / (2 * logBound))
 		if math.Abs(m) < float64(half-1) {
-			q := p + 2*logBound*m
+			q := p + float64(2*logBound*m)
 			rec := math.Exp(q)
 			if math.Abs(rec-math.Abs(v)) <= eps*math.Abs(v) {
 				signs.WriteBits(code, 2)
@@ -284,7 +284,7 @@ func (c *Codec) Decompress(dst []float64, data []byte) error {
 				continue
 			}
 			m := float64(int(tok) - half)
-			v := pred[i%stride] + 2*bound*m
+			v := pred[i%stride] + float64(2*bound*m)
 			dst[i] = v
 			pred[i%stride] = v
 		}
@@ -309,7 +309,7 @@ func (c *Codec) Decompress(dst []float64, data []byte) error {
 				}
 			default:
 				m := float64(int(tokens[i]) - half)
-				l := pred[i%stride] + 2*bound*m
+				l := pred[i%stride] + float64(2*bound*m)
 				pred[i%stride] = l
 				v := math.Exp(l)
 				if code == signNeg {

@@ -198,7 +198,7 @@ func encodeBlock(w *bitio.Writer, blk *[blockLen]float64, bound float64, base in
 		inverseLift(&tq)
 		ok := true
 		for j := 0; j < blockLen; j++ {
-			if math.Abs(float64(tq[j])*invScale-blk[j]) > bound {
+			if math.Abs(float64(float64(tq[j])*invScale)-blk[j]) > bound {
 				ok = false
 				break
 			}

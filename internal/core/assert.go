@@ -62,7 +62,7 @@ func (s *Simulator) AssertProduct(a, b int, tol float64) error {
 		if i&1 != 0 {
 			qb = pb
 		}
-		tv += math.Abs(joint[i] - qa*qb)
+		tv += math.Abs(joint[i] - float64(qa*qb))
 	}
 	tv /= 2
 	if tv > tol {
@@ -84,7 +84,7 @@ func (s *Simulator) jointDistribution(a, b int) ([4]float64, error) {
 		for o := range s.blockAmps() {
 			re, im := x[2*o], x[2*o+1]
 			idx := base + uint64(o)
-			joint[(idx>>ua&1)<<1|idx>>ub&1] += re*re + im*im
+			joint[(idx>>ua&1)<<1|idx>>ub&1] += float64(re*re) + float64(im*im)
 		}
 	})
 	return joint, err

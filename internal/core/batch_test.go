@@ -870,13 +870,12 @@ func TestRunBatchForksAtDivergence(t *testing.T) {
 	}
 }
 
-// TestRunBatchPlanReadsEveryVariant: a batch plans once from its shape,
-// so a triple is a ZZ unit only where its middle gate is diagonal in
-// every variant. Variant 0's RY(0) is diagonal, variant 1's RY(0.3) is
-// not; a plan read off variant 0 alone would multiply variant 1 by
-// RY(0.3)'s diagonal. Each variant must end where its solo run does, bit
-// for bit — variant 0's solo run makes the unit, which on a dense state
-// changes no bit.
+// TestRunBatchPlanReadsEveryVariant: a batch plans each variant on its
+// own, so a triple is a ZZ unit in the variants whose middle gate is
+// diagonal and three gates in the others. Variant 0's RY(0) is diagonal,
+// variant 1's RY(0.3) is not; variant 1 multiplied by RY(0.3)'s diagonal
+// would be wrong. Each variant must end where its solo run does, bit for
+// bit — variant 0's with the unit, variant 1's without it.
 func TestRunBatchPlanReadsEveryVariant(t *testing.T) {
 	const qubits = 7 // 8-amplitude blocks: qubit 4 is a block qubit
 	circuit := func(theta float64) *quantum.Circuit {
@@ -891,20 +890,18 @@ func TestRunBatchPlanReadsEveryVariant(t *testing.T) {
 		return c
 	}
 	cs := []*quantum.Circuit{circuit(0), circuit(0.3)}
-	units := func(s *Simulator, gates []quantum.Gate, others ...[]quantum.Gate) (n int) {
-		for _, sw := range s.planSweeps(gates, others...) {
-			n += len(sw.Units)
-		}
-		return n
-	}
 	for _, workers := range []int{1, 2} {
 		cfg := func(c *Config) { c.Workers = workers }
 		sims := batchSims(t, qubits, 1, 8, 2, cfg)
-		if n := units(sims[0], cs[0].Gates); n != 1 {
-			t.Fatalf("variant 0 alone plans %d units, want 1; the test is vacuous", n)
-		}
-		if n := units(sims[0], cs[0].Gates, cs[1].Gates); n != 0 {
-			t.Fatalf("the batch plans %d units, want 0", n)
+		traj := splice(sims, cs)
+		for v, plan := range traj.plans(sims) {
+			n := 0
+			for _, sw := range plan {
+				n += len(sw.Units)
+			}
+			if want := 1 - v; n != want {
+				t.Fatalf("variant %d plans %d units, want %d", v, n, want)
+			}
 		}
 		if err := RunBatch(sims, cs, RunControl{}); err != nil {
 			t.Fatal(err)

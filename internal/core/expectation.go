@@ -95,8 +95,8 @@ func DiagonalExpectations(sims []*Simulator, zs []quantum.ZTerm, zzs []quantum.Z
 				a := acc[v]
 				for o, wo := range w {
 					re, im := x[2*o], x[2*o+1]
-					if p := re*re + im*im; p != 0 {
-						a += p * wo
+					if p := float64(re*re) + float64(im*im); p != 0 {
+						a += float64(p * wo)
 					}
 				}
 				acc[v] = a

@@ -48,7 +48,7 @@ func (s *Simulator) Norm() (float64, error) {
 	var n float64
 	err := s.readBlocks(0, func(_ uint64, x []float64) {
 		for _, v := range x {
-			n += v * v
+			n += float64(v * v)
 		}
 	})
 	return n, err
@@ -69,7 +69,7 @@ func (s *Simulator) ProbabilityOne(q int) (float64, error) {
 		for o := range s.blockAmps() {
 			if (base+uint64(o))&bit != 0 {
 				re, im := x[2*o], x[2*o+1]
-				p += re*re + im*im
+				p += float64(re*re) + float64(im*im)
 			}
 		}
 	})

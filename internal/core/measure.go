@@ -60,7 +60,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 					continue
 				}
 				re, im := w.x[2*o], w.x[2*o+1]
-				p += re*re + im*im
+				p += float64(re*re) + float64(im*im)
 			}
 			partials[b] = p
 			w.stats.ComputeTime += time.Since(start)

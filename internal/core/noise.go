@@ -19,12 +19,10 @@ import (
 // trajectory is what one run executes. gates[v] is variant v's circuit
 // with its own Paulis spliced in, and at[v] has one entry per boundary
 // of that list: at[v][j] is how many circuit gates are complete, their
-// Paulis included, once gates[v][:j] have run. fired reports whether any
-// variant spliced a Pauli in; while none did, gates[v] is the circuit.
+// Paulis included, once gates[v][:j] have run.
 type trajectory struct {
 	gates [][]quantum.Gate
 	at    [][]int
-	fired bool
 }
 
 // splice draws every variant's Paulis for its circuit, in gate order, and
@@ -53,7 +51,6 @@ func splice(sims []*Simulator, cs []*quantum.Circuit) trajectory {
 		if fired == 0 {
 			continue
 		}
-		t.fired = true
 		gates, at := make([]quantum.Gate, 0, n+fired), make([]int, 1, n+fired+1)
 		for i, g := range cs[v].Gates {
 			gates = append(gates, g)
@@ -69,19 +66,12 @@ func splice(sims []*Simulator, cs []*quantum.Circuit) trajectory {
 	return t
 }
 
-// plans is every variant's sweep schedule: while no Pauli fired, one plan
-// read off every variant's gates (a ZZ unit must be one in each);
-// otherwise each variant's solo plan of its own trajectory, which is what
-// keeps a noisy variant's sweeps, hence its truncations, its solo run's.
+// plans is every variant's solo plan of its own trajectory, which is what
+// keeps a variant's sweeps, hence its truncations, its solo run's: a
+// noisy variant's Paulis and a ZZ unit whose middle gate is diagonal in
+// one variant alone part the plans, and step runs them apart there.
 func (t *trajectory) plans(sims []*Simulator) [][]quantum.GroupSweep {
 	plans := make([][]quantum.GroupSweep, len(sims))
-	if !t.fired {
-		plan := sims[0].planSweeps(t.gates[0], t.gates[1:]...)
-		for v := range plans {
-			plans[v] = plan
-		}
-		return plans
-	}
 	for v, s := range sims {
 		plans[v] = s.planSweeps(t.gates[v])
 	}

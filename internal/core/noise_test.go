@@ -318,7 +318,6 @@ func TestTrajectoryStepsKeepVariantsTogether(t *testing.T) {
 	traj := trajectory{
 		gates: [][]quantum.Gate{cir, {cir[0], cir[1], z, cir[2]}},
 		at:    [][]int{{0, 1, 2, 3}, {0, 1, 1, 2, 3}},
-		fired: true,
 	}
 	for _, tc := range []struct {
 		plans [][]quantum.GroupSweep

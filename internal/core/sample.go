@@ -124,7 +124,7 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 			var m float64
 			for o := 0; o < ba; o++ {
 				re, im := w.x[2*o], w.x[2*o+1]
-				m += re*re + im*im
+				m += float64(re*re) + float64(im*im)
 			}
 			masses[base+b] = m
 			if compact {
@@ -354,7 +354,7 @@ func (sp *Sampler) probs(rs *rankState, w *workerState, gb int, cached bool, hel
 	}
 	for o := range dst {
 		re, im := w.x[2*o], w.x[2*o+1]
-		dst[o] = re*re + im*im
+		dst[o] = float64(re*re) + float64(im*im)
 	}
 	if cached {
 		sp.cache.put(key, blob, dst)

@@ -81,7 +81,9 @@ import (
 // two amplitudes a vector: the Go loops' multiplies, adds and subtracts
 // in the Go loops' order, no fused multiply-add, and a short form's
 // + 0 added as the Go loops add it, so their bits are the Go kernel's.
-// Every other GOARCH, and the purego build tag, runs the Go loops alone.
+// Every other GOARCH, and the purego build tag, runs the Go loops alone;
+// they round each product on its own (quantum.CMul), so no GOARCH fuses
+// one into a multiply-add and every GOARCH writes the same bits.
 //
 // The memory budget holds at every sweep boundary, not "eventually":
 // with tens of boundaries instead of hundreds, relaxing the bound one
@@ -95,11 +97,10 @@ import (
 // (1-δ) factor on top of the sweep's.
 
 // planSweeps is the schedule the run loop iterates: maximal group sweeps
-// unless DisableSweeps asks for the paper's one-gate schedule. others are
-// a batch's other variants (a ZZ unit must be one in each).
-func (s *Simulator) planSweeps(gates []quantum.Gate, others ...[]quantum.Gate) []quantum.GroupSweep {
+// unless DisableSweeps asks for the paper's one-gate schedule.
+func (s *Simulator) planSweeps(gates []quantum.Gate) []quantum.GroupSweep {
 	if !s.cfg.DisableSweeps {
-		return quantum.PlanGroupSweeps(gates, s.offsetBits, s.blockBits, s.sweepWidth(), others...)
+		return quantum.PlanGroupSweeps(gates, s.offsetBits, s.blockBits, s.sweepWidth())
 	}
 	return quantum.SingletonSweeps(gates)
 }
@@ -538,8 +539,8 @@ func (g *passGate) kernelGo(lo, hi []float64) {
 		for v := mask; v < end; v = (v + n) | mask {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
-				n0 := u00 * complex(l[i-1], l[i])
-				n1 := u11 * complex(h[i-1], h[i])
+				n0 := quantum.CMul(complex(l[i-1], l[i]), u00)
+				n1 := quantum.CMul(complex(h[i-1], h[i]), u11)
 				l[i-1], l[i] = real(n0)+0, imag(n0)+0
 				h[i-1], h[i] = real(n1)+0, imag(n1)+0
 			}
@@ -559,9 +560,6 @@ func (g *passGate) kernelGo(lo, hi []float64) {
 			l, h := window(lo, hi, v, t, n)
 			for i := 1; i < len(l); i += 2 {
 				x0, y0, x1, y1 := l[i-1], l[i], h[i-1], h[i]
-				// Each product is converted, so rounded on its own: the
-				// 2×2's complex products round each real product before
-				// the sum, and a fused multiply-add here would not.
 				l[i-1], l[i] = float64(r00*x0)-float64(s01*y1)+0, float64(r00*y0)+float64(s01*x1)+0
 				h[i-1], h[i] = float64(r11*x1)-float64(s10*y0)+0, float64(r11*y1)+float64(s10*x0)+0
 			}
@@ -573,8 +571,8 @@ func (g *passGate) kernelGo(lo, hi []float64) {
 			for i := 1; i < len(l); i += 2 {
 				a0 := complex(l[i-1], l[i])
 				a1 := complex(h[i-1], h[i])
-				n0 := u00*a0 + u01*a1
-				n1 := u10*a0 + u11*a1
+				n0 := quantum.CMul(a0, u00) + quantum.CMul(a1, u01)
+				n1 := quantum.CMul(a0, u10) + quantum.CMul(a1, u11)
 				l[i-1], l[i] = real(n0), imag(n0)
 				h[i-1], h[i] = real(n1), imag(n1)
 			}
@@ -621,8 +619,8 @@ func (g *passGate) unit(x []float64, blk int) {
 		f := t & 1
 		for i := 3; i < len(x); i += 4 {
 			p := bits.OnesCount(uint(i>>1&^1&t)) & 1 // amplitude 2j's
-			a0 := d[p] * complex(x[i-3], x[i-2])
-			a1 := d[p^f] * complex(x[i-1], x[i])
+			a0 := quantum.CMul(complex(x[i-3], x[i-2]), d[p])
+			a1 := quantum.CMul(complex(x[i-1], x[i]), d[p^f])
 			x[i-3], x[i-2], x[i-1], x[i] = real(a0), imag(a0), real(a1), imag(a1)
 		}
 		return
@@ -640,7 +638,7 @@ func (g *passGate) unit(x []float64, blk int) {
 // scale multiplies the amplitudes of x by d.
 func scale(x []float64, d complex128) {
 	for i := 1; i < len(x); i += 2 {
-		a := d * complex(x[i-1], x[i])
+		a := quantum.CMul(complex(x[i-1], x[i]), d)
 		x[i-1], x[i] = real(a), imag(a)
 	}
 }

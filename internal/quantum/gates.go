@@ -58,12 +58,25 @@ func Phase(theta float64) Matrix2 {
 	return Matrix2{{1, 0}, {0, cmplx.Exp(complex(0, theta))}}
 }
 
+// CMul returns the complex product a·b with every real product rounded
+// on its own, as Go's a*b computes it on amd64. The Go spec lets a
+// compiler fuse x*y + z into one rounding unless the product is
+// converted; arm64, ppc64le, s390x, riscv64 and loong64 do, so a plain
+// a*b there differs from amd64 in the last bit. Every product that
+// decides a stored bit is written this way, or as float64(x*y) for a
+// real product, so each GOARCH computes the same bits; CI's
+// cross-compile step fails on any fused multiply-add it finds.
+func CMul(a, b complex128) complex128 {
+	return complex(float64(real(a)*real(b))-float64(imag(a)*imag(b)),
+		float64(real(a)*imag(b))+float64(imag(a)*real(b)))
+}
+
 // Mul returns the matrix product a·b.
 func (a Matrix2) Mul(b Matrix2) Matrix2 {
 	var r Matrix2
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			r[i][j] = a[i][0]*b[0][j] + a[i][1]*b[1][j]
+			r[i][j] = CMul(a[i][0], b[0][j]) + CMul(a[i][1], b[1][j])
 		}
 	}
 	return r

@@ -3,7 +3,9 @@ package quantum
 import (
 	"encoding/hex"
 	"math"
+	"math/big"
 	"math/cmplx"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -131,5 +133,52 @@ func TestGateSignatureDistinguishes(t *testing.T) {
 	}
 	if a != (Gate{Name: "h", Target: 0, U: MatH}).Signature() {
 		t.Fatal("signature not deterministic")
+	}
+}
+
+// TestCMulRoundsEachProduct holds CMul bit for bit to a reference that
+// rounds each real product to float64 in math/big and then sums, so it
+// means the same on every GOARCH: a fused multiply-add in CMul fails it
+// wherever the compiler fuses. The values are ±0, subnormals, ±1, huge
+// finite values and a few whose products round; some pair of them must
+// round differently fused, or the test could not see fusion. On amd64,
+// which fuses nothing, CMul must also equal Go's own complex product,
+// so writing a product with CMul moves no amd64 bit.
+func TestCMulRoundsEachProduct(t *testing.T) {
+	vals := []float64{0, 1, 1e300, math.MaxFloat64, 5e-324, 0x1p-1060, 0x1.fffffffffffffp-1023,
+		1.0 / 3, math.Pi, 0.1, 1 + 0x1p-52, 0x1.8p-520}
+	for _, v := range vals {
+		vals = append(vals, -v)
+	}
+	product := func(x, y float64) float64 {
+		p, _ := new(big.Float).SetPrec(2*53).Mul(big.NewFloat(x), big.NewFloat(y)).Float64()
+		return p
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	var zs []complex128
+	for _, re := range vals {
+		for _, im := range vals {
+			zs = append(zs, complex(re, im))
+		}
+	}
+	fusedDiffers := false
+	for _, a := range zs {
+		for _, b := range zs {
+			ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+			want := complex(product(ar, br)-product(ai, bi), product(ar, bi)+product(ai, br))
+			got := CMul(a, b)
+			if !same(real(got), real(want)) || !same(imag(got), imag(want)) {
+				t.Fatalf("CMul(%v, %v) = %v, want %v (each product rounded on its own)", a, b, got, want)
+			}
+			if runtime.GOARCH == "amd64" {
+				if g := a * b; !same(real(g), real(want)) || !same(imag(g), imag(want)) {
+					t.Fatalf("(%v)*(%v) = %v on amd64, CMul %v", a, b, g, want)
+				}
+			}
+			fusedDiffers = fusedDiffers || !same(math.FMA(ar, br, -product(ai, bi)), real(want))
+		}
+	}
+	if !fusedDiffers {
+		t.Fatal("no pair rounds differently fused: the values cannot see a fused multiply-add")
 	}
 }

@@ -38,7 +38,7 @@ func (p Param) Plus(d float64) Param { p.Shift += d; return p }
 
 // Eval resolves the parameter against a binding vector.
 func (p Param) Eval(values []float64) float64 {
-	return p.Scale*values[p.Index] + p.Shift
+	return float64(p.Scale*values[p.Index]) + p.Shift
 }
 
 // Parametric gate builders. The gate's U stays zero until Bind.

@@ -95,22 +95,9 @@ func (s GroupSweep) Len() int { return s.End - s.Start }
 // z_u ⊕ z_v, so it mixes no amplitudes, and a pass applies it in place,
 // as no target and one multiply per amplitude (QAOA's cost layer is one
 // unit per edge). The entries are read by exact equality, never the
-// gates' names; −0 counts as 0. In a batch a unit must be one in every
-// variant: others are the other variants' gates, of the same shape.
-func ZZUnit(gates []Gate, i int, others ...[]Gate) bool {
-	if !zzUnit(gates, i) {
-		return false
-	}
-	for _, gs := range others {
-		if !zzUnit(gs, i) {
-			return false
-		}
-	}
-	return true
-}
-
-// zzUnit is ZZUnit for one gate list.
-func zzUnit(gates []Gate, i int) bool {
+// gates' names; −0 counts as 0. A batch plans each variant on its own,
+// so a triple may be a unit in one variant and three gates in another.
+func ZZUnit(gates []Gate, i int) bool {
 	if i+3 > len(gates) {
 		return false
 	}
@@ -134,10 +121,10 @@ func isCNOT(g *Gate) bool {
 // target's pair is split across two ranks), 2 groups of up to four
 // blocks, 3 groups of up to eight (the engine picks the width from its
 // budget). A ZZ unit counts no target, whatever segments u and v lie
-// in; others are a batch's other variants (see ZZUnit). Like PlanSweeps
-// the plan never reorders gates and depends only on the gate lists, the
-// geometry and the width, so every rank computes the same schedule.
-func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int, others ...[]Gate) []GroupSweep {
+// in. Like PlanSweeps the plan never reorders gates and depends only on
+// the gate list, the geometry and the width, so every rank computes the
+// same schedule.
+func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int) []GroupSweep {
 	var plan []GroupSweep
 	targets := make([]int, 0, width) // the run's distinct non-offset targets
 	for i := 0; i < len(gates); {
@@ -150,7 +137,7 @@ func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int, others ...[
 			if g.Kind != KindUnitary {
 				break
 			}
-			if ZZUnit(gates, j, others...) {
+			if ZZUnit(gates, j) {
 				units = append(units, j-i)
 				j += 2
 				continue
