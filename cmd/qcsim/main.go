@@ -40,7 +40,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "worker goroutines per rank over the block loop (0 = NumCPU/ranks)")
 		blockAmps   = flag.Int("block", 4096, "amplitudes per block (power of two)")
 		budgetFrac  = flag.Float64("budget-frac", 0, "per-run memory budget as a fraction of 2^(n+4) bytes (0 = unlimited)")
-		cache       = flag.Int("cache", 64, "compressed block cache lines (0 = off)")
+		cache       = flag.Int("cache", qcsim.DefaultCacheLines, "compressed block cache lines (0 = off)")
 		codec       = flag.String("codec", "", "lossy codec name or alias (default: the paper's Solution C; see qccompress -list)")
 		seed        = flag.Int64("seed", 1, "randomness seed")
 		shots       = flag.Int("shots", 0, "sample this many outcomes at the end (streams from the compressed state; works at any register width)")

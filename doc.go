@@ -41,6 +41,10 @@
 // read the compressed state directly; Save and Load checkpoint the
 // compressed blocks as-is (§3.5).
 //
+// The §3.4 block cache is on unless WithCache(0) says otherwise: a pass
+// whose compressed inputs repeat a cached pass's shares its output blobs
+// instead of a codec round trip, and a cache that stops hitting shuts off.
+//
 // ExpectationZ, ExpectationZZ and MaxCutEnergy are Observables — {Z: q},
 // {ZZ: a,b} and MaxCutObservable(edges) — read through the one diagonal
 // read Gradient's energies come from: one decode pass over every block

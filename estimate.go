@@ -69,22 +69,14 @@ type Estimate struct {
 // to reject or route jobs (mps / compressed / compressed+spill) before
 // committing memory; see the qcserve admission controller.
 func EstimateCircuit(qubits int, c *circuit.Circuit, opts ...Option) (*Estimate, error) {
-	var st settings
-	for _, o := range opts {
-		if o != nil {
-			o(&st)
-		}
-	}
-	cfg, err := st.resolve(qubits)
+	st, cfg, err := resolve(qubits, opts)
 	if err != nil {
 		return nil, err
 	}
 	// ValidatedDefaults applies defaults (block clamping, worker
-	// clamping) without touching state, for the block arithmetic.
-	vcfg, err := cfg.ValidatedDefaults()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
+	// clamping) without touching state, for the block arithmetic; resolve
+	// has checked cfg, so its error is nil.
+	vcfg, _ := cfg.ValidatedDefaults()
 	if c == nil {
 		return nil, fmt.Errorf("%w: nil circuit", ErrBadConfig)
 	}

@@ -28,7 +28,6 @@ func main() {
 		qcsim.WithRanks(2),
 		qcsim.WithBlockAmps(2048),
 		qcsim.WithMemoryBudget(budget/2), // per rank
-		qcsim.WithCache(64),
 		qcsim.WithSeed(42),
 	)
 	if err != nil {

@@ -107,8 +107,9 @@ func find(lines map[uint64]*cacheLine, k *blockKey) *cacheLine {
 // hit replaces the decompress/compute/compress round trip with a hash
 // of the input, a verifying compare and a pointer store: the output
 // blob is shared, nothing is copied or allocated. If the state has no
-// redundancy the cache never hits, so it disables itself after a
-// probation window, avoiding the paper's cache-miss penalty.
+// redundancy, or loses it, the cache stops hitting, so it disables
+// itself after a probation window of consecutive misses, avoiding the
+// paper's cache-miss penalty and releasing the lines' blobs.
 //
 // The rank's workers hit the cache concurrently during a fan-out, so a
 // hit takes no lock: it reads an immutable snapshot of the table and
@@ -124,13 +125,13 @@ func find(lines map[uint64]*cacheLine, k *blockKey) *cacheLine {
 // lookup, hit and codec-call count — is exactly a linked-list LRU's.
 type blockCache struct {
 	cap int
-	// probation is the number of lookups after which a hitless cache
-	// shuts off.
+	// probation is the number of consecutive hitless lookups after
+	// which the cache shuts off.
 	probation int64
 	mu        sync.Mutex                            // serialises put and the shut-off
 	table     atomic.Pointer[map[uint64]*cacheLine] // by key hash; nil once shut off
 	lookups   atomic.Int64                          // doubles as the recency clock
-	hit       atomic.Bool                           // any hit so far
+	lastHit   atomic.Int64                          // number of the last lookup that hit
 	mru       atomic.Pointer[cacheLine]
 }
 
@@ -167,17 +168,16 @@ func (c *blockCache) get(k blockKey, st *Stats) (out [groupSize][]byte, ok bool,
 			l.tick.Store(n)
 			c.mru.Store(l)
 		}
-		if !c.hit.Load() {
-			c.hit.Store(true)
-		}
+		c.lastHit.Store(n)
 		st.CacheHits++
 		return l.out, true, nil
 	}
-	if !c.hit.Load() && n >= c.probation {
-		// §3.4: no redundancy in the state — stop paying the miss
-		// penalty.
+	if n-c.lastHit.Load() >= c.probation {
+		// §3.4: no redundancy left in the state — stop paying the miss
+		// penalty and holding the lines.
 		c.mu.Lock()
 		c.table.Store(nil)
+		c.mru.Store(nil)
 		c.mu.Unlock()
 	}
 	return out, false, nil

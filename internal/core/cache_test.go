@@ -105,9 +105,51 @@ func TestCacheSelfDisables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rs := range s.ranks {
-		if rs.cache.enabled() && !rs.cache.hit.Load() && rs.cache.lookups.Load() > rs.cache.probation {
-			t.Fatalf("hitless cache still enabled after %d lookups", rs.cache.lookups.Load())
+		if rs.cache.enabled() {
+			t.Fatalf("cache still enabled after %d lookups, the last hit at lookup %d",
+				rs.cache.lookups.Load(), rs.cache.lastHit.Load())
 		}
+	}
+}
+
+// TestCacheShutsOffWhenHitsStop holds the shut-off to its window of
+// consecutive misses: a cache that hit once and then stops hitting
+// turns off and drops its lines, and one that hits at least once every
+// window stays on.
+func TestCacheShutsOffWhenHitsStop(t *testing.T) {
+	var st Stats
+	a := testKey("a", 1)
+	c := newBlockCache(2)
+	c.put(a, members([]byte{10}), nil)
+	if _, ok, _ := c.get(a, &st); !ok {
+		t.Fatal("a missing")
+	}
+	for i := int64(1); i <= c.probation; i++ {
+		if !c.enabled() {
+			t.Fatalf("cache shut off after %d misses in a row, want %d", i-1, c.probation)
+		}
+		k := testKey("miss", byte(i))
+		if _, ok, _ := c.get(k, &st); ok {
+			t.Fatalf("miss %d hit", i)
+		}
+		c.put(k, members([]byte{byte(i)}), nil)
+	}
+	if c.enabled() || c.mru.Load() != nil {
+		t.Fatalf("cache still on, or still holding a line, %d misses after its last hit", c.probation)
+	}
+
+	c = newBlockCache(2)
+	c.put(a, members([]byte{10}), nil)
+	for round := range 8 {
+		if _, ok, _ := c.get(a, &st); !ok {
+			t.Fatalf("round %d: a missing", round)
+		}
+		for i := int64(1); i < c.probation; i++ {
+			c.get(testKey("miss", byte(i)), &st)
+		}
+	}
+	if !c.enabled() {
+		t.Fatalf("cache that hits once every %d lookups shut off", c.probation)
 	}
 }
 

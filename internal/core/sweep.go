@@ -863,8 +863,8 @@ func fanOutPass(sims []*Simulator, r int, passes []*blockPass) error {
 	// Which memo is something the pass observes, not a knob: one variant
 	// consults its rank's §3.4 block cache, K > 1 a per-pass memo that
 	// turns undiverged variants into shared blobs — it subsumes the
-	// block cache within a pass, and feeding K variants' traffic through
-	// one LRU would thrash its probation logic.
+	// block cache within a pass, and K variants' misses through one LRU
+	// would run down its window and shut it off for later solo runs.
 	var memo passMemo = rs0.cache
 	var forks *forkPlan
 	if K > 1 {

@@ -126,11 +126,12 @@ func isCNOT(g *Gate) bool {
 // same schedule.
 func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int) []GroupSweep {
 	var plan []GroupSweep
-	targets := make([]int, 0, width) // the run's distinct non-offset targets
+	targets := make([]int, 0, width)      // the run's distinct non-offset targets
+	units := make([]int, 0, len(gates)/3) // every sweep's Units; a unit is 3 gates
 	for i := 0; i < len(gates); {
 		targets = targets[:0]
 		rank := false // a target in targets is a rank-segment qubit
-		var units []int
+		first := len(units)
 		j := i
 		for ; j < len(gates); j++ {
 			g := gates[j]
@@ -158,7 +159,11 @@ func PlanGroupSweeps(gates []Gate, offsetBits, blockBits, width int) []GroupSwee
 			i++
 			continue
 		}
-		plan = append(plan, GroupSweep{Start: i, End: j, Pass: true, Units: units})
+		sw := GroupSweep{Start: i, End: j, Pass: true}
+		if len(units) > first {
+			sw.Units = units[first:len(units):len(units)]
+		}
+		plan = append(plan, sw)
 		i = j
 	}
 	return plan

@@ -320,3 +320,35 @@ func TestQuickPlanGroupSweepsIsAPartition(t *testing.T) {
 		t.Fatal("no plan named a ZZ unit; the test is vacuous")
 	}
 }
+
+// TestPlanGroupSweepsAllocs pins the planner's allocations on a bound
+// 13-qubit QAOA ansatz (104 gates, one sweep of 26 ZZ units at 4096
+// amplitudes a block): the plan, the target list and one backing array
+// for every sweep's Units. A batch plans each of its variants, so a
+// Units slice that grows by append costs one allocation per doubling
+// per variant.
+func TestPlanGroupSweepsAllocs(t *testing.T) {
+	c, err := QAOAAnsatz(13, 1, 1).Bind(QAOAAngles(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan []GroupSweep
+	n := testing.AllocsPerRun(20, func() { plan = PlanGroupSweeps(c.Gates, 12, 1, 3) })
+	if len(c.Gates) != 104 || len(plan) != 1 || len(plan[0].Units) != 26 {
+		t.Fatalf("%d gates, %d sweeps, %d units; want 104, 1, 26", len(c.Gates), len(plan), len(plan[0].Units))
+	}
+	if n > 3 {
+		t.Errorf("PlanGroupSweeps made %v allocations, want at most 3", n)
+	}
+	// Two sweeps split by a measurement share the backing array; each
+	// window ends at its own length, so appending to one cannot write
+	// into the next.
+	c.Measure(0)
+	c.Gates = append(c.Gates, c.Gates[13:104]...)
+	plan = PlanGroupSweeps(c.Gates, 12, 1, 3)
+	for i, sw := range plan {
+		if sw.Pass && (len(sw.Units) != 26 || cap(sw.Units) != len(sw.Units)) {
+			t.Errorf("sweep %d: %d units, capacity %d; want 26 and 26", i, len(sw.Units), cap(sw.Units))
+		}
+	}
+}

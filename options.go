@@ -77,8 +77,13 @@ func WithCodec(name string) Option {
 	return func(s *settings) { s.codecName = name }
 }
 
-// WithCache enables the compressed block cache with the given number of
-// LRU lines (the paper's §3.4 uses 64). 0 (the default) disables it.
+// DefaultCacheLines is WithCache's default, the paper's §3.4 size.
+const DefaultCacheLines = 64
+
+// WithCache sets the LRU lines of the §3.4 compressed block cache; 0
+// turns it off. Default DefaultCacheLines. After 4 × lines lookups in a
+// row without a hit the cache shuts off for the Simulator's lifetime and
+// drops its lines, so a state without redundancy pays that window once.
 func WithCache(lines int) Option {
 	return func(s *settings) { s.cfg.CacheLines = lines }
 }
@@ -249,17 +254,22 @@ func WithWorkerCommand(argv ...string) Option {
 	return func(s *settings) { s.workerCmd = append([]string(nil), argv...) }
 }
 
-// resolve turns the accumulated settings into a core configuration,
-// resolving the codec name through the registry. The configuration's
-// own ranges are core's to check (core.Config.ValidatedDefaults); resolve
-// checks what only the facade knows about.
-func (s *settings) resolve(qubits int) (core.Config, error) {
-	cfg := s.cfg
+// resolve applies opts in order over the facade's defaults, as New and
+// EstimateCircuit both do, and turns the settings into a checked core
+// configuration, resolving the codec name through the registry.
+func resolve(qubits int, opts []Option) (s settings, cfg core.Config, err error) {
+	s.cfg.CacheLines = DefaultCacheLines
+	for _, o := range opts {
+		if o != nil {
+			o(&s)
+		}
+	}
+	cfg = s.cfg
 	cfg.Qubits = qubits
 	if s.codecName != "" {
 		codec, err := registry.New(s.codecName)
 		if err != nil {
-			return cfg, fmt.Errorf("%w: %q (have %v)", ErrUnknownCodec, s.codecName, Codecs())
+			return s, cfg, fmt.Errorf("%w: %q (have %v)", ErrUnknownCodec, s.codecName, Codecs())
 		}
 		cfg.Lossy = codec
 	}
@@ -267,38 +277,44 @@ func (s *settings) resolve(qubits int) (core.Config, error) {
 		s.variants = 1
 	}
 	if s.variants < 1 {
-		return cfg, fmt.Errorf("%w: variant count %d (need ≥ 1)", ErrBadConfig, s.variants)
+		return s, cfg, fmt.Errorf("%w: variant count %d (need ≥ 1)", ErrBadConfig, s.variants)
 	}
 	if s.bondDim == 0 {
 		s.bondDim = DefaultBondDim
 	}
 	if s.bondDim < 2 {
-		return cfg, fmt.Errorf("%w: bond dimension %d too small (need ≥ 2)", ErrBadConfig, s.bondDim)
+		return s, cfg, fmt.Errorf("%w: bond dimension %d too small (need ≥ 2)", ErrBadConfig, s.bondDim)
 	}
 	switch s.backend {
 	case "", BackendCompressed, BackendMPS, BackendAuto:
 	default:
-		return cfg, fmt.Errorf("%w: unknown backend %q (have %q, %q, %q)",
+		return s, cfg, fmt.Errorf("%w: unknown backend %q (have %q, %q, %q)",
 			ErrBadConfig, s.backend, BackendCompressed, BackendMPS, BackendAuto)
 	}
 	if s.backend == BackendMPS && cfg.Noise > 0 {
-		return cfg, fmt.Errorf("%w: the mps backend has no noise channel (use the compressed backend)", ErrBadConfig)
+		return s, cfg, fmt.Errorf("%w: the mps backend has no noise channel (use the compressed backend)", ErrBadConfig)
 	}
 	switch s.transport {
 	case "", TransportInProcess, TransportTCP:
 	default:
-		return cfg, fmt.Errorf("%w: unknown transport %q (have %q, %q)",
+		return s, cfg, fmt.Errorf("%w: unknown transport %q (have %q, %q)",
 			ErrBadConfig, s.transport, TransportInProcess, TransportTCP)
 	}
 	if s.transport == TransportTCP && (s.backend == BackendMPS || s.backend == BackendAuto) {
-		return cfg, fmt.Errorf("%w: the %s transport distributes the compressed engine only (drop WithBackend(%q))",
+		return s, cfg, fmt.Errorf("%w: the %s transport distributes the compressed engine only (drop WithBackend(%q))",
 			ErrBadConfig, TransportTCP, s.backend)
 	}
 	if len(s.workerCmd) > 0 && s.transport != TransportTCP {
-		return cfg, fmt.Errorf("%w: WithWorkerCommand requires WithTransport(%q)", ErrBadConfig, TransportTCP)
+		return s, cfg, fmt.Errorf("%w: WithWorkerCommand requires WithTransport(%q)", ErrBadConfig, TransportTCP)
 	}
 	if s.workerCmd != nil && (len(s.workerCmd) == 0 || s.workerCmd[0] == "") {
-		return cfg, fmt.Errorf("%w: empty worker command", ErrBadConfig)
+		return s, cfg, fmt.Errorf("%w: empty worker command", ErrBadConfig)
 	}
-	return cfg, nil
+	// Auto defers the compressed engine to the first Run and mps never
+	// builds it, yet a config typo must not pass or fail with the backend
+	// name it rides in with, so every backend's knobs are checked here.
+	if _, err := cfg.ValidatedDefaults(); err != nil {
+		return s, cfg, fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	return s, cfg, nil
 }

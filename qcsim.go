@@ -53,28 +53,12 @@ type Simulator struct {
 // |0...0⟩. Invalid configurations report ErrBadConfig (or
 // ErrUnknownCodec for an unresolvable WithCodec name).
 func New(qubits int, opts ...Option) (*Simulator, error) {
-	var st settings
-	for _, o := range opts {
-		if o != nil {
-			o(&st)
-		}
-	}
-	cfg, err := st.resolve(qubits)
+	st, cfg, err := resolve(qubits, opts)
 	if err != nil {
 		return nil, err
 	}
 	p := &pendingAuto{qubits: qubits, cfg: cfg, bondDim: st.bondDim}
 	sim := &Simulator{qubits: qubits}
-	if st.backend == BackendAuto || st.backend == BackendMPS {
-		// The compressed engine validates its configuration in core.New.
-		// Auto defers that engine (and its state allocation) to the first
-		// Run and mps never builds it, but its knobs (ranks, block size,
-		// levels, ...) must still be coherent: a config typo should not
-		// pass or fail depending on which backend name it rides in with.
-		if _, err := cfg.ValidatedDefaults(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
-	}
 	switch st.backend {
 	case BackendAuto:
 		sim.pending = p

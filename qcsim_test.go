@@ -32,6 +32,8 @@ func TestOptionRoundTrip(t *testing.T) {
 		{"WithCodec", []Option{WithCodec("sz-b")}, func(c core.Config) bool { return c.Lossy != nil && c.Lossy.Name() == "sz-b" }},
 		{"WithCodecAlias", []Option{WithCodec("solution-d")}, func(c core.Config) bool { return c.Lossy != nil && c.Lossy.Name() == "xor-d" }},
 		{"WithCache", []Option{WithCache(8)}, func(c core.Config) bool { return c.CacheLines == 8 }},
+		{"WithCacheDefault", nil, func(c core.Config) bool { return c.CacheLines == 64 }},
+		{"WithCacheOff", []Option{WithCache(0)}, func(c core.Config) bool { return c.CacheLines == 0 }},
 		{"WithSeed", []Option{WithSeed(99)}, func(c core.Config) bool { return c.Seed == 99 }},
 		{"WithNoise", []Option{WithNoise(0.2)}, func(c core.Config) bool { return c.Noise == 0.2 }},
 		{"WithSweepsDefaultOn", nil, func(c core.Config) bool { return !c.DisableSweeps }},
@@ -49,6 +51,29 @@ func TestOptionRoundTrip(t *testing.T) {
 				t.Fatalf("option did not round-trip into core.Config: %+v", cfg)
 			}
 		})
+	}
+}
+
+// TestNewRunsCached holds New to the §3.4 cache without an option: a
+// GHZ state's blocks repeat, so the default cache hits and saves codec
+// calls that WithCache(0) pays.
+func TestNewRunsCached(t *testing.T) {
+	stats := func(opts ...Option) Stats {
+		t.Helper()
+		sim, err := New(20, append([]Option{WithWorkers(1)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Close()
+		if _, err := sim.Run(context.Background(), circuit.GHZ(20)); err != nil {
+			t.Fatal(err)
+		}
+		return sim.Stats()
+	}
+	on, off := stats(), stats(WithCache(0))
+	if on.CacheHits == 0 || on.CompressCalls >= off.CompressCalls {
+		t.Fatalf("default: %d cache hits, %d compress calls; WithCache(0): %d compress calls",
+			on.CacheHits, on.CompressCalls, off.CompressCalls)
 	}
 }
 
