@@ -104,12 +104,15 @@ func find(lines map[uint64]*cacheLine, k *blockKey) *cacheLine {
 // (sweep signature, error level, control variant, compressed input
 // block(s)) to the compressed output block(s). When the quantum state
 // carries redundancy — many blocks sharing the same compressed form — a
-// hit replaces the decompress/compute/compress round trip with a hash
-// of the input, a verifying compare and a pointer store: the output
-// blob is shared, nothing is copied or allocated. If the state has no
-// redundancy, or loses it, the cache stops hitting, so it disables
-// itself after a probation window of consecutive misses, avoiding the
-// paper's cache-miss penalty and releasing the lines' blobs.
+// hit replaces the decompress/compute/compress round trip with a
+// pointer store: the output blob is shared, nothing is copied or
+// allocated. A worker whose group has the very input blobs, by
+// reference, of a line it used lately recalls that line (recall) and
+// hashes nothing; any other lookup hashes the inputs and verifies the
+// candidate. If the state has no redundancy, or loses it, the cache
+// stops hitting, so it disables itself after a probation window of
+// consecutive misses, avoiding the paper's cache-miss penalty and
+// releasing the lines' blobs.
 //
 // The rank's workers hit the cache concurrently during a fan-out, so a
 // hit takes no lock: it reads an immutable snapshot of the table and
@@ -131,8 +134,12 @@ type blockCache struct {
 	mu        sync.Mutex                            // serialises put and the shut-off
 	table     atomic.Pointer[map[uint64]*cacheLine] // by key hash; nil once shut off
 	lookups   atomic.Int64                          // doubles as the recency clock
-	lastHit   atomic.Int64                          // number of the last lookup that hit
-	mru       atomic.Pointer[cacheLine]
+	// lastHit is the number of the latest lookup that hit. It only
+	// grows (stamp): a worker that drew its number and was descheduled
+	// before stamping must not move it back, or the next miss would see
+	// a window of misses that never happened.
+	lastHit atomic.Int64
+	mru     atomic.Pointer[cacheLine]
 }
 
 func newBlockCache(lines int) *blockCache {
@@ -150,27 +157,22 @@ func (c *blockCache) enabled() bool {
 	return c != nil && c.table.Load() != nil
 }
 
-// get returns the cached outputs for k, if present, counting the lookup
-// (and the hit) in st exactly when the cache counted it — a cache that
-// shut off since the caller's enabled() check counts nothing.
-func (c *blockCache) get(k blockKey, st *Stats) (out [groupSize][]byte, ok bool, err error) {
+// get returns the line stored for k, or nil, counting the lookup (and
+// the hit) in st exactly when the cache counted it — a cache that shut
+// off since the caller's enabled() check counts nothing.
+func (c *blockCache) get(k blockKey, st *Stats) *cacheLine {
 	if c == nil {
-		return out, false, nil
+		return nil
 	}
 	t := c.table.Load()
 	if t == nil {
-		return out, false, nil
+		return nil
 	}
 	n := c.lookups.Add(1)
 	st.CacheLookups++
 	if l := find(*t, &k); l != nil {
-		if c.mru.Load() != l {
-			l.tick.Store(n)
-			c.mru.Store(l)
-		}
-		c.lastHit.Store(n)
-		st.CacheHits++
-		return l.out, true, nil
+		c.stamp(l, n, st)
+		return l
 	}
 	if n-c.lastHit.Load() >= c.probation {
 		// §3.4: no redundancy left in the state — stop paying the miss
@@ -180,22 +182,142 @@ func (c *blockCache) get(k blockKey, st *Stats) (out [groupSize][]byte, ok bool,
 		c.mru.Store(nil)
 		c.mu.Unlock()
 	}
-	return out, false, nil
+	return nil
+}
+
+// recall is get for a key the caller knows to be byte-equal to line
+// l's: l is a line it got or put earlier at inputs that are, by
+// reference, the ones it holds now. While l is still published, find
+// would return it, so the lookup is get's hit, counted and stamped the
+// same; otherwise recall counts nothing and reports false, and the
+// caller asks get.
+func (c *blockCache) recall(l *cacheLine, st *Stats) bool {
+	t := c.table.Load()
+	if t == nil || (*t)[l.key.hash] != l {
+		return false
+	}
+	n := c.lookups.Add(1)
+	st.CacheLookups++
+	c.stamp(l, n, st)
+	return true
+}
+
+// stamp is the hit branch of lookup number n on line l: count the hit,
+// make l the most recently used line and raise lastHit to n.
+func (c *blockCache) stamp(l *cacheLine, n int64, st *Stats) {
+	st.CacheHits++
+	if c.mru.Load() != l {
+		l.tick.Store(n)
+		c.mru.Store(l)
+	}
+	for {
+		last := c.lastHit.Load()
+		if last >= n || c.lastHit.CompareAndSwap(last, n) {
+			return
+		}
+	}
+}
+
+// lookup is get on worker w's behalf, for pass p at a group of control
+// variant variant with inputs in: first the worker's recent lines, by
+// reference (recall), then the table by key, which it builds into *key
+// for the record a miss owes. The line a hashed hit finds joins the
+// worker's recent ones. Every lookup, hit and shut-off is the one get
+// alone would make, at any worker count.
+func (c *blockCache) lookup(w *workerState, p *blockPass, variant int, in *[groupSize][]byte, key *blockKey, st *Stats) *cacheLine {
+	if w.recent == nil {
+		w.recent = new(recent)
+	}
+	if l := w.recent.find(p, variant, in); l != nil && c.recall(l, st) {
+		return l
+	}
+	*key = p.key.block(variant, *in)
+	l := c.get(*key, st)
+	if l != nil {
+		w.recent.note(l, p, variant, in)
+	}
+	return l
+}
+
+// record is put on worker w's behalf, after its lookup of pass p missed
+// on key: the new line joins the worker's recent ones.
+func (c *blockCache) record(w *workerState, p *blockPass, key *blockKey, out [groupSize][]byte, err error) {
+	if l := c.put(*key, out, err); l != nil {
+		w.recent.note(l, p, key.variant, &key.in)
+	}
+}
+
+// recallLines is how many cache lines a worker remembers. On Grover-27
+// (perf's grover-cache) eight let 81 158 of its 84 992 lookups skip the
+// hash; one lets 43 % and four 70 %.
+const recallLines = 8
+
+// recent is a worker's memory of the cache lines its last groups got or
+// put, most recently used first: per line the pass, the control variant
+// and the input blobs that led to it, held by reference. Blobs are
+// immutable and a pass is fixed once built, so a group of the same pass
+// and variant whose inputs are these blobs — same data pointer, same
+// length — has a key byte-equal to the line's (recall). Holding them
+// keeps their addresses from being reused while they are compared, and
+// keeps them alive, so a worker drops the list when its Run returns
+// (workerState.recent).
+type recent [recallLines]recentLine
+
+type recentLine struct {
+	line    *cacheLine
+	pass    *blockPass
+	variant int
+	in      [groupSize][]byte
+}
+
+// find returns the line noted for pass p at variant with inputs in, by
+// reference, and makes it the most recently used; or nil.
+func (r *recent) find(p *blockPass, variant int, in *[groupSize][]byte) *cacheLine {
+	for i := range r {
+		if e := &r[i]; e.pass == p && e.variant == variant && sameBlobs(&e.in, in) {
+			if i > 0 {
+				found := *e
+				copy(r[1:i+1], r[:i])
+				r[0] = found
+			}
+			return r[0].line
+		}
+	}
+	return nil
+}
+
+// note remembers line l as the one pass p used at variant with inputs
+// in, in place of the least recently used entry.
+func (r *recent) note(l *cacheLine, p *blockPass, variant int, in *[groupSize][]byte) {
+	copy(r[1:], r[:recallLines-1])
+	r[0] = recentLine{line: l, pass: p, variant: variant, in: *in}
+}
+
+// sameBlobs reports whether a and b hold the same blobs by reference:
+// equal lengths and, where not empty, the same first byte.
+func sameBlobs(a, b *[groupSize][]byte) bool {
+	for m := range a {
+		if len(a[m]) != len(b[m]) || len(a[m]) > 0 && &a[m][0] != &b[m][0] {
+			return false
+		}
+	}
+	return true
 }
 
 // put stores the outputs of the lookup that just missed on k, evicting
-// the least recently used line when the cache is full; a round trip that
-// failed (err) has nothing to store. Key and outputs are kept by
+// the least recently used line when the cache is full, and returns the
+// new line; a round trip that failed (err) has nothing to store, and a
+// cache that shut off stores nothing. Key and outputs are kept by
 // reference.
-func (c *blockCache) put(k blockKey, out [groupSize][]byte, err error) {
+func (c *blockCache) put(k blockKey, out [groupSize][]byte, err error) *cacheLine {
 	if c == nil || err != nil {
-		return
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.table.Load()
 	if t == nil {
-		return
+		return nil
 	}
 	old := *t
 	var victim *cacheLine
@@ -215,6 +337,7 @@ func (c *blockCache) put(k blockKey, out [groupSize][]byte, err error) {
 	next[k.hash] = l
 	c.table.Store(&next)
 	c.mru.Store(l)
+	return l
 }
 
 // release drops every line, keeping the enabled / shut-off state and

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -121,7 +122,7 @@ func TestCacheShutsOffWhenHitsStop(t *testing.T) {
 	a := testKey("a", 1)
 	c := newBlockCache(2)
 	c.put(a, members([]byte{10}), nil)
-	if _, ok, _ := c.get(a, &st); !ok {
+	if c.get(a, &st) == nil {
 		t.Fatal("a missing")
 	}
 	for i := int64(1); i <= c.probation; i++ {
@@ -129,7 +130,7 @@ func TestCacheShutsOffWhenHitsStop(t *testing.T) {
 			t.Fatalf("cache shut off after %d misses in a row, want %d", i-1, c.probation)
 		}
 		k := testKey("miss", byte(i))
-		if _, ok, _ := c.get(k, &st); ok {
+		if c.get(k, &st) != nil {
 			t.Fatalf("miss %d hit", i)
 		}
 		c.put(k, members([]byte{byte(i)}), nil)
@@ -141,7 +142,7 @@ func TestCacheShutsOffWhenHitsStop(t *testing.T) {
 	c = newBlockCache(2)
 	c.put(a, members([]byte{10}), nil)
 	for round := range 8 {
-		if _, ok, _ := c.get(a, &st); !ok {
+		if c.get(a, &st) == nil {
 			t.Fatalf("round %d: a missing", round)
 		}
 		for i := int64(1); i < c.probation; i++ {
@@ -151,6 +152,192 @@ func TestCacheShutsOffWhenHitsStop(t *testing.T) {
 	if !c.enabled() {
 		t.Fatalf("cache that hits once every %d lookups shut off", c.probation)
 	}
+}
+
+// TestCacheStampOnlyGrows: lastHit only moves forward. A worker that
+// drew lookup 100, was descheduled, and stamps after another worker
+// stamped 300 must leave 300, or the misses from 301 on would count from
+// 100 and shut the cache off inside its window.
+func TestCacheStampOnlyGrows(t *testing.T) {
+	var st Stats
+	c := newBlockCache(64)
+	l := c.put(testKey("a", 1), members([]byte{10}), nil)
+	c.stamp(l, 300, &st)
+	c.stamp(l, 100, &st)
+	c.lookups.Store(300)
+	for i := int64(1); i < c.probation; i++ {
+		if c.get(testKey("miss", byte(i)), &st) != nil {
+			t.Fatalf("miss %d hit", i)
+		}
+	}
+	if got := c.lastHit.Load(); !c.enabled() || got != 300 {
+		t.Fatalf("after stamps 300 and 100 and %d misses: lastHit %d, enabled %v; want 300, on", c.probation-1, got, c.enabled())
+	}
+}
+
+// TestGroverCacheRecallKeepsCounters pins the cache and codec counters
+// of perf's grover-cache circuit on one worker, where the LRU order is
+// exact: a hit by recall must count, stamp and evict as the hashed hit
+// it replaces.
+func TestGroverCacheRecallKeepsCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("27 qubits")
+	}
+	c := quantum.Grover(15, 0b100_000000111111, 1)
+	s := newSim(t, c.N, 1, 0, func(cfg *Config) {
+		cfg.CacheLines = 64
+		cfg.Workers = 1
+	})
+	if err := s.Run(c); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.CacheLookups != 84992 || st.CacheHits != 84895 || st.CompressCalls != 750 || st.DecompressCalls != 748 || st.MaxFootprint != 834392 {
+		t.Fatalf("%d lookups, %d hits, %d compress and %d decompress calls, peak %d B; want 84 992, 84 895, 750, 748, 834 392 B",
+			st.CacheLookups, st.CacheHits, st.CompressCalls, st.DecompressCalls, st.MaxFootprint)
+	}
+}
+
+// TestCacheRecallByReference: a worker recalls a line only for the
+// very input blobs that led to it, under the same pass and control
+// variant, and only while the line is published. Anything else —
+// byte-equal copies, another variant, another pass, an evicted line, a
+// shut-off cache — finds no line to recall, or a recall that counts
+// nothing, and the hashed path decides.
+func TestCacheRecallByReference(t *testing.T) {
+	var st Stats
+	c := newBlockCache(2)
+	p := newBlockPass(newPassKey("op", 0), nil, 0, 1) // variant: block bit 0
+	blob := []byte{1, 2, 3}
+	in := members(blob)
+	l := c.put(p.key.block(0, in), members([]byte{9}), nil)
+	w := &workerState{}
+	hit := func(in [groupSize][]byte) {
+		t.Helper()
+		var key blockKey
+		if c.lookup(w, p, 0, &in, &key, &st) == nil {
+			t.Fatal("miss")
+		}
+	}
+	hit(in) // hashed: the line joins the worker's recent ones
+	if w.recent.find(p, 0, &in) != l || w.recent.noted() != 1 {
+		t.Fatalf("the hit noted %d lines, want the line it hit", w.recent.noted())
+	}
+	before := st
+	hit(in)
+	if w.recent.noted() != 1 || st.CacheLookups != before.CacheLookups+1 || st.CacheHits != before.CacheHits+1 || c.lookups.Load() != st.CacheLookups {
+		t.Fatal("a recall noted a line, or did not count as one hit")
+	}
+	cp := members(bytes.Clone(blob))
+	if w.recent.find(p, 0, &cp) != nil {
+		t.Fatal("a byte-equal copy recalled the line")
+	}
+	hit(cp) // through the hash
+	if w.recent.noted() != 2 {
+		t.Fatal("a copy's hashed hit was not noted")
+	}
+	if w.recent.find(p, 1, &in) != nil {
+		t.Fatal("another variant recalled the line")
+	}
+	if q := newBlockPass(p.key, nil, 0, 1); w.recent.find(q, 0, &in) != nil {
+		t.Fatal("another pass recalled the line")
+	}
+
+	unrecalled := func(why string) {
+		t.Helper()
+		before, n := st, c.lookups.Load()
+		if c.recall(l, &st) || st != before || c.lookups.Load() != n {
+			t.Fatalf("%s: recall hit or counted", why)
+		}
+	}
+	c.put(testKey("b", 1), members([]byte{1}), nil)
+	c.put(testKey("c", 1), members([]byte{1}), nil)
+	unrecalled("after eviction")
+	l = c.put(p.key.block(0, in), members([]byte{9}), nil)
+	for i := range c.probation {
+		c.get(testKey("miss", byte(i)), &st)
+	}
+	if c.enabled() {
+		t.Fatal("cache still on")
+	}
+	unrecalled("after shut-off")
+}
+
+// TestCacheRecallMatchesHashed drives one cache through passGroup —
+// recall first — and a twin through get and put alone with the
+// same bursty sequence of passes, variants and input blobs, some of
+// them byte-equal copies: after every lookup both must have counted the
+// same lookups and hits and hold the same keys, so recall changes no
+// eviction victim and no shut-off.
+func TestCacheRecallMatchesHashed(t *testing.T) {
+	s := newSim(t, 3, 1, 2, nil) // blocks: |0⟩'s first, three zero blocks
+	rs := s.ranks[0]
+	w := rs.w0()
+	first, _ := rs.store.Peek(0)
+	zero, _ := rs.store.Peek(1)
+	blobs := [][]byte{first, zero, bytes.Clone(first), bytes.Clone(zero)}
+	passes := []*blockPass{scanPass(0, 1), scanPass(0, 1)} // equal keys, two passes
+	c, twin := newBlockCache(2), newBlockCache(2)
+	var st, tst Stats
+	keys := func(c *blockCache) []uint64 {
+		var ks []uint64
+		if t := c.table.Load(); t != nil {
+			for k := range *t {
+				ks = append(ks, k)
+			}
+		}
+		slices.Sort(ks)
+		return ks
+	}
+	rng := rand.New(rand.NewSource(7))
+	var p *blockPass
+	var b int
+	var in [groupSize][]byte
+	recalls := 0
+	for i := 0; i < 4000 && twin.enabled(); i++ {
+		if i == 0 || rng.Intn(3) == 0 { // otherwise repeat the last lookup
+			p, b, in = passes[rng.Intn(2)], rng.Intn(2), members(blobs[rng.Intn(len(blobs))])
+		}
+		if i >= 3000 { // then only misses, until the window shuts both off
+			in = members([]byte{byte(i), byte(i >> 8)})
+		}
+		if t := c.table.Load(); w.recent != nil && t != nil {
+			if l := w.recent.find(p, b, &in); l != nil && (*t)[l.key.hash] == l {
+				recalls++
+			}
+		}
+		if i < 3000 {
+			if err := s.passGroup(rs, p, c, w, &st, b, [groupSize]int{1}, 1, in); err != nil {
+				t.Fatal(err)
+			}
+		} else if c.get(p.key.block(b, in), &st) == nil { // not a blob: no walk
+			c.put(p.key.block(b, in), members([]byte{1}), nil)
+		}
+		k := p.key.block(b, in)
+		if twin.get(k, &tst) == nil {
+			twin.put(k, members([]byte{1}), nil)
+		}
+		if st.CacheLookups != tst.CacheLookups || st.CacheHits != tst.CacheHits || !slices.Equal(keys(c), keys(twin)) {
+			t.Fatalf("lookup %d: %d lookups, %d hits, keys %x; the hashed twin %d, %d, %x",
+				i, st.CacheLookups, st.CacheHits, keys(c), tst.CacheLookups, tst.CacheHits, keys(twin))
+		}
+	}
+	if c.enabled() || twin.enabled() {
+		t.Fatal("a run of misses did not shut both caches off")
+	}
+	if recalls == 0 || st.CacheHits == 0 || st.CacheHits == st.CacheLookups {
+		t.Fatalf("degenerate sequence: %d recalls, %d hits of %d lookups", recalls, st.CacheHits, st.CacheLookups)
+	}
+}
+
+// noted is the number of lines r holds.
+func (r *recent) noted() (n int) {
+	for _, e := range r {
+		if e.line != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // members lays blobs out as a group's inputs or outputs, member 0 first.
@@ -172,17 +359,17 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.put(a, members([]byte{10}), nil)
 	c.put(b, members([]byte{20}), nil)
 	// Touch "a" so "b" is the LRU victim.
-	if _, ok, _ := c.get(a, &st); !ok {
+	if c.get(a, &st) == nil {
 		t.Fatal("a missing")
 	}
 	c.put(d, members([]byte{30}), nil)
-	if _, ok, _ := c.get(b, &st); ok {
+	if c.get(b, &st) != nil {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok, _ := c.get(a, &st); !ok {
+	if c.get(a, &st) == nil {
 		t.Fatal("a evicted out of LRU order")
 	}
-	if out, ok, _ := c.get(d, &st); !ok || out[0][0] != 30 {
+	if l := c.get(d, &st); l == nil || l.out[0][0] != 30 {
 		t.Fatal("c missing or wrong")
 	}
 	if st.CacheLookups != 4 || st.CacheHits != 3 {
@@ -213,13 +400,14 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 				refEl = el
 			}
 		}
-		out, hit, _ := c.get(k, &st)
+		l := c.get(k, &st)
+		hit := l != nil
 		if hit != (refEl != nil) {
 			t.Fatalf("lookup %d (key %d): hit=%v, reference LRU says %v", i, id, hit, refEl != nil)
 		}
 		if hit {
-			if out[0][0] != byte(id) {
-				t.Fatalf("lookup %d: key %d returned the output of key %d", i, id, out[0][0])
+			if l.out[0][0] != byte(id) {
+				t.Fatalf("lookup %d: key %d returned the output of key %d", i, id, l.out[0][0])
 			}
 			ref.MoveToFront(refEl)
 			continue
@@ -301,14 +489,14 @@ func TestCacheKeyVerifiedBehindHash(t *testing.T) {
 	}
 	memo.put(base, outs, nil)
 	_, memoHit, _ := memo.get(base, &st)
-	if _, ok, _ := c.get(base, &st); !ok || !memoHit {
+	if c.get(base, &st) == nil || !memoHit {
 		t.Fatal("the stored key itself misses")
 	}
 	if st.CodecPassesShared != groupSize {
 		t.Fatalf("a memo hit on %d outputs counted %d shared passes", groupSize, st.CodecPassesShared)
 	}
 	for name, k := range others {
-		if _, ok, _ := c.get(k, &st); ok {
+		if c.get(k, &st) != nil {
 			t.Errorf("%s: block cache returned another key's blocks on a hash collision", name)
 		}
 		if _, ok, _ := memo.get(k, &st); ok {
@@ -317,10 +505,10 @@ func TestCacheKeyVerifiedBehindHash(t *testing.T) {
 	}
 	// A colliding put takes the slot over; the displaced key misses.
 	c.put(others["level"], members([]byte{3}, []byte{4}), nil)
-	if out, ok, _ := c.get(others["level"], &st); !ok || out[0][0] != 3 {
+	if l := c.get(others["level"], &st); l == nil || l.out[0][0] != 3 {
 		t.Fatal("colliding put not stored")
 	}
-	if _, ok, _ := c.get(base, &st); ok {
+	if c.get(base, &st) != nil {
 		t.Fatal("displaced key still hits")
 	}
 	// The real hash covers every field too (so collisions stay rare).
@@ -351,8 +539,8 @@ func TestCacheSharesImmutableBlobs(t *testing.T) {
 	outs := members([]byte{42}, []byte{43}, nil, []byte{44})
 	k := newPassKey("a", 0).block(0, members([]byte{1}, []byte{2}, nil, []byte{3}))
 	c.put(k, outs, nil)
-	got, ok, _ := c.get(k, &st)
-	if !ok || &got[0][0] != &outs[0][0] || &got[1][0] != &outs[1][0] || got[2] != nil || &got[3][0] != &outs[3][0] {
+	l := c.get(k, &st)
+	if l == nil || &l.out[0][0] != &outs[0][0] || &l.out[1][0] != &outs[1][0] || l.out[2] != nil || &l.out[3][0] != &outs[3][0] {
 		t.Fatal("cache hit does not alias the stored outputs")
 	}
 
@@ -541,37 +729,58 @@ func TestNoEnginePathWritesThroughBlobs(t *testing.T) {
 
 // TestCacheHitZeroAlloc holds the hit path — read the members' slots,
 // build the key, look it up, store the shared outputs — to zero
-// allocations, for groups of one, two, four and eight blocks.
+// allocations, for groups of one, two, four and eight blocks, hashed
+// and recalled.
 func TestCacheHitZeroAlloc(t *testing.T) {
 	var st Stats
 	c := newBlockCache(4)
 	store := blockstore.NewRAM(groupSize)
 	in := bytes.Repeat([]byte{7}, 100)
-	pass := newPassKey("h 3", 0)
+	p := newBlockPass(newPassKey("h 3", 0), nil, 0, 0)
 	for _, size := range []int{1, 2, 4, groupSize} {
 		var blobs [groupSize][]byte
 		for m := 0; m < size; m++ {
 			store.Put(m, in)
 			blobs[m] = in
 		}
-		c.put(pass.block(0, blobs), blobs, nil)
-		hit := func() {
-			var cur [groupSize][]byte
-			for m := 0; m < size; m++ {
-				cur[m], _ = store.Get(m)
+		c.put(p.key.block(0, blobs), blobs, nil)
+		for _, recall := range []bool{false, true} {
+			w := &workerState{recent: new(recent)}
+			hit := func() {
+				var cur [groupSize][]byte
+				for m := 0; m < size; m++ {
+					cur[m], _ = store.Get(m)
+				}
+				out := cacheHit(c, p, w, &st, cur, recall)
+				for m := 0; m < size; m++ {
+					store.Put(m, out[m])
+				}
 			}
-			out, ok, _ := c.get(pass.block(0, cur), &st)
-			if !ok {
-				panic("miss")
+			if n := testing.AllocsPerRun(200, hit); n != 0 {
+				t.Errorf("%d-block hit (recall %v) allocates %v times", size, recall, n)
 			}
-			for m := 0; m < size; m++ {
-				store.Put(m, out[m])
+			if n := w.recent.noted(); recall && n != 1 {
+				t.Errorf("%d-block hits noted %d lines, want the first alone", size, n)
 			}
-		}
-		if n := testing.AllocsPerRun(200, hit); n != 0 {
-			t.Errorf("%d-block hit allocates %v times", size, n)
 		}
 	}
+}
+
+// cacheHit is one hit as a worker makes it, at variant 0 of pass p on
+// inputs in: hashed, the key built and looked up (get), or through w's
+// recent lines first (lookup).
+func cacheHit(c *blockCache, p *blockPass, w *workerState, st *Stats, in [groupSize][]byte, recall bool) [groupSize][]byte {
+	var l *cacheLine
+	if recall {
+		var key blockKey
+		l = c.lookup(w, p, 0, &in, &key, st)
+	} else {
+		l = c.get(p.key.block(0, in), st)
+	}
+	if l == nil {
+		panic("miss")
+	}
+	return l.out
 }
 
 // groverBlobs runs a redundant Grover state through a 64-line cache at
@@ -648,7 +857,7 @@ func TestNilCacheIsSafe(t *testing.T) {
 	var c *blockCache
 	var st Stats
 	k := testKey("x", 1)
-	if _, ok, _ := c.get(k, &st); ok || st.CacheLookups != 0 {
+	if c.get(k, &st) != nil || st.CacheLookups != 0 {
 		t.Fatal("nil cache hit or counted a lookup")
 	}
 	c.put(k, members([]byte{1}), nil) // must not panic
@@ -656,44 +865,50 @@ func TestNilCacheIsSafe(t *testing.T) {
 
 // BenchmarkCacheHit times the §3.4 hit path as a worker runs it — read
 // the slot, hash and build the key, look it up, store the shared
-// output — on one goroutine and on two sharing the cache (each with
-// its own slots and stats shard, all hitting one line: the redundant
-// regime). It must report 0 allocs/op at every size.
+// output; or, in the recall rows, find the line among the worker's
+// recent ones instead of hashing — on one goroutine and on two sharing
+// the cache (each with its own slots, stats shard and recent lines, all
+// hitting one line: the redundant regime). It must report 0 allocs/op
+// at every size.
 func BenchmarkCacheHit(b *testing.B) {
-	for _, size := range []int{100, 64 << 10} {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("blob=%dB/goroutines=%d", size, workers), func(b *testing.B) {
-				const slots = 64
-				in := bytes.Repeat([]byte{7}, size)
-				store := blockstore.NewRAM(workers * slots)
-				for i := 0; i < store.Len(); i++ {
-					store.Put(i, in)
+	for _, recall := range []bool{false, true} {
+		for _, size := range []int{100, 64 << 10} {
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("blob=%dB/goroutines=%d", size, workers)
+				if recall {
+					name = "recall/" + name
 				}
-				c := newBlockCache(64)
-				pass := newPassKey("h 3", 0)
-				c.put(pass.block(0, members(in)), members(in), nil)
-				b.SetBytes(int64(size))
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						var st Stats
-						for i := 0; i < b.N/workers; i++ {
-							slot := w*slots + i%slots
-							cur, _ := store.Get(slot)
-							out, ok, _ := c.get(pass.block(0, members(cur)), &st)
-							if !ok {
-								panic("miss")
+				b.Run(name, func(b *testing.B) {
+					const slots = 64
+					in := bytes.Repeat([]byte{7}, size)
+					store := blockstore.NewRAM(workers * slots)
+					for i := 0; i < store.Len(); i++ {
+						store.Put(i, in)
+					}
+					c := newBlockCache(64)
+					p := newBlockPass(newPassKey("h 3", 0), nil, 0, 0)
+					c.put(p.key.block(0, members(in)), members(in), nil)
+					b.SetBytes(int64(size))
+					b.ReportAllocs()
+					b.ResetTimer()
+					var wg sync.WaitGroup
+					for w := 0; w < workers; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							var st Stats
+							ws := &workerState{id: w}
+							for i := 0; i < b.N/workers; i++ {
+								slot := w*slots + i%slots
+								cur, _ := store.Get(slot)
+								out := cacheHit(c, p, ws, &st, members(cur), recall)
+								store.Put(slot, out[0])
 							}
-							store.Put(slot, out[0])
-						}
-					}(w)
-				}
-				wg.Wait()
-			})
+						}(w)
+					}
+					wg.Wait()
+				})
+			}
 		}
 	}
 }

@@ -124,6 +124,10 @@ type workerState struct {
 	// worker holds its Eq. 8 pair alone.
 	wide [groupSize - 2][]float64
 	fork [groupSize][]float64
+	// recent is the cache lines the worker's last groups used (§3.4
+	// recall), allocated on its first cached pass of a Run and dropped
+	// with wide and fork: it holds blobs.
+	recent *recent
 	// applied counts the gates this worker's kernels have run, one per
 	// gate per group: what a fork's shared prefix saves, as a number no
 	// clock enters.
@@ -723,13 +727,14 @@ func runLockstep(sims []*Simulator, cs []*quantum.Circuit, ctl RunControl) error
 		s.gateLevel = make([]uint32, len(traj.gates[v])*s.ledgerRounds())
 	}
 	defer func() {
-		// Cache lines and the group scratch beyond the pair must not
-		// outlive the run (see blockCache.release and workerState.wide).
+		// Cache lines, the lines a worker recalls and the group scratch
+		// beyond the pair must not outlive the run (see
+		// blockCache.release and workerState.wide).
 		for _, s := range sims {
 			for _, rs := range s.ranks {
 				rs.cache.release()
 				for _, w := range rs.workers {
-					w.wide, w.fork = [groupSize - 2][]float64{}, [groupSize][]float64{}
+					w.wide, w.fork, w.recent = [groupSize - 2][]float64{}, [groupSize][]float64{}, nil
 				}
 			}
 		}

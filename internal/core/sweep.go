@@ -248,6 +248,18 @@ func newBlockPass(key passKey, gates []passGate, span, ctrlBits int) *blockPass 
 	return p
 }
 
+// base is the j-th of the pass's group bases in increasing order: j
+// with a zero bit inserted at each of span's bits, lowest first. A rank
+// holds nb/local of them, all below nb; base maps every larger j to nb
+// or beyond.
+func (p *blockPass) base(j int) int {
+	for rest := p.span; rest != 0; rest &= rest - 1 {
+		low := rest&-rest - 1
+		j = j&low | (j&^low)<<1
+	}
+	return j
+}
+
 // compilePass builds the pass for a group sweep on this rank at the
 // rank's current level, or nil when a rank-segment control silences
 // every gate here (§3.3: the whole rank is unmodified). units are the
@@ -650,16 +662,15 @@ func window(lo, hi []float64, v, t, n int) (l, h []float64) {
 }
 
 // passMemo is what a pass consults before paying the codec: the rank's
-// §3.4 block cache for one variant, the per-pass cross-variant memo for
-// K > 1 (see runPass). get counts its own lookups and hits in st. A get
-// that misses is answered by exactly one put for the same key, carrying
-// the outputs or the error that kept them from existing: the batch memo
-// parks later arrivals on that key until then, and err is what it hands
-// them (the block cache never waits and never fails).
+// §3.4 block cache for one variant (a *blockCache; nil for none), the
+// per-pass cross-variant memo for K > 1 (a *batchMemo, see runPass).
+// Each counts its own lookups and hits in st. A lookup that misses is
+// answered by exactly one put for the same key, carrying the outputs or
+// the error that kept them from existing: the batch memo parks later
+// arrivals on that key until then, and err is what it hands them (the
+// block cache never waits and never fails).
 type passMemo interface {
 	enabled() bool
-	get(k blockKey, st *Stats) (out [groupSize][]byte, ok bool, err error)
-	put(k blockKey, out [groupSize][]byte, err error)
 }
 
 // passBlock runs pass p on the group based at block b: fetch the local
@@ -667,9 +678,6 @@ type passMemo interface {
 // group in w's scratch. Codec and compute time are charged to st, the
 // (worker, variant) shard. A failed fetch still exchanges, as walk does.
 func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *workerState, st *Stats, b int) error {
-	if b&p.span != 0 {
-		return nil // not a group base: visited with its base
-	}
 	fired, read := p.reads(b)
 	if read == 0 {
 		return nil
@@ -696,24 +704,39 @@ func fetch(get func(int) ([]byte, error), p *blockPass, b, read int) (in [groupS
 	return in, nil
 }
 
-// passGroup is passBlock once the group's inputs are fetched.
+// passGroup is passBlock once the group's inputs are fetched. It calls
+// each memo by its type, not through passMemo, so the inputs and the key
+// it passes by pointer stay on the stack, and the walk a miss makes runs
+// no deeper than the lookup.
 func (s *Simulator) passGroup(rs *rankState, p *blockPass, memo passMemo, w *workerState, st *Stats, b int, fired [groupSize]int, read int, in [groupSize][]byte) error {
 	var key blockKey
 	cached := memo.enabled()
 	if cached {
-		key = p.key.block(b&p.ctrlBits, in)
-		out, ok, err := memo.get(key, st)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return storeGroup(rs, p, b, out)
+		switch m := memo.(type) {
+		case *blockCache:
+			if l := m.lookup(w, p, b&p.ctrlBits, &in, &key, st); l != nil {
+				return storeGroup(rs, p, b, l.out)
+			}
+		case *batchMemo:
+			key = p.key.block(b&p.ctrlBits, in)
+			out, ok, err := m.get(key, st)
+			if err != nil {
+				return err
+			}
+			if ok {
+				return storeGroup(rs, p, b, out)
+			}
 		}
 	}
 	out, err := s.walk(p, w, st, b, fired, read, in)
 	if cached {
-		// Before the store: a batch memo has workers parked on this key.
-		memo.put(key, out, err)
+		switch m := memo.(type) {
+		case *blockCache:
+			m.record(w, p, &key, out, err)
+		case *batchMemo:
+			// Before the store: workers are parked on this key.
+			m.put(key, out, err)
+		}
 	}
 	if err != nil {
 		return err
@@ -794,11 +817,12 @@ func noteSaved(fired [groupSize]int, st *Stats) {
 // the fidelity ledger, as truncation number round of the boundary after
 // its gate gi[v]. The lead is the first variant with a pass: a variant
 // whose pass is nil (compilePass) runs nothing and charges nothing. The
-// work unit is (block, variant): K·nb indices go
-// through the one forEach, each decoding to the passBlock call a solo
-// run of that variant would make, in whichever worker's scratch claims
-// it — so a batch of many variants over few blocks (a gradient on a
-// small register is 79 variants of ONE pair) still fills the pool.
+// work unit is (variant, group): one index per group base of each
+// variant (blockPass.base) goes through the one forEach, each decoding
+// to the passBlock call a solo run of that variant would make, in
+// whichever worker's scratch claims it — so a batch of many variants
+// over few blocks (a gradient on a small register is 79 variants of ONE
+// pair) still fills the pool.
 // The order is variant-major: while the variants have not diverged, the
 // leaders of the batch memo's keys are the lead's blocks, which come
 // first and spread across the workers. Codec calls are charged to the
@@ -877,22 +901,37 @@ func fanOutPass(sims []*Simulator, r int, passes []*blockPass) error {
 	// Per-worker, per-variant stat shards (the pool's own worker shards
 	// would attribute every variant's codec work to variant 0).
 	shards := make([]Stats, len(rs0.workers)*K)
-	// nb is a power of two, so index i is unit i>>blockBits, block
-	// i&(nb-1): the fork chunks' units first, then variant v's — for
-	// K = 1, (0, i), with no division and no second loop.
-	shift, blockMask := uint(s0.blockBits), s0.blocksPerRank()-1
+	// The units: the fork chunks, which walk variant 0's groups, then
+	// each variant no chunk runs. A unit is 2^shift indices, one per
+	// group base of the step's pass with the most groups; index i is
+	// unit i>>shift, group i&(groups-1). The variants of a step nearly
+	// always share one span, and a unit whose pass has fewer groups ends
+	// at its first base past the rank.
+	nb := s0.blocksPerRank()
 	chunks := forks.len()
-	err := s0.forEach(rs0, (chunks+K)*s0.blocksPerRank(), func(w *workerState, i int) error {
-		u, b := i>>shift, i&blockMask
+	var solo []int
+	groups := 0
+	for v, p := range passes {
+		if !forks.owns(v) {
+			solo = append(solo, v)
+			groups = max(groups, nb/p.local)
+		}
+	}
+	if chunks > 0 {
+		groups = max(groups, nb/passes[0].local)
+	}
+	shift := uint(bits.TrailingZeros(uint(groups)))
+	err := s0.forEach(rs0, (chunks+len(solo))<<shift, func(w *workerState, i int) error {
+		u, j := i>>shift, i&(groups-1)
 		if u < chunks {
-			return forks.run(sims, r, passes, memo, w, shards, u, b)
+			return forks.run(sims, r, passes, memo, w, shards, u, j)
 		}
-		v := u - chunks
-		if forks.owns(v) {
-			return nil // run by its chunk
+		v := solo[u-chunks]
+		s, p := sims[v], passes[v]
+		if b := p.base(j); b < nb {
+			return s.passBlock(s.ranks[r], p, memo, w, &shards[w.id*K+v], b)
 		}
-		s := sims[v]
-		return s.passBlock(s.ranks[r], passes[v], memo, w, &shards[w.id*K+v], b)
+		return nil
 	})
 	for i := range shards {
 		sims[i%K].ranks[r].stats.merge(shards[i])
@@ -923,9 +962,9 @@ type forkPlan struct {
 	at     []int   // per variant: its divergence point, 0 for a variant the plan does not own
 	own    []bool  // per variant: it fires otherwise than variant 0 (sameFired)
 	chunks [][]int // the forks in divergence order, split into work units
-	// in0 is variant 0's input blobs per group base, read before the
-	// fan-out: variant 0's own units overwrite its slots while the chunks
-	// still need what they held.
+	// in0 is variant 0's input blobs per group, in base order, read
+	// before the fan-out: variant 0's own units overwrite its slots while
+	// the chunks still need what they held.
 	in0 [][groupSize][]byte
 }
 
@@ -974,14 +1013,12 @@ func planForks(rs0 *rankState, passes []*blockPass) (*forkPlan, error) {
 			start, sum = i+1, 0
 		}
 	}
-	f.in0 = make([][groupSize][]byte, rs0.store.Len())
-	for b := range f.in0 {
-		if b&p0.span != 0 {
-			continue
-		}
+	f.in0 = make([][groupSize][]byte, rs0.store.Len()/p0.local)
+	for j := range f.in0 {
+		b := p0.base(j)
 		_, read := p0.reads(b)
 		var err error
-		if f.in0[b], err = fetch(rs0.store.Peek, p0, b, read); err != nil {
+		if f.in0[j], err = fetch(rs0.store.Peek, p0, b, read); err != nil {
 			return nil, err
 		}
 	}
@@ -1019,13 +1056,12 @@ func sameReads(lead, p *blockPass, d, nb int) bool {
 	if lead.ctrlBits == 0 && p.ctrlBits == 0 || sameFired(lead, p, d) {
 		return true
 	}
-	for b := range nb {
-		if b&lead.span == 0 {
-			_, rl := lead.reads(b)
-			_, rp := p.reads(b)
-			if rl != rp {
-				return false
-			}
+	for j := range nb / lead.local {
+		b := lead.base(j)
+		_, rl := lead.reads(b)
+		_, rp := p.reads(b)
+		if rl != rp {
+			return false
 		}
 	}
 	return true
@@ -1077,7 +1113,7 @@ func (f *forkPlan) len() int {
 // owns reports whether variant v runs in a fork chunk.
 func (f *forkPlan) owns(v int) bool { return f != nil && f.at[v] > 0 }
 
-// run is fork chunk c's unit at the group based at b. A variant whose
+// run is fork chunk c's unit at variant 0's group j. A variant whose
 // inputs there are not variant 0's bytes runs its own pass through
 // passGroup first — a byte compare, which a blob shared with variant 0
 // passes at its pointer and a blob read back from a spill file by its
@@ -1088,11 +1124,12 @@ func (f *forkPlan) owns(v int) bool { return f != nil && f.at[v] > 0 }
 // group into the fork scratch, apply the fork's own gates from there,
 // and recompress its members at its level. A batch pass has no rank
 // target: every member is local.
-func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passMemo, w *workerState, shards []Stats, c, b int) error {
+func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passMemo, w *workerState, shards []Stats, c, j int) error {
 	p0, K := passes[0], len(sims)
-	if b&p0.span != 0 {
-		return nil // not a group base: visited with its base
+	if j >= len(f.in0) {
+		return nil // a step with a pass of more groups than variant 0's
 	}
+	b := p0.base(j)
 	fired0, read := p0.reads(b) // every fork's read too (divergence)
 	if read == 0 {
 		return nil
@@ -1113,7 +1150,7 @@ func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passM
 		}
 		same := true
 		for m := range in {
-			same = same && bytes.Equal(in[m], f.in0[b][m])
+			same = same && bytes.Equal(in[m], f.in0[j][m])
 		}
 		if same {
 			forks = append(forks, v)
@@ -1127,7 +1164,7 @@ func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passM
 		return nil
 	}
 	lead, fork := w.group(p0.size), w.forkGroup(p0.size)
-	if err := sims[0].decodeGroup(p0, lead, read, f.in0[b], &shards[w.id*K+forks[0]]); err != nil {
+	if err := sims[0].decodeGroup(p0, lead, read, f.in0[j], &shards[w.id*K+forks[0]]); err != nil {
 		return err
 	}
 	walked := 0
@@ -1198,10 +1235,10 @@ func (p *blockPass) exchange(bufs [groupSize][]float64, b int) {
 func (s *Simulator) exchangePass(rs *rankState, p *blockPass) error {
 	w := rs.w0()
 	var err error
-	for b := 0; b < s.blocksPerRank(); b++ {
-		if err == nil {
+	for j := range s.blocksPerRank() / p.local {
+		if b := p.base(j); err == nil {
 			err = s.passBlock(rs, p, (*blockCache)(nil), w, &rs.stats, b)
-		} else if b&p.span == 0 {
+		} else {
 			p.exchange(w.group(p.size), b)
 		}
 	}
@@ -1222,11 +1259,10 @@ func (s *Simulator) hintPass(rs *rankState, p *blockPass) {
 		order = append(order, blk)
 		return nil, nil
 	}
-	for b := 0; b < nb; b++ {
-		if b&p.span == 0 {
-			_, read := p.reads(b)
-			fetch(visit, p, b, read)
-		}
+	for j := range nb / p.local {
+		b := p.base(j)
+		_, read := p.reads(b)
+		fetch(visit, p, b, read)
 	}
 	rs.store.PrefetchHint(order)
 }
