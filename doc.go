@@ -39,7 +39,11 @@
 // the Eq. 11 fidelity lower bound Π(1-δᵢ). Amplitude, ProbabilityOne,
 // ExpectationZ/ZZ, the statistical assertions, and the seeded Sample
 // read the compressed state directly; Save and Load checkpoint the
-// compressed blocks as-is (§3.5).
+// compressed blocks as-is (§3.5). Norm, ProbabilityOne, a measurement's
+// probability and a Sampler's CDF are one block-mass read that decodes
+// each distinct compact blob once, not every block: a redundant state
+// (GHZ is three distinct blobs) costs a few decodes at any width. A
+// measurement charges them to its Stats; the inspectors charge nothing.
 //
 // The §3.4 block cache is on unless WithCache(0) says otherwise: a pass
 // whose compressed inputs repeat a cached pass's shares its output blobs
@@ -61,10 +65,11 @@
 // Shot-based readout streams directly from the compressed blocks — the
 // full 2^n-amplitude vector is never materialized, so Sample (and the
 // reusable Sampler handle) work on registers far past the 26-qubit
-// FullState limit. A Sampler builds a two-level CDF in one pass over
-// the blocks (per-block probability masses plus their prefix sums). A
-// Sample call binary-searches the block prefix for every shot, buckets
-// the shots by block, and visits each touched block once on the worker
+// FullState limit. A Sampler builds a two-level CDF from that block-mass
+// read (per-block probability masses plus their prefix sums), so on the
+// compressed engine its TotalMass is Norm bit for bit. A Sample call
+// binary-searches the block prefix for every shot, buckets the shots by
+// block, and visits each touched block once on the worker
 // pool — decompress, fold the probabilities into an intra-block prefix
 // array, binary-search it for each of the block's shots:
 // O(shots·log(blocks·blockAmps) + touched·blockAmps) per call, with

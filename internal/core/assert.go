@@ -80,7 +80,7 @@ func (s *Simulator) jointDistribution(a, b int) ([4]float64, error) {
 		return joint, fmt.Errorf("%w (%d, %d)", ErrInvalidPair, a, b)
 	}
 	ua, ub := uint(a), uint(b)
-	err := s.readBlocks(0, func(base uint64, x []float64) {
+	err := s.readBlocks(func(base uint64, x []float64) {
 		for o := range s.blockAmps() {
 			re, im := x[2*o], x[2*o+1]
 			idx := base + uint64(o)

@@ -578,9 +578,9 @@ func TestCloneIssuesNoCodecCall(t *testing.T) {
 // TestCloneHoldsNoScratch: a batch variant's passes run on variant 0's
 // worker pool, so a clone allocates no scratch of its own — not even the
 // Eq. 8 pair — until something runs on its own pool. Inspecting it
-// (DiagonalExpectation fans out on the clone's own pool, readBlocks does
-// not) decodes into buffers of the call's own, so a clone that has only
-// been read holds none either.
+// (DiagonalExpectation and blockMasses fan out on the clone's own pool,
+// readBlocks does not) decodes into buffers of the call's own, so a
+// clone that has only been read holds none either.
 func TestCloneHoldsNoScratch(t *testing.T) {
 	s := newSim(t, 8, 2, 16, func(c *Config) { c.Workers = 2 })
 	if err := s.Run(quantum.RandomCircuit(8, 20, 4)); err != nil {
@@ -609,7 +609,18 @@ func TestCloneHoldsNoScratch(t *testing.T) {
 	if _, err := clone.jointDistribution(1, 6); err != nil {
 		t.Fatal(err)
 	}
-	noScratch("after DiagonalExpectation and jointDistribution")
+	if _, err := clone.Norm(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []int{0, 5, 7} { // an offset, a block and a rank qubit
+		if _, err := clone.ProbabilityOne(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := clone.NewSampler(DefaultSampleCache); err != nil {
+		t.Fatal(err)
+	}
+	noScratch("after DiagonalExpectation, jointDistribution, Norm, ProbabilityOne and NewSampler")
 }
 
 // forkBody is one sweep on 7 qubits at 16-amplitude blocks: qubits 0..3

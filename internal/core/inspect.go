@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"qcsim/internal/stats"
 )
@@ -32,7 +36,7 @@ func (s *Simulator) FullState() ([]complex128, error) {
 		return nil, fmt.Errorf("core: FullState on %d qubits would allocate %s", s.cfg.Qubits, stats.FormatBytes(MemoryRequirement(s.cfg.Qubits)))
 	}
 	out := make([]complex128, 1<<uint(s.cfg.Qubits))
-	err := s.readBlocks(0, func(base uint64, x []float64) {
+	err := s.readBlocks(func(base uint64, x []float64) {
 		for o := range s.blockAmps() {
 			out[base+uint64(o)] = complex(x[2*o], x[2*o+1])
 		}
@@ -44,53 +48,128 @@ func (s *Simulator) FullState() ([]complex128, error) {
 }
 
 // Norm returns Σ|aᵢ|² across the full compressed state.
-func (s *Simulator) Norm() (float64, error) {
-	var n float64
-	err := s.readBlocks(0, func(_ uint64, x []float64) {
-		for _, v := range x {
-			n += float64(v * v)
-		}
-	})
-	return n, err
-}
+func (s *Simulator) Norm() (float64, error) { return s.mass() }
 
 // ProbabilityOne returns P(qubit q = 1) without collapsing.
 func (s *Simulator) ProbabilityOne(q int) (float64, error) {
 	if q < 0 || q >= s.cfg.Qubits {
 		return 0, fmt.Errorf("core: qubit %d out of range", q)
 	}
-	bit := uint64(1) << uint(q)
-	var want uint64 // a block whose index has q clear holds q=0 alone
-	if q >= s.offsetBits {
-		want = bit
-	}
-	var p float64
-	err := s.readBlocks(want, func(base uint64, x []float64) {
-		for o := range s.blockAmps() {
-			if (base+uint64(o))&bit != 0 {
-				re, im := x[2*o], x[2*o+1]
-				p += float64(re*re) + float64(im*im)
-			}
-		}
-	})
-	return p, err
+	return s.mass(q)
 }
 
-// readBlocks is the inspectors' one read of the state: every block whose
-// global index has the bits of want (above the offset segment) set, in
-// rank → block order, decoded into one scratch of the call's own and
-// handed to fn with the global index of its first amplitude. It Peeks,
-// so inspection never disturbs the resident set a tiered store keeps for
-// the hot path, and decodes without touching Stats, so reading the state
-// never skews the Table 2 time breakdown.
-func (s *Simulator) readBlocks(want uint64, fn func(base uint64, x []float64)) error {
+// mass returns Σ|aᵢ|² over the indices i with every qubit of qs set: the
+// ranks' blockMasses, Peeked and charged nowhere, in one running sum in
+// global block order — the same bits at every worker and rank count, and
+// mass() is a Sampler's TotalMass.
+func (s *Simulator) mass(qs ...int) (float64, error) {
+	offMask, blkMask, rankMask := s.splitControls(qs)
+	var p float64
+	for _, rs := range s.ranks {
+		if rs.id&rankMask != rankMask {
+			continue
+		}
+		masses, _, err := s.blockMasses(rs, rs.store.Peek, blkMask, offMask)
+		if err != nil {
+			return 0, err
+		}
+		for _, m := range masses {
+			p += m
+		}
+	}
+	return p, nil
+}
+
+// compact reports whether blob is at most a quarter of its block's raw
+// 16·BlockAmps bytes: redundant enough that equal blocks plausibly share
+// it, so the mass read and the Sampler's LRU key it by its bytes.
+func (s *Simulator) compact(blob []byte) bool { return len(blob) <= 4*s.blockAmps() }
+
+// blockMasses is the read behind a measurement's probability, the
+// Sampler's CDF, Norm and ProbabilityOne. For each of the rank's blocks
+// whose index has every bit of want set, masses[b] is Σ|aₒ|² over the
+// offsets o that contain offMask, in offset order; the others are 0. It
+// reads through get — the store's Get inside a Run, Peek for an
+// inspection; the caller sends any prefetch hint — on the rank's worker
+// pool, into buffers of the call's own, one per worker id, never into a
+// worker's Eq. 8 pair. A mass is a function of the blob's bytes, so a
+// compact blob decodes once per call, by the first worker to meet it,
+// and every byte-equal block reuses its mass. It charges no Stats:
+// charge is what a Run charges for it, one decode per distinct compact
+// blob and one per other block read (a count no worker schedule
+// changes), and the decode time.
+func (s *Simulator) blockMasses(rs *rankState, get func(int) ([]byte, error), want int, offMask uint64) (masses []float64, charge Stats, err error) {
+	ba := s.blockAmps()
+	masses = make([]float64, s.blocksPerRank())
+	xs := make([][]float64, len(rs.workers))
+	shards := make([]Stats, len(rs.workers))
+	sum := func(w *workerState, blob []byte) (float64, error) {
+		x := xs[w.id]
+		if x == nil {
+			x = make([]float64, 2*ba)
+			xs[w.id] = x
+		}
+		if err := s.decompressBlock(blob, x, &shards[w.id]); err != nil {
+			return 0, err
+		}
+		var m float64
+		for o := 0; o < ba; o++ {
+			if uint64(o)&offMask == offMask {
+				re, im := x[2*o], x[2*o+1]
+				m += float64(re*re) + float64(im*im)
+			}
+		}
+		return m, nil
+	}
+	type blobMass struct {
+		blob []byte // immutable, as every stored blob: held, not copied
+		once sync.Once
+		mass float64
+		err  error
+	}
+	var mu sync.Mutex
+	seen := make(map[uint64][]*blobMass) // compact blobs by hash, then bytes
+	err = s.forBlocks(rs, func(w *workerState, b int) error {
+		if b&want != want {
+			return nil
+		}
+		blob, err := get(b)
+		if err != nil {
+			return err
+		}
+		if !s.compact(blob) {
+			masses[b], err = sum(w, blob)
+			return err
+		}
+		h := maphash.Bytes(keySeed, blob)
+		mu.Lock()
+		i := slices.IndexFunc(seen[h], func(c *blobMass) bool { return bytes.Equal(c.blob, blob) })
+		if i < 0 {
+			i = len(seen[h])
+			seen[h] = append(seen[h], &blobMass{blob: blob})
+		}
+		e := seen[h][i]
+		mu.Unlock()
+		e.once.Do(func() { e.mass, e.err = sum(w, blob) })
+		masses[b] = e.mass
+		return e.err
+	})
+	for _, st := range shards {
+		charge.merge(st)
+	}
+	return masses, charge, err
+}
+
+// readBlocks is the read behind FullState and jointDistribution: every
+// block in rank → block order, decoded into one scratch of the call's
+// own and handed to fn with the global index of its first amplitude. It
+// Peeks, so inspection never disturbs the resident set a tiered store
+// keeps for the hot path, and decodes without touching Stats, so
+// reading the state never skews the Table 2 time breakdown.
+func (s *Simulator) readBlocks(fn func(base uint64, x []float64)) error {
 	x := make([]float64, 2*s.blockAmps())
 	for r, rs := range s.ranks {
 		for b := range s.blocksPerRank() {
-			base := s.compose(r, b, 0)
-			if base&want != want {
-				continue
-			}
 			blob, err := rs.store.Peek(b)
 			if err != nil {
 				return err
@@ -98,7 +177,7 @@ func (s *Simulator) readBlocks(want uint64, fn func(base uint64, x []float64)) e
 			if err := s.decodeBlob(blob, x); err != nil {
 				return err
 			}
-			fn(base, x)
+			fn(s.compose(r, b, 0), x)
 		}
 	}
 	return nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"qcsim/internal/mpi"
 	"qcsim/internal/quantum"
@@ -12,11 +11,11 @@ import (
 
 // measureRank implements intermediate measurement (the capability the
 // paper highlights over tensor-network simulators, §1): every rank
-// accumulates its partial P(q=1) over decompressed blocks, the total is
+// accumulates its partial P(q=1) over its blocks, the total is
 // allreduced, rank 0 draws the outcome, and all ranks collapse and
-// renormalize their blocks. The probability reduction fans out across
-// the worker pool, keeps per-block partials and sums them in block
-// order, so the drawn outcome is bit-identical for every worker count.
+// renormalize their blocks. The partial is the rank's blockMasses summed
+// in block order, so the drawn outcome is bit-identical for every worker
+// count, and a redundant state pays one decode per distinct blob.
 // The collapse is a pass of one gate through the group walk
 // (collapsePass, runPass): the code a unitary runs, §3.4 cache
 // included, so equal blocks collapse once.
@@ -32,40 +31,17 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 	// The measured qubit's bit lives in one segment (Fig. 3), exactly
 	// like a single control: one of the three masks is set.
 	offMask, blkMask, rankMask := s.splitControls([]int{q})
-	ba := s.blockAmps()
 
-	// Phase 1: partial probability of reading |1⟩, one slot per block.
-	partials := make([]float64, s.blocksPerRank())
+	// Phase 1: partial probability of reading |1⟩, one mass per block.
+	var masses []float64
 	var phase1Err error
 	if rankMask == 0 || rs.id&rankMask != 0 {
-		// blkMask is a single bit, so "any set" equals the all-set
-		// filter a scan pass applies.
+		// The scan pass visits what blockMasses reads: the blocks with
+		// every bit of blkMask set.
 		s.hintPass(rs, scanPass(rs.level, blkMask))
-		phase1Err = s.forBlocks(rs, func(w *workerState, b int) error {
-			if blkMask != 0 && b&blkMask == 0 {
-				return nil // whole block has q=0
-			}
-			blob, err := rs.store.Get(b)
-			if err != nil {
-				return err
-			}
-			w.ensure()
-			if err := s.decompressBlock(blob, w.x, &w.stats); err != nil {
-				return err
-			}
-			start := time.Now()
-			var p float64
-			for o := 0; o < ba; o++ {
-				if offMask != 0 && uint64(o)&offMask == 0 {
-					continue
-				}
-				re, im := w.x[2*o], w.x[2*o+1]
-				p += float64(re*re) + float64(im*im)
-			}
-			partials[b] = p
-			w.stats.ComputeTime += time.Since(start)
-			return nil
-		})
+		var charge Stats
+		masses, charge, phase1Err = s.blockMasses(rs, rs.store.Get, blkMask, offMask)
+		rs.stats.merge(charge)
 	}
 	// Agree on phase-1 failure before any collective consumes data and
 	// before the outcome is drawn: every rank runs the same collective
@@ -75,7 +51,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 		return 0, fmt.Errorf("core: measure qubit %d: %w", q, phase1Err)
 	}
 	var p1 float64
-	for _, p := range partials {
+	for _, p := range masses {
 		p1 += p
 	}
 	total := comm.AllreduceSum(p1)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -121,11 +123,47 @@ func TestQuickWorkersDeterministic(t *testing.T) {
 			t.Logf("seed %d: measurements differ: %v vs %v", seed, o1, oN)
 			return false
 		}
+		if err := sameMasses(s1, sN); err != nil {
+			t.Logf("seed %d geom %+v workers %d: %v", seed, g, workers, err)
+			return false
+		}
 		return s1.FidelityLowerBound() == sN.FidelityLowerBound()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sameMasses reports where Norm or ProbabilityOne of some qubit differs
+// between a and b in any bit. The reads fan out over the worker pool and
+// sum their per-block masses in block order, so on the same amplitudes
+// they give the same bits at every worker and rank count.
+func sameMasses(a, b *Simulator) error {
+	na, err := a.Norm()
+	if err != nil {
+		return err
+	}
+	nb, err := b.Norm()
+	if err != nil {
+		return err
+	}
+	if math.Float64bits(na) != math.Float64bits(nb) {
+		return fmt.Errorf("Norm %v vs %v", na, nb)
+	}
+	for q := range a.Qubits() {
+		pa, err := a.ProbabilityOne(q)
+		if err != nil {
+			return err
+		}
+		pb, err := b.ProbabilityOne(q)
+		if err != nil {
+			return err
+		}
+		if math.Float64bits(pa) != math.Float64bits(pb) {
+			return fmt.Errorf("ProbabilityOne(%d) %v vs %v", q, pa, pb)
+		}
+	}
+	return nil
 }
 
 // TestWorkersMoreThanBlocks: the pool is clamped to the block count, so

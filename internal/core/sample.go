@@ -13,16 +13,18 @@ import (
 // Streaming compressed-domain sampling: shot-based readout that never
 // materializes the 2^n-amplitude vector. A Sampler holds a two-level
 // CDF over the compressed state — per-block probability masses folded
-// into a global block prefix sum — built in one worker-pool pass over
-// each rank's blocks. A Sample call binary-searches the block prefix
-// for each shot's containing block, buckets the shots by block, and
-// then visits every touched block ONCE on the worker pool: decompress
-// it, fold its amplitudes' probabilities into an intra-block prefix
-// array, and binary-search that array for each of the block's shots.
-// A call costs O(shots·log(blocks·blockAmps) + touched·blockAmps)
-// instead of the old FullState path's O(shots·2^n), with no cap on the
-// register width. A small LRU keeps the blocks of narrow calls hot
-// ACROSS calls on a held Sampler (see decodedLRU).
+// into a global block prefix sum — built by blockMasses, the read a
+// measurement, Norm and ProbabilityOne share: one worker-pool pass over
+// each rank's blocks that decodes each distinct compact blob once. A
+// Sample call binary-searches the block prefix for each shot's
+// containing block, buckets the shots by block, and then visits every
+// touched block ONCE on the worker pool: decompress it, fold its
+// amplitudes' probabilities into an intra-block prefix array, and
+// binary-search that array for each of the block's shots. A call costs
+// O(shots·log(blocks·blockAmps) + touched·blockAmps) instead of the old
+// FullState path's O(shots·2^n), with no cap on the register width. A
+// small LRU keeps the blocks of narrow calls hot ACROSS calls on a held
+// Sampler (see decodedLRU).
 //
 // Draws are normalized by the CDF's true total mass. Under lossy
 // codecs the state's norm drifts below 1; the old linear scan compared
@@ -52,10 +54,6 @@ type Sampler struct {
 	total float64
 	ba    int
 	cache *decodedLRU
-	// memoMax is the blob-size cutoff below which blocks are treated as
-	// content-addressed (identical bytes ⇒ identical amplitudes), both
-	// while building the CDF and in the shot-time decoded-block LRU.
-	memoMax int
 	// slot[g] is Sample's per-block bucket counter, all zero between
 	// calls. It lives here so a call never pays an O(blocks) term: it
 	// touches, and clears again, only the entries of the blocks its
@@ -63,82 +61,24 @@ type Sampler struct {
 	slot []int
 }
 
-// NewSampler builds the two-level CDF in one worker-pool pass over each
-// rank's blocks and returns a Sampler holding it. cacheBlocks bounds
-// the LRU of decoded blocks kept hot across Sample calls (minimum 1;
-// 8·BlockAmps bytes per line, see decodedLRU). The pass charges nothing
-// to the rank stats — sampling is an inspection path and must not skew
-// the Table 2 time breakdown.
+// NewSampler builds the two-level CDF from each rank's blockMasses and
+// returns a Sampler holding it. cacheBlocks bounds the LRU of decoded
+// blocks kept hot across Sample calls (minimum 1; 8·BlockAmps bytes per
+// line, see decodedLRU). The pass charges nothing to the rank stats —
+// sampling is an inspection path and must not skew the Table 2 time
+// breakdown.
 func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
-	nb := s.blocksPerRank()
-	ba := s.blockAmps()
-	masses := make([]float64, len(s.ranks)*nb)
-	// Redundant states — the regime the paper's compression targets —
-	// store many byte-identical blobs (a basis state is one distinct
-	// block plus copies of the zero block; a uniform superposition is
-	// one blob repeated everywhere). Mass is a pure function of blob
-	// content, so compact blobs are decoded once and memoized under a
-	// hash of their bytes; a hit is confirmed byte for byte, as Load's
-	// interning does, so a collision costs a decode, never a wrong mass.
-	// Store blobs are immutable, so the memo holds them without a copy.
-	// The size cutoff keeps the memo to blobs that compressed at least 4x
-	// below the 16·ba raw block size — redundancy strong enough to
-	// plausibly repeat; dense unique blobs skip the hash and map probe
-	// entirely.
-	type blobMass struct {
-		blob []byte
-		mass float64
-	}
-	memo := struct {
-		sync.Mutex
-		m map[uint64]blobMass
-	}{m: make(map[uint64]blobMass)}
-	memoMaxBlob := 16 * ba / 4
+	masses := make([]float64, 0, len(s.ranks)*s.blocksPerRank())
 	for _, rs := range s.ranks {
-		base := rs.id * nb
 		// The CDF pass walks every block in ascending order — announce
 		// it so a tiered store can stage spilled blobs ahead of the
 		// workers.
 		s.hintPass(rs, scanPass(0, 0))
-		err := s.forBlocks(rs, func(w *workerState, b int) error {
-			blob, err := rs.store.Get(b)
-			if err != nil {
-				return err
-			}
-			compact := len(blob) <= memoMaxBlob
-			var sum uint64
-			if compact {
-				sum = maphash.Bytes(keySeed, blob)
-				memo.Lock()
-				e, ok := memo.m[sum]
-				memo.Unlock()
-				if ok && bytes.Equal(e.blob, blob) {
-					masses[base+b] = e.mass
-					return nil
-				}
-			}
-			w.ensure()
-			if err := s.decodeBlob(blob, w.x); err != nil {
-				return err
-			}
-			var m float64
-			for o := 0; o < ba; o++ {
-				re, im := w.x[2*o], w.x[2*o+1]
-				m += float64(re*re) + float64(im*im)
-			}
-			masses[base+b] = m
-			if compact {
-				memo.Lock()
-				if _, seen := memo.m[sum]; !seen {
-					memo.m[sum] = blobMass{blob, m}
-				}
-				memo.Unlock()
-			}
-			return nil
-		})
+		m, _, err := s.blockMasses(rs, rs.store.Get, 0, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: sampler: rank %d: %w", rs.id, err)
 		}
+		masses = append(masses, m...)
 	}
 	var total float64
 	for i, m := range masses {
@@ -156,9 +96,8 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 		version: s.version,
 		cum:     masses,
 		total:   total,
-		ba:      ba,
+		ba:      s.blockAmps(),
 		cache:   &decodedLRU{cap: cacheBlocks, lines: make(map[decodedKey]*decodedLine, cacheBlocks)},
-		memoMax: memoMaxBlob,
 		slot:    make([]int, len(masses)),
 	}, nil
 }
@@ -325,7 +264,7 @@ func (sp *Sampler) probs(rs *rankState, w *workerState, gb int, cached bool, hel
 	if err != nil {
 		return nil, err
 	}
-	compact := len(blob) <= sp.memoMax
+	compact := sp.s.compact(blob)
 	w.ensure()
 	dst := w.y[:sp.ba]
 	var key decodedKey

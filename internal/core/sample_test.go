@@ -659,6 +659,104 @@ func TestSamplerRedundantBlocksDecodeOnce(t *testing.T) {
 	}
 }
 
+// distinctReads is what a mass read of the blocks holding qubit q set
+// (every block when q is -1 or an offset qubit) should decode: on each
+// rank, one decode per distinct compact blob and one per other block.
+func distinctReads(t *testing.T, s *Simulator, q int) (decodes int64) {
+	t.Helper()
+	var mask uint64
+	if q >= s.offsetBits {
+		mask = 1 << uint(q)
+	}
+	for r, rs := range s.ranks {
+		seen := map[string]bool{}
+		for b := range s.blocksPerRank() {
+			if s.compose(r, b, 0)&mask != mask {
+				continue
+			}
+			blob, err := rs.store.Peek(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.compact(blob) || !seen[string(blob)] {
+				seen[string(blob)] = true
+				decodes++
+			}
+		}
+	}
+	return decodes
+}
+
+// TestReadsDecodeEachDistinctBlobOnce: GHZ on 256 blocks is three
+// distinct blobs, two of them on each rank of two, all compact. Norm, ProbabilityOne
+// of an offset, a block and a rank qubit, NewSampler and a measurement's
+// probability read decode each distinct compact blob they touch once,
+// not once per block, at any worker count; the measurement charges what
+// it decodes, the same at every worker count; and Norm is the
+// Sampler's TotalMass bit for bit.
+func TestReadsDecodeEachDistinctBlobOnce(t *testing.T) {
+	const n = 12 // 16-amplitude blocks: qubits 0..3 offsets, 4..11 blocks and ranks
+	for _, ranks := range []int{1, 2} {
+		var charged []int64
+		for _, workers := range []int{1, 3} {
+			s := newSim(t, n, ranks, 16, func(c *Config) { c.Workers = workers })
+			if err := s.Run(quantum.GHZ(n)); err != nil {
+				t.Fatal(err)
+			}
+			var dec atomic.Int64
+			s.cfg.Lossless = countingCodec{Codec: s.cfg.Lossless, dec: &dec}
+			read := func(what string, q int, fn func() (float64, error)) float64 {
+				t.Helper()
+				dec.Store(0)
+				v, err := fn()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := dec.Load(), distinctReads(t, s, q); got != want || want > 4 {
+					t.Fatalf("ranks=%d workers=%d: %s decoded %d blobs, want %d (at most 4)", ranks, workers, what, got, want)
+				}
+				return v
+			}
+			norm := read("Norm", -1, s.Norm)
+			qs := []int{0, 5}
+			if ranks == 2 {
+				qs = append(qs, n-1)
+			}
+			for _, q := range qs {
+				read(fmt.Sprintf("ProbabilityOne(%d)", q), q, func() (float64, error) { return s.ProbabilityOne(q) })
+			}
+			total := read("NewSampler", -1, func() (float64, error) {
+				sp, err := s.NewSampler(DefaultSampleCache)
+				if err != nil {
+					return 0, err
+				}
+				return sp.TotalMass(), nil
+			})
+			if math.Float64bits(norm) != math.Float64bits(total) {
+				t.Fatalf("ranks=%d workers=%d: Norm %v, the Sampler's TotalMass %v", ranks, workers, norm, total)
+			}
+
+			// Measuring offset qubit 0 reads every block for its
+			// probability, then collapses every block in a pass of one
+			// gate, which decodes each (the cache is off).
+			want := distinctReads(t, s, -1) + int64(ranks*s.blocksPerRank())
+			before := s.Stats().DecompressCalls
+			dec.Store(0)
+			if err := s.Run(quantum.NewCircuit(n).Measure(0)); err != nil {
+				t.Fatal(err)
+			}
+			got := s.Stats().DecompressCalls - before
+			if got != want || dec.Load() != want {
+				t.Fatalf("ranks=%d workers=%d: the measurement charged %d decodes and made %d, want %d", ranks, workers, got, dec.Load(), want)
+			}
+			charged = append(charged, got)
+		}
+		if charged[0] != charged[1] {
+			t.Fatalf("ranks=%d: the measurement charged %d decodes at 1 worker, %d at 3", ranks, charged[0], charged[1])
+		}
+	}
+}
+
 // TestSamplerSteadyStateAllocs: a Sample call allocates its per-shot
 // arrays and a fixed handful of headers — nothing per touched block,
 // whether the call bypasses the LRU and decodes every block or hits in

@@ -25,7 +25,9 @@ type Stats struct {
 	// variant 0's walk inside a pass decodes nothing of its own: its
 	// chunk decodes variant 0's inputs once, charged to the chunk's first
 	// fork, so a batch's DecompressCalls count each chunk's decode once
-	// (qaoa-grad: 18 for 79 variants, not 158).
+	// (qaoa-grad: 18 for 79 variants, not 158). A measurement's
+	// probability read charges one per distinct compact blob it reads
+	// (GHZ-28, qubit 27: 2 for 32 768 blocks); inspectors charge none.
 	CompressCalls   int64
 	DecompressCalls int64
 

@@ -517,7 +517,8 @@ func TestSweepZZUnitCacheKey(t *testing.T) {
 // TestQuickRankCountBitIdentical is an oracle outside the exchange code:
 // the rank count decides only where the two amplitudes of a pair live,
 // never the arithmetic on them, so 1, 2 and 4 ranks — sweeps on and
-// off — give the same bits, and one rank exchanges nothing at all.
+// off — give the same bits, Norm and ProbabilityOne included, and one
+// rank exchanges nothing at all.
 // Unitary circuits only: a measurement's probability sum is added in an
 // order that depends on the rank count. A run whose plan has a ZZ unit
 // (RandomCircuit draws them) is held to the ±0 rule instead; one
@@ -541,6 +542,9 @@ func TestQuickRankCountBitIdentical(t *testing.T) {
 				flips, err := zeroSignFlips(s, ref)
 				if err == nil && flips > 0 && plannedUnits(s, cir.Gates) == 0 {
 					err = fmt.Errorf("%d zeros changed sign with no ZZ unit planned", flips)
+				}
+				if err == nil {
+					err = sameMasses(s, ref)
 				}
 				if err != nil {
 					t.Logf("seed %d: ranks=%d sweeps off=%v against one rank gate at a time: %v", seed, ranks, disable, err)
