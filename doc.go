@@ -39,8 +39,9 @@
 // the Eq. 11 fidelity lower bound Π(1-δᵢ). Amplitude, ProbabilityOne,
 // ExpectationZ/ZZ, the statistical assertions, and the seeded Sample
 // read the compressed state directly; Save and Load checkpoint the
-// compressed blocks as-is (§3.5). Norm, ProbabilityOne, a measurement's
-// probability and a Sampler's CDF are one block-mass read that decodes
+// compressed blocks as-is (§3.5). Norm, ProbabilityOne, the statistical
+// assertions, a measurement's probability and a Sampler's CDF are one
+// block-mass read that decodes
 // each distinct compact blob once, not every block: a redundant state
 // (GHZ is three distinct blobs) costs a few decodes at any width. A
 // measurement charges them to its Stats; the inspectors charge nothing.

@@ -72,20 +72,29 @@ func (s *Simulator) AssertProduct(a, b int, tol float64) error {
 }
 
 // jointDistribution returns [P(00), P(01), P(10), P(11)] over qubits
-// (a, b), with a the high bit, from one read of the state (readBlocks)
-// in rank → block → offset order.
+// (a, b), with a the high bit: one blockMasses read per rank, Peeked,
+// keeping a sum per block for each setting of the pair's offset-segment
+// qubits, folded in global block order — the same bits at every worker
+// and rank count.
 func (s *Simulator) jointDistribution(a, b int) ([4]float64, error) {
 	var joint [4]float64
 	if a == b || a < 0 || b < 0 || a >= s.cfg.Qubits || b >= s.cfg.Qubits {
 		return joint, fmt.Errorf("%w (%d, %d)", ErrInvalidPair, a, b)
 	}
+	split, _, _ := s.splitControls([]int{a, b})
+	parts := subsets(split)
 	ua, ub := uint(a), uint(b)
-	err := s.readBlocks(func(base uint64, x []float64) {
-		for o := range s.blockAmps() {
-			re, im := x[2*o], x[2*o+1]
-			idx := base + uint64(o)
-			joint[(idx>>ua&1)<<1|idx>>ub&1] += float64(re*re) + float64(im*im)
+	for r, rs := range s.ranks {
+		masses, _, err := s.blockMasses(rs, rs.store.Peek, 0, 0, split)
+		if err != nil {
+			return joint, err
 		}
-	})
-	return joint, err
+		for blk := range s.blocksPerRank() {
+			for j, p := range parts {
+				idx := s.compose(r, blk, int(p))
+				joint[(idx>>ua&1)<<1|idx>>ub&1] += masses[blk*len(parts)+j]
+			}
+		}
+	}
+	return joint, nil
 }

@@ -578,8 +578,8 @@ func TestCloneIssuesNoCodecCall(t *testing.T) {
 // TestCloneHoldsNoScratch: a batch variant's passes run on variant 0's
 // worker pool, so a clone allocates no scratch of its own — not even the
 // Eq. 8 pair — until something runs on its own pool. Inspecting it
-// (DiagonalExpectation and blockMasses fan out on the clone's own pool,
-// readBlocks does not) decodes into buffers of the call's own, so a
+// (DiagonalExpectation, blockMasses and a Sampler's draws fan out on
+// the clone's own pool) decodes into buffers of the call's own, so a
 // clone that has only been read holds none either.
 func TestCloneHoldsNoScratch(t *testing.T) {
 	s := newSim(t, 8, 2, 16, func(c *Config) { c.Workers = 2 })
@@ -617,10 +617,18 @@ func TestCloneHoldsNoScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := clone.NewSampler(DefaultSampleCache); err != nil {
+	sp, err := clone.NewSampler(DefaultSampleCache)
+	if err != nil {
 		t.Fatal(err)
 	}
-	noScratch("after DiagonalExpectation, jointDistribution, Norm, ProbabilityOne and NewSampler")
+	// A few shots go through the LRU; a thousand touch all 16 blocks,
+	// more than it has lines, and bypass it.
+	for _, shots := range []int{3, 1000} {
+		if _, err := sp.Sample(nil, shots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noScratch("after DiagonalExpectation, jointDistribution, Norm, ProbabilityOne, NewSampler and Sample")
 }
 
 // forkBody is one sweep on 7 qubits at 16-amplitude blocks: qubits 0..3

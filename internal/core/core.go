@@ -599,6 +599,9 @@ func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int)
 			fail int32
 			once sync.Once
 			wg   sync.WaitGroup
+			// The workers' first error, declared here so that only a
+			// fan-out moves it to the heap, not the serial loop.
+			shared error
 		)
 		for i := 0; i < nw; i++ {
 			w := rs.workers[i]
@@ -616,7 +619,7 @@ func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int)
 							return
 						}
 						if err := fn(w, int(i)); err != nil {
-							once.Do(func() { firstErr = err })
+							once.Do(func() { shared = err })
 							atomic.StoreInt32(&fail, 1)
 							return
 						}
@@ -625,6 +628,7 @@ func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int)
 			}()
 		}
 		wg.Wait()
+		firstErr = shared
 	}
 	for _, w := range rs.workers {
 		rs.stats.merge(w.stats)

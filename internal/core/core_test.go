@@ -422,8 +422,8 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Gates != 80 {
 		t.Fatalf("gates = %d", st.Gates)
 	}
-	if s.CompressionRatio() <= 0 {
-		t.Fatal("compression ratio not positive")
+	if fp := s.CompressedFootprint(); fp <= 0 || fp != st.CurrentFootprint {
+		t.Fatalf("compressed footprint %d, Stats.CurrentFootprint %d", fp, st.CurrentFootprint)
 	}
 }
 

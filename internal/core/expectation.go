@@ -43,7 +43,7 @@ func (s *Simulator) DiagonalExpectation(zs []quantum.ZTerm, zzs []quantum.ZZTerm
 // decoding its block into a buffer of the call's own, one per worker id,
 // and continuing its own running sum in offset order: the parallelism is
 // across variants, each variant's chain stays the sequential rank →
-// block → offset one. Like readBlocks, the read borrows no worker's
+// block → offset one. Like blockMasses, the read borrows no worker's
 // scratch pair, so inspecting a clone allocates none.
 func DiagonalExpectations(sims []*Simulator, zs []quantum.ZTerm, zzs []quantum.ZZTerm) ([]float64, error) {
 	if len(sims) == 0 {

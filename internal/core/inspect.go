@@ -35,14 +35,26 @@ func (s *Simulator) FullState() ([]complex128, error) {
 	if s.cfg.Qubits > 26 {
 		return nil, fmt.Errorf("core: FullState on %d qubits would allocate %s", s.cfg.Qubits, stats.FormatBytes(MemoryRequirement(s.cfg.Qubits)))
 	}
+	// Every block in rank → block order, Peeked (inspection never
+	// disturbs the resident set a tiered store keeps for the hot path)
+	// and decoded into one scratch of the call's own without touching
+	// Stats (reading the state never skews the Table 2 time breakdown).
 	out := make([]complex128, 1<<uint(s.cfg.Qubits))
-	err := s.readBlocks(func(base uint64, x []float64) {
-		for o := range s.blockAmps() {
-			out[base+uint64(o)] = complex(x[2*o], x[2*o+1])
+	x := make([]float64, 2*s.blockAmps())
+	for r, rs := range s.ranks {
+		for b := range s.blocksPerRank() {
+			blob, err := rs.store.Peek(b)
+			if err != nil {
+				return nil, err
+			}
+			if err := s.decodeBlob(blob, x); err != nil {
+				return nil, err
+			}
+			base := s.compose(r, b, 0)
+			for o := range s.blockAmps() {
+				out[base+uint64(o)] = complex(x[2*o], x[2*o+1])
+			}
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -69,7 +81,7 @@ func (s *Simulator) mass(qs ...int) (float64, error) {
 		if rs.id&rankMask != rankMask {
 			continue
 		}
-		masses, _, err := s.blockMasses(rs, rs.store.Peek, blkMask, offMask)
+		masses, _, err := s.blockMasses(rs, rs.store.Peek, blkMask, offMask, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -86,45 +98,55 @@ func (s *Simulator) mass(qs ...int) (float64, error) {
 func (s *Simulator) compact(blob []byte) bool { return len(blob) <= 4*s.blockAmps() }
 
 // blockMasses is the read behind a measurement's probability, the
-// Sampler's CDF, Norm and ProbabilityOne. For each of the rank's blocks
-// whose index has every bit of want set, masses[b] is Σ|aₒ|² over the
-// offsets o that contain offMask, in offset order; the others are 0. It
-// reads through get — the store's Get inside a Run, Peek for an
-// inspection; the caller sends any prefetch hint — on the rank's worker
-// pool, into buffers of the call's own, one per worker id, never into a
-// worker's Eq. 8 pair. A mass is a function of the blob's bytes, so a
+// Sampler's CDF, Norm, ProbabilityOne and AssertProduct's joint
+// distribution. It keeps one mass per block for each subset of the
+// offset bits split: with parts = subsets(split), masses[b·len(parts)+j]
+// is Σ|aₒ|² over the offsets o that contain offMask and meet split in
+// parts[j], in offset order, for each of the rank's blocks whose index
+// has every bit of want set; the other blocks' masses are 0. It reads
+// through get — the store's Get inside a Run, Peek for an inspection;
+// the caller sends any prefetch hint — on the rank's worker pool, into
+// buffers of the call's own, one per worker id, never into a worker's
+// Eq. 8 pair. A block's masses are a function of the blob's bytes, so a
 // compact blob decodes once per call, by the first worker to meet it,
-// and every byte-equal block reuses its mass. It charges no Stats:
+// and every byte-equal block reuses its masses. It charges no Stats:
 // charge is what a Run charges for it, one decode per distinct compact
 // blob and one per other block read (a count no worker schedule
 // changes), and the decode time.
-func (s *Simulator) blockMasses(rs *rankState, get func(int) ([]byte, error), want int, offMask uint64) (masses []float64, charge Stats, err error) {
+func (s *Simulator) blockMasses(rs *rankState, get func(int) ([]byte, error), want int, offMask, split uint64) (masses []float64, charge Stats, err error) {
+	parts := subsets(split)
+	n := len(parts)
 	ba := s.blockAmps()
-	masses = make([]float64, s.blocksPerRank())
+	masses = make([]float64, s.blocksPerRank()*n)
 	xs := make([][]float64, len(rs.workers))
 	shards := make([]Stats, len(rs.workers))
-	sum := func(w *workerState, blob []byte) (float64, error) {
+	sum := func(w *workerState, blob []byte, m []float64) error {
 		x := xs[w.id]
 		if x == nil {
 			x = make([]float64, 2*ba)
 			xs[w.id] = x
 		}
 		if err := s.decompressBlock(blob, x, &shards[w.id]); err != nil {
-			return 0, err
+			return err
 		}
-		var m float64
-		for o := 0; o < ba; o++ {
-			if uint64(o)&offMask == offMask {
-				re, im := x[2*o], x[2*o+1]
-				m += float64(re*re) + float64(im*im)
+		sel := offMask | split
+		for j, p := range parts {
+			pat := offMask | p
+			var t float64
+			for o := 0; o < ba; o++ {
+				if uint64(o)&sel == pat {
+					re, im := x[2*o], x[2*o+1]
+					t += float64(re*re) + float64(im*im)
+				}
 			}
+			m[j] = t
 		}
-		return m, nil
+		return nil
 	}
 	type blobMass struct {
 		blob []byte // immutable, as every stored blob: held, not copied
 		once sync.Once
-		mass float64
+		mass []float64
 		err  error
 	}
 	var mu sync.Mutex
@@ -137,9 +159,9 @@ func (s *Simulator) blockMasses(rs *rankState, get func(int) ([]byte, error), wa
 		if err != nil {
 			return err
 		}
+		m := masses[b*n : (b+1)*n]
 		if !s.compact(blob) {
-			masses[b], err = sum(w, blob)
-			return err
+			return sum(w, blob, m)
 		}
 		h := maphash.Bytes(keySeed, blob)
 		mu.Lock()
@@ -150,8 +172,11 @@ func (s *Simulator) blockMasses(rs *rankState, get func(int) ([]byte, error), wa
 		}
 		e := seen[h][i]
 		mu.Unlock()
-		e.once.Do(func() { e.mass, e.err = sum(w, blob) })
-		masses[b] = e.mass
+		e.once.Do(func() {
+			e.mass = make([]float64, n)
+			e.err = sum(w, blob, e.mass)
+		})
+		copy(m, e.mass)
 		return e.err
 	})
 	for _, st := range shards {
@@ -160,27 +185,13 @@ func (s *Simulator) blockMasses(rs *rankState, get func(int) ([]byte, error), wa
 	return masses, charge, err
 }
 
-// readBlocks is the read behind FullState and jointDistribution: every
-// block in rank → block order, decoded into one scratch of the call's
-// own and handed to fn with the global index of its first amplitude. It
-// Peeks, so inspection never disturbs the resident set a tiered store
-// keeps for the hot path, and decodes without touching Stats, so
-// reading the state never skews the Table 2 time breakdown.
-func (s *Simulator) readBlocks(fn func(base uint64, x []float64)) error {
-	x := make([]float64, 2*s.blockAmps())
-	for r, rs := range s.ranks {
-		for b := range s.blocksPerRank() {
-			blob, err := rs.store.Peek(b)
-			if err != nil {
-				return err
-			}
-			if err := s.decodeBlob(blob, x); err != nil {
-				return err
-			}
-			fn(s.compose(r, b, 0), x)
-		}
+// subsets lists the subsets of mask in ascending order: 2^|mask| of them.
+func subsets(mask uint64) []uint64 {
+	out := []uint64{0}
+	for p := -mask & mask; p != 0; p = (p - mask) & mask {
+		out = append(out, p)
 	}
-	return nil
+	return out
 }
 
 // DefaultSampleCache is the number of lines a Sampler's decoded-block
@@ -223,16 +234,6 @@ func (s *Simulator) CompressedFootprint() int64 {
 		t += rs.store.Footprint()
 	}
 	return t
-}
-
-// CompressionRatio returns uncompressed-state-bytes over the current
-// footprint.
-func (s *Simulator) CompressionRatio() float64 {
-	fp := s.CompressedFootprint()
-	if fp == 0 {
-		return 0
-	}
-	return MemoryRequirement(s.cfg.Qubits) / float64(fp)
 }
 
 // GatesRun returns the number of gates executed so far.

@@ -40,7 +40,7 @@ func (s *Simulator) measureRank(comm mpi.Comm, rs *rankState, q, gi int) (int, e
 		// every bit of blkMask set.
 		s.hintPass(rs, scanPass(rs.level, blkMask))
 		var charge Stats
-		masses, charge, phase1Err = s.blockMasses(rs, rs.store.Get, blkMask, offMask)
+		masses, charge, phase1Err = s.blockMasses(rs, rs.store.Get, blkMask, offMask, 0)
 		rs.stats.merge(charge)
 	}
 	// Agree on phase-1 failure before any collective consumes data and

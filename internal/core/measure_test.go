@@ -241,6 +241,47 @@ func TestAssertions(t *testing.T) {
 	}
 }
 
+// TestJointDistributionMatchesFullState: every ordered pair — both
+// qubits in the offset segment, one or neither, the rank bit included —
+// reads the joint distribution a sum over the full state gives. Each
+// qubit is rotated by its own angle and a few pairs are entangled across
+// the segments, so no two entries of a pair's distribution coincide.
+func TestJointDistributionMatchesFullState(t *testing.T) {
+	const n = 8 // 8-amplitude blocks: qubits 0..2 offsets, 3..6 blocks, 7 the rank
+	s := newSim(t, n, 2, 8, nil)
+	c := quantum.NewCircuit(n)
+	for q := range n {
+		c.RY(q, 0.3+0.25*float64(q))
+	}
+	if err := s.Run(c.CNOT(7, 1).CNOT(2, 5).CNOT(0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	amps, err := s.FullState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := range n {
+		for b := range n {
+			if a == b {
+				continue
+			}
+			var want [4]float64
+			for i, z := range amps {
+				want[(i>>a&1)<<1|i>>b&1] += real(z)*real(z) + imag(z)*imag(z)
+			}
+			got, err := s.jointDistribution(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want {
+				if math.Abs(got[k]-want[k]) > 1e-12 {
+					t.Fatalf("jointDistribution(%d, %d) = %v, want %v", a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSampleFromCompressedState(t *testing.T) {
 	s := newSim(t, 4, 2, 4, nil)
 	if err := s.Run(quantum.GHZ(4)); err != nil {

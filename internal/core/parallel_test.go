@@ -134,10 +134,11 @@ func TestQuickWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// sameMasses reports where Norm or ProbabilityOne of some qubit differs
-// between a and b in any bit. The reads fan out over the worker pool and
-// sum their per-block masses in block order, so on the same amplitudes
-// they give the same bits at every worker and rank count.
+// sameMasses reports where Norm, ProbabilityOne of some qubit or the
+// joint distribution of some pair differs between a and b in any bit.
+// The reads fan out over the worker pool and sum their per-block masses
+// in block order, so on the same amplitudes they give the same bits at
+// every worker and rank count.
 func sameMasses(a, b *Simulator) error {
 	na, err := a.Norm()
 	if err != nil {
@@ -161,6 +162,21 @@ func sameMasses(a, b *Simulator) error {
 		}
 		if math.Float64bits(pa) != math.Float64bits(pb) {
 			return fmt.Errorf("ProbabilityOne(%d) %v vs %v", q, pa, pb)
+		}
+		for r := q + 1; r < a.Qubits(); r++ {
+			ja, err := a.jointDistribution(q, r)
+			if err != nil {
+				return err
+			}
+			jb, err := b.jointDistribution(q, r)
+			if err != nil {
+				return err
+			}
+			for i := range ja {
+				if math.Float64bits(ja[i]) != math.Float64bits(jb[i]) {
+					return fmt.Errorf("jointDistribution(%d, %d) %v vs %v", q, r, ja, jb)
+				}
+			}
 		}
 	}
 	return nil

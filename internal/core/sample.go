@@ -74,7 +74,7 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 		// it so a tiered store can stage spilled blobs ahead of the
 		// workers.
 		s.hintPass(rs, scanPass(0, 0))
-		m, _, err := s.blockMasses(rs, rs.store.Get, 0, 0)
+		m, _, err := s.blockMasses(rs, rs.store.Get, 0, 0, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: sampler: rank %d: %w", rs.id, err)
 		}
@@ -184,17 +184,19 @@ func (sp *Sampler) Sample(rng *rand.Rand, shots int) ([]uint64, error) {
 			}
 			rs.store.PrefetchHint(order)
 		}
-		// Each touched block is decoded and folded once, into the worker's
-		// own two-block working set (Eq. 8); out[k] writes are disjoint.
-		// held[w.id] is the compact blob whose amplitudes worker w's x
-		// holds, if any: a run of byte-identical blocks (a uniform
-		// superposition is one blob repeated everywhere) decodes once per
-		// worker even when the call is too wide for the LRU.
-		held := make([][]byte, len(rs.workers))
+		// Each touched block is decoded and folded once, into buffers of
+		// the call's own, one set per worker id, never into a worker's
+		// Eq. 8 pair; out[k] writes are disjoint.
+		scr := make([]sampleScratch, len(rs.workers))
 		base := lo
 		err := sp.s.forEach(rs, len(mine), func(w *workerState, i int) error {
 			gb, b := mine[i], mine[i]%nb
-			probs, err := sp.probs(rs, w, gb, cached, &held[w.id])
+			sc := &scr[w.id]
+			if sc.x == nil {
+				buf := make([]float64, 3*sp.ba)
+				sc.x, sc.y = buf[:2*sp.ba:2*sp.ba], buf[2*sp.ba:]
+			}
+			probs, err := sp.probs(rs, sc, gb, cached)
 			if err != nil {
 				return fmt.Errorf("core: sampler: rank %d block %d: %w", rs.id, b, err)
 			}
@@ -205,7 +207,7 @@ func (sp *Sampler) Sample(rng *rand.Rand, shots int) ([]uint64, error) {
 			if gb > 0 {
 				acc = sp.cum[gb-1]
 			}
-			prefix := w.y[:sp.ba]
+			prefix := sc.y
 			lastNZ := sp.ba - 1
 			for o, m := range probs {
 				if m != 0 {
@@ -256,17 +258,27 @@ func blockMass(cum []float64, g int) float64 {
 	return cum[g] - cum[g-1]
 }
 
+// sampleScratch is one worker's buffers for one rank of a Sample call:
+// x a decoded block, y its probabilities and then their running sums,
+// and held the compact blob whose amplitudes x holds, if any — so a run
+// of byte-identical blocks (a uniform superposition is one blob repeated
+// everywhere) decodes once per worker even when the call is too wide for
+// the LRU.
+type sampleScratch struct {
+	x, y []float64
+	held []byte
+}
+
 // probs returns the probabilities |aₒ|² of global block gb's amplitudes:
-// an LRU line when the call is cached, the worker's y buffer otherwise.
-// *held is the compact blob w.x already holds decoded, kept up to date.
-func (sp *Sampler) probs(rs *rankState, w *workerState, gb int, cached bool, held *[]byte) ([]float64, error) {
+// an LRU line when the call is cached, sc.y otherwise. It keeps sc.held
+// up to date.
+func (sp *Sampler) probs(rs *rankState, sc *sampleScratch, gb int, cached bool) ([]float64, error) {
 	blob, err := rs.store.Get(gb % sp.s.blocksPerRank())
 	if err != nil {
 		return nil, err
 	}
 	compact := sp.s.compact(blob)
-	w.ensure()
-	dst := w.y[:sp.ba]
+	dst := sc.y
 	var key decodedKey
 	if cached {
 		// Compact blobs cache by content, so a redundant state (many
@@ -282,17 +294,17 @@ func (sp *Sampler) probs(rs *rankState, w *workerState, gb int, cached bool, hel
 		}
 		dst = make([]float64, sp.ba)
 	}
-	if !compact || *held == nil || !bytes.Equal(blob, *held) {
-		*held = nil
-		if err := sp.s.decodeBlob(blob, w.x); err != nil {
+	if !compact || sc.held == nil || !bytes.Equal(blob, sc.held) {
+		sc.held = nil
+		if err := sp.s.decodeBlob(blob, sc.x); err != nil {
 			return nil, err
 		}
 		if compact {
-			*held = blob
+			sc.held = blob
 		}
 	}
 	for o := range dst {
-		re, im := w.x[2*o], w.x[2*o+1]
+		re, im := sc.x[2*o], sc.x[2*o+1]
 		dst[o] = float64(re*re) + float64(im*im)
 	}
 	if cached {

@@ -688,8 +688,9 @@ func distinctReads(t *testing.T, s *Simulator, q int) (decodes int64) {
 }
 
 // TestReadsDecodeEachDistinctBlobOnce: GHZ on 256 blocks is three
-// distinct blobs, two of them on each rank of two, all compact. Norm, ProbabilityOne
-// of an offset, a block and a rank qubit, NewSampler and a measurement's
+// distinct blobs, two of them on each rank of two, all compact. Norm,
+// ProbabilityOne of an offset, a block and a rank qubit, AssertProduct
+// of pairs across the segments, NewSampler and a measurement's
 // probability read decode each distinct compact blob they touch once,
 // not once per block, at any worker count; the measurement charges what
 // it decodes, the same at every worker count; and Norm is the
@@ -724,6 +725,13 @@ func TestReadsDecodeEachDistinctBlobOnce(t *testing.T) {
 			}
 			for _, q := range qs {
 				read(fmt.Sprintf("ProbabilityOne(%d)", q), q, func() (float64, error) { return s.ProbabilityOne(q) })
+			}
+			// A GHZ pair sits at total-variation distance 1/2 from the
+			// product of its marginals, inside a tolerance of 0.6.
+			for _, pair := range [][2]int{{0, 1}, {0, 5}, {5, n - 1}, {n - 1, 2}} {
+				read(fmt.Sprintf("AssertProduct%v", pair), -1, func() (float64, error) {
+					return 0, s.AssertProduct(pair[0], pair[1], 0.6)
+				})
 			}
 			total := read("NewSampler", -1, func() (float64, error) {
 				sp, err := s.NewSampler(DefaultSampleCache)

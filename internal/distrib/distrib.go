@@ -58,11 +58,16 @@ const EnvCoordAddr = "QCSIM_COORD_ADDR"
 // Config's interface fields do not travel. The codecs go by registry
 // name instead, so custom codecs must be registered (under the same
 // name) in the worker binary too, and the worker installs its own
-// launcher.
+// launcher. The circuit travels by gob like Config. Gob keeps every bit
+// of a complex128 (−0, NaN payloads, subnormals, ±Inf), so the workers
+// execute the coordinator's exact unitaries, which is what keeps
+// TCP-transport amplitudes byte-identical to in-process runs; the qc
+// text format would not, as it recovers rotation angles through Atan2.
+// A parametric circuit must be bound first, as the engine requires.
 type JobSpec struct {
 	Config                  core.Config // Lossless, Lossy and Launcher nil
 	LosslessName, LossyName string
-	Circuit                 []byte // exact binary wire form (see wire.go)
+	Circuit                 *quantum.Circuit
 	MeshTimeout             time.Duration
 	GateDelay               time.Duration // per-gate pacing (tests/CI)
 }
@@ -90,18 +95,49 @@ type helloMsg struct {
 // assignMsg is the coordinator's reply: who you are, who your peers
 // are, what to run, and the state to start from.
 type assignMsg struct {
-	Rank, Size int
-	Peers      []string
-	Spec       JobSpec
-	Blocks     [][]byte
-	Level      int
+	Rank   int
+	Peers  []string
+	Spec   JobSpec
+	Blocks [][]byte
+	Level  int
 }
+
+// check is the worker's one look at an assignment before it meshes:
+// both codecs resolve, the circuit is a bound, well-formed circuit on
+// the configured register, and the peer table and the rank fit the
+// configured rank count. It returns the configuration the rank runs.
+func (as assignMsg) check() (core.Config, error) {
+	cfg, err := as.Spec.config()
+	if err != nil {
+		return cfg, fmt.Errorf("distrib: %w (custom codecs must be registered in the worker binary)", err)
+	}
+	c := as.Spec.Circuit
+	switch {
+	case c == nil:
+		return cfg, errors.New("distrib: assignment carries no circuit")
+	case c.N != cfg.Qubits:
+		return cfg, fmt.Errorf("distrib: %d-qubit circuit for a %d-qubit simulator", c.N, cfg.Qubits)
+	case c.Parametric():
+		return cfg, errUnbound
+	case len(as.Peers) != cfg.Ranks:
+		return cfg, fmt.Errorf("distrib: %d peers for %d ranks", len(as.Peers), cfg.Ranks)
+	case as.Rank < 0 || as.Rank >= cfg.Ranks:
+		return cfg, fmt.Errorf("distrib: rank %d out of range [0,%d)", as.Rank, cfg.Ranks)
+	}
+	if err := c.Validate(); err != nil {
+		return cfg, fmt.Errorf("distrib: %w", err)
+	}
+	return cfg, nil
+}
+
+// errUnbound refuses a parametric circuit, on the coordinator before
+// anything is spawned and on a worker alike.
+var errUnbound = errors.New("distrib: circuit has an unbound parameter; Bind it first")
 
 // resultMsg is the worker's final control message. RankDied travels as
 // a flag because error chains do not survive gob; the coordinator
 // re-wraps mpi.ErrRankDied so errors.Is works end to end.
 type resultMsg struct {
-	Rank     int
 	Err      string
 	RankDied bool
 	Delta    *core.RankDelta
@@ -134,11 +170,10 @@ type Options struct {
 
 // buildSpec lowers a simulator's effective configuration (what
 // Simulator.Config returns: validated, every default applied) and one
-// circuit to the wire spec.
+// circuit to the job spec.
 func buildSpec(cfg core.Config, c *quantum.Circuit, opt Options) (JobSpec, error) {
-	wire, err := encodeCircuit(c)
-	if err != nil {
-		return JobSpec{}, err
+	if c.Parametric() {
+		return JobSpec{}, errUnbound
 	}
 	ht := opt.HandshakeTimeout
 	if ht <= 0 {
@@ -147,7 +182,7 @@ func buildSpec(cfg core.Config, c *quantum.Circuit, opt Options) (JobSpec, error
 	spec := JobSpec{
 		LosslessName: cfg.Lossless.Name(),
 		LossyName:    cfg.Lossy.Name(),
-		Circuit:      wire,
+		Circuit:      c,
 		MeshTimeout:  ht,
 		GateDelay:    opt.GateDelay,
 	}
@@ -243,7 +278,7 @@ func Run(sim *core.Simulator, c *quantum.Circuit, opt Options, poll func() error
 			return fmt.Errorf("distrib: exporting rank %d: %w", rank, err)
 		}
 		if err := encs[rank].Encode(assignMsg{
-			Rank: rank, Size: size, Peers: peers, Spec: spec,
+			Rank: rank, Peers: peers, Spec: spec,
 			Blocks: blocks, Level: level,
 		}); err != nil {
 			return fmt.Errorf("distrib: assigning rank %d: %w", rank, err)

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"os"
 	"os/exec"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -198,15 +200,7 @@ func TestJobSpecCarriesConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire bytes.Buffer
-	if err := gob.NewEncoder(&wire).Encode(spec); err != nil {
-		t.Fatal(err)
-	}
-	var shipped JobSpec
-	if err := gob.NewDecoder(&wire).Decode(&shipped); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := shipped.config()
+	rebuilt, err := ship(t, spec).config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +220,189 @@ func TestJobSpecCarriesConfig(t *testing.T) {
 			}
 			if !reflect.DeepEqual(w, g) {
 				t.Fatalf("sent %v, worker built %v", w, g)
+			}
+		})
+	}
+}
+
+// ship sends spec across gob as the coordinator's control connection
+// does and returns what a worker decodes.
+func ship(t *testing.T, spec JobSpec) JobSpec {
+	t.Helper()
+	var wire bytes.Buffer
+	if err := gob.NewEncoder(&wire).Encode(spec); err != nil {
+		t.Fatal(err)
+	}
+	var shipped JobSpec
+	if err := gob.NewDecoder(&wire).Decode(&shipped); err != nil {
+		t.Fatal(err)
+	}
+	return shipped
+}
+
+// TestJobSpecCarriesCircuit: the circuit arrives gate for gate with
+// every matrix entry's float64 bits — −0, a NaN payload, a subnormal
+// and ±Inf included — so a worker executes the coordinator's exact
+// unitaries.
+func TestJobSpecCarriesCircuit(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan := math.Float64frombits(0x7ff8_dead_0000_beef)
+	odd := quantum.Matrix2{
+		{complex(negZero, nan), complex(math.SmallestNonzeroFloat64, math.Inf(1))},
+		{complex(math.Inf(-1), negZero), complex(negZero, negZero)},
+	}
+	c := quantum.QFT(5, 1)
+	c.ApplyControlled("odd", odd, 2, 4, 0).Apply("zeros", quantum.Matrix2{{complex(negZero, negZero)}}, 1).Measure(3)
+	cfg := core.Config{Qubits: 5, Ranks: 2, Lossless: lossless.New(false), Lossy: szlike.NewB()}
+	spec, err := buildSpec(cfg, c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ship(t, spec).Circuit
+	if got == nil || got.N != c.N || len(got.Gates) != len(c.Gates) {
+		t.Fatalf("sent a %d-qubit circuit of %d gates, worker got %+v", c.N, len(c.Gates), got)
+	}
+	bits := func(m quantum.Matrix2) (b [8]uint64) {
+		for i, z := range []complex128{m[0][0], m[0][1], m[1][0], m[1][1]} {
+			b[2*i], b[2*i+1] = math.Float64bits(real(z)), math.Float64bits(imag(z))
+		}
+		return b
+	}
+	for i, w := range c.Gates {
+		g := got.Gates[i]
+		if g.Kind != w.Kind || g.Name != w.Name || g.Target != w.Target ||
+			!slices.Equal(g.Controls, w.Controls) || g.Par != nil || bits(g.U) != bits(w.U) {
+			t.Errorf("gate %d: sent %v %x, worker got %v %x", i, w, bits(w.U), g, bits(g.U))
+		}
+	}
+}
+
+// assignment returns rank 0's assignment of c on a two-rank simulator
+// as wide as c, built the way Run builds it.
+func assignment(t testing.TB, c *quantum.Circuit) assignMsg {
+	sim, err := core.New(core.Config{Qubits: c.N, Ranks: 2, Workers: 1, BlockAmps: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	spec, err := buildSpec(sim.Config(), c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, level, err := sim.ExportRankBlocks(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return assignMsg{Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}, Spec: spec, Blocks: blocks, Level: level}
+}
+
+// assignmentSeeds are gob encodings of real assignments: plain,
+// controlled (one and two controls), rotated and measured circuits.
+func assignmentSeeds(t testing.TB) [][]byte {
+	measured := quantum.GHZ(4)
+	measured.Measure(2).Measure(0)
+	var out [][]byte
+	for _, c := range []*quantum.Circuit{
+		quantum.QFT(5, 1),
+		quantum.GHZ(6),
+		quantum.NewCircuit(4).Toffoli(0, 1, 3).CPhase(2, 0, 0.3).RY(1, 1.1),
+		measured,
+	} {
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(assignment(t, c)); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b.Bytes())
+	}
+	return out
+}
+
+// FuzzAssignment: whatever bytes reach a worker's control connection,
+// decoding them and checking the assignment never panics, and what the
+// check accepts is safe to mesh and run: codecs resolved, a bound,
+// well-formed circuit on the configured register, one peer per rank and
+// a rank among them.
+func FuzzAssignment(f *testing.F) {
+	for _, b := range assignmentSeeds(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var as assignMsg
+		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&as); err != nil {
+			return
+		}
+		cfg, err := as.check()
+		if err != nil {
+			return
+		}
+		c := as.Spec.Circuit
+		switch {
+		case cfg.Lossless == nil || cfg.Lossy == nil:
+			t.Fatal("accepted an assignment without codecs")
+		case c == nil || c.N != cfg.Qubits || c.Parametric() || c.Validate() != nil:
+			t.Fatalf("accepted a malformed circuit: %+v", c)
+		case len(as.Peers) != cfg.Ranks || as.Rank < 0 || as.Rank >= len(as.Peers):
+			t.Fatalf("accepted rank %d of %d peers for %d ranks", as.Rank, len(as.Peers), cfg.Ranks)
+		}
+	})
+}
+
+// meshTrap is a data listener no rank may reach: rank 0 of a mesh
+// accepts its peers first thing, so an Accept here means the worker
+// meshed before refusing its assignment.
+type meshTrap struct {
+	net.Listener
+	t *testing.T
+}
+
+func (l meshTrap) Accept() (net.Conn, error) {
+	l.t.Error("the rank meshed with a malformed assignment")
+	return nil, errors.New("meshTrap: no mesh")
+}
+
+// TestAssignmentRejects: gates the engine must not run, a missing or
+// mis-sized circuit, an unbound parameter, and a peer table or rank
+// that does not fit the rank count are refused by the worker's check,
+// before any mesh.
+func TestAssignmentRejects(t *testing.T) {
+	h := func(target int, controls ...int) quantum.Gate {
+		return quantum.Gate{Name: "h", Target: target, Controls: controls, U: quantum.MatH}
+	}
+	unbound := quantum.NewCircuit(6).H(0).PRY(3, quantum.P(0))
+	cases := map[string]func(as *assignMsg){
+		"nil-circuit":       func(as *assignMsg) { as.Spec.Circuit = nil },
+		"width-mismatch":    func(as *assignMsg) { as.Spec.Circuit = quantum.GHZ(5) },
+		"unbound-parameter": func(as *assignMsg) { as.Spec.Circuit = unbound },
+		"peers-not-ranks":   func(as *assignMsg) { as.Peers = append(as.Peers, "127.0.0.1:3", "127.0.0.1:4") },
+		"rank-past-peers":   func(as *assignMsg) { as.Rank = 2 },
+		"unknown-codec":     func(as *assignMsg) { as.Spec.LossyName = "no-such-codec" },
+	}
+	for name, g := range map[string]quantum.Gate{
+		"target-past-register": h(6),
+		"target-negative":      h(-1),
+		"control-is-target":    h(2, 2),
+		"unknown-kind":         {Kind: 7, Name: "h", Target: 1, U: quantum.MatH},
+	} {
+		cases[name] = func(as *assignMsg) {
+			as.Spec.Circuit = &quantum.Circuit{N: 6, Gates: []quantum.Gate{h(0), g}}
+		}
+	}
+	cfg := core.Config{Qubits: 6, Ranks: 2, Lossless: lossless.New(false), Lossy: szlike.NewB()}
+	if _, err := buildSpec(cfg, unbound, Options{}); !errors.Is(err, errUnbound) {
+		t.Errorf("the coordinator shipped an unbound circuit: %v", err)
+	}
+	for name, spoil := range cases {
+		t.Run(name, func(t *testing.T) {
+			as := assignment(t, quantum.GHZ(6))
+			if _, err := as.check(); err != nil {
+				t.Fatalf("the unspoiled assignment is refused: %v", err)
+			}
+			spoil(&as)
+			if _, err := as.check(); err == nil {
+				t.Fatal("check accepted it")
+			}
+			if res := runAssignment(meshTrap{t: t}, as); res.Err == "" {
+				t.Fatal("the worker ran it")
 			}
 		})
 	}

@@ -53,7 +53,6 @@ func Worker(coordAddr string) error {
 	conn.SetDeadline(time.Time{})
 
 	res := runAssignment(ln, as)
-	res.Rank = as.Rank
 	if err := enc.Encode(res); err != nil {
 		return fmt.Errorf("distrib: rank %d reporting result: %w", as.Rank, err)
 	}
@@ -73,15 +72,11 @@ func runAssignment(ln net.Listener, as assignMsg) resultMsg {
 	fail := func(err error) resultMsg {
 		return resultMsg{Err: err.Error(), RankDied: errors.Is(err, mpi.ErrRankDied)}
 	}
+	cfg, err := as.check()
+	if err != nil {
+		return fail(err)
+	}
 	spec := as.Spec
-	cfg, err := spec.config()
-	if err != nil {
-		return fail(fmt.Errorf("distrib: rank %d: %w (custom codecs must be registered in the worker binary)", as.Rank, err))
-	}
-	circ, err := decodeCircuit(spec.Circuit)
-	if err != nil {
-		return fail(fmt.Errorf("distrib: rank %d: %w", as.Rank, err))
-	}
 
 	comm, err := tcpnet.Mesh(ln, as.Rank, as.Peers, time.Now().Add(spec.MeshTimeout))
 	if err != nil {
@@ -107,7 +102,7 @@ func runAssignment(ln net.Listener, as assignMsg) resultMsg {
 			time.Sleep(spec.GateDelay)
 		}
 	}
-	if err := sim.RunControlled(circ, ctl); err != nil {
+	if err := sim.RunControlled(spec.Circuit, ctl); err != nil {
 		return fail(err)
 	}
 	delta, err := sim.ExportDelta(as.Rank)
