@@ -71,7 +71,9 @@ type backend interface {
 	// DiagonalExpectation is every diagonal observable's one read,
 	// Σ W·⟨Z_Q⟩ + Σ W·⟨Z_A Z_B⟩ over terms the facade has checked. The
 	// compressed engine reads the stored state as-is, Σ w(idx)·|a|² with
-	// no renormalization of lossy norm drift; mps normalizes by ⟨ψ|ψ⟩.
+	// no renormalization of lossy norm drift, decoding each distinct
+	// compact blob once and every other block once, however many terms
+	// there are; mps normalizes by ⟨ψ|ψ⟩.
 	DiagonalExpectation(zs []quantum.ZTerm, zzs []quantum.ZZTerm) (float64, error)
 
 	// Shot-based readout: probability tables built once, draws from the

@@ -289,7 +289,7 @@ func TestGradientMatchesVariantReadouts(t *testing.T) {
 		}
 		grad := make([]float64, ansatz.NumParams())
 		for i, occ := range occs {
-			grad[occ.Index] += occ.Scale * (energies[1+2*i] - energies[2+2*i]) / 2
+			grad[occ.Index] += float64(occ.Scale * (energies[1+2*i] - energies[2+2*i]) / 2)
 		}
 		if math.Float64bits(res.Energy) != math.Float64bits(energies[0]) {
 			t.Fatalf("Energy = %v, variant 0 read alone gives %v", res.Energy, energies[0])

@@ -40,11 +40,12 @@
 // ExpectationZ/ZZ, the statistical assertions, and the seeded Sample
 // read the compressed state directly; Save and Load checkpoint the
 // compressed blocks as-is (§3.5). Norm, ProbabilityOne, the statistical
-// assertions, a measurement's probability and a Sampler's CDF are one
-// block-mass read that decodes
+// assertions, a measurement's probability, a Sampler's CDF and every
+// diagonal observable read through one per-call reader that decodes
 // each distinct compact blob once, not every block: a redundant state
 // (GHZ is three distinct blobs) costs a few decodes at any width. A
 // measurement charges them to its Stats; the inspectors charge nothing.
+// FullState and Amplitude decode the blocks they return.
 //
 // The §3.4 block cache is on unless WithCache(0) says otherwise: a pass
 // whose compressed inputs repeat a cached pass's shares its output blobs
@@ -52,9 +53,12 @@
 //
 // ExpectationZ, ExpectationZZ and MaxCutEnergy are Observables — {Z: q},
 // {ZZ: a,b} and MaxCutObservable(edges) — read through the one diagonal
-// read Gradient's energies come from: one decode pass over every block
-// however many terms there are, so ⟨Z_q⟩ of a block-segment qubit
-// decodes every block, not only those holding q=1. The compressed
+// read Gradient's energies come from: one read however many terms there
+// are. A compact blob the state stores at two or more blocks decodes
+// once per call into one signed mass Σ ±|a|² per distinct offset mask
+// among the terms, and every block holding it adds its terms' ±W times
+// those masses without a decode; any other block decodes once and folds
+// against a per-block table of Σ ±W. The compressed
 // engine reads the stored state as-is: under lossy compression ⟨Z_q⟩ is
 // Σ ±|a|² over the stored amplitudes, not 1 − 2·P(q=1), which would be
 // off by 1 − Σ|a|² on every qubit. The mps backend normalizes by ⟨ψ|ψ⟩.

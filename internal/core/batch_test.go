@@ -641,7 +641,7 @@ func forkBody() *quantum.Circuit {
 		c.H(q)
 	}
 	for _, e := range [][2]int{{0, 4}, {4, 5}, {1, 6}, {5, 6}, {2, 3}} {
-		c.CNOT(e[0], e[1]).RZ(e[1], 0.2+0.1*float64(e[1])).CNOT(e[0], e[1])
+		c.CNOT(e[0], e[1]).RZ(e[1], 0.2+float64(0.1*float64(e[1]))).CNOT(e[0], e[1])
 	}
 	for q := range 7 {
 		c.RX(q, 0.1*float64(q+1))
@@ -654,7 +654,7 @@ func forkBody() *quantum.Circuit {
 func partAt(c *quantum.Circuit, gi, v int) *quantum.Circuit {
 	out := *c
 	out.Gates = slices.Clone(c.Gates)
-	out.Gates[gi].U = quantum.RY(1 + 0.01*float64(v))
+	out.Gates[gi].U = quantum.RY(1 + float64(0.01*float64(v)))
 	return &out
 }
 
@@ -900,7 +900,7 @@ func TestRunBatchPlanReadsEveryVariant(t *testing.T) {
 	circuit := func(theta float64) *quantum.Circuit {
 		c := quantum.NewCircuit(qubits)
 		for q := range qubits {
-			c.H(q).RX(q, 0.3+0.1*float64(q))
+			c.H(q).RX(q, 0.3+float64(0.1*float64(q)))
 		}
 		c.CNOT(0, 4).RY(4, theta).CNOT(0, 4)
 		for q := range qubits {

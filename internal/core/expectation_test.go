@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"testing"
 
+	"qcsim/internal/compress/szlike"
 	"qcsim/internal/quantum"
 )
 
@@ -93,7 +95,7 @@ func TestMaxCutEnergyMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := e + float64(len(edges))/2
+	got := e + float64(float64(len(edges))/2)
 	// Direct: Σ_z P(z)·cut(z).
 	ref := quantum.NewState(n)
 	ref.ApplyCircuit(cir)
@@ -106,7 +108,7 @@ func TestMaxCutEnergyMatchesReference(t *testing.T) {
 				cut++
 			}
 		}
-		want += p * float64(cut)
+		want += float64(p * float64(cut))
 	}
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("MAXCUT energy = %v, reference %v", got, want)
@@ -116,55 +118,154 @@ func TestMaxCutEnergyMatchesReference(t *testing.T) {
 	}
 }
 
-// perAmplitudeExpectation is DiagonalExpectation as it stood before the
-// block table: the weight Σ±W re-derived for every amplitude, a branch
-// per term. It defines the bits DiagonalExpectations must reproduce.
+// termWeights lists the observable's terms as (mask, W), Z terms first,
+// in the caller's order.
+func termWeights(zs []quantum.ZTerm, zzs []quantum.ZZTerm) (masks []uint64, ws []float64) {
+	for _, t := range zs {
+		masks, ws = append(masks, 1<<uint(t.Q)), append(ws, t.W)
+	}
+	for _, t := range zzs {
+		masks, ws = append(masks, 1<<uint(t.A)|1<<uint(t.B)), append(ws, t.W)
+	}
+	return masks, ws
+}
+
+// parityOdd reports whether a term on mask reads −W at index idx.
+func parityOdd(idx, mask uint64) bool { return bits.OnesCount64(idx&mask)&1 != 0 }
+
+// perAmplitudeExpectation is DiagonalExpectation written per amplitude,
+// in the order that defines its bits: one running sum over the blocks in
+// global order. A compact blob the state stores at two or more blocks
+// adds, term by term in the caller's order, W times the term's signed
+// mass Σₒ ±|aₒ|² over the block in offset order, − where the global
+// index has odd parity under the term. Any other block adds p·w(idx) for
+// each nonzero p = |aₒ|² in offset order, w(idx) the terms' ±W summed in
+// the caller's order.
 func perAmplitudeExpectation(s *Simulator, zs []quantum.ZTerm, zzs []quantum.ZZTerm) (float64, error) {
+	masks, ws := termWeights(zs, zzs)
+	uses := map[string]int{}
+	for _, rs := range s.ranks {
+		for blk := 0; blk < s.blocksPerRank(); blk++ {
+			blob, err := rs.store.Peek(blk)
+			if err != nil {
+				return 0, err
+			}
+			if s.compact(blob) {
+				uses[string(blob)]++
+			}
+		}
+	}
 	var acc float64
-	scratch := make([]float64, 2*s.blockAmps())
+	x := make([]float64, 2*s.blockAmps())
 	for r, rs := range s.ranks {
 		for blk := 0; blk < s.blocksPerRank(); blk++ {
 			blob, err := rs.store.Peek(blk)
 			if err != nil {
 				return 0, err
 			}
-			if err := s.decodeBlob(blob, scratch); err != nil {
+			if err := s.decodeBlob(blob, x); err != nil {
 				return 0, err
 			}
 			base := s.compose(r, blk, 0)
+			if uses[string(blob)] >= 2 {
+				var e float64
+				for i, mask := range masks {
+					var m float64
+					for o := 0; o < s.blockAmps(); o++ {
+						re, im := x[2*o], x[2*o+1]
+						p := float64(re*re) + float64(im*im)
+						if parityOdd(base+uint64(o), mask) {
+							m -= p
+						} else {
+							m += p
+						}
+					}
+					e += float64(ws[i] * m)
+				}
+				acc += e
+				continue
+			}
 			for o := 0; o < s.blockAmps(); o++ {
-				re, im := scratch[2*o], scratch[2*o+1]
-				p := re*re + im*im
+				re, im := x[2*o], x[2*o+1]
+				p := float64(re*re) + float64(im*im)
 				if p == 0 {
 					continue
 				}
-				idx := base + uint64(o)
 				var w float64
-				for _, t := range zs {
-					if idx>>uint(t.Q)&1 == 0 {
-						w += t.W
+				for i, mask := range masks {
+					if parityOdd(base+uint64(o), mask) {
+						w -= ws[i]
 					} else {
-						w -= t.W
+						w += ws[i]
 					}
 				}
-				for _, t := range zzs {
-					if (idx>>uint(t.A)^idx>>uint(t.B))&1 == 0 {
-						w += t.W
-					} else {
-						w -= t.W
-					}
-				}
-				acc += p * w
+				acc += float64(p * w)
 			}
 		}
 	}
 	return acc, nil
 }
 
+// compactBlobs counts the state's blocks that store a compact blob, and
+// those whose compact blob the state stores at two or more blocks: the
+// blocks a diagonal read takes by their signed masses.
+func compactBlobs(t testing.TB, s *Simulator) (compact, repeated int) {
+	t.Helper()
+	uses := map[string]int{}
+	for _, rs := range s.ranks {
+		for b := range s.blocksPerRank() {
+			blob, err := rs.store.Peek(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.compact(blob) {
+				compact++
+				uses[string(blob)]++
+			}
+		}
+	}
+	for _, n := range uses {
+		if n >= 2 {
+			repeated += n
+		}
+	}
+	return compact, repeated
+}
+
+// denseDistance returns the observable on the dense reference's
+// probabilities q, and Σ |w(i)|·|pᵢ − qᵢ| against the stored state's p:
+// the most the two expectations can differ by.
+func denseDistance(t *testing.T, s *Simulator, c *quantum.Circuit, zs []quantum.ZTerm, zzs []quantum.ZZTerm) (want, bound float64) {
+	t.Helper()
+	masks, ws := termWeights(zs, zzs)
+	ref := quantum.NewState(s.Qubits())
+	ref.ApplyCircuit(c)
+	amps, err := s.FullState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range amps {
+		var w float64
+		for j, mask := range masks {
+			if parityOdd(uint64(i), mask) {
+				w -= ws[j]
+			} else {
+				w += ws[j]
+			}
+		}
+		p, q := float64(real(a)*real(a))+float64(imag(a)*imag(a)), ref.Probability(uint64(i))
+		want += float64(w * q)
+		bound += float64(math.Abs(w) * math.Abs(p-q))
+	}
+	return want, bound
+}
+
 // TestDiagonalExpectationsMatchPerAmplitudeLoop pins the readout's bits:
-// tabulating Σ±W term-major per block, and running K variants' sums on a
-// worker pool, must give every variant the float64 the per-amplitude
-// loop gives it alone.
+// the signed masses memoized per distinct compact blob a state stores
+// more than once, Σ±W tabulated term-major for the other blocks, and K
+// variants' sums run on a worker pool must give every variant the
+// float64 the per-amplitude loop gives it alone. Each value also lies within the stored state's distance of
+// the dense reference's.
 func TestDiagonalExpectationsMatchPerAmplitudeLoop(t *testing.T) {
 	const qubits = 7
 	// Qubits 0–2 are offset bits in every geometry below, 4 a block bit,
@@ -175,10 +276,16 @@ func TestDiagonalExpectationsMatchPerAmplitudeLoop(t *testing.T) {
 		cfg     func(*Config)
 		circuit func(v int) *quantum.Circuit
 	}{
-		"dense":  {circuit: func(v int) *quantum.Circuit { return quantum.RandomCircuit(qubits, 20, int64(7+v)) }},
+		"dense":  {circuit: func(v int) *quantum.Circuit { return quantum.RandomCircuit(qubits, 60, int64(7+v)) }},
 		"lossy":  {cfg: func(c *Config) { c.MemoryBudget = 256 }, circuit: func(v int) *quantum.Circuit { return quantum.QFT(qubits, int64(5+v)) }},
 		"sparse": {circuit: func(int) *quantum.Circuit { return quantum.GHZ(qubits) }},
+		// A product state whose blocks repeat: compact blobs with nonzero
+		// signed masses, read at blocks of either sign.
+		"redundant": {circuit: func(v int) *quantum.Circuit {
+			return quantum.NewCircuit(qubits).X(1).X(2).H(4).H(5).RY(6, 0.4+float64(0.1*float64(v)))
+		}},
 	}
+	once := 0 // compact blobs a state stores at one block: read through the table
 	for name, st := range states {
 		for _, g := range []struct{ ranks, block, k, workers int }{
 			{1, 8, 1, 1}, {1, 8, 3, 3}, {2, 8, 3, 1}, {2, 16, 1, 3}, {2, 16, 3, 3},
@@ -198,6 +305,17 @@ func TestDiagonalExpectationsMatchPerAmplitudeLoop(t *testing.T) {
 				if name == "lossy" && sims[v].Stats().FinalLevel < 1 {
 					t.Fatalf("%s: the budget never escalated; the state is not lossy", label)
 				}
+				// The dense state has no compact blob, so the reference
+				// is the per-amplitude loop alone: the bits the read gave
+				// before compact blobs were read by their signed masses.
+				// The sparse and redundant states are mostly compact blobs
+				// they store more than once; GHZ's two nonzero blocks are
+				// compact on 16 amplitudes, and stored once each.
+				compact, repeated := compactBlobs(t, sims[v])
+				if name == "dense" && compact != 0 || name != "dense" && name != "lossy" && repeated < 1<<qubits/g.block/2 {
+					t.Fatalf("%s: %d compact blobs, %d of them stored more than once", label, compact, repeated)
+				}
+				once += compact - repeated
 			}
 			got, err := DiagonalExpectations(sims, zs, zzs)
 			if err != nil {
@@ -218,8 +336,15 @@ func TestDiagonalExpectationsMatchPerAmplitudeLoop(t *testing.T) {
 				if math.Float64bits(solo) != math.Float64bits(want) {
 					t.Fatalf("%s: variant %d solo method %v, the per-amplitude loop gives %v", label, v, solo, want)
 				}
+				dense, bound := denseDistance(t, s, st.circuit(v), zs, zzs)
+				if math.Abs(got[v]-dense) > bound+1e-12 {
+					t.Fatalf("%s: variant %d energy %v, the dense reference %v, more than the states' distance %g apart", label, v, got[v], dense, bound)
+				}
 			}
 		}
+	}
+	if once == 0 {
+		t.Fatal("no state stores a compact blob at one block only: the table read of a compact blob goes untested")
 	}
 	s := newSim(t, 4, 1, 4, nil)
 	if _, err := expectZ(s, 4); err == nil {
@@ -231,43 +356,59 @@ func TestDiagonalExpectationsMatchPerAmplitudeLoop(t *testing.T) {
 	if _, err := DiagonalExpectations([]*Simulator{s, newSim(t, 4, 2, 4, nil)}, nil, nil); !errors.Is(err, ErrBatchMismatch) {
 		t.Fatalf("mixed geometries: got %v, want ErrBatchMismatch", err)
 	}
+	// The memo keys on blob bytes, so variants that decode them with
+	// different codecs are not one batch either.
+	if _, err := DiagonalExpectations([]*Simulator{s, newSim(t, 4, 1, 4, func(c *Config) { c.Lossy = szlike.NewA() })}, nil, nil); !errors.Is(err, ErrBatchMismatch) {
+		t.Fatalf("mixed codecs: got %v, want ErrBatchMismatch", err)
+	}
 }
 
 // TestMaxCutEnergyDecodesOnce: the MAXCUT energy of |E| edges is one
-// decode pass over the state, where reading the edges one at a time is
-// |E|, and it equals the sum of those one-edge reads up to rounding. The
+// read of the state, where reading the edges one at a time is |E|, and
+// it equals the sum of those one-edge reads up to rounding. A dense QAOA
+// state has no compact blob, so a read decodes every block; GHZ is a
+// few distinct compact blobs, which a read decodes once each. The
 // inspection paths charge no Stats, so the decodes are counted at the
 // codec seam.
 func TestMaxCutEnergyDecodesOnce(t *testing.T) {
 	const n = 8
 	graph := quantum.RandomRegularGraph(n, 4, 9)
-	s := newSim(t, n, 2, 16, nil)
-	if err := s.Run(quantum.QAOA(n, 2, 9)); err != nil {
-		t.Fatal(err)
-	}
-	var decodes atomic.Int64
-	s.cfg.Lossless = countingCodec{Codec: s.cfg.Lossless, dec: &decodes}
-	want := float64(len(graph)) / 2
-	for _, e := range graph {
-		zz, err := expectZZ(s, e.U, e.V)
+	for _, tc := range []struct {
+		name string
+		c    *quantum.Circuit
+	}{{"qaoa", quantum.QAOA(n, 2, 9)}, {"ghz", quantum.GHZ(n)}} {
+		s := newSim(t, n, 2, 16, nil)
+		if err := s.Run(tc.c); err != nil {
+			t.Fatal(err)
+		}
+		var decodes atomic.Int64
+		s.cfg.Lossless = countingCodec{Codec: s.cfg.Lossless, dec: &decodes}
+		reads := diagonalReads(t, s)
+		blocks := int64(len(s.ranks) * s.blocksPerRank())
+		if tc.name == "qaoa" && reads != blocks || tc.name == "ghz" && reads > 3 {
+			t.Fatalf("%s: a read should decode %d of %d blocks", tc.name, reads, blocks)
+		}
+		want := float64(len(graph)) / 2
+		for _, e := range graph {
+			zz, err := expectZZ(s, e.U, e.V)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want -= float64(zz / 2)
+		}
+		if got := decodes.Load(); got != reads*int64(len(graph)) {
+			t.Fatalf("%s: %d edge-at-a-time correlators decoded %d blobs, want %d each", tc.name, len(graph), got, reads)
+		}
+		decodes.Store(0)
+		e, err := s.DiagonalExpectation(nil, maxCutTerms(graph))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want -= zz / 2
-	}
-	blocks := int64(len(s.ranks) * s.blocksPerRank())
-	if got := decodes.Load(); got != blocks*int64(len(graph)) {
-		t.Fatalf("%d edge-at-a-time correlators decoded %d blocks, want %d each", len(graph), got, blocks)
-	}
-	decodes.Store(0)
-	e, err := s.DiagonalExpectation(nil, maxCutTerms(graph))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := decodes.Load(); d != blocks {
-		t.Fatalf("the MAXCUT energy over %d edges decoded %d blocks, the state has %d", len(graph), d, blocks)
-	}
-	if got := e + float64(len(graph))/2; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MAXCUT energy = %v, edge-at-a-time %v", got, want)
+		if d := decodes.Load(); d != reads {
+			t.Fatalf("%s: the MAXCUT energy over %d edges decoded %d blobs, want %d", tc.name, len(graph), d, reads)
+		}
+		if got := e + float64(float64(len(graph))/2); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("%s: MAXCUT energy = %v, edge-at-a-time %v", tc.name, got, want)
+		}
 	}
 }

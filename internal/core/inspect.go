@@ -105,10 +105,8 @@ func (s *Simulator) compact(blob []byte) bool { return len(blob) <= 4*s.blockAmp
 // parts[j], in offset order, for each of the rank's blocks whose index
 // has every bit of want set; the other blocks' masses are 0. It reads
 // through get — the store's Get inside a Run, Peek for an inspection;
-// the caller sends any prefetch hint — on the rank's worker pool, into
-// buffers of the call's own, one per worker id, never into a worker's
-// Eq. 8 pair. A block's masses are a function of the blob's bytes, so a
-// compact blob decodes once per call, by the first worker to meet it,
+// the caller sends any prefetch hint — on the rank's worker pool, through
+// a blobReader of the call's own: a compact blob decodes once per call
 // and every byte-equal block reuses its masses. It charges no Stats:
 // charge is what a Run charges for it, one decode per distinct compact
 // blob and one per other block read (a count no worker schedule
@@ -116,24 +114,13 @@ func (s *Simulator) compact(blob []byte) bool { return len(blob) <= 4*s.blockAmp
 func (s *Simulator) blockMasses(rs *rankState, get func(int) ([]byte, error), want int, offMask, split uint64) (masses []float64, charge Stats, err error) {
 	parts := subsets(split)
 	n := len(parts)
-	ba := s.blockAmps()
 	masses = make([]float64, s.blocksPerRank()*n)
-	xs := make([][]float64, len(rs.workers))
-	shards := make([]Stats, len(rs.workers))
-	sum := func(w *workerState, blob []byte, m []float64) error {
-		x := xs[w.id]
-		if x == nil {
-			x = make([]float64, 2*ba)
-			xs[w.id] = x
-		}
-		if err := s.decompressBlock(blob, x, &shards[w.id]); err != nil {
-			return err
-		}
+	sum := func(x, m []float64) {
 		sel := offMask | split
 		for j, p := range parts {
 			pat := offMask | p
 			var t float64
-			for o := 0; o < ba; o++ {
+			for o := 0; o < len(x)/2; o++ {
 				if uint64(o)&sel == pat {
 					re, im := x[2*o], x[2*o+1]
 					t += float64(re*re) + float64(im*im)
@@ -141,16 +128,8 @@ func (s *Simulator) blockMasses(rs *rankState, get func(int) ([]byte, error), wa
 			}
 			m[j] = t
 		}
-		return nil
 	}
-	type blobMass struct {
-		blob []byte // immutable, as every stored blob: held, not copied
-		once sync.Once
-		mass []float64
-		err  error
-	}
-	var mu sync.Mutex
-	seen := make(map[uint64][]*blobMass) // compact blobs by hash, then bytes
+	rd := s.newReader()
 	err = s.forBlocks(rs, func(w *workerState, b int) error {
 		if b&want != want {
 			return nil
@@ -161,28 +140,93 @@ func (s *Simulator) blockMasses(rs *rankState, get func(int) ([]byte, error), wa
 		}
 		m := masses[b*n : (b+1)*n]
 		if !s.compact(blob) {
-			return sum(w, blob, m)
+			x, err := rd.decode(s, w, blob)
+			if err == nil {
+				sum(x, m)
+			}
+			return err
 		}
-		h := maphash.Bytes(keySeed, blob)
-		mu.Lock()
-		i := slices.IndexFunc(seen[h], func(c *blobMass) bool { return bytes.Equal(c.blob, blob) })
-		if i < 0 {
-			i = len(seen[h])
-			seen[h] = append(seen[h], &blobMass{blob: blob})
-		}
-		e := seen[h][i]
-		mu.Unlock()
-		e.once.Do(func() {
-			e.mass = make([]float64, n)
-			e.err = sum(w, blob, e.mass)
-		})
-		copy(m, e.mass)
-		return e.err
+		v, err := rd.values(s, w, rd.entry(blob), n, sum)
+		copy(m, v)
+		return err
 	})
-	for _, st := range shards {
-		charge.merge(st)
+	return masses, rd.charge(), err
+}
+
+// blobReader is one read's decode side, shared by blockMasses and
+// DiagonalExpectations: a decode buffer per worker id, the decodes each
+// worker made, and a memo of what each distinct compact blob reads as.
+// A read makes one per call and borrows no worker's Eq. 8 pair, so
+// reading a clone allocates no scratch.
+type blobReader struct {
+	xs     [][]float64
+	shards []Stats
+	mu     sync.Mutex
+	seen   map[uint64][]*blobValue // compact blobs by hash, then bytes
+}
+
+// blobValue is the memo's entry for one blob's bytes.
+type blobValue struct {
+	blob []byte // immutable, as every stored blob: held, not copied
+	once sync.Once
+	val  []float64
+	err  error
+}
+
+// newReader sizes a blobReader for the worker ids of s's pools.
+func (s *Simulator) newReader() *blobReader {
+	return &blobReader{
+		xs:     make([][]float64, s.cfg.Workers),
+		shards: make([]Stats, s.cfg.Workers),
+		seen:   make(map[uint64][]*blobValue),
 	}
-	return masses, charge, err
+}
+
+// decode decodes blob with s's codecs into w's buffer, charging w's
+// shard.
+func (r *blobReader) decode(s *Simulator, w *workerState, blob []byte) ([]float64, error) {
+	x := r.xs[w.id]
+	if x == nil {
+		x = make([]float64, 2*s.blockAmps())
+		r.xs[w.id] = x
+	}
+	return x, s.decompressBlock(blob, x, &r.shards[w.id])
+}
+
+// entry is the memo's entry for blob's bytes, made on first sight.
+func (r *blobReader) entry(blob []byte) *blobValue {
+	h := maphash.Bytes(keySeed, blob)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i := slices.IndexFunc(r.seen[h], func(c *blobValue) bool { return bytes.Equal(c.blob, blob) })
+	if i < 0 {
+		i = len(r.seen[h])
+		r.seen[h] = append(r.seen[h], &blobValue{blob: blob})
+	}
+	return r.seen[h][i]
+}
+
+// values returns the n values fill makes of e's decoded amplitudes. The
+// values are a function of the blob's bytes, so the first worker to ask
+// decodes and fills, once per call, and every later ask — from any
+// block, rank or variant holding those bytes — reuses them.
+func (r *blobReader) values(s *Simulator, w *workerState, e *blobValue, n int, fill func(x, out []float64)) ([]float64, error) {
+	e.once.Do(func() {
+		var x []float64
+		if x, e.err = r.decode(s, w, e.blob); e.err == nil {
+			e.val = make([]float64, n)
+			fill(x, e.val)
+		}
+	})
+	return e.val, e.err
+}
+
+// charge is the decodes the reader made, merged across workers.
+func (r *blobReader) charge() (st Stats) {
+	for _, sh := range r.shards {
+		st.merge(sh)
+	}
+	return st
 }
 
 // subsets lists the subsets of mask in ascending order: 2^|mask| of them.

@@ -31,7 +31,7 @@ type refGate struct {
 // full is the general 2×2 on one pair (paper Eq. 6): the definition of
 // every class's result, up to the signs of zeros.
 func full(u quantum.Matrix2, a0, a1 complex128) (n0, n1 complex128) {
-	return u[0][0]*a0 + u[0][1]*a1, u[1][0]*a0 + u[1][1]*a1
+	return quantum.CMul(u[0][0], a0) + quantum.CMul(u[0][1], a1), quantum.CMul(u[1][0], a0) + quantum.CMul(u[1][1], a1)
 }
 
 // canon is x with a zero of either sign made +0, written without the
@@ -804,12 +804,13 @@ func BenchmarkKernel(b *testing.B) {
 	}
 }
 
-// benchVariants holds K clones of a dense QAOA state on qubits qubits in
+// benchVariants holds K clones of a QAOA state on qubits qubits in
 // 4096-amplitude blocks: 13 is a gradient's geometry, two blocks, one
-// pair; 14 is one group of four, 15 one group of eight.
-func benchVariants(b *testing.B, qubits, k, workers int) []*Simulator {
+// pair; 14 is one group of four, 15 one group of eight. The state is
+// dense under budget 0 (unlimited); a tight budget makes it lossy.
+func benchVariants(b *testing.B, qubits, k, workers int, budget int64) []*Simulator {
 	b.Helper()
-	base, err := New(Config{Qubits: qubits, Seed: 1, Workers: workers})
+	base, err := New(Config{Qubits: qubits, Seed: 1, Workers: workers, MemoryBudget: budget})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -860,7 +861,7 @@ func BenchmarkLockstepPass(b *testing.B) {
 			if len(circuits) != 79 {
 				b.Fatalf("%d variants, want 79", len(circuits))
 			}
-			sims := benchVariants(b, 13, len(circuits)+1, workers)
+			sims := benchVariants(b, 13, len(circuits)+1, workers, 0)
 			start, sims := sims[0], sims[1:]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -888,10 +889,10 @@ func BenchmarkLockstepPass(b *testing.B) {
 		for _, k := range []int{1, 8, 79} {
 			for _, workers := range []int{1, 2} {
 				b.Run(fmt.Sprintf("blocks=%d/K=%d/workers=%d", blocks, k, workers), func(b *testing.B) {
-					sims := benchVariants(b, qubits, k, workers)
+					sims := benchVariants(b, qubits, k, workers, 0)
 					circuits := make([]*quantum.Circuit, k)
 					for v := range circuits {
-						circuits[v] = quantum.NewCircuit(qubits).RX(0, 0.1+0.01*float64(v))
+						circuits[v] = quantum.NewCircuit(qubits).RX(0, 0.1+float64(0.01*float64(v)))
 						for q := 12; q < qubits; q++ {
 							circuits[v].H(q)
 						}
@@ -910,24 +911,47 @@ func BenchmarkLockstepPass(b *testing.B) {
 }
 
 // BenchmarkDiagonalExpectation is a gradient's readout: a 26-edge MAXCUT
-// observable on K 13-qubit states.
+// observable on K 13-qubit QAOA states, whose blobs are none compact,
+// on 79 lossy ones, whose two compact blobs each stores once (read
+// through the shared table, as the dense rows are), and on one GHZ-24
+// state, 4 096 blocks of three distinct compact blobs.
 func BenchmarkDiagonalExpectation(b *testing.B) {
 	var zzs []quantum.ZZTerm
 	for _, e := range quantum.RandomRegularGraph(13, 4, 1) {
 		zzs = append(zzs, quantum.ZZTerm{A: e.U, B: e.V, W: -0.5})
 	}
-	for _, k := range []int{1, 79} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			sims := benchVariants(b, 13, k, 2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := DiagonalExpectations(sims, nil, zzs); err != nil {
-					b.Fatal(err)
-				}
+	read := func(b *testing.B, sims []*Simulator) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := DiagonalExpectations(sims, nil, zzs); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k<<13*len(zzs)), "ns/amp-term")
-		})
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sims)<<sims[0].Qubits()*len(zzs)), "ns/amp-term")
 	}
+	for _, k := range []int{1, 79} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) { read(b, benchVariants(b, 13, k, 2, 0)) })
+	}
+	b.Run("lossy/K=79", func(b *testing.B) {
+		sims := benchVariants(b, 13, 79, 2, 32<<10)
+		for _, s := range sims {
+			if compact, repeated := compactBlobs(b, s); compact != 2 || repeated != 0 {
+				b.Fatalf("%d compact blobs, %d of them repeated; want 2 stored once each", compact, repeated)
+			}
+		}
+		read(b, sims)
+	})
+	b.Run("GHZ-24/K=1", func(b *testing.B) {
+		s, err := New(Config{Qubits: 24, Seed: 1, Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { s.Close() })
+		if err := s.Run(quantum.GHZ(24)); err != nil {
+			b.Fatal(err)
+		}
+		read(b, []*Simulator{s})
+	})
 }
 
 // TestRawBlockCostsOneAllocation: with compression off a pass's codec

@@ -251,7 +251,7 @@ func TestJointDistributionMatchesFullState(t *testing.T) {
 	s := newSim(t, n, 2, 8, nil)
 	c := quantum.NewCircuit(n)
 	for q := range n {
-		c.RY(q, 0.3+0.25*float64(q))
+		c.RY(q, 0.3+float64(0.25*float64(q)))
 	}
 	if err := s.Run(c.CNOT(7, 1).CNOT(2, 5).CNOT(0, 4)); err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ func TestJointDistributionMatchesFullState(t *testing.T) {
 			}
 			var want [4]float64
 			for i, z := range amps {
-				want[(i>>a&1)<<1|i>>b&1] += real(z)*real(z) + imag(z)*imag(z)
+				want[(i>>a&1)<<1|i>>b&1] += float64(real(z)*real(z)) + float64(imag(z)*imag(z))
 			}
 			got, err := s.jointDistribution(a, b)
 			if err != nil {
@@ -359,7 +359,7 @@ func TestCollapsedBlocksAreResetsZero(t *testing.T) {
 	}
 	c := quantum.RandomCircuit(8, 30, 3)
 	for q := range 8 {
-		c.RY(q, 0.3+0.1*float64(q)) // negative amplitudes, so 0·x would carry −0
+		c.RY(q, 0.3+float64(0.1*float64(q))) // negative amplitudes, so 0·x would carry −0
 	}
 	c.Measure(q)
 	if err := s.Run(c); err != nil {

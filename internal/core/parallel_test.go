@@ -134,11 +134,12 @@ func TestQuickWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// sameMasses reports where Norm, ProbabilityOne of some qubit or the
-// joint distribution of some pair differs between a and b in any bit.
-// The reads fan out over the worker pool and sum their per-block masses
-// in block order, so on the same amplitudes they give the same bits at
-// every worker and rank count.
+// sameMasses reports where Norm, ProbabilityOne of some qubit, the
+// joint distribution of some pair or a diagonal observable over every
+// qubit and pair differs between a and b in any bit. The reads fan out
+// over the worker pool and fold their per-block values in global block
+// order, so on the same amplitudes they give the same bits at every
+// worker and rank count.
 func sameMasses(a, b *Simulator) error {
 	na, err := a.Norm()
 	if err != nil {
@@ -150,6 +151,25 @@ func sameMasses(a, b *Simulator) error {
 	}
 	if math.Float64bits(na) != math.Float64bits(nb) {
 		return fmt.Errorf("Norm %v vs %v", na, nb)
+	}
+	var zs []quantum.ZTerm
+	var zzs []quantum.ZZTerm
+	for q := range a.Qubits() {
+		zs = append(zs, quantum.ZTerm{Q: q, W: 1 / float64(q+3)})
+		for r := q + 1; r < a.Qubits(); r++ {
+			zzs = append(zzs, quantum.ZZTerm{A: q, B: r, W: -0.5})
+		}
+	}
+	ea, err := a.DiagonalExpectation(zs, zzs)
+	if err != nil {
+		return err
+	}
+	eb, err := b.DiagonalExpectation(zs, zzs)
+	if err != nil {
+		return err
+	}
+	if math.Float64bits(ea) != math.Float64bits(eb) {
+		return fmt.Errorf("DiagonalExpectation %v vs %v", ea, eb)
 	}
 	for q := range a.Qubits() {
 		pa, err := a.ProbabilityOne(q)

@@ -69,7 +69,7 @@ func scanResolve(t testing.TB, sp *Sampler, rng *rand.Rand, shots int) []uint64 
 		idx, lastNZ := -1, -1
 		for o := 0; o < sp.ba; o++ {
 			re, im := amps[2*o], amps[2*o+1]
-			m := re*re + im*im
+			m := float64(re*re) + float64(im*im)
 			if m != 0 {
 				lastNZ = o
 			}
@@ -305,7 +305,7 @@ func TestSamplerFoldFallsShort(t *testing.T) {
 	c := quantum.NewCircuit(8)
 	rng := rand.New(rand.NewSource(5))
 	for _, q := range []int{0, 1, 3, 4, 5, 6, 7} {
-		c.RY(q, 0.3+2.5*rng.Float64())
+		c.RY(q, 0.3+float64(2.5*rng.Float64()))
 	}
 	for _, workers := range []int{1, 3} {
 		s := newSim(t, 8, 2, 8, func(c *Config) { c.Workers = workers })
@@ -330,7 +330,7 @@ func TestSamplerFoldFallsShort(t *testing.T) {
 			}
 			end := sp.cum[gb-1]
 			for o := 0; o < sp.ba; o++ {
-				end += amps[2*o]*amps[2*o] + amps[2*o+1]*amps[2*o+1]
+				end += float64(amps[2*o]*amps[2*o]) + float64(amps[2*o+1]*amps[2*o+1])
 			}
 			if end < sp.cum[gb] {
 				rs = append(rs, drawInto(t, sp.total, end, sp.cum[gb]))
@@ -687,6 +687,40 @@ func distinctReads(t *testing.T, s *Simulator, q int) (decodes int64) {
 	return decodes
 }
 
+// diagonalReads is what a diagonal read of sims as one batch should
+// decode: one decode per distinct compact blob that some variant stores
+// at two or more blocks, whichever variants and ranks hold it, and one
+// per other block of each variant.
+func diagonalReads(t *testing.T, sims ...*Simulator) (decodes int64) {
+	t.Helper()
+	shared := map[string]bool{}
+	for _, s := range sims {
+		uses := map[string]int{}
+		for _, rs := range s.ranks {
+			for b := range s.blocksPerRank() {
+				blob, err := rs.store.Peek(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.compact(blob) {
+					uses[string(blob)]++
+				} else {
+					decodes++
+				}
+			}
+		}
+		for blob, n := range uses {
+			if n == 1 {
+				decodes++
+			} else if !shared[blob] {
+				shared[blob] = true
+				decodes++
+			}
+		}
+	}
+	return decodes
+}
+
 // TestReadsDecodeEachDistinctBlobOnce: GHZ on 256 blocks is three
 // distinct blobs, two of them on each rank of two, all compact. Norm,
 // ProbabilityOne of an offset, a block and a rank qubit, AssertProduct
@@ -694,7 +728,12 @@ func distinctReads(t *testing.T, s *Simulator, q int) (decodes int64) {
 // probability read decode each distinct compact blob they touch once,
 // not once per block, at any worker count; the measurement charges what
 // it decodes, the same at every worker count; and Norm is the
-// Sampler's TotalMass bit for bit.
+// Sampler's TotalMass bit for bit. DiagonalExpectation — ⟨Z⟩ on each
+// segment, a ZZ across segments, a MAXCUT sum — decodes each distinct
+// compact blob of the state once, its one memo spanning the ranks. Read
+// as one batch, three variants of that state decode the zero blob, which
+// each stores at many blocks, once between them, and each its own two
+// nonzero blocks.
 func TestReadsDecodeEachDistinctBlobOnce(t *testing.T) {
 	const n = 12 // 16-amplitude blocks: qubits 0..3 offsets, 4..11 blocks and ranks
 	for _, ranks := range []int{1, 2} {
@@ -742,6 +781,57 @@ func TestReadsDecodeEachDistinctBlobOnce(t *testing.T) {
 			})
 			if math.Float64bits(norm) != math.Float64bits(total) {
 				t.Fatalf("ranks=%d workers=%d: Norm %v, the Sampler's TotalMass %v", ranks, workers, norm, total)
+			}
+			ring := make([]quantum.ZZTerm, n)
+			for i := range ring {
+				ring[i] = quantum.ZZTerm{A: i, B: (i + 3) % n, W: -0.5}
+			}
+			variants := []*Simulator{s}
+			for v := 1; v < 3; v++ {
+				c, err := s.Clone(VariantSeed(1, v))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				variants = append(variants, c)
+			}
+			for _, o := range []struct {
+				what string
+				zs   []quantum.ZTerm
+				zzs  []quantum.ZZTerm
+				want float64 // GHZ: ⟨Z⟩ = 0, ⟨ZZ⟩ = 1
+			}{
+				{"⟨Z0⟩", []quantum.ZTerm{{Q: 0, W: 1}}, nil, 0},
+				{"⟨Z5⟩", []quantum.ZTerm{{Q: 5, W: 1}}, nil, 0},
+				{"⟨Z11⟩", []quantum.ZTerm{{Q: n - 1, W: 1}}, nil, 0},
+				{"⟨Z1 Z11⟩", nil, []quantum.ZZTerm{{A: 1, B: n - 1, W: 1}}, 1},
+				{"MAXCUT", nil, ring, -0.5 * n},
+			} {
+				dec.Store(0)
+				e, err := s.DiagonalExpectation(o.zs, o.zzs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := diagonalReads(t, s)
+				if got := dec.Load(); got != want || want > 3 {
+					t.Fatalf("ranks=%d workers=%d: %s decoded %d blobs, want %d (at most 3)", ranks, workers, o.what, got, want)
+				}
+				if math.Abs(e-o.want) > 1e-12 {
+					t.Fatalf("ranks=%d workers=%d: %s = %v, want %v", ranks, workers, o.what, e, o.want)
+				}
+				dec.Store(0)
+				es, err := DiagonalExpectations(variants, o.zs, o.zzs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := dec.Load(), diagonalReads(t, variants...); got != want {
+					t.Fatalf("ranks=%d workers=%d: %s on %d variants decoded %d blobs, want %d", ranks, workers, o.what, len(variants), got, want)
+				}
+				for v, ev := range es {
+					if math.Float64bits(ev) != math.Float64bits(e) {
+						t.Fatalf("ranks=%d workers=%d: %s of variant %d is %v, alone %v", ranks, workers, o.what, v, ev, e)
+					}
+				}
 			}
 
 			// Measuring offset qubit 0 reads every block for its

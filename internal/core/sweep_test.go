@@ -251,7 +251,7 @@ func assertBatchesMatchGateAtATime(t *testing.T, par *quantum.Circuit, ranks int
 	for _, k := range []int{1, 3} {
 		circuits := make([]*quantum.Circuit, k)
 		for v := range circuits {
-			c, err := par.Bind([]float64{0.3 + 0.4*float64(v)})
+			c, err := par.Bind([]float64{0.3 + float64(0.4*float64(v))})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -619,7 +619,7 @@ func TestExpectationZReadsTheStoredState(t *testing.T) {
 	for q := range n {
 		var want float64
 		for i, a := range amps {
-			if p := real(a)*real(a) + imag(a)*imag(a); i>>q&1 == 0 {
+			if p := float64(real(a)*real(a)) + float64(imag(a)*imag(a)); i>>q&1 == 0 {
 				want += p
 			} else {
 				want -= p
