@@ -158,7 +158,10 @@
 // pass walks the groups of blocks that differ only in those qubits'
 // bits — one block, a pair, four or eight — decompresses a group
 // once, applies all k gates in circuit order and recompresses only
-// the blocks some gate touched. A rank-segment target's half of the
+// the blocks some gate touched — each distinct block of the group once:
+// a member whose compact input blob equals an earlier member's copies
+// its decode, and one whose amplitudes are bit-equal to an earlier
+// encoded member's shares its blob. A rank-segment target's half of the
 // group lives on the peer rank: the same walk exchanges each group with
 // it once, between the gates before the first rank-target gate and the
 // window up to the last, however many gates target that qubit, and both
@@ -218,8 +221,10 @@
 // is chosen from the data alone and recorded in the blob — there is
 // nothing to configure — results stay bit-exact, and blobs and
 // checkpoints written before the layouts existed still load.
-// Stats reports Sweeps, SweepGates, CodecPassesSaved, Escalations and
-// the total CompressCalls/DecompressCalls the run issued.
+// Stats reports Sweeps, SweepGates, CodecPassesSaved, Escalations, the
+// total CompressCalls/DecompressCalls the run issued, and the group
+// members that reused an earlier member's work instead
+// (CompressReused/DecompressReused).
 //
 // # Variant batching
 //

@@ -14,6 +14,7 @@
 package compress
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -173,6 +174,14 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // when hostLittleEndian, and only then.
 func floatBytes(f []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), len(f)*8)
+}
+
+// SameBits reports whether a and b hold the same IEEE 754 words bit for
+// bit, through the byte view: +0 and −0 differ, and so do NaNs of other
+// payloads, where float == would say otherwise. On any byte order the
+// views are equal exactly when the words are.
+func SameBits(a, b []float64) bool {
+	return len(a) == len(b) && bytes.Equal(floatBytes(a), floatBytes(b))
 }
 
 // PutFloats writes src to dst as little-endian IEEE 754 words — the raw

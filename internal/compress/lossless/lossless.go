@@ -225,21 +225,27 @@ func stored(dst []byte, src []float64) []byte {
 // that the bytes are a function of src alone, to s.dict. It returns how
 // many there are, or 0 as soon as there are more than a dictionary is
 // worth (and for an empty src).
+//
+// A word equal to the word two back — the same component of the
+// previous amplitude — takes that word's index without the table: a
+// block interleaves re and im, so runs of an amplitude (zero blocks,
+// and a real state's a, 0, a, 0) skip it on both components. The word
+// is already in the table, so the indices are the table's.
 func (s *scratch) index(src []float64) int {
 	s.aux = sized(s.aux, len(src))
 	idx := s.aux
 	s.slot = [dictSlots]uint16{}
 	limit := min(dictMax, max(1, len(src)/dictReuse))
 	count := 0
-	var prev uint64
-	var k byte
+	var last [2]uint64 // per parity of i, the last word looked up
+	var k [2]byte      // and its index
 	for i, v := range src {
-		w := math.Float64bits(v)
-		if w == prev && i > 0 { // runs (zero blocks) skip the table
-			idx[i] = k
+		w, p := math.Float64bits(v), i&1
+		if w == last[p] && i > 1 {
+			idx[i] = k[p]
 			continue
 		}
-		prev = w
+		last[p] = w
 		h := (w * 0x9E3779B97F4A7C15) >> (64 - dictBits) // Fibonacci hashing
 		for s.slot[h] != 0 && s.keys[h] != w {
 			h = (h + 1) % dictSlots
@@ -252,8 +258,8 @@ func (s *scratch) index(src []float64) int {
 			count++
 			s.slot[h] = uint16(count)
 		}
-		k = byte(s.slot[h] - 1)
-		idx[i] = k
+		k[p] = byte(s.slot[h] - 1)
+		idx[i] = k[p]
 	}
 	return count
 }
@@ -322,6 +328,23 @@ func (c *Codec) Decompress(dst []float64, data []byte) error {
 	}
 }
 
+// fill sets every word of dst to v: a +0 by clear, any other word by
+// copies that double the filled prefix, both memory-speed where a word
+// loop is not.
+func fill(dst []float64, v float64) {
+	if math.Float64bits(v) == 0 {
+		clear(dst)
+		return
+	}
+	if len(dst) == 0 {
+		return
+	}
+	dst[0] = v
+	for n := 1; n < len(dst); n *= 2 {
+		copy(dst[n:], dst[:n])
+	}
+}
+
 // undict decodes a dictionary body.
 func (c *Codec) undict(dst []float64, body []byte) error {
 	if len(body) < 1 || len(body) < 1+8*(int(body[0])+1) {
@@ -335,9 +358,7 @@ func (c *Codec) undict(dst []float64, body []byte) error {
 		if len(body) != 0 {
 			return fmt.Errorf("%w: %d bytes after a one-word dictionary", compress.ErrCorrupt, len(body))
 		}
-		for i := range dst {
-			dst[i] = dict[0]
-		}
+		fill(dst, dict[0])
 		return nil
 	}
 	s := c.get()

@@ -191,6 +191,78 @@ func TestBytesArePure(t *testing.T) {
 	}
 }
 
+// TestIndexIsFirstOccurrence holds the dictionary pass, whose run check
+// skips the table for a word equal to the one two back, to the plain
+// rule: each word's index is the rank of its first occurrence, and a
+// block of more distinct words than its limit gets none. Equal means
+// equal bits, so ±0 and NaN payloads are distinct words.
+func TestIndexIsFirstOccurrence(t *testing.T) {
+	a, b := 0.0078125, -0.5
+	negZero, nan1, nan2 := math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_0000_0001), math.Float64frombits(0x7ff8_0000_0000_0002)
+	cases := [][]float64{
+		{a, 0, a, 0, a, 0, a, 0, a, 0, a, 0, a, 0, a, 0, a, 0, a, 0, a, 0, a, 0, a, 0, a, 0, a, 0, a, 0},
+		{a, b, a, 0, a, b, b, b, 0, 0, 0, a, a, a, b, 0, a, b, a, 0, a, b, b, b, 0, 0, 0, a, a, a, b, 0},
+		{0, negZero, 0, negZero, negZero, 0, 0, 0, nan1, nan2, nan1, nan2, nan2, nan1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	}
+	for _, ds := range codectest.LosslessClasses(1024, 7) {
+		cases = append(cases, ds.Data)
+	}
+	s := new(scratch)
+	for c, src := range cases {
+		var dict []uint64
+		want := make([]byte, len(src))
+		for i, v := range src {
+			w := math.Float64bits(v)
+			k := 0
+			for k < len(dict) && dict[k] != w {
+				k++
+			}
+			if k == len(dict) {
+				dict = append(dict, w)
+			}
+			want[i] = byte(k)
+		}
+		count := s.index(src)
+		if limit := min(dictMax, max(1, len(src)/dictReuse)); len(dict) > limit {
+			if count != 0 {
+				t.Fatalf("case %d: %d distinct words over a limit of %d, but index made a dictionary of %d", c, len(dict), limit, count)
+			}
+			continue
+		}
+		if count != len(dict) || !bytes.Equal(s.aux[:len(src)], want) {
+			t.Fatalf("case %d: %d words indexed %v, want %d indexed %v", c, count, s.aux[:len(src)], len(dict), want)
+		}
+		for k, w := range dict {
+			if s.dict[k] != w {
+				t.Fatalf("case %d: dictionary word %d is %#x, want %#x", c, k, s.dict[k], w)
+			}
+		}
+	}
+}
+
+// TestFillMatchesWordLoop: the one-word dictionary's fill writes every
+// word of every length, +0 by clear and others by doubling copies, as a
+// word loop does.
+func TestFillMatchesWordLoop(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), -0.0078125, math.Float64frombits(0x7ff8_0000_0000_0003)} {
+		for n := range 40 {
+			dst := make([]float64, n+1)
+			for i := range dst {
+				dst[i] = 42
+			}
+			fill(dst[:n], v)
+			for i, got := range dst[:n] {
+				if math.Float64bits(got) != math.Float64bits(v) {
+					t.Fatalf("fill(%d words, %v): word %d is %v", n, v, i, got)
+				}
+			}
+			if dst[n] != 42 {
+				t.Fatalf("fill(%d words, %v) wrote past the end", n, v)
+			}
+		}
+	}
+}
+
 // parentBlobs were produced by the commit before layouts 2 and 3
 // existed (flag 0 by "zstd-like", flag 1 by "zstd-like+shuffle") from
 // parentWords; blobs in old checkpoints look like this.

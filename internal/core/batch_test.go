@@ -147,7 +147,10 @@ func TestQuickRunBatchBitIdentical(t *testing.T) {
 // its shifted gate onwards, everything before is the base's work. The
 // blocks hold 8 amplitudes, leaving five block qubits: at 32 the three
 // left would fit one 8-block sweep, a plan of one sweep with no prefix
-// to share.
+// to share. Both sides count codecWork, a member that reused an earlier
+// member's decode or encode in its group as the call it stood in for:
+// the test weighs what the memo shares across variants, and a solo run
+// and a batch skip a group's repeats alike.
 func TestRunBatchSharesCodecWork(t *testing.T) {
 	const qubits, p, k = 8, 1, 5
 	ansatz := quantum.QAOAAnsatz(qubits, p, 11)
@@ -179,10 +182,10 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 	var batchCalls, shared int64
 	for _, s := range sims {
 		st := s.Stats()
-		batchCalls += st.CompressCalls + st.DecompressCalls
+		batchCalls += codecWork(st)
 		shared += st.CodecPassesShared
 	}
-	batchCalls -= k * (baseStats.CompressCalls + baseStats.DecompressCalls)
+	batchCalls -= k * codecWork(baseStats)
 	if shared == 0 {
 		t.Fatal("no codec passes shared across variants")
 	}
@@ -191,7 +194,7 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 	// the sweep holding gate `from` onwards.
 	soloFrom := func(cir *quantum.Circuit, from int) int64 {
 		solo := newSim(t, qubits, 1, 8, nil)
-		calls := func() int64 { st := solo.ranks[0].stats; return st.CompressCalls + st.DecompressCalls }
+		calls := func() int64 { return codecWork(solo.ranks[0].stats) }
 		var atSweep []int64 // calls issued before each sweep of the plan
 		if err := solo.RunControlled(cir, RunControl{PollAbort: func() error {
 			atSweep = append(atSweep, calls())
@@ -223,6 +226,12 @@ func TestRunBatchSharesCodecWork(t *testing.T) {
 		soloCalls, k, k*soloCalls, batchCalls, ideal, shared)
 }
 
+// codecWork is st's block encodes and decodes, each call or reuse of an
+// earlier group member's (Stats.CompressReused, DecompressReused) one.
+func codecWork(st Stats) int64 {
+	return st.CompressCalls + st.CompressReused + st.DecompressCalls + st.DecompressReused
+}
+
 // shiftBatch is a parameter-shift-style batch of k variants of a QAOA
 // ansatz: variant 0 the base binding, each later one shifted in a single
 // gate of the closing mixer layer — so all k share the H layer (which
@@ -249,8 +258,8 @@ func shiftBatch(t *testing.T, qubits, k int) []*quantum.Circuit {
 
 // TestBatchCountersIndependentOfWorkers: a pass's (block, variant) units
 // run on different workers, so two of them can reach one memo key at the
-// same moment — and exactly one may pay for it. The codec-call and
-// shared-pass totals of a batch are functions of its keys: equal for
+// same moment — and exactly one may pay for it. The codec-call, reuse
+// and shared-pass totals of a batch are functions of its keys: equal for
 // every worker count, and together they account for every block the
 // passes fired, no more (a double compute) and no less.
 //
@@ -294,7 +303,8 @@ func TestBatchCountersIndependentOfWorkers(t *testing.T) {
 	} {
 		circuits := shiftBatch(t, qubits, tc.k)
 		// What the passes fire: a solo run without a block cache pays one
-		// compression per fired block, and a batch fires its variants' sum.
+		// compression per fired block, or reuses an earlier member's of the
+		// same group, and a batch fires its variants' sum.
 		solos := make([]*Simulator, tc.k)
 		var fired int64
 		for v := range solos {
@@ -302,13 +312,14 @@ func TestBatchCountersIndependentOfWorkers(t *testing.T) {
 				c.DisableSweeps, c.Uncompressed = tc.noSweeps, tc.raw
 				c.Seed = VariantSeed(1, v)
 			})
-			before := solos[v].Stats().CompressCalls
+			before := solos[v].Stats()
 			if err := solos[v].Run(circuits[v]); err != nil {
 				t.Fatal(err)
 			}
-			fired += solos[v].Stats().CompressCalls - before
+			after := solos[v].Stats()
+			fired += after.CompressCalls + after.CompressReused - before.CompressCalls - before.CompressReused
 		}
-		type totals struct{ enc, dec, shared int64 }
+		type totals struct{ enc, encReused, dec, decReused, shared int64 }
 		var want totals
 		for _, workers := range []int{1, 2, 4} {
 			sims := batchSims(t, qubits, tc.ranks, tc.block, tc.k, func(c *Config) {
@@ -318,6 +329,7 @@ func TestBatchCountersIndependentOfWorkers(t *testing.T) {
 			var got totals
 			for _, s := range sims {
 				got.enc -= s.Stats().CompressCalls // Reset's
+				got.encReused -= s.Stats().CompressReused
 			}
 			if err := RunBatch(sims, circuits, RunControl{}); err != nil {
 				t.Fatal(err)
@@ -325,12 +337,14 @@ func TestBatchCountersIndependentOfWorkers(t *testing.T) {
 			for v, s := range sims {
 				st := s.Stats()
 				got.enc += st.CompressCalls
+				got.encReused += st.CompressReused
 				got.dec += st.DecompressCalls
+				got.decReused += st.DecompressReused
 				got.shared += st.CodecPassesShared
 				assertBitIdentical(t, s, solos[v], fmt.Sprintf("%+v workers=%d variant %d vs solo", tc, workers, v))
 			}
-			if got.enc+got.shared != fired {
-				t.Fatalf("%+v workers=%d: %d blocks computed + %d shared, the passes fired %d", tc, workers, got.enc, got.shared, fired)
+			if got.enc+got.encReused+got.shared != fired {
+				t.Fatalf("%+v workers=%d: %d blocks computed + %d reused + %d shared, the passes fired %d", tc, workers, got.enc, got.encReused, got.shared, fired)
 			}
 			if got.shared == 0 {
 				t.Fatalf("%+v workers=%d: nothing shared; the test is vacuous", tc, workers)

@@ -53,11 +53,16 @@ func TestCacheHitsOnRedundantState(t *testing.T) {
 
 // TestGroverCacheKeepsItsHits pins the codec calls, cache hits and peak
 // footprint of a 13-qubit Grover run: a redundant state whose ancilla
-// blocks stay byte-equal, and so cacheable and small, only while their
-// zeros are +0. A diagonal, swap or real-imaginary loop that keeps the
+// blocks stay byte-equal, and so cacheable, small and coded once per
+// group, only while their zeros are +0. A short-form loop that keeps the
 // −0s its products make (drops its + 0, the +0 rule at apply) passes
 // every bit-identity suite, which compares the engine with itself, and
-// fails here: 128 compress calls, 4 hits of 24 and a 2 066-byte peak.
+// fails here: the diagonal loop so makes 45 encodes and 60 reuses, 8
+// hits of 24 and a 1 549-byte peak; the diagonal, swap and
+// real-imaginary loops together 83 and 45, 4 hits and 2 066 B. The 23
+// encodes and 21 decodes are the groups' distinct blocks; with the 50
+// members of each kind that repeat an earlier member of their group,
+// they are the 73 and 71 calls of a walk that codes every member.
 func TestGroverCacheKeepsItsHits(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		c := quantum.Grover(8, 0b1011, 1)
@@ -69,9 +74,10 @@ func TestGroverCacheKeepsItsHits(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := s.Stats()
-		if st.CompressCalls != 73 || st.CacheHits != 14 || st.CacheLookups != 24 || st.MaxFootprint != 1024 {
-			t.Fatalf("%d compress calls, %d cache hits of %d lookups, peak footprint %d B; want 73, 14 of 24, 1 024 B",
-				st.CompressCalls, st.CacheHits, st.CacheLookups, st.MaxFootprint)
+		if st.CompressCalls != 23 || st.CompressReused != 50 || st.DecompressCalls != 21 || st.DecompressReused != 50 ||
+			st.CacheHits != 14 || st.CacheLookups != 24 || st.MaxFootprint != 1024 {
+			t.Fatalf("%d+%d compress calls+reuses, %d+%d decompress, %d cache hits of %d lookups, peak footprint %d B; want 23+50, 21+50, 14 of 24, 1 024 B",
+				st.CompressCalls, st.CompressReused, st.DecompressCalls, st.DecompressReused, st.CacheHits, st.CacheLookups, st.MaxFootprint)
 		}
 	})
 }
@@ -178,7 +184,8 @@ func TestCacheStampOnlyGrows(t *testing.T) {
 // TestGroverCacheRecallKeepsCounters pins the cache and codec counters
 // of perf's grover-cache circuit on one worker, where the LRU order is
 // exact: a hit by recall must count, stamp and evict as the hashed hit
-// it replaces.
+// it replaces. Of a walk's 750 encodes and 748 decodes, 488 and 483
+// repeat an earlier member of their group and reuse its work.
 func TestGroverCacheRecallKeepsCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27 qubits")
@@ -192,9 +199,10 @@ func TestGroverCacheRecallKeepsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.CacheLookups != 84992 || st.CacheHits != 84895 || st.CompressCalls != 750 || st.DecompressCalls != 748 || st.MaxFootprint != 834392 {
-		t.Fatalf("%d lookups, %d hits, %d compress and %d decompress calls, peak %d B; want 84 992, 84 895, 750, 748, 834 392 B",
-			st.CacheLookups, st.CacheHits, st.CompressCalls, st.DecompressCalls, st.MaxFootprint)
+	if st.CacheLookups != 84992 || st.CacheHits != 84895 || st.CompressCalls != 262 || st.CompressReused != 488 ||
+		st.DecompressCalls != 265 || st.DecompressReused != 483 || st.MaxFootprint != 834392 {
+		t.Fatalf("%d lookups, %d hits, %d+%d compress and %d+%d decompress calls+reuses, peak %d B; want 84 992, 84 895, 262+488, 265+483, 834 392 B",
+			st.CacheLookups, st.CacheHits, st.CompressCalls, st.CompressReused, st.DecompressCalls, st.DecompressReused, st.MaxFootprint)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -200,25 +199,23 @@ func DiagonalExpectations(sims []*Simulator, zs []quantum.ZTerm, zzs []quantum.Z
 // order, the memo entry of v's blob at g where v stores that compact
 // blob at two or more blocks, nil where the block is read through the
 // table. Blobs are Peeked, so the pass moves no store's resident set;
-// a spilled block is read back here and again by the walk.
-// A run of equal blobs (a redundant state's zero blocks) meets the memo
-// once: a blob equal to the previous compact one takes its entry.
+// a spilled block is read back here and again by the walk. It runs
+// before any worker reads, on the caller's goroutine, so it asks for
+// entries as worker 0: a run of equal blobs (a redundant state's zero
+// blocks) meets the memo once.
 func (rd *blobReader) repeated(sims []*Simulator) ([][]*blobValue, error) {
 	out := make([][]*blobValue, len(sims))
 	for v, s := range sims {
 		bpr := s.blocksPerRank()
 		es := make([]*blobValue, len(s.ranks)*bpr)
 		uses := make(map[*blobValue]int)
-		var e *blobValue
 		for g := range es {
 			blob, err := s.ranks[g/bpr].store.Peek(g % bpr)
 			if err != nil {
 				return nil, err
 			}
 			if s.compact(blob) {
-				if e == nil || !bytes.Equal(blob, e.blob) {
-					e = rd.entry(blob)
-				}
+				e := rd.entry(0, blob)
 				es[g] = e
 				uses[e]++
 			}

@@ -146,7 +146,7 @@ func (s *Simulator) blockMasses(rs *rankState, get func(int) ([]byte, error), wa
 			}
 			return err
 		}
-		v, err := rd.values(s, w, rd.entry(blob), n, sum)
+		v, err := rd.values(s, w, rd.entry(w.id, blob), n, sum)
 		copy(m, v)
 		return err
 	})
@@ -155,12 +155,14 @@ func (s *Simulator) blockMasses(rs *rankState, get func(int) ([]byte, error), wa
 
 // blobReader is one read's decode side, shared by blockMasses and
 // DiagonalExpectations: a decode buffer per worker id, the decodes each
-// worker made, and a memo of what each distinct compact blob reads as.
-// A read makes one per call and borrows no worker's Eq. 8 pair, so
-// reading a clone allocates no scratch.
+// worker made, the memo entry each worker used last, and a memo of what
+// each distinct compact blob reads as. A read makes one per call and
+// borrows no worker's Eq. 8 pair, so reading a clone allocates no
+// scratch.
 type blobReader struct {
 	xs     [][]float64
 	shards []Stats
+	last   []*blobValue // per worker id (entry)
 	mu     sync.Mutex
 	seen   map[uint64][]*blobValue // compact blobs by hash, then bytes
 }
@@ -178,6 +180,7 @@ func (s *Simulator) newReader() *blobReader {
 	return &blobReader{
 		xs:     make([][]float64, s.cfg.Workers),
 		shards: make([]Stats, s.cfg.Workers),
+		last:   make([]*blobValue, s.cfg.Workers),
 		seen:   make(map[uint64][]*blobValue),
 	}
 }
@@ -193,17 +196,25 @@ func (r *blobReader) decode(s *Simulator, w *workerState, blob []byte) ([]float6
 	return x, s.decompressBlock(blob, x, &r.shards[w.id])
 }
 
-// entry is the memo's entry for blob's bytes, made on first sight.
-func (r *blobReader) entry(blob []byte) *blobValue {
+// entry is the memo's entry for blob's bytes, made on first sight, as
+// worker id asks for it. The worker's last entry comes first: on a
+// redundant state a run of blocks holds one blob, which then costs a
+// compare (by pointer, for a shared blob) and no hash and no lock.
+func (r *blobReader) entry(id int, blob []byte) *blobValue {
+	if e := r.last[id]; e != nil && bytes.Equal(e.blob, blob) {
+		return e
+	}
 	h := maphash.Bytes(keySeed, blob)
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	i := slices.IndexFunc(r.seen[h], func(c *blobValue) bool { return bytes.Equal(c.blob, blob) })
 	if i < 0 {
 		i = len(r.seen[h])
 		r.seen[h] = append(r.seen[h], &blobValue{blob: blob})
 	}
-	return r.seen[h][i]
+	e := r.seen[h][i]
+	r.mu.Unlock()
+	r.last[id] = e
+	return e
 }
 
 // values returns the n values fill makes of e's decoded amplitudes. The

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"qcsim/internal/compress"
 	"qcsim/internal/mpi"
 	"qcsim/internal/quantum"
 )
@@ -751,8 +752,10 @@ func (s *Simulator) passGroup(rs *rankState, p *blockPass, memo passMemo, w *wor
 // walk is the pass on the group based at b, in w's scratch: decode the
 // inputs, apply the gates before the window to the local members,
 // exchange, apply the window to the whole group and the rest to the
-// local members, recompress what fired. A failed decode still
-// exchanges, so the peer's SendRecvs stay paired.
+// local members, recompress what fired. The codec runs once per distinct
+// block of the group (decodeGroup, encodeGroup): on a redundant state a
+// group that misses the §3.4 cache is mostly copies of one block. A
+// failed decode still exchanges, so the peer's SendRecvs stay paired.
 func (s *Simulator) walk(p *blockPass, w *workerState, st *Stats, b int, fired [groupSize]int, read int, in [groupSize][]byte) (out [groupSize][]byte, err error) {
 	bufs := w.group(p.size)
 	if err := s.decodeGroup(p, bufs, read, in, st); err != nil {
@@ -767,26 +770,57 @@ func (s *Simulator) walk(p *blockPass, w *workerState, st *Stats, b int, fired [
 	return s.encodeGroup(p, bufs, fired, st)
 }
 
-// decodeGroup decodes in[m] into buffer own+m for each m read names.
+// decodeGroup decodes in[m] into buffer own+m for each m read names. A
+// compact input (Simulator.compact, the rule blobReader keys by) equal to
+// an earlier read member's — the same slice, which bytes.Equal settles
+// by pointer, or the same bytes — is that member's buffer copied, not
+// decoded again: a decode is a function of the bytes, so the copy holds
+// its bits. st counts the copy in DecompressReused.
 func (s *Simulator) decodeGroup(p *blockPass, bufs [groupSize][]float64, read int, in [groupSize][]byte, st *Stats) error {
+members:
 	for m := range p.local {
-		if read>>m&1 != 0 {
-			if err := s.decompressBlock(in[m], bufs[p.own+m], st); err != nil {
-				return err
+		if read>>m&1 == 0 {
+			continue
+		}
+		if s.compact(in[m]) {
+			for k := range m {
+				if read>>k&1 != 0 && bytes.Equal(in[k], in[m]) {
+					copy(bufs[p.own+m], bufs[p.own+k])
+					st.DecompressReused++
+					continue members
+				}
 			}
+		}
+		if err := s.decompressBlock(in[m], bufs[p.own+m], st); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // encodeGroup recompresses the local members of a decoded group that
-// some gate of p acted on, at p's level.
+// some gate of p acted on, at p's level. A member whose amplitudes are
+// bit-equal (compress.SameBits: ±0 and NaN payloads stay apart) to an
+// earlier encoded member's shares that member's blob by reference —
+// blobs are immutable, an encode is a function of the words and the
+// level, and the store still counts its bytes once per block. st counts
+// the share in CompressReused.
 func (s *Simulator) encodeGroup(p *blockPass, bufs [groupSize][]float64, fired [groupSize]int, st *Stats) (out [groupSize][]byte, err error) {
+members:
 	for m, n := range fired {
-		if n > 0 {
-			if out[m], err = s.compressBlock(p.key.level, bufs[p.own+m], st); err != nil {
-				return out, err
+		if n == 0 {
+			continue
+		}
+		x := bufs[p.own+m]
+		for k := range m {
+			if out[k] != nil && compress.SameBits(bufs[p.own+k], x) {
+				out[m] = out[k]
+				st.CompressReused++
+				continue members
 			}
+		}
+		if out[m], err = s.compressBlock(p.key.level, x, st); err != nil {
+			return out, err
 		}
 	}
 	return out, nil

@@ -422,7 +422,10 @@ func zzUnitCircuit() *quantum.Circuit {
 // an exchange sweep (2 ranks), K = 1 and 3, 1, 2 and 4 workers, the
 // block cache on and off, spill on and off. The codec passes saved
 // still count against gate-at-a-time: a unit counts the gates of its
-// triple that fire on a member.
+// triple that fire on a member. Both runs count a member whose output
+// repeats an earlier one of its group with their encodes (CompressReused):
+// the saving is in passes over a block, however many distinct blocks
+// each pass codes.
 func TestSweepZZUnitBitIdentical(t *testing.T) {
 	par := zzUnitCircuit()
 	// segments names each planned unit by the segments of u and v, and
@@ -470,8 +473,9 @@ func TestSweepZZUnitBitIdentical(t *testing.T) {
 		}
 		on, off := runSweepPair(t, bound, ranks, 8, 1, nil)
 		st, gateAtATime := on.Stats(), off.Stats()
-		if st.CompressCalls+st.CodecPassesSaved != gateAtATime.CompressCalls {
-			t.Fatalf("ranks=%d: %d encodes + %d saved, gate at a time %d encodes", ranks, st.CompressCalls, st.CodecPassesSaved, gateAtATime.CompressCalls)
+		if st.CompressCalls+st.CompressReused+st.CodecPassesSaved != gateAtATime.CompressCalls+gateAtATime.CompressReused {
+			t.Fatalf("ranks=%d: %d encodes + %d reused + %d saved, gate at a time %d encodes + %d reused", ranks,
+				st.CompressCalls, st.CompressReused, st.CodecPassesSaved, gateAtATime.CompressCalls, gateAtATime.CompressReused)
 		}
 	}
 }
@@ -641,8 +645,14 @@ func TestSweepStats(t *testing.T) {
 	if st.CodecPassesSaved != 64 {
 		t.Fatalf("CodecPassesSaved = %d, want 64", st.CodecPassesSaved)
 	}
-	if enc := st.CompressCalls - base.CompressCalls; enc != 32 {
-		t.Fatalf("%d encode calls, want 32 (two passes over sixteen blocks)", enc)
+	// Two passes over sixteen blocks code 32 of them. Qubit 5 stays |0⟩
+	// through sweep 1 (CNOT(3→2) fires before H(3)), which leaves blocks
+	// 0..7 equal and 8..15 zero: one encode per group and 14 reused.
+	// H(5) makes each pair (b, b+8) equal: 8 encodes, 8 reused. Every
+	// input is decoded: none of these blobs is compact (16 bytes or less).
+	enc, reused := st.CompressCalls-base.CompressCalls, st.CompressReused-base.CompressReused
+	if enc != 10 || reused != 22 || st.DecompressCalls != 32 || st.DecompressReused != 0 {
+		t.Fatalf("%d+%d encodes+reuses, %d+%d decodes; want 10+22, 32+0", enc, reused, st.DecompressCalls, st.DecompressReused)
 	}
 	if polls != 2 || len(progress) != 7 {
 		t.Fatalf("%d abort polls and %d progress events, want 2 and 7", polls, len(progress))
@@ -652,6 +662,159 @@ func TestSweepStats(t *testing.T) {
 			t.Fatalf("progress out of order: %v", progress)
 		}
 	}
+}
+
+// TestGroupCodecOncePerDistinctBlock holds a group's walk to one codec
+// call per distinct block. decodeGroup copies a compact input equal to
+// an earlier member's — the same slice or a byte-equal copy — and the
+// copy has a decode's bits; a non-compact input decodes whatever it
+// equals. encodeGroup hands a member bit-equal to an earlier encoded one
+// the very same blob, while members that differ in the sign of a zero
+// or a NaN's payload, which float == would mix up, get their own. The
+// counts are a function of the state: equal at 1, 2 and 4 workers, on
+// one rank and on two whose pass exchanges.
+func TestGroupCodecOncePerDistinctBlock(t *testing.T) {
+	s := newSim(t, 10, 1, 16, nil)
+	p := newBlockPass(newPassKey("op", 0), nil, 0b111, 0) // groups of 8
+	n := 2 * s.blockAmps()
+	group := func() (bufs [groupSize][]float64) {
+		for m := range bufs {
+			bufs[m] = make([]float64, n)
+			for i := range bufs[m] {
+				bufs[m][i] = math.Inf(1) // never what a decode writes
+			}
+		}
+		return bufs
+	}
+	sparse := func(i int, v float64) []float64 {
+		x := make([]float64, n)
+		x[i] = v
+		return x
+	}
+	encode := func(x []float64) []byte {
+		var st Stats
+		blob, err := s.compressBlock(0, x, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+
+	t.Run("decode", func(t *testing.T) {
+		dense := make([]float64, n)
+		for i := range dense {
+			dense[i] = 1 / float64(i+3)
+		}
+		a, b, c := encode(sparse(0, 0.5)), encode(sparse(3, 0.25)), encode(dense)
+		if !s.compact(a) || !s.compact(b) || s.compact(c) {
+			t.Fatalf("blobs of %d, %d and %d bytes: want two compact and one not", len(a), len(b), len(c))
+		}
+		// Member 4 is not read; 1 is a's slice and 2 a copy of it, 5 a
+		// again; 7 is a copy of c, which is not compact.
+		in := [groupSize][]byte{a, a, bytes.Clone(a), b, nil, a, c, bytes.Clone(c)}
+		read := 0b1110_1111
+		bufs := group()
+		var st Stats
+		if err := s.decodeGroup(p, bufs, read, in, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.DecompressCalls != 4 || st.DecompressReused != 3 {
+			t.Fatalf("%d decodes and %d reuses, want 4 and 3 (a, b, c and c's copy; a's second to fourth)", st.DecompressCalls, st.DecompressReused)
+		}
+		for m, blob := range in {
+			if blob == nil {
+				if !math.IsInf(bufs[m][0], 1) {
+					t.Fatalf("member %d is not read, but its buffer was written", m)
+				}
+				continue
+			}
+			want := make([]float64, n)
+			if err := s.decodeBlob(blob, want); err != nil {
+				t.Fatal(err)
+			}
+			if !compress.SameBits(bufs[m], want) {
+				t.Fatalf("member %d: its buffer does not hold its blob's decode", m)
+			}
+		}
+	})
+
+	t.Run("encode", func(t *testing.T) {
+		nan := func(payload uint64) float64 { return math.Float64frombits(0x7ff8_0000_0000_0000 | payload) }
+		bufs := group()
+		for m := range 4 {
+			copy(bufs[m], sparse(0, 0.5))
+		}
+		bufs[3][5] = math.Copysign(0, -1) // == bufs[0], not the same bits
+		copy(bufs[4], sparse(2, nan(1)))
+		copy(bufs[5], sparse(2, nan(2)))
+		copy(bufs[6], sparse(2, nan(1)))
+		fired := [groupSize]int{1, 1, 1, 1, 1, 1, 1, 0}
+		var st Stats
+		out, err := s.encodeGroup(p, bufs, fired, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CompressCalls != 4 || st.CompressReused != 3 {
+			t.Fatalf("%d encodes and %d reuses, want 4 and 3 (members 0, 3, 4 and 5; 1, 2 and 6)", st.CompressCalls, st.CompressReused)
+		}
+		same := func(a, b []byte) bool { return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] }
+		for _, pair := range [][2]int{{1, 0}, {2, 0}, {6, 4}} {
+			if !same(out[pair[0]], out[pair[1]]) {
+				t.Fatalf("member %d is bit-equal to member %d but has a blob of its own", pair[0], pair[1])
+			}
+		}
+		for _, pair := range [][2]int{{3, 0}, {5, 4}} {
+			if bytes.Equal(out[pair[0]], out[pair[1]]) {
+				t.Fatalf("members %d and %d differ in a zero's sign or a NaN's payload but share a blob", pair[0], pair[1])
+			}
+		}
+		for m, blob := range out[:7] {
+			if !bytes.Equal(blob, encode(bufs[m])) {
+				t.Fatalf("member %d: its blob is not its own encode", m)
+			}
+		}
+		if out[7] != nil {
+			t.Fatal("member 7 did not fire, but has a blob")
+		}
+	})
+
+	t.Run("counts independent of workers", func(t *testing.T) {
+		// An 11-qubit Grover: its ancillas 7..10 hold most blocks zero,
+		// and on two ranks the top one is the rank qubit, which its
+		// Toffolis target. The closing H(10), with the block targets 4 and
+		// 5, is one exchanging pass over groups of eight, four a rank.
+		cir := quantum.Grover(7, 0b1011001, 1)
+		cir.H(0).H(4).H(5).H(10)
+		for _, ranks := range []int{1, 2} {
+			var want *Simulator
+			for _, workers := range []int{1, 2, 4} {
+				s := newSim(t, cir.N, ranks, 16, func(c *Config) { c.Workers = workers })
+				if err := s.Run(cir); err != nil {
+					t.Fatal(err)
+				}
+				if ranks == 2 && s.BytesMoved() == 0 {
+					t.Fatal("2 ranks: no pass exchanged; the test is vacuous")
+				}
+				st := s.Stats()
+				if st.CompressReused == 0 || st.DecompressReused == 0 {
+					t.Fatalf("ranks=%d workers=%d: %d encodes and %d decodes reused; the test is vacuous", ranks, workers, st.CompressReused, st.DecompressReused)
+				}
+				if want == nil {
+					want = s
+					continue
+				}
+				w := want.Stats()
+				if st.CompressCalls != w.CompressCalls || st.CompressReused != w.CompressReused ||
+					st.DecompressCalls != w.DecompressCalls || st.DecompressReused != w.DecompressReused {
+					t.Fatalf("ranks=%d: workers=%d codes %d+%d encodes+reuses and %d+%d decodes, 1 worker %d+%d and %d+%d", ranks, workers,
+						st.CompressCalls, st.CompressReused, st.DecompressCalls, st.DecompressReused,
+						w.CompressCalls, w.CompressReused, w.DecompressCalls, w.DecompressReused)
+				}
+				assertBitIdentical(t, s, want, fmt.Sprintf("ranks=%d workers=%d vs 1", ranks, workers))
+				assertBlobsIdentical(t, s, want, fmt.Sprintf("ranks=%d workers=%d vs 1", ranks, workers))
+			}
+		}
+	})
 }
 
 // TestCacheReleasedWhenRunReturns: cache lines pin their blobs outside

@@ -228,11 +228,17 @@ func TestFig14Shape_UncorrelatedAndOverPreserved(t *testing.T) {
 // every added qubit doubles the blocks a Hadamard layer passes through
 // the codec. At Small()'s 64-amplitude blocks a sweep carries three
 // block-segment targets, so the layer is ⌈blockQubits/3⌉ group sweeps
-// (at least one), each decoding and encoding every block once, on top
-// of Reset's two encodes — and every third added qubit adds a sweep
-// (8..11 qubits: 2..5 block qubits, one sweep then two). The rows'
-// codec-call counts pin exactly that; their millisecond wall clocks,
-// which the test used to compare, do not repeat.
+// (at least one) on top of Reset's two encodes — and every third added
+// qubit adds a sweep (8..11 qubits: 2..5 block qubits, one sweep then
+// two). A group codes each distinct block once. Before the sweep on
+// block qubits [lo, lo+t), the nonzero blocks are the 2^lo whose bits
+// from lo up are clear, all equal, and the rest are zero. So of the
+// sweep's 2^(blockQubits−t) groups, the 2^lo holding a nonzero block
+// decode two distinct inputs (one if the group is that block alone) and
+// the others one; and the Hadamards leave every member of a group
+// equal, one encode. The rows' codec-call counts pin exactly that;
+// their millisecond wall clocks, which the test used to compare, do
+// not repeat.
 func TestFig15Shape_WorkGrowsWithQubits(t *testing.T) {
 	opt := Small()
 	rs, err := Fig15Results(opt)
@@ -244,8 +250,14 @@ func TestFig15Shape_WorkGrowsWithQubits(t *testing.T) {
 	}
 	for _, r := range rs {
 		blockQubits := max(0, r.Qubits-bits.TrailingZeros(uint(opt.BlockAmps)))
-		sweeps := max(1, (blockQubits+2)/3)
-		if want := 2 + int64(2*sweeps)<<blockQubits; r.CodecCalls != want {
+		want, sweeps := int64(2), 0
+		for lo := 0; lo < max(1, blockQubits); lo += 3 {
+			t := min(3, blockQubits-lo)
+			groups, live := int64(1)<<(blockQubits-t), int64(1)<<lo
+			want += 2*groups + live*int64(min(2, 1<<t)-1)
+			sweeps++
+		}
+		if r.CodecCalls != want {
 			t.Errorf("%d qubits: %d codec calls, want %d (%d sweeps over %d blocks)", r.Qubits, r.CodecCalls, want, sweeps, 1<<blockQubits)
 		}
 	}
@@ -330,13 +342,15 @@ func TestSweepShape(t *testing.T) {
 // sweeps before its shifted gate — so the register must have more
 // block qubits than a sweep carries targets: Small()'s 64-amplitude
 // blocks leave four, where 8-block groups take three (at 128 amplitudes
-// both circuits were one sweep, 144/144/0).
+// both circuits were one sweep, 144/144/0). A walk codes each distinct
+// block of a group once, which spares the solo runs more than the
+// batch, whose memo already shares a pass's byte-equal groups.
 func TestBatchShape(t *testing.T) {
 	pins := []struct {
 		name                string
 		variants            int
 		solo, batch, shared int64
-	}{{"QAOA-10q", 9, 864, 416, 192}, {"VQE-10q", 9, 1152, 384, 352}}
+	}{{"QAOA-10q", 9, 513, 365, 192}, {"VQE-10q", 9, 918, 358, 352}}
 	for _, workers := range []int{1, 2} {
 		opt := Small()
 		opt.Workers = workers
