@@ -166,9 +166,9 @@
 // it once, between the gates before the first rank-target gate and the
 // window up to the last, however many gates target that qubit, and both
 // ranks compute the pairs the window splits; without such a target the
-// window is empty and nothing is exchanged. The blocks beyond Eq. 8's pair that a larger
-// group needs are scratch a worker holds only while a Run makes such
-// passes. Controls may sit anywhere — they select amplitudes, blocks
+// window is empty and nothing is exchanged. A group's buffers, Eq. 8's
+// pair and the blocks beyond it that a larger group needs, are scratch a
+// worker holds only while a Run runs. Controls may sit anywhere — they select amplitudes, blocks
 // or ranks and are not members of a group. A ZZ unit — CNOT(u,v), an
 // uncontrolled gate on v with exact-zero off-diagonal entries, the
 // same CNOT(u,v), v above the offset qubits — is no target at all: it
@@ -376,7 +376,8 @@
 // threads): WithRanks partitions the state across SPMD ranks
 // (in-process goroutine ranks), and WithWorkers fans each rank's
 // decompress → apply-gate → recompress block loop out across a worker
-// pool, each worker owning a private scratch-buffer pair (Eq. 8).
+// pool, each worker holding private scratch buffers (Eq. 8) while a Run
+// runs.
 // Results — amplitudes, measurement outcomes, and the Eq. 11 fidelity
 // ledger — are bit-identical for every worker count.
 //

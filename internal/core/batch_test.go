@@ -589,9 +589,45 @@ func TestCloneIssuesNoCodecCall(t *testing.T) {
 	assertBitIdentical(t, s, clone, "clone")
 }
 
+// TestBasisHoldsNoScratch: New, Reset and SetBasisState compress the
+// basis state's blocks from a buffer of their own, so like a Run
+// (TestCacheReleasedWhenRunReturns) they leave every worker without a
+// group.
+func TestBasisHoldsNoScratch(t *testing.T) {
+	s := newSim(t, 8, 2, 16, func(c *Config) { c.Workers = 2 })
+	noScratch := func(after string) {
+		t.Helper()
+		for _, rs := range s.ranks {
+			for _, w := range rs.workers {
+				if w.grp != nil {
+					t.Fatalf("rank %d worker %d holds a group after %s", rs.id, w.id, after)
+				}
+			}
+		}
+	}
+	noScratch("New")
+	if err := s.Run(quantum.RandomCircuit(8, 20, 4)); err != nil {
+		t.Fatal(err)
+	}
+	noScratch("a Run")
+	if err := s.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	noScratch("Reset")
+	const idx = 0b1011_0110 // rank 1, block 3, offset 6
+	if err := s.SetBasisState(idx); err != nil {
+		t.Fatal(err)
+	}
+	noScratch("SetBasisState")
+	if a, err := s.Amplitude(idx); err != nil || a != 1 {
+		t.Fatalf("amplitude %v (%v) at the basis index, want 1", a, err)
+	}
+}
+
 // TestCloneHoldsNoScratch: a batch variant's passes run on variant 0's
-// worker pool, so a clone allocates no scratch of its own — not even the
-// Eq. 8 pair — until something runs on its own pool. Inspecting it
+// worker pool, so a clone allocates no scratch of its own — no worker
+// group, so not even the Eq. 8 pair — until something runs on its own
+// pool. Inspecting it
 // (DiagonalExpectation, blockMasses and a Sampler's draws fan out on
 // the clone's own pool) decodes into buffers of the call's own, so a
 // clone that has only been read holds none either.
@@ -609,8 +645,8 @@ func TestCloneHoldsNoScratch(t *testing.T) {
 		t.Helper()
 		for _, rs := range clone.ranks {
 			for _, w := range rs.workers {
-				if w.x != nil || w.y != nil {
-					t.Fatalf("rank %d worker %d of a clone holds a scratch pair %s", rs.id, w.id, when)
+				if w.grp != nil {
+					t.Fatalf("rank %d worker %d of a clone holds a group %s", rs.id, w.id, when)
 				}
 			}
 		}

@@ -218,32 +218,30 @@ func (c *blockCache) stamp(l *cacheLine, n int64, st *Stats) {
 	}
 }
 
-// lookup is get on worker w's behalf, for pass p at a group of control
-// variant variant with inputs in: first the worker's recent lines, by
-// reference (recall), then the table by key, which it builds into *key
-// for the record a miss owes. The line a hashed hit finds joins the
-// worker's recent ones. Every lookup, hit and shut-off is the one get
-// alone would make, at any worker count.
-func (c *blockCache) lookup(w *workerState, p *blockPass, variant int, in *[groupSize][]byte, key *blockKey, st *Stats) *cacheLine {
-	if w.recent == nil {
-		w.recent = new(recent)
-	}
-	if l := w.recent.find(p, variant, in); l != nil && c.recall(l, st) {
+// lookup is get for pass p at group g, its control variant and inputs
+// read off g: first the recent lines of g's worker, by reference
+// (recall), then the table by key, which it builds into *key for the
+// record a miss owes. The line a hashed hit finds joins the worker's
+// recent ones. Every lookup, hit and shut-off is the one get alone would
+// make, at any worker count.
+func (c *blockCache) lookup(g *group, p *blockPass, key *blockKey, st *Stats) *cacheLine {
+	variant := g.b & p.ctrlBits
+	if l := g.recent.find(p, variant, &g.in); l != nil && c.recall(l, st) {
 		return l
 	}
-	*key = p.key.block(variant, *in)
+	*key = p.key.block(variant, g.in)
 	l := c.get(*key, st)
 	if l != nil {
-		w.recent.note(l, p, variant, in)
+		g.recent.note(l, p, variant, &g.in)
 	}
 	return l
 }
 
-// record is put on worker w's behalf, after its lookup of pass p missed
-// on key: the new line joins the worker's recent ones.
-func (c *blockCache) record(w *workerState, p *blockPass, key *blockKey, out [groupSize][]byte, err error) {
-	if l := c.put(*key, out, err); l != nil {
-		w.recent.note(l, p, key.variant, &key.in)
+// record is put of g's outputs, after the lookup of pass p at group g
+// missed on key: the new line joins the worker's recent ones.
+func (c *blockCache) record(g *group, p *blockPass, key *blockKey, err error) {
+	if l := c.put(*key, g.out, err); l != nil {
+		g.recent.note(l, p, key.variant, &key.in)
 	}
 }
 
@@ -259,8 +257,8 @@ const recallLines = 8
 // and variant whose inputs are these blobs — same data pointer, same
 // length — has a key byte-equal to the line's (recall). Holding them
 // keeps their addresses from being reused while they are compared, and
-// keeps them alive, so a worker drops the list when its Run returns
-// (workerState.recent).
+// keeps them alive, so the list lives in the worker's group, which is
+// dropped when its Run returns (workerState).
 type recent [recallLines]recentLine
 
 type recentLine struct {

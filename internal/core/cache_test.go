@@ -219,35 +219,35 @@ func TestCacheRecallByReference(t *testing.T) {
 	blob := []byte{1, 2, 3}
 	in := members(blob)
 	l := c.put(p.key.block(0, in), members([]byte{9}), nil)
-	w := &workerState{}
+	g := &group{} // at base 0: variant 0
 	hit := func(in [groupSize][]byte) {
 		t.Helper()
 		var key blockKey
-		if c.lookup(w, p, 0, &in, &key, &st) == nil {
+		if g.in = in; c.lookup(g, p, &key, &st) == nil {
 			t.Fatal("miss")
 		}
 	}
 	hit(in) // hashed: the line joins the worker's recent ones
-	if w.recent.find(p, 0, &in) != l || w.recent.noted() != 1 {
-		t.Fatalf("the hit noted %d lines, want the line it hit", w.recent.noted())
+	if g.recent.find(p, 0, &in) != l || g.recent.noted() != 1 {
+		t.Fatalf("the hit noted %d lines, want the line it hit", g.recent.noted())
 	}
 	before := st
 	hit(in)
-	if w.recent.noted() != 1 || st.CacheLookups != before.CacheLookups+1 || st.CacheHits != before.CacheHits+1 || c.lookups.Load() != st.CacheLookups {
+	if g.recent.noted() != 1 || st.CacheLookups != before.CacheLookups+1 || st.CacheHits != before.CacheHits+1 || c.lookups.Load() != st.CacheLookups {
 		t.Fatal("a recall noted a line, or did not count as one hit")
 	}
 	cp := members(bytes.Clone(blob))
-	if w.recent.find(p, 0, &cp) != nil {
+	if g.recent.find(p, 0, &cp) != nil {
 		t.Fatal("a byte-equal copy recalled the line")
 	}
 	hit(cp) // through the hash
-	if w.recent.noted() != 2 {
+	if g.recent.noted() != 2 {
 		t.Fatal("a copy's hashed hit was not noted")
 	}
-	if w.recent.find(p, 1, &in) != nil {
+	if g.recent.find(p, 1, &in) != nil {
 		t.Fatal("another variant recalled the line")
 	}
-	if q := newBlockPass(p.key, nil, 0, 1); w.recent.find(q, 0, &in) != nil {
+	if q := newBlockPass(p.key, nil, 0, 1); g.recent.find(q, 0, &in) != nil {
 		t.Fatal("another pass recalled the line")
 	}
 
@@ -280,7 +280,7 @@ func TestCacheRecallByReference(t *testing.T) {
 func TestCacheRecallMatchesHashed(t *testing.T) {
 	s := newSim(t, 3, 1, 2, nil) // blocks: |0⟩'s first, three zero blocks
 	rs := s.ranks[0]
-	w := rs.w0()
+	g := rs.workers[0].hold()
 	first, _ := rs.store.Peek(0)
 	zero, _ := rs.store.Peek(1)
 	blobs := [][]byte{first, zero, bytes.Clone(first), bytes.Clone(zero)}
@@ -309,13 +309,14 @@ func TestCacheRecallMatchesHashed(t *testing.T) {
 		if i >= 3000 { // then only misses, until the window shuts both off
 			in = members([]byte{byte(i), byte(i >> 8)})
 		}
-		if t := c.table.Load(); w.recent != nil && t != nil {
-			if l := w.recent.find(p, b, &in); l != nil && (*t)[l.key.hash] == l {
+		if t := c.table.Load(); t != nil {
+			if l := g.recent.find(p, b, &in); l != nil && (*t)[l.key.hash] == l {
 				recalls++
 			}
 		}
 		if i < 3000 {
-			if err := s.passGroup(rs, p, c, w, &st, b, [groupSize]int{1}, 1, in); err != nil {
+			g.b, g.fired, g.read, g.in = b, [groupSize]int{1}, 1, in
+			if err := s.passGroup(rs, p, c, g, &st); err != nil {
 				t.Fatal(err)
 			}
 		} else if c.get(p.key.block(b, in), &st) == nil { // not a blob: no walk
@@ -753,13 +754,13 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 		}
 		c.put(p.key.block(0, blobs), blobs, nil)
 		for _, recall := range []bool{false, true} {
-			w := &workerState{recent: new(recent)}
+			g := &group{}
 			hit := func() {
 				var cur [groupSize][]byte
 				for m := 0; m < size; m++ {
 					cur[m], _ = store.Get(m)
 				}
-				out := cacheHit(c, p, w, &st, cur, recall)
+				out := cacheHit(c, p, g, &st, cur, recall)
 				for m := 0; m < size; m++ {
 					store.Put(m, out[m])
 				}
@@ -767,7 +768,7 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 			if n := testing.AllocsPerRun(200, hit); n != 0 {
 				t.Errorf("%d-block hit (recall %v) allocates %v times", size, recall, n)
 			}
-			if n := w.recent.noted(); recall && n != 1 {
+			if n := g.recent.noted(); recall && n != 1 {
 				t.Errorf("%d-block hits noted %d lines, want the first alone", size, n)
 			}
 		}
@@ -775,13 +776,14 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 }
 
 // cacheHit is one hit as a worker makes it, at variant 0 of pass p on
-// inputs in: hashed, the key built and looked up (get), or through w's
-// recent lines first (lookup).
-func cacheHit(c *blockCache, p *blockPass, w *workerState, st *Stats, in [groupSize][]byte, recall bool) [groupSize][]byte {
+// inputs in: hashed, the key built and looked up (get), or through the
+// recent lines of g, based at 0, first (lookup).
+func cacheHit(c *blockCache, p *blockPass, g *group, st *Stats, in [groupSize][]byte, recall bool) [groupSize][]byte {
 	var l *cacheLine
 	if recall {
 		var key blockKey
-		l = c.lookup(w, p, 0, &in, &key, st)
+		g.in = in
+		l = c.lookup(g, p, &key, st)
 	} else {
 		l = c.get(p.key.block(0, in), st)
 	}
@@ -789,6 +791,54 @@ func cacheHit(c *blockCache, p *blockPass, w *workerState, st *Stats, in [groupS
 		panic("miss")
 	}
 	return l.out
+}
+
+// TestPassBlockHitZeroAlloc holds a group's whole hit path through
+// passBlock — what the pass reads, the members fetched into a worker's
+// reused group, the lookup, the shared outputs stored — to zero
+// allocations, for groups of one, two, four and eight blocks, hashed and
+// recalled.
+func TestPassBlockHitZeroAlloc(t *testing.T) {
+	var s Simulator // a hit runs no codec
+	rs := &rankState{store: blockstore.NewRAM(groupSize)}
+	in := bytes.Repeat([]byte{7}, 100)
+	for size := 1; size <= groupSize; size *= 2 {
+		// One block-target gate per stride, uncontrolled: every member
+		// fires, so every member is read, looked up and stored.
+		var gates []passGate
+		for stride := 1; stride < size; stride *= 2 {
+			gates = append(gates, newPassGate(quantum.MatH, 0, stride, 0, 0))
+		}
+		p := newBlockPass(newPassKey(fmt.Sprintf("h %d", size), 0), gates, size-1, 0)
+		var blobs [groupSize][]byte
+		for m := range size {
+			rs.store.Put(m, in)
+			blobs[m] = in
+		}
+		c := newBlockCache(4)
+		c.put(p.key.block(0, blobs), blobs, nil)
+		for _, recall := range []bool{false, true} {
+			g := (&workerState{size: 2}).hold()
+			var st Stats
+			hit := func() {
+				if !recall {
+					g.recent = recent{} // nothing to recall: the lookup hashes
+				}
+				if err := s.passBlock(rs, p, c, g, &st, 0); err != nil {
+					panic(err)
+				}
+			}
+			if n := testing.AllocsPerRun(200, hit); n != 0 {
+				t.Errorf("%d-block passBlock hit (recall %v) allocates %v times", size, recall, n)
+			}
+			if st.CacheLookups != 201 || st.CacheHits != st.CacheLookups {
+				t.Errorf("%d-block groups (recall %v): %d hits of %d lookups, want 201 of 201", size, recall, st.CacheHits, st.CacheLookups)
+			}
+			if n := g.recent.noted(); n != 1 {
+				t.Errorf("%d-block hits (recall %v) noted %d lines, want the one line", size, recall, n)
+			}
+		}
+	}
 }
 
 // groverBlobs runs a redundant Grover state through a 64-line cache at
@@ -905,11 +955,11 @@ func BenchmarkCacheHit(b *testing.B) {
 						go func(w int) {
 							defer wg.Done()
 							var st Stats
-							ws := &workerState{id: w}
+							g := &group{}
 							for i := 0; i < b.N/workers; i++ {
 								slot := w*slots + i%slots
 								cur, _ := store.Get(slot)
-								out := cacheHit(c, p, ws, &st, members(cur), recall)
+								out := cacheHit(c, p, g, &st, members(cur), recall)
 								store.Put(slot, out[0])
 							}
 						}(w)

@@ -44,15 +44,15 @@ type Config struct {
 	Ranks int
 	// Workers is the intra-rank worker-pool width: how many goroutines
 	// fan out over one rank's block loop (the analog of the paper's 64
-	// OpenMP threads per MPI rank). Each worker owns a private scratch
-	// pair allocated on first schedule, so a rank that actually fans
-	// out holds up to Workers copies of the Eq. 8 working set
-	// (32·BlockAmps bytes each) between runs. During a Run, a worker
-	// that executes an 8-block group sweep holds up to 128·BlockAmps
-	// bytes, dropped again when the Run returns. None of it is charged
-	// against MemoryBudget: like the paper's MCDRAM buffers, it is
-	// uncompressed scratch. Results are bit-identical for every worker
-	// count. Defaults to
+	// OpenMP threads per MPI rank). Each worker holds private scratch
+	// only while a Run runs: one 16·BlockAmps-byte block buffer per
+	// member of the largest group it has walked — 32·BlockAmps bytes for
+	// the Eq. 8 pair, 128·BlockAmps for an 8-block group sweep — and as
+	// much again where a batch pass forks a variant, all dropped when
+	// the Run returns, so an idle Simulator holds none. None of it is
+	// charged against MemoryBudget: like the paper's MCDRAM buffers, it
+	// is uncompressed scratch. Results are bit-identical for every
+	// worker count. Defaults to
 	// runtime.NumCPU()/Ranks, min 1; clamped to the block count.
 	Workers int
 	// BlockAmps is the number of amplitudes per block (power of two;
@@ -174,8 +174,8 @@ func (c Config) withDefaults() (Config, error) {
 		c.BlockAmps = 1 << uint(perRank)
 	}
 	// A worker beyond the block count can never be scheduled; clamping
-	// here keeps New from allocating scratch pairs (2×16 MB each at
-	// paper-scale blocks) that the fan-out could never touch.
+	// here keeps the pool, and a read's buffers per worker id, to the
+	// workers a fan-out can touch.
 	if nb := (1 << uint(perRank)) / c.BlockAmps; c.Workers > nb {
 		c.Workers = nb
 	}

@@ -83,10 +83,11 @@ type Simulator struct {
 }
 
 // rankState is one rank's share: a block store holding nb compressed
-// blocks plus a pool of worker scratch pairs (the MCDRAM working set
-// of Eq. 8, one copy per worker). The store owns the footprint
-// accounting; block slots need no coordination at all — during one
-// gate each block index is owned by exactly one worker.
+// blocks plus a pool of workers, each of which holds its share of the
+// MCDRAM working set of Eq. 8 only while a Run runs (workerState). The
+// store owns the footprint accounting; block slots need no coordination
+// at all — during one gate each block index is owned by exactly one
+// worker.
 type rankState struct {
 	id      int
 	store   blockstore.Store
@@ -103,92 +104,28 @@ type rankState struct {
 	overBudget bool
 }
 
-// workerState is one worker's private slice of the rank working set: a
-// scratch buffer pair plus a stats shard that is merged into the rank
-// totals after every fan-out (so the Table 2 accounting matches the
-// sequential engine without any per-block locking). Every buffer is
-// allocated on first use, never in New: a simulator that never fans out
-// (or a machine-wide default pool that the block count keeps from ever
-// filling) pays for exactly one Eq. 8 pair, the same as the sequential
-// engine, and a batch variant — whose passes run on variant 0's pool —
-// for none.
+// workerState is one worker of a rank's pool. Its scratch is one group
+// (see group): allocated on the worker's first pass of a Run (hold) and
+// dropped when the Run returns (runLockstep), so between runs no worker
+// holds any — an idle Simulator, and a batch variant, whose passes run
+// on variant 0's pool, hold none. The Table 2 accounting a pass makes is
+// charged to Stats shards its caller owns, never to the worker.
 type workerState struct {
 	id   int // index in the rank's pool
 	size int // floats in one block's scratch: two per amplitude
-	x, y []float64
-	// wide is the scratch a 4- or 8-block group needs beyond the pair,
-	// and fork the second group a batch pass copies variant 0's group
-	// into where a variant parts from it (forkPlan). Each buffer is
-	// allocated on the worker's first pass of a Run that needs it and
-	// dropped when the Run returns (runLockstep), so between runs a
-	// worker holds its Eq. 8 pair alone.
-	wide [groupSize - 2][]float64
-	fork [groupSize][]float64
-	// recent is the cache lines the worker's last groups used (§3.4
-	// recall), allocated on its first cached pass of a Run and dropped
-	// with wide and fork: it holds blobs.
-	recent *recent
+	grp  *group
 	// applied counts the gates this worker's kernels have run, one per
 	// gate per group: what a fork's shared prefix saves, as a number no
 	// clock enters.
 	applied int64
-	stats   Stats
 }
 
-// ensure allocates the worker's scratch pair on first use.
-func (w *workerState) ensure() {
-	if w.x == nil {
-		w.x = make([]float64, w.size)
-		w.y = make([]float64, w.size)
+// hold returns the worker's group, allocated on its first pass of a Run.
+func (w *workerState) hold() *group {
+	if w.grp == nil {
+		w.grp = &group{w: w}
 	}
-}
-
-// group returns the worker's scratch for a group of n blocks, member m
-// in entry m: the pair, then the wide buffers, allocated here on first
-// use.
-func (w *workerState) group(n int) (bufs [groupSize][]float64) {
-	w.ensure()
-	for i := 2; i < n; i++ {
-		if w.wide[i-2] == nil {
-			w.wide[i-2] = make([]float64, w.size)
-		}
-	}
-	bufs[0], bufs[1] = w.x, w.y
-	copy(bufs[2:], w.wide[:])
-	return bufs
-}
-
-// forkGroup returns the worker's second group scratch for n blocks,
-// allocated here on first use.
-func (w *workerState) forkGroup(n int) [groupSize][]float64 {
-	for i := range n {
-		if w.fork[i] == nil {
-			w.fork[i] = make([]float64, w.size)
-		}
-	}
-	return w.fork
-}
-
-// kernel applies gates, a range of p's, to the members [m0, m1) of the
-// group in bufs based at b, and charges the time to st. An empty range —
-// the window of a pass with no rank-segment target — reads no clock.
-func (w *workerState) kernel(p *blockPass, bufs [][]float64, b int, gates []passGate, m0, m1 int, st *Stats) {
-	if len(gates) == 0 {
-		return
-	}
-	start := time.Now()
-	p.applyTo(bufs, b, gates, m0, m1)
-	st.ComputeTime += time.Since(start)
-	w.applied += int64(len(gates))
-}
-
-// w0 returns the worker whose buffers the sequential code paths (Reset,
-// a pass with a rank-segment target, checkpointing) borrow, its pair
-// allocated.
-func (rs *rankState) w0() *workerState {
-	w := rs.workers[0]
-	w.ensure()
-	return w
+	return w.grp
 }
 
 // New builds a Simulator initialized to |0...0⟩.
@@ -300,13 +237,13 @@ func (s *Simulator) Reset() error { return s.basis(0) }
 // measurements, every rank at level 0 with its accounting restarted
 // (install). The install's own codec work is then charged: one compress
 // call per rank for the all-zero block and one for the block holding
-// the |idx⟩ amplitude, R+1 in all.
+// the |idx⟩ amplitude, R+1 in all, each from a block buffer of basis's
+// own, so no worker holds scratch after it.
 func (s *Simulator) basis(idx uint64) error {
 	r, b, o := s.locate(idx)
+	scratch := make([]float64, 2*s.blockAmps())
 	for _, rs := range s.ranks {
 		var st Stats
-		scratch := rs.w0().x
-		clear(scratch)
 		// Every block but the one holding |idx⟩ is all zero: compress it
 		// once and let every slot share the one immutable blob, so a wide
 		// register (2^28 amplitudes and beyond) initializes with at most
@@ -565,15 +502,14 @@ func (s *Simulator) forBlocks(rs *rankState, fn func(w *workerState, b int) erro
 
 // forEach fans fn out over the indices 0..n-1 — every block of the rank
 // (forBlocks), or the entries of a block list the caller holds — on the
-// rank's worker pool. fn receives a worker whose scratch buffers it owns
-// exclusively; forEach allocates none of them — what decodes into the
-// pair allocates it (ensure, group). Shared rank state may only be
-// touched through the block store and the (concurrency-safe) block
-// cache. Index assignment is dynamic (an atomic counter handing out
-// short runs), which is safe because no fan-out path depends on
-// iteration order: per-index results are bit-identical for every worker
-// count. After the fan-out the worker stats shards are merged into
-// rs.stats.
+// rank's worker pool. fn receives a worker whose group it owns
+// exclusively; forEach allocates none — a pass allocates it (hold) —
+// and charges no Stats: fn charges shards of its caller's. Shared rank
+// state may only be touched through the block store and the
+// (concurrency-safe) block cache. Index assignment is dynamic (an atomic
+// counter handing out short runs), which is safe because no fan-out path
+// depends on iteration order: per-index results are bit-identical for
+// every worker count.
 func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int) error) error {
 	nw := len(rs.workers)
 	if nw > n {
@@ -629,10 +565,6 @@ func (s *Simulator) forEach(rs *rankState, n int, fn func(w *workerState, i int)
 		}
 		wg.Wait()
 		firstErr = shared
-	}
-	for _, w := range rs.workers {
-		rs.stats.merge(w.stats)
-		w.stats = Stats{}
 	}
 	return firstErr
 }
@@ -731,14 +663,14 @@ func runLockstep(sims []*Simulator, cs []*quantum.Circuit, ctl RunControl) error
 		s.gateLevel = make([]uint32, len(traj.gates[v])*s.ledgerRounds())
 	}
 	defer func() {
-		// Cache lines, the lines a worker recalls and the group scratch
-		// beyond the pair must not outlive the run (see
-		// blockCache.release and workerState.wide).
+		// Cache lines and the workers' groups, which hold blobs and
+		// scratch, must not outlive the run (see blockCache.release and
+		// workerState).
 		for _, s := range sims {
 			for _, rs := range s.ranks {
 				rs.cache.release()
 				for _, w := range rs.workers {
-					w.wide, w.fork, w.recent = [groupSize - 2][]float64{}, [groupSize][]float64{}, nil
+					w.grp = nil
 				}
 			}
 		}

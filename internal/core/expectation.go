@@ -180,14 +180,7 @@ func DiagonalExpectations(sims []*Simulator, zs []quantum.ZTerm, zzs []quantum.Z
 					break
 				}
 			}
-			if len(sims) == 1 {
-				// A fan-out of one is a call: forEach would merge every
-				// worker's Stats shard after each block.
-				err = read(s0.ranks[r].workers[0], 0)
-			} else {
-				err = s0.forEach(s0.ranks[r], len(sims), read)
-			}
-			if err != nil {
+			if err = s0.forEach(s0.ranks[r], len(sims), read); err != nil {
 				return nil, err
 			}
 		}

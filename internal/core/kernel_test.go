@@ -234,7 +234,8 @@ func kernelMatchesGeneral2x2Bits(t *testing.T) {
 							for _, b := range []int{0, blkBit} {
 								var bufs [groupSize][]float64
 								want := map[int][]float64{}
-								fired, _ := p.reads(b)
+								var fired [groupSize]int
+								p.reads(b, &fired)
 								for mb := 0; mb < p.size; mb++ {
 									bufs[mb] = make([]float64, 2*ba)
 									for i := range bufs[mb] {

@@ -209,8 +209,9 @@ func TestWorkersMoreThanBlocks(t *testing.T) {
 	compareToReference(t, s, quantum.RandomCircuit(6, 60, 31), 1e-12)
 }
 
-// TestWorkerStatsAccounting: the shard merge must preserve the Table 2
-// accounting when the block loop runs parallel.
+// TestWorkerStatsAccounting: the per-(worker, variant) shards a pass
+// charges must merge into the Table 2 accounting when the block loop
+// runs parallel.
 func TestWorkerStatsAccounting(t *testing.T) {
 	s := newSim(t, 8, 1, 16, func(c *Config) { c.Workers = 4 })
 	if err := s.Run(quantum.RandomCircuit(8, 60, 41)); err != nil {
@@ -219,13 +220,6 @@ func TestWorkerStatsAccounting(t *testing.T) {
 	st := s.Stats()
 	if st.CompressTime == 0 || st.DecompressTime == 0 || st.ComputeTime == 0 {
 		t.Fatalf("worker time shards not merged into rank stats: %+v", st)
-	}
-	for _, rs := range s.ranks {
-		for _, w := range rs.workers {
-			if w.stats != (Stats{}) {
-				t.Fatalf("worker shard not drained after fan-out: %+v", w.stats)
-			}
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"time"
 
 	"qcsim/internal/compress"
 	"qcsim/internal/mpi"
@@ -26,11 +27,12 @@ import (
 //     of a group. Measurements (a collective) stay singletons.
 //   - Why up to three block-segment targets: the pass walks groups of
 //     2^t blocks, b|sub for every sub made of the sweep's t block
-//     strides, and decompresses a group into the worker's scratch. One
-//     target is the paper's Eq. 8 pair (w.x, w.y); each further one
-//     doubles the group, and the six extra buffers an 8-block group needs
-//     live only while a Run makes such passes (workerState.wide), so an
-//     idle Simulator still holds the pair alone. A target more lets one
+//     strides, and decompresses a group into the worker's scratch (its
+//     group). One target is the paper's Eq. 8 pair; each further one
+//     doubles the group. A worker holds its buffers only while a Run
+//     runs: they are allocated on its first pass that needs them and
+//     dropped with its group when the Run returns, so an idle Simulator
+//     holds no scratch at all. A target more lets one
 //     pass carry gates that would otherwise start another — a
 //     decompress → apply → recompress round trip per block (§3.1) — and
 //     lets a cache hit (§3.4) stand for more work. A sweep with no
@@ -394,7 +396,8 @@ func scanPass(lvl, blkMask int) *blockPass {
 	return newBlockPass(newPassKey(quantum.SweepSignature(nil), lvl), nil, 0, blkMask)
 }
 
-// reads is what the pass reads at the group based at b. fired[m] is how
+// reads is what the pass reads at the group based at b, fired written
+// into *fired. fired[m] is how
 // many of the circuit's gates it applies to local member m: those whose
 // block controls are all set in the member's index, a ZZ unit counting
 // each gate of its triple that fires there (its CNOTs by cnots). A
@@ -403,7 +406,8 @@ func scanPass(lvl, blkMask int) *blockPass {
 // fired[m] > 0 or member m crosses to the peer (crossing); a member it
 // does not read is not fetched, decoded or recompressed (§3.3: whole
 // block unmodified). Both are functions of b&ctrlBits.
-func (p *blockPass) reads(b int) (fired [groupSize]int, read int) {
+func (p *blockPass) reads(b int, fired *[groupSize]int) (read int) {
+	*fired = [groupSize]int{}
 	local := p.sub[p.own : p.own+p.local]
 	switch {
 	case len(p.gates) == 0: // scanPass
@@ -437,7 +441,7 @@ func (p *blockPass) reads(b int) (fired [groupSize]int, read int) {
 			read |= 1 << m
 		}
 	}
-	return fired, read
+	return read
 }
 
 // apply is the kernel: all of the pass's gates, in circuit order, on
@@ -674,109 +678,158 @@ type passMemo interface {
 	enabled() bool
 }
 
-// passBlock runs pass p on the group based at block b: fetch the local
-// members it reads, short-circuit through the memo, otherwise walk the
-// group in w's scratch. Codec and compute time are charged to st, the
-// (worker, variant) shard. A failed fetch still exchanges, as walk does.
-func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, w *workerState, st *Stats, b int) error {
-	fired, read := p.reads(b)
-	if read == 0 {
-		return nil
-	}
-	in, err := fetch(rs.store.Get, p, b, read)
-	if err != nil {
-		p.exchange(w.group(p.size), b)
-		return err
-	}
-	return s.passGroup(rs, p, memo, w, st, b, fired, read, in)
+// group is a worker's scratch for the group of blocks a pass is at,
+// held for a whole Run and reused group after group (workerState.hold):
+// the base b, what the pass reads there (fired, read: reads), the local
+// members' input blobs in and output blobs out, the decoded members bufs
+// — member m in bufs[m], the Eq. 8 pair and up to six more — and fork,
+// the second set a batch pass copies variant 0's group into where a
+// variant parts from it (forkPlan). recent is the cache lines the
+// worker's last groups used (§3.4 recall). A buffer is allocated on the
+// first pass of the Run that needs it (alloc). Whatever keeps a group's
+// blobs beyond it — a cache or memo line, a key, a recent line, a fork
+// plan — keeps a copy of the array, so the next group may overwrite it.
+type group struct {
+	w      *workerState // the worker holding it
+	b      int
+	fired  [groupSize]int
+	read   int
+	in     [groupSize][]byte
+	out    [groupSize][]byte // nil for a member the pass left untouched
+	bufs   [groupSize][]float64
+	fork   [groupSize][]float64
+	recent recent
 }
 
-// fetch reads through get (the store's Get; Peek for a fork capture;
-// hintPass's recorder) local member m's blob into in[m] for each m that
-// read names, nil for the others.
-func fetch(get func(int) ([]byte, error), p *blockPass, b, read int) (in [groupSize][]byte, err error) {
+// alloc allocates the first n buffers of set, g.bufs or g.fork, that are
+// not allocated yet: one block's scratch each.
+func (g *group) alloc(set *[groupSize][]float64, n int) {
+	for m := range set[:n] {
+		if set[m] == nil {
+			set[m] = make([]float64, g.w.size)
+		}
+	}
+}
+
+// kernel applies gates, a range of p's, to the members [m0, m1) of the
+// group in bufs, g.bufs or g.fork, and charges the time to st. An empty
+// range — the window of a pass with no rank-segment target — reads no
+// clock.
+func (g *group) kernel(p *blockPass, bufs *[groupSize][]float64, gates []passGate, m0, m1 int, st *Stats) {
+	if len(gates) == 0 {
+		return
+	}
+	start := time.Now()
+	p.applyTo(bufs[:], g.b, gates, m0, m1)
+	st.ComputeTime += time.Since(start)
+	g.w.applied += int64(len(gates))
+}
+
+// passBlock runs pass p on the group based at block b in g: fetch the
+// local members it reads, short-circuit through the memo, otherwise walk
+// the group. Codec and compute time are charged to st, the (worker,
+// variant) shard. A failed fetch still exchanges, as walk does.
+func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, g *group, st *Stats, b int) error {
+	g.b = b
+	if g.read = p.reads(b, &g.fired); g.read == 0 {
+		return nil
+	}
+	if err := fetch(rs.store.Get, p, g); err != nil {
+		g.alloc(&g.bufs, p.size)
+		p.exchange(g)
+		return err
+	}
+	return s.passGroup(rs, p, memo, g, st)
+}
+
+// fetch reads through get (the store's Get; Peek for a fork plan;
+// hintPass's recorder) local member m's blob at g's base into g.in[m]
+// for each m g.read names, nil for the others.
+func fetch(get func(int) ([]byte, error), p *blockPass, g *group) (err error) {
+	g.in = [groupSize][]byte{}
 	for m := range p.local {
-		if read>>m&1 != 0 {
-			if in[m], err = get(b | p.sub[m]); err != nil {
-				return in, err
+		if g.read>>m&1 != 0 {
+			if g.in[m], err = get(g.b | p.sub[m]); err != nil {
+				return err
 			}
 		}
 	}
-	return in, nil
+	return nil
 }
 
-// passGroup is passBlock once the group's inputs are fetched. It calls
-// each memo by its type, not through passMemo, so the inputs and the key
-// it passes by pointer stay on the stack, and the walk a miss makes runs
+// passGroup is passBlock once the group's inputs are fetched into g. It
+// calls each memo by its type, not through passMemo, so the key it
+// passes by pointer stays on the stack, and the walk a miss makes runs
 // no deeper than the lookup.
-func (s *Simulator) passGroup(rs *rankState, p *blockPass, memo passMemo, w *workerState, st *Stats, b int, fired [groupSize]int, read int, in [groupSize][]byte) error {
+func (s *Simulator) passGroup(rs *rankState, p *blockPass, memo passMemo, g *group, st *Stats) error {
 	var key blockKey
 	cached := memo.enabled()
 	if cached {
 		switch m := memo.(type) {
 		case *blockCache:
-			if l := m.lookup(w, p, b&p.ctrlBits, &in, &key, st); l != nil {
-				return storeGroup(rs, p, b, l.out)
+			if l := m.lookup(g, p, &key, st); l != nil {
+				return storeGroup(rs, p, g.b, &l.out)
 			}
 		case *batchMemo:
-			key = p.key.block(b&p.ctrlBits, in)
+			key = p.key.block(g.b&p.ctrlBits, g.in)
 			out, ok, err := m.get(key, st)
 			if err != nil {
 				return err
 			}
 			if ok {
-				return storeGroup(rs, p, b, out)
+				return storeGroup(rs, p, g.b, &out)
 			}
 		}
 	}
-	out, err := s.walk(p, w, st, b, fired, read, in)
+	err := s.walk(p, g, st)
 	if cached {
 		switch m := memo.(type) {
 		case *blockCache:
-			m.record(w, p, &key, out, err)
+			m.record(g, p, &key, err)
 		case *batchMemo:
 			// Before the store: workers are parked on this key.
-			m.put(key, out, err)
+			m.put(key, g.out, err)
 		}
 	}
 	if err != nil {
 		return err
 	}
-	if err := storeGroup(rs, p, b, out); err != nil {
+	if err := storeGroup(rs, p, g.b, &g.out); err != nil {
 		return err
 	}
-	noteSaved(fired, st)
+	noteSaved(g, st)
 	return nil
 }
 
-// walk is the pass on the group based at b, in w's scratch: decode the
-// inputs, apply the gates before the window to the local members,
-// exchange, apply the window to the whole group and the rest to the
-// local members, recompress what fired. The codec runs once per distinct
-// block of the group (decodeGroup, encodeGroup): on a redundant state a
-// group that misses the §3.4 cache is mostly copies of one block. A
-// failed decode still exchanges, so the peer's SendRecvs stay paired.
-func (s *Simulator) walk(p *blockPass, w *workerState, st *Stats, b int, fired [groupSize]int, read int, in [groupSize][]byte) (out [groupSize][]byte, err error) {
-	bufs := w.group(p.size)
-	if err := s.decodeGroup(p, bufs, read, in, st); err != nil {
-		p.exchange(bufs, b)
-		return out, err
+// walk is the pass on group g: decode the inputs, apply the gates before
+// the window to the local members, exchange, apply the window to the
+// whole group and the rest to the local members, recompress what fired
+// into g.out. The codec runs once per distinct block of the group
+// (decodeGroup, encodeGroup): on a redundant state a group that misses
+// the §3.4 cache is mostly copies of one block. A failed decode still
+// exchanges, so the peer's SendRecvs stay paired.
+func (s *Simulator) walk(p *blockPass, g *group, st *Stats) error {
+	g.alloc(&g.bufs, p.size)
+	if err := s.decodeGroup(p, g, st); err != nil {
+		p.exchange(g)
+		return err
 	}
 	m0, m1 := p.own, p.own+p.local
-	w.kernel(p, bufs[:], b, p.gates[:p.first], m0, m1, st)
-	p.exchange(bufs, b)
-	w.kernel(p, bufs[:], b, p.gates[p.first:p.last+1], 0, p.size, st)
-	w.kernel(p, bufs[:], b, p.gates[p.last+1:], m0, m1, st)
-	return s.encodeGroup(p, bufs, fired, st)
+	g.kernel(p, &g.bufs, p.gates[:p.first], m0, m1, st)
+	p.exchange(g)
+	g.kernel(p, &g.bufs, p.gates[p.first:p.last+1], 0, p.size, st)
+	g.kernel(p, &g.bufs, p.gates[p.last+1:], m0, m1, st)
+	return s.encodeGroup(p, g, &g.bufs, st)
 }
 
-// decodeGroup decodes in[m] into buffer own+m for each m read names. A
-// compact input (Simulator.compact, the rule blobReader keys by) equal to
-// an earlier read member's — the same slice, which bytes.Equal settles
-// by pointer, or the same bytes — is that member's buffer copied, not
-// decoded again: a decode is a function of the bytes, so the copy holds
-// its bits. st counts the copy in DecompressReused.
-func (s *Simulator) decodeGroup(p *blockPass, bufs [groupSize][]float64, read int, in [groupSize][]byte, st *Stats) error {
+// decodeGroup decodes g.in[m] into buffer own+m of g.bufs for each m
+// g.read names. A compact input (Simulator.compact, the rule blobReader
+// keys by) equal to an earlier read member's — the same slice, which
+// bytes.Equal settles by pointer, or the same bytes — is that member's
+// buffer copied, not decoded again: a decode is a function of the bytes,
+// so the copy holds its bits. st counts the copy in DecompressReused.
+func (s *Simulator) decodeGroup(p *blockPass, g *group, st *Stats) error {
+	read, in, bufs := g.read, &g.in, &g.bufs
 members:
 	for m := range p.local {
 		if read>>m&1 == 0 {
@@ -798,16 +851,19 @@ members:
 	return nil
 }
 
-// encodeGroup recompresses the local members of a decoded group that
-// some gate of p acted on, at p's level. A member whose amplitudes are
-// bit-equal (compress.SameBits: ±0 and NaN payloads stay apart) to an
-// earlier encoded member's shares that member's blob by reference —
-// blobs are immutable, an encode is a function of the words and the
-// level, and the store still counts its bytes once per block. st counts
-// the share in CompressReused.
-func (s *Simulator) encodeGroup(p *blockPass, bufs [groupSize][]float64, fired [groupSize]int, st *Stats) (out [groupSize][]byte, err error) {
+// encodeGroup recompresses into g.out the local members of the decoded
+// group in bufs, g.bufs or g.fork, that some gate of p acted on
+// (g.fired), at p's level. A member whose amplitudes are bit-equal
+// (compress.SameBits: ±0 and NaN payloads stay apart) to an earlier
+// encoded member's shares that member's blob by reference — blobs are
+// immutable, an encode is a function of the words and the level, and
+// the store still counts its bytes once per block. st counts the share
+// in CompressReused.
+func (s *Simulator) encodeGroup(p *blockPass, g *group, bufs *[groupSize][]float64, st *Stats) (err error) {
+	out := &g.out
+	*out = [groupSize][]byte{}
 members:
-	for m, n := range fired {
+	for m, n := range &g.fired {
 		if n == 0 {
 			continue
 		}
@@ -820,14 +876,15 @@ members:
 			}
 		}
 		if out[m], err = s.compressBlock(p.key.level, x, st); err != nil {
-			return out, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// storeGroup puts a group's output blobs, nil for a member left alone.
-func storeGroup(rs *rankState, p *blockPass, b int, out [groupSize][]byte) error {
+// storeGroup puts a group's output blobs, the group's own or a memo
+// line's, nil for a member left alone, at the group based at b.
+func storeGroup(rs *rankState, p *blockPass, b int, out *[groupSize][]byte) error {
 	for m, blob := range out {
 		if blob != nil {
 			if err := rs.store.Put(b|p.sub[m], blob); err != nil {
@@ -840,8 +897,8 @@ func storeGroup(rs *rankState, p *blockPass, b int, out [groupSize][]byte) error
 
 // noteSaved charges st the round trips a computed group elided versus
 // gate-at-a-time: every gate after the first that fired on a member.
-func noteSaved(fired [groupSize]int, st *Stats) {
-	for _, n := range fired {
+func noteSaved(g *group, st *Stats) {
+	for _, n := range &g.fired {
 		st.CodecPassesSaved += int64(max(n-1, 0))
 	}
 }
@@ -958,12 +1015,12 @@ func fanOutPass(sims []*Simulator, r int, passes []*blockPass) error {
 	err := s0.forEach(rs0, (chunks+len(solo))<<shift, func(w *workerState, i int) error {
 		u, j := i>>shift, i&(groups-1)
 		if u < chunks {
-			return forks.run(sims, r, passes, memo, w, shards, u, j)
+			return forks.run(sims, r, passes, memo, w.hold(), shards, u, j)
 		}
 		v := solo[u-chunks]
 		s, p := sims[v], passes[v]
 		if b := p.base(j); b < nb {
-			return s.passBlock(s.ranks[r], p, memo, w, &shards[w.id*K+v], b)
+			return s.passBlock(s.ranks[r], p, memo, w.hold(), &shards[w.id*K+v], b)
 		}
 		return nil
 	})
@@ -1048,13 +1105,14 @@ func planForks(rs0 *rankState, passes []*blockPass) (*forkPlan, error) {
 		}
 	}
 	f.in0 = make([][groupSize][]byte, rs0.store.Len()/p0.local)
+	var g group
 	for j := range f.in0 {
-		b := p0.base(j)
-		_, read := p0.reads(b)
-		var err error
-		if f.in0[j], err = fetch(rs0.store.Peek, p0, b, read); err != nil {
+		g.b = p0.base(j)
+		g.read = p0.reads(g.b, &g.fired)
+		if err := fetch(rs0.store.Peek, p0, &g); err != nil {
 			return nil, err
 		}
+		f.in0[j] = g.in
 	}
 	return f, nil
 }
@@ -1090,11 +1148,10 @@ func sameReads(lead, p *blockPass, d, nb int) bool {
 	if lead.ctrlBits == 0 && p.ctrlBits == 0 || sameFired(lead, p, d) {
 		return true
 	}
+	var fired [groupSize]int
 	for j := range nb / lead.local {
 		b := lead.base(j)
-		_, rl := lead.reads(b)
-		_, rp := p.reads(b)
-		if rl != rp {
+		if lead.reads(b, &fired) != p.reads(b, &fired) {
 			return false
 		}
 	}
@@ -1147,80 +1204,83 @@ func (f *forkPlan) len() int {
 // owns reports whether variant v runs in a fork chunk.
 func (f *forkPlan) owns(v int) bool { return f != nil && f.at[v] > 0 }
 
-// run is fork chunk c's unit at variant 0's group j. A variant whose
-// inputs there are not variant 0's bytes runs its own pass through
-// passGroup first — a byte compare, which a blob shared with variant 0
-// passes at its pointer and a blob read back from a spill file by its
-// contents, so the choice reads the state alone, never the schedule.
-// The rest fork off one walk of variant 0's group, in divergence order:
-// decode variant 0's inputs once (charged to the first fork), then per
-// fork apply variant 0's gates up to its divergence point, copy the
-// group into the fork scratch, apply the fork's own gates from there,
-// and recompress its members at its level. A batch pass has no rank
-// target: every member is local.
-func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passMemo, w *workerState, shards []Stats, c, j int) error {
+// run is fork chunk c's unit at variant 0's group j, in group g. A
+// variant whose inputs there are not variant 0's bytes runs its own pass
+// through passGroup first — a byte compare, which a blob shared with
+// variant 0 passes at its pointer and a blob read back from a spill file
+// by its contents, so the choice reads the state alone, never the
+// schedule. The rest fork off one walk of variant 0's group, in
+// divergence order: decode variant 0's inputs once (charged to the first
+// fork), then per fork apply variant 0's gates up to its divergence
+// point, copy the group into the fork buffers, apply the fork's own
+// gates from there, and recompress its members at its level. A batch
+// pass has no rank target: every member is local.
+func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passMemo, g *group, shards []Stats, c, j int) error {
 	p0, K := passes[0], len(sims)
 	if j >= len(f.in0) {
 		return nil // a step with a pass of more groups than variant 0's
 	}
 	b := p0.base(j)
-	fired0, read := p0.reads(b) // every fork's read too (divergence)
+	var fired0 [groupSize]int
+	read := p0.reads(b, &fired0) // every fork's read too (divergence)
 	if read == 0 {
 		return nil
 	}
-	firedOf := func(v int) [groupSize]int {
+	g.b, g.read = b, read
+	setFired := func(v int) { // g.fired = variant v's fired
 		if f.own[v] {
-			n, _ := passes[v].reads(b)
-			return n
+			passes[v].reads(b, &g.fired)
+		} else {
+			g.fired = fired0
 		}
-		return fired0
 	}
 	forks := make([]int, 0, len(f.chunks[c]))
 	for _, v := range f.chunks[c] {
 		s, rs := sims[v], sims[v].ranks[r]
-		in, err := fetch(rs.store.Get, passes[v], b, read)
-		if err != nil {
+		if err := fetch(rs.store.Get, passes[v], g); err != nil {
 			return err
 		}
 		same := true
-		for m := range in {
-			same = same && bytes.Equal(in[m], f.in0[j][m])
+		for m := range g.in {
+			same = same && bytes.Equal(g.in[m], f.in0[j][m])
 		}
 		if same {
 			forks = append(forks, v)
 			continue
 		}
-		if err := s.passGroup(rs, passes[v], memo, w, &shards[w.id*K+v], b, firedOf(v), read, in); err != nil {
+		setFired(v)
+		if err := s.passGroup(rs, passes[v], memo, g, &shards[g.w.id*K+v]); err != nil {
 			return err
 		}
 	}
 	if len(forks) == 0 {
 		return nil
 	}
-	lead, fork := w.group(p0.size), w.forkGroup(p0.size)
-	if err := sims[0].decodeGroup(p0, lead, read, f.in0[j], &shards[w.id*K+forks[0]]); err != nil {
+	g.in = f.in0[j]
+	g.alloc(&g.bufs, p0.size)
+	g.alloc(&g.fork, p0.size)
+	if err := sims[0].decodeGroup(p0, g, &shards[g.w.id*K+forks[0]]); err != nil {
 		return err
 	}
 	walked := 0
 	for _, v := range forks {
-		s, p, st, d := sims[v], passes[v], &shards[w.id*K+v], f.at[v]
-		w.kernel(p0, lead[:], b, p0.gates[walked:d], 0, p0.size, st)
+		s, p, st, d := sims[v], passes[v], &shards[g.w.id*K+v], f.at[v]
+		g.kernel(p0, &g.bufs, p0.gates[walked:d], 0, p0.size, st)
 		walked = d
 		for m := range p0.size {
 			if read>>m&1 != 0 {
-				copy(fork[m], lead[m])
+				copy(g.fork[m], g.bufs[m])
 			}
 		}
-		w.kernel(p, fork[:], b, p.gates[d:], 0, p.size, st)
-		fired := firedOf(v)
-		out, err := s.encodeGroup(p, fork, fired, st)
-		if err != nil {
+		g.kernel(p, &g.fork, p.gates[d:], 0, p.size, st)
+		setFired(v)
+		if err := s.encodeGroup(p, g, &g.fork, st); err != nil {
 			return err
 		}
-		if err := storeGroup(s.ranks[r], p, b, out); err != nil {
+		if err := storeGroup(s.ranks[r], p, b, &g.out); err != nil {
 			return err
 		}
-		noteSaved(fired, st)
+		noteSaved(g, st)
 	}
 	return nil
 }
@@ -1248,32 +1308,34 @@ func (p *blockPass) crossing(b int) (cross int) {
 	return cross
 }
 
-// exchange swaps each crossing member of the group based at b, dense,
-// with its twin: the same-index member of the peer's half.
-func (p *blockPass) exchange(bufs [groupSize][]float64, b int) {
-	cross := p.crossing(b)
+// exchange swaps each crossing member of group g, dense, with its twin:
+// the same-index member of the peer's half.
+func (p *blockPass) exchange(g *group) {
+	cross := p.crossing(g.b)
 	for m := range p.local {
 		if cross>>m&1 != 0 {
-			p.comm.SendRecv(p.peer, bufs[p.own+m], bufs[p.own^p.local+m])
+			p.comm.SendRecv(p.peer, g.bufs[p.own+m], g.bufs[p.own^p.local+m])
 		}
 	}
 }
 
 // exchangePass runs a pass with a rank-segment target on rank rs (§3.3's
-// third case): passBlock per group, in block order, on the rank's first
-// worker, with no memo, so every SendRecv pairs with the peer's. A
-// failure must not end the walk: the peer would block forever in
-// SendRecv while this rank sat at the sweep error barrier. After the
+// third case): passBlock per group, in block order, in the group of the
+// rank's first worker, with no memo, so every SendRecv pairs with the
+// peer's. A failure must not end the walk: the peer would block forever
+// in SendRecv while this rank sat at the sweep error barrier. After the
 // first error the rank only exchanges the remaining groups (sending
-// whatever is in scratch), and the barrier stops all ranks.
+// whatever is in scratch, which the failing passBlock allocated), and
+// the barrier stops all ranks.
 func (s *Simulator) exchangePass(rs *rankState, p *blockPass) error {
-	w := rs.w0()
+	g := rs.workers[0].hold()
 	var err error
 	for j := range s.blocksPerRank() / p.local {
 		if b := p.base(j); err == nil {
-			err = s.passBlock(rs, p, (*blockCache)(nil), w, &rs.stats, b)
+			err = s.passBlock(rs, p, (*blockCache)(nil), g, &rs.stats, b)
 		} else {
-			p.exchange(w.group(p.size), b)
+			g.b = b
+			p.exchange(g)
 		}
 	}
 	return err
@@ -1293,10 +1355,11 @@ func (s *Simulator) hintPass(rs *rankState, p *blockPass) {
 		order = append(order, blk)
 		return nil, nil
 	}
+	var g group
 	for j := range nb / p.local {
-		b := p.base(j)
-		_, read := p.reads(b)
-		fetch(visit, p, b, read)
+		g.b = p.base(j)
+		g.read = p.reads(g.b, &g.fired)
+		fetch(visit, p, &g)
 	}
 	rs.store.PrefetchHint(order)
 }

@@ -677,7 +677,7 @@ func TestGroupCodecOncePerDistinctBlock(t *testing.T) {
 	s := newSim(t, 10, 1, 16, nil)
 	p := newBlockPass(newPassKey("op", 0), nil, 0b111, 0) // groups of 8
 	n := 2 * s.blockAmps()
-	group := func() (bufs [groupSize][]float64) {
+	scratch := func() (bufs [groupSize][]float64) {
 		for m := range bufs {
 			bufs[m] = make([]float64, n)
 			for i := range bufs[m] {
@@ -713,9 +713,9 @@ func TestGroupCodecOncePerDistinctBlock(t *testing.T) {
 		// again; 7 is a copy of c, which is not compact.
 		in := [groupSize][]byte{a, a, bytes.Clone(a), b, nil, a, c, bytes.Clone(c)}
 		read := 0b1110_1111
-		bufs := group()
+		bufs := scratch()
 		var st Stats
-		if err := s.decodeGroup(p, bufs, read, in, &st); err != nil {
+		if err := s.decodeGroup(p, &group{bufs: bufs, read: read, in: in}, &st); err != nil {
 			t.Fatal(err)
 		}
 		if st.DecompressCalls != 4 || st.DecompressReused != 3 {
@@ -740,7 +740,7 @@ func TestGroupCodecOncePerDistinctBlock(t *testing.T) {
 
 	t.Run("encode", func(t *testing.T) {
 		nan := func(payload uint64) float64 { return math.Float64frombits(0x7ff8_0000_0000_0000 | payload) }
-		bufs := group()
+		bufs := scratch()
 		for m := range 4 {
 			copy(bufs[m], sparse(0, 0.5))
 		}
@@ -750,10 +750,11 @@ func TestGroupCodecOncePerDistinctBlock(t *testing.T) {
 		copy(bufs[6], sparse(2, nan(1)))
 		fired := [groupSize]int{1, 1, 1, 1, 1, 1, 1, 0}
 		var st Stats
-		out, err := s.encodeGroup(p, bufs, fired, &st)
-		if err != nil {
+		g := &group{fired: fired}
+		if err := s.encodeGroup(p, g, &bufs, &st); err != nil {
 			t.Fatal(err)
 		}
+		out := g.out
 		if st.CompressCalls != 4 || st.CompressReused != 3 {
 			t.Fatalf("%d encodes and %d reuses, want 4 and 3 (members 0, 3, 4 and 5; 1, 2 and 6)", st.CompressCalls, st.CompressReused)
 		}
@@ -820,10 +821,10 @@ func TestGroupCodecOncePerDistinctBlock(t *testing.T) {
 // TestCacheReleasedWhenRunReturns: cache lines pin their blobs outside
 // every footprint ledger, so a run drops them on every way out —
 // success, abort, codec error, a batch — while the cache stays enabled
-// and the next run hits again within its own passes. The six buffers an
-// 8-block group needs beyond a worker's Eq. 8 pair go with them, and so
-// does the second group a batch pass forks a variant into: between runs
-// no worker holds more than its pair.
+// and the next run hits again within its own passes. Every worker's
+// group goes with them: the eight member buffers an 8-block group needs,
+// the Eq. 8 pair among them, the second set a batch pass forks a variant
+// into, and the recent lines. Between runs no worker holds any scratch.
 func TestCacheReleasedWhenRunReturns(t *testing.T) {
 	lines := func(s *Simulator) int {
 		n := 0
@@ -834,15 +835,17 @@ func TestCacheReleasedWhenRunReturns(t *testing.T) {
 		}
 		return n
 	}
-	// wide is the most buffers beyond its pair any worker of rs holds:
-	// group members and fork scratch.
-	wide := func(rs *rankState) int {
+	// bufs is the most buffers any worker of rs holds: group members
+	// and fork scratch.
+	bufs := func(rs *rankState) int {
 		most := 0
 		for _, w := range rs.workers {
 			n := 0
-			for _, buf := range append(w.wide[:], w.fork[:]...) {
-				if buf != nil {
-					n++
+			if w.grp != nil {
+				for _, buf := range append(w.grp.bufs[:], w.grp.fork[:]...) {
+					if buf != nil {
+						n++
+					}
 				}
 			}
 			most = max(most, n)
@@ -855,17 +858,19 @@ func TestCacheReleasedWhenRunReturns(t *testing.T) {
 			t.Fatalf("%d cache lines held after %s", n, after)
 		}
 		for _, rs := range s.ranks {
-			if n := wide(rs); n != 0 {
-				t.Fatalf("rank %d: a worker holds %d group buffers beyond its pair after %s", rs.id, n, after)
+			for _, w := range rs.workers {
+				if w.grp != nil {
+					t.Fatalf("rank %d worker %d holds a group (%d buffers at most on the rank) after %s", rs.id, w.id, bufs(rs), after)
+				}
 			}
 		}
 	}
 	// Grover's register is qubits 0..4 and its ancillas 5 and 6; qubits
 	// 3..5 index blocks and 6 the rank, so a sweep whose ladder targets
 	// ancilla 5 beside qubits 3 and 4 is an 8-block group. held
-	// is the most wide buffers a worker of rank 0 was seen holding at a
+	// is the most buffers a worker of rank 0 was seen holding at a
 	// sweep boundary (rank 0 polls while the other ranks wait at the
-	// broadcast): all six of an 8-block group's.
+	// broadcast): all eight of an 8-block group's, the pair included.
 	cir := quantum.Grover(5, 11, 2)
 	calls := int64(1 << 30)
 	s := newSim(t, cir.N, 2, 8, func(c *Config) {
@@ -874,14 +879,14 @@ func TestCacheReleasedWhenRunReturns(t *testing.T) {
 	})
 	held := 0
 	watch := func() error {
-		held = max(held, wide(s.ranks[0]))
+		held = max(held, bufs(s.ranks[0]))
 		return nil
 	}
 	if err := s.RunControlled(cir, RunControl{PollAbort: watch}); err != nil {
 		t.Fatal(err)
 	}
-	if held != groupSize-2 {
-		t.Fatalf("a worker held at most %d of the %d wide buffers; the test is vacuous", held, groupSize-2)
+	if held != groupSize {
+		t.Fatalf("a worker held at most %d of the %d member buffers; the test is vacuous", held, groupSize)
 	}
 	first := s.Stats()
 	if first.CacheHits == 0 {
@@ -923,14 +928,14 @@ func TestCacheReleasedWhenRunReturns(t *testing.T) {
 	forks := batchSims(t, fork.N, 1, 16, 2, func(c *Config) { c.CacheLines = 64 })
 	forkHeld := 0
 	err = RunBatch(forks, []*quantum.Circuit{fork, partAt(fork, 5, 1)}, RunControl{PollAbort: func() error {
-		forkHeld = max(forkHeld, wide(forks[0].ranks[0]))
+		forkHeld = max(forkHeld, bufs(forks[0].ranks[0]))
 		return nil
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if forkHeld != groupSize-2+groupSize {
-		t.Fatalf("a worker held at most %d buffers beyond its pair in a forking batch, want %d; the test is vacuous", forkHeld, groupSize-2+groupSize)
+	if forkHeld != 2*groupSize {
+		t.Fatalf("a worker held at most %d buffers in a forking batch, want %d; the test is vacuous", forkHeld, 2*groupSize)
 	}
 	released(forks[0], "a forking batch")
 	released(forks[1], "a forking batch")
