@@ -82,14 +82,17 @@ func (k *blockKey) equal(o *blockKey) bool {
 }
 
 // cacheLine is one key → outputs entry of the block cache; apart from
-// tick it is never written once published. The outputs are shared with
-// every slot they were ever handed to, never copied.
+// tick and gone it is never written once published. The outputs are
+// shared with every slot they were ever handed to, never copied.
 type cacheLine struct {
 	key blockKey
 	out [groupSize][]byte // nil for a member the pass left untouched
 	// tick is the number of the lookup that last touched the line;
 	// the smallest tick is the LRU victim.
 	tick atomic.Int64
+	// gone is set, under the cache's mu, once the line leaves the table:
+	// evicted or replaced by put, or dropped by release.
+	gone atomic.Bool
 }
 
 // find returns the line stored for k, or nil.
@@ -115,17 +118,28 @@ func find(lines map[uint64]*cacheLine, k *blockKey) *cacheLine {
 // releasing the lines' blobs.
 //
 // The rank's workers hit the cache concurrently during a fan-out, so a
-// hit takes no lock: it reads an immutable snapshot of the table and
-// records recency by stamping its line with the lookup counter — and
-// not even that while the line is still the most recently used one,
-// which on a redundant state is nearly always, so concurrent hits on
-// one line share it read-only. put, which has just paid a codec round
+// hit takes no lock and writes no word the workers share: it reads an
+// immutable snapshot of the table and the count of misses, and records
+// recency by stamping its line with its own lookup number (now) — and
+// not even that while the line is the one the worker last stamped or
+// put (group.mru) and already carries a number of this fan-out, which on
+// a redundant state is nearly always. A worker numbers its lookups on
+// top of the cache's clock, which fanOutPass advances by the fan-out's
+// lookups once its workers are done (fold). So within one fan-out two
+// workers' numbers compare only loosely and eviction is only roughly
+// LRU across workers, but a line a worker keeps hitting is restamped in
+// every fan-out and cannot age past the lines put in earlier ones. A
+// miss adds one to the count of misses and a hit zeroes it, storing only
+// when it is not zero already; a reset that lands after another worker's
+// misses only delays a shut-off. put, which has just paid a codec round
 // trip, serialises on mu, finds the LRU victim by scanning for the
 // oldest stamp and publishes a fresh snapshot; that is O(lines) per
-// miss, for a cache the paper sizes at 64 lines. With one worker the
-// stamps are unique and ordered (an unstamped hit on the MRU line
-// leaves it the newest), so the eviction order — and with it every
-// lookup, hit and codec-call count — is exactly a linked-list LRU's.
+// miss, for a cache the paper sizes at 64 lines. With one worker
+// the numbers are those of one shared counter and the stamps are unique
+// and ordered (an unstamped hit on the worker's last line leaves it the
+// newest), so the eviction order — and with it every lookup, hit and
+// codec-call count — is exactly a linked-list LRU's, and the count of
+// misses is the number of lookups since the last hit.
 type blockCache struct {
 	cap int
 	// probation is the number of consecutive hitless lookups after
@@ -133,13 +147,10 @@ type blockCache struct {
 	probation int64
 	mu        sync.Mutex                            // serialises put and the shut-off
 	table     atomic.Pointer[map[uint64]*cacheLine] // by key hash; nil once shut off
-	lookups   atomic.Int64                          // doubles as the recency clock
-	// lastHit is the number of the latest lookup that hit. It only
-	// grows (stamp): a worker that drew its number and was descheduled
-	// before stamping must not move it back, or the next miss would see
-	// a window of misses that never happened.
-	lastHit atomic.Int64
-	mru     atomic.Pointer[cacheLine]
+	// clock is the number of lookups the cache's fan-outs have made,
+	// written only between them (fold).
+	clock  int64
+	misses atomic.Int64 // lookups since the last hit
 }
 
 func newBlockCache(lines int) *blockCache {
@@ -157,10 +168,25 @@ func (c *blockCache) enabled() bool {
 	return c != nil && c.table.Load() != nil
 }
 
+// now is the number of the latest lookup counted in st, the caller's own
+// shard of the fan-out: the cache's clock plus the lookups st has counted
+// since the fan-out began. A caller outside a fan-out numbers its lookups
+// the same way from its own Stats.
+func (c *blockCache) now(st *Stats) int64 { return c.clock + st.CacheLookups }
+
+// fold advances the clock by n, the lookups of a fan-out whose workers
+// are all done (fanOutPass).
+func (c *blockCache) fold(n int64) {
+	if c != nil {
+		c.clock += n
+	}
+}
+
 // get returns the line stored for k, or nil, counting the lookup (and
 // the hit) in st exactly when the cache counted it — a cache that shut
-// off since the caller's enabled() check counts nothing.
-func (c *blockCache) get(k blockKey, st *Stats) *cacheLine {
+// off since the caller's enabled() check counts nothing. g is the
+// caller's group, whose mru a hit reads and writes.
+func (c *blockCache) get(k blockKey, g *group, st *Stats) *cacheLine {
 	if c == nil {
 		return nil
 	}
@@ -168,18 +194,16 @@ func (c *blockCache) get(k blockKey, st *Stats) *cacheLine {
 	if t == nil {
 		return nil
 	}
-	n := c.lookups.Add(1)
 	st.CacheLookups++
 	if l := find(*t, &k); l != nil {
-		c.stamp(l, n, st)
+		c.stamp(l, g, st)
 		return l
 	}
-	if n-c.lastHit.Load() >= c.probation {
+	if c.misses.Add(1) >= c.probation {
 		// §3.4: no redundancy left in the state — stop paying the miss
 		// penalty and holding the lines.
 		c.mu.Lock()
 		c.table.Store(nil)
-		c.mru.Store(nil)
 		c.mu.Unlock()
 	}
 	return nil
@@ -191,30 +215,27 @@ func (c *blockCache) get(k blockKey, st *Stats) *cacheLine {
 // would return it, so the lookup is get's hit, counted and stamped the
 // same; otherwise recall counts nothing and reports false, and the
 // caller asks get.
-func (c *blockCache) recall(l *cacheLine, st *Stats) bool {
-	t := c.table.Load()
-	if t == nil || (*t)[l.key.hash] != l {
+func (c *blockCache) recall(l *cacheLine, g *group, st *Stats) bool {
+	if c.table.Load() == nil || l.gone.Load() {
 		return false
 	}
-	n := c.lookups.Add(1)
 	st.CacheLookups++
-	c.stamp(l, n, st)
+	c.stamp(l, g, st)
 	return true
 }
 
-// stamp is the hit branch of lookup number n on line l: count the hit,
-// make l the most recently used line and raise lastHit to n.
-func (c *blockCache) stamp(l *cacheLine, n int64, st *Stats) {
+// stamp is the hit branch of a lookup on line l, counted in st: count
+// the hit, make l the most recently used line (unless it is g's already
+// and stamped in this fan-out, past the clock) and zero the count of
+// misses.
+func (c *blockCache) stamp(l *cacheLine, g *group, st *Stats) {
 	st.CacheHits++
-	if c.mru.Load() != l {
-		l.tick.Store(n)
-		c.mru.Store(l)
+	if g.mru != l || l.tick.Load() <= c.clock {
+		l.tick.Store(c.now(st))
+		g.mru = l
 	}
-	for {
-		last := c.lastHit.Load()
-		if last >= n || c.lastHit.CompareAndSwap(last, n) {
-			return
-		}
+	if c.misses.Load() != 0 {
+		c.misses.Store(0)
 	}
 }
 
@@ -226,11 +247,11 @@ func (c *blockCache) stamp(l *cacheLine, n int64, st *Stats) {
 // make, at any worker count.
 func (c *blockCache) lookup(g *group, p *blockPass, key *blockKey, st *Stats) *cacheLine {
 	variant := g.b & p.ctrlBits
-	if l := g.recent.find(p, variant, &g.in); l != nil && c.recall(l, st) {
+	if l := g.recent.find(p, variant, &g.in); l != nil && c.recall(l, g, st) {
 		return l
 	}
 	*key = p.key.block(variant, g.in)
-	l := c.get(*key, st)
+	l := c.get(*key, g, st)
 	if l != nil {
 		g.recent.note(l, p, variant, &g.in)
 	}
@@ -239,8 +260,8 @@ func (c *blockCache) lookup(g *group, p *blockPass, key *blockKey, st *Stats) *c
 
 // record is put of g's outputs, after the lookup of pass p at group g
 // missed on key: the new line joins the worker's recent ones.
-func (c *blockCache) record(g *group, p *blockPass, key *blockKey, err error) {
-	if l := c.put(*key, g.out, err); l != nil {
+func (c *blockCache) record(g *group, p *blockPass, key *blockKey, st *Stats, err error) {
+	if l := c.put(*key, g.out, err, g, st); l != nil {
 		g.recent.note(l, p, key.variant, &key.in)
 	}
 }
@@ -304,10 +325,10 @@ func sameBlobs(a, b *[groupSize][]byte) bool {
 
 // put stores the outputs of the lookup that just missed on k, evicting
 // the least recently used line when the cache is full, and returns the
-// new line; a round trip that failed (err) has nothing to store, and a
-// cache that shut off stores nothing. Key and outputs are kept by
-// reference.
-func (c *blockCache) put(k blockKey, out [groupSize][]byte, err error) *cacheLine {
+// new line, stamped with the number of that lookup (now) and made g's
+// mru; a round trip that failed (err) has nothing to store, and a cache
+// that shut off stores nothing. Key and outputs are kept by reference.
+func (c *blockCache) put(k blockKey, out [groupSize][]byte, err error, g *group, st *Stats) *cacheLine {
 	if c == nil || err != nil {
 		return nil
 	}
@@ -318,8 +339,8 @@ func (c *blockCache) put(k blockKey, out [groupSize][]byte, err error) *cacheLin
 		return nil
 	}
 	old := *t
-	var victim *cacheLine
-	if old[k.hash] == nil && len(old) >= c.cap {
+	victim := old[k.hash] // a line already under k's hash is replaced
+	if victim == nil && len(old) >= c.cap {
 		for _, o := range old {
 			if victim == nil || o.tick.Load() < victim.tick.Load() {
 				victim = o
@@ -329,28 +350,31 @@ func (c *blockCache) put(k blockKey, out [groupSize][]byte, err error) *cacheLin
 	next := maps.Clone(old)
 	if victim != nil {
 		delete(next, victim.key.hash)
+		victim.gone.Store(true)
 	}
 	l := &cacheLine{key: k, out: out}
-	l.tick.Store(c.lookups.Load())
+	l.tick.Store(c.now(st))
 	next[k.hash] = l
 	c.table.Store(&next)
-	c.mru.Store(l)
+	g.mru = l
 	return l
 }
 
-// release drops every line, keeping the enabled / shut-off state and
-// the lookup clock. Lines pin their input and output blobs outside
-// every footprint ledger, so a run releases them when it returns; the
-// redundancy they exploit lives within a pass and the next run refills
-// them within its first.
+// release drops every line, marking each gone, and keeps the enabled /
+// shut-off state, the lookup clock and the count of misses. Lines pin
+// their input and output blobs outside every footprint ledger, so a run
+// releases them when it returns; the redundancy they exploit lives
+// within a pass and the next run refills them within its first.
 func (c *blockCache) release() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.table.Load() != nil {
+	if t := c.table.Load(); t != nil {
+		for _, l := range *t {
+			l.gone.Store(true)
+		}
 		c.table.Store(&map[uint64]*cacheLine{})
-		c.mru.Store(nil)
 	}
 }

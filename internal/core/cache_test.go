@@ -82,6 +82,28 @@ func TestGroverCacheKeepsItsHits(t *testing.T) {
 	})
 }
 
+// TestCacheClockCountsEveryLookup: a worker numbers its lookups on top
+// of the cache's clock, and a fan-out folds them into the clock once its
+// workers are done, so after every Run the clock has grown by exactly
+// the lookups Stats counted, at any worker count. It runs the 13-qubit
+// Grover of TestGroverCacheKeepsItsHits twice on one simulator.
+func TestCacheClockCountsEveryLookup(t *testing.T) {
+	c := quantum.Grover(8, 0b1011, 1)
+	for _, workers := range []int{1, 2, 4} {
+		s := newSim(t, c.N, 1, 256, func(cfg *Config) { cfg.CacheLines, cfg.Workers = 64, workers })
+		cache := s.ranks[0].cache
+		for run := range 2 {
+			clock, lookups := cache.clock, s.Stats().CacheLookups
+			if err := s.Run(c); err != nil {
+				t.Fatal(err)
+			}
+			if grew, counted := cache.clock-clock, s.Stats().CacheLookups-lookups; grew != counted || counted == 0 {
+				t.Fatalf("%d workers, run %d: the clock grew by %d, Stats counted %d lookups", workers, run, grew, counted)
+			}
+		}
+	}
+}
+
 func TestCacheCorrectnessOnFullWorkload(t *testing.T) {
 	// Same circuit with and without cache must agree bit-for-bit.
 	c := quantum.Grover(5, 11, 2)
@@ -113,8 +135,8 @@ func TestCacheSelfDisables(t *testing.T) {
 	}
 	for _, rs := range s.ranks {
 		if rs.cache.enabled() {
-			t.Fatalf("cache still enabled after %d lookups, the last hit at lookup %d",
-				rs.cache.lookups.Load(), rs.cache.lastHit.Load())
+			t.Fatalf("cache still enabled after %d lookups, the last %d of them misses",
+				rs.cache.clock, rs.cache.misses.Load())
 		}
 	}
 }
@@ -125,10 +147,11 @@ func TestCacheSelfDisables(t *testing.T) {
 // window stays on.
 func TestCacheShutsOffWhenHitsStop(t *testing.T) {
 	var st Stats
+	g := &group{}
 	a := testKey("a", 1)
 	c := newBlockCache(2)
-	c.put(a, members([]byte{10}), nil)
-	if c.get(a, &st) == nil {
+	c.put(a, members([]byte{10}), nil, g, &st)
+	if c.get(a, g, &st) == nil {
 		t.Fatal("a missing")
 	}
 	for i := int64(1); i <= c.probation; i++ {
@@ -136,23 +159,23 @@ func TestCacheShutsOffWhenHitsStop(t *testing.T) {
 			t.Fatalf("cache shut off after %d misses in a row, want %d", i-1, c.probation)
 		}
 		k := testKey("miss", byte(i))
-		if c.get(k, &st) != nil {
+		if c.get(k, g, &st) != nil {
 			t.Fatalf("miss %d hit", i)
 		}
-		c.put(k, members([]byte{byte(i)}), nil)
+		c.put(k, members([]byte{byte(i)}), nil, g, &st)
 	}
-	if c.enabled() || c.mru.Load() != nil {
-		t.Fatalf("cache still on, or still holding a line, %d misses after its last hit", c.probation)
+	if c.enabled() {
+		t.Fatalf("cache still on %d misses after its last hit", c.probation)
 	}
 
 	c = newBlockCache(2)
-	c.put(a, members([]byte{10}), nil)
+	c.put(a, members([]byte{10}), nil, g, &st)
 	for round := range 8 {
-		if c.get(a, &st) == nil {
+		if c.get(a, g, &st) == nil {
 			t.Fatalf("round %d: a missing", round)
 		}
 		for i := int64(1); i < c.probation; i++ {
-			c.get(testKey("miss", byte(i)), &st)
+			c.get(testKey("miss", byte(i)), g, &st)
 		}
 	}
 	if !c.enabled() {
@@ -160,24 +183,33 @@ func TestCacheShutsOffWhenHitsStop(t *testing.T) {
 	}
 }
 
-// TestCacheStampOnlyGrows: lastHit only moves forward. A worker that
-// drew lookup 100, was descheduled, and stamps after another worker
-// stamped 300 must leave 300, or the misses from 301 on would count from
-// 100 and shut the cache off inside its window.
+// TestCacheStampOnlyGrows: a hit's reset of the count of misses can
+// only delay a shut-off. A worker that hit, was descheduled, and zeroes
+// the count after other workers' misses must leave the cache on for a
+// whole window of misses after the reset, and the window's last miss
+// shuts it off.
 func TestCacheStampOnlyGrows(t *testing.T) {
 	var st Stats
+	g := &group{}
 	c := newBlockCache(64)
-	l := c.put(testKey("a", 1), members([]byte{10}), nil)
-	c.stamp(l, 300, &st)
-	c.stamp(l, 100, &st)
-	c.lookups.Store(300)
-	for i := int64(1); i < c.probation; i++ {
-		if c.get(testKey("miss", byte(i)), &st) != nil {
-			t.Fatalf("miss %d hit", i)
+	l := c.put(testKey("a", 1), members([]byte{10}), nil, g, &st)
+	miss := func(n int64) {
+		t.Helper()
+		for i := range n {
+			if c.get(testKey("miss", byte(i)), g, &st) != nil {
+				t.Fatalf("miss %d hit", i)
+			}
 		}
 	}
-	if got := c.lastHit.Load(); !c.enabled() || got != 300 {
-		t.Fatalf("after stamps 300 and 100 and %d misses: lastHit %d, enabled %v; want 300, on", c.probation-1, got, c.enabled())
+	miss(c.probation - 1)
+	c.stamp(l, g, &st) // the late reset
+	miss(c.probation - 1)
+	if got := c.misses.Load(); !c.enabled() || got != c.probation-1 {
+		t.Fatalf("%d misses after a late reset: count %d, enabled %v; want %d, on", c.probation-1, got, c.enabled(), c.probation-1)
+	}
+	miss(1)
+	if c.enabled() {
+		t.Fatalf("cache still on %d misses after the reset", c.probation)
 	}
 }
 
@@ -209,17 +241,17 @@ func TestGroverCacheRecallKeepsCounters(t *testing.T) {
 // TestCacheRecallByReference: a worker recalls a line only for the
 // very input blobs that led to it, under the same pass and control
 // variant, and only while the line is published. Anything else —
-// byte-equal copies, another variant, another pass, an evicted line, a
-// shut-off cache — finds no line to recall, or a recall that counts
-// nothing, and the hashed path decides.
+// byte-equal copies, another variant, another pass, an evicted or
+// released line, a shut-off cache — finds no line to recall, or a
+// recall that counts nothing, and the hashed path decides.
 func TestCacheRecallByReference(t *testing.T) {
 	var st Stats
 	c := newBlockCache(2)
 	p := newBlockPass(newPassKey("op", 0), nil, 0, 1) // variant: block bit 0
 	blob := []byte{1, 2, 3}
 	in := members(blob)
-	l := c.put(p.key.block(0, in), members([]byte{9}), nil)
 	g := &group{} // at base 0: variant 0
+	l := c.put(p.key.block(0, in), members([]byte{9}), nil, g, &st)
 	hit := func(in [groupSize][]byte) {
 		t.Helper()
 		var key blockKey
@@ -233,8 +265,8 @@ func TestCacheRecallByReference(t *testing.T) {
 	}
 	before := st
 	hit(in)
-	if g.recent.noted() != 1 || st.CacheLookups != before.CacheLookups+1 || st.CacheHits != before.CacheHits+1 || c.lookups.Load() != st.CacheLookups {
-		t.Fatal("a recall noted a line, or did not count as one hit")
+	if g.recent.noted() != 1 || st.CacheLookups != before.CacheLookups+1 || st.CacheHits != before.CacheHits+1 || c.clock != 0 {
+		t.Fatal("a recall noted a line, did not count as one hit, or moved the cache's clock outside a fan-out")
 	}
 	cp := members(bytes.Clone(blob))
 	if g.recent.find(p, 0, &cp) != nil {
@@ -253,17 +285,20 @@ func TestCacheRecallByReference(t *testing.T) {
 
 	unrecalled := func(why string) {
 		t.Helper()
-		before, n := st, c.lookups.Load()
-		if c.recall(l, &st) || st != before || c.lookups.Load() != n {
+		before, n := st, c.misses.Load()
+		if c.recall(l, g, &st) || st != before || c.misses.Load() != n {
 			t.Fatalf("%s: recall hit or counted", why)
 		}
 	}
-	c.put(testKey("b", 1), members([]byte{1}), nil)
-	c.put(testKey("c", 1), members([]byte{1}), nil)
+	c.put(testKey("b", 1), members([]byte{1}), nil, g, &st)
+	c.put(testKey("c", 1), members([]byte{1}), nil, g, &st)
 	unrecalled("after eviction")
-	l = c.put(p.key.block(0, in), members([]byte{9}), nil)
+	l = c.put(p.key.block(0, in), members([]byte{9}), nil, g, &st)
+	c.release()
+	unrecalled("after release")
+	l = c.put(p.key.block(0, in), members([]byte{9}), nil, g, &st)
 	for i := range c.probation {
-		c.get(testKey("miss", byte(i)), &st)
+		c.get(testKey("miss", byte(i)), g, &st)
 	}
 	if c.enabled() {
 		t.Fatal("cache still on")
@@ -286,6 +321,7 @@ func TestCacheRecallMatchesHashed(t *testing.T) {
 	blobs := [][]byte{first, zero, bytes.Clone(first), bytes.Clone(zero)}
 	passes := []*blockPass{scanPass(0, 1), scanPass(0, 1)} // equal keys, two passes
 	c, twin := newBlockCache(2), newBlockCache(2)
+	tg := &group{} // the twin's worker
 	var st, tst Stats
 	keys := func(c *blockCache) []uint64 {
 		var ks []uint64
@@ -319,12 +355,12 @@ func TestCacheRecallMatchesHashed(t *testing.T) {
 			if err := s.passGroup(rs, p, c, g, &st); err != nil {
 				t.Fatal(err)
 			}
-		} else if c.get(p.key.block(b, in), &st) == nil { // not a blob: no walk
-			c.put(p.key.block(b, in), members([]byte{1}), nil)
+		} else if c.get(p.key.block(b, in), g, &st) == nil { // not a blob: no walk
+			c.put(p.key.block(b, in), members([]byte{1}), nil, g, &st)
 		}
 		k := p.key.block(b, in)
-		if twin.get(k, &tst) == nil {
-			twin.put(k, members([]byte{1}), nil)
+		if twin.get(k, tg, &tst) == nil {
+			twin.put(k, members([]byte{1}), nil, tg, &tst)
 		}
 		if st.CacheLookups != tst.CacheLookups || st.CacheHits != tst.CacheHits || !slices.Equal(keys(c), keys(twin)) {
 			t.Fatalf("lookup %d: %d lookups, %d hits, keys %x; the hashed twin %d, %d, %x",
@@ -363,22 +399,23 @@ func testKey(sig string, in byte) blockKey {
 
 func TestCacheLRUEviction(t *testing.T) {
 	var st Stats
+	g := &group{}
 	c := newBlockCache(2)
 	a, b, d := testKey("a", 1), testKey("b", 2), testKey("c", 3)
-	c.put(a, members([]byte{10}), nil)
-	c.put(b, members([]byte{20}), nil)
+	c.put(a, members([]byte{10}), nil, g, &st)
+	c.put(b, members([]byte{20}), nil, g, &st)
 	// Touch "a" so "b" is the LRU victim.
-	if c.get(a, &st) == nil {
+	if c.get(a, g, &st) == nil {
 		t.Fatal("a missing")
 	}
-	c.put(d, members([]byte{30}), nil)
-	if c.get(b, &st) != nil {
+	c.put(d, members([]byte{30}), nil, g, &st)
+	if c.get(b, g, &st) != nil {
 		t.Fatal("b should have been evicted")
 	}
-	if c.get(a, &st) == nil {
+	if c.get(a, g, &st) == nil {
 		t.Fatal("a evicted out of LRU order")
 	}
-	if l := c.get(d, &st); l == nil || l.out[0][0] != 30 {
+	if l := c.get(d, g, &st); l == nil || l.out[0][0] != 30 {
 		t.Fatal("c missing or wrong")
 	}
 	if st.CacheLookups != 4 || st.CacheHits != 3 {
@@ -388,15 +425,16 @@ func TestCacheLRUEviction(t *testing.T) {
 
 // TestCacheMatchesReferenceLRU drives the engine's protocol (get, and
 // put after a miss) with a bursty random key sequence and checks every
-// hit/miss against a textbook linked-list LRU: stamping lines with the
-// lookup counter — and skipping the stamp on the MRU line — must keep
-// the exact eviction order.
+// hit/miss against a textbook linked-list LRU: on one worker, stamping
+// lines with the worker's lookup numbers — and skipping the stamp on the
+// line it last stamped or put — must keep the exact eviction order.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
 	const lines, universe = 4, 9
 	rng := rand.New(rand.NewSource(5))
 	c := newBlockCache(lines)
 	ref := list.New() // of key ids; front = most recently used
 	var st Stats
+	g := &group{}
 	id := 0
 	for i := 0; i < 20000; i++ {
 		if rng.Intn(3) > 0 { // otherwise repeat the previous key
@@ -409,7 +447,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 				refEl = el
 			}
 		}
-		l := c.get(k, &st)
+		l := c.get(k, g, &st)
 		hit := l != nil
 		if hit != (refEl != nil) {
 			t.Fatalf("lookup %d (key %d): hit=%v, reference LRU says %v", i, id, hit, refEl != nil)
@@ -421,7 +459,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 			ref.MoveToFront(refEl)
 			continue
 		}
-		c.put(k, members([]byte{byte(id)}), nil)
+		c.put(k, members([]byte{byte(id)}), nil, g, &st)
 		if ref.Len() == lines {
 			ref.Remove(ref.Back())
 		}
@@ -441,6 +479,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 // hashes here and must still miss, in the block cache and in the batch
 // memo alike.
 func TestCacheKeyVerifiedBehindHash(t *testing.T) {
+	g := &group{}
 	// group is a full group's inputs, members alternately one byte and
 	// two bytes with a leading zero, so that moving one byte across any
 	// boundary between adjacent members keeps their concatenation.
@@ -492,20 +531,20 @@ func TestCacheKeyVerifiedBehindHash(t *testing.T) {
 	for m := range outs {
 		outs[m] = []byte{byte(m + 1)}
 	}
-	c.put(base, outs, nil)
+	c.put(base, outs, nil, g, &st)
 	if _, ok, _ := memo.get(base, &st); ok { // the claim
 		t.Fatal("an empty memo hits")
 	}
 	memo.put(base, outs, nil)
 	_, memoHit, _ := memo.get(base, &st)
-	if c.get(base, &st) == nil || !memoHit {
+	if c.get(base, g, &st) == nil || !memoHit {
 		t.Fatal("the stored key itself misses")
 	}
 	if st.CodecPassesShared != groupSize {
 		t.Fatalf("a memo hit on %d outputs counted %d shared passes", groupSize, st.CodecPassesShared)
 	}
 	for name, k := range others {
-		if c.get(k, &st) != nil {
+		if c.get(k, g, &st) != nil {
 			t.Errorf("%s: block cache returned another key's blocks on a hash collision", name)
 		}
 		if _, ok, _ := memo.get(k, &st); ok {
@@ -513,11 +552,11 @@ func TestCacheKeyVerifiedBehindHash(t *testing.T) {
 		}
 	}
 	// A colliding put takes the slot over; the displaced key misses.
-	c.put(others["level"], members([]byte{3}, []byte{4}), nil)
-	if l := c.get(others["level"], &st); l == nil || l.out[0][0] != 3 {
+	c.put(others["level"], members([]byte{3}, []byte{4}), nil, g, &st)
+	if l := c.get(others["level"], g, &st); l == nil || l.out[0][0] != 3 {
 		t.Fatal("colliding put not stored")
 	}
-	if c.get(base, &st) != nil {
+	if c.get(base, g, &st) != nil {
 		t.Fatal("displaced key still hits")
 	}
 	// The real hash covers every field too (so collisions stay rare).
@@ -544,11 +583,12 @@ func TestCacheKeyVerifiedBehindHash(t *testing.T) {
 // engine makes block slots share one blob.
 func TestCacheSharesImmutableBlobs(t *testing.T) {
 	var st Stats
+	g := &group{}
 	c := newBlockCache(2)
 	outs := members([]byte{42}, []byte{43}, nil, []byte{44})
 	k := newPassKey("a", 0).block(0, members([]byte{1}, []byte{2}, nil, []byte{3}))
-	c.put(k, outs, nil)
-	l := c.get(k, &st)
+	c.put(k, outs, nil, g, &st)
+	l := c.get(k, g, &st)
 	if l == nil || &l.out[0][0] != &outs[0][0] || &l.out[1][0] != &outs[1][0] || l.out[2] != nil || &l.out[3][0] != &outs[3][0] {
 		t.Fatal("cache hit does not alias the stored outputs")
 	}
@@ -752,7 +792,7 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 			store.Put(m, in)
 			blobs[m] = in
 		}
-		c.put(p.key.block(0, blobs), blobs, nil)
+		c.put(p.key.block(0, blobs), blobs, nil, &group{}, &st)
 		for _, recall := range []bool{false, true} {
 			g := &group{}
 			hit := func() {
@@ -785,7 +825,7 @@ func cacheHit(c *blockCache, p *blockPass, g *group, st *Stats, in [groupSize][]
 		g.in = in
 		l = c.lookup(g, p, &key, st)
 	} else {
-		l = c.get(p.key.block(0, in), st)
+		l = c.get(p.key.block(0, in), g, st)
 	}
 	if l == nil {
 		panic("miss")
@@ -816,7 +856,7 @@ func TestPassBlockHitZeroAlloc(t *testing.T) {
 			blobs[m] = in
 		}
 		c := newBlockCache(4)
-		c.put(p.key.block(0, blobs), blobs, nil)
+		c.put(p.key.block(0, blobs), blobs, nil, &group{}, &Stats{})
 		for _, recall := range []bool{false, true} {
 			g := (&workerState{size: 2}).hold()
 			var st Stats
@@ -893,32 +933,103 @@ func TestCacheWorkersBitIdentical(t *testing.T) {
 }
 
 // TestCacheLookupsMatchStats: Stats counts a lookup exactly when the
-// cache did, also when the cache shuts itself off under a worker pool
-// mid-pass (workers that pass enabled() and then find the cache off
-// used to bump Stats anyway).
+// cache made one, also once the cache has shut itself off (workers that
+// pass enabled() and then find the cache off used to bump Stats anyway).
+// The witness is the test's own count of the lookups it made while the
+// table was up: after the shut-off, get, recall and lookup on a line the
+// worker recalls must count nothing and leave the count of misses alone.
+// A pool of four workers then shuts a two-line cache off mid-pass under
+// the race detector.
 func TestCacheLookupsMatchStats(t *testing.T) {
+	var st Stats
+	g := &group{}
+	c := newBlockCache(2)
+	p := newBlockPass(newPassKey("op", 0), nil, 0, 0)
+	in := members([]byte{1, 2, 3})
+	k := p.key.block(0, in)
+	c.put(k, members([]byte{9}), nil, g, &st)
+	var key blockKey
+	if g.in = in; c.lookup(g, p, &key, &st) == nil || g.recent.find(p, 0, &in) == nil {
+		t.Fatal("the stored line missed, or was not noted for recall")
+	}
+	made := int64(1)
+	for i := range c.probation {
+		c.get(testKey("miss", byte(i)), g, &st)
+		made++
+	}
+	if c.enabled() {
+		t.Fatal("cache still on")
+	}
+	misses := c.misses.Load()
+	if c.get(k, g, &st) != nil || c.lookup(g, p, &key, &st) != nil {
+		t.Fatal("a shut-off cache hit")
+	}
+	if st.CacheLookups != made || st.CacheHits != 1 || c.misses.Load() != misses {
+		t.Fatalf("%d lookups made on the table, %d counted with %d hits; misses %d → %d",
+			made, st.CacheLookups, st.CacheHits, misses, c.misses.Load())
+	}
+
 	cir := quantum.Supremacy(3, 3, 4, 9)
 	s := newSim(t, cir.N, 1, 4, func(cfg *Config) { cfg.Workers, cfg.CacheLines = 4, 2 })
 	if err := s.Run(cir); err != nil {
 		t.Fatal(err)
 	}
-	var lookups int64
-	for _, rs := range s.ranks {
-		lookups += rs.cache.lookups.Load()
+	if s.ranks[0].cache.enabled() || s.Stats().CacheLookups == 0 {
+		t.Fatal("the pool's cache made no lookup, or did not shut off")
 	}
-	if st := s.Stats(); st.CacheLookups != lookups {
-		t.Fatalf("Stats.CacheLookups = %d, the cache counted %d", st.CacheLookups, lookups)
+}
+
+// TestCacheHotLineOutlivesOtherWorkers: a worker that keeps hitting the
+// line it last stamped skips the stamp only within one fan-out, so its
+// hot line is not evicted for a tick it got in an earlier one while
+// another worker puts lines. Each step below is one fan-out, its
+// workers' shards folded into the clock as fanOutPass does.
+func TestCacheHotLineOutlivesOtherWorkers(t *testing.T) {
+	const lines = 4
+	c := newBlockCache(lines)
+	a, b := &group{}, &group{}
+	fanOut := func(f func(sa, sb *Stats)) {
+		var sa, sb Stats
+		f(&sa, &sb)
+		c.fold(sa.CacheLookups + sb.CacheLookups)
+	}
+	hot := testKey("hot", 1)
+	miss := func(g *group, st *Stats, k blockKey) {
+		t.Helper()
+		if c.get(k, g, st) != nil {
+			t.Fatalf("%x hit before its put", k.hash)
+		}
+		c.put(k, members([]byte{1}), nil, g, st)
+	}
+	fanOut(func(sa, _ *Stats) { miss(a, sa, hot) }) // a's last line is the hot one
+	fanOut(func(_, sb *Stats) {
+		for i := range lines - 1 { // b fills the cache
+			miss(b, sb, testKey("cold", byte(i)))
+		}
+	})
+	fanOut(func(sa, sb *Stats) {
+		if c.get(hot, a, sa) == nil {
+			t.Fatal("hot line evicted while the cache had room")
+		}
+		miss(b, sb, testKey("cold", lines))
+	})
+	if c.get(hot, a, &Stats{}) == nil {
+		t.Fatal("the hot line was evicted for another worker's put")
+	}
+	if c.get(testKey("cold", 0), b, &Stats{}) != nil {
+		t.Fatal("the oldest cold line survived; the hot one should have been kept instead")
 	}
 }
 
 func TestNilCacheIsSafe(t *testing.T) {
 	var c *blockCache
 	var st Stats
+	g := &group{}
 	k := testKey("x", 1)
-	if c.get(k, &st) != nil || st.CacheLookups != 0 {
+	if c.get(k, g, &st) != nil || st.CacheLookups != 0 {
 		t.Fatal("nil cache hit or counted a lookup")
 	}
-	c.put(k, members([]byte{1}), nil) // must not panic
+	c.put(k, members([]byte{1}), nil, g, &st) // must not panic
 }
 
 // BenchmarkCacheHit times the §3.4 hit path as a worker runs it — read
@@ -945,7 +1056,7 @@ func BenchmarkCacheHit(b *testing.B) {
 					}
 					c := newBlockCache(64)
 					p := newBlockPass(newPassKey("h 3", 0), nil, 0, 0)
-					c.put(p.key.block(0, members(in)), members(in), nil)
+					c.put(p.key.block(0, members(in)), members(in), nil, &group{}, &Stats{})
 					b.SetBytes(int64(size))
 					b.ReportAllocs()
 					b.ResetTimer()

@@ -684,21 +684,27 @@ type passMemo interface {
 // members' input blobs in and output blobs out, the decoded members bufs
 // — member m in bufs[m], the Eq. 8 pair and up to six more — and fork,
 // the second set a batch pass copies variant 0's group into where a
-// variant parts from it (forkPlan). recent is the cache lines the
-// worker's last groups used (§3.4 recall). A buffer is allocated on the
-// first pass of the Run that needs it (alloc). Whatever keeps a group's
-// blobs beyond it — a cache or memo line, a key, a recent line, a fork
-// plan — keeps a copy of the array, so the next group may overwrite it.
+// variant parts from it (forkPlan). readsOf and readsAt say which pass
+// and control variant fired and read were last computed for (reads);
+// whatever else writes them clears readsOf. recent is the cache lines
+// the worker's last groups used (§3.4 recall), and mru the line it last
+// stamped or put (blockCache.stamp). A buffer is allocated on the first
+// pass of the Run that needs it (alloc). Whatever keeps a group's blobs
+// beyond it — a cache or memo line, a key, a recent line, a fork plan —
+// keeps a copy of the array, so the next group may overwrite it.
 type group struct {
-	w      *workerState // the worker holding it
-	b      int
-	fired  [groupSize]int
-	read   int
-	in     [groupSize][]byte
-	out    [groupSize][]byte // nil for a member the pass left untouched
-	bufs   [groupSize][]float64
-	fork   [groupSize][]float64
-	recent recent
+	w       *workerState // the worker holding it
+	b       int
+	fired   [groupSize]int
+	read    int
+	readsOf *blockPass
+	readsAt int
+	in      [groupSize][]byte
+	out     [groupSize][]byte // nil for a member the pass left untouched
+	bufs    [groupSize][]float64
+	fork    [groupSize][]float64
+	recent  recent
+	mru     *cacheLine
 }
 
 // alloc allocates the first n buffers of set, g.bufs or g.fork, that are
@@ -731,7 +737,7 @@ func (g *group) kernel(p *blockPass, bufs *[groupSize][]float64, gates []passGat
 // variant) shard. A failed fetch still exchanges, as walk does.
 func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, g *group, st *Stats, b int) error {
 	g.b = b
-	if g.read = p.reads(b, &g.fired); g.read == 0 {
+	if g.reads(p) == 0 {
 		return nil
 	}
 	if err := fetch(rs.store.Get, p, g); err != nil {
@@ -740,6 +746,19 @@ func (s *Simulator) passBlock(rs *rankState, p *blockPass, memo passMemo, g *gro
 		return err
 	}
 	return s.passGroup(rs, p, memo, g, st)
+}
+
+// reads sets g.fired and g.read to what pass p reads at g's base and
+// returns g.read. Both are functions of the base's control variant,
+// b&ctrlBits (crossing's too: every gate's block controls are in
+// ctrlBits), so they are computed once for a run of groups of one pass
+// and variant — every group, for a pass without block controls.
+func (g *group) reads(p *blockPass) int {
+	if at := g.b & p.ctrlBits; g.readsOf != p || g.readsAt != at {
+		g.read = p.reads(g.b, &g.fired)
+		g.readsOf, g.readsAt = p, at
+	}
+	return g.read
 }
 
 // fetch reads through get (the store's Get; Peek for a fork plan;
@@ -785,7 +804,7 @@ func (s *Simulator) passGroup(rs *rankState, p *blockPass, memo passMemo, g *gro
 	if cached {
 		switch m := memo.(type) {
 		case *blockCache:
-			m.record(g, p, &key, err)
+			m.record(g, p, &key, st, err)
 		case *batchMemo:
 			// Before the store: workers are parked on this key.
 			m.put(key, g.out, err)
@@ -1024,8 +1043,13 @@ func fanOutPass(sims []*Simulator, r int, passes []*blockPass) error {
 		}
 		return nil
 	})
+	var lookups int64
 	for i := range shards {
 		sims[i%K].ranks[r].stats.merge(shards[i])
+		lookups += shards[i].CacheLookups
+	}
+	if K == 1 { // the memo was the block cache
+		rs0.cache.fold(lookups)
 	}
 	return err
 }
@@ -1108,7 +1132,7 @@ func planForks(rs0 *rankState, passes []*blockPass) (*forkPlan, error) {
 	var g group
 	for j := range f.in0 {
 		g.b = p0.base(j)
-		g.read = p0.reads(g.b, &g.fired)
+		g.reads(p0)
 		if err := fetch(rs0.store.Peek, p0, &g); err != nil {
 			return nil, err
 		}
@@ -1226,7 +1250,8 @@ func (f *forkPlan) run(sims []*Simulator, r int, passes []*blockPass, memo passM
 	if read == 0 {
 		return nil
 	}
-	g.b, g.read = b, read
+	// Fired and read are written here, not by g.reads.
+	g.b, g.read, g.readsOf = b, read, nil
 	setFired := func(v int) { // g.fired = variant v's fired
 		if f.own[v] {
 			passes[v].reads(b, &g.fired)
@@ -1358,7 +1383,7 @@ func (s *Simulator) hintPass(rs *rankState, p *blockPass) {
 	var g group
 	for j := range nb / p.local {
 		g.b = p.base(j)
-		g.read = p.reads(g.b, &g.fired)
+		g.reads(p)
 		fetch(visit, p, &g)
 	}
 	rs.store.PrefetchHint(order)

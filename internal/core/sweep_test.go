@@ -1333,3 +1333,40 @@ func TestHintsNameWhatPassesRead(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupReadsForgetsForks: a group reuses what a pass reads for the
+// next group of the same pass and control variant (group.reads), so
+// whatever else writes fired and read must make it recompute. A fork
+// chunk writes its variant's fired into the group (forkPlan.run), and a
+// pass that reads the group next at the same variant as before must
+// see its own fired there, not the fork's.
+func TestGroupReadsForgetsForks(t *testing.T) {
+	sims := batchSims(t, 4, 1, 4, 2, nil) // four one-block groups
+	rs := sims[0].ranks[0]
+	pass := func(sig string, ctrl int) *blockPass {
+		gates := []passGate{newPassGate(quantum.MatH, 1, 0, 0, 0), newPassGate(quantum.MatX, 2, 0, 0, ctrl)}
+		return newBlockPass(newPassKey(sig, 0), gates, 0, ctrl)
+	}
+	// Variant 1 parts from variant 0 at gate 1, whose control differs.
+	passes := []*blockPass{pass("a", 1), pass("b", 2)}
+	f, err := planForks(rs, passes)
+	if err != nil || f == nil || f.at[1] != 1 || !f.own[1] {
+		t.Fatalf("variant 1 does not fork at gate 1 with fires of its own (%v)", err)
+	}
+	g := rs.workers[0].hold()
+	g.b = 0
+	g.reads(passes[0]) // block 0, variant 0: gate 0 alone fires
+	shards := make([]Stats, 2*len(rs.workers))
+	if err := f.run(sims, 0, passes, newBatchMemo(), g, shards, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if g.fired[0] != 2 {
+		t.Fatalf("the fork at block 2 fired %d gates, want both", g.fired[0])
+	}
+	g.b = 2 // variant 0 of passes[0] again, where gate 1 does not fire
+	var want [groupSize]int
+	read := passes[0].reads(g.b, &want)
+	if g.reads(passes[0]) != read || g.fired != want {
+		t.Fatalf("after a fork, block 2 reads %b firing %v; want %b firing %v", g.read, g.fired, read, want)
+	}
+}
