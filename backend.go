@@ -94,8 +94,7 @@ type backendSampler interface {
 
 // compressedBackend adapts *core.Simulator to the backend interface.
 // Everything is a direct delegation except NewSampler, whose concrete
-// return type must be lifted to the interface and whose decoded-block
-// LRU is DefaultSampleCache lines.
+// return type must be lifted to the interface.
 type compressedBackend struct {
 	*core.Simulator
 }
@@ -103,7 +102,7 @@ type compressedBackend struct {
 func (b compressedBackend) Name() string { return BackendCompressed }
 
 func (b compressedBackend) NewSampler() (backendSampler, error) {
-	sp, err := b.Simulator.NewSampler(DefaultSampleCache)
+	sp, err := b.Simulator.NewSampler(0)
 	if err != nil {
 		return nil, err
 	}

@@ -78,10 +78,8 @@
 // pool — decompress, fold the probabilities into an intra-block prefix
 // array, binary-search it for each of the block's shots:
 // O(shots·log(blocks·blockAmps) + touched·blockAmps) per call, with
-// outcomes identical for every worker count. A small LRU
-// (DefaultSampleCache lines) keeps the blocks of narrow calls decoded
-// between calls; a call that touches more blocks than it has lines goes
-// around it.
+// outcomes identical for every worker count. A Sampler keeps only its
+// CDF between calls: each call decodes the blocks it touches afresh.
 //
 // Normalization contract: every draw is scaled by the CDF's true total
 // mass Σ|aᵢ|² (Sampler.TotalMass). Lossy compression legitimately lets

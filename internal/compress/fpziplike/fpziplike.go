@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"qcsim/internal/bitio"
@@ -226,7 +227,7 @@ func (c *Codec) Decompress(dst []float64, data []byte) error {
 // writeResidual emits a 7-bit bit-length (0..64) followed by that many
 // bits of the zigzagged residual.
 func writeResidual(w *bitio.Writer, z uint64) {
-	n := bits64(z)
+	n := bits.Len64(z)
 	w.WriteBits(uint64(n), 7)
 	if n > 0 {
 		w.WriteBits(z, uint(n))
@@ -271,14 +272,4 @@ func zigzag(d uint64) uint64 {
 
 func unzigzag(z uint64) uint64 {
 	return (z >> 1) ^ uint64(-(int64(z & 1)))
-}
-
-// bits64 returns the position of the highest set bit + 1 (0 for zero).
-func bits64(u uint64) int {
-	n := 0
-	for u != 0 {
-		u >>= 1
-		n++
-	}
-	return n
 }

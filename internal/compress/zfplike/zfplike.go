@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"qcsim/internal/bitio"
 	"qcsim/internal/compress"
@@ -214,7 +215,7 @@ func encodeBlock(w *bitio.Writer, blk *[blockLen]float64, bound float64, base in
 	// large average and near-zero differences, so the difference lanes
 	// cost almost nothing — the transform-coding payoff ZFP relies on.
 	for j := 0; j < blockLen; j++ {
-		n := bits64(u[j]) - cutoff
+		n := bits.Len64(u[j]) - cutoff
 		if n < 0 {
 			n = 0
 		}
@@ -411,14 +412,4 @@ func inverseLift(p *[blockLen]int64) {
 	x <<= 1
 	x -= w
 	p[0], p[1], p[2], p[3] = x, y, z, w
-}
-
-// bits64 returns the position of the highest set bit + 1 (0 for zero).
-func bits64(u uint64) int {
-	n := 0
-	for u != 0 {
-		u >>= 1
-		n++
-	}
-	return n
 }

@@ -667,12 +667,11 @@ func TestCloneHoldsNoScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sp, err := clone.NewSampler(DefaultSampleCache)
+	sp, err := clone.NewSampler(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A few shots go through the LRU; a thousand touch all 16 blocks,
-	// more than it has lines, and bypass it.
+	// A few shots touch a few blocks; a thousand touch all 16.
 	for _, shots := range []int{3, 1000} {
 		if _, err := sp.Sample(nil, shots); err != nil {
 			t.Fatal(err)

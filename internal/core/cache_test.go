@@ -752,7 +752,7 @@ func TestNoEnginePathWritesThroughBlobs(t *testing.T) {
 				}
 
 				move(s, s)
-				sp, err := s.NewSampler(2)
+				sp, err := s.NewSampler(0)
 				if err != nil {
 					t.Fatal(err)
 				}

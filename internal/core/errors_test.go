@@ -24,7 +24,7 @@ func TestTypedSentinels(t *testing.T) {
 		t.Fatalf("AssertProduct(1,1): %v does not wrap ErrInvalidPair", err)
 	}
 
-	sp, err := s.NewSampler(1)
+	sp, err := s.NewSampler(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/maphash"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -94,7 +93,8 @@ func (s *Simulator) mass(qs ...int) (float64, error) {
 
 // compact reports whether blob is at most a quarter of its block's raw
 // 16·BlockAmps bytes: redundant enough that equal blocks plausibly share
-// it, so the mass read and the Sampler's LRU key it by its bytes.
+// it, so the mass read shares one decode among byte-equal blocks, and a
+// Sample call's worker among a run of them.
 func (s *Simulator) compact(blob []byte) bool { return len(blob) <= 4*s.blockAmps() }
 
 // blockMasses is the read behind a measurement's probability, the
@@ -247,27 +247,6 @@ func subsets(mask uint64) []uint64 {
 		out = append(out, p)
 	}
 	return out
-}
-
-// DefaultSampleCache is the number of lines a Sampler's decoded-block
-// LRU gets when the caller has no reason to pick another.
-const DefaultSampleCache = 8
-
-// Sample draws `shots` full-register outcomes from the compressed state
-// without collapsing it, via a throwaway streaming Sampler — the state
-// is never materialized, so sampling works at any register width. A
-// nil rng falls back to the simulator's own seeded sampling stream, so
-// deterministic sampling needs no caller-supplied randomness — and,
-// because that stream is separate from the measurement-collapse stream,
-// sampling never perturbs later measurement outcomes. Callers drawing
-// repeatedly from an unchanged state should hold a NewSampler instead
-// and amortize the CDF build.
-func (s *Simulator) Sample(rng *rand.Rand, shots int) ([]uint64, error) {
-	sp, err := s.NewSampler(DefaultSampleCache)
-	if err != nil {
-		return nil, err
-	}
-	return sp.Sample(rng, shots)
 }
 
 // Stats returns the aggregate across ranks, first refreshing each

@@ -287,8 +287,11 @@ func TestSampleFromCompressedState(t *testing.T) {
 	if err := s.Run(quantum.GHZ(4)); err != nil {
 		t.Fatal(err)
 	}
-	rng := newTestRand(77)
-	samples, err := s.Sample(rng, 500)
+	sp, err := s.NewSampler(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := sp.Sample(newTestRand(77), 500)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math/rand"
 	"slices"
-	"sync"
 )
 
 // Streaming compressed-domain sampling: shot-based readout that never
@@ -23,8 +21,9 @@ import (
 // binary-search that array for each of the block's shots. A call costs
 // O(shots·log(blocks·blockAmps) + touched·blockAmps) instead of the old
 // FullState path's O(shots·2^n), with no cap on the register width. A
-// small LRU keeps the blocks of narrow calls hot ACROSS calls on a held
-// Sampler (see decodedLRU).
+// Sampler keeps the CDF and nothing else between calls: every call
+// decodes the blocks it touches afresh, and a run of byte-equal compact
+// blobs once per worker (see sampleScratch).
 //
 // Draws are normalized by the CDF's true total mass. Under lossy
 // codecs the state's norm drifts below 1; the old linear scan compared
@@ -53,7 +52,6 @@ type Sampler struct {
 	cum   []float64
 	total float64
 	ba    int
-	cache *decodedLRU
 	// slot[g] is Sample's per-block bucket counter, all zero between
 	// calls. It lives here so a call never pays an O(blocks) term: it
 	// touches, and clears again, only the entries of the blocks its
@@ -62,12 +60,11 @@ type Sampler struct {
 }
 
 // NewSampler builds the two-level CDF from each rank's blockMasses and
-// returns a Sampler holding it. cacheBlocks bounds the LRU of decoded
-// blocks kept hot across Sample calls (minimum 1; 8·BlockAmps bytes per
-// line, see decodedLRU). The pass charges nothing to the rank stats —
-// sampling is an inspection path and must not skew the Table 2 time
-// breakdown.
-func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
+// returns a Sampler holding it. The int argument is ignored; it stays
+// only so that existing callers compile. The pass charges nothing to the
+// rank stats — sampling is an inspection path and must not skew the
+// Table 2 time breakdown.
+func (s *Simulator) NewSampler(int) (*Sampler, error) {
 	masses := make([]float64, 0, len(s.ranks)*s.blocksPerRank())
 	for _, rs := range s.ranks {
 		// The CDF pass walks every block in ascending order — announce
@@ -88,16 +85,12 @@ func (s *Simulator) NewSampler(cacheBlocks int) (*Sampler, error) {
 	if !(total > 0) {
 		return nil, ErrZeroMass
 	}
-	if cacheBlocks < 1 {
-		cacheBlocks = 1
-	}
 	return &Sampler{
 		s:       s,
 		version: s.version,
 		cum:     masses,
 		total:   total,
 		ba:      s.blockAmps(),
-		cache:   &decodedLRU{cap: cacheBlocks, lines: make(map[decodedKey]*decodedLine, cacheBlocks)},
 		slot:    make([]int, len(masses)),
 	}, nil
 }
@@ -166,9 +159,6 @@ func (sp *Sampler) Sample(rng *rand.Rand, shots int) ([]uint64, error) {
 		sp.slot[gb] = 0
 	}
 
-	// A call touching more blocks than the LRU has lines would evict
-	// every line, its own included, and hit nothing: it bypasses the LRU.
-	cached := len(touched) <= sp.cache.cap
 	nb := sp.s.blocksPerRank()
 	for lo := 0; lo < len(touched); {
 		rs := sp.s.ranks[touched[lo]/nb]
@@ -196,20 +186,21 @@ func (sp *Sampler) Sample(rng *rand.Rand, shots int) ([]uint64, error) {
 				buf := make([]float64, 3*sp.ba)
 				sc.x, sc.y = buf[:2*sp.ba:2*sp.ba], buf[2*sp.ba:]
 			}
-			probs, err := sp.probs(rs, sc, gb, cached)
-			if err != nil {
+			if err := sp.decode(rs, sc, b); err != nil {
 				return fmt.Errorf("core: sampler: rank %d block %d: %w", rs.id, b, err)
 			}
-			// Fold the running mass from the block boundary in linear-scan
-			// order. The fold is monotone, so the first offset whose
-			// running mass exceeds u is a binary search away.
+			// Fold the running mass |aₒ|² from the block boundary in
+			// linear-scan order. The fold is monotone, so the first offset
+			// whose running mass exceeds u is a binary search away.
 			acc := 0.0
 			if gb > 0 {
 				acc = sp.cum[gb-1]
 			}
 			prefix := sc.y
 			lastNZ := sp.ba - 1
-			for o, m := range probs {
+			for o := range prefix {
+				re, im := sc.x[2*o], sc.x[2*o+1]
+				m := float64(re*re) + float64(im*im)
 				if m != 0 {
 					lastNZ = o
 				}
@@ -259,119 +250,31 @@ func blockMass(cum []float64, g int) float64 {
 }
 
 // sampleScratch is one worker's buffers for one rank of a Sample call:
-// x a decoded block, y its probabilities and then their running sums,
-// and held the compact blob whose amplitudes x holds, if any — so a run
-// of byte-identical blocks (a uniform superposition is one blob repeated
-// everywhere) decodes once per worker even when the call is too wide for
-// the LRU.
+// x a decoded block, y its running sums, and held the compact blob whose
+// amplitudes x holds, if any — so a run of byte-identical blocks (a
+// uniform superposition is one blob repeated everywhere) decodes once
+// per worker.
 type sampleScratch struct {
 	x, y []float64
 	held []byte
 }
 
-// probs returns the probabilities |aₒ|² of global block gb's amplitudes:
-// an LRU line when the call is cached, sc.y otherwise. It keeps sc.held
-// up to date.
-func (sp *Sampler) probs(rs *rankState, sc *sampleScratch, gb int, cached bool) ([]float64, error) {
-	blob, err := rs.store.Get(gb % sp.s.blocksPerRank())
+// decode leaves block b's amplitudes in sc.x, skipping the codec when
+// the blob is the compact one sc.x already holds.
+func (sp *Sampler) decode(rs *rankState, sc *sampleScratch, b int) error {
+	blob, err := rs.store.Get(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	compact := sp.s.compact(blob)
-	dst := sc.y
-	var key decodedKey
-	if cached {
-		// Compact blobs cache by content, so a redundant state (many
-		// byte-identical compressed blocks) occupies one line no matter
-		// which blocks the shots land in; dense blobs cache by block
-		// index, skipping the content hash.
-		key = decodedKey{gb: gb}
-		if compact {
-			key = decodedKey{gb: -1, hash: maphash.Bytes(keySeed, blob)}
-		}
-		if p := sp.cache.get(key, blob); p != nil {
-			return p, nil
-		}
-		dst = make([]float64, sp.ba)
-	}
-	if !compact || sc.held == nil || !bytes.Equal(blob, sc.held) {
-		sc.held = nil
-		if err := sp.s.decodeBlob(blob, sc.x); err != nil {
-			return nil, err
-		}
-		if compact {
-			sc.held = blob
-		}
-	}
-	for o := range dst {
-		re, im := sc.x[2*o], sc.x[2*o+1]
-		dst[o] = float64(re*re) + float64(im*im)
-	}
-	if cached {
-		sp.cache.put(key, blob, dst)
-	}
-	return dst, nil
-}
-
-// decodedKey names an LRU line: a block index, or — gb -1 — the hash of
-// a compact blob's bytes, which the line then confirms against the blob
-// it holds by reference (blobs are immutable), as cache.go's keys do.
-type decodedKey struct {
-	gb   int
-	hash uint64
-}
-
-type decodedLine struct {
-	blob  []byte // content-keyed lines only
-	probs []float64
-	tick  int64 // the clock reading of the last touch; smallest is the victim
-}
-
-// decodedLRU keeps decoded blocks hot ACROSS Sample calls on a held
-// Sampler: within a call every touched block is decoded once anyway. A
-// line holds one block's probabilities (8·BlockAmps bytes) — all that
-// resolution reads. Only calls that touch at most cap blocks go through
-// it, so no call can evict a line it is about to use, and the workers of
-// one call share it under mu. It stays apart from blockCache: that one
-// maps compressed inputs to compressed outputs of a pass and is read
-// lock-free by every block of every pass; this one holds decoded floats
-// for a handful of blocks per call.
-type decodedLRU struct {
-	mu    sync.Mutex
-	cap   int
-	clock int64
-	lines map[decodedKey]*decodedLine
-}
-
-func (c *decodedLRU) get(key decodedKey, blob []byte) []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l := c.lines[key]
-	if l == nil || (key.gb < 0 && !bytes.Equal(l.blob, blob)) {
+	if sc.held != nil && bytes.Equal(blob, sc.held) {
 		return nil
 	}
-	c.clock++
-	l.tick = c.clock
-	return l.probs
-}
-
-func (c *decodedLRU) put(key decodedKey, blob []byte, probs []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lines[key] == nil && len(c.lines) >= c.cap {
-		var victim decodedKey
-		oldest := c.clock + 1
-		for k, l := range c.lines {
-			if l.tick < oldest {
-				victim, oldest = k, l.tick
-			}
-		}
-		delete(c.lines, victim)
+	sc.held = nil
+	if err := sp.s.decodeBlob(blob, sc.x); err != nil {
+		return err
 	}
-	c.clock++
-	l := &decodedLine{probs: probs, tick: c.clock}
-	if key.gb < 0 {
-		l.blob = blob
+	if sp.s.compact(blob) {
+		sc.held = blob
 	}
-	c.lines[key] = l
+	return nil
 }

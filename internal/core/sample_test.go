@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -121,9 +120,8 @@ func lossyOddSupport(n int) (func(*Config), *quantum.Circuit) {
 // scan — scanResolve always, the old full-vector scan wherever the
 // state is lossless — across dense, redundant and lossy states, the
 // target-segment geometries, worker counts, block stores and codecs,
-// LRU sizes below, at and above the touched-block count, and calls with
-// far more and far fewer shots than blocks, repeated on one Sampler (so
-// the LRU is cold, warm, bypassed and warm again).
+// and calls with far more and far fewer shots than blocks, repeated on
+// one Sampler.
 func TestSamplerMatchesLinearScan(t *testing.T) {
 	const n = 8
 	lossyCfg, lossyCircuit := lossyOddSupport(n)
@@ -182,25 +180,23 @@ func TestSamplerMatchesLinearScan(t *testing.T) {
 						t.Fatal(err)
 					}
 					blocks := (1 << n) / geo.ba
-					for _, lines := range []int{1, 8, blocks} {
-						what := fmt.Sprintf("%s/%s/workers=%d/%s/lines=%d", st.name, geo.name, workers, store.name, lines)
-						sp, err := s.NewSampler(lines)
+					what := fmt.Sprintf("%s/%s/workers=%d/%s", st.name, geo.name, workers, store.name)
+					sp, err := s.NewSampler(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.lossy && sp.TotalMass() >= 0.99 {
+						t.Fatalf("%s: lossy codec shed no mass (%v)", what, sp.TotalMass())
+					}
+					got, ref, lin := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
+					for call, shots := range []int{5, 64 * blocks, 5, 64 * blocks} {
+						out, err := sp.Sample(got, shots)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if st.lossy && sp.TotalMass() >= 0.99 {
-							t.Fatalf("%s: lossy codec shed no mass (%v)", what, sp.TotalMass())
-						}
-						got, ref, lin := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
-						for call, shots := range []int{5, 64 * blocks, 5, 64 * blocks} {
-							out, err := sp.Sample(got, shots)
-							if err != nil {
-								t.Fatal(err)
-							}
-							equalShots(t, fmt.Sprintf("%s/call %d vs scanResolve", what, call), out, scanResolve(t, sp, ref, shots))
-							if !st.lossy {
-								equalShots(t, fmt.Sprintf("%s/call %d vs linear scan", what, call), out, linearScanSample(t, s, lin, shots))
-							}
+						equalShots(t, fmt.Sprintf("%s/call %d vs scanResolve", what, call), out, scanResolve(t, sp, ref, shots))
+						if !st.lossy {
+							equalShots(t, fmt.Sprintf("%s/call %d vs linear scan", what, call), out, linearScanSample(t, s, lin, shots))
 						}
 					}
 				}
@@ -238,60 +234,57 @@ func drawInto(t *testing.T, total, lo, hi float64) float64 {
 }
 
 // TestSamplerBoundaryDraws pins the edges of the two binary searches
-// with draws placed exactly on them, at both worker counts and through
-// both the LRU and the bypass.
+// with draws placed exactly on them, at both worker counts.
 func TestSamplerBoundaryDraws(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		for _, lines := range []int{1, 16} {
-			// Support {bits 0, 1, 5}, 16-amplitude blocks: blocks 0 and 2
-			// carry mass in offsets 0..3, block 1 between them and blocks
-			// 3..15 after them carry none.
-			s := newSim(t, 8, 1, 16, func(c *Config) { c.Workers = workers })
-			if err := s.Run(quantum.NewCircuit(8).H(0).H(1).H(5)); err != nil {
-				t.Fatal(err)
-			}
-			sp, err := s.NewSampler(lines)
+		// Support {bits 0, 1, 5}, 16-amplitude blocks: blocks 0 and 2
+		// carry mass in offsets 0..3, block 1 between them and blocks
+		// 3..15 after them carry none.
+		s := newSim(t, 8, 1, 16, func(c *Config) { c.Workers = workers })
+		if err := s.Run(quantum.NewCircuit(8).H(0).H(1).H(5)); err != nil {
+			t.Fatal(err)
+		}
+		sp, err := s.NewSampler(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blockMass(sp.cum, 0) == 0 || blockMass(sp.cum, 1) != 0 || blockMass(sp.cum, 2) == 0 || sp.cum[2] != sp.total {
+			t.Fatalf("scenario void: cum = %v", sp.cum[:4])
+		}
+		sample := func(rs ...float64) []uint64 {
+			t.Helper()
+			out, err := sp.Sample(rand.New(&draws{rs: rs}), len(rs))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if blockMass(sp.cum, 0) == 0 || blockMass(sp.cum, 1) != 0 || blockMass(sp.cum, 2) == 0 || sp.cum[2] != sp.total {
-				t.Fatalf("scenario void: cum = %v", sp.cum[:4])
-			}
-			sample := func(rs ...float64) []uint64 {
-				t.Helper()
-				out, err := sp.Sample(rand.New(&draws{rs: rs}), len(rs))
-				if err != nil {
-					t.Fatal(err)
-				}
-				equalShots(t, "vs scanResolve", out, scanResolve(t, sp, rand.New(&draws{rs: rs}), len(rs)))
-				return out
-			}
-
-			// A zero-mass block between two massive ones: the draw just below
-			// the boundary is block 0's last amplitude with mass, the draw ON
-			// it skips block 1 for block 2's first.
-			below := drawInto(t, sp.total, math.Nextafter(sp.cum[0], 0), sp.cum[0])
-			on := drawInto(t, sp.total, sp.cum[0], math.Nextafter(sp.cum[0], 1))
-			equalShots(t, "zero-mass block", sample(below, on, 0), []uint64{3, 32, 0})
-
-			// shots == 0 draws nothing and touches nothing.
-			if out := sample(); len(out) != 0 {
-				t.Fatalf("zero shots returned %v", out)
-			}
-
-			// fl(r·total) == total: the search runs off the end of cum and
-			// must clamp to the last block CARRYING mass (2, not 15), where
-			// the draw then outruns the fold and resolves to the last
-			// amplitude carrying mass (offset 3, not 15). rand.Float64 tops
-			// out at 1-2^-53, which no total rounds back up to itself, so
-			// the test moves total one ulp up to stand in for a draw that did.
-			top := 1 - 0x1p-53
-			sp.total = math.Nextafter(sp.total, 2)
-			if u := top * sp.total; u < sp.cum[len(sp.cum)-1] {
-				t.Fatalf("scenario void: top draw %v below the final boundary %v", u, sp.cum[len(sp.cum)-1])
-			}
-			equalShots(t, "clamp", sample(top, 0, top), []uint64{35, 0, 35})
+			equalShots(t, "vs scanResolve", out, scanResolve(t, sp, rand.New(&draws{rs: rs}), len(rs)))
+			return out
 		}
+
+		// A zero-mass block between two massive ones: the draw just below
+		// the boundary is block 0's last amplitude with mass, the draw ON
+		// it skips block 1 for block 2's first.
+		below := drawInto(t, sp.total, math.Nextafter(sp.cum[0], 0), sp.cum[0])
+		on := drawInto(t, sp.total, sp.cum[0], math.Nextafter(sp.cum[0], 1))
+		equalShots(t, "zero-mass block", sample(below, on, 0), []uint64{3, 32, 0})
+
+		// shots == 0 draws nothing and touches nothing.
+		if out := sample(); len(out) != 0 {
+			t.Fatalf("zero shots returned %v", out)
+		}
+
+		// fl(r·total) == total: the search runs off the end of cum and
+		// must clamp to the last block CARRYING mass (2, not 15), where
+		// the draw then outruns the fold and resolves to the last
+		// amplitude carrying mass (offset 3, not 15). rand.Float64 tops
+		// out at 1-2^-53, which no total rounds back up to itself, so
+		// the test moves total one ulp up to stand in for a draw that did.
+		top := 1 - 0x1p-53
+		sp.total = math.Nextafter(sp.total, 2)
+		if u := top * sp.total; u < sp.cum[len(sp.cum)-1] {
+			t.Fatalf("scenario void: top draw %v below the final boundary %v", u, sp.cum[len(sp.cum)-1])
+		}
+		equalShots(t, "clamp", sample(top, 0, top), []uint64{35, 0, 35})
 	}
 }
 
@@ -312,7 +305,7 @@ func TestSamplerFoldFallsShort(t *testing.T) {
 		if err := s.Run(c); err != nil {
 			t.Fatal(err)
 		}
-		sp, err := s.NewSampler(1)
+		sp, err := s.NewSampler(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +344,7 @@ func TestSamplerFoldFallsShort(t *testing.T) {
 
 // TestSamplerMatchesSampleStream: Sample with a nil rng must keep using
 // the simulator's dedicated seeded sampling stream across calls, as the
-// old path did.
+// old path did, even when each call builds its own Sampler.
 func TestSamplerMatchesSampleStream(t *testing.T) {
 	mk := func() *Simulator {
 		s := newSim(t, 6, 1, 8, nil)
@@ -360,19 +353,21 @@ func TestSamplerMatchesSampleStream(t *testing.T) {
 		}
 		return s
 	}
+	draw := func(s *Simulator, shots int) []uint64 {
+		t.Helper()
+		sp, err := s.NewSampler(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := sp.Sample(nil, shots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	a, b := mk(), mk()
-	av1, err := a.Sample(nil, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	av2, err := a.Sample(nil, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bv, err := b.Sample(nil, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	av1, av2 := draw(a, 10), draw(a, 10)
+	bv := draw(b, 20)
 	for i := range bv {
 		var want uint64
 		if i < 10 {
@@ -431,7 +426,11 @@ func TestSampleLossyNormBiasFixed(t *testing.T) {
 	if biased == 0 {
 		t.Fatal("pre-fix reference produced no biased outcomes; scenario does not exercise the bug")
 	}
-	got, err := s.Sample(rand.New(rand.NewSource(11)), shots)
+	sp, err := s.NewSampler(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sp.Sample(rand.New(rand.NewSource(11)), shots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,10 +438,6 @@ func TestSampleLossyNormBiasFixed(t *testing.T) {
 		if v%2 == 0 {
 			t.Fatalf("shot %d: sampled even index %d, which has zero amplitude (lossy fall-through bias)", i, v)
 		}
-	}
-	sp, err := s.NewSampler(2)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if tm := sp.TotalMass(); tm >= 0.99 || tm <= 0 {
 		t.Fatalf("TotalMass = %v, want the shed-mass norm in (0, 0.99)", tm)
@@ -469,7 +464,7 @@ func TestSamplerStaleness(t *testing.T) {
 		{"load", func() error { return s.Load(bytes.NewReader(ckpt.Bytes())) }},
 	}
 	for _, m := range mutate {
-		sp, err := s.NewSampler(1)
+		sp, err := s.NewSampler(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,12 +484,12 @@ func TestSamplerStaleness(t *testing.T) {
 // error, not panic or mislead.
 func TestSamplerRejectsBadInput(t *testing.T) {
 	s := newSim(t, 4, 1, 4, nil)
-	if _, err := s.Sample(nil, -1); err == nil {
-		t.Fatal("negative shot count accepted")
-	}
-	sp, err := s.NewSampler(1)
+	sp, err := s.NewSampler(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := sp.Sample(nil, -1); err == nil {
+		t.Fatal("negative shot count accepted")
 	}
 	if out, err := sp.Sample(nil, 0); err != nil || len(out) != 0 {
 		t.Fatalf("zero shots: %v, %v", out, err)
@@ -503,7 +498,7 @@ func TestSamplerRejectsBadInput(t *testing.T) {
 	if err := s.ranks[0].store.Put(1, []byte{0xFF, 0x01}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.NewSampler(1); err == nil {
+	if _, err := s.NewSampler(0); err == nil {
 		t.Fatal("sampler built over a corrupt block")
 	}
 }
@@ -521,7 +516,7 @@ func TestSamplerLargeRegister(t *testing.T) {
 	if err := s.SetBasisState(target); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := s.NewSampler(2)
+	sp, err := s.NewSampler(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,10 +565,10 @@ func touchedBlocks(s *Simulator, out []uint64) int {
 }
 
 // TestSamplerDecodeCounts is the sampler's codec-traffic contract on a
-// dense state (32 distinct blocks, 8 LRU lines): a call decodes each
-// block it touches once however many shots land there; a repeat of a
-// call narrow enough for the LRU decodes nothing; and a call too wide
-// for the LRU goes around it, leaving its lines as they were.
+// dense state (32 distinct blocks): every call decodes each block it
+// touches exactly once however many shots land there — wide and narrow
+// calls, first and repeated, at any worker count. A Sampler keeps no
+// decoded block between calls.
 func TestSamplerDecodeCounts(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		s := newSim(t, 8, 1, 8, func(c *Config) { c.Workers = workers })
@@ -582,57 +577,33 @@ func TestSamplerDecodeCounts(t *testing.T) {
 		}
 		var dec atomic.Int64
 		s.cfg.Lossless = countingCodec{Codec: s.cfg.Lossless, dec: &dec}
-		sp, err := s.NewSampler(8)
+		sp, err := s.NewSampler(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		call := func(seed int64, shots int) (touched int, decodes int64) {
-			t.Helper()
+		for _, c := range []struct {
+			seed  int64
+			shots int
+		}{{1, 4096}, {2, 6}, {2, 6}, {3, 4096}, {2, 6}, {1, 4096}} {
 			dec.Store(0)
-			out, err := sp.Sample(rand.New(rand.NewSource(seed)), shots)
+			out, err := sp.Sample(rand.New(rand.NewSource(c.seed)), c.shots)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return touchedBlocks(s, out), dec.Load()
-		}
-		lruState := func() map[decodedKey]int64 {
-			ticks := map[decodedKey]int64{}
-			for k, l := range sp.cache.lines {
-				ticks[k] = l.tick
+			touched, decodes := touchedBlocks(s, out), dec.Load()
+			if c.shots > 8 && touched != 32 || c.shots <= 8 && (touched < 2 || touched > c.shots) {
+				t.Fatalf("workers=%d: %d shots (seed %d) touched %d blocks; scenario void", workers, c.shots, c.seed, touched)
 			}
-			return ticks
-		}
-
-		if touched, decodes := call(1, 4096); touched != 32 || decodes != 32 {
-			t.Fatalf("workers=%d: wide call touched %d blocks with %d decodes, want 32 and 32", workers, touched, decodes)
-		}
-		if len(sp.cache.lines) != 0 {
-			t.Fatalf("workers=%d: a call too wide for the LRU filled %d lines", workers, len(sp.cache.lines))
-		}
-		touched, decodes := call(2, 6)
-		if touched < 2 || touched > 6 || decodes != int64(touched) || len(sp.cache.lines) != touched {
-			t.Fatalf("workers=%d: cold narrow call touched %d blocks with %d decodes into %d lines", workers, touched, decodes, len(sp.cache.lines))
-		}
-		if _, decodes := call(2, 6); decodes != 0 {
-			t.Fatalf("workers=%d: repeat narrow call decoded %d blocks, want 0", workers, decodes)
-		}
-		before := lruState()
-		if touched, decodes := call(3, 4096); decodes != int64(touched) {
-			t.Fatalf("workers=%d: wide call touched %d blocks with %d decodes", workers, touched, decodes)
-		}
-		if after := lruState(); !maps.Equal(before, after) {
-			t.Fatalf("workers=%d: a wide call changed the LRU: %v → %v", workers, before, after)
-		}
-		if _, decodes := call(2, 6); decodes != 0 {
-			t.Fatalf("workers=%d: narrow call after a wide one decoded %d blocks, want 0", workers, decodes)
+			if decodes != int64(touched) {
+				t.Fatalf("workers=%d: %d shots (seed %d) touched %d blocks with %d decodes", workers, c.shots, c.seed, touched, decodes)
+			}
 		}
 	}
 }
 
 // TestSamplerRedundantBlocksDecodeOnce: a uniform superposition is one
-// compressed blob repeated in every block. A narrow call holds it in one
-// content-keyed LRU line; a wide one decodes it once per worker, not
-// once per block.
+// compressed blob repeated in every block. Every call, narrow or wide,
+// decodes it once per worker, not once per block.
 func TestSamplerRedundantBlocksDecodeOnce(t *testing.T) {
 	s := newSim(t, 10, 1, 64, func(c *Config) { c.Workers = 1 })
 	if err := s.Run(quantum.HadamardAll(10)); err != nil {
@@ -640,12 +611,12 @@ func TestSamplerRedundantBlocksDecodeOnce(t *testing.T) {
 	}
 	var dec atomic.Int64
 	s.cfg.Lossless = countingCodec{Codec: s.cfg.Lossless, dec: &dec}
-	sp, err := s.NewSampler(8)
+	sp, err := s.NewSampler(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec.Store(0)
 	for _, shots := range []int{4, 4, 4096} {
+		dec.Store(0)
 		out, err := sp.Sample(nil, shots)
 		if err != nil {
 			t.Fatal(err)
@@ -653,9 +624,9 @@ func TestSamplerRedundantBlocksDecodeOnce(t *testing.T) {
 		if touched := touchedBlocks(s, out); shots > 8 && touched <= 8 {
 			t.Fatalf("%d shots touched only %d blocks", shots, touched)
 		}
-	}
-	if n, lines := dec.Load(), len(sp.cache.lines); n != 2 || lines != 1 {
-		t.Fatalf("%d decodes into %d lines, want 2 (one per LRU fill, one per wide call) into 1", n, lines)
+		if n := dec.Load(); n != 1 {
+			t.Fatalf("%d shots: %d decodes, want 1", shots, n)
+		}
 	}
 }
 
@@ -773,7 +744,7 @@ func TestReadsDecodeEachDistinctBlobOnce(t *testing.T) {
 				})
 			}
 			total := read("NewSampler", -1, func() (float64, error) {
-				sp, err := s.NewSampler(DefaultSampleCache)
+				sp, err := s.NewSampler(0)
 				if err != nil {
 					return 0, err
 				}
@@ -856,9 +827,8 @@ func TestReadsDecodeEachDistinctBlobOnce(t *testing.T) {
 }
 
 // TestSamplerSteadyStateAllocs: a Sample call allocates its per-shot
-// arrays and a fixed handful of headers — nothing per touched block,
-// whether the call bypasses the LRU and decodes every block or hits in
-// it. On raw blocks no codec's allocations are counted at all. On the
+// arrays and a fixed handful of headers — nothing per touched block. On
+// raw blocks no codec's allocations are counted at all. On the
 // default lossless codec's blocks the count is the same: a dense random
 // state gives it stored blocks (and a few small-dictionary ones), a
 // uniform superposition two-valued dictionary ones, and neither kind
@@ -867,12 +837,12 @@ func TestReadsDecodeEachDistinctBlobOnce(t *testing.T) {
 // cases run without it only (CI has a step that does).
 func TestSamplerSteadyStateAllocs(t *testing.T) {
 	dense, uniform := quantum.RandomCircuit(8, 24, 7), quantum.HadamardAll(8)
-	allocs := func(c *quantum.Circuit, raw bool, blockAmps, lines int) float64 {
+	allocs := func(c *quantum.Circuit, raw bool, blockAmps int) float64 {
 		s := newSim(t, 8, 1, blockAmps, func(c *Config) { c.Workers, c.Uncompressed = 1, raw })
 		if err := s.Run(c); err != nil {
 			t.Fatal(err)
 		}
-		sp, err := s.NewSampler(lines)
+		sp, err := s.NewSampler(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -883,16 +853,16 @@ func TestSamplerSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	few, many, hot := allocs(dense, true, 128, 1), allocs(dense, true, 8, 1), allocs(dense, true, 8, 32)
-	if few != many || few != hot || few > 8 {
-		t.Fatalf("allocs per Sample on raw blocks: %v over 2 blocks, %v over 32, %v over 32 through the LRU; want one small constant", few, many, hot)
+	few, many := allocs(dense, true, 128), allocs(dense, true, 8)
+	if few != many || few > 8 {
+		t.Fatalf("allocs per Sample on raw blocks: %v over 2 blocks, %v over 32; want one small constant", few, many)
 	}
 	if codectest.RaceEnabled {
 		return
 	}
-	stored, storedHot, dict := allocs(dense, false, 8, 1), allocs(dense, false, 8, 32), allocs(uniform, false, 8, 1)
-	if stored != few || storedHot != few || dict != few {
-		t.Fatalf("allocs per Sample on lossless blocks: %v over 32 stored, %v through the LRU, %v over 32 dictionary blocks; want the %v of raw blocks", stored, storedHot, dict, few)
+	stored, dict := allocs(dense, false, 8), allocs(uniform, false, 8)
+	if stored != few || dict != few {
+		t.Fatalf("allocs per Sample on lossless blocks: %v over 32 stored, %v over 32 dictionary blocks; want the %v of raw blocks", stored, dict, few)
 	}
 }
 
@@ -916,7 +886,7 @@ func BenchmarkSampler(b *testing.B) {
 		b.Fatal(err)
 	}
 	streaming := func(tb testing.TB, s *Simulator, rng *rand.Rand, shots int) []uint64 {
-		sp, err := s.NewSampler(DefaultSampleCache)
+		sp, err := s.NewSampler(0)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -958,7 +928,7 @@ func BenchmarkSampler(b *testing.B) {
 		if err := s.Run(quantum.QAOA(16, 2, 2020)); err != nil {
 			b.Fatal(err)
 		}
-		sp, err := s.NewSampler(DefaultSampleCache)
+		sp, err := s.NewSampler(0)
 		if err != nil {
 			b.Fatal(err)
 		}

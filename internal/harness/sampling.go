@@ -82,7 +82,7 @@ func SamplingResults(opt Options) ([]SamplingRow, error) {
 		}
 
 		start := time.Now()
-		sp, err := s.NewSampler(core.DefaultSampleCache)
+		sp, err := s.NewSampler(0)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", wl.name, err)
 		}

@@ -88,15 +88,14 @@ func WithCache(lines int) Option {
 	return func(s *settings) { s.cfg.CacheLines = lines }
 }
 
-// DefaultSampleCache is the number of decoded blocks a held Sampler
-// keeps in its LRU between Sample calls, so repeated calls whose shots
-// cluster in the same few blocks (a basis or GHZ-like state) skip the
-// codec. Each line holds one block's probabilities (8·BlockAmps
-// bytes); byte-identical compact blocks share a line. Within one call
-// every touched block is decoded once regardless, and a call that
-// touches more blocks than there are lines bypasses the LRU, leaving it
-// as it was.
-const DefaultSampleCache = core.DefaultSampleCache
+// DefaultSampleCache was the number of lines of a decoded-block LRU a
+// held Sampler kept between Sample calls. A Sampler now keeps nothing
+// between calls but its CDF, and the engine's NewSampler ignores its
+// argument, so the value means nothing.
+//
+// Deprecated: pass any value, or 0, to the engine's NewSampler; the
+// constant will be removed once nothing names it.
+const DefaultSampleCache = 8
 
 // DefaultBondDim is the MPS bond-dimension cap χ when WithBondDim is
 // not given: large enough for GHZ-like and shallow-entangling circuits

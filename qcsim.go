@@ -652,8 +652,7 @@ func (s *Simulator) Sample(shots int) ([]uint64, error) {
 // probability masses; a Sample call binary-searches the block prefix
 // sums per shot, then decompresses each block the shots touched once,
 // on the worker pool, and binary-searches its folded probabilities
-// (narrow calls keep their blocks decoded in an LRU of
-// DefaultSampleCache lines; wide ones bypass it); draws are normalized
+// (nothing decoded is kept between calls); draws are normalized
 // by the true total mass, so lossy-codec norm loss never skews
 // outcomes, and outcomes are identical for every worker count. On the
 // mps backend it

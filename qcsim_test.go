@@ -480,7 +480,7 @@ func TestSweepSchedulerFacade(t *testing.T) {
 // TestSamplerHandle: the Sampler builds its tables once and then draws
 // repeatedly from the simulator's sampling stream — split calls match
 // one big Sample call, and the sampler a Simulator builds is the
-// engine's own at DefaultSampleCache lines.
+// engine's own.
 func TestSamplerHandle(t *testing.T) {
 	mk := func() *Simulator {
 		sim, err := New(8, WithSeed(21), WithBlockAmps(16))
@@ -493,9 +493,6 @@ func TestSamplerHandle(t *testing.T) {
 		return sim
 	}
 	a, b, c := mk(), mk(), mk()
-	if DefaultSampleCache != core.DefaultSampleCache {
-		t.Fatalf("DefaultSampleCache = %d, the engine's default is %d", DefaultSampleCache, core.DefaultSampleCache)
-	}
 	sp, err := a.Sampler()
 	if err != nil {
 		t.Fatal(err)
@@ -526,7 +523,7 @@ func TestSamplerHandle(t *testing.T) {
 			t.Fatalf("shot %d: sampler handle drew %d, Sample drew %d", i, got, want)
 		}
 	}
-	engine, err := c.be.(compressedBackend).Simulator.NewSampler(DefaultSampleCache)
+	engine, err := c.be.(compressedBackend).Simulator.NewSampler(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +532,7 @@ func TestSamplerHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !slices.Equal(direct, whole) {
-		t.Fatalf("the engine's sampler at DefaultSampleCache drew %v, Sample drew %v", direct, whole)
+		t.Fatalf("the engine's sampler drew %v, Sample drew %v", direct, whole)
 	}
 	if _, err := sp.Sample(-1); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("negative shots: %v", err)
